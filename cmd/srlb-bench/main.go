@@ -294,6 +294,18 @@ docs/TOPOLOGY.md.`)
 
 	want := func(name string) bool { return *experiment == "all" || *experiment == name }
 
+	// sweepJSONName names an extension experiment's JSON artifact. A
+	// standalone run owns BENCH_sweep.json; under -experiment all the
+	// figure-2 sweep owns that name (it is the cross-commit tracking
+	// artifact), so the extension's rows go to the sibling file instead
+	// of clobbering it.
+	sweepJSONName := func(sibling string) string {
+		if *experiment == "all" {
+			return sibling
+		}
+		return "BENCH_sweep.json"
+	}
+
 	if want("calibrate") && *experiment != "all" {
 		run("calibrate (SS V-A bootstrap)", calibrate)
 	}
@@ -518,12 +530,7 @@ docs/TOPOLOGY.md.`)
 			}
 			fmt.Printf("   replica kill at %.0f%% of span, recover at %.0f%%; rack loses %.0f%% of servers\n",
 				100*res.KillFrac, 100*res.RecoverFrac, 100*res.RackFrac)
-			// As with multiservice: standalone runs own BENCH_sweep.json;
-			// under -experiment all the figure-2 sweep keeps that name.
-			jsonName := "BENCH_sweep.json"
-			if *experiment == "all" {
-				jsonName = "BENCH_resilience.json"
-			}
+			jsonName := sweepJSONName("BENCH_resilience.json")
 			if err := writeResilienceJSON(*out, jsonName, lambda0, *workers, time.Since(start), res); err != nil {
 				return err
 			}
@@ -555,14 +562,7 @@ docs/TOPOLOGY.md.`)
 					fmt.Printf("   SR4 vs RR mean RT, %-5s service at rho=0.85: %.2fx\n", svc, imp)
 				}
 			}
-			// Standalone runs own BENCH_sweep.json; under -experiment all
-			// the figure-2 sweep owns that name (it is the cross-commit
-			// tracking artifact), so the multi-service cells go to a
-			// sibling file instead of clobbering it.
-			jsonName := "BENCH_sweep.json"
-			if *experiment == "all" {
-				jsonName = "BENCH_multiservice.json"
-			}
+			jsonName := sweepJSONName("BENCH_multiservice.json")
 			if err := writeSweepJSON(*out, jsonName, lambda0, *workers, time.Since(start), res.Stats); err != nil {
 				return err
 			}
@@ -600,12 +600,7 @@ docs/TOPOLOGY.md.`)
 						name, heavy, row.P99.Seconds(), deg)
 				}
 			}
-			// As with multiservice: standalone runs own BENCH_sweep.json;
-			// under -experiment all the figure-2 sweep keeps that name.
-			jsonName := "BENCH_sweep.json"
-			if *experiment == "all" {
-				jsonName = "BENCH_interference.json"
-			}
+			jsonName := sweepJSONName("BENCH_interference.json")
 			if err := writeSweepJSON(*out, jsonName, lambda0, *workers, time.Since(start), res.Stats); err != nil {
 				return err
 			}
@@ -638,12 +633,7 @@ docs/TOPOLOGY.md.`)
 				fmt.Printf("   flowlet re-steers (%s): %.0f established flows moved mid-connection\n",
 					variant, res.TotalResteers(variant, "flowlet"))
 			}
-			// As with multiservice: standalone runs own BENCH_sweep.json;
-			// under -experiment all the figure-2 sweep keeps that name.
-			jsonName := "BENCH_sweep.json"
-			if *experiment == "all" {
-				jsonName = "BENCH_policies.json"
-			}
+			jsonName := sweepJSONName("BENCH_policies.json")
 			if err := writePoliciesJSON(*out, jsonName, lambda0, *workers, time.Since(start), res); err != nil {
 				return err
 			}
@@ -678,12 +668,7 @@ docs/TOPOLOGY.md.`)
 					100*float64(res.TotalReplicates())/float64(res.FixedBudget()),
 					*ciTarget, res.MaxSeeds)
 			}
-			// As with multiservice: standalone runs own BENCH_sweep.json;
-			// under -experiment all the figure-2 sweep keeps that name.
-			jsonName := "BENCH_sweep.json"
-			if *experiment == "all" {
-				jsonName = "BENCH_rhogrid.json"
-			}
+			jsonName := sweepJSONName("BENCH_rhogrid.json")
 			if err := writeSweepJSON(*out, jsonName, lambda0, *workers, time.Since(start), res.Stats); err != nil {
 				return err
 			}
@@ -751,13 +736,7 @@ docs/TOPOLOGY.md.`)
 			}
 			fmt.Printf("   flatness (largest/smallest dispatch cost across schemes): %.2fx — O(1) stays near 1, O(n) tracks the count ratio\n",
 				res.FlatnessRatio())
-			// Standalone runs own BENCH_sweep.json (the vipscale rows are
-			// the schema-v6 addition); under -experiment all the figure-2
-			// sweep keeps that name, as with multiservice/interference.
-			jsonName := "BENCH_sweep.json"
-			if *experiment == "all" {
-				jsonName = "BENCH_vipscale.json"
-			}
+			jsonName := sweepJSONName("BENCH_vipscale.json")
 			if err := writeVIPScaleJSON(*out, jsonName, time.Since(start), res); err != nil {
 				return err
 			}

@@ -255,12 +255,14 @@
 //
 // The public API in this root package fronts the implementation packages:
 //
-//   - internal/core — the load balancer (the paper's contribution)
+//   - internal/core — the load balancer (the paper's contribution): one
+//     clock-free Dispatcher plus its discrete-event binding, LoadBalancer
 //   - internal/vrouter, internal/agent — per-server router + policies
 //   - internal/srv6, internal/ipv6, internal/tcpseg, internal/packet — codecs
 //   - internal/appserver — processor-sharing Apache model
 //   - internal/des, internal/netsim — simulation kernel and LAN
-//   - internal/livenet — real-time goroutine runtime, same wire format
+//   - internal/livenet — real-time goroutine runtime; its load balancer
+//     is a goroutine binding of the same dispatcher
 //   - internal/workload: internal/wiki, internal/trace, internal/rng
 //   - internal/stats — replication statistics: Dist, Replicated,
 //     Student-t CIs, seeded bootstrap

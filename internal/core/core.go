@@ -30,7 +30,6 @@ package core
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"time"
 
 	"srlb/internal/des"
@@ -44,57 +43,44 @@ import (
 	"srlb/internal/tcpseg"
 )
 
-// VIPConfig declares one advertised VIP in the indexed configuration
-// form. Position in Config.VIPList is the VIP's dense internal id, so a
-// caller that builds the list in a deterministic order gets a fully
-// deterministic balancer without any map-iteration concerns.
+// VIPConfig declares one advertised VIP. Position in Config.VIPList is
+// the VIP's dense internal id, so a caller that builds the list in a
+// deterministic order gets a fully deterministic balancer without any
+// map-iteration concerns.
 type VIPConfig struct {
 	// Addr is the virtual IP clients address.
 	Addr netip.Addr
 	// Scheme selects candidate servers for new flows.
 	Scheme selection.Scheme
-	// Fallback, when non-nil, steers non-SYN flow-table misses for this
-	// VIP (overriding Config.MissFallback). A consistent-hash scheme
-	// makes post-failure steering deterministic.
+	// Fallback, when non-nil, selects a server for this VIP's non-SYN
+	// packets that miss the flow table (e.g. after LB state loss) instead
+	// of dropping them. A consistent-hash scheme makes post-failure
+	// steering deterministic.
 	Fallback selection.Scheme
 }
 
-// Config assembles a load balancer. Exactly one of VIPs (the legacy map
-// form) or VIPList (the indexed form) must be populated.
+// Config assembles a load balancer.
 type Config struct {
 	// Addr is the LB's own address (the segment servers route SYN-ACKs
 	// through).
 	Addr netip.Addr
-	// VIPs maps each advertised virtual IP to its selection scheme — the
-	// legacy map form. It is compiled into the same indexed internal
-	// table as VIPList (sorted by address so ids are deterministic).
-	VIPs map[netip.Addr]selection.Scheme
-	// VIPList declares the advertised VIPs in dense-id order — the form
-	// scale callers use: one slice, no per-VIP map churn, ids assigned by
-	// position.
+	// VIPList declares the advertised VIPs in dense-id order: one slice,
+	// no per-VIP map churn, ids assigned by position.
 	VIPList []VIPConfig
 	// Flows tunes the flow table (zero value = defaults).
 	Flows flowtable.Config
 	// SweepInterval bounds how often expired flow entries are collected.
 	// Sweeps run opportunistically on the datapath (at most one per
 	// interval), never from a free-running timer — so an idle simulation
-	// terminates. Default 1s of virtual time; negative disables.
+	// terminates. Default 1s of the caller's clock; negative disables.
 	SweepInterval time.Duration
-	// MissFallback, when non-nil, selects a server for non-SYN packets
-	// that miss the flow table (e.g. after LB state loss) instead of
-	// dropping them. A consistent-hash scheme makes this deterministic.
-	MissFallback selection.Scheme
-	// MissFallbacks, when non-nil, overrides MissFallback per VIP for the
-	// legacy map form. (VIPList callers set VIPConfig.Fallback instead.)
-	// A VIP absent from the map falls back to MissFallback, then to
-	// dropping.
-	MissFallbacks map[netip.Addr]selection.Scheme
 }
 
 // vipEntry is the compiled per-VIP dispatch state: everything the hot
 // path needs after the single vipIndex lookup, in one cache-friendly
-// slot. The per-VIP SYN counter lives here as a plain integer — no
-// string-keyed metrics map on the per-packet path.
+// slot. The per-VIP SYN counter lives here as a plain integer. (The
+// shared string-keyed Counts map is still hit on every packet — the
+// typed counter block that replaces it is ROADMAP item 2.)
 type vipEntry struct {
 	addr     netip.Addr
 	scheme   selection.Scheme
@@ -108,11 +94,13 @@ type vipEntry struct {
 	syns     uint64
 }
 
-// LoadBalancer is the SRLB forwarding-plane element.
-type LoadBalancer struct {
+// Dispatcher is the SRLB forwarding state machine: flow table, compiled
+// VIP table, counters and sweep clock. Time comes from the caller on
+// every call and forwarding is the caller's job, so the same code runs
+// under virtual time (LoadBalancer below) and under the wall clock
+// (internal/livenet). It is not safe for concurrent use.
+type Dispatcher struct {
 	cfg       Config
-	sim       *des.Simulator
-	net       *netsim.Network
 	flows     *flowtable.Table
 	lastSweep time.Duration
 	Counts    *metrics.Counter
@@ -122,136 +110,99 @@ type LoadBalancer struct {
 	vips     []vipEntry
 }
 
-// New builds the LB and attaches it to the network under its own address
-// and every VIP it advertises.
-func New(sim *des.Simulator, net *netsim.Network, cfg Config) *LoadBalancer {
-	lb := NewDetached(sim, net, cfg)
-	addrs := make([]netip.Addr, 0, 1+len(lb.vips))
-	addrs = append(addrs, cfg.Addr)
-	for i := range lb.vips {
-		addrs = append(addrs, lb.vips[i].addr)
-	}
-	net.Attach(lb, addrs...)
-	return lb
-}
-
-// NewDetached builds the LB without attaching it to the LAN — for
-// multi-replica deployments the caller places each replica into the
-// anycast/ECMP groups of the shared VIP and LB return address itself
-// (netsim.AttachAnycast).
-func NewDetached(sim *des.Simulator, net *netsim.Network, cfg Config) *LoadBalancer {
+// NewDispatcher validates cfg and compiles the indexed dispatch table.
+// Allocation is constant-count (one slice, one presized map) regardless
+// of VIP count.
+func NewDispatcher(cfg Config) *Dispatcher {
 	if err := ipv6.CheckAddr(cfg.Addr); err != nil {
 		panic(fmt.Sprintf("core: bad LB addr: %v", err))
+	}
+	if len(cfg.VIPList) == 0 {
+		panic("core: at least one VIP is required")
 	}
 	if cfg.SweepInterval == 0 {
 		cfg.SweepInterval = time.Second
 	}
-	lb := &LoadBalancer{
-		cfg:    cfg,
-		sim:    sim,
-		net:    net,
-		flows:  flowtable.New(cfg.Flows),
-		Counts: metrics.NewCounter(),
+	d := &Dispatcher{
+		cfg:      cfg,
+		flows:    flowtable.New(cfg.Flows),
+		Counts:   metrics.NewCounter(),
+		vips:     make([]vipEntry, len(cfg.VIPList)),
+		vipIndex: make(map[netip.Addr]int32, len(cfg.VIPList)),
 	}
-	lb.compileVIPs()
-	return lb
-}
-
-// compileVIPs builds the indexed dispatch table from whichever config
-// form the caller used. Allocation is constant-count (one slice, one
-// presized map) regardless of VIP count.
-func (lb *LoadBalancer) compileVIPs() {
-	cfg := &lb.cfg
-	if len(cfg.VIPs) > 0 && len(cfg.VIPList) > 0 {
-		panic("core: set Config.VIPs or Config.VIPList, not both")
-	}
-	list := cfg.VIPList
-	if len(list) == 0 {
-		if len(cfg.VIPs) == 0 {
-			panic("core: at least one VIP is required")
-		}
-		// Compile the map form: sort by address so dense ids (and thus
-		// any id-ordered iteration) are deterministic.
-		list = make([]VIPConfig, 0, len(cfg.VIPs))
-		for vip, scheme := range cfg.VIPs {
-			list = append(list, VIPConfig{Addr: vip, Scheme: scheme, Fallback: cfg.MissFallbacks[vip]})
-		}
-		sort.Slice(list, func(i, j int) bool { return list[i].Addr.Less(list[j].Addr) })
-	}
-	lb.vips = make([]vipEntry, len(list))
-	lb.vipIndex = make(map[netip.Addr]int32, len(list))
-	for i, vc := range list {
+	for i, vc := range cfg.VIPList {
 		if err := ipv6.CheckAddr(vc.Addr); err != nil {
 			panic(fmt.Sprintf("core: bad VIP: %v", err))
 		}
-		if _, dup := lb.vipIndex[vc.Addr]; dup {
+		if _, dup := d.vipIndex[vc.Addr]; dup {
 			panic(fmt.Sprintf("core: duplicate VIP %v", vc.Addr))
 		}
-		fb := vc.Fallback
-		if fb == nil {
-			fb = cfg.MissFallbacks[vc.Addr]
-		}
-		if fb == nil {
-			fb = cfg.MissFallback
-		}
-		lb.vips[i] = vipEntry{
+		d.vips[i] = vipEntry{
 			addr:     vc.Addr,
 			scheme:   vc.Scheme,
-			fallback: fb,
+			fallback: vc.Fallback,
 			stateful: selection.AsStateful(vc.Scheme),
 			resteer:  selection.AsResteerer(vc.Scheme),
 		}
-		lb.vipIndex[vc.Addr] = int32(i)
+		d.vipIndex[vc.Addr] = int32(i)
 	}
+	return d
 }
 
-// Addr returns the LB's address.
-func (lb *LoadBalancer) Addr() netip.Addr { return lb.cfg.Addr }
+// Addrs returns every address the balancer answers on: its own, then
+// each VIP in id order — what a binding attaches to its network.
+func (d *Dispatcher) Addrs() []netip.Addr {
+	addrs := append(make([]netip.Addr, 0, 1+len(d.vips)), d.cfg.Addr)
+	for i := range d.vips {
+		addrs = append(addrs, d.vips[i].addr)
+	}
+	return addrs
+}
 
 // NumVIPs returns how many VIPs the balancer advertises.
-func (lb *LoadBalancer) NumVIPs() int { return len(lb.vips) }
+func (d *Dispatcher) NumVIPs() int { return len(d.vips) }
 
 // VIPSYNs returns the number of client SYNs this replica received for
 // the given VIP — the per-service demand split of a multi-VIP cluster.
 // Summed across replicas it equals the queries offered to the VIP (each
 // query sends one SYN unless client retransmission is enabled).
-func (lb *LoadBalancer) VIPSYNs(vip netip.Addr) uint64 {
-	id, ok := lb.vipIndex[vip]
+func (d *Dispatcher) VIPSYNs(vip netip.Addr) uint64 {
+	id, ok := d.vipIndex[vip]
 	if !ok {
 		return 0
 	}
-	return lb.vips[id].syns
+	return d.vips[id].syns
 }
 
 // FlowCount returns the number of tracked flows.
-func (lb *LoadBalancer) FlowCount() int { return lb.flows.Len() }
+func (d *Dispatcher) FlowCount() int { return d.flows.Len() }
 
 // FlowStats returns flow-table counters.
-func (lb *LoadBalancer) FlowStats() flowtable.Stats { return lb.flows.Stats() }
+func (d *Dispatcher) FlowStats() flowtable.Stats { return d.flows.Stats() }
 
 // ResetFlows discards all learned flow state — a replica restarting
 // after a failure comes back stateless. The §II-B consistent-hashing
-// selection (and the MissFallback steering path) exist precisely so
+// selection (and the per-VIP Fallback steering path) exist precisely so
 // that this is survivable without state synchronization: any replica
 // recomputes the same flow→server mapping from the packet alone.
-func (lb *LoadBalancer) ResetFlows() {
-	lb.flows = flowtable.New(lb.cfg.Flows)
+func (d *Dispatcher) ResetFlows() {
+	d.flows = flowtable.New(d.cfg.Flows)
 }
 
 // SeedFlow installs a flow→server binding directly, bypassing SYN-ACK
 // learning — the warm-handoff hook (a recovering replica inheriting
 // another's connection state) and the dispatch benchmarks' way of
 // exercising the steered-hit path without running the simulator.
-func (lb *LoadBalancer) SeedFlow(flow packet.FlowKey, server netip.Addr) {
-	lb.flows.Insert(lb.sim.Now(), flow, server)
+func (d *Dispatcher) SeedFlow(now time.Duration, flow packet.FlowKey, server netip.Addr) {
+	d.flows.Insert(now, flow, server)
 }
 
-// ExportFlows snapshots every live flow binding at the current virtual
-// time — the donor half of a warm handoff. The snapshot carries
-// absolute deadlines and closing marks, so a receiver importing it
-// later inherits exactly the state that is still alive then.
-func (lb *LoadBalancer) ExportFlows() []flowtable.FlowBinding {
-	return lb.flows.Snapshot(lb.sim.Now())
+// ExportFlows snapshots every flow binding alive at now — the donor
+// half of a warm handoff. The snapshot carries absolute deadlines and
+// closing marks, so a receiver importing it later inherits exactly the
+// state that is still alive then.
+func (d *Dispatcher) ExportFlows(now time.Duration) []flowtable.FlowBinding {
+	return d.flows.Snapshot(now)
 }
 
 // ImportFlows merges an exported snapshot into this replica's flow
@@ -259,55 +210,48 @@ func (lb *LoadBalancer) ExportFlows() []flowtable.FlowBinding {
 // since the export are dropped, a newer local entry is never
 // overwritten, and the table's capacity bound still holds. Returns the
 // number of bindings applied.
-func (lb *LoadBalancer) ImportFlows(bindings []flowtable.FlowBinding) int {
-	return lb.flows.Restore(lb.sim.Now(), bindings)
+func (d *Dispatcher) ImportFlows(now time.Duration, bindings []flowtable.FlowBinding) int {
+	return d.flows.Restore(now, bindings)
 }
 
 // SweepNow immediately collects expired flow entries and returns how many
 // were removed.
-func (lb *LoadBalancer) SweepNow() int {
-	lb.lastSweep = lb.sim.Now()
-	return lb.flows.Sweep(lb.sim.Now())
+func (d *Dispatcher) SweepNow(now time.Duration) int {
+	d.lastSweep = now
+	return d.flows.Sweep(now)
 }
 
-// maybeSweep runs an opportunistic sweep at most once per SweepInterval.
-func (lb *LoadBalancer) maybeSweep() {
-	if lb.cfg.SweepInterval < 0 {
-		return
+// Dispatch runs one packet through the load balancer at time now. It
+// rewrites pkt in place — the caller must own it — and reports whether
+// the caller should forward the result to pkt.IP.Dst; every drop is
+// recorded in Counts. Expired flow state is collected opportunistically
+// here, at most once per SweepInterval of the caller's clock.
+func (d *Dispatcher) Dispatch(now time.Duration, pkt *packet.Packet) (forward bool) {
+	if d.cfg.SweepInterval >= 0 && now-d.lastSweep >= d.cfg.SweepInterval {
+		d.SweepNow(now)
 	}
-	if now := lb.sim.Now(); now-lb.lastSweep >= lb.cfg.SweepInterval {
-		lb.lastSweep = now
-		lb.flows.Sweep(now)
-	}
-}
-
-// Handle implements netsim.Node.
-func (lb *LoadBalancer) Handle(pkt *packet.Packet) {
-	lb.maybeSweep()
 	// SYN-ACK (or any packet) SR-routed through the LB itself: the
 	// flow-learning path.
-	if pkt.IP.Dst == lb.cfg.Addr {
+	if pkt.IP.Dst == d.cfg.Addr {
 		if pkt.SRH != nil {
-			lb.handleReturn(pkt)
-			return
+			return d.handleReturn(now, pkt)
 		}
-		lb.Counts.Inc("to_lb_no_srh")
-		return
+		d.Counts.Inc("to_lb_no_srh")
+		return false
 	}
 	// Client-side traffic addressed to a VIP: one map lookup, then
 	// everything the packet needs is in the dense entry.
-	id, ok := lb.vipIndex[pkt.IP.Dst]
+	id, ok := d.vipIndex[pkt.IP.Dst]
 	if !ok {
-		lb.Counts.Inc("unknown_vip")
-		return
+		d.Counts.Inc("unknown_vip")
+		return false
 	}
-	e := &lb.vips[id]
+	e := &d.vips[id]
 	if pkt.IsSYN() {
 		e.syns++
-		lb.handleSYN(pkt, e)
-		return
+		return d.handleSYN(now, pkt, e)
 	}
-	lb.handleSteered(pkt, e)
+	return d.handleSteered(now, pkt, e)
 }
 
 // handleSYN starts Service Hunting: insert the candidate SRH and forward
@@ -316,18 +260,17 @@ func (lb *LoadBalancer) Handle(pkt *packet.Packet) {
 // instead of starting a new hunt — "data packets belonging to the same
 // flow are delivered to the same application instance" (§I) includes the
 // SYN itself.
-func (lb *LoadBalancer) handleSYN(pkt *packet.Packet, e *vipEntry) {
-	lb.Counts.Inc("syn_rx")
+func (d *Dispatcher) handleSYN(now time.Duration, pkt *packet.Packet, e *vipEntry) bool {
+	d.Counts.Inc("syn_rx")
 	flow := pkt.Flow()
-	if _, bound := lb.flows.Lookup(lb.sim.Now(), flow); bound {
-		lb.Counts.Inc("syn_rebound")
-		lb.handleSteered(pkt, e)
-		return
+	if _, bound := d.flows.Lookup(now, flow); bound {
+		d.Counts.Inc("syn_rebound")
+		return d.handleSteered(now, pkt, e)
 	}
 	candidates := e.scheme.Pick(flow)
 	if len(candidates) == 0 {
-		lb.Counts.Inc("no_candidates")
-		return
+		d.Counts.Inc("no_candidates")
+		return false
 	}
 	vip := pkt.IP.Dst
 	pathSegs := append(append(make([]netip.Addr, 0, len(candidates)+1), candidates...), vip)
@@ -335,50 +278,48 @@ func (lb *LoadBalancer) handleSYN(pkt *packet.Packet, e *vipEntry) {
 	if err != nil {
 		panic(fmt.Sprintf("core: hunt SRH: %v", err))
 	}
-	// The delivered packet is owned by this node (netsim.Node contract):
-	// mutate it in place rather than cloning on the hot path.
 	pkt.SRH = srh
 	active, err := srh.Active()
 	if err != nil {
 		panic(err)
 	}
 	pkt.IP.Dst = active
-	lb.Counts.Inc("hunts_started")
-	lb.net.Send(pkt)
+	d.Counts.Inc("hunts_started")
+	return true
 }
 
 // handleReturn processes a server→client packet SR-routed through the LB:
 // learn the accepting server, strip the SRH, forward to the client.
-func (lb *LoadBalancer) handleReturn(pkt *packet.Packet) {
+func (d *Dispatcher) handleReturn(now time.Duration, pkt *packet.Packet) bool {
 	srh := pkt.SRH
 	active, err := srh.Active()
-	if err != nil || active != lb.cfg.Addr {
-		lb.Counts.Inc("return_bad_segment")
-		return
+	if err != nil || active != d.cfg.Addr {
+		d.Counts.Inc("return_bad_segment")
+		return false
 	}
 	// The accepting server wrote itself one slot behind the LB in the
 	// list (figure 1: SYN-ACK {a, S2, LB, c} — S2 at SL+1).
 	server, err := srh.SegmentAtSL(srh.SegmentsLeft + 1)
 	if err != nil {
-		lb.Counts.Inc("return_no_server")
-		return
+		d.Counts.Inc("return_no_server")
+		return false
 	}
 	client, err := srh.Advance()
 	if err != nil {
-		lb.Counts.Inc("return_exhausted")
-		return
+		d.Counts.Inc("return_exhausted")
+		return false
 	}
 	if pkt.IsSYNACK() {
 		// Key the mapping by the CLIENT's view of the flow: the SYN-ACK
 		// flow is (VIP→client); the client flow is its reverse.
 		clientFlow := pkt.Flow().Reverse()
-		lb.flows.Insert(lb.sim.Now(), clientFlow, server)
-		lb.Counts.Inc("flows_learned")
+		d.flows.Insert(now, clientFlow, server)
+		d.Counts.Inc("flows_learned")
 		// A stateful scheme tracks its own placements (the in-flight
 		// delta between feedback reports); the flow's VIP is the client
 		// flow's destination.
-		if id, ok := lb.vipIndex[clientFlow.Dst]; ok {
-			if st := lb.vips[id].stateful; st != nil {
+		if id, ok := d.vipIndex[clientFlow.Dst]; ok {
+			if st := d.vips[id].stateful; st != nil {
 				st.Observe(server, +1)
 			}
 		}
@@ -386,8 +327,8 @@ func (lb *LoadBalancer) handleReturn(pkt *packet.Packet) {
 	// Strip the SRH: the client is SR-oblivious.
 	pkt.SRH = nil
 	pkt.IP.Dst = client
-	lb.Counts.Inc("returns_relayed")
-	lb.net.Send(pkt)
+	d.Counts.Inc("returns_relayed")
+	return true
 }
 
 // handleSteered forwards mid-flow client packets to the accepting
@@ -396,49 +337,48 @@ func (lb *LoadBalancer) handleReturn(pkt *packet.Packet) {
 // eligible packets to the scheme at flowlet boundaries; a move rebinds
 // the flowtable entry in place, so the packet and every successor
 // steer to the new server.
-func (lb *LoadBalancer) handleSteered(pkt *packet.Packet, e *vipEntry) {
-	now := lb.sim.Now()
+func (d *Dispatcher) handleSteered(now time.Duration, pkt *packet.Packet, e *vipEntry) bool {
 	flow := pkt.Flow()
 	isRST := pkt.TCP.Flags.Has(tcpseg.FlagRST)
 	var server netip.Addr
 	var ok bool
 	if e.resteer != nil {
 		var idle time.Duration
-		server, idle, ok = lb.flows.LookupIdle(now, flow)
+		server, idle, ok = d.flows.LookupIdle(now, flow)
 		if ok && selection.ResteerEligible(pkt.IsSYN(), isRST) {
 			if next, move := e.resteer.Resteer(now, flow, idle, server); move && next != server {
-				lb.flows.Rebind(now, flow, next)
+				d.flows.Rebind(now, flow, next)
 				if st := e.stateful; st != nil {
 					st.Observe(server, -1)
 					st.Observe(next, +1)
 				}
 				server = next
-				lb.Counts.Inc("flowlet_resteer")
+				d.Counts.Inc("flowlet_resteer")
 			}
 		}
 	} else {
-		server, ok = lb.flows.Lookup(now, flow)
+		server, ok = d.flows.Lookup(now, flow)
 	}
 	if !ok {
 		if fb := e.fallback; fb != nil {
 			if cands := fb.Pick(flow); len(cands) > 0 {
 				server = cands[0]
 				ok = true
-				lb.Counts.Inc("miss_fallback")
+				d.Counts.Inc("miss_fallback")
 			}
 		}
 		if !ok {
-			lb.Counts.Inc("miss_dropped")
-			return
+			d.Counts.Inc("miss_dropped")
+			return false
 		}
 	}
 	if pkt.TCP.Flags.Has(tcpseg.FlagFIN) || isRST {
-		if lb.flows.MarkClosing(now, flow) {
+		if d.flows.MarkClosing(now, flow) {
 			if st := e.stateful; st != nil {
 				st.Observe(server, -1)
 			}
 		}
-		lb.Counts.Inc("closing_observed")
+		d.Counts.Inc("closing_observed")
 	}
 	vip := pkt.IP.Dst
 	srh, err := srv6.New(ipv6.ProtoTCP, server, vip)
@@ -447,8 +387,61 @@ func (lb *LoadBalancer) handleSteered(pkt *packet.Packet, e *vipEntry) {
 	}
 	pkt.SRH = srh
 	pkt.IP.Dst = server
-	lb.Counts.Inc("steered")
-	lb.net.Send(pkt)
+	d.Counts.Inc("steered")
+	return true
+}
+
+// LoadBalancer is the discrete-event binding of Dispatcher: the
+// simulator is its clock and the simulated LAN its wire. The embedded
+// Dispatcher's read-only methods and Counts are used as they are; the
+// methods below supply the virtual time to the ones that need it.
+type LoadBalancer struct {
+	*Dispatcher
+	sim *des.Simulator
+	net *netsim.Network
+}
+
+// New builds the LB and attaches it to the network under its own address
+// and every VIP it advertises.
+func New(sim *des.Simulator, net *netsim.Network, cfg Config) *LoadBalancer {
+	lb := NewDetached(sim, net, cfg)
+	net.Attach(lb, lb.Addrs()...)
+	return lb
+}
+
+// NewDetached builds the LB without attaching it to the LAN — for
+// multi-replica deployments the caller places each replica into the
+// anycast/ECMP groups of the shared VIP and LB return address itself
+// (netsim.AttachAnycast).
+func NewDetached(sim *des.Simulator, net *netsim.Network, cfg Config) *LoadBalancer {
+	return &LoadBalancer{Dispatcher: NewDispatcher(cfg), sim: sim, net: net}
+}
+
+// SeedFlow is Dispatcher.SeedFlow at the current virtual time.
+func (lb *LoadBalancer) SeedFlow(flow packet.FlowKey, server netip.Addr) {
+	lb.Dispatcher.SeedFlow(lb.sim.Now(), flow, server)
+}
+
+// ExportFlows is Dispatcher.ExportFlows at the current virtual time.
+func (lb *LoadBalancer) ExportFlows() []flowtable.FlowBinding {
+	return lb.Dispatcher.ExportFlows(lb.sim.Now())
+}
+
+// ImportFlows is Dispatcher.ImportFlows at the current virtual time.
+func (lb *LoadBalancer) ImportFlows(bindings []flowtable.FlowBinding) int {
+	return lb.Dispatcher.ImportFlows(lb.sim.Now(), bindings)
+}
+
+// SweepNow is Dispatcher.SweepNow at the current virtual time.
+func (lb *LoadBalancer) SweepNow() int { return lb.Dispatcher.SweepNow(lb.sim.Now()) }
+
+// Handle implements netsim.Node. The delivered packet is owned by this
+// node (netsim.Node contract), so Dispatch rewrites it in place rather
+// than cloning on the hot path.
+func (lb *LoadBalancer) Handle(pkt *packet.Packet) {
+	if lb.Dispatch(lb.sim.Now(), pkt) {
+		lb.net.Send(pkt)
+	}
 }
 
 var _ netsim.Node = (*LoadBalancer)(nil)

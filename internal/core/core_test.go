@@ -40,6 +40,10 @@ type rig struct {
 	cli    *capture
 }
 
+func rigScheme() selection.Scheme {
+	return selection.NewRandom([]netip.Addr{sAddr1, sAddr2}, 2, rng.New(1))
+}
+
 func newRig(t *testing.T, cfg Config) *rig {
 	t.Helper()
 	sim := des.New()
@@ -51,10 +55,8 @@ func newRig(t *testing.T, cfg Config) *rig {
 	if cfg.Addr == (netip.Addr{}) {
 		cfg.Addr = lbAddr
 	}
-	if cfg.VIPs == nil {
-		cfg.VIPs = map[netip.Addr]selection.Scheme{
-			vip: selection.NewRandom([]netip.Addr{sAddr1, sAddr2}, 2, rng.New(1)),
-		}
+	if cfg.VIPList == nil {
+		cfg.VIPList = []VIPConfig{{Addr: vip, Scheme: rigScheme()}}
 	}
 	g.lb = New(sim, net, cfg)
 	return g
@@ -184,7 +186,7 @@ func TestMidFlowMissFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := newRig(t, Config{MissFallback: fallback})
+	g := newRig(t, Config{VIPList: []VIPConfig{{Addr: vip, Scheme: rigScheme(), Fallback: fallback}}})
 	ack := &packet.Packet{
 		IP:  ipv6.Header{Src: client, Dst: vip},
 		TCP: tcpseg.Segment{SrcPort: 41000, DstPort: 80, Flags: tcpseg.FlagACK},
@@ -308,7 +310,7 @@ func TestConfigValidation(t *testing.T) {
 	net := netsim.New(sim, netsim.Config{})
 	for name, cfg := range map[string]Config{
 		"no vips":  {Addr: lbAddr},
-		"bad addr": {VIPs: map[netip.Addr]selection.Scheme{vip: nil}},
+		"bad addr": {VIPList: []VIPConfig{{Addr: vip}}},
 	} {
 		func() {
 			defer func() {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
 	"testing"
 
@@ -42,58 +41,6 @@ func scaleLB(cfg Config) *LoadBalancer {
 	sim := des.New()
 	net := netsim.New(sim, netsim.Config{LossProb: 1})
 	return NewDetached(sim, net, cfg)
-}
-
-// The legacy map form and the indexed VIPList form must be behaviorally
-// identical: same per-VIP SYN demux, same counters, same flow-table
-// state for the same packet sequence.
-func TestVIPListMapFormEquivalence(t *testing.T) {
-	const vips, ports = 8, 64
-	servers := []netip.Addr{sAddr1, sAddr2}
-	listForm := scaleLB(Config{Addr: lbAddr, VIPList: scaleVIPList(vips, servers)})
-	m := make(map[netip.Addr]selection.Scheme, vips)
-	for _, vc := range scaleVIPList(vips, servers) {
-		m[vc.Addr] = vc.Scheme
-	}
-	mapForm := scaleLB(Config{Addr: lbAddr, VIPs: m})
-
-	if listForm.NumVIPs() != vips || mapForm.NumVIPs() != vips {
-		t.Fatalf("NumVIPs = %d/%d, want %d", listForm.NumVIPs(), mapForm.NumVIPs(), vips)
-	}
-	drive := func(lb *LoadBalancer) {
-		var pkt packet.Packet
-		for i := 0; i < vips*ports; i++ {
-			dst := scaleAddr(0xaa, i%vips)
-			// A SYN opening the flow, then a steered packet that misses
-			// (no return path here, so every non-SYN is a miss).
-			pkt = packet.Packet{
-				IP:  ipv6.Header{Src: client, Dst: dst},
-				TCP: tcpseg.Segment{SrcPort: uint16(1024 + i), DstPort: 80, Flags: tcpseg.FlagSYN},
-			}
-			lb.Handle(&pkt)
-			pkt = packet.Packet{
-				IP:  ipv6.Header{Src: client, Dst: dst},
-				TCP: tcpseg.Segment{SrcPort: uint16(1024 + i), DstPort: 80, Flags: tcpseg.FlagACK},
-			}
-			lb.Handle(&pkt)
-		}
-	}
-	drive(listForm)
-	drive(mapForm)
-	for i := 0; i < vips; i++ {
-		addr := scaleAddr(0xaa, i)
-		if a, b := listForm.VIPSYNs(addr), mapForm.VIPSYNs(addr); a != b || a != ports {
-			t.Fatalf("VIP %d SYNs: list=%d map=%d, want %d", i, a, b, ports)
-		}
-	}
-	for _, key := range []string{"syn_rx", "hunts_started", "miss_dropped", "steered", "unknown_vip"} {
-		if a, b := listForm.Counts.Get(key), mapForm.Counts.Get(key); a != b {
-			t.Fatalf("counter %q: list=%d map=%d", key, a, b)
-		}
-	}
-	if a, b := listForm.FlowCount(), mapForm.FlowCount(); a != b {
-		t.Fatalf("flow count: list=%d map=%d", a, b)
-	}
 }
 
 // SeedFlow installs a binding exactly as a learned SYN-ACK would: a
@@ -145,17 +92,11 @@ func TestNewDetachedConstantAllocs(t *testing.T) {
 	}
 }
 
-// The two config forms are mutually exclusive and VIPList entries are
-// validated like map keys.
+// VIPList entries are validated: no duplicate and no malformed address.
 func TestVIPListValidation(t *testing.T) {
 	servers := []netip.Addr{sAddr1, sAddr2}
 	scheme := selection.NewRoundRobin(servers, 2)
 	for name, cfg := range map[string]Config{
-		"both forms": {
-			Addr:    lbAddr,
-			VIPs:    map[netip.Addr]selection.Scheme{vip: scheme},
-			VIPList: []VIPConfig{{Addr: scaleAddr(0xaa, 0), Scheme: scheme}},
-		},
 		"duplicate vip": {
 			Addr: lbAddr,
 			VIPList: []VIPConfig{
@@ -176,30 +117,5 @@ func TestVIPListValidation(t *testing.T) {
 			}()
 			scaleLB(cfg)
 		}()
-	}
-}
-
-// The dense ids assigned to the map form are sorted by address, so
-// id-ordered state (VIPSYNs reads, iteration) is deterministic across
-// map iteration orders.
-func TestMapFormIDsDeterministic(t *testing.T) {
-	servers := []netip.Addr{sAddr1, sAddr2}
-	build := func() string {
-		m := make(map[netip.Addr]selection.Scheme, 16)
-		for i := 0; i < 16; i++ {
-			m[scaleAddr(0xaa, i)] = selection.NewRoundRobin(servers, 2)
-		}
-		lb := scaleLB(Config{Addr: lbAddr, VIPs: m})
-		sig := ""
-		for i := range lb.vips {
-			sig += fmt.Sprintf("%d:%v;", i, lb.vips[i].addr)
-		}
-		return sig
-	}
-	first := build()
-	for trial := 0; trial < 4; trial++ {
-		if got := build(); got != first {
-			t.Fatalf("map-form id assignment varies across builds:\n%s\nvs\n%s", first, got)
-		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 	"time"
 
 	"srlb/internal/agent"
-	"srlb/internal/flowtable"
+	"srlb/internal/core"
 	"srlb/internal/ipv6"
 	"srlb/internal/packet"
 	"srlb/internal/selection"
@@ -123,121 +123,48 @@ func (n *Network) Close() {
 	n.wg.Wait()
 }
 
-// LoadBalancer is the live-runtime SRLB element: same protocol as
-// internal/core, guarded by a mutex instead of the single-threaded
+// LoadBalancer is the goroutine binding of core.Dispatcher — the same
+// forwarding state machine the simulator runs — with the wall clock as
+// its time source and a mutex in place of the single-threaded
 // simulator.
 type LoadBalancer struct {
-	addr   netip.Addr
-	vip    netip.Addr
-	scheme selection.Scheme
-	net    *Network
-
-	mu    sync.Mutex
-	flows *flowtable.Table
+	net   *Network
 	start time.Time
+
+	mu sync.Mutex
+	d  *core.Dispatcher
 }
 
 // NewLoadBalancer attaches a hunting LB for one VIP.
 func NewLoadBalancer(net *Network, addr, vip netip.Addr, scheme selection.Scheme) *LoadBalancer {
-	lb := &LoadBalancer{
-		addr:   addr,
-		vip:    vip,
-		scheme: scheme,
-		net:    net,
-		flows:  flowtable.New(flowtable.Config{}),
-		start:  time.Now(),
-	}
-	net.Attach(lb.handle, addr, vip)
-	return lb
+	return newLoadBalancer(net, core.Config{
+		Addr:    addr,
+		VIPList: []core.VIPConfig{{Addr: vip, Scheme: scheme}},
+	})
 }
 
-func (lb *LoadBalancer) now() time.Duration { return time.Since(lb.start) }
+func newLoadBalancer(net *Network, cfg core.Config) *LoadBalancer {
+	lb := &LoadBalancer{net: net, start: time.Now(), d: core.NewDispatcher(cfg)}
+	net.Attach(lb.handle, lb.d.Addrs()...)
+	return lb
+}
 
 // FlowCount returns the number of tracked flows.
 func (lb *LoadBalancer) FlowCount() int {
 	lb.mu.Lock()
 	defer lb.mu.Unlock()
-	return lb.flows.Len()
+	return lb.d.FlowCount()
 }
 
+// handle dispatches in place: the delivery goroutine parsed pkt from the
+// wire for this call alone, so nothing else holds it.
 func (lb *LoadBalancer) handle(pkt *packet.Packet) {
-	if pkt.IP.Dst == lb.addr {
-		if pkt.SRH == nil {
-			return
-		}
-		lb.handleReturn(pkt)
-		return
-	}
-	if pkt.IsSYN() {
-		lb.handleSYN(pkt)
-		return
-	}
-	lb.handleSteered(pkt)
-}
-
-func (lb *LoadBalancer) handleSYN(pkt *packet.Packet) {
 	lb.mu.Lock()
-	candidates := lb.scheme.Pick(pkt.Flow())
+	forward := lb.d.Dispatch(time.Since(lb.start), pkt)
 	lb.mu.Unlock()
-	if len(candidates) == 0 {
-		return
+	if forward {
+		lb.net.Send(pkt)
 	}
-	out := pkt.Clone()
-	segs := append(append(make([]netip.Addr, 0, len(candidates)+1), candidates...), lb.vip)
-	srh, err := srv6.New(ipv6.ProtoTCP, segs...)
-	if err != nil {
-		return
-	}
-	out.SRH = srh
-	active, _ := srh.Active()
-	out.IP.Dst = active
-	lb.net.Send(out)
-}
-
-func (lb *LoadBalancer) handleReturn(pkt *packet.Packet) {
-	srh := pkt.SRH
-	active, err := srh.Active()
-	if err != nil || active != lb.addr {
-		return
-	}
-	server, err := srh.SegmentAtSL(srh.SegmentsLeft + 1)
-	if err != nil {
-		return
-	}
-	client, err := srh.Advance()
-	if err != nil {
-		return
-	}
-	if pkt.IsSYNACK() {
-		lb.mu.Lock()
-		lb.flows.Insert(lb.now(), pkt.Flow().Reverse(), server)
-		lb.mu.Unlock()
-	}
-	out := pkt.Clone()
-	out.SRH = nil
-	out.IP.Dst = client
-	lb.net.Send(out)
-}
-
-func (lb *LoadBalancer) handleSteered(pkt *packet.Packet) {
-	flow := pkt.Flow()
-	lb.mu.Lock()
-	server, ok := lb.flows.Lookup(lb.now(), flow)
-	if ok && (pkt.TCP.Flags.Has(tcpseg.FlagFIN) || pkt.TCP.Flags.Has(tcpseg.FlagRST)) {
-		lb.flows.MarkClosing(lb.now(), flow)
-	}
-	lb.mu.Unlock()
-	if !ok {
-		return
-	}
-	out := pkt.Clone()
-	srh, err := srv6.New(ipv6.ProtoTCP, server, lb.vip)
-	if err != nil {
-		return
-	}
-	out.SRH = srh
-	out.IP.Dst = server
-	lb.net.Send(out)
 }
 
 // ServerConfig assembles a live server.

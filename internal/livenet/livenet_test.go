@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"srlb/internal/agent"
+	"srlb/internal/core"
+	"srlb/internal/flowtable"
 	"srlb/internal/ipv6"
 	"srlb/internal/packet"
 	"srlb/internal/rng"
@@ -291,5 +293,91 @@ func TestServerOverflowRSTs(t *testing.T) {
 	}
 	if ok == 0 {
 		t.Fatal("nothing served")
+	}
+}
+
+func awaitResult(t *testing.T, c *Client) {
+	t.Helper()
+	select {
+	case <-c.Results():
+	case <-time.After(5 * time.Second):
+		t.Fatal("query never finished")
+	}
+}
+
+// A retransmitted SYN of a bound flow must reach the server that already
+// accepted it, never a fresh hunt: with two always-accepting servers a
+// re-hunt lands on the other one half the time and the connection is
+// accepted twice.
+func TestSYNRetransmitKeepsBinding(t *testing.T) {
+	net := NewNetwork()
+	defer net.Close()
+	addrs := liveServerAddrs(2)
+	servers := make([]*Server, len(addrs))
+	for i, a := range addrs {
+		servers[i] = NewServer(net, ServerConfig{
+			Addr: a, VIP: liveVIP, LB: liveLB,
+			Workers: 8, Policy: agent.Always{},
+			// Long enough that every retransmit arrives mid-service, while
+			// the accepting server still knows the connection.
+			Service: func([]byte) time.Duration { return 300 * time.Millisecond },
+		})
+	}
+	lb := NewLoadBalancer(net, liveLB, liveVIP, selection.NewRandom(addrs, 2, rng.New(6)))
+	client := NewClient(net, liveCli, liveVIP)
+	client.Launch([]byte("q"))
+	for i := 0; lb.FlowCount() != 1; i++ {
+		if i == 400 {
+			t.Fatal("flow never learned")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for i := 0; i < 20; i++ {
+		// The client's first connection leaves from source port 1024.
+		net.Send(&packet.Packet{
+			IP:  ipv6.Header{Src: liveCli, Dst: liveVIP},
+			TCP: tcpseg.Segment{SrcPort: 1024, DstPort: 80, Flags: tcpseg.FlagSYN, Payload: []byte("q")},
+		})
+	}
+	// The response follows the service time, long after the retransmits
+	// drained through the LB and server queues.
+	awaitResult(t, client)
+	if got := servers[0].Accepted() + servers[1].Accepted(); got != 1 {
+		t.Fatalf("servers accepted the connection %d times, want 1", got)
+	}
+}
+
+// Idle flow state is collected off the wall clock: a query arriving
+// after an earlier flow's TTL sweeps that flow out on its way in.
+func TestIdleFlowsSweptOnWallClock(t *testing.T) {
+	net := NewNetwork()
+	defer net.Close()
+	addrs := liveServerAddrs(2)
+	for _, a := range addrs {
+		NewServer(net, ServerConfig{
+			Addr: a, VIP: liveVIP, LB: liveLB,
+			Workers: 8, Policy: agent.Always{},
+			// The response trails the SYN-ACK by the service time, so the
+			// LB has learned the flow by the time the client sees a result.
+			Service: func([]byte) time.Duration { return 30 * time.Millisecond },
+		})
+	}
+	lb := newLoadBalancer(net, core.Config{
+		Addr:          liveLB,
+		VIPList:       []core.VIPConfig{{Addr: liveVIP, Scheme: selection.NewRandom(addrs, 2, rng.New(7))}},
+		Flows:         flowtable.Config{IdleTTL: 50 * time.Millisecond},
+		SweepInterval: 10 * time.Millisecond,
+	})
+	client := NewClient(net, liveCli, liveVIP)
+	client.Launch([]byte("q"))
+	awaitResult(t, client)
+	if got := lb.FlowCount(); got != 1 {
+		t.Fatalf("flow count = %d after the first query, want 1", got)
+	}
+	time.Sleep(120 * time.Millisecond)
+	client.Launch([]byte("q"))
+	awaitResult(t, client)
+	if got := lb.FlowCount(); got != 1 {
+		t.Fatalf("flow count = %d after the second query, want 1 (the first flow idled out)", got)
 	}
 }

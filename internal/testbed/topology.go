@@ -836,9 +836,8 @@ func Build(top Topology) *Testbed {
 			// recovering one starts from scratch.
 			rs.view = feedback.NewView(top.Feedback, sim.Now)
 		}
-		// The indexed config form: VIP v gets dense id v in every replica,
-		// so construction is one slice walk — no per-replica maps, and the
-		// LB compiles it without sorting.
+		// VIP v gets dense id v in every replica, so construction is one
+		// slice walk — no per-replica maps.
 		list := make([]core.VIPConfig, len(top.VIPs))
 		for v, vs := range tb.vips {
 			stream := uint64(1) + uint64(r)*uint64(len(top.VIPs)) + uint64(v)
