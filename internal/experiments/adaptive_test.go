@@ -4,8 +4,10 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
+	"srlb/internal/plot"
 	"srlb/internal/testbed"
 )
 
@@ -377,4 +379,24 @@ func TestRhoGridAdaptiveBudget(t *testing.T) {
 			}
 		}
 	}
+
+	// The artifacts, as srlb-bench writes them: the TSV, and the p99 and
+	// replicate-spend heatmaps of rhogrid_heatmaps.txt.
+	var tsv strings.Builder
+	if err := res.WriteTSV(&tsv); err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(tsv.String(), "\n"); lines != 2+len(res.Rows) {
+		t.Fatalf("TSV has %d lines, want %d", lines, 2+len(res.Rows))
+	}
+	checkGolden(t, "rhogrid.tsv", tsv.String())
+	var heat strings.Builder
+	if err := plot.RenderHeatmaps(&heat, maps...); err != nil {
+		t.Fatal(err)
+	}
+	heat.WriteString("\n")
+	if err := plot.RenderHeatmaps(&heat, res.Heatmaps("n")...); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "rhogrid_heatmaps.txt", heat.String())
 }

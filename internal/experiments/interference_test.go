@@ -9,6 +9,7 @@ import (
 
 	"srlb/internal/agent"
 	"srlb/internal/appserver"
+	"srlb/internal/plot"
 	"srlb/internal/testbed"
 )
 
@@ -242,9 +243,16 @@ func TestRunInterferenceSmall(t *testing.T) {
 	if lines := strings.Count(buf.String(), "\n"); lines != 2+len(res.Rows) {
 		t.Fatalf("TSV has %d lines, want %d", lines, 2+len(res.Rows))
 	}
-	if facets := res.PlotFacets(); len(facets) != 2 {
+	checkGolden(t, "interference.tsv", buf.String())
+	facets := res.PlotFacets()
+	if len(facets) != 2 {
 		t.Fatalf("PlotFacets returned %d facets, want 2", len(facets))
 	}
+	var chart strings.Builder
+	if err := plot.RenderFacets(&chart, plot.Config{XLabel: "batch rho", YLabel: "p99(s)"}, facets...); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "interference_plot.txt", chart.String())
 }
 
 // The experiment's claim, in miniature: under a heavy-but-serviceable

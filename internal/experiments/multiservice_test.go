@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"srlb/internal/agent"
+	"srlb/internal/plot"
 	"srlb/internal/wiki"
 )
 
@@ -210,9 +212,23 @@ func TestRunMultiServiceSmall(t *testing.T) {
 	if lines != 2+len(res.Rows) { // header comment + column header + rows
 		t.Fatalf("TSV has %d lines, want %d", lines, 2+len(res.Rows))
 	}
+	checkGolden(t, "multiservice.tsv", buf.String())
 	if series := res.PlotSeries("web"); len(series) != 2 {
 		t.Fatalf("PlotSeries returned %d series, want 2", len(series))
 	}
+	// The per-service facets, as srlb-bench -plot renders them.
+	facets := make([]plot.Facet, 0, len(res.Services))
+	for _, svc := range res.Services {
+		facets = append(facets, plot.Facet{
+			Title:  fmt.Sprintf("Multi-service: %s mean response time (s) vs load", svc),
+			Series: res.PlotSeries(svc),
+		})
+	}
+	var chart strings.Builder
+	if err := plot.RenderFacets(&chart, plot.Config{XLabel: "rho", YLabel: "rt(s)"}, facets...); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "multiservice_plot.txt", chart.String())
 }
 
 // Pinned-trace mode: replaying one recorded day across seeds must cut

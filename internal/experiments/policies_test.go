@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"srlb/internal/feedback"
+	"srlb/internal/plot"
 )
 
 // feedbackCluster is the policies experiment's cluster shape in
@@ -162,6 +163,7 @@ func TestRunPoliciesSmall(t *testing.T) {
 	if lines := strings.Count(buf.String(), "\n"); lines != 2+len(res.Rows) {
 		t.Fatalf("TSV has %d lines, want %d", lines, 2+len(res.Rows))
 	}
+	checkGolden(t, "policies.tsv", buf.String())
 	// One facet per (variant, service), each with all four policies.
 	facets := res.PlotFacets()
 	if len(facets) != 4 {
@@ -172,6 +174,11 @@ func TestRunPoliciesSmall(t *testing.T) {
 			t.Fatalf("facet %q has %d series, want 4", f.Title, len(f.Series))
 		}
 	}
+	var chart strings.Builder
+	if err := plot.RenderFacets(&chart, plot.Config{XLabel: "batch rho", YLabel: "p99(s)"}, facets...); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "policies_plot.txt", chart.String())
 }
 
 // The determinism contract survives the feedback plane: a full
