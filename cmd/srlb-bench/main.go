@@ -20,7 +20,7 @@
 // With -seeds N > 1 every Poisson-family experiment (calibrate, figures
 // 2–5, ablations, hetero, bursty, failover, churn, multiservice,
 // interference, policies) replicates its cells across N derived seeds and
-// reports mean ± 95% CI; BENCH_sweep.json (schema v8, see
+// reports mean ± 95% CI; BENCH_sweep.json (see
 // docs/RESULTS_SCHEMA.md) carries the per-cell aggregates — for multi-VIP
 // cells, with one per-VIP row per service inside each cell, each carrying
 // that service's own resolved load. The wiki replay (figures 6–8) stays
@@ -65,6 +65,28 @@ func dist(d srlb.Dist) distJSON {
 	return distJSON{Mean: d.Mean, CI95: d.ReportedCI95(), Min: d.Min, Max: d.Max}
 }
 
+// outcomeJSON is the replicated-metric block a cell and each of its
+// per-VIP rows carry alike; embedded, its fields serialize in place.
+type outcomeJSON struct {
+	MeanMS     distJSON `json:"mean_ms"`
+	P50MS      distJSON `json:"p50_ms"`
+	P95MS      distJSON `json:"p95_ms"`
+	P99MS      distJSON `json:"p99_ms"`
+	OKFraction distJSON `json:"ok_fraction"`
+	Refused    distJSON `json:"refused"`
+}
+
+func outcome(o srlb.OutcomeStats) outcomeJSON {
+	return outcomeJSON{
+		MeanMS:     distMS(o.Mean.Dist),
+		P50MS:      distMS(o.Median.Dist),
+		P95MS:      distMS(o.P95.Dist),
+		P99MS:      distMS(o.P99.Dist),
+		OKFraction: dist(o.OKFraction.Dist),
+		Refused:    dist(o.Refused.Dist),
+	}
+}
+
 // sweepCellJSON is one row of BENCH_sweep.json: a logical (policy, load)
 // cell aggregated across the replication axis, with summed host
 // wall-clock, so successive PRs can track both the simulated results and
@@ -83,12 +105,7 @@ type sweepCellJSON struct {
 	StopReason string   `json:"stop_reason,omitempty"`
 	N          int      `json:"n"`
 	Seeds      []uint64 `json:"seeds"`
-	MeanMS     distJSON `json:"mean_ms"`
-	P50MS      distJSON `json:"p50_ms"`
-	P95MS      distJSON `json:"p95_ms"`
-	P99MS      distJSON `json:"p99_ms"`
-	OKFraction distJSON `json:"ok_fraction"`
-	Refused    distJSON `json:"refused"`
+	outcomeJSON
 	// VIPs is the per-service breakdown of a multi-VIP cell (schema v4+);
 	// absent for single-VIP sweeps.
 	VIPs   []vipCellJSON `json:"vips,omitempty"`
@@ -102,20 +119,16 @@ type vipCellJSON struct {
 	// Load is the service's own resolved load point (schema v5): it
 	// differs from the cell's load when the workload carries per-service
 	// load axes (a pinned victim against a swept aggressor).
-	Load       float64  `json:"load"`
-	Offered    distJSON `json:"offered"`
-	MeanMS     distJSON `json:"mean_ms"`
-	P50MS      distJSON `json:"p50_ms"`
-	P95MS      distJSON `json:"p95_ms"`
-	P99MS      distJSON `json:"p99_ms"`
-	OKFraction distJSON `json:"ok_fraction"`
-	Refused    distJSON `json:"refused"`
+	Load    float64  `json:"load"`
+	Offered distJSON `json:"offered"`
+	outcomeJSON
 	Unfinished distJSON `json:"unfinished"`
 }
 
 // vipScaleRowJSON is one (scheme, VIP-count) dispatch measurement of the
 // vipscale experiment (schema v6): wall-clock per-packet costs of the
-// SYN and steered paths plus the control-plane build time.
+// SYN and steered paths plus the control-plane build time. It is
+// srlb.VIPScaleRow with JSON names, field for field.
 type vipScaleRowJSON struct {
 	Scheme  string  `json:"scheme"`
 	VIPs    int     `json:"vips"`
@@ -305,6 +318,10 @@ docs/TOPOLOGY.md.`)
 		}
 		return "BENCH_sweep.json"
 	}
+	// wroteJSON announces an extension's JSON artifact and its schema.
+	wroteJSON := func(name, rows string) {
+		fmt.Printf("   wrote %s (schema v%d: %s)\n", filepath.Join(*out, name), sweepSchemaVersion, rows)
+	}
 
 	if want("calibrate") && *experiment != "all" {
 		run("calibrate (SS V-A bootstrap)", calibrate)
@@ -329,7 +346,7 @@ docs/TOPOLOGY.md.`)
 			if len(seeds) > 1 {
 				fmt.Printf("   replicated over %d seeds; cells report mean ± 95%% CI\n", len(seeds))
 			}
-			if err := writeSweepJSON(*out, "BENCH_sweep.json", lambda0, *workers, sweepWall, res.Stats); err != nil {
+			if err := writeSweepDoc(*out, "BENCH_sweep.json", lambda0, *workers, sweepWall, res.Stats, nil, nil); err != nil {
 				return err
 			}
 			fmt.Printf("   wrote %s\n", filepath.Join(*out, "BENCH_sweep.json"))
@@ -534,7 +551,7 @@ docs/TOPOLOGY.md.`)
 			if err := writeResilienceJSON(*out, jsonName, lambda0, *workers, time.Since(start), res); err != nil {
 				return err
 			}
-			fmt.Printf("   wrote %s (schema v8: resilience rows with completion-rate CIs)\n", filepath.Join(*out, jsonName))
+			wroteJSON(jsonName, "resilience rows with completion-rate CIs")
 			return writeFile("extension_resilience.tsv", func(f *os.File) error { return res.WriteTSV(f) })
 		})
 	}
@@ -563,10 +580,10 @@ docs/TOPOLOGY.md.`)
 				}
 			}
 			jsonName := sweepJSONName("BENCH_multiservice.json")
-			if err := writeSweepJSON(*out, jsonName, lambda0, *workers, time.Since(start), res.Stats); err != nil {
+			if err := writeSweepDoc(*out, jsonName, lambda0, *workers, time.Since(start), res.Stats, nil, nil); err != nil {
 				return err
 			}
-			fmt.Printf("   wrote %s (schema v8: per-VIP rows)\n", filepath.Join(*out, jsonName))
+			wroteJSON(jsonName, "per-VIP rows")
 			if *asciiPlot {
 				facets := make([]plot.Facet, 0, len(res.Services))
 				for _, svc := range res.Services {
@@ -601,10 +618,10 @@ docs/TOPOLOGY.md.`)
 				}
 			}
 			jsonName := sweepJSONName("BENCH_interference.json")
-			if err := writeSweepJSON(*out, jsonName, lambda0, *workers, time.Since(start), res.Stats); err != nil {
+			if err := writeSweepDoc(*out, jsonName, lambda0, *workers, time.Since(start), res.Stats, nil, nil); err != nil {
 				return err
 			}
-			fmt.Printf("   wrote %s (schema v8: per-VIP rows with per-service loads)\n", filepath.Join(*out, jsonName))
+			wroteJSON(jsonName, "per-VIP rows with per-service loads")
 			if *asciiPlot {
 				if err := plot.RenderFacets(os.Stdout, plot.Config{XLabel: "batch rho", YLabel: "p99(s)"}, res.PlotFacets()...); err != nil {
 					return err
@@ -637,7 +654,7 @@ docs/TOPOLOGY.md.`)
 			if err := writePoliciesJSON(*out, jsonName, lambda0, *workers, time.Since(start), res); err != nil {
 				return err
 			}
-			fmt.Printf("   wrote %s (schema v8: policies rows with re-steer counts)\n", filepath.Join(*out, jsonName))
+			wroteJSON(jsonName, "policies rows with re-steer counts")
 			if *asciiPlot {
 				if err := plot.RenderFacets(os.Stdout, plot.Config{XLabel: "batch rho", YLabel: "p99(s)"}, res.PlotFacets()...); err != nil {
 					return err
@@ -669,10 +686,10 @@ docs/TOPOLOGY.md.`)
 					*ciTarget, res.MaxSeeds)
 			}
 			jsonName := sweepJSONName("BENCH_rhogrid.json")
-			if err := writeSweepJSON(*out, jsonName, lambda0, *workers, time.Since(start), res.Stats); err != nil {
+			if err := writeSweepDoc(*out, jsonName, lambda0, *workers, time.Since(start), res.Stats, nil, nil); err != nil {
 				return err
 			}
-			fmt.Printf("   wrote %s (schema v9: grid cells with load_vec, per-cell n, stop_reason)\n", filepath.Join(*out, jsonName))
+			wroteJSON(jsonName, "grid cells with load_vec, per-cell n, stop_reason")
 			if err := writeFile("rhogrid_heatmaps.txt", func(f *os.File) error {
 				if err := plot.RenderHeatmaps(f, res.Heatmaps("p99")...); err != nil {
 					return err
@@ -740,7 +757,7 @@ docs/TOPOLOGY.md.`)
 			if err := writeVIPScaleJSON(*out, jsonName, time.Since(start), res); err != nil {
 				return err
 			}
-			fmt.Printf("   wrote %s (schema v8: vipscale rows)\n", filepath.Join(*out, jsonName))
+			wroteJSON(jsonName, "vipscale rows")
 			if *asciiPlot {
 				if err := plot.RenderFacets(os.Stdout, plot.Config{XLabel: "#services", YLabel: "ns/pkt"}, res.Plot()...); err != nil {
 					return err
@@ -825,8 +842,7 @@ func burstyRhos(points int) []float64 {
 }
 
 // writeVIPScaleJSON renders the vipscale dispatch-cost sweep in the
-// BENCH_sweep.json envelope (schema v8, vipscale rows; see
-// docs/RESULTS_SCHEMA.md).
+// BENCH_sweep.json envelope (vipscale rows; see docs/RESULTS_SCHEMA.md).
 func writeVIPScaleJSON(dir, name string, total time.Duration, res srlb.VIPScaleResult) error {
 	doc := sweepJSON{
 		SchemaVersion: sweepSchemaVersion,
@@ -834,10 +850,7 @@ func writeVIPScaleJSON(dir, name string, total time.Duration, res srlb.VIPScaleR
 		TotalWallMS:   float64(total.Microseconds()) / 1e3,
 	}
 	for _, row := range res.Rows {
-		doc.VIPScale = append(doc.VIPScale, vipScaleRowJSON{
-			Scheme: row.Scheme, VIPs: row.VIPs, Pools: row.Pools,
-			BuildMS: row.BuildMS, SYNNs: row.SYNNs, SteerNs: row.SteerNs, Ops: row.Ops,
-		})
+		doc.VIPScale = append(doc.VIPScale, vipScaleRowJSON(row))
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -846,17 +859,8 @@ func writeVIPScaleJSON(dir, name string, total time.Duration, res srlb.VIPScaleR
 	return os.WriteFile(filepath.Join(dir, name), append(buf, '\n'), 0o644)
 }
 
-// writeSweepJSON renders sweep aggregates as BENCH_sweep.json (schema
-// v7, documented in docs/RESULTS_SCHEMA.md): one entry per logical
-// (policy, variant, load) cell, each carrying the n/mean/ci95 aggregates
-// of its replicates, plus the per-service breakdown (with per-service
-// resolved loads) for multi-VIP cells.
-func writeSweepJSON(dir, name string, lambda0 float64, workers int, total time.Duration, agg srlb.SweepStats) error {
-	return writeSweepDoc(dir, name, lambda0, workers, total, agg, nil, nil)
-}
-
-// writePoliciesJSON is writeSweepJSON plus the policy-ablation rows
-// (schema v7): the per-cell aggregates come from the underlying sweep,
+// writePoliciesJSON is writeSweepDoc plus the policy-ablation rows:
+// the per-cell aggregates come from the underlying sweep,
 // the policies section carries the victim-view rows with the flowlet
 // re-steer counts.
 func writePoliciesJSON(dir, name string, lambda0 float64, workers int, total time.Duration, res srlb.PoliciesResult) error {
@@ -864,7 +868,7 @@ func writePoliciesJSON(dir, name string, lambda0 float64, workers int, total tim
 	for _, row := range res.Rows {
 		rows = append(rows, policiesRowJSON{
 			Variant:  row.Variant,
-			BatchRho: row.BatchRho,
+			BatchRho: row.Rho,
 			Policy:   row.Policy,
 			Service:  row.Service,
 			Load:     row.Load,
@@ -879,8 +883,8 @@ func writePoliciesJSON(dir, name string, lambda0 float64, workers int, total tim
 	return writeSweepDoc(dir, name, lambda0, workers, total, res.Stats, rows, nil)
 }
 
-// writeResilienceJSON is writeSweepJSON plus the resilience-ablation
-// rows (schema v8): the per-cell aggregates come from the underlying
+// writeResilienceJSON is writeSweepDoc plus the resilience-ablation
+// rows: the per-cell aggregates come from the underlying
 // 3×3 sweep, the resilience section carries the per-(scenario, mode)
 // completion-rate rows.
 func writeResilienceJSON(dir, name string, lambda0 float64, workers int, total time.Duration, res srlb.ResilienceResult) error {
@@ -902,6 +906,11 @@ func writeResilienceJSON(dir, name string, lambda0 float64, workers int, total t
 	return writeSweepDoc(dir, name, lambda0, workers, total, res.Stats, nil, rows)
 }
 
+// writeSweepDoc renders sweep aggregates as BENCH_sweep.json
+// (documented in docs/RESULTS_SCHEMA.md): one entry per logical
+// (policy, variant, load) cell, each carrying the n/mean/ci95 aggregates
+// of its replicates, plus the per-service breakdown (with per-service
+// resolved loads) for multi-VIP cells, plus the experiment's own rows.
 func writeSweepDoc(dir, name string, lambda0 float64, workers int, total time.Duration, agg srlb.SweepStats, policies []policiesRowJSON, resilience []resilienceRowJSON) error {
 	doc := sweepJSON{
 		SchemaVersion: sweepSchemaVersion,
@@ -918,35 +927,25 @@ func writeSweepDoc(dir, name string, lambda0 float64, workers int, total time.Du
 			continue
 		}
 		cell := sweepCellJSON{
-			Policy:     c.Policy,
-			Workload:   c.Workload,
-			Variant:    c.Variant,
-			Load:       c.Load,
-			LoadVec:    c.LoadVec,
-			StopReason: c.StopReason,
-			N:          c.N(),
-			Seeds:      c.Seeds,
-			MeanMS:     distMS(c.Mean.Dist),
-			P50MS:      distMS(c.Median.Dist),
-			P95MS:      distMS(c.P95.Dist),
-			P99MS:      distMS(c.P99.Dist),
-			OKFraction: dist(c.OKFraction.Dist),
-			Refused:    dist(c.Refused.Dist),
-			WallMS:     float64(c.Wall.Microseconds()) / 1e3,
+			Policy:      c.Policy,
+			Workload:    c.Workload,
+			Variant:     c.Variant,
+			Load:        c.Load,
+			LoadVec:     c.LoadVec,
+			StopReason:  c.StopReason,
+			N:           c.N(),
+			Seeds:       c.Seeds,
+			outcomeJSON: outcome(c.OutcomeStats),
+			WallMS:      float64(c.Wall.Microseconds()) / 1e3,
 		}
 		for _, v := range c.VIPs {
 			cell.VIPs = append(cell.VIPs, vipCellJSON{
-				Name:       v.Name,
-				Workload:   v.Workload,
-				Load:       v.Load,
-				Offered:    dist(v.Offered.Dist),
-				MeanMS:     distMS(v.Mean.Dist),
-				P50MS:      distMS(v.Median.Dist),
-				P95MS:      distMS(v.P95.Dist),
-				P99MS:      distMS(v.P99.Dist),
-				OKFraction: dist(v.OKFraction.Dist),
-				Refused:    dist(v.Refused.Dist),
-				Unfinished: dist(v.Unfinished.Dist),
+				Name:        v.Name,
+				Workload:    v.Workload,
+				Load:        v.Load,
+				Offered:     dist(v.Offered.Dist),
+				outcomeJSON: outcome(v.OutcomeStats),
+				Unfinished:  dist(v.Unfinished.Dist),
 			})
 		}
 		doc.Cells = append(doc.Cells, cell)

@@ -160,6 +160,13 @@
 // day across policies × seeds, cutting across-seed variance of the wiki
 // rows to the cluster's own randomness.
 //
+// RunMultiService, RunInterference, RunPolicies and RunRhoGrid report
+// one table: ServiceRow, a (variant, load, policy, service) outcome with
+// an "all" aggregate per cell. InterferenceRow adds the degradation
+// columns (P99Degradation, OKDrop) and PoliciesRow the flowlet Resteers
+// count; rhogrid rows carry the grid point in LoadVec with per-cell N
+// and StopReason.
+//
 // # Load feedback and flowlet-grained policies
 //
 // The paper's schemes are deliberately feedback-free; their natural

@@ -52,19 +52,17 @@ type AblationResult struct {
 // WriteTSV renders the study; replicated runs gain mean_ci95_s and n
 // columns.
 func (r AblationResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# Ablation: %s (rho=%.2f)\n", r.Study, r.Rho); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# Ablation: %s (rho=%.2f)\n", r.Study, r.Rho)
 	replicated := len(r.Seeds) > 1
 	if replicated {
-		fmt.Fprintln(w, "config\tmean_s\tmean_ci95_s\tmedian_s\tp95_s\trefused\tn")
+		t.printf("config\tmean_s\tmean_ci95_s\tmedian_s\tp95_s\trefused\tn\n")
 	} else {
-		fmt.Fprintln(w, "config\tmean_s\tmedian_s\tp95_s\trefused")
+		t.printf("config\tmean_s\tmedian_s\tp95_s\trefused\n")
 	}
 	for _, row := range r.Rows {
-		var err error
 		if replicated {
-			_, err = fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%d\t%d\n",
+			t.printf("%s\t%s\t%s\t%s\t%s\t%d\t%d\n",
 				row.Label,
 				metrics.FormatDuration(row.Mean),
 				metrics.FormatDuration(row.MeanCI95),
@@ -72,18 +70,15 @@ func (r AblationResult) WriteTSV(w io.Writer) error {
 				metrics.FormatDuration(row.P95),
 				row.Refused, row.N)
 		} else {
-			_, err = fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%d\n",
+			t.printf("%s\t%s\t%s\t%s\t%d\n",
 				row.Label,
 				metrics.FormatDuration(row.Mean),
 				metrics.FormatDuration(row.Median),
 				metrics.FormatDuration(row.P95),
 				row.Refused)
 		}
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	return t.err
 }
 
 func (cfg *AblationConfig) defaults() {

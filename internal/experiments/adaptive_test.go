@@ -344,10 +344,10 @@ func TestRhoGridAdaptiveBudget(t *testing.T) {
 	rows := map[string]bool{}
 	for _, row := range res.Rows {
 		if row.StopReason != StopConverged && row.StopReason != StopMaxSeeds {
-			t.Fatalf("row (%v, %v, %s, %s) has stop reason %q", row.WebRho, row.BatchRho, row.Policy, row.Service, row.StopReason)
+			t.Fatalf("row (%v, %v, %s, %s) has stop reason %q", row.LoadVec[0], row.LoadVec[1], row.Policy, row.Service, row.StopReason)
 		}
 		if row.N < 3 {
-			t.Fatalf("row (%v, %v, %s, %s) aggregated %d replicates, below the MinSeeds floor", row.WebRho, row.BatchRho, row.Policy, row.Service, row.N)
+			t.Fatalf("row (%v, %v, %s, %s) aggregated %d replicates, below the MinSeeds floor", row.LoadVec[0], row.LoadVec[1], row.Policy, row.Service, row.N)
 		}
 		key := row.Policy + "/" + row.Service
 		rows[key] = true

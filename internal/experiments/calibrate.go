@@ -225,16 +225,11 @@ func CalibrateCached(cfg CalibrationConfig) CalibrationResult {
 
 // WriteTSV renders the calibration as rows of (rate, refused).
 func (r CalibrationResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# lambda0 bootstrap (SS V-A): measured %.1f q/s, theoretical %.1f q/s\n", r.Lambda0, r.Theoretical); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "rate_qps\trefused\tunfinished"); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# lambda0 bootstrap (SS V-A): measured %.1f q/s, theoretical %.1f q/s\n", r.Lambda0, r.Theoretical)
+	t.printf("rate_qps\trefused\tunfinished\n")
 	for _, p := range r.Probes {
-		if _, err := fmt.Fprintf(w, "%.1f\t%d\t%d\n", p.RatePerSec, p.Refused, p.Unfinished); err != nil {
-			return err
-		}
+		t.printf("%.1f\t%d\t%d\n", p.RatePerSec, p.Refused, p.Unfinished)
 	}
-	return nil
+	return t.err
 }

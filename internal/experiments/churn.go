@@ -110,7 +110,7 @@ func RunChurnCtx(ctx context.Context, cfg ChurnConfig) ChurnResult {
 		Variants: []ClusterVariant{
 			{Name: "steady"},
 			{Name: "churn", Apply: func(c ClusterConfig) ClusterConfig {
-				c.Events = churnEvents(cfg.ChurnBy, cfg.DrainFrac, cfg.GrowFrac)
+				c.Events = churnEvents("", cfg.ChurnBy, cfg.DrainFrac, cfg.GrowFrac)
 				return c
 			}},
 		},
@@ -140,13 +140,14 @@ func RunChurnCtx(ctx context.Context, cfg ChurnConfig) ChurnResult {
 	return res
 }
 
-// churnEvents builds the rate-relative drain + re-add schedule: churnBy
-// drains starting at drainFrac of the arrival span, churnBy adds at
-// growFrac, each phase staggered by 1% of the span per server. Fractions
-// clamp to 1 so large pools (or late phases) stay valid schedules — the
-// tail of a long stagger lands at span end, where the absolute-time
-// schedule used to fire it after the last arrival.
-func churnEvents(churnBy int, drainFrac, growFrac float64) []testbed.Event {
+// churnEvents builds the rate-relative drain + re-add schedule on the
+// named pool ("" is VIP 0's own pool): churnBy drains starting at
+// drainFrac of the arrival span, churnBy adds at growFrac, each phase
+// staggered by 1% of the span per server. Fractions clamp to 1 so large
+// pools (or late phases) stay valid schedules — the tail of a long
+// stagger lands at span end, where the absolute-time schedule used to
+// fire it after the last arrival.
+func churnEvents(pool string, churnBy int, drainFrac, growFrac float64) []testbed.Event {
 	frac := func(f float64) float64 {
 		if f > 1 {
 			return 1
@@ -155,34 +156,28 @@ func churnEvents(churnBy int, drainFrac, growFrac float64) []testbed.Event {
 	}
 	events := make([]testbed.Event, 0, 2*churnBy)
 	for g := 0; g < churnBy; g++ {
-		events = append(events, testbed.DrainServer(0, 0, g).AtFraction(frac(drainFrac+float64(g)*0.01)))
+		events = append(events, testbed.DrainPoolServer(0, pool, g).AtFraction(frac(drainFrac+float64(g)*0.01)))
 	}
 	for g := 0; g < churnBy; g++ {
-		events = append(events, testbed.AddServer(0, 0).AtFraction(frac(growFrac+float64(g)*0.01)))
+		events = append(events, testbed.AddPoolServer(0, pool).AtFraction(frac(growFrac+float64(g)*0.01)))
 	}
 	return events
 }
 
 // WriteTSV renders the grid: one row per (rho, policy, mode).
 func (r ChurnResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# Pool churn/autoscale: drain+re-add %d servers mid-run; lambda0=%.1f q/s\n",
-		r.ChurnBy, r.Lambda0); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "rho\tpolicy\tmode\tmean_s\tmean_ci95_s\tp99_s\tok_frac\tok_ci95\trefused\tunfinished\tn"); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# Pool churn/autoscale: drain+re-add %d servers mid-run; lambda0=%.1f q/s\n", r.ChurnBy, r.Lambda0)
+	t.printf("rho\tpolicy\tmode\tmean_s\tmean_ci95_s\tp99_s\tok_frac\tok_ci95\trefused\tunfinished\tn\n")
 	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%.2f\t%s\t%s\t%s\t%s\t%s\t%.4f\t%.4f\t%.0f\t%.0f\t%d\n",
+		t.printf("%.2f\t%s\t%s\t%s\t%s\t%s\t%.4f\t%.4f\t%.0f\t%.0f\t%d\n",
 			row.Rho, row.Policy, row.Mode,
 			metrics.FormatDuration(row.Mean),
 			metrics.FormatDuration(row.MeanCI95),
 			metrics.FormatDuration(row.P99),
-			row.OKFrac, row.OKFracCI95, row.Refused, row.Unfinished, row.N); err != nil {
-			return err
-		}
+			row.OKFrac, row.OKFracCI95, row.Refused, row.Unfinished, row.N)
 	}
-	return nil
+	return t.err
 }
 
 // ChurnPenalty returns the churn/steady mean-RT ratio for the policy at

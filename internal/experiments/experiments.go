@@ -150,8 +150,12 @@ func FlowletPolicy(gap time.Duration) PolicySpec {
 // AblationPolicies returns the four-way scheme ablation of RunPolicies:
 // {random2, chash2, wleastload, flowlet}, all with Always-accepting
 // servers so the comparison isolates candidate selection.
-func AblationPolicies() []PolicySpec {
-	return []PolicySpec{Random2(), CHash2(), WeightedLeastLoadPolicy(), FlowletPolicy(0)}
+func AblationPolicies() []PolicySpec { return ablationPolicies(0) }
+
+// ablationPolicies is AblationPolicies with the flowlet policy's idle
+// gap set (0 ⇒ selection.DefaultFlowletGap).
+func ablationPolicies(flowletGap time.Duration) []PolicySpec {
+	return []PolicySpec{Random2(), CHash2(), WeightedLeastLoadPolicy(), FlowletPolicy(flowletGap)}
 }
 
 // ClusterConfig fixes the testbed parameters shared by all experiments.

@@ -283,30 +283,25 @@ func aggregateFailoverBins(binW time.Duration, bins int, timelines [][]failoverB
 
 // WriteTSV renders the transient: one block per mode, one row per bin.
 func (r FailoverResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# LB-replica failover transient: rho=%.2f, %d replicas, kill t=%.1fs",
-		r.Rho, r.Replicas, r.KillAt.Seconds()); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# LB-replica failover transient: rho=%.2f, %d replicas, kill t=%.1fs",
+		r.Rho, r.Replicas, r.KillAt.Seconds())
 	if r.RecoverAt > 0 {
-		fmt.Fprintf(w, ", recover t=%.1fs", r.RecoverAt.Seconds())
+		t.printf(", recover t=%.1fs", r.RecoverAt.Seconds())
 	}
-	fmt.Fprintf(w, "; lambda0=%.1f q/s\n", r.Lambda0)
+	t.printf("; lambda0=%.1f q/s\n", r.Lambda0)
 	for _, m := range r.Modes {
-		fmt.Fprintf(w, "# mode: %s (n=%d seeds, ok=%.4f refused=%.0f unfinished=%.0f)\n",
+		t.printf("# mode: %s (n=%d seeds, ok=%.4f refused=%.0f unfinished=%.0f)\n",
 			m.Name, m.Stats.N(), m.Stats.OKFraction.Dist.Mean,
 			m.Stats.Refused.Dist.Mean, m.Stats.Unfinished.Dist.Mean)
-		fmt.Fprintln(w, "t_s\tmean_rt_s\tmean_rt_ci95\tfailed_frac\tfailed_frac_ci95")
+		t.printf("t_s\tmean_rt_s\tmean_rt_ci95\tfailed_frac\tfailed_frac_ci95\n")
 		for _, b := range m.Bins {
-			if _, err := fmt.Fprintf(w, "%.2f\t%.4f\t%.4f\t%.4f\t%.4f\n",
-				b.Start.Seconds(), b.MeanRT, b.MeanRTCI95, b.FailedFrac, b.FailedFracCI95); err != nil {
-				return err
-			}
+			t.printf("%.2f\t%.4f\t%.4f\t%.4f\t%.4f\n",
+				b.Start.Seconds(), b.MeanRT, b.MeanRTCI95, b.FailedFrac, b.FailedFracCI95)
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		t.printf("\n")
 	}
-	return nil
+	return t.err
 }
 
 // Mode returns the named mode's outcome.

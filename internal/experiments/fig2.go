@@ -162,34 +162,30 @@ func (r Fig2Result) WriteTSV(w io.Writer) error {
 	if r.WorkloadLabel != "" {
 		title = r.WorkloadLabel + " sweep"
 	}
-	if _, err := fmt.Fprintf(w, "# %s: mean response time (s) vs normalized load; lambda0=%.1f q/s", title, r.Lambda0); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# %s: mean response time (s) vs normalized load; lambda0=%.1f q/s", title, r.Lambda0)
 	if replicated {
-		fmt.Fprintf(w, "; n=%d seeds, ci = Student-t 95%% half-width", len(r.Seeds))
+		t.printf("; n=%d seeds, ci = Student-t 95%% half-width", len(r.Seeds))
 	}
-	fmt.Fprintln(w)
-	fmt.Fprint(w, "rho")
+	t.printf("\nrho")
 	for _, p := range r.Policies {
-		fmt.Fprintf(w, "\t%s", p.Name)
+		t.printf("\t%s", p.Name)
 		if replicated {
-			fmt.Fprintf(w, "\t%s_ci95", p.Name)
+			t.printf("\t%s_ci95", p.Name)
 		}
 	}
-	fmt.Fprintln(w)
+	t.printf("\n")
 	for ri, rho := range r.Rhos {
-		fmt.Fprintf(w, "%.2f", rho)
+		t.printf("%.2f", rho)
 		for pi := range r.Policies {
-			fmt.Fprintf(w, "\t%s", metrics.FormatDuration(r.Points[pi][ri].Mean))
+			t.printf("\t%s", metrics.FormatDuration(r.Points[pi][ri].Mean))
 			if replicated {
-				fmt.Fprintf(w, "\t%s", metrics.FormatDuration(r.Points[pi][ri].MeanCI95))
+				t.printf("\t%s", metrics.FormatDuration(r.Points[pi][ri].MeanCI95))
 			}
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		t.printf("\n")
 	}
-	return nil
+	return t.err
 }
 
 // Improvement returns the RR/policy mean-RT ratio at the ρ closest to the

@@ -217,35 +217,30 @@ func aggregateTimelines(timelines [][]Fig4Sample) []Fig4Sample {
 // (time, smoothed mean busy workers) and (time, smoothed fairness). A
 // replicated run appends the per-point 95% CI half-width columns.
 func (r Fig4Result) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# Figure 4: instantaneous server load (mean, fairness), rho=%.2f\n", r.Rho); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# Figure 4: instantaneous server load (mean, fairness), rho=%.2f\n", r.Rho)
 	for _, s := range r.Series {
 		replicated := s.N > 1
 		if replicated {
-			fmt.Fprintf(w, "# policy: %s (mean over %d seeds)\n", s.Spec.Name, s.N)
+			t.printf("# policy: %s (mean over %d seeds)\n", s.Spec.Name, s.N)
 		} else {
-			fmt.Fprintf(w, "# policy: %s\n", s.Spec.Name)
+			t.printf("# policy: %s\n", s.Spec.Name)
 		}
-		fmt.Fprintf(w, "t_s\tmean_busy_%s\tfairness_%s", s.Spec.Name, s.Spec.Name)
+		t.printf("t_s\tmean_busy_%s\tfairness_%s", s.Spec.Name, s.Spec.Name)
 		if replicated {
-			fmt.Fprint(w, "\tmean_busy_ci95\tfairness_ci95")
+			t.printf("\tmean_busy_ci95\tfairness_ci95")
 		}
-		fmt.Fprintln(w)
+		t.printf("\n")
 		for _, p := range s.Samples {
-			fmt.Fprintf(w, "%.1f\t%.3f\t%.4f", p.At.Seconds(), p.MeanBusy, p.Fairness)
+			t.printf("%.1f\t%.3f\t%.4f", p.At.Seconds(), p.MeanBusy, p.Fairness)
 			if replicated {
-				fmt.Fprintf(w, "\t%.3f\t%.4f", p.MeanBusyCI95, p.FairnessCI95)
+				t.printf("\t%.3f\t%.4f", p.MeanBusyCI95, p.FairnessCI95)
 			}
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
+			t.printf("\n")
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		t.printf("\n")
 	}
-	return nil
+	return t.err
 }
 
 // MeanFairness averages the smoothed fairness over the middle 80% of a

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -179,40 +178,35 @@ func RunFig5(cfg CDFConfig) CDFResult {
 // (more than one seed) pools all seeds into the rt_s column and appends
 // the across-seed band: rt_mean_s ± the Student-t 95% interval.
 func (r CDFResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# CDF of response time at rho=%.2f (lambda0=%.1f q/s)\n", r.Rho, r.Lambda0); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# CDF of response time at rho=%.2f (lambda0=%.1f q/s)\n", r.Rho, r.Lambda0)
 	for i, spec := range r.Policies {
-		fmt.Fprintf(w, "# policy: %s (n=%d, median=%s", spec.Name, r.RT[i].Count(), metrics.FormatDuration(r.RT[i].Median()))
+		t.printf("# policy: %s (n=%d, median=%s", spec.Name, r.RT[i].Count(), metrics.FormatDuration(r.RT[i].Median()))
 		if len(r.Stats) > i && r.Stats[i].N() > 1 {
-			fmt.Fprintf(w, " ± %s over %d seeds", metrics.FormatDuration(secDur(r.Stats[i].Median.Dist.ReportedCI95())), r.Stats[i].N())
+			t.printf(" ± %s over %d seeds", metrics.FormatDuration(secDur(r.Stats[i].Median.Dist.ReportedCI95())), r.Stats[i].N())
 		}
-		fmt.Fprintln(w, ")")
+		t.printf(")\n")
 		banded := len(r.Bands) > i && len(r.Bands[i].Fraction) > 0
-		fmt.Fprintf(w, "rt_s\tcdf_%s", spec.Name)
+		t.printf("rt_s\tcdf_%s", spec.Name)
 		if banded {
-			fmt.Fprint(w, "\trt_mean_s\trt_lo_s\trt_hi_s")
+			t.printf("\trt_mean_s\trt_lo_s\trt_hi_s")
 		}
-		fmt.Fprintln(w)
+		t.printf("\n")
 		band := CDFBand{}
 		if banded {
 			band = r.Bands[i]
 		}
 		for pi, pt := range r.RT[i].CDF(r.Points) {
-			fmt.Fprintf(w, "%s\t%.4f", metrics.FormatDuration(pt.Value), pt.Fraction)
+			t.printf("%s\t%.4f", metrics.FormatDuration(pt.Value), pt.Fraction)
 			if banded && pi < len(band.Fraction) {
-				fmt.Fprintf(w, "\t%s\t%s\t%s",
+				t.printf("\t%s\t%s\t%s",
 					metrics.FormatDuration(band.Mid[pi]),
 					metrics.FormatDuration(band.Lo[pi]),
 					metrics.FormatDuration(band.Hi[pi]))
 			}
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
+			t.printf("\n")
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		t.printf("\n")
 	}
-	return nil
+	return t.err
 }

@@ -31,84 +31,72 @@ func (r WikiResult) binLabel(binIdx int, bins *metrics.TimeBins) string {
 // WriteFig6TSV emits figure 6: the wiki-page query rate and the median
 // wiki-page load time per 10-minute bin, for every policy.
 func (r WikiResult) WriteFig6TSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "# Figure 6: wiki replay — query rate and median load time per bin"); err != nil {
-		return err
-	}
-	fmt.Fprint(w, "time\trate_qps")
+	t := tsvWriter{w: w}
+	t.printf("# Figure 6: wiki replay — query rate and median load time per bin\n")
+	t.printf("time\trate_qps")
 	for _, run := range r.Runs {
-		fmt.Fprintf(w, "\tmedian_s_%s", run.Spec.Name)
+		t.printf("\tmedian_s_%s", run.Spec.Name)
 	}
-	fmt.Fprintln(w)
+	t.printf("\n")
 	if len(r.Runs) == 0 {
-		return nil
+		return t.err
 	}
 	ref := r.Runs[0]
-	comp := r.Day.RealTime(time.Second).Seconds()
 	for i := 0; i < ref.WikiBins.NumBins(); i++ {
-		// The rate axis reports trace-time q/s: bin counts divided by the
-		// REAL bin width (virtual width × compression keeps it invariant).
-		rate := ref.RateBins.Rate(i) // virtual q/s == real q/s (rates preserved)
-		_ = comp
-		fmt.Fprintf(w, "%s\t%.1f", r.binLabel(i, ref.WikiBins), rate)
+		// The rate axis reports trace-time q/s; compression preserves
+		// rates, so the virtual bin rate is the real one.
+		t.printf("%s\t%.1f", r.binLabel(i, ref.WikiBins), ref.RateBins.Rate(i))
 		for _, run := range r.Runs {
-			fmt.Fprintf(w, "\t%s", metrics.FormatDuration(run.WikiBins.Bin(i).Median()))
+			t.printf("\t%s", metrics.FormatDuration(run.WikiBins.Bin(i).Median()))
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		t.printf("\n")
 	}
-	return nil
+	return t.err
 }
 
 // WriteFig7TSV emits figure 7: deciles 1–9 of the wiki-page load time per
 // bin, one block per policy.
 func (r WikiResult) WriteFig7TSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "# Figure 7: wiki replay — load-time deciles 1..9 per bin"); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# Figure 7: wiki replay — load-time deciles 1..9 per bin\n")
 	for _, run := range r.Runs {
-		fmt.Fprintf(w, "# policy: %s\n", run.Spec.Name)
-		fmt.Fprint(w, "time")
+		t.printf("# policy: %s\n", run.Spec.Name)
+		t.printf("time")
 		for d := 1; d <= 9; d++ {
-			fmt.Fprintf(w, "\td%d_s", d)
+			t.printf("\td%d_s", d)
 		}
-		fmt.Fprintln(w)
+		t.printf("\n")
 		for i := 0; i < run.WikiBins.NumBins(); i++ {
-			fmt.Fprint(w, r.binLabel(i, run.WikiBins))
+			t.printf("%s", r.binLabel(i, run.WikiBins))
 			for _, q := range run.WikiBins.Bin(i).Deciles() {
-				fmt.Fprintf(w, "\t%s", metrics.FormatDuration(q))
+				t.printf("\t%s", metrics.FormatDuration(q))
 			}
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
+			t.printf("\n")
 		}
-		fmt.Fprintln(w)
+		t.printf("\n")
 	}
-	return nil
+	return t.err
 }
 
 // WriteFig8TSV emits figure 8: the CDF of wiki-page load time over the
 // whole day per policy, with the paper's summary stats (median and third
 // quartile) in the header.
 func (r WikiResult) WriteFig8TSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "# Figure 8: wiki replay — CDF of wiki page load time over the whole day"); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# Figure 8: wiki replay — CDF of wiki page load time over the whole day\n")
 	for _, run := range r.Runs {
-		fmt.Fprintf(w, "# policy: %s median=%s q3=%s n=%d\n",
+		t.printf("# policy: %s median=%s q3=%s n=%d\n",
 			run.Spec.Name,
 			metrics.FormatDuration(run.WikiAll.Median()),
 			metrics.FormatDuration(run.WikiAll.Quantile(0.75)),
 			run.WikiAll.Count())
-		fmt.Fprintf(w, "rt_s\tcdf_%s\n", run.Spec.Name)
+		t.printf("rt_s\tcdf_%s\n", run.Spec.Name)
 		for _, pt := range run.WikiAll.CDF(200) {
-			fmt.Fprintf(w, "%s\t%.4f\n", metrics.FormatDuration(pt.Value), pt.Fraction)
+			t.printf("%s\t%.4f\n", metrics.FormatDuration(pt.Value), pt.Fraction)
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		t.printf("\n")
 	}
-	return nil
+	return t.err
 }
 
 // Summary compares the paper's headline figure-8 numbers: the overall

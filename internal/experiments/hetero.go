@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"math"
 	"time"
@@ -157,21 +156,18 @@ func RunHeteroCtx(ctx context.Context, cfg HeteroConfig) HeteroResult {
 // WriteTSV renders the study; replicated runs gain mean_ci95_s and
 // slow_share_ci95 columns.
 func (r HeteroResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"# Extension: heterogeneous cluster (%d/%d slow servers, capacity share %.3f), rho=%.2f\n",
-		r.SlowServers, r.TotalServers, r.CapacityShare, r.Rho); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# Extension: heterogeneous cluster (%d/%d slow servers, capacity share %.3f), rho=%.2f\n",
+		r.SlowServers, r.TotalServers, r.CapacityShare, r.Rho)
 	replicated := len(r.Seeds) > 1
 	if replicated {
-		fmt.Fprintln(w, "policy\tmean_s\tmean_ci95_s\tmedian_s\tp95_s\tslow_share\tslow_share_ci95\trefused\tn")
+		t.printf("policy\tmean_s\tmean_ci95_s\tmedian_s\tp95_s\tslow_share\tslow_share_ci95\trefused\tn\n")
 	} else {
-		fmt.Fprintln(w, "policy\tmean_s\tmedian_s\tp95_s\tslow_share\trefused")
+		t.printf("policy\tmean_s\tmedian_s\tp95_s\tslow_share\trefused\n")
 	}
 	for _, row := range r.Rows {
-		var err error
 		if replicated {
-			_, err = fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%.3f\t%.3f\t%d\t%d\n",
+			t.printf("%s\t%s\t%s\t%s\t%s\t%.3f\t%.3f\t%d\t%d\n",
 				row.Policy,
 				metrics.FormatDuration(row.Mean),
 				metrics.FormatDuration(row.MeanCI95),
@@ -179,16 +175,13 @@ func (r HeteroResult) WriteTSV(w io.Writer) error {
 				metrics.FormatDuration(row.P95),
 				row.SlowShare, row.SlowShareCI95, row.Refused, row.N)
 		} else {
-			_, err = fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%.3f\t%d\n",
+			t.printf("%s\t%s\t%s\t%s\t%.3f\t%d\n",
 				row.Policy,
 				metrics.FormatDuration(row.Mean),
 				metrics.FormatDuration(row.Median),
 				metrics.FormatDuration(row.P95),
 				row.SlowShare, row.Refused)
 		}
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	return t.err
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"runtime"
 	"time"
@@ -174,17 +173,17 @@ func (r HorizonResult) WriteSummary(w io.Writer) error {
 	if r.Counters.Offered > 0 {
 		okFrac = float64(r.Counters.OK) / float64(r.Counters.Offered)
 	}
-	_, err := fmt.Fprintf(w,
-		"queries\t%d\npolicy\t%s\nrho\t%.2f\nlambda0\t%.1f\n"+
-			"ok\t%d (%.4f)\nrefused\t%d\nunfinished\t%d\n"+
-			"mean_ms\t%.3f\np50_ms\t%.3f\np99_ms\t%.3f\nmax_ms\t%.3f\n"+
-			"peak_heap_mb\t%.1f\nevents\t%d\nsim_time\t%s\nwall\t%s\nqps\t%.0f\n",
+	t := tsvWriter{w: w}
+	t.printf("queries\t%d\npolicy\t%s\nrho\t%.2f\nlambda0\t%.1f\n"+
+		"ok\t%d (%.4f)\nrefused\t%d\nunfinished\t%d\n"+
+		"mean_ms\t%.3f\np50_ms\t%.3f\np99_ms\t%.3f\nmax_ms\t%.3f\n"+
+		"peak_heap_mb\t%.1f\nevents\t%d\nsim_time\t%s\nwall\t%s\nqps\t%.0f\n",
 		r.Queries, r.Policy, r.Rho, r.Lambda0,
 		r.Counters.OK, okFrac, r.Counters.Refused, r.Counters.Unfinished,
 		durMS(r.RT.Mean()), durMS(r.RT.Median()), durMS(r.RT.Quantile(0.99)), durMS(r.RT.Max()),
 		float64(r.PeakHeap)/(1<<20), r.Events, r.SimTime.Round(time.Millisecond), r.Wall.Round(time.Millisecond),
 		r.QPS())
-	return err
+	return t.err
 }
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -18,11 +18,10 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
-	"srlb/internal/metrics"
 	"srlb/internal/plot"
-	"srlb/internal/testbed"
 )
 
 // InterferenceConfig parameterizes the experiment.
@@ -52,23 +51,11 @@ type InterferenceConfig struct {
 	Progress func(string)
 }
 
-// InterferenceRow is one (batch-load, policy, service) outcome
-// aggregated across the replication axis; Service "all" is the aggregate
-// over both services.
+// InterferenceRow is a ServiceRow — Rho is the aggressor's load (the
+// sweep knob); Load is WebRho on the victim's rows — plus the
+// degradation columns.
 type InterferenceRow struct {
-	// BatchRho is the aggressor's load (the sweep knob); Load is this
-	// row's service's own resolved load (WebRho for the victim, BatchRho
-	// for the aggressor, BatchRho for the aggregate).
-	BatchRho float64
-	Policy   string
-	Service  string
-	Load     float64
-	// N counts completed replicates.
-	N                            int
-	Mean, MeanCI95, P99, P99CI95 time.Duration
-	OKFrac, OKFracCI95           float64
-	// Offered, Refused and Unfinished are across-seed mean counts.
-	Offered, Refused, Unfinished float64
+	ServiceRow
 	// P99Degradation is this row's p99 over the same (policy, service)
 	// p99 at the lowest batch load — the interference multiple the
 	// service suffers as the aggressor ramps. 1 at the baseline itself.
@@ -102,41 +89,18 @@ func RunInterference(cfg InterferenceConfig) InterferenceResult {
 // RunInterferenceCtx is RunInterference with cancellation; cancelled
 // cells are dropped from the aggregates.
 func RunInterferenceCtx(ctx context.Context, cfg InterferenceConfig) InterferenceResult {
-	cfg.Cluster = cfg.Cluster.withDefaults()
+	serviceSweepDefaults(&cfg.Cluster, &cfg.Lambda0, &cfg.BatchRhos, &cfg.Queries, &cfg.BatchPeak)
 	if cfg.WebRho == 0 {
 		cfg.WebRho = 0.55
-	}
-	if len(cfg.BatchRhos) == 0 {
-		cfg.BatchRhos = []float64{0.05, 0.2, 0.35, 0.5}
-	}
-	if cfg.Queries == 0 {
-		cfg.Queries = 20000
-	}
-	if cfg.BatchPeak == 0 {
-		cfg.BatchPeak = 4
 	}
 	if len(cfg.Policies) == 0 {
 		cfg.Policies = []PolicySpec{RR(), SRc(4), SRdyn()}
 	}
-	if cfg.Lambda0 == 0 {
-		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
-		cfg.Lambda0 = cal.Lambda0
-	}
 
-	// The victim's span fixes the cell's window; the aggressor is
-	// time-bounded to it, so every batch load offers over the same
-	// interval and only the intensity varies.
+	// The victim's span fixes the cell's window.
 	span := time.Duration(float64(cfg.Queries) / (cfg.WebRho * cfg.Lambda0) * float64(time.Second))
-	workload := MultiServiceWorkload{
-		Services: []ServiceSpec{
-			{Name: "web", Pool: "shared", Workload: PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}},
-			{Name: "batch", Pool: "shared", Workload: BurstyService{
-				Lambda0: cfg.Lambda0, Horizon: span, PeakFactor: cfg.BatchPeak,
-			}},
-		},
-		ServiceLoads: []ServiceLoad{{Fixed: cfg.WebRho}, {}},
-		Pools:        []testbed.PoolSpec{{Name: "shared"}},
-	}
+	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, span, cfg.BatchPeak)
+	workload.ServiceLoads = []ServiceLoad{{Fixed: cfg.WebRho}, {}}
 
 	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(ctx, Sweep{
 		Cluster:  cfg.Cluster,
@@ -151,61 +115,30 @@ func RunInterferenceCtx(ctx context.Context, cfg InterferenceConfig) Interferenc
 		WebRho:    cfg.WebRho,
 		BatchRhos: cfg.BatchRhos,
 		Seeds:     agg.Seeds,
+		Services:  workload.serviceNames(),
 		Stats:     agg,
-	}
-	for _, svc := range workload.Services {
-		res.Services = append(res.Services, svc.Name)
 	}
 	// Baselines (lowest batch load) per (policy, service) for the
 	// degradation columns.
 	type key struct{ policy, service string }
 	baseP99 := make(map[key]float64)
 	baseOK := make(map[key]float64)
-	for li, rho := range cfg.BatchRhos {
-		for pi, spec := range cfg.Policies {
-			cs := agg.CellAt(pi, 0, li)
-			if cs.N() == 0 {
-				continue
-			}
-			var offered float64
-			for _, vs := range cs.VIPs {
-				offered += vs.Offered.Dist.Mean
-			}
-			rows := []InterferenceRow{{
-				BatchRho: rho, Policy: spec.Name, Service: "all", Load: rho, N: cs.N(),
-				Mean: secDur(cs.Mean.Dist.Mean), MeanCI95: secDur(cs.Mean.Dist.ReportedCI95()),
-				P99: secDur(cs.P99.Dist.Mean), P99CI95: secDur(cs.P99.Dist.ReportedCI95()),
-				OKFrac: cs.OKFraction.Dist.Mean, OKFracCI95: cs.OKFraction.Dist.ReportedCI95(),
-				Offered: offered,
-				Refused: cs.Refused.Dist.Mean, Unfinished: cs.Unfinished.Dist.Mean,
-			}}
-			for _, vs := range cs.VIPs {
-				rows = append(rows, InterferenceRow{
-					BatchRho: rho, Policy: spec.Name, Service: vs.Name, Load: vs.Load, N: cs.N(),
-					Mean: secDur(vs.Mean.Dist.Mean), MeanCI95: secDur(vs.Mean.Dist.ReportedCI95()),
-					P99: secDur(vs.P99.Dist.Mean), P99CI95: secDur(vs.P99.Dist.ReportedCI95()),
-					OKFrac: vs.OKFraction.Dist.Mean, OKFracCI95: vs.OKFraction.Dist.ReportedCI95(),
-					Offered: vs.Offered.Dist.Mean,
-					Refused: vs.Refused.Dist.Mean, Unfinished: vs.Unfinished.Dist.Mean,
-				})
-			}
-			for _, row := range rows {
-				k := key{row.Policy, row.Service}
-				if li == 0 {
-					baseP99[k] = row.P99.Seconds()
-					baseOK[k] = row.OKFrac
-				}
-				if b := baseP99[k]; b > 0 {
-					row.P99Degradation = row.P99.Seconds() / b
-				}
-				// Degradation columns stay zero when the baseline cell
-				// never completed (cancelled mid-sweep).
-				if base, ok := baseOK[k]; ok {
-					row.OKDrop = base - row.OKFrac
-				}
-				res.Rows = append(res.Rows, row)
-			}
+	for _, sr := range serviceRows(agg) {
+		row := InterferenceRow{ServiceRow: sr}
+		k := key{row.Policy, row.Service}
+		if row.Rho == cfg.BatchRhos[0] {
+			baseP99[k] = row.P99.Seconds()
+			baseOK[k] = row.OKFrac
 		}
+		if b := baseP99[k]; b > 0 {
+			row.P99Degradation = row.P99.Seconds() / b
+		}
+		// Degradation columns stay zero when the baseline cell never
+		// completed (cancelled mid-sweep).
+		if base, ok := baseOK[k]; ok {
+			row.OKDrop = base - row.OKFrac
+		}
+		res.Rows = append(res.Rows, row)
 	}
 	return res
 }
@@ -213,25 +146,8 @@ func RunInterferenceCtx(ctx context.Context, cfg InterferenceConfig) Interferenc
 // Row returns the row for (policy, service) at the batch load closest to
 // the requested one.
 func (r InterferenceResult) Row(policy, service string, batchRho float64) (InterferenceRow, error) {
-	var best InterferenceRow
-	bestDiff := -1.0
-	for _, row := range r.Rows {
-		if row.Policy != policy || row.Service != service {
-			continue
-		}
-		d := row.BatchRho - batchRho
-		if d < 0 {
-			d = -d
-		}
-		if bestDiff < 0 || d < bestDiff {
-			bestDiff = d
-			best = row
-		}
-	}
-	if bestDiff < 0 {
-		return InterferenceRow{}, fmt.Errorf("interference: no row for (%q, %q)", policy, service)
-	}
-	return best, nil
+	return findRow("interference", r.Rows, InterferenceRow.base, "", policy, service,
+		func(row ServiceRow) float64 { return math.Abs(row.Rho - batchRho) })
 }
 
 // VictimDegradation returns the web service's p99 interference multiple
@@ -257,29 +173,9 @@ func (r InterferenceResult) VictimDegradation(policy string) (float64, error) {
 func (r InterferenceResult) PlotFacets() []plot.Facet {
 	facets := make([]plot.Facet, 0, len(r.Services))
 	for _, svc := range r.Services {
-		byPolicy := make(map[string]*plot.Series)
-		var order []string
-		for _, row := range r.Rows {
-			if row.Service != svc {
-				continue
-			}
-			ser, ok := byPolicy[row.Policy]
-			if !ok {
-				ser = &plot.Series{Name: row.Policy}
-				byPolicy[row.Policy] = ser
-				order = append(order, row.Policy)
-			}
-			ser.X = append(ser.X, row.BatchRho)
-			ser.Y = append(ser.Y, row.P99.Seconds())
-			ser.YErr = append(ser.YErr, row.P99CI95.Seconds())
-		}
-		series := make([]plot.Series, 0, len(order))
-		for _, name := range order {
-			series = append(series, *byPolicy[name])
-		}
 		facets = append(facets, plot.Facet{
 			Title:  fmt.Sprintf("Interference: %s p99 (s) vs batch load (web pinned at rho=%.2f)", svc, r.WebRho),
-			Series: series,
+			Series: policySeries(r.Rows, InterferenceRow.base, "", svc, ServiceRow.p99AndCI95),
 		})
 	}
 	return facets
@@ -288,24 +184,13 @@ func (r InterferenceResult) PlotFacets() []plot.Facet {
 // WriteTSV renders the grid: one row per (batch_rho, policy, service),
 // the aggregate first.
 func (r InterferenceResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# Cross-service interference on one shared pool: web pinned at rho=%.2f, batch swept; lambda0=%.1f q/s\n",
-		r.WebRho, r.Lambda0); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "batch_rho\tpolicy\tservice\trho_svc\toffered\tmean_s\tmean_ci95_s\tp99_s\tp99_ci95_s\tok_frac\tok_ci95\tp99_degradation\tok_drop\trefused\tunfinished\tn"); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%.2f\t%s\t%s\t%.2f\t%.0f\t%s\t%s\t%s\t%s\t%.4f\t%.4f\t%.2f\t%.4f\t%.0f\t%.0f\t%d\n",
-			row.BatchRho, row.Policy, row.Service, row.Load, row.Offered,
-			metrics.FormatDuration(row.Mean),
-			metrics.FormatDuration(row.MeanCI95),
-			metrics.FormatDuration(row.P99),
-			metrics.FormatDuration(row.P99CI95),
-			row.OKFrac, row.OKFracCI95, row.P99Degradation, row.OKDrop,
-			row.Refused, row.Unfinished, row.N); err != nil {
-			return err
-		}
-	}
-	return nil
+	cols := append(
+		lift(InterferenceRow.base, colRho("batch_rho"), colPolicy, colService, colSvcRho, colOffered,
+			colMean, colMeanCI, colP99, colP99CI, colOKFrac, colOKCI),
+		column[InterferenceRow]{"p99_degradation", func(r InterferenceRow) string { return fmt.Sprintf("%.2f", r.P99Degradation) }},
+		column[InterferenceRow]{"ok_drop", func(r InterferenceRow) string { return fmt.Sprintf("%.4f", r.OKDrop) }})
+	cols = append(cols, lift(InterferenceRow.base, colRefused, colUnfin, colN)...)
+	return writeTable(w,
+		fmt.Sprintf("Cross-service interference on one shared pool: web pinned at rho=%.2f, batch swept; lambda0=%.1f q/s", r.WebRho, r.Lambda0),
+		cols, r.Rows)
 }

@@ -221,12 +221,12 @@ func TestRunInterferenceSmall(t *testing.T) {
 			t.Fatalf("row %+v has N=%d, want 1", row, row.N)
 		}
 		if row.Service == "web" && row.Load != 0.4 {
-			t.Fatalf("web row at batch_rho=%.2f carries load %.2f, want the pinned 0.40", row.BatchRho, row.Load)
+			t.Fatalf("web row at batch_rho=%.2f carries load %.2f, want the pinned 0.40", row.Rho, row.Load)
 		}
-		if row.Service == "batch" && row.Load != row.BatchRho {
-			t.Fatalf("batch row carries load %.2f, want its own axis %.2f", row.Load, row.BatchRho)
+		if row.Service == "batch" && row.Load != row.Rho {
+			t.Fatalf("batch row carries load %.2f, want its own axis %.2f", row.Load, row.Rho)
 		}
-		if row.BatchRho == res.BatchRhos[0] && row.P99Degradation != 1 {
+		if row.Rho == res.BatchRhos[0] && row.P99Degradation != 1 {
 			t.Fatalf("baseline row %s/%s has degradation %.2f, want 1", row.Policy, row.Service, row.P99Degradation)
 		}
 	}

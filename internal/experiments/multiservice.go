@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand/v2"
 	"net/netip"
 	"strings"
@@ -29,7 +30,6 @@ import (
 
 	"srlb/internal/agent"
 	"srlb/internal/appserver"
-	"srlb/internal/metrics"
 	"srlb/internal/plot"
 	"srlb/internal/rng"
 	"srlb/internal/testbed"
@@ -600,20 +600,6 @@ type MultiServiceConfig struct {
 	Progress func(string)
 }
 
-// MultiServiceRow is one (rho, policy, service) outcome aggregated across
-// the replication axis; Service "all" is the aggregate over services.
-type MultiServiceRow struct {
-	Rho     float64
-	Policy  string
-	Service string
-	// N counts completed replicates.
-	N                        int
-	Mean, MeanCI95, P50, P99 time.Duration
-	OKFrac, OKFracCI95       float64
-	// Offered, Refused and Unfinished are across-seed mean counts.
-	Offered, Refused, Unfinished float64
-}
-
 // MultiServiceResult holds the full grid.
 type MultiServiceResult struct {
 	Lambda0 float64
@@ -624,7 +610,9 @@ type MultiServiceResult struct {
 	// Stats is the underlying replicated sweep — per-VIP aggregates
 	// included (CellStats.VIPs) — the machine-readable artifact's source.
 	Stats SweepStats
-	Rows  []MultiServiceRow
+	// Rows holds one row per (rho, policy, service), the "all" aggregate
+	// first within each cell.
+	Rows []ServiceRow
 }
 
 // RunMultiService executes the experiment.
@@ -635,25 +623,15 @@ func RunMultiService(cfg MultiServiceConfig) MultiServiceResult {
 // RunMultiServiceCtx is RunMultiService with cancellation; cancelled
 // cells are dropped from the aggregates.
 func RunMultiServiceCtx(ctx context.Context, cfg MultiServiceConfig) MultiServiceResult {
-	cfg.Cluster = cfg.Cluster.withDefaults()
 	if len(cfg.Rhos) == 0 {
 		cfg.Rhos = []float64{0.6, 0.85}
 	}
-	if cfg.Queries == 0 {
-		cfg.Queries = 20000
-	}
+	serviceSweepDefaults(&cfg.Cluster, &cfg.Lambda0, &cfg.Rhos, &cfg.Queries, &cfg.BatchPeak)
 	if cfg.Compression == 0 {
 		cfg.Compression = 288
 	}
-	if cfg.BatchPeak == 0 {
-		cfg.BatchPeak = 4
-	}
 	if len(cfg.Policies) == 0 {
 		cfg.Policies = []PolicySpec{RR(), SRc(4), SRdyn()}
-	}
-	if cfg.Lambda0 == 0 {
-		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
-		cfg.Lambda0 = cal.Lambda0
 	}
 
 	// The batch pool is half the web pool; its offered rate scales with
@@ -679,74 +657,21 @@ func RunMultiServiceCtx(ctx context.Context, cfg MultiServiceConfig) MultiServic
 		Workload: workload,
 	})
 
-	res := MultiServiceResult{
-		Lambda0: cfg.Lambda0,
-		Rhos:    cfg.Rhos,
-		Seeds:   agg.Seeds,
-		Stats:   agg,
+	return MultiServiceResult{
+		Lambda0:  cfg.Lambda0,
+		Services: workload.serviceNames(),
+		Rhos:     cfg.Rhos,
+		Seeds:    agg.Seeds,
+		Stats:    agg,
+		Rows:     serviceRows(agg),
 	}
-	for _, svc := range workload.Services {
-		res.Services = append(res.Services, svc.Name)
-	}
-	for li, rho := range cfg.Rhos {
-		for pi, spec := range cfg.Policies {
-			cs := agg.CellAt(pi, 0, li)
-			if cs.N() == 0 {
-				continue
-			}
-			var offered float64
-			for _, vs := range cs.VIPs {
-				offered += vs.Offered.Dist.Mean
-			}
-			res.Rows = append(res.Rows, MultiServiceRow{
-				Rho: rho, Policy: spec.Name, Service: "all", N: cs.N(),
-				Offered:  offered,
-				Mean:     secDur(cs.Mean.Dist.Mean),
-				MeanCI95: secDur(cs.Mean.Dist.ReportedCI95()),
-				P50:      secDur(cs.Median.Dist.Mean),
-				P99:      secDur(cs.P99.Dist.Mean),
-				OKFrac:   cs.OKFraction.Dist.Mean, OKFracCI95: cs.OKFraction.Dist.ReportedCI95(),
-				Refused: cs.Refused.Dist.Mean, Unfinished: cs.Unfinished.Dist.Mean,
-			})
-			for _, vs := range cs.VIPs {
-				res.Rows = append(res.Rows, MultiServiceRow{
-					Rho: rho, Policy: spec.Name, Service: vs.Name, N: cs.N(),
-					Mean:     secDur(vs.Mean.Dist.Mean),
-					MeanCI95: secDur(vs.Mean.Dist.ReportedCI95()),
-					P50:      secDur(vs.Median.Dist.Mean),
-					P99:      secDur(vs.P99.Dist.Mean),
-					OKFrac:   vs.OKFraction.Dist.Mean, OKFracCI95: vs.OKFraction.Dist.ReportedCI95(),
-					Offered: vs.Offered.Dist.Mean,
-					Refused: vs.Refused.Dist.Mean, Unfinished: vs.Unfinished.Dist.Mean,
-				})
-			}
-		}
-	}
-	return res
 }
 
 // Row returns the row for (policy, service) at the rho closest to the
 // requested load.
-func (r MultiServiceResult) Row(policy, service string, rho float64) (MultiServiceRow, error) {
-	var best MultiServiceRow
-	bestDiff := -1.0
-	for _, row := range r.Rows {
-		if row.Policy != policy || row.Service != service {
-			continue
-		}
-		d := row.Rho - rho
-		if d < 0 {
-			d = -d
-		}
-		if bestDiff < 0 || d < bestDiff {
-			bestDiff = d
-			best = row
-		}
-	}
-	if bestDiff < 0 {
-		return MultiServiceRow{}, fmt.Errorf("multiservice: no row for (%q, %q)", policy, service)
-	}
-	return best, nil
+func (r MultiServiceResult) Row(policy, service string, rho float64) (ServiceRow, error) {
+	return findRow("multiservice", r.Rows, ServiceRow.base, "", policy, service,
+		func(row ServiceRow) float64 { return math.Abs(row.Rho - rho) })
 }
 
 // Improvement returns the RR-vs-policy mean-RT ratio for one service at
@@ -770,49 +695,16 @@ func (r MultiServiceResult) Improvement(policy, service string, rho float64) (fl
 // PlotSeries renders one service's mean-RT-vs-load lines, one series per
 // policy, with across-seed ci95 error bars.
 func (r MultiServiceResult) PlotSeries(service string) []plot.Series {
-	byPolicy := make(map[string]*plot.Series)
-	var order []string
-	for _, row := range r.Rows {
-		if row.Service != service {
-			continue
-		}
-		ser, ok := byPolicy[row.Policy]
-		if !ok {
-			ser = &plot.Series{Name: row.Policy}
-			byPolicy[row.Policy] = ser
-			order = append(order, row.Policy)
-		}
-		ser.X = append(ser.X, row.Rho)
-		ser.Y = append(ser.Y, row.Mean.Seconds())
-		ser.YErr = append(ser.YErr, row.MeanCI95.Seconds())
-	}
-	out := make([]plot.Series, 0, len(order))
-	for _, name := range order {
-		out = append(out, *byPolicy[name])
-	}
-	return out
+	return policySeries(r.Rows, ServiceRow.base, "", service, ServiceRow.meanAndCI95)
 }
 
 // WriteTSV renders the grid: one row per (rho, policy, service), the
 // aggregate first.
 func (r MultiServiceResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# Multi-service run: %s sharing the LB; lambda0=%.1f q/s (web VIP)\n",
-		strings.Join(r.Services, "+"), r.Lambda0); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "rho\tpolicy\tservice\toffered\tmean_s\tmean_ci95_s\tp50_s\tp99_s\tok_frac\tok_ci95\trefused\tunfinished\tn"); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%.2f\t%s\t%s\t%.0f\t%s\t%s\t%s\t%s\t%.4f\t%.4f\t%.0f\t%.0f\t%d\n",
-			row.Rho, row.Policy, row.Service, row.Offered,
-			metrics.FormatDuration(row.Mean),
-			metrics.FormatDuration(row.MeanCI95),
-			metrics.FormatDuration(row.P50),
-			metrics.FormatDuration(row.P99),
-			row.OKFrac, row.OKFracCI95, row.Refused, row.Unfinished, row.N); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeTable(w,
+		fmt.Sprintf("Multi-service run: %s sharing the LB; lambda0=%.1f q/s (web VIP)", strings.Join(r.Services, "+"), r.Lambda0),
+		[]column[ServiceRow]{
+			colRho("rho"), colPolicy, colService, colOffered, colMean, colMeanCI, colP50, colP99,
+			colOKFrac, colOKCI, colRefused, colUnfin, colN,
+		}, r.Rows)
 }

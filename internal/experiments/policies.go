@@ -22,12 +22,11 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"srlb/internal/feedback"
-	"srlb/internal/metrics"
 	"srlb/internal/plot"
-	"srlb/internal/testbed"
 )
 
 // PoliciesConfig parameterizes the experiment.
@@ -61,23 +60,10 @@ type PoliciesConfig struct {
 	Progress func(string)
 }
 
-// PoliciesRow is one (variant, batch-load, policy, service) outcome
-// aggregated across the replication axis; Service "all" is the
-// aggregate over both services.
+// PoliciesRow is a ServiceRow — Variant is "steady" or "churn", Rho the
+// aggressor's load (the sweep knob) — plus the mechanism counter.
 type PoliciesRow struct {
-	// Variant is "steady" or "churn"; BatchRho the aggressor's load (the
-	// sweep knob); Load the row's service's own resolved load.
-	Variant  string
-	BatchRho float64
-	Policy   string
-	Service  string
-	Load     float64
-	// N counts completed replicates.
-	N                            int
-	Mean, MeanCI95, P99, P99CI95 time.Duration
-	OKFrac, OKFracCI95           float64
-	// Offered, Refused and Unfinished are across-seed mean counts.
-	Offered, Refused, Unfinished float64
+	ServiceRow
 	// Resteers is the across-seed mean count of flowlet re-steers
 	// (mid-connection candidate rewrites, whole cluster — reported on
 	// the "all" rows, zero elsewhere and for non-flowlet policies).
@@ -109,30 +95,15 @@ func RunPolicies(cfg PoliciesConfig) PoliciesResult {
 // RunPoliciesCtx is RunPolicies with cancellation; cancelled cells are
 // dropped from the aggregates.
 func RunPoliciesCtx(ctx context.Context, cfg PoliciesConfig) PoliciesResult {
-	cfg.Cluster = cfg.Cluster.withDefaults()
+	serviceSweepDefaults(&cfg.Cluster, &cfg.Lambda0, &cfg.BatchRhos, &cfg.Queries, &cfg.BatchPeak)
 	if cfg.WebRho == 0 {
 		cfg.WebRho = 0.55
-	}
-	if len(cfg.BatchRhos) == 0 {
-		cfg.BatchRhos = []float64{0.05, 0.2, 0.35, 0.5}
-	}
-	if cfg.Queries == 0 {
-		cfg.Queries = 20000
-	}
-	if cfg.BatchPeak == 0 {
-		cfg.BatchPeak = 4
 	}
 	if cfg.ChurnBy == 0 {
 		cfg.ChurnBy = max(1, cfg.Cluster.Servers/3)
 	}
 	if len(cfg.Policies) == 0 {
-		cfg.Policies = []PolicySpec{
-			Random2(), CHash2(), WeightedLeastLoadPolicy(), FlowletPolicy(cfg.FlowletGap),
-		}
-	}
-	if cfg.Lambda0 == 0 {
-		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
-		cfg.Lambda0 = cal.Lambda0
+		cfg.Policies = ablationPolicies(cfg.FlowletGap)
 	}
 	// The ablation is about the telemetry plane — it is always on here;
 	// per-policy degradation to the oblivious fallback happens through
@@ -140,25 +111,17 @@ func RunPoliciesCtx(ctx context.Context, cfg PoliciesConfig) PoliciesResult {
 	cfg.Cluster.Feedback = cfg.Feedback
 	cfg.Cluster.Feedback.Enabled = true
 
-	// Same shape as RunInterference: the victim's span fixes the window,
-	// the aggressor is time-bounded to it. CloseAck gives every
-	// connection its late steered packet — the flowlet boundary.
+	// Same shape as RunInterference: the victim's span fixes the window.
+	// CloseAck gives every connection its late steered packet — the
+	// flowlet boundary.
 	span := time.Duration(float64(cfg.Queries) / (cfg.WebRho * cfg.Lambda0) * float64(time.Second))
-	workload := MultiServiceWorkload{
-		Services: []ServiceSpec{
-			{Name: "web", Pool: "shared", Workload: PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}},
-			{Name: "batch", Pool: "shared", Workload: BurstyService{
-				Lambda0: cfg.Lambda0, Horizon: span, PeakFactor: cfg.BatchPeak,
-			}},
-		},
-		ServiceLoads: []ServiceLoad{{Fixed: cfg.WebRho}, {}},
-		Pools:        []testbed.PoolSpec{{Name: "shared"}},
-		CloseAck:     true,
-	}
+	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, span, cfg.BatchPeak)
+	workload.ServiceLoads = []ServiceLoad{{Fixed: cfg.WebRho}, {}}
+	workload.CloseAck = true
 	variants := []ClusterVariant{
 		{Name: "steady"},
 		{Name: "churn", Apply: func(c ClusterConfig) ClusterConfig {
-			c.Events = poolChurnEvents("shared", cfg.ChurnBy, 0.3, 0.65)
+			c.Events = churnEvents("shared", cfg.ChurnBy, 0.3, 0.65)
 			return c
 		}},
 	}
@@ -178,62 +141,25 @@ func RunPoliciesCtx(ctx context.Context, cfg PoliciesConfig) PoliciesResult {
 		WebRho:    cfg.WebRho,
 		BatchRhos: cfg.BatchRhos,
 		Seeds:     agg.Seeds,
+		Services:  workload.serviceNames(),
 		Stats:     agg,
 	}
 	for _, va := range variants {
 		res.Variants = append(res.Variants, va.Name)
 	}
-	for _, svc := range workload.Services {
-		res.Services = append(res.Services, svc.Name)
-	}
-	for vi, variant := range res.Variants {
-		for li, rho := range cfg.BatchRhos {
-			for pi, spec := range cfg.Policies {
-				cs := agg.CellAt(pi, vi, li)
-				if cs.N() == 0 {
-					continue
-				}
-				var offered float64
-				for _, vs := range cs.VIPs {
-					offered += vs.Offered.Dist.Mean
-				}
-				// Aggregate drops CellOutcome.Extra, so the mechanism
-				// counter comes off the raw replicate cells.
-				var resteers float64
-				var done int
-				for si := range agg.Seeds {
-					cell := raw.CellAt(pi, vi, li, si)
-					if cell.Err != nil {
-						continue
+	// The family's row order, walked here rather than through
+	// serviceRows because the "all" rows need their cell's indexes:
+	// Aggregate drops CellOutcome.Extra, so the mechanism counter comes
+	// off the raw replicate cells.
+	for vi := range variants {
+		for li := range cfg.BatchRhos {
+			for pi := range cfg.Policies {
+				for _, sr := range cellRows(agg.CellAt(pi, vi, li)) {
+					row := PoliciesRow{ServiceRow: sr}
+					if sr.Service == "all" {
+						row.Resteers = meanResteers(raw, pi, vi, li)
 					}
-					if ms, ok := cell.Outcome.Extra.(MultiServiceStats); ok {
-						resteers += float64(ms.Resteers)
-						done++
-					}
-				}
-				if done > 0 {
-					resteers /= float64(done)
-				}
-				res.Rows = append(res.Rows, PoliciesRow{
-					Variant: variant, BatchRho: rho, Policy: spec.Name, Service: "all", Load: rho, N: cs.N(),
-					Mean: secDur(cs.Mean.Dist.Mean), MeanCI95: secDur(cs.Mean.Dist.ReportedCI95()),
-					P99: secDur(cs.P99.Dist.Mean), P99CI95: secDur(cs.P99.Dist.ReportedCI95()),
-					OKFrac: cs.OKFraction.Dist.Mean, OKFracCI95: cs.OKFraction.Dist.ReportedCI95(),
-					Offered:    offered,
-					Refused:    cs.Refused.Dist.Mean,
-					Unfinished: cs.Unfinished.Dist.Mean,
-					Resteers:   resteers,
-				})
-				for _, vs := range cs.VIPs {
-					res.Rows = append(res.Rows, PoliciesRow{
-						Variant: variant, BatchRho: rho, Policy: spec.Name, Service: vs.Name, Load: vs.Load, N: cs.N(),
-						Mean: secDur(vs.Mean.Dist.Mean), MeanCI95: secDur(vs.Mean.Dist.ReportedCI95()),
-						P99: secDur(vs.P99.Dist.Mean), P99CI95: secDur(vs.P99.Dist.ReportedCI95()),
-						OKFrac: vs.OKFraction.Dist.Mean, OKFracCI95: vs.OKFraction.Dist.ReportedCI95(),
-						Offered:    vs.Offered.Dist.Mean,
-						Refused:    vs.Refused.Dist.Mean,
-						Unfinished: vs.Unfinished.Dist.Mean,
-					})
+					res.Rows = append(res.Rows, row)
 				}
 			}
 		}
@@ -241,48 +167,28 @@ func RunPoliciesCtx(ctx context.Context, cfg PoliciesConfig) PoliciesResult {
 	return res
 }
 
-// poolChurnEvents is churnEvents retargeted at a named shared pool:
-// churnBy drains starting at drainFrac of the span, churnBy adds at
-// growFrac, each phase staggered by 1% per server.
-func poolChurnEvents(pool string, churnBy int, drainFrac, growFrac float64) []testbed.Event {
-	frac := func(f float64) float64 {
-		if f > 1 {
-			return 1
+// meanResteers averages the flowlet re-steer count over the completed
+// replicates of one logical cell.
+func meanResteers(raw SweepResult, pi, vi, li int) float64 {
+	var resteers float64
+	var done int
+	for _, cell := range raw.Replicates(pi, vi, li) {
+		if ms, ok := cell.Outcome.Extra.(MultiServiceStats); ok && cell.Err == nil {
+			resteers += float64(ms.Resteers)
+			done++
 		}
-		return f
 	}
-	events := make([]testbed.Event, 0, 2*churnBy)
-	for g := 0; g < churnBy; g++ {
-		events = append(events, testbed.DrainPoolServer(0, pool, g).AtFraction(frac(drainFrac+float64(g)*0.01)))
+	if done > 0 {
+		resteers /= float64(done)
 	}
-	for g := 0; g < churnBy; g++ {
-		events = append(events, testbed.AddPoolServer(0, pool).AtFraction(frac(growFrac+float64(g)*0.01)))
-	}
-	return events
+	return resteers
 }
 
 // Row returns the row for (variant, policy, service) at the batch load
 // closest to the requested one.
 func (r PoliciesResult) Row(variant, policy, service string, batchRho float64) (PoliciesRow, error) {
-	var best PoliciesRow
-	bestDiff := -1.0
-	for _, row := range r.Rows {
-		if row.Variant != variant || row.Policy != policy || row.Service != service {
-			continue
-		}
-		d := row.BatchRho - batchRho
-		if d < 0 {
-			d = -d
-		}
-		if bestDiff < 0 || d < bestDiff {
-			bestDiff = d
-			best = row
-		}
-	}
-	if bestDiff < 0 {
-		return PoliciesRow{}, fmt.Errorf("policies: no row for (%q, %q, %q)", variant, policy, service)
-	}
-	return best, nil
+	return findRow("policies", r.Rows, PoliciesRow.base, variant, policy, service,
+		func(row ServiceRow) float64 { return math.Abs(row.Rho - batchRho) })
 }
 
 // TotalResteers sums the across-seed mean re-steer counts of the
@@ -304,29 +210,9 @@ func (r PoliciesResult) PlotFacets() []plot.Facet {
 	facets := make([]plot.Facet, 0, len(r.Variants)*len(r.Services))
 	for _, variant := range r.Variants {
 		for _, svc := range r.Services {
-			byPolicy := make(map[string]*plot.Series)
-			var order []string
-			for _, row := range r.Rows {
-				if row.Variant != variant || row.Service != svc {
-					continue
-				}
-				ser, ok := byPolicy[row.Policy]
-				if !ok {
-					ser = &plot.Series{Name: row.Policy}
-					byPolicy[row.Policy] = ser
-					order = append(order, row.Policy)
-				}
-				ser.X = append(ser.X, row.BatchRho)
-				ser.Y = append(ser.Y, row.P99.Seconds())
-				ser.YErr = append(ser.YErr, row.P99CI95.Seconds())
-			}
-			series := make([]plot.Series, 0, len(order))
-			for _, name := range order {
-				series = append(series, *byPolicy[name])
-			}
 			facets = append(facets, plot.Facet{
 				Title:  fmt.Sprintf("Policies[%s]: %s p99 (s) vs batch load (web pinned at rho=%.2f)", variant, svc, r.WebRho),
-				Series: series,
+				Series: policySeries(r.Rows, PoliciesRow.base, variant, svc, ServiceRow.p99AndCI95),
 			})
 		}
 	}
@@ -336,24 +222,12 @@ func (r PoliciesResult) PlotFacets() []plot.Facet {
 // WriteTSV renders the grid: one row per (variant, batch_rho, policy,
 // service), the aggregate first.
 func (r PoliciesResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# Policy ablation with load feedback: web pinned at rho=%.2f, batch swept, steady+churn variants; lambda0=%.1f q/s\n",
-		r.WebRho, r.Lambda0); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "variant\tbatch_rho\tpolicy\tservice\trho_svc\toffered\tmean_s\tmean_ci95_s\tp99_s\tp99_ci95_s\tok_frac\tok_ci95\tresteers\trefused\tunfinished\tn"); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%s\t%.2f\t%s\t%s\t%.2f\t%.0f\t%s\t%s\t%s\t%s\t%.4f\t%.4f\t%.1f\t%.0f\t%.0f\t%d\n",
-			row.Variant, row.BatchRho, row.Policy, row.Service, row.Load, row.Offered,
-			metrics.FormatDuration(row.Mean),
-			metrics.FormatDuration(row.MeanCI95),
-			metrics.FormatDuration(row.P99),
-			metrics.FormatDuration(row.P99CI95),
-			row.OKFrac, row.OKFracCI95, row.Resteers,
-			row.Refused, row.Unfinished, row.N); err != nil {
-			return err
-		}
-	}
-	return nil
+	cols := append(
+		lift(PoliciesRow.base, colVariant, colRho("batch_rho"), colPolicy, colService, colSvcRho, colOffered,
+			colMean, colMeanCI, colP99, colP99CI, colOKFrac, colOKCI),
+		column[PoliciesRow]{"resteers", func(r PoliciesRow) string { return fmt.Sprintf("%.1f", r.Resteers) }})
+	cols = append(cols, lift(PoliciesRow.base, colRefused, colUnfin, colN)...)
+	return writeTable(w,
+		fmt.Sprintf("Policy ablation with load feedback: web pinned at rho=%.2f, batch swept, steady+churn variants; lambda0=%.1f q/s", r.WebRho, r.Lambda0),
+		cols, r.Rows)
 }

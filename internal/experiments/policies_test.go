@@ -120,8 +120,8 @@ func TestRunPoliciesSmall(t *testing.T) {
 		if row.Service == "web" && row.Load != 0.5 {
 			t.Fatalf("web row carries load %.2f, want the pinned 0.50", row.Load)
 		}
-		if row.Service == "batch" && row.Load != row.BatchRho {
-			t.Fatalf("batch row carries load %.2f, want its own axis %.2f", row.Load, row.BatchRho)
+		if row.Service == "batch" && row.Load != row.Rho {
+			t.Fatalf("batch row carries load %.2f, want its own axis %.2f", row.Load, row.Rho)
 		}
 		if row.Service != "all" && row.Resteers != 0 {
 			t.Fatalf("service row %s/%s carries resteers %.1f, want 0 (aggregate-only counter)",

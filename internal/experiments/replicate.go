@@ -10,17 +10,32 @@ import (
 	"srlb/internal/stats"
 )
 
+// OutcomeStats is the block of replicated metrics a logical cell and
+// each of its services report alike: one stats.Replicated per metric —
+// the raw per-seed values plus the Dist of their float64 projection
+// (durations project to seconds).
+//
+// Over a single seed it degenerates gracefully: the point estimates
+// equal the underlying run's and every CI95 is +Inf ("unknown", not
+// "exact" — see the stats package documentation; serialization
+// boundaries report the sentinel as 0 via stats.Dist.ReportedCI95).
+type OutcomeStats struct {
+	// Mean, Median, P95, P99 summarize the per-seed response-time
+	// statistics of the completed queries.
+	Mean, Median, P95, P99 stats.Replicated[time.Duration]
+	// OKFraction, Offered, Refused and Unfinished summarize the per-seed
+	// completion accounting; Offered == completed + Refused + Unfinished
+	// in every replicate.
+	OKFraction stats.Replicated[float64]
+	Offered    stats.Replicated[int]
+	Refused    stats.Replicated[int]
+	Unfinished stats.Replicated[int]
+}
+
 // CellStats aggregates the replicates of one logical cell — the same
 // (policy, workload, load) run under every seed of the sweep's
-// replication axis — into mean ± 95% CI per metric. Each metric is a
-// stats.Replicated: the raw per-seed values plus the Dist of their
-// float64 projection (durations project to seconds).
-//
-// A CellStats over a single seed degenerates gracefully: the point
-// estimates equal the underlying cell's and every CI95 is +Inf
-// ("unknown", not "exact" — see the stats package documentation;
-// serialization boundaries report the sentinel as 0 via
-// stats.Dist.ReportedCI95).
+// replication axis — into mean ± 95% CI per metric (the embedded
+// OutcomeStats, over all the cell's queries).
 type CellStats struct {
 	// Name, Policy, Workload, Variant, Load identify the logical cell.
 	Name     string
@@ -39,14 +54,7 @@ type CellStats struct {
 	// replicates — skipped or interrupted mid-run — are dropped, so N()
 	// can be smaller than the sweep's seed count.
 	Seeds []uint64
-	// Mean, Median, P95, P99 summarize the per-seed response-time
-	// statistics, projected to seconds.
-	Mean, Median, P95, P99 stats.Replicated[time.Duration]
-	// OKFraction, Refused and Unfinished summarize the per-seed
-	// completion accounting.
-	OKFraction stats.Replicated[float64]
-	Refused    stats.Replicated[int]
-	Unfinished stats.Replicated[int]
+	OutcomeStats
 	// VIPs breaks the aggregates down by service for multi-VIP cells
 	// (one VIPStats per service, aligned with CellOutcome.PerVIP); nil
 	// for single-VIP workloads.
@@ -64,15 +72,7 @@ type VIPStats struct {
 	// Load is the service's own resolved load point (identical across
 	// replicates — the per-service load axis of schema v5).
 	Load float64
-	// Mean, Median, P95, P99 summarize the per-seed response-time
-	// statistics of this VIP's completed queries.
-	Mean, Median, P95, P99 stats.Replicated[time.Duration]
-	// OKFraction, Offered, Refused, Unfinished summarize the per-seed
-	// completion accounting of this VIP.
-	OKFraction stats.Replicated[float64]
-	Offered    stats.Replicated[int]
-	Refused    stats.Replicated[int]
-	Unfinished stats.Replicated[int]
+	OutcomeStats
 }
 
 // N returns the number of completed replicates.
@@ -98,20 +98,38 @@ func secDur(sec float64) time.Duration {
 // durSeconds is the projection used for response-time metrics.
 func durSeconds(d time.Duration) float64 { return d.Seconds() }
 
+// newOutcomeStats folds one outcome per completed replicate into the
+// replicated metrics — the one fold behind CellStats and VIPStats.
+func newOutcomeStats(reps []VIPOutcome) OutcomeStats {
+	intVal := func(n int) float64 { return float64(n) }
+	return OutcomeStats{
+		Mean:       stats.NewReplicated(perReplicate(reps, func(o VIPOutcome) time.Duration { return o.RT.Mean() }), durSeconds),
+		Median:     stats.NewReplicated(perReplicate(reps, func(o VIPOutcome) time.Duration { return o.RT.Median() }), durSeconds),
+		P95:        stats.NewReplicated(perReplicate(reps, func(o VIPOutcome) time.Duration { return o.RT.Quantile(0.95) }), durSeconds),
+		P99:        stats.NewReplicated(perReplicate(reps, func(o VIPOutcome) time.Duration { return o.RT.Quantile(0.99) }), durSeconds),
+		OKFraction: stats.NewReplicated(perReplicate(reps, VIPOutcome.OKFraction), func(f float64) float64 { return f }),
+		Offered:    stats.NewReplicated(perReplicate(reps, func(o VIPOutcome) int { return o.Offered }), intVal),
+		Refused:    stats.NewReplicated(perReplicate(reps, func(o VIPOutcome) int { return o.Refused }), intVal),
+		Unfinished: stats.NewReplicated(perReplicate(reps, func(o VIPOutcome) int { return o.Unfinished }), intVal),
+	}
+}
+
+// perReplicate projects one value out of every replicate's outcome.
+func perReplicate[T any](reps []VIPOutcome, pick func(VIPOutcome) T) []T {
+	out := make([]T, len(reps))
+	for i, o := range reps {
+		out[i] = pick(o)
+	}
+	return out
+}
+
 // newCellStats folds replicate cells (same logical cell, different
 // seeds) into a CellStats. Skipped cells are dropped; an all-skipped
 // group yields a CellStats with N() == 0 and zero metrics.
 func newCellStats(cells []CellResult) CellStats {
-	var (
-		cs         CellStats
-		means      []time.Duration
-		medians    []time.Duration
-		p95s       []time.Duration
-		p99s       []time.Duration
-		okFracs    []float64
-		refused    []int
-		unfinished []int
-	)
+	var cs CellStats
+	completed := make([]CellResult, 0, len(cells))
+	totals := make([]VIPOutcome, 0, len(cells))
 	for _, c := range cells {
 		cs.Wall += c.Wall
 		// Err != nil (not just Skipped) — a cell cancelled mid-run holds
@@ -125,23 +143,11 @@ func newCellStats(cells []CellResult) CellStats {
 			cs.LoadVec = c.LoadVec
 		}
 		cs.Seeds = append(cs.Seeds, c.Seed)
-		means = append(means, c.Outcome.RT.Mean())
-		medians = append(medians, c.Outcome.RT.Median())
-		p95s = append(p95s, c.Outcome.RT.Quantile(0.95))
-		p99s = append(p99s, c.Outcome.RT.Quantile(0.99))
-		okFracs = append(okFracs, c.Outcome.OKFraction())
-		refused = append(refused, c.Outcome.Refused)
-		unfinished = append(unfinished, c.Outcome.Unfinished)
+		completed = append(completed, c)
+		totals = append(totals, c.Outcome.total())
 	}
-	intVal := func(n int) float64 { return float64(n) }
-	cs.Mean = stats.NewReplicated(means, durSeconds)
-	cs.Median = stats.NewReplicated(medians, durSeconds)
-	cs.P95 = stats.NewReplicated(p95s, durSeconds)
-	cs.P99 = stats.NewReplicated(p99s, durSeconds)
-	cs.OKFraction = stats.NewReplicated(okFracs, func(f float64) float64 { return f })
-	cs.Refused = stats.NewReplicated(refused, intVal)
-	cs.Unfinished = stats.NewReplicated(unfinished, intVal)
-	cs.VIPs = newVIPStats(cells)
+	cs.OutcomeStats = newOutcomeStats(totals)
+	cs.VIPs = newVIPStats(completed)
 	return cs
 }
 
@@ -149,49 +155,21 @@ func newCellStats(cells []CellResult) CellStats {
 // a multi-VIP workload produces the same services in the same order in
 // every replicate, so VIP i aligns across cells. Single-VIP cells (no
 // PerVIP) yield nil.
-func newVIPStats(cells []CellResult) []VIPStats {
-	var completed []CellResult
-	for _, c := range cells {
-		if c.Err == nil && len(c.Outcome.PerVIP) > 0 {
-			completed = append(completed, c)
-		}
-	}
-	if len(completed) == 0 {
+func newVIPStats(completed []CellResult) []VIPStats {
+	if len(completed) == 0 || len(completed[0].Outcome.PerVIP) == 0 {
 		return nil
 	}
-	intVal := func(n int) float64 { return float64(n) }
-	nVIPs := len(completed[0].Outcome.PerVIP)
-	out := make([]VIPStats, nVIPs)
+	out := make([]VIPStats, len(completed[0].Outcome.PerVIP))
+	reps := make([]VIPOutcome, len(completed))
 	for vi := range out {
-		var (
-			means, medians, p95s, p99s   []time.Duration
-			okFracs                      []float64
-			offered, refused, unfinished []int
-		)
-		for _, c := range completed {
-			vo := c.Outcome.PerVIP[vi]
-			means = append(means, vo.RT.Mean())
-			medians = append(medians, vo.RT.Median())
-			p95s = append(p95s, vo.RT.Quantile(0.95))
-			p99s = append(p99s, vo.RT.Quantile(0.99))
-			okFracs = append(okFracs, vo.OKFraction())
-			offered = append(offered, vo.Offered)
-			refused = append(refused, vo.Refused)
-			unfinished = append(unfinished, vo.Unfinished)
+		for i, c := range completed {
+			reps[i] = c.Outcome.PerVIP[vi]
 		}
-		first := completed[0].Outcome.PerVIP[vi]
 		out[vi] = VIPStats{
-			Name:       first.Name,
-			Workload:   first.Workload,
-			Load:       first.Load,
-			Mean:       stats.NewReplicated(means, durSeconds),
-			Median:     stats.NewReplicated(medians, durSeconds),
-			P95:        stats.NewReplicated(p95s, durSeconds),
-			P99:        stats.NewReplicated(p99s, durSeconds),
-			OKFraction: stats.NewReplicated(okFracs, func(f float64) float64 { return f }),
-			Offered:    stats.NewReplicated(offered, intVal),
-			Refused:    stats.NewReplicated(refused, intVal),
-			Unfinished: stats.NewReplicated(unfinished, intVal),
+			Name:         reps[0].Name,
+			Workload:     reps[0].Workload,
+			Load:         reps[0].Load,
+			OutcomeStats: newOutcomeStats(reps),
 		}
 	}
 	return out

@@ -243,31 +243,21 @@ func (r ResilienceResult) Row(scenario, mode string) (ResilienceRow, error) {
 // WriteTSV renders the grid faceted by scenario: one block per
 // scenario, one row per recovery mode, completion rate first.
 func (r ResilienceResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w,
-		"# resilience ablation: rho=%.2f, %d replicas, kill@%.2f recover@%.2f rack_frac=%.2f; lambda0=%.1f q/s; n=%d seeds\n",
-		r.Rho, r.Replicas, r.KillFrac, r.RecoverFrac, r.RackFrac, r.Lambda0, len(r.Seeds)); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# resilience ablation: rho=%.2f, %d replicas, kill@%.2f recover@%.2f rack_frac=%.2f; lambda0=%.1f q/s; n=%d seeds\n",
+		r.Rho, r.Replicas, r.KillFrac, r.RecoverFrac, r.RackFrac, r.Lambda0, len(r.Seeds))
 	for _, scenario := range resilienceScenarios {
-		if _, err := fmt.Fprintf(w, "# facet: scenario=%s\n", scenario); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w, "mode\tn\tok_frac\tok_frac_ci95\tmean_rt_s\tmean_rt_ci95\tp99_s\trefused\tunfinished"); err != nil {
-			return err
-		}
+		t.printf("# facet: scenario=%s\n", scenario)
+		t.printf("mode\tn\tok_frac\tok_frac_ci95\tmean_rt_s\tmean_rt_ci95\tp99_s\trefused\tunfinished\n")
 		for _, row := range r.Rows {
 			if row.Scenario != scenario {
 				continue
 			}
-			if _, err := fmt.Fprintf(w, "%s\t%d\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\t%.1f\t%.1f\n",
+			t.printf("%s\t%d\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\t%.1f\t%.1f\n",
 				row.Mode, row.N, row.OKFrac, row.OKFracCI95,
-				row.MeanRT, row.MeanRTCI95, row.P99, row.Refused, row.Unfinished); err != nil {
-				return err
-			}
+				row.MeanRT, row.MeanRTCI95, row.P99, row.Refused, row.Unfinished)
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		t.printf("\n")
 	}
-	return nil
+	return t.err
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"math"
 	"time"
@@ -156,19 +155,17 @@ func RunRetransmitAblationCtx(ctx context.Context, cfg RetransmitConfig) Retrans
 
 // WriteTSV renders the comparison; replicated runs gain CI columns.
 func (r RetransmitResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# Ablation: tcp_abort_on_overflow (SS IV-C), rho=%.2f\n", r.Rho); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# Ablation: tcp_abort_on_overflow (SS IV-C), rho=%.2f\n", r.Rho)
 	replicated := len(r.Seeds) > 1
 	if replicated {
-		fmt.Fprintln(w, "mode\tmedian_s\tmedian_ci95_s\tp95_s\tp99_s\tp99_ci95_s\tmax_s\tcompleted\trefused\ttimed_out\tretransmits\tn")
+		t.printf("mode\tmedian_s\tmedian_ci95_s\tp95_s\tp99_s\tp99_ci95_s\tmax_s\tcompleted\trefused\ttimed_out\tretransmits\tn\n")
 	} else {
-		fmt.Fprintln(w, "mode\tmedian_s\tp95_s\tp99_s\tmax_s\tcompleted\trefused\ttimed_out\tretransmits")
+		t.printf("mode\tmedian_s\tp95_s\tp99_s\tmax_s\tcompleted\trefused\ttimed_out\tretransmits\n")
 	}
 	for _, row := range r.Rows {
-		var err error
 		if replicated {
-			_, err = fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\n",
+			t.printf("%s\t%s\t%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\n",
 				row.Mode,
 				metrics.FormatDuration(row.Median),
 				metrics.FormatDuration(row.MedianCI95),
@@ -178,7 +175,7 @@ func (r RetransmitResult) WriteTSV(w io.Writer) error {
 				metrics.FormatDuration(row.Max),
 				row.Completed, row.Refused, row.TimedOut, row.Retransmits, row.N)
 		} else {
-			_, err = fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\n",
+			t.printf("%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\n",
 				row.Mode,
 				metrics.FormatDuration(row.Median),
 				metrics.FormatDuration(row.P95),
@@ -186,9 +183,6 @@ func (r RetransmitResult) WriteTSV(w io.Writer) error {
 				metrics.FormatDuration(row.Max),
 				row.Completed, row.Refused, row.TimedOut, row.Retransmits)
 		}
-		if err != nil {
-			return err
-		}
 	}
-	return nil
+	return t.err
 }

@@ -27,9 +27,7 @@ import (
 	"time"
 
 	"srlb/internal/feedback"
-	"srlb/internal/metrics"
 	"srlb/internal/plot"
-	"srlb/internal/testbed"
 )
 
 // RhoGridConfig parameterizes the experiment.
@@ -69,28 +67,6 @@ type RhoGridConfig struct {
 	Progress func(string)
 }
 
-// RhoGridRow is one (web-ρ, batch-ρ, policy, service) outcome
-// aggregated across the replication axis; Service "all" covers both
-// services together.
-type RhoGridRow struct {
-	WebRho   float64
-	BatchRho float64
-	Policy   string
-	Service  string
-	// Load is the row's service's own resolved load (WebRho or BatchRho;
-	// the larger of the two on "all" rows).
-	Load float64
-	// N counts completed replicates; StopReason is the adaptive
-	// controller's verdict for the cell ("converged", "max-seeds";
-	// empty under fixed replication).
-	N                            int
-	StopReason                   string
-	Mean, MeanCI95, P99, P99CI95 time.Duration
-	OKFrac, OKFracCI95           float64
-	// Offered, Refused and Unfinished are across-seed mean counts.
-	Offered, Refused, Unfinished float64
-}
-
 // RhoGridResult holds the full matrix.
 type RhoGridResult struct {
 	Lambda0   float64
@@ -111,7 +87,10 @@ type RhoGridResult struct {
 	// artifact's source (schema v9 adds load_vec, per-cell n and
 	// stop_reason).
 	Stats SweepStats
-	Rows  []RhoGridRow
+	// Rows holds one row per (web-ρ, batch-ρ, policy, service):
+	// LoadVec is the grid point {web-ρ, batch-ρ}, Rho its batch-ρ, and
+	// Load the service's own ρ (the larger of the two on "all" rows).
+	Rows []ServiceRow
 }
 
 // RunRhoGrid executes the experiment.
@@ -122,27 +101,12 @@ func RunRhoGrid(cfg RhoGridConfig) RhoGridResult {
 // RunRhoGridCtx is RunRhoGrid with cancellation; cancelled cells are
 // dropped from the aggregates.
 func RunRhoGridCtx(ctx context.Context, cfg RhoGridConfig) RhoGridResult {
-	cfg.Cluster = cfg.Cluster.withDefaults()
+	serviceSweepDefaults(&cfg.Cluster, &cfg.Lambda0, &cfg.BatchRhos, &cfg.Queries, &cfg.BatchPeak)
 	if len(cfg.WebRhos) == 0 {
 		cfg.WebRhos = []float64{0.3, 0.55, 0.8}
 	}
-	if len(cfg.BatchRhos) == 0 {
-		cfg.BatchRhos = []float64{0.05, 0.2, 0.35, 0.5}
-	}
-	if cfg.Queries == 0 {
-		cfg.Queries = 20000
-	}
-	if cfg.BatchPeak == 0 {
-		cfg.BatchPeak = 4
-	}
 	if len(cfg.Policies) == 0 {
-		cfg.Policies = []PolicySpec{
-			Random2(), CHash2(), WeightedLeastLoadPolicy(), FlowletPolicy(cfg.FlowletGap),
-		}
-	}
-	if cfg.Lambda0 == 0 {
-		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
-		cfg.Lambda0 = cal.Lambda0
+		cfg.Policies = ablationPolicies(cfg.FlowletGap)
 	}
 	cfg.Cluster.Feedback = cfg.Feedback
 	cfg.Cluster.Feedback.Enabled = true
@@ -151,18 +115,12 @@ func RunRhoGridCtx(ctx context.Context, cfg RhoGridConfig) RhoGridResult {
 	// victim span exists; instead every cell simulates the same fixed
 	// window (the ρ=1 span) with both services time-bounded to it.
 	span := time.Duration(float64(cfg.Queries) / cfg.Lambda0 * float64(time.Second))
-	workload := MultiServiceWorkload{
-		Services: []ServiceSpec{
-			{Name: "web", Pool: "shared", Workload: PoissonService{Lambda0: cfg.Lambda0, Horizon: span}},
-			{Name: "batch", Pool: "shared", Workload: BurstyService{
-				Lambda0: cfg.Lambda0, Horizon: span, PeakFactor: cfg.BatchPeak,
-			}},
-		},
-		Pools:    []testbed.PoolSpec{{Name: "shared"}},
-		CloseAck: true,
-	}
+	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Horizon: span}, span, cfg.BatchPeak)
+	workload.CloseAck = true
 
-	sweep := Sweep{
+	// RunSweepStats grows the replication axis adaptively when
+	// cfg.Adaptive is enabled.
+	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(ctx, Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		LoadGrid: LoadGrid{
@@ -172,62 +130,22 @@ func RunRhoGridCtx(ctx context.Context, cfg RhoGridConfig) RhoGridResult {
 		Seeds:    cfg.Seeds,
 		Adaptive: cfg.Adaptive,
 		Workload: workload,
-	}
-	runner := Runner{Workers: cfg.Workers, Progress: cfg.Progress}
-	var agg SweepStats
-	if cfg.Adaptive.enabled() {
-		_, agg, _ = runner.RunSweepAdaptive(ctx, sweep)
-	} else {
-		agg, _ = runner.RunSweepStats(ctx, sweep)
-	}
+	})
 
 	res := RhoGridResult{
 		Lambda0:   cfg.Lambda0,
 		WebRhos:   cfg.WebRhos,
 		BatchRhos: cfg.BatchRhos,
 		Seeds:     agg.Seeds,
+		Services:  workload.serviceNames(),
 		MaxSeeds:  len(agg.Seeds),
 		Adaptive:  cfg.Adaptive.enabled(),
 		Stats:     agg,
+		Rows:      serviceRows(agg),
 	}
-	for _, svc := range workload.Services {
-		res.Services = append(res.Services, svc.Name)
-	}
-	for wi, webRho := range cfg.WebRhos {
-		for bi, batchRho := range cfg.BatchRhos {
-			li := wi*len(cfg.BatchRhos) + bi
-			for pi, spec := range cfg.Policies {
-				cs := agg.CellAt(pi, 0, li)
-				if cs.N() == 0 {
-					continue
-				}
-				var offered float64
-				for _, vs := range cs.VIPs {
-					offered += vs.Offered.Dist.Mean
-				}
-				res.Rows = append(res.Rows, RhoGridRow{
-					WebRho: webRho, BatchRho: batchRho, Policy: spec.Name, Service: "all",
-					Load: math.Max(webRho, batchRho), N: cs.N(), StopReason: cs.StopReason,
-					Mean: secDur(cs.Mean.Dist.Mean), MeanCI95: secDur(cs.Mean.Dist.ReportedCI95()),
-					P99: secDur(cs.P99.Dist.Mean), P99CI95: secDur(cs.P99.Dist.ReportedCI95()),
-					OKFrac: cs.OKFraction.Dist.Mean, OKFracCI95: cs.OKFraction.Dist.ReportedCI95(),
-					Offered:    offered,
-					Refused:    cs.Refused.Dist.Mean,
-					Unfinished: cs.Unfinished.Dist.Mean,
-				})
-				for _, vs := range cs.VIPs {
-					res.Rows = append(res.Rows, RhoGridRow{
-						WebRho: webRho, BatchRho: batchRho, Policy: spec.Name, Service: vs.Name,
-						Load: vs.Load, N: cs.N(), StopReason: cs.StopReason,
-						Mean: secDur(vs.Mean.Dist.Mean), MeanCI95: secDur(vs.Mean.Dist.ReportedCI95()),
-						P99: secDur(vs.P99.Dist.Mean), P99CI95: secDur(vs.P99.Dist.ReportedCI95()),
-						OKFrac: vs.OKFraction.Dist.Mean, OKFracCI95: vs.OKFraction.Dist.ReportedCI95(),
-						Offered:    vs.Offered.Dist.Mean,
-						Refused:    vs.Refused.Dist.Mean,
-						Unfinished: vs.Unfinished.Dist.Mean,
-					})
-				}
-			}
+	for i, row := range res.Rows {
+		if row.Service == "all" {
+			res.Rows[i].Load = math.Max(row.LoadVec[0], row.LoadVec[1])
 		}
 	}
 	return res
@@ -235,23 +153,10 @@ func RunRhoGridCtx(ctx context.Context, cfg RhoGridConfig) RhoGridResult {
 
 // Row returns the row for (policy, service) at the grid point closest
 // to (webRho, batchRho).
-func (r RhoGridResult) Row(policy, service string, webRho, batchRho float64) (RhoGridRow, error) {
-	var best RhoGridRow
-	bestDiff := -1.0
-	for _, row := range r.Rows {
-		if row.Policy != policy || row.Service != service {
-			continue
-		}
-		d := math.Abs(row.WebRho-webRho) + math.Abs(row.BatchRho-batchRho)
-		if bestDiff < 0 || d < bestDiff {
-			bestDiff = d
-			best = row
-		}
-	}
-	if bestDiff < 0 {
-		return RhoGridRow{}, fmt.Errorf("rhogrid: no row for (%q, %q)", policy, service)
-	}
-	return best, nil
+func (r RhoGridResult) Row(policy, service string, webRho, batchRho float64) (ServiceRow, error) {
+	return findRow("rhogrid", r.Rows, ServiceRow.base, "", policy, service, func(row ServiceRow) float64 {
+		return math.Abs(row.LoadVec[0]-webRho) + math.Abs(row.LoadVec[1]-batchRho)
+	})
 }
 
 // TotalReplicates sums the completed replicates over the grid's "all"
@@ -274,7 +179,7 @@ func (r RhoGridResult) FixedBudget() int {
 }
 
 // gridMetric projects a row onto the named heatmap metric.
-func gridMetric(row RhoGridRow, metric string) float64 {
+func gridMetric(row ServiceRow, metric string) float64 {
 	switch metric {
 	case "p99":
 		return row.P99.Seconds()
@@ -333,7 +238,7 @@ func (r RhoGridResult) Heatmaps(metric string) []plot.Heatmap {
 			continue
 		}
 		pi, ok := policyIdx[row.Policy]
-		wi, bi := axisIdx(r.WebRhos, row.WebRho), axisIdx(r.BatchRhos, row.BatchRho)
+		wi, bi := axisIdx(r.WebRhos, row.LoadVec[0]), axisIdx(r.BatchRhos, row.LoadVec[1])
 		if !ok || wi < 0 || bi < 0 {
 			continue
 		}
@@ -368,28 +273,18 @@ func (r RhoGridResult) WriteTSV(w io.Writer) error {
 	if r.Adaptive {
 		mode = "adaptive"
 	}
-	if _, err := fmt.Fprintf(w, "# Rho-grid policy ablation: web-rho × batch-rho matrix on one shared pool, %s replication (budget %d/%d replicates); lambda0=%.1f q/s\n",
-		mode, r.TotalReplicates(), r.FixedBudget(), r.Lambda0); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "web_rho\tbatch_rho\tpolicy\tservice\trho_svc\tn\tstop_reason\toffered\tmean_s\tmean_ci95_s\tp99_s\tp99_ci95_s\tok_frac\tok_ci95\trefused\tunfinished"); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		stop := row.StopReason
-		if stop == "" {
-			stop = "-"
-		}
-		if _, err := fmt.Fprintf(w, "%.2f\t%.2f\t%s\t%s\t%.2f\t%d\t%s\t%.0f\t%s\t%s\t%s\t%s\t%.4f\t%.4f\t%.0f\t%.0f\n",
-			row.WebRho, row.BatchRho, row.Policy, row.Service, row.Load, row.N, stop, row.Offered,
-			metrics.FormatDuration(row.Mean),
-			metrics.FormatDuration(row.MeanCI95),
-			metrics.FormatDuration(row.P99),
-			metrics.FormatDuration(row.P99CI95),
-			row.OKFrac, row.OKFracCI95,
-			row.Refused, row.Unfinished); err != nil {
-			return err
-		}
-	}
-	return nil
+	return writeTable(w,
+		fmt.Sprintf("Rho-grid policy ablation: web-rho × batch-rho matrix on one shared pool, %s replication (budget %d/%d replicates); lambda0=%.1f q/s",
+			mode, r.TotalReplicates(), r.FixedBudget(), r.Lambda0),
+		[]column[ServiceRow]{
+			{"web_rho", func(row ServiceRow) string { return fmt.Sprintf("%.2f", row.LoadVec[0]) }},
+			colRho("batch_rho"), colPolicy, colService, colSvcRho, colN,
+			{"stop_reason", func(row ServiceRow) string {
+				if row.StopReason == "" {
+					return "-"
+				}
+				return row.StopReason
+			}},
+			colOffered, colMean, colMeanCI, colP99, colP99CI, colOKFrac, colOKCI, colRefused, colUnfin,
+		}, r.Rows)
 }

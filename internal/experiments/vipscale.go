@@ -356,17 +356,12 @@ func (r VIPScaleResult) Plot() []plot.Facet {
 
 // WriteTSV renders the sweep, one row per (scheme, VIP count).
 func (r VIPScaleResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "# Per-packet dispatch cost vs advertised service count (wall ns, min over rounds; build is control-plane compile ms)"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "scheme\tvips\tpools\tbuild_ms\tsyn_ns\tsteer_ns\tops"); err != nil {
-		return err
-	}
+	t := tsvWriter{w: w}
+	t.printf("# Per-packet dispatch cost vs advertised service count (wall ns, min over rounds; build is control-plane compile ms)\n")
+	t.printf("scheme\tvips\tpools\tbuild_ms\tsyn_ns\tsteer_ns\tops\n")
 	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%s\t%d\t%d\t%.2f\t%.1f\t%.1f\t%d\n",
-			row.Scheme, row.VIPs, row.Pools, row.BuildMS, row.SYNNs, row.SteerNs, row.Ops); err != nil {
-			return err
-		}
+		t.printf("%s\t%d\t%d\t%.2f\t%.1f\t%.1f\t%d\n",
+			row.Scheme, row.VIPs, row.Pools, row.BuildMS, row.SYNNs, row.SteerNs, row.Ops)
 	}
-	return nil
+	return t.err
 }

@@ -88,18 +88,20 @@ func (o VIPOutcome) OKFraction() float64 {
 	return float64(o.RT.Count()) / float64(o.Offered)
 }
 
+// total views the cell's aggregate accounting as one service covering
+// every VIP, Offered being the queries observed (completed + refused +
+// unfinished) — the shape the replication fold takes.
+func (o CellOutcome) total() VIPOutcome {
+	offered := o.Refused + o.Unfinished
+	if o.RT != nil {
+		offered += o.RT.Count()
+	}
+	return VIPOutcome{Offered: offered, RT: o.RT, Refused: o.Refused, Unfinished: o.Unfinished}
+}
+
 // OKFraction returns the completed fraction of all observed queries
 // (0 for a skipped cell, whose RT is nil).
-func (o CellOutcome) OKFraction() float64 {
-	if o.RT == nil {
-		return 0
-	}
-	total := o.RT.Count() + o.Refused + o.Unfinished
-	if total == 0 {
-		return 0
-	}
-	return float64(o.RT.Count()) / float64(total)
-}
+func (o CellOutcome) OKFraction() float64 { return o.total().OKFraction() }
 
 // sketchFromRecorder folds an exact recorder into a histogram sketch, so
 // workloads that keep full recorders in their Extra payload (the wiki

@@ -56,11 +56,12 @@ type (
 	// metric's replicates; Replicated pairs the raw per-seed values
 	// with their Dist; CellStats/SweepStats are the aggregated forms of
 	// CellResult/SweepResult (see SweepResult.Aggregate and
-	// Runner.RunSweepStats).
-	Dist       = stats.Dist
-	Interval   = stats.Interval
-	CellStats  = experiments.CellStats
-	SweepStats = experiments.SweepStats
+	// Runner.RunSweepStats), embedding their metrics as an OutcomeStats.
+	Dist         = stats.Dist
+	Interval     = stats.Interval
+	CellStats    = experiments.CellStats
+	SweepStats   = experiments.SweepStats
+	OutcomeStats = experiments.OutcomeStats
 	// LoadGrid is the vector load axis of a grid sweep (Sweep.LoadGrid):
 	// the cross product of per-service ρ axes, one logical cell per grid
 	// point. Adaptive configures adaptive replication for
@@ -150,12 +151,12 @@ type (
 	// re-add servers under load).
 	ChurnConfig = experiments.ChurnConfig
 	ChurnResult = experiments.ChurnResult
-	// MultiServiceConfig/Result: the concurrent multi-service study
-	// (web Poisson + wiki replay + batch bursty sharing the LB, per-VIP
-	// per-policy outcomes).
+	// MultiServiceConfig/Result: the concurrent multi-service study (web
+	// Poisson + wiki replay + batch bursty sharing the LB); ServiceRow is
+	// the per-(policy, service) row it shares with the three studies below.
 	MultiServiceConfig = experiments.MultiServiceConfig
 	MultiServiceResult = experiments.MultiServiceResult
-	MultiServiceRow    = experiments.MultiServiceRow
+	ServiceRow         = experiments.ServiceRow
 	// InterferenceConfig/Result: the cross-service interference study —
 	// a pinned web service and a swept bursty batch service contending
 	// on one shared pool, per-victim p99/completion degradation per
@@ -176,7 +177,6 @@ type (
 	// policy-crossover cells; renders per-policy ASCII heatmaps.
 	RhoGridConfig = experiments.RhoGridConfig
 	RhoGridResult = experiments.RhoGridResult
-	RhoGridRow    = experiments.RhoGridRow
 	// MultiServiceStats is a multi-service cell's Extra payload: the
 	// cluster-side flowlet re-steer/rebind counters.
 	MultiServiceStats = experiments.MultiServiceStats
