@@ -180,7 +180,8 @@ func BenchmarkFig8_WikiCDF(b *testing.B) {
 	}
 }
 
-// Ablation benches: the design choices DESIGN.md calls out.
+// Ablation benches: the design choices the paper fixes (§II-B, §III-A,
+// Algorithm 2).
 
 func BenchmarkAblation_CandidateCount(b *testing.B) {
 	l0 := lambda0(b)

@@ -108,11 +108,11 @@
 //
 // # Multi-service workloads: several VIPs, one run
 //
-// MultiServiceWorkload interleaves one arrival stream per VIP — any mix
-// of PoissonService, BurstyService and WikiService — into a single
-// deterministic open loop against a multi-VIP cluster sharing the LB
-// replicas, the many-services regime in which the power-of-choices
-// argument compounds. Each query is tagged with its VIP and the outcome
+// MultiServiceWorkload replays one arrival stream per VIP — any mix of
+// PoissonService, BurstyService and WikiService — together against a
+// multi-VIP cluster sharing the LB replicas, the many-services regime in
+// which the power-of-choices argument compounds. The single-VIP
+// workloads open the same streams, and one replay engine runs them all. Each query is tagged with its VIP and the outcome
 // is reported both aggregate and per service, with conservation per VIP
 // (offered == completed + refused + unfinished):
 //
@@ -217,8 +217,17 @@
 // exact) plus Welford moments and outcome counters, folded in as each
 // query completes. The testbed generator's per-query Results slice is
 // opt-in (Generator.RetainResults) — the default sink path holds
-// constant memory regardless of horizon length. RunHorizon pushes that
-// to 10⁸ open-loop queries with a flat heap
+// constant memory regardless of horizon length.
+//
+// Every cell — Poisson, bursty, wiki day, recorded trace, multi-service,
+// horizon soak — is run by one open-loop replay engine
+// (internal/experiments/replay.go). A workload supplies three things:
+// the topology (events still rate-relative), one arrival stream per VIP,
+// and the arrival span. The engine resolves events and the feedback
+// horizon against the span, builds the cluster, installs the sketch
+// sink, pumps each stream one arrival ahead without allocating, runs
+// the simulator under the context and drains what is left. RunHorizon
+// pushes that to 10⁸ open-loop queries with a flat heap
 // (`srlb-bench -experiment horizon`); BENCH_core.json tracks the hot
 // paths' ns/op and allocs/op across commits (docs/RESULTS_SCHEMA.md).
 //

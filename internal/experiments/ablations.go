@@ -11,9 +11,10 @@ import (
 	"srlb/internal/metrics"
 )
 
-// AblationConfig drives the design-choice studies DESIGN.md lists beyond
-// the paper's own figures: the number of SR candidates, the SRdyn window,
-// the static threshold sweep, and the selection scheme.
+// AblationConfig drives the design-choice studies beyond the paper's own
+// figures: the number of SR candidates and the selection scheme (§II-B),
+// the static threshold sweep (§III-A), the SRdyn window (Algorithm 2),
+// and the backlog / abort-on-overflow settings (§IV-C).
 type AblationConfig struct {
 	Cluster ClusterConfig
 	// Rho is the load at which ablations run (default 0.88 — where the

@@ -1,10 +1,16 @@
 // Package experiments reproduces the paper's complete evaluation: the λ0
 // bootstrap of §V-A, the Poisson-workload figures 2–5, the Wikipedia
-// replay figures 6–8, and the ablation studies DESIGN.md calls out.
+// replay figures 6–8, and ablations of the design choices the paper
+// fixes (§II-B candidate count and selection scheme, §III-A threshold,
+// Algorithm 2's window, §IV-C backlog and abort-on-overflow).
 //
-// Every figure has a Run function that returns structured series and a
-// Fprint function that renders the same rows the paper plots, so
+// Every figure has a Run function that returns structured rows and a
+// WriteTSV method that renders the rows the paper plots, so
 // cmd/srlb-bench can regenerate each artifact as TSV.
+//
+// Every cell of every experiment runs through the one open-loop replay
+// engine in replay.go; workloads differ only in the topology, the
+// per-VIP arrival streams and the arrival span they hand it.
 package experiments
 
 import (
@@ -17,7 +23,6 @@ import (
 	"srlb/internal/agent"
 	"srlb/internal/appserver"
 	"srlb/internal/feedback"
-	"srlb/internal/rng"
 	"srlb/internal/selection"
 	"srlb/internal/sketch"
 	"srlb/internal/testbed"
@@ -313,12 +318,11 @@ type PoissonHooks struct {
 }
 
 // RunPoisson executes the experiment and returns its outcome. It is the
-// serial, hook-capable face of PoissonWorkload — both run the same engine
-// (runOpenLoop) from the same seed streams, so their results coincide.
+// serial, hook-capable face of PoissonWorkload — both replay the same
+// PoissonService stream from the same seed, so their results coincide.
 func RunPoisson(cluster ClusterConfig, spec PolicySpec, ratePerSec float64, queries int, hooks PoissonHooks) PoissonRun {
-	cluster = cluster.withDefaults()
-	arrivals := rng.NewPoisson(rng.Split(cluster.Seed, 0xa221), ratePerSec, 0)
-	out, _ := runOpenLoop(context.Background(), cluster, spec, arrivals, ratePerSec, queries, 0, hooks)
+	svc := PoissonService{Lambda0: ratePerSec, Queries: queries}
+	out, _ := replayService(context.Background(), cluster, spec, svc, 1, replaySettings{hooks: hooks})
 	return PoissonRun{
 		Spec: spec, RatePerSec: ratePerSec, Queries: queries,
 		RT: out.RT, Refused: out.Refused, Unfinished: out.Unfinished,

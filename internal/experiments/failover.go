@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"srlb/internal/agent"
-	"srlb/internal/rng"
 	"srlb/internal/stats"
 	"srlb/internal/testbed"
 )
@@ -113,9 +112,8 @@ func (w failoverWorkload) Label() string {
 
 // Run implements Workload.
 func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64) (CellOutcome, error) {
-	rate := load * w.lambda0
-	span := time.Duration(float64(w.queries) / rate * float64(time.Second))
-	binW := span / time.Duration(w.bins)
+	arrivals := PoissonService{Lambda0: w.lambda0, Queries: w.queries}
+	binW := arrivals.Span(load) / time.Duration(w.bins)
 	raw := make([]failoverBinRaw, w.bins)
 	hooks := PoissonHooks{OnResult: func(res testbed.Result) {
 		i := int(res.IssuedAt / binW)
@@ -134,8 +132,7 @@ func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec P
 			b.Refused++
 		}
 	}}
-	arrivals := rng.NewPoisson(rng.Split(cluster.Seed, 0xa221), rate, 0)
-	out, err := runOpenLoop(ctx, cluster, spec, arrivals, rate, w.queries, 0, hooks)
+	out, err := replayService(ctx, cluster, spec, arrivals, load, replaySettings{hooks: hooks})
 	out.Extra = raw
 	return out, err
 }
@@ -174,8 +171,7 @@ func RunFailoverCtx(ctx context.Context, cfg FailoverConfig) FailoverResult {
 	// same variant pair would serve a whole load sweep, exactly as
 	// RunChurn's schedule does (historically the kill time was computed
 	// absolutely here, which pinned the experiment to one rho).
-	rate := cfg.Rho * cfg.Lambda0
-	span := time.Duration(float64(cfg.Queries) / rate * float64(time.Second))
+	span := PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}.Span(cfg.Rho)
 	killAt := time.Duration(cfg.KillFrac * float64(span))
 	var recoverAt time.Duration
 	events := []testbed.Event{testbed.FailReplica(0, 0).AtFraction(cfg.KillFrac)}

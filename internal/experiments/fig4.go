@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"srlb/internal/metrics"
-	"srlb/internal/rng"
 	"srlb/internal/stats"
 	"srlb/internal/testbed"
 )
@@ -69,15 +68,14 @@ type Fig4Result struct {
 // busy-worker sampling; the smoothed timeline rides in Extra. Each Run
 // builds its own sampling state, so cells are safe to run concurrently.
 type fig4Workload struct {
-	lambda0     float64
-	queries     int
+	arrivals    PoissonService
 	sampleEvery time.Duration
 	tau         time.Duration
 }
 
 // Label implements Workload.
 func (w fig4Workload) Label() string {
-	return fmt.Sprintf("poisson+load-sampling(%dq)", w.queries)
+	return fmt.Sprintf("poisson+load-sampling(%dq)", w.arrivals.Queries)
 }
 
 // Run implements Workload.
@@ -102,9 +100,7 @@ func (w fig4Workload) Run(ctx context.Context, cluster ClusterConfig, spec Polic
 			})
 		},
 	}
-	rate := load * w.lambda0
-	arrivals := rng.NewPoisson(rng.Split(cluster.Seed, 0xa221), rate, 0)
-	out, err := runOpenLoop(ctx, cluster, spec, arrivals, rate, w.queries, 0, hooks)
+	out, err := replayService(ctx, cluster, spec, w.arrivals, load, replaySettings{hooks: hooks})
 	// Trim trailing idle samples (after the last query completed the
 	// cluster sits empty until the horizon guard).
 	last := len(samples)
@@ -149,8 +145,7 @@ func RunFig4Ctx(ctx context.Context, cfg Fig4Config) Fig4Result {
 		Loads:    []float64{cfg.Rho},
 		Seeds:    cfg.Seeds,
 		Workload: fig4Workload{
-			lambda0:     cfg.Lambda0,
-			queries:     cfg.Queries,
+			arrivals:    PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries},
 			sampleEvery: cfg.SampleEvery,
 			tau:         cfg.EWMATau,
 		},

@@ -8,7 +8,6 @@ import (
 	"srlb/internal/metrics"
 	"srlb/internal/testbed"
 	"srlb/internal/trace"
-	"srlb/internal/vrouter"
 	"srlb/internal/wiki"
 )
 
@@ -86,12 +85,7 @@ func (w WikiWorkload) Label() string {
 
 // Run implements Workload.
 func (w WikiWorkload) Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, _ float64) (CellOutcome, error) {
-	binWidth := w.BinWidth
-	if binWidth == 0 {
-		binWidth = 10 * time.Minute
-	}
-	run, err := runWikiReplay(ctx, cluster, spec, w.Day, w.Cost, binWidth, w.Entries, 1)
-	return CellOutcome{RT: sketchFromRecorder(run.WikiAll), Refused: run.Refused, Extra: run}, err
+	return w.replay(ctx, cluster, spec, 1)
 }
 
 // TraceWorkload replays a recorded access trace (see cmd/srlb-trace and
@@ -117,15 +111,10 @@ func (w TraceWorkload) Run(ctx context.Context, cluster ClusterConfig, spec Poli
 	if load <= 0 {
 		load = 1
 	}
-	binWidth := w.BinWidth
-	if binWidth == 0 {
-		binWidth = 10 * time.Minute
-	}
 	// The zero-value day keeps the replica cache model (catalog size, cost
 	// scaling) independent of the replay speed — speed only rescales
 	// arrival times and report bins, so load points stay comparable.
-	run, err := runWikiReplay(ctx, cluster, spec, wiki.Config{}, w.Cost, binWidth, w.Entries, load)
-	return CellOutcome{RT: sketchFromRecorder(run.WikiAll), Refused: run.Refused, Extra: run}, err
+	return WikiWorkload{Cost: w.Cost, BinWidth: w.BinWidth, Entries: w.Entries}.replay(ctx, cluster, spec, load)
 }
 
 // RunWiki replays the day under every policy: a Sweep of the wiki workload
@@ -158,108 +147,78 @@ func RunWikiCtx(ctx context.Context, cfg WikiConfig) WikiResult {
 	return res
 }
 
-// runWikiReplay is the §VI replay engine shared by WikiWorkload and
-// TraceWorkload. speed scales recorded-entry arrival times (synthetic-day
-// speed lives in day.Compression).
-func runWikiReplay(ctx context.Context, cluster ClusterConfig, spec PolicySpec, day wiki.Config, cost wiki.CostModel, binWidth time.Duration, entries []trace.Entry, speed float64) (WikiRun, error) {
-	cluster = cluster.withDefaults()
+// replay is the §VI cell behind WikiWorkload and TraceWorkload: the day's
+// stream (or the recorded entries, their arrival times divided by speed)
+// against replicas that compute demand from the URL and their cache
+// state, measured per class and per trace-time bin.
+func (w WikiWorkload) replay(ctx context.Context, cluster ClusterConfig, spec PolicySpec, speed float64) (CellOutcome, error) {
+	binWidth := w.BinWidth
+	if binWidth == 0 {
+		binWidth = 10 * time.Minute
+	}
 	top := cluster.topology(spec)
-	// The replicas compute demand from the URL and their cache state.
-	// Caches start prewarmed with the popular head (the paper's replicas
-	// are long-running MediaWiki installations, not cold starts) and are
-	// scaled to the day's page catalog so hit rates survive compression.
-	replicas := make([]*wiki.Replica, cluster.Servers)
-	model := cost.ScaledTo(day.CatalogPages())
-	model.Prewarm = true
-	top.VIPs[0].Demand = func(i int) vrouter.DemandFn {
-		rep := wiki.NewReplica(cluster.Seed+uint64(i)*7919, model)
-		for len(replicas) <= i { // servers added by lifecycle events
-			replicas = append(replicas, nil)
-		}
-		replicas[i] = rep
-		return rep.Demand
-	}
-
-	virtualHorizon := day.VirtualHorizon()
-	if n := len(entries); n > 0 {
-		// A recorded trace defines its own horizon.
-		virtualHorizon = time.Duration(float64(entries[n-1].At) / speed)
-	}
-	// Rate-relative events resolve against the replay's own span.
-	top.Events = testbed.ResolveEvents(top.Events, virtualHorizon)
-	tb := testbed.Build(top)
+	replicas := installWikiReplicas(&top.VIPs[0], w.Day, w.Cost, top.Seed)
 	// Bin width in virtual time: compression shrinks the synthetic clock,
 	// and recorded entries are additionally rescaled by speed.
-	comp := day.RealTime(time.Second).Seconds() // = Compression factor
-	if len(entries) > 0 {
+	comp := w.Day.RealTime(time.Second).Seconds() // = Compression factor
+	var stream ServiceStream
+	var span time.Duration
+	if n := len(w.Entries); n > 0 {
+		// A recorded trace defines its own span.
+		stream = &entryStream{entries: w.Entries, speed: speed}
+		span = time.Duration(float64(w.Entries[n-1].At) / speed)
 		comp *= speed
+	} else {
+		stream = &wikiServiceStream{stream: wiki.NewStream(w.Day), speed: 1}
+		span = w.Day.VirtualHorizon()
 	}
+	span = checkSpan(w, speed, span)
 	virtualBin := time.Duration(float64(binWidth) / comp)
 
 	run := WikiRun{
 		Spec:      spec,
-		WikiBins:  metrics.NewTimeBins(virtualBin, virtualHorizon),
+		WikiBins:  metrics.NewTimeBins(virtualBin, span),
 		WikiAll:   metrics.NewRecorder(1 << 16),
 		StaticAll: metrics.NewRecorder(1 << 16),
-		RateBins:  metrics.NewTimeBins(virtualBin, virtualHorizon),
+		RateBins:  metrics.NewTimeBins(virtualBin, span),
 	}
-	tb.Gen.OnResult = func(res testbed.Result) {
-		if res.Refused || !res.OK {
-			run.Refused++
-			return
-		}
+	// Every launched query reports exactly once (drained ones as !OK), so
+	// the per-bin launch counts can be taken here too.
+	onResult := func(res testbed.Result) {
 		if res.Class == classWiki {
+			run.RateBins.Add(res.IssuedAt, 0)
+		}
+		switch {
+		case res.Refused || !res.OK:
+			run.Refused++
+		case res.Class == classWiki:
 			run.WikiAll.Add(res.RT)
 			run.WikiBins.Add(res.IssuedAt, res.RT)
-		} else {
+		default:
 			run.StaticAll.Add(res.RT)
 		}
 	}
-
-	// Launch queries from the stream (or a recorded trace), one ahead.
-	var id uint64
-	launch := func(e trace.Entry, isWiki bool) {
-		class := uint8(0)
-		if isWiki {
-			class = classWiki
-			run.RateBins.Add(tb.Sim.Now(), 0)
-		}
-		tb.Gen.Launch(testbed.Query{ID: id, URL: e.URL, Class: class})
-		id++
-	}
-	if len(entries) > 0 {
-		at := func(i int) time.Duration { return time.Duration(float64(entries[i].At) / speed) }
-		var step func(i int)
-		step = func(i int) {
-			e := entries[i]
-			launch(e, e.IsWikiPage())
-			if i+1 < len(entries) {
-				tb.Sim.At(at(i+1), func() { step(i + 1) })
-			}
-		}
-		tb.Sim.At(at(0), func() { step(0) })
-	} else {
-		stream := wiki.NewStream(day)
-		var step func(e trace.Entry, isWiki bool)
-		schedule := func() {
-			if e, isWiki, done := stream.Next(); !done {
-				tb.Sim.At(e.At, func() { step(e, isWiki) })
-			}
-		}
-		step = func(e trace.Entry, isWiki bool) {
-			launch(e, isWiki)
-			schedule()
-		}
-		schedule()
-	}
-	err := runSim(ctx, tb.Sim, virtualHorizon+2*time.Minute)
-	// Drained queries report through OnResult above (!res.OK), so they
-	// are already in run.Refused — do not add the return count on top.
-	tb.Gen.DrainPending()
-	for _, rep := range replicas {
+	_, _, err := replay(ctx, top, []ServiceStream{stream}, span, replaySettings{hooks: PoissonHooks{OnResult: onResult}})
+	for _, rep := range *replicas {
 		if rep != nil {
 			run.HitRates = append(run.HitRates, rep.HitRate())
 		}
 	}
-	return run, err
+	return CellOutcome{RT: sketchFromRecorder(run.WikiAll), Refused: run.Refused, Extra: run}, err
+}
+
+// entryStream replays recorded trace entries in order, their arrival
+// times divided by the replay speed.
+type entryStream struct {
+	entries []trace.Entry
+	speed   float64
+}
+
+func (s *entryStream) Next() (time.Duration, testbed.Query, bool) {
+	if len(s.entries) == 0 {
+		return 0, testbed.Query{}, false
+	}
+	e := s.entries[0]
+	s.entries = s.entries[1:]
+	return time.Duration(float64(e.At) / s.speed), wikiQuery(e.URL, e.IsWikiPage()), true
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"srlb/internal/rng"
 	"srlb/internal/sketch"
 	"srlb/internal/testbed"
 )
@@ -84,32 +83,19 @@ func (c HorizonConfig) withDefaults() HorizonConfig {
 	return c
 }
 
-// RunHorizon executes the soak. It is the same engine as runOpenLoop —
-// streamed arrivals, sketch-backed sink — with a heap-sampling loop
-// around it, and query counts wide enough for 10⁸ and beyond.
+// RunHorizon executes the soak: one PoissonService stream through the
+// replay engine — the same cell PoissonWorkload runs — with a heap sample
+// every SampleEvery launches, and query counts wide enough for 10⁸ and
+// beyond. The engine holds one future arrival and the sink is sketches, so
+// nothing grows with the horizon.
 func RunHorizon(ctx context.Context, cfg HorizonConfig) (HorizonResult, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Lambda0 == 0 {
 		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
 		cfg.Lambda0 = cal.Lambda0
 	}
-	rate := cfg.Rho * cfg.Lambda0
-	span := time.Duration(float64(cfg.Queries) / rate * float64(time.Second))
-
-	top := cfg.Cluster.topology(cfg.Policy)
-	top.Events = testbed.ResolveEvents(top.Events, span)
-	tb := testbed.Build(top)
-	sink := testbed.NewSketchSink()
-	tb.Gen.Sink = sink
-	tb.Gen.OnResult = cfg.Hooks.OnResult
-
-	horizon := span + 2*time.Minute
-	if cfg.Hooks.Testbed != nil {
-		cfg.Hooks.Testbed(tb, horizon)
-	}
-
-	arrivals := rng.NewPoisson(rng.Split(cfg.Cluster.Seed, 0xa221), rate, 0)
-	demands := rng.Split(cfg.Cluster.Seed, 0xde3a)
+	svc := PoissonService{Lambda0: cfg.Lambda0, Queries: int(cfg.Queries)}
+	span := checkSpan(svc, cfg.Rho, svc.Span(cfg.Rho))
 
 	var peak uint64
 	var ms runtime.MemStats
@@ -123,35 +109,18 @@ func RunHorizon(ctx context.Context, cfg HorizonConfig) (HorizonResult, error) {
 		}
 	}
 
-	// Stream arrivals one ahead — the scheduler never sees more than one
-	// future arrival, so the pending-event set stays at cluster scale.
-	remaining := cfg.Queries
-	var id uint64
-	var launchNext func()
-	launchNext = func() {
-		if remaining == 0 {
-			return
-		}
-		remaining--
-		q := testbed.Query{ID: id, Demand: rng.Exp(demands, MeanDemand)}
-		id++
-		if id%cfg.SampleEvery == 0 {
-			sample(id)
-		}
-		tb.Gen.Launch(q)
-		if remaining > 0 {
-			tb.Sim.At(arrivals.Next(), launchNext)
-		}
+	top := cfg.Cluster.topology(cfg.Policy)
+	stream := &sampledStream{
+		ServiceStream: svc.Open(&top.VIPs[0], top.Seed, cfg.Rho),
+		every:         cfg.SampleEvery,
+		sample:        sample,
 	}
-	tb.Sim.At(arrivals.Next(), launchNext)
-
 	start := time.Now()
 	sample(0)
-	err := runSim(ctx, tb.Sim, horizon)
-	tb.Gen.DrainPending()
-	sample(id)
-
+	tb, sink, err := replay(ctx, top, []ServiceStream{stream}, span, replaySettings{hooks: cfg.Hooks})
 	total := sink.Total()
+	sample(total.Counters.Offered)
+
 	return HorizonResult{
 		Queries:  cfg.Queries,
 		Rho:      cfg.Rho,
@@ -165,6 +134,23 @@ func RunHorizon(ctx context.Context, cfg HorizonConfig) (HorizonResult, error) {
 		SimTime:  tb.Sim.Now(),
 		Wall:     time.Since(start),
 	}, err
+}
+
+// sampledStream calls sample every `every` launches. The engine asks for
+// arrival n right after launching arrival n−1, so the number of Next
+// calls so far is the number of queries launched.
+type sampledStream struct {
+	ServiceStream
+	every, launched uint64
+	sample          func(done uint64)
+}
+
+func (s *sampledStream) Next() (time.Duration, testbed.Query, bool) {
+	if s.launched > 0 && s.launched%s.every == 0 {
+		s.sample(s.launched)
+	}
+	s.launched++
+	return s.ServiceStream.Next()
 }
 
 // WriteSummary renders the run human-readably, one stat per line.

@@ -1,6 +1,6 @@
 // Multi-service workloads: several independent arrival streams — one per
-// VIP — interleaved into a single deterministic open loop against one
-// multi-VIP topology. This is the regime the paper's power-of-choices
+// VIP — replayed together against one multi-VIP topology by the replay
+// engine (replay.go). This is the regime the paper's power-of-choices
 // argument is really about: heterogeneous services sharing LB replicas,
 // where an imbalance created by one service's bursts is invisible to a
 // per-service random spray but steerable by Service Hunting.
@@ -11,7 +11,7 @@
 //     Wikipedia-day replay), opened per run with a per-VIP seed.
 //   - ServiceSpec — the service: a name, its workload, its pool sizing.
 //   - MultiServiceWorkload — the Workload that builds the joint topology,
-//     merges the streams, and reports the outcome both aggregate and per
+//     opens the streams, and reports the outcome both aggregate and per
 //     VIP (CellOutcome.PerVIP).
 //   - RunMultiService — the canonical three-service experiment behind
 //     `srlb-bench -experiment multiservice`.
@@ -24,7 +24,6 @@ import (
 	"io"
 	"math"
 	"math/rand/v2"
-	"net/netip"
 	"strings"
 	"time"
 
@@ -241,19 +240,35 @@ func (s WikiService) Open(spec *testbed.VIPSpec, seed uint64, load float64) Serv
 			day.Seed = 1
 		}
 	}
-	// Per-server Wikipedia replicas: prewarmed caches scaled to the
-	// day's catalog, as in the single-service replay (§VI). Pinned mode
-	// freezes the replica cost streams with the day.
+	// Pinned mode freezes the replica cost streams with the day.
 	repSeed := seed
 	if s.Pinned {
 		repSeed = day.Seed
 	}
-	model := s.Cost.ScaledTo(day.CatalogPages())
-	model.Prewarm = true
-	spec.Demand = func(i int) vrouter.DemandFn {
-		return wiki.NewReplica(repSeed+uint64(i)*7919, model).Demand
-	}
+	installWikiReplicas(spec, day, s.Cost, repSeed)
 	return &wikiServiceStream{stream: wiki.NewStream(day), speed: load}
+}
+
+// installWikiReplicas installs the §VI demand model on spec: one replica
+// per server computing demand from the URL and its cache state. Caches
+// start prewarmed with the popular head (the paper's replicas are
+// long-running MediaWiki installations, not cold starts) and are scaled
+// to the day's page catalog so hit rates survive compression. The
+// returned slice fills in as Build (and later server-add events) create
+// the servers.
+func installWikiReplicas(spec *testbed.VIPSpec, day wiki.Config, cost wiki.CostModel, seed uint64) *[]*wiki.Replica {
+	model := cost.ScaledTo(day.CatalogPages())
+	model.Prewarm = true
+	replicas := new([]*wiki.Replica)
+	spec.Demand = func(i int) vrouter.DemandFn {
+		rep := wiki.NewReplica(seed+uint64(i)*7919, model)
+		for len(*replicas) <= i {
+			*replicas = append(*replicas, nil)
+		}
+		(*replicas)[i] = rep
+		return rep.Demand
+	}
+	return replicas
 }
 
 // wikiServiceStream adapts the synthetic day's entry stream, rescaling
@@ -268,11 +283,17 @@ func (s *wikiServiceStream) Next() (time.Duration, testbed.Query, bool) {
 	if done {
 		return 0, testbed.Query{}, false
 	}
-	q := testbed.Query{URL: e.URL}
+	return time.Duration(float64(e.At) / s.speed), wikiQuery(e.URL, isWiki), true
+}
+
+// wikiQuery is one request of the §VI workload: the URL travels in the
+// payload, wiki pages are classed apart from static objects.
+func wikiQuery(url string, isWiki bool) testbed.Query {
+	q := testbed.Query{URL: url}
 	if isWiki {
 		q.Class = classWiki
 	}
-	return time.Duration(float64(e.At) / s.speed), q, true
+	return q
 }
 
 // ServiceSpec declares one service of a MultiServiceWorkload: its name,
@@ -328,10 +349,11 @@ func (sl ServiceLoad) Resolve(load float64) float64 {
 	return load
 }
 
-// MultiServiceWorkload interleaves the arrival streams of several
-// services — each targeting its own VIP, with its own server pool or a
-// shared one — into one deterministic open loop against a single
-// multi-VIP cluster sharing the LB replicas. The policy under test
+// MultiServiceWorkload replays the arrival streams of several services —
+// each targeting its own VIP, with its own server pool or a shared one —
+// together against a single multi-VIP cluster sharing the LB replicas:
+// the replay engine pumps every stream one arrival ahead and the DES
+// merges them in time order. The policy under test
 // applies to every VIP (the policy axis is what the experiment
 // compares); the load point scales every service's intensity together
 // unless ServiceLoads gives a service its own axis.
@@ -482,74 +504,24 @@ func (w MultiServiceWorkload) Run(ctx context.Context, cluster ClusterConfig, sp
 			}
 		}
 		specs[i] = vs
-		if sp := svc.Workload.Span(loads[i]); sp > span {
+		if sp := checkSpan(svc.Workload, loads[i], svc.Workload.Span(loads[i])); sp > span {
 			span = sp
 		}
-	}
-	for i, svc := range w.Services {
 		streams[i] = svc.Workload.Open(&specs[i], svcSeeds[i], loads[i])
 	}
-	top := testbed.Topology{
+	tb, sink, err := replay(ctx, testbed.Topology{
 		Seed:     cluster.Seed,
 		Replicas: cluster.Replicas,
 		Clients:  cluster.Clients,
 		Pools:    pools,
 		VIPs:     specs,
-		Events:   testbed.ResolveEvents(cluster.Events, span),
+		Events:   cluster.Events,
 		Feedback: cluster.Feedback,
-	}
-	if top.Feedback.Enabled && top.Feedback.Horizon <= 0 {
-		top.Feedback.Horizon = span + 2*time.Minute
-	}
-	tb := testbed.Build(top)
-	tb.Gen.CloseAck = w.CloseAck
+	}, streams, span, replaySettings{closeAck: w.CloseAck})
 
-	// Aggregate and per-VIP accounting: the sink demultiplexes by
-	// Result.VIP, with every service pre-registered in service order so
-	// the per-VIP sketches come back in a deterministic order.
-	vips := make([]netip.Addr, len(w.Services))
-	for i := range w.Services {
-		vips[i] = tb.VIPAddrOf(i)
-	}
-	sink := testbed.NewSketchSink(vips...)
-	tb.Gen.Sink = sink
-
-	// Interleave: every stream schedules itself one arrival ahead; the
-	// DES merges them in time order (ties by scheduling order, which is
-	// itself deterministic). Query IDs are global across services.
-	var id uint64
-	for v := range streams {
-		vip := vips[v]
-		stream := streams[v]
-		var step func(q testbed.Query)
-		schedule := func() {
-			if at, q, ok := stream.Next(); ok {
-				tb.Sim.At(at, func() { step(q) })
-			}
-		}
-		step = func(q testbed.Query) {
-			q.ID = id
-			id++
-			q.VIP = vip
-			tb.Gen.Launch(q)
-			schedule()
-		}
-		schedule()
-	}
-	err := runSim(ctx, tb.Sim, span+2*time.Minute)
-	// Drained queries report through the sink (OK and Refused both
-	// false), landing in the Unfinished columns.
-	tb.Gen.DrainPending()
-
-	total := sink.Total()
-	out := CellOutcome{
-		RT:         total.RT,
-		Refused:    int(total.Counters.Refused),
-		Unfinished: int(total.Counters.Unfinished),
-		PerVIP:     make([]VIPOutcome, len(w.Services)),
-	}
-	for i := range out.PerVIP {
-		vs := sink.VIP(vips[i])
+	out := sinkOutcome(sink)
+	out.PerVIP = make([]VIPOutcome, len(w.Services))
+	for i, vs := range sink.VIPs() {
 		out.PerVIP[i] = VIPOutcome{
 			Name:       specs[i].Name,
 			Workload:   w.Services[i].Workload.Label(),

@@ -6,11 +6,9 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"srlb/internal/des"
 	"srlb/internal/metrics"
 	"srlb/internal/rng"
 	"srlb/internal/sketch"
-	"srlb/internal/testbed"
 )
 
 // Workload is an arrival process plus a demand model, replayable against
@@ -138,23 +136,18 @@ type PoissonWorkload struct {
 	RetransmitRTO time.Duration
 }
 
-// Label implements Workload.
-func (w PoissonWorkload) Label() string {
-	return fmt.Sprintf("poisson(%dq)", w.queries())
+// service is the workload's arrival process — the same stream a
+// MultiServiceWorkload opens for a PoissonService.
+func (w PoissonWorkload) service() PoissonService {
+	return PoissonService{Lambda0: w.Lambda0, Queries: w.Queries}
 }
 
-func (w PoissonWorkload) queries() int {
-	if w.Queries == 0 {
-		return 20000
-	}
-	return w.Queries
-}
+// Label implements Workload.
+func (w PoissonWorkload) Label() string { return w.service().Label() }
 
 // Run implements Workload.
 func (w PoissonWorkload) Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64) (CellOutcome, error) {
-	rate := load * w.Lambda0
-	arrivals := rng.NewPoisson(rng.Split(cluster.Seed, 0xa221), rate, 0)
-	return runOpenLoop(ctx, cluster, spec, arrivals, rate, w.queries(), w.RetransmitRTO, PoissonHooks{})
+	return replayService(ctx, cluster, spec, w.service(), load, replaySettings{retransmitRTO: w.RetransmitRTO})
 }
 
 // BurstyWorkload is a two-state Markov-modulated Poisson process — a
@@ -206,8 +199,11 @@ func (w BurstyWorkload) Label() string {
 
 // Run implements Workload.
 func (w BurstyWorkload) Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64) (CellOutcome, error) {
-	w = w.withDefaults()
-	return runOpenLoop(ctx, cluster, spec, w.newMMPP(cluster.Seed, load), load*w.Lambda0, w.Queries, 0, PoissonHooks{})
+	svc := BurstyService{
+		Lambda0: w.Lambda0, Queries: w.Queries,
+		MeanOn: w.MeanOn, MeanOff: w.MeanOff, PeakFactor: w.PeakFactor,
+	}
+	return replayService(ctx, cluster, spec, svc, load, replaySettings{})
 }
 
 // newMMPP builds the workload's arrival process at the given load from
@@ -272,100 +268,4 @@ func (p *mmpp) Next() time.Duration {
 // arrival process.
 type arrivalStream interface {
 	Next() time.Duration
-}
-
-// runOpenLoop replays `queries` open-loop arrivals with Exp(MeanDemand)
-// demands against a fresh testbed — the engine behind PoissonWorkload and
-// BurstyWorkload, and the ctx-aware core of RunPoisson. meanRate sizes the
-// horizon guard; rto enables client SYN retransmission.
-func runOpenLoop(ctx context.Context, cluster ClusterConfig, spec PolicySpec, arrivals arrivalStream, meanRate float64, queries int, rto time.Duration, hooks PoissonHooks) (CellOutcome, error) {
-	cluster = cluster.withDefaults()
-	// The expected arrival span at this rate — what rate-relative events
-	// resolve against, so one schedule means the same thing at every ρ.
-	span := time.Duration(float64(queries) / meanRate * float64(time.Second))
-	top := cluster.topology(spec)
-	top.Events = testbed.ResolveEvents(top.Events, span)
-	if top.Feedback.Enabled && top.Feedback.Horizon <= 0 {
-		// Publish through the run's own horizon (the drain window
-		// included), then stop so the idle simulator can terminate.
-		top.Feedback.Horizon = span + 2*time.Minute
-	}
-	tb := testbed.Build(top)
-	tb.Gen.RetransmitRTO = rto
-
-	// Sketch-backed sink: per-query results are folded into constant-size
-	// aggregates as they complete — nothing is retained per query.
-	sink := testbed.NewSketchSink()
-	tb.Gen.Sink = sink
-	tb.Gen.OnResult = hooks.OnResult
-
-	demands := rng.Split(cluster.Seed, 0xde3a)
-	horizon := span + 2*time.Minute
-	if rto > 0 {
-		horizon += 3 * time.Minute // leave room for the backoff ladder
-	}
-	if hooks.Testbed != nil {
-		hooks.Testbed(tb, horizon)
-	}
-	// Stream arrivals one ahead instead of pre-scheduling all of them.
-	remaining := queries
-	var id uint64
-	var launchNext func()
-	launchNext = func() {
-		if remaining == 0 {
-			return
-		}
-		remaining--
-		q := testbed.Query{ID: id, Demand: rng.Exp(demands, MeanDemand)}
-		id++
-		tb.Gen.Launch(q)
-		if remaining > 0 {
-			next := arrivals.Next()
-			tb.Sim.At(next, launchNext)
-		}
-	}
-	tb.Sim.At(arrivals.Next(), launchNext)
-	err := runSim(ctx, tb.Sim, horizon)
-	// Drained queries report through the sink above (OK and Refused both
-	// false), so they land in Unfinished there — do not add the return
-	// count on top.
-	tb.Gen.DrainPending()
-
-	total := sink.Total()
-	out := CellOutcome{
-		RT:         total.RT,
-		Refused:    int(total.Counters.Refused),
-		Unfinished: int(total.Counters.Unfinished),
-	}
-	stats := PoissonStats{
-		ServerCompleted: make([]uint64, len(tb.Servers)),
-		Retransmits:     tb.Gen.Counts.Get("syn_retransmits"),
-		SYNTimeouts:     tb.Gen.Counts.Get("syn_timeout"),
-	}
-	for i, s := range tb.Servers {
-		stats.ServerCompleted[i] = s.Stats().Completed
-	}
-	out.Extra = stats
-	return out, err
-}
-
-// simBatch is how many DES events run between cancellation polls. Large
-// enough that ctx.Err() is noise in the profile, small enough that a
-// cancelled 20000-query cell aborts within a few milliseconds.
-const simBatch = 8192
-
-// runSim drives the simulator to the horizon, polling ctx between event
-// batches so a cancelled sweep returns promptly even mid-cell.
-func runSim(ctx context.Context, sim *des.Simulator, horizon time.Duration) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !sim.RunUntilLimit(horizon, simBatch) {
-			return nil
-		}
-	}
 }

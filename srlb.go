@@ -338,7 +338,8 @@ func RunFig5(cfg CDFConfig) CDFResult { return experiments.RunFig5(cfg) }
 // the data behind figures 6, 7 and 8.
 func RunWiki(cfg WikiConfig) WikiResult { return experiments.RunWiki(cfg) }
 
-// RunAllAblations executes the design-choice studies listed in DESIGN.md.
+// RunAllAblations executes the design-choice studies: candidate count,
+// threshold, SRdyn window, selection scheme, backlog (see AblationConfig).
 func RunAllAblations(cfg AblationConfig) []AblationResult {
 	return experiments.RunAllAblations(cfg)
 }
