@@ -132,9 +132,9 @@
 //	fmt.Printf("web: %.0f ms ± %.0f\n", web.Mean.Dist.Mean*1e3, web.Mean.Dist.CI95*1e3)
 //
 // RunMultiService packages the canonical three-service mix (web Poisson
-// + Wikipedia replay + bursty batch) as `srlb-bench -experiment
-// multiservice`, emitting per-policy per-service rows
-// (extension_multiservice.tsv) and schema-v6 BENCH_sweep.json cells
+// + Wikipedia replay + bursty batch) as
+// `srlb-bench -experiment multiservice`, emitting per-policy per-service
+// rows (extension_multiservice.tsv) and schema-v6 BENCH_sweep.json cells
 // with per-VIP breakdowns.
 //
 // Control-plane scale is its own axis: testbed.GenerateTopology

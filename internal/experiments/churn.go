@@ -69,11 +69,7 @@ type ChurnResult struct {
 }
 
 // RunChurn executes the experiment.
-func RunChurn(cfg ChurnConfig) ChurnResult { return RunChurnCtx(context.Background(), cfg) }
-
-// RunChurnCtx is RunChurn with cancellation; cancelled cells are dropped
-// from the aggregates.
-func RunChurnCtx(ctx context.Context, cfg ChurnConfig) ChurnResult {
+func RunChurn(cfg ChurnConfig) ChurnResult {
 	cfg.Cluster = cfg.Cluster.withDefaults()
 	if len(cfg.Rhos) == 0 {
 		cfg.Rhos = []float64{0.5, 0.75, 0.95}
@@ -104,7 +100,7 @@ func RunChurnCtx(ctx context.Context, cfg ChurnConfig) ChurnResult {
 	// serve every load point of one sweep — each cell resolves the
 	// fractions against its own span (historically this ran one sweep
 	// per rho with hand-resolved absolute times).
-	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(ctx, Sweep{
+	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Variants: []ClusterVariant{

@@ -139,12 +139,6 @@ func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec P
 
 // RunFailover executes the experiment.
 func RunFailover(cfg FailoverConfig) FailoverResult {
-	return RunFailoverCtx(context.Background(), cfg)
-}
-
-// RunFailoverCtx is RunFailover with cancellation; cancelled cells are
-// dropped from the aggregates.
-func RunFailoverCtx(ctx context.Context, cfg FailoverConfig) FailoverResult {
 	cfg.Cluster = cfg.Cluster.withDefaults()
 	if cfg.Rho == 0 {
 		cfg.Rho = 0.85
@@ -212,7 +206,7 @@ func RunFailoverCtx(ctx context.Context, cfg FailoverConfig) FailoverResult {
 		NewAgent:   func() agent.Policy { return agent.Always{} },
 	}
 
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(ctx, Sweep{
+	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: []PolicySpec{policy},
 		Variants: variants,

@@ -88,11 +88,7 @@ type Fig2Result struct {
 
 // RunFig2 executes the figure as a Sweep: PaperPolicies × ρ points over
 // the Poisson workload, on a parallel Runner.
-func RunFig2(cfg Fig2Config) Fig2Result { return RunFig2Ctx(context.Background(), cfg) }
-
-// RunFig2Ctx is RunFig2 with cancellation; a cancelled run returns the
-// points finished so far (unfinished points are zero).
-func RunFig2Ctx(ctx context.Context, cfg Fig2Config) Fig2Result {
+func RunFig2(cfg Fig2Config) Fig2Result {
 	cfg.Cluster = cfg.Cluster.withDefaults()
 	if cfg.Lambda0 == 0 {
 		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
@@ -115,7 +111,7 @@ func RunFig2Ctx(ctx context.Context, cfg Fig2Config) Fig2Result {
 	} else {
 		workloadLabel = workload.Label()
 	}
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(ctx, Sweep{
+	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Loads:    cfg.Rhos,

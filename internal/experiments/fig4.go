@@ -113,11 +113,7 @@ func (w fig4Workload) Run(ctx context.Context, cluster ClusterConfig, spec Polic
 
 // RunFig4 executes the experiment: a one-load-point Sweep of the sampled
 // Poisson workload over {RR, SR4}, run in parallel.
-func RunFig4(cfg Fig4Config) Fig4Result { return RunFig4Ctx(context.Background(), cfg) }
-
-// RunFig4Ctx is RunFig4 with cancellation; cancelled cells yield empty
-// series.
-func RunFig4Ctx(ctx context.Context, cfg Fig4Config) Fig4Result {
+func RunFig4(cfg Fig4Config) Fig4Result {
 	cfg.Cluster = cfg.Cluster.withDefaults()
 	if cfg.Rho == 0 {
 		cfg.Rho = 0.88
@@ -139,7 +135,7 @@ func RunFig4Ctx(ctx context.Context, cfg Fig4Config) Fig4Result {
 		cfg.EWMATau = time.Second
 	}
 
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(ctx, Sweep{
+	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Loads:    []float64{cfg.Rho},

@@ -60,11 +60,7 @@ type CDFResult struct {
 
 // RunCDF executes the experiment at cfg.Rho: a one-load-point Sweep over
 // the policy set × seeds, run in parallel.
-func RunCDF(cfg CDFConfig) CDFResult { return RunCDFCtx(context.Background(), cfg) }
-
-// RunCDFCtx is RunCDF with cancellation; cancelled cells yield empty
-// recorders.
-func RunCDFCtx(ctx context.Context, cfg CDFConfig) CDFResult {
+func RunCDF(cfg CDFConfig) CDFResult {
 	cfg.Cluster = cfg.Cluster.withDefaults()
 	if cfg.Lambda0 == 0 {
 		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
@@ -77,7 +73,7 @@ func RunCDFCtx(ctx context.Context, cfg CDFConfig) CDFResult {
 		cfg.Points = 200
 	}
 
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(ctx, Sweep{
+	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Loads:    []float64{cfg.Rho},

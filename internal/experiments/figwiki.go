@@ -119,11 +119,7 @@ func (w TraceWorkload) Run(ctx context.Context, cluster ClusterConfig, spec Poli
 
 // RunWiki replays the day under every policy: a Sweep of the wiki workload
 // over the policy set, one parallel cell per policy.
-func RunWiki(cfg WikiConfig) WikiResult { return RunWikiCtx(context.Background(), cfg) }
-
-// RunWikiCtx is RunWiki with cancellation; cancelled runs are omitted from
-// the result.
-func RunWikiCtx(ctx context.Context, cfg WikiConfig) WikiResult {
+func RunWiki(cfg WikiConfig) WikiResult {
 	cfg.Cluster = cfg.Cluster.withDefaults()
 	if len(cfg.Policies) == 0 {
 		cfg.Policies = []PolicySpec{RR(), SRc(4)}
@@ -132,7 +128,7 @@ func RunWikiCtx(ctx context.Context, cfg WikiConfig) WikiResult {
 		cfg.BinWidth = 10 * time.Minute
 	}
 
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(ctx, Sweep{
+	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Workload: WikiWorkload{Day: cfg.Day, Cost: cfg.Cost, BinWidth: cfg.BinWidth, Entries: cfg.Entries},

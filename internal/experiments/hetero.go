@@ -62,10 +62,7 @@ type HeteroResult struct {
 // RunHetero executes RR, SR4 and SRdyn on the mixed cluster — a Sweep over
 // the three policies whose cluster carries a ServerOverride, with the
 // slow-box completion share read from the workload's PoissonStats.
-func RunHetero(cfg HeteroConfig) HeteroResult { return RunHeteroCtx(context.Background(), cfg) }
-
-// RunHeteroCtx is RunHetero with cancellation; cancelled rows are omitted.
-func RunHeteroCtx(ctx context.Context, cfg HeteroConfig) HeteroResult {
+func RunHetero(cfg HeteroConfig) HeteroResult {
 	cfg.Cluster = cfg.Cluster.withDefaults()
 	if cfg.SlowFraction == 0 {
 		cfg.SlowFraction = 1.0 / 3
@@ -102,7 +99,7 @@ func RunHeteroCtx(ctx context.Context, cfg HeteroConfig) HeteroResult {
 		CapacityShare: float64(slow) * cfg.SlowCores / totalCores,
 	}
 	policies := []PolicySpec{RR(), SRc(4), SRdyn()}
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(ctx, Sweep{
+	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
 		Cluster:  cluster,
 		Policies: policies,
 		Loads:    []float64{cfg.Rho},

@@ -83,12 +83,6 @@ type InterferenceResult struct {
 
 // RunInterference executes the experiment.
 func RunInterference(cfg InterferenceConfig) InterferenceResult {
-	return RunInterferenceCtx(context.Background(), cfg)
-}
-
-// RunInterferenceCtx is RunInterference with cancellation; cancelled
-// cells are dropped from the aggregates.
-func RunInterferenceCtx(ctx context.Context, cfg InterferenceConfig) InterferenceResult {
 	serviceSweepDefaults(&cfg.Cluster, &cfg.Lambda0, &cfg.BatchRhos, &cfg.Queries, &cfg.BatchPeak)
 	if cfg.WebRho == 0 {
 		cfg.WebRho = 0.55
@@ -102,7 +96,7 @@ func RunInterferenceCtx(ctx context.Context, cfg InterferenceConfig) Interferenc
 	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, span, cfg.BatchPeak)
 	workload.ServiceLoads = []ServiceLoad{{Fixed: cfg.WebRho}, {}}
 
-	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(ctx, Sweep{
+	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Loads:    cfg.BatchRhos,

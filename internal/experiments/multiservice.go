@@ -589,12 +589,6 @@ type MultiServiceResult struct {
 
 // RunMultiService executes the experiment.
 func RunMultiService(cfg MultiServiceConfig) MultiServiceResult {
-	return RunMultiServiceCtx(context.Background(), cfg)
-}
-
-// RunMultiServiceCtx is RunMultiService with cancellation; cancelled
-// cells are dropped from the aggregates.
-func RunMultiServiceCtx(ctx context.Context, cfg MultiServiceConfig) MultiServiceResult {
 	if len(cfg.Rhos) == 0 {
 		cfg.Rhos = []float64{0.6, 0.85}
 	}
@@ -621,7 +615,7 @@ func RunMultiServiceCtx(ctx context.Context, cfg MultiServiceConfig) MultiServic
 		}, Servers: batchServers},
 	}}
 
-	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(ctx, Sweep{
+	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Loads:    cfg.Rhos,

@@ -89,12 +89,6 @@ type PoliciesResult struct {
 
 // RunPolicies executes the experiment.
 func RunPolicies(cfg PoliciesConfig) PoliciesResult {
-	return RunPoliciesCtx(context.Background(), cfg)
-}
-
-// RunPoliciesCtx is RunPolicies with cancellation; cancelled cells are
-// dropped from the aggregates.
-func RunPoliciesCtx(ctx context.Context, cfg PoliciesConfig) PoliciesResult {
 	serviceSweepDefaults(&cfg.Cluster, &cfg.Lambda0, &cfg.BatchRhos, &cfg.Queries, &cfg.BatchPeak)
 	if cfg.WebRho == 0 {
 		cfg.WebRho = 0.55
@@ -126,7 +120,7 @@ func RunPoliciesCtx(ctx context.Context, cfg PoliciesConfig) PoliciesResult {
 		}},
 	}
 
-	raw, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(ctx, Sweep{
+	raw, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Variants: variants,

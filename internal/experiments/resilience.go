@@ -139,12 +139,6 @@ func resilienceEvents(cfg ResilienceConfig, scenario, mode string) []testbed.Eve
 
 // RunResilience executes the ablation.
 func RunResilience(cfg ResilienceConfig) ResilienceResult {
-	return RunResilienceCtx(context.Background(), cfg)
-}
-
-// RunResilienceCtx is RunResilience with cancellation; cancelled cells
-// are dropped from the aggregates.
-func RunResilienceCtx(ctx context.Context, cfg ResilienceConfig) ResilienceResult {
 	cfg.Cluster = cfg.Cluster.withDefaults()
 	if cfg.Rho == 0 {
 		cfg.Rho = 0.85
@@ -198,7 +192,7 @@ func RunResilienceCtx(ctx context.Context, cfg ResilienceConfig) ResilienceResul
 	// right.
 	policy := SRc(4)
 
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(ctx, Sweep{
+	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: []PolicySpec{policy},
 		Variants: variants,

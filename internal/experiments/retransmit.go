@@ -61,12 +61,6 @@ type RetransmitResult struct {
 // two explicit Scenarios (same policy and workload shape, RST vs
 // silent-drop clusters) handed to the parallel Runner.
 func RunRetransmitAblation(cfg RetransmitConfig) RetransmitResult {
-	return RunRetransmitAblationCtx(context.Background(), cfg)
-}
-
-// RunRetransmitAblationCtx is RunRetransmitAblation with cancellation;
-// cancelled rows are omitted.
-func RunRetransmitAblationCtx(ctx context.Context, cfg RetransmitConfig) RetransmitResult {
 	cfg.Cluster = cfg.Cluster.withDefaults()
 	if cfg.Rho == 0 {
 		cfg.Rho = 1.05
@@ -107,7 +101,7 @@ func RunRetransmitAblationCtx(ctx context.Context, cfg RetransmitConfig) Retrans
 			Load:     cfg.Rho,
 		},
 	}
-	cells, _ := Runner{Progress: cfg.Progress}.Run(ctx, replicateScenarios(modes, seeds))
+	cells, _ := Runner{Progress: cfg.Progress}.Run(context.Background(), replicateScenarios(modes, seeds))
 
 	res := RetransmitResult{Rho: cfg.Rho, Seeds: seeds}
 	for mi := range modes {

@@ -95,12 +95,6 @@ type RhoGridResult struct {
 
 // RunRhoGrid executes the experiment.
 func RunRhoGrid(cfg RhoGridConfig) RhoGridResult {
-	return RunRhoGridCtx(context.Background(), cfg)
-}
-
-// RunRhoGridCtx is RunRhoGrid with cancellation; cancelled cells are
-// dropped from the aggregates.
-func RunRhoGridCtx(ctx context.Context, cfg RhoGridConfig) RhoGridResult {
 	serviceSweepDefaults(&cfg.Cluster, &cfg.Lambda0, &cfg.BatchRhos, &cfg.Queries, &cfg.BatchPeak)
 	if len(cfg.WebRhos) == 0 {
 		cfg.WebRhos = []float64{0.3, 0.55, 0.8}
@@ -120,7 +114,7 @@ func RunRhoGridCtx(ctx context.Context, cfg RhoGridConfig) RhoGridResult {
 
 	// RunSweepStats grows the replication axis adaptively when
 	// cfg.Adaptive is enabled.
-	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(ctx, Sweep{
+	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		LoadGrid: LoadGrid{
