@@ -1,7 +1,10 @@
 package appserver
 
 import (
+	"fmt"
 	"math"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -357,4 +360,242 @@ func BenchmarkSaturatedServer(b *testing.B) {
 		}
 	}
 	sim.Run()
+}
+
+// modelServer is the processor-sharing engine in its naive form — the
+// in-service set a map walked on every event, the finished requests
+// collected and sorted by admission id, a fresh timer for every planned
+// completion — kept as the reference Server is driven against.
+type modelServer struct {
+	cfg Config
+	sim *des.Simulator
+
+	inService map[uint64]*request
+	backlog   []*request
+	nextID    uint64
+
+	lastSettle time.Duration
+	nextDone   *des.Timer
+
+	stats Stats
+}
+
+func (s *modelServer) Stats() Stats     { return s.stats }
+func (s *modelServer) BusyWorkers() int { return len(s.inService) }
+func (s *modelServer) QueueLen() int    { return len(s.backlog) }
+
+func (s *modelServer) Offer(demand time.Duration, onDone func()) Verdict {
+	if demand < 0 {
+		demand = 0
+	}
+	s.settle()
+	req := &request{id: s.nextID, demand: demand, remaining: demand.Seconds(), started: s.sim.Now(), onDone: onDone}
+	s.nextID++
+	if len(s.inService) < s.cfg.Workers {
+		s.stats.Admitted++
+		s.inService[req.id] = req
+		s.reschedule()
+		return Admitted
+	}
+	if len(s.backlog) < s.cfg.Backlog {
+		s.stats.Admitted++
+		s.backlog = append(s.backlog, req)
+		return Admitted
+	}
+	if s.cfg.AbortOnOverflow {
+		s.stats.Rejected++
+		return Rejected
+	}
+	s.stats.Dropped++
+	return DroppedSilently
+}
+
+func (s *modelServer) rate() float64 {
+	k := len(s.inService)
+	if k == 0 {
+		return 0
+	}
+	if float64(k) <= s.cfg.Cores {
+		return 1
+	}
+	return s.cfg.Cores / float64(k)
+}
+
+func (s *modelServer) settle() {
+	now := s.sim.Now()
+	dt := (now - s.lastSettle).Seconds()
+	s.lastSettle = now
+	if dt <= 0 || len(s.inService) == 0 {
+		return
+	}
+	granted := s.rate() * dt
+	for _, req := range s.inService {
+		req.remaining -= granted
+		if req.remaining < 0 {
+			req.remaining = 0
+		}
+	}
+	s.stats.CPUTime += time.Duration(float64(len(s.inService)) * granted * float64(time.Second))
+	s.stats.BusyTime += time.Duration(float64(len(s.inService)) * dt * float64(time.Second))
+}
+
+func (s *modelServer) reschedule() {
+	if s.nextDone != nil {
+		s.sim.Cancel(s.nextDone)
+		s.nextDone = nil
+	}
+	if len(s.inService) == 0 {
+		return
+	}
+	minRemaining := -1.0
+	for _, req := range s.inService {
+		if minRemaining < 0 || req.remaining < minRemaining {
+			minRemaining = req.remaining
+		}
+	}
+	wait := time.Duration(minRemaining / s.rate() * float64(time.Second))
+	if wait < 1 {
+		wait = 1
+	}
+	s.nextDone = s.sim.After(wait, s.complete)
+}
+
+func (s *modelServer) complete() {
+	s.nextDone = nil
+	s.settle()
+	const eps = 1e-12
+	var done []*request
+	for id, req := range s.inService {
+		if req.remaining <= eps {
+			done = append(done, req)
+			delete(s.inService, id)
+		}
+	}
+	for len(s.backlog) > 0 && len(s.inService) < s.cfg.Workers {
+		req := s.backlog[0]
+		s.backlog = s.backlog[1:]
+		s.inService[req.id] = req
+	}
+	s.reschedule()
+	sort.Slice(done, func(i, j int) bool { return done[i].id < done[j].id })
+	for _, req := range done {
+		s.stats.Completed++
+		if req.onDone != nil {
+			req.onDone()
+		}
+	}
+}
+
+// psServer is what the differential driver needs of either engine.
+type psServer interface {
+	Offer(demand time.Duration, onDone func()) Verdict
+	Stats() Stats
+	BusyWorkers() int
+	QueueLen() int
+}
+
+// psLoad is one differential scenario: a server shape and how hard the
+// random Offer / advance-clock sequence pushes it.
+type psLoad struct {
+	name       string
+	cfg        Config
+	meanDemand time.Duration
+	meanGap    time.Duration // mean clock advance between offers
+}
+
+// drivePS runs a seeded random sequence of offers and clock advances
+// against the engine build returns and logs everything observable: each
+// verdict, each completion with its instant, and after every step the
+// scoreboard, the Stats and the simulator's event count. Demands include
+// zero and single nanoseconds (which processor sharing turns into
+// sub-nanosecond residuals), some offers carry no callback, and some
+// callbacks offer again from inside the completion event.
+func drivePS(seed uint64, load psLoad, build func(*des.Simulator, Config) psServer, afterStep func(psServer)) ([]string, Stats) {
+	sim := des.New()
+	s := build(sim, load.cfg)
+	r := rng.New(seed)
+	var log []string
+	logf := func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) }
+	demand := func() time.Duration {
+		switch r.IntN(8) {
+		case 0:
+			return 0
+		case 1:
+			return time.Duration(1 + r.IntN(3))
+		default:
+			return rng.Exp(r, load.meanDemand)
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		switch k := r.IntN(10); {
+		case k < 6:
+			tag, d, again := i, demand(), demand()
+			var onDone func()
+			switch r.IntN(8) {
+			case 0: // no callback
+			case 1: // a callback that re-enters Offer
+				onDone = func() {
+					logf("done %d at %d", tag, sim.Now())
+					logf("offer %d+ → %v", tag, s.Offer(again, func() { logf("done %d+ at %d", tag, sim.Now()) }))
+				}
+			default:
+				onDone = func() { logf("done %d at %d", tag, sim.Now()) }
+			}
+			logf("offer %d (%d) → %v", tag, d, s.Offer(d, onDone))
+		case k < 9:
+			sim.RunFor(rng.Exp(r, load.meanGap))
+		default:
+			sim.RunFor(time.Duration(r.IntN(3))) // 0, 1 or 2 ns
+		}
+		logf("step %d: now %d busy %d queue %d stats %+v processed %d pending %d",
+			i, sim.Now(), s.BusyWorkers(), s.QueueLen(), s.Stats(), sim.Processed(), sim.Pending())
+		if afterStep != nil {
+			afterStep(s)
+		}
+	}
+	sim.Run()
+	logf("end: now %d stats %+v processed %d", sim.Now(), s.Stats(), sim.Processed())
+	return log, s.Stats()
+}
+
+// TestServerMatchesNaiveModel: under-, at- and over-capacity, with the
+// backlog overflowing into RSTs and into silent drops, Server returns the
+// model's verdicts, completes the same requests in the same order at the
+// same nanosecond, accounts the same Stats (CPUTime and BusyTime are
+// float sums, so this is bit-for-bit) and costs the simulator the same
+// number of events.
+func TestServerMatchesNaiveModel(t *testing.T) {
+	small := Config{Workers: 4, Cores: 2, Backlog: 6, AbortOnOverflow: true}
+	silent := small
+	silent.AbortOnOverflow = false
+	loads := []psLoad{
+		{"under", Default(), 10 * time.Millisecond, 20 * time.Millisecond},
+		{"at", small, 10 * time.Millisecond, 8 * time.Millisecond},
+		{"over-abort", small, 10 * time.Millisecond, time.Millisecond},
+		{"over-silent", silent, 10 * time.Millisecond, time.Millisecond},
+		{"over-no-backlog", Config{Workers: 3, Cores: 0.5, Backlog: 0}, time.Millisecond, 500 * time.Microsecond},
+		{"paper-over", Default(), 100 * time.Millisecond, 500 * time.Microsecond},
+	}
+	model := func(sim *des.Simulator, cfg Config) psServer {
+		return &modelServer{cfg: cfg, sim: sim, inService: make(map[uint64]*request)}
+	}
+	real := func(sim *des.Simulator, cfg Config) psServer { return New(sim, "s", cfg) }
+	for _, load := range loads {
+		for seed := uint64(1); seed <= 4; seed++ {
+			want, st := drivePS(seed, load, model, nil)
+			got, _ := drivePS(seed, load, real, nil)
+			if over := st.Rejected+st.Dropped > 0; over != strings.Contains(load.name, "over") && load.name != "at" {
+				t.Fatalf("%s seed %d: scenario misses its regime: %+v", load.name, seed, st)
+			}
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Fatalf("%s seed %d diverges at log line %d:\n model: %s\n server: %s",
+						load.name, seed, i, want[i], append(got, "<end>")[min(i, len(got))])
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: server logged %d lines, model %d", load.name, seed, len(got), len(want))
+			}
+		}
+	}
 }

@@ -1,7 +1,9 @@
 package des
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"time"
 )
@@ -403,5 +405,60 @@ func BenchmarkCalendarMixed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.ScheduleAfter(time.Duration(rng.IntN(200_000))*time.Microsecond, func() {})
 		s.Step()
+	}
+}
+
+// moveWorkload pops a shuffled workload of 200 handle timers, moving
+// random ones through move between bursts of events, and returns the
+// firing order. Times sit on a coarse grid so that many events share an
+// instant, and after half the moves a pooled event is scheduled at the
+// moved timer's new instant: whatever move does to the scheduling
+// sequence shows in the log.
+func moveWorkload(seed uint64, move func(s *Simulator, t *Timer, at time.Duration, fn func()) *Timer) []string {
+	const n, grid = 200, 100 * time.Microsecond
+	r := rand.New(rand.NewPCG(seed, 0))
+	s := New()
+	var log []string
+	timers, fns := make([]*Timer, n), make([]func(), n)
+	for i := range timers {
+		fns[i] = func() { log = append(log, fmt.Sprintf("%d@%v", i, s.Now())) }
+		timers[i] = s.At(time.Duration(r.IntN(1000))*grid, fns[i])
+	}
+	for round := 0; round < 400; round++ {
+		s.RunFor(time.Duration(r.IntN(20)) * grid)
+		for k := 0; k < 5; k++ {
+			i := r.IntN(n)
+			if !timers[i].Pending() {
+				continue
+			}
+			at := s.Now() + time.Duration(r.IntN(50))*grid
+			timers[i] = move(s, timers[i], at, fns[i])
+			if r.IntN(2) == 0 {
+				s.Schedule(at, func() { log = append(log, fmt.Sprintf("after %d@%v", i, s.Now())) })
+			}
+		}
+	}
+	s.Run()
+	return append(log, fmt.Sprintf("processed %d", s.Processed()))
+}
+
+// TestRescheduleMatchesCancelAfter: Reschedule is Cancel followed by At
+// with the same callback — same firing order, same-instant ties
+// included, and the same number of events.
+func TestRescheduleMatchesCancelAfter(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		want := moveWorkload(seed, func(s *Simulator, tm *Timer, at time.Duration, fn func()) *Timer {
+			s.Cancel(tm)
+			return s.At(at, fn)
+		})
+		got := moveWorkload(seed, func(s *Simulator, tm *Timer, at time.Duration, _ func()) *Timer {
+			if !s.Reschedule(tm, at) {
+				t.Fatalf("seed %d: Reschedule refused a timer", seed)
+			}
+			return tm
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: firing order differs\n Cancel+At:  %v\n Reschedule: %v", seed, want, got)
+		}
 	}
 }

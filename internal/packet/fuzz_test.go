@@ -1,7 +1,12 @@
 package packet
 
 import (
+	"bytes"
+	"errors"
 	"math/rand/v2"
+	"net/netip"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -85,4 +90,159 @@ func TestParseExtensionChainBounds(t *testing.T) {
 	if _, err := Parse(c, false); err == nil {
 		t.Fatal("oversized ext len accepted")
 	}
+}
+
+// fuzzSeedWires returns the wire forms the data plane emits — a hunt
+// [s1,s2,VIP], a steer [s,VIP], a SYN-ACK [s,LB,c] past its first
+// segment with non-zero Flags/Tag, a plain TCP packet — and a header at
+// the 127-segment limit.
+func fuzzSeedWires(tb testing.TB) [][]byte {
+	tb.Helper()
+	long := make([]netip.Addr, srv6.MaxSegments)
+	for i := range long {
+		long[i] = s1
+	}
+	long[len(long)-1] = vip
+	synack := srv6.MustNew(ipv6.ProtoTCP, s1, lb, client)
+	synack.SegmentsLeft, synack.Flags, synack.Tag = 1, 0xa5, 0xbeef
+	body := []byte("GET /wiki/index.php?title=Main HTTP/1.1")
+	var wires [][]byte
+	for _, p := range []*Packet{
+		{IP: ipv6.Header{Src: client, Dst: s1}, SRH: srv6.MustNew(ipv6.ProtoTCP, s1, s2, vip),
+			TCP: tcpseg.Segment{SrcPort: 40000, DstPort: 80, Flags: tcpseg.FlagSYN, Payload: body}},
+		{IP: ipv6.Header{Src: client, Dst: s2}, SRH: srv6.MustNew(ipv6.ProtoTCP, s2, vip),
+			TCP: tcpseg.Segment{SrcPort: 40000, DstPort: 80, Seq: 1, Ack: 2, Flags: tcpseg.FlagACK, Payload: body}},
+		{IP: ipv6.Header{Src: vip, Dst: lb}, SRH: synack,
+			TCP: tcpseg.Segment{SrcPort: 80, DstPort: 40000, Seq: 1, Ack: 1, Flags: tcpseg.FlagSYN | tcpseg.FlagACK}},
+		{IP: ipv6.Header{Src: vip, Dst: client, TrafficClass: 0x2e, FlowLabel: 0xabcde},
+			TCP: tcpseg.Segment{SrcPort: 80, DstPort: 40000, Seq: 2, Ack: 2, Window: 512,
+				Flags: tcpseg.FlagPSH | tcpseg.FlagACK | tcpseg.FlagFIN, Payload: []byte("HTTP/1.1 200 OK\r\n\r\n")}},
+		{IP: ipv6.Header{Src: client, Dst: s1}, SRH: srv6.MustNew(ipv6.ProtoTCP, long...),
+			TCP: tcpseg.Segment{SrcPort: 1, DstPort: 2, Flags: tcpseg.FlagSYN}},
+	} {
+		wire, err := p.Marshal(nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		wires = append(wires, wire)
+	}
+	return wires
+}
+
+// checkSRHBounds: no accepted SegmentsLeft / Last Entry / Hdr Ext Len
+// combination lets an accessor index outside the segment list, and a
+// header with SegmentsLeft = k advances exactly k times.
+func checkSRHBounds(t *testing.T, h *srv6.SRH) {
+	t.Helper()
+	n := len(h.Segments)
+	if n == 0 || n > srv6.MaxSegments || int(h.SegmentsLeft) >= n || int(h.LastEntry()) != n-1 {
+		t.Fatalf("accepted SRH out of range: %d segments, SL=%d", n, h.SegmentsLeft)
+	}
+	if a, err := h.Active(); err != nil || a != h.Segments[h.SegmentsLeft] {
+		t.Fatalf("Active() = %v, %v", a, err)
+	}
+	if a, err := h.Final(); err != nil || a != h.Segments[0] {
+		t.Fatalf("Final() = %v, %v", a, err)
+	}
+	// How the LB reads "who accepted": one position behind the active one.
+	if _, err := h.SegmentAtSL(h.SegmentsLeft + 1); (err == nil) != (int(h.SegmentsLeft)+1 < n) {
+		t.Fatalf("SegmentAtSL(SL+1) with SL=%d of %d: %v", h.SegmentsLeft, n, err)
+	}
+	walk := *h // Advance only touches SegmentsLeft
+	for left := int(h.SegmentsLeft); left > 0; left-- {
+		if a, err := walk.Advance(); err != nil || a != h.Segments[left-1] {
+			t.Fatalf("Advance() at SL=%d: %v, %v", left, a, err)
+		}
+	}
+	if _, err := walk.Advance(); !errors.Is(err, srv6.ErrExhausted) {
+		t.Fatalf("Advance() past the last segment: %v", err)
+	}
+}
+
+// samePacket compares two parsed packets field for field.
+func samePacket(a, b *Packet) bool {
+	if a.IP != b.IP || (a.SRH == nil) != (b.SRH == nil) {
+		return false
+	}
+	if a.SRH != nil {
+		x, y := a.SRH, b.SRH
+		if x.NextHeader != y.NextHeader || x.SegmentsLeft != y.SegmentsLeft || x.Flags != y.Flags ||
+			x.Tag != y.Tag || !slices.Equal(x.Segments, y.Segments) {
+			return false
+		}
+	}
+	x, y := a.TCP, b.TCP
+	x.Payload, y.Payload = nil, nil
+	return reflect.DeepEqual(x, y) && bytes.Equal(a.TCP.Payload, b.TCP.Payload)
+}
+
+// checkParse runs the single-wire properties on one input: Parse never
+// panics, with and without checksum verification; what it accepts is
+// index-safe and re-marshals (unless an address on the wire is one the
+// simulated LAN refuses to emit); the re-marshaled bytes carry a valid
+// checksum and are a fixed point of parse → marshal. It returns the
+// packet parsed without verification, or nil when wire is rejected.
+func checkParse(t *testing.T, wire []byte) *Packet {
+	t.Helper()
+	verified, verr := Parse(wire, true)
+	p, err := Parse(wire, false)
+	if err != nil {
+		if verr == nil {
+			t.Fatalf("accepted only under verification: %v", err)
+		}
+		return nil
+	}
+	if verr == nil && !samePacket(verified, p) {
+		t.Fatalf("verification changed the parse:\n %v\n %v", verified, p)
+	} else if verr != nil && !errors.Is(verr, tcpseg.ErrBadChecksum) {
+		t.Fatalf("rejected only under verification, not for the checksum: %v", verr)
+	}
+	if p.SRH != nil {
+		checkSRHBounds(t, p.SRH)
+	}
+	if got := p.Clone(); !samePacket(got, p) {
+		t.Fatalf("Clone differs:\n %v\n %v", got, p)
+	}
+	b, err := p.Clone().Marshal(nil)
+	if err != nil {
+		if !errors.Is(err, ipv6.ErrNotV6Addr) {
+			t.Fatalf("parsed packet does not re-marshal: %v", err)
+		}
+		return p
+	}
+	// The first re-marshal normalises (lengths, checksum, hop limit, TCP
+	// options dropped); from there on the bytes may not move.
+	p2, err := Parse(b, true)
+	if err != nil {
+		t.Fatalf("re-marshaled packet rejected: %v", err)
+	}
+	c, err := p2.Clone().Marshal(nil)
+	if err != nil || !bytes.Equal(b, c) {
+		t.Fatalf("parse → marshal is not a fixed point (%v):\n %x\n %x", err, b, c)
+	}
+	if p3, err := Parse(c, true); err != nil || !samePacket(p2, p3) {
+		t.Fatalf("parse → marshal → parse is not a fixed point (%v):\n %v\n %v", err, p2, p3)
+	}
+	return p
+}
+
+// FuzzPacketParse is the wire parser's safety net: every delivery of
+// every simulated hop, and every packet a hostile network injects, goes
+// through Parse.
+func FuzzPacketParse(f *testing.F) {
+	r := rand.New(rand.NewPCG(3, 4))
+	for _, wire := range fuzzSeedWires(f) {
+		f.Add(wire)
+		f.Add(wire[:len(wire)-1])
+		f.Add(wire[:ipv6.HeaderLen+8])
+		flipped := slices.Clone(wire)
+		for j := 0; j < 3; j++ {
+			flipped[r.IntN(len(flipped))] ^= byte(1 << r.IntN(8))
+		}
+		f.Add(flipped)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, wire []byte) {
+		checkParse(t, wire)
+	})
 }
