@@ -9,13 +9,25 @@
 //	srlb-sim -policy srdyn -rate 150 -queries 50000 -servers 24
 //	srlb-sim -policy src:6 -rho 0.7 -workers 16 -cores 1
 //	srlb-sim -policy sr4 -rho 0.6 -workload bursty
+//	srlb-sim -policy sr4 -rho 0.85 -queries 100000 -cpuprofile cpu.pprof
+//	srlb-sim -policy sr4 -rho 0.85 -queries 100000 -memprofile mem.pprof
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the whole
+// run, calibration included (give -rate to leave it out). -memprofile
+// records every allocation rather than a sample, so that
+// `go tool pprof -sample_index=alloc_objects -top mem.pprof` divided by
+// -queries is the exact per-site allocation count of one query; the run
+// is several times slower for it, so take the two profiles separately.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -51,7 +63,54 @@ func parsePolicy(s string) (srlb.Policy, error) {
 	return srlb.Policy{}, fmt.Errorf("unknown policy %q (want rr, srN, src:N, srdyn)", s)
 }
 
-func main() {
+// startProfiles starts the CPU profile (cpuPath != "") and switches the
+// allocation profile to record everything (memPath != ""). The returned
+// stop ends the former, writes the latter and reports what failed.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	if memPath != "" {
+		runtime.MemProfileRate = 1
+	}
+	return func() error {
+		var errs []error
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			errs = append(errs, cpu.Close())
+		}
+		if memPath != "" {
+			errs = append(errs, writeAllocProfile(memPath))
+		}
+		return errors.Join(errs...)
+	}, nil
+}
+
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the profile is complete only up to the last collection
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func main() { os.Exit(simulate()) }
+
+// simulate is main returning its exit code, so that the profiles are
+// stopped and written on every path out.
+func simulate() (code int) {
 	var (
 		policyFlag = flag.String("policy", "sr4", "rr | srN (e.g. sr4) | src:N | srdyn")
 		rate       = flag.Float64("rate", 0, "absolute arrival rate in queries/sec")
@@ -64,17 +123,30 @@ func main() {
 		noAbort    = flag.Bool("no-abort-on-overflow", false, "silently drop instead of RST on backlog overflow")
 		workload   = flag.String("workload", "poisson", "poisson | bursty (on/off MMPP at the same mean rate)")
 		seed       = flag.Uint64("seed", 1, "RNG seed")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile of the run to this file (records every allocation: slower)")
 	)
 	flag.Parse()
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "srlb-sim: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "srlb-sim: %v\n", err)
+			code = max(code, 1)
+		}
+	}()
 
 	spec, err := parsePolicy(*policyFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "srlb-sim: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
 	if *workload != "poisson" && *workload != "bursty" {
 		fmt.Fprintf(os.Stderr, "srlb-sim: unknown workload %q (want poisson or bursty)\n", *workload)
-		os.Exit(2)
+		return 2
 	}
 	cluster := srlb.Cluster{
 		Seed:    *seed,
@@ -120,7 +192,7 @@ func main() {
 				fmt.Printf("  server-%-4d completed=%d\n", i, done)
 			}
 		}
-		return
+		return 0
 	}
 
 	var tb *testbed.Testbed
@@ -152,4 +224,5 @@ func main() {
 		}
 		fmt.Printf("  flow table: %d live entries, stats %+v\n", tb.LB.FlowCount(), tb.LB.FlowStats())
 	}
+	return 0
 }

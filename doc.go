@@ -231,6 +231,15 @@
 // (`srlb-bench -experiment horizon`); BENCH_core.json tracks the hot
 // paths' ns/op and allocs/op across commits (docs/RESULTS_SCHEMA.md).
 //
+// On the data plane every hop is marshal → wire bytes → parse, and a
+// delivered packet belongs to the node that receives it — the LB and the
+// virtual routers rewrite and re-send it in place — but only until Handle
+// returns: internal/netsim recycles the Packet, the wire buffer its
+// payload aliases and the SRH its routing header was parsed into
+// (packet.ParseInto overwrites whatever header p.SRH points at on entry)
+// for the next delivery. Whatever must outlive the call — a tap's
+// capture, a test's assertion — is a packet.Clone, never a kept pointer.
+//
 // # Interpreting results: seeds, CI width, choosing Sweep.Seeds
 //
 // Every simulation cell is a pure function of its scenario value, so a

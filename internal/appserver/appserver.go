@@ -14,13 +14,15 @@
 //
 // The processor-sharing engine is event-exact: on every arrival and
 // departure the remaining work of in-service requests is settled against
-// elapsed virtual time, and the next completion is rescheduled. Cost is
-// O(workers) per event with workers ≤ 32, which is negligible.
+// elapsed virtual time, and the next completion is rescheduled. The
+// in-service set is a slice in admission order — the order completions
+// sharing an instant are reported in, so it is never sorted (see
+// Server.inService) — and the next completion is one timer the server
+// moves: an event costs one pass over ≤ 32 requests and no garbage.
 package appserver
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"srlb/internal/des"
@@ -123,11 +125,22 @@ type Server struct {
 	sim  *des.Simulator
 	name string
 
-	inService map[uint64]*request
+	// inService holds the requests on a worker in ascending admission id.
+	// Appending keeps it so: a request is admitted straight onto a worker
+	// only while the backlog is empty (the backlog fills only when every
+	// worker is busy and complete refills the workers from it before
+	// returning), so it is younger than everything in service; and
+	// complete promotes from the backlog FIFO, oldest first, onto requests
+	// that were admitted before the backlog formed.
+	inService []*request
+	finished  []*request // complete's scratch, grown on first use
 	backlog   []*request
 	nextID    uint64
 
-	lastSettle  time.Duration
+	lastSettle time.Duration
+	// nextDone is the completion event: created by the first admission
+	// with s.complete bound once, then moved while pending and re-armed
+	// after it fired.
 	nextDone    *des.Timer
 	lastBusyAcc time.Duration
 
@@ -140,12 +153,7 @@ func New(sim *des.Simulator, name string, cfg Config) *Server {
 	if err := cfg.validate(); err != nil {
 		panic(err)
 	}
-	return &Server{
-		cfg:       cfg,
-		sim:       sim,
-		name:      name,
-		inService: make(map[uint64]*request, cfg.Workers),
-	}
+	return &Server{cfg: cfg, sim: sim, name: name}
 }
 
 // Name returns the server's display name.
@@ -194,7 +202,7 @@ func (s *Server) Offer(demand time.Duration, onDone func()) Verdict {
 	s.nextID++
 	if len(s.inService) < s.cfg.Workers {
 		s.stats.Admitted++
-		s.inService[req.id] = req
+		s.inService = append(s.inService, req)
 		s.reschedule()
 		return Admitted
 	}
@@ -245,11 +253,8 @@ func (s *Server) settle() {
 
 // reschedule plans the next completion event.
 func (s *Server) reschedule() {
-	if s.nextDone != nil {
-		s.sim.Cancel(s.nextDone)
-		s.nextDone = nil
-	}
 	if len(s.inService) == 0 {
+		s.sim.Cancel(s.nextDone)
 		return
 	}
 	minRemaining := -1.0
@@ -266,36 +271,44 @@ func (s *Server) reschedule() {
 	if wait < 1 {
 		wait = 1
 	}
-	s.nextDone = s.sim.After(wait, s.complete)
+	if s.nextDone == nil {
+		s.nextDone = s.sim.After(wait, s.complete)
+		return
+	}
+	s.sim.Reschedule(s.nextDone, s.sim.Now()+wait)
 }
 
-// complete settles work and finishes every request that has none left.
+// complete settles work and finishes every request that has none left,
+// calling back in admission order so that packet emission is
+// deterministic.
 func (s *Server) complete() {
-	s.nextDone = nil
 	s.settle()
 	const eps = 1e-12 // FP slack: half a picosecond of CPU work
-	var done []*request
-	for id, req := range s.inService {
+	done, live := s.finished[:0], s.inService[:0]
+	for _, req := range s.inService {
 		if req.remaining <= eps {
 			done = append(done, req)
-			delete(s.inService, id)
+		} else {
+			live = append(live, req)
 		}
 	}
 	// Promote backlog into freed worker slots (FIFO, like the kernel
 	// accept queue).
-	for len(s.backlog) > 0 && len(s.inService) < s.cfg.Workers {
-		req := s.backlog[0]
+	for len(s.backlog) > 0 && len(live) < s.cfg.Workers {
+		live = append(live, s.backlog[0])
 		s.backlog = s.backlog[1:]
-		s.inService[req.id] = req
 	}
+	// No more were promoted than finished (a backlog means every worker
+	// was busy), so live is a prefix; the slots behind it are vacated.
+	clear(s.inService[len(live):])
+	s.inService = live
 	s.reschedule()
-	// Map iteration order is randomized; sort by admission id so that
-	// completion callbacks (and hence packet emission) are deterministic.
-	sort.Slice(done, func(i, j int) bool { return done[i].id < done[j].id })
 	for _, req := range done {
 		s.stats.Completed++
 		if req.onDone != nil {
 			req.onDone()
 		}
 	}
+	clear(done)
+	s.finished = done
 }

@@ -1,10 +1,11 @@
 package appserver
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -501,6 +502,7 @@ type psLoad struct {
 	cfg        Config
 	meanDemand time.Duration
 	meanGap    time.Duration // mean clock advance between offers
+	overflow   int           // must the backlog overflow: +1 yes, -1 no, 0 either
 }
 
 // drivePS runs a seeded random sequence of offers and clock advances
@@ -563,18 +565,19 @@ func drivePS(seed uint64, load psLoad, build func(*des.Simulator, Config) psServ
 // model's verdicts, completes the same requests in the same order at the
 // same nanosecond, accounts the same Stats (CPUTime and BusyTime are
 // float sums, so this is bit-for-bit) and costs the simulator the same
-// number of events.
+// number of events — with its in-service slice in admission order after
+// every step.
 func TestServerMatchesNaiveModel(t *testing.T) {
 	small := Config{Workers: 4, Cores: 2, Backlog: 6, AbortOnOverflow: true}
 	silent := small
 	silent.AbortOnOverflow = false
 	loads := []psLoad{
-		{"under", Default(), 10 * time.Millisecond, 20 * time.Millisecond},
-		{"at", small, 10 * time.Millisecond, 8 * time.Millisecond},
-		{"over-abort", small, 10 * time.Millisecond, time.Millisecond},
-		{"over-silent", silent, 10 * time.Millisecond, time.Millisecond},
-		{"over-no-backlog", Config{Workers: 3, Cores: 0.5, Backlog: 0}, time.Millisecond, 500 * time.Microsecond},
-		{"paper-over", Default(), 100 * time.Millisecond, 500 * time.Microsecond},
+		{"under", Default(), 10 * time.Millisecond, 20 * time.Millisecond, -1},
+		{"at", small, 10 * time.Millisecond, 8 * time.Millisecond, 0},
+		{"over, abort", small, 10 * time.Millisecond, time.Millisecond, +1},
+		{"over, silent", silent, 10 * time.Millisecond, time.Millisecond, +1},
+		{"over, no backlog", Config{Workers: 3, Cores: 0.5, Backlog: 0}, time.Millisecond, 500 * time.Microsecond, +1},
+		{"over, paper's server", Default(), 100 * time.Millisecond, 500 * time.Microsecond, +1},
 	}
 	model := func(sim *des.Simulator, cfg Config) psServer {
 		return &modelServer{cfg: cfg, sim: sim, inService: make(map[uint64]*request)}
@@ -583,8 +586,14 @@ func TestServerMatchesNaiveModel(t *testing.T) {
 	for _, load := range loads {
 		for seed := uint64(1); seed <= 4; seed++ {
 			want, st := drivePS(seed, load, model, nil)
-			got, _ := drivePS(seed, load, real, nil)
-			if over := st.Rejected+st.Dropped > 0; over != strings.Contains(load.name, "over") && load.name != "at" {
+			got, _ := drivePS(seed, load, real, func(s psServer) {
+				srv := s.(*Server)
+				if !slices.IsSortedFunc(srv.inService, func(a, b *request) int { return cmp.Compare(a.id, b.id) }) ||
+					len(srv.inService) > srv.cfg.Workers || (len(srv.backlog) > 0 && len(srv.inService) < srv.cfg.Workers) {
+					t.Fatalf("%s seed %d: in-service set out of admission order, or a backlog beside a free worker", load.name, seed)
+				}
+			})
+			if over := st.Rejected+st.Dropped > 0; (over && load.overflow < 0) || (!over && load.overflow > 0) {
 				t.Fatalf("%s seed %d: scenario misses its regime: %+v", load.name, seed, st)
 			}
 			for i := range want {
@@ -597,5 +606,31 @@ func TestServerMatchesNaiveModel(t *testing.T) {
 				t.Fatalf("%s seed %d: server logged %d lines, model %d", load.name, seed, len(got), len(want))
 			}
 		}
+	}
+}
+
+// TestOfferToCompletionAllocatesOnlyTheRequest: on a busy server an
+// admission and the completion event it leads to cost one heap object,
+// the request — no timer, no bound method value, no list of finished
+// requests.
+func TestOfferToCompletionAllocatesOnlyTheRequest(t *testing.T) {
+	sim := des.New()
+	s := New(sim, "s1", Default())
+	for i := 0; i < 20; i++ {
+		s.Offer(1000*time.Hour, nil)
+	}
+	done := 0
+	onDone := func() { done++ }
+	serve := func() {
+		if s.Offer(time.Microsecond, onDone) != Admitted || !sim.Step() {
+			t.Fatal("offer not served")
+		}
+	}
+	serve() // the scratch slice and the timer come with the first completion
+	if n := testing.AllocsPerRun(100, serve); n > 1 {
+		t.Fatalf("Offer → completion: %v allocs, want ≤ 1", n)
+	}
+	if done != 102 || s.BusyWorkers() != 20 {
+		t.Fatalf("done = %d, busy = %d", done, s.BusyWorkers())
 	}
 }

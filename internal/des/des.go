@@ -10,10 +10,13 @@
 // makes whole-cluster simulations bit-for-bit reproducible.
 //
 // Two scheduling flavors exist: At/After return a *Timer handle that
-// can be cancelled or rescheduled, while Schedule/ScheduleAfter return
-// nothing and recycle the timer's allocation through an internal free
-// list once it fires — the zero-garbage path for fire-and-forget events
-// (packet deliveries, arrival streams), which dominate the hot loop.
+// can be cancelled or rescheduled — and re-armed through Reschedule
+// after it fired or was cancelled, so a component with one recurring
+// event (a server's next completion) keeps one Timer for life — while
+// Schedule/ScheduleAfter return nothing and recycle the timer's
+// allocation through an internal free list once it fires — the
+// zero-garbage path for fire-and-forget events (packet deliveries,
+// arrival streams), which dominate the hot loop.
 //
 // The kernel is intentionally single-threaded: simulated components are
 // plain state machines invoked from the event loop, which keeps them free
@@ -26,12 +29,12 @@ import (
 	"time"
 )
 
-// Timer is a handle to a scheduled event. It can be cancelled or
-// rescheduled until it has fired.
+// Timer is a handle to a scheduled event. It can be cancelled while
+// pending and rescheduled at any time; it keeps its callback for life.
 type Timer struct {
 	at         time.Duration
 	seq        uint64
-	fn         func()
+	fn         func() // cleared on firing only for pooled timers
 	prev, next *Timer // intrusive bucket list; nil once fired/cancelled
 	pooled     bool   // allocated by Schedule: recycle after firing
 }
@@ -337,20 +340,26 @@ func (s *Simulator) Cancel(t *Timer) bool {
 		return false
 	}
 	s.remove(t)
-	t.fn = nil
 	return true
 }
 
-// Reschedule moves a pending timer to fire at absolute time t, keeping its
-// callback. If the timer already fired it reports false.
+// Reschedule makes a timer obtained from At or After fire at absolute
+// time at, keeping its callback: a pending timer is moved, one that has
+// fired (its own callback may be the caller) or was cancelled is armed
+// again. Either way it is exactly Cancel followed by At — one scheduling
+// sequence number is consumed, so the timer orders after everything
+// already scheduled for the same instant — minus the allocation. A nil
+// timer, or one that never came from At, is refused with false.
 func (s *Simulator) Reschedule(t *Timer, at time.Duration) bool {
-	if t == nil || t.next == nil {
+	if t == nil || t.pooled || t.fn == nil {
 		return false
 	}
 	if at < s.now {
 		panic(fmt.Sprintf("des: rescheduling event at %v before now %v", at, s.now))
 	}
-	s.remove(t)
+	if t.next != nil {
+		s.remove(t)
+	}
 	t.at = at
 	s.seq++
 	t.seq = s.seq
@@ -368,8 +377,8 @@ func (s *Simulator) Step() bool {
 	s.remove(t)
 	s.now = t.at
 	fn := t.fn
-	t.fn = nil
 	if t.pooled {
+		t.fn = nil
 		t.next = s.free
 		s.free = t
 	}

@@ -115,8 +115,12 @@ func TestReschedule(t *testing.T) {
 	if at != 5*time.Second {
 		t.Fatalf("fired at %v, want 5s", at)
 	}
-	if s.Reschedule(tm, 6*time.Second) {
-		t.Fatal("Reschedule of fired timer should report false")
+	if !s.Reschedule(tm, 6*time.Second) || !tm.Pending() {
+		t.Fatal("Reschedule of fired timer should arm it again")
+	}
+	s.Run()
+	if at != 6*time.Second || s.Processed() != 2 {
+		t.Fatalf("re-armed timer fired at %v after %d events, want 6s after 2", at, s.Processed())
 	}
 }
 
@@ -408,9 +412,10 @@ func BenchmarkCalendarMixed(b *testing.B) {
 	}
 }
 
-// moveWorkload pops a shuffled workload of 200 handle timers, moving
-// random ones through move between bursts of events, and returns the
-// firing order. Times sit on a coarse grid so that many events share an
+// moveWorkload pops a shuffled workload of 200 handle timers, between
+// bursts of events cancelling random ones and moving random ones —
+// pending, fired or cancelled — through move, and returns the firing
+// order. Times sit on a coarse grid so that many events share an
 // instant, and after half the moves a pooled event is scheduled at the
 // moved timer's new instant: whatever move does to the scheduling
 // sequence shows in the log.
@@ -428,7 +433,8 @@ func moveWorkload(seed uint64, move func(s *Simulator, t *Timer, at time.Duratio
 		s.RunFor(time.Duration(r.IntN(20)) * grid)
 		for k := 0; k < 5; k++ {
 			i := r.IntN(n)
-			if !timers[i].Pending() {
+			if r.IntN(4) == 0 {
+				s.Cancel(timers[i])
 				continue
 			}
 			at := s.Now() + time.Duration(r.IntN(50))*grid
@@ -442,9 +448,10 @@ func moveWorkload(seed uint64, move func(s *Simulator, t *Timer, at time.Duratio
 	return append(log, fmt.Sprintf("processed %d", s.Processed()))
 }
 
-// TestRescheduleMatchesCancelAfter: Reschedule is Cancel followed by At
-// with the same callback — same firing order, same-instant ties
-// included, and the same number of events.
+// TestRescheduleMatchesCancelAfter: on pending, fired and cancelled
+// timers alike Reschedule is Cancel followed by At with the same
+// callback — same firing order, same-instant ties included, and the same
+// number of events.
 func TestRescheduleMatchesCancelAfter(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		want := moveWorkload(seed, func(s *Simulator, tm *Timer, at time.Duration, fn func()) *Timer {
@@ -460,5 +467,44 @@ func TestRescheduleMatchesCancelAfter(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: firing order differs\n Cancel+At:  %v\n Reschedule: %v", seed, want, got)
 		}
+	}
+}
+
+// TestRescheduleFromOwnCallback: a fired timer re-armed from inside its
+// own callback fires once more, at the new time, after an event that was
+// already scheduled for that instant.
+func TestRescheduleFromOwnCallback(t *testing.T) {
+	s := New()
+	var order []string
+	var tm *Timer
+	tm = s.At(time.Second, func() {
+		order = append(order, fmt.Sprintf("timer@%v", s.Now()))
+		if s.Now() == time.Second && !s.Reschedule(tm, 3*time.Second) {
+			t.Fatal("Reschedule refused the firing timer")
+		}
+	})
+	s.At(3*time.Second, func() { order = append(order, "earlier@3s") })
+	s.Run()
+	if want := []string{"timer@1s", "earlier@3s", "timer@3s"}; !slices.Equal(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	if s.Processed() != 3 || tm.Pending() {
+		t.Fatalf("processed %d events, pending %v", s.Processed(), tm.Pending())
+	}
+}
+
+// TestRescheduleRefusals: only a timer that came from At can be armed.
+func TestRescheduleRefusals(t *testing.T) {
+	s := New()
+	s.Schedule(time.Second, func() {})
+	pooled := s.peek()
+	for name, tm := range map[string]*Timer{"nil": nil, "zero": {}, "pooled, pending": pooled} {
+		if s.Reschedule(tm, 2*time.Second) {
+			t.Fatalf("Reschedule accepted a %s timer", name)
+		}
+	}
+	s.Run()
+	if s.Reschedule(pooled, 2*time.Second) || s.Pending() != 0 {
+		t.Fatal("Reschedule accepted a pooled timer from the free list")
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -294,5 +295,31 @@ func wikiDayFast(seed uint64) wiki.Config {
 	return wiki.Config{
 		Seed:        seed,
 		Compression: 288, // 24h -> 5 simulated minutes
+	}
+}
+
+// TestQueryAllocationBudget keeps the receive-and-serve path garbage-free
+// where CI can see it: one query of the paper's reference cell — SR4 at
+// ρ = 0.85 on 12 servers — costs at most 12 heap objects, everything
+// around the simulation (testbed, sketches, free lists filling) included.
+// What is left is the LB's two SRHs and candidate list, the server's
+// connection record, request and two closures, and — in a run this short
+// — one flow-table entry per query, which the idle TTL recycles in longer
+// ones. Allocation counts do not depend on the host, so the bound is
+// tight: re-parsing the SRH on every hop alone would add 6.8.
+func TestQueryAllocationBudget(t *testing.T) {
+	const queries, budget = 5000, 12.0
+	cluster := ClusterConfig{Seed: 1, Servers: 12}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run := RunPoisson(cluster, SRc(4), 0.85*cluster.TheoreticalCapacity(), queries, PoissonHooks{})
+	runtime.ReadMemStats(&after)
+	if run.RT.Count() != queries {
+		t.Fatalf("%d of %d queries completed", run.RT.Count(), queries)
+	}
+	perQuery := float64(after.Mallocs-before.Mallocs) / queries
+	t.Logf("%.2f mallocs/query", perQuery)
+	if perQuery > budget {
+		t.Fatalf("%.2f mallocs/query, budget %.1f", perQuery, budget)
 	}
 }

@@ -95,7 +95,7 @@ type pump struct {
 func (p *pump) schedule() {
 	if at, q, ok := p.stream.Next(); ok {
 		p.q = q
-		p.tb.Sim.At(at, p.fire)
+		p.tb.Sim.Schedule(at, p.fire)
 	}
 }
 

@@ -198,8 +198,16 @@ type Server struct {
 	refused  uint64
 }
 
-// NewServer attaches a live server.
+// NewServer attaches a live server. Addr and LB are the two segments it
+// writes into every SYN-ACK; an unusable one panics here, while the
+// server is being wired, rather than silently failing each handshake.
 func NewServer(net *Network, cfg ServerConfig) *Server {
+	if err := ipv6.CheckAddr(cfg.Addr); err != nil {
+		panic(fmt.Sprintf("livenet: bad Addr: %v", err))
+	}
+	if err := ipv6.CheckAddr(cfg.LB); err != nil {
+		panic(fmt.Sprintf("livenet: bad LB: %v", err))
+	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 8
 	}
@@ -258,6 +266,14 @@ func (s *Server) handle(pkt *packet.Packet) {
 
 func (s *Server) acceptSYN(pkt *packet.Packet) {
 	flow := pkt.Flow()
+	// The SYN-ACK goes through the LB (flow learning). Its segment list is
+	// built before anything is committed: a client address no SRH can
+	// carry cannot be answered at all, and must not cost a worker that
+	// nothing would ever release.
+	srh, err := srv6.New(ipv6.ProtoTCP, s.cfg.Addr, s.cfg.LB, flow.Src)
+	if err != nil {
+		return
+	}
 	s.mu.Lock()
 	if s.conns[flow] {
 		s.mu.Unlock()
@@ -281,11 +297,7 @@ func (s *Server) acceptSYN(pkt *packet.Packet) {
 	s.conns[flow] = true
 	s.mu.Unlock()
 
-	// SYN-ACK through the LB (flow learning), then serve asynchronously.
-	srh, err := srv6.New(ipv6.ProtoTCP, s.cfg.Addr, s.cfg.LB, flow.Src)
-	if err != nil {
-		return
-	}
+	// Send the SYN-ACK, then serve asynchronously.
 	next, _ := srh.Advance()
 	synack := &packet.Packet{
 		IP:  ipv6.Header{Src: flow.Dst, Dst: next},

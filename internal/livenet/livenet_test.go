@@ -3,6 +3,7 @@ package livenet
 import (
 	"fmt"
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -92,6 +93,28 @@ func TestDuplicateAttachPanics(t *testing.T) {
 		}
 	}()
 	net.Attach(func(*packet.Packet) {}, addr)
+}
+
+// TestNewServerRejectsUnusableAddresses: a server that cannot write its
+// SYN-ACK segment list must not come up — it would take a worker per SYN,
+// answer nothing, and RST every connection once the pool is gone.
+func TestNewServerRejectsUnusableAddresses(t *testing.T) {
+	addr := liveServerAddrs(1)[0]
+	for name, cfg := range map[string]ServerConfig{
+		"LB":   {Addr: addr, VIP: liveVIP},
+		"Addr": {Addr: netip.MustParseAddr("192.0.2.1"), VIP: liveVIP, LB: liveLB},
+	} {
+		func() {
+			net := NewNetwork()
+			defer net.Close()
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "bad "+name) {
+					t.Fatalf("NewServer with an unusable %s: recovered %v", name, r)
+				}
+			}()
+			NewServer(net, cfg)
+		}()
+	}
 }
 
 // TestEndToEndHunting runs the full live protocol: N servers, one LB, one

@@ -20,6 +20,7 @@ import (
 	"srlb/internal/des"
 	"srlb/internal/metrics"
 	"srlb/internal/packet"
+	"srlb/internal/srv6"
 )
 
 // Node is anything attached to the LAN. Handle is invoked once per
@@ -29,8 +30,10 @@ import (
 // be mutated in place and re-sent (how the LB and the virtual routers
 // forward without cloning per hop); conversely, anything that must
 // outlive the Handle call has to be copied out (packet.Clone). The
-// network enforces this by recycling the Packet struct and its wire
-// buffer for later deliveries once Handle returns.
+// network enforces this by recycling the Packet struct, the SRH its
+// routing header was parsed into (pkt.SRH points at storage that travels
+// with the Packet) and its wire buffer for later deliveries once Handle
+// returns: a retained pkt.SRH is overwritten by the next parse.
 type Node interface {
 	// Handle processes one delivered packet.
 	Handle(pkt *packet.Packet)
@@ -73,12 +76,19 @@ type Network struct {
 
 	// Delivery recycling: each transmission borrows an inflight (wire
 	// buffer + pre-bound delivery closure) and each delivery borrows a
-	// Packet, both returned to free lists once the receiving node's
-	// Handle returns. Sound because of the ownership contract above:
-	// nothing may retain the packet (or its payload, which aliases the
-	// wire buffer) beyond the Handle call.
+	// slot (Packet + SRH storage), both returned to free lists once the
+	// receiving node's Handle returns. Sound because of the ownership
+	// contract above: nothing may retain the packet (or its SRH, or its
+	// payload, which aliases the wire buffer) beyond the Handle call.
 	freeIn  *inflight
-	freePkt []*packet.Packet
+	freePkt []*delivery
+}
+
+// delivery is one recycled delivery slot: the Packet handed to the node
+// and the header its SRH, when the wire carries one, is parsed into.
+type delivery struct {
+	pkt packet.Packet
+	srh srv6.SRH
 }
 
 // inflight is one scheduled transmission: the marshaled bytes and the
@@ -184,22 +194,22 @@ func (n *Network) putInflight(f *inflight) {
 	n.freeIn = f
 }
 
-// getPacket pops (or allocates) a delivery Packet.
-func (n *Network) getPacket() *packet.Packet {
+// getDelivery pops (or allocates) a delivery slot.
+func (n *Network) getDelivery() *delivery {
 	if last := len(n.freePkt) - 1; last >= 0 {
-		p := n.freePkt[last]
+		d := n.freePkt[last]
 		n.freePkt = n.freePkt[:last]
-		return p
+		return d
 	}
-	return new(packet.Packet)
+	return new(delivery)
 }
 
-func (n *Network) putPacket(p *packet.Packet) {
-	// Drop references into the wire buffer and SRH so the recycled
-	// struct pins nothing.
-	p.SRH = nil
-	p.TCP.Payload = nil
-	n.freePkt = append(n.freePkt, p)
+func (n *Network) putDelivery(d *delivery) {
+	// Drop the references into the wire buffer and to whatever header the
+	// node left on the packet so the recycled slot pins nothing.
+	d.pkt.SRH = nil
+	d.pkt.TCP.Payload = nil
+	n.freePkt = append(n.freePkt, d)
 }
 
 // Send serializes pkt and schedules its delivery to the node owning the
@@ -229,10 +239,14 @@ func (n *Network) Send(pkt *packet.Packet) {
 }
 
 func (n *Network) deliver(f *inflight) {
-	pkt := n.getPacket()
+	d := n.getDelivery()
+	// The node that last had this slot may have re-pointed or cleared
+	// pkt.SRH; parse into the slot's own storage every time.
+	pkt := &d.pkt
+	pkt.SRH = &d.srh
 	if err := packet.ParseInto(pkt, f.wire, n.cfg.VerifyChecksums); err != nil {
 		n.Counts.Inc("rx_parse_error")
-		n.putPacket(pkt)
+		n.putDelivery(d)
 		n.putInflight(f)
 		return
 	}
@@ -245,7 +259,7 @@ func (n *Network) deliver(f *inflight) {
 	}
 	if !ok {
 		n.Counts.Inc("unroutable")
-		n.putPacket(pkt)
+		n.putDelivery(d)
 		n.putInflight(f)
 		return
 	}
@@ -254,7 +268,7 @@ func (n *Network) deliver(f *inflight) {
 		tap(n.sim.Now(), pkt.IP.Dst, pkt)
 	}
 	node.Handle(pkt)
-	n.putPacket(pkt)
+	n.putDelivery(d)
 	n.putInflight(f)
 }
 

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"net/netip"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -222,5 +224,73 @@ func BenchmarkSendDeliver(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net.Send(p)
 		sim.Run()
+	}
+}
+
+// TestWarmHopAllocatesNothing: once the free lists hold a transmission
+// slot and a delivery slot, carrying an SRH packet over one hop — marshal,
+// schedule, parse, hand to the node — leaves no garbage.
+func TestWarmHopAllocatesNothing(t *testing.T) {
+	sim := des.New()
+	net := New(sim, Config{VerifyChecksums: true})
+	var rx int
+	net.Attach(NodeFunc(func(p *packet.Packet) {
+		if p.SRH == nil || len(p.SRH.Segments) != 3 {
+			t.Fatalf("delivered SRH = %v", p.SRH)
+		}
+		rx++
+	}), addrB)
+	p := mkPkt("2001:db8::a", "2001:db8::b")
+	p.SRH = srv6.MustNew(ipv6.ProtoTCP, addrB, addrC, addrA)
+	hop := func() {
+		net.Send(p)
+		sim.Step()
+	}
+	hop()
+	if n := testing.AllocsPerRun(100, hop); n != 0 {
+		t.Fatalf("warm hop: %v allocs, want 0", n)
+	}
+	if rx != 102 { // the warm-up, AllocsPerRun's own, and 100 measured
+		t.Fatalf("delivered %d packets", rx)
+	}
+}
+
+// TestRecycledSlotKeepsDeliveriesApart: the slot's SRH storage carries
+// nothing from one delivery into the next — with a header, without one,
+// with a shorter one — whatever the node did to pkt.SRH, and a Clone
+// taken during Handle outlives the recycling.
+func TestRecycledSlotKeepsDeliveriesApart(t *testing.T) {
+	sim := des.New()
+	net := New(sim, Config{})
+	var kept *packet.Packet
+	var paths [][]netip.Addr
+	net.Attach(NodeFunc(func(p *packet.Packet) {
+		if p.SRH != nil {
+			paths = append(paths, p.SRH.Path())
+		} else {
+			paths = append(paths, nil)
+		}
+		if kept == nil {
+			kept = p.Clone()
+		}
+		p.SRH = nil // as the LB does when it strips the header
+	}), addrB)
+	send := func(path ...netip.Addr) {
+		p := mkPkt("2001:db8::a", "2001:db8::b")
+		if len(path) > 0 {
+			p.SRH = srv6.MustNew(ipv6.ProtoTCP, path...)
+		}
+		net.Send(p)
+		sim.Run()
+	}
+	send(addrB, addrC, addrA)
+	send()
+	send(addrB, addrC)
+	want := [][]netip.Addr{{addrB, addrC, addrA}, nil, {addrB, addrC}}
+	if !reflect.DeepEqual(paths, want) {
+		t.Fatalf("delivered paths = %v, want %v", paths, want)
+	}
+	if got := kept.SRH.Path(); !slices.Equal(got, want[0]) {
+		t.Fatalf("cloned SRH reads %v, want %v", got, want[0])
 	}
 }

@@ -226,23 +226,72 @@ func checkParse(t *testing.T, wire []byte) *Packet {
 	return p
 }
 
+// checkReuse: parsing into a Packet whose SRH storage still holds the
+// previous delivery's header — netsim's recycled slot, which re-points
+// pkt.SRH at its own storage before every parse — is parsing into a zero
+// Packet: field for field, and byte for byte on re-marshal, whatever the
+// storage held (a longer list, Flags and Tag, a header where the wire now
+// has none and the reverse), and a Clone taken before a parse is not
+// affected by it. wants holds each wire's fresh parse, nil when rejected.
+func checkReuse(t *testing.T, wires [2][]byte, wants [2]*Packet) {
+	t.Helper()
+	var slot struct {
+		pkt Packet
+		srh srv6.SRH
+	}
+	var kept, keptWant *Packet
+	for step := 0; step < 4; step++ {
+		wire, want := wires[step%2], wants[step%2]
+		slot.pkt.SRH = &slot.srh
+		err := ParseInto(&slot.pkt, wire, false)
+		if kept != nil && !samePacket(kept, keptWant) {
+			t.Fatalf("step %d: the parse reached into a Clone taken before it:\n %v\n %v", step, kept, keptWant)
+		}
+		if (err == nil) != (want != nil) {
+			t.Fatalf("step %d: reused storage changed the verdict: %v", step, err)
+		}
+		if err != nil {
+			kept = nil
+			continue
+		}
+		got := &slot.pkt
+		if !samePacket(got, want) {
+			t.Fatalf("step %d: reused storage changed the parse:\n %v\n %v", step, got, want)
+		}
+		if got.SRH != nil && got.SRH != &slot.srh {
+			t.Fatalf("step %d: header parsed beside the storage p.SRH pointed at", step)
+		}
+		kept, keptWant = got.Clone(), want
+		a, errA := got.Clone().Marshal(nil)
+		b, errB := want.Clone().Marshal(nil)
+		if (errA == nil) != (errB == nil) || !bytes.Equal(a, b) {
+			t.Fatalf("step %d: reused storage changed the re-marshal (%v, %v):\n %x\n %x", step, errA, errB, a, b)
+		}
+	}
+}
+
 // FuzzPacketParse is the wire parser's safety net: every delivery of
 // every simulated hop, and every packet a hostile network injects, goes
-// through Parse.
+// through ParseInto, into storage that held another packet before.
 func FuzzPacketParse(f *testing.F) {
 	r := rand.New(rand.NewPCG(3, 4))
+	var seeds [][]byte
 	for _, wire := range fuzzSeedWires(f) {
-		f.Add(wire)
-		f.Add(wire[:len(wire)-1])
-		f.Add(wire[:ipv6.HeaderLen+8])
 		flipped := slices.Clone(wire)
 		for j := 0; j < 3; j++ {
 			flipped[r.IntN(len(flipped))] ^= byte(1 << r.IntN(8))
 		}
-		f.Add(flipped)
+		seeds = append(seeds, wire, wire[:len(wire)-1], wire[:ipv6.HeaderLen+8], flipped)
 	}
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, wire []byte) {
-		checkParse(t, wire)
+	seeds = append(seeds, []byte{})
+	for i, wire := range seeds {
+		for j := 0; j < len(seeds); j += 4 { // storage last held an intact seed…
+			f.Add(seeds[j], wire)
+		}
+		f.Add(seeds[(i+1)%len(seeds)], wire) // …or a damaged one
+	}
+	f.Fuzz(func(t *testing.T, prev, wire []byte) {
+		wires := [2][]byte{prev, wire}
+		checkReuse(t, wires, [2]*Packet{checkParse(t, prev), checkParse(t, wire)})
 	})
 }

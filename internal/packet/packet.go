@@ -117,8 +117,14 @@ func Parse(b []byte, verifyChecksum bool) (*Packet, error) {
 
 // ParseInto is Parse into a caller-provided Packet, overwriting every
 // field — the allocation-free path for callers (netsim delivery) that
-// recycle Packet structs. On error p is left in an undefined state.
+// recycle Packet structs. A routing header is decoded into the SRH that
+// p.SRH points at on entry, overwriting whatever that header held (one is
+// allocated only when p.SRH is nil); a wire without one leaves p.SRH nil.
+// So a caller that recycles p owns the SRH storage too: nothing parsed
+// earlier through the same pointer survives the call — Clone to keep it.
+// On error p is left in an undefined state.
 func ParseInto(p *Packet, b []byte, verifyChecksum bool) error {
+	srh := p.SRH
 	p.SRH = nil
 	h, n, err := ipv6.Parse(b)
 	if err != nil {
@@ -132,7 +138,10 @@ func ParseInto(p *Packet, b []byte, verifyChecksum bool) error {
 	rest = rest[:h.PayloadLen]
 	next := h.NextHeader
 	if next == ipv6.ProtoRouting {
-		srh, consumed, err := srv6.Parse(rest)
+		if srh == nil {
+			srh = new(srv6.SRH)
+		}
+		consumed, err := srv6.ParseInto(srh, rest)
 		if err != nil {
 			return err
 		}

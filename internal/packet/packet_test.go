@@ -281,3 +281,30 @@ func BenchmarkParseWithSRH(b *testing.B) {
 		}
 	}
 }
+
+// TestParseIntoReusedStorageAllocatesNothing: a receiver that keeps one
+// SRH beside its Packet and points p.SRH at it before the parse (netsim's
+// delivery slot) decodes a hunt packet without touching the heap.
+func TestParseIntoReusedStorageAllocatesNothing(t *testing.T) {
+	p := synPacket(t)
+	p.SRH = srv6.MustNew(ipv6.ProtoTCP, s1, s2, vip)
+	wire, err := p.Marshal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var into Packet
+	var storage srv6.SRH
+	parse := func() {
+		into.SRH = &storage
+		if err := ParseInto(&into, wire, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parse() // the segment list grows once
+	if n := testing.AllocsPerRun(100, parse); n != 0 {
+		t.Fatalf("ParseInto into reused storage: %v allocs, want 0", n)
+	}
+	if into.SRH != &storage || len(storage.Segments) != 3 {
+		t.Fatalf("parsed beside the storage: %v", into.SRH)
+	}
+}

@@ -37,7 +37,7 @@ const RoutingType = 4
 // 255*8 bytes ≈ 127 segments).
 const MaxSegments = 127
 
-// Errors returned by Parse and Marshal.
+// Errors returned by Parse, ParseInto and Marshal.
 var (
 	ErrTooShort       = errors.New("srv6: buffer too short")
 	ErrBadRoutingType = errors.New("srv6: routing type is not SRH (4)")
@@ -208,42 +208,56 @@ func (h *SRH) Marshal(dst []byte) ([]byte, error) {
 // Parse decodes an SRH from the front of b, returning the header and the
 // number of bytes consumed.
 func Parse(b []byte) (*SRH, int, error) {
+	h := new(SRH)
+	n, err := ParseInto(h, b)
+	if err != nil {
+		return nil, 0, err
+	}
+	return h, n, nil
+}
+
+// ParseInto is Parse into a caller-provided header: every field of h is
+// overwritten and h.Segments' backing array is reused when it is large
+// enough, so a receiver that keeps one SRH per delivery slot decodes
+// without allocating. On error h is left untouched.
+func ParseInto(h *SRH, b []byte) (int, error) {
 	if len(b) < 8 {
-		return nil, 0, ErrTooShort
+		return 0, ErrTooShort
 	}
 	if b[2] != RoutingType {
-		return nil, 0, ErrBadRoutingType
+		return 0, ErrBadRoutingType
 	}
 	extLen := int(b[1]) * 8
 	total := 8 + extLen
 	if len(b) < total {
-		return nil, 0, ErrTooShort
+		return 0, ErrTooShort
 	}
 	if extLen%16 != 0 {
-		return nil, 0, ErrBadLen
+		return 0, ErrBadLen
 	}
 	n := extLen / 16
 	if n == 0 {
-		return nil, 0, ErrNoSegments
+		return 0, ErrNoSegments
 	}
 	lastEntry := int(b[4])
 	if lastEntry != n-1 {
-		return nil, 0, ErrBadLen
+		return 0, ErrBadLen
 	}
 	sl := b[3]
 	if int(sl) >= n {
-		return nil, 0, ErrBadSegments
+		return 0, ErrBadSegments
 	}
-	h := &SRH{
-		NextHeader:   b[0],
-		SegmentsLeft: sl,
-		Flags:        b[5],
-		Tag:          uint16(b[6])<<8 | uint16(b[7]),
-		Segments:     make([]netip.Addr, n),
+	h.NextHeader = b[0]
+	h.SegmentsLeft = sl
+	h.Flags = b[5]
+	h.Tag = uint16(b[6])<<8 | uint16(b[7])
+	if cap(h.Segments) < n {
+		h.Segments = make([]netip.Addr, n)
 	}
-	for i := 0; i < n; i++ {
+	h.Segments = h.Segments[:n]
+	for i := range h.Segments {
 		off := 8 + 16*i
 		h.Segments[i] = netip.AddrFrom16([16]byte(b[off : off+16]))
 	}
-	return h, total, nil
+	return total, nil
 }

@@ -347,18 +347,25 @@ func newGenerator(sim *des.Simulator, net *netsim.Network, clients int, vip neti
 func (g *Generator) Launch(q Query) {
 	src := g.nextSrc
 	g.nextSrc = (g.nextSrc + 1) % len(g.addrs)
-	port := uint16(g.nextPort[src]%64512 + 1024)
-	g.nextPort[src]++
 	dst := q.VIP
 	if !dst.IsValid() {
 		dst = g.vip
 	}
-	flow := packet.FlowKey{Src: g.addrs[src], Dst: dst, SrcPort: port, DstPort: 80}
-	if _, dup := g.pending[flow]; dup {
-		// Port-space wrap onto a still-pending flow: skip this port.
-		port = uint16(g.nextPort[src]%64512 + 1024)
+	// A client's ports wrap after 64512 launches, possibly onto flows
+	// that are still pending — a burst of silently dropped SYNs leaves a
+	// run of consecutive ones behind. Take the next free port: reusing a
+	// pending flow would orphan the older query.
+	const ports = 64512
+	flow := packet.FlowKey{Src: g.addrs[src], Dst: dst, DstPort: 80}
+	for skipped := 0; ; skipped++ {
+		if skipped == ports {
+			panic(fmt.Sprintf("testbed: all %d source ports of client %v have a pending query", ports, flow.Src))
+		}
+		flow.SrcPort = uint16(g.nextPort[src]%ports + 1024)
 		g.nextPort[src]++
-		flow.SrcPort = port
+		if _, dup := g.pending[flow]; !dup {
+			break
+		}
 	}
 	pq := g.getPQ()
 	pq.q, pq.sentAt, pq.flow, pq.tries = q, g.sim.Now(), flow, 1

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"reflect"
 	"testing"
 	"time"
 
@@ -362,6 +363,33 @@ func TestGeneratorPortWrapAvoidsPendingCollision(t *testing.T) {
 	}
 	if len(tb.Gen.Results()) != 5000 {
 		t.Fatalf("results = %d", len(tb.Gen.Results()))
+	}
+}
+
+// TestLaunchSkipsEveryPendingPort: when the port counter wraps onto a run
+// of ports whose queries are still pending, the new query takes the first
+// free port behind them and none of the older ones is displaced — every
+// launched query is still there for DrainPending to report.
+func TestLaunchSkipsEveryPendingPort(t *testing.T) {
+	tb := New(Config{Seed: 11, Servers: 2, Clients: 1})
+	tb.Gen.RetainResults = true
+	tb.Gen.Launch(Query{ID: 0})
+	tb.Gen.Launch(Query{ID: 1})
+	tb.Gen.nextPort[0] -= 2 // a wrap back onto the two pending ports
+	tb.Gen.Launch(Query{ID: 2})
+	if tb.Gen.Pending() != 3 {
+		t.Fatalf("pending = %d after three launches, want 3", tb.Gen.Pending())
+	}
+	ports := map[uint16]uint64{}
+	for flow, pq := range tb.Gen.pending {
+		ports[flow.SrcPort] = pq.q.ID
+	}
+	first := uint16(1024%64512 + 1024)
+	if want := map[uint16]uint64{first: 0, first + 1: 1, first + 2: 2}; !reflect.DeepEqual(ports, want) {
+		t.Fatalf("pending ports → query IDs = %v, want %v", ports, want)
+	}
+	if n := tb.Gen.DrainPending(); n != 3 || len(tb.Gen.Results()) != 3 {
+		t.Fatalf("drained %d, %d results, want 3 and 3", n, len(tb.Gen.Results()))
 	}
 }
 

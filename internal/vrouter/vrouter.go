@@ -84,7 +84,15 @@ type Router struct {
 	vipResp map[netip.Addr]uint64
 	down    bool
 	Counts  *metrics.Counter
+
+	// synack is the SYN-ACK header [self, LB, client], built by the first
+	// SYN-ACK; later ones only rewrite the client segment and SegmentsLeft
+	// (Send serialises before it returns, so nothing else reads it).
+	synack *srv6.SRH
 }
+
+// responseBody is every response's payload; read-only.
+var responseBody = []byte("HTTP/1.1 200 OK\r\n\r\n")
 
 // New builds the router and attaches it to the network under its physical
 // address and its VIPs.
@@ -224,20 +232,23 @@ func (r *Router) acceptSYN(pkt *packet.Packet) {
 // sendSYNACK replies to a SYN with an SRH [self, LB, client] so the LB
 // learns which server accepted (figure 1: SYN-ACK {a, S2, LB, c}).
 func (r *Router) sendSYNACK(pkt *packet.Packet, flow packet.FlowKey) {
-	srh, err := srv6.New(ipv6.ProtoTCP, r.cfg.Addr, r.cfg.LB, flow.Src)
-	if err != nil {
+	srh := r.synack
+	if srh == nil {
+		var err error
+		if srh, err = srv6.New(ipv6.ProtoTCP, r.cfg.Addr, r.cfg.LB, flow.Src); err != nil {
+			panic(fmt.Sprintf("vrouter: SYN-ACK SRH: %v", err))
+		}
+		r.synack = srh
+	} else if err := ipv6.CheckAddr(flow.Src); err != nil {
 		panic(fmt.Sprintf("vrouter: SYN-ACK SRH: %v", err))
 	}
 	// The server is the first segment and the packet originates here, so
-	// the active segment is already consumed: advance to the LB.
-	next, err := srh.Advance()
-	if err != nil {
-		panic(err)
-	}
+	// that segment is already consumed: the LB is the active one.
+	srh.Segments[0], srh.SegmentsLeft = flow.Src, 1
 	reply := &packet.Packet{
 		IP: ipv6.Header{
 			Src: flow.Dst, // the VIP: the client must see the service address
-			Dst: next,     // through the LB
+			Dst: r.cfg.LB, // through the LB
 		},
 		SRH: srh,
 		TCP: tcpseg.Segment{
@@ -329,7 +340,7 @@ func (r *Router) respond(c *conn) {
 // schedules conn-state teardown after the linger.
 func (r *Router) emitResponse(c *conn) {
 	c.closed = true
-	r.sim.After(CloseLinger, func() {
+	r.sim.ScheduleAfter(CloseLinger, func() {
 		if cur, ok := r.conns[c.flow]; ok && cur == c {
 			delete(r.conns, c.flow)
 		}
@@ -342,7 +353,7 @@ func (r *Router) emitResponse(c *conn) {
 			Seq:     2,
 			Ack:     2,
 			Flags:   tcpseg.FlagPSH | tcpseg.FlagACK | tcpseg.FlagFIN,
-			Payload: []byte("HTTP/1.1 200 OK\r\n\r\n"),
+			Payload: responseBody,
 		},
 	}
 	r.Counts.Inc("responses_tx")
