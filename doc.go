@@ -240,6 +240,17 @@
 // for the next delivery. Whatever must outlive the call — a tap's
 // capture, a test's assertion — is a packet.Clone, never a kept pointer.
 //
+// The same rule runs the other way for what a node sends. Connection
+// set-up reuses its storage: the LB's hunt header is one SRH the
+// dispatcher rewrites per SYN (srv6's SetPath), a selection scheme's
+// candidate list is the scheme's scratch until its next Pick, and the
+// server's connection record and the application's request come from
+// per-router and per-server free lists with their callbacks bound once.
+// All of it is sound because Send serialises before it returns (livenet
+// marshals under the LB's lock), so nothing reads a header, a candidate
+// list or a record after its owner has moved on. Once warm, a query
+// allocates only the steered packet's header (core.handleSteered).
+//
 // # Interpreting results: seeds, CI width, choosing Sweep.Seeds
 //
 // Every simulation cell is a pure function of its scenario value, so a

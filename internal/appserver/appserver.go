@@ -23,6 +23,7 @@ package appserver
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"srlb/internal/des"
@@ -87,13 +88,15 @@ func (v Verdict) String() string {
 	}
 }
 
-// Request is one admitted connection's work item.
+// request is one offered connection's work item. Requests are recycled
+// through Server.free: one goes back when its offer overflows, or once
+// its onDone has returned — not before, because the callback may re-enter
+// Offer, which would hand the still-running request out again.
 type request struct {
 	id        uint64
-	demand    time.Duration // total CPU time required
-	remaining float64       // CPU-seconds still owed
-	started   time.Duration
+	remaining float64 // CPU-seconds still owed
 	onDone    func()
+	next      *request // free-list link
 }
 
 // Scoreboard is the shared-memory view the paper's server agent reads
@@ -135,6 +138,7 @@ type Server struct {
 	inService []*request
 	finished  []*request // complete's scratch, grown on first use
 	backlog   []*request
+	free      *request // recycled requests, see request
 	nextID    uint64
 
 	lastSettle time.Duration
@@ -192,13 +196,13 @@ func (s *Server) Offer(demand time.Duration, onDone func()) Verdict {
 		demand = 0
 	}
 	s.settle()
-	req := &request{
-		id:        s.nextID,
-		demand:    demand,
-		remaining: demand.Seconds(),
-		started:   s.sim.Now(),
-		onDone:    onDone,
+	req := s.free
+	if req == nil {
+		req = new(request)
+	} else {
+		s.free = req.next
 	}
+	*req = request{id: s.nextID, remaining: demand.Seconds(), onDone: onDone}
 	s.nextID++
 	if len(s.inService) < s.cfg.Workers {
 		s.stats.Admitted++
@@ -211,12 +215,18 @@ func (s *Server) Offer(demand time.Duration, onDone func()) Verdict {
 		s.backlog = append(s.backlog, req)
 		return Admitted
 	}
+	s.release(req)
 	if s.cfg.AbortOnOverflow {
 		s.stats.Rejected++
 		return Rejected
 	}
 	s.stats.Dropped++
 	return DroppedSilently
+}
+
+// release returns req to the free list, dropping its callback.
+func (s *Server) release(req *request) {
+	req.onDone, req.next, s.free = nil, s.free, req
 }
 
 // rate returns the per-request CPU rate (CPU-seconds per second).
@@ -294,10 +304,12 @@ func (s *Server) complete() {
 	}
 	// Promote backlog into freed worker slots (FIFO, like the kernel
 	// accept queue).
-	for len(s.backlog) > 0 && len(live) < s.cfg.Workers {
-		live = append(live, s.backlog[0])
-		s.backlog = s.backlog[1:]
-	}
+	promoted := min(len(s.backlog), s.cfg.Workers-len(live))
+	live = append(live, s.backlog[:promoted]...)
+	// Shift the rest down rather than re-slicing from the front, which
+	// walks a saturated backlog through its array and makes append
+	// re-allocate it every cap admissions.
+	s.backlog = slices.Delete(s.backlog, 0, promoted)
 	// No more were promoted than finished (a backlog means every worker
 	// was busy), so live is a prefix; the slots behind it are vacated.
 	clear(s.inService[len(live):])
@@ -308,6 +320,7 @@ func (s *Server) complete() {
 		if req.onDone != nil {
 			req.onDone()
 		}
+		s.release(req)
 	}
 	clear(done)
 	s.finished = done

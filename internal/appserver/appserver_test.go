@@ -390,7 +390,7 @@ func (s *modelServer) Offer(demand time.Duration, onDone func()) Verdict {
 		demand = 0
 	}
 	s.settle()
-	req := &request{id: s.nextID, demand: demand, remaining: demand.Seconds(), started: s.sim.Now(), onDone: onDone}
+	req := &request{id: s.nextID, remaining: demand.Seconds(), onDone: onDone}
 	s.nextID++
 	if len(s.inService) < s.cfg.Workers {
 		s.stats.Admitted++
@@ -609,11 +609,12 @@ func TestServerMatchesNaiveModel(t *testing.T) {
 	}
 }
 
-// TestOfferToCompletionAllocatesOnlyTheRequest: on a busy server an
-// admission and the completion event it leads to cost one heap object,
-// the request — no timer, no bound method value, no list of finished
-// requests.
-func TestOfferToCompletionAllocatesOnlyTheRequest(t *testing.T) {
+// TestOfferToCompletionAllocatesNothing: on a warm, busy server an
+// admission and the completion event it leads to cost no heap object —
+// the request is recycled, and there is no timer, no bound method value
+// and no list of finished requests to build. An offer that overflows
+// gives its request back as well.
+func TestOfferToCompletionAllocatesNothing(t *testing.T) {
 	sim := des.New()
 	s := New(sim, "s1", Default())
 	for i := 0; i < 20; i++ {
@@ -626,11 +627,52 @@ func TestOfferToCompletionAllocatesOnlyTheRequest(t *testing.T) {
 			t.Fatal("offer not served")
 		}
 	}
-	serve() // the scratch slice and the timer come with the first completion
-	if n := testing.AllocsPerRun(100, serve); n > 1 {
-		t.Fatalf("Offer → completion: %v allocs, want ≤ 1", n)
+	serve() // the request, the scratch slice and the timer come with the first completion
+	if n := testing.AllocsPerRun(100, serve); n != 0 {
+		t.Fatalf("Offer → completion: %v allocs, want 0", n)
 	}
 	if done != 102 || s.BusyWorkers() != 20 {
 		t.Fatalf("done = %d, busy = %d", done, s.BusyWorkers())
+	}
+
+	full := New(sim, "full", Config{Workers: 1, Cores: 1, AbortOnOverflow: true})
+	full.Offer(1000*time.Hour, nil)
+	refuse := func() {
+		if full.Offer(time.Microsecond, onDone) != Rejected {
+			t.Fatal("offer to a full server not rejected")
+		}
+	}
+	refuse()
+	if n := testing.AllocsPerRun(100, refuse); n != 0 {
+		t.Fatalf("rejected Offer: %v allocs, want 0", n)
+	}
+}
+
+// TestSaturatedBacklogStaysInPlace: a server whose backlog never drains
+// keeps it at the front of one array. Popping by re-slicing from the
+// front walked the backlog through its array, and append re-allocated it
+// every cap admissions.
+func TestSaturatedBacklogStaysInPlace(t *testing.T) {
+	sim := des.New()
+	s := New(sim, "s1", Config{Workers: 1, Cores: 1, Backlog: 4, AbortOnOverflow: true})
+	for i := 0; i < 5; i++ {
+		s.Offer(time.Millisecond, nil)
+	}
+	base, size := &s.backlog[0], cap(s.backlog)
+	cycle := func() {
+		if !sim.Step() || s.Offer(time.Millisecond, nil) != Admitted {
+			t.Fatal("saturated server did not complete one and admit one")
+		}
+	}
+	if n := testing.AllocsPerRun(20*size, cycle); n != 0 {
+		t.Fatalf("completion + admission on a full backlog: %v allocs", n)
+	}
+	if s.QueueLen() != 4 || &s.backlog[0] != base || cap(s.backlog) != size {
+		t.Fatalf("backlog moved: len %d, cap %d (was %d)", s.QueueLen(), cap(s.backlog), size)
+	}
+	for i := 1; i < len(s.backlog); i++ {
+		if s.backlog[i-1].id+1 != s.backlog[i].id {
+			t.Fatalf("backlog out of admission order at %d", i)
+		}
 	}
 }

@@ -80,7 +80,8 @@ type Config struct {
 // path needs after the single vipIndex lookup, in one cache-friendly
 // slot. The per-VIP SYN counter lives here as a plain integer. (The
 // shared string-keyed Counts map is still hit on every packet — the
-// typed counter block that replaces it is ROADMAP item 2.)
+// typed counter block that replaces it is ROADMAP item 2(d), which
+// waits for item 1.)
 type vipEntry struct {
 	addr     netip.Addr
 	scheme   selection.Scheme
@@ -108,6 +109,12 @@ type Dispatcher struct {
 	// the only per-packet map lookup on the dispatch path.
 	vipIndex map[netip.Addr]int32
 	vips     []vipEntry
+	// hunt is the header of every forwarded SYN, rewritten in place per
+	// SYN (one per Dispatcher, never per VIP), and path the scratch its
+	// candidates-then-VIP list is assembled in. See Dispatch for who may
+	// read hunt and for how long.
+	hunt srv6.SRH
+	path []netip.Addr
 }
 
 // NewDispatcher validates cfg and compiles the indexed dispatch table.
@@ -226,6 +233,12 @@ func (d *Dispatcher) SweepNow(now time.Duration) int {
 // the caller should forward the result to pkt.IP.Dst; every drop is
 // recorded in Counts. Expired flow state is collected opportunistically
 // here, at most once per SweepInterval of the caller's clock.
+//
+// Ownership: a forwarded SYN's pkt.SRH points at storage the Dispatcher
+// owns and rewrites on the next hunt, so the caller serialises the packet
+// (netsim.Send does; livenet marshals under its lock) before it calls
+// Dispatch again, and keeps nothing of it afterwards. A steered packet
+// still carries a header of its own.
 func (d *Dispatcher) Dispatch(now time.Duration, pkt *packet.Packet) (forward bool) {
 	if d.cfg.SweepInterval >= 0 && now-d.lastSweep >= d.cfg.SweepInterval {
 		d.SweepNow(now)
@@ -272,18 +285,13 @@ func (d *Dispatcher) handleSYN(now time.Duration, pkt *packet.Packet, e *vipEntr
 		d.Counts.Inc("no_candidates")
 		return false
 	}
-	vip := pkt.IP.Dst
-	pathSegs := append(append(make([]netip.Addr, 0, len(candidates)+1), candidates...), vip)
-	srh, err := srv6.New(ipv6.ProtoTCP, pathSegs...)
-	if err != nil {
+	// Copied at once: candidates is the scheme's scratch.
+	d.path = append(append(d.path[:0], candidates...), pkt.IP.Dst)
+	if err := d.hunt.SetPath(ipv6.ProtoTCP, d.path...); err != nil {
 		panic(fmt.Sprintf("core: hunt SRH: %v", err))
 	}
-	pkt.SRH = srh
-	active, err := srh.Active()
-	if err != nil {
-		panic(err)
-	}
-	pkt.IP.Dst = active
+	pkt.SRH = &d.hunt
+	pkt.IP.Dst = d.path[0]
 	d.Counts.Inc("hunts_started")
 	return true
 }
@@ -337,6 +345,11 @@ func (d *Dispatcher) handleReturn(now time.Duration, pkt *packet.Packet) bool {
 // eligible packets to the scheme at flowlet boundaries; a move rebinds
 // the flowtable entry in place, so the packet and every successor
 // steer to the new server.
+//
+// The steer header is the one srv6.New left on the data plane (two
+// objects per steered packet): rewriting it in place like the hunt
+// header would take dispatch_steered to zero garbage, which the frozen
+// benchmark cannot yet report (ROADMAP item 1), so it waits for that.
 func (d *Dispatcher) handleSteered(now time.Duration, pkt *packet.Packet, e *vipEntry) bool {
 	flow := pkt.Flow()
 	isRST := pkt.TCP.Flags.Has(tcpseg.FlagRST)

@@ -7,6 +7,9 @@ import (
 	"time"
 
 	"srlb/internal/flowtable"
+	"srlb/internal/ipv6"
+	"srlb/internal/packet"
+	"srlb/internal/rng"
 	"srlb/internal/selection"
 	"srlb/internal/tcpseg"
 )
@@ -79,5 +82,42 @@ func TestDispatcherRunsOnCallerTime(t *testing.T) {
 	}
 	if got := d.Counts.Get("miss_dropped"); got != 1 {
 		t.Fatalf("miss_dropped = %d", got)
+	}
+}
+
+// TestDispatchAllocations pins what the dispatcher allocates per packet
+// once warm. A SYN costs nothing: the scheme answers from its scratch and
+// the hunt header is the dispatcher's own, rewritten in place. A steered
+// ACK costs exactly two objects, the srv6.New in handleSteered — the one
+// allocation site left on the data plane, kept because the frozen
+// benchmark cannot yet report a dispatch workload that makes no garbage
+// (ROADMAP item 1); when that lands the 2 becomes 0.
+func TestDispatchAllocations(t *testing.T) {
+	d := NewDispatcher(Config{
+		Addr:    lbAddr,
+		VIPList: []VIPConfig{{Addr: vip, Scheme: selection.NewRandom([]netip.Addr{sAddr1, sAddr2}, 2, rng.New(1))}},
+	})
+	var pkt packet.Packet
+	offer := func(port uint16, flags tcpseg.Flags) {
+		pkt = packet.Packet{
+			IP:  ipv6.Header{Src: client, Dst: vip},
+			TCP: tcpseg.Segment{SrcPort: port, DstPort: 80, Flags: flags},
+		}
+		if !d.Dispatch(time.Millisecond, &pkt) {
+			t.Fatalf("port %d flags %v dropped", port, flags)
+		}
+	}
+	offer(40000, tcpseg.FlagSYN) // grows the hunt header and the counter keys
+	if n := testing.AllocsPerRun(100, func() { offer(40000, tcpseg.FlagSYN) }); n != 0 {
+		t.Errorf("warm SYN: %v allocs, want 0", n)
+	}
+	if path := pkt.SRH.Path(); len(path) != 3 || path[2] != vip || pkt.IP.Dst != path[0] {
+		t.Fatalf("hunt SYN: dst %v, path %v", pkt.IP.Dst, path)
+	}
+
+	d.SeedFlow(0, packet.FlowKey{Src: client, Dst: vip, SrcPort: 40001, DstPort: 80}, sAddr2)
+	offer(40001, tcpseg.FlagACK)
+	if n := testing.AllocsPerRun(100, func() { offer(40001, tcpseg.FlagACK) }); n != 2 {
+		t.Errorf("steered ACK: %v allocs, want exactly 2 (handleSteered's srv6.New)", n)
 	}
 }

@@ -298,17 +298,18 @@ func wikiDayFast(seed uint64) wiki.Config {
 	}
 }
 
-// TestQueryAllocationBudget keeps the receive-and-serve path garbage-free
-// where CI can see it: one query of the paper's reference cell — SR4 at
-// ρ = 0.85 on 12 servers — costs at most 12 heap objects, everything
-// around the simulation (testbed, sketches, free lists filling) included.
-// What is left is the LB's two SRHs and candidate list, the server's
-// connection record, request and two closures, and — in a run this short
-// — one flow-table entry per query, which the idle TTL recycles in longer
-// ones. Allocation counts do not depend on the host, so the bound is
-// tight: re-parsing the SRH on every hop alone would add 6.8.
+// TestQueryAllocationBudget keeps the query path garbage-free where CI
+// can see it: one query of the paper's reference cell — SR4 at ρ = 0.85
+// on 12 servers — costs at most 4.5 heap objects, everything around the
+// simulation (testbed, sketches, free lists filling) included. What is
+// left is the steered packet's header (two objects, core.handleSteered)
+// and — in a run this short — one flow-table entry per query, which the
+// idle TTL recycles in longer ones; connection set-up itself allocates
+// nothing once warm. Allocation counts do not depend on the host, so the
+// bound is tight: a candidate list or a connection record per query
+// alone would break it.
 func TestQueryAllocationBudget(t *testing.T) {
-	const queries, budget = 5000, 12.0
+	const queries, budget = 5000, 4.5
 	cluster := ClusterConfig{Seed: 1, Servers: 12}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -85,26 +85,33 @@ func (n *Network) Send(pkt *packet.Packet) error {
 	if err != nil {
 		return err
 	}
+	return n.deliver(pkt.IP.Dst, wire)
+}
+
+// deliver is the half of Send after serialisation: it may block on the
+// receiver's queue, so a sender that must marshal under a lock of its own
+// releases that lock before calling it.
+func (n *Network) deliver(dst netip.Addr, wire []byte) error {
 	n.mu.Lock()
 	if n.closed {
 		n.mu.Unlock()
 		return ErrClosed
 	}
-	ch, ok := n.nodes[pkt.IP.Dst]
+	ch, ok := n.nodes[dst]
 	n.mu.Unlock()
 	if !ok {
 		return nil
 	}
-	deliver := func() {
+	enqueue := func() {
 		// Block: channel capacity models NIC queue back-pressure.
 		defer func() { recover() }() // tolerate racing Close
 		ch <- wire
 	}
 	if n.Latency > 0 {
-		time.AfterFunc(n.Latency, deliver)
+		time.AfterFunc(n.Latency, enqueue)
 		return nil
 	}
-	deliver()
+	enqueue()
 	return nil
 }
 
@@ -157,13 +164,21 @@ func (lb *LoadBalancer) FlowCount() int {
 }
 
 // handle dispatches in place: the delivery goroutine parsed pkt from the
-// wire for this call alone, so nothing else holds it.
+// wire for this call alone, so nothing else holds it. The network runs
+// one such goroutine per address (the LB's own and every VIP), and a
+// forwarded SYN's header is the dispatcher's (core.Dispatcher.Dispatch),
+// so the packet is serialised before the lock is released — and only
+// then delivered, which may block.
 func (lb *LoadBalancer) handle(pkt *packet.Packet) {
 	lb.mu.Lock()
-	forward := lb.d.Dispatch(time.Since(lb.start), pkt)
+	var wire []byte
+	if lb.d.Dispatch(time.Since(lb.start), pkt) {
+		// A packet that does not marshal is dropped, as Send dropped it.
+		wire, _ = pkt.Marshal(nil)
+	}
 	lb.mu.Unlock()
-	if forward {
-		lb.net.Send(pkt)
+	if wire != nil {
+		lb.net.deliver(pkt.IP.Dst, wire)
 	}
 }
 

@@ -3,6 +3,7 @@ package livenet
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"srlb/internal/packet"
 	"srlb/internal/rng"
 	"srlb/internal/selection"
+	"srlb/internal/srv6"
 	"srlb/internal/tcpseg"
 )
 
@@ -402,5 +404,78 @@ func TestIdleFlowsSweptOnWallClock(t *testing.T) {
 	awaitResult(t, client)
 	if got := lb.FlowCount(); got != 1 {
 		t.Fatalf("flow count = %d after the second query, want 1 (the first flow idled out)", got)
+	}
+}
+
+// TestConcurrentSYNsAcrossVIPs: the network runs one goroutine per LB
+// address, so SYNs for two VIPs and the SYN-ACKs coming back are
+// dispatched concurrently, and every forwarded SYN carries the
+// dispatcher's one hunt header. Each SYN must still reach a server with
+// its own VIP's candidates — the pools are disjoint and of different
+// sizes, so a header serialised after another goroutine rewrote it shows
+// (and the race detector sees the unsynchronised read).
+func TestConcurrentSYNsAcrossVIPs(t *testing.T) {
+	const perVIP = 300
+	net := NewNetwork()
+	defer net.Close()
+	servers := liveServerAddrs(5)
+	vips := []netip.Addr{liveVIP, ipv6.MustAddr("2001:db8:f00d::2")}
+	pools := [][]netip.Addr{servers[:2], servers[2:]}
+	lb := newLoadBalancer(net, core.Config{
+		Addr: liveLB,
+		VIPList: []core.VIPConfig{
+			{Addr: vips[0], Scheme: selection.NewRoundRobin(pools[0], 2)},
+			{Addr: vips[1], Scheme: selection.NewRandom(pools[1], 3, rng.New(4))},
+		},
+	})
+
+	// Each server checks the hunt it was offered and accepts it with a
+	// SYN-ACK through the LB. The SYN's payload names its VIP.
+	for _, self := range servers {
+		net.Attach(func(p *packet.Packet) {
+			v := int(p.TCP.Payload[0])
+			path := p.SRH.Path()
+			ok := len(path) == len(pools[v])+1 && path[len(path)-1] == vips[v] && p.IP.Dst == self && path[0] == self
+			for _, c := range path[:len(path)-1] {
+				ok = ok && slices.Contains(pools[v], c)
+			}
+			if !ok {
+				t.Errorf("SYN for VIP %d reached %v with path %v", v, self, path)
+			}
+			flow := p.Flow()
+			net.Send(&packet.Packet{
+				IP:  ipv6.Header{Src: vips[v], Dst: liveLB},
+				SRH: &srv6.SRH{NextHeader: ipv6.ProtoTCP, SegmentsLeft: 1, Segments: []netip.Addr{flow.Src, liveLB, self}},
+				TCP: tcpseg.Segment{SrcPort: 80, DstPort: flow.SrcPort, Seq: 1, Ack: 1, Flags: tcpseg.FlagSYN | tcpseg.FlagACK},
+			})
+		}, self)
+	}
+	var answered sync.WaitGroup
+	answered.Add(2 * perVIP)
+	net.Attach(func(p *packet.Packet) {
+		if p.IsSYNACK() && p.SRH == nil {
+			answered.Done()
+		}
+	}, liveCli)
+
+	for v := range vips {
+		go func() {
+			for i := 0; i < perVIP; i++ {
+				net.Send(&packet.Packet{
+					IP:  ipv6.Header{Src: liveCli, Dst: vips[v]},
+					TCP: tcpseg.Segment{SrcPort: uint16(1024 + i), DstPort: 80, Flags: tcpseg.FlagSYN, Payload: []byte{byte(v)}},
+				})
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { answered.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("not every SYN was answered")
+	}
+	if got := lb.FlowCount(); got != 2*perVIP {
+		t.Fatalf("%d flows learned, want %d", got, 2*perVIP)
 	}
 }

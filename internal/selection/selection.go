@@ -23,7 +23,10 @@ import (
 // runtime serializes through the LB lock).
 type Scheme interface {
 	// Pick returns the ordered candidate servers for the flow. The last
-	// candidate is the "must accept" penultimate segment.
+	// candidate is the "must accept" penultimate segment. The slice is
+	// the scheme's own scratch, valid until the next Pick (or Resteer) on
+	// the same scheme: read it at once, as the LB does when it copies the
+	// candidates into the SRH, and copy it to keep it.
 	Pick(flow packet.FlowKey) []netip.Addr
 	// Name returns the scheme's display name.
 	Name() string
@@ -32,9 +35,19 @@ type Scheme interface {
 // Random picks K distinct servers uniformly at random — the paper's
 // scheme, with K=2 as evaluated.
 type Random struct {
-	k       int
 	servers []netip.Addr
+	out     []netip.Addr // Pick's result, k long; shares servers' allocation
 	rng     *rand.Rand
+}
+
+// withScratch copies servers into an array with k more slots behind
+// them, so that a scheme's Pick scratch costs its construction no
+// allocation of its own (the 10,000-VIP rigs build a scheme per VIP).
+func withScratch(servers []netip.Addr, k int) (copied, scratch []netip.Addr) {
+	n := len(servers)
+	buf := make([]netip.Addr, n+k)
+	copy(buf, servers)
+	return buf[:n:n], buf[n:]
 }
 
 // NewRandom builds a random scheme over the given servers. It panics when
@@ -47,42 +60,42 @@ func NewRandom(servers []netip.Addr, k int, rng *rand.Rand) *Random {
 	if len(servers) < k {
 		panic(fmt.Sprintf("selection: need at least %d servers, have %d", k, len(servers)))
 	}
-	return &Random{
-		k:       k,
-		servers: append([]netip.Addr(nil), servers...),
-		rng:     rng,
-	}
+	r := &Random{rng: rng}
+	r.servers, r.out = withScratch(servers, k)
+	return r
 }
 
 // Pick implements Scheme via a partial Fisher–Yates shuffle: O(k) time,
 // k distinct servers, each k-subset ordered uniformly. The permutation is
 // left in place between calls, which does not bias later draws (a partial
-// shuffle of any fixed permutation of the set is still uniform).
+// shuffle of any fixed permutation of the set is still uniform). The
+// result is a copy of the shuffled prefix, never the prefix itself:
+// WeightedLeastLoad reorders what it is handed, and reordering the
+// permutation would change every later draw.
 func (r *Random) Pick(packet.FlowKey) []netip.Addr {
 	n := len(r.servers)
-	out := make([]netip.Addr, r.k)
-	for i := 0; i < r.k; i++ {
+	for i := range r.out {
 		j := i + r.rng.IntN(n-i)
 		r.servers[i], r.servers[j] = r.servers[j], r.servers[i]
-		out[i] = r.servers[i]
+		r.out[i] = r.servers[i]
 	}
-	return out
+	return r.out
 }
 
 // Name implements Scheme.
 func (r *Random) Name() string {
-	if r.k == 1 {
+	if len(r.out) == 1 {
 		return "random1"
 	}
-	return fmt.Sprintf("random%d", r.k)
+	return fmt.Sprintf("random%d", len(r.out))
 }
 
 // RoundRobin cycles deterministically through the servers, emitting K
 // consecutive servers per flow. Deterministic and stateless across
 // restarts given the same arrival order; mainly a comparison baseline.
 type RoundRobin struct {
-	k       int
 	servers []netip.Addr
+	out     []netip.Addr // as Random's
 	next    int
 }
 
@@ -91,21 +104,22 @@ func NewRoundRobin(servers []netip.Addr, k int) *RoundRobin {
 	if k < 1 || len(servers) < k {
 		panic("selection: bad round-robin parameters")
 	}
-	return &RoundRobin{k: k, servers: append([]netip.Addr(nil), servers...)}
+	r := &RoundRobin{}
+	r.servers, r.out = withScratch(servers, k)
+	return r
 }
 
 // Pick implements Scheme.
 func (r *RoundRobin) Pick(packet.FlowKey) []netip.Addr {
-	out := make([]netip.Addr, r.k)
-	for i := range out {
-		out[i] = r.servers[(r.next+i)%len(r.servers)]
+	for i := range r.out {
+		r.out[i] = r.servers[(r.next+i)%len(r.servers)]
 	}
 	r.next = (r.next + 1) % len(r.servers)
-	return out
+	return r.out
 }
 
 // Name implements Scheme.
-func (r *RoundRobin) Name() string { return fmt.Sprintf("roundrobin%d", r.k) }
+func (r *RoundRobin) Name() string { return fmt.Sprintf("roundrobin%d", len(r.out)) }
 
 // ConsistentHash picks two candidates from a Maglev table keyed on the
 // flow 4-tuple, so the same client flow always hunts the same pair —
@@ -114,6 +128,7 @@ func (r *RoundRobin) Name() string { return fmt.Sprintf("roundrobin%d", r.k) }
 type ConsistentHash struct {
 	table  *chash.Maglev
 	byName map[string]netip.Addr
+	out    [2]netip.Addr // Pick's result
 }
 
 // NewConsistentHash builds the scheme over the servers. The Maglev
@@ -137,10 +152,11 @@ func NewConsistentHash(servers []netip.Addr, tableSize int) (*ConsistentHash, er
 // Pick implements Scheme.
 func (c *ConsistentHash) Pick(flow packet.FlowKey) []netip.Addr {
 	a, b := c.table.Lookup2(flow.String())
+	c.out[0], c.out[1] = c.byName[a], c.byName[b]
 	if a == b {
-		return []netip.Addr{c.byName[a]}
+		return c.out[:1]
 	}
-	return []netip.Addr{c.byName[a], c.byName[b]}
+	return c.out[:]
 }
 
 // Name implements Scheme.

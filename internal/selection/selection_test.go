@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 	"testing"
+	"time"
 
 	"srlb/internal/ipv6"
 	"srlb/internal/packet"
@@ -135,7 +137,7 @@ func TestConsistentHashStability(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		f := flow(i)
-		a := s.Pick(f)
+		a := slices.Clone(s.Pick(f)) // Pick's result is scratch: the next Pick overwrites it
 		b := s.Pick(f)
 		if len(a) != 2 || a[0] != b[0] || a[1] != b[1] {
 			t.Fatal("consistent hash must be deterministic per flow")
@@ -192,5 +194,60 @@ func BenchmarkConsistentHashPick(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Pick(f)
+	}
+}
+
+// TestWarmPickAllocatesNothing: every scheme on the claimed path answers
+// from its own scratch — a Pick, and a Flowlet re-steer decision at a
+// flowlet boundary, cost no heap object. (ConsistentHash still builds
+// its key string; it is the post-failure fallback, not the SYN path.)
+func TestWarmPickAllocatesNothing(t *testing.T) {
+	srv := servers(12)
+	loads := make([]float64, len(srv))
+	for i := range loads {
+		loads[i] = float64(i) / 16
+	}
+	view := loadsView(srv, loads...)
+	f := flow(1)
+	random, rr := NewRandom(srv, 2, rng.New(1)), NewRoundRobin(srv, 2)
+	wll := NewWeightedLeastLoad(srv, 2, rng.New(2), view)
+	flowlet := NewFlowlet(srv, 0, rng.New(3), view)
+	for name, pick := range map[string]func(){
+		"Random":            func() { random.Pick(f) },
+		"RoundRobin":        func() { rr.Pick(f) },
+		"WeightedLeastLoad": func() { wll.Pick(f) },
+		"Flowlet":           func() { flowlet.Pick(f) },
+		"Flowlet.Resteer":   func() { flowlet.Resteer(time.Second, f, 2*DefaultFlowletGap, srv[11]) },
+	} {
+		if n := testing.AllocsPerRun(100, pick); n != 0 {
+			t.Errorf("%s: %v allocs per warm call, want 0", name, n)
+		}
+	}
+	if flowlet.Boundaries() == 0 || flowlet.Moves() == 0 {
+		t.Fatalf("re-steer never crossed a boundary: %d boundaries, %d moves", flowlet.Boundaries(), flowlet.Moves())
+	}
+}
+
+// TestPickResultIsACopy: what Pick hands out is scratch, not the
+// scheme's state. A caller may reorder it (WeightedLeastLoad does) without
+// changing any later draw, and building a scheme costs no allocation
+// beyond the struct and its one array.
+func TestPickResultIsACopy(t *testing.T) {
+	srv := servers(12)
+	ref, scrambled := NewRandom(srv, 3, rng.New(5)), NewRandom(srv, 3, rng.New(5))
+	for i := 0; i < 500; i++ {
+		want, got := ref.Pick(flow(i)), scrambled.Pick(flow(i))
+		if !slices.Equal(got, want) {
+			t.Fatalf("draw %d: %v after the caller reordered earlier results, want %v", i, got, want)
+		}
+		slices.Reverse(got)
+	}
+	for name, build := range map[string]func(){
+		"NewRandom":     func() { NewRandom(srv, 2, nil) },
+		"NewRoundRobin": func() { NewRoundRobin(srv, 2) },
+	} {
+		if n := testing.AllocsPerRun(100, build); n > 2 {
+			t.Errorf("%s: %v allocs, want ≤ 2 (the scheme and one array)", name, n)
+		}
 	}
 }

@@ -92,6 +92,36 @@ func MustNew(nextHeader uint8, pathSegments ...netip.Addr) *SRH {
 	return h
 }
 
+// SetPath is New into a header the caller owns: the same checks, the same
+// errors and the same resulting header (Flags and Tag zero), with
+// h.Segments' backing array reused when it is large enough — so a sender
+// that keeps one SRH and serialises it before the next SetPath builds
+// headers without allocating. On error h is left untouched.
+func (h *SRH) SetPath(nextHeader uint8, pathSegments ...netip.Addr) error {
+	n := len(pathSegments)
+	if n == 0 {
+		return ErrNoSegments
+	}
+	if n > MaxSegments {
+		return ErrTooMany
+	}
+	for i, s := range pathSegments {
+		if err := ipv6.CheckAddr(s); err != nil {
+			return fmt.Errorf("srv6: segment %d: %w", i, err)
+		}
+	}
+	segs := h.Segments
+	if cap(segs) < n {
+		segs = make([]netip.Addr, n)
+	}
+	segs = segs[:n]
+	for i, s := range pathSegments {
+		segs[n-1-i] = s
+	}
+	*h = SRH{NextHeader: nextHeader, SegmentsLeft: uint8(n - 1), Segments: segs}
+	return nil
+}
+
 // LastEntry returns the Last Entry field value (index of the last element
 // of the segment list).
 func (h *SRH) LastEntry() uint8 {

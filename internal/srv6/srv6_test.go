@@ -1,7 +1,9 @@
 package srv6
 
 import (
+	"bytes"
 	"net/netip"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -263,6 +265,71 @@ func TestRoundTripQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzSetPathMatchesNew holds SetPath to New for every input: the same
+// error, and on success the same header and the same bytes on the wire,
+// whatever the reused header held before; on error the header is as it
+// was. Input: next header, how dirty the reused header is, then 17 bytes
+// per segment — a kind (valid / zero / IPv4-mapped / IPv4 / zoned) and
+// the address.
+func FuzzSetPathMatchesNew(f *testing.F) {
+	seg := func(kind byte, last byte) []byte {
+		return append([]byte{kind, 0x20, 0x01, 0x0d, 0xb8}, append(make([]byte, 11), last)...)
+	}
+	f.Add([]byte{6, 0})
+	f.Add(bytes.Join([][]byte{{6, 0}, seg(0, 1), seg(0, 2), seg(0, 3)}, nil))
+	f.Add(bytes.Join([][]byte{{6, 5}, seg(0, 1), seg(0, 2)}, nil))
+	f.Add(bytes.Join([][]byte{{6, 1}, seg(0, 1), seg(1, 0), seg(0, 3)}, nil))
+	f.Add(bytes.Join([][]byte{{17, 2}, seg(2, 9)}, nil))
+	f.Add(append([]byte{6, 3}, bytes.Repeat(seg(0, 7), MaxSegments+1)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		nh, dirty := data[0], int(data[1])%8
+		var path []netip.Addr
+		for b := data[2:]; len(b) >= 17 && len(path) <= MaxSegments+1; b = b[17:] {
+			a := netip.AddrFrom16([16]byte(b[1:17]))
+			switch b[0] % 5 {
+			case 1:
+				a = netip.Addr{}
+			case 2:
+				a = netip.AddrFrom16([16]byte{10: 0xff, 11: 0xff, 12: b[13], 13: b[14], 14: b[15], 15: b[16]})
+			case 3:
+				a = netip.AddrFrom4([4]byte(b[13:17]))
+			case 4:
+				a = a.WithZone("eth0")
+			}
+			path = append(path, a)
+		}
+		reused := &SRH{NextHeader: 99, SegmentsLeft: 1, Flags: 0xa5, Tag: 0xbeef}
+		for i := 0; i < dirty; i++ {
+			reused.Segments = append(reused.Segments, lb)
+		}
+		before := *reused
+		before.Segments = append([]netip.Addr(nil), reused.Segments...)
+
+		want, wantErr := New(nh, path...)
+		err := reused.SetPath(nh, path...)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("SetPath error %v, New error %v", err, wantErr)
+		}
+		if err != nil {
+			if !reflect.DeepEqual(*reused, before) {
+				t.Fatalf("failed SetPath changed the header: %+v, was %+v", *reused, before)
+			}
+			return
+		}
+		if !reflect.DeepEqual(reused, want) {
+			t.Fatalf("SetPath built %+v, New built %+v", reused, want)
+		}
+		got, err1 := reused.Marshal(nil)
+		exp, err2 := want.Marshal(nil)
+		if err1 != nil || err2 != nil || !bytes.Equal(got, exp) {
+			t.Fatalf("wire differs: %x (%v) vs %x (%v)", got, err1, exp, err2)
+		}
+	})
 }
 
 func BenchmarkMarshal3Segments(b *testing.B) {

@@ -10,7 +10,9 @@ import (
 
 	"srlb/internal/agent"
 	"srlb/internal/appserver"
+	"srlb/internal/des"
 	"srlb/internal/ipv6"
+	"srlb/internal/netsim"
 	"srlb/internal/packet"
 	"srlb/internal/srv6"
 	"srlb/internal/tcpseg"
@@ -236,5 +238,35 @@ func TestConnLifecycle(t *testing.T) {
 				t.Errorf("%d connections tracked after the run drained, want %d", got, tc.open)
 			}
 		})
+	}
+}
+
+// TestWarmConnectionAllocatesNothing: on a router that has served one
+// connection, the next — SYN, admission, SYN-ACK, request, completion,
+// response, linger — costs no heap object: the conn and its callback
+// are recycled, and so is the application's request.
+func TestWarmConnectionAllocatesNothing(t *testing.T) {
+	sim := des.New()
+	net := netsim.New(sim, netsim.Config{})
+	var synacks, responses int
+	net.Attach(netsim.NodeFunc(func(*packet.Packet) { synacks++ }), lbAddr)
+	net.Attach(netsim.NodeFunc(func(*packet.Packet) { responses++ }), client)
+	r := New(sim, net, Config{
+		Addr: sAddr1, VIPs: []netip.Addr{vip}, LB: lbAddr,
+		Policy: agent.Always{}, Server: appserver.New(sim, "s1", appserver.Default()), Demand: demandFromPayload,
+	})
+	syn, req := forcedSYN(40000, 5), steered(40000, tcpseg.FlagACK|tcpseg.FlagPSH, "GET /")
+	connection := func() {
+		net.Send(syn)
+		sim.RunFor(ms)
+		net.Send(req)
+		sim.RunFor(2 * CloseLinger)
+	}
+	connection()
+	if n := testing.AllocsPerRun(50, connection); n != 0 {
+		t.Errorf("warm connection: %v allocs, want 0", n)
+	}
+	if synacks != 52 || responses != 52 || r.OpenConns() != 0 {
+		t.Fatalf("%d SYN-ACKs, %d responses, %d connections left; want 52, 52, 0", synacks, responses, r.OpenConns())
 	}
 }

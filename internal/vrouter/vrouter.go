@@ -60,12 +60,27 @@ type Config struct {
 }
 
 // conn tracks one accepted connection through its request/response cycle.
+//
+// Ownership: conns are recycled through Router.free with their callback
+// bound once per object. A conn goes back to the list at exactly two
+// points — its offer was not Admitted (nothing else ever saw it), or its
+// own linger runs (the application's completion has fired by then, and
+// no other event names it). Never at the port-reuse delete in acceptSYN:
+// that incarnation's linger is still pending and compares
+// r.conns[c.flow] with c.
 type conn struct {
 	flow      packet.FlowKey
-	demand    time.Duration
 	requested bool // request payload received
 	ready     bool // service complete, response awaiting the request
 	closed    bool // response sent; lingering to absorb late packets
+
+	// event is the conn's one callback: the application calls it when
+	// service completes, and CloseLinger after the response it is the
+	// linger timer. The completion always comes first and only the
+	// response sets closed, which tells the two calls apart — one closure
+	// instead of two, because a free list pins what it holds.
+	event func()
+	next  *conn // free-list link
 }
 
 // CloseLinger is how long connection state is retained after the response
@@ -81,14 +96,15 @@ type Router struct {
 	net     *netsim.Network
 	vips    map[netip.Addr]bool
 	conns   map[packet.FlowKey]*conn
+	free    *conn // recycled conns, see conn
 	vipResp map[netip.Addr]uint64
 	down    bool
 	Counts  *metrics.Counter
 
-	// synack is the SYN-ACK header [self, LB, client], built by the first
-	// SYN-ACK; later ones only rewrite the client segment and SegmentsLeft
-	// (Send serialises before it returns, so nothing else reads it).
-	synack *srv6.SRH
+	// synack is the SYN-ACK header [self, LB, client], rewritten in place
+	// per SYN-ACK (Send serialises before it returns, so nothing else
+	// reads it).
+	synack srv6.SRH
 }
 
 // responseBody is every response's payload; read-only.
@@ -214,37 +230,58 @@ func (r *Router) acceptSYN(pkt *packet.Packet) {
 		}
 	}
 	demand := r.cfg.Demand(flow, pkt.TCP.Payload)
-	c := &conn{flow: flow, demand: demand}
-	verdict := r.cfg.Server.Offer(demand, func() { r.respond(c) })
+	c := r.newConn(flow)
+	verdict := r.cfg.Server.Offer(demand, c.event)
 	switch verdict {
 	case appserver.Admitted:
 		r.conns[flow] = c
 		r.sendSYNACK(pkt, flow)
 	case appserver.Rejected:
 		// tcp_abort_on_overflow: RST straight back to the client.
+		r.release(c)
 		r.Counts.Inc("rst_overflow")
 		r.sendRST(pkt)
 	case appserver.DroppedSilently:
+		r.release(c)
 		r.Counts.Inc("syn_dropped")
 	}
 }
 
+// newConn takes a conn from the free list, or builds one and binds its
+// callback.
+func (r *Router) newConn(flow packet.FlowKey) *conn {
+	c := r.free
+	if c == nil {
+		c = new(conn)
+		c.event = func() {
+			if !c.closed {
+				r.respond(c)
+				return
+			}
+			if r.conns[c.flow] == c {
+				delete(r.conns, c.flow)
+			}
+			r.release(c)
+		}
+	} else {
+		r.free = c.next
+	}
+	c.flow, c.requested, c.ready, c.closed = flow, false, false, false
+	return c
+}
+
+func (r *Router) release(c *conn) { c.next, r.free = r.free, c }
+
 // sendSYNACK replies to a SYN with an SRH [self, LB, client] so the LB
 // learns which server accepted (figure 1: SYN-ACK {a, S2, LB, c}).
 func (r *Router) sendSYNACK(pkt *packet.Packet, flow packet.FlowKey) {
-	srh := r.synack
-	if srh == nil {
-		var err error
-		if srh, err = srv6.New(ipv6.ProtoTCP, r.cfg.Addr, r.cfg.LB, flow.Src); err != nil {
-			panic(fmt.Sprintf("vrouter: SYN-ACK SRH: %v", err))
-		}
-		r.synack = srh
-	} else if err := ipv6.CheckAddr(flow.Src); err != nil {
+	srh := &r.synack
+	if err := srh.SetPath(ipv6.ProtoTCP, r.cfg.Addr, r.cfg.LB, flow.Src); err != nil {
 		panic(fmt.Sprintf("vrouter: SYN-ACK SRH: %v", err))
 	}
 	// The server is the first segment and the packet originates here, so
 	// that segment is already consumed: the LB is the active one.
-	srh.Segments[0], srh.SegmentsLeft = flow.Src, 1
+	srh.SegmentsLeft = 1
 	reply := &packet.Packet{
 		IP: ipv6.Header{
 			Src: flow.Dst, // the VIP: the client must see the service address
@@ -340,11 +377,7 @@ func (r *Router) respond(c *conn) {
 // schedules conn-state teardown after the linger.
 func (r *Router) emitResponse(c *conn) {
 	c.closed = true
-	r.sim.ScheduleAfter(CloseLinger, func() {
-		if cur, ok := r.conns[c.flow]; ok && cur == c {
-			delete(r.conns, c.flow)
-		}
-	})
+	r.sim.ScheduleAfter(CloseLinger, c.event)
 	resp := &packet.Packet{
 		IP: ipv6.Header{Src: c.flow.Dst, Dst: c.flow.Src},
 		TCP: tcpseg.Segment{
