@@ -86,20 +86,28 @@ func TestGoldenRetransmit(t *testing.T) {
 	goldenTSV(t, "retransmit.tsv", res.WriteTSV)
 }
 
-func TestGoldenWiki(t *testing.T) {
-	res := RunWiki(WikiConfig{
+// goldenWiki is the §VI replay TestGoldenWiki pins; TestWikiSketchView
+// reads the same runs.
+func goldenWiki() WikiResult {
+	return RunWiki(WikiConfig{
 		Cluster: ClusterConfig{Seed: 8, Servers: 12},
 		Day:     wiki.Config{Seed: 8, Compression: 2880},
 	})
+}
+
+func TestGoldenWiki(t *testing.T) {
+	res := goldenWiki()
 	goldenTSV(t, "wiki_fig6.tsv", res.WriteFig6TSV)
 	goldenTSV(t, "wiki_fig7.tsv", res.WriteFig7TSV)
 	goldenTSV(t, "wiki_fig8.tsv", res.WriteFig8TSV)
 }
 
-// A recorded trace replayed at 2x on a cluster that gains a server
-// halfway through: the rate-relative event resolves against the trace's
-// own span, and the late server gets its own replica cache.
-func TestGoldenTraceReplay(t *testing.T) {
+// goldenTraceReplay is a recorded trace replayed at 2x on a cluster that
+// gains a server halfway through: the rate-relative event resolves
+// against the trace's own span, and the late server gets its own replica
+// cache.
+func goldenTraceReplay(t *testing.T) (int, CellResult) {
+	t.Helper()
 	var raw bytes.Buffer
 	if _, _, err := wiki.Synthesize(wiki.Config{Seed: 11, Compression: 2880}, trace.NewWriter(&raw)); err != nil {
 		t.Fatal(err)
@@ -115,10 +123,15 @@ func TestGoldenTraceReplay(t *testing.T) {
 	if cell.Err != nil {
 		t.Fatal(cell.Err)
 	}
+	return len(entries), cell
+}
+
+func TestGoldenTraceReplay(t *testing.T) {
+	entries, cell := goldenTraceReplay(t)
 	run := cell.Outcome.Extra.(WikiRun)
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "entries\t%d\n", len(entries))
+	fmt.Fprintf(&b, "entries\t%d\n", entries)
 	fmt.Fprintf(&b, "cell\tok=%d\tmean_ns=%d\trefused=%d\tunfinished=%d\n",
 		cell.Outcome.RT.Count(), cell.Outcome.RT.Mean(), cell.Outcome.Refused, cell.Outcome.Unfinished)
 	fmt.Fprintf(&b, "wiki\tn=%d\tmean_ns=%d\tp50_ns=%d\tp75_ns=%d\tp99_ns=%d\tmax_ns=%d\n",
