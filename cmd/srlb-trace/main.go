@@ -47,9 +47,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		w := trace.NewWriter(f)
-		wikiN, statN, err := wiki.Synthesize(cfg, w)
+		wikiN, statN, err := synthesize(f, cfg)
 		if err != nil {
 			fatal(err)
 		}
@@ -68,6 +66,16 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// synthesize writes the synthetic day to f and closes it: the trace is
+// only written once Close has succeeded.
+func synthesize(f io.WriteCloser, cfg wiki.Config) (wikiN, statN int, err error) {
+	wikiN, statN, err = wiki.Synthesize(cfg, trace.NewWriter(f))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return wikiN, statN, err
 }
 
 func inspectTrace(r io.Reader) {

@@ -145,8 +145,7 @@
 // (`srlb-bench -experiment vipscale`) measures per-packet SYN/steered
 // dispatch cost over {100, 1k, 10k} services per scheme — the flat
 // latency-vs-#services curve, with the complexity class pinned by
-// TestDispatchComplexityClass and the DispatchLookup rows of
-// BENCH_core.json.
+// TestDispatchComplexityClass (internal/experiments).
 //
 // The contention regime layers on top: ServiceSpec.Pool +
 // MultiServiceWorkload.Pools put several services on ONE shared server
@@ -228,8 +227,9 @@
 // sink, pumps each stream one arrival ahead without allocating, runs
 // the simulator under the context and drains what is left. RunHorizon
 // pushes that to 10⁸ open-loop queries with a flat heap
-// (`srlb-bench -experiment horizon`); BENCH_core.json tracks the hot
-// paths' ns/op and allocs/op across commits (docs/RESULTS_SCHEMA.md).
+// (`srlb-bench -experiment horizon`); `bash bench/run.sh` is the
+// performance ledger (bench/README.md), and the hot paths' allocation
+// counts are tier-1 testing.AllocsPerRun gates in their own packages.
 //
 // On the data plane every hop is marshal → wire bytes → parse, and a
 // delivered packet belongs to the node that receives it — the LB and the
@@ -303,7 +303,8 @@
 //   - internal/stats — replication statistics: Dist, Replicated,
 //     Student-t CIs, seeded bootstrap
 //   - internal/sketch — constant-memory streaming metrics: mergeable
-//     log-linear histogram, Welford moments, counters
+//     log-linear histogram (per run and per time bin), Welford moments,
+//     counters
 //   - internal/experiments — Scenario/Sweep/Runner, workloads, figures 2–8,
 //     λ0 calibration, ablations
 //

@@ -43,7 +43,7 @@ func main() {
 		panic(err)
 	}
 	// Each cell's Extra carries the full per-run WikiRun (time bins,
-	// rate bins, cache hit rates). A skipped cell has no Extra.
+	// launch counts, cache hit rates). A skipped cell has no Extra.
 	runFor := func(pi, si int) (srlb.WikiRun, bool) {
 		run, ok := res.Cell(pi, 0, si).Outcome.Extra.(srlb.WikiRun)
 		return run, ok
@@ -59,7 +59,7 @@ func main() {
 		real := day.RealTime(ref.WikiBins.BinStart(i))
 		fmt.Printf("%02d:00     %6.1f   %6.3f  %6.3f\n",
 			int(real.Hours()),
-			ref.RateBins.Rate(i),
+			ref.Rate(i),
 			ref.WikiBins.Bin(i).Median().Seconds(),
 			sr0.WikiBins.Bin(i).Median().Seconds())
 	}

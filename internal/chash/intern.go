@@ -100,11 +100,3 @@ func SharedMaglev(backends []string, tableSize int) (*Maglev, error) {
 	internMu.Unlock()
 	return m, nil
 }
-
-// InternedTables reports how many tables the cache currently holds —
-// test and diagnostics hook.
-func InternedTables() int {
-	internMu.Lock()
-	defer internMu.Unlock()
-	return len(internTable)
-}

@@ -283,14 +283,3 @@ func loadNeighbors(s Sweep, li int) []int {
 	}
 	return out
 }
-
-// TotalReplicates sums the completed replicates over all cells — the
-// measurement budget an adaptive run actually spent, to compare
-// against the fixed budget len(Cells) × MaxSeeds.
-func (s SweepStats) TotalReplicates() int {
-	total := 0
-	for _, cs := range s.Cells {
-		total += cs.N()
-	}
-	return total
-}

@@ -146,7 +146,7 @@ func TestGoldenTraceReplay(t *testing.T) {
 	fmt.Fprintf(&b, "bin_width_ns\t%d\n", run.WikiBins.Width())
 	for i := 0; i < run.WikiBins.NumBins(); i++ {
 		fmt.Fprintf(&b, "bin\t%d\tlaunched=%d\tok=%d\tp50_ns=%d\n",
-			i, run.RateBins.Bin(i).Count(), run.WikiBins.Bin(i).Count(), run.WikiBins.Bin(i).Median())
+			i, run.Launched[i], run.WikiBins.Bin(i).Count(), run.WikiBins.Bin(i).Median())
 	}
 	checkGolden(t, "trace_replay.txt", b.String())
 }

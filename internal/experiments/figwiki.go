@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"time"
 
-	"srlb/internal/metrics"
+	"srlb/internal/sketch"
 	"srlb/internal/testbed"
 	"srlb/internal/trace"
 	"srlb/internal/wiki"
@@ -41,16 +41,22 @@ type WikiConfig struct {
 type WikiRun struct {
 	Spec PolicySpec
 	// Wiki are the wiki-page load times, binned by trace time and overall.
-	WikiBins *metrics.TimeBins
-	WikiAll  *metrics.Recorder
+	WikiBins *sketch.TimeBins
+	WikiAll  *sketch.Histogram
 	// StaticAll are static-object load times (equivalent under both
 	// policies, §VI-C).
-	StaticAll *metrics.Recorder
-	// RateBins counts wiki-page queries per bin (figure 6 top plot).
-	RateBins *metrics.TimeBins
+	StaticAll *sketch.Histogram
+	// Launched counts the wiki-page queries issued in each bin of
+	// WikiBins, whatever their outcome (figure 6 top plot).
+	Launched []int
 	Refused  int
 	// HitRates are the per-replica memcached hit fractions at the end.
 	HitRates []float64
+}
+
+// Rate returns the wiki-page launch rate of bin i in queries per second.
+func (r WikiRun) Rate(i int) float64 {
+	return float64(r.Launched[i]) / r.WikiBins.Width().Seconds()
 }
 
 // WikiResult holds one run per policy.
@@ -171,18 +177,19 @@ func (w WikiWorkload) replay(ctx context.Context, cluster ClusterConfig, spec Po
 	span = checkSpan(w, speed, span)
 	virtualBin := time.Duration(float64(binWidth) / comp)
 
+	bins := sketch.NewTimeBins(virtualBin, span)
 	run := WikiRun{
 		Spec:      spec,
-		WikiBins:  metrics.NewTimeBins(virtualBin, span),
-		WikiAll:   metrics.NewRecorder(1 << 16),
-		StaticAll: metrics.NewRecorder(1 << 16),
-		RateBins:  metrics.NewTimeBins(virtualBin, span),
+		WikiBins:  bins,
+		WikiAll:   sketch.New(),
+		StaticAll: sketch.New(),
+		Launched:  make([]int, bins.NumBins()),
 	}
 	// Every launched query reports exactly once (drained ones as !OK), so
 	// the per-bin launch counts can be taken here too.
 	onResult := func(res testbed.Result) {
 		if res.Class == classWiki {
-			run.RateBins.Add(res.IssuedAt, 0)
+			run.Launched[bins.Index(res.IssuedAt)]++
 		}
 		switch {
 		case res.Refused || !res.OK:
@@ -200,7 +207,7 @@ func (w WikiWorkload) replay(ctx context.Context, cluster ClusterConfig, spec Po
 			run.HitRates = append(run.HitRates, rep.HitRate())
 		}
 	}
-	return CellOutcome{RT: sketchFromRecorder(run.WikiAll), Refused: run.Refused, Extra: run}, err
+	return CellOutcome{RT: run.WikiAll, Refused: run.Refused, Extra: run}, err
 }
 
 // entryStream replays recorded trace entries in order, their arrival

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"srlb/internal/metrics"
+	"srlb/internal/sketch"
 )
 
 // findRun returns the run for a policy name.
@@ -20,7 +21,7 @@ func (r WikiResult) findRun(name string) (WikiRun, error) {
 
 // binLabel renders a bin's start as the trace-time hour (the paper's
 // "time of day (UTC)" axis).
-func (r WikiResult) binLabel(binIdx int, bins *metrics.TimeBins) string {
+func (r WikiResult) binLabel(binIdx int, bins *sketch.TimeBins) string {
 	virtual := bins.BinStart(binIdx)
 	real := r.Day.RealTime(virtual)
 	h := int(real.Hours())
@@ -45,7 +46,7 @@ func (r WikiResult) WriteFig6TSV(w io.Writer) error {
 	for i := 0; i < ref.WikiBins.NumBins(); i++ {
 		// The rate axis reports trace-time q/s; compression preserves
 		// rates, so the virtual bin rate is the real one.
-		t.printf("%s\t%.1f", r.binLabel(i, ref.WikiBins), ref.RateBins.Rate(i))
+		t.printf("%s\t%.1f", r.binLabel(i, ref.WikiBins), ref.Rate(i))
 		for _, run := range r.Runs {
 			t.printf("\t%s", metrics.FormatDuration(run.WikiBins.Bin(i).Median()))
 		}

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
-	"srlb/internal/metrics"
 	"srlb/internal/sketch"
+	"srlb/internal/stats"
 	"srlb/internal/testbed"
 )
 
@@ -67,29 +67,34 @@ func TestHorizonSketchMatchesExact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10⁶-query reference cell")
 	}
-	exact := metrics.NewRecorder(1 << 20)
+	exact := make([]float64, 0, 1<<20) // ns
+	var sum, max time.Duration
 	cfg := horizonCfg(1_000_000)
 	cfg.Hooks.OnResult = func(res testbed.Result) {
 		if res.OK {
-			exact.Add(res.RT)
+			exact = append(exact, float64(res.RT))
+			sum += res.RT
+			if res.RT > max {
+				max = res.RT
+			}
 		}
 	}
 	res, err := RunHorizon(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RT.Count() != exact.Count() {
-		t.Fatalf("sketch count %d != exact %d", res.RT.Count(), exact.Count())
+	if res.RT.Count() != len(exact) {
+		t.Fatalf("sketch count %d != exact %d", res.RT.Count(), len(exact))
 	}
-	if res.RT.Max() != exact.Max() {
-		t.Fatalf("sketch max %v != exact %v", res.RT.Max(), exact.Max())
+	if res.RT.Max() != max {
+		t.Fatalf("sketch max %v != exact %v", res.RT.Max(), max)
 	}
-	if got, want := res.RT.Mean(), exact.Mean(); got != want {
+	if got, want := res.RT.Mean(), sum/time.Duration(len(exact)); got != want {
 		t.Fatalf("sketch mean %v != exact %v", got, want)
 	}
 	bound := sketch.MaxRelativeError(sketch.DefaultPrecision)
 	for _, p := range []float64{0.5, 0.9, 0.99, 0.999} {
-		got, want := res.RT.Quantile(p), exact.Quantile(p)
+		got, want := res.RT.Quantile(p), time.Duration(stats.Percentile(exact, p))
 		if want == 0 {
 			continue
 		}

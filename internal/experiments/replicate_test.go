@@ -85,7 +85,7 @@ func TestAggregateSingleSeedDegenerates(t *testing.T) {
 }
 
 func TestCDFBandAlignsWithPooledRows(t *testing.T) {
-	// Fewer pooled samples than Points: Recorder.CDF clamps its row
+	// Fewer pooled samples than Points: Histogram.CDF clamps its row
 	// count, and the band must follow the same grid row for row.
 	res := RunCDF(CDFConfig{
 		Cluster:  ClusterConfig{Seed: 44, Servers: 4},

@@ -124,6 +124,3 @@ type CellResult struct {
 	// Err is non-nil when the cell was cancelled before or during its run.
 	Err error
 }
-
-// Skipped reports whether the cell never ran (sweep cancelled first).
-func (c CellResult) Skipped() bool { return c.Err != nil && c.Outcome.RT == nil }

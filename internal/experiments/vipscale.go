@@ -9,9 +9,8 @@
 //
 // RunVIPScale is the canonical instance behind
 // `srlb-bench -experiment vipscale`. The headline figure is the flat
-// latency-vs-#services curve; the complexity-class regression test in
-// bench_core fails the build if dispatch at 10k VIPs ever exceeds 2×
-// its 1k cost.
+// latency-vs-#services curve; TestDispatchComplexityClass fails the
+// build if dispatch at 10k VIPs ever exceeds 2× its 1k cost.
 
 package experiments
 
@@ -140,9 +139,9 @@ type VIPScaleResult struct {
 // DispatchRig drives one generated topology's primary LB replica
 // directly: it crafts client packets and calls Handle without ever
 // running the simulator (netsim only schedules deliveries, so pending
-// events pile up harmlessly and virtual time stays at zero). Exported
-// for the bench_core benchmarks, which pin the complexity class of the
-// same loop.
+// events pile up harmlessly and virtual time stays at zero).
+// TestDispatchComplexityClass pins the complexity class of the same
+// loop.
 type DispatchRig struct {
 	TB      *testbed.Testbed
 	vips    []netip.Addr

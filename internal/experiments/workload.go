@@ -6,7 +6,6 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"srlb/internal/metrics"
 	"srlb/internal/rng"
 	"srlb/internal/sketch"
 )
@@ -100,17 +99,6 @@ func (o CellOutcome) total() VIPOutcome {
 // OKFraction returns the completed fraction of all observed queries
 // (0 for a skipped cell, whose RT is nil).
 func (o CellOutcome) OKFraction() float64 { return o.total().OKFraction() }
-
-// sketchFromRecorder folds an exact recorder into a histogram sketch, so
-// workloads that keep full recorders in their Extra payload (the wiki
-// replays) can still satisfy CellOutcome.RT.
-func sketchFromRecorder(r *metrics.Recorder) *sketch.Histogram {
-	h := sketch.New()
-	for _, d := range r.Samples() {
-		h.Add(d)
-	}
-	return h
-}
 
 // PoissonStats is the Extra payload of PoissonWorkload and BurstyWorkload.
 type PoissonStats struct {

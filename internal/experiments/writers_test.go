@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"srlb/internal/metrics"
 	"srlb/internal/sketch"
 	"srlb/internal/wiki"
 )
@@ -32,11 +31,9 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 // reported as written.
 func TestWritersSurfaceEveryWriteError(t *testing.T) {
 	hist := sketch.New()
-	bins := metrics.NewTimeBins(time.Second, 2*time.Second)
-	rec := metrics.NewRecorder(0)
+	bins := sketch.NewTimeBins(time.Second, 2*time.Second)
 	for _, d := range []time.Duration{10 * time.Millisecond, 30 * time.Millisecond} {
 		hist.Add(d)
-		rec.Add(d)
 		bins.Add(d, d)
 	}
 	seeds := []uint64{1, 2}
@@ -44,7 +41,7 @@ func TestWritersSurfaceEveryWriteError(t *testing.T) {
 	svc := ServiceRow{Policy: "RR", Service: "all", LoadVec: []float64{0.3, 0.1}, N: 2}
 	wikiRes := WikiResult{
 		Day:  wiki.Config{Compression: 288},
-		Runs: []WikiRun{{Spec: RR(), WikiBins: bins, RateBins: bins, WikiAll: rec}},
+		Runs: []WikiRun{{Spec: RR(), WikiBins: bins, Launched: []int{2, 0}, WikiAll: hist}},
 	}
 
 	writers := []struct {

@@ -1,7 +1,7 @@
-// Package metrics provides the measurement machinery the SRLB evaluation
-// needs: response-time recorders with exact quantiles/deciles/CDFs
-// (figures 2, 3, 5, 7, 8), Jain's fairness index and EWMA smoothing
-// (figure 4), and fixed-width time bins (figures 6 and 7).
+// Package metrics provides the measurement helpers that sit beside the
+// response-time sketches of package sketch: Jain's fairness index and
+// EWMA smoothing (figure 4), the paper's axis formatting, and the named
+// event counters of the data-plane elements.
 package metrics
 
 import (
@@ -10,138 +10,6 @@ import (
 	"sort"
 	"time"
 )
-
-// Recorder accumulates duration samples and answers exact order
-// statistics. It keeps every sample (the paper's batches are 20 000
-// queries — trivially small), sorting lazily.
-type Recorder struct {
-	samples []time.Duration
-	sorted  bool
-	sum     time.Duration
-	max     time.Duration
-}
-
-// NewRecorder returns a Recorder with capacity hint n.
-func NewRecorder(n int) *Recorder {
-	return &Recorder{samples: make([]time.Duration, 0, n)}
-}
-
-// Add records one sample.
-func (r *Recorder) Add(d time.Duration) {
-	r.samples = append(r.samples, d)
-	r.sorted = false
-	r.sum += d
-	if d > r.max {
-		r.max = d
-	}
-}
-
-// Count returns the number of samples.
-func (r *Recorder) Count() int { return len(r.samples) }
-
-// Samples returns a copy of the raw samples in insertion order (the
-// recorder may re-sort its own slice lazily at any query).
-func (r *Recorder) Samples() []time.Duration {
-	return append([]time.Duration(nil), r.samples...)
-}
-
-// Mean returns the sample mean (0 when empty).
-func (r *Recorder) Mean() time.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	return r.sum / time.Duration(len(r.samples))
-}
-
-// Max returns the largest sample.
-func (r *Recorder) Max() time.Duration { return r.max }
-
-// Sum returns the sum of all samples.
-func (r *Recorder) Sum() time.Duration { return r.sum }
-
-func (r *Recorder) sort() {
-	if !r.sorted {
-		sort.Slice(r.samples, func(i, j int) bool { return r.samples[i] < r.samples[j] })
-		r.sorted = true
-	}
-}
-
-// Quantile returns the p-quantile (0 ≤ p ≤ 1) using linear interpolation
-// between closest ranks. Empty recorders return 0.
-func (r *Recorder) Quantile(p float64) time.Duration {
-	n := len(r.samples)
-	if n == 0 {
-		return 0
-	}
-	r.sort()
-	if p <= 0 {
-		return r.samples[0]
-	}
-	if p >= 1 {
-		return r.samples[n-1]
-	}
-	pos := p * float64(n-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return r.samples[lo]
-	}
-	frac := pos - float64(lo)
-	return r.samples[lo] + time.Duration(frac*float64(r.samples[hi]-r.samples[lo]))
-}
-
-// Median returns the 0.5-quantile.
-func (r *Recorder) Median() time.Duration { return r.Quantile(0.5) }
-
-// Deciles returns quantiles 0.1 … 0.9, the series of paper figure 7.
-func (r *Recorder) Deciles() [9]time.Duration {
-	var out [9]time.Duration
-	for i := 1; i <= 9; i++ {
-		out[i-1] = r.Quantile(float64(i) / 10)
-	}
-	return out
-}
-
-// CDF returns (value, cumulative-fraction) pairs at up to maxPoints evenly
-// spaced ranks — the curves of figures 3, 5 and 8.
-func (r *Recorder) CDF(maxPoints int) []CDFPoint {
-	n := len(r.samples)
-	if n == 0 {
-		return nil
-	}
-	r.sort()
-	if maxPoints <= 0 || maxPoints > n {
-		maxPoints = n
-	}
-	out := make([]CDFPoint, 0, maxPoints)
-	for i := 0; i < maxPoints; i++ {
-		rank := (i + 1) * n / maxPoints // 1..n
-		out = append(out, CDFPoint{
-			Value:    r.samples[rank-1],
-			Fraction: float64(rank) / float64(n),
-		})
-	}
-	return out
-}
-
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	Value    time.Duration
-	Fraction float64
-}
-
-// Snapshot returns a sorted copy of the samples.
-func (r *Recorder) Snapshot() []time.Duration {
-	r.sort()
-	return append([]time.Duration(nil), r.samples...)
-}
-
-// Merge adds all samples from other into r.
-func (r *Recorder) Merge(other *Recorder) {
-	for _, s := range other.samples {
-		r.Add(s)
-	}
-}
 
 // Fairness computes Jain's fairness index (Σx)² / (n·Σx²) over the given
 // loads, exactly the index plotted in figure 4. By convention the index of
@@ -200,62 +68,6 @@ func (e *EWMA) Update(t time.Duration, v float64) float64 {
 
 // Value returns the current smoothed value.
 func (e *EWMA) Value() float64 { return e.value }
-
-// TimeBins partitions a time horizon into fixed-width bins, each with its
-// own Recorder — the 10-minute bins of figures 6 and 7.
-type TimeBins struct {
-	width time.Duration
-	bins  []*Recorder
-}
-
-// NewTimeBins creates bins of the given width covering [0, horizon).
-func NewTimeBins(width, horizon time.Duration) *TimeBins {
-	if width <= 0 {
-		panic("metrics: bin width must be positive")
-	}
-	n := int((horizon + width - 1) / width)
-	if n < 1 {
-		n = 1
-	}
-	bins := make([]*Recorder, n)
-	for i := range bins {
-		bins[i] = NewRecorder(0)
-	}
-	return &TimeBins{width: width, bins: bins}
-}
-
-// Add records sample d at time t. Samples beyond the horizon land in the
-// last bin.
-func (tb *TimeBins) Add(t time.Duration, d time.Duration) {
-	i := int(t / tb.width)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(tb.bins) {
-		i = len(tb.bins) - 1
-	}
-	tb.bins[i].Add(d)
-}
-
-// NumBins returns the number of bins.
-func (tb *TimeBins) NumBins() int { return len(tb.bins) }
-
-// Width returns the bin width.
-func (tb *TimeBins) Width() time.Duration { return tb.width }
-
-// Bin returns the recorder of bin i.
-func (tb *TimeBins) Bin(i int) *Recorder { return tb.bins[i] }
-
-// BinStart returns the start time of bin i.
-func (tb *TimeBins) BinStart(i int) time.Duration { return time.Duration(i) * tb.width }
-
-// Rate returns the per-second event rate of bin i.
-func (tb *TimeBins) Rate(i int) float64 {
-	return float64(tb.bins[i].Count()) / tb.width.Seconds()
-}
-
-// Seconds is a display helper converting a duration to float seconds.
-func Seconds(d time.Duration) float64 { return d.Seconds() }
 
 // FormatDuration renders d in seconds with millisecond precision, the way
 // the paper's axes are labeled.

@@ -2,152 +2,10 @@ package metrics
 
 import (
 	"math"
-	"math/rand/v2"
 	"testing"
 	"testing/quick"
 	"time"
 )
-
-func TestRecorderBasics(t *testing.T) {
-	r := NewRecorder(4)
-	if r.Count() != 0 || r.Mean() != 0 || r.Max() != 0 {
-		t.Fatal("empty recorder should be all-zero")
-	}
-	for _, d := range []time.Duration{100, 200, 300, 400} {
-		r.Add(d * time.Millisecond)
-	}
-	if r.Count() != 4 {
-		t.Fatalf("count = %d", r.Count())
-	}
-	if r.Mean() != 250*time.Millisecond {
-		t.Fatalf("mean = %v", r.Mean())
-	}
-	if r.Max() != 400*time.Millisecond {
-		t.Fatalf("max = %v", r.Max())
-	}
-	if r.Sum() != time.Second {
-		t.Fatalf("sum = %v", r.Sum())
-	}
-}
-
-func TestQuantileExactRanks(t *testing.T) {
-	r := NewRecorder(0)
-	// 1..100 ms — quantiles should be easy to reason about.
-	for i := 100; i >= 1; i-- {
-		r.Add(time.Duration(i) * time.Millisecond)
-	}
-	if got := r.Quantile(0); got != time.Millisecond {
-		t.Fatalf("q0 = %v", got)
-	}
-	if got := r.Quantile(1); got != 100*time.Millisecond {
-		t.Fatalf("q1 = %v", got)
-	}
-	med := r.Median()
-	if med < 50*time.Millisecond || med > 51*time.Millisecond {
-		t.Fatalf("median = %v", med)
-	}
-	q3 := r.Quantile(0.75)
-	if q3 < 75*time.Millisecond || q3 > 76*time.Millisecond {
-		t.Fatalf("q75 = %v", q3)
-	}
-}
-
-func TestQuantileSingleSample(t *testing.T) {
-	r := NewRecorder(0)
-	r.Add(42 * time.Millisecond)
-	for _, p := range []float64{0, 0.25, 0.5, 0.99, 1} {
-		if got := r.Quantile(p); got != 42*time.Millisecond {
-			t.Fatalf("q%v = %v", p, got)
-		}
-	}
-}
-
-func TestQuantileMonotoneQuick(t *testing.T) {
-	f := func(raw []uint16, a, b float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		a = math.Abs(math.Mod(a, 1))
-		b = math.Abs(math.Mod(b, 1))
-		if a > b {
-			a, b = b, a
-		}
-		r := NewRecorder(len(raw))
-		for _, v := range raw {
-			r.Add(time.Duration(v) * time.Microsecond)
-		}
-		return r.Quantile(a) <= r.Quantile(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecilesOrdered(t *testing.T) {
-	r := NewRecorder(0)
-	rng := rand.New(rand.NewPCG(1, 1))
-	for i := 0; i < 1000; i++ {
-		r.Add(time.Duration(rng.IntN(1_000_000)))
-	}
-	d := r.Deciles()
-	for i := 1; i < len(d); i++ {
-		if d[i] < d[i-1] {
-			t.Fatalf("deciles not monotone: %v", d)
-		}
-	}
-	if d[4] != r.Median() {
-		t.Fatalf("5th decile %v != median %v", d[4], r.Median())
-	}
-}
-
-func TestCDF(t *testing.T) {
-	r := NewRecorder(0)
-	for i := 1; i <= 1000; i++ {
-		r.Add(time.Duration(i) * time.Millisecond)
-	}
-	cdf := r.CDF(10)
-	if len(cdf) != 10 {
-		t.Fatalf("len = %d", len(cdf))
-	}
-	if cdf[9].Fraction != 1 {
-		t.Fatalf("last fraction = %v", cdf[9].Fraction)
-	}
-	if cdf[9].Value != time.Second {
-		t.Fatalf("last value = %v", cdf[9].Value)
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].Value < cdf[i-1].Value || cdf[i].Fraction <= cdf[i-1].Fraction {
-			t.Fatal("CDF not monotone")
-		}
-	}
-	if r.CDF(0) == nil || len(r.CDF(0)) != 1000 {
-		t.Fatal("maxPoints<=0 should return all points")
-	}
-	empty := NewRecorder(0)
-	if empty.CDF(10) != nil {
-		t.Fatal("empty CDF should be nil")
-	}
-}
-
-func TestMergeAndSnapshot(t *testing.T) {
-	a, b := NewRecorder(0), NewRecorder(0)
-	a.Add(1 * time.Millisecond)
-	b.Add(2 * time.Millisecond)
-	b.Add(3 * time.Millisecond)
-	a.Merge(b)
-	if a.Count() != 3 {
-		t.Fatalf("count = %d", a.Count())
-	}
-	snap := a.Snapshot()
-	if len(snap) != 3 || snap[0] != time.Millisecond || snap[2] != 3*time.Millisecond {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	// Snapshot must be a copy.
-	snap[0] = 99 * time.Hour
-	if a.Quantile(0) == 99*time.Hour {
-		t.Fatal("snapshot aliases internal storage")
-	}
-}
 
 func TestFairness(t *testing.T) {
 	if got := Fairness([]float64{5, 5, 5, 5}); math.Abs(got-1) > 1e-12 {
@@ -231,44 +89,6 @@ func TestEWMADefaultTau(t *testing.T) {
 	e.Update(time.Second, 2) // must not panic, tau defaulted
 }
 
-func TestTimeBins(t *testing.T) {
-	tb := NewTimeBins(10*time.Minute, 24*time.Hour)
-	if tb.NumBins() != 144 {
-		t.Fatalf("bins = %d, want 144", tb.NumBins())
-	}
-	tb.Add(0, time.Second)
-	tb.Add(9*time.Minute+59*time.Second, 2*time.Second)
-	tb.Add(10*time.Minute, 3*time.Second)
-	tb.Add(25*time.Hour, 4*time.Second) // beyond horizon → last bin
-	if tb.Bin(0).Count() != 2 {
-		t.Fatalf("bin0 = %d", tb.Bin(0).Count())
-	}
-	if tb.Bin(1).Count() != 1 {
-		t.Fatalf("bin1 = %d", tb.Bin(1).Count())
-	}
-	if tb.Bin(143).Count() != 1 {
-		t.Fatalf("last bin = %d", tb.Bin(143).Count())
-	}
-	if tb.BinStart(6) != time.Hour {
-		t.Fatalf("BinStart(6) = %v", tb.BinStart(6))
-	}
-	if got := tb.Rate(0); math.Abs(got-2.0/600) > 1e-12 {
-		t.Fatalf("rate = %v", got)
-	}
-	if tb.Width() != 10*time.Minute {
-		t.Fatalf("width = %v", tb.Width())
-	}
-}
-
-func TestTimeBinsPanicsOnBadWidth(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewTimeBins(0, time.Hour)
-}
-
 func TestCounter(t *testing.T) {
 	c := NewCounter()
 	c.Inc("drops")
@@ -286,28 +106,5 @@ func TestCounter(t *testing.T) {
 func TestFormatDuration(t *testing.T) {
 	if got := FormatDuration(1234 * time.Millisecond); got != "1.234" {
 		t.Fatalf("FormatDuration = %q", got)
-	}
-	if Seconds(1500*time.Millisecond) != 1.5 {
-		t.Fatal("Seconds conversion wrong")
-	}
-}
-
-func BenchmarkRecorderAdd(b *testing.B) {
-	r := NewRecorder(b.N)
-	for i := 0; i < b.N; i++ {
-		r.Add(time.Duration(i))
-	}
-}
-
-func BenchmarkQuantile20k(b *testing.B) {
-	r := NewRecorder(20000)
-	rng := rand.New(rand.NewPCG(1, 1))
-	for i := 0; i < 20000; i++ {
-		r.Add(time.Duration(rng.IntN(1_000_000)))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Add(time.Duration(i)) // force re-sort
-		_ = r.Median()
 	}
 }

@@ -115,9 +115,6 @@ func New(sim *des.Simulator, cfg Config) *Network {
 	}
 }
 
-// Sim returns the underlying simulator.
-func (n *Network) Sim() *des.Simulator { return n.sim }
-
 // Attach binds addrs to node on the LAN. Attaching an address twice
 // panics: unicast address assignment is static in the testbed (use
 // AttachAnycast for ECMP groups).

@@ -131,9 +131,7 @@ func (h *Histogram) Add(d time.Duration) {
 	}
 }
 
-// Count returns the number of samples. It mirrors
-// metrics.Recorder.Count, so the two are drop-in interchangeable in the
-// experiments layer.
+// Count returns the number of samples.
 func (h *Histogram) Count() int { return int(h.count) }
 
 // Sum returns the exact sum of all samples.
@@ -195,7 +193,7 @@ func (h *Histogram) valueAtRank(r uint64) int64 {
 }
 
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) using the same
-// closest-rank interpolation convention as metrics.Recorder.Quantile:
+// closest-rank interpolation convention as stats.Percentile:
 // pos = p·(n−1), linear between adjacent ranks. Values carry the
 // package-level relative error bound; empty histograms return 0.
 func (h *Histogram) Quantile(p float64) time.Duration {
@@ -234,8 +232,7 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 // Median returns the 0.5-quantile.
 func (h *Histogram) Median() time.Duration { return h.Quantile(0.5) }
 
-// Deciles returns quantiles 0.1 … 0.9, mirroring
-// metrics.Recorder.Deciles.
+// Deciles returns quantiles 0.1 … 0.9, the series of paper figure 7.
 func (h *Histogram) Deciles() [9]time.Duration {
 	var out [9]time.Duration
 	for i := 1; i <= 9; i++ {
@@ -244,16 +241,15 @@ func (h *Histogram) Deciles() [9]time.Duration {
 	return out
 }
 
-// CDFPoint is one point of an empirical CDF, shaped like
-// metrics.CDFPoint so plotting code treats the two alike.
+// CDFPoint is one point of an empirical CDF.
 type CDFPoint struct {
 	Value    time.Duration
 	Fraction float64
 }
 
 // CDF returns (value, cumulative-fraction) pairs at up to maxPoints
-// evenly spaced ranks — the same rank sampling as metrics.Recorder.CDF,
-// with bucket-representative values.
+// evenly spaced ranks, with bucket-representative values — the curves
+// of figures 3, 5 and 8.
 func (h *Histogram) CDF(maxPoints int) []CDFPoint {
 	n := int(h.count)
 	if n == 0 {
@@ -339,3 +335,43 @@ func (h *Histogram) Clone() *Histogram {
 	c.counts = append([]uint64(nil), h.counts...)
 	return &c
 }
+
+// TimeBins partitions a time horizon into fixed-width bins, each with
+// its own Histogram — the 10-minute bins of figures 6 and 7.
+type TimeBins struct {
+	width time.Duration
+	bins  []*Histogram
+}
+
+// NewTimeBins creates bins of the given width covering [0, horizon).
+func NewTimeBins(width, horizon time.Duration) *TimeBins {
+	if width <= 0 {
+		panic("sketch: bin width must be positive")
+	}
+	bins := make([]*Histogram, max(1, int((horizon+width-1)/width)))
+	for i := range bins {
+		bins[i] = New()
+	}
+	return &TimeBins{width: width, bins: bins}
+}
+
+// Index returns the bin holding time t; times before 0 or beyond the
+// horizon land in the first or last bin.
+func (tb *TimeBins) Index(t time.Duration) int {
+	return min(max(int(t/tb.width), 0), len(tb.bins)-1)
+}
+
+// Add records sample d at time t.
+func (tb *TimeBins) Add(t, d time.Duration) { tb.bins[tb.Index(t)].Add(d) }
+
+// NumBins returns the number of bins.
+func (tb *TimeBins) NumBins() int { return len(tb.bins) }
+
+// Width returns the bin width.
+func (tb *TimeBins) Width() time.Duration { return tb.width }
+
+// Bin returns the histogram of bin i.
+func (tb *TimeBins) Bin(i int) *Histogram { return tb.bins[i] }
+
+// BinStart returns the start time of bin i.
+func (tb *TimeBins) BinStart(i int) time.Duration { return time.Duration(i) * tb.width }

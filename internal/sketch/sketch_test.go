@@ -14,7 +14,8 @@ func newRand(seed uint64) *rand.Rand {
 	return rand.New(rand.NewPCG(seed, 0x5ce7c4))
 }
 
-// exactQuantile mirrors metrics.Recorder.Quantile on a raw sample set.
+// exactQuantile is the exact closest-rank quantile (linear between
+// adjacent ranks, as stats.Percentile) of a sorted sample set.
 func exactQuantile(sorted []time.Duration, p float64) time.Duration {
 	n := len(sorted)
 	if n == 0 {
@@ -348,6 +349,62 @@ func TestCounters(t *testing.T) {
 	a.Merge(b)
 	if a != (Counters{Offered: 15, OK: 12, Refused: 2, Unfinished: 1}) {
 		t.Errorf("merge mismatch: %+v", a)
+	}
+}
+
+func TestTimeBins(t *testing.T) {
+	tb := NewTimeBins(10*time.Minute, 24*time.Hour)
+	if tb.NumBins() != 144 {
+		t.Fatalf("bins = %d, want 144", tb.NumBins())
+	}
+	tb.Add(0, time.Second)
+	tb.Add(9*time.Minute+59*time.Second, 2*time.Second)
+	tb.Add(10*time.Minute, 3*time.Second)
+	tb.Add(25*time.Hour, 4*time.Second) // beyond horizon → last bin
+	tb.Add(-time.Second, 5*time.Second) // before 0 → first bin
+	if tb.Bin(0).Count() != 3 {
+		t.Fatalf("bin0 = %d", tb.Bin(0).Count())
+	}
+	if tb.Bin(1).Count() != 1 {
+		t.Fatalf("bin1 = %d", tb.Bin(1).Count())
+	}
+	if tb.Bin(143).Count() != 1 || tb.Bin(143).Max() != 4*time.Second {
+		t.Fatalf("last bin = %d, max %v", tb.Bin(143).Count(), tb.Bin(143).Max())
+	}
+	if tb.Index(10*time.Minute-1) != 0 || tb.Index(10*time.Minute) != 1 {
+		t.Fatal("bin boundary is not half-open")
+	}
+	if tb.BinStart(6) != time.Hour {
+		t.Fatalf("BinStart(6) = %v", tb.BinStart(6))
+	}
+	if tb.Width() != 10*time.Minute {
+		t.Fatalf("width = %v", tb.Width())
+	}
+	if NewTimeBins(time.Second, 0).NumBins() != 1 {
+		t.Fatal("an empty horizon still needs one bin")
+	}
+}
+
+func TestTimeBinsPanicsOnBadWidth(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewTimeBins(0, time.Hour)
+}
+
+// Once its bucket slice covers the value range, recording a sample
+// allocates nothing.
+func TestWarmAddAllocatesNothing(t *testing.T) {
+	h := New()
+	h.Add(time.Second)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		h.Add(time.Duration(i%1000) * time.Millisecond)
+		i++
+	}); n != 0 {
+		t.Fatalf("warm Add allocates %.1f times", n)
 	}
 }
 

@@ -1,7 +1,5 @@
 package sketch
 
-import "math"
-
 // Welford is a streaming mean/variance accumulator (Welford's online
 // algorithm). It holds three words regardless of stream length and
 // merges across shards with the Chan et al. parallel update.
@@ -33,9 +31,6 @@ func (w *Welford) Variance() float64 {
 	}
 	return w.m2 / float64(w.n-1)
 }
-
-// Std returns the sample standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
 
 // Merge folds other into w (Chan et al. pairwise combination). The
 // result equals single-stream ingestion up to floating-point rounding.

@@ -37,14 +37,14 @@
 // replicate carries no dispersion information; callers should treat a
 // zero CI at N == 1 as "unknown", not "exact".
 //
-// For order statistics of a single sample (percentiles, CDF bands),
-// where the t interval does not apply, the package provides seeded
-// bootstrap percentile intervals: BootstrapCI for any statistic,
-// QuantileCI for a quantile, and QuantileBand for a whole CDF band.
-// Bootstrap resampling draws from an explicit seed through the repo's
-// central internal/rng streams, so results are deterministic and
-// reproducible — the same property the Runner guarantees for
-// simulation cells.
+// For order statistics of a single sample (percentiles), where the t
+// interval does not apply, the package provides a seeded bootstrap
+// percentile interval, BootstrapCI, for any statistic. (CDF bands are
+// across-seed bands of per-seed sketch quantiles; see
+// experiments.CDFBand.) Bootstrap resampling draws from an explicit
+// seed through the repo's central internal/rng streams, so results are
+// deterministic and reproducible — the same property the Runner
+// guarantees for simulation cells.
 //
 // # Choosing the number of seeds
 //

@@ -50,7 +50,7 @@ func StdErr(xs []float64) float64 {
 
 // Percentile returns the p-quantile (0 ≤ p ≤ 1) of xs using linear
 // interpolation between closest ranks — the same convention as
-// metrics.Recorder.Quantile, so per-seed and across-seed percentiles
+// sketch.Histogram.Quantile, so per-seed and across-seed percentiles
 // are comparable. Empty input returns 0.
 func Percentile(xs []float64, p float64) float64 {
 	n := len(xs)
@@ -243,63 +243,4 @@ func BootstrapCI(xs []float64, stat func([]float64) float64, resamples int, conf
 		Lo: sortedPercentile(vals, alpha),
 		Hi: sortedPercentile(vals, 1-alpha),
 	}
-}
-
-// QuantileCI is BootstrapCI for the p-quantile of xs.
-func QuantileCI(xs []float64, p float64, resamples int, conf float64, seed uint64) Interval {
-	return BootstrapCI(xs, func(s []float64) float64 { return Percentile(s, p) }, resamples, conf, seed)
-}
-
-// Band is a confidence band over a quantile curve: for each fraction
-// P[i], the point estimate Mid[i] with interval [Lo[i], Hi[i]] — the
-// machinery behind CDF bands (plot the quantile curve transposed).
-type Band struct {
-	P           []float64
-	Lo, Mid, Hi []float64
-}
-
-// QuantileBand returns the bootstrap confidence band of the quantile
-// curve of xs at the given fractions. Like BootstrapCI it is a
-// deterministic function of (xs, ps, resamples, conf, seed), and it
-// equals per-fraction QuantileCI calls at the same seed — but draws and
-// sorts each resample once, reading every fraction off it, instead of
-// redoing the resampling len(ps) times.
-func QuantileBand(xs []float64, ps []float64, resamples int, conf float64, seed uint64) Band {
-	band := Band{
-		P:   append([]float64(nil), ps...),
-		Lo:  make([]float64, len(ps)),
-		Mid: make([]float64, len(ps)),
-		Hi:  make([]float64, len(ps)),
-	}
-	for i, p := range ps {
-		band.Mid[i] = Percentile(xs, p)
-	}
-	if len(xs) == 0 || resamples < 1 || conf <= 0 || conf >= 1 {
-		copy(band.Lo, band.Mid)
-		copy(band.Hi, band.Mid)
-		return band
-	}
-	r := newRand(seed)
-	n := len(xs)
-	buf := make([]float64, n)
-	vals := make([][]float64, len(ps))
-	for fi := range vals {
-		vals[fi] = make([]float64, resamples)
-	}
-	for b := 0; b < resamples; b++ {
-		for i := range buf {
-			buf[i] = xs[r.IntN(n)]
-		}
-		sort.Float64s(buf)
-		for fi, p := range ps {
-			vals[fi][b] = sortedPercentile(buf, p)
-		}
-	}
-	alpha := (1 - conf) / 2
-	for fi := range ps {
-		sort.Float64s(vals[fi])
-		band.Lo[fi] = sortedPercentile(vals[fi], alpha)
-		band.Hi[fi] = sortedPercentile(vals[fi], 1-alpha)
-	}
-	return band
 }

@@ -130,12 +130,12 @@ func TestBootstrapDeterminismAndSanity(t *testing.T) {
 		xs[i] = r.ExpFloat64()
 	}
 	med := Median(xs)
-	a := QuantileCI(xs, 0.5, 400, 0.95, 42)
-	b := QuantileCI(xs, 0.5, 400, 0.95, 42)
+	a := BootstrapCI(xs, Median, 400, 0.95, 42)
+	b := BootstrapCI(xs, Median, 400, 0.95, 42)
 	if a != b {
 		t.Fatalf("bootstrap not deterministic under fixed seed: %+v vs %+v", a, b)
 	}
-	c := QuantileCI(xs, 0.5, 400, 0.95, 43)
+	c := BootstrapCI(xs, Median, 400, 0.95, 43)
 	if a == c {
 		t.Fatal("different bootstrap seeds should perturb the interval")
 	}
@@ -155,40 +155,6 @@ func TestBootstrapDegenerate(t *testing.T) {
 	iv = BootstrapCI([]float64{3, 3, 3}, Mean, 0, 0.95, 1)
 	if iv.Lo != 3 || iv.Hi != 3 {
 		t.Fatalf("no resamples: %+v", iv)
-	}
-}
-
-func TestQuantileBand(t *testing.T) {
-	r := rand.New(rand.NewPCG(9, 9))
-	xs := make([]float64, 300)
-	for i := range xs {
-		xs[i] = r.NormFloat64()
-	}
-	ps := []float64{0.25, 0.5, 0.75}
-	band := QuantileBand(xs, ps, 300, 0.95, 5)
-	for i := range ps {
-		if band.Lo[i] > band.Mid[i] || band.Mid[i] > band.Hi[i] {
-			t.Fatalf("band not ordered at p=%v: lo=%v mid=%v hi=%v",
-				ps[i], band.Lo[i], band.Mid[i], band.Hi[i])
-		}
-	}
-	if band.Mid[0] >= band.Mid[2] {
-		t.Fatal("quantile curve not increasing")
-	}
-	again := QuantileBand(xs, ps, 300, 0.95, 5)
-	for i := range ps {
-		if band.Lo[i] != again.Lo[i] || band.Hi[i] != again.Hi[i] {
-			t.Fatal("band not deterministic under fixed seed")
-		}
-	}
-	// The single-pass band must equal per-fraction QuantileCI calls at
-	// the same seed (same resample stream, read at every fraction).
-	for i, p := range ps {
-		iv := QuantileCI(xs, p, 300, 0.95, 5)
-		if band.Lo[i] != iv.Lo || band.Hi[i] != iv.Hi {
-			t.Fatalf("band at p=%v [%v, %v] != QuantileCI [%v, %v]",
-				p, band.Lo[i], band.Hi[i], iv.Lo, iv.Hi)
-		}
 	}
 }
 

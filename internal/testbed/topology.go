@@ -1192,9 +1192,6 @@ func (tb *Testbed) PoolSizeByName(name string) int {
 // own name for implicit pools.
 func (tb *Testbed) PoolNameOf(v int) string { return tb.vips[v].pool.name }
 
-// VIPCount returns the number of declared VIPs.
-func (tb *Testbed) VIPCount() int { return len(tb.vips) }
-
 // VIPAddrOf returns the address of VIP v.
 func (tb *Testbed) VIPAddrOf(v int) netip.Addr { return tb.vips[v].addr }
 

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -39,6 +40,10 @@ func (e Entry) IsWikiPage() bool {
 // ErrBadLine reports a malformed trace line.
 var ErrBadLine = errors.New("trace: malformed line")
 
+// urlSpace is the whitespace a URL may not contain: the field separator
+// and anything a reader would take for one.
+const urlSpace = " \t\n"
+
 // Writer streams entries to a trace file.
 type Writer struct {
 	w    *bufio.Writer
@@ -56,7 +61,7 @@ func (tw *Writer) Write(e Entry) error {
 	if e.At < tw.last {
 		return fmt.Errorf("trace: out-of-order entry at %v after %v", e.At, tw.last)
 	}
-	if strings.ContainsAny(e.URL, " \t\n") {
+	if strings.ContainsAny(e.URL, urlSpace) {
 		return fmt.Errorf("trace: URL contains whitespace: %q", e.URL)
 	}
 	tw.last = e.At
@@ -98,10 +103,13 @@ func (tr *Reader) Next() (Entry, error) {
 			return Entry{}, fmt.Errorf("%w %d: %q", ErrBadLine, tr.line, line)
 		}
 		t, err := strconv.ParseInt(ms, 10, 64)
-		if err != nil || t < 0 {
+		if err != nil || t < 0 || t > math.MaxInt64/int64(time.Millisecond) {
 			return Entry{}, fmt.Errorf("%w %d: bad timestamp %q", ErrBadLine, tr.line, ms)
 		}
 		e := Entry{At: time.Duration(t) * time.Millisecond, URL: strings.TrimSpace(url)}
+		if strings.ContainsAny(e.URL, urlSpace) {
+			return Entry{}, fmt.Errorf("%w %d: URL contains whitespace: %q", ErrBadLine, tr.line, e.URL)
+		}
 		if e.At < tr.last {
 			return Entry{}, fmt.Errorf("%w %d: timestamp goes backwards", ErrBadLine, tr.line)
 		}

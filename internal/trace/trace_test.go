@@ -77,6 +77,8 @@ func TestReaderErrors(t *testing.T) {
 		"bad ts":       "abc /x\n",
 		"negative ts":  "-5 /x\n",
 		"out of order": "100 /x\n50 /y\n",
+		"space in url": "5 /a b\n",
+		"tab in url":   "5 /a\tb\n",
 	}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -85,6 +87,21 @@ func TestReaderErrors(t *testing.T) {
 				t.Fatalf("err = %v, want ErrBadLine", err)
 			}
 		})
+	}
+}
+
+// A millisecond count that does not fit a time.Duration is a bad
+// timestamp — not a wrapped small one, and not "goes backwards".
+func TestReaderRejectsOverflowingTimestamp(t *testing.T) {
+	for _, ms := range []string{"18446744073710", "9223372036855"} {
+		_, err := ReadAll(strings.NewReader(ms + " /x\n"))
+		if !errors.Is(err, ErrBadLine) || !strings.Contains(err.Error(), "bad timestamp") {
+			t.Errorf("%s ms: err = %v, want ErrBadLine (bad timestamp)", ms, err)
+		}
+	}
+	got, err := ReadAll(strings.NewReader("9223372036854 /x\n"))
+	if err != nil || len(got) != 1 || got[0].At != 9223372036854*time.Millisecond {
+		t.Fatalf("largest representable timestamp: %v, %v", got, err)
 	}
 }
 
