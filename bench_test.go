@@ -86,7 +86,8 @@ func BenchmarkFig3_CDFHighLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := srlb.RunFig3(srlb.CDFConfig{
-			Cluster: benchCluster, Lambda0: l0, Queries: benchQueries,
+			Base:    srlb.Base{Cluster: benchCluster, Queries: benchQueries},
+			Lambda0: l0,
 		})
 		reportCDF(b, res)
 	}
@@ -97,7 +98,8 @@ func BenchmarkFig4_LoadAndFairness(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := srlb.RunFig4(srlb.Fig4Config{
-			Cluster: benchCluster, Lambda0: l0, Queries: benchQueries,
+			Base:    srlb.Base{Cluster: benchCluster, Queries: benchQueries},
+			Lambda0: l0,
 		})
 		if f, err := res.MeanFairness("RR"); err == nil {
 			b.ReportMetric(f, "rr_fairness")
@@ -113,7 +115,8 @@ func BenchmarkFig5_CDFLowLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := srlb.RunFig5(srlb.CDFConfig{
-			Cluster: benchCluster, Lambda0: l0, Queries: benchQueries,
+			Base:    srlb.Base{Cluster: benchCluster, Queries: benchQueries},
+			Lambda0: l0,
 		})
 		reportCDF(b, res)
 	}
@@ -188,11 +191,12 @@ func BenchmarkAblation_CandidateCount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := srlb.RunAllAblations(srlb.AblationConfig{
-			Cluster: benchCluster, Lambda0: l0, Queries: benchQueries / 2,
+			Base:    srlb.Base{Cluster: benchCluster, Queries: benchQueries / 2},
+			Lambda0: l0,
 		})
 		// Report the k=2 gain over k=1 from the candidate study.
 		for _, study := range res {
-			if len(study.Rows) >= 2 && study.Rows[0].Label == "k=1 (RR)" {
+			if len(study.Rows) >= 2 && study.Rows[0].Variant == "k=1 (RR)" {
 				k1 := study.Rows[0].Mean.Seconds()
 				k2 := study.Rows[1].Mean.Seconds()
 				if k2 > 0 {

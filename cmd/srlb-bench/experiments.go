@@ -18,14 +18,13 @@ type env struct {
 	plot            bool
 	shared          bool // the run covers several experiments (see emit)
 
-	cluster   srlb.Cluster
+	// base is what every Poisson-family experiment embeds: the cluster,
+	// -queries, the replication axis derived from -seed/-seeds, -workers
+	// and the -v progress sink.
+	base      srlb.Base
 	lambda0   float64 // 0 until the calibration entry has run
 	seed      uint64
 	seedCount int
-	seeds     []uint64 // the replication axis of every Poisson-family experiment
-	queries   int
-	workers   int
-	progress  func(string)
 	verbose   bool
 
 	rhoPoints int
@@ -84,7 +83,7 @@ type experiment struct {
 var calibration = experiment{
 	name: "calibrate", title: "calibrate (SS V-A bootstrap)", onlyWhenNamed: true,
 	run: func(e *env) (rep report, _ error) {
-		cal := srlb.CalibrateCached(srlb.Calibration{Cluster: e.cluster})
+		cal := srlb.CalibrateCached(srlb.Calibration{Cluster: e.base.Cluster})
 		e.lambda0 = cal.Lambda0
 		rep.linef("lambda0 = %.1f q/s (theoretical %.1f, %d probes)", cal.Lambda0, cal.Theoretical, len(cal.Probes))
 		rep.files = []artifact{{"calibration.tsv", cal.WriteTSV}}
@@ -101,15 +100,12 @@ var experiments = []experiment{
 			for i := range rhos {
 				rhos[i] = float64(i+1) / float64(e.rhoPoints+1)
 			}
-			res := srlb.RunFig2(srlb.Fig2Config{
-				Cluster: e.cluster, Lambda0: e.lambda0, Queries: e.queries,
-				Rhos: rhos, Seeds: e.seeds, Workers: e.workers, Progress: e.progress,
-			})
+			res := srlb.RunFig2(e.fig2Config(rhos, nil))
 			if imp, err := res.Improvement("SR 4", 0.88); err == nil {
 				rep.linef("SR4 vs RR at rho=0.88: %.2fx (paper: up to 2.3x)", imp)
 			}
-			if len(e.seeds) > 1 {
-				rep.linef("replicated over %d seeds; cells report mean ± 95%% CI", len(e.seeds))
+			if len(e.base.Seeds) > 1 {
+				rep.linef("replicated over %d seeds; cells report mean ± 95%% CI", len(e.base.Seeds))
 			}
 			// The cross-commit tracking artifact: BENCH_sweep.json under
 			// -experiment all too.
@@ -124,10 +120,7 @@ var experiments = []experiment{
 	cdfFigure("fig3", "figure 3: response-time CDF at rho=0.88", "fig3_cdf_rho088.tsv", srlb.RunFig3),
 	{name: "fig4", title: "figure 4: server load mean + fairness timeline", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunFig4(srlb.Fig4Config{
-				Cluster: e.cluster, Lambda0: e.lambda0, Queries: e.queries,
-				Seeds: e.seeds, Workers: e.workers, Progress: e.progress,
-			})
+			res := srlb.RunFig4(srlb.Fig4Config{Base: e.base, Lambda0: e.lambda0})
 			for _, name := range []string{"RR", "SR 4"} {
 				if fair, err := res.MeanFairness(name); err == nil {
 					rep.linef("mean fairness %-5s = %.3f", name, fair)
@@ -139,14 +132,14 @@ var experiments = []experiment{
 	cdfFigure("fig5", "figure 5: response-time CDF at rho=0.61", "fig5_cdf_rho061.tsv", srlb.RunFig5),
 	{name: "wiki", also: []string{"fig6", "fig7", "fig8"}, title: "figures 6-8: Wikipedia day replay (RR vs SR4)",
 		run: func(e *env) (rep report, _ error) {
-			if len(e.seeds) > 1 {
+			if len(e.base.Seeds) > 1 {
 				rep.linef("note: wiki replay is single-seed (-seeds ignored); see examples/wikipedia for a replicated replay")
 			}
 			res := srlb.RunWiki(srlb.WikiConfig{
-				Cluster:  e.cluster,
+				Cluster:  e.base.Cluster,
 				Day:      srlb.WikiDay{Seed: e.seed, Compression: e.compress},
-				Workers:  e.workers,
-				Progress: e.progress,
+				Workers:  e.base.Workers,
+				Progress: e.base.Progress,
 			})
 			for _, s := range res.Summaries() {
 				rep.linef("%-5s median=%.3fs q3=%.3fs wiki-pages=%d refused=%d cache-hit=%.2f",
@@ -180,10 +173,7 @@ var experiments = []experiment{
 		}},
 	{name: "ablations", title: "ablations: candidates/threshold/window/scheme/backlog", needsLambda0: true,
 		run: func(e *env) (report, error) {
-			results := srlb.RunAllAblations(srlb.AblationConfig{
-				Cluster: e.cluster, Lambda0: e.lambda0, Queries: e.queries,
-				Seeds: e.seeds, Workers: e.workers, Progress: e.progress,
-			})
+			results := srlb.RunAllAblations(srlb.AblationConfig{Base: e.base, Lambda0: e.lambda0})
 			return report{files: []artifact{{"ablations.tsv", func(w io.Writer) error {
 				for _, r := range results {
 					if err := r.WriteTSV(w); err != nil {
@@ -200,25 +190,20 @@ var experiments = []experiment{
 			// Deep overload + small backlog: the backlog caps queueing
 			// delay, so the completed-query tail isolates the
 			// RST-vs-retransmit difference.
-			shallow := e.cluster
-			shallow.Server = appserver.Default()
-			shallow.Server.Backlog = 16
-			res := srlb.RunRetransmitAblation(srlb.RetransmitConfig{
-				Cluster: shallow, Rho: 2.0, Queries: e.queries, Seeds: e.seeds, Progress: e.progress,
-			})
+			shallow := e.base
+			shallow.Cluster.Server = appserver.Default()
+			shallow.Cluster.Server.Backlog = 16
+			res := srlb.RunRetransmitAblation(srlb.RetransmitConfig{Base: shallow, Rho: 2.0})
 			for _, row := range res.Rows {
 				rep.linef("%-30s p99=%.3fs refused=%d timeouts=%d retransmits=%d",
-					row.Mode, row.P99.Seconds(), row.Refused, row.TimedOut, row.Retransmits)
+					row.Variant, row.P99.Seconds(), row.RefusedCount(), row.TimedOut, row.Retransmits)
 			}
 			rep.files = []artifact{{"ablation_abort_on_overflow.tsv", res.WriteTSV}}
 			return rep, nil
 		}},
 	{name: "hetero", also: []string{"ablations"}, title: "extension: heterogeneous cluster",
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunHetero(srlb.HeteroConfig{
-				Cluster: e.cluster, Queries: e.queries,
-				Seeds: e.seeds, Workers: e.workers, Progress: e.progress,
-			})
+			res := srlb.RunHetero(srlb.HeteroConfig{Base: e.base})
 			for _, row := range res.Rows {
 				rep.linef("%-7s mean=%.3fs slow-share=%.3f (capacity share %.3f)",
 					row.Policy, row.Mean.Seconds(), row.SlowShare, res.CapacityShare)
@@ -228,12 +213,8 @@ var experiments = []experiment{
 		}},
 	{name: "bursty", title: "bursty sweep: fig2 grid under on/off MMPP arrivals", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunFig2(srlb.Fig2Config{
-				Cluster: e.cluster, Lambda0: e.lambda0,
-				Rhos: burstyRhos(e.rhoPoints), Seeds: e.seeds,
-				Workers: e.workers, Progress: e.progress,
-				Workload: srlb.BurstyWorkload{Lambda0: e.lambda0, Queries: e.queries},
-			})
+			res := srlb.RunFig2(e.fig2Config(burstyRhos(e.rhoPoints),
+				srlb.BurstyWorkload{Lambda0: e.lambda0, Queries: e.base.Queries}))
 			if imp, err := res.Improvement("SR 4", 0.88); err == nil {
 				rep.linef("SR4 vs RR at rho=0.88 under bursts: %.2fx", imp)
 			}
@@ -246,10 +227,7 @@ var experiments = []experiment{
 		}},
 	{name: "failover", title: "extension: LB-replica failover transient (maglev fallback vs random)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunFailover(srlb.FailoverConfig{
-				Cluster: e.cluster, Lambda0: e.lambda0, Queries: e.queries,
-				Seeds: e.seeds, Workers: e.workers, Progress: e.progress,
-			})
+			res := srlb.RunFailover(srlb.FailoverConfig{Base: e.base, Lambda0: e.lambda0})
 			for _, m := range res.Modes {
 				rep.linef("%-16s ok=%.4f±%.4f refused=%.0f unfinished=%.0f (n=%d)",
 					m.Name, m.Stats.OKFraction.Dist.Mean, m.Stats.OKFraction.Dist.ReportedCI95(),
@@ -261,10 +239,7 @@ var experiments = []experiment{
 		}},
 	{name: "resilience", title: "extension: warm-handoff resilience ablation (stateless/chash/warm)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunResilience(srlb.ResilienceConfig{
-				Cluster: e.cluster, Lambda0: e.lambda0, Queries: e.queries,
-				Seeds: e.seeds, Workers: e.workers, Progress: e.progress,
-			})
+			res := srlb.RunResilience(srlb.ResilienceConfig{Base: e.base, Lambda0: e.lambda0})
 			for _, mode := range []string{"warm", "chash", "stateless"} {
 				if row, err := res.Row("kill", mode); err == nil {
 					rep.linef("kill/%-10s ok=%.4f±%.4f refused=%.0f unfinished=%.0f (n=%d)",
@@ -280,10 +255,7 @@ var experiments = []experiment{
 		}},
 	{name: "multiservice", title: "extension: concurrent multi-service mix (web+wiki+batch)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunMultiService(srlb.MultiServiceConfig{
-				Cluster: e.cluster, Lambda0: e.lambda0, Queries: e.queries, Compression: e.mixCompress,
-				Seeds: e.seeds, Workers: e.workers, Progress: e.progress,
-			})
+			res := srlb.RunMultiService(srlb.MultiServiceConfig{Base: e.base, Lambda0: e.lambda0, Compression: e.mixCompress})
 			for _, svc := range res.Services {
 				if imp, err := res.Improvement("SR 4", svc, 0.85); err == nil {
 					rep.linef("SR4 vs RR mean RT, %-5s service at rho=0.85: %.2fx", svc, imp)
@@ -305,10 +277,7 @@ var experiments = []experiment{
 		}},
 	{name: "interference", title: "extension: cross-service interference on one shared pool (web vs batch surge)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunInterference(srlb.InterferenceConfig{
-				Cluster: e.cluster, Lambda0: e.lambda0, Queries: e.queries,
-				Seeds: e.seeds, Workers: e.workers, Progress: e.progress,
-			})
+			res := srlb.RunInterference(srlb.InterferenceConfig{Base: e.base, Lambda0: e.lambda0})
 			heavy := res.BatchRhos[len(res.BatchRhos)-1]
 			for _, name := range []string{"RR", "SR 4", "SR dyn"} {
 				deg, err := res.VictimDegradation(name)
@@ -327,10 +296,7 @@ var experiments = []experiment{
 		}},
 	{name: "policies", title: "extension: load-feedback policy ablation (random2/chash2/wleastload/flowlet)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunPolicies(srlb.PoliciesConfig{
-				Cluster: e.cluster, Lambda0: e.lambda0, Queries: e.queries,
-				Seeds: e.seeds, Workers: e.workers, Progress: e.progress,
-			})
+			res := srlb.RunPolicies(srlb.PoliciesConfig{Base: e.base, Lambda0: e.lambda0})
 			heavy := res.BatchRhos[len(res.BatchRhos)-1]
 			for _, name := range []string{"random2", "chash2", "wleastload", "flowlet"} {
 				if row, err := res.Row("steady", name, "web", heavy); err == nil {
@@ -352,11 +318,7 @@ var experiments = []experiment{
 		}},
 	{name: "rhogrid", title: "extension: rho-grid policy ablation (web-rho × batch-rho matrix, adaptive replication)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunRhoGrid(srlb.RhoGridConfig{
-				Cluster: e.cluster, Lambda0: e.lambda0, Queries: e.queries,
-				Seeds: e.seeds, Adaptive: e.adaptive,
-				Workers: e.workers, Progress: e.progress,
-			})
+			res := srlb.RunRhoGrid(srlb.RhoGridConfig{Base: e.base, Lambda0: e.lambda0, Adaptive: e.adaptive})
 			rep.linef("grid: %d web-rho × %d batch-rho points, %d policies",
 				len(res.WebRhos), len(res.BatchRhos), len(res.Stats.Policies))
 			if res.Adaptive {
@@ -384,7 +346,7 @@ var experiments = []experiment{
 		}},
 	{name: "vipscale", title: "extension: VIP-scale dispatch cost (100 -> 10k services)",
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunVIPScale(srlb.VIPScaleConfig{VIPCounts: e.vipCounts, Seed: e.seed, Progress: e.progress})
+			res := srlb.RunVIPScale(srlb.VIPScaleConfig{VIPCounts: e.vipCounts, Seed: e.seed, Progress: e.base.Progress})
 			for _, row := range res.Rows {
 				rep.linef("%-12s vips=%-6d build=%7.1fms syn=%6.0f ns/pkt steer=%6.0f ns/pkt",
 					row.Scheme, row.VIPs, row.BuildMS, row.SYNNs, row.SteerNs)
@@ -405,10 +367,7 @@ var experiments = []experiment{
 		}},
 	{name: "churn", title: "extension: pool churn/autoscale under load", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunChurn(srlb.ChurnConfig{
-				Cluster: e.cluster, Lambda0: e.lambda0, Queries: e.queries,
-				Seeds: e.seeds, Workers: e.workers, Progress: e.progress,
-			})
+			res := srlb.RunChurn(srlb.ChurnConfig{Base: e.base, Lambda0: e.lambda0})
 			for _, name := range []string{"RR", "SR 4", "SR dyn"} {
 				if pen, err := res.ChurnPenalty(name, 0.95); err == nil {
 					rep.linef("churn penalty %-7s at rho=0.95: %.2fx", name, pen)
@@ -426,7 +385,7 @@ var experiments = []experiment{
 		run: func(e *env) (rep report, _ error) {
 			lastPct := -1
 			res, err := srlb.RunHorizon(context.Background(), srlb.HorizonConfig{
-				Cluster: e.cluster, Lambda0: e.lambda0,
+				Cluster: e.base.Cluster, Lambda0: e.lambda0,
 				Queries: e.horizonQueries, Rho: e.horizonRho,
 				Progress: func(done, total uint64) {
 					if !e.verbose {
@@ -451,14 +410,20 @@ var experiments = []experiment{
 		}},
 }
 
+// fig2Config is the load sweep of figure 2 and its bursty twin. Fig2Config
+// spells the base's fields out (bench/ builds it as a keyed literal).
+func (e *env) fig2Config(rhos []float64, workload srlb.Workload) srlb.Fig2Config {
+	return srlb.Fig2Config{
+		Cluster: e.base.Cluster, Lambda0: e.lambda0, Queries: e.base.Queries, Rhos: rhos,
+		Seeds: e.base.Seeds, Workers: e.base.Workers, Progress: e.base.Progress, Workload: workload,
+	}
+}
+
 // cdfFigure is the entry of figures 3 and 5: one CDF experiment, each
 // runner fixing its own rho.
 func cdfFigure(name, title, file string, run func(srlb.CDFConfig) srlb.CDFResult) experiment {
 	return experiment{name: name, title: title, needsLambda0: true, run: func(e *env) (report, error) {
-		res := run(srlb.CDFConfig{
-			Cluster: e.cluster, Lambda0: e.lambda0, Queries: e.queries,
-			Seeds: e.seeds, Workers: e.workers, Progress: e.progress,
-		})
+		res := run(srlb.CDFConfig{Base: e.base, Lambda0: e.lambda0})
 		return report{files: []artifact{{file, res.WriteTSV}}}, nil
 	}}
 }

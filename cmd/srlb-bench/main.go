@@ -242,17 +242,17 @@ func (e *env) declareFlags(fs *flag.FlagSet) {
 	fs.StringVar(&e.out, "out", "results", "output directory for TSV artifacts")
 	fs.Uint64Var(&e.seed, "seed", 1, "master RNG seed")
 	fs.IntVar(&e.seedCount, "seeds", 1, "replicates per cell (derived from -seed; >1 reports mean ± 95% CI)")
-	fs.IntVar(&e.queries, "queries", 20000, "queries per Poisson experiment point (paper: 20000)")
-	fs.IntVar(&e.cluster.Servers, "servers", 12, "application servers (paper: 12)")
+	fs.IntVar(&e.base.Queries, "queries", 20000, "queries per Poisson experiment point (paper: 20000)")
+	fs.IntVar(&e.base.Cluster.Servers, "servers", 12, "application servers (paper: 12)")
 	fs.Float64Var(&e.compress, "compress", 24, "wiki replay time compression (1 = full 24h)")
 	fs.IntVar(&e.rhoPoints, "rho-points", 24, "number of load points for fig2 (paper: 24)")
 	fs.Uint64Var(&e.horizonQueries, "horizon-queries", 100_000_000, "queries for -experiment horizon (constant-memory soak)")
 	fs.Float64Var(&e.horizonRho, "horizon-rho", 0.85, "normalized load for -experiment horizon")
-	fs.IntVar(&e.workers, "workers", 0, "parallel sweep cells (0 = GOMAXPROCS)")
+	fs.IntVar(&e.base.Workers, "workers", 0, "parallel sweep cells (0 = GOMAXPROCS)")
 	fs.Float64Var(&e.adaptive.CITarget, "ci-target", 0.2, "rhogrid: adaptive relative CI95 stop target (<= 0 runs fixed -seeds replication)")
 	fs.IntVar(&e.adaptive.MaxSeeds, "max-seeds", 8, "rhogrid: adaptive per-cell replicate cap")
 	fs.BoolVar(&e.verbose, "v", false, "log per-point progress")
-	fs.BoolVar(&e.plot, "plot", false, "render ASCII charts of figures 2 and 8 to stdout")
+	fs.BoolVar(&e.plot, "plot", false, "render the ASCII charts to stdout, for every experiment that has one")
 	e.vipCounts = intList{100, 1000, 10000}
 	fs.Var(&e.vipCounts, "vip-counts", "comma-separated service counts for -experiment vipscale")
 }
@@ -308,16 +308,16 @@ func (e *env) resolve(fs *flag.FlagSet) ([]*experiment, error) {
 		return nil, fmt.Errorf("unknown -experiment %q; valid: %s", e.experiment, experimentHelp())
 	}
 	e.shared = len(selected) > 1
-	e.cluster.Seed = e.seed
+	e.base.Cluster.Seed = e.seed
 	// One seed means "the master seed itself" (no CI); more derive
 	// well-separated streams from it.
-	e.seeds = []uint64{e.seed}
+	e.base.Seeds = []uint64{e.seed}
 	if e.seedCount > 1 {
-		e.seeds = srlb.DeriveSeeds(e.seed, e.seedCount)
+		e.base.Seeds = srlb.DeriveSeeds(e.seed, e.seedCount)
 	}
-	e.progress = func(string) {}
+	e.base.Progress = func(string) {}
 	if e.verbose {
-		e.progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
+		e.base.Progress = func(s string) { fmt.Fprintln(os.Stderr, "  "+s) }
 	}
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "compress" {
@@ -360,7 +360,7 @@ func (e *env) emit(rep report, wall time.Duration) error {
 		fmt.Println("   " + line)
 	}
 	if rep.sibling != "" {
-		doc := newSweepDoc(e.lambda0, e.workers, wall, rep.stats)
+		doc := newSweepDoc(e.lambda0, e.base.Workers, wall, rep.stats)
 		if rep.fill != nil {
 			rep.fill(&doc)
 		}
@@ -472,21 +472,26 @@ func policiesRows(res srlb.PoliciesResult) []policiesRowJSON {
 }
 
 // resilienceRows renders the resilience section: the per-(scenario, mode)
-// completion-rate rows.
+// completion-rate rows, one per cell of the sweep (a cell that never
+// completed keeps its row; one policy at one load, so cell i is variant
+// i). They read the cells rather than res.Rows: the schema prints the
+// float means in full, and a row has rounded its durations to the
+// nanosecond.
 func resilienceRows(res srlb.ResilienceResult) []resilienceRowJSON {
-	rows := make([]resilienceRowJSON, 0, len(res.Rows))
-	for _, row := range res.Rows {
+	rows := make([]resilienceRowJSON, 0, len(res.Stats.Cells))
+	for i, c := range res.Stats.Cells {
+		scenario, mode, _ := strings.Cut(res.Stats.Variants[i].Name, "/")
 		rows = append(rows, resilienceRowJSON{
-			Scenario:   row.Scenario,
-			Mode:       row.Mode,
-			N:          row.N,
-			OKFrac:     row.OKFrac,
-			OKFracCI95: row.OKFracCI95,
-			MeanMS:     row.MeanRT * 1e3,
-			MeanCI95MS: row.MeanRTCI95 * 1e3,
-			P99MS:      row.P99 * 1e3,
-			Refused:    row.Refused,
-			Unfinished: row.Unfinished,
+			Scenario:   scenario,
+			Mode:       mode,
+			N:          c.N(),
+			OKFrac:     c.OKFraction.Dist.Mean,
+			OKFracCI95: c.OKFraction.Dist.ReportedCI95(),
+			MeanMS:     c.Mean.Dist.Mean * 1e3,
+			MeanCI95MS: c.Mean.Dist.ReportedCI95() * 1e3,
+			P99MS:      c.P99.Dist.Mean * 1e3,
+			Refused:    c.Refused.Dist.Mean,
+			Unfinished: c.Unfinished.Dist.Mean,
 		})
 	}
 	return rows

@@ -20,13 +20,10 @@ var hostFields = regexp.MustCompile(`"(wall_ms|total_wall_ms|gomaxprocs)": [0-9.
 // carries its per-VIP rows.
 func TestWriteSweepDocGolden(t *testing.T) {
 	res := srlb.RunInterference(srlb.InterferenceConfig{
-		Cluster:   srlb.Cluster{Seed: 7, Servers: 4},
+		Base:      srlb.Base{Cluster: srlb.Cluster{Seed: 7, Servers: 4}, Queries: 600, Seeds: srlb.DeriveSeeds(7, 2), Workers: 2},
 		Lambda0:   80,
 		BatchRhos: []float64{0.3},
-		Queries:   600,
 		Policies:  []srlb.Policy{srlb.RR(), srlb.SRStatic(4)},
-		Seeds:     srlb.DeriveSeeds(7, 2),
-		Workers:   2,
 	})
 	var raw bytes.Buffer
 	if err := writeSweepDoc(&raw, newSweepDoc(80, 2, 0, &res.Stats)); err != nil {

@@ -53,8 +53,14 @@
 // RunSweep keeps the raw per-seed cells (SweepResult.Cell(pi, li, si));
 // Aggregate folds them after the fact. The paper's artifacts remain
 // available as one-line wrappers (RunFig2, RunFig3, RunFig4, RunFig5,
-// RunWiki, RunHetero, RunFailover, RunChurn, …), each now a thin
-// Scenario/Sweep composition with its own Seeds knob; cmd/srlb-bench
+// RunWiki, RunHetero, RunFailover, RunChurn, …), each a thin
+// Scenario/Sweep composition. Their configs embed one Base — Cluster,
+// Queries, Seeds, Workers, Progress, with one set of defaults — next to
+// the knobs of their own (Fig2Config and Calibration spell the same
+// fields out flat), and the studies report one row type: the ablations,
+// retransmit, hetero, churn and resilience rows are ServiceRows like
+// the multi-service family's, the configuration's label in Variant,
+// HeteroRow and RetransmitRow adding their own columns. cmd/srlb-bench
 // regenerates all of them and emits a machine-readable per-cell summary
 // (BENCH_sweep.json, documented in docs/RESULTS_SCHEMA.md).
 //

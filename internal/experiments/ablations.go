@@ -4,11 +4,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
-	"time"
 
 	"srlb/internal/agent"
-	"srlb/internal/metrics"
 )
 
 // AblationConfig drives the design-choice studies beyond the paper's own
@@ -16,89 +13,38 @@ import (
 // the static threshold sweep (§III-A), the SRdyn window (Algorithm 2),
 // and the backlog / abort-on-overflow settings (§IV-C).
 type AblationConfig struct {
-	Cluster ClusterConfig
+	Base
 	// Rho is the load at which ablations run (default 0.88 — where the
 	// policy differences are sharpest in figure 2).
 	Rho     float64
 	Lambda0 float64
-	Queries int
-	// Seeds is the replication axis (default: the cluster seed alone).
-	Seeds []uint64
-	// Workers bounds each study's parallelism (0 = GOMAXPROCS).
-	Workers int
-	// Progress receives one line per finished run, if non-nil.
-	Progress func(string)
 }
 
-// AblationRow is one configuration's outcome, aggregated across the
-// replication axis (MeanCI95 is zero when N == 1).
-type AblationRow struct {
-	Label    string
-	Mean     time.Duration
-	Median   time.Duration
-	P95      time.Duration
-	Refused  int
-	N        int
-	MeanCI95 time.Duration
-}
-
-// AblationResult groups rows under a study name.
+// AblationResult groups a study's rows under its name: one ServiceRow
+// per configuration, labelled in Variant, aggregated across the
+// replication axis.
 type AblationResult struct {
 	Study string
 	Rho   float64
 	Seeds []uint64
-	Rows  []AblationRow
+	Rows  []ServiceRow
 }
 
 // WriteTSV renders the study; replicated runs gain mean_ci95_s and n
 // columns.
 func (r AblationResult) WriteTSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# Ablation: %s (rho=%.2f)\n", r.Study, r.Rho)
-	replicated := len(r.Seeds) > 1
-	if replicated {
-		t.printf("config\tmean_s\tmean_ci95_s\tmedian_s\tp95_s\trefused\tn\n")
-	} else {
-		t.printf("config\tmean_s\tmedian_s\tp95_s\trefused\n")
-	}
-	for _, row := range r.Rows {
-		if replicated {
-			t.printf("%s\t%s\t%s\t%s\t%s\t%d\t%d\n",
-				row.Label,
-				metrics.FormatDuration(row.Mean),
-				metrics.FormatDuration(row.MeanCI95),
-				metrics.FormatDuration(row.Median),
-				metrics.FormatDuration(row.P95),
-				row.Refused, row.N)
-		} else {
-			t.printf("%s\t%s\t%s\t%s\t%d\n",
-				row.Label,
-				metrics.FormatDuration(row.Mean),
-				metrics.FormatDuration(row.Median),
-				metrics.FormatDuration(row.P95),
-				row.Refused)
-		}
-	}
-	return t.err
+	return writeTable(w, fmt.Sprintf("Ablation: %s (rho=%.2f)", r.Study, r.Rho),
+		seedCols(r.Seeds, []column[ServiceRow]{
+			colLabel("config"), colMean, colMeanCI, colMedian, colP95, colRefusedCount, colN,
+		}), r.Rows)
 }
 
 func (cfg *AblationConfig) defaults() {
-	cfg.Cluster = cfg.Cluster.withDefaults()
+	cfg.Base = cfg.Base.withDefaults()
 	if cfg.Rho == 0 {
 		cfg.Rho = 0.88
 	}
-	if cfg.Queries == 0 {
-		cfg.Queries = 20000
-	}
-	if len(cfg.Seeds) == 0 {
-		cfg.Seeds = []uint64{cfg.Cluster.Seed}
-	}
-	if cfg.Lambda0 == 0 {
-		// Through the calibration cache: every study on the same cluster
-		// (and any figure sharing it) calibrates once per process.
-		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
-		cfg.Lambda0 = cal.Lambda0
-	}
+	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 }
 
 // scenario builds one study cell: the shared Poisson workload at the
@@ -113,34 +59,33 @@ func (cfg *AblationConfig) scenario(label string, spec PolicySpec, cluster Clust
 	}
 }
 
-// runStudy replicates every labeled scenario across the study's seeds,
-// executes the whole batch on the parallel Runner, and folds each
-// scenario's replicates into one labeled row (input order; cancelled
-// replicates omitted, fully-cancelled scenarios dropped).
-func (cfg *AblationConfig) runStudy(ctx context.Context, study string, scenarios []Scenario) AblationResult {
-	res := AblationResult{Study: study, Rho: cfg.Rho, Seeds: cfg.Seeds}
-	progress := cfg.Progress
-	if progress != nil {
-		orig := progress
-		progress = func(s string) { orig(fmt.Sprintf("[%s] %s", study, s)) }
+// study runs the labelled scenarios as the study of the given name.
+func (cfg *AblationConfig) study(name string, scenarios []Scenario) AblationResult {
+	rows, _ := cfg.runStudy(context.Background(), name, scenarios)
+	return AblationResult{Study: name, Rho: cfg.Rho, Seeds: cfg.Seeds, Rows: rows}
+}
+
+// runStudy replicates every labelled scenario across the base's seeds,
+// executes the whole batch on its Runner, and folds each scenario's
+// replicates into one row labelled (Variant) with the scenario's name —
+// input order, cancelled replicates omitted, fully-cancelled scenarios
+// dropped. replicates[i] are the cells behind rows[i], for what a
+// ServiceRow does not carry. b must carry its defaults.
+func (b Base) runStudy(ctx context.Context, study string, scenarios []Scenario) (rows []ServiceRow, replicates [][]CellResult) {
+	runner := b.runner()
+	if progress := b.Progress; progress != nil {
+		runner.Progress = func(s string) { progress(fmt.Sprintf("[%s] %s", study, s)) }
 	}
-	cells, _ := Runner{Workers: cfg.Workers, Progress: progress}.Run(ctx, replicateScenarios(scenarios, cfg.Seeds))
+	cells, _ := runner.Run(ctx, replicateScenarios(scenarios, b.Seeds))
 	for i := range scenarios {
-		cs := newCellStats(cells[i*len(cfg.Seeds) : (i+1)*len(cfg.Seeds)])
-		if cs.N() == 0 {
-			continue
+		group := cells[i*len(b.Seeds) : (i+1)*len(b.Seeds)]
+		cs := newCellStats(group)
+		for _, row := range cellRows(cs) { // the "all" row of a single-VIP cell
+			row.Variant = cs.Name
+			rows, replicates = append(rows, row), append(replicates, group)
 		}
-		res.Rows = append(res.Rows, AblationRow{
-			Label:    cs.Name,
-			Mean:     secDur(cs.Mean.Dist.Mean),
-			Median:   secDur(cs.Median.Dist.Mean),
-			P95:      secDur(cs.P95.Dist.Mean),
-			Refused:  int(math.Round(cs.Refused.Dist.Mean)),
-			N:        cs.N(),
-			MeanCI95: secDur(cs.Mean.Dist.ReportedCI95()),
-		})
 	}
-	return res
+	return rows, replicates
 }
 
 // RunCandidateAblation sweeps the SR list length k ∈ {1, 2, 3, 4} at the
@@ -156,7 +101,7 @@ func RunCandidateAblation(cfg AblationConfig) AblationResult {
 		}
 		scenarios = append(scenarios, cfg.scenario(label, spec, cfg.Cluster))
 	}
-	return cfg.runStudy(context.Background(), "SR candidates (power of k choices)", scenarios)
+	return cfg.study("SR candidates (power of k choices)", scenarios)
 }
 
 // RunThresholdAblation sweeps the static threshold c at fixed load,
@@ -168,7 +113,7 @@ func RunThresholdAblation(cfg AblationConfig) AblationResult {
 	for _, c := range []int{1, 2, 4, 6, 8, 12, 16, 24, 32} {
 		scenarios = append(scenarios, cfg.scenario(fmt.Sprintf("c=%d", c), SRc(c), cfg.Cluster))
 	}
-	return cfg.runStudy(context.Background(), "static threshold c sweep", scenarios)
+	return cfg.study("static threshold c sweep", scenarios)
 }
 
 // RunWindowAblation sweeps SRdyn's adaptation window (Algorithm 2 uses
@@ -187,7 +132,7 @@ func RunWindowAblation(cfg AblationConfig) AblationResult {
 		}
 		scenarios = append(scenarios, cfg.scenario(spec.Name, spec, cfg.Cluster))
 	}
-	return cfg.runStudy(context.Background(), "SRdyn window size", scenarios)
+	return cfg.study("SRdyn window size", scenarios)
 }
 
 // RunSchemeAblation compares uniform-random candidate selection against
@@ -200,7 +145,7 @@ func RunSchemeAblation(cfg AblationConfig) AblationResult {
 		cfg.scenario("random2", SRc(4), cfg.Cluster),
 		cfg.scenario("chash2", SRc(4), ch),
 	}
-	return cfg.runStudy(context.Background(), "selection scheme (random vs consistent hash)", scenarios)
+	return cfg.study("selection scheme (random vs consistent hash)", scenarios)
 }
 
 // RunBacklogAblation varies the accept-queue depth and the
@@ -216,7 +161,7 @@ func RunBacklogAblation(cfg AblationConfig) AblationResult {
 	cl := cfg.Cluster
 	cl.Server.AbortOnOverflow = false
 	scenarios = append(scenarios, cfg.scenario("backlog=128,silent-drop", SRc(4), cl))
-	return cfg.runStudy(context.Background(), "backlog depth and abort-on-overflow", scenarios)
+	return cfg.study("backlog depth and abort-on-overflow", scenarios)
 }
 
 // RunAllAblations executes every study.

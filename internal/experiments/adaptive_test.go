@@ -321,15 +321,13 @@ func TestGridSweepResolvesVectorLoads(t *testing.T) {
 // with a recorded stop reason.
 func TestRhoGridAdaptiveBudget(t *testing.T) {
 	cfg := RhoGridConfig{
-		Cluster:   ClusterConfig{Seed: 5, Servers: 4},
+		Base:      Base{Cluster: ClusterConfig{Seed: 5, Servers: 4}, Queries: 1500, Workers: 4},
 		Lambda0:   80,
 		WebRhos:   []float64{0.3, 0.6},
 		BatchRhos: []float64{0.1, 0.3},
-		Queries:   1500,
 		BatchPeak: 2,
 		Policies:  []PolicySpec{Random2(), WeightedLeastLoadPolicy()},
 		Adaptive:  Adaptive{CITarget: 0.5, MinSeeds: 3, MaxSeeds: 10},
-		Workers:   4,
 	}
 	res := RunRhoGrid(cfg)
 

@@ -12,6 +12,8 @@ import (
 // CalibrationConfig drives the §V-A bootstrap: "identifying λ0, the max
 // rate sustainable by the 12-servers swarm, i.e. the smallest value of λ
 // for which some TCP connections were dropped".
+//
+// It keeps Base's fields flat for the reason Fig2Config does (see RunFig2).
 type CalibrationConfig struct {
 	Cluster ClusterConfig
 	// Spec is the policy used while probing (the paper uses the plain
@@ -36,12 +38,10 @@ type CalibrationConfig struct {
 }
 
 func (cfg CalibrationConfig) withDefaults() CalibrationConfig {
-	cfg.Cluster = cfg.Cluster.withDefaults()
+	base := Base{Cluster: cfg.Cluster, Queries: cfg.Queries}.withDefaults()
+	cfg.Cluster, cfg.Queries = base.Cluster, base.Queries
 	if cfg.Spec.NewAgent == nil {
 		cfg.Spec = RR()
-	}
-	if cfg.Queries == 0 {
-		cfg.Queries = 20000
 	}
 	theo := cfg.Cluster.TheoreticalCapacity()
 	if cfg.Lo == 0 {

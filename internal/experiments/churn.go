@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
-	"srlb/internal/metrics"
 	"srlb/internal/testbed"
 )
 
@@ -24,7 +22,7 @@ import (
 // connections around the drained servers' queues and onto fresh ones by
 // construction, while the random spray only finds them by luck.
 type ChurnConfig struct {
-	Cluster ClusterConfig
+	Base
 	Lambda0 float64
 	// Rhos are the normalized loads, relative to the BASE pool's
 	// capacity (default {0.5, 0.75, 0.95}).
@@ -35,29 +33,8 @@ type ChurnConfig struct {
 	// DrainFrac and GrowFrac place the two phases on the arrival span
 	// (defaults 0.3 and 0.65).
 	DrainFrac, GrowFrac float64
-	// Queries per cell (default 20000).
-	Queries int
 	// Policies defaults to {RR, SR4, SRdyn}.
 	Policies []PolicySpec
-	// Seeds is the replication axis (default: the cluster seed alone).
-	Seeds    []uint64
-	Workers  int
-	Progress func(string)
-}
-
-// ChurnRow is one (policy, rho, variant) outcome, aggregated across the
-// replication axis.
-type ChurnRow struct {
-	Policy string
-	Rho    float64
-	// Mode is "steady" or "churn".
-	Mode string
-	// N counts completed replicates.
-	N                   int
-	Mean, MeanCI95, P99 time.Duration
-	OKFrac, OKFracCI95  float64
-	// Refused and Unfinished are across-seed mean counts.
-	Refused, Unfinished float64
 }
 
 // ChurnResult holds the full grid.
@@ -65,12 +42,14 @@ type ChurnResult struct {
 	Lambda0 float64
 	ChurnBy int
 	Seeds   []uint64
-	Rows    []ChurnRow
+	// Rows holds one ServiceRow per (rho, policy, mode), the mode —
+	// "steady" or "churn" — in Variant.
+	Rows []ServiceRow
 }
 
 // RunChurn executes the experiment.
 func RunChurn(cfg ChurnConfig) ChurnResult {
-	cfg.Cluster = cfg.Cluster.withDefaults()
+	cfg.Base = cfg.Base.withDefaults()
 	if len(cfg.Rhos) == 0 {
 		cfg.Rhos = []float64{0.5, 0.75, 0.95}
 	}
@@ -83,16 +62,10 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 	if cfg.GrowFrac == 0 {
 		cfg.GrowFrac = 0.65
 	}
-	if cfg.Queries == 0 {
-		cfg.Queries = 20000
-	}
 	if len(cfg.Policies) == 0 {
 		cfg.Policies = []PolicySpec{RR(), SRc(4), SRdyn()}
 	}
-	if cfg.Lambda0 == 0 {
-		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
-		cfg.Lambda0 = cal.Lambda0
-	}
+	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 
 	res := ChurnResult{Lambda0: cfg.Lambda0, ChurnBy: cfg.ChurnBy}
 	// The schedule is rate-relative: each phase is a fraction of the
@@ -100,7 +73,7 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 	// serve every load point of one sweep — each cell resolves the
 	// fractions against its own span (historically this ran one sweep
 	// per rho with hand-resolved absolute times).
-	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(context.Background(), Sweep{
+	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Variants: []ClusterVariant{
@@ -115,21 +88,11 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 		Workload: PoissonWorkload{Lambda0: cfg.Lambda0, Queries: cfg.Queries},
 	})
 	res.Seeds = agg.Seeds
-	for li, rho := range cfg.Rhos {
-		for pi, spec := range cfg.Policies {
-			for vi, mode := range []string{"steady", "churn"} {
-				cs := agg.CellAt(pi, vi, li)
-				if cs.N() == 0 {
-					continue
-				}
-				res.Rows = append(res.Rows, ChurnRow{
-					Policy: spec.Name, Rho: rho, Mode: mode, N: cs.N(),
-					Mean:     secDur(cs.Mean.Dist.Mean),
-					MeanCI95: secDur(cs.Mean.Dist.ReportedCI95()),
-					P99:      secDur(cs.P99.Dist.Mean),
-					OKFrac:   cs.OKFraction.Dist.Mean, OKFracCI95: cs.OKFraction.Dist.ReportedCI95(),
-					Refused: cs.Refused.Dist.Mean, Unfinished: cs.Unfinished.Dist.Mean,
-				})
+	// The artifact's row order: rho, then policy, then mode.
+	for li := range cfg.Rhos {
+		for pi := range cfg.Policies {
+			for vi := range agg.Variants {
+				res.Rows = append(res.Rows, cellRows(agg.CellAt(pi, vi, li))...)
 			}
 		}
 	}
@@ -162,50 +125,28 @@ func churnEvents(pool string, churnBy int, drainFrac, growFrac float64) []testbe
 
 // WriteTSV renders the grid: one row per (rho, policy, mode).
 func (r ChurnResult) WriteTSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# Pool churn/autoscale: drain+re-add %d servers mid-run; lambda0=%.1f q/s\n", r.ChurnBy, r.Lambda0)
-	t.printf("rho\tpolicy\tmode\tmean_s\tmean_ci95_s\tp99_s\tok_frac\tok_ci95\trefused\tunfinished\tn\n")
-	for _, row := range r.Rows {
-		t.printf("%.2f\t%s\t%s\t%s\t%s\t%s\t%.4f\t%.4f\t%.0f\t%.0f\t%d\n",
-			row.Rho, row.Policy, row.Mode,
-			metrics.FormatDuration(row.Mean),
-			metrics.FormatDuration(row.MeanCI95),
-			metrics.FormatDuration(row.P99),
-			row.OKFrac, row.OKFracCI95, row.Refused, row.Unfinished, row.N)
-	}
-	return t.err
+	return writeTable(w,
+		fmt.Sprintf("Pool churn/autoscale: drain+re-add %d servers mid-run; lambda0=%.1f q/s", r.ChurnBy, r.Lambda0),
+		[]column[ServiceRow]{
+			colRho("rho"), colPolicy, colLabel("mode"), colMean, colMeanCI, colP99,
+			colOKFrac, colOKCI, colRefused, colUnfin, colN,
+		}, r.Rows)
 }
 
 // ChurnPenalty returns the churn/steady mean-RT ratio for the policy at
 // the rho closest to the requested load — "how much slower did clients
 // get because the pool churned".
 func (r ChurnResult) ChurnPenalty(policyName string, rho float64) (float64, error) {
-	var steady, churn time.Duration
-	bestDiff := 2.0
-	for _, row := range r.Rows {
-		if row.Policy != policyName {
-			continue
-		}
-		d := row.Rho - rho
-		if d < 0 {
-			d = -d
-		}
-		if d > bestDiff {
-			continue
-		}
-		if d < bestDiff {
-			bestDiff = d
-			steady, churn = 0, 0
-		}
-		switch row.Mode {
-		case "steady":
-			steady = row.Mean
-		case "churn":
-			churn = row.Mean
-		}
+	steady, err := findRow("churn", r.Rows, ServiceRow.base, "steady", policyName, "all", nearRho(rho))
+	if err != nil {
+		return 0, err
 	}
-	if steady == 0 || churn == 0 {
+	churn, err := findRow("churn", r.Rows, ServiceRow.base, "churn", policyName, "all", nearRho(rho))
+	if err != nil {
+		return 0, err
+	}
+	if steady.Rho != churn.Rho || steady.Mean == 0 || churn.Mean == 0 {
 		return 0, fmt.Errorf("churn: no complete steady/churn pair for %q near rho=%.2f", policyName, rho)
 	}
-	return float64(churn) / float64(steady), nil
+	return float64(churn.Mean) / float64(steady.Mean), nil
 }

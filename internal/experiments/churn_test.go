@@ -93,12 +93,11 @@ func TestChurnLateScheduleClamps(t *testing.T) {
 		}
 	}
 	res := RunChurn(ChurnConfig{
-		Cluster:  ClusterConfig{Seed: 51, Servers: 6},
+		Base:     Base{Cluster: ClusterConfig{Seed: 51, Servers: 6}, Queries: 800},
 		Lambda0:  120,
 		Rhos:     []float64{0.8},
 		ChurnBy:  2,
 		GrowFrac: 0.99, // 0.99 + stagger crosses 1 without the clamp
-		Queries:  800,
 	})
 	if len(res.Rows) == 0 {
 		t.Fatal("late-schedule churn produced no rows")
@@ -110,11 +109,10 @@ func TestChurnLateScheduleClamps(t *testing.T) {
 // absolute schedule churning after the arrivals ended at low rates).
 func TestChurnSweepAcrossRhos(t *testing.T) {
 	res := RunChurn(ChurnConfig{
-		Cluster: ClusterConfig{Seed: 47, Servers: 4},
+		Base:    Base{Cluster: ClusterConfig{Seed: 47, Servers: 4}, Queries: 1200},
 		Lambda0: 80,
 		Rhos:    []float64{0.4, 0.9},
 		ChurnBy: 1,
-		Queries: 1200,
 	})
 	if len(res.Rows) != 2*3*2 { // rhos × policies × modes
 		t.Fatalf("%d rows, want 12", len(res.Rows))

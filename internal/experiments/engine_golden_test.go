@@ -54,61 +54,59 @@ func TestGoldenBursty(t *testing.T) {
 
 func TestGoldenFig4(t *testing.T) {
 	res := RunFig4(Fig4Config{
-		Cluster: smallCluster(7),
+		Base:    Base{Cluster: smallCluster(7), Queries: 2000},
 		Lambda0: 80,
-		Queries: 2000,
 	})
 	goldenTSV(t, "fig4.tsv", res.WriteTSV)
 }
 
 func TestGoldenFailover(t *testing.T) {
 	res := RunFailover(FailoverConfig{
-		Cluster:     smallCluster(31),
+		Base:        Base{Cluster: smallCluster(31), Queries: 2000, Seeds: DeriveSeeds(31, 2)},
 		Lambda0:     80,
-		Queries:     2000,
 		RecoverFrac: 0.75,
 		Bins:        10,
-		Seeds:       DeriveSeeds(31, 2),
 	})
 	goldenTSV(t, "failover.tsv", res.WriteTSV)
 }
 
 // The RTO path: silent-drop servers plus client SYN retransmission, the
 // one consumer that stretches the horizon guard.
-func TestGoldenRetransmit(t *testing.T) {
-	res := RunRetransmitAblation(RetransmitConfig{
-		Cluster: ClusterConfig{Seed: 21, Servers: 4, Server: serverWithBacklog(8)},
+func goldenRetransmit() RetransmitResult {
+	return RunRetransmitAblation(RetransmitConfig{
+		Base:    Base{Cluster: ClusterConfig{Seed: 21, Servers: 4, Server: serverWithBacklog(8)}, Queries: 1500},
 		Rho:     2.0,
 		Lambda0: 80,
-		Queries: 1500,
 		RTO:     time.Second,
 	})
-	goldenTSV(t, "retransmit.tsv", res.WriteTSV)
+}
+
+func TestGoldenRetransmit(t *testing.T) {
+	goldenTSV(t, "retransmit.tsv", goldenRetransmit().WriteTSV)
 }
 
 // The four studies below are otherwise pinned only in their replicated
 // (-seeds 2) form, by cmd/srlb-bench's black-box cases; these are their
 // single-seed column sets. TestStudySummaries reads the same runs.
 func goldenHetero() HeteroResult {
-	return RunHetero(HeteroConfig{Cluster: smallCluster(31), Queries: 3000})
+	return RunHetero(HeteroConfig{Base: Base{Cluster: smallCluster(31), Queries: 3000}})
 }
 
 func goldenAblations() []AblationResult {
-	return RunAllAblations(AblationConfig{Cluster: smallCluster(9), Lambda0: 80, Queries: 1500})
+	return RunAllAblations(AblationConfig{Base: Base{Cluster: smallCluster(9), Queries: 1500}, Lambda0: 80})
 }
 
 func goldenChurn() ChurnResult {
 	return RunChurn(ChurnConfig{
-		Cluster: smallCluster(47),
+		Base:    Base{Cluster: smallCluster(47), Queries: 2000},
 		Lambda0: 80,
 		Rhos:    []float64{0.5, 0.95},
 		ChurnBy: 1,
-		Queries: 2000,
 	})
 }
 
 func goldenResilience() ResilienceResult {
-	return RunResilience(ResilienceConfig{Cluster: smallCluster(71), Lambda0: 80, Queries: 2000})
+	return RunResilience(ResilienceConfig{Base: Base{Cluster: smallCluster(71), Queries: 2000}, Lambda0: 80})
 }
 
 func TestGoldenHetero(t *testing.T) { goldenTSV(t, "hetero.tsv", goldenHetero().WriteTSV) }
@@ -140,21 +138,14 @@ func TestStudySummaries(t *testing.T) {
 	var got []string
 	linef := func(format string, args ...any) { got = append(got, fmt.Sprintf(format, args...)) }
 
-	retransmit := RunRetransmitAblation(RetransmitConfig{
-		Cluster: ClusterConfig{Seed: 21, Servers: 4, Server: serverWithBacklog(8)},
-		Rho:     2.0,
-		Lambda0: 80,
-		Queries: 1500,
-		RTO:     time.Second,
-	})
-	for _, row := range retransmit.Rows {
+	for _, row := range goldenRetransmit().Rows {
 		linef("%-30s p99=%.3fs refused=%d timeouts=%d retransmits=%d n=%d",
-			row.Mode, row.P99.Seconds(), row.Refused, row.TimedOut, row.Retransmits, row.N)
+			row.Variant, row.P99.Seconds(), row.RefusedCount(), row.TimedOut, row.Retransmits, row.N)
 	}
 	hetero := goldenHetero()
 	for _, row := range hetero.Rows {
 		linef("%-7s mean=%.3fs slow-share=%.6f (capacity share %.3f) refused=%d n=%d",
-			row.Policy, row.Mean.Seconds(), row.SlowShare, hetero.CapacityShare, row.Refused, row.N)
+			row.Policy, row.Mean.Seconds(), row.SlowShare, hetero.CapacityShare, row.RefusedCount(), row.N)
 	}
 	resilience := goldenResilience()
 	for _, scenario := range resilienceScenarios {

@@ -212,6 +212,47 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	return c
 }
 
+// lambda0 resolves an experiment's Lambda0 field: the value given, or —
+// for 0 — the cluster's λ0 measured through the process-wide calibration
+// cache, so every figure and study on one cluster calibrates once.
+func (c ClusterConfig) lambda0(given float64) float64 {
+	if given != 0 {
+		return given
+	}
+	return CalibrateCached(CalibrationConfig{Cluster: c}).Lambda0
+}
+
+// Base is the §V protocol every Poisson-family experiment config embeds:
+// the cluster, the queries replayed per cell, the replication axis, and
+// how the cells are run.
+type Base struct {
+	Cluster ClusterConfig
+	// Queries per cell (default 20000, the paper's batch).
+	Queries int
+	// Seeds is the replication axis (default: the cluster seed alone).
+	// With several seeds every cell reports mean ± 95% CI across
+	// replicates — use DeriveSeeds to expand a base seed.
+	Seeds []uint64
+	// Workers bounds the experiment's parallelism (0 = GOMAXPROCS).
+	Workers int
+	// Progress, if non-nil, receives one line per finished cell.
+	Progress func(string)
+}
+
+func (b Base) withDefaults() Base {
+	b.Cluster = b.Cluster.withDefaults()
+	if b.Queries == 0 {
+		b.Queries = 20000
+	}
+	if len(b.Seeds) == 0 {
+		b.Seeds = []uint64{b.Cluster.Seed}
+	}
+	return b
+}
+
+// runner returns the worker pool the experiment's cells run on.
+func (b Base) runner() Runner { return Runner{Workers: b.Workers, Progress: b.Progress} }
+
 // MeanDemand is the paper's CPU cost distribution mean for the Poisson
 // workload: an exponential of mean 100 ms (§V-A).
 const MeanDemand = 100 * time.Millisecond

@@ -136,10 +136,9 @@ func TestFig2ShapeAndTSV(t *testing.T) {
 
 func TestCDFResult(t *testing.T) {
 	res := RunCDF(CDFConfig{
-		Cluster:  smallCluster(5),
+		Base:     Base{Cluster: smallCluster(5), Queries: 4000},
 		Rho:      0.7,
 		Policies: []PolicySpec{RR(), SRc(4)},
-		Queries:  4000,
 		Points:   50,
 	})
 	if len(res.RT) != 2 {
@@ -160,8 +159,11 @@ func TestCDFResult(t *testing.T) {
 }
 
 func TestFig3Fig5FixTheLoad(t *testing.T) {
-	cfg := CDFConfig{Cluster: smallCluster(6), Lambda0: 80, Queries: 500,
-		Policies: []PolicySpec{RR()}}
+	cfg := CDFConfig{
+		Base:     Base{Cluster: smallCluster(6), Queries: 500},
+		Lambda0:  80,
+		Policies: []PolicySpec{RR()},
+	}
 	if got := RunFig3(cfg).Rho; got != 0.88 {
 		t.Fatalf("fig3 rho = %v", got)
 	}
@@ -172,8 +174,7 @@ func TestFig3Fig5FixTheLoad(t *testing.T) {
 
 func TestFig4FairnessOrdering(t *testing.T) {
 	res := RunFig4(Fig4Config{
-		Cluster: smallCluster(7),
-		Queries: 8000,
+		Base: Base{Cluster: smallCluster(7), Queries: 8000},
 	})
 	if len(res.Series) != 2 {
 		t.Fatal("expected RR and SR4 series")
@@ -260,9 +261,8 @@ func TestWikiReplayShapes(t *testing.T) {
 
 func TestAblationCandidates(t *testing.T) {
 	res := RunCandidateAblation(AblationConfig{
-		Cluster: smallCluster(9),
-		Queries: 5000,
-		Rho:     0.85,
+		Base: Base{Cluster: smallCluster(9), Queries: 5000},
+		Rho:  0.85,
 	})
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))

@@ -35,13 +35,11 @@ import (
 // running SRLB as a stateless anycast fleet, and with it replica death
 // is free.
 type FailoverConfig struct {
-	Cluster ClusterConfig
+	Base
 	// Rho is the normalized load (default 0.85 — busy but unsaturated,
 	// so the transient is attributable to the failover, not overload).
 	Rho     float64
 	Lambda0 float64
-	// Queries per cell (default 20000).
-	Queries int
 	// Replicas is the LB replica count (default 2); replica 0 is killed.
 	Replicas int
 	// KillFrac places the failure at this fraction of the arrival span
@@ -50,10 +48,6 @@ type FailoverConfig struct {
 	KillFrac, RecoverFrac float64
 	// Bins is the transient-timeline resolution (default 40).
 	Bins int
-	// Seeds is the replication axis (default: the cluster seed alone).
-	Seeds    []uint64
-	Workers  int
-	Progress func(string)
 }
 
 // FailoverBin is one point of the transient timeline, aggregated across
@@ -139,12 +133,9 @@ func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec P
 
 // RunFailover executes the experiment.
 func RunFailover(cfg FailoverConfig) FailoverResult {
-	cfg.Cluster = cfg.Cluster.withDefaults()
+	cfg.Base = cfg.Base.withDefaults()
 	if cfg.Rho == 0 {
 		cfg.Rho = 0.85
-	}
-	if cfg.Queries == 0 {
-		cfg.Queries = 20000
 	}
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 2
@@ -155,10 +146,7 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 	if cfg.Bins == 0 {
 		cfg.Bins = 40
 	}
-	if cfg.Lambda0 == 0 {
-		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
-		cfg.Lambda0 = cal.Lambda0
-	}
+	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 
 	// The schedule is rate-relative: kill (and recovery) are fractions of
 	// the arrival span, resolved per load point by the workload — so the
@@ -206,7 +194,7 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 		NewAgent:   func() agent.Policy { return agent.Always{} },
 	}
 
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
+	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: []PolicySpec{policy},
 		Variants: variants,

@@ -82,13 +82,11 @@ func TestVariantSweepParallelEqualsSerial(t *testing.T) {
 // selection, flows whose state lived on the dead replica stall.
 func TestFailoverMaglevVsRandom(t *testing.T) {
 	res := RunFailover(FailoverConfig{
-		Cluster:  ClusterConfig{Seed: 33, Servers: 4},
+		Base:     Base{Cluster: ClusterConfig{Seed: 33, Servers: 4}, Queries: 3000, Seeds: DeriveSeeds(33, 2)},
 		Lambda0:  80,
 		Rho:      0.7,
-		Queries:  3000,
 		Replicas: 2,
 		Bins:     20,
-		Seeds:    DeriveSeeds(33, 2),
 	})
 	maglev, err := res.Mode("maglev+fallback")
 	if err != nil {
@@ -200,23 +198,21 @@ func TestFailoverRelativeMatchesAbsolute(t *testing.T) {
 
 func TestChurnSweep(t *testing.T) {
 	res := RunChurn(ChurnConfig{
-		Cluster:  ClusterConfig{Seed: 35, Servers: 4},
+		Base:     Base{Cluster: ClusterConfig{Seed: 35, Servers: 4}, Queries: 2000, Seeds: DeriveSeeds(35, 2)},
 		Lambda0:  80,
 		Rhos:     []float64{0.6},
 		ChurnBy:  1,
-		Queries:  2000,
 		Policies: []PolicySpec{RR(), SRc(4)},
-		Seeds:    DeriveSeeds(35, 2),
 	})
 	if len(res.Rows) != 4 { // 2 policies × {steady, churn}
 		t.Fatalf("rows = %d, want 4", len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		if row.N != 2 {
-			t.Fatalf("row %s/%s has n=%d, want 2", row.Policy, row.Mode, row.N)
+			t.Fatalf("row %s/%s has n=%d, want 2", row.Policy, row.Variant, row.N)
 		}
 		if row.OKFrac < 0.95 {
-			t.Fatalf("row %s/%s ok=%.3f — churn at moderate load should not shed queries", row.Policy, row.Mode, row.OKFrac)
+			t.Fatalf("row %s/%s ok=%.3f — churn at moderate load should not shed queries", row.Policy, row.Variant, row.OKFrac)
 		}
 	}
 	if _, err := res.ChurnPenalty("SR 4", 0.6); err != nil {

@@ -89,12 +89,16 @@ type Fig2Result struct {
 // RunFig2 executes the figure as a Sweep: PaperPolicies × ρ points over
 // the Poisson workload, on a parallel Runner.
 func RunFig2(cfg Fig2Config) Fig2Result {
-	cfg.Cluster = cfg.Cluster.withDefaults()
+	// Fig2Config keeps Base's fields flat (as CalibrationConfig does):
+	// bench/ builds both as keyed literals, and Go cannot set a promoted
+	// field in a composite literal. They are lifted into the base here.
+	base := Base{Cluster: cfg.Cluster, Queries: cfg.Queries, Seeds: cfg.Seeds,
+		Workers: cfg.Workers, Progress: cfg.Progress}.withDefaults()
 	if cfg.Lambda0 == 0 {
-		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
-		cfg.Lambda0 = cal.Lambda0
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("calibrated lambda0 = %.1f q/s (theoretical %.1f)", cal.Lambda0, cal.Theoretical))
+		cfg.Lambda0 = base.Cluster.lambda0(0)
+		if base.Progress != nil {
+			base.Progress(fmt.Sprintf("calibrated lambda0 = %.1f q/s (theoretical %.1f)",
+				cfg.Lambda0, base.Cluster.TheoreticalCapacity()))
 		}
 	}
 	if len(cfg.Rhos) == 0 {
@@ -107,15 +111,15 @@ func RunFig2(cfg Fig2Config) Fig2Result {
 	workload := cfg.Workload
 	var workloadLabel string
 	if workload == nil {
-		workload = PoissonWorkload{Lambda0: cfg.Lambda0, Queries: cfg.Queries}
+		workload = PoissonWorkload{Lambda0: cfg.Lambda0, Queries: base.Queries}
 	} else {
 		workloadLabel = workload.Label()
 	}
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
-		Cluster:  cfg.Cluster,
+	sweep, _ := base.runner().RunSweep(context.Background(), Sweep{
+		Cluster:  base.Cluster,
 		Policies: cfg.Policies,
 		Loads:    cfg.Rhos,
-		Seeds:    cfg.Seeds,
+		Seeds:    base.Seeds,
 		Workload: workload,
 	})
 	agg := sweep.Aggregate()

@@ -17,24 +17,18 @@ import (
 // Both series are smoothed with the paper's time-aware EWMA
 // (α = 1 − e^(−δt), footnote 2).
 type Fig4Config struct {
-	Cluster ClusterConfig
+	// Base: with several Seeds each timeline point is the across-seed
+	// mean with a Student-t 95% CI.
+	Base
 	// Rho is the normalized load (default 0.88, the paper's).
 	Rho     float64
 	Lambda0 float64
-	Queries int
 	// Policies defaults to {RR, SR4}, the two lines of the figure.
 	Policies []PolicySpec
 	// SampleEvery sets the load-sampling period (default 100ms).
 	SampleEvery time.Duration
 	// EWMATau is the smoothing constant (default 1s = the paper's α).
 	EWMATau time.Duration
-	// Seeds is the replication axis (default: the cluster seed alone).
-	// With several seeds each timeline point is the across-seed mean
-	// with a Student-t 95% CI.
-	Seeds []uint64
-	// Workers bounds the sweep's parallelism (0 = GOMAXPROCS).
-	Workers  int
-	Progress func(string)
 }
 
 // Fig4Sample is one point of the smoothed series. With replication the
@@ -114,17 +108,11 @@ func (w fig4Workload) Run(ctx context.Context, cluster ClusterConfig, spec Polic
 // RunFig4 executes the experiment: a one-load-point Sweep of the sampled
 // Poisson workload over {RR, SR4}, run in parallel.
 func RunFig4(cfg Fig4Config) Fig4Result {
-	cfg.Cluster = cfg.Cluster.withDefaults()
+	cfg.Base = cfg.Base.withDefaults()
 	if cfg.Rho == 0 {
 		cfg.Rho = 0.88
 	}
-	if cfg.Lambda0 == 0 {
-		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
-		cfg.Lambda0 = cal.Lambda0
-	}
-	if cfg.Queries == 0 {
-		cfg.Queries = 20000
-	}
+	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 	if len(cfg.Policies) == 0 {
 		cfg.Policies = []PolicySpec{RR(), SRc(4)}
 	}
@@ -135,7 +123,7 @@ func RunFig4(cfg Fig4Config) Fig4Result {
 		cfg.EWMATau = time.Second
 	}
 
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
+	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Loads:    []float64{cfg.Rho},

@@ -13,22 +13,16 @@ import (
 // CDFConfig reproduces figures 3 and 5: the CDF of page load time over a
 // 20000-query Poisson batch at a fixed normalized load, for every policy.
 type CDFConfig struct {
-	Cluster ClusterConfig
+	// Base: with several Seeds the emitted CDFs gain across-seed
+	// confidence bands and the per-policy medians a 95% CI.
+	Base
 	// Rho is the normalized request rate (figure 3: 0.88; figure 5: 0.61).
 	Rho float64
 	// Lambda0 normalizes ρ (0 ⇒ measured first).
 	Lambda0  float64
 	Policies []PolicySpec
-	Queries  int
 	// Points bounds the emitted CDF resolution (default 200).
 	Points int
-	// Seeds is the replication axis (default: the cluster seed alone).
-	// With several seeds the emitted CDFs gain across-seed confidence
-	// bands and the per-policy medians a 95% CI.
-	Seeds []uint64
-	// Workers bounds the sweep's parallelism (0 = GOMAXPROCS).
-	Workers  int
-	Progress func(string)
 }
 
 // CDFBand is the across-seed confidence band of one policy's CDF: at
@@ -61,11 +55,8 @@ type CDFResult struct {
 // RunCDF executes the experiment at cfg.Rho: a one-load-point Sweep over
 // the policy set × seeds, run in parallel.
 func RunCDF(cfg CDFConfig) CDFResult {
-	cfg.Cluster = cfg.Cluster.withDefaults()
-	if cfg.Lambda0 == 0 {
-		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
-		cfg.Lambda0 = cal.Lambda0
-	}
+	cfg.Base = cfg.Base.withDefaults()
+	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 	if len(cfg.Policies) == 0 {
 		cfg.Policies = PaperPolicies()
 	}
@@ -73,7 +64,7 @@ func RunCDF(cfg CDFConfig) CDFResult {
 		cfg.Points = 200
 	}
 
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
+	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Loads:    []float64{cfg.Rho},

@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"io"
-	"math"
-	"time"
 
 	"srlb/internal/appserver"
-	"srlb/internal/metrics"
 	"srlb/internal/stats"
 )
 
@@ -18,35 +16,22 @@ import (
 // faster boxes. A random balancer, blind to capacity, keeps feeding the
 // slow boxes.
 type HeteroConfig struct {
-	Cluster ClusterConfig
+	Base
 	// SlowFraction of the servers get SlowCores instead of the default
 	// (defaults: 1/3 of the cluster at 1 core vs the usual 2).
 	SlowFraction float64
 	SlowCores    float64
 	// Rho is computed against the HETEROGENEOUS capacity (default 0.85).
-	Rho     float64
-	Queries int
-	// Seeds is the replication axis (default: the cluster seed alone).
-	Seeds []uint64
-	// Workers bounds the per-policy parallelism (0 = GOMAXPROCS).
-	Workers  int
-	Progress func(string)
+	Rho float64
 }
 
-// HeteroRow is one policy's outcome on the mixed cluster, aggregated
-// across the replication axis (CI95 fields are zero when N == 1).
+// HeteroRow is one policy's ServiceRow on the mixed cluster plus the
+// slow boxes' share of the work.
 type HeteroRow struct {
-	Policy       string
-	Mean, Median time.Duration
-	P95          time.Duration
-	Refused      int
+	ServiceRow
 	// SlowShare is the fraction of total completions served by slow boxes
 	// (capacity-proportional would equal slow capacity share).
-	SlowShare float64
-	// N counts the completed replicates behind the row.
-	N             int
-	MeanCI95      time.Duration
-	SlowShareCI95 float64
+	SlowShare, SlowShareCI95 float64
 }
 
 // HeteroResult compares policies on the mixed cluster.
@@ -59,11 +44,13 @@ type HeteroResult struct {
 	Rows          []HeteroRow
 }
 
-// RunHetero executes RR, SR4 and SRdyn on the mixed cluster — a Sweep over
+// RunHetero executes RR, SR4 and SRdyn on the mixed cluster — a study of
 // the three policies whose cluster carries a ServerOverride, with the
 // slow-box completion share read from the workload's PoissonStats.
 func RunHetero(cfg HeteroConfig) HeteroResult {
-	cfg.Cluster = cfg.Cluster.withDefaults()
+	// No λ0 here: load is normalized by the mixed cluster's theoretical
+	// capacity, so the study runs no calibration probe.
+	cfg.Base = cfg.Base.withDefaults()
 	if cfg.SlowFraction == 0 {
 		cfg.SlowFraction = 1.0 / 3
 	}
@@ -72,9 +59,6 @@ func RunHetero(cfg HeteroConfig) HeteroResult {
 	}
 	if cfg.Rho == 0 {
 		cfg.Rho = 0.85
-	}
-	if cfg.Queries == 0 {
-		cfg.Queries = 20000
 	}
 	servers := cfg.Cluster.Servers
 	slow := int(float64(servers) * cfg.SlowFraction)
@@ -97,34 +81,23 @@ func RunHetero(cfg HeteroConfig) HeteroResult {
 		SlowServers:   slow,
 		TotalServers:  servers,
 		CapacityShare: float64(slow) * cfg.SlowCores / totalCores,
+		Seeds:         cfg.Seeds,
 	}
-	policies := []PolicySpec{RR(), SRc(4), SRdyn()}
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
-		Cluster:  cluster,
-		Policies: policies,
-		Loads:    []float64{cfg.Rho},
-		Seeds:    cfg.Seeds,
-		Workload: PoissonWorkload{Lambda0: capacity, Queries: cfg.Queries},
-	})
-	agg := sweep.Aggregate()
-	res.Seeds = sweep.Seeds
-	for pi, spec := range policies {
-		cs := agg.Cell(pi, 0)
-		if cs.N() == 0 {
-			continue
-		}
-		row := HeteroRow{
-			Policy:   spec.Name,
-			Mean:     secDur(cs.Mean.Dist.Mean),
-			Median:   secDur(cs.Median.Dist.Mean),
-			P95:      secDur(cs.P95.Dist.Mean),
-			Refused:  int(math.Round(cs.Refused.Dist.Mean)),
-			N:        cs.N(),
-			MeanCI95: secDur(cs.Mean.Dist.ReportedCI95()),
-		}
+	var scenarios []Scenario
+	for _, spec := range []PolicySpec{RR(), SRc(4), SRdyn()} {
+		scenarios = append(scenarios, Scenario{
+			Name:     spec.Name,
+			Cluster:  cluster,
+			Policy:   spec,
+			Workload: PoissonWorkload{Lambda0: capacity, Queries: cfg.Queries},
+			Load:     cfg.Rho,
+		})
+	}
+	rows, replicates := cfg.runStudy(context.Background(), "hetero", scenarios)
+	for i, sr := range rows {
+		row := HeteroRow{ServiceRow: sr}
 		var shares []float64
-		for si := range sweep.Seeds {
-			cell := sweep.Cell(pi, 0, si)
+		for _, cell := range replicates[i] {
 			if cell.Err != nil { // match newCellStats: no truncated runs
 				continue
 			}
@@ -150,35 +123,19 @@ func RunHetero(cfg HeteroConfig) HeteroResult {
 	return res
 }
 
-// WriteTSV renders the study; replicated runs gain mean_ci95_s and
-// slow_share_ci95 columns.
+// WriteTSV renders the study; replicated runs gain mean_ci95_s,
+// slow_share_ci95 and n columns.
 func (r HeteroResult) WriteTSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# Extension: heterogeneous cluster (%d/%d slow servers, capacity share %.3f), rho=%.2f\n",
-		r.SlowServers, r.TotalServers, r.CapacityShare, r.Rho)
-	replicated := len(r.Seeds) > 1
-	if replicated {
-		t.printf("policy\tmean_s\tmean_ci95_s\tmedian_s\tp95_s\tslow_share\tslow_share_ci95\trefused\tn\n")
-	} else {
-		t.printf("policy\tmean_s\tmedian_s\tp95_s\tslow_share\trefused\n")
+	share := func(header string, v func(HeteroRow) float64) column[HeteroRow] {
+		return column[HeteroRow]{header, func(r HeteroRow) string { return fmt.Sprintf("%.3f", v(r)) }}
 	}
-	for _, row := range r.Rows {
-		if replicated {
-			t.printf("%s\t%s\t%s\t%s\t%s\t%.3f\t%.3f\t%d\t%d\n",
-				row.Policy,
-				metrics.FormatDuration(row.Mean),
-				metrics.FormatDuration(row.MeanCI95),
-				metrics.FormatDuration(row.Median),
-				metrics.FormatDuration(row.P95),
-				row.SlowShare, row.SlowShareCI95, row.Refused, row.N)
-		} else {
-			t.printf("%s\t%s\t%s\t%s\t%.3f\t%d\n",
-				row.Policy,
-				metrics.FormatDuration(row.Mean),
-				metrics.FormatDuration(row.Median),
-				metrics.FormatDuration(row.P95),
-				row.SlowShare, row.Refused)
-		}
-	}
-	return t.err
+	cols := append(
+		lift(HeteroRow.base, colPolicy, colMean, colMeanCI, colMedian, colP95),
+		share("slow_share", func(r HeteroRow) float64 { return r.SlowShare }),
+		share("slow_share_ci95", func(r HeteroRow) float64 { return r.SlowShareCI95 }))
+	cols = append(cols, lift(HeteroRow.base, colRefusedCount, colN)...)
+	return writeTable(w,
+		fmt.Sprintf("Extension: heterogeneous cluster (%d/%d slow servers, capacity share %.3f), rho=%.2f",
+			r.SlowServers, r.TotalServers, r.CapacityShare, r.Rho),
+		seedCols(r.Seeds, cols), r.Rows)
 }

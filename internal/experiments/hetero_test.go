@@ -12,8 +12,7 @@ import (
 // time AND serves a slow-box share closer to the capacity share.
 func TestHeteroSheddingToFastServers(t *testing.T) {
 	res := RunHetero(HeteroConfig{
-		Cluster: ClusterConfig{Seed: 31, Servers: 6},
-		Queries: 8000,
+		Base: Base{Cluster: ClusterConfig{Seed: 31, Servers: 6}, Queries: 8000},
 	})
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))

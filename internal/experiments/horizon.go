@@ -90,10 +90,7 @@ func (c HorizonConfig) withDefaults() HorizonConfig {
 // nothing grows with the horizon.
 func RunHorizon(ctx context.Context, cfg HorizonConfig) (HorizonResult, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Lambda0 == 0 {
-		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
-		cfg.Lambda0 = cal.Lambda0
-	}
+	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 	svc := PoissonService{Lambda0: cfg.Lambda0, Queries: int(cfg.Queries)}
 	span := checkSpan(svc, cfg.Rho, svc.Span(cfg.Rho))
 

@@ -18,7 +18,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"srlb/internal/plot"
@@ -26,7 +25,10 @@ import (
 
 // InterferenceConfig parameterizes the experiment.
 type InterferenceConfig struct {
-	Cluster ClusterConfig
+	// Base: Queries is the web VIP's arrivals per cell. The batch stream
+	// is time-bounded to the web span, so its offered count scales with
+	// ρ_b.
+	Base
 	// Lambda0 is the shared pool's calibrated capacity rate (0 ⇒
 	// measured via CalibrateCached on the base cluster).
 	Lambda0 float64
@@ -37,18 +39,10 @@ type InterferenceConfig struct {
 	// own load fraction of the same pool, so total utilization is
 	// WebRho + ρ_b (default {0.05, 0.2, 0.35, 0.5} — up to overload).
 	BatchRhos []float64
-	// Queries is the web VIP's arrivals per cell (default 20000). The
-	// batch stream is time-bounded to the web span, so its offered count
-	// scales with ρ_b.
-	Queries int
 	// BatchPeak is the batch service's ON-state burst factor (default 4).
 	BatchPeak float64
 	// Policies defaults to {RR, SR4, SRdyn}.
 	Policies []PolicySpec
-	// Seeds is the replication axis (default: the cluster seed alone).
-	Seeds    []uint64
-	Workers  int
-	Progress func(string)
 }
 
 // InterferenceRow is a ServiceRow — Rho is the aggressor's load (the
@@ -83,7 +77,7 @@ type InterferenceResult struct {
 
 // RunInterference executes the experiment.
 func RunInterference(cfg InterferenceConfig) InterferenceResult {
-	serviceSweepDefaults(&cfg.Cluster, &cfg.Lambda0, &cfg.BatchRhos, &cfg.Queries, &cfg.BatchPeak)
+	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.BatchRhos, &cfg.BatchPeak)
 	if cfg.WebRho == 0 {
 		cfg.WebRho = 0.55
 	}
@@ -96,7 +90,7 @@ func RunInterference(cfg InterferenceConfig) InterferenceResult {
 	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, span, cfg.BatchPeak)
 	workload.ServiceLoads = []ServiceLoad{{Fixed: cfg.WebRho}, {}}
 
-	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(context.Background(), Sweep{
+	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Loads:    cfg.BatchRhos,
@@ -140,8 +134,7 @@ func RunInterference(cfg InterferenceConfig) InterferenceResult {
 // Row returns the row for (policy, service) at the batch load closest to
 // the requested one.
 func (r InterferenceResult) Row(policy, service string, batchRho float64) (InterferenceRow, error) {
-	return findRow("interference", r.Rows, InterferenceRow.base, "", policy, service,
-		func(row ServiceRow) float64 { return math.Abs(row.Rho - batchRho) })
+	return findRow("interference", r.Rows, InterferenceRow.base, "", policy, service, nearRho(batchRho))
 }
 
 // VictimDegradation returns the web service's p99 interference multiple

@@ -202,11 +202,10 @@ func TestSharedPoolDeterminism(t *testing.T) {
 // renders one line per row.
 func TestRunInterferenceSmall(t *testing.T) {
 	res := RunInterference(InterferenceConfig{
-		Cluster:   ClusterConfig{Seed: 73, Servers: 4},
+		Base:      Base{Cluster: ClusterConfig{Seed: 73, Servers: 4}, Queries: 600},
 		Lambda0:   80,
 		WebRho:    0.4,
 		BatchRhos: []float64{0.1, 0.5},
-		Queries:   600,
 		Policies:  []PolicySpec{RR(), SRc(4)},
 	})
 	if got, want := len(res.Services), 2; got != want {
@@ -262,13 +261,11 @@ func TestRunInterferenceSmall(t *testing.T) {
 // converge: when every worker queues, there is nothing left to choose.)
 func TestInterferenceVictimOrdering(t *testing.T) {
 	res := RunInterference(InterferenceConfig{
-		Cluster:   ClusterConfig{Seed: 79, Servers: 4},
+		Base:      Base{Cluster: ClusterConfig{Seed: 79, Servers: 4}, Queries: 3000, Seeds: DeriveSeeds(79, 3)},
 		Lambda0:   80,
 		WebRho:    0.5,
 		BatchRhos: []float64{0.1, 0.35},
-		Queries:   3000,
 		Policies:  []PolicySpec{RR(), SRc(4)},
-		Seeds:     DeriveSeeds(79, 3),
 	})
 	rr, err := res.Row("RR", "web", 0.35)
 	if err != nil {

@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"math/rand/v2"
 	"strings"
 	"time"
@@ -549,16 +548,15 @@ func (w MultiServiceWorkload) Run(ctx context.Context, cluster ClusterConfig, sp
 // latency and completion budget does each policy preserve when the
 // services contend through one balancer.
 type MultiServiceConfig struct {
-	Cluster ClusterConfig
+	// Base: Queries is the web VIP's arrivals per cell; the batch VIP
+	// offers half that.
+	Base
 	// Lambda0 is the web VIP's calibrated capacity rate (0 ⇒ measured
 	// via CalibrateCached on the base cluster); the batch VIP's rate
 	// scales with its pool share.
 	Lambda0 float64
 	// Rhos are the normalized loads to sweep (default {0.6, 0.85}).
 	Rhos []float64
-	// Queries is the web VIP's arrivals per cell (default 20000); the
-	// batch VIP offers half that.
-	Queries int
 	// Compression is the wiki day's replay compression (default 288 —
 	// the 24-hour day in 5 simulated minutes).
 	Compression float64
@@ -566,10 +564,6 @@ type MultiServiceConfig struct {
 	BatchPeak float64
 	// Policies defaults to {RR, SR4, SRdyn}.
 	Policies []PolicySpec
-	// Seeds is the replication axis (default: the cluster seed alone).
-	Seeds    []uint64
-	Workers  int
-	Progress func(string)
 }
 
 // MultiServiceResult holds the full grid.
@@ -592,7 +586,7 @@ func RunMultiService(cfg MultiServiceConfig) MultiServiceResult {
 	if len(cfg.Rhos) == 0 {
 		cfg.Rhos = []float64{0.6, 0.85}
 	}
-	serviceSweepDefaults(&cfg.Cluster, &cfg.Lambda0, &cfg.Rhos, &cfg.Queries, &cfg.BatchPeak)
+	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.Rhos, &cfg.BatchPeak)
 	if cfg.Compression == 0 {
 		cfg.Compression = 288
 	}
@@ -615,7 +609,7 @@ func RunMultiService(cfg MultiServiceConfig) MultiServiceResult {
 		}, Servers: batchServers},
 	}}
 
-	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(context.Background(), Sweep{
+	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Loads:    cfg.Rhos,
@@ -636,8 +630,7 @@ func RunMultiService(cfg MultiServiceConfig) MultiServiceResult {
 // Row returns the row for (policy, service) at the rho closest to the
 // requested load.
 func (r MultiServiceResult) Row(policy, service string, rho float64) (ServiceRow, error) {
-	return findRow("multiservice", r.Rows, ServiceRow.base, "", policy, service,
-		func(row ServiceRow) float64 { return math.Abs(row.Rho - rho) })
+	return findRow("multiservice", r.Rows, ServiceRow.base, "", policy, service, nearRho(rho))
 }
 
 // Improvement returns the RR-vs-policy mean-RT ratio for one service at

@@ -176,10 +176,9 @@ func TestMultiServiceLabelsAndSingleVIPNil(t *testing.T) {
 // aggregate, and the TSV renders one line per row.
 func TestRunMultiServiceSmall(t *testing.T) {
 	res := RunMultiService(MultiServiceConfig{
-		Cluster:     ClusterConfig{Seed: 37, Servers: 4},
+		Base:        Base{Cluster: ClusterConfig{Seed: 37, Servers: 4}, Queries: 400},
 		Lambda0:     80,
 		Rhos:        []float64{0.7},
-		Queries:     400,
 		Compression: 5760,
 		Policies:    []PolicySpec{RR(), SRc(4)},
 	})

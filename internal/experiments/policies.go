@@ -22,7 +22,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"srlb/internal/feedback"
@@ -31,7 +30,8 @@ import (
 
 // PoliciesConfig parameterizes the experiment.
 type PoliciesConfig struct {
-	Cluster ClusterConfig
+	// Base: Queries is the web VIP's arrivals per cell.
+	Base
 	// Lambda0 is the shared pool's calibrated capacity rate (0 ⇒
 	// measured via CalibrateCached on the base cluster).
 	Lambda0 float64
@@ -39,8 +39,6 @@ type PoliciesConfig struct {
 	WebRho float64
 	// BatchRhos is the aggressor axis (default {0.05, 0.2, 0.35, 0.5}).
 	BatchRhos []float64
-	// Queries is the web VIP's arrivals per cell (default 20000).
-	Queries int
 	// BatchPeak is the batch service's ON-state burst factor (default 4).
 	BatchPeak float64
 	// FlowletGap is the flowlet policy's idle gap (0 ⇒
@@ -54,10 +52,6 @@ type PoliciesConfig struct {
 	ChurnBy int
 	// Policies defaults to AblationPolicies() with FlowletGap applied.
 	Policies []PolicySpec
-	// Seeds is the replication axis (default: the cluster seed alone).
-	Seeds    []uint64
-	Workers  int
-	Progress func(string)
 }
 
 // PoliciesRow is a ServiceRow — Variant is "steady" or "churn", Rho the
@@ -89,7 +83,7 @@ type PoliciesResult struct {
 
 // RunPolicies executes the experiment.
 func RunPolicies(cfg PoliciesConfig) PoliciesResult {
-	serviceSweepDefaults(&cfg.Cluster, &cfg.Lambda0, &cfg.BatchRhos, &cfg.Queries, &cfg.BatchPeak)
+	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.BatchRhos, &cfg.BatchPeak)
 	if cfg.WebRho == 0 {
 		cfg.WebRho = 0.55
 	}
@@ -120,7 +114,7 @@ func RunPolicies(cfg PoliciesConfig) PoliciesResult {
 		}},
 	}
 
-	raw, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
+	raw, _ := cfg.runner().RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		Variants: variants,
@@ -181,8 +175,7 @@ func meanResteers(raw SweepResult, pi, vi, li int) float64 {
 // Row returns the row for (variant, policy, service) at the batch load
 // closest to the requested one.
 func (r PoliciesResult) Row(variant, policy, service string, batchRho float64) (PoliciesRow, error) {
-	return findRow("policies", r.Rows, PoliciesRow.base, variant, policy, service,
-		func(row ServiceRow) float64 { return math.Abs(row.Rho - batchRho) })
+	return findRow("policies", r.Rows, PoliciesRow.base, variant, policy, service, nearRho(batchRho))
 }
 
 // TotalResteers sums the across-seed mean re-steer counts of the

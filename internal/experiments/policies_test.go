@@ -93,11 +93,10 @@ func TestPoliciesConservationUnderResteering(t *testing.T) {
 // bursty flowlet cell, and working accessors and renderers.
 func TestRunPoliciesSmall(t *testing.T) {
 	res := RunPolicies(PoliciesConfig{
-		Cluster:    ClusterConfig{Seed: 89, Servers: 4},
+		Base:       Base{Cluster: ClusterConfig{Seed: 89, Servers: 4}, Queries: 500},
 		Lambda0:    80,
 		WebRho:     0.5,
 		BatchRhos:  []float64{0.1, 0.35},
-		Queries:    500,
 		FlowletGap: 2 * time.Millisecond,
 	})
 	if got, want := len(res.Variants), 2; got != want {
@@ -187,13 +186,11 @@ func TestRunPoliciesSmall(t *testing.T) {
 // (runs under -race -shuffle=on in CI).
 func TestRunPoliciesDeterminism(t *testing.T) {
 	cfg := PoliciesConfig{
-		Cluster:    ClusterConfig{Seed: 97, Servers: 4},
+		Base:       Base{Cluster: ClusterConfig{Seed: 97, Servers: 4}, Queries: 300, Seeds: DeriveSeeds(97, 2)},
 		Lambda0:    80,
 		WebRho:     0.5,
 		BatchRhos:  []float64{0.3},
-		Queries:    300,
 		FlowletGap: 2 * time.Millisecond,
-		Seeds:      DeriveSeeds(97, 2),
 	}
 	serialCfg, parallelCfg := cfg, cfg
 	serialCfg.Workers = 1

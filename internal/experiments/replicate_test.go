@@ -88,13 +88,11 @@ func TestCDFBandAlignsWithPooledRows(t *testing.T) {
 	// Fewer pooled samples than Points: Histogram.CDF clamps its row
 	// count, and the band must follow the same grid row for row.
 	res := RunCDF(CDFConfig{
-		Cluster:  ClusterConfig{Seed: 44, Servers: 4},
+		Base:     Base{Cluster: ClusterConfig{Seed: 44, Servers: 4}, Queries: 60, Seeds: DeriveSeeds(44, 3)},
 		Rho:      0.5,
 		Lambda0:  80,
 		Policies: []PolicySpec{RR()},
-		Queries:  60,
 		Points:   200,
-		Seeds:    DeriveSeeds(44, 3),
 	})
 	rows := res.RT[0].CDF(res.Points)
 	band := res.Bands[0]

@@ -29,12 +29,10 @@ import (
 // Acceptance is load-dependent (SR with a threshold), so the three
 // disciplines separate: warm ≥ chash ≥ stateless in completion rate.
 type ResilienceConfig struct {
-	Cluster ClusterConfig
+	Base
 	// Rho is the normalized load (default 0.85).
 	Rho     float64
 	Lambda0 float64
-	// Queries per cell (default 20000).
-	Queries int
 	// Replicas is the LB replica count (default 2); replica 0 is killed
 	// in the kill and rack scenarios.
 	Replicas int
@@ -51,34 +49,18 @@ type ResilienceConfig struct {
 	// backoff). Without it a single mis-steered request is a permanent
 	// loss for every discipline and the ablation cannot separate them.
 	RTO time.Duration
-	// Seeds is the replication axis (default: the cluster seed alone).
-	Seeds    []uint64
-	Workers  int
-	Progress func(string)
 }
 
 // resilienceScenarios and resilienceModes span the 3×3 variant grid.
+// Every cell runs resiliencePolicy — a threshold policy, so acceptance
+// depends on instantaneous load: some flows land on their second
+// candidate, which is exactly the population the chash fallback guesses
+// wrong and warm handoff gets right.
 var (
 	resilienceScenarios = []string{"kill", "rack", "rolling"}
 	resilienceModes     = []string{"stateless", "chash", "warm"}
+	resiliencePolicy    = SRc(4)
 )
-
-// ResilienceRow is one (scenario, mode) cell, aggregated across seeds.
-// All fields are derived scalars — no wall-clock rides along — so a
-// marshalled row slice is byte-identical at any worker count.
-type ResilienceRow struct {
-	Scenario string
-	Mode     string
-	// N is the number of completed replicates.
-	N int
-	// OKFrac is the across-seed mean completion rate; CI95 fields are
-	// Student-t half-widths (zero when N == 1).
-	OKFrac, OKFracCI95 float64
-	// MeanRT and P99 are response-time statistics in seconds.
-	MeanRT, MeanRTCI95, P99 float64
-	// Refused and Unfinished are mean per-seed counts.
-	Refused, Unfinished float64
-}
 
 // ResilienceResult holds the 3×3 grid.
 type ResilienceResult struct {
@@ -88,8 +70,10 @@ type ResilienceResult struct {
 	// KillFrac, RecoverFrac and RackFrac echo the resolved schedule.
 	KillFrac, RecoverFrac, RackFrac float64
 	Seeds                           []uint64
-	// Rows is the grid in scenario-major, mode-minor order.
-	Rows []ResilienceRow
+	// Rows is the grid in scenario-major, mode-minor order: one
+	// ServiceRow per cell, "<scenario>/<mode>" in Variant. A cell with
+	// no completed replicate keeps its (zero, N = 0) row.
+	Rows []ServiceRow
 	// Stats is the underlying sweep aggregation (per-cell metric
 	// distributions, wall-clock), for programmatic drill-down.
 	Stats SweepStats
@@ -139,12 +123,9 @@ func resilienceEvents(cfg ResilienceConfig, scenario, mode string) []testbed.Eve
 
 // RunResilience executes the ablation.
 func RunResilience(cfg ResilienceConfig) ResilienceResult {
-	cfg.Cluster = cfg.Cluster.withDefaults()
+	cfg.Base = cfg.Base.withDefaults()
 	if cfg.Rho == 0 {
 		cfg.Rho = 0.85
-	}
-	if cfg.Queries == 0 {
-		cfg.Queries = 20000
 	}
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 2
@@ -161,10 +142,7 @@ func RunResilience(cfg ResilienceConfig) ResilienceResult {
 	if cfg.RTO == 0 {
 		cfg.RTO = time.Second
 	}
-	if cfg.Lambda0 == 0 {
-		cal := CalibrateCached(CalibrationConfig{Cluster: cfg.Cluster})
-		cfg.Lambda0 = cal.Lambda0
-	}
+	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 
 	// Each variant pins the replica count, the event schedule and both
 	// selection knobs — the base cluster's own settings must not leak
@@ -186,15 +164,9 @@ func RunResilience(cfg ResilienceConfig) ResilienceResult {
 			})
 		}
 	}
-	// A threshold policy, so acceptance depends on instantaneous load:
-	// some flows land on their second candidate, which is exactly the
-	// population the chash fallback guesses wrong and warm handoff gets
-	// right.
-	policy := SRc(4)
-
-	sweep, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweep(context.Background(), Sweep{
+	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
-		Policies: []PolicySpec{policy},
+		Policies: []PolicySpec{resiliencePolicy},
 		Variants: variants,
 		Loads:    []float64{cfg.Rho},
 		Seeds:    cfg.Seeds,
@@ -209,49 +181,54 @@ func RunResilience(cfg ResilienceConfig) ResilienceResult {
 		Stats: agg,
 	}
 	for vi, va := range variants {
-		cs := agg.CellAt(0, vi, 0)
-		scenario, mode, _ := strings.Cut(va.Name, "/")
-		res.Rows = append(res.Rows, ResilienceRow{
-			Scenario: scenario,
-			Mode:     mode,
-			N:        cs.N(),
-			OKFrac:   cs.OKFraction.Dist.Mean, OKFracCI95: cs.OKFraction.Dist.ReportedCI95(),
-			MeanRT: cs.Mean.Dist.Mean, MeanRTCI95: cs.Mean.Dist.ReportedCI95(),
-			P99:     cs.P99.Dist.Mean,
-			Refused: cs.Refused.Dist.Mean, Unfinished: cs.Unfinished.Dist.Mean,
-		})
+		rows := cellRows(agg.CellAt(0, vi, 0))
+		if rows == nil {
+			rows = []ServiceRow{{Variant: va.Name, Rho: cfg.Rho, Policy: resiliencePolicy.Name, Service: "all", Load: cfg.Rho}}
+		}
+		res.Rows = append(res.Rows, rows...)
 	}
 	return res
 }
 
 // Row returns the (scenario, mode) cell.
-func (r ResilienceResult) Row(scenario, mode string) (ResilienceRow, error) {
-	for _, row := range r.Rows {
-		if row.Scenario == scenario && row.Mode == mode {
-			return row, nil
-		}
-	}
-	return ResilienceRow{}, fmt.Errorf("resilience: no cell %s/%s", scenario, mode)
+func (r ResilienceResult) Row(scenario, mode string) (ServiceRow, error) {
+	return findRow("resilience", r.Rows, ServiceRow.base, scenario+"/"+mode, resiliencePolicy.Name, "all",
+		func(ServiceRow) float64 { return 0 })
 }
 
 // WriteTSV renders the grid faceted by scenario: one block per
 // scenario, one row per recovery mode, completion rate first.
 func (r ResilienceResult) WriteTSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# resilience ablation: rho=%.2f, %d replicas, kill@%.2f recover@%.2f rack_frac=%.2f; lambda0=%.1f q/s; n=%d seeds\n",
-		r.Rho, r.Replicas, r.KillFrac, r.RecoverFrac, r.RackFrac, r.Lambda0, len(r.Seeds))
-	for _, scenario := range resilienceScenarios {
-		t.printf("# facet: scenario=%s\n", scenario)
-		t.printf("mode\tn\tok_frac\tok_frac_ci95\tmean_rt_s\tmean_rt_ci95\tp99_s\trefused\tunfinished\n")
-		for _, row := range r.Rows {
-			if row.Scenario != scenario {
-				continue
-			}
-			t.printf("%s\t%d\t%.4f\t%.4f\t%.4f\t%.4f\t%.4f\t%.1f\t%.1f\n",
-				row.Mode, row.N, row.OKFrac, row.OKFracCI95,
-				row.MeanRT, row.MeanRTCI95, row.P99, row.Refused, row.Unfinished)
-		}
-		t.printf("\n")
+	if _, err := fmt.Fprintf(w, "# resilience ablation: rho=%.2f, %d replicas, kill@%.2f recover@%.2f rack_frac=%.2f; lambda0=%.1f q/s; n=%d seeds\n",
+		r.Rho, r.Replicas, r.KillFrac, r.RecoverFrac, r.RackFrac, r.Lambda0, len(r.Seeds)); err != nil {
+		return err
 	}
-	return t.err
+	sec := func(header string, v func(ServiceRow) time.Duration) column[ServiceRow] {
+		return column[ServiceRow]{header, func(r ServiceRow) string { return fmt.Sprintf("%.4f", v(r).Seconds()) }}
+	}
+	cols := []column[ServiceRow]{
+		{"mode", func(r ServiceRow) string { _, mode, _ := strings.Cut(r.Variant, "/"); return mode }},
+		colN, colOKFrac,
+		{"ok_frac_ci95", colOKCI.cell},
+		sec("mean_rt_s", func(r ServiceRow) time.Duration { return r.Mean }),
+		sec("mean_rt_ci95", func(r ServiceRow) time.Duration { return r.MeanCI95 }),
+		sec("p99_s", func(r ServiceRow) time.Duration { return r.P99 }),
+		{"refused", func(r ServiceRow) string { return fmt.Sprintf("%.1f", r.Refused) }},
+		{"unfinished", func(r ServiceRow) string { return fmt.Sprintf("%.1f", r.Unfinished) }},
+	}
+	for _, scenario := range resilienceScenarios {
+		var rows []ServiceRow
+		for _, row := range r.Rows {
+			if strings.HasPrefix(row.Variant, scenario+"/") {
+				rows = append(rows, row)
+			}
+		}
+		if err := writeTable(w, "facet: scenario="+scenario, cols, rows); err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintln(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }

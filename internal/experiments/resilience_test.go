@@ -15,12 +15,10 @@ import (
 // retrying flows span it.
 func testResilienceConfig() ResilienceConfig {
 	return ResilienceConfig{
-		Cluster:     ClusterConfig{Seed: 71, Servers: 4},
+		Base:        Base{Cluster: ClusterConfig{Seed: 71, Servers: 4}, Queries: 3000, Seeds: DeriveSeeds(71, 2)},
 		Lambda0:     80,
 		Rho:         0.9,
-		Queries:     3000,
 		RecoverFrac: 0.43,
-		Seeds:       DeriveSeeds(71, 2),
 	}
 }
 

@@ -32,7 +32,12 @@ import (
 
 // RhoGridConfig parameterizes the experiment.
 type RhoGridConfig struct {
-	Cluster ClusterConfig
+	// Base: Queries sizes the fixed measurement window — every cell
+	// simulates span = Queries/Lambda0 seconds (the ρ=1 window), so the
+	// web VIP offers ≈ ρ_w × Queries arrivals and all grid cells measure
+	// the same wall of simulated time. Adaptive runs extend Seeds to
+	// Adaptive.MaxSeeds.
+	Base
 	// Lambda0 is the shared pool's calibrated capacity rate (0 ⇒
 	// measured via CalibrateCached on the base cluster).
 	Lambda0 float64
@@ -41,11 +46,6 @@ type RhoGridConfig struct {
 	// BatchRhos is the batch (aggressor) load axis (default
 	// {0.05, 0.2, 0.35, 0.5}).
 	BatchRhos []float64
-	// Queries sizes the fixed measurement window: every cell simulates
-	// span = Queries/Lambda0 seconds (the ρ=1 window), so the web VIP
-	// offers ≈ ρ_w × Queries arrivals and all grid cells measure the
-	// same wall of simulated time (default 20000).
-	Queries int
 	// BatchPeak is the batch service's ON-state burst factor (default 4).
 	BatchPeak float64
 	// FlowletGap is the flowlet policy's idle gap (0 ⇒
@@ -57,14 +57,9 @@ type RhoGridConfig struct {
 	// Policies defaults to the four-way ablation
 	// {Random2, CHash2, WeightedLeastLoadPolicy, FlowletPolicy}.
 	Policies []PolicySpec
-	// Seeds is the replication axis (default: the cluster seed alone;
-	// adaptive runs extend it to Adaptive.MaxSeeds).
-	Seeds []uint64
 	// Adaptive configures adaptive replication (CITarget <= 0 runs the
 	// fixed Seeds axis everywhere).
 	Adaptive Adaptive
-	Workers  int
-	Progress func(string)
 }
 
 // RhoGridResult holds the full matrix.
@@ -95,7 +90,7 @@ type RhoGridResult struct {
 
 // RunRhoGrid executes the experiment.
 func RunRhoGrid(cfg RhoGridConfig) RhoGridResult {
-	serviceSweepDefaults(&cfg.Cluster, &cfg.Lambda0, &cfg.BatchRhos, &cfg.Queries, &cfg.BatchPeak)
+	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.BatchRhos, &cfg.BatchPeak)
 	if len(cfg.WebRhos) == 0 {
 		cfg.WebRhos = []float64{0.3, 0.55, 0.8}
 	}
@@ -114,7 +109,7 @@ func RunRhoGrid(cfg RhoGridConfig) RhoGridResult {
 
 	// RunSweepStats grows the replication axis adaptively when
 	// cfg.Adaptive is enabled.
-	agg, _ := Runner{Workers: cfg.Workers, Progress: cfg.Progress}.RunSweepStats(context.Background(), Sweep{
+	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
 		LoadGrid: LoadGrid{

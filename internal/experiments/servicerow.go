@@ -1,15 +1,20 @@
-// The service-row table: what RunMultiService, RunInterference,
-// RunPolicies and RunRhoGrid all produce — a (variant × load × policy)
-// sweep flattened to one row per service plus an "all" aggregate. The
-// four experiments share the row type, the flattening, the nearest-load
-// lookup, the by-policy plot series, the TSV columns and (for the three
-// shared-pool ones) the workload; each keeps its config, its headline
-// accessors, its column list and its derived columns.
+// The service-row table: what every study reports. RunMultiService,
+// RunInterference, RunPolicies and RunRhoGrid flatten a (variant × load
+// × policy) sweep to one row per service plus an "all" aggregate;
+// the single-VIP studies (ablations, retransmit, hetero, churn,
+// resilience) keep just the "all" row of each cell. They share the row
+// type, the flattening, the nearest-load lookup, the by-policy plot
+// series, the TSV columns and (for the three shared-pool ones) the
+// workload; each keeps its config, its headline accessors, its column
+// list and its derived columns.
 
 package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"time"
 
 	"srlb/internal/metrics"
@@ -21,9 +26,10 @@ import (
 // across the replication axis; Service "all" is the aggregate over every
 // service of the cell.
 type ServiceRow struct {
-	// Variant is the topology variant ("" for variant-free sweeps); Rho
-	// the cell's load — the swept knob, for a grid cell its last axis —
-	// and LoadVec the cell's per-service load vector (grid sweeps only).
+	// Variant is the topology variant ("" for variant-free sweeps) or,
+	// for a study of labelled scenarios (runStudy), the scenario's label;
+	// Rho the cell's load — the swept knob, for a grid cell its last axis
+	// — and LoadVec the cell's per-service load vector (grid sweeps only).
 	Variant string
 	Rho     float64
 	LoadVec []float64
@@ -35,10 +41,13 @@ type ServiceRow struct {
 	// N counts completed replicates; StopReason is the adaptive
 	// controller's verdict for the cell ("converged", "max-seeds"; empty
 	// under fixed replication).
-	N                                 int
-	StopReason                        string
-	Mean, MeanCI95, P50, P99, P99CI95 time.Duration
-	OKFrac, OKFracCI95                float64
+	N          int
+	StopReason string
+	// Point estimates are across-seed means of per-seed statistics, the
+	// CI95 fields their Student-t 95% half-widths (zero when N == 1 —
+	// unknown, not exact).
+	Mean, MeanCI95, P50, P50CI95, P95, P99, P99CI95 time.Duration
+	OKFrac, OKFracCI95                              float64
 	// Offered, Refused and Unfinished are across-seed mean counts.
 	Offered, Refused, Unfinished float64
 }
@@ -66,6 +75,8 @@ func cellRows(cs CellStats) []ServiceRow {
 			Mean:       secDur(o.Mean.Dist.Mean),
 			MeanCI95:   secDur(o.Mean.Dist.ReportedCI95()),
 			P50:        secDur(o.Median.Dist.Mean),
+			P50CI95:    secDur(o.Median.Dist.ReportedCI95()),
+			P95:        secDur(o.P95.Dist.Mean),
 			P99:        secDur(o.P99.Dist.Mean),
 			P99CI95:    secDur(o.P99.Dist.ReportedCI95()),
 			OKFrac:     o.OKFraction.Dist.Mean,
@@ -122,6 +133,11 @@ func findRow[R any](experiment string, rows []R, base func(R) ServiceRow, varian
 	return best, err
 }
 
+// nearRho is findRow's usual dist: how far a row's cell load is from rho.
+func nearRho(rho float64) func(ServiceRow) float64 {
+	return func(row ServiceRow) float64 { return math.Abs(row.Rho - rho) }
+}
+
 // policySeries draws one service's rows (of one variant) as
 // metric-vs-load lines: one plot.Series per policy in first-seen order,
 // y in seconds, the across-seed ci95 as the error bar.
@@ -151,7 +167,7 @@ func policySeries[R any](rows []R, base func(R) ServiceRow, variant, service str
 // The family's shared TSV columns. An experiment's WriteTSV lists the
 // ones it prints, in its own order, around its derived columns.
 var (
-	colVariant = column[ServiceRow]{"variant", func(r ServiceRow) string { return r.Variant }}
+	colVariant = colLabel("variant")
 	colPolicy  = column[ServiceRow]{"policy", func(r ServiceRow) string { return r.Policy }}
 	colService = column[ServiceRow]{"service", func(r ServiceRow) string { return r.Service }}
 	colSvcRho  = column[ServiceRow]{"rho_svc", func(r ServiceRow) string { return fmt.Sprintf("%.2f", r.Load) }}
@@ -159,6 +175,9 @@ var (
 	colMean    = column[ServiceRow]{"mean_s", func(r ServiceRow) string { return metrics.FormatDuration(r.Mean) }}
 	colMeanCI  = column[ServiceRow]{"mean_ci95_s", func(r ServiceRow) string { return metrics.FormatDuration(r.MeanCI95) }}
 	colP50     = column[ServiceRow]{"p50_s", func(r ServiceRow) string { return metrics.FormatDuration(r.P50) }}
+	colMedian  = column[ServiceRow]{"median_s", colP50.cell}
+	colMedCI   = column[ServiceRow]{"median_ci95_s", func(r ServiceRow) string { return metrics.FormatDuration(r.P50CI95) }}
+	colP95     = column[ServiceRow]{"p95_s", func(r ServiceRow) string { return metrics.FormatDuration(r.P95) }}
 	colP99     = column[ServiceRow]{"p99_s", func(r ServiceRow) string { return metrics.FormatDuration(r.P99) }}
 	colP99CI   = column[ServiceRow]{"p99_ci95_s", func(r ServiceRow) string { return metrics.FormatDuration(r.P99CI95) }}
 	colOKFrac  = column[ServiceRow]{"ok_frac", func(r ServiceRow) string { return fmt.Sprintf("%.4f", r.OKFrac) }}
@@ -166,12 +185,35 @@ var (
 	colRefused = column[ServiceRow]{"refused", func(r ServiceRow) string { return fmt.Sprintf("%.0f", r.Refused) }}
 	colUnfin   = column[ServiceRow]{"unfinished", func(r ServiceRow) string { return fmt.Sprintf("%.0f", r.Unfinished) }}
 	colN       = column[ServiceRow]{"n", func(r ServiceRow) string { return fmt.Sprint(r.N) }}
+	// colRefusedCount is what the studies print: the mean refused count
+	// rounded half away from zero (colRefused's %.0f rounds half to even).
+	colRefusedCount = column[ServiceRow]{"refused", func(r ServiceRow) string { return fmt.Sprint(r.RefusedCount()) }}
 )
+
+// RefusedCount is Refused rounded to a whole count.
+func (r ServiceRow) RefusedCount() int { return int(math.Round(r.Refused)) }
+
+// colLabel is the Variant column under the experiment's name for it
+// ("variant", "mode", "config").
+func colLabel(header string) column[ServiceRow] {
+	return column[ServiceRow]{header, func(r ServiceRow) string { return r.Variant }}
+}
 
 // colRho is the cell-load column under the experiment's name for it
 // ("rho", "batch_rho").
 func colRho(header string) column[ServiceRow] {
 	return column[ServiceRow]{header, func(r ServiceRow) string { return fmt.Sprintf("%.2f", r.Rho) }}
+}
+
+// seedCols is a study's column list at its replication: a single-seed
+// table drops what only replicates can fill, the ci95 half-widths and n.
+func seedCols[R any](seeds []uint64, cols []column[R]) []column[R] {
+	if len(seeds) > 1 {
+		return cols
+	}
+	return slices.DeleteFunc(cols, func(c column[R]) bool {
+		return c.header == "n" || strings.Contains(c.header, "ci95")
+	})
 }
 
 // lift re-types shared columns for a row type that embeds ServiceRow.
@@ -184,24 +226,18 @@ func lift[R any](base func(R) ServiceRow, cols ...column[ServiceRow]) []column[R
 }
 
 // serviceSweepDefaults resolves the knobs the family's configs share:
-// the cluster's defaults, 20000 queries, a 4× batch burst factor, λ0
-// calibrated on the base cluster when not given, and — unless the
-// experiment has set its own load axis — the shared-pool aggressor axis
-// {0.05, 0.2, 0.35, 0.5}.
-func serviceSweepDefaults(cluster *ClusterConfig, lambda0 *float64, rhos *[]float64, queries *int, batchPeak *float64) {
-	*cluster = cluster.withDefaults()
+// the base's defaults, a 4× batch burst factor, λ0 calibrated on the
+// base cluster when not given, and — unless the experiment has set its
+// own load axis — the shared-pool aggressor axis {0.05, 0.2, 0.35, 0.5}.
+func serviceSweepDefaults(base *Base, lambda0 *float64, rhos *[]float64, batchPeak *float64) {
+	*base = base.withDefaults()
 	if len(*rhos) == 0 {
 		*rhos = []float64{0.05, 0.2, 0.35, 0.5}
-	}
-	if *queries == 0 {
-		*queries = 20000
 	}
 	if *batchPeak == 0 {
 		*batchPeak = 4
 	}
-	if *lambda0 == 0 {
-		*lambda0 = CalibrateCached(CalibrationConfig{Cluster: *cluster}).Lambda0
-	}
+	*lambda0 = base.Cluster.lambda0(*lambda0)
 }
 
 // sharedPoolWorkload is the traffic of RunInterference, RunPolicies and

@@ -48,10 +48,10 @@ func TestWritersSurfaceEveryWriteError(t *testing.T) {
 		name  string
 		write func(io.Writer) error
 	}{
-		{"ablation", AblationResult{Study: "k", Rows: []AblationRow{{Label: "k=1"}}}.WriteTSV},
-		{"ablation replicated", AblationResult{Study: "k", Seeds: seeds, Rows: []AblationRow{{Label: "k=1"}}}.WriteTSV},
+		{"ablation", AblationResult{Study: "k", Rows: []ServiceRow{{Variant: "k=1"}}}.WriteTSV},
+		{"ablation replicated", AblationResult{Study: "k", Seeds: seeds, Rows: []ServiceRow{{Variant: "k=1"}}}.WriteTSV},
 		{"calibration", CalibrationResult{Probes: []CalibrationProbe{{RatePerSec: 100}}}.WriteTSV},
-		{"churn", ChurnResult{Rows: []ChurnRow{{Policy: "RR", Mode: "steady"}}}.WriteTSV},
+		{"churn", ChurnResult{Rows: []ServiceRow{{Policy: "RR", Variant: "steady"}}}.WriteTSV},
 		{"failover", FailoverResult{RecoverAt: time.Second, Modes: []FailoverMode{{Name: "random", Bins: []FailoverBin{{}}}}}.WriteTSV},
 		{"fig2", Fig2Result{Policies: policies, Rhos: []float64{0.5}, Points: [][]Fig2Point{{{}}, {{}}}}.WriteTSV},
 		{"fig2 replicated", Fig2Result{Policies: policies, Rhos: []float64{0.5}, Seeds: seeds, Points: [][]Fig2Point{{{}}, {{}}}}.WriteTSV},
@@ -66,12 +66,12 @@ func TestWritersSurfaceEveryWriteError(t *testing.T) {
 		{"fig6", wikiRes.WriteFig6TSV},
 		{"fig7", wikiRes.WriteFig7TSV},
 		{"fig8", wikiRes.WriteFig8TSV},
-		{"hetero", HeteroResult{Rows: []HeteroRow{{Policy: "RR"}}}.WriteTSV},
-		{"hetero replicated", HeteroResult{Seeds: seeds, Rows: []HeteroRow{{Policy: "RR"}}}.WriteTSV},
+		{"hetero", HeteroResult{Rows: []HeteroRow{{ServiceRow: ServiceRow{Policy: "RR"}}}}.WriteTSV},
+		{"hetero replicated", HeteroResult{Seeds: seeds, Rows: []HeteroRow{{ServiceRow: ServiceRow{Policy: "RR"}}}}.WriteTSV},
 		{"horizon", HorizonResult{RT: hist}.WriteSummary},
-		{"resilience", ResilienceResult{Rows: []ResilienceRow{{Scenario: "kill", Mode: "warm"}}}.WriteTSV},
-		{"retransmit", RetransmitResult{Rows: []RetransmitRow{{Mode: "abort"}}}.WriteTSV},
-		{"retransmit replicated", RetransmitResult{Seeds: seeds, Rows: []RetransmitRow{{Mode: "abort"}}}.WriteTSV},
+		{"resilience", ResilienceResult{Rows: []ServiceRow{{Variant: "kill/warm"}}}.WriteTSV},
+		{"retransmit", RetransmitResult{Rows: []RetransmitRow{{ServiceRow: ServiceRow{Variant: "abort"}}}}.WriteTSV},
+		{"retransmit replicated", RetransmitResult{Seeds: seeds, Rows: []RetransmitRow{{ServiceRow: ServiceRow{Variant: "abort"}}}}.WriteTSV},
 		{"vipscale", VIPScaleResult{Rows: []VIPScaleRow{{Scheme: "random"}}}.WriteTSV},
 		{"multiservice", MultiServiceResult{Rows: []ServiceRow{svc}}.WriteTSV},
 		{"interference", InterferenceResult{Rows: []InterferenceRow{{ServiceRow: svc}}}.WriteTSV},

@@ -14,8 +14,8 @@ import (
 
 func runWithNet(t *testing.T, netCfg netsim.Config, policy func(int) agent.Policy, n int, rate float64) *Testbed {
 	t.Helper()
-	cfg := Config{Seed: 77, Servers: 4, Net: netCfg, Policy: policy}
-	tb := New(cfg)
+	cfg := Topology{Seed: 77, Net: netCfg, VIPs: []VIPSpec{{Servers: 4, Policy: policy}}}
+	tb := Build(cfg)
 	tb.Gen.RetainResults = true
 	r := rng.Split(cfg.Seed, 99)
 	p := rng.NewPoisson(r, rate, 0)
@@ -128,14 +128,14 @@ func TestMixedPolicies(t *testing.T) {
 // TestSRdynAdaptsAcrossLoadShift: drive light load then heavy load and
 // verify the dynamic policy's threshold moves up under pressure.
 func TestSRdynAdaptsAcrossLoadShift(t *testing.T) {
-	cfg := Config{Seed: 78, Servers: 4}
+	cfg := Topology{Seed: 78, VIPs: []VIPSpec{{Servers: 4}}}
 	policies := make([]*agent.Dynamic, 0, 4)
-	cfg.Policy = func(int) agent.Policy {
+	cfg.VIPs[0].Policy = func(int) agent.Policy {
 		p := agent.NewDynamic(agent.DynamicConfig{})
 		policies = append(policies, p)
 		return p
 	}
-	tb := New(cfg)
+	tb := Build(cfg)
 	r := rng.Split(cfg.Seed, 99)
 	// Phase 1: light (20 q/s for 20s). Phase 2: heavy (70 q/s for 40s).
 	at := time.Duration(0)
@@ -172,8 +172,8 @@ func TestSRdynAdaptsAcrossLoadShift(t *testing.T) {
 // TestFlowTableBoundedUnderChurn: the LB must not grow state without
 // bound across tens of thousands of short flows.
 func TestFlowTableBoundedUnderChurn(t *testing.T) {
-	cfg := Config{Seed: 79, Servers: 4}
-	tb := New(cfg)
+	cfg := Topology{Seed: 79, VIPs: []VIPSpec{{Servers: 4}}}
+	tb := Build(cfg)
 	r := rng.Split(cfg.Seed, 99)
 	p := rng.NewPoisson(r, 500, 0)
 	for i := 0; i < 20000; i++ {

@@ -9,9 +9,9 @@ import (
 
 // runSink replays the same workload as run() but through a SketchSink,
 // with per-query retention left off (the default).
-func runSink(t testing.TB, cfg Config, n int, ratePerSec float64, meanDemand time.Duration) (*Testbed, *SketchSink) {
+func runSink(t testing.TB, cfg Topology, n int, ratePerSec float64, meanDemand time.Duration) (*Testbed, *SketchSink) {
 	t.Helper()
-	tb := New(cfg)
+	tb := Build(cfg)
 	sink := NewSketchSink()
 	tb.Gen.Sink = sink
 	r := rng.Split(cfg.Seed, 99)
@@ -30,7 +30,7 @@ func runSink(t testing.TB, cfg Config, n int, ratePerSec float64, meanDemand tim
 // and the sink's accounting balances exactly.
 func TestSinkModeRetainsNoResults(t *testing.T) {
 	const n = 3000
-	tb, sink := runSink(t, Config{Seed: 1, Servers: 4}, n, 200, 20*time.Millisecond)
+	tb, sink := runSink(t, Topology{Seed: 1, VIPs: []VIPSpec{{Servers: 4}}}, n, 200, 20*time.Millisecond)
 	if got := tb.Gen.Results(); len(got) != 0 {
 		t.Fatalf("sink mode retained %d results, want 0", len(got))
 	}
@@ -51,7 +51,7 @@ func TestSinkModeRetainsNoResults(t *testing.T) {
 // slice records: same per-outcome counts, same mean, same max.
 func TestSinkMatchesRetainedResults(t *testing.T) {
 	const n = 2000
-	cfg := Config{Seed: 7, Servers: 4}
+	cfg := Topology{Seed: 7, VIPs: []VIPSpec{{Servers: 4}}}
 	retained := run(t, cfg, n, 200, 20*time.Millisecond)
 	_, sink := runSink(t, cfg, n, 200, 20*time.Millisecond)
 
@@ -92,8 +92,8 @@ func TestSinkMemoryIndependentOfQueryCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run memory comparison")
 	}
-	_, small := runSink(t, Config{Seed: 3, Servers: 4}, 1000, 200, 20*time.Millisecond)
-	_, large := runSink(t, Config{Seed: 3, Servers: 4}, 4000, 200, 20*time.Millisecond)
+	_, small := runSink(t, Topology{Seed: 3, VIPs: []VIPSpec{{Servers: 4}}}, 1000, 200, 20*time.Millisecond)
+	_, large := runSink(t, Topology{Seed: 3, VIPs: []VIPSpec{{Servers: 4}}}, 4000, 200, 20*time.Millisecond)
 	sb, lb := small.Total().RT.Buckets(), large.Total().RT.Buckets()
 	// Bucket count grows logarithmically with the max observed value and
 	// is hard-capped by the 64-bit range; 4x the queries must stay within

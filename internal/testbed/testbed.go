@@ -12,21 +12,17 @@ package testbed
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand/v2"
 	"net/netip"
 	"time"
 
-	"srlb/internal/agent"
 	"srlb/internal/appserver"
 	"srlb/internal/core"
 	"srlb/internal/des"
 	"srlb/internal/feedback"
-	"srlb/internal/flowtable"
 	"srlb/internal/ipv6"
 	"srlb/internal/metrics"
 	"srlb/internal/netsim"
 	"srlb/internal/packet"
-	"srlb/internal/selection"
 	"srlb/internal/tcpseg"
 	"srlb/internal/vrouter"
 )
@@ -162,32 +158,6 @@ func DefaultDemand(_ packet.FlowKey, payload []byte) time.Duration {
 	return d
 }
 
-// Config assembles a full testbed. Zero fields take the paper's values.
-type Config struct {
-	Seed    uint64
-	Servers int              // default 12
-	Server  appserver.Config // default appserver.Default()
-	Net     netsim.Config    // default ideal LAN
-	Flows   flowtable.Config // default flowtable defaults
-	Clients int              // distinct client source addresses (default 8)
-
-	// ServerOverride, when non-nil, returns the configuration of server i
-	// — heterogeneous clusters (mixed core counts / worker pools). Falls
-	// back to Server when it returns the zero Config.
-	ServerOverride func(i int) appserver.Config
-
-	// Policy builds the acceptance policy for server i. Default: Always
-	// (every first candidate accepts — with Scheme=random1 this is the
-	// paper's RR baseline).
-	Policy func(i int) agent.Policy
-	// Scheme builds the LB's candidate-selection scheme over the server
-	// addresses. Default: 2 uniform-random candidates (the paper's).
-	Scheme func(servers []netip.Addr, r *rand.Rand) selection.Scheme
-	// Demand builds the per-server demand function. Default: DefaultDemand
-	// on every server.
-	Demand func(i int) vrouter.DemandFn
-}
-
 // Testbed is a fully wired cluster.
 type Testbed struct {
 	Sim *des.Simulator
@@ -214,31 +184,6 @@ type Testbed struct {
 	poolsByName map[string]*poolState
 	replicas    []*replicaState
 }
-
-// Topology lifts the legacy single-LB/single-VIP configuration into the
-// declarative form: one VIP at the historical addresses, one replica, no
-// lifecycle events. Build(cfg.Topology()) is exactly the cluster New
-// always constructed, stream for stream.
-func (cfg Config) Topology() Topology {
-	return Topology{
-		Seed:    cfg.Seed,
-		Net:     cfg.Net,
-		Flows:   cfg.Flows,
-		Clients: cfg.Clients,
-		VIPs: []VIPSpec{{
-			Servers:        cfg.Servers,
-			Server:         cfg.Server,
-			ServerOverride: cfg.ServerOverride,
-			Policy:         cfg.Policy,
-			Scheme:         SchemeFn(cfg.Scheme),
-			Demand:         cfg.Demand,
-		}},
-	}
-}
-
-// New builds the cluster: the one-line compatibility wrapper over the
-// Topology compiler.
-func New(cfg Config) *Testbed { return Build(cfg.Topology()) }
 
 // BusyCounts returns the current busy-worker count of every server — the
 // instantaneous load vector of figure 4.

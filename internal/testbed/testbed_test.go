@@ -18,9 +18,9 @@ import (
 
 // run launches n queries of the given demand at the given rate against a
 // testbed and returns it with all results collected.
-func run(t testing.TB, cfg Config, n int, ratePerSec float64, meanDemand time.Duration) *Testbed {
+func run(t testing.TB, cfg Topology, n int, ratePerSec float64, meanDemand time.Duration) *Testbed {
 	t.Helper()
-	tb := New(cfg)
+	tb := Build(cfg)
 	tb.Gen.RetainResults = true
 	r := rng.Split(cfg.Seed, 99)
 	p := rng.NewPoisson(r, ratePerSec, 0)
@@ -36,7 +36,7 @@ func run(t testing.TB, cfg Config, n int, ratePerSec float64, meanDemand time.Du
 
 func TestEveryQueryServedExactlyOnce(t *testing.T) {
 	const n = 2000
-	tb := run(t, Config{Seed: 1, Servers: 4}, n, 200, 20*time.Millisecond)
+	tb := run(t, Topology{Seed: 1, VIPs: []VIPSpec{{Servers: 4}}}, n, 200, 20*time.Millisecond)
 	results := tb.Gen.Results()
 	if len(results) != n {
 		t.Fatalf("results = %d, want %d", len(results), n)
@@ -68,11 +68,10 @@ func TestEveryQueryServedExactlyOnce(t *testing.T) {
 func TestServiceHuntingProtocolCounters(t *testing.T) {
 	// With a never-accept policy every SYN is refused by the first
 	// candidate and force-accepted by the second.
-	cfg := Config{
-		Seed:    2,
+	cfg := Topology{Seed: 2, VIPs: []VIPSpec{{
 		Servers: 4,
 		Policy:  func(int) agent.Policy { return agent.Never{} },
-	}
+	}}}
 	const n = 500
 	tb := run(t, cfg, n, 100, 10*time.Millisecond)
 
@@ -96,11 +95,10 @@ func TestServiceHuntingProtocolCounters(t *testing.T) {
 }
 
 func TestAlwaysPolicyFirstCandidateWins(t *testing.T) {
-	cfg := Config{
-		Seed:    3,
+	cfg := Topology{Seed: 3, VIPs: []VIPSpec{{
 		Servers: 4,
 		Policy:  func(int) agent.Policy { return agent.Always{} },
-	}
+	}}}
 	const n = 500
 	tb := run(t, cfg, n, 100, 10*time.Millisecond)
 	var forced, firstAccepts uint64
@@ -117,8 +115,8 @@ func TestAlwaysPolicyFirstCandidateWins(t *testing.T) {
 // accepted it. The vrouter counts "no_conn" when a steered packet arrives
 // for a connection it does not own.
 func TestFlowAffinity(t *testing.T) {
-	cfg := Config{Seed: 4, Servers: 8,
-		Policy: func(int) agent.Policy { return agent.NewStatic(4) }}
+	cfg := Topology{Seed: 4, VIPs: []VIPSpec{{Servers: 8,
+		Policy: func(int) agent.Policy { return agent.NewStatic(4) }}}}
 	tb := run(t, cfg, 3000, 300, 15*time.Millisecond)
 	for i, rt := range tb.Routers {
 		if got := rt.Counts.Get("no_conn"); got != 0 {
@@ -145,8 +143,8 @@ func TestSRcExtremesEquivalentToRandom(t *testing.T) {
 	for _, c := range []int{0, 33} {
 		c := c
 		t.Run(fmt.Sprintf("c=%d", c), func(t *testing.T) {
-			cfg := Config{Seed: 5, Servers: 6,
-				Policy: func(int) agent.Policy { return agent.NewStatic(c) }}
+			cfg := Topology{Seed: 5, VIPs: []VIPSpec{{Servers: 6,
+				Policy: func(int) agent.Policy { return agent.NewStatic(c) }}}}
 			tb := run(t, cfg, 1200, 150, 10*time.Millisecond)
 			ok := 0
 			for _, r := range tb.Gen.Results() {
@@ -169,11 +167,10 @@ func TestSRcExtremesEquivalentToRandom(t *testing.T) {
 func TestOverloadProducesRSTs(t *testing.T) {
 	// Tiny cluster, huge offered load, small backlog: some queries must be
 	// refused with RST, and the client must observe them as Refused.
-	cfg := Config{
-		Seed:    6,
+	cfg := Topology{Seed: 6, VIPs: []VIPSpec{{
 		Servers: 2,
 		Server:  appserver.Config{Workers: 4, Cores: 1, Backlog: 4, AbortOnOverflow: true},
-	}
+	}}}
 	tb := run(t, cfg, 2000, 2000, 50*time.Millisecond)
 	refused := 0
 	for _, r := range tb.Gen.Results() {
@@ -199,7 +196,7 @@ func TestOverloadProducesRSTs(t *testing.T) {
 func TestResponseTimesReflectProcessorSharing(t *testing.T) {
 	// At very light load every query should take ≈ its demand (plus tiny
 	// network overhead).
-	cfg := Config{Seed: 7, Servers: 12}
+	cfg := Topology{Seed: 7, VIPs: []VIPSpec{{Servers: 12}}}
 	tb := run(t, cfg, 200, 5, 100*time.Millisecond)
 	for _, r := range tb.Gen.Results() {
 		if !r.OK {
@@ -219,8 +216,8 @@ func TestResponseTimesReflectProcessorSharing(t *testing.T) {
 
 func TestDeterministicResults(t *testing.T) {
 	digest := func() string {
-		cfg := Config{Seed: 42, Servers: 6,
-			Policy: func(int) agent.Policy { return agent.NewStatic(8) }}
+		cfg := Topology{Seed: 42, VIPs: []VIPSpec{{Servers: 6,
+			Policy: func(int) agent.Policy { return agent.NewStatic(8) }}}}
 		tb := run(t, cfg, 800, 200, 20*time.Millisecond)
 		var sum time.Duration
 		var ids uint64
@@ -241,7 +238,7 @@ func TestPowerOfTwoBeatsRandomUnderLoad(t *testing.T) {
 	// random assignment at high load. ρ≈0.85 of a 4-server cluster:
 	// capacity = 4 servers × 2 cores / 0.1s = 80 q/s; run at 68 q/s.
 	meanRT := func(policy func(int) agent.Policy, scheme func([]netip.Addr, *rand.Rand) selection.Scheme) time.Duration {
-		cfg := Config{Seed: 8, Servers: 4, Policy: policy, Scheme: scheme}
+		cfg := Topology{Seed: 8, VIPs: []VIPSpec{{Servers: 4, Policy: policy, Scheme: scheme}}}
 		tb := run(t, cfg, 4000, 68, 100*time.Millisecond)
 		var sum time.Duration
 		n := 0
@@ -299,7 +296,7 @@ func TestAddressHelpers(t *testing.T) {
 }
 
 func TestSampleLoads(t *testing.T) {
-	tb := New(Config{Seed: 9, Servers: 3})
+	tb := Build(Topology{Seed: 9, VIPs: []VIPSpec{{Servers: 3}}})
 	var samples int
 	var lastLen int
 	tb.SampleLoads(100*time.Millisecond, time.Second, func(now time.Duration, busy []int) {
@@ -319,11 +316,11 @@ func TestFairnessImprovesWithSR(t *testing.T) {
 	// Jain fairness of cumulative per-server service counts: SR4 should
 	// spread at least as evenly as single-random at high load.
 	counts := func(policy func(int) agent.Policy, k int) []float64 {
-		cfg := Config{Seed: 10, Servers: 6,
+		cfg := Topology{Seed: 10, VIPs: []VIPSpec{{Servers: 6,
 			Policy: policy,
 			Scheme: func(s []netip.Addr, r *rand.Rand) selection.Scheme {
 				return selection.NewRandom(s, k, r)
-			}}
+			}}}}
 		tb := run(t, cfg, 3000, 100, 100*time.Millisecond)
 		out := make([]float64, len(tb.Servers))
 		for i, s := range tb.Servers {
@@ -348,7 +345,7 @@ func TestFairnessImprovesWithSR(t *testing.T) {
 }
 
 func TestGeneratorPortWrapAvoidsPendingCollision(t *testing.T) {
-	tb := New(Config{Seed: 11, Servers: 2, Clients: 1})
+	tb := Build(Topology{Seed: 11, Clients: 1, VIPs: []VIPSpec{{Servers: 2}}})
 	tb.Gen.RetainResults = true
 	// Exhaust a chunk of port space quickly with tiny demands.
 	r := rng.New(1)
@@ -371,7 +368,7 @@ func TestGeneratorPortWrapAvoidsPendingCollision(t *testing.T) {
 // free port behind them and none of the older ones is displaced — every
 // launched query is still there for DrainPending to report.
 func TestLaunchSkipsEveryPendingPort(t *testing.T) {
-	tb := New(Config{Seed: 11, Servers: 2, Clients: 1})
+	tb := Build(Topology{Seed: 11, Clients: 1, VIPs: []VIPSpec{{Servers: 2}}})
 	tb.Gen.RetainResults = true
 	tb.Gen.Launch(Query{ID: 0})
 	tb.Gen.Launch(Query{ID: 1})
@@ -394,7 +391,7 @@ func TestLaunchSkipsEveryPendingPort(t *testing.T) {
 }
 
 func TestUtilizationBounded(t *testing.T) {
-	tb := run(t, Config{Seed: 12, Servers: 3}, 2000, 500, 20*time.Millisecond)
+	tb := run(t, Topology{Seed: 12, VIPs: []VIPSpec{{Servers: 3}}}, 2000, 500, 20*time.Millisecond)
 	for i, s := range tb.Servers {
 		u := s.Utilization(0)
 		if u > 1.0001 {

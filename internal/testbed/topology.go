@@ -9,10 +9,9 @@
 //
 // Build compiles a Topology into wired nodes. A VIP without a pool
 // reference keeps an implicit pool of its own, compiled down to the same
-// machinery — the legacy Config is a one-line single-LB/single-VIP
-// wrapper over it (Config.Topology), so every existing experiment
-// constructs exactly the cluster it always did, stream for stream
-// (parity-pinned in TestImplicitPoolCompiledParity).
+// machinery, so a one-VIP Topology is exactly the single-LB/single-VIP
+// cluster the paper's figures run on, stream for stream (parity-pinned
+// in TestImplicitPoolCompiledParity).
 
 package testbed
 
@@ -181,7 +180,9 @@ type Topology struct {
 	Pools []PoolSpec
 	// VIPs declares the services (default: one zero VIPSpec).
 	VIPs []VIPSpec
-	// Net, Flows, Clients as in Config.
+	// Net is the simulated link (default: ideal LAN); Flows the LB flow
+	// table's settings (default: flowtable defaults); Clients the number
+	// of distinct client source addresses (default 8).
 	Net     netsim.Config
 	Flows   flowtable.Config
 	Clients int

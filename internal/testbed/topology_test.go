@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"srlb/internal/rng"
 	"srlb/internal/selection"
 )
 
@@ -228,34 +227,6 @@ func TestTopologyMultiVIP(t *testing.T) {
 	}
 	if got := tb.LB.VIPSYNs(netip.MustParseAddr("2001:db8::dead")); got != 0 {
 		t.Fatalf("unknown VIP counted %d SYNs, want 0", got)
-	}
-}
-
-// The legacy Config wrapper must compile to the identical cluster as the
-// equivalent hand-written Topology — result for result.
-func TestConfigTopologyParity(t *testing.T) {
-	runOne := func(tb *Testbed) []Result {
-		tb.Gen.RetainResults = true
-		r := rng.Split(23, 99)
-		p := rng.NewPoisson(r, 150, 0)
-		for i := 0; i < 800; i++ {
-			at := p.Next()
-			q := Query{ID: uint64(i), Demand: rng.Exp(r, 20*time.Millisecond)}
-			tb.Sim.At(at, func() { tb.Gen.Launch(q) })
-		}
-		tb.Sim.Run()
-		tb.Gen.DrainPending()
-		return tb.Gen.Results()
-	}
-	legacy := runOne(New(Config{Seed: 23, Servers: 4}))
-	declarative := runOne(Build(Topology{Seed: 23, VIPs: []VIPSpec{{Servers: 4}}}))
-	if len(legacy) != len(declarative) {
-		t.Fatalf("result counts differ: %d vs %d", len(legacy), len(declarative))
-	}
-	for i := range legacy {
-		if legacy[i] != declarative[i] {
-			t.Fatalf("result %d differs: %+v vs %+v", i, legacy[i], declarative[i])
-		}
 	}
 }
 
@@ -515,6 +486,6 @@ var benchTB *Testbed
 func BenchmarkTestbedNew(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchTB = New(Config{Seed: uint64(i + 1), Servers: 12})
+		benchTB = Build(Topology{Seed: uint64(i + 1), VIPs: []VIPSpec{{Servers: 12}}})
 	}
 }

@@ -108,6 +108,12 @@ type (
 	Calibration       = experiments.CalibrationConfig
 	CalibrationResult = experiments.CalibrationResult
 
+	// Base is what every Poisson-family config below embeds — Cluster,
+	// Queries, Seeds, Workers, Progress — so a literal spells them once:
+	// CDFConfig{Base: Base{Cluster: c, Queries: 20000}, Rho: 0.88}.
+	// Fig2Config and Calibration keep the same fields flat.
+	Base = experiments.Base
+
 	// Figure configs/results (figures 2–8 of the paper).
 	Fig2Config = experiments.Fig2Config
 	Fig2Result = experiments.Fig2Result
@@ -128,7 +134,11 @@ type (
 	// TraceEntry is one request of a recorded access trace.
 	TraceEntry = trace.Entry
 
-	// Ablation studies (beyond the paper's own figures).
+	// Ablation studies (beyond the paper's own figures). Their rows, like
+	// those of every study below, are ServiceRows: the configuration's
+	// label (ablation config, retransmit mode, churn mode, resilience
+	// "<scenario>/<mode>") is the row's Variant; HeteroResult and
+	// RetransmitResult rows embed one and add the study's own columns.
 	AblationConfig = experiments.AblationConfig
 	AblationResult = experiments.AblationResult
 	// RetransmitConfig/Result: the §IV-C abort-on-overflow study.
@@ -141,19 +151,18 @@ type (
 	// replica mid-run; Maglev fallback vs random selection).
 	FailoverConfig = experiments.FailoverConfig
 	FailoverResult = experiments.FailoverResult
-	// ResilienceConfig/Result/Row: the warm-handoff resilience ablation
+	// ResilienceConfig/Result: the warm-handoff resilience ablation
 	// — {stateless, chash, warm} recovery disciplines through replica
 	// kill, rack loss, and rolling-upgrade schedules.
 	ResilienceConfig = experiments.ResilienceConfig
 	ResilienceResult = experiments.ResilienceResult
-	ResilienceRow    = experiments.ResilienceRow
 	// ChurnConfig/Result: the pool churn/autoscale study (drain and
 	// re-add servers under load).
 	ChurnConfig = experiments.ChurnConfig
 	ChurnResult = experiments.ChurnResult
 	// MultiServiceConfig/Result: the concurrent multi-service study (web
 	// Poisson + wiki replay + batch bursty sharing the LB); ServiceRow is
-	// the per-(policy, service) row it shares with the three studies below.
+	// the per-(variant, load, policy, service) row every study reports.
 	MultiServiceConfig = experiments.MultiServiceConfig
 	MultiServiceResult = experiments.MultiServiceResult
 	ServiceRow         = experiments.ServiceRow
