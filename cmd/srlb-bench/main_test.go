@@ -2,8 +2,12 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
+	"strings"
 	"testing"
 
 	"srlb"
@@ -32,4 +36,101 @@ func TestWriteSweepDocGolden(t *testing.T) {
 	got := hostFields.ReplaceAllString(raw.String(), `"$1": 0`)
 
 	checkGolden(t, filepath.Join("testdata", "BENCH_sweep.golden.json"), got)
+}
+
+// tsvRows reads a TSV artifact as header-keyed rows; under a "# facet:
+// scenario=<s>" comment each row also carries scenario <s>.
+func tsvRows(t *testing.T, path string) []map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []map[string]string
+	var header []string
+	scenario := ""
+	for _, line := range strings.Split(string(raw), "\n") {
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "#"):
+			header = nil
+			if _, s, ok := strings.Cut(line, "scenario="); ok {
+				scenario = s
+			}
+		case header == nil:
+			header = strings.Split(line, "\t")
+		default:
+			row := map[string]string{"scenario": scenario}
+			for i, cell := range strings.Split(line, "\t") {
+				row[header[i]] = cell
+			}
+			rows = append(rows, row)
+		}
+	}
+	return rows
+}
+
+// TestJSONSectionsMatchTSV: every row of a BENCH_*.json row section is
+// its TSV row at more digits — each field, printed with its TSV column's
+// format, is the same-keyed TSV cell, row for row. The wall-clock
+// vipscale columns are skipped: the goldens blank them.
+func TestJSONSectionsMatchTSV(t *testing.T) {
+	type field struct {
+		key, header string
+		format      func(any) string
+	}
+	text := func(v any) string { return v.(string) }
+	fixed := func(prec int, scale float64) func(any) string {
+		return func(v any) string { return strconv.FormatFloat(v.(float64)*scale, 'f', prec, 64) }
+	}
+	count := fixed(0, 1)
+	dir := filepath.Join("testdata", "cli", "all", "out")
+	for _, s := range []struct {
+		doc, section, tsv string
+		fields            []field
+	}{
+		{"BENCH_policies.json", "policies", "extension_policies.tsv", []field{
+			{"variant", "variant", text}, {"batch_rho", "batch_rho", fixed(2, 1)},
+			{"policy", "policy", text}, {"service", "service", text}, {"load", "rho_svc", fixed(2, 1)},
+			{"n", "n", count}, {"offered", "offered", count},
+			{"mean_ms", "mean_s", fixed(3, 1e-3)}, {"p99_ms", "p99_s", fixed(3, 1e-3)},
+			{"ok_fraction", "ok_frac", fixed(4, 1)}, {"resteers", "resteers", fixed(1, 1)},
+		}},
+		{"BENCH_resilience.json", "resilience", "extension_resilience.tsv", []field{
+			{"scenario", "scenario", text}, {"mode", "mode", text}, {"n", "n", count},
+			{"ok_fraction", "ok_frac", fixed(4, 1)}, {"ok_fraction_ci95", "ok_frac_ci95", fixed(4, 1)},
+			{"mean_ms", "mean_rt_s", fixed(4, 1e-3)}, {"mean_ci95_ms", "mean_rt_ci95", fixed(4, 1e-3)},
+			{"p99_ms", "p99_s", fixed(4, 1e-3)},
+			{"refused", "refused", fixed(1, 1)}, {"unfinished", "unfinished", fixed(1, 1)},
+		}},
+		{"BENCH_vipscale.json", "vipscale", "vipscale_dispatch.tsv", []field{
+			{"scheme", "scheme", text}, {"vips", "vips", count}, {"pools", "pools", count}, {"ops", "ops", count},
+		}},
+	} {
+		t.Run(s.section, func(t *testing.T) {
+			raw, err := os.ReadFile(filepath.Join(dir, s.doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal(raw, &doc); err != nil {
+				t.Fatal(err)
+			}
+			var rows []map[string]any
+			if err := json.Unmarshal(doc[s.section], &rows); err != nil {
+				t.Fatal(err)
+			}
+			want := tsvRows(t, filepath.Join(dir, s.tsv))
+			if len(rows) == 0 || len(rows) != len(want) {
+				t.Fatalf("%d %s rows in %s, %d in %s", len(rows), s.section, s.doc, len(want), s.tsv)
+			}
+			for i, row := range rows {
+				for _, f := range s.fields {
+					if got := f.format(row[f.key]); got != want[i][f.header] {
+						t.Errorf("row %d: %s %q is %s %q", i, f.key, got, f.header, want[i][f.header])
+					}
+				}
+			}
+		})
+	}
 }
