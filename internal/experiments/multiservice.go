@@ -91,6 +91,10 @@ func (s PoissonService) Label() string {
 // Span implements ServiceWorkload.
 func (s PoissonService) Span(load float64) time.Duration {
 	if s.Horizon > 0 {
+		// A stream with no rate has no span, bounded by time or not.
+		if load*s.Lambda0 <= 0 {
+			return 0
+		}
 		return s.Horizon
 	}
 	return time.Duration(float64(s.queries()) / (load * s.Lambda0) * float64(time.Second))
@@ -146,6 +150,10 @@ func (s BurstyService) Label() string {
 // Span implements ServiceWorkload.
 func (s BurstyService) Span(load float64) time.Duration {
 	if s.Horizon > 0 {
+		// A stream with no rate has no span, bounded by time or not.
+		if load*s.Lambda0 <= 0 {
+			return 0
+		}
 		return s.Horizon
 	}
 	w := s.bursty()

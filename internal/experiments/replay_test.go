@@ -49,9 +49,10 @@ func TestFeedbackPlanePublishesUnderWikiReplay(t *testing.T) {
 }
 
 // A workload without an arrival span — Lambda0 forgotten, load ≤ 0, an
-// empty-span trace — used to come back as an empty cell with a nil error.
+// empty-span trace — used to come back as an empty cell with a nil error,
+// or, for a rateless Horizon-bounded bursty service, to spin forever.
 // Every kind is rejected by the engine's one check, naming the workload
-// and the load.
+// and the load; each case runs under a deadline so a hang fails the test.
 func TestNoArrivalSpanPanics(t *testing.T) {
 	cluster := smallCluster(1)
 	ctx := context.Background()
@@ -82,6 +83,12 @@ func TestNoArrivalSpanPanics(t *testing.T) {
 		{"multi-service poisson without Lambda0", 0.5, "poisson(100q)", func(l float64) {
 			multi(PoissonService{Queries: 100}).Run(ctx, cluster, RR(), l)
 		}},
+		{"multi-service horizon poisson without Lambda0", 0.5, "poisson(30s)", func(l float64) {
+			multi(PoissonService{Horizon: 30 * time.Second}).Run(ctx, cluster, RR(), l)
+		}},
+		{"multi-service horizon bursty without Lambda0", 0.5, "bursty(30s", func(l float64) {
+			multi(BurstyService{Horizon: 30 * time.Second}).Run(ctx, cluster, RR(), l)
+		}},
 		{"multi-service wiki at load 0", 0, "wiki-day", func(l float64) {
 			w := multi(WikiService{Day: wiki.Config{Compression: 28800}})
 			w.ServiceLoads = []ServiceLoad{{Fixed: 0.5}, {}}
@@ -93,13 +100,22 @@ func TestNoArrivalSpanPanics(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			defer func() {
-				msg, _ := recover().(string)
+			panicked := make(chan string, 1)
+			go func() {
+				defer func() {
+					msg, _ := recover().(string)
+					panicked <- msg
+				}()
+				tc.run(tc.load)
+			}()
+			select {
+			case msg := <-panicked:
 				if !strings.Contains(msg, tc.want) || !strings.Contains(msg, "no arrival span") {
 					t.Errorf("panic %q does not name %q and the missing span", msg, tc.want)
 				}
-			}()
-			tc.run(tc.load)
+			case <-time.After(10 * time.Second):
+				t.Fatal("still running after 10s: the missing span was not rejected")
+			}
 		})
 	}
 }
