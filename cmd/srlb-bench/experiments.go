@@ -16,7 +16,6 @@ import (
 type env struct {
 	experiment, out string
 	plot            bool
-	shared          bool // the run covers several experiments (see emit)
 
 	// base is what every Poisson-family experiment embeds: the cluster,
 	// -queries, the replication axis derived from -seed/-seeds, -workers
@@ -49,13 +48,12 @@ type artifact struct {
 // report is what an experiment hands the driver to act on.
 type report struct {
 	lines []string // the summary, one stdout line each
-	// sibling, when set, asks for a BENCH_sweep.json-envelope document,
-	// written under that name when the run is shared: stats' cells if a
-	// Runner sweep ran, then what fill adds; rows says what it carries.
-	sibling, rows string
-	stats         *srlb.SweepStats
-	fill          func(*sweepJSON)
-	files         []artifact // written (or rendered) in order, after the document
+	// doc, when set, names the experiment's BENCH_*.json document: stats'
+	// cells if a Runner sweep ran, then tables.
+	doc    string
+	stats  *srlb.SweepStats
+	tables []srlb.Table
+	files  []artifact // written (or rendered) in order, after the document
 }
 
 func (r *report) linef(format string, args ...any) {
@@ -107,9 +105,8 @@ var experiments = []experiment{
 			if len(e.base.Seeds) > 1 {
 				rep.linef("replicated over %d seeds; cells report mean ± 95%% CI", len(e.base.Seeds))
 			}
-			// The cross-commit tracking artifact: BENCH_sweep.json under
-			// -experiment all too.
-			rep.sibling, rep.stats = "BENCH_sweep.json", &res.Stats
+			// The cross-commit tracking artifact keeps its historical name.
+			rep.doc, rep.stats = "BENCH_sweep.json", &res.Stats
 			// CI-aware: replicated sweeps render mean ± ci95 whiskers.
 			rep.files = []artifact{
 				seriesPlot("Figure 2: mean response time (s) vs load", res.Stats.PlotSeries()),
@@ -230,8 +227,7 @@ var experiments = []experiment{
 			res := srlb.RunFailover(srlb.FailoverConfig{Base: e.base, Lambda0: e.lambda0})
 			for _, m := range res.Modes {
 				rep.linef("%-16s ok=%.4f±%.4f refused=%.0f unfinished=%.0f (n=%d)",
-					m.Name, m.Stats.OKFraction.Dist.Mean, m.Stats.OKFraction.Dist.ReportedCI95(),
-					m.Stats.Refused.Dist.Mean, m.Stats.Unfinished.Dist.Mean, m.Stats.N())
+					m.Variant, m.OKFrac, m.OKFracCI95, m.Refused, m.Unfinished, m.N)
 			}
 			rep.linef("replica 0 of %d killed at t=%.1fs", res.Replicas, res.KillAt.Seconds())
 			rep.files = []artifact{{"extension_lb_failover.tsv", res.WriteTSV}}
@@ -248,8 +244,7 @@ var experiments = []experiment{
 			}
 			rep.linef("replica kill at %.0f%% of span, recover at %.0f%%; rack loses %.0f%% of servers",
 				100*res.KillFrac, 100*res.RecoverFrac, 100*res.RackFrac)
-			rep.sibling, rep.rows, rep.stats = "BENCH_resilience.json", "resilience rows with completion-rate CIs", &res.Stats
-			rep.fill = func(doc *sweepJSON) { doc.Resilience = resilienceRows(res) }
+			rep.doc, rep.stats, rep.tables = "BENCH_resilience.json", &res.Stats, res.Tables()
 			rep.files = []artifact{{"extension_resilience.tsv", res.WriteTSV}}
 			return rep, nil
 		}},
@@ -261,7 +256,7 @@ var experiments = []experiment{
 					rep.linef("SR4 vs RR mean RT, %-5s service at rho=0.85: %.2fx", svc, imp)
 				}
 			}
-			rep.sibling, rep.rows, rep.stats = "BENCH_multiservice.json", "per-VIP rows", &res.Stats
+			rep.doc, rep.stats = "BENCH_multiservice.json", &res.Stats
 			facets := make([]plot.Facet, 0, len(res.Services))
 			for _, svc := range res.Services {
 				facets = append(facets, plot.Facet{
@@ -287,7 +282,7 @@ var experiments = []experiment{
 						name, heavy, row.P99.Seconds(), deg)
 				}
 			}
-			rep.sibling, rep.rows, rep.stats = "BENCH_interference.json", "per-VIP rows with per-service loads", &res.Stats
+			rep.doc, rep.stats = "BENCH_interference.json", &res.Stats
 			rep.files = []artifact{
 				facetPlot("batch rho", "p99(s)", res.PlotFacets()),
 				{"extension_interference.tsv", res.WriteTSV},
@@ -308,8 +303,7 @@ var experiments = []experiment{
 				rep.linef("flowlet re-steers (%s): %.0f established flows moved mid-connection",
 					variant, res.TotalResteers(variant, "flowlet"))
 			}
-			rep.sibling, rep.rows, rep.stats = "BENCH_policies.json", "policies rows with re-steer counts", &res.Stats
-			rep.fill = func(doc *sweepJSON) { doc.Policies = policiesRows(res) }
+			rep.doc, rep.stats, rep.tables = "BENCH_policies.json", &res.Stats, []srlb.Table{res.Table()}
 			rep.files = []artifact{
 				facetPlot("batch rho", "p99(s)", res.PlotFacets()),
 				{"extension_policies.tsv", res.WriteTSV},
@@ -327,7 +321,7 @@ var experiments = []experiment{
 					100*float64(res.TotalReplicates())/float64(res.FixedBudget()),
 					e.adaptive.CITarget, res.MaxSeeds)
 			}
-			rep.sibling, rep.rows, rep.stats = "BENCH_rhogrid.json", "grid cells with load_vec, per-cell n, stop_reason", &res.Stats
+			rep.doc, rep.stats = "BENCH_rhogrid.json", &res.Stats
 			p99 := func(w io.Writer) error { return plot.RenderHeatmaps(w, res.Heatmaps("p99")...) }
 			rep.files = []artifact{
 				{"rhogrid_heatmaps.txt", func(w io.Writer) error {
@@ -353,12 +347,7 @@ var experiments = []experiment{
 			}
 			rep.linef("flatness (largest/smallest dispatch cost across schemes): %.2fx — O(1) stays near 1, O(n) tracks the count ratio",
 				res.FlatnessRatio())
-			rep.sibling, rep.rows = "BENCH_vipscale.json", "vipscale rows"
-			rep.fill = func(doc *sweepJSON) {
-				for _, row := range res.Rows {
-					doc.VIPScale = append(doc.VIPScale, vipScaleRowJSON(row))
-				}
-			}
+			rep.doc, rep.tables = "BENCH_vipscale.json", []srlb.Table{res.Table()}
 			rep.files = []artifact{
 				facetPlot("#services", "ns/pkt", res.Plot()),
 				{"vipscale_dispatch.tsv", res.WriteTSV},

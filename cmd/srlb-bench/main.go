@@ -30,7 +30,7 @@
 // With -seeds N > 1 every Poisson-family experiment (calibrate, figures
 // 2–5, ablations, hetero, bursty, failover, churn, multiservice,
 // interference, policies) replicates its cells across N derived seeds and
-// reports mean ± 95% CI; BENCH_sweep.json (see
+// reports mean ± 95% CI; each sweep's BENCH_*.json (see
 // docs/RESULTS_SCHEMA.md) carries the per-cell aggregates — for multi-VIP
 // cells, with one per-VIP row per service inside each cell, each carrying
 // that service's own resolved load. The wiki replay (figures 6–8) stays
@@ -95,10 +95,10 @@ func outcome(o srlb.OutcomeStats) outcomeJSON {
 	}
 }
 
-// sweepCellJSON is one row of BENCH_sweep.json: a logical (policy, load)
-// cell aggregated across the replication axis, with summed host
-// wall-clock, so successive PRs can track both the simulated results and
-// the harness's own speed.
+// sweepCellJSON is one cell of a BENCH_*.json document: a logical
+// (policy, load) cell aggregated across the replication axis, with summed
+// host wall-clock, so successive commits can track both the simulated
+// results and the harness's own speed.
 type sweepCellJSON struct {
 	Policy   string  `json:"policy"`
 	Workload string  `json:"workload"`
@@ -133,55 +133,6 @@ type vipCellJSON struct {
 	Unfinished distJSON `json:"unfinished"`
 }
 
-// vipScaleRowJSON is one (scheme, VIP-count) dispatch measurement of the
-// vipscale experiment (schema v6): wall-clock per-packet costs of the
-// SYN and steered paths plus the control-plane build time. It is
-// srlb.VIPScaleRow with JSON names, field for field.
-type vipScaleRowJSON struct {
-	Scheme  string  `json:"scheme"`
-	VIPs    int     `json:"vips"`
-	Pools   int     `json:"pools"`
-	BuildMS float64 `json:"build_ms"`
-	SYNNs   float64 `json:"syn_ns"`
-	SteerNs float64 `json:"steer_ns"`
-	Ops     int     `json:"ops"`
-}
-
-// policiesRowJSON is one (variant, batch-load, policy, service) row of
-// the policies experiment (schema v7): the victim-view aggregates plus
-// the flowlet mechanism counter.
-type policiesRowJSON struct {
-	Variant  string  `json:"variant"`
-	BatchRho float64 `json:"batch_rho"`
-	Policy   string  `json:"policy"`
-	Service  string  `json:"service"`
-	Load     float64 `json:"load"`
-	N        int     `json:"n"`
-	Offered  float64 `json:"offered"`
-	MeanMS   float64 `json:"mean_ms"`
-	P99MS    float64 `json:"p99_ms"`
-	OKFrac   float64 `json:"ok_fraction"`
-	// Resteers is the across-seed mean count of mid-connection flowlet
-	// re-steers (whole cluster; set on the "all" rows).
-	Resteers float64 `json:"resteers"`
-}
-
-// resilienceRowJSON is one (scenario, mode) cell of the resilience
-// ablation (schema v8): completion rate with CI, response-time
-// aggregates, and the refused/unfinished accounting.
-type resilienceRowJSON struct {
-	Scenario   string  `json:"scenario"`
-	Mode       string  `json:"mode"`
-	N          int     `json:"n"`
-	OKFrac     float64 `json:"ok_fraction"`
-	OKFracCI95 float64 `json:"ok_fraction_ci95"`
-	MeanMS     float64 `json:"mean_ms"`
-	MeanCI95MS float64 `json:"mean_ci95_ms"`
-	P99MS      float64 `json:"p99_ms"`
-	Refused    float64 `json:"refused"`
-	Unfinished float64 `json:"unfinished"`
-}
-
 type sweepJSON struct {
 	SchemaVersion int             `json:"schema_version"`
 	Lambda0       float64         `json:"lambda0_qps,omitempty"`
@@ -190,21 +141,16 @@ type sweepJSON struct {
 	Seeds         []uint64        `json:"seeds,omitempty"`
 	TotalWallMS   float64         `json:"total_wall_ms"`
 	Cells         []sweepCellJSON `json:"cells,omitempty"`
-	// VIPScale carries the vipscale experiment's dispatch-cost rows
-	// (schema v6); absent for simulation sweeps.
-	VIPScale []vipScaleRowJSON `json:"vipscale,omitempty"`
-	// Policies carries the policy-ablation rows (schema v7); absent for
-	// the other sweeps.
-	Policies []policiesRowJSON `json:"policies,omitempty"`
-	// Resilience carries the warm-handoff resilience rows (schema v8);
-	// absent for the other sweeps.
-	Resilience []resilienceRowJSON `json:"resilience,omitempty"`
+	// Tables are the experiment's row tables, each the value its TSV
+	// block is written from (schema v10); absent where the TSV is only a
+	// view of the cells.
+	Tables []srlb.Table `json:"tables,omitempty"`
 }
 
-// sweepSchemaVersion is BENCH_sweep.json's current schema (v9: grid
-// rows — per-cell load_vec, stop_reason and ragged n/seeds from
-// adaptive replication; see docs/RESULTS_SCHEMA.md).
-const sweepSchemaVersion = 9
+// sweepSchemaVersion is the BENCH_*.json schema (v10: one document
+// shape, the cells plus the experiment's row tables; see
+// docs/RESULTS_SCHEMA.md).
+const sweepSchemaVersion = 10
 
 func main() {
 	e := &env{}
@@ -213,9 +159,10 @@ func main() {
 		fmt.Fprintf(flag.CommandLine.Output(), "Usage of %s:\n", os.Args[0])
 		flag.PrintDefaults()
 		fmt.Fprintln(flag.CommandLine.Output(), `
-Artifacts land in -out as TSV, plus BENCH_sweep.json — the per-cell
-machine-readable summary of the sweeps (schema v9, documented
-field-by-field in docs/RESULTS_SCHEMA.md). The topology experiments and
+Artifacts land in -out as TSV, plus one BENCH_<name>.json per sweep
+experiment (figure 2's is BENCH_sweep.json) — the per-cell
+machine-readable summary and the experiment's row tables (schema v10,
+documented field-by-field in docs/RESULTS_SCHEMA.md). The topology experiments and
 the bursty sweep are described in docs/TOPOLOGY.md.`)
 	}
 	flag.Parse()
@@ -307,7 +254,6 @@ func (e *env) resolve(fs *flag.FlagSet) ([]*experiment, error) {
 	if len(selected) == 0 {
 		return nil, fmt.Errorf("unknown -experiment %q; valid: %s", e.experiment, experimentHelp())
 	}
-	e.shared = len(selected) > 1
 	e.base.Cluster.Seed = e.seed
 	// One seed means "the master seed itself" (no CI); more derive
 	// well-separated streams from it.
@@ -328,8 +274,8 @@ func (e *env) resolve(fs *flag.FlagSet) ([]*experiment, error) {
 }
 
 // run is the driver: everything the experiments share — lazy calibration,
-// banner, timing, summary lines, the JSON document and its name, -plot,
-// file writing — happens here, once.
+// banner, timing, summary lines, the JSON document, -plot, file writing —
+// happens here, once.
 func (e *env) run(x *experiment) error {
 	if x.needsLambda0 && e.lambda0 == 0 {
 		if err := e.run(&calibration); err != nil {
@@ -359,23 +305,11 @@ func (e *env) emit(rep report, wall time.Duration) error {
 	for _, line := range rep.lines {
 		fmt.Println("   " + line)
 	}
-	if rep.sibling != "" {
+	if rep.doc != "" {
 		doc := newSweepDoc(e.lambda0, e.base.Workers, wall, rep.stats)
-		if rep.fill != nil {
-			rep.fill(&doc)
-		}
-		// A standalone run owns BENCH_sweep.json. When several experiments
-		// share the run, the figure-2 sweep owns that name (it is the
-		// cross-commit tracking artifact) and every other document goes to
-		// its sibling file instead of clobbering it.
-		name, note := "BENCH_sweep.json", ""
-		if e.shared {
-			name = rep.sibling
-		}
-		if rep.rows != "" {
-			note = fmt.Sprintf(" (schema v%d: %s)", sweepSchemaVersion, rep.rows)
-		}
-		if err := e.write(name, note, func(w io.Writer) error { return writeSweepDoc(w, doc) }); err != nil {
+		doc.Tables = rep.tables
+		note := fmt.Sprintf(" (schema v%d)", sweepSchemaVersion)
+		if err := e.write(rep.doc, note, func(w io.Writer) error { return writeSweepDoc(w, doc) }); err != nil {
 			return err
 		}
 	}
@@ -449,61 +383,13 @@ func (l *intList) Set(s string) error {
 	return nil
 }
 
-// policiesRows renders the policy-ablation section: the victim-view rows
-// with the flowlet re-steer counts.
-func policiesRows(res srlb.PoliciesResult) []policiesRowJSON {
-	rows := make([]policiesRowJSON, 0, len(res.Rows))
-	for _, row := range res.Rows {
-		rows = append(rows, policiesRowJSON{
-			Variant:  row.Variant,
-			BatchRho: row.Rho,
-			Policy:   row.Policy,
-			Service:  row.Service,
-			Load:     row.Load,
-			N:        row.N,
-			Offered:  row.Offered,
-			MeanMS:   row.Mean.Seconds() * 1e3,
-			P99MS:    row.P99.Seconds() * 1e3,
-			OKFrac:   row.OKFrac,
-			Resteers: row.Resteers,
-		})
-	}
-	return rows
-}
-
-// resilienceRows renders the resilience section: the per-(scenario, mode)
-// completion-rate rows, one per cell of the sweep (a cell that never
-// completed keeps its row; one policy at one load, so cell i is variant
-// i). They read the cells rather than res.Rows: the schema prints the
-// float means in full, and a row has rounded its durations to the
-// nanosecond.
-func resilienceRows(res srlb.ResilienceResult) []resilienceRowJSON {
-	rows := make([]resilienceRowJSON, 0, len(res.Stats.Cells))
-	for i, c := range res.Stats.Cells {
-		scenario, mode, _ := strings.Cut(res.Stats.Variants[i].Name, "/")
-		rows = append(rows, resilienceRowJSON{
-			Scenario:   scenario,
-			Mode:       mode,
-			N:          c.N(),
-			OKFrac:     c.OKFraction.Dist.Mean,
-			OKFracCI95: c.OKFraction.Dist.ReportedCI95(),
-			MeanMS:     c.Mean.Dist.Mean * 1e3,
-			MeanCI95MS: c.Mean.Dist.ReportedCI95() * 1e3,
-			P99MS:      c.P99.Dist.Mean * 1e3,
-			Refused:    c.Refused.Dist.Mean,
-			Unfinished: c.Unfinished.Dist.Mean,
-		})
-	}
-	return rows
-}
-
-// newSweepDoc starts a BENCH_sweep.json document (documented in
+// newSweepDoc starts a BENCH_*.json document (documented in
 // docs/RESULTS_SCHEMA.md). With a Runner sweep behind it, it carries one
 // entry per logical (policy, variant, load) cell, each with the
 // n/mean/ci95 aggregates of its replicates plus the per-service breakdown
 // (with per-service resolved loads) for multi-VIP cells; a nil agg (a
 // wall-clock measurement such as vipscale) leaves just the envelope for
-// the experiment's own rows.
+// the experiment's tables.
 func newSweepDoc(lambda0 float64, workers int, total time.Duration, agg *srlb.SweepStats) sweepJSON {
 	doc := sweepJSON{
 		SchemaVersion: sweepSchemaVersion,

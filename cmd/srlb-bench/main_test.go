@@ -3,18 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
-	"strconv"
+	"slices"
 	"strings"
 	"testing"
 
 	"srlb"
 )
 
-// hostFields are the values of BENCH_sweep.json that depend on the host
-// (wall clock, core count), blanked before the golden comparison.
+// hostFields are the values of a BENCH_*.json document that depend on
+// the host (wall clock, core count), blanked before the golden comparison.
 var hostFields = regexp.MustCompile(`"(wall_ms|total_wall_ms|gomaxprocs)": [0-9.e+-]+`)
 
 // TestWriteSweepDocGolden pins BENCH_sweep.json — field names, field
@@ -38,99 +39,101 @@ func TestWriteSweepDocGolden(t *testing.T) {
 	checkGolden(t, filepath.Join("testdata", "BENCH_sweep.golden.json"), got)
 }
 
-// tsvRows reads a TSV artifact as header-keyed rows; under a "# facet:
-// scenario=<s>" comment each row also carries scenario <s>.
-func tsvRows(t *testing.T, path string) []map[string]string {
+// readFile returns a file's contents or fails the test.
+func readFile(t *testing.T, path string) string {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rows []map[string]string
-	var header []string
-	scenario := ""
-	for _, line := range strings.Split(string(raw), "\n") {
-		switch {
-		case line == "":
-		case strings.HasPrefix(line, "#"):
-			header = nil
-			if _, s, ok := strings.Cut(line, "scenario="); ok {
-				scenario = s
-			}
-		case header == nil:
-			header = strings.Split(line, "\t")
-		default:
-			row := map[string]string{"scenario": scenario}
-			for i, cell := range strings.Split(line, "\t") {
-				row[header[i]] = cell
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows
+	return string(raw)
 }
 
-// TestJSONSectionsMatchTSV: every row of a BENCH_*.json row section is
-// its TSV row at more digits — each field, printed with its TSV column's
-// format, is the same-keyed TSV cell, row for row. The wall-clock
-// vipscale columns are skipped: the goldens blank them.
-func TestJSONSectionsMatchTSV(t *testing.T) {
-	type field struct {
-		key, header string
-		format      func(any) string
-	}
-	text := func(v any) string { return v.(string) }
-	fixed := func(prec int, scale float64) func(any) string {
-		return func(v any) string { return strconv.FormatFloat(v.(float64)*scale, 'f', prec, 64) }
-	}
-	count := fixed(0, 1)
+// TestJSONTablesMatchTSV: every table of a BENCH_*.json document, rendered
+// as TSV, is byte for byte a block of the TSV artifact the same run wrote,
+// and the document's tables hold every row of that artifact — the two
+// files are one code path, and the JSON drops no field of the TSV.
+func TestJSONTablesMatchTSV(t *testing.T) {
 	dir := filepath.Join("testdata", "cli", "all", "out")
-	for _, s := range []struct {
-		doc, section, tsv string
-		fields            []field
-	}{
-		{"BENCH_policies.json", "policies", "extension_policies.tsv", []field{
-			{"variant", "variant", text}, {"batch_rho", "batch_rho", fixed(2, 1)},
-			{"policy", "policy", text}, {"service", "service", text}, {"load", "rho_svc", fixed(2, 1)},
-			{"n", "n", count}, {"offered", "offered", count},
-			{"mean_ms", "mean_s", fixed(3, 1e-3)}, {"p99_ms", "p99_s", fixed(3, 1e-3)},
-			{"ok_fraction", "ok_frac", fixed(4, 1)}, {"resteers", "resteers", fixed(1, 1)},
-		}},
-		{"BENCH_resilience.json", "resilience", "extension_resilience.tsv", []field{
-			{"scenario", "scenario", text}, {"mode", "mode", text}, {"n", "n", count},
-			{"ok_fraction", "ok_frac", fixed(4, 1)}, {"ok_fraction_ci95", "ok_frac_ci95", fixed(4, 1)},
-			{"mean_ms", "mean_rt_s", fixed(4, 1e-3)}, {"mean_ci95_ms", "mean_rt_ci95", fixed(4, 1e-3)},
-			{"p99_ms", "p99_s", fixed(4, 1e-3)},
-			{"refused", "refused", fixed(1, 1)}, {"unfinished", "unfinished", fixed(1, 1)},
-		}},
-		{"BENCH_vipscale.json", "vipscale", "vipscale_dispatch.tsv", []field{
-			{"scheme", "scheme", text}, {"vips", "vips", count}, {"pools", "pools", count}, {"ops", "ops", count},
-		}},
+	for doc, tsv := range map[string]string{
+		"BENCH_policies.json":   "extension_policies.tsv",
+		"BENCH_resilience.json": "extension_resilience.tsv",
+		"BENCH_vipscale.json":   "vipscale_dispatch.tsv",
 	} {
-		t.Run(s.section, func(t *testing.T) {
-			raw, err := os.ReadFile(filepath.Join(dir, s.doc))
-			if err != nil {
+		t.Run(doc, func(t *testing.T) {
+			var parsed struct {
+				Tables []struct {
+					Name, Comment string
+					Columns       []string
+					Rows          [][]any
+				}
+			}
+			dec := json.NewDecoder(strings.NewReader(readFile(t, filepath.Join(dir, doc))))
+			dec.UseNumber()
+			if err := dec.Decode(&parsed); err != nil {
 				t.Fatal(err)
 			}
-			var doc map[string]json.RawMessage
-			if err := json.Unmarshal(raw, &doc); err != nil {
-				t.Fatal(err)
+			if len(parsed.Tables) == 0 {
+				t.Fatal("no tables")
 			}
-			var rows []map[string]any
-			if err := json.Unmarshal(doc[s.section], &rows); err != nil {
-				t.Fatal(err)
-			}
-			want := tsvRows(t, filepath.Join(dir, s.tsv))
-			if len(rows) == 0 || len(rows) != len(want) {
-				t.Fatalf("%d %s rows in %s, %d in %s", len(rows), s.section, s.doc, len(want), s.tsv)
-			}
-			for i, row := range rows {
-				for _, f := range s.fields {
-					if got := f.format(row[f.key]); got != want[i][f.header] {
-						t.Errorf("row %d: %s %q is %s %q", i, f.key, got, f.header, want[i][f.header])
+			rest := "\n" + readFile(t, filepath.Join(dir, tsv))
+			for _, table := range parsed.Tables {
+				rendered := srlb.Table{Name: table.Name, Comment: table.Comment, Columns: table.Columns}
+				for _, row := range table.Rows {
+					cells := make([]string, len(row))
+					for i, cell := range row {
+						cells[i] = fmt.Sprint(cell)
 					}
+					rendered.Rows = append(rendered.Rows, cells)
+				}
+				var block strings.Builder
+				if err := rendered.WriteTSV(&block); err != nil {
+					t.Fatal(err)
+				}
+				// The same blanking as the TSV golden's (vipscale's
+				// wall-clock columns).
+				got := normalizeArtifact(tsv, block.String())
+				if !strings.Contains(rest, "\n"+got) {
+					t.Fatalf("table %q rendered as TSV is no block of %s:\n%s", table.Name, tsv, got)
+				}
+				rest = strings.Replace(rest, "\n"+got, "\n", 1)
+			}
+			for _, line := range strings.Split(rest, "\n") {
+				if line != "" && !strings.HasPrefix(line, "# ") {
+					t.Errorf("%s line %q is in no table of %s", tsv, line, doc)
 				}
 			}
 		})
+	}
+}
+
+// TestJSONDocumentShape holds every pinned BENCH_*.json to the v10
+// contract: valid JSON, schema_version 10, and no top-level key outside
+// the envelope, cells and tables.
+func TestJSONDocumentShape(t *testing.T) {
+	docs, err := filepath.Glob(filepath.Join("testdata", "cli", "*", "out", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, filepath.Join("testdata", "BENCH_sweep.golden.json"))
+	allowed := []string{"schema_version", "lambda0_qps", "workers", "gomaxprocs", "seeds", "total_wall_ms", "cells", "tables"}
+	for _, path := range docs {
+		raw := readFile(t, path)
+		var doc map[string]json.RawMessage
+		if !json.Valid([]byte(raw)) || json.Unmarshal([]byte(raw), &doc) != nil {
+			t.Errorf("%s is not a JSON object", path)
+			continue
+		}
+		if v := string(doc["schema_version"]); v != "10" {
+			t.Errorf("%s: schema_version %s, want 10", path, v)
+		}
+		for key := range doc {
+			if !slices.Contains(allowed, key) {
+				t.Errorf("%s: top-level key %q is outside the v10 document shape", path, key)
+			}
+		}
+	}
+	if len(docs) < 8 {
+		t.Errorf("found only %d documents — the glob is broken", len(docs))
 	}
 }

@@ -62,7 +62,7 @@
 // the multi-service family's, the configuration's label in Variant,
 // HeteroRow and RetransmitRow adding their own columns. cmd/srlb-bench
 // regenerates all of them and emits a machine-readable per-cell summary
-// (BENCH_sweep.json, documented in docs/RESULTS_SCHEMA.md).
+// per sweep (BENCH_*.json, documented in docs/RESULTS_SCHEMA.md).
 //
 // # Topologies: LB replicas, multiple VIPs, lifecycle events
 //
@@ -102,8 +102,8 @@
 // {stateless restart, consistent-hash miss-fallback, warm handoff}
 // through replica-kill, rack-loss and rolling-upgrade schedules under
 // client SYN retransmission, emitting completion-rate facets with CIs
-// (extension_resilience.tsv, schema-v8 BENCH_sweep.json `resilience`
-// rows).
+// (extension_resilience.tsv, and BENCH_resilience.json's cells and
+// per-scenario tables).
 //
 // Event times compose with load sweeps by being declared rate-relative:
 // Event.AtFraction(f) schedules the event at fraction f of the run's
@@ -140,7 +140,7 @@
 // RunMultiService packages the canonical three-service mix (web Poisson
 // + Wikipedia replay + bursty batch) as
 // `srlb-bench -experiment multiservice`, emitting per-policy per-service
-// rows (extension_multiservice.tsv) and schema-v6 BENCH_sweep.json cells
+// rows (extension_multiservice.tsv) and BENCH_multiservice.json cells
 // with per-VIP breakdowns.
 //
 // Control-plane scale is its own axis: testbed.GenerateTopology
@@ -189,7 +189,7 @@
 // the invariants). RunPolicies packages the four-way ablation
 // {random2, chash2, wleastload, flowlet} over the interference workload
 // in steady and churn variants as `srlb-bench -experiment policies`
-// (extension_policies.tsv, schema-v7 BENCH_sweep.json `policies` rows,
+// (extension_policies.tsv, BENCH_policies.json's cells and table,
 // FeedbackConfig/FeedbackReport re-exports; docs/TOPOLOGY.md covers the
 // plane).
 //
@@ -211,8 +211,8 @@
 // byte-identical at any worker count. RunRhoGrid packages the four-way
 // policy ablation over the grid as `srlb-bench -experiment rhogrid`
 // (extension_rhogrid.tsv, per-policy ASCII heatmaps via
-// plot.RenderHeatmaps, schema-v9 BENCH_sweep.json cells with load_vec
-// and stop_reason).
+// plot.RenderHeatmaps, BENCH_rhogrid.json cells with load_vec and
+// stop_reason).
 //
 // # Streaming measurement: sketches and the horizon soak
 //

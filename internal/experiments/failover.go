@@ -63,12 +63,11 @@ type FailoverBin struct {
 	FailedFrac, FailedFracCI95 float64
 }
 
-// FailoverMode is one variant's outcome.
+// FailoverMode is one variant's outcome: the whole-run row aggregated
+// across seeds, the mode's name in Variant (a mode with no completed
+// replicate keeps a zero row), plus the transient timeline.
 type FailoverMode struct {
-	Name string
-	// Stats aggregates the whole-run metrics across seeds.
-	Stats CellStats
-	// Bins is the transient timeline.
+	ServiceRow
 	Bins []FailoverBin
 }
 
@@ -211,7 +210,10 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 		Seeds:    sweep.Seeds,
 	}
 	for vi, va := range variants {
-		mode := FailoverMode{Name: va.Name, Stats: agg.CellAt(0, vi, 0)}
+		mode := FailoverMode{ServiceRow: ServiceRow{Variant: va.Name}}
+		if rows := cellRows(agg.CellAt(0, vi, 0)); rows != nil {
+			mode.ServiceRow = rows[0]
+		}
 		var timelines [][]failoverBinRaw
 		for si := range sweep.Seeds {
 			cell := sweep.CellAt(0, vi, 0, si)
@@ -270,8 +272,7 @@ func (r FailoverResult) WriteTSV(w io.Writer) error {
 	t.printf("; lambda0=%.1f q/s\n", r.Lambda0)
 	for _, m := range r.Modes {
 		t.printf("# mode: %s (n=%d seeds, ok=%.4f refused=%.0f unfinished=%.0f)\n",
-			m.Name, m.Stats.N(), m.Stats.OKFraction.Dist.Mean,
-			m.Stats.Refused.Dist.Mean, m.Stats.Unfinished.Dist.Mean)
+			m.Variant, m.N, m.OKFrac, m.Refused, m.Unfinished)
 		t.printf("t_s\tmean_rt_s\tmean_rt_ci95\tfailed_frac\tfailed_frac_ci95\n")
 		for _, b := range m.Bins {
 			t.printf("%.2f\t%.4f\t%.4f\t%.4f\t%.4f\n",
@@ -285,7 +286,7 @@ func (r FailoverResult) WriteTSV(w io.Writer) error {
 // Mode returns the named mode's outcome.
 func (r FailoverResult) Mode(name string) (FailoverMode, error) {
 	for _, m := range r.Modes {
-		if m.Name == name {
+		if m.Variant == name {
 			return m, nil
 		}
 	}

@@ -96,18 +96,18 @@ func TestFailoverMaglevVsRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := maglev.Stats.N(); n != 2 {
+	if n := maglev.N; n != 2 {
 		t.Fatalf("maglev replicates = %d, want 2", n)
 	}
-	if got := maglev.Stats.Unfinished.Dist.Mean; got != 0 {
+	if got := maglev.Unfinished; got != 0 {
 		t.Fatalf("maglev+fallback lost %v queries across the failover, want 0", got)
 	}
-	if got := random.Stats.Unfinished.Dist.Mean; got == 0 {
+	if got := random.Unfinished; got == 0 {
 		t.Fatal("random selection lost nothing — failover not exercised")
 	}
-	if maglev.Stats.OKFraction.Dist.Mean <= random.Stats.OKFraction.Dist.Mean {
+	if maglev.OKFrac <= random.OKFrac {
 		t.Fatalf("maglev ok=%.4f not above random ok=%.4f",
-			maglev.Stats.OKFraction.Dist.Mean, random.Stats.OKFraction.Dist.Mean)
+			maglev.OKFrac, random.OKFrac)
 	}
 	// The maglev timeline must be flat at zero failures; the random
 	// timeline must show the structural cross-replica losses while both

@@ -76,7 +76,7 @@ type PoliciesResult struct {
 	Variants []string
 	Services []string
 	// Stats is the underlying replicated sweep — the machine-readable
-	// artifact's source (schema v7 adds the variant axis rows).
+	// artifact's cells.
 	Stats SweepStats
 	Rows  []PoliciesRow
 }
@@ -206,15 +206,18 @@ func (r PoliciesResult) PlotFacets() []plot.Facet {
 	return facets
 }
 
-// WriteTSV renders the grid: one row per (variant, batch_rho, policy,
-// service), the aggregate first.
-func (r PoliciesResult) WriteTSV(w io.Writer) error {
+// Table is the grid as one row table: one row per (variant, batch_rho,
+// policy, service), the aggregate first.
+func (r PoliciesResult) Table() Table {
 	cols := append(
 		lift(PoliciesRow.base, colVariant, colRho("batch_rho"), colPolicy, colService, colSvcRho, colOffered,
 			colMean, colMeanCI, colP99, colP99CI, colOKFrac, colOKCI),
 		column[PoliciesRow]{"resteers", func(r PoliciesRow) string { return fmt.Sprintf("%.1f", r.Resteers) }})
 	cols = append(cols, lift(PoliciesRow.base, colRefused, colUnfin, colN)...)
-	return writeTable(w,
+	return newTable("policies",
 		fmt.Sprintf("Policy ablation with load feedback: web pinned at rho=%.2f, batch swept, steady+churn variants; lambda0=%.1f q/s", r.WebRho, r.Lambda0),
 		cols, r.Rows)
 }
+
+// WriteTSV renders the grid's Table.
+func (r PoliciesResult) WriteTSV(w io.Writer) error { return r.Table().WriteTSV(w) }

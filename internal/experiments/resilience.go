@@ -196,13 +196,9 @@ func (r ResilienceResult) Row(scenario, mode string) (ServiceRow, error) {
 		func(ServiceRow) float64 { return 0 })
 }
 
-// WriteTSV renders the grid faceted by scenario: one block per
-// scenario, one row per recovery mode, completion rate first.
-func (r ResilienceResult) WriteTSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "# resilience ablation: rho=%.2f, %d replicas, kill@%.2f recover@%.2f rack_frac=%.2f; lambda0=%.1f q/s; n=%d seeds\n",
-		r.Rho, r.Replicas, r.KillFrac, r.RecoverFrac, r.RackFrac, r.Lambda0, len(r.Seeds)); err != nil {
-		return err
-	}
+// Tables is the grid faceted by scenario: one table per scenario, one
+// row per recovery mode, completion rate first.
+func (r ResilienceResult) Tables() []Table {
 	sec := func(header string, v func(ServiceRow) time.Duration) column[ServiceRow] {
 		return column[ServiceRow]{header, func(r ServiceRow) string { return fmt.Sprintf("%.4f", v(r).Seconds()) }}
 	}
@@ -216,6 +212,7 @@ func (r ResilienceResult) WriteTSV(w io.Writer) error {
 		{"refused", func(r ServiceRow) string { return fmt.Sprintf("%.1f", r.Refused) }},
 		{"unfinished", func(r ServiceRow) string { return fmt.Sprintf("%.1f", r.Unfinished) }},
 	}
+	tables := make([]Table, 0, len(resilienceScenarios))
 	for _, scenario := range resilienceScenarios {
 		var rows []ServiceRow
 		for _, row := range r.Rows {
@@ -223,12 +220,22 @@ func (r ResilienceResult) WriteTSV(w io.Writer) error {
 				rows = append(rows, row)
 			}
 		}
-		if err := writeTable(w, "facet: scenario="+scenario, cols, rows); err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		tables = append(tables, newTable("resilience/"+scenario, "facet: scenario="+scenario, cols, rows))
 	}
-	return nil
+	return tables
+}
+
+// WriteTSV renders the grid: the run's header line, then each of Tables
+// followed by a blank line.
+func (r ResilienceResult) WriteTSV(w io.Writer) error {
+	t := tsvWriter{w: w}
+	t.printf("# resilience ablation: rho=%.2f, %d replicas, kill@%.2f recover@%.2f rack_frac=%.2f; lambda0=%.1f q/s; n=%d seeds\n",
+		r.Rho, r.Replicas, r.KillFrac, r.RecoverFrac, r.RackFrac, r.Lambda0, len(r.Seeds))
+	for _, table := range r.Tables() {
+		if t.err == nil {
+			t.err = table.WriteTSV(w)
+		}
+		t.printf("\n")
+	}
+	return t.err
 }

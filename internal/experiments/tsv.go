@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"regexp"
 	"strings"
 )
 
@@ -30,21 +32,69 @@ type column[R any] struct {
 	cell   func(R) string
 }
 
-// writeTable renders a row table: the `# comment` line, the tab-joined
-// headers, then one tab-joined line per row.
-func writeTable[R any](w io.Writer, comment string, cols []column[R], rows []R) error {
-	t := tsvWriter{w: w}
-	t.printf("# %s\n", comment)
-	cells := make([]string, len(cols))
+// Table is a row table rendered to text: the headers of its column list
+// and each row's cells as the TSV prints them. An experiment's TSV block
+// (WriteTSV) and its BENCH_*.json table (MarshalJSON) are both written
+// from this one value, so the two cannot disagree.
+type Table struct {
+	Name, Comment string
+	Columns       []string
+	Rows          [][]string
+}
+
+// newTable renders rows through cols.
+func newTable[R any](name, comment string, cols []column[R], rows []R) Table {
+	t := Table{Name: name, Comment: comment, Columns: make([]string, len(cols)), Rows: make([][]string, len(rows))}
 	for i, c := range cols {
-		cells[i] = c.header
+		t.Columns[i] = c.header
 	}
-	t.printf("%s\n", strings.Join(cells, "\t"))
-	for _, row := range rows {
+	for j, row := range rows {
+		t.Rows[j] = make([]string, len(cols))
 		for i, c := range cols {
-			cells[i] = c.cell(row)
+			t.Rows[j][i] = c.cell(row)
 		}
-		t.printf("%s\n", strings.Join(cells, "\t"))
 	}
-	return t.err
+	return t
+}
+
+// WriteTSV writes the table's TSV block: the `# comment` line, the
+// tab-joined headers, then one tab-joined line per row.
+func (t Table) WriteTSV(w io.Writer) error {
+	tw := tsvWriter{w: w}
+	tw.printf("# %s\n%s\n", t.Comment, strings.Join(t.Columns, "\t"))
+	for _, row := range t.Rows {
+		tw.printf("%s\n", strings.Join(row, "\t"))
+	}
+	return tw.err
+}
+
+// writeTable writes the TSV block of a row table.
+func writeTable[R any](w io.Writer, comment string, cols []column[R], rows []R) error {
+	return newTable("", comment, cols, rows).WriteTSV(w)
+}
+
+// jsonNumber is the JSON number grammar (RFC 8259 §6). strconv.ParseFloat
+// would also take NaN, Inf, hex and 1_000, which json.Marshal rejects.
+var jsonNumber = regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
+
+// MarshalJSON writes the table as {name, comment, columns, rows}. A cell
+// is exactly its TSV text: a JSON number with the same digits when the
+// text is a number literal, a string otherwise.
+func (t Table) MarshalJSON() ([]byte, error) {
+	rows := make([][]any, len(t.Rows))
+	for j, row := range t.Rows {
+		rows[j] = make([]any, len(row))
+		for i, cell := range row {
+			rows[j][i] = cell
+			if jsonNumber.MatchString(cell) {
+				rows[j][i] = json.Number(cell)
+			}
+		}
+	}
+	return json.Marshal(struct {
+		Name    string   `json:"name"`
+		Comment string   `json:"comment"`
+		Columns []string `json:"columns"`
+		Rows    [][]any  `json:"rows"`
+	}{t.Name, t.Comment, t.Columns, rows})
 }

@@ -353,14 +353,20 @@ func (r VIPScaleResult) Plot() []plot.Facet {
 	return facets
 }
 
-// WriteTSV renders the sweep, one row per (scheme, VIP count).
-func (r VIPScaleResult) WriteTSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# Per-packet dispatch cost vs advertised service count (wall ns, min over rounds; build is control-plane compile ms)\n")
-	t.printf("scheme\tvips\tpools\tbuild_ms\tsyn_ns\tsteer_ns\tops\n")
-	for _, row := range r.Rows {
-		t.printf("%s\t%d\t%d\t%.2f\t%.1f\t%.1f\t%d\n",
-			row.Scheme, row.VIPs, row.Pools, row.BuildMS, row.SYNNs, row.SteerNs, row.Ops)
-	}
-	return t.err
+// Table is the sweep as one row table, one row per (scheme, VIP count).
+func (r VIPScaleResult) Table() Table {
+	return newTable("vipscale",
+		"Per-packet dispatch cost vs advertised service count (wall ns, min over rounds; build is control-plane compile ms)",
+		[]column[VIPScaleRow]{
+			{"scheme", func(row VIPScaleRow) string { return row.Scheme }},
+			{"vips", func(row VIPScaleRow) string { return fmt.Sprint(row.VIPs) }},
+			{"pools", func(row VIPScaleRow) string { return fmt.Sprint(row.Pools) }},
+			{"build_ms", func(row VIPScaleRow) string { return fmt.Sprintf("%.2f", row.BuildMS) }},
+			{"syn_ns", func(row VIPScaleRow) string { return fmt.Sprintf("%.1f", row.SYNNs) }},
+			{"steer_ns", func(row VIPScaleRow) string { return fmt.Sprintf("%.1f", row.SteerNs) }},
+			{"ops", func(row VIPScaleRow) string { return fmt.Sprint(row.Ops) }},
+		}, r.Rows)
 }
+
+// WriteTSV renders the sweep's Table.
+func (r VIPScaleResult) WriteTSV(w io.Writer) error { return r.Table().WriteTSV(w) }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"testing"
@@ -52,7 +53,7 @@ func TestWritersSurfaceEveryWriteError(t *testing.T) {
 		{"ablation replicated", AblationResult{Study: "k", Seeds: seeds, Rows: []ServiceRow{{Variant: "k=1"}}}.WriteTSV},
 		{"calibration", CalibrationResult{Probes: []CalibrationProbe{{RatePerSec: 100}}}.WriteTSV},
 		{"churn", ChurnResult{Rows: []ServiceRow{{Policy: "RR", Variant: "steady"}}}.WriteTSV},
-		{"failover", FailoverResult{RecoverAt: time.Second, Modes: []FailoverMode{{Name: "random", Bins: []FailoverBin{{}}}}}.WriteTSV},
+		{"failover", FailoverResult{RecoverAt: time.Second, Modes: []FailoverMode{{ServiceRow: ServiceRow{Variant: "random"}, Bins: []FailoverBin{{}}}}}.WriteTSV},
 		{"fig2", Fig2Result{Policies: policies, Rhos: []float64{0.5}, Points: [][]Fig2Point{{{}}, {{}}}}.WriteTSV},
 		{"fig2 replicated", Fig2Result{Policies: policies, Rhos: []float64{0.5}, Seeds: seeds, Points: [][]Fig2Point{{{}}, {{}}}}.WriteTSV},
 		{"fig4", Fig4Result{Series: []Fig4Series{{Spec: RR(), N: 1, Samples: []Fig4Sample{{}}}}}.WriteTSV},
@@ -93,5 +94,23 @@ func TestWritersSurfaceEveryWriteError(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A table cell reaches JSON as its TSV text: a number with the same digits
+// when the text is a JSON number literal, a string otherwise. Texts that
+// strconv.ParseFloat reads but JSON does not stay strings, so the
+// document still marshals.
+func TestTableJSONCells(t *testing.T) {
+	cells := []string{"0.05", "-0.000", "100000", "1e5", "2.5E-3", "0",
+		"NaN", "+Inf", "-Inf", "0x1p-2", "1_000", "01", "1.", ".5", "+1", "-", "", "steady"}
+	got, err := json.Marshal(Table{Name: "t", Comment: "c", Columns: []string{"a"}, Rows: [][]string{cells}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"name":"t","comment":"c","columns":["a"],"rows":[[0.05,-0.000,100000,1e5,2.5E-3,0,` +
+		`"NaN","+Inf","-Inf","0x1p-2","1_000","01","1.",".5","+1","-","","steady"]]}`
+	if string(got) != want {
+		t.Errorf("got  %s\nwant %s", got, want)
 	}
 }

@@ -205,6 +205,10 @@ type (
 	VIPScaleRow    = experiments.VIPScaleRow
 	VIPScaleScheme = experiments.VIPScaleScheme
 
+	// Table is one row table of an experiment rendered to text: its TSV
+	// block and its BENCH_*.json table are written from the same value.
+	Table = experiments.Table
+
 	// HorizonConfig/Result: the constant-memory soak — 10⁸ open-loop
 	// queries measured through streaming sketches with a flat heap.
 	HorizonConfig = experiments.HorizonConfig
