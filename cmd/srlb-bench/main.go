@@ -162,8 +162,8 @@ func main() {
 Artifacts land in -out as TSV, plus one BENCH_<name>.json per sweep
 experiment (figure 2's is BENCH_sweep.json) — the per-cell
 machine-readable summary and the experiment's row tables (schema v10,
-documented field-by-field in docs/RESULTS_SCHEMA.md). The topology experiments and
-the bursty sweep are described in docs/TOPOLOGY.md.`)
+documented field-by-field in docs/RESULTS_SCHEMA.md). The topology
+experiments and the bursty sweep are described in docs/TOPOLOGY.md.`)
 	}
 	flag.Parse()
 	selected, err := e.resolve(flag.CommandLine)
