@@ -214,83 +214,131 @@ func TestSynchronousReplyFromHandler(t *testing.T) {
 	}
 }
 
+// modes are the two ways a hop carries a packet: the copy, and the
+// marshal → bytes → parse reference path.
+var modes = []struct {
+	name string
+	cfg  Config
+}{
+	{"copy", Config{}},
+	{"wire", Config{VerifyChecksums: true}},
+}
+
 func BenchmarkSendDeliver(b *testing.B) {
-	sim := des.New()
-	net := New(sim, Config{VerifyChecksums: true})
-	net.Attach(NodeFunc(func(*packet.Packet) {}), addrB)
-	p := mkPkt("2001:db8::a", "2001:db8::b")
-	p.SRH = srv6.MustNew(ipv6.ProtoTCP, addrB, addrC)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		net.Send(p)
-		sim.Run()
+	for _, m := range modes {
+		b.Run(m.name, func(b *testing.B) {
+			sim := des.New()
+			net := New(sim, m.cfg)
+			net.Attach(NodeFunc(func(*packet.Packet) {}), addrB)
+			p := mkPkt("2001:db8::a", "2001:db8::b")
+			p.SRH = srv6.MustNew(ipv6.ProtoTCP, addrB, addrC)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				net.Send(p)
+				sim.Run()
+			}
+		})
 	}
 }
 
-// TestWarmHopAllocatesNothing: once the free lists hold a transmission
-// slot and a delivery slot, carrying an SRH packet over one hop — marshal,
-// schedule, parse, hand to the node — leaves no garbage.
+// TestWarmHopAllocatesNothing: once the free list holds a slot, carrying
+// an SRH packet with a payload over one hop — check and copy, or marshal
+// and parse; schedule; hand to the node — leaves no garbage.
 func TestWarmHopAllocatesNothing(t *testing.T) {
-	sim := des.New()
-	net := New(sim, Config{VerifyChecksums: true})
-	var rx int
-	net.Attach(NodeFunc(func(p *packet.Packet) {
-		if p.SRH == nil || len(p.SRH.Segments) != 3 {
-			t.Fatalf("delivered SRH = %v", p.SRH)
-		}
-		rx++
-	}), addrB)
-	p := mkPkt("2001:db8::a", "2001:db8::b")
-	p.SRH = srv6.MustNew(ipv6.ProtoTCP, addrB, addrC, addrA)
-	hop := func() {
-		net.Send(p)
-		sim.Step()
-	}
-	hop()
-	if n := testing.AllocsPerRun(100, hop); n != 0 {
-		t.Fatalf("warm hop: %v allocs, want 0", n)
-	}
-	if rx != 102 { // the warm-up, AllocsPerRun's own, and 100 measured
-		t.Fatalf("delivered %d packets", rx)
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			sim := des.New()
+			net := New(sim, m.cfg)
+			var rx int
+			net.Attach(NodeFunc(func(p *packet.Packet) {
+				if p.SRH == nil || len(p.SRH.Segments) != 3 || string(p.TCP.Payload) != "GET /" {
+					t.Fatalf("delivered %v", p)
+				}
+				rx++
+			}), addrB)
+			p := mkPkt("2001:db8::a", "2001:db8::b")
+			p.SRH = srv6.MustNew(ipv6.ProtoTCP, addrB, addrC, addrA)
+			p.TCP.Payload = []byte("GET /")
+			hop := func() {
+				net.Send(p)
+				sim.Step()
+			}
+			hop()
+			if n := testing.AllocsPerRun(100, hop); n != 0 {
+				t.Fatalf("warm hop: %v allocs, want 0", n)
+			}
+			if rx != 102 { // the warm-up, AllocsPerRun's own, and 100 measured
+				t.Fatalf("delivered %d packets", rx)
+			}
+		})
 	}
 }
 
-// TestRecycledSlotKeepsDeliveriesApart: the slot's SRH storage carries
+// TestRecycledSlotKeepsDeliveriesApart: the slot's storage carries
 // nothing from one delivery into the next — with a header, without one,
 // with a shorter one — whatever the node did to pkt.SRH, and a Clone
-// taken during Handle outlives the recycling.
+// taken during Handle outlives the recycling. Nor does the sender's: one
+// that keeps its header and payload buffer and rewrites both as soon as
+// Send returns (as the LB's hunt header, a router's SYN-ACK header and
+// the generator's scratch packet are) has its packet delivered as sent.
 func TestRecycledSlotKeepsDeliveriesApart(t *testing.T) {
-	sim := des.New()
-	net := New(sim, Config{})
-	var kept *packet.Packet
-	var paths [][]netip.Addr
-	net.Attach(NodeFunc(func(p *packet.Packet) {
-		if p.SRH != nil {
-			paths = append(paths, p.SRH.Path())
-		} else {
-			paths = append(paths, nil)
-		}
-		if kept == nil {
-			kept = p.Clone()
-		}
-		p.SRH = nil // as the LB does when it strips the header
-	}), addrB)
-	send := func(path ...netip.Addr) {
-		p := mkPkt("2001:db8::a", "2001:db8::b")
-		if len(path) > 0 {
-			p.SRH = srv6.MustNew(ipv6.ProtoTCP, path...)
-		}
-		net.Send(p)
-		sim.Run()
-	}
-	send(addrB, addrC, addrA)
-	send()
-	send(addrB, addrC)
-	want := [][]netip.Addr{{addrB, addrC, addrA}, nil, {addrB, addrC}}
-	if !reflect.DeepEqual(paths, want) {
-		t.Fatalf("delivered paths = %v, want %v", paths, want)
-	}
-	if got := kept.SRH.Path(); !slices.Equal(got, want[0]) {
-		t.Fatalf("cloned SRH reads %v, want %v", got, want[0])
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			sim := des.New()
+			net := New(sim, m.cfg)
+			var kept *packet.Packet
+			var paths [][]netip.Addr
+			var payloads []string
+			net.Attach(NodeFunc(func(p *packet.Packet) {
+				if p.SRH != nil {
+					paths = append(paths, p.SRH.Path())
+				} else {
+					paths = append(paths, nil)
+				}
+				payloads = append(payloads, string(p.TCP.Payload))
+				if kept == nil {
+					kept = p.Clone()
+				}
+				p.SRH = nil // as the LB does when it strips the header
+			}), addrB)
+			send := func(path ...netip.Addr) {
+				p := mkPkt("2001:db8::a", "2001:db8::b")
+				if len(path) > 0 {
+					p.SRH = srv6.MustNew(ipv6.ProtoTCP, path...)
+				}
+				net.Send(p)
+				sim.Run()
+			}
+			send(addrB, addrC, addrA)
+			send()
+			send(addrB, addrC)
+
+			var hdr srv6.SRH
+			body := []byte("first")
+			p := mkPkt("2001:db8::a", "2001:db8::b")
+			p.SRH, p.TCP.Payload = &hdr, body
+			for i, path := range [][]netip.Addr{{addrB, addrA}, {addrB, addrC, addrA}} {
+				if err := hdr.SetPath(ipv6.ProtoTCP, path...); err != nil {
+					t.Fatal(err)
+				}
+				net.Send(p)
+				if err := hdr.SetPath(ipv6.ProtoTCP, addrC, addrA, addrC, addrA); err != nil {
+					t.Fatal(err)
+				}
+				copy(body, []string{"again", "gone!"}[i])
+			}
+			sim.Run()
+
+			want := [][]netip.Addr{{addrB, addrC, addrA}, nil, {addrB, addrC}, {addrB, addrA}, {addrB, addrC, addrA}}
+			if !reflect.DeepEqual(paths, want) {
+				t.Fatalf("delivered paths = %v, want %v", paths, want)
+			}
+			if want := []string{"", "", "", "first", "again"}; !slices.Equal(payloads, want) {
+				t.Fatalf("delivered payloads = %q, want %q", payloads, want)
+			}
+			if got := kept.SRH.Path(); !slices.Equal(got, want[0]) {
+				t.Fatalf("cloned SRH reads %v, want %v", got, want[0])
+			}
+		})
 	}
 }
