@@ -8,6 +8,7 @@ package packet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/netip"
 
 	"srlb/internal/ipv6"
@@ -20,6 +21,11 @@ const DefaultHopLimit = 64
 
 // ErrNotTCP is returned when the chain does not terminate in TCP.
 var ErrNotTCP = errors.New("packet: upper layer is not TCP")
+
+// ErrTooLong is returned by Marshal when the routing header and the TCP
+// segment together exceed the 65,535 bytes IPv6's 16-bit Payload Length
+// can express.
+var ErrTooLong = errors.New("packet: IPv6 payload longer than 65535 bytes")
 
 // Packet is a parsed (or to-be-marshaled) IPv6[+SRH]+TCP packet.
 type Packet struct {
@@ -78,6 +84,13 @@ func (p *Packet) IsSYNACK() bool {
 func (p *Packet) Marshal(dst []byte) ([]byte, error) {
 	ulDst := p.IP.Dst
 	tcpLen := p.TCP.WireLen()
+	payloadLen := tcpLen
+	if p.SRH != nil {
+		payloadLen += p.SRH.WireLen()
+	}
+	if payloadLen > math.MaxUint16 {
+		return nil, fmt.Errorf("%w: %d", ErrTooLong, payloadLen)
+	}
 	if p.SRH != nil {
 		p.IP.NextHeader = ipv6.ProtoRouting
 		p.SRH.NextHeader = ipv6.ProtoTCP

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -225,6 +226,36 @@ func TestMarshalSetsLengthsAndDefaults(t *testing.T) {
 	}
 	if got.IP.NextHeader != ipv6.ProtoRouting {
 		t.Fatalf("next header = %d, want routing", got.IP.NextHeader)
+	}
+}
+
+// TestMarshalRejectsOversizedPayload: IPv6's Payload Length is 16 bits,
+// so a routing header and TCP segment longer than 65,535 bytes have no
+// wire form. Marshal must refuse them, not wrap the length and emit a
+// packet whose receiver reads a truncated payload.
+func TestMarshalRejectsOversizedPayload(t *testing.T) {
+	p := synPacket(t)
+	p.SRH = srv6.MustNew(ipv6.ProtoTCP, s1, vip)
+	p.IP.Dst = s1
+	fits := 65535 - p.SRH.WireLen() - tcpseg.HeaderLen
+	p.TCP.Payload = make([]byte, fits)
+	b, err := p.Marshal(nil)
+	if err != nil {
+		t.Fatalf("largest payload: %v", err)
+	}
+	if got, err := Parse(b, true); err != nil || len(got.TCP.Payload) != fits {
+		t.Fatalf("largest payload parsed back as %d bytes (%v), want %d", len(got.TCP.Payload), err, fits)
+	}
+	for _, n := range []int{fits + 1, 70000} {
+		p.TCP.Payload = make([]byte, n)
+		if b, err := p.Marshal(nil); !errors.Is(err, ErrTooLong) {
+			t.Fatalf("%d-byte payload: %d bytes, err %v, want ErrTooLong", n, len(b), err)
+		}
+	}
+	p.SRH = nil
+	p.TCP.Payload = make([]byte, 65535-tcpseg.HeaderLen+1)
+	if _, err := p.Marshal(nil); !errors.Is(err, ErrTooLong) {
+		t.Fatalf("plain packet one byte too long: err %v, want ErrTooLong", err)
 	}
 }
 
