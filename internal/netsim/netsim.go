@@ -3,10 +3,13 @@
 // "bridged on the same link, with routing tables statically configured".
 //
 // The network is a flat L2 segment addressed by IPv6 address. Every
-// transmission serializes the packet to bytes, applies link latency
-// (optionally jitter and loss), and re-parses the bytes at the receiver —
-// so the full wire-codec path runs on every hop, like a real software
-// data plane.
+// transmission checks the packet exactly as the wire codec would, applies
+// link latency (optionally jitter and loss), and hands the receiver its
+// own copy of what a parse of the bytes would give — the way a software
+// data plane (the paper's VPP) rewrites the buffer it was handed instead
+// of re-serialising it. With Config.VerifyChecksums every hop runs the
+// full codec: marshal to bytes, then parse and verify the TCP checksum at
+// the receiver — the reference the copy is tested against.
 package netsim
 
 import (
@@ -31,18 +34,19 @@ import (
 // forward without cloning per hop); conversely, anything that must
 // outlive the Handle call has to be copied out (packet.Clone). The
 // network enforces this by recycling the Packet struct, the SRH its
-// routing header was parsed into (pkt.SRH points at storage that travels
-// with the Packet) and its wire buffer for later deliveries once Handle
-// returns: a retained pkt.SRH is overwritten by the next parse.
+// routing header was copied or parsed into (pkt.SRH points at storage
+// that travels with the Packet) and the buffer its payload lives in for
+// later transmissions once Handle returns: a retained pkt.SRH is
+// overwritten by the next delivery through the same slot.
 type Node interface {
 	// Handle processes one delivered packet.
 	Handle(pkt *packet.Packet)
 }
 
-// Tap observes every delivered packet (after parse, before Handle).
-// Used by tests and the pcap-style logger. Taps run before ownership
-// passes to the node, so they see the packet as it arrived — but they
-// must not retain it beyond the call (the node may mutate it).
+// Tap observes every delivered packet (after the copy or parse, before
+// Handle). Used by tests and the pcap-style logger. Taps run before
+// ownership passes to the node, so they see the packet as it arrived —
+// but they must not retain it beyond the call (the node may mutate it).
 type Tap func(at time.Duration, dst netip.Addr, pkt *packet.Packet)
 
 // Config tunes link behavior. The zero value gives an ideal lossless LAN
@@ -54,8 +58,10 @@ type Config struct {
 	JitterFrac float64
 	// LossProb drops packets with this probability (0 disables).
 	LossProb float64
-	// VerifyChecksums re-validates TCP checksums at every delivery.
-	// Slightly slower; on by default in tests.
+	// VerifyChecksums carries every hop as wire bytes — marshal at Send,
+	// parse and re-validate the TCP checksum at delivery — instead of
+	// copying the packet. Slower; the reference path the copy is tested
+	// against, and what the codec unit tests run.
 	VerifyChecksums bool
 	// Seed drives jitter/loss randomness.
 	Seed uint64
@@ -74,30 +80,26 @@ type Network struct {
 	taps   []Tap
 	Counts *metrics.Counter
 
-	// Delivery recycling: each transmission borrows an inflight (wire
-	// buffer + pre-bound delivery closure) and each delivery borrows a
-	// slot (Packet + SRH storage), both returned to free lists once the
-	// receiving node's Handle returns. Sound because of the ownership
-	// contract above: nothing may retain the packet (or its SRH, or its
-	// payload, which aliases the wire buffer) beyond the Handle call.
-	freeIn  *inflight
-	freePkt []*delivery
+	// Transmission recycling: each Send borrows a slot, returned to the
+	// free list once the receiving node's Handle returns (or at once
+	// when the packet is lost). Sound because of the ownership contract
+	// above: nothing may retain the packet (or its SRH, or its payload)
+	// beyond the Handle call.
+	free *slot
 }
 
-// delivery is one recycled delivery slot: the Packet handed to the node
-// and the header its SRH, when the wire carries one, is parsed into.
-type delivery struct {
-	pkt packet.Packet
-	srh srv6.SRH
-}
-
-// inflight is one scheduled transmission: the marshaled bytes and the
-// closure the simulator fires to deliver them. The closure is bound to
-// the inflight once, at allocation, so re-use costs zero allocations.
-type inflight struct {
-	wire []byte
+// slot is one transmission from Send to the end of the receiver's
+// Handle: the Packet handed to the node, the header its SRH is copied or
+// parsed into, the buffer holding its payload (under VerifyChecksums the
+// marshaled wire, which the parsed payload aliases), and the closure the
+// simulator fires to deliver it. The closure is bound to the slot once,
+// at allocation, so re-use costs zero allocations.
+type slot struct {
+	pkt  packet.Packet
+	srh  srv6.SRH
+	buf  []byte
 	fire func()
-	next *inflight // free-list link
+	next *slot // free-list link
 }
 
 // New creates a network on the given simulator.
@@ -174,78 +176,78 @@ func (n *Network) DetachAnycast(node Node, addr netip.Addr) bool {
 // AddTap registers a delivery observer.
 func (n *Network) AddTap(t Tap) { n.taps = append(n.taps, t) }
 
-// getInflight pops (or allocates) a transmission slot.
-func (n *Network) getInflight() *inflight {
-	if f := n.freeIn; f != nil {
-		n.freeIn = f.next
-		f.next = nil
-		return f
+// get pops (or allocates) a transmission slot.
+func (n *Network) get() *slot {
+	if s := n.free; s != nil {
+		n.free = s.next
+		s.next = nil
+		return s
 	}
-	f := &inflight{}
-	f.fire = func() { n.deliver(f) }
-	return f
+	s := &slot{}
+	s.fire = func() { n.deliver(s) }
+	return s
 }
 
-func (n *Network) putInflight(f *inflight) {
-	f.next = n.freeIn
-	n.freeIn = f
+func (n *Network) put(s *slot) {
+	// Drop the references to whatever header and payload the node left on
+	// the packet so the recycled slot pins nothing.
+	s.pkt.SRH = nil
+	s.pkt.TCP.Payload = nil
+	s.next = n.free
+	n.free = s
 }
 
-// getDelivery pops (or allocates) a delivery slot.
-func (n *Network) getDelivery() *delivery {
-	if last := len(n.freePkt) - 1; last >= 0 {
-		d := n.freePkt[last]
-		n.freePkt = n.freePkt[:last]
-		return d
-	}
-	return new(delivery)
-}
-
-func (n *Network) putDelivery(d *delivery) {
-	// Drop the references into the wire buffer and to whatever header the
-	// node left on the packet so the recycled slot pins nothing.
-	d.pkt.SRH = nil
-	d.pkt.TCP.Payload = nil
-	n.freePkt = append(n.freePkt, d)
-}
-
-// Send serializes pkt and schedules its delivery to the node owning the
-// packet's IPv6 destination address. Unroutable destinations and lossy
-// drops are counted, not errors: that is how a real LAN behaves.
+// Send schedules the delivery of pkt to the node owning the packet's
+// IPv6 destination address. It checks pkt as Marshal would and applies
+// Marshal's header fix-ups to it, then copies (under VerifyChecksums,
+// serialises) everything the receiver needs before it returns, so the
+// sender may rewrite pkt, its header and its payload at once. Unroutable
+// destinations and lossy drops are counted, not errors: that is how a
+// real LAN behaves.
 func (n *Network) Send(pkt *packet.Packet) {
-	f := n.getInflight()
-	wire, err := pkt.Marshal(f.wire[:0])
+	s := n.get()
+	var err error
+	if n.cfg.VerifyChecksums {
+		s.buf, err = pkt.Marshal(s.buf[:0])
+	} else {
+		err = pkt.Check()
+	}
 	if err != nil {
 		// A malformed locally-originated packet is a programming error in
 		// the sending node; surface it loudly.
 		panic(fmt.Sprintf("netsim: marshal failed: %v", err))
 	}
-	f.wire = wire
 	n.Counts.Inc("tx")
-	n.Counts.Addn("tx_bytes", uint64(len(wire)))
+	n.Counts.Addn("tx_bytes", uint64(pkt.WireLen()))
 	if n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb {
 		n.Counts.Inc("lost")
-		n.putInflight(f)
+		n.put(s)
 		return
 	}
 	delay := n.cfg.Latency
 	if n.cfg.JitterFrac > 0 {
 		delay = time.Duration(float64(delay) * (1 + n.cfg.JitterFrac*(2*n.rng.Float64()-1)))
 	}
-	n.sim.ScheduleAfter(delay, f.fire)
+	if !n.cfg.VerifyChecksums {
+		// Into the slot's own storage, whatever the node that last had
+		// this slot left in pkt.SRH and pkt.TCP.Payload.
+		s.pkt.SRH, s.pkt.TCP.Payload = &s.srh, s.buf[:0]
+		packet.CopyInto(&s.pkt, pkt)
+		s.buf = s.pkt.TCP.Payload
+	}
+	n.sim.ScheduleAfter(delay, s.fire)
 }
 
-func (n *Network) deliver(f *inflight) {
-	d := n.getDelivery()
-	// The node that last had this slot may have re-pointed or cleared
-	// pkt.SRH; parse into the slot's own storage every time.
-	pkt := &d.pkt
-	pkt.SRH = &d.srh
-	if err := packet.ParseInto(pkt, f.wire, n.cfg.VerifyChecksums); err != nil {
-		n.Counts.Inc("rx_parse_error")
-		n.putDelivery(d)
-		n.putInflight(f)
-		return
+func (n *Network) deliver(s *slot) {
+	pkt := &s.pkt
+	if n.cfg.VerifyChecksums {
+		// Like the copy, parse into the slot's own header storage.
+		pkt.SRH = &s.srh
+		if err := packet.ParseInto(pkt, s.buf, true); err != nil {
+			n.Counts.Inc("rx_parse_error")
+			n.put(s)
+			return
+		}
 	}
 	node, ok := n.nodes[pkt.IP.Dst]
 	if !ok {
@@ -256,8 +258,7 @@ func (n *Network) deliver(f *inflight) {
 	}
 	if !ok {
 		n.Counts.Inc("unroutable")
-		n.putDelivery(d)
-		n.putInflight(f)
+		n.put(s)
 		return
 	}
 	n.Counts.Inc("rx")
@@ -265,8 +266,7 @@ func (n *Network) deliver(f *inflight) {
 		tap(n.sim.Now(), pkt.IP.Dst, pkt)
 	}
 	node.Handle(pkt)
-	n.putDelivery(d)
-	n.putInflight(f)
+	n.put(s)
 }
 
 // ecmpHash hashes the transport 5-tuple (stable per flow direction).

@@ -214,6 +214,51 @@ func TestSynchronousReplyFromHandler(t *testing.T) {
 	}
 }
 
+// TestSendRejectsWhatMarshalRejects: in both modes, and before a lossy
+// link drops the packet, Send refuses a packet that has no wire form
+// with Marshal's own error — a programming error in the sender, so a
+// panic.
+func TestSendRejectsWhatMarshalRejects(t *testing.T) {
+	bad := map[string]func(p *packet.Packet){
+		"mapped src":   func(p *packet.Packet) { p.IP.Src = netip.MustParseAddr("::ffff:10.0.0.1") },
+		"zero dst":     func(p *packet.Packet) { p.IP.Dst = netip.Addr{} },
+		"empty SRH":    func(p *packet.Packet) { p.SRH = &srv6.SRH{} },
+		"SL past list": func(p *packet.Packet) { p.SRH = &srv6.SRH{SegmentsLeft: 1, Segments: []netip.Addr{addrB}} },
+		"zero segment": func(p *packet.Packet) { p.SRH = &srv6.SRH{Segments: []netip.Addr{addrB, {}}} },
+		"65,536 bytes": func(p *packet.Packet) { p.TCP.Payload = make([]byte, 65536-tcpseg.HeaderLen) },
+		"with SRH, too": func(p *packet.Packet) {
+			p.SRH = srv6.MustNew(ipv6.ProtoTCP, addrB, addrC)
+			p.TCP.Payload = make([]byte, 65500)
+		},
+	}
+	for name, breakIt := range bad {
+		ref := mkPkt("2001:db8::a", "2001:db8::b")
+		breakIt(ref)
+		_, err := ref.Marshal(nil)
+		if err == nil {
+			t.Fatalf("%s: Marshal accepts it", name)
+		}
+		want := "netsim: marshal failed: " + err.Error()
+		for _, m := range modes {
+			for _, loss := range []float64{0, 1} {
+				cfg := m.cfg
+				cfg.LossProb = loss
+				net := New(des.New(), cfg)
+				p := mkPkt("2001:db8::a", "2001:db8::b")
+				breakIt(p)
+				func() {
+					defer func() {
+						if got := recover(); got != want {
+							t.Errorf("%s, %s, loss %v: panic %v, want %q", name, m.name, loss, got, want)
+						}
+					}()
+					net.Send(p)
+				}()
+			}
+		}
+	}
+}
+
 // modes are the two ways a hop carries a packet: the copy, and the
 // marshal → bytes → parse reference path.
 var modes = []struct {

@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"net/netip"
 	"reflect"
@@ -270,9 +271,100 @@ func checkReuse(t *testing.T, wires [2][]byte, wants [2]*Packet) {
 	}
 }
 
+// fixUpPerturbations rewrite the header fields Marshal derives — the
+// next-header chain, PayloadLen, the hop limit — so the copy path has to
+// derive them as Marshal does: left alone, zeroed, and set from k to
+// values that disagree with the packet, a Flow Label wider than the 20
+// bits the wire carries included.
+var fixUpPerturbations = []func(p *Packet, k uint32){
+	func(*Packet, uint32) {},
+	func(p *Packet, _ uint32) {
+		p.IP.NextHeader, p.IP.PayloadLen, p.IP.HopLimit = 0, 0, 0
+		if p.SRH != nil {
+			p.SRH.NextHeader = 0
+		}
+	},
+	func(p *Packet, k uint32) {
+		p.IP.NextHeader, p.IP.PayloadLen, p.IP.HopLimit = uint8(k), uint16(k>>8), uint8(k>>24)
+		p.IP.FlowLabel ^= k << 12
+		if p.SRH != nil {
+			p.SRH.NextHeader = uint8(k >> 16)
+		}
+	},
+}
+
+// checkCopy holds the copy path netsim runs by default to the codec it
+// replaces: for each accepted packet, its fix-up fields perturbed each
+// way, Check + WireLen + CopyInto and Marshal + ParseInto agree on the
+// verdict and its error text, the length, the fix-ups applied to the
+// sender's packet, and the packet delivered — copied through one slot
+// whose storage held the previous copy, re-pointed as netsim re-points
+// it. The delivered packet keeps nothing of the sender's: rewriting the
+// sender's header and payload afterwards does not reach it.
+func checkCopy(t *testing.T, pkts [2]*Packet) {
+	t.Helper()
+	var slot struct {
+		pkt Packet
+		srh srv6.SRH
+		buf []byte
+	}
+	for _, p := range pkts {
+		if p == nil {
+			continue
+		}
+		k := uint32(p.WireLen()) * 2654435761
+		for i, perturb := range fixUpPerturbations {
+			a, b := p.Clone(), p.Clone()
+			perturb(a, k)
+			perturb(b, k)
+			wire, errA := a.Marshal(nil)
+			errB := b.Check()
+			if fmt.Sprint(errA) != fmt.Sprint(errB) {
+				t.Fatalf("perturbation %d: Marshal says %v, Check says %v", i, errA, errB)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("perturbation %d: fix-ups differ:\n Marshal %+v %+v\n Check   %+v %+v", i, a.IP, a.SRH, b.IP, b.SRH)
+			}
+			if errA != nil {
+				continue
+			}
+			if b.WireLen() != len(wire) {
+				t.Fatalf("perturbation %d: WireLen %d, marshaled %d bytes", i, b.WireLen(), len(wire))
+			}
+			want, err := Parse(wire, true)
+			if err != nil {
+				t.Fatalf("perturbation %d: marshaled packet rejected: %v", i, err)
+			}
+			slot.pkt.SRH, slot.pkt.TCP.Payload = &slot.srh, slot.buf[:0]
+			CopyInto(&slot.pkt, b)
+			slot.buf = slot.pkt.TCP.Payload
+			got := &slot.pkt
+			if got.SRH != nil && got.SRH != &slot.srh {
+				t.Fatalf("perturbation %d: header copied beside the storage q.SRH pointed at", i)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("perturbation %d: copy differs from marshal → parse:\n %+v %+v\n %+v %+v", i, got, got.SRH, want, want.SRH)
+			}
+			if b.SRH != nil {
+				b.SRH.SegmentsLeft, b.SRH.Flags, b.SRH.Tag = ^b.SRH.SegmentsLeft, ^b.SRH.Flags, ^b.SRH.Tag
+				clear(b.SRH.Segments)
+			}
+			for j := range b.TCP.Payload {
+				b.TCP.Payload[j] ^= 0xff
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("perturbation %d: rewriting the sender's packet reached the copy", i)
+			}
+		}
+	}
+}
+
 // FuzzPacketParse is the wire parser's safety net: every delivery of
-// every simulated hop, and every packet a hostile network injects, goes
-// through ParseInto, into storage that held another packet before.
+// every simulated hop under VerifyChecksums, and every packet a hostile
+// network injects, goes through ParseInto, into storage that held another
+// packet before. It is the copy path's too: by default every hop goes
+// through Check and CopyInto, which must agree with the codec on every
+// packet the parser accepts.
 func FuzzPacketParse(f *testing.F) {
 	r := rand.New(rand.NewPCG(3, 4))
 	var seeds [][]byte
@@ -292,6 +384,8 @@ func FuzzPacketParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, prev, wire []byte) {
 		wires := [2][]byte{prev, wire}
-		checkReuse(t, wires, [2]*Packet{checkParse(t, prev), checkParse(t, wire)})
+		pkts := [2]*Packet{checkParse(t, prev), checkParse(t, wire)}
+		checkReuse(t, wires, pkts)
+		checkCopy(t, pkts)
 	})
 }

@@ -1,8 +1,12 @@
 // Package packet composes full SRLB data-plane packets:
 // IPv6 fixed header, optional Segment Routing Header, and a TCP segment.
-// Packets travel the simulated network as real bytes and are re-parsed at
-// every hop, so the encode/decode path here is exactly what a software
-// router (the paper uses VPP) would execute.
+// Marshal and Parse/ParseInto are the wire codec a software router (the
+// paper uses VPP) executes; the simulated network runs them on every hop
+// when it verifies checksums. By default it runs Check and CopyInto
+// instead: Marshal's checks and header fix-ups, then a copy equal field
+// for field to what parsing the marshaled bytes would give — the way a
+// data plane rewrites the buffer it was handed rather than re-serialising
+// it.
 package packet
 
 import (
@@ -82,40 +86,70 @@ func (p *Packet) IsSYNACK() bool {
 // stacks compute upper-layer checksums against the final destination
 // (RFC 8200 §8.1).
 func (p *Packet) Marshal(dst []byte) ([]byte, error) {
-	ulDst := p.IP.Dst
-	tcpLen := p.TCP.WireLen()
-	payloadLen := tcpLen
-	if p.SRH != nil {
-		payloadLen += p.SRH.WireLen()
-	}
-	if payloadLen > math.MaxUint16 {
-		return nil, fmt.Errorf("%w: %d", ErrTooLong, payloadLen)
-	}
-	if p.SRH != nil {
-		p.IP.NextHeader = ipv6.ProtoRouting
-		p.SRH.NextHeader = ipv6.ProtoTCP
-		p.IP.PayloadLen = uint16(p.SRH.WireLen() + tcpLen)
-		if final, err := p.SRH.Final(); err == nil {
-			ulDst = final
-		}
-	} else {
-		p.IP.NextHeader = ipv6.ProtoTCP
-		p.IP.PayloadLen = uint16(tcpLen)
-	}
-	if p.IP.HopLimit == 0 {
-		p.IP.HopLimit = DefaultHopLimit
+	if err := p.fixUp(); err != nil {
+		return nil, err
 	}
 	out, err := p.IP.Marshal(dst)
 	if err != nil {
 		return nil, err
 	}
+	ulDst := p.IP.Dst
 	if p.SRH != nil {
 		out, err = p.SRH.Marshal(out)
 		if err != nil {
 			return nil, err
 		}
+		if final, err := p.SRH.Final(); err == nil {
+			ulDst = final
+		}
 	}
 	return p.TCP.Marshal(out, p.IP.Src, ulDst)
+}
+
+// Check is Marshal without the bytes: it applies the same header fix-ups
+// to p and returns the error Marshal would return, nil when p encodes.
+// (The TCP codec checks only addresses the IPv6 header and the segment
+// list already carry, so its check cannot fail once theirs pass.)
+func (p *Packet) Check() error {
+	if err := p.fixUp(); err != nil {
+		return err
+	}
+	if err := p.IP.Check(); err != nil {
+		return err
+	}
+	if p.SRH != nil {
+		return p.SRH.Check()
+	}
+	return nil
+}
+
+// fixUp sets the header fields Marshal derives — the next-header chain,
+// PayloadLen, a default hop limit — or reports that PayloadLen cannot
+// express the packet, leaving p untouched.
+func (p *Packet) fixUp() error {
+	n := p.WireLen() - ipv6.HeaderLen
+	if n > math.MaxUint16 {
+		return fmt.Errorf("%w: %d", ErrTooLong, n)
+	}
+	p.IP.PayloadLen = uint16(n)
+	p.IP.NextHeader = ipv6.ProtoTCP
+	if p.SRH != nil {
+		p.IP.NextHeader = ipv6.ProtoRouting
+		p.SRH.NextHeader = ipv6.ProtoTCP
+	}
+	if p.IP.HopLimit == 0 {
+		p.IP.HopLimit = DefaultHopLimit
+	}
+	return nil
+}
+
+// WireLen returns the length in bytes of p's wire form.
+func (p *Packet) WireLen() int {
+	n := ipv6.HeaderLen + p.TCP.WireLen()
+	if p.SRH != nil {
+		n += p.SRH.WireLen()
+	}
+	return n
 }
 
 // Parse decodes a full packet. When verifyChecksum is true, the TCP
@@ -177,6 +211,38 @@ func ParseInto(p *Packet, b []byte, verifyChecksum bool) error {
 	}
 	p.TCP = seg
 	return nil
+}
+
+// CopyInto makes q what ParseInto(q, wire, false) makes it, where wire
+// is p marshaled, without the bytes. p must have passed Check, which
+// applies Marshal's header fix-ups; the Flow Label is cut to the 20 bits
+// the wire carries. q's storage is used as ParseInto uses it: the routing
+// header is copied into the SRH q.SRH points at on entry (one is
+// allocated only when q.SRH is nil; it is left nil when p has none), and
+// the payload into q.TCP.Payload's backing array when that is large
+// enough. The payload is never nil, as a parsed one is not. Nothing of p
+// is aliased, so its sender may rewrite p, its header and its payload as
+// soon as CopyInto returns.
+func CopyInto(q, p *Packet) {
+	srh := q.SRH
+	q.SRH = nil
+	if p.SRH != nil {
+		if srh == nil {
+			srh = new(srv6.SRH)
+		}
+		srh.NextHeader, srh.SegmentsLeft = p.SRH.NextHeader, p.SRH.SegmentsLeft
+		srh.Flags, srh.Tag = p.SRH.Flags, p.SRH.Tag
+		srh.Segments = append(srh.Segments[:0], p.SRH.Segments...)
+		q.SRH = srh
+	}
+	q.IP = p.IP
+	q.IP.FlowLabel &= 1<<20 - 1
+	payload := append(q.TCP.Payload[:0], p.TCP.Payload...)
+	if payload == nil {
+		payload = []byte{}
+	}
+	q.TCP = p.TCP
+	q.TCP.Payload = payload
 }
 
 // Clone deep-copies the packet (segment list and payload included) so a

@@ -231,8 +231,8 @@ func TestMarshalSetsLengthsAndDefaults(t *testing.T) {
 
 // TestMarshalRejectsOversizedPayload: IPv6's Payload Length is 16 bits,
 // so a routing header and TCP segment longer than 65,535 bytes have no
-// wire form. Marshal must refuse them, not wrap the length and emit a
-// packet whose receiver reads a truncated payload.
+// wire form. Marshal and Check must refuse them, not wrap the length and
+// emit a packet whose receiver reads a truncated payload.
 func TestMarshalRejectsOversizedPayload(t *testing.T) {
 	p := synPacket(t)
 	p.SRH = srv6.MustNew(ipv6.ProtoTCP, s1, vip)
@@ -250,6 +250,9 @@ func TestMarshalRejectsOversizedPayload(t *testing.T) {
 		p.TCP.Payload = make([]byte, n)
 		if b, err := p.Marshal(nil); !errors.Is(err, ErrTooLong) {
 			t.Fatalf("%d-byte payload: %d bytes, err %v, want ErrTooLong", n, len(b), err)
+		}
+		if err := p.Check(); !errors.Is(err, ErrTooLong) {
+			t.Fatalf("%d-byte payload: Check says %v, want ErrTooLong", n, err)
 		}
 	}
 	p.SRH = nil

@@ -37,7 +37,7 @@ const RoutingType = 4
 // 255*8 bytes ≈ 127 segments).
 const MaxSegments = 127
 
-// Errors returned by Parse, ParseInto and Marshal.
+// Errors returned by Parse, ParseInto, Check and Marshal.
 var (
 	ErrTooShort       = errors.New("srv6: buffer too short")
 	ErrBadRoutingType = errors.New("srv6: routing type is not SRH (4)")
@@ -203,18 +203,33 @@ func (h *SRH) String() string {
 	return b.String()
 }
 
-// Marshal appends the wire encoding of h to dst.
-func (h *SRH) Marshal(dst []byte) ([]byte, error) {
+// Check returns the error Marshal would return for h, nil when it
+// encodes.
+func (h *SRH) Check() error {
 	n := len(h.Segments)
 	if n == 0 {
-		return nil, ErrNoSegments
+		return ErrNoSegments
 	}
 	if n > MaxSegments {
-		return nil, ErrTooMany
+		return ErrTooMany
 	}
 	if int(h.SegmentsLeft) >= n {
-		return nil, ErrBadSegments
+		return ErrBadSegments
 	}
+	for i, s := range h.Segments {
+		if err := ipv6.CheckAddr(s); err != nil {
+			return fmt.Errorf("srv6: segment %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// Marshal appends the wire encoding of h to dst.
+func (h *SRH) Marshal(dst []byte) ([]byte, error) {
+	if err := h.Check(); err != nil {
+		return nil, err
+	}
+	n := len(h.Segments)
 	hdr := [8]byte{
 		h.NextHeader,
 		uint8(2 * n), // Hdr Ext Len in 8-byte units, excluding first 8 bytes
@@ -225,10 +240,7 @@ func (h *SRH) Marshal(dst []byte) ([]byte, error) {
 		uint8(h.Tag >> 8), uint8(h.Tag),
 	}
 	dst = append(dst, hdr[:]...)
-	for i, s := range h.Segments {
-		if err := ipv6.CheckAddr(s); err != nil {
-			return nil, fmt.Errorf("srv6: segment %d: %w", i, err)
-		}
+	for _, s := range h.Segments {
 		a := s.As16()
 		dst = append(dst, a[:]...)
 	}
