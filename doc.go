@@ -237,14 +237,18 @@
 // performance ledger (bench/README.md), and the hot paths' allocation
 // counts are tier-1 testing.AllocsPerRun gates in their own packages.
 //
-// On the data plane every hop is marshal → wire bytes → parse, and a
-// delivered packet belongs to the node that receives it — the LB and the
-// virtual routers rewrite and re-send it in place — but only until Handle
-// returns: internal/netsim recycles the Packet, the wire buffer its
-// payload aliases and the SRH its routing header was parsed into
-// (packet.ParseInto overwrites whatever header p.SRH points at on entry)
-// for the next delivery. Whatever must outlive the call — a tap's
-// capture, a test's assertion — is a packet.Clone, never a kept pointer.
+// On the data plane every hop checks the packet as the wire codec would
+// and hands the receiver a copy equal, field for field, to what parsing
+// its bytes gives (packet.Check, packet.CopyInto); netsim's
+// VerifyChecksums runs the codec itself, marshal → wire bytes → parse,
+// as the reference the copy is tested against. A delivered packet
+// belongs to the node that receives it — the LB and the virtual routers
+// rewrite and re-send it in place — but only until Handle returns:
+// internal/netsim recycles the Packet, the buffer its payload lives in
+// and the SRH its routing header was copied or parsed into (CopyInto and
+// ParseInto overwrite whatever header p.SRH points at on entry) for the
+// next delivery. Whatever must outlive the call — a tap's capture, a
+// test's assertion — is a packet.Clone, never a kept pointer.
 //
 // The same rule runs the other way for what a node sends. Connection
 // set-up reuses its storage: the LB's hunt header is one SRH the
@@ -252,10 +256,11 @@
 // candidate list is the scheme's scratch until its next Pick, and the
 // server's connection record and the application's request come from
 // per-router and per-server free lists with their callbacks bound once.
-// All of it is sound because Send serialises before it returns (livenet
-// marshals under the LB's lock), so nothing reads a header, a candidate
-// list or a record after its owner has moved on. Once warm, a query
-// allocates only the steered packet's header (core.handleSteered).
+// All of it is sound because Send has copied or serialised what it needs
+// before it returns (livenet marshals under the LB's lock), so nothing
+// reads a header, a candidate list or a record after its owner has moved
+// on. Once warm, a query allocates only the steered packet's header
+// (core.handleSteered).
 //
 // # Interpreting results: seeds, CI width, choosing Sweep.Seeds
 //

@@ -235,9 +235,9 @@ func (d *Dispatcher) SweepNow(now time.Duration) int {
 // here, at most once per SweepInterval of the caller's clock.
 //
 // Ownership: a forwarded SYN's pkt.SRH points at storage the Dispatcher
-// owns and rewrites on the next hunt, so the caller serialises the packet
-// (netsim.Send does; livenet marshals under its lock) before it calls
-// Dispatch again, and keeps nothing of it afterwards. A steered packet
+// owns and rewrites on the next hunt, so the caller copies or serialises
+// the packet (netsim.Send copies it; livenet marshals under its lock)
+// before it calls Dispatch again, and keeps nothing of it afterwards. A steered packet
 // still carries a header of its own.
 func (d *Dispatcher) Dispatch(now time.Duration, pkt *packet.Packet) (forward bool) {
 	if d.cfg.SweepInterval >= 0 && now-d.lastSweep >= d.cfg.SweepInterval {

@@ -263,8 +263,8 @@ func FuzzDispatcher(f *testing.F) {
 					t.Fatalf("step %d (op %d at %v): dst %v path %v SL %d, model says dst %v path %v SL %d",
 						i/3, op, now, pkt.IP.Dst, path, sl, want.dst, want.path, want.sl)
 				}
-				// A binding serialises before its next Dispatch; what it
-				// puts on the wire must be this header.
+				// A binding copies or serialises the packet before its next
+				// Dispatch; what it puts on the wire must be this header.
 				wire, err := pkt.Marshal(nil)
 				if err != nil {
 					t.Fatalf("step %d (op %d): forwarded packet does not marshal: %v", i/3, op, err)

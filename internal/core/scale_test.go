@@ -35,7 +35,7 @@ func scaleVIPList(n int, servers []netip.Addr) []VIPConfig {
 }
 
 // scaleLB builds a detached LB over a delivery-dropping network: Handle
-// runs the full dispatch (including the wire marshal in Send) but
+// runs the full dispatch (including Send's wire check) but
 // nothing is ever delivered, so packets can be driven directly.
 func scaleLB(cfg Config) *LoadBalancer {
 	sim := des.New()

@@ -5,7 +5,7 @@
 // loop directly on generated topologies (testbed.GenerateTopology):
 // packets are crafted and dispatched without running the simulator, so
 // the number is pure forwarding-plane work (VIP lookup, scheme pick or
-// flow-table hit, SRH construction, wire marshal), not queueing.
+// flow-table hit, SRH construction, Send's wire check), not queueing.
 //
 // RunVIPScale is the canonical instance behind
 // `srlb-bench -experiment vipscale`. The headline figure is the flat
@@ -161,8 +161,8 @@ func NewDispatchRig(seed uint64, vipCount, pools, serversPerPool int, scheme VIP
 		Scheme:         scheme.Scheme,
 		Fallback:       scheme.Fallback,
 	})
-	// Drop every delivery: Send still pays the full marshal (the cost we
-	// measure) but recycles the in-flight record immediately instead of
+	// Drop every delivery: Send still checks the packet as Marshal would
+	// (part of the cost we measure) but recycles its slot at once instead of
 	// scheduling it, so millions of dispatches don't pile pending events
 	// (and their GC pressure) into the never-run simulator.
 	top.Net.LossProb = 1
@@ -203,7 +203,7 @@ func (r *DispatchRig) SeedFlows(n int) {
 }
 
 // SYNOp dispatches the i-th SYN packet (VIP lookup → scheme pick →
-// hunt SRH → marshal) — one per-packet unit of Service Hunting work,
+// hunt SRH → wire check) — one per-packet unit of Service Hunting work,
 // exposed so testing.B loops can drive single ops.
 func (r *DispatchRig) SYNOp(i int) {
 	src, dst, sport := r.synFlow(i)
@@ -214,7 +214,7 @@ func (r *DispatchRig) SYNOp(i int) {
 }
 
 // SteerOp dispatches the i-th steered packet over n seeded flows (VIP
-// lookup → flow-table hit → steer SRH → marshal). Call SeedFlows(n)
+// lookup → flow-table hit → steer SRH → wire check). Call SeedFlows(n)
 // first.
 func (r *DispatchRig) SteerOp(i, n int) {
 	src, dst, sport := r.steerFlow(i % n)

@@ -34,7 +34,8 @@ var ErrClosed = errors.New("livenet: network closed")
 type Handler func(pkt *packet.Packet)
 
 // Network is an in-memory bridged LAN. Packets are serialized to bytes on
-// Send and re-parsed before delivery, exactly like the simulated wire.
+// Send and re-parsed before delivery, as the simulated wire does under
+// netsim's VerifyChecksums.
 type Network struct {
 	mu     sync.Mutex
 	nodes  map[netip.Addr]chan []byte

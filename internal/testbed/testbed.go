@@ -344,8 +344,8 @@ func (g *Generator) putPQ(pq *pendingQuery) {
 }
 
 func (g *Generator) sendSYN(pq *pendingQuery) {
-	// The scratch packet is safe to reuse: netsim.Send serializes to
-	// wire bytes before returning and retains nothing.
+	// The scratch packet is safe to reuse: netsim.Send has copied or
+	// serialised what it needs before it returns and retains nothing.
 	syn := &g.scratch
 	*syn = packet.Packet{
 		IP: ipv6.Header{Src: pq.flow.Src, Dst: pq.flow.Dst},

@@ -102,8 +102,8 @@ type Router struct {
 	Counts  *metrics.Counter
 
 	// synack is the SYN-ACK header [self, LB, client], rewritten in place
-	// per SYN-ACK (Send serialises before it returns, so nothing else
-	// reads it).
+	// per SYN-ACK (Send has copied or serialised it before it returns, so
+	// nothing else reads it).
 	synack srv6.SRH
 }
 
