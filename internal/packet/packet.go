@@ -216,13 +216,12 @@ func ParseInto(p *Packet, b []byte, verifyChecksum bool) error {
 // CopyInto makes q what ParseInto(q, wire, false) makes it, where wire
 // is p marshaled, without the bytes. p must have passed Check, which
 // applies Marshal's header fix-ups; the Flow Label is cut to the 20 bits
-// the wire carries. q's storage is used as ParseInto uses it: the routing
-// header is copied into the SRH q.SRH points at on entry (one is
-// allocated only when q.SRH is nil; it is left nil when p has none), and
-// the payload into q.TCP.Payload's backing array when that is large
-// enough. The payload is never nil, as a parsed one is not. Nothing of p
-// is aliased, so its sender may rewrite p, its header and its payload as
-// soon as CopyInto returns.
+// the wire carries, and the payload is never nil, as a parsed one is not.
+// q's storage is used as ParseInto uses it: the routing header is copied
+// into the SRH q.SRH points at on entry (allocated only when nil; q.SRH
+// is left nil when p has none), the payload into q.TCP.Payload's backing
+// array when that is large enough. Nothing of p is aliased, so its sender
+// may rewrite p, its header and its payload once CopyInto returns.
 func CopyInto(q, p *Packet) {
 	srh := q.SRH
 	q.SRH = nil
@@ -230,9 +229,9 @@ func CopyInto(q, p *Packet) {
 		if srh == nil {
 			srh = new(srv6.SRH)
 		}
-		srh.NextHeader, srh.SegmentsLeft = p.SRH.NextHeader, p.SRH.SegmentsLeft
-		srh.Flags, srh.Tag = p.SRH.Flags, p.SRH.Tag
-		srh.Segments = append(srh.Segments[:0], p.SRH.Segments...)
+		segs := append(srh.Segments[:0], p.SRH.Segments...)
+		*srh = *p.SRH
+		srh.Segments = segs
 		q.SRH = srh
 	}
 	q.IP = p.IP
