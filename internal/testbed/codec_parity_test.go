@@ -18,11 +18,14 @@ import (
 // runFingerprint is everything a run leaves behind that the simulated
 // wire could perturb: what the clients observed, every node's counters,
 // the LB replicas' per-VIP SYN accounting and the number of DES events.
+// CountLines holds the counters again as "node key value" lines, in node
+// order and each node's Keys() order.
 type runFingerprint struct {
-	Results   uint64
-	Counts    map[string]map[string]uint64
-	VIPSYNs   []uint64
-	Processed uint64
+	Results    uint64
+	Counts     map[string]map[string]uint64
+	CountLines []string
+	VIPSYNs    []uint64
+	Processed  uint64
 }
 
 // parityCase is one topology of TestCodecElisionParity: n Poisson
@@ -69,6 +72,7 @@ func (c parityCase) run(verify bool) runFingerprint {
 		m := make(map[string]uint64, len(keys))
 		for _, k := range keys {
 			m[k] = get(k)
+			fp.CountLines = append(fp.CountLines, fmt.Sprintf("%s %s %d", label, k, m[k]))
 		}
 		fp.Counts[label] = m
 	}
@@ -86,21 +90,21 @@ func (c parityCase) run(verify bool) runFingerprint {
 	return fp
 }
 
-// TestCodecElisionParity: a run is the same simulation whether every hop
-// goes through wire bytes (VerifyChecksums, the reference path) or not —
-// same client results, same counters on every node, same per-VIP SYN
-// accounting, same number of DES events — on the topologies that reach
-// every way a packet is sent, forwarded, rewritten or dropped.
-func TestCodecElisionParity(t *testing.T) {
-	sr4 := func(int) agent.Policy { return agent.NewStatic(4) }
-	flowlet := func(servers []netip.Addr, r *rand.Rand, view *feedback.VIPView) selection.Scheme {
-		var lv selection.LoadView
-		if view != nil {
-			lv = view
-		}
-		return selection.NewFlowlet(servers, 2*time.Millisecond, r, lv)
+// flowletScheme is a VIP's 2 ms flowlet scheme reading the feedback view
+// when the topology has one.
+func flowletScheme(servers []netip.Addr, r *rand.Rand, view *feedback.VIPView) selection.Scheme {
+	var lv selection.LoadView
+	if view != nil {
+		lv = view
 	}
-	cases := []parityCase{
+	return selection.NewFlowlet(servers, 2*time.Millisecond, r, lv)
+}
+
+// parityCases are the topologies that reach every way a packet is sent,
+// forwarded, rewritten or dropped.
+func parityCases() []parityCase {
+	sr4 := func(int) agent.Policy { return agent.NewStatic(4) }
+	return []parityCase{
 		{
 			name: "sr4_cell",
 			top:  Topology{Seed: 301, VIPs: []VIPSpec{{Policy: sr4}}},
@@ -111,7 +115,7 @@ func TestCodecElisionParity(t *testing.T) {
 			name: "flowlet_feedback_closeack",
 			top: Topology{
 				Seed:     302,
-				VIPs:     []VIPSpec{{Servers: 6, FeedbackScheme: flowlet}},
+				VIPs:     []VIPSpec{{Servers: 6, FeedbackScheme: flowletScheme}},
 				Feedback: feedback.Config{Enabled: true, Interval: 5 * time.Millisecond, Horizon: 5 * time.Second},
 			},
 			n: 2000, rate: 500, demand: 20 * time.Millisecond, closeAck: true,
@@ -142,7 +146,15 @@ func TestCodecElisionParity(t *testing.T) {
 			exercised: [2]string{"net", "lost"},
 		},
 	}
-	for _, c := range cases {
+}
+
+// TestCodecElisionParity: a run is the same simulation whether every hop
+// goes through wire bytes (VerifyChecksums, the reference path) or not —
+// same client results, same counters on every node, same per-VIP SYN
+// accounting, same number of DES events — on the topologies that reach
+// every way a packet is sent, forwarded, rewritten or dropped.
+func TestCodecElisionParity(t *testing.T) {
+	for _, c := range parityCases() {
 		t.Run(c.name, func(t *testing.T) {
 			ref, got := c.run(true), c.run(false)
 			if v := ref.Counts[c.exercised[0]][c.exercised[1]]; v == 0 {
