@@ -78,10 +78,7 @@ type Config struct {
 
 // vipEntry is the compiled per-VIP dispatch state: everything the hot
 // path needs after the single vipIndex lookup, in one cache-friendly
-// slot. The per-VIP SYN counter lives here as a plain integer. (The
-// shared string-keyed Counts map is still hit on every packet — the
-// typed counter block that replaces it is ROADMAP item 2(d), which
-// waits for item 1.)
+// slot. The per-VIP SYN counter lives here as a plain integer.
 type vipEntry struct {
 	addr     netip.Addr
 	scheme   selection.Scheme
@@ -94,6 +91,36 @@ type vipEntry struct {
 	resteer  selection.Resteerer
 	syns     uint64
 }
+
+// The Dispatcher's counters, by slot; counterSchema names them.
+const (
+	cntToLBNoSRH = iota
+	cntUnknownVIP
+	cntSYNRx
+	cntSYNRebound
+	cntNoCandidates
+	cntHuntsStarted
+	cntReturnBadSegment
+	cntReturnNoServer
+	cntReturnExhausted
+	cntFlowsLearned
+	cntReturnsRelayed
+	cntFlowletResteer
+	cntMissFallback
+	cntMissDropped
+	cntClosingObserved
+	cntSteered
+)
+
+var counterSchema = metrics.NewSchema([]string{
+	cntToLBNoSRH: "to_lb_no_srh", cntUnknownVIP: "unknown_vip", cntSYNRx: "syn_rx",
+	cntSYNRebound: "syn_rebound", cntNoCandidates: "no_candidates", cntHuntsStarted: "hunts_started",
+	cntReturnBadSegment: "return_bad_segment", cntReturnNoServer: "return_no_server",
+	cntReturnExhausted: "return_exhausted", cntFlowsLearned: "flows_learned",
+	cntReturnsRelayed: "returns_relayed", cntFlowletResteer: "flowlet_resteer",
+	cntMissFallback: "miss_fallback", cntMissDropped: "miss_dropped",
+	cntClosingObserved: "closing_observed", cntSteered: "steered",
+})
 
 // Dispatcher is the SRLB forwarding state machine: flow table, compiled
 // VIP table, counters and sweep clock. Time comes from the caller on
@@ -133,7 +160,7 @@ func NewDispatcher(cfg Config) *Dispatcher {
 	d := &Dispatcher{
 		cfg:      cfg,
 		flows:    flowtable.New(cfg.Flows),
-		Counts:   metrics.NewCounter(),
+		Counts:   counterSchema.NewCounter(),
 		vips:     make([]vipEntry, len(cfg.VIPList)),
 		vipIndex: make(map[netip.Addr]int32, len(cfg.VIPList)),
 	}
@@ -249,14 +276,14 @@ func (d *Dispatcher) Dispatch(now time.Duration, pkt *packet.Packet) (forward bo
 		if pkt.SRH != nil {
 			return d.handleReturn(now, pkt)
 		}
-		d.Counts.Inc("to_lb_no_srh")
+		d.Counts.Add(cntToLBNoSRH, 1)
 		return false
 	}
 	// Client-side traffic addressed to a VIP: one map lookup, then
 	// everything the packet needs is in the dense entry.
 	id, ok := d.vipIndex[pkt.IP.Dst]
 	if !ok {
-		d.Counts.Inc("unknown_vip")
+		d.Counts.Add(cntUnknownVIP, 1)
 		return false
 	}
 	e := &d.vips[id]
@@ -274,15 +301,15 @@ func (d *Dispatcher) Dispatch(now time.Duration, pkt *packet.Packet) (forward bo
 // flow are delivered to the same application instance" (§I) includes the
 // SYN itself.
 func (d *Dispatcher) handleSYN(now time.Duration, pkt *packet.Packet, e *vipEntry) bool {
-	d.Counts.Inc("syn_rx")
+	d.Counts.Add(cntSYNRx, 1)
 	flow := pkt.Flow()
 	if _, bound := d.flows.Lookup(now, flow); bound {
-		d.Counts.Inc("syn_rebound")
+		d.Counts.Add(cntSYNRebound, 1)
 		return d.handleSteered(now, pkt, e)
 	}
 	candidates := e.scheme.Pick(flow)
 	if len(candidates) == 0 {
-		d.Counts.Inc("no_candidates")
+		d.Counts.Add(cntNoCandidates, 1)
 		return false
 	}
 	// Copied at once: candidates is the scheme's scratch.
@@ -292,7 +319,7 @@ func (d *Dispatcher) handleSYN(now time.Duration, pkt *packet.Packet, e *vipEntr
 	}
 	pkt.SRH = &d.hunt
 	pkt.IP.Dst = d.path[0]
-	d.Counts.Inc("hunts_started")
+	d.Counts.Add(cntHuntsStarted, 1)
 	return true
 }
 
@@ -302,19 +329,19 @@ func (d *Dispatcher) handleReturn(now time.Duration, pkt *packet.Packet) bool {
 	srh := pkt.SRH
 	active, err := srh.Active()
 	if err != nil || active != d.cfg.Addr {
-		d.Counts.Inc("return_bad_segment")
+		d.Counts.Add(cntReturnBadSegment, 1)
 		return false
 	}
 	// The accepting server wrote itself one slot behind the LB in the
 	// list (figure 1: SYN-ACK {a, S2, LB, c} — S2 at SL+1).
 	server, err := srh.SegmentAtSL(srh.SegmentsLeft + 1)
 	if err != nil {
-		d.Counts.Inc("return_no_server")
+		d.Counts.Add(cntReturnNoServer, 1)
 		return false
 	}
 	client, err := srh.Advance()
 	if err != nil {
-		d.Counts.Inc("return_exhausted")
+		d.Counts.Add(cntReturnExhausted, 1)
 		return false
 	}
 	if pkt.IsSYNACK() {
@@ -322,7 +349,7 @@ func (d *Dispatcher) handleReturn(now time.Duration, pkt *packet.Packet) bool {
 		// flow is (VIP→client); the client flow is its reverse.
 		clientFlow := pkt.Flow().Reverse()
 		d.flows.Insert(now, clientFlow, server)
-		d.Counts.Inc("flows_learned")
+		d.Counts.Add(cntFlowsLearned, 1)
 		// A stateful scheme tracks its own placements (the in-flight
 		// delta between feedback reports); the flow's VIP is the client
 		// flow's destination.
@@ -335,7 +362,7 @@ func (d *Dispatcher) handleReturn(now time.Duration, pkt *packet.Packet) bool {
 	// Strip the SRH: the client is SR-oblivious.
 	pkt.SRH = nil
 	pkt.IP.Dst = client
-	d.Counts.Inc("returns_relayed")
+	d.Counts.Add(cntReturnsRelayed, 1)
 	return true
 }
 
@@ -366,7 +393,7 @@ func (d *Dispatcher) handleSteered(now time.Duration, pkt *packet.Packet, e *vip
 					st.Observe(next, +1)
 				}
 				server = next
-				d.Counts.Inc("flowlet_resteer")
+				d.Counts.Add(cntFlowletResteer, 1)
 			}
 		}
 	} else {
@@ -377,11 +404,11 @@ func (d *Dispatcher) handleSteered(now time.Duration, pkt *packet.Packet, e *vip
 			if cands := fb.Pick(flow); len(cands) > 0 {
 				server = cands[0]
 				ok = true
-				d.Counts.Inc("miss_fallback")
+				d.Counts.Add(cntMissFallback, 1)
 			}
 		}
 		if !ok {
-			d.Counts.Inc("miss_dropped")
+			d.Counts.Add(cntMissDropped, 1)
 			return false
 		}
 	}
@@ -391,7 +418,7 @@ func (d *Dispatcher) handleSteered(now time.Duration, pkt *packet.Packet, e *vip
 				st.Observe(server, -1)
 			}
 		}
-		d.Counts.Inc("closing_observed")
+		d.Counts.Add(cntClosingObserved, 1)
 	}
 	vip := pkt.IP.Dst
 	srh, err := srv6.New(ipv6.ProtoTCP, server, vip)
@@ -400,7 +427,7 @@ func (d *Dispatcher) handleSteered(now time.Duration, pkt *packet.Packet, e *vip
 	}
 	pkt.SRH = srh
 	pkt.IP.Dst = server
-	d.Counts.Inc("steered")
+	d.Counts.Add(cntSteered, 1)
 	return true
 }
 

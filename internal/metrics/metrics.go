@@ -1,7 +1,8 @@
 // Package metrics provides the measurement helpers that sit beside the
 // response-time sketches of package sketch: Jain's fairness index and
 // EWMA smoothing (figure 4), the paper's axis formatting, and the named
-// event counters of the data-plane elements.
+// event counters of the data-plane elements, which count by slot index
+// so that no packet hashes a string to be counted.
 package metrics
 
 import (
@@ -75,28 +76,75 @@ func FormatDuration(d time.Duration) string {
 	return fmt.Sprintf("%.3f", d.Seconds())
 }
 
-// Counter is a simple monotonically increasing event counter keyed by
-// name, used by the data-plane elements for drop/forward accounting.
-type Counter struct {
-	counts map[string]uint64
+// Schema is one layer's counter names in slot order. A layer builds one
+// at package init from a keyed literal over its own constants, so the
+// compiler ties each index to its name, and all its nodes share it.
+type Schema struct {
+	names []string
+	index map[string]int
 }
 
-// NewCounter returns an empty counter set.
-func NewCounter() *Counter { return &Counter{counts: make(map[string]uint64)} }
+// NewSchema panics on an empty name (a gap in the keyed literal) or a
+// repeated one.
+func NewSchema(names []string) *Schema {
+	s := &Schema{names, make(map[string]int, len(names))}
+	for i, name := range names {
+		if _, dup := s.index[name]; dup || name == "" {
+			panic(fmt.Sprintf("metrics: counter name %q at slot %d is empty or repeated", name, i))
+		}
+		s.index[name] = i
+	}
+	return s
+}
 
-// Inc increments key by 1.
-func (c *Counter) Inc(key string) { c.counts[key]++ }
+// NewCounter returns a zeroed counter set over the schema's names.
+func (s *Schema) NewCounter() *Counter { return &Counter{s, make([]uint64, len(s.names)), nil} }
 
-// Addn increments key by n.
-func (c *Counter) Addn(key string, n uint64) { c.counts[key] += n }
+// Counter is a set of monotonically increasing named event counters, the
+// data-plane elements' drop/forward accounting. The data plane adds to
+// its schema's slots by index (Add); Inc and Get reach them by name, and
+// count any other name in a side map made on first use.
+type Counter struct {
+	schema *Schema
+	slots  []uint64
+	other  map[string]uint64
+}
 
-// Get returns the current count for key.
-func (c *Counter) Get(key string) uint64 { return c.counts[key] }
+// NewCounter returns an empty counter set without a schema.
+func NewCounter() *Counter { return NewSchema(nil).NewCounter() }
 
-// Keys returns all keys in sorted order.
+// Add adds n to the schema's slot i.
+func (c *Counter) Add(i int, n uint64) { c.slots[i] += n }
+
+// Inc increments the counter called name by 1.
+func (c *Counter) Inc(name string) {
+	if i, ok := c.schema.index[name]; ok {
+		c.slots[i]++
+	} else if c.other != nil {
+		c.other[name]++
+	} else {
+		c.other = map[string]uint64{name: 1}
+	}
+}
+
+// Get returns the current count for name, 0 for a name never counted.
+func (c *Counter) Get(name string) uint64 {
+	if i, ok := c.schema.index[name]; ok {
+		return c.slots[i]
+	}
+	return c.other[name]
+}
+
+// Keys returns the names whose count is non-zero, sorted. A name is
+// touched once it is non-zero: adding 0 does not list it.
 func (c *Counter) Keys() []string {
-	keys := make([]string, 0, len(c.counts))
-	for k := range c.counts {
+	keys := make([]string, 0, len(c.other))
+	for i, n := range c.slots {
+		if n != 0 {
+			keys = append(keys, c.schema.names[i])
+		}
+	}
+	for k := range c.other {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)

@@ -2,6 +2,8 @@ package metrics
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -93,13 +95,72 @@ func TestCounter(t *testing.T) {
 	c := NewCounter()
 	c.Inc("drops")
 	c.Inc("drops")
-	c.Addn("forwards", 10)
-	if c.Get("drops") != 2 || c.Get("forwards") != 10 || c.Get("missing") != 0 {
+	c.Inc("forwards")
+	if c.Get("drops") != 2 || c.Get("forwards") != 1 || c.Get("missing") != 0 {
 		t.Fatal("counter values wrong")
 	}
 	keys := c.Keys()
 	if len(keys) != 2 || keys[0] != "drops" || keys[1] != "forwards" {
 		t.Fatalf("keys = %v", keys)
+	}
+}
+
+// TestCounterMatchesMap drives a random mix of indexed adds, Inc on
+// schema names and on other names, and Get on names never counted,
+// against a map[string]uint64 model: after every step Get agrees with the
+// model on every name and Keys lists exactly its non-zero names, sorted.
+func TestCounterMatchesMap(t *testing.T) {
+	schema := NewSchema([]string{"tx", "rx", "lost", "steered", "hunts_started"})
+	names := append(slices.Clone(schema.names), "other", "zz_other", "a_other", "never")
+	for seed := uint64(1); seed <= 20; seed++ {
+		r := rand.New(rand.NewPCG(seed, 0))
+		c, model := schema.NewCounter(), map[string]uint64{}
+		for step := 0; step < 500; step++ {
+			switch r.IntN(3) { // 2: count nothing, only read
+			case 0:
+				i, n := r.IntN(len(schema.names)), uint64(r.IntN(4))
+				c.Add(i, n)
+				model[schema.names[i]] += n
+			case 1:
+				name := names[r.IntN(len(names)-1)] // never "never"
+				c.Inc(name)
+				model[name]++
+			}
+			var want []string
+			for _, name := range names {
+				if got := c.Get(name); got != model[name] {
+					t.Fatalf("seed %d step %d: Get(%q) = %d, model %d", seed, step, name, got, model[name])
+				}
+				if model[name] != 0 {
+					want = append(want, name)
+				}
+			}
+			slices.Sort(want)
+			if got := c.Keys(); !slices.Equal(got, want) {
+				t.Fatalf("seed %d step %d: Keys() = %v, model %v", seed, step, got, want)
+			}
+		}
+	}
+}
+
+func TestNewSchemaRejectsBadNames(t *testing.T) {
+	for _, names := range [][]string{{"tx", "rx", "tx"}, {"tx", ""}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewSchema(%q) did not panic", names)
+				}
+			}()
+			NewSchema(names)
+		}()
+	}
+}
+
+// The data plane's increment allocates nothing.
+func TestCounterAddAllocations(t *testing.T) {
+	c := NewSchema([]string{"tx", "tx_bytes"}).NewCounter()
+	if n := testing.AllocsPerRun(1000, func() { c.Add(1, 84) }); n != 0 {
+		t.Fatalf("Add allocates %v times per call", n)
 	}
 }
 

@@ -70,6 +70,21 @@ type Config struct {
 // DefaultLatency is the one-way LAN latency when Config.Latency is zero.
 const DefaultLatency = 50 * time.Microsecond
 
+// The Network's counters, by slot; counterSchema names them.
+const (
+	cntTx = iota
+	cntTxBytes
+	cntLost
+	cntRxParseError
+	cntUnroutable
+	cntRx
+)
+
+var counterSchema = metrics.NewSchema([]string{
+	cntTx: "tx", cntTxBytes: "tx_bytes", cntLost: "lost", cntRxParseError: "rx_parse_error",
+	cntUnroutable: "unroutable", cntRx: "rx",
+})
+
 // Network is a simulated bridged LAN.
 type Network struct {
 	sim    *des.Simulator
@@ -113,7 +128,7 @@ func New(sim *des.Simulator, cfg Config) *Network {
 		rng:    rand.New(rand.NewPCG(cfg.Seed, 0xbeef)),
 		nodes:  make(map[netip.Addr]Node),
 		anycst: make(map[netip.Addr][]Node),
-		Counts: metrics.NewCounter(),
+		Counts: counterSchema.NewCounter(),
 	}
 }
 
@@ -217,10 +232,10 @@ func (n *Network) Send(pkt *packet.Packet) {
 		// the sending node; surface it loudly.
 		panic(fmt.Sprintf("netsim: marshal failed: %v", err))
 	}
-	n.Counts.Inc("tx")
-	n.Counts.Addn("tx_bytes", uint64(pkt.WireLen()))
+	n.Counts.Add(cntTx, 1)
+	n.Counts.Add(cntTxBytes, uint64(pkt.WireLen()))
 	if n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb {
-		n.Counts.Inc("lost")
+		n.Counts.Add(cntLost, 1)
 		n.put(s)
 		return
 	}
@@ -244,7 +259,7 @@ func (n *Network) deliver(s *slot) {
 		// Like the copy, parse into the slot's own header storage.
 		pkt.SRH = &s.srh
 		if err := packet.ParseInto(pkt, s.buf, true); err != nil {
-			n.Counts.Inc("rx_parse_error")
+			n.Counts.Add(cntRxParseError, 1)
 			n.put(s)
 			return
 		}
@@ -257,11 +272,11 @@ func (n *Network) deliver(s *slot) {
 		}
 	}
 	if !ok {
-		n.Counts.Inc("unroutable")
+		n.Counts.Add(cntUnroutable, 1)
 		n.put(s)
 		return
 	}
-	n.Counts.Inc("rx")
+	n.Counts.Add(cntRx, 1)
 	for _, tap := range n.taps {
 		tap(n.sim.Now(), pkt.IP.Dst, pkt)
 	}

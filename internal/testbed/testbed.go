@@ -207,6 +207,26 @@ func (tb *Testbed) SampleLoads(interval, until time.Duration, fn func(now time.D
 	tb.Sim.After(interval, tick)
 }
 
+// The Generator's counters, by slot; counterSchema names them.
+const (
+	cntQueriesLaunched = iota
+	cntSYNTimeout
+	cntSYNRetransmits
+	cntStrayRx
+	cntRefused
+	cntSYNACKRx
+	cntResponsesRx
+	cntCloseAcksTx
+	cntOtherRx
+)
+
+var counterSchema = metrics.NewSchema([]string{
+	cntQueriesLaunched: "queries_launched", cntSYNTimeout: "syn_timeout",
+	cntSYNRetransmits: "syn_retransmits", cntStrayRx: "stray_rx", cntRefused: "refused",
+	cntSYNACKRx: "synack_rx", cntResponsesRx: "responses_rx", cntCloseAcksTx: "close_acks_tx",
+	cntOtherRx: "other_rx",
+})
+
 // Generator is the traffic source: it opens one TCP connection per query
 // through the LB and measures client-side response times.
 //
@@ -275,7 +295,7 @@ func newGenerator(sim *des.Simulator, net *netsim.Network, clients int, vip neti
 		addrs:    make([]netip.Addr, clients),
 		nextPort: make([]uint32, clients),
 		pending:  make(map[packet.FlowKey]*pendingQuery, 256),
-		Counts:   metrics.NewCounter(),
+		Counts:   counterSchema.NewCounter(),
 	}
 	for j := 0; j < clients; j++ {
 		g.addrs[j] = ClientAddr(j)
@@ -316,7 +336,7 @@ func (g *Generator) Launch(q Query) {
 	pq.q, pq.sentAt, pq.flow, pq.tries = q, g.sim.Now(), flow, 1
 	pq.payload = appendPayload(pq.payload[:0], q)
 	g.pending[flow] = pq
-	g.Counts.Inc("queries_launched")
+	g.Counts.Add(cntQueriesLaunched, 1)
 	if g.Sink != nil {
 		g.Sink.Offer(dst)
 	}
@@ -376,7 +396,7 @@ func (g *Generator) armRTO(pq *pendingQuery, rto time.Duration) {
 			return // already finished
 		}
 		if pq.tries >= maxTries {
-			g.Counts.Inc("syn_timeout")
+			g.Counts.Add(cntSYNTimeout, 1)
 			g.finish(pq, Result{
 				ID: pq.q.ID, Class: pq.q.Class, IssuedAt: pq.sentAt,
 				RT: g.sim.Now() - pq.sentAt, OK: false,
@@ -384,7 +404,7 @@ func (g *Generator) armRTO(pq *pendingQuery, rto time.Duration) {
 			return
 		}
 		pq.tries++
-		g.Counts.Inc("syn_retransmits")
+		g.Counts.Add(cntSYNRetransmits, 1)
 		g.sendSYN(pq)
 		g.armRTO(pq, 2*rto)
 	})
@@ -398,18 +418,18 @@ func (g *Generator) Handle(pkt *packet.Packet) {
 	}
 	pq, ok := g.pending[flow]
 	if !ok {
-		g.Counts.Inc("stray_rx")
+		g.Counts.Add(cntStrayRx, 1)
 		return
 	}
 	switch {
 	case pkt.TCP.Flags.Has(tcpseg.FlagRST):
-		g.Counts.Inc("refused")
+		g.Counts.Add(cntRefused, 1)
 		g.finish(pq, Result{
 			ID: pq.q.ID, Class: pq.q.Class, IssuedAt: pq.sentAt,
 			RT: g.sim.Now() - pq.sentAt, OK: false, Refused: true,
 		})
 	case pkt.IsSYNACK():
-		g.Counts.Inc("synack_rx")
+		g.Counts.Add(cntSYNACKRx, 1)
 		// Complete the handshake and (re-)send the request bytes. The
 		// scratch packet is free here: the inbound pkt is a distinct
 		// struct owned by this Handle call.
@@ -426,7 +446,7 @@ func (g *Generator) Handle(pkt *packet.Packet) {
 		g.net.Send(ack)
 	case len(pkt.TCP.Payload) > 0 || pkt.TCP.Flags.Has(tcpseg.FlagFIN):
 		// The response.
-		g.Counts.Inc("responses_rx")
+		g.Counts.Add(cntResponsesRx, 1)
 		if g.CloseAck {
 			// Close the connection actively: the ACK+FIN travels the
 			// steered path through the LB (marking the flow closing
@@ -443,7 +463,7 @@ func (g *Generator) Handle(pkt *packet.Packet) {
 					Flags: tcpseg.FlagACK | tcpseg.FlagFIN,
 				},
 			}
-			g.Counts.Inc("close_acks_tx")
+			g.Counts.Add(cntCloseAcksTx, 1)
 			g.net.Send(fin)
 		}
 		g.finish(pq, Result{
@@ -451,7 +471,7 @@ func (g *Generator) Handle(pkt *packet.Packet) {
 			RT: g.sim.Now() - pq.sentAt, OK: true,
 		})
 	default:
-		g.Counts.Inc("other_rx")
+		g.Counts.Add(cntOtherRx, 1)
 	}
 }
 

@@ -89,6 +89,37 @@ type conn struct {
 // trailing ACK answered with an RST).
 const CloseLinger = time.Second
 
+// A Router's counters, by slot; counterSchema names them.
+const (
+	cntDownRx = iota
+	cntHuntOffers
+	cntHuntAccepts
+	cntHuntRefusals
+	cntForcedAccepts
+	cntDupSYN
+	cntRSTOverflow
+	cntSYNDropped
+	cntSYNACKTx
+	cntNotLocal
+	cntNoConn
+	cntLateRx
+	cntRequestsRx
+	cntFINRx
+	cntResponsesTx
+	cntSRHExhausted
+	cntHopLimitExceeded
+	cntForwarded
+)
+
+var counterSchema = metrics.NewSchema([]string{
+	cntDownRx: "down_rx", cntHuntOffers: "hunt_offers", cntHuntAccepts: "hunt_accepts",
+	cntHuntRefusals: "hunt_refusals", cntForcedAccepts: "forced_accepts", cntDupSYN: "dup_syn",
+	cntRSTOverflow: "rst_overflow", cntSYNDropped: "syn_dropped", cntSYNACKTx: "synack_tx",
+	cntNotLocal: "not_local", cntNoConn: "no_conn", cntLateRx: "late_rx", cntRequestsRx: "requests_rx",
+	cntFINRx: "fin_rx", cntResponsesTx: "responses_tx", cntSRHExhausted: "srh_exhausted",
+	cntHopLimitExceeded: "hoplimit_exceeded", cntForwarded: "forwarded",
+})
+
 // Router is the virtual router + application agent of one server.
 type Router struct {
 	cfg     Config
@@ -126,7 +157,7 @@ func New(sim *des.Simulator, net *netsim.Network, cfg Config) *Router {
 		vips:    make(map[netip.Addr]bool, len(cfg.VIPs)),
 		conns:   make(map[packet.FlowKey]*conn),
 		vipResp: make(map[netip.Addr]uint64, len(cfg.VIPs)),
-		Counts:  metrics.NewCounter(),
+		Counts:  counterSchema.NewCounter(),
 	}
 	for _, v := range cfg.VIPs {
 		r.vips[v] = true
@@ -168,7 +199,7 @@ func (r *Router) Down() bool { return r.down }
 // Handle implements netsim.Node.
 func (r *Router) Handle(pkt *packet.Packet) {
 	if r.down {
-		r.Counts.Inc("down_rx")
+		r.Counts.Add(cntDownRx, 1)
 		return
 	}
 	if pkt.SRH != nil && pkt.IP.Dst == r.cfg.Addr {
@@ -185,13 +216,13 @@ func (r *Router) handleSegment(pkt *packet.Packet) {
 	case pkt.SRH.SegmentsLeft >= 2:
 		// A real choice: first (or middle) candidate in the hunt.
 		if pkt.IsSYN() {
-			r.Counts.Inc("hunt_offers")
+			r.Counts.Add(cntHuntOffers, 1)
 			if r.cfg.Policy.Accept(r.cfg.Server) {
-				r.Counts.Inc("hunt_accepts")
+				r.Counts.Add(cntHuntAccepts, 1)
 				r.acceptSYN(pkt)
 				return
 			}
-			r.Counts.Inc("hunt_refusals")
+			r.Counts.Add(cntHuntRefusals, 1)
 			r.forwardNext(pkt)
 			return
 		}
@@ -202,7 +233,7 @@ func (r *Router) handleSegment(pkt *packet.Packet) {
 	case pkt.SRH.SegmentsLeft == 1:
 		// Penultimate segment: must not refuse (paper §II-A).
 		if pkt.IsSYN() {
-			r.Counts.Inc("forced_accepts")
+			r.Counts.Add(cntForcedAccepts, 1)
 			r.acceptSYN(pkt)
 			return
 		}
@@ -224,7 +255,7 @@ func (r *Router) acceptSYN(pkt *packet.Packet) {
 			delete(r.conns, flow)
 		} else {
 			// Duplicate SYN (retransmit after accept): re-send SYN-ACK.
-			r.Counts.Inc("dup_syn")
+			r.Counts.Add(cntDupSYN, 1)
 			r.sendSYNACK(pkt, flow)
 			return
 		}
@@ -239,11 +270,11 @@ func (r *Router) acceptSYN(pkt *packet.Packet) {
 	case appserver.Rejected:
 		// tcp_abort_on_overflow: RST straight back to the client.
 		r.release(c)
-		r.Counts.Inc("rst_overflow")
+		r.Counts.Add(cntRSTOverflow, 1)
 		r.sendRST(pkt)
 	case appserver.DroppedSilently:
 		r.release(c)
-		r.Counts.Inc("syn_dropped")
+		r.Counts.Add(cntSYNDropped, 1)
 	}
 }
 
@@ -296,7 +327,7 @@ func (r *Router) sendSYNACK(pkt *packet.Packet, flow packet.FlowKey) {
 			Flags:   tcpseg.FlagSYN | tcpseg.FlagACK,
 		},
 	}
-	r.Counts.Inc("synack_tx")
+	r.Counts.Add(cntSYNACKTx, 1)
 	r.net.Send(reply)
 }
 
@@ -320,21 +351,21 @@ func (r *Router) sendRST(pkt *packet.Packet) {
 func (r *Router) deliverLocal(pkt *packet.Packet) {
 	flow := pkt.Flow()
 	if !r.vips[flow.Dst] {
-		r.Counts.Inc("not_local")
+		r.Counts.Add(cntNotLocal, 1)
 		return
 	}
 	c, ok := r.conns[flow]
 	if !ok {
 		// Data for a flow we never accepted (e.g. stale steering after a
 		// table eviction). A real stack would RST; count it.
-		r.Counts.Inc("no_conn")
+		r.Counts.Add(cntNoConn, 1)
 		r.sendRST(pkt)
 		return
 	}
 	if c.closed {
 		// Late packet for an answered connection (the response overtook
 		// the client's ACK): absorb silently, like TIME_WAIT.
-		r.Counts.Inc("late_rx")
+		r.Counts.Add(cntLateRx, 1)
 		return
 	}
 	if len(pkt.TCP.Payload) > 0 && !c.requested {
@@ -342,7 +373,7 @@ func (r *Router) deliverLocal(pkt *packet.Packet) {
 		// demand was committed at accept time — Apache's worker model
 		// reads the request once a worker picks the connection up).
 		c.requested = true
-		r.Counts.Inc("requests_rx")
+		r.Counts.Add(cntRequestsRx, 1)
 		if c.ready {
 			// Service finished before the request landed (sub-RTT demand):
 			// the response was held for causality; release it now.
@@ -352,7 +383,7 @@ func (r *Router) deliverLocal(pkt *packet.Packet) {
 	if pkt.TCP.Flags.Has(tcpseg.FlagFIN) {
 		// Client closed; server side will close after responding. Nothing
 		// to do in the model: conn state is removed on respond().
-		r.Counts.Inc("fin_rx")
+		r.Counts.Add(cntFINRx, 1)
 	}
 }
 
@@ -389,7 +420,7 @@ func (r *Router) emitResponse(c *conn) {
 			Payload: responseBody,
 		},
 	}
-	r.Counts.Inc("responses_tx")
+	r.Counts.Add(cntResponsesTx, 1)
 	r.vipResp[c.flow.Dst]++
 	r.net.Send(resp)
 }
@@ -400,16 +431,16 @@ func (r *Router) emitResponse(c *conn) {
 func (r *Router) forwardNext(pkt *packet.Packet) {
 	next, err := pkt.SRH.Advance()
 	if err != nil {
-		r.Counts.Inc("srh_exhausted")
+		r.Counts.Add(cntSRHExhausted, 1)
 		return
 	}
 	pkt.IP.Dst = next
 	pkt.IP.HopLimit--
 	if pkt.IP.HopLimit == 0 {
-		r.Counts.Inc("hoplimit_exceeded")
+		r.Counts.Add(cntHopLimitExceeded, 1)
 		return
 	}
-	r.Counts.Inc("forwarded")
+	r.Counts.Add(cntForwarded, 1)
 	r.net.Send(pkt)
 }
 
