@@ -25,6 +25,7 @@ func FuzzTraceRead(f *testing.F) {
 	f.Add([]byte("9223372036855 /x\n"))
 	f.Add([]byte("5 /a b\n7\n-1 /x\n"))
 	f.Add(append(append([]byte("1 /"), bytes.Repeat([]byte("a"), 2<<20)...), '\n'))
+	f.Add(append(append([]byte("1 /"), bytes.Repeat([]byte("a"), trace.MaxURLLen)...), '\n'))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var accepted []trace.Entry
@@ -40,7 +41,7 @@ func FuzzTraceRead(f *testing.F) {
 			if n := len(accepted); n > 0 && e.At < accepted[n-1].At {
 				t.Fatalf("timestamps decrease: %v after %v", e.At, accepted[n-1].At)
 			}
-			if e.URL == "" || strings.ContainsAny(e.URL, " \t\n") {
+			if e.URL == "" || strings.ContainsAny(e.URL, " \t\n") || len(e.URL) > trace.MaxURLLen {
 				t.Fatalf("accepted URL %q", e.URL)
 			}
 			accepted = append(accepted, e)

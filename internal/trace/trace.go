@@ -8,7 +8,8 @@
 //
 //	<timestamp_ms> <url>
 //
-// Timestamps are milliseconds from trace start, non-decreasing.
+// Timestamps are milliseconds from trace start, non-decreasing. A URL
+// holds no whitespace and at most MaxURLLen bytes.
 package trace
 
 import (
@@ -40,6 +41,12 @@ func (e Entry) IsWikiPage() bool {
 // ErrBadLine reports a malformed trace line.
 var ErrBadLine = errors.New("trace: malformed line")
 
+// MaxURLLen is the longest URL a trace may carry, in bytes: the usual
+// HTTP request-line limit. A replayed request puts its URL in one TCP
+// payload, and this keeps it far below the 65,535-byte IPv6 payload
+// limit.
+const MaxURLLen = 8192
+
 // urlSpace is the whitespace a URL may not contain: the field separator
 // and anything a reader would take for one.
 const urlSpace = " \t\n"
@@ -63,6 +70,9 @@ func (tw *Writer) Write(e Entry) error {
 	}
 	if strings.ContainsAny(e.URL, urlSpace) {
 		return fmt.Errorf("trace: URL contains whitespace: %q", e.URL)
+	}
+	if len(e.URL) > MaxURLLen {
+		return fmt.Errorf("trace: URL of %d bytes exceeds %d", len(e.URL), MaxURLLen)
 	}
 	tw.last = e.At
 	tw.n++
@@ -109,6 +119,9 @@ func (tr *Reader) Next() (Entry, error) {
 		e := Entry{At: time.Duration(t) * time.Millisecond, URL: strings.TrimSpace(url)}
 		if strings.ContainsAny(e.URL, urlSpace) {
 			return Entry{}, fmt.Errorf("%w %d: URL contains whitespace: %q", ErrBadLine, tr.line, e.URL)
+		}
+		if len(e.URL) > MaxURLLen {
+			return Entry{}, fmt.Errorf("%w %d: URL of %d bytes exceeds %d", ErrBadLine, tr.line, len(e.URL), MaxURLLen)
 		}
 		if e.At < tr.last {
 			return Entry{}, fmt.Errorf("%w %d: timestamp goes backwards", ErrBadLine, tr.line)

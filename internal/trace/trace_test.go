@@ -105,6 +105,25 @@ func TestReaderRejectsOverflowingTimestamp(t *testing.T) {
 	}
 }
 
+// A URL longer than MaxURLLen is a bad line: replay would put it in one
+// request payload, and past the packet limit the network refuses it.
+func TestReaderRejectsOverlongURL(t *testing.T) {
+	for _, n := range []int{MaxURLLen + 1, 70000} {
+		_, err := ReadAll(strings.NewReader("1 /" + strings.Repeat("a", n-1) + "\n"))
+		if !errors.Is(err, ErrBadLine) {
+			t.Errorf("%d-byte URL: err = %v, want ErrBadLine", n, err)
+		}
+	}
+	url := "/" + strings.Repeat("a", MaxURLLen-1)
+	got, err := ReadAll(strings.NewReader("1 " + url + "\n"))
+	if err != nil || len(got) != 1 || got[0].URL != url {
+		t.Fatalf("%d-byte URL: %d entries, %v", MaxURLLen, len(got), err)
+	}
+	if err := NewWriter(io.Discard).Write(Entry{URL: url + "a"}); err == nil {
+		t.Fatal("writer accepted an overlong URL")
+	}
+}
+
 func TestIsWikiPage(t *testing.T) {
 	if !(Entry{URL: "/wiki/index.php?title=Main"}).IsWikiPage() {
 		t.Fatal("wiki page not classified")
