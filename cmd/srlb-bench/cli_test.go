@@ -228,3 +228,24 @@ func TestCLIGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestProfilesWrittenOnFailure: the profiles are stopped and written on
+// a path out that is not success — here an -out that cannot be created.
+func TestProfilesWrittenOnFailure(t *testing.T) {
+	dir := t.TempDir()
+	notDir := filepath.Join(dir, "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	_, stderr, exit := runBench(t, "-experiment", "calibrate", "-cpuprofile", cpu, "-memprofile", mem,
+		"-out", filepath.Join(notDir, "out"))
+	if exit != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", exit, stderr)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v (want a non-empty profile)", path, err)
+		}
+	}
+}

@@ -14,8 +14,9 @@ import (
 // env is what the flags resolve to once: the run's settings, and the
 // inputs every experiment reads (from here and nowhere else).
 type env struct {
-	experiment, out string
-	plot            bool
+	experiment, out        string
+	plot                   bool
+	cpuProfile, memProfile string
 
 	// base is what every Poisson-family experiment embeds: the cluster,
 	// -queries, the replication axis derived from -seed/-seeds, -workers

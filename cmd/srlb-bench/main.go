@@ -26,6 +26,8 @@
 //	srlb-bench -experiment rhogrid               # web-rho x batch-rho matrix, adaptive replication
 //	srlb-bench -experiment vipscale              # dispatch ns/pkt as services sweep 100 -> 10k
 //	srlb-bench -experiment horizon               # 10^8-query constant-memory soak (only when named)
+//	srlb-bench -experiment fig2 -queries 2000 -cpuprofile cpu.pprof  # pprof profile of the run, as srlb-sim writes
+//	srlb-bench -experiment fig2 -queries 2000 -memprofile mem.pprof  # records every allocation: slower
 //
 // With -seeds N > 1 every Poisson-family experiment (calibrate, figures
 // 2–5, ablations, hetero, bursty, failover, churn, multiservice,
@@ -51,6 +53,7 @@ import (
 	"time"
 
 	"srlb"
+	"srlb/internal/profile"
 )
 
 // distJSON serializes a srlb.Dist: the across-seed mean of a per-seed
@@ -152,7 +155,11 @@ type sweepJSON struct {
 // docs/RESULTS_SCHEMA.md).
 const sweepSchemaVersion = 10
 
-func main() {
+func main() { os.Exit(bench()) }
+
+// bench is main returning its exit code, so that the profiles are
+// stopped and written on every path out.
+func bench() (code int) {
 	e := &env{}
 	e.declareFlags(flag.CommandLine)
 	flag.Usage = func() {
@@ -169,18 +176,30 @@ experiments and the bursty sweep are described in docs/TOPOLOGY.md.`)
 	selected, err := e.resolve(flag.CommandLine)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "srlb-bench: %v\n", err)
-		os.Exit(2)
+		return 2
 	}
+	stopProfiles, err := profile.Start(e.cpuProfile, e.memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "srlb-bench: %v\n", err)
+		return 2
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "srlb-bench: %v\n", err)
+			code = max(code, 1)
+		}
+	}()
 	if err := os.MkdirAll(e.out, 0o755); err != nil {
 		fmt.Fprintf(os.Stderr, "srlb-bench: %v\n", err)
-		os.Exit(1)
+		return 1
 	}
 	for _, x := range selected {
 		if err := e.run(x); err != nil {
 			fmt.Fprintf(os.Stderr, "srlb-bench: %v\n", err)
-			os.Exit(1)
+			return 1
 		}
 	}
+	return 0
 }
 
 // declareFlags declares srlb-bench's flag set on fs, parsing into e.
@@ -200,6 +219,8 @@ func (e *env) declareFlags(fs *flag.FlagSet) {
 	fs.IntVar(&e.adaptive.MaxSeeds, "max-seeds", 8, "rhogrid: adaptive per-cell replicate cap")
 	fs.BoolVar(&e.verbose, "v", false, "log per-point progress")
 	fs.BoolVar(&e.plot, "plot", false, "render the ASCII charts to stdout, for every experiment that has one")
+	fs.StringVar(&e.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
+	fs.StringVar(&e.memProfile, "memprofile", "", "write an allocation profile of the run to this file (records every allocation: slower)")
 	e.vipCounts = intList{100, 1000, 10000}
 	fs.Var(&e.vipCounts, "vip-counts", "comma-separated service counts for -experiment vipscale")
 }

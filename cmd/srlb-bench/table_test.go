@@ -203,6 +203,7 @@ func TestDocumentedCommandLines(t *testing.T) {
 		filepath.Join(root, ".github", "workflows", "ci.yml"))
 	checked := 0
 	var usage string
+	shown := map[string]bool{} // every token of a documented command line
 	for _, file := range files {
 		raw, err := os.ReadFile(file)
 		if err != nil {
@@ -230,6 +231,9 @@ func TestDocumentedCommandLines(t *testing.T) {
 				continue
 			}
 			args := strings.Fields(strings.ReplaceAll(shellVar.ReplaceAllString(line, "1"), `"`, ""))
+			for _, arg := range args {
+				shown[strings.TrimLeft(arg, "-")] = true
+			}
 			if _, _, err := parseArgs(args); err != nil {
 				t.Errorf("%s: srlb-bench%s: %v", file, line, err)
 			}
@@ -238,6 +242,11 @@ func TestDocumentedCommandLines(t *testing.T) {
 	}
 	if checked < 20 {
 		t.Errorf("found only %d command lines — the extraction is broken", checked)
+	}
+	for _, name := range []string{"cpuprofile", "memprofile"} {
+		if !shown[name] {
+			t.Errorf("no documented command line shows -%s", name)
+		}
 	}
 	for _, x := range experiments {
 		if !regexp.MustCompile(`-experiment ` + x.name + `\b`).MatchString(usage) {

@@ -22,12 +22,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -35,6 +32,7 @@ import (
 	"srlb"
 	"srlb/internal/appserver"
 	"srlb/internal/experiments"
+	"srlb/internal/profile"
 	"srlb/internal/testbed"
 )
 
@@ -63,49 +61,6 @@ func parsePolicy(s string) (srlb.Policy, error) {
 	return srlb.Policy{}, fmt.Errorf("unknown policy %q (want rr, srN, src:N, srdyn)", s)
 }
 
-// startProfiles starts the CPU profile (cpuPath != "") and switches the
-// allocation profile to record everything (memPath != ""). The returned
-// stop ends the former, writes the latter and reports what failed.
-func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
-	var cpu *os.File
-	if cpuPath != "" {
-		if cpu, err = os.Create(cpuPath); err != nil {
-			return nil, err
-		}
-		if err = pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
-			return nil, err
-		}
-	}
-	if memPath != "" {
-		runtime.MemProfileRate = 1
-	}
-	return func() error {
-		var errs []error
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			errs = append(errs, cpu.Close())
-		}
-		if memPath != "" {
-			errs = append(errs, writeAllocProfile(memPath))
-		}
-		return errors.Join(errs...)
-	}, nil
-}
-
-func writeAllocProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	runtime.GC() // the profile is complete only up to the last collection
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() { os.Exit(simulate()) }
 
 // simulate is main returning its exit code, so that the profiles are
@@ -127,7 +82,7 @@ func simulate() (code int) {
 		memProfile = flag.String("memprofile", "", "write an allocation profile of the run to this file (records every allocation: slower)")
 	)
 	flag.Parse()
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	stopProfiles, err := profile.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "srlb-sim: %v\n", err)
 		return 2
