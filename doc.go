@@ -248,7 +248,11 @@
 // and the SRH its routing header was copied or parsed into (CopyInto and
 // ParseInto overwrite whatever header p.SRH points at on entry) for the
 // next delivery. Whatever must outlive the call — a tap's capture, a
-// test's assertion — is a packet.Clone, never a kept pointer.
+// test's assertion — is a packet.Clone, never a kept pointer. Nodes count
+// what they do as a data-plane pipeline counts in register arrays: each
+// layer declares its counter names once (a metrics.Schema) and adds to a
+// slot by index, so no packet hashes a string to be counted; a node's
+// Counts.Get and Counts.Keys read the same counters by name.
 //
 // The same rule runs the other way for what a node sends. Connection
 // set-up reuses its storage: the LB's hunt header is one SRH the

@@ -84,10 +84,10 @@ type Schema struct {
 	index map[string]int
 }
 
-// NewSchema panics on an empty name (a gap in the keyed literal) or a
-// repeated one.
+// NewSchema returns the schema of names, in slot order. It panics on an
+// empty name (a gap in the keyed literal) or a repeated one.
 func NewSchema(names []string) *Schema {
-	s := &Schema{names, make(map[string]int, len(names))}
+	s := &Schema{names: names, index: make(map[string]int, len(names))}
 	for i, name := range names {
 		if _, dup := s.index[name]; dup || name == "" {
 			panic(fmt.Sprintf("metrics: counter name %q at slot %d is empty or repeated", name, i))
@@ -98,7 +98,9 @@ func NewSchema(names []string) *Schema {
 }
 
 // NewCounter returns a zeroed counter set over the schema's names.
-func (s *Schema) NewCounter() *Counter { return &Counter{s, make([]uint64, len(s.names)), nil} }
+func (s *Schema) NewCounter() *Counter {
+	return &Counter{schema: s, slots: make([]uint64, len(s.names))}
+}
 
 // Counter is a set of monotonically increasing named event counters, the
 // data-plane elements' drop/forward accounting. The data plane adds to
