@@ -212,7 +212,7 @@ var experiments = []experiment{
 	{name: "bursty", title: "bursty sweep: fig2 grid under on/off MMPP arrivals", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
 			res := srlb.RunFig2(e.fig2Config(burstyRhos(e.rhoPoints),
-				srlb.BurstyWorkload{Lambda0: e.lambda0, Queries: e.base.Queries}))
+				srlb.OneService(srlb.BurstyService{Lambda0: e.lambda0, Queries: e.base.Queries})))
 			if imp, err := res.Improvement("SR 4", 0.88); err == nil {
 				rep.linef("SR4 vs RR at rho=0.88 under bursts: %.2fx", imp)
 			}

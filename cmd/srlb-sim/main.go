@@ -122,12 +122,12 @@ func simulate() (code int) {
 	}
 
 	if *workload == "bursty" {
-		// The bursty workload runs through the Scenario API; per-server
-		// completions come from its PoissonStats payload.
+		// The bursty cell runs through the Scenario API; per-server
+		// completions come from the outcome's ClusterStats.
 		cell := srlb.Scenario{
 			Cluster:  cluster,
 			Policy:   spec,
-			Workload: srlb.BurstyWorkload{Lambda0: r, Queries: *queries},
+			Workload: srlb.OneService(srlb.BurstyService{Lambda0: r, Queries: *queries}),
 		}.Run(context.Background())
 		out := cell.Outcome
 		fmt.Printf("\npolicy %s, %s: %d queries at mean %.1f q/s\n",
@@ -141,11 +141,9 @@ func simulate() (code int) {
 				out.RT.Quantile(0.9).Seconds(), out.RT.Quantile(0.99).Seconds(),
 				out.RT.Max().Seconds())
 		}
-		if stats, ok := out.Extra.(srlb.PoissonStats); ok {
-			fmt.Println("\nper-server completions:")
-			for i, done := range stats.ServerCompleted {
-				fmt.Printf("  server-%-4d completed=%d\n", i, done)
-			}
+		fmt.Println("\nper-server completions:")
+		for i, done := range out.Cluster.ServerCompleted {
+			fmt.Printf("  server-%-4d completed=%d\n", i, done)
 		}
 		return 0
 	}

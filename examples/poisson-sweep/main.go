@@ -39,7 +39,7 @@ func main() {
 		Policies: srlb.PaperPolicies(),
 		Loads:    []float64{0.2, 0.4, 0.6, 0.75, 0.88, 0.95},
 		Seeds:    srlb.DeriveSeeds(seed, nSeeds),
-		Workload: srlb.PoissonWorkload{Lambda0: cal.Lambda0, Queries: queries},
+		Workload: srlb.OneService(srlb.PoissonService{Lambda0: cal.Lambda0, Queries: queries}),
 	}
 	agg, err := srlb.Runner{
 		Progress: func(s string) { fmt.Fprintln(os.Stderr, "  "+s) },

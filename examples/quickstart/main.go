@@ -40,7 +40,7 @@ func main() {
 		Cluster:  cluster,
 		Policies: policies,
 		Loads:    []float64{rho},
-		Workload: srlb.PoissonWorkload{Lambda0: cal.Lambda0, Queries: queries},
+		Workload: srlb.OneService(srlb.PoissonService{Lambda0: cal.Lambda0, Queries: queries}),
 	})
 	if err != nil {
 		panic(err)
@@ -62,7 +62,7 @@ func main() {
 		Cluster:  cluster,
 		Policies: policies,
 		Loads:    []float64{0.6},
-		Workload: srlb.BurstyWorkload{Lambda0: cal.Lambda0, Queries: queries},
+		Workload: srlb.OneService(srlb.BurstyService{Lambda0: cal.Lambda0, Queries: queries}),
 	})
 	if err != nil {
 		panic(err)

@@ -42,17 +42,13 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	// Each cell's Extra carries the full per-run WikiRun (time bins,
-	// launch counts, cache hit rates). A skipped cell has no Extra.
-	runFor := func(pi, si int) (srlb.WikiRun, bool) {
-		run, ok := res.Cell(pi, 0, si).Outcome.Extra.(srlb.WikiRun)
-		return run, ok
-	}
+	// Each cell's Wiki field is the full per-run WikiRun (time bins,
+	// launch counts, cache hit rates); nil on a skipped cell.
+	runFor := func(pi, si int) *srlb.WikiRun { return res.Cell(pi, 0, si).Outcome.Wiki }
 	fmt.Println("\nmedian wiki-page load time (s) by time of day (first seed):")
 	fmt.Println("time      rate_qps   RR      SR4")
-	ref, okRR := runFor(0, 0)
-	sr0, okSR := runFor(1, 0)
-	if !okRR || !okSR {
+	ref, sr0 := runFor(0, 0), runFor(1, 0)
+	if ref == nil || sr0 == nil {
 		panic("first-seed replay did not complete")
 	}
 	for i := 0; i < ref.WikiBins.NumBins(); i += 6 { // hourly rows (10-min bins)
@@ -70,8 +66,8 @@ func main() {
 	for pi, p := range policies {
 		var medians, q3s, hits []float64
 		for si := 0; si < nSeeds; si++ {
-			run, ok := runFor(pi, si)
-			if !ok {
+			run := runFor(pi, si)
+			if run == nil {
 				continue
 			}
 			medians = append(medians, run.WikiAll.Median().Seconds())

@@ -54,7 +54,7 @@ func (cfg *AblationConfig) scenario(label string, spec PolicySpec, cluster Clust
 		Name:     label,
 		Cluster:  cluster,
 		Policy:   spec,
-		Workload: PoissonWorkload{Lambda0: cfg.Lambda0, Queries: cfg.Queries},
+		Workload: OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}),
 		Load:     cfg.Rho,
 	}
 }

@@ -27,7 +27,7 @@ func adaptiveTestSweep(seed uint64, a Adaptive) Sweep {
 		Policies: []PolicySpec{RR(), SRc(4)},
 		Loads:    []float64{0.5, 0.85},
 		Adaptive: a,
-		Workload: PoissonWorkload{Lambda0: 80, Queries: 600},
+		Workload: OneService(PoissonService{Lambda0: 80, Queries: 600}),
 	}
 }
 
@@ -260,7 +260,7 @@ func TestLoadGridPointsAndNeighbors(t *testing.T) {
 		Sweep{
 			Loads:    []float64{0.5},
 			LoadGrid: g,
-			Workload: PoissonWorkload{},
+			Workload: OneService(PoissonService{}),
 		}.Scenarios()
 	})
 }

@@ -85,7 +85,7 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 		},
 		Loads:    cfg.Rhos,
 		Seeds:    cfg.Seeds,
-		Workload: PoissonWorkload{Lambda0: cfg.Lambda0, Queries: cfg.Queries},
+		Workload: OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}),
 	})
 	res.Seeds = agg.Seeds
 	// The artifact's row order: rho, then policy, then mode.

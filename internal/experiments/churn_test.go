@@ -24,7 +24,7 @@ func TestWorkloadRejectsBadFraction(t *testing.T) {
 			t.Fatalf("wrong diagnostic: %v", r)
 		}
 	}()
-	_, _ = PoissonWorkload{Lambda0: 80, Queries: 100}.Run(context.Background(),
+	_, _ = OneService(PoissonService{Lambda0: 80, Queries: 100}).Run(context.Background(),
 		ClusterConfig{Seed: 1, Servers: 4,
 			Events: []testbed.Event{testbed.DrainServer(0, 0, 0).AtFraction(-0.1)}},
 		RR(), 0.5)
@@ -69,7 +69,7 @@ func TestChurnRelativeMatchesAbsolute(t *testing.T) {
 			}}},
 			Loads:    []float64{rho},
 			Seeds:    DeriveSeeds(43, 2),
-			Workload: PoissonWorkload{Lambda0: lambda0, Queries: queries},
+			Workload: OneService(PoissonService{Lambda0: lambda0, Queries: queries}),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -28,28 +28,31 @@ func goldenTSV(t *testing.T, name string, write func(io.Writer) error) {
 	checkGolden(t, name, buf.String())
 }
 
-func TestGoldenFig2(t *testing.T) {
-	res := RunFig2(Fig2Config{
+var (
+	goldenFig2Config = Fig2Config{
 		Cluster:  smallCluster(4),
 		Lambda0:  80,
 		Rhos:     []float64{0.3, 0.88},
 		Policies: []PolicySpec{RR(), SRc(4), SRdyn()},
 		Queries:  1500,
 		Seeds:    DeriveSeeds(4, 2),
-	})
-	goldenTSV(t, "fig2.tsv", res.WriteTSV)
-}
-
-func TestGoldenBursty(t *testing.T) {
-	res := RunFig2(Fig2Config{
+	}
+	goldenBurstyConfig = Fig2Config{
 		Cluster:  smallCluster(4),
 		Lambda0:  80,
 		Rhos:     []float64{0.3, 0.88},
 		Policies: []PolicySpec{RR(), SRc(4)},
 		Seeds:    DeriveSeeds(4, 2),
-		Workload: BurstyWorkload{Lambda0: 80, Queries: 1500, PeakFactor: 4, MeanOn: time.Second, MeanOff: 5 * time.Second},
-	})
-	goldenTSV(t, "bursty.tsv", res.WriteTSV)
+		Workload: OneService(BurstyService{Lambda0: 80, Queries: 1500, PeakFactor: 4, MeanOn: time.Second, MeanOff: 5 * time.Second}),
+	}
+)
+
+func TestGoldenFig2(t *testing.T) {
+	goldenTSV(t, "fig2.tsv", RunFig2(goldenFig2Config).WriteTSV)
+}
+
+func TestGoldenBursty(t *testing.T) {
+	goldenTSV(t, "bursty.tsv", RunFig2(goldenBurstyConfig).WriteTSV)
 }
 
 func TestGoldenFig4(t *testing.T) {
@@ -262,7 +265,7 @@ func goldenTraceReplay(t *testing.T) (int, CellResult) {
 
 func TestGoldenTraceReplay(t *testing.T) {
 	entries, cell := goldenTraceReplay(t)
-	run := cell.Outcome.Extra.(WikiRun)
+	run := *cell.Outcome.Wiki
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "entries\t%d\n", entries)

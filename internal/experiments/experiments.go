@@ -359,11 +359,11 @@ type PoissonHooks struct {
 }
 
 // RunPoisson executes the experiment and returns its outcome. It is the
-// serial, hook-capable face of PoissonWorkload — both replay the same
-// PoissonService stream from the same seed, so their results coincide.
+// serial, hook-capable face of the one-service Poisson cell: the same
+// OneService(PoissonService) run at load 1, so their results coincide.
 func RunPoisson(cluster ClusterConfig, spec PolicySpec, ratePerSec float64, queries int, hooks PoissonHooks) PoissonRun {
-	svc := PoissonService{Lambda0: ratePerSec, Queries: queries}
-	out, _ := replayService(context.Background(), cluster, spec, svc, 1, replaySettings{hooks: hooks})
+	w := OneService(PoissonService{Lambda0: ratePerSec, Queries: queries})
+	out, _ := w.run(context.Background(), cluster, spec, 1, hooks)
 	return PoissonRun{
 		Spec: spec, RatePerSec: ratePerSec, Queries: queries,
 		RT: out.RT, Refused: out.Refused, Unfinished: out.Unfinished,

@@ -84,13 +84,13 @@ type FailoverResult struct {
 	Modes             []FailoverMode
 }
 
-// failoverBinRaw is the per-seed transient accounting riding in Extra.
+// failoverBinRaw is the per-seed transient accounting of one cell.
 type failoverBinRaw struct {
 	Count, OK, Refused int
 	SumRT              time.Duration
 }
 
-// failoverWorkload is the Poisson workload instrumented with per-issue-
+// failoverWorkload is the Poisson cell instrumented with per-issue-
 // time-bin accounting of the failover transient.
 type failoverWorkload struct {
 	lambda0 float64
@@ -125,8 +125,8 @@ func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec P
 			b.Refused++
 		}
 	}}
-	out, err := replayService(ctx, cluster, spec, arrivals, load, replaySettings{hooks: hooks})
-	out.Extra = raw
+	out, err := OneService(arrivals).run(ctx, cluster, spec, load, hooks)
+	out.failoverBins = raw
 	return out, err
 }
 
@@ -220,7 +220,7 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 			if cell.Err != nil {
 				continue
 			}
-			if raw, ok := cell.Outcome.Extra.([]failoverBinRaw); ok {
+			if raw := cell.Outcome.failoverBins; raw != nil {
 				timelines = append(timelines, raw)
 			}
 		}

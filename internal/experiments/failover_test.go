@@ -31,7 +31,7 @@ func failoverVariants() Sweep {
 		},
 		Loads:    []float64{0.6},
 		Seeds:    DeriveSeeds(31, 2),
-		Workload: PoissonWorkload{Lambda0: 80, Queries: 1500},
+		Workload: OneService(PoissonService{Lambda0: 80, Queries: 1500}),
 	}
 }
 
@@ -239,7 +239,7 @@ func TestBurstySweepMatchesPoissonRowFormat(t *testing.T) {
 	}
 	poisson := RunFig2(base)
 	bursty := base
-	bursty.Workload = BurstyWorkload{Lambda0: 80, Queries: 800}
+	bursty.Workload = OneService(BurstyService{Lambda0: 80, Queries: 800})
 	burstyRes := RunFig2(bursty)
 
 	var pBuf, bBuf bytes.Buffer

@@ -33,7 +33,7 @@ type Fig2Config struct {
 	Progress func(string)
 	// Workload, when non-nil, replaces the default Poisson workload —
 	// the same policies × loads grid replayed under another arrival
-	// process (srlb-bench's bursty sweep passes BurstyWorkload here).
+	// process (srlb-bench's bursty sweep passes a one-service BurstyService here).
 	// The workload's own Lambda0/Queries fields apply; cfg.Lambda0 still
 	// normalizes the reported axis and cfg.Queries is ignored.
 	Workload Workload
@@ -111,7 +111,7 @@ func RunFig2(cfg Fig2Config) Fig2Result {
 	workload := cfg.Workload
 	var workloadLabel string
 	if workload == nil {
-		workload = PoissonWorkload{Lambda0: cfg.Lambda0, Queries: base.Queries}
+		workload = OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: base.Queries})
 	} else {
 		workloadLabel = workload.Label()
 	}

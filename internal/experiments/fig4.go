@@ -58,8 +58,9 @@ type Fig4Result struct {
 	Series  []Fig4Series
 }
 
-// fig4Workload is the Poisson workload instrumented with periodic
-// busy-worker sampling; the smoothed timeline rides in Extra. Each Run
+// fig4Workload is the Poisson cell instrumented with periodic
+// busy-worker sampling; the smoothed timeline is the outcome's
+// Timeline. Each Run
 // builds its own sampling state, so cells are safe to run concurrently.
 type fig4Workload struct {
 	arrivals    PoissonService
@@ -94,14 +95,14 @@ func (w fig4Workload) Run(ctx context.Context, cluster ClusterConfig, spec Polic
 			})
 		},
 	}
-	out, err := replayService(ctx, cluster, spec, w.arrivals, load, replaySettings{hooks: hooks})
+	out, err := OneService(w.arrivals).run(ctx, cluster, spec, load, hooks)
 	// Trim trailing idle samples (after the last query completed the
 	// cluster sits empty until the horizon guard).
 	last := len(samples)
 	for last > 0 && samples[last-1].MeanBusy < 1e-9 {
 		last--
 	}
-	out.Extra = samples[:last]
+	out.Timeline = samples[:last]
 	return out, err
 }
 
@@ -143,7 +144,7 @@ func RunFig4(cfg Fig4Config) Fig4Result {
 			if cell.Err != nil { // a cancelled cell's timeline is truncated
 				continue
 			}
-			if samples, ok := cell.Outcome.Extra.([]Fig4Sample); ok {
+			if samples := cell.Outcome.Timeline; samples != nil {
 				timelines = append(timelines, samples)
 			}
 		}

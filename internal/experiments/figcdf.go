@@ -69,7 +69,7 @@ func RunCDF(cfg CDFConfig) CDFResult {
 		Policies: cfg.Policies,
 		Loads:    []float64{cfg.Rho},
 		Seeds:    cfg.Seeds,
-		Workload: PoissonWorkload{Lambda0: cfg.Lambda0, Queries: cfg.Queries},
+		Workload: OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}),
 	})
 	agg := sweep.Aggregate()
 

@@ -71,7 +71,8 @@ const classWiki = 1
 // WikiWorkload replays the synthetic Wikipedia day (§VI) — diurnal NHPP
 // arrivals, Zipf page popularity, per-replica memcached models — or a
 // recorded trace when Entries is set. The load point is ignored: intensity
-// lives in Day (Scale/Compression). Extra carries the full WikiRun.
+// lives in Day (Scale/Compression). The outcome's Wiki is the full
+// WikiRun.
 type WikiWorkload struct {
 	Day  wiki.Config
 	Cost wiki.CostModel
@@ -98,7 +99,8 @@ func (w WikiWorkload) Run(ctx context.Context, cluster ClusterConfig, spec Polic
 // the trace package). Demands are derived per server from the URL through
 // the Wikipedia replica model, as in §VI. The load point is a replay
 // speed-up: arrival times are divided by it (load 2 replays twice as
-// fast; load 1 replays in recorded time). Extra carries the WikiRun.
+// fast; load 1 replays in recorded time). The outcome's Wiki is the
+// WikiRun.
 type TraceWorkload struct {
 	Entries []trace.Entry
 	// Cost is the per-replica service-cost model (zero value = defaults).
@@ -142,8 +144,8 @@ func RunWiki(cfg WikiConfig) WikiResult {
 
 	res := WikiResult{Day: cfg.Day, BinWidth: cfg.BinWidth}
 	for pi := range cfg.Policies {
-		if run, ok := sweep.Cell(pi, 0, 0).Outcome.Extra.(WikiRun); ok {
-			res.Runs = append(res.Runs, run)
+		if run := sweep.Cell(pi, 0, 0).Outcome.Wiki; run != nil {
+			res.Runs = append(res.Runs, *run)
 		}
 	}
 	return res
@@ -201,13 +203,13 @@ func (w WikiWorkload) replay(ctx context.Context, cluster ClusterConfig, spec Po
 			run.StaticAll.Add(res.RT)
 		}
 	}
-	_, _, err := replay(ctx, top, []ServiceStream{stream}, span, replaySettings{hooks: PoissonHooks{OnResult: onResult}})
+	tb, _, err := replay(ctx, top, []ServiceStream{stream}, span, replaySettings{hooks: PoissonHooks{OnResult: onResult}})
 	for _, rep := range *replicas {
 		if rep != nil {
 			run.HitRates = append(run.HitRates, rep.HitRate())
 		}
 	}
-	return CellOutcome{RT: run.WikiAll, Refused: run.Refused, Extra: run}, err
+	return CellOutcome{RT: run.WikiAll, Refused: run.Refused, Cluster: clusterStats(tb), Wiki: &run}, err
 }
 
 // entryStream replays recorded trace entries in order, their arrival

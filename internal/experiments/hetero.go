@@ -46,7 +46,7 @@ type HeteroResult struct {
 
 // RunHetero executes RR, SR4 and SRdyn on the mixed cluster — a study of
 // the three policies whose cluster carries a ServerOverride, with the
-// slow-box completion share read from the workload's PoissonStats.
+// slow-box completion share read from each cell's ClusterStats.
 func RunHetero(cfg HeteroConfig) HeteroResult {
 	// No λ0 here: load is normalized by the mixed cluster's theoretical
 	// capacity, so the study runs no calibration probe.
@@ -89,7 +89,7 @@ func RunHetero(cfg HeteroConfig) HeteroResult {
 			Name:     spec.Name,
 			Cluster:  cluster,
 			Policy:   spec,
-			Workload: PoissonWorkload{Lambda0: capacity, Queries: cfg.Queries},
+			Workload: OneService(PoissonService{Lambda0: capacity, Queries: cfg.Queries}),
 			Load:     cfg.Rho,
 		})
 	}
@@ -101,17 +101,15 @@ func RunHetero(cfg HeteroConfig) HeteroResult {
 			if cell.Err != nil { // match newCellStats: no truncated runs
 				continue
 			}
-			if ps, ok := cell.Outcome.Extra.(PoissonStats); ok {
-				var slowDone, allDone uint64
-				for i, done := range ps.ServerCompleted {
-					allDone += done
-					if i < slow {
-						slowDone += done
-					}
+			var slowDone, allDone uint64
+			for i, done := range cell.Outcome.Cluster.ServerCompleted {
+				allDone += done
+				if i < slow {
+					slowDone += done
 				}
-				if allDone > 0 {
-					shares = append(shares, float64(slowDone)/float64(allDone))
-				}
+			}
+			if allDone > 0 {
+				shares = append(shares, float64(slowDone)/float64(allDone))
 			}
 		}
 		if d := stats.Describe(shares); d.N > 0 {

@@ -84,8 +84,8 @@ func (c HorizonConfig) withDefaults() HorizonConfig {
 }
 
 // RunHorizon executes the soak: one PoissonService stream through the
-// replay engine — the same cell PoissonWorkload runs — with a heap sample
-// every SampleEvery launches, and query counts wide enough for 10⁸ and
+// replay engine — the cell OneService(PoissonService) runs — with a heap
+// sample every SampleEvery launches, and query counts wide enough for 10⁸ and
 // beyond. The engine holds one future arrival and the sink is sketches, so
 // nothing grows with the horizon.
 func RunHorizon(ctx context.Context, cfg HorizonConfig) (HorizonResult, error) {

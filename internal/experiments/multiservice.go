@@ -1,18 +1,19 @@
-// Multi-service workloads: several independent arrival streams — one per
-// VIP — replayed together against one multi-VIP topology by the replay
-// engine (replay.go). This is the regime the paper's power-of-choices
-// argument is really about: heterogeneous services sharing LB replicas,
-// where an imbalance created by one service's bursts is invisible to a
+// The open-loop cell: one or more independent arrival streams — one per
+// VIP — replayed together against one topology by the replay engine
+// (replay.go). The paper's §V cell is one Poisson service on the
+// cluster's only VIP; several services sharing LB replicas are the
+// regime the power-of-choices argument is really about, where an
+// imbalance created by one service's bursts is invisible to a
 // per-service random spray but steerable by Service Hunting.
 //
 // The building blocks:
 //
 //   - ServiceWorkload — one VIP's arrival process (Poisson, bursty MMPP,
-//     Wikipedia-day replay), opened per run with a per-VIP seed.
+//     Wikipedia-day replay), opened per run with its seed.
 //   - ServiceSpec — the service: a name, its workload, its pool sizing.
-//   - MultiServiceWorkload — the Workload that builds the joint topology,
+//   - MultiServiceWorkload — the Workload that builds the topology,
 //     opens the streams, and reports the outcome both aggregate and per
-//     VIP (CellOutcome.PerVIP).
+//     VIP (CellOutcome.PerVIP); OneService is its single-VIP form.
 //   - RunMultiService — the canonical three-service experiment behind
 //     `srlb-bench -experiment multiservice`.
 
@@ -114,9 +115,12 @@ func (s PoissonService) Open(_ *testbed.VIPSpec, seed uint64, load float64) Serv
 	}
 }
 
-// BurstyService is the on/off MMPP arrival process (BurstyWorkload) as
-// one service: bursts at PeakFactor times the long-run mean alternate
-// with quiet periods while the mean stays load × Lambda0.
+// BurstyService is a two-state Markov-modulated Poisson process — a
+// flowlet-style on/off arrival stream in the spirit of the host-driven
+// flowlet-balancing literature: bursts at PeakFactor times the long-run
+// mean alternate with quiet periods, while the mean stays load × Lambda0.
+// It stresses exactly what Service Hunting is for: instantaneous
+// imbalance that a static random spray cannot see.
 type BurstyService struct {
 	Lambda0 float64
 	// Queries per run (default 20000). Ignored when Horizon is set.
@@ -124,27 +128,45 @@ type BurstyService struct {
 	// Horizon, when nonzero, bounds the stream by time instead of count
 	// (see PoissonService.Horizon).
 	Horizon time.Duration
-	// MeanOn/MeanOff are the mean burst and quiet durations (defaults 2s
-	// and 6s); PeakFactor the ON-state rate relative to the mean
-	// (default 3). Same semantics as BurstyWorkload.
+	// MeanOn and MeanOff are the mean burst and quiet durations
+	// (exponentially distributed; defaults 2s and 6s).
 	MeanOn, MeanOff time.Duration
-	PeakFactor      float64
+	// PeakFactor is the ON-state rate relative to the long-run mean
+	// (default 3; capped at (MeanOn+MeanOff)/MeanOn, where the OFF state
+	// goes fully quiet).
+	PeakFactor float64
 }
 
-func (s BurstyService) bursty() BurstyWorkload {
-	return BurstyWorkload{
-		Lambda0: s.Lambda0, Queries: s.Queries,
-		MeanOn: s.MeanOn, MeanOff: s.MeanOff, PeakFactor: s.PeakFactor,
-	}.withDefaults()
+func (s BurstyService) withDefaults() BurstyService {
+	if s.Queries == 0 {
+		s.Queries = 20000
+	}
+	if s.MeanOn == 0 {
+		s.MeanOn = 2 * time.Second
+	}
+	if s.MeanOff == 0 {
+		s.MeanOff = 6 * time.Second
+	}
+	if s.PeakFactor == 0 {
+		s.PeakFactor = 3
+	}
+	onFrac := s.MeanOn.Seconds() / (s.MeanOn + s.MeanOff).Seconds()
+	if s.PeakFactor > 1/onFrac {
+		s.PeakFactor = 1 / onFrac
+	}
+	if s.PeakFactor < 1 {
+		s.PeakFactor = 1
+	}
+	return s
 }
 
 // Label implements ServiceWorkload.
 func (s BurstyService) Label() string {
+	s = s.withDefaults()
 	if s.Horizon > 0 {
-		w := s.bursty()
-		return fmt.Sprintf("bursty(%.0fs,peak=%.1fx)", s.Horizon.Seconds(), w.PeakFactor)
+		return fmt.Sprintf("bursty(%.0fs,peak=%.1fx)", s.Horizon.Seconds(), s.PeakFactor)
 	}
-	return s.bursty().Label()
+	return fmt.Sprintf("bursty(%dq,peak=%.1fx)", s.Queries, s.PeakFactor)
 }
 
 // Span implements ServiceWorkload.
@@ -156,23 +178,45 @@ func (s BurstyService) Span(load float64) time.Duration {
 		}
 		return s.Horizon
 	}
-	w := s.bursty()
-	return time.Duration(float64(w.Queries) / (load * w.Lambda0) * float64(time.Second))
+	s = s.withDefaults()
+	return time.Duration(float64(s.Queries) / (load * s.Lambda0) * float64(time.Second))
 }
 
 // Open implements ServiceWorkload.
 func (s BurstyService) Open(_ *testbed.VIPSpec, seed uint64, load float64) ServiceStream {
-	w := s.bursty()
-	remaining := w.Queries
+	s = s.withDefaults()
+	remaining := s.Queries
 	if s.Horizon > 0 {
 		remaining = -1
 	}
 	return &demandStream{
-		arrivals:  w.newMMPP(seed, load),
+		arrivals:  s.newMMPP(seed, load),
 		demands:   rng.Split(seed, 0xde3a),
 		remaining: remaining,
 		horizon:   s.Horizon,
 	}
+}
+
+// newMMPP builds the service's arrival process at the given load from
+// the given seed. s must already carry its defaults.
+func (s BurstyService) newMMPP(seed uint64, load float64) *mmpp {
+	mean := load * s.Lambda0
+	onFrac := s.MeanOn.Seconds() / (s.MeanOn + s.MeanOff).Seconds()
+	rateOn := s.PeakFactor * mean
+	rateOff := (mean - onFrac*rateOn) / (1 - onFrac)
+	if rateOff < 0 {
+		rateOff = 0
+	}
+	arrivals := &mmpp{
+		r:       rng.Split(seed, 0xb124),
+		rateOn:  rateOn,
+		rateOff: rateOff,
+		meanOn:  s.MeanOn,
+		meanOff: s.MeanOff,
+	}
+	// Start in the OFF state with a fresh dwell time.
+	arrivals.switchAt = rng.Exp(arrivals.r, arrivals.meanOff)
+	return arrivals
 }
 
 // demandStream adapts an arrivalStream plus Exp(MeanDemand) demands into
@@ -356,20 +400,22 @@ func (sl ServiceLoad) Resolve(load float64) float64 {
 	return load
 }
 
-// MultiServiceWorkload replays the arrival streams of several services —
-// each targeting its own VIP, with its own server pool or a shared one —
-// together against a single multi-VIP cluster sharing the LB replicas:
-// the replay engine pumps every stream one arrival ahead and the DES
-// merges them in time order. The policy under test
-// applies to every VIP (the policy axis is what the experiment
-// compares); the load point scales every service's intensity together
-// unless ServiceLoads gives a service its own axis.
+// MultiServiceWorkload replays the arrival streams of one or more
+// services — each targeting its own VIP, with its own server pool or a
+// shared one — together against a single cluster sharing the LB
+// replicas: the replay engine pumps every stream one arrival ahead and
+// the DES merges them in time order. It is the one workload of every
+// open-loop cell; the paper's §V cell is the one-service form
+// (OneService). The policy under test applies to every VIP (the policy
+// axis is what the experiment compares); the load point scales every
+// service's intensity together unless ServiceLoads gives a service its
+// own axis.
 //
 // The outcome is reported both aggregate (the usual CellOutcome fields,
 // covering all VIPs) and per service (CellOutcome.PerVIP, one VIPOutcome
 // per ServiceSpec in order, each carrying its resolved Load), and the
-// per-VIP breakdown survives replication: CellStats.VIPs aggregates each
-// service across seeds.
+// per-VIP breakdown of a cell with two or more services survives
+// replication: CellStats.VIPs aggregates each service across seeds.
 type MultiServiceWorkload struct {
 	Services []ServiceSpec
 	// ServiceLoads, when non-nil, gives service i its own load axis
@@ -387,26 +433,23 @@ type MultiServiceWorkload struct {
 	// boundary to act on. Off by default: the extra frame shifts the
 	// shared network rng stream of pinned experiments.
 	CloseAck bool
+	// RetransmitRTO, when nonzero, enables client SYN retransmission
+	// (testbed.Generator.RetransmitRTO) — pair with
+	// Cluster.Server.AbortOnOverflow=false for the §IV-C study.
+	RetransmitRTO time.Duration
 }
 
-// MultiServiceStats is MultiServiceWorkload's CellOutcome.Extra payload:
-// the cluster-side counters a policy ablation wants alongside the
-// latency aggregates. (CellStats drops Extra — read these off the raw
-// SweepResult cells.)
-type MultiServiceStats struct {
-	// Resteers counts flowlet re-steers (mid-connection candidate
-	// rewrites) summed across LB replicas.
-	Resteers uint64
-	// Rebinds is the flow-table view of the same events, summed across
-	// replicas — equal to Resteers unless a rebind raced an expiry.
-	Rebinds uint64
+// OneService is the single-VIP cell: svc replayed as the cluster's only
+// service.
+func OneService(svc ServiceWorkload) MultiServiceWorkload {
+	return MultiServiceWorkload{Services: []ServiceSpec{{Workload: svc}}}
 }
 
-// RunVector implements VectorWorkload: a grid sweep's per-service
-// ρ-vector rides the ServiceLoads plumbing — service d is pinned at
-// loads[d] (ServiceLoad.Fixed) and the scalar load knob is inert. Any
+// runVector runs a grid sweep's per-service ρ-vector (Scenario.LoadVec)
+// through the ServiceLoads plumbing: service d is pinned at loads[d]
+// (ServiceLoad.Fixed) and the scalar load knob is inert. Any
 // ServiceLoads already set on the workload are replaced for the cell.
-func (w MultiServiceWorkload) RunVector(ctx context.Context, cluster ClusterConfig, spec PolicySpec, loads []float64) (CellOutcome, error) {
+func (w MultiServiceWorkload) runVector(ctx context.Context, cluster ClusterConfig, spec PolicySpec, loads []float64) (CellOutcome, error) {
 	if len(loads) != len(w.Services) {
 		panic(fmt.Sprintf("experiments: %d-dimensional load vector for %d services", len(loads), len(w.Services)))
 	}
@@ -434,8 +477,12 @@ func (w MultiServiceWorkload) ResolveLoads(load float64) []float64 {
 	return out
 }
 
-// Label implements Workload.
+// Label implements Workload. A one-service cell is named by its
+// arrival process alone (poisson(20000q), bursty(…)).
 func (w MultiServiceWorkload) Label() string {
+	if len(w.Services) == 1 {
+		return w.Services[0].Workload.Label()
+	}
 	parts := make([]string, len(w.Services))
 	for i, svc := range w.Services {
 		parts[i] = svc.name(i) + ":" + svc.Workload.Label()
@@ -451,6 +498,12 @@ func (w MultiServiceWorkload) Label() string {
 
 // Run implements Workload.
 func (w MultiServiceWorkload) Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64) (CellOutcome, error) {
+	return w.run(ctx, cluster, spec, load, PoissonHooks{})
+}
+
+// run is Run with observers on the testbed and on every result, the
+// form the instrumented cells (RunPoisson, figure 4, failover) call.
+func (w MultiServiceWorkload) run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64, hooks PoissonHooks) (CellOutcome, error) {
 	if len(w.Services) == 0 {
 		panic("experiments: MultiServiceWorkload needs at least one service")
 	}
@@ -484,7 +537,14 @@ func (w MultiServiceWorkload) Run(ctx context.Context, cluster ClusterConfig, sp
 	// service's workload may install its demand model before Build.
 	specs := make([]testbed.VIPSpec, len(w.Services))
 	streams := make([]ServiceStream, len(w.Services))
-	svcSeeds := DeriveSeeds(cluster.Seed^0x5eb51ce5, len(w.Services))
+	// A one-service cell opens its stream with the cluster seed itself,
+	// as the single-VIP cell always has: the §V goldens and the
+	// benchmark's pinned sim.digest are draws of that stream. Two or
+	// more services take well-separated per-service seeds.
+	svcSeeds := []uint64{cluster.Seed}
+	if len(w.Services) > 1 {
+		svcSeeds = DeriveSeeds(cluster.Seed^0x5eb51ce5, len(w.Services))
+	}
 	var span time.Duration
 	for i, svc := range w.Services {
 		if svc.Workload == nil {
@@ -524,9 +584,10 @@ func (w MultiServiceWorkload) Run(ctx context.Context, cluster ClusterConfig, sp
 		VIPs:     specs,
 		Events:   cluster.Events,
 		Feedback: cluster.Feedback,
-	}, streams, span, replaySettings{closeAck: w.CloseAck})
+	}, streams, span, replaySettings{closeAck: w.CloseAck, retransmitRTO: w.RetransmitRTO, hooks: hooks})
 
 	out := sinkOutcome(sink)
+	out.Cluster = clusterStats(tb)
 	out.PerVIP = make([]VIPOutcome, len(w.Services))
 	for i, vs := range sink.VIPs() {
 		out.PerVIP[i] = VIPOutcome{
@@ -539,12 +600,6 @@ func (w MultiServiceWorkload) Run(ctx context.Context, cluster ClusterConfig, sp
 			Unfinished: int(vs.Counters.Unfinished),
 		}
 	}
-	var ms MultiServiceStats
-	for _, lb := range tb.LBs {
-		ms.Resteers += lb.Counts.Get("flowlet_resteer")
-		ms.Rebinds += lb.FlowStats().Rebinds
-	}
-	out.Extra = ms
 	return out, err
 }
 

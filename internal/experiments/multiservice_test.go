@@ -148,8 +148,9 @@ func TestMultiServiceDeterminism(t *testing.T) {
 	}
 }
 
-// The workload label names every service, and single-VIP cells keep a nil
-// per-VIP breakdown (no spurious VIPs entries in their aggregates).
+// The workload label names every service; a one-service cell is named by
+// its arrival process, its PerVIP is its aggregate, and its replicated
+// aggregate keeps VIPs nil (no spurious per-service rows or JSON vips).
 func TestMultiServiceLabelsAndSingleVIPNil(t *testing.T) {
 	w := MultiServiceWorkload{Services: testServices(100, 100)}
 	label := w.Label()
@@ -161,11 +162,14 @@ func TestMultiServiceLabelsAndSingleVIPNil(t *testing.T) {
 	cell := Scenario{
 		Cluster:  ClusterConfig{Seed: 5, Servers: 4},
 		Policy:   RR(),
-		Workload: PoissonWorkload{Lambda0: 80, Queries: 300},
+		Workload: OneService(PoissonService{Lambda0: 80, Queries: 300}),
 		Load:     0.5,
 	}.Run(context.Background())
-	if cell.Outcome.PerVIP != nil {
-		t.Fatal("single-VIP workload must not produce a PerVIP breakdown")
+	if cell.Workload != "poisson(300q)" {
+		t.Fatalf("one-service cell labelled %q, want its service's label", cell.Workload)
+	}
+	if pv := cell.Outcome.PerVIP; len(pv) != 1 || !pv[0].RT.Equal(cell.Outcome.RT) || pv[0].Offered != cell.Outcome.total().Offered {
+		t.Fatalf("one-service PerVIP %+v does not restate the aggregate", pv)
 	}
 	if vips := newCellStats([]CellResult{cell}).VIPs; vips != nil {
 		t.Fatal("single-VIP aggregate must keep VIPs nil")
@@ -252,24 +256,24 @@ func TestWikiServicePinnedTraceCutsVariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		cs := agg.Cell(0, 0)
-		if cs.N() != 4 || len(cs.VIPs) != 1 {
-			t.Fatalf("aggregate has n=%d, %d VIPs — want 4 replicates of 1 service", cs.N(), len(cs.VIPs))
+		if cs.N() != 4 || cs.VIPs != nil {
+			t.Fatalf("aggregate has n=%d, %d VIPs — want 4 replicates of 1 service, no per-service breakdown", cs.N(), len(cs.VIPs))
 		}
 		return cs
 	}
 	pinnedCS, freeCS := run(true), run(false)
-	if !strings.Contains(pinnedCS.VIPs[0].Workload, "pinned") {
-		t.Fatalf("pinned run's workload label %q does not say so", pinnedCS.VIPs[0].Workload)
+	if !strings.Contains(pinnedCS.Workload, "pinned") {
+		t.Fatalf("pinned run's workload label %q does not say so", pinnedCS.Workload)
 	}
 	// A pinned day offers the identical query count every seed; a
 	// seed-derived day resamples the NHPP and varies.
-	if s := pinnedCS.VIPs[0].Offered.Dist.Std; s != 0 {
+	if s := pinnedCS.Offered.Dist.Std; s != 0 {
 		t.Fatalf("pinned replay varies its offered count across seeds (std=%.2f)", s)
 	}
-	if s := freeCS.VIPs[0].Offered.Dist.Std; s == 0 {
+	if s := freeCS.Offered.Dist.Std; s == 0 {
 		t.Fatal("seed-derived replay offered identical counts — day not seed-derived?")
 	}
-	pv, fv := pinnedCS.VIPs[0].Mean.Dist.Std, freeCS.VIPs[0].Mean.Dist.Std
+	pv, fv := pinnedCS.Mean.Dist.Std, freeCS.Mean.Dist.Std
 	if pv >= fv {
 		t.Fatalf("pinned across-seed mean-RT std %.6f not below seed-derived %.6f", pv, fv)
 	}

@@ -137,8 +137,8 @@ func RunPolicies(cfg PoliciesConfig) PoliciesResult {
 	}
 	// The family's row order, walked here rather than through
 	// serviceRows because the "all" rows need their cell's indexes:
-	// Aggregate drops CellOutcome.Extra, so the mechanism counter comes
-	// off the raw replicate cells.
+	// Aggregate drops CellOutcome.Cluster, so the mechanism counter
+	// comes off the raw replicate cells.
 	for vi := range variants {
 		for li := range cfg.BatchRhos {
 			for pi := range cfg.Policies {
@@ -161,8 +161,8 @@ func meanResteers(raw SweepResult, pi, vi, li int) float64 {
 	var resteers float64
 	var done int
 	for _, cell := range raw.Replicates(pi, vi, li) {
-		if ms, ok := cell.Outcome.Extra.(MultiServiceStats); ok && cell.Err == nil {
-			resteers += float64(ms.Resteers)
+		if cell.Err == nil {
+			resteers += float64(cell.Outcome.Cluster.Resteers)
 			done++
 		}
 	}

@@ -71,10 +71,7 @@ func TestPoliciesConservationUnderResteering(t *testing.T) {
 				t.Fatalf("per-VIP sums (%d/%d/%d) != aggregate (%d/%d/%d)",
 					completed, refused, unfinished, out.RT.Count(), out.Refused, out.Unfinished)
 			}
-			ms, ok := out.Extra.(MultiServiceStats)
-			if !ok {
-				t.Fatalf("Extra is %T, want MultiServiceStats", out.Extra)
-			}
+			ms := out.Cluster
 			if tc.wantResteer && ms.Resteers == 0 {
 				t.Fatal("flowlet policy never re-steered an established flow — mechanism vacuous")
 			}

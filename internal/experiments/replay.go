@@ -138,24 +138,3 @@ func sinkOutcome(sink *testbed.SketchSink) CellOutcome {
 		Unfinished: int(total.Counters.Unfinished),
 	}
 }
-
-// replayService replays one service on the cluster's single VIP, its
-// stream opened with the cluster seed — the engine's face for the
-// Poisson-family workloads. Extra carries PoissonStats.
-func replayService(ctx context.Context, cluster ClusterConfig, spec PolicySpec, svc ServiceWorkload, load float64, set replaySettings) (CellOutcome, error) {
-	span := checkSpan(svc, load, svc.Span(load))
-	top := cluster.topology(spec)
-	stream := svc.Open(&top.VIPs[0], top.Seed, load)
-	tb, sink, err := replay(ctx, top, []ServiceStream{stream}, span, set)
-	out := sinkOutcome(sink)
-	stats := PoissonStats{
-		ServerCompleted: make([]uint64, len(tb.Servers)),
-		Retransmits:     tb.Gen.Counts.Get("syn_retransmits"),
-		SYNTimeouts:     tb.Gen.Counts.Get("syn_timeout"),
-	}
-	for i, s := range tb.Servers {
-		stats.ServerCompleted[i] = s.Stats().Completed
-	}
-	out.Extra = stats
-	return out, err
-}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -69,13 +68,13 @@ func TestNoArrivalSpanPanics(t *testing.T) {
 		run  func(load float64)
 	}{
 		{"poisson without Lambda0", 0.5, "poisson(100q)", func(l float64) {
-			PoissonWorkload{Queries: 100}.Run(ctx, cluster, RR(), l)
+			OneService(PoissonService{Queries: 100}).Run(ctx, cluster, RR(), l)
 		}},
 		{"poisson at load 0", 0, "poisson(100q)", func(l float64) {
-			PoissonWorkload{Lambda0: 80, Queries: 100}.Run(ctx, cluster, RR(), l)
+			OneService(PoissonService{Lambda0: 80, Queries: 100}).Run(ctx, cluster, RR(), l)
 		}},
 		{"bursty at negative load", -1, "bursty(100q", func(l float64) {
-			BurstyWorkload{Lambda0: 80, Queries: 100}.Run(ctx, cluster, RR(), l)
+			OneService(BurstyService{Lambda0: 80, Queries: 100}).Run(ctx, cluster, RR(), l)
 		}},
 		{"RunPoisson at rate 0", 1, "poisson(100q)", func(float64) {
 			RunPoisson(cluster, RR(), 0, 100, PoissonHooks{})
@@ -117,32 +116,5 @@ func TestNoArrivalSpanPanics(t *testing.T) {
 				t.Fatal("still running after 10s: the missing span was not rejected")
 			}
 		})
-	}
-}
-
-// The one pump costs the same whether a service is replayed as the
-// cluster's only VIP or as one service of a MultiServiceWorkload: the
-// in-tree guard for the benchmark's 1% allocs_per_op bound. (The
-// multi-service path used to schedule a fresh closure per query.)
-func TestPumpAllocationParity(t *testing.T) {
-	const queries = 20000
-	cluster := ClusterConfig{Seed: 5, Servers: 4}
-	mallocs := func(w Workload) float64 {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		if _, err := w.Run(context.Background(), cluster, SRc(4), 0.8); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / queries
-	}
-	single := mallocs(PoissonWorkload{Lambda0: 80, Queries: queries})
-	multi := mallocs(MultiServiceWorkload{Services: []ServiceSpec{
-		{Workload: PoissonService{Lambda0: 80, Queries: queries}},
-	}})
-	t.Logf("mallocs/query: single-VIP %.2f, one-service multi %.2f", single, multi)
-	if d := multi - single; d > 0.25 || d < -0.25 {
-		t.Fatalf("pump cost differs by %.2f mallocs/query between the single-VIP and multi-service paths", d)
 	}
 }

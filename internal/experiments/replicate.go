@@ -55,9 +55,10 @@ type CellStats struct {
 	// can be smaller than the sweep's seed count.
 	Seeds []uint64
 	OutcomeStats
-	// VIPs breaks the aggregates down by service for multi-VIP cells
-	// (one VIPStats per service, aligned with CellOutcome.PerVIP); nil
-	// for single-VIP workloads.
+	// VIPs breaks the aggregates down by service for cells of two or
+	// more services (one VIPStats per service, aligned with
+	// CellOutcome.PerVIP); nil for a one-service cell, whose only VIP is
+	// the aggregate above, and for the §VI replays.
 	VIPs []VIPStats
 	// Wall is the summed host wall-clock over the replicates.
 	Wall time.Duration
@@ -152,11 +153,13 @@ func newCellStats(cells []CellResult) CellStats {
 }
 
 // newVIPStats folds the per-VIP breakdowns of the completed replicates —
-// a multi-VIP workload produces the same services in the same order in
-// every replicate, so VIP i aligns across cells. Single-VIP cells (no
-// PerVIP) yield nil.
+// a workload produces the same services in the same order in every
+// replicate, so VIP i aligns across cells. A one-service cell yields
+// nil: this is the one guard that keeps the service rows (cellRows) and
+// the JSON cells' "vips" from printing a breakdown that only repeats
+// the aggregate.
 func newVIPStats(completed []CellResult) []VIPStats {
-	if len(completed) == 0 || len(completed[0].Outcome.PerVIP) == 0 {
+	if len(completed) == 0 || len(completed[0].Outcome.PerVIP) < 2 {
 		return nil
 	}
 	out := make([]VIPStats, len(completed[0].Outcome.PerVIP))

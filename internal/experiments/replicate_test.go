@@ -14,7 +14,7 @@ func TestSweepAggregate(t *testing.T) {
 		Policies: []PolicySpec{RR(), SRc(4)},
 		Loads:    []float64{0.5, 0.85},
 		Seeds:    DeriveSeeds(41, nSeeds),
-		Workload: PoissonWorkload{Lambda0: 80, Queries: 1500},
+		Workload: OneService(PoissonService{Lambda0: 80, Queries: 1500}),
 	}
 	agg, err := Runner{}.RunSweepStats(context.Background(), sweep)
 	if err != nil {
@@ -60,7 +60,7 @@ func TestAggregateSingleSeedDegenerates(t *testing.T) {
 		Cluster:  ClusterConfig{Seed: 42, Servers: 4},
 		Policies: []PolicySpec{RR()},
 		Loads:    []float64{0.5},
-		Workload: PoissonWorkload{Lambda0: 80, Queries: 1000},
+		Workload: OneService(PoissonService{Lambda0: 80, Queries: 1000}),
 	}
 	res, err := Runner{}.RunSweep(context.Background(), sweep)
 	if err != nil {

@@ -164,13 +164,15 @@ func RunResilience(cfg ResilienceConfig) ResilienceResult {
 			})
 		}
 	}
+	workload := OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries})
+	workload.RetransmitRTO = cfg.RTO
 	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: []PolicySpec{resiliencePolicy},
 		Variants: variants,
 		Loads:    []float64{cfg.Rho},
 		Seeds:    cfg.Seeds,
-		Workload: PoissonWorkload{Lambda0: cfg.Lambda0, Queries: cfg.Queries, RetransmitRTO: cfg.RTO},
+		Workload: workload,
 	})
 	agg := sweep.Aggregate()
 

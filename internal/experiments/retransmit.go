@@ -63,19 +63,22 @@ func RunRetransmitAblation(cfg RetransmitConfig) RetransmitResult {
 
 	silentCluster := cfg.Cluster
 	silentCluster.Server.AbortOnOverflow = false
+	poisson := OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries})
+	retransmitting := poisson
+	retransmitting.RetransmitRTO = cfg.RTO
 	rows, replicates := cfg.runStudy(context.Background(), "abort-on-overflow", []Scenario{
 		{
 			Name:     "abort-on-overflow (RST)",
 			Cluster:  cfg.Cluster,
 			Policy:   SRc(4),
-			Workload: PoissonWorkload{Lambda0: cfg.Lambda0, Queries: cfg.Queries},
+			Workload: poisson,
 			Load:     cfg.Rho,
 		},
 		{
 			Name:     "silent-drop + SYN retransmit",
 			Cluster:  silentCluster,
 			Policy:   SRc(4),
-			Workload: PoissonWorkload{Lambda0: cfg.Lambda0, Queries: cfg.Queries, RetransmitRTO: cfg.RTO},
+			Workload: retransmitting,
 			Load:     cfg.Rho,
 		},
 	})
@@ -92,9 +95,7 @@ func RunRetransmitAblation(cfg RetransmitConfig) RetransmitResult {
 			row.Max = max(row.Max, cell.Outcome.RT.Max())
 			completed += cell.Outcome.RT.Count()
 			timedOut += cell.Outcome.Unfinished
-			if ps, ok := cell.Outcome.Extra.(PoissonStats); ok {
-				retransmits += float64(ps.Retransmits)
-			}
+			retransmits += float64(cell.Outcome.Cluster.Retransmits)
 		}
 		n := float64(sr.N)
 		row.Completed = int(math.Round(float64(completed) / n))

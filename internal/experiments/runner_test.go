@@ -29,7 +29,7 @@ func testSweep(seed uint64) Sweep {
 		Policies: []PolicySpec{RR(), SRc(4)},
 		Loads:    []float64{0.5, 0.85},
 		Seeds:    DeriveSeeds(seed, 2),
-		Workload: PoissonWorkload{Lambda0: 80, Queries: 1200},
+		Workload: OneService(PoissonService{Lambda0: 80, Queries: 1200}),
 	}
 }
 
@@ -86,7 +86,7 @@ func TestRunnerCancellation(t *testing.T) {
 		Policies: PaperPolicies(),
 		Loads:    []float64{0.3, 0.6, 0.88},
 		Seeds:    DeriveSeeds(23, 4),
-		Workload: PoissonWorkload{Lambda0: 80, Queries: 20000},
+		Workload: OneService(PoissonService{Lambda0: 80, Queries: 20000}),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -120,7 +120,7 @@ func TestRunnerCancellation(t *testing.T) {
 }
 
 func TestScenarioSeedOverride(t *testing.T) {
-	w := PoissonWorkload{Lambda0: 80, Queries: 800}
+	w := OneService(PoissonService{Lambda0: 80, Queries: 800})
 	base := Scenario{Cluster: ClusterConfig{Seed: 5, Servers: 4}, Policy: RR(), Workload: w, Load: 0.5}
 	override := base
 	override.Seed = 6
@@ -163,7 +163,7 @@ func TestPoissonWorkloadMatchesRunPoisson(t *testing.T) {
 	cell := Scenario{
 		Cluster:  cluster,
 		Policy:   SRc(4),
-		Workload: PoissonWorkload{Lambda0: 80, Queries: 1500},
+		Workload: OneService(PoissonService{Lambda0: 80, Queries: 1500}),
 		Load:     0.5, // 0.5 × 80 = the same 40 q/s
 	}.Run(context.Background())
 	if legacy.RT.Mean() != cell.Outcome.RT.Mean() || legacy.RT.Count() != cell.Outcome.RT.Count() {
@@ -181,7 +181,7 @@ func TestBurstyWorkload(t *testing.T) {
 	cell := Scenario{
 		Cluster:  cluster,
 		Policy:   SRc(4),
-		Workload: BurstyWorkload{Lambda0: 80, Queries: queries},
+		Workload: OneService(BurstyService{Lambda0: 80, Queries: queries}),
 		Load:     0.6,
 	}.Run(context.Background())
 	out := cell.Outcome
@@ -195,7 +195,7 @@ func TestBurstyWorkload(t *testing.T) {
 	again := Scenario{
 		Cluster:  cluster,
 		Policy:   SRc(4),
-		Workload: BurstyWorkload{Lambda0: 80, Queries: queries},
+		Workload: OneService(BurstyService{Lambda0: 80, Queries: queries}),
 		Load:     0.6,
 	}.Run(context.Background())
 	if out.RT.Mean() != again.Outcome.RT.Mean() {
@@ -205,10 +205,10 @@ func TestBurstyWorkload(t *testing.T) {
 	// The point of the workload: at the same mean rate, on/off bursts beat
 	// up the tail relative to a plain Poisson stream under RR.
 	bursty := Scenario{Cluster: cluster, Policy: RR(),
-		Workload: BurstyWorkload{Lambda0: 80, Queries: queries, PeakFactor: 4, MeanOn: time.Second, MeanOff: 7 * time.Second},
+		Workload: OneService(BurstyService{Lambda0: 80, Queries: queries, PeakFactor: 4, MeanOn: time.Second, MeanOff: 7 * time.Second}),
 		Load:     0.6}.Run(context.Background())
 	smooth := Scenario{Cluster: cluster, Policy: RR(),
-		Workload: PoissonWorkload{Lambda0: 80, Queries: queries},
+		Workload: OneService(PoissonService{Lambda0: 80, Queries: queries}),
 		Load:     0.6}.Run(context.Background())
 	if bursty.Outcome.RT.Quantile(0.95) <= smooth.Outcome.RT.Quantile(0.95) {
 		t.Fatalf("bursty p95 (%v) should exceed smooth p95 (%v) at equal mean load",
@@ -233,7 +233,7 @@ func TestTraceWorkloadSpeedOnlyRescalesTime(t *testing.T) {
 		if cell.Err != nil {
 			t.Fatal(cell.Err)
 		}
-		return cell.Outcome.Extra.(WikiRun)
+		return *cell.Outcome.Wiki
 	}
 	slow, fast := replay(1), replay(2)
 	slowTotal := slow.WikiAll.Count() + slow.StaticAll.Count() + slow.Refused
@@ -254,7 +254,7 @@ func TestTraceWorkloadSpeedOnlyRescalesTime(t *testing.T) {
 }
 
 func TestMMPPMeanRate(t *testing.T) {
-	w := BurstyWorkload{Lambda0: 100, Queries: 1}.withDefaults()
+	w := BurstyService{Lambda0: 100, Queries: 1}.withDefaults()
 	// Drive the arrival process directly: long-run rate ≈ load × Lambda0.
 	mean := 0.6 * w.Lambda0
 	onFrac := w.MeanOn.Seconds() / (w.MeanOn + w.MeanOff).Seconds()

@@ -23,7 +23,7 @@ type Scenario struct {
 	Load float64
 	// LoadVec, when non-nil, is the per-service load vector of a grid
 	// sweep (Sweep.LoadGrid): entry d pins service d's load. The
-	// workload must implement VectorWorkload; Load then only labels the
+	// workload must be a MultiServiceWorkload; Load then only labels the
 	// cell (the grid's last-axis value).
 	LoadVec []float64
 	// Seed, when nonzero, overrides Cluster.Seed — the replication axis.
@@ -89,11 +89,11 @@ func (sc Scenario) Run(ctx context.Context) CellResult {
 	}
 	start := time.Now()
 	if sc.LoadVec != nil {
-		vw, ok := sc.Workload.(VectorWorkload)
+		mw, ok := sc.Workload.(MultiServiceWorkload)
 		if !ok {
-			panic(fmt.Sprintf("experiments: workload %q cannot run a load vector (does not implement VectorWorkload)", sc.Workload.Label()))
+			panic(fmt.Sprintf("experiments: workload %q cannot run a load vector (not a MultiServiceWorkload)", sc.Workload.Label()))
 		}
-		res.Outcome, res.Err = vw.RunVector(ctx, sc.Cluster, sc.Policy, sc.LoadVec)
+		res.Outcome, res.Err = mw.runVector(ctx, sc.Cluster, sc.Policy, sc.LoadVec)
 	} else {
 		res.Outcome, res.Err = sc.Workload.Run(ctx, sc.Cluster, sc.Policy, sc.load())
 	}

@@ -46,7 +46,7 @@ func TestSingleServiceCellDigests(t *testing.T) {
 		return res
 	}
 	stats := func(res CellResult) string {
-		ps := res.Outcome.Extra.(PoissonStats)
+		ps := res.Outcome.Cluster
 		return cellDigest(res.Workload, res.Outcome, ps.ServerCompleted, ps.Retransmits, ps.SYNTimeouts)
 	}
 	cases := []struct {
@@ -55,23 +55,25 @@ func TestSingleServiceCellDigests(t *testing.T) {
 		want string
 	}{
 		{"poisson", func() string {
-			return stats(cell(PoissonWorkload{Lambda0: 80, Queries: 1500}, cluster, 0.85))
+			return stats(cell(OneService(PoissonService{Lambda0: 80, Queries: 1500}), cluster, 0.85))
 		}, "poisson(1500q) 1500/0/0 627979ee3ad5a194"},
 		{"poisson+rto", func() string {
-			return stats(cell(PoissonWorkload{Lambda0: 80, Queries: 1500, RetransmitRTO: time.Second}, silent, 2))
+			w := OneService(PoissonService{Lambda0: 80, Queries: 1500})
+			w.RetransmitRTO = time.Second
+			return stats(cell(w, silent, 2))
 		}, "poisson(1500q) 1369/0/131 02b9c9e0e87c6c41"},
 		{"bursty", func() string {
-			w := BurstyWorkload{Lambda0: 80, Queries: 1500, PeakFactor: 4, MeanOn: time.Second, MeanOff: 5 * time.Second}
+			w := OneService(BurstyService{Lambda0: 80, Queries: 1500, PeakFactor: 4, MeanOn: time.Second, MeanOff: 5 * time.Second})
 			return stats(cell(w, cluster, 0.6))
 		}, "bursty(1500q,peak=4.0x) 1500/0/0 cd2e33db7b15ff89"},
 		{"fig4", func() string {
 			w := fig4Workload{arrivals: PoissonService{Lambda0: 80, Queries: 1500}, sampleEvery: 100 * time.Millisecond, tau: time.Second}
 			res := cell(w, cluster, 0.88)
-			return cellDigest(res.Workload, res.Outcome, res.Outcome.Extra.([]Fig4Sample))
+			return cellDigest(res.Workload, res.Outcome, res.Outcome.Timeline)
 		}, "poisson+load-sampling(1500q) 1500/0/0 e60334debacd3fe5"},
 		{"failover", func() string {
 			res := cell(failoverWorkload{lambda0: 80, queries: 1500, bins: 10}, failing, 0.85)
-			return cellDigest(res.Workload, res.Outcome, res.Outcome.Extra.([]failoverBinRaw))
+			return cellDigest(res.Workload, res.Outcome, res.Outcome.failoverBins)
 		}, "poisson+transient(1500q) 1135/0/365 bd92a4884b3c73d6"},
 		{"RunPoisson", func() string {
 			var tb *testbed.Testbed
@@ -85,6 +87,47 @@ func TestSingleServiceCellDigests(t *testing.T) {
 	for _, tc := range cases {
 		if got := tc.got(); got != tc.want {
 			t.Errorf("%s: digest %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// A one-service cell's PerVIP[0] restates its aggregate — the sink counts
+// each query once for its VIP and once for the cell — on the
+// Poisson-family golden configs: every cell of the fig. 2 and bursty
+// goldens, the retransmit golden's silent-drop cell, and the figure 4
+// and failover cells.
+func TestOneServicePerVIPIsAggregate(t *testing.T) {
+	var cells []CellResult
+	for _, cfg := range []Fig2Config{goldenFig2Config, goldenBurstyConfig} {
+		cells = append(cells, RunFig2(cfg).Cells...)
+	}
+	silent := ClusterConfig{Seed: 21, Servers: 4, Server: serverWithBacklog(8)}
+	silent.Server.AbortOnOverflow = false
+	retransmitting := OneService(PoissonService{Lambda0: 80, Queries: 1500})
+	retransmitting.RetransmitRTO = time.Second
+	failing := smallCluster(31)
+	failing.Replicas = 2
+	failing.Events = []testbed.Event{testbed.FailReplica(0, 0).AtFraction(0.5)}
+	for _, sc := range []Scenario{
+		{Cluster: silent, Policy: SRc(4), Workload: retransmitting, Load: 2},
+		{Cluster: smallCluster(7), Policy: RR(), Load: 0.88, Workload: fig4Workload{
+			arrivals: PoissonService{Lambda0: 80, Queries: 2000}, sampleEvery: 100 * time.Millisecond, tau: time.Second,
+		}},
+		{Cluster: failing, Policy: SRc(4), Load: 0.85, Workload: failoverWorkload{lambda0: 80, queries: 2000, bins: 10}},
+	} {
+		cells = append(cells, sc.Run(context.Background()))
+	}
+	for _, c := range cells {
+		out := c.Outcome
+		if len(out.PerVIP) != 1 {
+			t.Fatalf("%s: %d PerVIP entries, want 1", c.Name, len(out.PerVIP))
+		}
+		v := out.PerVIP[0]
+		if !v.RT.Equal(out.RT) || v.Refused != out.Refused || v.Unfinished != out.Unfinished ||
+			v.Offered != out.total().Offered || v.Load != c.Load {
+			t.Errorf("%s: PerVIP[0] %d/%d/%d of %d at load %g, aggregate %d/%d/%d at load %g",
+				c.Name, v.RT.Count(), v.Refused, v.Unfinished, v.Offered, v.Load,
+				out.RT.Count(), out.Refused, out.Unfinished, c.Load)
 		}
 	}
 }

@@ -127,8 +127,8 @@ type Sweep struct {
 	Loads []float64
 	// LoadGrid, when non-empty, replaces the scalar Loads axis with the
 	// cross product of per-service load vectors: one load point per grid
-	// point, each dispatched through VectorWorkload.RunVector. The
-	// scalar load recorded for a grid cell is its last-axis value (the
+	// point, each pinning the services of a MultiServiceWorkload (the
+	// only workload that runs a load vector). The scalar load recorded for a grid cell is its last-axis value (the
 	// innermost knob), mirroring how the batch axis labels interference
 	// rows.
 	LoadGrid LoadGrid

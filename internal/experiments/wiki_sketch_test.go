@@ -45,6 +45,6 @@ func TestWikiSketchView(t *testing.T) {
 		writeSketchView(&b, "wiki-day "+run.Spec.Name, run)
 	}
 	_, cell := goldenTraceReplay(t)
-	writeSketchView(&b, "trace-replay "+cell.Policy, cell.Outcome.Extra.(WikiRun))
+	writeSketchView(&b, "trace-replay "+cell.Policy, *cell.Outcome.Wiki)
 	checkGolden(t, "wiki_sketch_view.txt", b.String())
 }

@@ -2,12 +2,12 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"math/rand/v2"
 	"time"
 
 	"srlb/internal/rng"
 	"srlb/internal/sketch"
+	"srlb/internal/testbed"
 )
 
 // Workload is an arrival process plus a demand model, replayable against
@@ -26,16 +26,6 @@ type Workload interface {
 	Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64) (CellOutcome, error)
 }
 
-// VectorWorkload is a Workload that can run a per-service load vector —
-// the contract grid sweeps (Sweep.LoadGrid) dispatch through. The same
-// determinism rules as Run apply: the outcome must be a pure function
-// of (cluster, spec, loads).
-type VectorWorkload interface {
-	Workload
-	// RunVector replays the workload with service d pinned at loads[d].
-	RunVector(ctx context.Context, cluster ClusterConfig, spec PolicySpec, loads []float64) (CellOutcome, error)
-}
-
 // CellOutcome is the measurement a Workload produces for one cell.
 type CellOutcome struct {
 	// RT sketches the response times of successful queries in constant
@@ -45,15 +35,21 @@ type CellOutcome struct {
 	// still pending (or timed out client-side) at horizon end.
 	Refused    int
 	Unfinished int
-	// PerVIP breaks the outcome down by service for multi-VIP workloads
-	// (MultiServiceWorkload), in the workload's service order; nil for
-	// single-VIP workloads. The aggregate fields above always cover all
-	// VIPs: summing a VIPOutcome column reproduces them.
+	// PerVIP breaks the outcome down by service, in the workload's
+	// service order (one entry for a one-service cell). The aggregate
+	// fields above always cover all VIPs: summing a VIPOutcome column
+	// reproduces them. Nil for the §VI replays (WikiWorkload,
+	// TraceWorkload), which account per query class instead.
 	PerVIP []VIPOutcome
-	// Extra carries workload-specific payloads: PoissonStats for the
-	// Poisson-family workloads, WikiRun for WikiWorkload, the sampled
-	// timeline for figure 4's workload.
-	Extra any
+	// Cluster holds the cluster-side counters of the run.
+	Cluster ClusterStats
+	// Wiki is the per-class, per-bin outcome of WikiWorkload and
+	// TraceWorkload; nil for every other workload and for a skipped cell.
+	Wiki *WikiRun
+	// Timeline is figure 4's smoothed load timeline (fig4Workload only).
+	Timeline []Fig4Sample
+	// failoverBins is the failover workload's per-issue-time accounting.
+	failoverBins []failoverBinRaw
 }
 
 // VIPOutcome is one service's share of a multi-VIP cell: the same
@@ -100,8 +96,9 @@ func (o CellOutcome) total() VIPOutcome {
 // (0 for a skipped cell, whose RT is nil).
 func (o CellOutcome) OKFraction() float64 { return o.total().OKFraction() }
 
-// PoissonStats is the Extra payload of PoissonWorkload and BurstyWorkload.
-type PoissonStats struct {
+// ClusterStats are the cluster-side counters of one replayed cell, read
+// off the testbed after the run (zero on a skipped cell).
+type ClusterStats struct {
 	// ServerCompleted is the number of queries each server completed —
 	// the capacity-shedding evidence of the heterogeneous-cluster study.
 	ServerCompleted []uint64
@@ -109,113 +106,29 @@ type PoissonStats struct {
 	// (the §IV-C silent-drop study).
 	Retransmits uint64
 	SYNTimeouts uint64
+	// Resteers counts flowlet re-steers (mid-connection candidate
+	// rewrites) summed across LB replicas; Rebinds is the flow-table view
+	// of the same events — equal to Resteers unless a rebind raced an
+	// expiry.
+	Resteers uint64
+	Rebinds  uint64
 }
 
-// PoissonWorkload is the paper's §V workload: open-loop Poisson arrivals
-// with Exp(MeanDemand) CPU demands. rate = load × Lambda0.
-type PoissonWorkload struct {
-	// Lambda0 converts the load point to an absolute rate in queries/sec
-	// (measure it with Calibrate; §V-A).
-	Lambda0 float64
-	// Queries per cell (default 20000, the paper's batch).
-	Queries int
-	// RetransmitRTO, when nonzero, enables client SYN retransmission —
-	// pair with Cluster.Server.AbortOnOverflow=false for the §IV-C study.
-	RetransmitRTO time.Duration
-}
-
-// service is the workload's arrival process — the same stream a
-// MultiServiceWorkload opens for a PoissonService.
-func (w PoissonWorkload) service() PoissonService {
-	return PoissonService{Lambda0: w.Lambda0, Queries: w.Queries}
-}
-
-// Label implements Workload.
-func (w PoissonWorkload) Label() string { return w.service().Label() }
-
-// Run implements Workload.
-func (w PoissonWorkload) Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64) (CellOutcome, error) {
-	return replayService(ctx, cluster, spec, w.service(), load, replaySettings{retransmitRTO: w.RetransmitRTO})
-}
-
-// BurstyWorkload is a two-state Markov-modulated Poisson process — a
-// flowlet-style on/off arrival stream in the spirit of the host-driven
-// flowlet-balancing literature: bursts at several times the long-run rate
-// alternate with quiet periods, while the mean stays load × Lambda0. It
-// stresses exactly what Service Hunting is for: instantaneous imbalance
-// that a static random spray cannot see.
-type BurstyWorkload struct {
-	Lambda0 float64
-	Queries int
-	// MeanOn and MeanOff are the mean burst and quiet durations
-	// (exponentially distributed; defaults 2s and 6s).
-	MeanOn, MeanOff time.Duration
-	// PeakFactor is the ON-state rate relative to the long-run mean
-	// (default 3; capped at (MeanOn+MeanOff)/MeanOn, where the OFF state
-	// goes fully quiet).
-	PeakFactor float64
-}
-
-func (w BurstyWorkload) withDefaults() BurstyWorkload {
-	if w.Queries == 0 {
-		w.Queries = 20000
+// clusterStats reads the counters off a replayed testbed.
+func clusterStats(tb *testbed.Testbed) ClusterStats {
+	cs := ClusterStats{
+		ServerCompleted: make([]uint64, len(tb.Servers)),
+		Retransmits:     tb.Gen.Counts.Get("syn_retransmits"),
+		SYNTimeouts:     tb.Gen.Counts.Get("syn_timeout"),
 	}
-	if w.MeanOn == 0 {
-		w.MeanOn = 2 * time.Second
+	for i, s := range tb.Servers {
+		cs.ServerCompleted[i] = s.Stats().Completed
 	}
-	if w.MeanOff == 0 {
-		w.MeanOff = 6 * time.Second
+	for _, lb := range tb.LBs {
+		cs.Resteers += lb.Counts.Get("flowlet_resteer")
+		cs.Rebinds += lb.FlowStats().Rebinds
 	}
-	if w.PeakFactor == 0 {
-		w.PeakFactor = 3
-	}
-	onFrac := w.MeanOn.Seconds() / (w.MeanOn + w.MeanOff).Seconds()
-	if w.PeakFactor > 1/onFrac {
-		w.PeakFactor = 1 / onFrac
-	}
-	if w.PeakFactor < 1 {
-		w.PeakFactor = 1
-	}
-	return w
-}
-
-// Label implements Workload.
-func (w BurstyWorkload) Label() string {
-	w = w.withDefaults()
-	return fmt.Sprintf("bursty(%dq,peak=%.1fx)", w.Queries, w.PeakFactor)
-}
-
-// Run implements Workload.
-func (w BurstyWorkload) Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64) (CellOutcome, error) {
-	svc := BurstyService{
-		Lambda0: w.Lambda0, Queries: w.Queries,
-		MeanOn: w.MeanOn, MeanOff: w.MeanOff, PeakFactor: w.PeakFactor,
-	}
-	return replayService(ctx, cluster, spec, svc, load, replaySettings{})
-}
-
-// newMMPP builds the workload's arrival process at the given load from
-// the given seed — shared by BurstyWorkload and BurstyService so the two
-// forms generate the identical on/off stream. w must already carry its
-// defaults.
-func (w BurstyWorkload) newMMPP(seed uint64, load float64) *mmpp {
-	mean := load * w.Lambda0
-	onFrac := w.MeanOn.Seconds() / (w.MeanOn + w.MeanOff).Seconds()
-	rateOn := w.PeakFactor * mean
-	rateOff := (mean - onFrac*rateOn) / (1 - onFrac)
-	if rateOff < 0 {
-		rateOff = 0
-	}
-	arrivals := &mmpp{
-		r:       rng.Split(seed, 0xb124),
-		rateOn:  rateOn,
-		rateOff: rateOff,
-		meanOn:  w.MeanOn,
-		meanOff: w.MeanOff,
-	}
-	// Start in the OFF state with a fresh dwell time.
-	arrivals.switchAt = rng.Exp(arrivals.r, arrivals.meanOff)
-	return arrivals
+	return cs
 }
 
 // mmpp generates arrivals of a two-state Markov-modulated Poisson process.

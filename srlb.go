@@ -73,26 +73,25 @@ type (
 	Adaptive = experiments.Adaptive
 
 	// Workload is the arrival-process-plus-demand-model interface every
-	// scenario replays; these are the built-in implementations.
-	// VectorWorkload is the extension grid sweeps dispatch through
-	// (MultiServiceWorkload implements it).
-	Workload        = experiments.Workload
-	VectorWorkload  = experiments.VectorWorkload
-	PoissonWorkload = experiments.PoissonWorkload
-	BurstyWorkload  = experiments.BurstyWorkload
-	TraceWorkload   = experiments.TraceWorkload
-	WikiWorkload    = experiments.WikiWorkload
-	// PoissonStats is the Extra payload of the Poisson-family workloads.
-	PoissonStats = experiments.PoissonStats
+	// scenario replays. MultiServiceWorkload is the open-loop cell
+	// (OneService its single-VIP form); WikiWorkload and TraceWorkload
+	// are the §VI replays.
+	Workload      = experiments.Workload
+	TraceWorkload = experiments.TraceWorkload
+	WikiWorkload  = experiments.WikiWorkload
+	// ClusterStats are a replayed cell's cluster-side counters
+	// (CellOutcome.Cluster): per-server completions, SYN retransmits and
+	// timeouts, flowlet re-steers and rebinds.
+	ClusterStats = experiments.ClusterStats
 
-	// The multi-service layer: a MultiServiceWorkload interleaves one
-	// arrival stream per VIP (each a ServiceWorkload named by a
-	// ServiceSpec) into a single deterministic run against a multi-VIP
-	// cluster, reporting the outcome both aggregate and per service
-	// (VIPOutcome per cell, VIPStats per aggregate). Services may share
-	// a server pool (ServiceSpec.Pool + MultiServiceWorkload.Pools) and
-	// carry their own load axes (ServiceLoad — a fixed victim ρ against
-	// a swept aggressor).
+	// The open-loop cell: a MultiServiceWorkload interleaves one arrival
+	// stream per VIP (each a ServiceWorkload named by a ServiceSpec) into
+	// a single deterministic run, reporting the outcome both aggregate
+	// and per service (VIPOutcome per cell, VIPStats per aggregate of
+	// two or more services). Services may share a server pool
+	// (ServiceSpec.Pool + MultiServiceWorkload.Pools) and carry their own
+	// load axes (ServiceLoad — a fixed victim ρ against a swept
+	// aggressor).
 	MultiServiceWorkload = experiments.MultiServiceWorkload
 	ServiceSpec          = experiments.ServiceSpec
 	ServiceLoad          = experiments.ServiceLoad
@@ -123,7 +122,7 @@ type (
 	Fig4Result = experiments.Fig4Result
 	WikiConfig = experiments.WikiConfig
 	WikiResult = experiments.WikiResult
-	// WikiRun is one policy's replay outcome — also the Extra payload a
+	// WikiRun is one policy's replay outcome — also the Wiki field a
 	// WikiWorkload/TraceWorkload cell carries.
 	WikiRun = experiments.WikiRun
 
@@ -186,9 +185,6 @@ type (
 	// policy-crossover cells; renders per-policy ASCII heatmaps.
 	RhoGridConfig = experiments.RhoGridConfig
 	RhoGridResult = experiments.RhoGridResult
-	// MultiServiceStats is a multi-service cell's Extra payload: the
-	// cluster-side flowlet re-steer/rebind counters.
-	MultiServiceStats = experiments.MultiServiceStats
 
 	// FeedbackConfig tunes the server-load telemetry plane
 	// (Cluster.Feedback / Topology.Feedback): publish interval, report
@@ -305,6 +301,10 @@ const MeanDemand = experiments.MeanDemand
 // DeriveSeeds expands a base seed into n well-separated, pairwise
 // distinct, nonzero seeds for a Sweep's replication axis.
 func DeriveSeeds(base uint64, n int) []uint64 { return experiments.DeriveSeeds(base, n) }
+
+// OneService is the single-VIP cell: svc replayed as the cluster's only
+// service, e.g. OneService(PoissonService{Lambda0: l0}) for the §V cell.
+func OneService(svc ServiceWorkload) MultiServiceWorkload { return experiments.OneService(svc) }
 
 // ExtendSeeds appends n derived seeds to an existing list, skipping
 // zero and anything already present — how adaptive replication grows a
@@ -465,7 +465,7 @@ func QuickComparison(seed uint64, servers int, rho float64, queries int) (rrMean
 		Cluster:  cluster,
 		Policies: []Policy{RR(), SRStatic(4)},
 		Loads:    []float64{rho},
-		Workload: PoissonWorkload{Lambda0: cal.Lambda0, Queries: queries},
+		Workload: OneService(PoissonService{Lambda0: cal.Lambda0, Queries: queries}),
 	})
 	return res.Cell(0, 0, 0).Outcome.RT.Mean(), res.Cell(1, 0, 0).Outcome.RT.Mean()
 }

@@ -83,7 +83,7 @@ func TestFacadeSweepRunner(t *testing.T) {
 		Cluster:  cluster,
 		Policies: []srlb.Policy{srlb.RR(), srlb.SRStatic(4)},
 		Loads:    []float64{0.4, 0.85},
-		Workload: srlb.PoissonWorkload{Lambda0: 80, Queries: 2000},
+		Workload: srlb.OneService(srlb.PoissonService{Lambda0: 80, Queries: 2000}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,15 +101,16 @@ func TestFacadeSweepRunner(t *testing.T) {
 
 func TestFacadeScenarioWorkloads(t *testing.T) {
 	cluster := srlb.Cluster{Seed: 6, Servers: 4}
-	var w srlb.Workload = srlb.BurstyWorkload{Lambda0: 80, Queries: 1000}
+	var w srlb.Workload = srlb.OneService(srlb.BurstyService{Lambda0: 80, Queries: 1000})
 	cell := srlb.Scenario{Cluster: cluster, Policy: srlb.SRDynamic(), Workload: w, Load: 0.5}.
 		Run(context.Background())
 	out := cell.Outcome
 	if out.RT.Count()+out.Refused+out.Unfinished != 1000 {
 		t.Fatal("bursty accounting broken")
 	}
-	if _, ok := out.Extra.(srlb.PoissonStats); !ok {
-		t.Fatal("missing PoissonStats extra")
+	var stats srlb.ClusterStats = out.Cluster
+	if len(stats.ServerCompleted) != 4 {
+		t.Fatal("missing per-server completions")
 	}
 	if len(srlb.DeriveSeeds(1, 3)) != 3 {
 		t.Fatal("DeriveSeeds length")
@@ -139,7 +140,7 @@ func TestFacadeReplication(t *testing.T) {
 		Policies: []srlb.Policy{srlb.RR(), srlb.SRStatic(4)},
 		Loads:    []float64{0.85},
 		Seeds:    srlb.DeriveSeeds(9, 3),
-		Workload: srlb.PoissonWorkload{Lambda0: 80, Queries: 1500},
+		Workload: srlb.OneService(srlb.PoissonService{Lambda0: 80, Queries: 1500}),
 	})
 	if err != nil {
 		t.Fatal(err)
