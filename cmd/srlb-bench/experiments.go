@@ -83,6 +83,9 @@ var calibration = experiment{
 	name: "calibrate", title: "calibrate (SS V-A bootstrap)", onlyWhenNamed: true,
 	run: func(e *env) (rep report, _ error) {
 		cal := srlb.CalibrateCached(srlb.Calibration{Cluster: e.base.Cluster})
+		if cal.Err != nil {
+			return rep, inputError{fmt.Errorf("%w; the probes are 20000 queries whatever -queries says, so lower -servers", cal.Err)}
+		}
 		e.lambda0 = cal.Lambda0
 		rep.linef("lambda0 = %.1f q/s (theoretical %.1f, %d probes)", cal.Lambda0, cal.Theoretical, len(cal.Probes))
 		rep.files = []artifact{{"calibration.tsv", cal.WriteTSV}}

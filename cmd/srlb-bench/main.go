@@ -42,6 +42,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -196,11 +197,19 @@ experiments and the bursty sweep are described in docs/TOPOLOGY.md.`)
 	for _, x := range selected {
 		if err := e.run(x); err != nil {
 			fmt.Fprintf(os.Stderr, "srlb-bench: %v\n", err)
+			if errors.As(err, new(inputError)) {
+				return 2
+			}
 			return 1
 		}
 	}
 	return 0
 }
+
+// inputError is a failure the command line caused that shows only once
+// work has begun (a calibration whose probes never refuse): exit 2, as
+// for the flags resolve rejects.
+type inputError struct{ error }
 
 // declareFlags declares srlb-bench's flag set on fs, parsing into e.
 func (e *env) declareFlags(fs *flag.FlagSet) {

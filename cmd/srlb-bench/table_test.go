@@ -177,6 +177,18 @@ func TestBadInput(t *testing.T) {
 	}
 }
 
+// TestCalibrationWithoutDropOnset: a cluster whose queues hold a whole
+// 20000-query probe refuses nothing at any rate, so calibration has no
+// drop onset to find. That is a usage error too — exit 2 with one line
+// naming the cause and -servers — where it once panicked.
+func TestCalibrationWithoutDropOnset(t *testing.T) {
+	_, stderr, exit := runBench(t, "-experiment", "calibrate", "-servers", "200", "-out", t.TempDir())
+	if exit != 2 || !strings.Contains(stderr, "no probe refused") || !strings.Contains(stderr, "-servers") ||
+		strings.Count(stderr, "\n") != 1 {
+		t.Errorf("exit %d, want 2 with one line naming the cause and -servers; stderr:\n%s", exit, stderr)
+	}
+}
+
 // commandLine matches an srlb-bench invocation in prose, a shell snippet
 // or a workflow step: the binary (under any path or suffix) and the run
 // of "-flag [value]" tokens after it.

@@ -116,6 +116,10 @@ func simulate() (code int) {
 	r := *rate
 	if r == 0 {
 		cal := srlb.Calibrate(srlb.Calibration{Cluster: cluster, Queries: *queries})
+		if cal.Err != nil {
+			fmt.Fprintf(os.Stderr, "srlb-sim: %v; raise -queries, or set -rate\n", cal.Err)
+			return 2
+		}
 		r = *rho * cal.Lambda0
 		fmt.Printf("lambda0 = %.1f q/s (theoretical %.1f); running at rho=%.2f -> %.1f q/s\n",
 			cal.Lambda0, cal.Theoretical, *rho, r)

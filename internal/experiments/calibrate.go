@@ -69,7 +69,17 @@ type CalibrationResult struct {
 	// round probes are recorded in ascending rate order, so the list is
 	// deterministic regardless of worker scheduling.
 	Probes []CalibrationProbe
+	// Err is set, and Lambda0 zero, when no probe refused a connection
+	// at any rate the search tried: the cluster's queues hold a whole
+	// probe's queries, so no drop onset exists at this probe size.
+	Err error
 }
+
+// maxWidenings bounds the search's upward ladder: Hi doubled this many
+// times is ~1500× the theoretical capacity on the default bracket, and a
+// cluster that refuses nothing there never will — each probe's queries
+// all fit in its queues at once.
+const maxWidenings = 10
 
 // CalibrationProbe is one probe run.
 type CalibrationProbe struct {
@@ -140,7 +150,12 @@ func Calibrate(cfg CalibrationConfig) CalibrationResult {
 		hi = lo
 		lo /= 2
 	}
-	for !drops(hi) {
+	for widened := 0; !drops(hi); widened++ {
+		if widened == maxWidenings {
+			res.Err = fmt.Errorf("calibrate: no probe refused a connection up to %.0f q/s (%.0fx the theoretical capacity): "+
+				"the cluster queues all %d queries of a probe", hi, hi/res.Theoretical, cfg.Queries)
+			return res
+		}
 		lo = hi
 		hi *= 2
 	}

@@ -129,3 +129,21 @@ func TestCalibrationFingerprint(t *testing.T) {
 		t.Fatal("default-spec fingerprint not stable across configs")
 	}
 }
+
+// A probe the cluster's queues swallow whole never refuses, at any rate:
+// the upward ladder stops after maxWidenings doublings and says so,
+// where it used to double Hi to +Inf and panic in the next probe.
+func TestCalibrateWithoutDropOnsetFails(t *testing.T) {
+	res := Calibrate(CalibrationConfig{Cluster: smallCluster(1), Queries: 500, Workers: 1})
+	if res.Err == nil || res.Lambda0 != 0 {
+		t.Fatalf("Lambda0 %.1f, err %v: want an error and no rate", res.Lambda0, res.Err)
+	}
+	if n := len(res.Probes); n != maxWidenings+2 {
+		t.Fatalf("%d probes, want the low probe plus %d on the ladder", n, maxWidenings+1)
+	}
+	for _, p := range res.Probes {
+		if math.IsInf(p.RatePerSec, 0) || p.Refused != 0 {
+			t.Fatalf("probe %+v: want finite rates that never refuse", p)
+		}
+	}
+}

@@ -219,7 +219,11 @@ func (c ClusterConfig) lambda0(given float64) float64 {
 	if given != 0 {
 		return given
 	}
-	return CalibrateCached(CalibrationConfig{Cluster: c}).Lambda0
+	cal := CalibrateCached(CalibrationConfig{Cluster: c})
+	if cal.Err != nil {
+		panic("experiments: " + cal.Err.Error())
+	}
+	return cal.Lambda0
 }
 
 // Base is the §V protocol every Poisson-family experiment config embeds:
