@@ -206,7 +206,7 @@ func TestWorkConservation(t *testing.T) {
 		completed := 0
 		for _, d := range demands {
 			demand := time.Duration(d) * 10 * time.Microsecond
-			at := rng.Uniform(r, 0, 50*time.Millisecond)
+			at := time.Duration(r.Int64N(int64(50 * time.Millisecond)))
 			sim.At(at, func() {
 				if s.Offer(demand, func() { completed++ }) == Admitted {
 					totalDemand += demand
@@ -240,7 +240,7 @@ func TestBusyCountMatchesInService(t *testing.T) {
 	inFlight := 0
 	maxBusy := 0
 	for i := 0; i < 500; i++ {
-		at := rng.Uniform(r, 0, time.Second)
+		at := time.Duration(r.Int64N(int64(time.Second)))
 		demand := rng.Exp(r, 5*time.Millisecond)
 		sim.At(at, func() {
 			if s.Offer(demand, func() { inFlight-- }) == Admitted {
@@ -318,7 +318,7 @@ func TestDeterminism(t *testing.T) {
 		r := rng.New(123)
 		var done []time.Duration
 		for i := 0; i < 200; i++ {
-			at := rng.Uniform(r, 0, time.Second)
+			at := time.Duration(r.Int64N(int64(time.Second)))
 			demand := rng.Exp(r, 20*time.Millisecond)
 			sim.At(at, func() {
 				s.Offer(demand, func() { done = append(done, sim.Now()) })

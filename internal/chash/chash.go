@@ -1,6 +1,5 @@
 // Package chash provides consistent hashing: a Maglev-style lookup table
-// (Eisenbud et al., NSDI'16 — reference [3] of the paper) and a classic
-// ring hash.
+// (Eisenbud et al., NSDI'16 — reference [3] of the paper).
 //
 // SRLB §II-B lists consistent hashing as one of the candidate-selection
 // schemes for the SR segment list, and the related-work discussion notes
@@ -12,7 +11,6 @@ package chash
 import (
 	"fmt"
 	"hash/fnv"
-	"sort"
 )
 
 // Hash64 hashes a string key with FNV-1a (stdlib, stable across runs).
@@ -112,11 +110,6 @@ func (m *Maglev) Lookup(key string) string {
 	return m.backends[m.table[Hash64(key)%m.m]]
 }
 
-// LookupHash returns the backend for a precomputed hash.
-func (m *Maglev) LookupHash(h uint64) string {
-	return m.backends[m.table[h%m.m]]
-}
-
 // Lookup2 returns two distinct backends for a key — the primary and the
 // next distinct entry in the table — supporting two-candidate Service
 // Hunting with consistent (rather than random) selection. With one
@@ -135,78 +128,4 @@ func (m *Maglev) Lookup2(key string) (string, string) {
 		}
 	}
 	return m.backends[first], m.backends[first]
-}
-
-// Backends returns the member list (copy).
-func (m *Maglev) Backends() []string {
-	return append([]string(nil), m.backends...)
-}
-
-// TableSize returns the lookup table size.
-func (m *Maglev) TableSize() int { return int(m.m) }
-
-// Distribution returns how many slots each backend owns, keyed by name.
-func (m *Maglev) Distribution() map[string]int {
-	out := make(map[string]int, len(m.backends))
-	for _, idx := range m.table {
-		out[m.backends[idx]]++
-	}
-	return out
-}
-
-// Ring is a classic consistent-hash ring with virtual nodes, provided as a
-// second scheme (and as the comparison baseline for the Maglev balance
-// property tests).
-type Ring struct {
-	points   []ringPoint
-	backends []string
-}
-
-type ringPoint struct {
-	hash    uint64
-	backend int
-}
-
-// NewRing builds a ring with the given number of virtual nodes per
-// backend (vnodes ≤ 0 defaults to 256). Vnode positions are derived by
-// re-hashing the previous position, which spreads markedly better than
-// hashing "name#i" with FNV on short similar names.
-func NewRing(backends []string, vnodes int) (*Ring, error) {
-	if len(backends) == 0 {
-		return nil, fmt.Errorf("chash: no backends")
-	}
-	if vnodes <= 0 {
-		vnodes = 256
-	}
-	r := &Ring{backends: append([]string(nil), backends...)}
-	for i, b := range r.backends {
-		h := Hash64(b)
-		for v := 0; v < vnodes; v++ {
-			h = mix64(h)
-			r.points = append(r.points, ringPoint{hash: h, backend: i})
-		}
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-	return r, nil
-}
-
-// mix64 is the splitmix64 finalizer — a strong 64-bit bijective mixer.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// Lookup returns the backend owning the key.
-func (r *Ring) Lookup(key string) string {
-	h := Hash64(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.backends[r.points[i].backend]
 }

@@ -3,7 +3,6 @@ package chash
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 )
 
 func names(n int) []string {
@@ -31,8 +30,8 @@ func TestMaglevDefaultTableSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.TableSize() != DefaultTableSize {
-		t.Fatalf("table size = %d", m.TableSize())
+	if m.m != DefaultTableSize || len(m.table) != DefaultTableSize {
+		t.Fatalf("table size = %d (%d slots)", m.m, len(m.table))
 	}
 }
 
@@ -41,7 +40,10 @@ func TestMaglevBalance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist := m.Distribution()
+	dist := make(map[string]int) // slots each backend owns
+	for _, idx := range m.table {
+		dist[m.backends[idx]]++
+	}
 	ideal := 65537.0 / 12
 	for b, got := range dist {
 		dev := (float64(got) - ideal) / ideal
@@ -137,67 +139,16 @@ func TestMaglevLookup2PrimaryMatchesLookup(t *testing.T) {
 	}
 }
 
+// The table keeps its own copy of the member list: a caller reusing its
+// slice cannot redirect lookups.
 func TestMaglevBackendsCopy(t *testing.T) {
-	m, _ := NewMaglev(names(3), 101)
-	b := m.Backends()
-	b[0] = "mutated"
-	if m.Backends()[0] == "mutated" {
-		t.Fatal("Backends() must return a copy")
-	}
-}
-
-func TestLookupHashConsistent(t *testing.T) {
-	m, _ := NewMaglev(names(7), 4099)
+	b := names(3)
+	m, _ := NewMaglev(b, 101)
+	b[0], b[1], b[2] = "mutated", "mutated", "mutated"
 	for i := 0; i < 100; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if m.Lookup(key) != m.LookupHash(Hash64(key)) {
-			t.Fatal("LookupHash disagrees with Lookup")
+		if got := m.Lookup(fmt.Sprintf("k%d", i)); got == "mutated" {
+			t.Fatal("mutating the caller's slice changed a lookup")
 		}
-	}
-}
-
-func TestRingBasics(t *testing.T) {
-	if _, err := NewRing(nil, 16); err == nil {
-		t.Fatal("empty ring accepted")
-	}
-	r, err := NewRing(names(12), 0) // default vnodes
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make(map[string]int)
-	const n = 120000
-	for i := 0; i < n; i++ {
-		counts[r.Lookup(fmt.Sprintf("flow-%d", i))]++
-	}
-	if len(counts) != 12 {
-		t.Fatalf("only %d backends receive traffic", len(counts))
-	}
-	for b, c := range counts {
-		frac := float64(c) / n
-		if frac < 0.04 || frac > 0.14 { // ideal 1/12 ≈ 0.083; ring is noisier than Maglev
-			t.Fatalf("ring backend %s got %.3f of flows", b, frac)
-		}
-	}
-}
-
-func TestRingDeterministic(t *testing.T) {
-	a, _ := NewRing(names(5), 64)
-	b, _ := NewRing(names(5), 64)
-	for i := 0; i < 500; i++ {
-		key := fmt.Sprintf("k%d", i)
-		if a.Lookup(key) != b.Lookup(key) {
-			t.Fatal("ring lookup not deterministic")
-		}
-	}
-}
-
-func TestRingStabilityQuick(t *testing.T) {
-	r, _ := NewRing(names(8), 64)
-	f := func(key string) bool {
-		return r.Lookup(key) == r.Lookup(key)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -211,8 +162,13 @@ func TestHash64Stable(t *testing.T) {
 func BenchmarkMaglevLookup(b *testing.B) {
 	m, _ := NewMaglev(names(12), 65537)
 	b.ReportAllocs()
+	keys := make([]string, 1024)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("flow-%d", i)
+	}
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.LookupHash(uint64(i) * 0x9e3779b97f4a7c15)
+		m.Lookup(keys[i&1023])
 	}
 }
 
@@ -222,17 +178,5 @@ func BenchmarkMaglevBuild12(b *testing.B) {
 		if _, err := NewMaglev(ns, 65537); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-func BenchmarkRingLookup(b *testing.B) {
-	r, _ := NewRing(names(12), 128)
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("flow-%d", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Lookup(keys[i&1023])
 	}
 }

@@ -193,9 +193,6 @@ func (d *Dispatcher) Addrs() []netip.Addr {
 	return addrs
 }
 
-// NumVIPs returns how many VIPs the balancer advertises.
-func (d *Dispatcher) NumVIPs() int { return len(d.vips) }
-
 // VIPSYNs returns the number of client SYNs this replica received for
 // the given VIP — the per-service demand split of a multi-VIP cluster.
 // Summed across replicas it equals the queries offered to the VIP (each

@@ -78,8 +78,8 @@ func TestNewDetachedConstantAllocs(t *testing.T) {
 		net := netsim.New(sim, netsim.Config{LossProb: 1})
 		return testing.AllocsPerRun(10, func() {
 			lb := NewDetached(sim, net, Config{Addr: lbAddr, VIPList: list})
-			if lb.NumVIPs() != n {
-				t.Fatalf("built %d VIPs, want %d", lb.NumVIPs(), n)
+			if len(lb.vips) != n {
+				t.Fatalf("built %d VIPs, want %d", len(lb.vips), n)
 			}
 		})
 	}

@@ -154,8 +154,8 @@ func TestSweepResultRaggedCellAt(t *testing.T) {
 	if c := res.CellAt(1, 0, 1, 1); c.Name != "b-hi" || c.Seed != 2 {
 		t.Fatalf("CellAt(1,0,1,1) = %q seed %d, want b-hi seed 2", c.Name, c.Seed)
 	}
-	if got := res.SeedsAt(1, 0, 0); !reflect.DeepEqual(got, []uint64{1}) {
-		t.Fatalf("SeedsAt(1,0,0) = %v, want the cell's own single seed", got)
+	if reps := res.Replicates(1, 0, 0); len(reps) != 1 || reps[0].Seed != 1 {
+		t.Fatalf("Replicates(1,0,0) = %d cells, want the cell's own single seed", len(reps))
 	}
 	mustPanic(t, "seed index past the cell's own count", func() { res.CellAt(0, 0, 0, 2) })
 	mustPanic(t, "policy index out of range", func() { res.CellAt(2, 0, 0, 0) })

@@ -327,17 +327,6 @@ func (r SweepResult) cellIndex(pi, vi, li int) int {
 	return (pi*v+vi)*l + li
 }
 
-// SeedsAt returns the replicate seeds of logical cell (pi, vi, li):
-// the cell's own list for ragged results, the shared Seeds axis
-// otherwise.
-func (r SweepResult) SeedsAt(pi, vi, li int) []uint64 {
-	ci := r.cellIndex(pi, vi, li)
-	if r.CellSeeds != nil {
-		return r.CellSeeds[ci]
-	}
-	return r.Seeds
-}
-
 // Replicates returns the replicate results of logical cell (pi, vi,
 // li), robust to ragged per-cell seed counts (adaptive replication).
 func (r SweepResult) Replicates(pi, vi, li int) []CellResult {

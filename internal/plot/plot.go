@@ -22,12 +22,6 @@ type Series struct {
 	YErr []float64
 }
 
-// SeriesErr builds a Series with error bars — the CI-aware form the
-// replicated-sweep plots use.
-func SeriesErr(name string, x, y, yerr []float64) Series {
-	return Series{Name: name, X: x, Y: y, YErr: yerr}
-}
-
 // Facet is one titled chart of a multi-chart rendering.
 type Facet struct {
 	Title  string

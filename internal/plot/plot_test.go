@@ -106,8 +106,8 @@ func TestFormatTick(t *testing.T) {
 func TestRenderErrorBarsGolden(t *testing.T) {
 	var buf bytes.Buffer
 	err := Render(&buf, Config{Title: "mean rt vs load (error bars = ci95)", Width: 40, Height: 12, XLabel: "rho", YLabel: "rt(s)"},
-		SeriesErr("RR", []float64{0.2, 0.5, 0.8}, []float64{0.12, 0.3, 1.0}, []float64{0.02, 0.08, 0.3}),
-		SeriesErr("SR 4", []float64{0.2, 0.5, 0.8}, []float64{0.11, 0.18, 0.42}, []float64{0.01, 0.03, 0.1}),
+		Series{Name: "RR", X: []float64{0.2, 0.5, 0.8}, Y: []float64{0.12, 0.3, 1.0}, YErr: []float64{0.02, 0.08, 0.3}},
+		Series{Name: "SR 4", X: []float64{0.2, 0.5, 0.8}, Y: []float64{0.11, 0.18, 0.42}, YErr: []float64{0.01, 0.03, 0.1}},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestRenderYErrValidation(t *testing.T) {
 	// The y-range must widen to include the whiskers: a flat line with
 	// errors still renders without a degenerate range.
 	if err := Render(&buf, Config{Width: 20, Height: 6},
-		SeriesErr("flat", []float64{0, 1}, []float64{1, 1}, []float64{0.5, 0.5})); err != nil {
+		Series{Name: "flat", X: []float64{0, 1}, Y: []float64{1, 1}, YErr: []float64{0.5, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

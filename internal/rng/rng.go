@@ -58,36 +58,6 @@ func LogNormal(r *rand.Rand, mean time.Duration, cv float64) time.Duration {
 	return time.Duration(math.Exp(mu + math.Sqrt(sigma2)*r.NormFloat64()))
 }
 
-// Pareto draws from a bounded Pareto with shape alpha and minimum xmin.
-// Used for static-object sizes.
-func Pareto(r *rand.Rand, xmin float64, alpha float64) float64 {
-	if alpha <= 0 || xmin <= 0 {
-		return xmin
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return xmin / math.Pow(u, 1/alpha)
-}
-
-// Uniform draws a duration uniformly from [lo, hi).
-func Uniform(r *rand.Rand, lo, hi time.Duration) time.Duration {
-	if hi <= lo {
-		return lo
-	}
-	return lo + time.Duration(r.Int64N(int64(hi-lo)))
-}
-
-// Jitter returns d multiplied by a uniform factor in [1-f, 1+f].
-func Jitter(r *rand.Rand, d time.Duration, f float64) time.Duration {
-	if f <= 0 {
-		return d
-	}
-	scale := 1 + f*(2*r.Float64()-1)
-	return time.Duration(float64(d) * scale)
-}
-
 // Zipf generates Zipf-distributed integers in [0, n) with exponent s > 1
 // is not required; any s > 0 is accepted (s=0 degenerates to uniform).
 // math/rand/v2 dropped the v1 Zipf generator, so this is a from-scratch
@@ -135,17 +105,6 @@ func (z *Zipf) Draw() int {
 		}
 	}
 	return lo
-}
-
-// Prob returns the probability mass of rank i.
-func (z *Zipf) Prob(i int) float64 {
-	if i < 0 || i >= len(z.cdf) {
-		return 0
-	}
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
 }
 
 // Poisson is a homogeneous Poisson arrival process.

@@ -81,47 +81,6 @@ func TestLogNormalDegenerate(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	r := New(4)
-	for i := 0; i < 10000; i++ {
-		x := Pareto(r, 2.0, 1.5)
-		if x < 2.0 {
-			t.Fatalf("Pareto sample %v below xmin", x)
-		}
-	}
-	if Pareto(r, 2.0, 0) != 2.0 {
-		t.Fatal("Pareto with alpha<=0 should return xmin")
-	}
-}
-
-func TestUniformRange(t *testing.T) {
-	r := New(5)
-	lo, hi := 10*time.Millisecond, 20*time.Millisecond
-	for i := 0; i < 10000; i++ {
-		x := Uniform(r, lo, hi)
-		if x < lo || x >= hi {
-			t.Fatalf("Uniform sample %v outside [%v,%v)", x, lo, hi)
-		}
-	}
-	if Uniform(r, hi, lo) != hi {
-		t.Fatal("inverted range should return lo")
-	}
-}
-
-func TestJitterBounds(t *testing.T) {
-	r := New(6)
-	d := 100 * time.Millisecond
-	for i := 0; i < 10000; i++ {
-		x := Jitter(r, d, 0.1)
-		if x < 90*time.Millisecond || x > 110*time.Millisecond {
-			t.Fatalf("Jitter sample %v outside ±10%%", x)
-		}
-	}
-	if Jitter(r, d, 0) != d {
-		t.Fatal("zero jitter should be identity")
-	}
-}
-
 func TestZipfDistribution(t *testing.T) {
 	r := New(7)
 	z := NewZipf(r, 100, 1.0)
@@ -130,8 +89,13 @@ func TestZipfDistribution(t *testing.T) {
 	for i := 0; i < n; i++ {
 		counts[z.Draw()]++
 	}
-	// Rank 0 should be the most frequent and roughly prob(0)*n.
-	p0 := z.Prob(0)
+	// Rank 0 should be the most frequent and roughly prob(0)*n, where
+	// prob(0) = 1/H(100), the harmonic number.
+	var h float64
+	for k := 1; k <= 100; k++ {
+		h += 1 / float64(k)
+	}
+	p0 := 1 / h
 	got := float64(counts[0]) / n
 	if math.Abs(got-p0)/p0 > 0.05 {
 		t.Fatalf("rank-0 freq %v, want %v ±5%%", got, p0)
@@ -142,18 +106,23 @@ func TestZipfDistribution(t *testing.T) {
 	}
 }
 
+// The cumulative table Draw searches is a proper distribution: it rises
+// and ends at exactly 1, so every draw is a valid rank.
 func TestZipfProbSumsToOne(t *testing.T) {
 	r := New(8)
 	z := NewZipf(r, 50, 0.8)
-	sum := 0.0
-	for i := 0; i < z.N(); i++ {
-		sum += z.Prob(i)
+	for i := 1; i < z.N(); i++ {
+		if z.cdf[i] < z.cdf[i-1] {
+			t.Fatalf("cdf falls at rank %d: %v < %v", i, z.cdf[i], z.cdf[i-1])
+		}
 	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("Zipf probs sum to %v, want 1", sum)
+	if z.cdf[z.N()-1] != 1 {
+		t.Fatalf("Zipf probs sum to %v, want 1", z.cdf[z.N()-1])
 	}
-	if z.Prob(-1) != 0 || z.Prob(50) != 0 {
-		t.Fatal("out-of-range Prob should be 0")
+	for i := 0; i < 10000; i++ {
+		if k := z.Draw(); k < 0 || k >= z.N() {
+			t.Fatalf("Draw returned rank %d outside [0, %d)", k, z.N())
+		}
 	}
 }
 
@@ -161,8 +130,8 @@ func TestZipfUniformWhenSZero(t *testing.T) {
 	r := New(9)
 	z := NewZipf(r, 10, 0)
 	for i := 0; i < 10; i++ {
-		if math.Abs(z.Prob(i)-0.1) > 1e-9 {
-			t.Fatalf("s=0 should be uniform, Prob(%d)=%v", i, z.Prob(i))
+		if want := float64(i+1) / 10; math.Abs(z.cdf[i]-want) > 1e-9 {
+			t.Fatalf("s=0 should be uniform, P(X <= %d)=%v", i, z.cdf[i])
 		}
 	}
 }

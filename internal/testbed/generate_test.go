@@ -136,7 +136,7 @@ func TestGeneratedTopologyParity(t *testing.T) {
 func TestGenerate1kBuildSmoke(t *testing.T) {
 	top := GenerateTopology(GenSpec{Seed: 9, VIPs: 1000})
 	tb := Build(top)
-	if got := tb.LB.NumVIPs(); got != 1000 {
+	if got := len(tb.LB.Addrs()) - 1; got != 1000 { // its own address, then one per VIP
 		t.Fatalf("LB advertises %d VIPs, want 1000", got)
 	}
 	if got := len(tb.Servers); got != 16*12 {
