@@ -93,20 +93,18 @@ type failoverBinRaw struct {
 // failoverWorkload is the Poisson cell instrumented with per-issue-
 // time-bin accounting of the failover transient.
 type failoverWorkload struct {
-	lambda0 float64
-	queries int
-	bins    int
+	arrivals PoissonService
+	bins     int
 }
 
 // Label implements Workload.
 func (w failoverWorkload) Label() string {
-	return fmt.Sprintf("poisson+transient(%dq)", w.queries)
+	return fmt.Sprintf("poisson+transient(%dq)", w.arrivals.Queries)
 }
 
 // Run implements Workload.
 func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64) (CellOutcome, error) {
-	arrivals := PoissonService{Lambda0: w.lambda0, Queries: w.queries}
-	binW := arrivals.Span(load) / time.Duration(w.bins)
+	binW := w.arrivals.Span(load) / time.Duration(w.bins)
 	raw := make([]failoverBinRaw, w.bins)
 	hooks := PoissonHooks{OnResult: func(res testbed.Result) {
 		i := int(res.IssuedAt / binW)
@@ -125,7 +123,7 @@ func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec P
 			b.Refused++
 		}
 	}}
-	out, err := OneService(arrivals).run(ctx, cluster, spec, load, hooks)
+	out, err := OneService(w.arrivals).run(ctx, cluster, spec, load, hooks)
 	out.failoverBins = raw
 	return out, err
 }
@@ -199,7 +197,7 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 		Variants: variants,
 		Loads:    []float64{cfg.Rho},
 		Seeds:    cfg.Seeds,
-		Workload: failoverWorkload{lambda0: cfg.Lambda0, queries: cfg.Queries, bins: cfg.Bins},
+		Workload: failoverWorkload{arrivals: PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, bins: cfg.Bins},
 	})
 	agg := sweep.Aggregate()
 
@@ -217,11 +215,8 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 		var timelines [][]failoverBinRaw
 		for si := range sweep.Seeds {
 			cell := sweep.CellAt(0, vi, 0, si)
-			if cell.Err != nil {
-				continue
-			}
-			if raw := cell.Outcome.failoverBins; raw != nil {
-				timelines = append(timelines, raw)
+			if cell.Err == nil {
+				timelines = append(timelines, cell.Outcome.failoverBins)
 			}
 		}
 		mode.Bins = aggregateFailoverBins(res.BinWidth, cfg.Bins, timelines)

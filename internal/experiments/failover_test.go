@@ -184,7 +184,7 @@ func TestFailoverRelativeMatchesAbsolute(t *testing.T) {
 			}}},
 			Loads:    []float64{rho},
 			Seeds:    DeriveSeeds(83, 2),
-			Workload: failoverWorkload{lambda0: lambda0, queries: queries, bins: 20},
+			Workload: failoverWorkload{arrivals: PoissonService{Lambda0: lambda0, Queries: queries}, bins: 20},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -141,11 +141,8 @@ func RunFig4(cfg Fig4Config) Fig4Result {
 		var timelines [][]Fig4Sample
 		for si := range sweep.Seeds {
 			cell := sweep.Cell(pi, 0, si)
-			if cell.Err != nil { // a cancelled cell's timeline is truncated
-				continue
-			}
-			if samples := cell.Outcome.Timeline; samples != nil {
-				timelines = append(timelines, samples)
+			if cell.Err == nil { // a cancelled cell's timeline is truncated
+				timelines = append(timelines, cell.Outcome.Timeline)
 			}
 		}
 		res.Series = append(res.Series, Fig4Series{

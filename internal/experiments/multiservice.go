@@ -91,28 +91,12 @@ func (s PoissonService) Label() string {
 
 // Span implements ServiceWorkload.
 func (s PoissonService) Span(load float64) time.Duration {
-	if s.Horizon > 0 {
-		// A stream with no rate has no span, bounded by time or not.
-		if load*s.Lambda0 <= 0 {
-			return 0
-		}
-		return s.Horizon
-	}
-	return time.Duration(float64(s.queries()) / (load * s.Lambda0) * float64(time.Second))
+	return streamSpan(s.queries(), s.Horizon, load*s.Lambda0)
 }
 
 // Open implements ServiceWorkload.
 func (s PoissonService) Open(_ *testbed.VIPSpec, seed uint64, load float64) ServiceStream {
-	remaining := s.queries()
-	if s.Horizon > 0 {
-		remaining = -1
-	}
-	return &demandStream{
-		arrivals:  rng.NewPoisson(rng.Split(seed, 0xa221), load*s.Lambda0, 0),
-		demands:   rng.Split(seed, 0xde3a),
-		remaining: remaining,
-		horizon:   s.Horizon,
-	}
+	return newDemandStream(rng.NewPoisson(rng.Split(seed, 0xa221), load*s.Lambda0, 0), seed, s.queries(), s.Horizon)
 }
 
 // BurstyService is a two-state Markov-modulated Poisson process — a
@@ -171,30 +155,13 @@ func (s BurstyService) Label() string {
 
 // Span implements ServiceWorkload.
 func (s BurstyService) Span(load float64) time.Duration {
-	if s.Horizon > 0 {
-		// A stream with no rate has no span, bounded by time or not.
-		if load*s.Lambda0 <= 0 {
-			return 0
-		}
-		return s.Horizon
-	}
-	s = s.withDefaults()
-	return time.Duration(float64(s.Queries) / (load * s.Lambda0) * float64(time.Second))
+	return streamSpan(s.withDefaults().Queries, s.Horizon, load*s.Lambda0)
 }
 
 // Open implements ServiceWorkload.
 func (s BurstyService) Open(_ *testbed.VIPSpec, seed uint64, load float64) ServiceStream {
 	s = s.withDefaults()
-	remaining := s.Queries
-	if s.Horizon > 0 {
-		remaining = -1
-	}
-	return &demandStream{
-		arrivals:  s.newMMPP(seed, load),
-		demands:   rng.Split(seed, 0xde3a),
-		remaining: remaining,
-		horizon:   s.Horizon,
-	}
+	return newDemandStream(s.newMMPP(seed, load), seed, s.Queries, s.Horizon)
 }
 
 // newMMPP builds the service's arrival process at the given load from
@@ -228,6 +195,28 @@ type demandStream struct {
 	demands   *rand.Rand
 	remaining int
 	horizon   time.Duration
+}
+
+// newDemandStream bounds arrivals by the count queries, or by horizon
+// when that is set; demands draw from seed's own split.
+func newDemandStream(arrivals arrivalStream, seed uint64, queries int, horizon time.Duration) *demandStream {
+	if horizon > 0 {
+		queries = -1
+	}
+	return &demandStream{arrivals: arrivals, demands: rng.Split(seed, 0xde3a), remaining: queries, horizon: horizon}
+}
+
+// streamSpan is the expected arrival span of a count-bounded stream at
+// rate, or the horizon of a time-bounded one. A stream with no rate has
+// no span, bounded by time or not.
+func streamSpan(queries int, horizon time.Duration, rate float64) time.Duration {
+	if horizon <= 0 {
+		return time.Duration(float64(queries) / rate * float64(time.Second))
+	}
+	if rate <= 0 {
+		return 0
+	}
+	return horizon
 }
 
 func (s *demandStream) Next() (time.Duration, testbed.Query, bool) {
@@ -586,9 +575,14 @@ func (w MultiServiceWorkload) run(ctx context.Context, cluster ClusterConfig, sp
 		Feedback: cluster.Feedback,
 	}, streams, span, replaySettings{closeAck: w.CloseAck, retransmitRTO: w.RetransmitRTO, hooks: hooks})
 
-	out := sinkOutcome(sink)
-	out.Cluster = clusterStats(tb)
-	out.PerVIP = make([]VIPOutcome, len(w.Services))
+	total := sink.Total()
+	out := CellOutcome{
+		RT:         total.RT,
+		Refused:    int(total.Counters.Refused),
+		Unfinished: int(total.Counters.Unfinished),
+		PerVIP:     make([]VIPOutcome, len(w.Services)),
+		Cluster:    clusterStats(tb),
+	}
 	for i, vs := range sink.VIPs() {
 		out.PerVIP[i] = VIPOutcome{
 			Name:       specs[i].Name,

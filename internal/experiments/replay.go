@@ -128,13 +128,3 @@ func runSim(ctx context.Context, sim *des.Simulator, horizon time.Duration) erro
 		}
 	}
 }
-
-// sinkOutcome reads the all-VIP aggregate off a replay's sink.
-func sinkOutcome(sink *testbed.SketchSink) CellOutcome {
-	total := sink.Total()
-	return CellOutcome{
-		RT:         total.RT,
-		Refused:    int(total.Counters.Refused),
-		Unfinished: int(total.Counters.Unfinished),
-	}
-}

@@ -72,7 +72,7 @@ func TestSingleServiceCellDigests(t *testing.T) {
 			return cellDigest(res.Workload, res.Outcome, res.Outcome.Timeline)
 		}, "poisson+load-sampling(1500q) 1500/0/0 e60334debacd3fe5"},
 		{"failover", func() string {
-			res := cell(failoverWorkload{lambda0: 80, queries: 1500, bins: 10}, failing, 0.85)
+			res := cell(failoverWorkload{arrivals: PoissonService{Lambda0: 80, Queries: 1500}, bins: 10}, failing, 0.85)
 			return cellDigest(res.Workload, res.Outcome, res.Outcome.failoverBins)
 		}, "poisson+transient(1500q) 1135/0/365 bd92a4884b3c73d6"},
 		{"RunPoisson", func() string {
@@ -113,7 +113,7 @@ func TestOneServicePerVIPIsAggregate(t *testing.T) {
 		{Cluster: smallCluster(7), Policy: RR(), Load: 0.88, Workload: fig4Workload{
 			arrivals: PoissonService{Lambda0: 80, Queries: 2000}, sampleEvery: 100 * time.Millisecond, tau: time.Second,
 		}},
-		{Cluster: failing, Policy: SRc(4), Load: 0.85, Workload: failoverWorkload{lambda0: 80, queries: 2000, bins: 10}},
+		{Cluster: failing, Policy: SRc(4), Load: 0.85, Workload: failoverWorkload{arrivals: PoissonService{Lambda0: 80, Queries: 2000}, bins: 10}},
 	} {
 		cells = append(cells, sc.Run(context.Background()))
 	}
