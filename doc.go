@@ -25,9 +25,11 @@
 //
 // Experiments compose from four values instead of per-figure entry points:
 //
-//   - Workload — an arrival process plus demand model: PoissonWorkload
-//     (§V), BurstyWorkload (flowlet-style on/off MMPP), WikiWorkload
-//     (the §VI synthetic Wikipedia day), TraceWorkload (recorded traces).
+//   - Workload — an arrival process plus demand model. The open-loop
+//     cell is a MultiServiceWorkload; OneService(PoissonService{…}) is
+//     the §V cell and OneService(BurstyService{…}) its flowlet-style
+//     on/off MMPP variant. WikiWorkload (the §VI synthetic Wikipedia
+//     day) and TraceWorkload (recorded traces) are the §VI replays.
 //   - Scenario — one cell: cluster × policy × workload × load point.
 //   - Sweep — the cross product policies × load points × seeds over one
 //     workload.
@@ -45,13 +47,15 @@
 //		Policies: srlb.PaperPolicies(),
 //		Loads:    []float64{0.2, 0.61, 0.88},
 //		Seeds:    srlb.DeriveSeeds(1, 5),
-//		Workload: srlb.PoissonWorkload{Lambda0: cal.Lambda0},
+//		Workload: srlb.OneService(srlb.PoissonService{Lambda0: cal.Lambda0}),
 //	})
 //	cell := agg.Cell(1, 2) // SR4, ρ=0.88: mean ± CI over the 5 seeds
 //	fmt.Printf("%v ± %v (n=%d)\n", cell.MeanRT(), cell.MeanCI95(), cell.N())
 //
 // RunSweep keeps the raw per-seed cells (SweepResult.Cell(pi, li, si));
-// Aggregate folds them after the fact. The paper's artifacts remain
+// Aggregate folds them after the fact. A raw cell's CellOutcome carries
+// its typed payloads: Cluster (per-server completions, SYN retransmits,
+// flowlet re-steers), Wiki for the §VI replays, Timeline for figure 4. The paper's artifacts remain
 // available as one-line wrappers (RunFig2, RunFig3, RunFig4, RunFig5,
 // RunWiki, RunHetero, RunFailover, RunChurn, …), each a thin
 // Scenario/Sweep composition. Their configs embed one Base — Cluster,
@@ -116,11 +120,14 @@
 //
 // MultiServiceWorkload replays one arrival stream per VIP — any mix of
 // PoissonService, BurstyService and WikiService — together against a
-// multi-VIP cluster sharing the LB replicas, the many-services regime in
-// which the power-of-choices argument compounds. The single-VIP
-// workloads open the same streams, and one replay engine runs them all. Each query is tagged with its VIP and the outcome
-// is reported both aggregate and per service, with conservation per VIP
-// (offered == completed + refused + unfinished):
+// cluster sharing the LB replicas, the many-services regime in which the
+// power-of-choices argument compounds. It is the one engine of every
+// open-loop cell: a one-service workload (OneService) is the single-VIP
+// cell, seeded and labelled as the §V cell always was. Each query is
+// tagged with its VIP and the outcome is reported both aggregate and per
+// service (CellOutcome.PerVIP), with conservation per VIP (offered ==
+// completed + refused + unfinished); the replicated per-service
+// breakdown (CellStats.VIPs) starts at two services:
 //
 //	cal := srlb.CalibrateCached(srlb.Calibration{Cluster: cluster})
 //	agg, _ := srlb.Runner{}.RunSweepStats(ctx, srlb.Sweep{
@@ -197,8 +204,8 @@
 //
 // Sweep.LoadGrid generalizes the scalar load axis to a vector one: the
 // grid is the cross product of per-service ρ-axes, each point a
-// ρ-vector dispatched through VectorWorkload.RunVector (implemented by
-// MultiServiceWorkload, which pins every service to its entry). One
+// ρ-vector that pins every service of a MultiServiceWorkload to its
+// entry. One
 // sweep then enumerates a full web-ρ × batch-ρ matrix instead of
 // pinning the victim. Because the matrix multiplies cells, Sweep.
 // Adaptive sizes each cell's replication on the fly: a mandatory floor

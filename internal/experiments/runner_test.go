@@ -167,7 +167,7 @@ func TestPoissonWorkloadMatchesRunPoisson(t *testing.T) {
 		Load:     0.5, // 0.5 × 80 = the same 40 q/s
 	}.Run(context.Background())
 	if legacy.RT.Mean() != cell.Outcome.RT.Mean() || legacy.RT.Count() != cell.Outcome.RT.Count() {
-		t.Fatalf("PoissonWorkload diverges from RunPoisson: %v/%d vs %v/%d",
+		t.Fatalf("the one-service Poisson cell diverges from RunPoisson: %v/%d vs %v/%d",
 			legacy.RT.Mean(), legacy.RT.Count(), cell.Outcome.RT.Mean(), cell.Outcome.RT.Count())
 	}
 	if legacy.Refused != cell.Outcome.Refused || legacy.Unfinished != cell.Outcome.Unfinished {
