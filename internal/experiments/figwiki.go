@@ -203,7 +203,7 @@ func (w WikiWorkload) replay(ctx context.Context, cluster ClusterConfig, spec Po
 			run.StaticAll.Add(res.RT)
 		}
 	}
-	tb, _, err := replay(ctx, top, []ServiceStream{stream}, span, replaySettings{hooks: PoissonHooks{OnResult: onResult}})
+	tb, _, err := replay(ctx, top, []ServiceStream{stream}, span, 0, false, PoissonHooks{OnResult: onResult})
 	for _, rep := range *replicas {
 		if rep != nil {
 			run.HitRates = append(run.HitRates, rep.HitRate())

@@ -114,7 +114,7 @@ func RunHorizon(ctx context.Context, cfg HorizonConfig) (HorizonResult, error) {
 	}
 	start := time.Now()
 	sample(0)
-	tb, sink, err := replay(ctx, top, []ServiceStream{stream}, span, replaySettings{hooks: cfg.Hooks})
+	tb, sink, err := replay(ctx, top, []ServiceStream{stream}, span, 0, false, cfg.Hooks)
 	total := sink.Total()
 	sample(total.Counters.Offered)
 

@@ -573,7 +573,7 @@ func (w MultiServiceWorkload) run(ctx context.Context, cluster ClusterConfig, sp
 		VIPs:     specs,
 		Events:   cluster.Events,
 		Feedback: cluster.Feedback,
-	}, streams, span, replaySettings{closeAck: w.CloseAck, retransmitRTO: w.RetransmitRTO, hooks: hooks})
+	}, streams, span, w.RetransmitRTO, w.CloseAck, hooks)
 
 	total := sink.Total()
 	out := CellOutcome{
@@ -593,6 +593,11 @@ func (w MultiServiceWorkload) run(ctx context.Context, cluster ClusterConfig, sp
 			Refused:    int(vs.Counters.Refused),
 			Unfinished: int(vs.Counters.Unfinished),
 		}
+	}
+	if len(w.Services) == 1 {
+		// The VIP's sketch holds exactly the aggregate's samples: keep
+		// one sketch per cell alive, as the single-VIP cell always has.
+		out.PerVIP[0].RT = out.RT
 	}
 	return out, err
 }

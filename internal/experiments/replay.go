@@ -10,14 +10,6 @@ import (
 	"srlb/internal/testbed"
 )
 
-// replaySettings are the per-run generator settings (see
-// testbed.Generator.RetransmitRTO and .CloseAck) and observers.
-type replaySettings struct {
-	retransmitRTO time.Duration
-	closeAck      bool
-	hooks         PoissonHooks
-}
-
 // checkSpan is the engine's input check: every span handed to replay
 // comes through here. A non-positive load or a forgotten Lambda0 makes
 // the span zero, negative or a float overflow (MinInt64 or MaxInt64,
@@ -37,9 +29,12 @@ func checkSpan(w interface{ Label() string }, load float64, span time.Duration) 
 // testbed is built, every stream is pumped one arrival ahead — the
 // scheduler never holds more than one future arrival per VIP — and the
 // simulator runs under ctx until the drain window has passed. Query IDs
-// are global across VIPs. The returned sink holds the aggregate and
-// per-VIP outcome; err is ctx.Err() when cancelled mid-replay.
-func replay(ctx context.Context, top testbed.Topology, streams []ServiceStream, span time.Duration, set replaySettings) (*testbed.Testbed, *testbed.SketchSink, error) {
+// are global across VIPs. rto and closeAck are the generator's settings
+// (MultiServiceWorkload.RetransmitRTO, .CloseAck); hooks observe the run.
+// The returned sink holds the aggregate and per-VIP outcome; err is
+// ctx.Err() when cancelled mid-replay.
+func replay(ctx context.Context, top testbed.Topology, streams []ServiceStream, span time.Duration,
+	rto time.Duration, closeAck bool, hooks PoissonHooks) (*testbed.Testbed, *testbed.SketchSink, error) {
 	top.Events = testbed.ResolveEvents(top.Events, span)
 	horizon := span + 2*time.Minute // let in-flight queries finish
 	if top.Feedback.Enabled && top.Feedback.Horizon <= 0 {
@@ -47,12 +42,12 @@ func replay(ctx context.Context, top testbed.Topology, streams []ServiceStream, 
 		// simulator can terminate.
 		top.Feedback.Horizon = horizon
 	}
-	if set.retransmitRTO > 0 {
+	if rto > 0 {
 		horizon += 3 * time.Minute // leave room for the backoff ladder
 	}
 	tb := testbed.Build(top)
-	tb.Gen.RetransmitRTO = set.retransmitRTO
-	tb.Gen.CloseAck = set.closeAck
+	tb.Gen.RetransmitRTO = rto
+	tb.Gen.CloseAck = closeAck
 
 	// Per-query results fold into constant-size sketches as they complete;
 	// VIPs are registered up front so sink.VIPs() is in VIP order.
@@ -62,9 +57,9 @@ func replay(ctx context.Context, top testbed.Topology, streams []ServiceStream, 
 	}
 	sink := testbed.NewSketchSink(vips...)
 	tb.Gen.Sink = sink
-	tb.Gen.OnResult = set.hooks.OnResult
-	if set.hooks.Testbed != nil {
-		set.hooks.Testbed(tb, horizon)
+	tb.Gen.OnResult = hooks.OnResult
+	if hooks.Testbed != nil {
+		hooks.Testbed(tb, horizon)
 	}
 
 	// The DES merges the pumps in time order, ties by scheduling order.

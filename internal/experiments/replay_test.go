@@ -35,7 +35,7 @@ func TestFeedbackPlanePublishesUnderWikiReplay(t *testing.T) {
 	top := cluster.topology(WeightedLeastLoadPolicy())
 	svc := WikiService{Day: wiki.Config{Seed: 8, Compression: 28800}}
 	stream := svc.Open(&top.VIPs[0], cluster.Seed, 1)
-	tb, sink, err := replay(context.Background(), top, []ServiceStream{stream}, svc.Span(1), replaySettings{})
+	tb, sink, err := replay(context.Background(), top, []ServiceStream{stream}, svc.Span(1), 0, false, PoissonHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,11 +91,13 @@ func TestSingleServiceCellDigests(t *testing.T) {
 	}
 }
 
-// A one-service cell's PerVIP[0] restates its aggregate — the sink counts
-// each query once for its VIP and once for the cell — on the
+// A one-service cell's PerVIP[0] restates its aggregate on the
 // Poisson-family golden configs: every cell of the fig. 2 and bursty
 // goldens, the retransmit golden's silent-drop cell, and the figure 4
-// and failover cells.
+// and failover cells. The sink counts each query once for its VIP and
+// once for the cell, so the VIP's offered, refused and unfinished counts
+// must reproduce the aggregate's completed + refused + unfinished; the
+// RT sketch is the aggregate's own (the cell keeps one).
 func TestOneServicePerVIPIsAggregate(t *testing.T) {
 	var cells []CellResult
 	for _, cfg := range []Fig2Config{goldenFig2Config, goldenBurstyConfig} {
