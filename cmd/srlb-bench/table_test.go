@@ -179,8 +179,8 @@ func TestBadInput(t *testing.T) {
 
 // TestCalibrationWithoutDropOnset: a cluster whose queues hold a whole
 // 20000-query probe refuses nothing at any rate, so calibration has no
-// drop onset to find. That is a usage error too — exit 2 with one line
-// naming the cause and -servers — where it once panicked.
+// drop onset to find. That is a usage error too: exit 2 with one line
+// naming the cause and -servers.
 func TestCalibrationWithoutDropOnset(t *testing.T) {
 	_, stderr, exit := runBench(t, "-experiment", "calibrate", "-servers", "200", "-out", t.TempDir())
 	if exit != 2 || !strings.Contains(stderr, "no probe refused") || !strings.Contains(stderr, "-servers") ||

@@ -131,8 +131,8 @@ func TestCalibrationFingerprint(t *testing.T) {
 }
 
 // A probe the cluster's queues swallow whole never refuses, at any rate:
-// the upward ladder stops after maxWidenings doublings and says so,
-// where it used to double Hi to +Inf and panic in the next probe.
+// the upward ladder stops after maxWidenings doublings, on finite rates,
+// and says so.
 func TestCalibrateWithoutDropOnsetFails(t *testing.T) {
 	res := Calibrate(CalibrationConfig{Cluster: smallCluster(1), Queries: 500, Workers: 1})
 	if res.Err == nil || res.Lambda0 != 0 {
