@@ -309,18 +309,23 @@ func (t *Table) Snapshot(now time.Duration) []FlowBinding {
 // Restore merges a snapshot into the table at time now — the receiving
 // half of a warm handoff. Bindings expired by now are dropped (a
 // snapshot can never resurrect a dead flow), and the merge never
-// overwrites newer local state: a local entry with a later-or-equal
+// overwrites newer local state: a live local entry with a later-or-equal
 // deadline, or one already marked closing (teardown knowledge the
-// snapshot predates), wins over the imported binding. New entries
-// respect the capacity bound, evicting LRU like Insert. Returns the
-// number of bindings applied.
+// snapshot predates), wins over the imported binding. A local entry
+// already past its deadline is absent, as it is to Lookup: it is removed
+// (an expiry) and the binding inserted as new. New entries respect the
+// capacity bound, evicting LRU like Insert. Returns the number of
+// bindings applied.
 func (t *Table) Restore(now time.Duration, bindings []FlowBinding) int {
 	applied := 0
 	for _, b := range bindings {
 		if now > b.Deadline {
 			continue
 		}
-		if e, ok := t.entries[b.Key]; ok {
+		if e, ok := t.entries[b.Key]; ok && now > e.deadline {
+			t.removeEntry(e)
+			t.stats.Expiries++
+		} else if ok {
 			if e.closing || e.deadline >= b.Deadline {
 				continue
 			}

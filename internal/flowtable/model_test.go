@@ -161,7 +161,7 @@ func (m *modelTable) Restore(now time.Duration, bindings []FlowBinding) int {
 			continue
 		}
 		fresh := &modelEntry{backend: b.Backend, deadline: b.Deadline, seen: b.Seen, closing: b.Closing}
-		if e := m.entries[b.Key]; e != nil {
+		if e := m.live(now, b.Key); e != nil {
 			if e.closing || e.deadline >= b.Deadline {
 				continue
 			}

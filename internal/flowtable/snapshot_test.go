@@ -166,6 +166,32 @@ func TestRestoreNeverOverwritesNewerLocal(t *testing.T) {
 	}
 }
 
+// A local entry past its deadline is absent to Restore as to Lookup: a
+// closing one must not block a live import, and an idle one is replaced
+// as a new entry (an expiry and an insert), not overwritten in place.
+func TestRestoreReplacesExpiredLocal(t *testing.T) {
+	local := New(Config{IdleTTL: 2 * time.Second, FinLinger: time.Second})
+	local.Insert(0, key(1), backend1)
+	local.MarkClosing(0, key(1)) // deadline 1s
+	local.Insert(0, key(2), backend1)
+	live := []FlowBinding{
+		{Key: key(1), Backend: backend2, Deadline: 65 * time.Second, Seen: 5 * time.Second},
+		{Key: key(2), Backend: backend2, Deadline: 65 * time.Second, Seen: 5 * time.Second},
+	}
+	if n := local.Restore(5*time.Second, live); n != 2 {
+		t.Fatalf("restore applied %d bindings, want 2", n)
+	}
+	checkTable(t, local)
+	for _, k := range []int{1, 2} {
+		if got, ok := local.Lookup(5*time.Second, key(k)); !ok || got != backend2 {
+			t.Fatalf("key %d: lookup = %v, %v after restoring a live binding", k, got, ok)
+		}
+	}
+	if st := local.Stats(); st.Expiries != 2 || st.Inserts != 4 {
+		t.Fatalf("stats = %+v, want 2 expiries and 4 inserts", st)
+	}
+}
+
 func TestRestoreRespectsCapacity(t *testing.T) {
 	src := New(Config{})
 	for i := 0; i < 5; i++ {
