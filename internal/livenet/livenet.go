@@ -36,9 +36,14 @@ type Handler func(pkt *packet.Packet)
 // Network is an in-memory bridged LAN. Packets are serialized to bytes on
 // Send and re-parsed before delivery, as the simulated wire does under
 // netsim's VerifyChecksums.
+//
+// Node queues are never closed: Close closes done instead, and every
+// sender and delivery goroutine selects on it, so a send racing Close
+// gives up rather than reaching a closed channel.
 type Network struct {
 	mu     sync.Mutex
 	nodes  map[netip.Addr]chan []byte
+	done   chan struct{}
 	closed bool
 	wg     sync.WaitGroup
 	// Latency is an optional artificial one-way delay.
@@ -47,7 +52,7 @@ type Network struct {
 
 // NewNetwork creates an empty LAN.
 func NewNetwork() *Network {
-	return &Network{nodes: make(map[netip.Addr]chan []byte)}
+	return &Network{nodes: make(map[netip.Addr]chan []byte), done: make(chan struct{})}
 }
 
 // Attach registers handler under the given addresses, each served by one
@@ -67,12 +72,15 @@ func (n *Network) Attach(handler Handler, addrs ...netip.Addr) {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			for wire := range ch {
-				pkt, err := packet.Parse(wire, false)
-				if err != nil {
-					continue
+			for {
+				select {
+				case <-n.done:
+					return
+				case wire := <-ch:
+					if pkt, err := packet.Parse(wire, false); err == nil {
+						handler(pkt)
+					}
 				}
-				handler(pkt)
 			}
 		}()
 	}
@@ -105,8 +113,10 @@ func (n *Network) deliver(dst netip.Addr, wire []byte) error {
 	}
 	enqueue := func() {
 		// Block: channel capacity models NIC queue back-pressure.
-		defer func() { recover() }() // tolerate racing Close
-		ch <- wire
+		select {
+		case ch <- wire:
+		case <-n.done:
+		}
 	}
 	if n.Latency > 0 {
 		time.AfterFunc(n.Latency, enqueue)
@@ -116,7 +126,8 @@ func (n *Network) deliver(dst netip.Addr, wire []byte) error {
 	return nil
 }
 
-// Close tears the LAN down and waits for delivery goroutines to drain.
+// Close tears the LAN down and waits for the delivery goroutines to stop.
+// Packets still queued are dropped.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -124,9 +135,7 @@ func (n *Network) Close() {
 		return
 	}
 	n.closed = true
-	for _, ch := range n.nodes {
-		close(ch)
-	}
+	close(n.done)
 	n.mu.Unlock()
 	n.wg.Wait()
 }
