@@ -14,6 +14,16 @@
 // removed entries recycle through a free list, so the steady state of a
 // long run — flows expiring as fast as they are learned — allocates
 // nothing.
+//
+// A sweep costs what expires, not what the table holds. An entry is in
+// order when it was last put at the LRU front with a deadline no earlier
+// than that of any in-order entry before it; the table keeps that latest
+// deadline, so in-order deadlines never decrease from the LRU tail to the
+// head. Everything else sits on a side list: an entry MarkClosing
+// shortened, a closing entry a lookup fronted, a Restore binding older
+// than the latest deadline, and any entry fronted after the clock stepped
+// back. Sweep frees expired in-order entries from the tail, stops at the
+// first live one, then scans the side list — O(expired + side entries).
 package flowtable
 
 import (
@@ -54,6 +64,7 @@ type entry struct {
 	deadline time.Duration // absolute expiry
 	seen     time.Duration // last packet time (idle-gap queries)
 	closing  bool
+	side     int32 // 1-based index in Table.side; 0 = in order
 	// Intrusive LRU links. The list is circular through the table's
 	// sentinel: head side = most recently used. A free entry reuses next
 	// as the free-list link.
@@ -79,6 +90,10 @@ type Table struct {
 	lru     entry  // sentinel: lru.next = MRU, lru.prev = LRU
 	free    *entry // recycled entries, linked through next
 	stats   Stats
+	// latest is the latest deadline an in-order entry was fronted with;
+	// side holds the out-of-order entries (package comment).
+	latest time.Duration
+	side   []*entry
 }
 
 // New creates a table.
@@ -98,11 +113,20 @@ func (t *Table) Len() int { return len(t.entries) }
 // Stats returns a copy of the table counters.
 func (t *Table) Stats() Stats { return t.stats }
 
-// pushFront links e at the MRU end.
+// pushFront links e at the MRU end, in order when its deadline is the
+// latest yet and on the side list otherwise.
 func (t *Table) pushFront(e *entry) {
 	e.prev, e.next = &t.lru, t.lru.next
 	t.lru.next.prev = e
 	t.lru.next = e
+	if e.deadline >= t.latest {
+		t.latest = e.deadline
+		if e.side != 0 {
+			t.unside(e)
+		}
+	} else if e.side == 0 {
+		t.toSide(e)
+	}
 }
 
 // unlink removes e from the LRU list.
@@ -115,6 +139,23 @@ func (t *Table) unlink(e *entry) {
 func (t *Table) moveToFront(e *entry) {
 	t.unlink(e)
 	t.pushFront(e)
+}
+
+func (t *Table) toSide(e *entry) {
+	t.side = append(t.side, e)
+	e.side = int32(len(t.side))
+}
+
+// unside removes e from the side list by moving the last entry into its
+// slot.
+func (t *Table) unside(e *entry) {
+	last := len(t.side) - 1
+	moved := t.side[last]
+	t.side[e.side-1] = moved
+	moved.side = e.side
+	t.side[last] = nil
+	t.side = t.side[:last]
+	e.side = 0
 }
 
 // newEntry takes an entry from the free list or allocates one.
@@ -245,6 +286,9 @@ func (t *Table) MarkClosing(now time.Duration, key packet.FlowKey) bool {
 	e.closing = true
 	if d := now + t.cfg.FinLinger; d < e.deadline {
 		e.deadline = d
+		if e.side == 0 {
+			t.toSide(e)
+		}
 	}
 	return true
 }
@@ -258,18 +302,33 @@ func (t *Table) Delete(key packet.FlowKey) {
 
 // Sweep removes all entries expired at time now and returns how many were
 // collected. Call periodically (the LB does) to bound memory between
-// lookups.
+// lookups. It walks the LRU list from the tail, skipping side entries and
+// freeing expired in-order ones, and stops at the first live in-order
+// entry: every in-order entry nearer the head has a deadline no earlier.
+// Then it scans the side list. A sweep thus costs O(expired + side
+// entries), whatever the number of live in-order entries.
 func (t *Table) Sweep(now time.Duration) int {
 	removed := 0
 	for e := t.lru.prev; e != &t.lru; {
 		prev := e.prev
-		if now > e.deadline {
+		if e.side == 0 {
+			if now <= e.deadline {
+				break
+			}
 			t.removeEntry(e)
-			t.stats.Expiries++
 			removed++
 		}
 		e = prev
 	}
+	for i := 0; i < len(t.side); {
+		if e := t.side[i]; now > e.deadline {
+			t.removeEntry(e) // moves the last side entry into slot i
+			removed++
+		} else {
+			i++
+		}
+	}
+	t.stats.Expiries += uint64(removed)
 	return removed
 }
 
@@ -364,6 +423,9 @@ func (t *Table) evictLRU() {
 }
 
 func (t *Table) removeEntry(e *entry) {
+	if e.side != 0 {
+		t.unside(e)
+	}
 	t.unlink(e)
 	delete(t.entries, e.key)
 	// Recycle: clear links (and let the key's addrs drop) then push onto

@@ -7,12 +7,33 @@ import (
 
 // checkTable verifies the structural invariants every public operation
 // must preserve: the entry map and the intrusive LRU list agree
-// exactly, capacity is respected, and the free list is finite and
-// disjoint from the live list.
+// exactly, capacity is respected, the free list is finite and disjoint
+// from the live list, the side list indexes exactly the entries marked
+// as on it, and in-order deadlines never decrease from the LRU tail to
+// the head nor pass the table's latest.
 func checkTable(t *testing.T, tb *Table) {
 	t.Helper()
 	live := map[*entry]bool{}
-	n := 0
+	n, sides := 0, 0
+	var floor *entry // the last in-order entry walking tail to head
+	for e := tb.lru.prev; e != &tb.lru; e = e.prev {
+		switch {
+		case e.side != 0:
+			sides++
+			if int(e.side) > len(tb.side) || tb.side[e.side-1] != e {
+				t.Fatal("side entry not at its side-list index")
+			}
+		case e.deadline > tb.latest:
+			t.Fatal("in-order deadline after the table's latest")
+		case floor != nil && e.deadline < floor.deadline:
+			t.Fatal("in-order deadlines decrease toward the LRU head")
+		default:
+			floor = e
+		}
+	}
+	if sides != len(tb.side) {
+		t.Fatalf("%d entries marked side, side list holds %d", sides, len(tb.side))
+	}
 	for e := tb.lru.next; e != &tb.lru; e = e.next {
 		n++
 		if n > len(tb.entries) {
