@@ -2,8 +2,11 @@ package flowtable
 
 import (
 	"fmt"
+	"net/netip"
+	"os"
 	"testing"
 	"time"
+	"unsafe"
 
 	"srlb/internal/ipv6"
 	"srlb/internal/packet"
@@ -213,6 +216,59 @@ func TestSweep(t *testing.T) {
 	}
 	if tb.Sweep(15*time.Second) != 0 {
 		t.Fatal("second sweep should remove nothing")
+	}
+}
+
+// TestSweepComplexityClass pins what a sweep costs: one that frees
+// nothing stops at the LRU tail, so at 100k live in-order entries it must
+// stay within 2x of its cost at 1k (a walk over every entry is ~100x).
+// Timing is a min-over-rounds wall loop, too noisy for the ordinary test
+// pass, so the test is gated behind SRLB_BENCH_CORE=1 like
+// TestDispatchComplexityClass, and CI runs both in one step.
+func TestSweepComplexityClass(t *testing.T) {
+	if os.Getenv("SRLB_BENCH_CORE") == "" {
+		t.Skip("set SRLB_BENCH_CORE=1 to run the complexity-class regression")
+	}
+	const (
+		sweeps = 2000
+		rounds = 11
+		bound  = 2.0
+	)
+	measure := func(n int) (nsPerSweep float64) {
+		tb := New(Config{})
+		src := backend1.As16()
+		for i := 0; i < n; i++ {
+			src[12], src[13], src[14], src[15] = byte(i>>24), byte(i>>16), byte(i>>8), byte(i)
+			k := packet.FlowKey{Src: netip.AddrFrom16(src), Dst: backend2, SrcPort: 40000, DstPort: 80}
+			tb.Insert(time.Duration(i), k, backend1)
+		}
+		best := time.Duration(0)
+		for round := 0; round < rounds; round++ {
+			start := time.Now()
+			for i := 0; i < sweeps; i++ {
+				if tb.Sweep(time.Second) != 0 {
+					t.Fatal("sweep freed a live entry")
+				}
+			}
+			if d := time.Since(start); round == 0 || d < best {
+				best = d
+			}
+		}
+		return float64(best) / sweeps
+	}
+	small, large := measure(1000), measure(100000)
+	t.Logf("sweep freeing nothing: 1k entries %.1f ns, 100k entries %.1f ns (ratio %.2f)", small, large, large/small)
+	if large > bound*small {
+		t.Errorf("a sweep at 100k entries costs %.1f ns, more than %.1fx its cost at 1k (%.1f ns) — Sweep walks live entries",
+			large, bound, small)
+	}
+}
+
+// An entry must stay in the 128-byte allocation size class: the side-list
+// index lives in padding, and a larger entry costs heap on every flow.
+func TestEntrySizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(entry{}); size > 128 {
+		t.Fatalf("entry is %d bytes, past the 128-byte size class", size)
 	}
 }
 
