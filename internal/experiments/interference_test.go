@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"net/netip"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,7 +10,9 @@ import (
 
 	"srlb/internal/agent"
 	"srlb/internal/appserver"
+	"srlb/internal/packet"
 	"srlb/internal/plot"
+	"srlb/internal/tcpseg"
 	"srlb/internal/testbed"
 )
 
@@ -106,9 +109,11 @@ func TestSharedPoolConservation(t *testing.T) {
 }
 
 // Per-server attribution on the shared pool: build the same two-service
-// topology directly and check each server's per-VIP response ledger sums
+// topology directly and check each server's per-VIP response counts sum
 // to its responses_tx — busy time is attributable to exactly one VIP at
-// a time, with both services actually landing on shared workers.
+// a time, with both services actually landing on shared workers. The
+// counts are read off the wire: a flow's server is the first segment of
+// its SYN-ACK's SRH, and a response is the server's FIN carrying data.
 func TestSharedPoolServerAttribution(t *testing.T) {
 	w := sharedPoolServices(500, 6*time.Second)
 	cluster := ClusterConfig{Seed: 67, Servers: 3}.withDefaults()
@@ -129,6 +134,17 @@ func TestSharedPoolServerAttribution(t *testing.T) {
 		vips[i] = vs
 	}
 	tb := testbed.Build(testbed.Topology{Seed: cluster.Seed, Pools: pools, VIPs: vips})
+	type serverVIP struct{ server, vip netip.Addr }
+	servers := map[packet.FlowKey]netip.Addr{}
+	resp := map[serverVIP]uint64{}
+	tb.Net.AddTap(func(_ time.Duration, _ netip.Addr, p *packet.Packet) {
+		if p.IsSYNACK() && p.SRH != nil {
+			client, _ := p.SRH.Final()
+			servers[packet.FlowKey{Src: p.IP.Src, Dst: client, SrcPort: p.TCP.SrcPort, DstPort: p.TCP.DstPort}] = p.SRH.Path()[0]
+		} else if p.TCP.Flags.Has(tcpseg.FlagFIN) && len(p.TCP.Payload) > 0 {
+			resp[serverVIP{servers[p.Flow()], p.IP.Src}]++
+		}
+	})
 	for i := 0; i < 400; i++ {
 		q := testbed.Query{ID: uint64(i), Demand: 8 * time.Millisecond}
 		if i%2 == 1 {
@@ -141,7 +157,7 @@ func TestSharedPoolServerAttribution(t *testing.T) {
 	var web, batch uint64
 	for i := 0; i < cluster.Servers; i++ {
 		rt := tb.RouterOf(0, i)
-		a, b := rt.VIPResponses(tb.VIPAddrOf(0)), rt.VIPResponses(tb.VIPAddrOf(1))
+		a, b := resp[serverVIP{rt.Addr(), tb.VIPAddrOf(0)}], resp[serverVIP{rt.Addr(), tb.VIPAddrOf(1)}]
 		if total := rt.Counts.Get("responses_tx"); a+b != total {
 			t.Fatalf("server %d: per-VIP responses %d+%d != total %d", i, a, b, total)
 		}

@@ -302,11 +302,10 @@ func (t *Table) Delete(key packet.FlowKey) {
 
 // Sweep removes all entries expired at time now and returns how many were
 // collected. Call periodically (the LB does) to bound memory between
-// lookups. It walks the LRU list from the tail, skipping side entries and
-// freeing expired in-order ones, and stops at the first live in-order
-// entry: every in-order entry nearer the head has a deadline no earlier.
-// Then it scans the side list. A sweep thus costs O(expired + side
-// entries), whatever the number of live in-order entries.
+// lookups. It frees expired in-order entries from the LRU tail, skipping
+// side entries, up to the first live in-order one (every in-order entry
+// past it expires no earlier), then scans the side list: O(expired +
+// side entries), whatever the number of live entries.
 func (t *Table) Sweep(now time.Duration) int {
 	removed := 0
 	for e := t.lru.prev; e != &t.lru; {

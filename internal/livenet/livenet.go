@@ -36,13 +36,11 @@ type Handler func(pkt *packet.Packet)
 // Network is an in-memory bridged LAN. Packets are serialized to bytes on
 // Send and re-parsed before delivery, as the simulated wire does under
 // netsim's VerifyChecksums.
-//
-// Node queues are never closed: Close closes done instead, and every
-// sender and delivery goroutine selects on it, so a send racing Close
-// gives up rather than reaching a closed channel.
 type Network struct {
-	mu     sync.Mutex
-	nodes  map[netip.Addr]chan []byte
+	mu    sync.Mutex
+	nodes map[netip.Addr]chan []byte
+	// done is closed by Close; node queues never are, so a send racing
+	// Close selects on done and gives up instead of panicking.
 	done   chan struct{}
 	closed bool
 	wg     sync.WaitGroup

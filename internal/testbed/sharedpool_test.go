@@ -1,12 +1,35 @@
 package testbed
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
+	"srlb/internal/netsim"
 	"srlb/internal/packet"
+	"srlb/internal/tcpseg"
 	"srlb/internal/vrouter"
 )
+
+// serverVIP is one cell of a response ledger.
+type serverVIP struct{ server, vip netip.Addr }
+
+// tapResponses counts, off the wire, the responses each server sends per
+// VIP. A flow's server is the first segment of its SYN-ACK's SRH; a
+// response is the server's FIN carrying data, sent from the VIP.
+func tapResponses(net *netsim.Network) map[serverVIP]uint64 {
+	servers := map[packet.FlowKey]netip.Addr{}
+	counts := map[serverVIP]uint64{}
+	net.AddTap(func(_ time.Duration, _ netip.Addr, p *packet.Packet) {
+		if p.IsSYNACK() && p.SRH != nil {
+			client, _ := p.SRH.Final()
+			servers[packet.FlowKey{Src: p.IP.Src, Dst: client, SrcPort: p.TCP.SrcPort, DstPort: p.TCP.DstPort}] = p.SRH.Path()[0]
+		} else if p.TCP.Flags.Has(tcpseg.FlagFIN) && len(p.TCP.Payload) > 0 {
+			counts[serverVIP{servers[p.Flow()], p.IP.Src}]++
+		}
+	})
+	return counts
+}
 
 // sharedPoolTopology is two services selecting over one named pool — the
 // contention regime: every worker serves both VIPs.
@@ -24,12 +47,13 @@ func sharedPoolTopology(seed uint64, servers int, events ...Event) Topology {
 
 // Two VIPs over one pool: the compiled slots are the *same* servers, both
 // services complete, and every response is attributable to exactly one
-// VIP — the per-server VIPResponses ledger sums to the responses_tx
-// total, slot by slot.
+// VIP — the per-server, per-VIP response counts read off the wire sum to
+// the responses_tx total, slot by slot.
 func TestSharedPoolTwoVIPsOneLedger(t *testing.T) {
 	const n = 400
 	tb := Build(sharedPoolTopology(43, 4))
 	tb.Gen.RetainResults = true
+	resp := tapResponses(tb.Net)
 	if got := len(tb.Servers); got != 4 {
 		t.Fatalf("built %d servers, want 4 — the pool was duplicated per VIP", got)
 	}
@@ -61,8 +85,8 @@ func TestSharedPoolTwoVIPsOneLedger(t *testing.T) {
 	var perVIP [2]uint64
 	for i := 0; i < 4; i++ {
 		rt := tb.RouterOf(0, i)
-		a := rt.VIPResponses(tb.VIPAddrOf(0))
-		b := rt.VIPResponses(tb.VIPAddrOf(1))
+		a := resp[serverVIP{rt.Addr(), tb.VIPAddrOf(0)}]
+		b := resp[serverVIP{rt.Addr(), tb.VIPAddrOf(1)}]
 		if total := rt.Counts.Get("responses_tx"); a+b != total {
 			t.Fatalf("slot %d: %d+%d VIP responses != %d total", i, a, b, total)
 		}
@@ -90,6 +114,7 @@ func TestSharedPoolEvents(t *testing.T) {
 		DrainPoolServer(300*time.Millisecond, "shared", 0),
 	))
 	tb.Gen.RetainResults = true
+	resp := tapResponses(tb.Net)
 	for i := 0; i < n; i++ {
 		q := Query{ID: uint64(i), Demand: 10 * time.Millisecond}
 		if i%2 == 1 {
@@ -105,10 +130,10 @@ func TestSharedPoolEvents(t *testing.T) {
 	if got := tb.PoolSizeByName("shared"); got != 3 {
 		t.Fatalf("final pool size = %d, want 3 (3 + 1 added - 1 drained)", got)
 	}
-	added := tb.RouterOf(0, 3)
-	if added.VIPResponses(tb.VIPAddrOf(0)) == 0 || added.VIPResponses(tb.VIPAddrOf(1)) == 0 {
-		t.Fatalf("added server responses per VIP = %d/%d — not selectable by both services",
-			added.VIPResponses(tb.VIPAddrOf(0)), added.VIPResponses(tb.VIPAddrOf(1)))
+	added := tb.RouterOf(0, 3).Addr()
+	a, b := resp[serverVIP{added, tb.VIPAddrOf(0)}], resp[serverVIP{added, tb.VIPAddrOf(1)}]
+	if a == 0 || b == 0 {
+		t.Fatalf("added server responses per VIP = %d/%d — not selectable by both services", a, b)
 	}
 }
 

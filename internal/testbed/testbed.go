@@ -131,11 +131,8 @@ type Result struct {
 	Refused bool
 }
 
-// EncodePayload packs a query descriptor into request bytes:
-// 8-byte big-endian demand (ns) followed by the URL.
-func EncodePayload(q Query) []byte { return appendPayload(nil, q) }
-
-// appendPayload is EncodePayload into a reusable buffer.
+// appendPayload packs a query descriptor into request bytes, appended to
+// dst: 8-byte big-endian demand (ns) followed by the URL.
 func appendPayload(dst []byte, q Query) []byte {
 	var hdr [8]byte
 	binary.BigEndian.PutUint64(hdr[:], uint64(q.Demand))

@@ -273,7 +273,7 @@ func TestPowerOfTwoBeatsRandomUnderLoad(t *testing.T) {
 
 func TestPayloadCodec(t *testing.T) {
 	q := Query{Demand: 123 * time.Millisecond, URL: "/wiki/index.php?title=X"}
-	d, url := DecodePayload(EncodePayload(q))
+	d, url := DecodePayload(appendPayload(nil, q))
 	if d != q.Demand || url != q.URL {
 		t.Fatalf("decode = %v %q", d, url)
 	}

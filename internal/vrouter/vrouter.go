@@ -122,15 +122,14 @@ var counterSchema = metrics.NewSchema([]string{
 
 // Router is the virtual router + application agent of one server.
 type Router struct {
-	cfg     Config
-	sim     *des.Simulator
-	net     *netsim.Network
-	vips    map[netip.Addr]bool
-	conns   map[packet.FlowKey]*conn
-	free    *conn // recycled conns, see conn
-	vipResp map[netip.Addr]uint64
-	down    bool
-	Counts  *metrics.Counter
+	cfg    Config
+	sim    *des.Simulator
+	net    *netsim.Network
+	vips   map[netip.Addr]bool
+	conns  map[packet.FlowKey]*conn
+	free   *conn // recycled conns, see conn
+	down   bool
+	Counts *metrics.Counter
 
 	// synack is the SYN-ACK header [self, LB, client], rewritten in place
 	// per SYN-ACK (Send has copied or serialised it before it returns, so
@@ -151,13 +150,12 @@ func New(sim *des.Simulator, net *netsim.Network, cfg Config) *Router {
 		panic(fmt.Sprintf("vrouter: bad addr: %v", err))
 	}
 	r := &Router{
-		cfg:     cfg,
-		sim:     sim,
-		net:     net,
-		vips:    make(map[netip.Addr]bool, len(cfg.VIPs)),
-		conns:   make(map[packet.FlowKey]*conn),
-		vipResp: make(map[netip.Addr]uint64, len(cfg.VIPs)),
-		Counts:  counterSchema.NewCounter(),
+		cfg:    cfg,
+		sim:    sim,
+		net:    net,
+		vips:   make(map[netip.Addr]bool, len(cfg.VIPs)),
+		conns:  make(map[packet.FlowKey]*conn),
+		Counts: counterSchema.NewCounter(),
 	}
 	for _, v := range cfg.VIPs {
 		r.vips[v] = true
@@ -177,13 +175,6 @@ func (r *Router) Policy() agent.Policy { return r.cfg.Policy }
 
 // OpenConns returns the number of tracked connections.
 func (r *Router) OpenConns() int { return len(r.conns) }
-
-// VIPResponses returns the number of responses this server has emitted
-// for connections of the given VIP. Every response is attributed to
-// exactly one VIP (the connection's flow destination), so on a shared
-// pool the per-VIP counts sum to the responses_tx total — the busy-time
-// attribution ledger of multi-service servers.
-func (r *Router) VIPResponses(vip netip.Addr) uint64 { return r.vipResp[vip] }
 
 // SetDown marks the server failed (true) or recovered (false) — the
 // fail-stop model of the topology lifecycle events. A down router
@@ -421,7 +412,6 @@ func (r *Router) emitResponse(c *conn) {
 		},
 	}
 	r.Counts.Add(cntResponsesTx, 1)
-	r.vipResp[c.flow.Dst]++
 	r.net.Send(resp)
 }
 
