@@ -15,15 +15,13 @@
 // long run — flows expiring as fast as they are learned — allocates
 // nothing.
 //
-// A sweep costs what expires, not what the table holds. An entry is in
-// order when it was last put at the LRU front with a deadline no earlier
-// than that of any in-order entry before it; the table keeps that latest
-// deadline, so in-order deadlines never decrease from the LRU tail to the
-// head. Everything else sits on a side list: an entry MarkClosing
-// shortened, a closing entry a lookup fronted, a Restore binding older
-// than the latest deadline, and any entry fronted after the clock stepped
-// back. Sweep frees expired in-order entries from the tail, stops at the
-// first live one, then scans the side list — O(expired + side entries).
+// A sweep costs what expires, not what the table holds. An entry fronted
+// with the latest deadline yet is in order, so in-order deadlines never
+// decrease from the LRU tail to the head. The rest sit on a side list:
+// entries MarkClosing shortened, fronted closing entries, Restore
+// bindings older than the latest deadline, entries fronted after the
+// clock stepped back. Sweep walks from the tail to the first live
+// in-order entry, then scans the side list: O(expired + side entries).
 package flowtable
 
 import (
@@ -90,10 +88,8 @@ type Table struct {
 	lru     entry  // sentinel: lru.next = MRU, lru.prev = LRU
 	free    *entry // recycled entries, linked through next
 	stats   Stats
-	// latest is the latest deadline an in-order entry was fronted with;
-	// side holds the out-of-order entries (package comment).
-	latest time.Duration
-	side   []*entry
+	latest  time.Duration // the latest deadline an in-order entry was fronted with
+	side    []*entry      // the out-of-order entries (package comment)
 }
 
 // New creates a table.
@@ -113,20 +109,11 @@ func (t *Table) Len() int { return len(t.entries) }
 // Stats returns a copy of the table counters.
 func (t *Table) Stats() Stats { return t.stats }
 
-// pushFront links e at the MRU end, in order when its deadline is the
-// latest yet and on the side list otherwise.
+// pushFront links e at the MRU end.
 func (t *Table) pushFront(e *entry) {
 	e.prev, e.next = &t.lru, t.lru.next
 	t.lru.next.prev = e
 	t.lru.next = e
-	if e.deadline >= t.latest {
-		t.latest = e.deadline
-		if e.side != 0 {
-			t.unside(e)
-		}
-	} else if e.side == 0 {
-		t.toSide(e)
-	}
 }
 
 // unlink removes e from the LRU list.
@@ -141,13 +128,30 @@ func (t *Table) moveToFront(e *entry) {
 	t.pushFront(e)
 }
 
-func (t *Table) toSide(e *entry) {
-	t.side = append(t.side, e)
-	e.side = int32(len(t.side))
+// file files e, just fronted; the common case, kept apart from pushFront,
+// inlines into the lookups.
+func (t *Table) file(e *entry) {
+	if e.deadline >= t.latest && e.side == 0 {
+		t.latest = e.deadline
+	} else {
+		t.refile(e)
+	}
 }
 
-// unside removes e from the side list by moving the last entry into its
-// slot.
+// refile is file's rare case: a side entry whose deadline is the latest
+// yet returns to order, and an entry with an earlier one joins the side
+// list. Every side entry's deadline is before latest.
+func (t *Table) refile(e *entry) {
+	if e.deadline >= t.latest {
+		t.latest = e.deadline
+		t.unside(e)
+	} else if e.side == 0 {
+		t.side = append(t.side, e)
+		e.side = int32(len(t.side))
+	}
+}
+
+// unside moves the last side entry into e's slot.
 func (t *Table) unside(e *entry) {
 	last := len(t.side) - 1
 	moved := t.side[last]
@@ -177,6 +181,7 @@ func (t *Table) Insert(now time.Duration, key packet.FlowKey, backend netip.Addr
 		e.seen = now
 		e.closing = false
 		t.moveToFront(e)
+		t.file(e)
 		return
 	}
 	if len(t.entries) >= t.cfg.MaxEntries {
@@ -188,6 +193,7 @@ func (t *Table) Insert(now time.Duration, key packet.FlowKey, backend netip.Addr
 	e.deadline = now + t.cfg.IdleTTL
 	e.seen = now
 	t.pushFront(e)
+	t.file(e)
 	t.entries[key] = e
 	t.stats.Inserts++
 }
@@ -211,6 +217,7 @@ func (t *Table) Lookup(now time.Duration, key packet.FlowKey) (netip.Addr, bool)
 	}
 	e.seen = now
 	t.moveToFront(e)
+	t.file(e)
 	t.stats.Hits++
 	return e.backend, true
 }
@@ -237,6 +244,7 @@ func (t *Table) LookupIdle(now time.Duration, key packet.FlowKey) (backend netip
 	}
 	e.seen = now
 	t.moveToFront(e)
+	t.file(e)
 	t.stats.Hits++
 	return e.backend, idle, true
 }
@@ -286,9 +294,7 @@ func (t *Table) MarkClosing(now time.Duration, key packet.FlowKey) bool {
 	e.closing = true
 	if d := now + t.cfg.FinLinger; d < e.deadline {
 		e.deadline = d
-		if e.side == 0 {
-			t.toSide(e)
-		}
+		t.refile(e) // d is before latest, so e joins the side list
 	}
 	return true
 }
@@ -302,29 +308,23 @@ func (t *Table) Delete(key packet.FlowKey) {
 
 // Sweep removes all entries expired at time now and returns how many were
 // collected. Call periodically (the LB does) to bound memory between
-// lookups. It frees expired in-order entries from the LRU tail, skipping
-// side entries, up to the first live in-order one (every in-order entry
-// past it expires no earlier), then scans the side list: O(expired +
-// side entries), whatever the number of live entries.
+// lookups. It walks from the LRU tail up to the first live in-order entry,
+// then scans the side list (package comment).
 func (t *Table) Sweep(now time.Duration) int {
 	removed := 0
-	for e := t.lru.prev; e != &t.lru; {
+	for e := t.lru.prev; e != &t.lru && (e.side != 0 || now > e.deadline); {
 		prev := e.prev
 		if e.side == 0 {
-			if now <= e.deadline {
-				break
-			}
 			t.removeEntry(e)
 			removed++
 		}
 		e = prev
 	}
-	for i := 0; i < len(t.side); {
+	// Backwards, so the entry removal swaps into slot i is one already seen.
+	for i := len(t.side) - 1; i >= 0; i-- {
 		if e := t.side[i]; now > e.deadline {
-			t.removeEntry(e) // moves the last side entry into slot i
+			t.removeEntry(e)
 			removed++
-		} else {
-			i++
 		}
 	}
 	t.stats.Expiries += uint64(removed)
@@ -392,6 +392,7 @@ func (t *Table) Restore(now time.Duration, bindings []FlowBinding) int {
 			e.seen = b.Seen
 			e.closing = b.Closing
 			t.moveToFront(e)
+			t.file(e)
 			applied++
 			continue
 		}
@@ -405,6 +406,7 @@ func (t *Table) Restore(now time.Duration, bindings []FlowBinding) int {
 		e.seen = b.Seen
 		e.closing = b.Closing
 		t.pushFront(e)
+		t.file(e)
 		t.entries[b.Key] = e
 		t.stats.Inserts++
 		applied++

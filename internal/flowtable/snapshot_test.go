@@ -23,6 +23,9 @@ func checkTable(t *testing.T, tb *Table) {
 			if int(e.side) > len(tb.side) || tb.side[e.side-1] != e {
 				t.Fatal("side entry not at its side-list index")
 			}
+			if e.deadline >= tb.latest {
+				t.Fatal("side entry's deadline not before the table's latest")
+			}
 		case e.deadline > tb.latest:
 			t.Fatal("in-order deadline after the table's latest")
 		case floor != nil && e.deadline < floor.deadline:

@@ -56,7 +56,7 @@ func FuzzHistogramMerge(f *testing.F) {
 		// Quantiles: defined, monotone, and within the error bound of the
 		// observed extremes.
 		prev := time.Duration(math.MinInt64)
-		relErr := MaxRelativeError(single.Precision())
+		relErr := MaxRelativeError(single.precision)
 		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
 			v := a.Quantile(q)
 			if v != single.Quantile(q) {

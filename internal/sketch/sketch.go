@@ -75,9 +75,6 @@ func NewPrecision(precision uint) *Histogram {
 	return &Histogram{precision: precision, min: math.MaxInt64}
 }
 
-// Precision returns the sub-bucket resolution exponent.
-func (h *Histogram) Precision() uint { return h.precision }
-
 // bucketIndex maps a non-negative ns value to its bucket. Values below
 // 2^(precision+1) map to themselves (exact); above, each power-of-two
 // range [2^e, 2^(e+1)) splits into 2^precision equal sub-buckets.

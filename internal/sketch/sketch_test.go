@@ -84,7 +84,7 @@ func TestQuantileErrorBound(t *testing.T) {
 				samples = append(samples, v)
 			}
 			sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-			bound := MaxRelativeError(h.Precision())
+			bound := MaxRelativeError(h.precision)
 			for _, p := range testQuantiles {
 				exact := exactQuantile(samples, p)
 				got := h.Quantile(p)
@@ -118,7 +118,7 @@ func TestQuantileErrorBound(t *testing.T) {
 // unit-width buckets, so small quantiles are exact, not approximate.
 func TestExactBelowThreshold(t *testing.T) {
 	h := New()
-	limit := int64(1) << (h.Precision() + 1)
+	limit := int64(1) << (h.precision + 1)
 	for v := int64(0); v < limit; v++ {
 		h.Add(time.Duration(v))
 	}
@@ -276,7 +276,7 @@ func TestConstantMemory(t *testing.T) {
 	for i := 0; i < 1_000_000; i++ {
 		h.Add(time.Duration(i%997) * time.Millisecond)
 	}
-	if h.Buckets() > (65-int(h.Precision()))<<h.Precision() {
+	if h.Buckets() > (65-int(h.precision))<<h.precision {
 		t.Errorf("bucket count %d exceeds range bound", h.Buckets())
 	}
 	before := h.Buckets()
