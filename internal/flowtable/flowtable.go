@@ -128,8 +128,8 @@ func (t *Table) moveToFront(e *entry) {
 	t.pushFront(e)
 }
 
-// file files e, just fronted; the common case, kept apart from pushFront,
-// inlines into the lookups.
+// file puts e, just fronted, in order or on the side list. Its common
+// case, kept out of pushFront, inlines into the lookups.
 func (t *Table) file(e *entry) {
 	if e.deadline >= t.latest && e.side == 0 {
 		t.latest = e.deadline

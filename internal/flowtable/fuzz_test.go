@@ -29,7 +29,7 @@ func (c *ftCursor) next(bound int) int {
 // sequence, snapshots it, merges the snapshot into an independently
 // mutated destination, and checks the structural and semantic
 // invariants: map/LRU/free-list consistency, no expired binding ever
-// exported or resurrected, and newer local state never overwritten.
+// exported or resurrected, and newer live local state never overwritten.
 func FuzzFlowtableSnapshot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 5, 1, 8, 0, 1, 2, 0, 1, 4, 2, 1, 3, 9, 0, 2})
@@ -111,6 +111,8 @@ func FuzzFlowtableSnapshot(f *testing.F) {
 				continue // expired by restoreNow, or never present — both legal
 			}
 			p, had := pre[b.Key]
+			// A live binding replaces a local entry dead by restoreNow.
+			had = had && (restoreNow <= p.deadline || restoreNow > b.Deadline)
 			switch {
 			case had && (p.closing || p.deadline >= b.Deadline):
 				if e.backend != p.backend || e.deadline != p.deadline || e.closing != p.closing {
