@@ -227,9 +227,10 @@
 // log-linear response-time histogram (quantiles within a documented
 // ≈0.2% relative error at the default precision; count/mean/min/max
 // exact) plus Welford moments and outcome counters, folded in as each
-// query completes. The testbed generator's per-query Results slice is
-// opt-in (Generator.RetainResults) — the default sink path holds
-// constant memory regardless of horizon length.
+// query completes. The testbed generator keeps no per-query results:
+// each outcome goes to the sink (and to an optional OnResult callback)
+// and is gone, so a cell holds constant memory regardless of horizon
+// length.
 //
 // Every cell — Poisson, bursty, wiki day, recorded trace, multi-service,
 // horizon soak — is run by one open-loop replay engine

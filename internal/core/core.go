@@ -84,9 +84,9 @@ type vipEntry struct {
 	scheme   selection.Scheme
 	fallback selection.Scheme
 	// stateful and resteer cache the scheme's optional capabilities,
-	// probed once at compile time (through any delegation wrapper): nil
-	// for the paper's plain schemes, so the load-oblivious hot path
-	// stays free of interface probes per packet.
+	// probed by SetSchemes whenever the scheme is installed: nil for the
+	// paper's plain schemes, so the load-oblivious hot path stays free
+	// of interface probes per packet.
 	stateful selection.Stateful
 	resteer  selection.Resteerer
 	syns     uint64
@@ -171,16 +171,24 @@ func NewDispatcher(cfg Config) *Dispatcher {
 		if _, dup := d.vipIndex[vc.Addr]; dup {
 			panic(fmt.Sprintf("core: duplicate VIP %v", vc.Addr))
 		}
-		d.vips[i] = vipEntry{
-			addr:     vc.Addr,
-			scheme:   vc.Scheme,
-			fallback: vc.Fallback,
-			stateful: selection.AsStateful(vc.Scheme),
-			resteer:  selection.AsResteerer(vc.Scheme),
-		}
+		d.vips[i].addr = vc.Addr
+		d.SetSchemes(i, vc.Scheme, vc.Fallback)
 		d.vipIndex[vc.Addr] = int32(i)
 	}
 	return d
+}
+
+// SetSchemes installs VIP id's candidate scheme and miss-fallback (nil
+// for none), replacing whatever the VIP used before — the hook a
+// control plane calls when a VIP's pool changes enough that its scheme
+// is rebuilt, or a restarted replica rebuilds them all. Learned flows
+// are kept. The scheme's optional Stateful/Resteerer capabilities are
+// probed here, once per install, not per packet.
+func (d *Dispatcher) SetSchemes(id int, scheme, fallback selection.Scheme) {
+	e := &d.vips[id]
+	e.scheme, e.fallback = scheme, fallback
+	e.stateful, _ = scheme.(selection.Stateful)
+	e.resteer, _ = scheme.(selection.Resteerer)
 }
 
 // Addrs returns every address the balancer answers on: its own, then

@@ -121,3 +121,57 @@ func TestDispatchAllocations(t *testing.T) {
 		t.Errorf("steered ACK: %v allocs, want exactly 2 (handleSteered's srv6.New)", n)
 	}
 }
+
+// mover is a Stateful + Resteerer scheme that sends every eligible
+// steered packet to server and counts the Observe calls it receives.
+type mover struct {
+	selection.Scheme
+	server   netip.Addr
+	observes int
+}
+
+func (m *mover) Observe(netip.Addr, int) { m.observes++ }
+func (m *mover) Update([]netip.Addr)     {}
+func (m *mover) Resteer(_ time.Duration, _ packet.FlowKey, _ time.Duration, cur netip.Addr) (netip.Addr, bool) {
+	return m.server, cur != m.server
+}
+
+// SetSchemes replaces a VIP's scheme and fallback under live flows and
+// re-probes the capabilities each time: the stateful scheme installed
+// second moves the flow and sees its Observe deltas, and the plain one
+// installed after it leaves the binding alone while its fallback
+// steers a flow the table never learned.
+func TestSetSchemesReprobesCapabilities(t *testing.T) {
+	plain := selection.NewRoundRobin([]netip.Addr{sAddr1, sAddr2}, 2)
+	d := NewDispatcher(Config{Addr: lbAddr, VIPList: []VIPConfig{{Addr: vip, Scheme: plain}}})
+	d.SeedFlow(0, packet.FlowKey{Src: client, Dst: vip, SrcPort: 40000, DstPort: 80}, sAddr2)
+	steer := func(port uint16) netip.Addr {
+		t.Helper()
+		p := midFlow(port, tcpseg.FlagACK)
+		if !d.Dispatch(time.Millisecond, p) {
+			t.Fatalf("port %d dropped", port)
+		}
+		return p.IP.Dst
+	}
+
+	m := &mover{Scheme: plain, server: sAddr1}
+	d.SetSchemes(0, m, nil)
+	if got := steer(40000); got != sAddr1 || m.observes != 2 {
+		t.Fatalf("stateful scheme: steered to %v after %d Observe calls; want %v after 2 (old -1, new +1)", got, m.observes, sAddr1)
+	}
+	if got := d.Counts.Get("flowlet_resteer"); got != 1 {
+		t.Fatalf("flowlet_resteer = %d, want 1", got)
+	}
+
+	chash, err := selection.NewConsistentHash([]netip.Addr{sAddr2}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetSchemes(0, plain, chash)
+	if got := steer(40000); got != sAddr1 || d.Counts.Get("flowlet_resteer") != 1 {
+		t.Fatalf("plain scheme moved the flow to %v", got)
+	}
+	if got := steer(40001); got != sAddr2 || d.Counts.Get("miss_fallback") != 1 {
+		t.Fatalf("unlearned flow went to %v, miss_fallback %d; want the fallback's %v", got, d.Counts.Get("miss_fallback"), sAddr2)
+	}
+}

@@ -18,8 +18,8 @@ import (
 
 // spyScheme records what the wrapped scheme returned, copied before the
 // caller can touch it, so the model knows the candidates without knowing
-// the scheme. It does not implement selection.Wrapper: the dispatcher
-// sees a plain scheme.
+// the scheme. Embedding the Scheme interface hides any Stateful or
+// Resteerer capability: the dispatcher sees a plain scheme.
 type spyScheme struct {
 	selection.Scheme
 	last []netip.Addr

@@ -43,7 +43,7 @@ type PolicySpec struct {
 	// the VIP's feedback view (nil when the cluster's feedback plane is
 	// disabled — load-aware schemes must then degrade to their oblivious
 	// fallback). Candidates and ConsistentHash are ignored when set.
-	Scheme testbed.FeedbackSchemeFn
+	Scheme testbed.SchemeFn
 }
 
 // RR is the paper's baseline: one random server, no Service Hunting.
@@ -291,20 +291,14 @@ func (c ClusterConfig) vipSpec(spec PolicySpec) testbed.VIPSpec {
 		return s
 	}
 	if spec.Scheme != nil {
-		// The policy carries its own scheme constructor. Both forms are
-		// installed: FeedbackScheme serves feedback-enabled topologies,
-		// the plain form (nil view — the scheme's oblivious fallback)
-		// serves everything else.
-		vip.FeedbackScheme = spec.Scheme
-		vip.Scheme = func(servers []netip.Addr, r *rand.Rand) selection.Scheme {
-			return spec.Scheme(servers, r, nil)
-		}
+		// The policy carries its own scheme constructor.
+		vip.Scheme = spec.Scheme
 	} else if c.ConsistentHash && k == 2 {
-		vip.Scheme = func(servers []netip.Addr, _ *rand.Rand) selection.Scheme {
+		vip.Scheme = func(servers []netip.Addr, _ *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 			return chash(servers)
 		}
 	} else {
-		vip.Scheme = func(servers []netip.Addr, r *rand.Rand) selection.Scheme {
+		vip.Scheme = func(servers []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 			return selection.NewRandom(servers, k, r)
 		}
 	}

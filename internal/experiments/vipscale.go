@@ -21,6 +21,7 @@ import (
 	"net/netip"
 	"time"
 
+	"srlb/internal/feedback"
 	"srlb/internal/packet"
 	"srlb/internal/plot"
 	"srlb/internal/selection"
@@ -52,13 +53,13 @@ func VIPScaleSchemes() []VIPScaleScheme {
 		return cs
 	}
 	return []VIPScaleScheme{
-		{Name: "random2", Scheme: func(servers []netip.Addr, r *rand.Rand) selection.Scheme {
+		{Name: "random2", Scheme: func(servers []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 			return selection.NewRandom(servers, 2, r)
 		}},
-		{Name: "roundrobin2", Scheme: func(servers []netip.Addr, _ *rand.Rand) selection.Scheme {
+		{Name: "roundrobin2", Scheme: func(servers []netip.Addr, _ *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 			return selection.NewRoundRobin(servers, 2)
 		}},
-		{Name: "chash2", Scheme: func(servers []netip.Addr, _ *rand.Rand) selection.Scheme {
+		{Name: "chash2", Scheme: func(servers []netip.Addr, _ *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 			return chash(servers)
 		}, Fallback: chash},
 	}

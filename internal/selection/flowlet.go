@@ -39,13 +39,11 @@ type Flowlet struct {
 	// placed flow ≈ this much load-score until the next report).
 	InflightWeight float64
 	inflight       map[netip.Addr]int
-	boundaries     uint64
-	moves          uint64
 }
 
 // NewFlowlet builds the scheme. gap ≤ 0 takes DefaultFlowletGap; view
-// may be nil, in which case flows never move (boundaries are still
-// detected, but with no load signal there is no reason to re-steer).
+// may be nil, in which case flows never move (with no load signal
+// there is no reason to re-steer).
 // Construction consumes no randomness.
 func NewFlowlet(servers []netip.Addr, gap time.Duration, rng *rand.Rand, view LoadView) *Flowlet {
 	if gap <= 0 {
@@ -64,13 +62,6 @@ func NewFlowlet(servers []netip.Addr, gap time.Duration, rng *rand.Rand, view Lo
 
 // Gap returns the configured flowlet gap.
 func (f *Flowlet) Gap() time.Duration { return f.gap }
-
-// Boundaries returns how many flowlet boundaries the scheme has seen;
-// Moves returns how many of them re-steered the flow.
-func (f *Flowlet) Boundaries() uint64 { return f.boundaries }
-
-// Moves returns the number of boundary decisions that moved a flow.
-func (f *Flowlet) Moves() uint64 { return f.moves }
 
 // Pick implements Scheme: plain power-of-two random placement.
 func (f *Flowlet) Pick(flow packet.FlowKey) []netip.Addr {
@@ -94,7 +85,6 @@ func (f *Flowlet) Resteer(now time.Duration, flow packet.FlowKey, idle time.Dura
 	if !f.Boundary(idle) {
 		return current, false
 	}
-	f.boundaries++
 	if f.view == nil {
 		return current, false
 	}
@@ -122,7 +112,6 @@ func (f *Flowlet) Resteer(now time.Duration, flow packet.FlowKey, idle time.Dura
 	if best == current {
 		return current, false
 	}
-	f.moves++
 	return best, true
 }
 

@@ -35,8 +35,6 @@ func (v *fuzzView) ServerLoad(a netip.Addr) (float64, bool) { return v.loads[a],
 //  4. A move only happens onto a different, known server whose
 //     reported load is strictly lower than the current server's, with
 //     both reports fresh — any staleness vetoes the move.
-//  5. Boundary accounting is exact: the boundary counter advances
-//     exactly on idle > gap decisions, never otherwise.
 func FuzzFlowletGaps(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0, 1, 255, 255, 1, 0, 10, 0, 0, 2, 200, 0})
@@ -109,20 +107,8 @@ func FuzzFlowletGaps(f *testing.F) {
 				continue
 			}
 
-			before := fl.Boundaries()
 			next, moved := fl.Resteer(now, flow(fi), idle, st.backend)
-			boundary := fl.Boundary(idle)
-
-			// Invariant 5: boundary accounting is exact.
-			wantDelta := uint64(0)
-			if boundary {
-				wantDelta = 1
-			}
-			if got := fl.Boundaries() - before; got != wantDelta {
-				t.Fatalf("idle %v (gap %v): boundary counter advanced %d, want %d", idle, gap, got, wantDelta)
-			}
-
-			if !boundary {
+			if !fl.Boundary(idle) {
 				// Invariant 1: intra-flowlet packets never move.
 				if moved || next != st.backend {
 					t.Fatalf("idle %v ≤ gap %v but Resteer moved %v → %v", idle, gap, st.backend, next)

@@ -1,6 +1,7 @@
 // Stateful scheme surface: the optional interfaces a selection scheme
 // may implement beyond Pick/Name, added for the load-feedback policies.
-// The core LB probes for them once at VIP-compile time and keeps nil
+// The core LB probes for them with plain type assertions whenever a
+// VIP's scheme is installed (core.Dispatcher.SetSchemes) and keeps nil
 // handles for plain schemes, so the paper's load-oblivious policies pay
 // nothing on the per-packet path.
 
@@ -51,14 +52,6 @@ type Resteerer interface {
 	Resteer(now time.Duration, flow packet.FlowKey, idle time.Duration, current netip.Addr) (next netip.Addr, move bool)
 }
 
-// Wrapper is implemented by delegating schemes (the testbed's
-// hot-swappable wrapper): capability probes unwrap the chain so a plain
-// inner scheme keeps reporting "no optional interfaces" even through a
-// forwarding wrapper.
-type Wrapper interface {
-	Unwrap() Scheme
-}
-
 // ResteerEligible is the LB-side gate for Resteerer: a SYN must never
 // re-steer (it either starts a hunt or sticks to its rebound server — a
 // mid-hunt move would fork the handshake), and an RST is tearing the
@@ -66,44 +59,4 @@ type Wrapper interface {
 // else on the steered path may cross a flowlet boundary.
 func ResteerEligible(isSYN, isRST bool) bool {
 	return !isSYN && !isRST
-}
-
-// Capability probing -------------------------------------------------
-
-// AsStateful returns the Stateful handle for s, or nil when s (after
-// unwrapping any delegation chain) does not track state. The returned
-// handle is the outermost implementation, so hot-swap wrappers keep
-// forwarding to whatever scheme is current.
-func AsStateful(s Scheme) Stateful {
-	if !innerImplements(s, func(s Scheme) bool { _, ok := s.(Stateful); return ok }) {
-		return nil
-	}
-	st, _ := s.(Stateful)
-	return st
-}
-
-// AsResteerer returns the Resteerer handle for s, or nil when the
-// unwrapped scheme cannot move established flows.
-func AsResteerer(s Scheme) Resteerer {
-	if !innerImplements(s, func(s Scheme) bool { _, ok := s.(Resteerer); return ok }) {
-		return nil
-	}
-	rs, _ := s.(Resteerer)
-	return rs
-}
-
-// innerImplements unwraps the delegation chain and applies the probe to
-// the innermost scheme.
-func innerImplements(s Scheme, probe func(Scheme) bool) bool {
-	for {
-		w, ok := s.(Wrapper)
-		if !ok {
-			return probe(s)
-		}
-		inner := w.Unwrap()
-		if inner == nil {
-			return false
-		}
-		s = inner
-	}
 }

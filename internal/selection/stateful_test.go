@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"srlb/internal/packet"
 	"srlb/internal/rng"
 )
 
@@ -138,10 +137,6 @@ func TestFlowletStaleVetoesMove(t *testing.T) {
 	if !moved || next != cold {
 		t.Fatalf("fresh reports: Resteer = (%v, %v), want move to %v", next, moved, cold)
 	}
-	if fl.Moves() != 1 || fl.Boundaries() != 1 {
-		t.Fatalf("counters = %d moves / %d boundaries, want 1/1", fl.Moves(), fl.Boundaries())
-	}
-
 	// Stale candidate: its tempting 0.1 must be ignored.
 	view.fresh[cold] = false
 	if next, moved := fl.Resteer(2*time.Second, flow(0), boundary, hot); moved || next != hot {
@@ -161,18 +156,15 @@ func TestFlowletStaleVetoesMove(t *testing.T) {
 		t.Fatal("fresh recovery did not re-enable re-steering")
 	}
 
-	// No view: boundaries are still counted, flows never move.
+	// No view: flows never move.
 	fl2 := NewFlowlet(srv, 50*time.Millisecond, rng.New(26), nil)
 	if next, moved := fl2.Resteer(time.Second, flow(0), boundary, hot); moved || next != hot {
 		t.Fatalf("nil view: Resteer = (%v, %v), want stay", next, moved)
 	}
-	if fl2.Boundaries() != 1 {
-		t.Fatalf("nil view boundaries = %d, want 1", fl2.Boundaries())
-	}
 }
 
-// The boundary predicate is strictly greater-than, and intra-flowlet
-// packets don't touch the boundary counter.
+// The boundary predicate is strictly greater-than, and an intra-flowlet
+// packet never moves its flow, however tempting the loads.
 func TestFlowletBoundaryStrict(t *testing.T) {
 	srv := servers(2)
 	fl := NewFlowlet(srv, 50*time.Millisecond, rng.New(27), loadsView(srv, 0.9, 0.1))
@@ -188,77 +180,7 @@ func TestFlowletBoundaryStrict(t *testing.T) {
 	if next, moved := fl.Resteer(time.Second, flow(0), 50*time.Millisecond, srv[0]); moved || next != srv[0] {
 		t.Fatalf("intra-flowlet Resteer = (%v, %v), want no-op", next, moved)
 	}
-	if fl.Boundaries() != 0 {
-		t.Fatalf("intra-flowlet packet counted a boundary (%d)", fl.Boundaries())
-	}
 	if NewFlowlet(srv, 0, rng.New(28), nil).Gap() != DefaultFlowletGap {
 		t.Fatal("gap ≤ 0 must take DefaultFlowletGap")
-	}
-}
-
-// hotSwap mimics the testbed's hot-swappable wrapper shape: Scheme +
-// Wrapper + blanket Stateful/Resteerer forwarding. It must only
-// *report* the capabilities of its current inner scheme.
-type hotSwap struct{ inner Scheme }
-
-func (h *hotSwap) Pick(fk packet.FlowKey) []netip.Addr { return h.inner.Pick(fk) }
-func (h *hotSwap) Name() string                        { return h.inner.Name() }
-func (h *hotSwap) Unwrap() Scheme                      { return h.inner }
-func (h *hotSwap) Observe(server netip.Addr, delta int) {
-	if st := AsStateful(h.inner); st != nil {
-		st.Observe(server, delta)
-	}
-}
-func (h *hotSwap) Update(servers []netip.Addr) {
-	if st := AsStateful(h.inner); st != nil {
-		st.Update(servers)
-	}
-}
-func (h *hotSwap) Resteer(now time.Duration, fk packet.FlowKey, idle time.Duration, cur netip.Addr) (netip.Addr, bool) {
-	if rs := AsResteerer(h.inner); rs != nil {
-		return rs.Resteer(now, fk, idle, cur)
-	}
-	return cur, false
-}
-
-// Capability probes unwrap delegation chains: a forwarding wrapper
-// around a plain scheme reports no optional interfaces, while the same
-// wrapper around a stateful scheme exposes the *outermost* handle.
-func TestCapabilityProbingUnwraps(t *testing.T) {
-	srv := servers(4)
-	plain := NewRandom(srv, 2, rng.New(29))
-	if AsStateful(plain) != nil || AsResteerer(plain) != nil {
-		t.Fatal("plain Random must expose no optional interfaces")
-	}
-	wrapPlain := &hotSwap{inner: plain}
-	if AsStateful(wrapPlain) != nil || AsResteerer(wrapPlain) != nil {
-		t.Fatal("wrapper around a plain scheme must still probe nil")
-	}
-	wll := NewWeightedLeastLoad(srv, 2, rng.New(30), nil)
-	if AsStateful(wll) == nil {
-		t.Fatal("WeightedLeastLoad must probe Stateful")
-	}
-	if AsResteerer(wll) != nil {
-		t.Fatal("WeightedLeastLoad must not probe Resteerer")
-	}
-	wrapWLL := &hotSwap{inner: wll}
-	if st := AsStateful(wrapWLL); st == nil {
-		t.Fatal("wrapper around a stateful scheme must probe Stateful")
-	} else if _, isWrapper := st.(*hotSwap); !isWrapper {
-		t.Fatal("probe must return the outermost handle, not the inner scheme")
-	}
-	fl := NewFlowlet(srv, 0, rng.New(31), nil)
-	if AsStateful(fl) == nil || AsResteerer(fl) == nil {
-		t.Fatal("Flowlet must probe both Stateful and Resteerer")
-	}
-	if AsResteerer(&hotSwap{inner: fl}) == nil {
-		t.Fatal("wrapper around Flowlet must probe Resteerer")
-	}
-	// Nested wrappers unwrap all the way down; a nil inner probes false.
-	if AsStateful(&hotSwap{inner: &hotSwap{inner: fl}}) == nil {
-		t.Fatal("double wrapper must still probe through")
-	}
-	if AsStateful(&hotSwap{}) != nil {
-		t.Fatal("wrapper with nil inner must probe nil")
 	}
 }

@@ -115,7 +115,7 @@ func parityCases() []parityCase {
 			name: "flowlet_feedback_closeack",
 			top: Topology{
 				Seed:     302,
-				VIPs:     []VIPSpec{{Servers: 6, FeedbackScheme: flowletScheme}},
+				VIPs:     []VIPSpec{{Servers: 6, Scheme: flowletScheme}},
 				Feedback: feedback.Config{Enabled: true, Interval: 5 * time.Millisecond, Horizon: 5 * time.Second},
 			},
 			n: 2000, rate: 500, demand: 20 * time.Millisecond, closeAck: true,

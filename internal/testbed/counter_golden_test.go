@@ -23,7 +23,7 @@ func TestCounterGolden(t *testing.T) {
 		name: "flowlet_feedback_cell",
 		top: Topology{
 			Seed:     305,
-			VIPs:     []VIPSpec{{FeedbackScheme: flowletScheme}},
+			VIPs:     []VIPSpec{{Scheme: flowletScheme}},
 			Feedback: feedback.Config{Enabled: true, Interval: 5 * time.Millisecond, Horizon: 5 * time.Second},
 		},
 		n: 3000, rate: 1020, demand: 20 * time.Millisecond, closeAck: true,

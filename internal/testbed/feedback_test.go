@@ -10,9 +10,10 @@ import (
 	"srlb/internal/selection"
 )
 
-// wllFeedbackScheme is the load-aware constructor the experiments use,
-// minus the typed-nil dance (the view is always real here).
-func wllFeedbackScheme(servers []netip.Addr, r *rand.Rand, view *feedback.VIPView) selection.Scheme {
+// wllScheme is the load-aware constructor the experiments use:
+// a nil view (the plane off) must reach the scheme as a nil LoadView,
+// not as a typed nil.
+func wllScheme(servers []netip.Addr, r *rand.Rand, view *feedback.VIPView) selection.Scheme {
 	var lv selection.LoadView
 	if view != nil {
 		lv = view
@@ -31,9 +32,8 @@ func TestFeedbackStalenessAndRecovery(t *testing.T) {
 	tb := Build(Topology{
 		Seed: 41,
 		VIPs: []VIPSpec{{
-			Servers:        servers,
-			Scheme:         func(s []netip.Addr, r *rand.Rand) selection.Scheme { return selection.NewRandom(s, 2, r) },
-			FeedbackScheme: wllFeedbackScheme,
+			Servers: servers,
+			Scheme:  wllScheme,
 		}},
 		// Horizon 0: no automatic ticker — the test drives publication.
 		Feedback: feedback.Config{Enabled: true},
@@ -114,9 +114,8 @@ func TestFeedbackPublishingTicker(t *testing.T) {
 		Seed:     43,
 		Replicas: 2,
 		VIPs: []VIPSpec{{
-			Servers:        2,
-			Scheme:         func(s []netip.Addr, r *rand.Rand) selection.Scheme { return selection.NewRandom(s, 2, r) },
-			FeedbackScheme: wllFeedbackScheme,
+			Servers: 2,
+			Scheme:  wllScheme,
 		}},
 		Feedback: feedback.Config{Enabled: true, Interval: 100 * time.Millisecond, Horizon: horizon},
 	})
@@ -169,9 +168,8 @@ func TestFeedbackStalenessAfterReplicaRecover(t *testing.T) {
 				Seed:     53,
 				Replicas: 2,
 				VIPs: []VIPSpec{{
-					Servers:        servers,
-					Scheme:         func(s []netip.Addr, r *rand.Rand) selection.Scheme { return selection.NewRandom(s, 2, r) },
-					FeedbackScheme: wllFeedbackScheme,
+					Servers: servers,
+					Scheme:  wllScheme,
 				}},
 				// Horizon 0: no automatic ticker — the test publishes.
 				Feedback: feedback.Config{Enabled: true},
@@ -221,21 +219,21 @@ func TestFeedbackStalenessAfterReplicaRecover(t *testing.T) {
 	}
 }
 
-// Feedback disabled is the zero-cost default: no view, and VIPs with a
-// FeedbackScheme fall back to their plain Scheme.
+// Feedback disabled is the zero-cost default: no view is built, and
+// every scheme constructor gets a nil one, so a load-aware scheme runs
+// its load-oblivious form.
 func TestFeedbackDisabledUsesPlainScheme(t *testing.T) {
 	built := 0
 	tb := Build(Topology{
 		Seed: 47,
 		VIPs: []VIPSpec{{
 			Servers: 2,
-			Scheme: func(s []netip.Addr, r *rand.Rand) selection.Scheme {
+			Scheme: func(s []netip.Addr, r *rand.Rand, view *feedback.VIPView) selection.Scheme {
 				built++
-				return selection.NewRandom(s, 2, r)
-			},
-			FeedbackScheme: func([]netip.Addr, *rand.Rand, *feedback.VIPView) selection.Scheme {
-				t.Fatal("FeedbackScheme invoked with the plane disabled")
-				return nil
+				if view != nil {
+					t.Fatal("scheme handed a feedback view with the plane disabled")
+				}
+				return wllScheme(s, r, view)
 			},
 		}},
 	})
@@ -243,6 +241,6 @@ func TestFeedbackDisabledUsesPlainScheme(t *testing.T) {
 		t.Fatal("view built with feedback disabled")
 	}
 	if built != 1 {
-		t.Fatalf("plain scheme built %d times, want 1", built)
+		t.Fatalf("scheme built %d times, want 1", built)
 	}
 }

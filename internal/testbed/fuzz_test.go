@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"srlb/internal/feedback"
 	"srlb/internal/selection"
 )
 
@@ -38,7 +39,7 @@ func decodeFuzzTopology(data []byte) Topology {
 	// only dynamic panic class Validate documents (a pool shrinking below
 	// the scheme's k) cannot fire and "Validate == nil → Build and the
 	// event schedule run clean" is a checkable invariant.
-	scheme := func(servers []netip.Addr, r *rand.Rand) selection.Scheme {
+	scheme := func(servers []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 		return selection.NewRandom(servers, 1, r)
 	}
 	top := Topology{

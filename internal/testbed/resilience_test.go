@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"srlb/internal/feedback"
 	"srlb/internal/flowtable"
 	"srlb/internal/packet"
 	"srlb/internal/selection"
@@ -20,7 +21,9 @@ func resilienceTopology(events []Event, flows flowtable.Config) Topology {
 		Flows:    flows,
 		VIPs: []VIPSpec{{
 			Servers: 3,
-			Scheme:  func(s []netip.Addr, r *rand.Rand) selection.Scheme { return selection.NewRandom(s, 2, r) },
+			Scheme: func(s []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
+				return selection.NewRandom(s, 2, r)
+			},
 		}},
 		Events: events,
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"srlb/internal/feedback"
 	"srlb/internal/packet"
 	"srlb/internal/rng"
 	"srlb/internal/selection"
@@ -32,7 +33,7 @@ type statefulSpy struct {
 	resteers int
 }
 
-func (l *spyLedger) build(servers []netip.Addr, r *rand.Rand) selection.Scheme {
+func (l *spyLedger) build(servers []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 	s := &statefulSpy{ledger: l, r: r, inner: selection.NewRandom(servers, 2, r)}
 	l.cur[r] = s
 	l.all = append(l.all, s)
@@ -96,7 +97,7 @@ func TestSchemeLifecycleAcrossChurnAndRecovery(t *testing.T) {
 		Replicas: 2,
 		VIPs: []VIPSpec{
 			{Servers: 4, Scheme: ledger.build, Fallback: testFallback},
-			{Servers: 3, Fallback: testFallback, Scheme: func(s []netip.Addr, r *rand.Rand) selection.Scheme {
+			{Servers: 3, Fallback: testFallback, Scheme: func(s []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 				return plainSpy{Scheme: selection.NewRandom(s, 2, r), observes: &plainObserves}
 			}},
 		},

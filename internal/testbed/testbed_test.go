@@ -10,6 +10,7 @@ import (
 
 	"srlb/internal/agent"
 	"srlb/internal/appserver"
+	"srlb/internal/feedback"
 	"srlb/internal/rng"
 	"srlb/internal/selection"
 
@@ -237,7 +238,7 @@ func TestPowerOfTwoBeatsRandomUnderLoad(t *testing.T) {
 	// The paper's headline claim (fig 2): SRc with a sensible c beats
 	// random assignment at high load. ρ≈0.85 of a 4-server cluster:
 	// capacity = 4 servers × 2 cores / 0.1s = 80 q/s; run at 68 q/s.
-	meanRT := func(policy func(int) agent.Policy, scheme func([]netip.Addr, *rand.Rand) selection.Scheme) time.Duration {
+	meanRT := func(policy func(int) agent.Policy, scheme SchemeFn) time.Duration {
 		cfg := Topology{Seed: 8, VIPs: []VIPSpec{{Servers: 4, Policy: policy, Scheme: scheme}}}
 		tb := run(t, cfg, 4000, 68, 100*time.Millisecond)
 		var sum time.Duration
@@ -255,7 +256,9 @@ func TestPowerOfTwoBeatsRandomUnderLoad(t *testing.T) {
 	}
 	rrRT := meanRT(
 		func(int) agent.Policy { return agent.Always{} },
-		func(s []netip.Addr, r *rand.Rand) selection.Scheme { return selection.NewRandom(s, 1, r) },
+		func(s []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
+			return selection.NewRandom(s, 1, r)
+		},
 	)
 	srRT := meanRT(
 		func(int) agent.Policy { return agent.NewStatic(4) },
@@ -318,7 +321,7 @@ func TestFairnessImprovesWithSR(t *testing.T) {
 	counts := func(policy func(int) agent.Policy, k int) []float64 {
 		cfg := Topology{Seed: 10, VIPs: []VIPSpec{{Servers: 6,
 			Policy: policy,
-			Scheme: func(s []netip.Addr, r *rand.Rand) selection.Scheme {
+			Scheme: func(s []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 				return selection.NewRandom(s, k, r)
 			}}}}
 		tb := run(t, cfg, 3000, 100, 100*time.Millisecond)

@@ -84,14 +84,11 @@ func SharedPoolServerAddr(p, i int) netip.Addr {
 // with the new pool and the *same* rng, so the scheme's random stream
 // continues deterministically across churn. (Stateful schemes are
 // instead kept and re-pointed via selection.Stateful.Update, preserving
-// their accumulated state.)
-type SchemeFn func(servers []netip.Addr, r *rand.Rand) selection.Scheme
-
-// FeedbackSchemeFn builds a load-aware scheme over the current pool,
-// additionally receiving the VIP's projection of the replica-shared
-// feedback view. Used only when Topology.Feedback.Enabled; VIPs without
-// one fall back to their plain SchemeFn.
-type FeedbackSchemeFn func(servers []netip.Addr, r *rand.Rand, view *feedback.VIPView) selection.Scheme
+// their accumulated state.) view is the replica's projection of the
+// feedback plane for this VIP, nil when Topology.Feedback is disabled:
+// a load-aware scheme then degrades to its load-oblivious form, and a
+// plain scheme ignores it.
+type SchemeFn func(servers []netip.Addr, r *rand.Rand, view *feedback.VIPView) selection.Scheme
 
 // FallbackFn builds the miss-fallback scheme over the current pool — the
 // steering path for packets whose flow the replica never learned
@@ -151,12 +148,6 @@ type VIPSpec struct {
 	// 2 uniform-random candidates, the paper's). Per VIP even on a
 	// shared pool: each service hunts with its own scheme instance.
 	Scheme SchemeFn
-	// FeedbackScheme, when non-nil and the topology's feedback plane is
-	// enabled, builds the VIP's scheme with access to the load-report
-	// view; it replaces Scheme under those conditions and is ignored
-	// otherwise (so one VIPSpec serves both oblivious and load-aware
-	// runs of the same topology).
-	FeedbackScheme FeedbackSchemeFn
 	// Fallback, when non-nil, builds the VIP's miss-fallback scheme.
 	Fallback FallbackFn
 	// Demand builds server i's demand function (default DefaultDemand).
@@ -190,8 +181,8 @@ type Topology struct {
 	// the run. Events at the same instant apply in slice order.
 	Events []Event
 	// Feedback configures the server-load telemetry plane. Disabled by
-	// default: servers publish nothing and VIPSpec.FeedbackScheme is
-	// ignored, so existing topologies run exactly as before. When
+	// default: servers publish nothing and every SchemeFn gets a nil
+	// view, so existing topologies run exactly as before. When
 	// enabled with a positive Horizon, every live server publishes a
 	// report each Interval (DES-scheduled, deterministic) until the
 	// horizon; with Horizon ≤ 0 nothing is scheduled and tests drive
@@ -458,7 +449,7 @@ func (t Topology) withDefaults() Topology {
 			}
 		}
 		if v.Scheme == nil {
-			v.Scheme = func(servers []netip.Addr, r *rand.Rand) selection.Scheme {
+			v.Scheme = func(servers []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 				return selection.NewRandom(servers, 2, r)
 			}
 		}
@@ -670,15 +661,17 @@ type vipState struct {
 	// function of the flow so replicas agree without shared state), so one
 	// instance per VIP serves all replicas instead of one per (VIP,
 	// replica). Nil when the VIP declares none.
-	fallback *mutableScheme
+	fallback selection.Scheme
 }
 
-// replicaState is one LB replica with its per-VIP schemes.
+// replicaState is one LB replica with its per-VIP schemes. schemes[v]
+// is the scheme the replica's dispatcher holds for VIP v: every rebuild
+// installs it there with SetSchemes.
 type replicaState struct {
 	lb      *core.LoadBalancer
 	down    bool
-	schemes []*mutableScheme // per VIP
-	rngs    []*rand.Rand     // per VIP; persists across pool rebuilds
+	schemes []selection.Scheme // per VIP
+	rngs    []*rand.Rand       // per VIP; persists across pool rebuilds
 	// view is this replica's subscription to the telemetry plane (nil
 	// when feedback is disabled) — per replica, per the feedback
 	// package's contract. A down replica receives no reports and a
@@ -689,46 +682,6 @@ type replicaState struct {
 	// failed — the donor state for a warm self-recovery, and for a warm
 	// recovery whose donor is itself dark at the recover instant.
 	preFail []flowtable.FlowBinding
-}
-
-// mutableScheme delegates to the pool's current scheme; lifecycle events
-// swap the underlying scheme when the pool changes, so the LB's VIP map
-// never has to be rebuilt. It forwards the optional Stateful/Resteerer
-// capabilities with a per-call type check, and implements
-// selection.Wrapper so the LB's compile-time capability probe sees the
-// inner scheme — a VIP whose scheme is plain keeps nil capability
-// handles (and the zero-cost hot path) even through this wrapper.
-type mutableScheme struct{ cur selection.Scheme }
-
-// Pick implements selection.Scheme.
-func (m *mutableScheme) Pick(flow packet.FlowKey) []netip.Addr { return m.cur.Pick(flow) }
-
-// Name implements selection.Scheme.
-func (m *mutableScheme) Name() string { return m.cur.Name() }
-
-// Unwrap implements selection.Wrapper.
-func (m *mutableScheme) Unwrap() selection.Scheme { return m.cur }
-
-// Observe implements selection.Stateful by forwarding.
-func (m *mutableScheme) Observe(server netip.Addr, delta int) {
-	if st, ok := m.cur.(selection.Stateful); ok {
-		st.Observe(server, delta)
-	}
-}
-
-// Update implements selection.Stateful by forwarding.
-func (m *mutableScheme) Update(servers []netip.Addr) {
-	if st, ok := m.cur.(selection.Stateful); ok {
-		st.Update(servers)
-	}
-}
-
-// Resteer implements selection.Resteerer by forwarding.
-func (m *mutableScheme) Resteer(now time.Duration, flow packet.FlowKey, idle time.Duration, current netip.Addr) (netip.Addr, bool) {
-	if rs, ok := m.cur.(selection.Resteerer); ok {
-		return rs.Resteer(now, flow, idle, current)
-	}
-	return current, false
 }
 
 // Build compiles the topology into wired nodes. It panics on malformed
@@ -826,7 +779,7 @@ func Build(top Topology) *Testbed {
 	tb.LBs = make([]*core.LoadBalancer, top.Replicas)
 	for r := 0; r < top.Replicas; r++ {
 		rs := &replicaState{
-			schemes: make([]*mutableScheme, len(top.VIPs)),
+			schemes: make([]selection.Scheme, len(top.VIPs)),
 			rngs:    make([]*rand.Rand, len(top.VIPs)),
 		}
 		if top.Feedback.Enabled {
@@ -844,17 +797,13 @@ func Build(top Topology) *Testbed {
 			stream := uint64(1) + uint64(r)*uint64(len(top.VIPs)) + uint64(v)
 			selRng := rng.Split(top.Seed, stream)
 			rs.rngs[v] = selRng
-			ms := &mutableScheme{cur: tb.buildScheme(rs, vs, clonePool(vs.pool.pool), selRng)}
-			rs.schemes[v] = ms
-			list[v] = core.VIPConfig{Addr: vs.addr, Scheme: ms}
-			if vs.spec.Fallback != nil {
-				if vs.fallback == nil {
-					// Built once, shared by every replica (FallbackFn is
-					// deterministic and rng-free by contract).
-					vs.fallback = &mutableScheme{cur: vs.spec.Fallback(clonePool(vs.pool.pool))}
-				}
-				list[v].Fallback = vs.fallback
+			rs.schemes[v] = tb.buildScheme(rs, vs)
+			if vs.spec.Fallback != nil && vs.fallback == nil {
+				// Built once, shared by every replica (FallbackFn is
+				// deterministic and rng-free by contract).
+				vs.fallback = vs.spec.Fallback(clonePool(vs.pool.pool))
 			}
+			list[v] = core.VIPConfig{Addr: vs.addr, Scheme: rs.schemes[v], Fallback: vs.fallback}
 		}
 		cfg := core.Config{Addr: LBAddr, VIPList: list, Flows: top.Flows}
 		if anycast {
@@ -913,15 +862,15 @@ func Build(top Topology) *Testbed {
 	return tb
 }
 
-// buildScheme constructs VIP vs's scheme over servers for replica rs:
-// the load-aware constructor (with the replica's own view projection)
-// when the feedback plane is on and the spec provides one, the plain
-// SchemeFn otherwise.
-func (tb *Testbed) buildScheme(rs *replicaState, vs *vipState, servers []netip.Addr, r *rand.Rand) selection.Scheme {
-	if rs.view != nil && vs.spec.FeedbackScheme != nil {
-		return vs.spec.FeedbackScheme(servers, r, rs.view.For(vs.addr))
+// buildScheme constructs VIP vs's scheme for replica rs over the pool as
+// it is now, on the replica's own stream for the VIP and with its own
+// feedback projection (nil when the plane is off).
+func (tb *Testbed) buildScheme(rs *replicaState, vs *vipState) selection.Scheme {
+	var view *feedback.VIPView
+	if rs.view != nil {
+		view = rs.view.For(vs.addr)
 	}
-	return vs.spec.Scheme(servers, r)
+	return vs.spec.Scheme(clonePool(vs.pool.pool), rs.rngs[vs.index], view)
 }
 
 // PublishFeedback samples every live server's scoreboard once and
@@ -1127,14 +1076,16 @@ func (tb *Testbed) apply(ev Event) {
 // reports predate the crash; freshness returns with the next publish
 // tick). Flow state is the caller's affair: the stateless path clears
 // it, the warm path imports a snapshot. Fallbacks are shared across
-// replicas and already track the pool, so recovery leaves them alone.
+// replicas and already track the pool: recovery reinstalls the current
+// one beside each rebuilt scheme.
 func (tb *Testbed) recoverReplica(rs *replicaState) {
 	rs.down = false
 	if rs.view != nil {
 		rs.view.Reset()
 	}
 	for v, vs := range tb.vips {
-		rs.schemes[v].cur = tb.buildScheme(rs, vs, clonePool(vs.pool.pool), rs.rngs[v])
+		rs.schemes[v] = tb.buildScheme(rs, vs)
+		rs.lb.SetSchemes(v, rs.schemes[v], vs.fallback)
 	}
 	if len(tb.replicas) > 1 {
 		for _, vs := range tb.vips {
@@ -1150,27 +1101,29 @@ func (tb *Testbed) recoverReplica(rs *replicaState) {
 }
 
 // rebuildSchemes resyncs every (replica, VIP-over-this-pool) scheme (and
-// the VIP's shared fallback) to the pool's current candidate set — on a
-// shared pool, one drain updates every service's scheme at once. Scheme
-// construction consumes no random draws, so rebuilds never perturb the
-// selection streams. Fallbacks rebuild once per VIP, not once per
-// (VIP, replica): all replicas share the instance.
+// the VIP's shared fallback) to the pool's current candidate set and
+// installs the pair in each replica's dispatcher, down ones included —
+// on a shared pool, one drain updates every service's scheme at once.
+// Scheme construction consumes no random draws, so rebuilds never
+// perturb the selection streams. Fallbacks rebuild once per VIP, not
+// once per (VIP, replica): all replicas share the instance.
 func (tb *Testbed) rebuildSchemes(pool *poolState) {
 	for _, vs := range pool.vips {
 		v := vs.index
+		if vs.fallback != nil {
+			vs.fallback = vs.spec.Fallback(clonePool(pool.pool))
+		}
 		for _, rs := range tb.replicas {
 			// A stateful scheme is re-pointed at the new candidate set
 			// (selection.Stateful.Update, draw-free by contract) so its
 			// accumulated load state survives churn; plain schemes are
 			// reconstructed as always.
-			if st, ok := rs.schemes[v].cur.(selection.Stateful); ok {
+			if st, ok := rs.schemes[v].(selection.Stateful); ok {
 				st.Update(clonePool(pool.pool))
 			} else {
-				rs.schemes[v].cur = tb.buildScheme(rs, vs, clonePool(pool.pool), rs.rngs[v])
+				rs.schemes[v] = tb.buildScheme(rs, vs)
 			}
-		}
-		if vs.fallback != nil {
-			vs.fallback.cur = vs.spec.Fallback(clonePool(pool.pool))
+			rs.lb.SetSchemes(v, rs.schemes[v], vs.fallback)
 		}
 	}
 }

@@ -7,13 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"srlb/internal/feedback"
 	"srlb/internal/selection"
 )
 
 // chashScheme/chashFallback build the §II-B consistent-hash selection —
 // what lets stateless LB replicas agree on flow→server without talking.
 func chashScheme(t testing.TB) SchemeFn {
-	return func(servers []netip.Addr, _ *rand.Rand) selection.Scheme {
+	return func(servers []netip.Addr, _ *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 		s, err := selection.NewConsistentHash(servers, 4099)
 		if err != nil {
 			t.Fatal(err)

@@ -41,7 +41,8 @@ type (
 	ClusterVariant = experiments.ClusterVariant
 
 	// The declarative topology layer: a Topology names VIPs (each with
-	// its own scheme), declares named server pools that several VIPs may
+	// its own scheme constructor, VIPSpec.Scheme, which also receives the
+	// VIP's feedback view when the plane is on), declares named server pools that several VIPs may
 	// share (PoolSpec + VIPSpec.Pool — the contention regime), attaches
 	// N LB replicas over anycast/ECMP, and schedules lifecycle Events;
 	// testbed.Build compiles it to wired nodes. Cluster remains the
@@ -188,7 +189,8 @@ type (
 
 	// FeedbackConfig tunes the server-load telemetry plane
 	// (Cluster.Feedback / Topology.Feedback): publish interval, report
-	// TTL, EWMA smoothing.
+	// TTL, EWMA smoothing. With the plane off every scheme constructor
+	// gets a nil view and load-aware policies run load-oblivious.
 	FeedbackConfig = feedback.Config
 	// FeedbackReport is one server's published load sample.
 	FeedbackReport = feedback.Report
