@@ -63,6 +63,25 @@ func parsePolicy(s string) (srlb.Policy, error) {
 
 func main() { os.Exit(simulate()) }
 
+// checkCounts rejects numeric flags no run can use: a negative size or
+// rate, and a load or query count that is not positive. A zero size
+// keeps meaning the paper's default.
+func checkCounts() error {
+	for _, name := range []string{"rate", "servers", "workers", "cores", "backlog"} {
+		value := flag.Lookup(name).Value.String()
+		if v, _ := strconv.ParseFloat(value, 64); v < 0 {
+			return fmt.Errorf("-%s must not be negative (got %s)", name, value)
+		}
+	}
+	for _, name := range []string{"rho", "queries"} {
+		value := flag.Lookup(name).Value.String()
+		if v, _ := strconv.ParseFloat(value, 64); v <= 0 {
+			return fmt.Errorf("-%s must be positive (got %s)", name, value)
+		}
+	}
+	return nil
+}
+
 // simulate is main returning its exit code, so that the profiles are
 // stopped and written on every path out.
 func simulate() (code int) {
@@ -101,6 +120,10 @@ func simulate() (code int) {
 	}
 	if *workload != "poisson" && *workload != "bursty" {
 		fmt.Fprintf(os.Stderr, "srlb-sim: unknown workload %q (want poisson or bursty)\n", *workload)
+		return 2
+	}
+	if err := checkCounts(); err != nil {
+		fmt.Fprintf(os.Stderr, "srlb-sim: %v\n", err)
 		return 2
 	}
 	cluster := srlb.Cluster{

@@ -31,9 +31,10 @@ func TestMain(m *testing.M) {
 }
 
 // TestBadInput: input srlb-sim cannot run is a usage error — exit 2 with
-// one line on stderr naming the culprit, never a goroutine dump. The
-// -queries case is a calibration whose probes never refuse: 500 queries
-// fit in four servers' queues at any rate, so no drop onset exists.
+// one line on stderr naming the culprit, never a goroutine dump or a
+// silent default. The first -queries case is a calibration whose probes
+// never refuse: 500 queries fit in four servers' queues at any rate, so
+// no drop onset exists.
 func TestBadInput(t *testing.T) {
 	for _, c := range []struct {
 		culprit string
@@ -42,6 +43,10 @@ func TestBadInput(t *testing.T) {
 		{"-queries", []string{"-queries", "500", "-servers", "4"}},
 		{`"nope"`, []string{"-workload", "nope"}},
 		{`"x"`, []string{"-policy", "x"}},
+		{"-rate", []string{"-rate", "-3"}},
+		{"-rho", []string{"-rho", "0"}},
+		{"-queries must be positive", []string{"-queries", "-5"}},
+		{"-servers", []string{"-servers", "-1", "-rate", "50"}},
 	} {
 		t.Run(c.culprit, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
