@@ -155,8 +155,7 @@ func TestSharedPoolServerAttribution(t *testing.T) {
 	tb.Sim.Run()
 	tb.Gen.DrainPending()
 	var web, batch uint64
-	for i := 0; i < cluster.Servers; i++ {
-		rt := tb.RouterOf(0, i)
+	for i, rt := range tb.Routers {
 		a, b := resp[serverVIP{rt.Addr(), tb.VIPAddrOf(0)}], resp[serverVIP{rt.Addr(), tb.VIPAddrOf(1)}]
 		if total := rt.Counts.Get("responses_tx"); a+b != total {
 			t.Fatalf("server %d: per-VIP responses %d+%d != total %d", i, a, b, total)

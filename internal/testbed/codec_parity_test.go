@@ -47,7 +47,7 @@ func (c parityCase) run(verify bool) runFingerprint {
 	top := c.top
 	top.Net.VerifyChecksums = verify
 	tb := Build(top)
-	tb.Gen.RetainResults = true
+	results := collect(tb)
 	tb.Gen.CloseAck = c.closeAck
 	tb.Gen.RetransmitRTO = c.rto
 	r := rng.Split(top.Seed, 0xc0de)
@@ -64,7 +64,7 @@ func (c parityCase) run(verify bool) runFingerprint {
 	tb.Gen.DrainPending()
 
 	fp := runFingerprint{
-		Results:   resultsDigest(tb.Gen.Results()),
+		Results:   resultsDigest(*results),
 		Counts:    map[string]map[string]uint64{},
 		Processed: tb.Sim.Processed(),
 	}

@@ -12,11 +12,11 @@ import (
 // Failure-injection tests: the protocol must degrade gracefully, never
 // corrupt state, under packet loss, jitter and pathological policies.
 
-func runWithNet(t *testing.T, netCfg netsim.Config, policy func(int) agent.Policy, n int, rate float64) *Testbed {
+func runWithNet(t *testing.T, netCfg netsim.Config, policy func(int) agent.Policy, n int, rate float64) *ran {
 	t.Helper()
 	cfg := Topology{Seed: 77, Net: netCfg, VIPs: []VIPSpec{{Servers: 4, Policy: policy}}}
 	tb := Build(cfg)
-	tb.Gen.RetainResults = true
+	results := collect(tb)
 	r := rng.Split(cfg.Seed, 99)
 	p := rng.NewPoisson(r, rate, 0)
 	for i := 0; i < n; i++ {
@@ -26,7 +26,7 @@ func runWithNet(t *testing.T, netCfg netsim.Config, policy func(int) agent.Polic
 	}
 	tb.Sim.RunUntil(time.Duration(float64(n)/rate*float64(time.Second)) + 30*time.Second)
 	tb.Gen.DrainPending()
-	return tb
+	return &ran{tb, *results}
 }
 
 func TestPacketLossDegradesGracefully(t *testing.T) {
@@ -36,7 +36,7 @@ func TestPacketLossDegradesGracefully(t *testing.T) {
 		netsim.Config{LossProb: 0.02, Seed: 5},
 		func(int) agent.Policy { return agent.NewStatic(4) },
 		2000, 100)
-	results := tb.Gen.Results()
+	results := tb.results
 	if len(results) != 2000 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -73,7 +73,7 @@ func TestJitterPreservesCorrectness(t *testing.T) {
 		func(int) agent.Policy { return agent.NewStatic(4) },
 		1500, 100)
 	ok := 0
-	for _, r := range tb.Gen.Results() {
+	for _, r := range tb.results {
 		if r.OK {
 			ok++
 		}
@@ -91,7 +91,7 @@ func TestChecksumVerificationOnTheFullPath(t *testing.T) {
 		netsim.Config{VerifyChecksums: true},
 		func(int) agent.Policy { return agent.NewStatic(4) },
 		1000, 80)
-	for _, r := range tb.Gen.Results() {
+	for _, r := range tb.results {
 		if !r.OK {
 			t.Fatal("query failed under checksum verification")
 		}
@@ -115,7 +115,7 @@ func TestMixedPolicies(t *testing.T) {
 		},
 		1000, 60)
 	ok := 0
-	for _, r := range tb.Gen.Results() {
+	for _, r := range tb.results {
 		if r.OK {
 			ok++
 		}

@@ -2,6 +2,8 @@ package testbed
 
 import (
 	"fmt"
+	"maps"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -111,7 +113,7 @@ func generatedParityDigest() uint64 {
 		},
 	})
 	tb := Build(top)
-	tb.Gen.RetainResults = true
+	results := collect(tb)
 	r := rng.Split(211, 0xd1ce)
 	p := rng.NewPoisson(rng.Split(211, 0xa17), 1500, 0)
 	for i := 0; i < 1500; i++ {
@@ -121,7 +123,7 @@ func generatedParityDigest() uint64 {
 	}
 	tb.Sim.Run()
 	tb.Gen.DrainPending()
-	return resultsDigest(tb.Gen.Results())
+	return resultsDigest(*results)
 }
 
 func TestGeneratedTopologyParity(t *testing.T) {
@@ -143,10 +145,10 @@ func TestGenerate1kBuildSmoke(t *testing.T) {
 		t.Fatalf("built %d servers, want %d — pools duplicated per VIP?", got, 16*12)
 	}
 	// VIPs 16 apart share a pool; adjacent VIPs do not.
-	if tb.ServerOf(0, 0) != tb.ServerOf(16, 0) {
+	if top.VIPs[0].Pool != top.VIPs[16].Pool {
 		t.Fatal("VIPs 0 and 16 do not share their pool")
 	}
-	if tb.ServerOf(0, 0) == tb.ServerOf(1, 0) {
+	if top.VIPs[0].Pool == top.VIPs[1].Pool {
 		t.Fatal("VIPs 0 and 1 share a pool but are assigned round-robin to different ones")
 	}
 }
@@ -178,6 +180,7 @@ func TestGeneratedPoolEventsConservation(t *testing.T) {
 	tb := Build(top)
 	sink := NewSketchSink()
 	tb.Gen.Sink = sink
+	offered := tapCandidates(tb.Net, events[1].At)
 	r := rng.Split(31, 0x5eed)
 	for i := 0; i < n; i++ {
 		q := Query{ID: uint64(i), VIP: tb.VIPAddrOf(i % vips), Demand: rng.Exp(r, 4*time.Millisecond)}
@@ -186,8 +189,14 @@ func TestGeneratedPoolEventsConservation(t *testing.T) {
 	tb.Sim.Run()
 	tb.Gen.DrainPending()
 
-	if got := tb.PoolSizeByName(GenPoolName(0)); got != 4 {
-		t.Fatalf("final genpool-0 size = %d, want 4 (6 - 1 drained - 1 failed)", got)
+	// After the fail genpool-0's services are offered its last four
+	// servers: 6 - 1 drained - 1 failed.
+	want := map[netip.Addr]bool{}
+	for i := 2; i < 6; i++ {
+		want[SharedPoolServerAddr(0, i)] = true
+	}
+	if got := offered[tb.VIPAddrOf(0)]; !maps.Equal(got, want) {
+		t.Fatalf("genpool-0 candidates after the fail = %v, want %v", got, want)
 	}
 	total := sink.Total().Counters
 	if total.Offered != n {

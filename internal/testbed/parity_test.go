@@ -44,7 +44,7 @@ func legacyParityDigest() uint64 {
 			RecoverReplica(520*time.Millisecond, 1),
 		},
 	})
-	tb.Gen.RetainResults = true
+	results := collect(tb)
 	r := rng.Split(101, 0xd1ce)
 	p := rng.NewPoisson(rng.Split(101, 0xa17), 900, 0)
 	for i := 0; i < 1200; i++ {
@@ -57,7 +57,7 @@ func legacyParityDigest() uint64 {
 	}
 	tb.Sim.Run()
 	tb.Gen.DrainPending()
-	return resultsDigest(tb.Gen.Results())
+	return resultsDigest(*results)
 }
 
 // resultsDigest folds client-observed Results into one FNV-1a digest —

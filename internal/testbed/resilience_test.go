@@ -145,8 +145,14 @@ func TestFailPoolRackDeterministicAndClamped(t *testing.T) {
 	}
 	tb := Build(top)
 	tb.Sim.Run()
-	if got := tb.PoolSize(0); got != 2 {
-		t.Fatalf("pool has %d servers after the rack loss, want 2", got)
+	down := 0
+	for _, rt := range tb.Routers {
+		if rt.Down() {
+			down++
+		}
+	}
+	if got := len(tb.Routers) - down; got != 2 {
+		t.Fatalf("pool has %d live servers after the rack loss, want 2", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"maps"
 	"net/netip"
 	"testing"
 	"time"
@@ -31,6 +32,36 @@ func tapResponses(net *netsim.Network) map[serverVIP]uint64 {
 	return counts
 }
 
+// tapCandidates collects, per VIP, every server the LB offers in a hunt
+// SYN delivered at or after from: the VIP's selectable pool as the LB's
+// scheme sees it.
+func tapCandidates(net *netsim.Network, from time.Duration) map[netip.Addr]map[netip.Addr]bool {
+	offered := map[netip.Addr]map[netip.Addr]bool{}
+	net.AddTap(func(at time.Duration, _ netip.Addr, p *packet.Packet) {
+		if at < from || !p.IsSYN() || p.SRH == nil {
+			return
+		}
+		path := p.SRH.Path()
+		vip := path[len(path)-1]
+		if offered[vip] == nil {
+			offered[vip] = map[netip.Addr]bool{}
+		}
+		for _, s := range path[:len(path)-1] {
+			offered[vip][s] = true
+		}
+	})
+	return offered
+}
+
+// poolAddrs is the set of VIP v's implicit-pool servers at the slots.
+func poolAddrs(v int, slots ...int) map[netip.Addr]bool {
+	set := map[netip.Addr]bool{}
+	for _, i := range slots {
+		set[PoolServerAddr(v, i)] = true
+	}
+	return set
+}
+
 // sharedPoolTopology is two services selecting over one named pool — the
 // contention regime: every worker serves both VIPs.
 func sharedPoolTopology(seed uint64, servers int, events ...Event) Topology {
@@ -45,28 +76,18 @@ func sharedPoolTopology(seed uint64, servers int, events ...Event) Topology {
 	}
 }
 
-// Two VIPs over one pool: the compiled slots are the *same* servers, both
-// services complete, and every response is attributable to exactly one
-// VIP — the per-server, per-VIP response counts read off the wire sum to
-// the responses_tx total, slot by slot.
+// Two VIPs over one pool: the LB offers both services the *same* four
+// servers, both services complete, and every response is attributable
+// to exactly one VIP — the per-server, per-VIP response counts read off
+// the wire sum to the responses_tx total, slot by slot.
 func TestSharedPoolTwoVIPsOneLedger(t *testing.T) {
 	const n = 400
 	tb := Build(sharedPoolTopology(43, 4))
-	tb.Gen.RetainResults = true
+	results := collect(tb)
 	resp := tapResponses(tb.Net)
+	offered := tapCandidates(tb.Net, 0)
 	if got := len(tb.Servers); got != 4 {
 		t.Fatalf("built %d servers, want 4 — the pool was duplicated per VIP", got)
-	}
-	for i := 0; i < 4; i++ {
-		if tb.ServerOf(0, i) != tb.ServerOf(1, i) {
-			t.Fatalf("slot %d differs between the two VIPs — pool not shared", i)
-		}
-	}
-	if tb.PoolSize(0) != 4 || tb.PoolSize(1) != 4 || tb.PoolSizeByName("shared") != 4 {
-		t.Fatalf("pool sizes disagree: %d/%d/%d", tb.PoolSize(0), tb.PoolSize(1), tb.PoolSizeByName("shared"))
-	}
-	if tb.PoolNameOf(0) != "shared" || tb.PoolNameOf(1) != "shared" {
-		t.Fatalf("pool names = %q/%q, want shared", tb.PoolNameOf(0), tb.PoolNameOf(1))
 	}
 	for i := 0; i < n; i++ {
 		q := Query{ID: uint64(i), Demand: 5 * time.Millisecond}
@@ -77,14 +98,22 @@ func TestSharedPoolTwoVIPsOneLedger(t *testing.T) {
 	}
 	tb.Sim.Run()
 	tb.Gen.DrainPending()
-	if ok := okCount(tb); ok != n {
+	if ok := okCount(*results); ok != n {
 		t.Fatalf("only %d/%d completed over the shared pool", ok, n)
+	}
+	shared := map[netip.Addr]bool{}
+	for _, rt := range tb.Routers {
+		shared[rt.Addr()] = true
+	}
+	for v := 0; v < 2; v++ {
+		if got := offered[tb.VIPAddrOf(v)]; !maps.Equal(got, shared) {
+			t.Fatalf("VIP %d was offered %v, want the shared pool %v", v, got, shared)
+		}
 	}
 	// Attribution: per slot, the per-VIP response counts sum exactly to
 	// the router's total — no response double-counted, none unattributed.
 	var perVIP [2]uint64
-	for i := 0; i < 4; i++ {
-		rt := tb.RouterOf(0, i)
+	for i, rt := range tb.Routers {
 		a := resp[serverVIP{rt.Addr(), tb.VIPAddrOf(0)}]
 		b := resp[serverVIP{rt.Addr(), tb.VIPAddrOf(1)}]
 		if total := rt.Counts.Get("responses_tx"); a+b != total {
@@ -113,8 +142,9 @@ func TestSharedPoolEvents(t *testing.T) {
 		AddPoolServer(100*time.Millisecond, "shared"),
 		DrainPoolServer(300*time.Millisecond, "shared", 0),
 	))
-	tb.Gen.RetainResults = true
+	results := collect(tb)
 	resp := tapResponses(tb.Net)
+	offered := tapCandidates(tb.Net, 300*time.Millisecond)
 	for i := 0; i < n; i++ {
 		q := Query{ID: uint64(i), Demand: 10 * time.Millisecond}
 		if i%2 == 1 {
@@ -124,13 +154,21 @@ func TestSharedPoolEvents(t *testing.T) {
 	}
 	tb.Sim.Run()
 	tb.Gen.DrainPending()
-	if ok := okCount(tb); ok != n {
+	if ok := okCount(*results); ok != n {
 		t.Fatalf("only %d/%d completed across shared-pool churn", ok, n)
 	}
-	if got := tb.PoolSizeByName("shared"); got != 3 {
-		t.Fatalf("final pool size = %d, want 3 (3 + 1 added - 1 drained)", got)
+	// After the drain both services are offered slots 1–3: 3 + 1 added
+	// - 1 drained.
+	want := map[netip.Addr]bool{}
+	for _, rt := range tb.Routers[1:] {
+		want[rt.Addr()] = true
 	}
-	added := tb.RouterOf(0, 3).Addr()
+	for v := 0; v < 2; v++ {
+		if got := offered[tb.VIPAddrOf(v)]; !maps.Equal(got, want) {
+			t.Fatalf("VIP %d candidates after the drain = %v, want %v", v, got, want)
+		}
+	}
+	added := tb.Routers[3].Addr()
 	a, b := resp[serverVIP{added, tb.VIPAddrOf(0)}], resp[serverVIP{added, tb.VIPAddrOf(1)}]
 	if a == 0 || b == 0 {
 		t.Fatalf("added server responses per VIP = %d/%d — not selectable by both services", a, b)
@@ -156,7 +194,7 @@ func TestSharedPoolPerVIPDemand(t *testing.T) {
 		}
 	}
 	tb := Build(top)
-	tb.Gen.RetainResults = true
+	results := collect(tb)
 	webAddr, batchAddr := tb.VIPAddrOf(0), tb.VIPAddrOf(1)
 	for i := 0; i < n; i++ {
 		q := Query{ID: uint64(i), Demand: 2 * time.Millisecond}
@@ -167,7 +205,7 @@ func TestSharedPoolPerVIPDemand(t *testing.T) {
 	}
 	tb.Sim.Run()
 	tb.Gen.DrainPending()
-	if ok := okCount(tb); ok != n {
+	if ok := okCount(*results); ok != n {
 		t.Fatalf("only %d/%d completed", ok, n)
 	}
 	if webCalls != n/2 || batchCalls != n/2 {
@@ -177,7 +215,7 @@ func TestSharedPoolPerVIPDemand(t *testing.T) {
 	// batch responses must be visibly slower than web's.
 	var webRT, batchRT time.Duration
 	var webN, batchN int
-	for _, res := range tb.Gen.Results() {
+	for _, res := range *results {
 		if !res.OK {
 			continue
 		}

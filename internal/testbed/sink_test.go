@@ -7,8 +7,8 @@ import (
 	"srlb/internal/rng"
 )
 
-// runSink replays the same workload as run() but through a SketchSink,
-// with per-query retention left off (the default).
+// runSink replays the same workload as run() but through a SketchSink
+// alone, with no per-query callback.
 func runSink(t testing.TB, cfg Topology, n int, ratePerSec float64, meanDemand time.Duration) (*Testbed, *SketchSink) {
 	t.Helper()
 	tb := Build(cfg)
@@ -26,14 +26,11 @@ func runSink(t testing.TB, cfg Topology, n int, ratePerSec float64, meanDemand t
 	return tb, sink
 }
 
-// Sink mode must retain nothing per query: the Results slice stays empty
-// and the sink's accounting balances exactly.
+// Sink mode keeps nothing per query (the generator has no results
+// slice), and the sink's accounting balances exactly.
 func TestSinkModeRetainsNoResults(t *testing.T) {
 	const n = 3000
-	tb, sink := runSink(t, Topology{Seed: 1, VIPs: []VIPSpec{{Servers: 4}}}, n, 200, 20*time.Millisecond)
-	if got := tb.Gen.Results(); len(got) != 0 {
-		t.Fatalf("sink mode retained %d results, want 0", len(got))
-	}
+	_, sink := runSink(t, Topology{Seed: 1, VIPs: []VIPSpec{{Servers: 4}}}, n, 200, 20*time.Millisecond)
 	total := sink.Total()
 	if total.Counters.Offered != n {
 		t.Fatalf("offered = %d, want %d", total.Counters.Offered, n)
@@ -47,8 +44,8 @@ func TestSinkModeRetainsNoResults(t *testing.T) {
 	}
 }
 
-// The sink must observe the identical outcome stream the legacy Results
-// slice records: same per-outcome counts, same mean, same max.
+// The sink must observe the identical outcome stream OnResult sees: same
+// per-outcome counts, same mean, same max.
 func TestSinkMatchesRetainedResults(t *testing.T) {
 	const n = 2000
 	cfg := Topology{Seed: 7, VIPs: []VIPSpec{{Servers: 4}}}
@@ -57,7 +54,7 @@ func TestSinkMatchesRetainedResults(t *testing.T) {
 
 	var ok, refused int
 	var sum, max time.Duration
-	for _, r := range retained.Gen.Results() {
+	for _, r := range retained.results {
 		switch {
 		case r.OK:
 			ok++

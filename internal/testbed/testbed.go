@@ -227,12 +227,10 @@ var counterSchema = metrics.NewSchema([]string{
 // Generator is the traffic source: it opens one TCP connection per query
 // through the LB and measures client-side response times.
 //
-// Measurement modes, from cheapest to heaviest (combinable):
+// Measurement modes (combinable):
 //   - Sink: streaming per-VIP sketches in constant memory — the default
 //     path for experiment cells (see SketchSink).
 //   - OnResult: a per-result callback for custom accounting.
-//   - RetainResults: accumulate every Result in a slice for Results() —
-//     the opt-in legacy path; memory grows with query count.
 type Generator struct {
 	sim      *des.Simulator
 	net      *netsim.Network
@@ -241,11 +239,6 @@ type Generator struct {
 	nextPort []uint32
 	pending  map[packet.FlowKey]*pendingQuery
 	freePQ   *pendingQuery // recycled pendingQuery structs
-	results  []Result
-	// RetainResults opts into accumulating the Results slice; leave it
-	// false (the default) for long replays, which consume outcomes via
-	// Sink or OnResult instead.
-	RetainResults bool
 	// Sink, when non-nil, is offered every launched query and every
 	// terminal outcome — the constant-memory measurement path.
 	Sink ResultSink
@@ -485,9 +478,6 @@ func (g *Generator) finish(pq *pendingQuery, res Result) {
 
 // record routes one terminal outcome to every configured consumer.
 func (g *Generator) record(res Result) {
-	if g.RetainResults {
-		g.results = append(g.results, res)
-	}
 	if g.Sink != nil {
 		g.Sink.Record(res)
 	}
@@ -498,13 +488,6 @@ func (g *Generator) record(res Result) {
 
 // Pending returns the number of in-flight queries.
 func (g *Generator) Pending() int { return len(g.pending) }
-
-// Results returns the finished query results accumulated so far — a
-// defensive copy, safe to sort or mutate. Empty unless RetainResults
-// was set before the run.
-func (g *Generator) Results() []Result {
-	return append([]Result(nil), g.results...)
-}
 
 // DrainPending marks all still-pending queries as failed (used at
 // simulation end so accounting always balances).

@@ -17,12 +17,25 @@ import (
 	"math/rand/v2"
 )
 
+// collect records every Result tb's generator reports, in record order.
+func collect(tb *Testbed) *[]Result {
+	results := new([]Result)
+	tb.Gen.OnResult = func(r Result) { *results = append(*results, r) }
+	return results
+}
+
+// ran is a testbed after run, with every Result it recorded.
+type ran struct {
+	*Testbed
+	results []Result
+}
+
 // run launches n queries of the given demand at the given rate against a
 // testbed and returns it with all results collected.
-func run(t testing.TB, cfg Topology, n int, ratePerSec float64, meanDemand time.Duration) *Testbed {
+func run(t testing.TB, cfg Topology, n int, ratePerSec float64, meanDemand time.Duration) *ran {
 	t.Helper()
 	tb := Build(cfg)
-	tb.Gen.RetainResults = true
+	results := collect(tb)
 	r := rng.Split(cfg.Seed, 99)
 	p := rng.NewPoisson(r, ratePerSec, 0)
 	for i := 0; i < n; i++ {
@@ -32,13 +45,13 @@ func run(t testing.TB, cfg Topology, n int, ratePerSec float64, meanDemand time.
 	}
 	tb.Sim.Run()
 	tb.Gen.DrainPending()
-	return tb
+	return &ran{tb, *results}
 }
 
 func TestEveryQueryServedExactlyOnce(t *testing.T) {
 	const n = 2000
 	tb := run(t, Topology{Seed: 1, VIPs: []VIPSpec{{Servers: 4}}}, n, 200, 20*time.Millisecond)
-	results := tb.Gen.Results()
+	results := tb.results
 	if len(results) != n {
 		t.Fatalf("results = %d, want %d", len(results), n)
 	}
@@ -148,7 +161,7 @@ func TestSRcExtremesEquivalentToRandom(t *testing.T) {
 				Policy: func(int) agent.Policy { return agent.NewStatic(c) }}}}
 			tb := run(t, cfg, 1200, 150, 10*time.Millisecond)
 			ok := 0
-			for _, r := range tb.Gen.Results() {
+			for _, r := range tb.results {
 				if r.OK {
 					ok++
 				}
@@ -174,7 +187,7 @@ func TestOverloadProducesRSTs(t *testing.T) {
 	}}}
 	tb := run(t, cfg, 2000, 2000, 50*time.Millisecond)
 	refused := 0
-	for _, r := range tb.Gen.Results() {
+	for _, r := range tb.results {
 		if r.Refused {
 			refused++
 		}
@@ -199,17 +212,17 @@ func TestResponseTimesReflectProcessorSharing(t *testing.T) {
 	// network overhead).
 	cfg := Topology{Seed: 7, VIPs: []VIPSpec{{Servers: 12}}}
 	tb := run(t, cfg, 200, 5, 100*time.Millisecond)
-	for _, r := range tb.Gen.Results() {
+	for _, r := range tb.results {
 		if !r.OK {
 			t.Fatal("query failed at light load")
 		}
 	}
 	// Mean RT should be close to the mean demand (100ms) — within 15%.
 	var sum time.Duration
-	for _, r := range tb.Gen.Results() {
+	for _, r := range tb.results {
 		sum += r.RT
 	}
-	mean := sum / time.Duration(len(tb.Gen.Results()))
+	mean := sum / time.Duration(len(tb.results))
 	if mean < 85*time.Millisecond || mean > 130*time.Millisecond {
 		t.Fatalf("light-load mean RT = %v, want ≈100ms", mean)
 	}
@@ -222,11 +235,11 @@ func TestDeterministicResults(t *testing.T) {
 		tb := run(t, cfg, 800, 200, 20*time.Millisecond)
 		var sum time.Duration
 		var ids uint64
-		for _, r := range tb.Gen.Results() {
+		for _, r := range tb.results {
 			sum += r.RT
 			ids += r.ID
 		}
-		return fmt.Sprintf("%d/%d/%d", len(tb.Gen.Results()), sum, ids)
+		return fmt.Sprintf("%d/%d/%d", len(tb.results), sum, ids)
 	}
 	a, b := digest(), digest()
 	if a != b {
@@ -243,7 +256,7 @@ func TestPowerOfTwoBeatsRandomUnderLoad(t *testing.T) {
 		tb := run(t, cfg, 4000, 68, 100*time.Millisecond)
 		var sum time.Duration
 		n := 0
-		for _, r := range tb.Gen.Results() {
+		for _, r := range tb.results {
 			if r.OK {
 				sum += r.RT
 				n++
@@ -349,7 +362,7 @@ func TestFairnessImprovesWithSR(t *testing.T) {
 
 func TestGeneratorPortWrapAvoidsPendingCollision(t *testing.T) {
 	tb := Build(Topology{Seed: 11, Clients: 1, VIPs: []VIPSpec{{Servers: 2}}})
-	tb.Gen.RetainResults = true
+	results := collect(tb)
 	// Exhaust a chunk of port space quickly with tiny demands.
 	r := rng.New(1)
 	for i := 0; i < 5000; i++ {
@@ -361,8 +374,8 @@ func TestGeneratorPortWrapAvoidsPendingCollision(t *testing.T) {
 	if tb.Gen.Pending() != 0 {
 		t.Fatalf("pending = %d at end", tb.Gen.Pending())
 	}
-	if len(tb.Gen.Results()) != 5000 {
-		t.Fatalf("results = %d", len(tb.Gen.Results()))
+	if len(*results) != 5000 {
+		t.Fatalf("results = %d", len(*results))
 	}
 }
 
@@ -372,7 +385,7 @@ func TestGeneratorPortWrapAvoidsPendingCollision(t *testing.T) {
 // launched query is still there for DrainPending to report.
 func TestLaunchSkipsEveryPendingPort(t *testing.T) {
 	tb := Build(Topology{Seed: 11, Clients: 1, VIPs: []VIPSpec{{Servers: 2}}})
-	tb.Gen.RetainResults = true
+	results := collect(tb)
 	tb.Gen.Launch(Query{ID: 0})
 	tb.Gen.Launch(Query{ID: 1})
 	tb.Gen.nextPort[0] -= 2 // a wrap back onto the two pending ports
@@ -388,8 +401,8 @@ func TestLaunchSkipsEveryPendingPort(t *testing.T) {
 	if want := map[uint16]uint64{first: 0, first + 1: 1, first + 2: 2}; !reflect.DeepEqual(ports, want) {
 		t.Fatalf("pending ports → query IDs = %v, want %v", ports, want)
 	}
-	if n := tb.Gen.DrainPending(); n != 3 || len(tb.Gen.Results()) != 3 {
-		t.Fatalf("drained %d, %d results, want 3 and 3", n, len(tb.Gen.Results()))
+	if n := tb.Gen.DrainPending(); n != 3 || len(*results) != 3 {
+		t.Fatalf("drained %d, %d results, want 3 and 3", n, len(*results))
 	}
 }
 

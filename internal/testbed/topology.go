@@ -1128,34 +1128,8 @@ func (tb *Testbed) rebuildSchemes(pool *poolState) {
 	}
 }
 
-// PoolSize returns the number of currently selectable servers of VIP v's
-// pool (shared pools report the same value through every referencing VIP).
-func (tb *Testbed) PoolSize(v int) int { return len(tb.vips[v].pool.pool) }
-
-// PoolSizeByName returns the number of currently selectable servers of
-// the named shared pool (-1 when no such pool is declared).
-func (tb *Testbed) PoolSizeByName(name string) int {
-	pool, ok := tb.poolsByName[name]
-	if !ok {
-		return -1
-	}
-	return len(pool.pool)
-}
-
-// PoolNameOf returns the name of the pool VIP v selects over — the VIP's
-// own name for implicit pools.
-func (tb *Testbed) PoolNameOf(v int) string { return tb.vips[v].pool.name }
-
 // VIPAddrOf returns the address of VIP v.
 func (tb *Testbed) VIPAddrOf(v int) netip.Addr { return tb.vips[v].addr }
-
-// ServerOf returns the application server behind pool slot i of VIP v's
-// pool (including drained/failed/added servers). Two VIPs sharing a pool
-// return the identical server for the same slot.
-func (tb *Testbed) ServerOf(v, i int) *appserver.Server { return tb.vips[v].pool.all[i].server }
-
-// RouterOf returns the virtual router of pool slot i of VIP v's pool.
-func (tb *Testbed) RouterOf(v, i int) *vrouter.Router { return tb.vips[v].pool.all[i].router }
 
 // FeedbackOf returns replica r's telemetry view (nil when the plane is
 // disabled). Testbed.Feedback is shorthand for FeedbackOf(0).

@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"maps"
 	"math/rand/v2"
 	"net/netip"
 	"strings"
@@ -33,20 +34,22 @@ func chashFallback(t testing.TB) FallbackFn {
 	}
 }
 
-// launchEvery schedules n fixed-demand queries at a fixed spacing and
-// runs the simulation to completion.
-func launchEvery(tb *Testbed, n int, spacing, demand time.Duration) {
+// launchEvery schedules n fixed-demand queries at a fixed spacing, runs
+// the simulation to completion and returns every Result.
+func launchEvery(tb *Testbed, n int, spacing, demand time.Duration) []Result {
+	results := collect(tb)
 	for i := 0; i < n; i++ {
 		q := Query{ID: uint64(i), Demand: demand}
 		tb.Sim.At(time.Duration(i)*spacing, func() { tb.Gen.Launch(q) })
 	}
 	tb.Sim.Run()
 	tb.Gen.DrainPending()
+	return *results
 }
 
-func okCount(tb *Testbed) int {
+func okCount(results []Result) int {
 	ok := 0
-	for _, r := range tb.Gen.Results() {
+	for _, r := range results {
 		if r.OK {
 			ok++
 		}
@@ -69,10 +72,9 @@ func TestTopologyTwoReplicasAnycastECMP(t *testing.T) {
 			Fallback: chashFallback(t),
 		}},
 	})
-	tb.Gen.RetainResults = true
-	launchEvery(tb, n, 2*time.Millisecond, 5*time.Millisecond)
+	results := launchEvery(tb, n, 2*time.Millisecond, 5*time.Millisecond)
 
-	if ok := okCount(tb); ok != n {
+	if ok := okCount(results); ok != n {
 		t.Fatalf("only %d/%d queries completed across replicas", ok, n)
 	}
 	a := tb.LBs[0].Counts.Get("syn_rx")
@@ -107,10 +109,9 @@ func TestTopologyReplicaFailoverMidFlow(t *testing.T) {
 		}},
 		Events: []Event{FailReplica(60*time.Millisecond, 0)},
 	})
-	tb.Gen.RetainResults = true
-	launchEvery(tb, n, time.Millisecond, 50*time.Millisecond)
+	results := launchEvery(tb, n, time.Millisecond, 50*time.Millisecond)
 
-	if ok := okCount(tb); ok != n {
+	if ok := okCount(results); ok != n {
 		t.Fatalf("only %d/%d completed across replica failure", ok, n)
 	}
 	if tb.LBs[1].Counts.Get("syn_rx") == 0 {
@@ -134,21 +135,24 @@ func TestTopologyServerChurnEvents(t *testing.T) {
 			DrainServer(300*time.Millisecond, 0, 0),
 		},
 	})
-	tb.Gen.RetainResults = true
-	launchEvery(tb, n, time.Millisecond, 10*time.Millisecond)
+	offered := tapCandidates(tb.Net, 300*time.Millisecond)
+	results := launchEvery(tb, n, time.Millisecond, 10*time.Millisecond)
 
-	if ok := okCount(tb); ok != n {
+	if ok := okCount(results); ok != n {
 		t.Fatalf("only %d/%d completed across pool churn", ok, n)
 	}
-	if got := tb.PoolSize(0); got != 4 {
-		t.Fatalf("final pool size = %d, want 4 (4 + 1 added - 1 drained)", got)
+	// After the drain the LB offers exactly slots 1–4: 4 + 1 added - 1
+	// drained.
+	if got, want := offered[tb.VIPAddrOf(0)], poolAddrs(0, 1, 2, 3, 4); !maps.Equal(got, want) {
+		t.Fatalf("candidates after the drain = %v, want %v", got, want)
 	}
-	if added := tb.ServerOf(0, 4).Stats().Completed; added == 0 {
+	// Servers in build order: the added one is appended last.
+	if added := tb.Servers[4].Stats().Completed; added == 0 {
 		t.Fatal("added server never served — scheme not rebuilt?")
 	}
 	// The drained server kept its established flows but left selection:
 	// it must have completed work from before the drain only.
-	if tb.ServerOf(0, 0).Stats().Completed == 0 {
+	if tb.Servers[0].Stats().Completed == 0 {
 		t.Fatal("drained server served nothing at all — drain fired too early?")
 	}
 }
@@ -163,14 +167,12 @@ func TestTopologyServerFailStop(t *testing.T) {
 		VIPs:   []VIPSpec{{Servers: 4}},
 		Events: []Event{FailServer(100*time.Millisecond, 0, 1)},
 	})
-	tb.Gen.RetainResults = true
-	launchEvery(tb, n, time.Millisecond, 20*time.Millisecond)
+	results := launchEvery(tb, n, time.Millisecond, 20*time.Millisecond)
 
-	results := tb.Gen.Results()
 	if len(results) != n {
 		t.Fatalf("accounting: %d results for %d queries", len(results), n)
 	}
-	ok := okCount(tb)
+	ok := okCount(results)
 	if ok == n {
 		t.Fatal("no queries lost to the failed server — fail event inert?")
 	}
@@ -179,7 +181,7 @@ func TestTopologyServerFailStop(t *testing.T) {
 	if ok < n*9/10 {
 		t.Fatalf("only %d/%d completed after one server failure", ok, n)
 	}
-	if tb.RouterOf(0, 1).Down() != true {
+	if !tb.Routers[1].Down() {
 		t.Fatal("failed router not marked down")
 	}
 }
@@ -195,7 +197,7 @@ func TestTopologyMultiVIP(t *testing.T) {
 			{Servers: 2},
 		},
 	})
-	tb.Gen.RetainResults = true
+	results := collect(tb)
 	for i := 0; i < n; i++ {
 		q := Query{ID: uint64(i), Demand: 5 * time.Millisecond}
 		if i%2 == 1 {
@@ -206,15 +208,16 @@ func TestTopologyMultiVIP(t *testing.T) {
 	tb.Sim.Run()
 	tb.Gen.DrainPending()
 
-	if ok := okCount(tb); ok != n {
+	if ok := okCount(*results); ok != n {
 		t.Fatalf("only %d/%d completed across two VIPs", ok, n)
 	}
+	// Servers in build order: VIP 0's three, then VIP 1's two.
 	var vip0, vip1 uint64
-	for i := 0; i < 3; i++ {
-		vip0 += tb.ServerOf(0, i).Stats().Completed
+	for _, s := range tb.Servers[:3] {
+		vip0 += s.Stats().Completed
 	}
-	for i := 0; i < 2; i++ {
-		vip1 += tb.ServerOf(1, i).Stats().Completed
+	for _, s := range tb.Servers[3:] {
+		vip1 += s.Stats().Completed
 	}
 	if vip0 != n/2 || vip1 != n/2 {
 		t.Fatalf("per-VIP completions = %d/%d, want %d each", vip0, vip1, n/2)

@@ -34,7 +34,6 @@ import (
 	"srlb/internal/packet"
 	"srlb/internal/rng"
 	"srlb/internal/trace"
-	"srlb/internal/vrouter"
 )
 
 // Config parameterizes the synthetic day. Zero fields take defaults that
@@ -340,19 +339,6 @@ func (m CostModel) ScaledTo(pages int) CostModel {
 		}
 	}
 	return m.withDefaults()
-}
-
-// DemandFactory returns a per-server vrouter.DemandFn backed by
-// independent replica caches — the wiki equivalent of the Poisson
-// workload's DefaultDemand. The cache capacity is scaled to cfg's page
-// catalog (see ScaledTo).
-func DemandFactory(cfg Config, model CostModel) func(server int) vrouter.DemandFn {
-	cfg = cfg.withDefaults()
-	model = model.ScaledTo(cfg.Pages)
-	return func(server int) vrouter.DemandFn {
-		rep := NewReplica(cfg.Seed+uint64(server)*7919, model)
-		return rep.Demand
-	}
 }
 
 // NewReplica builds a replica cost model seeded independently.

@@ -203,19 +203,6 @@ func TestLRUCacheEviction(t *testing.T) {
 	}
 }
 
-func TestDemandFactoryIndependentReplicas(t *testing.T) {
-	factory := DemandFactory(Config{Seed: 9}, CostModel{CacheCapacity: 50})
-	d0 := factory(0)
-	d1 := factory(1)
-	// Same URL, different replicas: costs drawn from independent streams.
-	payload := append(make([]byte, 8), []byte(PageURL(1))...)
-	a := d0(dummyFlow(), payload)
-	b := d1(dummyFlow(), payload)
-	if a == b {
-		t.Fatal("replicas share an RNG stream (identical draws)")
-	}
-}
-
 func TestReplicaDemandFromPayload(t *testing.T) {
 	rep := NewReplica(4, CostModel{})
 	payload := append(make([]byte, 8), []byte(StaticURL(1))...)
