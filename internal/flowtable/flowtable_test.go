@@ -219,6 +219,49 @@ func TestSweep(t *testing.T) {
 	}
 }
 
+// TestGrowSweepRefill fills a table past several growth steps, checks
+// every binding, sweeps it empty and refills it with other flows: the
+// storage a table grew and then emptied must serve a second fill exactly
+// like the first.
+func TestGrowSweepRefill(t *testing.T) {
+	const n = 5000
+	tb := New(Config{MaxEntries: 2 * n, IdleTTL: 10 * time.Second})
+	fill := func(now time.Duration, first int) {
+		for i := first; i < first+n; i++ {
+			tb.Insert(now, poolKey(i), poolBackend(i%8))
+		}
+		checkTable(t, tb)
+		if tb.Len() != n {
+			t.Fatalf("len = %d after filling %d flows", tb.Len(), n)
+		}
+		for i := first; i < first+n; i++ {
+			if got, ok := tb.Lookup(now, poolKey(i)); !ok || got != poolBackend(i%8) {
+				t.Fatalf("flow %d: lookup = %v, %v", i, got, ok)
+			}
+		}
+		if _, ok := tb.Lookup(now, poolKey(first+n)); ok {
+			t.Fatal("a flow never inserted was found")
+		}
+	}
+	fill(0, 0)
+	if got := tb.Sweep(11 * time.Second); got != n {
+		t.Fatalf("sweep removed %d, want %d", got, n)
+	}
+	checkTable(t, tb)
+	if tb.Len() != 0 || len(tb.Snapshot(11*time.Second)) != 0 {
+		t.Fatalf("len = %d after sweeping everything", tb.Len())
+	}
+	for i := 0; i < n; i++ {
+		if _, ok := tb.Lookup(11*time.Second, poolKey(i)); ok {
+			t.Fatalf("swept flow %d still found", i)
+		}
+	}
+	fill(20*time.Second, n)
+	if st := tb.Stats(); st.Inserts != 2*n || st.Expiries != n || st.Evictions != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 // TestSweepComplexityClass pins what a sweep costs: one that frees
 // nothing stops at the LRU tail, so at 100k live in-order entries it must
 // stay within 2x of its cost at 1k (a walk over every entry is ~100x).

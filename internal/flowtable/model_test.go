@@ -176,40 +176,112 @@ func (m *modelTable) Restore(now time.Duration, bindings []FlowBinding) int {
 	return applied
 }
 
+// poolVIPs are the destinations of poolKey's flows.
+var poolVIPs = func() (v [11]netip.Addr) {
+	for i := range v {
+		v[i] = netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0xf0, 0x0d, 15: byte(i + 1)})
+	}
+	return v
+}()
+
+// poolKey is flow i of the large-table key pool: distinct sources over
+// len(poolVIPs) destinations, with a few unusual sources mixed in — an
+// IPv4 one and its IPv4-mapped IPv6 twin (same bytes, same ports,
+// different addresses), a zoned one, and the zero Addr.
+func poolKey(i int) packet.FlowKey {
+	k := packet.FlowKey{
+		Src:     netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0x0c, 14: byte(i >> 8), 15: byte(i)}),
+		Dst:     poolVIPs[i%len(poolVIPs)],
+		SrcPort: uint16(40000 + i),
+		DstPort: uint16(80 + i%3),
+	}
+	switch i % 50 {
+	case 7:
+		k.Src = netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)})
+	case 8:
+		prev := poolKey(i - 1)
+		k = packet.FlowKey{Src: netip.AddrFrom16(prev.Src.As16()), Dst: prev.Dst, SrcPort: prev.SrcPort, DstPort: prev.DstPort}
+	case 19:
+		k.Src = k.Src.WithZone("eth0")
+	case 31:
+		k.Src = netip.Addr{}
+	}
+	return k
+}
+
+// poolBackend is backend i of the large-table mode.
+func poolBackend(i int) netip.Addr {
+	return netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0x05, 15: byte(i + 1)})
+}
+
 // FuzzFlowtableModel drives a Table and the naive modelTable through the
 // same op sequence — every keyed operation, Sweep, Snapshot, Restore of an
 // earlier snapshot (deadlines shifted either way), and clock steps and
-// jumps forward past IdleTTL and FinLinger and back — on a table small
-// enough to evict. After every op the op's result, Len, Stats and
-// Snapshot must equal the model's, and the table's own structure must
-// hold (checkTable).
+// jumps forward past IdleTTL and FinLinger and back. The first byte picks
+// the mode: a table small enough to evict on a pool of 12 keys and 2
+// backends, or a large one (up to 299 entries, a pool of 600 keys over
+// 11 VIPs and 8 backends, and a bulk insert op) that grows, fills and
+// empties again. After every op the op's result, Len, Stats and Snapshot
+// must equal the model's, and the table's own structure must hold
+// (checkTable).
 func FuzzFlowtableModel(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{2, 9, 1, 0, 1, 1, 2, 5, 3, 11, 1, 7, 2, 1, 5, 2, 11, 0, 7})
-	f.Add([]byte{3, 19, 4, 0, 0, 0, 1, 1, 0, 8, 5, 0, 11, 2, 7, 8, 11, 0, 9, 0, 4, 7, 3, 0})
-	f.Add([]byte{0, 4, 1, 0, 3, 0, 5, 3, 10, 40, 2, 3, 8, 11, 2, 50, 9, 0, 6, 9, 0, 2, 7, 3, 3})
-	f.Add([]byte{5, 7, 0, 0, 1, 0, 0, 2, 0, 1, 3, 0, 8, 5, 1, 11, 0, 9, 0, 8, 0, 0, 1, 9, 1, 3, 7, 2, 1})
+	f.Add([]byte{0, 2, 9, 1, 0, 1, 1, 2, 5, 3, 11, 1, 7, 2, 1, 5, 2, 11, 0, 7})
+	f.Add([]byte{0, 3, 19, 4, 0, 0, 0, 1, 1, 0, 8, 5, 0, 11, 2, 7, 8, 11, 0, 9, 0, 4, 7, 3, 0})
+	f.Add([]byte{0, 0, 4, 1, 0, 3, 0, 5, 3, 10, 40, 2, 3, 8, 11, 2, 50, 9, 0, 6, 9, 0, 2, 7, 3, 3})
+	f.Add([]byte{0, 5, 7, 0, 0, 1, 0, 0, 2, 0, 1, 3, 0, 8, 5, 1, 11, 0, 9, 0, 8, 0, 0, 1, 9, 1, 3, 7, 2, 1})
+	// Large mode: fill past capacity in bulk, look up, close, snapshot,
+	// jump past IdleTTL, sweep empty and refill.
+	f.Add([]byte{1, 200, 9, 1, 0, 0, 12, 0, 63, 0, 0, 12, 64, 63, 3, 1, 12, 128, 63, 5, 0, 12, 192, 63, 7, 2, 5, 0,
+		9, 3, 2, 8, 0, 5, 5, 0, 3, 3, 11, 0, 0, 7, 12, 50, 63, 1, 12, 150, 63, 4, 8, 0, 9, 0, 4, 2, 7, 9, 0, 9, 0})
+	f.Add([]byte{1, 60, 3, 0, 0, 0, 12, 10, 63, 2, 12, 90, 63, 6, 6, 0, 6, 1, 6, 2, 12, 170, 63, 3, 7, 0, 12, 33, 40, 0,
+		0, 11, 2, 7, 0, 3, 2, 4, 12, 5, 63, 1, 5, 7, 0, 3, 2, 8, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := &ftCursor{data: data}
+		large := c.next(2) == 1
+		maxEntries, keySpace, nBackends := 1+c.next(8), 12, 2
+		if large {
+			maxEntries, keySpace, nBackends = 44+c.next(256), 600, 8
+		}
 		cfg := Config{
-			MaxEntries: 1 + c.next(8),
+			MaxEntries: maxEntries,
 			IdleTTL:    time.Duration(1+c.next(20)) * time.Second,
 			FinLinger:  time.Duration(1+c.next(5)) * time.Second,
 		}
-		const keySpace = 12
-		var keys [keySpace]packet.FlowKey
+		keys := make([]packet.FlowKey, keySpace)
+		backends := make([]netip.Addr, nBackends)
 		for i := range keys {
 			keys[i] = key(i)
+			if large {
+				keys[i] = poolKey(i)
+			}
 		}
-		backends := [2]netip.Addr{backend1, backend2}
+		for i := range backends {
+			backends[i] = [2]netip.Addr{backend1, backend2}[i%2]
+			if large {
+				backends[i] = poolBackend(i)
+			}
+		}
+		// pick draws a key: one byte in small mode, two in large.
+		pick := func() int {
+			if large {
+				return (c.next(256)<<8 | c.next(256)) % keySpace
+			}
+			return c.next(keySpace)
+		}
 		tb, m := New(cfg), newModel(cfg)
 		var now time.Duration
 		var snaps [][]FlowBinding
 		for op := 0; op < 400 && c.pos < len(data); op++ {
-			k := keys[c.next(keySpace)]
-			switch c.next(12) {
+			ki := pick()
+			k := keys[ki]
+			ops := 12
+			if large {
+				ops = 13
+			}
+			switch c.next(ops) {
 			case 0, 1:
-				b := backends[c.next(2)]
+				b := backends[c.next(nBackends)]
 				tb.Insert(now, k, b)
 				m.Insert(now, k, b)
 			case 2:
@@ -225,7 +297,7 @@ func FuzzFlowtableModel(f *testing.F) {
 					t.Fatalf("op %d: LookupIdle = %v,%v,%v, model %v,%v,%v", op, gb, gi, gok, wb, wi, wok)
 				}
 			case 4:
-				b := backends[c.next(2)]
+				b := backends[c.next(nBackends)]
 				if got, want := tb.Rebind(now, k, b), m.Rebind(now, k, b); got != want {
 					t.Fatalf("op %d: Rebind = %v, model %v", op, got, want)
 				}
@@ -266,6 +338,15 @@ func FuzzFlowtableModel(f *testing.F) {
 					now += cfg.FinLinger + step
 				default:
 					now = max(0, now-step-time.Second)
+				}
+			case 12:
+				// Bulk insert: up to 64 consecutive pool keys from k's
+				// index, a millisecond apart, backends in turn.
+				for i, n := 0, 1+c.next(64); i < n; i++ {
+					now += time.Millisecond
+					kk, b := keys[(ki+i)%keySpace], backends[i%nBackends]
+					tb.Insert(now, kk, b)
+					m.Insert(now, kk, b)
 				}
 			}
 			checkTable(t, tb)
