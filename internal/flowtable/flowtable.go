@@ -9,11 +9,21 @@
 //
 // One table serves every VIP the balancer advertises: FlowKey includes
 // the destination address, so entries are keyed by (VIP, flow) and the
-// per-packet cost is one map operation regardless of service count. The
-// LRU list is intrusive (prev/next links live inside the entry) and
-// removed entries recycle through a free list, so the steady state of a
-// long run — flows expiring as fast as they are learned — allocates
-// nothing.
+// per-packet cost is one probe regardless of service count.
+//
+// The per-flow storage holds no Go pointers, like a data plane's
+// preallocated buffers, so the GC never scans it. Entries live in an
+// arena slice addressed by int32 ids, one 64-byte line each: the source
+// address and ports, the destination and backend as per-table intern
+// ids (the topology bounds both; a source other than a zoneless IPv6 one
+// is interned too), the times, the key's hash and int32 LRU links. Entry
+// 0 is the LRU sentinel; removed ids go on a free list, so a long run's
+// steady state allocates nothing. The index is a linearly probed array
+// of (hash, id) slots, at most half full, with backward-shift deletion.
+// A hit reads one index line, one entry line and its LRU neighbours. The
+// hash mixes the key's words under a per-table random seed, and no output
+// depends on it: the index is probed for one key at a time, never
+// iterated, and grows by entry count alone.
 //
 // A sweep costs what expires, not what the table holds. An entry fronted
 // with the latest deadline yet is in order, so in-order deadlines never
@@ -25,6 +35,9 @@
 package flowtable
 
 import (
+	"encoding/binary"
+	"math/bits"
+	"math/rand/v2"
 	"net/netip"
 	"time"
 
@@ -34,7 +47,7 @@ import (
 // Config tunes the table. Zero fields take defaults.
 type Config struct {
 	// MaxEntries bounds the table; inserting beyond it evicts the least
-	// recently used entry (default 1 << 20).
+	// recently used entry (default 1 << 20, at most 1 << 30).
 	MaxEntries int
 	// IdleTTL expires entries untouched for this long (default 60s).
 	IdleTTL time.Duration
@@ -47,6 +60,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxEntries <= 0 {
 		c.MaxEntries = 1 << 20
 	}
+	c.MaxEntries = min(c.MaxEntries, 1<<30)
 	if c.IdleTTL <= 0 {
 		c.IdleTTL = 60 * time.Second
 	}
@@ -56,17 +70,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// entry is one flow: 64 bytes, no Go pointers.
 type entry struct {
-	key      packet.FlowKey
-	backend  netip.Addr
-	deadline time.Duration // absolute expiry
-	seen     time.Duration // last packet time (idle-gap queries)
-	closing  bool
-	side     int32 // 1-based index in Table.side; 0 = in order
-	// Intrusive LRU links. The list is circular through the table's
-	// sentinel: head side = most recently used. A free entry reuses next
-	// as the free-list link.
-	prev, next *entry
+	src              [16]byte      // the source's bytes, or its intern id if interned
+	deadline         time.Duration // absolute expiry
+	seen             time.Duration // last packet time (idle-gap queries)
+	srcPort, dstPort uint16
+	dst, backend     int32  // intern ids (Table.addrs)
+	hash             uint32 // the key's hash: where the index slot is
+	// LRU links by id, circular through entry 0: head side = most
+	// recently used. A free entry's next links the free list.
+	prev, next int32
+	side       int32 // 1-based index in Table.side; 0 = in order
+	interned   bool  // src holds an intern id
+	closing    bool
+}
+
+// slot is one index cell; id 0 (the sentinel, never indexed) is empty.
+type slot struct {
+	hash uint32
+	id   int32
 }
 
 // Stats counts table events.
@@ -83,70 +106,123 @@ type Stats struct {
 // concurrent use: the simulator is single-threaded, and the live runtime
 // wraps it with its own lock.
 type Table struct {
-	cfg     Config
-	entries map[packet.FlowKey]*entry
-	lru     entry  // sentinel: lru.next = MRU, lru.prev = LRU
-	free    *entry // recycled entries, linked through next
-	stats   Stats
-	latest  time.Duration // the latest deadline an in-order entry was fronted with
-	side    []*entry      // the out-of-order entries (package comment)
+	cfg    Config
+	index  []slot  // power-of-two length (package comment)
+	ents   []entry // the arena; ents[0] is the LRU sentinel
+	free   int32   // first free id; 0 = none
+	n      int     // live entries
+	seed   uint64
+	stats  Stats
+	latest time.Duration // the latest deadline an in-order entry was fronted with
+	side   []int32       // the out-of-order entries (package comment)
+	addrs  []netip.Addr  // interned addresses by id
+	ids    map[netip.Addr]int32
 }
 
 // New creates a table.
 func New(cfg Config) *Table {
-	cfg = cfg.withDefaults()
-	t := &Table{
-		cfg:     cfg,
-		entries: make(map[packet.FlowKey]*entry),
+	return &Table{
+		cfg: cfg.withDefaults(), index: make([]slot, 8), ents: make([]entry, 1, 8),
+		seed: rand.Uint64(), ids: map[netip.Addr]int32{},
 	}
-	t.lru.prev, t.lru.next = &t.lru, &t.lru
-	return t
 }
 
 // Len returns the number of live entries (including not-yet-expired ones).
-func (t *Table) Len() int { return len(t.entries) }
+func (t *Table) Len() int { return t.n }
 
 // Stats returns a copy of the table counters.
 func (t *Table) Stats() Stats { return t.stats }
 
-// pushFront links e at the MRU end.
-func (t *Table) pushFront(e *entry) {
-	e.prev, e.next = &t.lru, t.lru.next
-	t.lru.next.prev = e
-	t.lru.next = e
+// hash mixes the key's words under the table's seed.
+func (t *Table) hash(k *packet.FlowKey) uint32 {
+	s, d := k.Src.As16(), k.Dst.As16()
+	le := binary.LittleEndian
+	h1, l1 := bits.Mul64(le.Uint64(s[:8])^t.seed, le.Uint64(s[8:])^0x9e3779b97f4a7c15)
+	h2, l2 := bits.Mul64(le.Uint64(d[:8])^uint64(k.SrcPort)<<16^uint64(k.DstPort), le.Uint64(d[8:])^0xbf58476d1ce4e5b9)
+	hi, lo := bits.Mul64(h1^l1^t.seed, h2^l2)
+	return uint32(hi ^ lo)
 }
 
-// unlink removes e from the LRU list.
-func (t *Table) unlink(e *entry) {
-	e.prev.next = e.next
-	e.next.prev = e.prev
+// find returns key's entry id, 0 if it is absent, and the key's hash.
+func (t *Table) find(k *packet.FlowKey) (int32, uint32) {
+	h := t.hash(k)
+	mask := uint32(len(t.index) - 1)
+	for i := h & mask; t.index[i].id != 0; i = (i + 1) & mask {
+		if s := t.index[i]; s.hash == h {
+			if e := &t.ents[s.id]; e.srcPort == k.SrcPort && e.dstPort == k.DstPort &&
+				t.srcAddr(e) == k.Src && t.addrs[e.dst] == k.Dst {
+				return s.id, h
+			}
+		}
+	}
+	return 0, h
 }
 
-// moveToFront refreshes e's LRU position.
-func (t *Table) moveToFront(e *entry) {
-	t.unlink(e)
-	t.pushFront(e)
+func (t *Table) srcAddr(e *entry) netip.Addr {
+	if e.interned {
+		return t.addrs[binary.LittleEndian.Uint32(e.src[:4])]
+	}
+	return netip.AddrFrom16(e.src)
 }
 
-// file puts e, just fronted, in order or on the side list. Its common
-// case, kept out of pushFront, inlines into the lookups.
-func (t *Table) file(e *entry) {
-	if e.deadline >= t.latest && e.side == 0 {
+// intern returns a's id in t.addrs, adding it if it is new.
+func (t *Table) intern(a netip.Addr) int32 {
+	id, ok := t.ids[a]
+	if !ok {
+		id = int32(len(t.addrs))
+		t.addrs = append(t.addrs, a)
+		t.ids[a] = id
+	}
+	return id
+}
+
+// place puts s in the first empty slot of its probe run.
+func (t *Table) place(s slot) {
+	mask := uint32(len(t.index) - 1)
+	i := s.hash & mask
+	for t.index[i].id != 0 {
+		i = (i + 1) & mask
+	}
+	t.index[i] = s
+}
+
+// pushFront links id at the MRU end.
+func (t *Table) pushFront(id int32) {
+	head := t.ents[0].next
+	t.ents[id].prev, t.ents[id].next = 0, head
+	t.ents[head].prev = id
+	t.ents[0].next = id
+}
+
+// unlink removes id from the LRU list.
+func (t *Table) unlink(id int32) {
+	e := &t.ents[id]
+	t.ents[e.prev].next = e.next
+	t.ents[e.next].prev = e.prev
+}
+
+// front moves id, already linked, to the MRU end and files it in order
+// or, in refile's rare case, on the side list.
+func (t *Table) front(id int32) {
+	t.unlink(id)
+	t.pushFront(id)
+	if e := &t.ents[id]; e.deadline >= t.latest && e.side == 0 {
 		t.latest = e.deadline
 	} else {
-		t.refile(e)
+		t.refile(id)
 	}
 }
 
-// refile is file's rare case: a side entry whose deadline is the latest
-// yet returns to order, and an entry with an earlier one joins the side
-// list. Every side entry's deadline is before latest.
-func (t *Table) refile(e *entry) {
+// refile is the filing's rare case: a side entry whose deadline is the
+// latest yet returns to order, and an entry with an earlier one joins the
+// side list. Every side entry's deadline is before latest.
+func (t *Table) refile(id int32) {
+	e := &t.ents[id]
 	if e.deadline >= t.latest {
 		t.latest = e.deadline
 		t.unside(e)
 	} else if e.side == 0 {
-		t.side = append(t.side, e)
+		t.side = append(t.side, id)
 		e.side = int32(len(t.side))
 	}
 }
@@ -156,70 +232,73 @@ func (t *Table) unside(e *entry) {
 	last := len(t.side) - 1
 	moved := t.side[last]
 	t.side[e.side-1] = moved
-	moved.side = e.side
-	t.side[last] = nil
+	t.ents[moved].side = e.side
 	t.side = t.side[:last]
 	e.side = 0
 }
 
-// newEntry takes an entry from the free list or allocates one.
-func (t *Table) newEntry() *entry {
-	if e := t.free; e != nil {
-		t.free = e.next
-		*e = entry{}
-		return e
-	}
-	return &entry{}
+// set gives entry id b's state and fronts it.
+func (t *Table) set(id int32, b *FlowBinding) {
+	e := &t.ents[id]
+	e.backend, e.deadline, e.seen, e.closing = t.intern(b.Backend), b.Deadline, b.Seen, b.Closing
+	t.front(id)
 }
 
 // Insert binds key to backend at time now, refreshing the TTL if the key
 // exists. Inserting may evict the LRU entry when the table is full.
 func (t *Table) Insert(now time.Duration, key packet.FlowKey, backend netip.Addr) {
-	if e, ok := t.entries[key]; ok {
-		e.backend = backend
-		e.deadline = now + t.cfg.IdleTTL
-		e.seen = now
-		e.closing = false
-		t.moveToFront(e)
-		t.file(e)
-		return
+	b := FlowBinding{Backend: backend, Deadline: now + t.cfg.IdleTTL, Seen: now}
+	if id, h := t.find(&key); id != 0 {
+		t.set(id, &b)
+	} else {
+		t.add(&key, h, &b)
 	}
-	if len(t.entries) >= t.cfg.MaxEntries {
-		t.evictLRU()
+}
+
+// add inserts key, absent from the table, with hash h and b's state,
+// evicting the LRU entry when the table is full.
+func (t *Table) add(k *packet.FlowKey, h uint32, b *FlowBinding) {
+	if t.n >= t.cfg.MaxEntries {
+		t.remove(t.ents[0].prev)
+		t.stats.Evictions++
 	}
-	e := t.newEntry()
-	e.key = key
-	e.backend = backend
-	e.deadline = now + t.cfg.IdleTTL
-	e.seen = now
-	t.pushFront(e)
-	t.file(e)
-	t.entries[key] = e
+	if t.n++; 2*t.n > len(t.index) {
+		old := t.index
+		t.index = make([]slot, 2*len(old))
+		for _, s := range old {
+			if s.id != 0 {
+				t.place(s)
+			}
+		}
+	}
+	id := t.free
+	if id != 0 {
+		t.free = t.ents[id].next
+	} else {
+		if len(t.ents) == cap(t.ents) {
+			grown := make([]entry, len(t.ents), min(2*cap(t.ents), t.cfg.MaxEntries+1))
+			copy(grown, t.ents)
+			t.ents = grown
+		}
+		id = int32(len(t.ents))
+		t.ents = t.ents[:id+1]
+	}
+	t.ents[id] = entry{src: k.Src.As16(), srcPort: k.SrcPort, dstPort: k.DstPort, dst: t.intern(k.Dst), hash: h}
+	if netip.AddrFrom16(k.Src.As16()) != k.Src {
+		t.ents[id].interned = true
+		binary.LittleEndian.PutUint32(t.ents[id].src[:4], uint32(t.intern(k.Src)))
+	}
+	t.place(slot{hash: h, id: id})
+	t.pushFront(id)
+	t.set(id, b)
 	t.stats.Inserts++
 }
 
 // Lookup returns the backend bound to key, refreshing its TTL. Expired
 // entries are removed and reported as misses.
 func (t *Table) Lookup(now time.Duration, key packet.FlowKey) (netip.Addr, bool) {
-	e, ok := t.entries[key]
-	if !ok {
-		t.stats.Misses++
-		return netip.Addr{}, false
-	}
-	if now > e.deadline {
-		t.removeEntry(e)
-		t.stats.Expiries++
-		t.stats.Misses++
-		return netip.Addr{}, false
-	}
-	if !e.closing {
-		e.deadline = now + t.cfg.IdleTTL
-	}
-	e.seen = now
-	t.moveToFront(e)
-	t.file(e)
-	t.stats.Hits++
-	return e.backend, true
+	b, _, ok := t.LookupIdle(now, key)
+	return b, ok
 }
 
 // LookupIdle is Lookup plus the flow's idle gap: how long since the
@@ -227,26 +306,32 @@ func (t *Table) Lookup(now time.Duration, key packet.FlowKey) (netip.Addr, bool)
 // flowlet-boundary signal. Semantics otherwise match Lookup (TTL
 // refresh, LRU touch, expiry-as-miss).
 func (t *Table) LookupIdle(now time.Duration, key packet.FlowKey) (backend netip.Addr, idle time.Duration, ok bool) {
-	e, found := t.entries[key]
-	if !found {
+	id := t.live(now, &key)
+	if id == 0 {
 		t.stats.Misses++
 		return netip.Addr{}, 0, false
 	}
-	if now > e.deadline {
-		t.removeEntry(e)
-		t.stats.Expiries++
-		t.stats.Misses++
-		return netip.Addr{}, 0, false
-	}
+	e := &t.ents[id]
 	idle = now - e.seen
 	if !e.closing {
 		e.deadline = now + t.cfg.IdleTTL
 	}
 	e.seen = now
-	t.moveToFront(e)
-	t.file(e)
+	t.front(id)
 	t.stats.Hits++
-	return e.backend, idle, true
+	return t.addrs[e.backend], idle, true
+}
+
+// live returns key's entry id, or 0 if it is absent. An entry past its
+// deadline is removed, counted as an expiry and reported absent.
+func (t *Table) live(now time.Duration, key *packet.FlowKey) int32 {
+	id, _ := t.find(key)
+	if id != 0 && now > t.ents[id].deadline {
+		t.remove(id)
+		t.stats.Expiries++
+		return 0
+	}
+	return id
 }
 
 // Rebind moves an existing flow to a new backend — the mid-connection
@@ -257,16 +342,11 @@ func (t *Table) LookupIdle(now time.Duration, key packet.FlowKey) (backend netip
 // exactly as Lookup treats it — removed, counted as an expiry, and
 // reported missing — so a dead flow can never be re-steered.
 func (t *Table) Rebind(now time.Duration, key packet.FlowKey, backend netip.Addr) bool {
-	e, ok := t.entries[key]
-	if !ok {
+	id := t.live(now, &key)
+	if id == 0 {
 		return false
 	}
-	if now > e.deadline {
-		t.removeEntry(e)
-		t.stats.Expiries++
-		return false
-	}
-	e.backend = backend
+	t.ents[id].backend = t.intern(backend)
 	t.stats.Rebinds++
 	return true
 }
@@ -279,30 +359,23 @@ func (t *Table) Rebind(now time.Duration, key packet.FlowKey, backend netip.Addr
 // reported missing, matching Lookup — the flow's state is gone, so
 // there is no teardown left to account for.
 func (t *Table) MarkClosing(now time.Duration, key packet.FlowKey) bool {
-	e, ok := t.entries[key]
-	if !ok {
+	id := t.live(now, &key)
+	if id == 0 || t.ents[id].closing {
 		return false
 	}
-	if now > e.deadline {
-		t.removeEntry(e)
-		t.stats.Expiries++
-		return false
-	}
-	if e.closing {
-		return false
-	}
+	e := &t.ents[id]
 	e.closing = true
 	if d := now + t.cfg.FinLinger; d < e.deadline {
 		e.deadline = d
-		t.refile(e) // d is before latest, so e joins the side list
+		t.refile(id) // d is before latest, so the entry joins the side list
 	}
 	return true
 }
 
 // Delete removes the entry immediately.
 func (t *Table) Delete(key packet.FlowKey) {
-	if e, ok := t.entries[key]; ok {
-		t.removeEntry(e)
+	if id, _ := t.find(&key); id != 0 {
+		t.remove(id)
 	}
 }
 
@@ -312,18 +385,18 @@ func (t *Table) Delete(key packet.FlowKey) {
 // then scans the side list (package comment).
 func (t *Table) Sweep(now time.Duration) int {
 	removed := 0
-	for e := t.lru.prev; e != &t.lru && (e.side != 0 || now > e.deadline); {
-		prev := e.prev
-		if e.side == 0 {
-			t.removeEntry(e)
+	for id := t.ents[0].prev; id != 0 && (t.ents[id].side != 0 || now > t.ents[id].deadline); {
+		prev := t.ents[id].prev
+		if t.ents[id].side == 0 {
+			t.remove(id)
 			removed++
 		}
-		e = prev
+		id = prev
 	}
 	// Backwards, so the entry removal swaps into slot i is one already seen.
 	for i := len(t.side) - 1; i >= 0; i-- {
-		if e := t.side[i]; now > e.deadline {
-			t.removeEntry(e)
+		if id := t.side[i]; now > t.ents[id].deadline {
+			t.remove(id)
 			removed++
 		}
 	}
@@ -345,21 +418,25 @@ type FlowBinding struct {
 	Closing  bool
 }
 
+// binding returns entry e's state.
+func (t *Table) binding(e *entry) FlowBinding {
+	return FlowBinding{
+		Key:     packet.FlowKey{Src: t.srcAddr(e), Dst: t.addrs[e.dst], SrcPort: e.srcPort, DstPort: e.dstPort},
+		Backend: t.addrs[e.backend], Deadline: e.deadline, Seen: e.seen, Closing: e.closing,
+	}
+}
+
 // Snapshot exports every live binding at time now, ordered least- to
 // most-recently used, so that a Restore replaying the slice in order
 // reproduces the donor's LRU order. Entries already expired are skipped
 // (but left for Lookup/Sweep to collect — Snapshot has no side
 // effects).
 func (t *Table) Snapshot(now time.Duration) []FlowBinding {
-	out := make([]FlowBinding, 0, len(t.entries))
-	for e := t.lru.prev; e != &t.lru; e = e.prev {
-		if now > e.deadline {
-			continue
+	out := make([]FlowBinding, 0, t.n)
+	for id := t.ents[0].prev; id != 0; id = t.ents[id].prev {
+		if e := &t.ents[id]; now <= e.deadline {
+			out = append(out, t.binding(e))
 		}
-		out = append(out, FlowBinding{
-			Key: e.key, Backend: e.backend,
-			Deadline: e.deadline, Seen: e.seen, Closing: e.closing,
-		})
 	}
 	return out
 }
@@ -376,61 +453,45 @@ func (t *Table) Snapshot(now time.Duration) []FlowBinding {
 // bindings applied.
 func (t *Table) Restore(now time.Duration, bindings []FlowBinding) int {
 	applied := 0
-	for _, b := range bindings {
+	for i := range bindings {
+		b := &bindings[i]
 		if now > b.Deadline {
 			continue
 		}
-		if e, ok := t.entries[b.Key]; ok && now > e.deadline {
-			t.removeEntry(e)
-			t.stats.Expiries++
-		} else if ok {
-			if e.closing || e.deadline >= b.Deadline {
-				continue
-			}
-			e.backend = b.Backend
-			e.deadline = b.Deadline
-			e.seen = b.Seen
-			e.closing = b.Closing
-			t.moveToFront(e)
-			t.file(e)
-			applied++
+		if id := t.live(now, &b.Key); id == 0 {
+			t.add(&b.Key, t.hash(&b.Key), b)
+		} else if e := &t.ents[id]; e.closing || e.deadline >= b.Deadline {
 			continue
+		} else {
+			t.set(id, b)
 		}
-		if len(t.entries) >= t.cfg.MaxEntries {
-			t.evictLRU()
-		}
-		e := t.newEntry()
-		e.key = b.Key
-		e.backend = b.Backend
-		e.deadline = b.Deadline
-		e.seen = b.Seen
-		e.closing = b.Closing
-		t.pushFront(e)
-		t.file(e)
-		t.entries[b.Key] = e
-		t.stats.Inserts++
 		applied++
 	}
 	return applied
 }
 
-func (t *Table) evictLRU() {
-	e := t.lru.prev
-	if e == &t.lru {
-		return
-	}
-	t.removeEntry(e)
-	t.stats.Evictions++
-}
-
-func (t *Table) removeEntry(e *entry) {
+// remove unlinks entry id, empties its index slot and frees the id.
+func (t *Table) remove(id int32) {
+	e := &t.ents[id]
 	if e.side != 0 {
 		t.unside(e)
 	}
-	t.unlink(e)
-	delete(t.entries, e.key)
-	// Recycle: clear links (and let the key's addrs drop) then push onto
-	// the free list through next.
+	t.unlink(id)
+	mask := uint32(len(t.index) - 1)
+	hole := e.hash & mask
+	for t.index[hole].id != id {
+		hole = (hole + 1) & mask
+	}
+	// Backward-shift deletion: a later slot of the probe run moves into
+	// the hole unless its home lies cyclically in (hole, i].
+	for i := (hole + 1) & mask; t.index[i].id != 0; i = (i + 1) & mask {
+		if (i-t.index[i].hash)&mask >= (i-hole)&mask {
+			t.index[hole] = t.index[i]
+			hole = i
+		}
+	}
+	t.index[hole] = slot{}
 	*e = entry{next: t.free}
-	t.free = e
+	t.free = id
+	t.n--
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 	"unsafe"
@@ -307,11 +309,83 @@ func TestSweepComplexityClass(t *testing.T) {
 	}
 }
 
-// An entry must stay in the 128-byte allocation size class: the side-list
-// index lives in padding, and a larger entry costs heap on every flow.
-func TestEntrySizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(entry{}); size > 128 {
-		t.Fatalf("entry is %d bytes, past the 128-byte size class", size)
+// flow is the i-th of up to 2^32 distinct flows over 16 VIPs.
+func flow(i int) packet.FlowKey {
+	return packet.FlowKey{
+		Src:     netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0x0c, 12: byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)}),
+		Dst:     poolVIPs[i%len(poolVIPs)],
+		SrcPort: uint16(40000 + i%16384),
+		DstPort: 80,
+	}
+}
+
+// hasPointers reports whether a value of type typ holds a Go pointer.
+func hasPointers(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Array:
+		return hasPointers(typ.Elem())
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			if hasPointers(typ.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.Chan,
+		reflect.Func, reflect.Interface, reflect.String:
+		return true
+	}
+	return false
+}
+
+// The per-flow storage is laid out like a data plane's: its element
+// types hold no Go pointers, so the GC never scans it; an entry fits one
+// 64-byte cache line; a warm table is a fixed number of heap objects
+// however many flows it holds; and Lookup and Insert allocate nothing
+// once the table is warm.
+func TestEntryLayout(t *testing.T) {
+	table := reflect.TypeOf(Table{})
+	for _, name := range []string{"index", "ents", "side"} {
+		f, _ := table.FieldByName(name)
+		if hasPointers(f.Type.Elem()) {
+			t.Errorf("Table.%s's element type %v holds Go pointers", name, f.Type.Elem())
+		}
+	}
+	if size := unsafe.Sizeof(entry{}); size > 64 {
+		t.Errorf("entry is %d bytes, past one 64-byte line", size)
+	}
+
+	objects := func(n int) (int64, *Table) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tb := New(Config{})
+		for i := 0; i < n; i++ {
+			tb.Insert(0, flow(i), poolBackend(i%8))
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		return int64(after.HeapObjects) - int64(before.HeapObjects), tb
+	}
+	small, _ := objects(1000)
+	large, tb := objects(100000)
+	t.Logf("heap objects held: %d at 1k flows, %d at 100k", small, large)
+	if large > small+32 {
+		t.Errorf("a table of 100k flows holds %d heap objects, one of 1k holds %d: storage is per flow", large, small)
+	}
+
+	now := time.Second
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 1000; i++ {
+			tb.Delete(flow(i))
+			tb.Insert(now, flow(i), poolBackend(i%8))
+			tb.Insert(now, flow(i+1000), poolBackend(i%8))
+			tb.Lookup(now, flow(i))
+			tb.LookupIdle(now, flow(i+2000))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm Delete/Insert/Lookup allocate %.1f times per 1000 rounds", allocs)
 	}
 }
 

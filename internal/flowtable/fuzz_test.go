@@ -1,7 +1,6 @@
 package flowtable
 
 import (
-	"net/netip"
 	"testing"
 	"time"
 
@@ -28,7 +27,7 @@ func (c *ftCursor) next(bound int) int {
 // FuzzFlowtableSnapshot drives a source table through an arbitrary op
 // sequence, snapshots it, merges the snapshot into an independently
 // mutated destination, and checks the structural and semantic
-// invariants: map/LRU/free-list consistency, no expired binding ever
+// invariants: index/LRU/free-list consistency, no expired binding ever
 // exported or resurrected, and newer live local state never overwritten.
 func FuzzFlowtableSnapshot(f *testing.F) {
 	f.Add([]byte{})
@@ -92,42 +91,35 @@ func FuzzFlowtableSnapshot(f *testing.F) {
 		dstCfg.MaxEntries = 2 * keySpace
 		dst := New(dstCfg)
 		dnow := drive(dst, now, c.next(32))
-		type prior struct {
-			backend  netip.Addr
-			deadline time.Duration
-			closing  bool
-		}
-		pre := map[packet.FlowKey]prior{}
-		for k, e := range dst.entries {
-			pre[k] = prior{e.backend, e.deadline, e.closing}
-		}
+		pre := entries(dst)
 
 		restoreNow := dnow + time.Duration(c.next(10000))*time.Millisecond
 		dst.Restore(restoreNow, snap)
 		checkTable(t, dst)
+		post := entries(dst)
 		for _, b := range snap {
-			e, ok := dst.entries[b.Key]
+			e, ok := post[b.Key]
 			if !ok {
 				continue // expired by restoreNow, or never present — both legal
 			}
 			p, had := pre[b.Key]
 			// A live binding replaces a local entry dead by restoreNow.
-			had = had && (restoreNow <= p.deadline || restoreNow > b.Deadline)
+			had = had && (restoreNow <= p.Deadline || restoreNow > b.Deadline)
 			switch {
-			case had && (p.closing || p.deadline >= b.Deadline):
-				if e.backend != p.backend || e.deadline != p.deadline || e.closing != p.closing {
+			case had && (p.Closing || p.Deadline >= b.Deadline):
+				if e.Backend != p.Backend || e.Deadline != p.Deadline || e.Closing != p.Closing {
 					t.Fatal("restore overwrote newer local state")
 				}
 			case restoreNow > b.Deadline:
-				if e.backend == b.Backend && e.deadline == b.Deadline {
+				if e.Backend == b.Backend && e.Deadline == b.Deadline {
 					t.Fatal("restore resurrected an expired binding")
 				}
 			case had:
-				if e.backend != b.Backend || e.deadline != b.Deadline || e.closing != b.Closing {
+				if e.Backend != b.Backend || e.Deadline != b.Deadline || e.Closing != b.Closing {
 					t.Fatal("older local entry not updated to the snapshot's state")
 				}
 			default:
-				if e.backend != b.Backend || e.deadline != b.Deadline || e.seen != b.Seen || e.closing != b.Closing {
+				if e != b {
 					t.Fatal("restored binding mutated in transfer")
 				}
 			}

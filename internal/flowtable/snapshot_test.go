@@ -1,26 +1,87 @@
 package flowtable
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"srlb/internal/packet"
 )
 
+// entries returns every entry's state by key, expired ones included.
+func entries(tb *Table) map[packet.FlowKey]FlowBinding {
+	out := map[packet.FlowKey]FlowBinding{}
+	for id := tb.ents[0].next; id != 0 && len(out) <= tb.n; id = tb.ents[id].next {
+		b := tb.binding(&tb.ents[id])
+		out[b.Key] = b
+	}
+	return out
+}
+
 // checkTable verifies the structural invariants every public operation
-// must preserve: the entry map and the intrusive LRU list agree
-// exactly, capacity is respected, the free list is finite and disjoint
-// from the live list, the side list indexes exactly the entries marked
-// as on it, and in-order deadlines never decrease from the LRU tail to
-// the head nor pass the table's latest.
+// must preserve: the index and the LRU list hold exactly the same
+// entries, every entry is found under its own key, the index is at most
+// half full, capacity is respected, every arena id is live or on the
+// free list (never both), the side list indexes exactly the entries
+// marked as on it, and in-order deadlines never decrease from the LRU
+// tail to the head nor pass the table's latest.
 func checkTable(t *testing.T, tb *Table) {
 	t.Helper()
-	live := map[*entry]bool{}
-	n, sides := 0, 0
-	var floor *entry // the last in-order entry walking tail to head
-	for e := tb.lru.prev; e != &tb.lru; e = e.prev {
+	state := make([]byte, len(tb.ents)) // 1 live, 2 free
+	n := 0
+	for id := tb.ents[0].next; id != 0; id = tb.ents[id].next {
+		if n++; n > tb.n {
+			t.Fatalf("LRU list longer than the %d live entries", tb.n)
+		}
+		e := &tb.ents[id]
+		if tb.ents[e.next].prev != id || tb.ents[e.prev].next != id {
+			t.Fatal("LRU links inconsistent")
+		}
+		k := tb.binding(e).Key
+		if got, h := tb.find(&k); got != id || h != e.hash {
+			t.Fatalf("entry %d (%v) found as %d", id, k, got)
+		}
+		state[id] = 1
+	}
+	if n != tb.n {
+		t.Fatalf("LRU list has %d entries, table counts %d", n, tb.n)
+	}
+	if tb.n > tb.cfg.MaxEntries {
+		t.Fatalf("table over capacity: %d > %d", tb.n, tb.cfg.MaxEntries)
+	}
+	indexed := 0
+	for _, s := range tb.index {
+		if s.id == 0 {
+			continue
+		}
+		indexed++
+		if state[s.id] != 1 || tb.ents[s.id].hash != s.hash {
+			t.Fatalf("index slot %+v does not name a live entry with its hash", s)
+		}
+	}
+	if indexed != tb.n || 2*tb.n > len(tb.index) {
+		t.Fatalf("index holds %d of %d entries in %d slots", indexed, tb.n, len(tb.index))
+	}
+	for id := tb.free; id != 0; id = tb.ents[id].next {
+		if state[id] != 0 {
+			t.Fatalf("id %d on the free list twice or also live", id)
+		}
+		state[id] = 2
+	}
+	for id := 1; id < len(state); id++ {
+		if state[id] == 0 {
+			t.Fatalf("arena id %d is neither live nor free", id)
+		}
+	}
+
+	sides := 0
+	floor := time.Duration(math.MinInt64) // the last in-order deadline, tail to head
+	for id := tb.ents[0].prev; id != 0; id = tb.ents[id].prev {
+		e := &tb.ents[id]
 		switch {
 		case e.side != 0:
 			sides++
-			if int(e.side) > len(tb.side) || tb.side[e.side-1] != e {
+			if int(e.side) > len(tb.side) || tb.side[e.side-1] != id {
 				t.Fatal("side entry not at its side-list index")
 			}
 			if e.deadline >= tb.latest {
@@ -28,43 +89,14 @@ func checkTable(t *testing.T, tb *Table) {
 			}
 		case e.deadline > tb.latest:
 			t.Fatal("in-order deadline after the table's latest")
-		case floor != nil && e.deadline < floor.deadline:
+		case e.deadline < floor:
 			t.Fatal("in-order deadlines decrease toward the LRU head")
 		default:
-			floor = e
+			floor = e.deadline
 		}
 	}
 	if sides != len(tb.side) {
 		t.Fatalf("%d entries marked side, side list holds %d", sides, len(tb.side))
-	}
-	for e := tb.lru.next; e != &tb.lru; e = e.next {
-		n++
-		if n > len(tb.entries) {
-			t.Fatal("LRU list longer than entry map")
-		}
-		if tb.entries[e.key] != e {
-			t.Fatal("LRU entry not indexed under its key")
-		}
-		if e.next.prev != e || e.prev.next != e {
-			t.Fatal("LRU links inconsistent")
-		}
-		live[e] = true
-	}
-	if n != len(tb.entries) {
-		t.Fatalf("LRU list has %d entries, map has %d", n, len(tb.entries))
-	}
-	if len(tb.entries) > tb.cfg.MaxEntries {
-		t.Fatalf("table over capacity: %d > %d", len(tb.entries), tb.cfg.MaxEntries)
-	}
-	fn := 0
-	for e := tb.free; e != nil; e = e.next {
-		fn++
-		if live[e] {
-			t.Fatal("entry on both the free list and the LRU list")
-		}
-		if fn > 1<<16 {
-			t.Fatal("free list runaway (cycle?)")
-		}
 	}
 }
 
