@@ -113,9 +113,12 @@ func (h *Histogram) Add(d time.Duration) {
 	}
 	i := h.bucketIndex(v)
 	if i >= len(h.counts) {
-		grown := make([]uint64, i+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		if i >= cap(h.counts) { // to the end of i's octave: one copy per power of two
+			grown := make([]uint64, len(h.counts), (i>>h.precision+1)<<h.precision)
+			copy(grown, h.counts)
+			h.counts = grown
+		}
+		h.counts = h.counts[:i+1] // the backing array is zero past len
 	}
 	h.counts[i]++
 	h.count++

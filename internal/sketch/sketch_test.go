@@ -408,6 +408,34 @@ func TestWarmAddAllocatesNothing(t *testing.T) {
 	}
 }
 
+// Ascending samples across 20 octaves grow the bucket slice at most once
+// per octave, and the histogram reports the same buckets as one built in
+// the reverse order (whose first Add sizes the slice exactly).
+func TestAscendingAddGrowsOncePerOctave(t *testing.T) {
+	const octaves = 20
+	var h *Histogram
+	allocs := testing.AllocsPerRun(1, func() {
+		h = New()
+		for e := uint(DefaultPrecision); e < DefaultPrecision+octaves; e++ {
+			for v := int64(1) << e; v < 1<<(e+1); v += 1 << (e - DefaultPrecision) {
+				h.Add(time.Duration(v))
+			}
+		}
+	})
+	if allocs > octaves+1 {
+		t.Errorf("%d octaves of ascending adds allocated %.0f times, want at most %d", octaves, allocs, octaves+1)
+	}
+	desc := New()
+	for e := uint(DefaultPrecision + octaves - 1); e >= DefaultPrecision; e-- {
+		for v := int64(1)<<(e+1) - 1<<(e-DefaultPrecision); v >= 1<<e; v -= 1 << (e - DefaultPrecision) {
+			desc.Add(time.Duration(v))
+		}
+	}
+	if !h.Equal(desc) || h.Buckets() != desc.Buckets() || h.Quantile(0.5) != desc.Quantile(0.5) {
+		t.Errorf("ascending histogram (%d buckets) differs from descending (%d)", h.Buckets(), desc.Buckets())
+	}
+}
+
 func BenchmarkHistogramAdd(b *testing.B) {
 	h := New()
 	b.ReportAllocs()
