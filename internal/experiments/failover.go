@@ -277,13 +277,3 @@ func (r FailoverResult) WriteTSV(w io.Writer) error {
 	}
 	return t.err
 }
-
-// Mode returns the named mode's outcome.
-func (r FailoverResult) Mode(name string) (FailoverMode, error) {
-	for _, m := range r.Modes {
-		if m.Variant == name {
-			return m, nil
-		}
-	}
-	return FailoverMode{}, fmt.Errorf("failover: no mode %q", name)
-}

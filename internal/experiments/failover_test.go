@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -88,14 +89,14 @@ func TestFailoverMaglevVsRandom(t *testing.T) {
 		Replicas: 2,
 		Bins:     20,
 	})
-	maglev, err := res.Mode("maglev+fallback")
-	if err != nil {
-		t.Fatal(err)
+	mode := func(name string) FailoverMode {
+		i := slices.IndexFunc(res.Modes, func(m FailoverMode) bool { return m.Variant == name })
+		if i < 0 {
+			t.Fatalf("failover: no mode %q", name)
+		}
+		return res.Modes[i]
 	}
-	random, err := res.Mode("random")
-	if err != nil {
-		t.Fatal(err)
-	}
+	maglev, random := mode("maglev+fallback"), mode("random")
 	if n := maglev.N; n != 2 {
 		t.Fatalf("maglev replicates = %d, want 2", n)
 	}

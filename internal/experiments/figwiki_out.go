@@ -9,16 +9,6 @@ import (
 	"srlb/internal/sketch"
 )
 
-// findRun returns the run for a policy name.
-func (r WikiResult) findRun(name string) (WikiRun, error) {
-	for _, run := range r.Runs {
-		if run.Spec.Name == name {
-			return run, nil
-		}
-	}
-	return WikiRun{}, fmt.Errorf("wiki: no run for policy %q", name)
-}
-
 // binLabel renders a bin's start as the trace-time hour (the paper's
 // "time of day (UTC)" axis).
 func (r WikiResult) binLabel(binIdx int, bins *sketch.TimeBins) string {

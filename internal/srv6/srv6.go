@@ -122,15 +122,6 @@ func (h *SRH) SetPath(nextHeader uint8, pathSegments ...netip.Addr) error {
 	return nil
 }
 
-// LastEntry returns the Last Entry field value (index of the last element
-// of the segment list).
-func (h *SRH) LastEntry() uint8 {
-	if len(h.Segments) == 0 {
-		return 0
-	}
-	return uint8(len(h.Segments) - 1)
-}
-
 // WireLen returns the marshaled size in bytes: 8 + 16*len(Segments).
 func (h *SRH) WireLen() int { return 8 + 16*len(h.Segments) }
 
@@ -247,21 +238,11 @@ func (h *SRH) Marshal(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Parse decodes an SRH from the front of b, returning the header and the
-// number of bytes consumed.
-func Parse(b []byte) (*SRH, int, error) {
-	h := new(SRH)
-	n, err := ParseInto(h, b)
-	if err != nil {
-		return nil, 0, err
-	}
-	return h, n, nil
-}
-
-// ParseInto is Parse into a caller-provided header: every field of h is
-// overwritten and h.Segments' backing array is reused when it is large
-// enough, so a receiver that keeps one SRH per delivery slot decodes
-// without allocating. On error h is left untouched.
+// ParseInto decodes an SRH from the front of b into h, returning the
+// number of bytes consumed. Every field of h is overwritten and
+// h.Segments' backing array is reused when it is large enough, so a
+// receiver that keeps one SRH per delivery slot decodes without
+// allocating. On error h is left untouched.
 func ParseInto(h *SRH, b []byte) (int, error) {
 	if len(b) < 8 {
 		return 0, ErrTooShort

@@ -96,7 +96,8 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 	if len(b) != h.WireLen() {
 		t.Fatalf("wire len %d, want %d", len(b), h.WireLen())
 	}
-	got, n, err := Parse(b)
+	got := new(SRH)
+	n, err := ParseInto(got, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,40 +149,40 @@ func TestParseErrors(t *testing.T) {
 	h := MustNew(ipv6.ProtoTCP, s1, s2, vip)
 	good, _ := h.Marshal(nil)
 
-	if _, _, err := Parse(good[:7]); err != ErrTooShort {
+	if _, err := ParseInto(new(SRH), good[:7]); err != ErrTooShort {
 		t.Fatalf("short: %v", err)
 	}
 	bad := append([]byte(nil), good...)
 	bad[2] = 3 // wrong routing type
-	if _, _, err := Parse(bad); err != ErrBadRoutingType {
+	if _, err := ParseInto(new(SRH), bad); err != ErrBadRoutingType {
 		t.Fatalf("routing type: %v", err)
 	}
 	bad = append([]byte(nil), good...)
 	bad[1] = 200 // claims more bytes than present
-	if _, _, err := Parse(bad); err != ErrTooShort {
+	if _, err := ParseInto(new(SRH), bad); err != ErrTooShort {
 		t.Fatalf("truncated list: %v", err)
 	}
 	bad = append([]byte(nil), good...)
 	bad[3] = 17 // SL out of range
-	if _, _, err := Parse(bad); err != ErrBadSegments {
+	if _, err := ParseInto(new(SRH), bad); err != ErrBadSegments {
 		t.Fatalf("SL range: %v", err)
 	}
 	bad = append([]byte(nil), good...)
 	bad[4] = 9 // last entry inconsistent
-	if _, _, err := Parse(bad); err != ErrBadLen {
+	if _, err := ParseInto(new(SRH), bad); err != ErrBadLen {
 		t.Fatalf("last entry: %v", err)
 	}
 	// Odd ext len (not multiple of 16 bytes).
 	odd := make([]byte, 8+8)
 	odd[1] = 1
 	odd[2] = RoutingType
-	if _, _, err := Parse(odd); err != ErrBadLen {
+	if _, err := ParseInto(new(SRH), odd); err != ErrBadLen {
 		t.Fatalf("odd len: %v", err)
 	}
 	// Zero segments.
 	zero := make([]byte, 8)
 	zero[2] = RoutingType
-	if _, _, err := Parse(zero); err != ErrNoSegments {
+	if _, err := ParseInto(new(SRH), zero); err != ErrNoSegments {
 		t.Fatalf("zero segments: %v", err)
 	}
 }
@@ -250,8 +251,8 @@ func TestRoundTripQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, n, err := Parse(wire)
-		if err != nil || n != len(wire) {
+		got := new(SRH)
+		if n, err := ParseInto(got, wire); err != nil || n != len(wire) {
 			return false
 		}
 		gotPath := got.Path()
@@ -349,7 +350,7 @@ func BenchmarkParse3Segments(b *testing.B) {
 	buf, _ := h.Marshal(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Parse(buf); err != nil {
+		if _, err := ParseInto(new(SRH), buf); err != nil {
 			b.Fatal(err)
 		}
 	}
