@@ -283,13 +283,13 @@ func (t *Table) add(k *packet.FlowKey, h uint32, b *FlowBinding) {
 		id = int32(len(t.ents))
 		t.ents = t.ents[:id+1]
 	}
-	t.ents[id] = entry{src: k.Src.As16(), srcPort: k.SrcPort, dstPort: k.DstPort, dst: t.intern(k.Dst), hash: h}
+	// The entry starts as a list of its own, which set's front unlinks.
+	t.ents[id] = entry{src: k.Src.As16(), srcPort: k.SrcPort, dstPort: k.DstPort, dst: t.intern(k.Dst), hash: h, prev: id, next: id}
 	if netip.AddrFrom16(k.Src.As16()) != k.Src {
 		t.ents[id].interned = true
 		binary.LittleEndian.PutUint32(t.ents[id].src[:4], uint32(t.intern(k.Src)))
 	}
 	t.place(slot{hash: h, id: id})
-	t.pushFront(id)
 	t.set(id, b)
 	t.stats.Inserts++
 }
