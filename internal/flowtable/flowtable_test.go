@@ -309,7 +309,7 @@ func TestSweepComplexityClass(t *testing.T) {
 	}
 }
 
-// flow is the i-th of up to 2^32 distinct flows over 16 VIPs.
+// flow is the i-th of up to 2^32 distinct flows over the pool's VIPs.
 func flow(i int) packet.FlowKey {
 	return packet.FlowKey{
 		Src:     netip.AddrFrom16([16]byte{0x20, 0x01, 0x0d, 0xb8, 0, 0x0c, 12: byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)}),
