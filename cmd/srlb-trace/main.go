@@ -1,19 +1,26 @@
 // Command srlb-trace generates and inspects synthetic Wikipedia access
 // traces in the repository's trace format (millisecond timestamps + URL,
 // the §VI replay input). A generated file stands in for the WikiBench
-// trace the paper replays, and can be fed back into the wiki experiments.
+// trace the paper replays; internal/experiments' TraceWorkload replays
+// such entries, though no command reads a trace file back yet.
 //
 // Usage:
 //
 //	srlb-trace -out day.trace -hours 24
 //	srlb-trace -inspect day.trace
+//
+// A day it cannot synthesize (a negative or non-finite number, -compress
+// below 1, -hours past what a time.Duration holds) is one line on stderr
+// and exit 2, before -out is created.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"strconv"
 	"time"
 
 	"srlb/internal/trace"
@@ -35,6 +42,10 @@ func main() {
 
 	switch {
 	case *out != "":
+		if err := checkDay(); err != nil {
+			fmt.Fprintf(os.Stderr, "srlb-trace: %v\n", err)
+			os.Exit(2)
+		}
 		cfg := wiki.Config{
 			Seed:           *seed,
 			Horizon:        time.Duration(*hours * float64(time.Hour)),
@@ -66,6 +77,26 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+}
+
+// checkDay rejects flag values no synthetic day can be built from, before
+// -out is created: a number that is negative or not finite, a -compress
+// factor below 1, and -hours beyond what a time.Duration holds. Zero
+// keeps meaning wiki.Config's default.
+func checkDay() error {
+	for _, name := range []string{"hours", "scale", "peak", "trough", "compress"} {
+		value := flag.Lookup(name).Value.String()
+		v, _ := strconv.ParseFloat(value, 64)
+		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0) || v < 0:
+			return fmt.Errorf("-%s must be a finite number, not negative (got %s)", name, value)
+		case name == "compress" && v != 0 && v < 1:
+			return fmt.Errorf("-compress is a compression factor, at least 1 (got %s)", value)
+		case name == "hours" && v*float64(time.Hour) >= math.MaxInt64:
+			return fmt.Errorf("-hours %s is longer than a time.Duration holds (%.0f hours)", value, float64(math.MaxInt64)/float64(time.Hour))
+		}
+	}
+	return nil
 }
 
 // synthesize writes the synthetic day to f and closes it: the trace is

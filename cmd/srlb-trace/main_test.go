@@ -3,12 +3,86 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"srlb/internal/trace"
 	"srlb/internal/wiki"
 )
+
+// traceBin is the srlb-trace binary TestMain builds once from this
+// directory.
+var traceBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "srlb-trace-test")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	traceBin = filepath.Join(dir, "srlb-trace")
+	if out, err := exec.Command("go", "build", "-o", traceBin, ".").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "go build: %v\n%s", err, out)
+		os.RemoveAll(dir)
+		os.Exit(1)
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// TestBadInput: a day srlb-trace cannot synthesize is a usage error —
+// exit 2 with one line on stderr naming the flag, never a goroutine dump
+// or an empty trace — and it is refused before -out is created, so an
+// existing file keeps its contents.
+func TestBadInput(t *testing.T) {
+	for _, c := range []struct {
+		culprit string
+		args    []string
+	}{
+		{"-scale", []string{"-scale", "-1"}},
+		{"-peak", []string{"-peak", "-5"}},
+		{"-trough", []string{"-trough", "NaN"}},
+		{"-compress is a compression factor", []string{"-compress", "1e-9"}},
+		{"-compress must", []string{"-compress", "-1"}},
+		{"-hours must", []string{"-hours", "-1"}},
+		{"-hours must be a finite", []string{"-hours", "Inf"}},
+		{"-hours 1e+09", []string{"-hours", "1e9"}},
+	} {
+		t.Run(c.culprit, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "day.trace")
+			const kept = "0 /kept\n"
+			if err := os.WriteFile(out, []byte(kept), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			cmd := exec.Command(traceBin, append([]string{"-out", out}, c.args...)...)
+			cmd.Stdout, cmd.Stderr = &stdout, &stderr
+			err := cmd.Run()
+			exit := 0
+			if ee, ok := err.(*exec.ExitError); ok {
+				exit = ee.ExitCode()
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			msg := stderr.String()
+			if exit != 2 || !strings.Contains(msg, c.culprit) || strings.Count(msg, "\n") != 1 {
+				t.Errorf("exit %d, want 2 with one line naming %s; stderr:\n%s", exit, c.culprit, msg)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("printed a result for input it should refuse:\n%s", stdout.String())
+			}
+			if got, err := os.ReadFile(out); err != nil || string(got) != kept {
+				t.Errorf("-out was touched: %q, %v", got, err)
+			}
+		})
+	}
+}
 
 // closeRecorder is an in-memory file whose Close can fail.
 type closeRecorder struct {
