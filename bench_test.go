@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"srlb"
+	"srlb/internal/experiments"
 )
 
 // benchCluster is the paper's 12-server platform with a fixed bench seed.
@@ -123,7 +124,7 @@ func BenchmarkFig5_CDFLowLoad(b *testing.B) {
 }
 
 // benchWiki runs the compressed day shared by the three wiki figures.
-func benchWiki(b *testing.B) srlb.WikiResult {
+func benchWiki(b *testing.B) experiments.WikiResult {
 	b.Helper()
 	return srlb.RunWiki(srlb.WikiConfig{
 		Cluster: benchCluster,
@@ -210,7 +211,7 @@ func BenchmarkAblation_CandidateCount(b *testing.B) {
 // End-to-end data-plane throughput: each op is one query fully processed
 // (SYN → hunt → accept → steer → respond) including all packet codecs.
 func BenchmarkEndToEndQueries(b *testing.B) {
-	run := srlb.RunPoisson(benchCluster, srlb.SRStatic(4), 120, b.N)
+	run := experiments.RunPoisson(benchCluster, srlb.SRStatic(4), 120, b.N, experiments.PoissonHooks{})
 	benchSink = run.RT.Mean()
 }
 
@@ -221,7 +222,7 @@ func BenchmarkPoissonRun20000(b *testing.B) {
 	l0 := lambda0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run := srlb.RunPoisson(benchCluster, srlb.SRStatic(4), 0.88*l0, 20000)
+		run := experiments.RunPoisson(benchCluster, srlb.SRStatic(4), 0.88*l0, 20000, experiments.PoissonHooks{})
 		benchSink = run.RT.Mean()
 	}
 }

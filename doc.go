@@ -29,7 +29,7 @@
 //     cell is a MultiServiceWorkload; OneService(PoissonService{…}) is
 //     the §V cell and OneService(BurstyService{…}) its flowlet-style
 //     on/off MMPP variant. WikiWorkload (the §VI synthetic Wikipedia
-//     day) and TraceWorkload (recorded traces) are the §VI replays.
+//     day) is the §VI replay.
 //   - Scenario — one cell: cluster × policy × workload × load point.
 //   - Sweep — the cross product policies × load points × seeds over one
 //     workload.
@@ -76,12 +76,11 @@
 // PoolSpecs that several VIPs share, contending for the same workers),
 // attaches N LB replicas through anycast/ECMP (the Maglev/Ananta
 // deployment model that §II-B's consistent-hash selection enables), and
-// schedules lifecycle Events (AddServer, DrainServer, FailServer and
-// their pool-targeted forms AddPoolServer/DrainPoolServer/
-// FailPoolServer, FailReplica, RecoverReplica, the correlated
-// FailPoolRack, the state-inheriting RecoverReplicaWarm, and the
-// RollingUpgradeEvents schedule helper) at virtual times during
-// the run. BuildTopology compiles the value to wired nodes; Cluster
+// schedules lifecycle Events (AddServer, DrainServer, their
+// pool-targeted forms AddPoolServer/DrainPoolServer, FailReplica and
+// RecoverReplica) at virtual times during the run. Warm recovery, rack
+// loss and rolling upgrades are RunResilience's schedules (below).
+// BuildTopology compiles the value to wired nodes; Cluster
 // remains the one-line single-LB/single-VIP wrapper, so existing
 // figures are untouched. Sweeps gain the matching axis: Sweep.Variants
 // derives topology variants (replica counts, event schedules) from the
@@ -196,9 +195,9 @@
 // the invariants). RunPolicies packages the four-way ablation
 // {random2, chash2, wleastload, flowlet} over the interference workload
 // in steady and churn variants as `srlb-bench -experiment policies`
-// (extension_policies.tsv, BENCH_policies.json's cells and table,
-// FeedbackConfig/FeedbackReport re-exports; docs/TOPOLOGY.md covers the
-// plane).
+// (extension_policies.tsv, BENCH_policies.json's cells and table); it
+// is the facade's way onto the feedback plane, which docs/TOPOLOGY.md
+// covers.
 //
 // # Grid sweeps and adaptive replication
 //
@@ -281,9 +280,9 @@
 // the distribution the paper's claims are about. Replication is the
 // Seeds axis: Sweep.Seeds (use DeriveSeeds to expand a base seed into
 // well-separated streams) reruns every (policy, load) cell once per
-// seed, and the stats layer (internal/stats, re-exported here as Dist,
-// Replicated, CellStats, SweepStats) folds the replicates into
-// mean ± 95% confidence intervals.
+// seed, and Runner.RunSweepStats folds the replicates into
+// mean ± 95% confidence intervals (a SweepStats of per-cell CellStats,
+// each metric a Dist from internal/stats).
 //
 // How to read the numbers:
 //
@@ -322,9 +321,11 @@
 //   - internal/des, internal/netsim — simulation kernel and LAN
 //   - internal/livenet — real-time goroutine runtime; its load balancer
 //     is a goroutine binding of the same dispatcher
-//   - internal/workload: internal/wiki, internal/trace, internal/rng
+//   - internal/wiki, internal/trace, internal/rng — the synthetic
+//     Wikipedia day, the trace format, seeded random streams (the
+//     workloads themselves live in internal/experiments)
 //   - internal/stats — replication statistics: Dist, Replicated,
-//     Student-t CIs, seeded bootstrap
+//     Student-t CIs
 //   - internal/sketch — constant-memory streaming metrics: mergeable
 //     log-linear histogram (per run and per time bin), Welford moments,
 //     counters
@@ -333,4 +334,10 @@
 //
 // Use QuickComparison for a two-line comparison run, Sweep/Runner for
 // anything bigger; cmd/srlb-bench does both from the command line.
+//
+// The facade re-exports only what a caller names. Every export has a
+// reader: a package-qualified use in cmd/ or examples/, or in a recipe
+// in this comment or docs/*.md. Results are reached through :=, so their
+// types stay in internal/experiments. surface_test.go enforces the rule
+// for the facade and for every internal package.
 package srlb

@@ -44,10 +44,16 @@ func TestTheoreticalCapacity(t *testing.T) {
 	if got != 240 { // 12 servers × 2 cores / 0.1s
 		t.Fatalf("capacity = %v, want 240", got)
 	}
+	if MeanDemand != 100*time.Millisecond {
+		t.Fatalf("MeanDemand = %v, want the paper's 100ms", MeanDemand)
+	}
 }
 
 func TestRunPoissonBasics(t *testing.T) {
 	run := RunPoisson(smallCluster(1), SRc(4), 40, 2000, PoissonHooks{})
+	if run.Spec.Name != "SR 4" {
+		t.Fatalf("run carries spec %q, want the one it ran", run.Spec.Name)
+	}
 	if run.RT.Count()+run.Refused+run.Unfinished != 2000 {
 		t.Fatalf("accounting: ok=%d refused=%d unfinished=%d",
 			run.RT.Count(), run.Refused, run.Unfinished)

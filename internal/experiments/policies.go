@@ -50,7 +50,7 @@ type PoliciesConfig struct {
 	// ChurnBy is how many shared-pool servers the churn variant drains
 	// mid-run and later re-adds (default a third of the pool, at least 1).
 	ChurnBy int
-	// Policies defaults to AblationPolicies() with FlowletGap applied.
+	// Policies defaults to ablationPolicies(FlowletGap).
 	Policies []PolicySpec
 }
 

@@ -372,13 +372,6 @@ func (t *Table) MarkClosing(now time.Duration, key packet.FlowKey) bool {
 	return true
 }
 
-// Delete removes the entry immediately.
-func (t *Table) Delete(key packet.FlowKey) {
-	if id, _ := t.find(&key); id != 0 {
-		t.remove(id)
-	}
-}
-
 // Sweep removes all entries expired at time now and returns how many were
 // collected. Call periodically (the LB does) to bound memory between
 // lookups. It walks from the LRU tail up to the first live in-order entry,

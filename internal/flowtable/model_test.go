@@ -306,7 +306,7 @@ func FuzzFlowtableModel(f *testing.F) {
 					t.Fatalf("op %d: MarkClosing = %v, model %v", op, got, want)
 				}
 			case 6:
-				tb.Delete(k)
+				tb.deleteKey(k)
 				m.Delete(k)
 			case 7:
 				if got, want := tb.Sweep(now), m.Sweep(now); got != want {

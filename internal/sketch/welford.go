@@ -23,15 +23,6 @@ func (w *Welford) Count() int { return int(w.n) }
 // Mean returns the running mean (0 when empty).
 func (w *Welford) Mean() float64 { return w.mean }
 
-// Variance returns the unbiased sample variance (n−1 denominator,
-// 0 when n < 2) — the same convention as stats.Variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // Merge folds other into w (Chan et al. pairwise combination). The
 // result equals single-stream ingestion up to floating-point rounding.
 func (w *Welford) Merge(other Welford) {

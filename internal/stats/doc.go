@@ -33,18 +33,14 @@
 // Mean CIs use the Student-t distribution with n−1 degrees of freedom
 // (TInv95), the standard small-sample interval: with the usual 3–10
 // seeds per cell, the normal approximation would be badly anticonservative
-// (z=1.96 vs t=4.30 at n=3). A Dist with n < 2 has CI95 = 0 — a single
-// replicate carries no dispersion information; callers should treat a
-// zero CI at N == 1 as "unknown", not "exact".
+// (z=1.96 vs t=4.30 at n=3). A Dist with n < 2 has CI95 = +Inf — a
+// single replicate carries no dispersion information, so its interval
+// is "unknown", never "exact"; ReportedCI95 maps it to 0 for output.
 //
-// For order statistics of a single sample (percentiles), where the t
-// interval does not apply, the package provides a seeded bootstrap
-// percentile interval, BootstrapCI, for any statistic. (CDF bands are
-// across-seed bands of per-seed sketch quantiles; see
-// experiments.CDFBand.) Bootstrap resampling draws from an explicit
-// seed through the repo's central internal/rng streams, so results are
-// deterministic and reproducible — the same property the Runner
-// guarantees for simulation cells.
+// Percentiles are summarized the same way: a per-seed sketch quantile
+// is one observation, and CDF bands are across-seed bands of them (see
+// experiments.CDFBand). Percentile is the exact-sample definition those
+// sketch quantiles are tested against.
 //
 // # Choosing the number of seeds
 //

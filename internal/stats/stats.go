@@ -2,10 +2,7 @@ package stats
 
 import (
 	"math"
-	"math/rand/v2"
 	"sort"
-
-	"srlb/internal/rng"
 )
 
 // Mean returns the arithmetic mean of xs (0 when empty).
@@ -59,12 +56,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	return sortedPercentile(sorted, p)
-}
-
-// sortedPercentile is Percentile over an already-sorted slice.
-func sortedPercentile(sorted []float64, p float64) float64 {
-	n := len(sorted)
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -80,9 +71,6 @@ func sortedPercentile(sorted []float64, p float64) float64 {
 	frac := pos - float64(lo)
 	return sorted[lo] + frac*(sorted[hi]-sorted[lo])
 }
-
-// Median returns the 0.5-quantile.
-func Median(xs []float64) float64 { return Percentile(xs, 0.5) }
 
 // tTable95 holds the two-sided 95% Student-t critical values
 // t_{0.975,df} for df = 1…30.
@@ -198,49 +186,4 @@ func NewReplicated[T any](values []T, proj func(T) float64) Replicated[T] {
 		xs[i] = proj(v)
 	}
 	return Replicated[T]{Values: values, Dist: Describe(xs)}
-}
-
-// Interval is a two-sided confidence interval.
-type Interval struct {
-	Lo, Hi float64
-}
-
-// bootstrapStream is the rng stream id of bootstrap resampling — all
-// randomness in the repo flows through internal/rng so the repo-wide
-// seeding discipline reaches this package too.
-const bootstrapStream = 0xb007
-
-// newRand returns the deterministic source bootstrap resampling draws
-// from for the given seed.
-func newRand(seed uint64) *rand.Rand {
-	return rng.Split(seed, bootstrapStream)
-}
-
-// BootstrapCI returns the percentile-bootstrap confidence interval at
-// the given confidence level (e.g. 0.95) for an arbitrary statistic of
-// xs, over `resamples` with-replacement resamples. The resampling
-// stream is a pure function of seed, so the interval is deterministic.
-// Degenerate inputs (empty xs, resamples < 1, conf outside (0,1))
-// yield the statistic's point value as a zero-width interval.
-func BootstrapCI(xs []float64, stat func([]float64) float64, resamples int, conf float64, seed uint64) Interval {
-	if len(xs) == 0 || resamples < 1 || conf <= 0 || conf >= 1 {
-		v := stat(xs)
-		return Interval{Lo: v, Hi: v}
-	}
-	r := newRand(seed)
-	n := len(xs)
-	buf := make([]float64, n)
-	vals := make([]float64, resamples)
-	for b := range vals {
-		for i := range buf {
-			buf[i] = xs[r.IntN(n)]
-		}
-		vals[b] = stat(buf)
-	}
-	sort.Float64s(vals)
-	alpha := (1 - conf) / 2
-	return Interval{
-		Lo: sortedPercentile(vals, alpha),
-		Hi: sortedPercentile(vals, 1-alpha),
-	}
 }

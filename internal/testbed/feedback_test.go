@@ -37,7 +37,7 @@ func TestFeedbackStalenessAndRecovery(t *testing.T) {
 		}},
 		// Horizon 0: no automatic ticker — the test drives publication.
 		Feedback: feedback.Config{Enabled: true},
-		Events:   []Event{FailServer(failAt, 0, 1)},
+		Events:   []Event{failServer(failAt, 0, 1)},
 	})
 	if tb.Feedback == nil {
 		t.Fatal("feedback plane not built")

@@ -109,7 +109,7 @@ func generatedParityDigest() uint64 {
 		Events: []Event{
 			DrainPoolServer(150*time.Millisecond, GenPoolName(0), 1),
 			AddPoolServer(300*time.Millisecond, GenPoolName(2)),
-			FailPoolServer(450*time.Millisecond, GenPoolName(1), 0),
+			failPoolServer(450*time.Millisecond, GenPoolName(1), 0),
 		},
 	})
 	tb := Build(top)
@@ -168,7 +168,7 @@ func TestGeneratedPoolEventsConservation(t *testing.T) {
 	span := time.Duration(n) * step
 	events := ResolveEvents([]Event{
 		DrainPoolServer(0, GenPoolName(0), 0).AtFraction(0.3),
-		FailPoolServer(0, GenPoolName(0), 1).AtFraction(0.5),
+		failPoolServer(0, GenPoolName(0), 1).AtFraction(0.5),
 	}, span)
 	top := GenerateTopology(GenSpec{
 		Seed:           31,

@@ -39,7 +39,7 @@ func legacyParityDigest() uint64 {
 		Events: []Event{
 			AddServer(80*time.Millisecond, 0),
 			DrainServer(200*time.Millisecond, 0, 1),
-			FailServer(320*time.Millisecond, 1, 0),
+			failServer(320*time.Millisecond, 1, 0),
 			FailReplica(400*time.Millisecond, 1),
 			RecoverReplica(520*time.Millisecond, 1),
 		},

@@ -105,7 +105,7 @@ func TestSchemeLifecycleAcrossChurnAndRecovery(t *testing.T) {
 			AddServer(80*time.Millisecond, 0),
 			DrainServer(200*time.Millisecond, 0, 1),
 			FailReplica(300*time.Millisecond, 1),
-			FailServer(380*time.Millisecond, 0, 2),
+			failServer(380*time.Millisecond, 0, 2),
 			RecoverReplica(520*time.Millisecond, 1),
 			DrainServer(600*time.Millisecond, 0, 0),
 		},

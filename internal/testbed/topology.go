@@ -307,11 +307,6 @@ func DrainServer(at time.Duration, v, i int) Event {
 	return Event{At: at, Kind: EventServerDrain, VIP: v, Server: i}
 }
 
-// FailServer returns a fail-stop event for server i of VIP v at time at.
-func FailServer(at time.Duration, v, i int) Event {
-	return Event{At: at, Kind: EventServerFail, VIP: v, Server: i}
-}
-
 // AddPoolServer returns an event growing the named pool by one server at
 // time at — the pool-targeted form of AddServer.
 func AddPoolServer(at time.Duration, pool string) Event {
@@ -323,12 +318,6 @@ func AddPoolServer(at time.Duration, pool string) Event {
 // the server from its candidates at once).
 func DrainPoolServer(at time.Duration, pool string, i int) Event {
 	return Event{At: at, Kind: EventServerDrain, Pool: pool, Server: i}
-}
-
-// FailPoolServer returns a fail-stop event for server i of the named
-// pool at time at.
-func FailPoolServer(at time.Duration, pool string, i int) Event {
-	return Event{At: at, Kind: EventServerFail, Pool: pool, Server: i}
 }
 
 // FailReplica returns an event failing LB replica r at time at.

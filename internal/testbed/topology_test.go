@@ -12,6 +12,17 @@ import (
 	"srlb/internal/selection"
 )
 
+// failServer is a fail-stop event for server i of VIP v at time at.
+func failServer(at time.Duration, v, i int) Event {
+	return Event{At: at, Kind: EventServerFail, VIP: v, Server: i}
+}
+
+// failPoolServer is a fail-stop event for server i of the named pool at
+// time at.
+func failPoolServer(at time.Duration, pool string, i int) Event {
+	return Event{At: at, Kind: EventServerFail, Pool: pool, Server: i}
+}
+
 // chashScheme/chashFallback build the §II-B consistent-hash selection —
 // what lets stateless LB replicas agree on flow→server without talking.
 func chashScheme(t testing.TB) SchemeFn {
@@ -165,7 +176,7 @@ func TestTopologyServerFailStop(t *testing.T) {
 	tb := Build(Topology{
 		Seed:   17,
 		VIPs:   []VIPSpec{{Servers: 4}},
-		Events: []Event{FailServer(100*time.Millisecond, 0, 1)},
+		Events: []Event{failServer(100*time.Millisecond, 0, 1)},
 	})
 	results := launchEvery(tb, n, time.Millisecond, 20*time.Millisecond)
 
@@ -252,7 +263,7 @@ func TestTopologyValidateErrors(t *testing.T) {
 			"server 5 out of range",
 		},
 		"fail unknown server": {
-			Topology{VIPs: []VIPSpec{{Servers: 2}}, Events: []Event{FailServer(time.Second, 0, 2)}},
+			Topology{VIPs: []VIPSpec{{Servers: 2}}, Events: []Event{failServer(time.Second, 0, 2)}},
 			"server 2 out of range",
 		},
 		"replica out of range": {
@@ -339,7 +350,7 @@ func TestTopologyValidateErrors(t *testing.T) {
 			Topology{
 				Pools:  []PoolSpec{{Name: "shared", Servers: 2}},
 				VIPs:   []VIPSpec{{Pool: "shared"}},
-				Events: []Event{FailPoolServer(0, "shared", 7)},
+				Events: []Event{failPoolServer(0, "shared", 7)},
 			},
 			`server 7 out of range for pool "shared"`,
 		},

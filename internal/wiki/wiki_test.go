@@ -94,6 +94,15 @@ func TestSynthesizeShortWindow(t *testing.T) {
 	if len(entries) != wikiN+statN {
 		t.Fatalf("entries = %d, want %d", len(entries), wikiN+statN)
 	}
+	pages := 0
+	for _, e := range entries {
+		if e.IsWikiPage() {
+			pages++
+		}
+	}
+	if pages != wikiN {
+		t.Fatalf("%d entries are wiki pages, Synthesize counted %d", pages, wikiN)
+	}
 }
 
 func TestSynthesizeDeterministic(t *testing.T) {

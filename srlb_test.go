@@ -1,9 +1,7 @@
 package srlb_test
 
 import (
-	"bytes"
 	"context"
-	"strings"
 	"testing"
 
 	"srlb"
@@ -19,17 +17,6 @@ func TestQuickComparison(t *testing.T) {
 	}
 }
 
-func TestFacadeRunPoisson(t *testing.T) {
-	cluster := srlb.Cluster{Seed: 2, Servers: 4}
-	run := srlb.RunPoisson(cluster, srlb.SRDynamic(), 40, 2000)
-	if run.RT.Count()+run.Refused+run.Unfinished != 2000 {
-		t.Fatal("query accounting broken")
-	}
-	if run.Spec.Name != "SR dyn" {
-		t.Fatalf("spec = %q", run.Spec.Name)
-	}
-}
-
 func TestFacadePolicyConstructors(t *testing.T) {
 	if srlb.RR().Candidates != 1 {
 		t.Fatal("RR candidates")
@@ -37,43 +24,8 @@ func TestFacadePolicyConstructors(t *testing.T) {
 	if srlb.SRStatic(8).Name != "SR 8" {
 		t.Fatal("SRStatic name")
 	}
-	if srlb.SRStaticK(4, 3).Candidates != 3 {
-		t.Fatal("SRStaticK candidates")
-	}
 	if len(srlb.PaperPolicies()) != 5 {
 		t.Fatal("paper policies")
-	}
-	if srlb.MeanDemand.Milliseconds() != 100 {
-		t.Fatal("mean demand must be the paper's 100ms")
-	}
-}
-
-func TestSynthesizeAndReadTrace(t *testing.T) {
-	var buf bytes.Buffer
-	day := srlb.WikiDay{Seed: 3, Compression: 2880} // 24h -> 30s
-	wikiN, statN, err := srlb.SynthesizeWikiTrace(day, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wikiN == 0 || statN == 0 {
-		t.Fatalf("counts %d/%d", wikiN, statN)
-	}
-	entries, err := srlb.ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != wikiN+statN {
-		t.Fatalf("read %d, want %d", len(entries), wikiN+statN)
-	}
-	sawWiki := false
-	for _, e := range entries {
-		if strings.Contains(e.URL, "/wiki/index.php") {
-			sawWiki = true
-			break
-		}
-	}
-	if !sawWiki {
-		t.Fatal("no wiki pages in trace")
 	}
 }
 
@@ -108,8 +60,7 @@ func TestFacadeScenarioWorkloads(t *testing.T) {
 	if out.RT.Count()+out.Refused+out.Unfinished != 1000 {
 		t.Fatal("bursty accounting broken")
 	}
-	var stats srlb.ClusterStats = out.Cluster
-	if len(stats.ServerCompleted) != 4 {
+	if len(out.Cluster.ServerCompleted) != 4 {
 		t.Fatal("missing per-server completions")
 	}
 	if len(srlb.DeriveSeeds(1, 3)) != 3 {
@@ -145,7 +96,7 @@ func TestFacadeReplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cell srlb.CellStats = agg.Cell(1, 0)
+	cell := agg.Cell(1, 0)
 	if cell.N() != 3 || cell.MeanCI95() <= 0 {
 		t.Fatalf("replication not aggregated: n=%d ci=%v", cell.N(), cell.MeanCI95())
 	}
@@ -153,14 +104,5 @@ func TestFacadeReplication(t *testing.T) {
 	var d srlb.Dist = srlb.Describe([]float64{1, 2, 3})
 	if d.N != 3 || d.Mean != 2 {
 		t.Fatalf("Describe: %+v", d)
-	}
-	rep := srlb.NewReplicated([]int{1, 2, 3}, func(v int) float64 { return float64(v) })
-	if rep.Dist.Mean != 2 {
-		t.Fatalf("NewReplicated: %+v", rep.Dist)
-	}
-	mean := func(xs []float64) float64 { return srlb.Describe(xs).Mean }
-	iv := srlb.BootstrapCI([]float64{1, 2, 3, 4}, mean, 200, 0.95, 1)
-	if iv.Lo > 2.5 || iv.Hi < 2.5 {
-		t.Fatalf("bootstrap interval [%v, %v] misses the mean", iv.Lo, iv.Hi)
 	}
 }
