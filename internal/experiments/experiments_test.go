@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"runtime"
 	"strings"
 	"testing"
@@ -262,6 +263,47 @@ func TestWikiReplayShapes(t *testing.T) {
 	}
 	if len(res.Summaries()) != 2 {
 		t.Fatal("summaries wrong")
+	}
+}
+
+// A wiki-day cell on a cluster that gains a server halfway through: the
+// rate-relative event resolves against the day's span, the late server
+// gets its own replica cache (one hit rate per server), and every query
+// of the day ends as exactly one of ok-wiki, ok-static or refused.
+func TestWikiCellAccountsForLateServer(t *testing.T) {
+	day := wiki.Config{Seed: 11, Compression: 2880}
+	cluster := ClusterConfig{Seed: 11, Servers: 5,
+		Events: []testbed.Event{testbed.AddServer(0, 0).AtFraction(0.5)}}
+	cell := Scenario{Cluster: cluster, Policy: SRc(4), Workload: WikiWorkload{Day: day}, Load: 1}.Run(context.Background())
+	if cell.Err != nil {
+		t.Fatal(cell.Err)
+	}
+	run := cell.Outcome.Wiki
+	if got, want := len(run.HitRates), cluster.Servers+1; got != want {
+		t.Fatalf("%d hit rates, want %d (the added server has no replica cache)", got, want)
+	}
+	for i, h := range run.HitRates {
+		if h <= 0 || h >= 1 {
+			t.Fatalf("replica %d hit rate %v implausible", i, h)
+		}
+	}
+
+	stream := wiki.NewStream(day)
+	for _, _, done := stream.Next(); !done; _, _, done = stream.Next() {
+	}
+	wikiN, staticN := stream.Counts()
+	if got := run.WikiAll.Count() + run.StaticAll.Count() + run.Refused; got != wikiN+staticN {
+		t.Fatalf("accounting: %d results for %d launched queries", got, wikiN+staticN)
+	}
+	launched := 0
+	for _, n := range run.Launched {
+		launched += n
+	}
+	if launched != wikiN {
+		t.Fatalf("per-bin launches sum to %d, want %d wiki pages", launched, wikiN)
+	}
+	if cell.Outcome.RT != run.WikiAll || cell.Outcome.Refused != run.Refused || cell.Outcome.PerVIP != nil {
+		t.Fatal("cell outcome must carry the wiki class as RT, the run's refusals, and no per-VIP rows")
 	}
 }
 
