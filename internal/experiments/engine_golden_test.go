@@ -9,8 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"srlb/internal/testbed"
-	"srlb/internal/trace"
 	"srlb/internal/wiki"
 )
 
@@ -237,55 +235,6 @@ func TestGoldenWiki(t *testing.T) {
 	goldenTSV(t, "wiki_fig6.tsv", res.WriteFig6TSV)
 	goldenTSV(t, "wiki_fig7.tsv", res.WriteFig7TSV)
 	goldenTSV(t, "wiki_fig8.tsv", res.WriteFig8TSV)
-}
-
-// goldenTraceReplay is a recorded trace replayed at 2x on a cluster that
-// gains a server halfway through: the rate-relative event resolves
-// against the trace's own span, and the late server gets its own replica
-// cache.
-func goldenTraceReplay(t *testing.T) (int, CellResult) {
-	t.Helper()
-	var raw bytes.Buffer
-	if _, _, err := wiki.Synthesize(wiki.Config{Seed: 11, Compression: 2880}, trace.NewWriter(&raw)); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := trace.ReadAll(&raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster := ClusterConfig{Seed: 11, Servers: 11,
-		Events: []testbed.Event{testbed.AddServer(0, 0).AtFraction(0.5)}}
-	cell := Scenario{Cluster: cluster, Policy: SRc(4),
-		Workload: TraceWorkload{Entries: entries, BinWidth: 10 * time.Second}, Load: 2}.Run(context.Background())
-	if cell.Err != nil {
-		t.Fatal(cell.Err)
-	}
-	return len(entries), cell
-}
-
-func TestGoldenTraceReplay(t *testing.T) {
-	entries, cell := goldenTraceReplay(t)
-	run := *cell.Outcome.Wiki
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "entries\t%d\n", entries)
-	fmt.Fprintf(&b, "cell\tok=%d\tmean_ns=%d\trefused=%d\tunfinished=%d\n",
-		cell.Outcome.RT.Count(), cell.Outcome.RT.Mean(), cell.Outcome.Refused, cell.Outcome.Unfinished)
-	fmt.Fprintf(&b, "wiki\tn=%d\tmean_ns=%d\tp50_ns=%d\tp75_ns=%d\tp99_ns=%d\tmax_ns=%d\n",
-		run.WikiAll.Count(), run.WikiAll.Mean(), run.WikiAll.Median(),
-		run.WikiAll.Quantile(0.75), run.WikiAll.Quantile(0.99), run.WikiAll.Max())
-	fmt.Fprintf(&b, "static\tn=%d\tmean_ns=%d\tp50_ns=%d\n",
-		run.StaticAll.Count(), run.StaticAll.Mean(), run.StaticAll.Median())
-	fmt.Fprintf(&b, "refused\t%d\n", run.Refused)
-	for i, h := range run.HitRates {
-		fmt.Fprintf(&b, "hit_rate\t%d\t%.6f\n", i, h)
-	}
-	fmt.Fprintf(&b, "bin_width_ns\t%d\n", run.WikiBins.Width())
-	for i := 0; i < run.WikiBins.NumBins(); i++ {
-		fmt.Fprintf(&b, "bin\t%d\tlaunched=%d\tok=%d\tp50_ns=%d\n",
-			i, run.Launched[i], run.WikiBins.Bin(i).Count(), run.WikiBins.Bin(i).Median())
-	}
-	checkGolden(t, "trace_replay.txt", b.String())
 }
 
 // WriteSummary minus the lines that depend on the host (heap, wall

@@ -305,21 +305,6 @@ func (c ClusterConfig) vipSpec(spec PolicySpec) testbed.VIPSpec {
 	return vip
 }
 
-// topology lowers the cluster + policy pair into the declarative
-// testbed.Topology. A default ClusterConfig compiles to the identical
-// single-LB/single-VIP cluster the pre-Topology testbed built.
-func (c ClusterConfig) topology(spec PolicySpec) testbed.Topology {
-	c = c.withDefaults()
-	return testbed.Topology{
-		Seed:     c.Seed,
-		Replicas: c.Replicas,
-		Clients:  c.Clients,
-		VIPs:     []testbed.VIPSpec{c.vipSpec(spec)},
-		Events:   c.Events,
-		Feedback: c.Feedback,
-	}
-}
-
 // PoissonRun is the outcome of one (policy, rate) Poisson experiment.
 type PoissonRun struct {
 	Spec       PolicySpec

@@ -43,10 +43,9 @@ type HorizonResult struct {
 	Rho     float64
 	Lambda0 float64
 	Policy  string
-	// RT sketches the response times of completed queries; Seconds holds
-	// their exact streaming mean/variance; Counters the accounting.
+	// RT sketches the response times of completed queries; Counters is
+	// the accounting.
 	RT       *sketch.Histogram
-	Seconds  sketch.Welford
 	Counters sketch.Counters
 	// PeakHeap is the largest live-heap sample (runtime.MemStats
 	// HeapAlloc) observed during the run — the constant-memory claim.
@@ -83,16 +82,13 @@ func (c HorizonConfig) withDefaults() HorizonConfig {
 	return c
 }
 
-// RunHorizon executes the soak: one PoissonService stream through the
-// replay engine — the cell OneService(PoissonService) runs — with a heap
-// sample every SampleEvery launches, and query counts wide enough for 10⁸ and
-// beyond. The engine holds one future arrival and the sink is sketches, so
-// nothing grows with the horizon.
+// RunHorizon executes the soak: the cell OneService(PoissonService) runs,
+// with a heap sample every SampleEvery launches and query counts wide
+// enough for 10⁸ and beyond. The engine holds one future arrival and the
+// sink is sketches, so nothing grows with the horizon.
 func RunHorizon(ctx context.Context, cfg HorizonConfig) (HorizonResult, error) {
 	cfg = cfg.withDefaults()
 	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
-	svc := PoissonService{Lambda0: cfg.Lambda0, Queries: int(cfg.Queries)}
-	span := checkSpan(svc, cfg.Rho, svc.Span(cfg.Rho))
 
 	var peak uint64
 	var ms runtime.MemStats
@@ -105,32 +101,56 @@ func RunHorizon(ctx context.Context, cfg HorizonConfig) (HorizonResult, error) {
 			cfg.Progress(done, cfg.Queries)
 		}
 	}
-
-	top := cfg.Cluster.topology(cfg.Policy)
-	stream := &sampledStream{
-		ServiceStream: svc.Open(&top.VIPs[0], top.Seed, cfg.Rho),
-		every:         cfg.SampleEvery,
-		sample:        sample,
+	svc := sampledPoisson{
+		PoissonService: PoissonService{Lambda0: cfg.Lambda0, Queries: int(cfg.Queries)},
+		every:          cfg.SampleEvery,
+		sample:         sample,
+	}
+	// The testbed is kept for its event count and simulated span.
+	var tb *testbed.Testbed
+	hooks := cfg.Hooks
+	hooks.Testbed = func(built *testbed.Testbed, horizon time.Duration) {
+		tb = built
+		if cfg.Hooks.Testbed != nil {
+			cfg.Hooks.Testbed(built, horizon)
+		}
 	}
 	start := time.Now()
 	sample(0)
-	tb, sink, err := replay(ctx, top, []ServiceStream{stream}, span, 0, false, cfg.Hooks)
-	total := sink.Total()
-	sample(total.Counters.Offered)
+	out, err := OneService(svc).run(ctx, cfg.Cluster, cfg.Policy, cfg.Rho, hooks)
+	vip := out.PerVIP[0]
+	counters := sketch.Counters{
+		Offered:    uint64(vip.Offered),
+		OK:         uint64(vip.RT.Count()),
+		Refused:    uint64(vip.Refused),
+		Unfinished: uint64(vip.Unfinished),
+	}
+	sample(counters.Offered)
 
 	return HorizonResult{
 		Queries:  cfg.Queries,
 		Rho:      cfg.Rho,
 		Lambda0:  cfg.Lambda0,
 		Policy:   cfg.Policy.Name,
-		RT:       total.RT,
-		Seconds:  total.Seconds,
-		Counters: total.Counters,
+		RT:       out.RT,
+		Counters: counters,
 		PeakHeap: peak,
 		Events:   tb.Sim.Processed(),
 		SimTime:  tb.Sim.Now(),
 		Wall:     time.Since(start),
 	}, err
+}
+
+// sampledPoisson is the soak's service: a PoissonService whose stream
+// calls sample every `every` launches.
+type sampledPoisson struct {
+	PoissonService
+	every  uint64
+	sample func(done uint64)
+}
+
+func (s sampledPoisson) Open(spec *testbed.VIPSpec, seed uint64, load float64) ServiceStream {
+	return &sampledStream{ServiceStream: s.PoissonService.Open(spec, seed, load), every: s.every, sample: s.sample}
 }
 
 // sampledStream calls sample every `every` launches. The engine asks for

@@ -237,32 +237,17 @@ func (s *demandStream) Next() (time.Duration, testbed.Query, bool) {
 // WikiService replays the §VI synthetic Wikipedia day as one service:
 // diurnal NHPP arrivals, Zipf page popularity, and a per-server memcached
 // demand model installed on the service's pool. The load point is a
-// replay speed-up (load 2 replays twice as fast), exactly as in
-// TraceWorkload, so the service sweeps intensity coherently with its
-// Poisson neighbors.
+// replay speed-up (load 2 replays twice as fast), so the service sweeps
+// intensity coherently with its Poisson neighbors.
 type WikiService struct {
 	// Day parameterizes the synthetic trace. Day.Seed 0 derives the
 	// stream from the scenario seed (so replicates vary the day);
 	// setting it pins the trace across seeds.
 	Day wiki.Config
-	// Cost is the per-server service-cost model (zero = defaults).
-	Cost wiki.CostModel
-	// Pinned is the recorded-day replay mode: one fixed day — its
-	// arrival stream, page sequence, AND the per-server cache cost
-	// streams — replayed identically across policies × seeds, all
-	// derived from Day.Seed (default 1 when zero) instead of the
-	// scenario seed. Replicates then differ only in the cluster's own
-	// randomness (candidate selection, cross-service interleaving), so
-	// across-seed variance of the wiki rows collapses to the part the
-	// policy comparison actually cares about.
-	Pinned bool
 }
 
 // Label implements ServiceWorkload.
 func (s WikiService) Label() string {
-	if s.Pinned {
-		return fmt.Sprintf("wiki-day(pinned,compress=%.0fx)", s.Day.Compression)
-	}
 	return fmt.Sprintf("wiki-day(compress=%.0fx)", s.Day.Compression)
 }
 
@@ -273,31 +258,23 @@ func (s WikiService) Span(load float64) time.Duration {
 
 // Open implements ServiceWorkload.
 func (s WikiService) Open(spec *testbed.VIPSpec, seed uint64, load float64) ServiceStream {
-	day := s.Day
-	if day.Seed == 0 {
-		day.Seed = seed
-		if s.Pinned {
-			day.Seed = 1
-		}
-	}
-	// Pinned mode freezes the replica cost streams with the day.
-	repSeed := seed
-	if s.Pinned {
-		repSeed = day.Seed
-	}
-	installWikiReplicas(spec, day, s.Cost, repSeed)
-	return &wikiServiceStream{stream: wiki.NewStream(day), speed: load}
+	stream, _ := s.open(spec, seed, load)
+	return stream
 }
 
-// installWikiReplicas installs the §VI demand model on spec: one replica
-// per server computing demand from the URL and its cache state. Caches
+// open is Open that also returns the replicas it installs on spec: one
+// per server, computing demand from the URL and its cache state. Caches
 // start prewarmed with the popular head (the paper's replicas are
 // long-running MediaWiki installations, not cold starts) and are scaled
 // to the day's page catalog so hit rates survive compression. The
 // returned slice fills in as Build (and later server-add events) create
 // the servers.
-func installWikiReplicas(spec *testbed.VIPSpec, day wiki.Config, cost wiki.CostModel, seed uint64) *[]*wiki.Replica {
-	model := cost.ScaledTo(day.CatalogPages())
+func (s WikiService) open(spec *testbed.VIPSpec, seed uint64, load float64) (ServiceStream, *[]*wiki.Replica) {
+	day := s.Day
+	if day.Seed == 0 {
+		day.Seed = seed
+	}
+	model := wiki.CostModel{}.ScaledTo(day.CatalogPages())
 	model.Prewarm = true
 	replicas := new([]*wiki.Replica)
 	spec.Demand = func(i int) vrouter.DemandFn {
@@ -308,7 +285,7 @@ func installWikiReplicas(spec *testbed.VIPSpec, day wiki.Config, cost wiki.CostM
 		(*replicas)[i] = rep
 		return rep.Demand
 	}
-	return replicas
+	return &wikiServiceStream{stream: wiki.NewStream(day), speed: load}, replicas
 }
 
 // wikiServiceStream adapts the synthetic day's entry stream, rescaling

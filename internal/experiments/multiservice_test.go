@@ -234,52 +234,6 @@ func TestRunMultiServiceSmall(t *testing.T) {
 	checkGolden(t, "multiservice_plot.txt", chart.String())
 }
 
-// Pinned-trace mode: replaying one recorded day across seeds must cut
-// the across-seed variance of the wiki rows vs seed-derived days — with
-// the trace (arrivals, page sequence, per-server cost streams) frozen,
-// replicates differ only in the cluster's own randomness.
-func TestWikiServicePinnedTraceCutsVariance(t *testing.T) {
-	run := func(pinned bool) CellStats {
-		agg, err := Runner{Workers: 4}.RunSweepStats(context.Background(), Sweep{
-			Cluster:  ClusterConfig{Seed: 91, Servers: 4},
-			Policies: []PolicySpec{SRc(4)},
-			Loads:    []float64{0.8},
-			Seeds:    DeriveSeeds(91, 4),
-			Workload: MultiServiceWorkload{Services: []ServiceSpec{
-				{Name: "wiki", Workload: WikiService{
-					Day:    wiki.Config{Compression: 5760, FullPeakRate: 60, FullTroughRate: 30},
-					Pinned: pinned,
-				}},
-			}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs := agg.Cell(0, 0)
-		if cs.N() != 4 || cs.VIPs != nil {
-			t.Fatalf("aggregate has n=%d, %d VIPs — want 4 replicates of 1 service, no per-service breakdown", cs.N(), len(cs.VIPs))
-		}
-		return cs
-	}
-	pinnedCS, freeCS := run(true), run(false)
-	if !strings.Contains(pinnedCS.Workload, "pinned") {
-		t.Fatalf("pinned run's workload label %q does not say so", pinnedCS.Workload)
-	}
-	// A pinned day offers the identical query count every seed; a
-	// seed-derived day resamples the NHPP and varies.
-	if s := pinnedCS.Offered.Dist.Std; s != 0 {
-		t.Fatalf("pinned replay varies its offered count across seeds (std=%.2f)", s)
-	}
-	if s := freeCS.Offered.Dist.Std; s == 0 {
-		t.Fatal("seed-derived replay offered identical counts — day not seed-derived?")
-	}
-	pv, fv := pinnedCS.Mean.Dist.Std, freeCS.Mean.Dist.Std
-	if pv >= fv {
-		t.Fatalf("pinned across-seed mean-RT std %.6f not below seed-derived %.6f", pv, fv)
-	}
-	t.Logf("across-seed mean-RT std: pinned %.6fs vs seed-derived %.6fs", pv, fv)
-}
-
 // A batch-heavy service mix is where multi-service hunting pays off: the
 // batch VIP's bursts must not be visible in the web VIP's outcome under
 // Service Hunting any more than under RR — and within the batch VIP,

@@ -2,18 +2,22 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"srlb/internal/feedback"
 	"srlb/internal/testbed"
-	"srlb/internal/trace"
 	"srlb/internal/wiki"
 )
 
 // A feedback-enabled cluster must publish load reports whichever caller
-// drives the engine. RunHorizon and the wiki/trace replay used to leave
+// drives the engine. RunHorizon and the wiki replay used to leave
 // Feedback.Horizon at zero — no publishing ticker, zero ingests — and the
 // load-aware policies silently ran as random2 there.
 func TestFeedbackPlanePublishesUnderHorizon(t *testing.T) {
@@ -32,14 +36,14 @@ func TestFeedbackPlanePublishesUnderHorizon(t *testing.T) {
 
 func TestFeedbackPlanePublishesUnderWikiReplay(t *testing.T) {
 	cluster := ClusterConfig{Seed: 8, Servers: 4, Feedback: feedback.Config{Enabled: true}}
-	top := cluster.topology(WeightedLeastLoadPolicy())
-	svc := WikiService{Day: wiki.Config{Seed: 8, Compression: 28800}}
-	stream := svc.Open(&top.VIPs[0], cluster.Seed, 1)
-	tb, sink, err := replay(context.Background(), top, []ServiceStream{stream}, svc.Span(1), 0, false, PoissonHooks{})
+	var tb *testbed.Testbed
+	hooks := PoissonHooks{Testbed: func(built *testbed.Testbed, _ time.Duration) { tb = built }}
+	w := OneService(WikiService{Day: wiki.Config{Seed: 8, Compression: 28800}})
+	out, err := w.run(context.Background(), cluster, WeightedLeastLoadPolicy(), 1, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sink.Total().Counters.Offered == 0 {
+	if out.PerVIP[0].Offered == 0 {
 		t.Fatal("replay launched nothing — test vacuous")
 	}
 	if got := tb.Feedback.Stats().Ingests; got == 0 {
@@ -47,8 +51,8 @@ func TestFeedbackPlanePublishesUnderWikiReplay(t *testing.T) {
 	}
 }
 
-// A workload without an arrival span — Lambda0 forgotten, load ≤ 0, an
-// empty-span trace — used to come back as an empty cell with a nil error,
+// A workload without an arrival span — Lambda0 forgotten, load ≤ 0
+// — used to come back as an empty cell with a nil error,
 // or, for a rateless Horizon-bounded bursty service, to spin forever.
 // Every kind is rejected by the engine's one check, naming the workload
 // and the load; each case runs under a deadline so a hang fails the test.
@@ -93,9 +97,6 @@ func TestNoArrivalSpanPanics(t *testing.T) {
 			w.ServiceLoads = []ServiceLoad{{Fixed: 0.5}, {}}
 			w.Run(ctx, cluster, RR(), l)
 		}},
-		{"trace ending at t=0", 1, "wiki-trace(1 entries)", func(l float64) {
-			TraceWorkload{Entries: []trace.Entry{{URL: "/wiki/A"}}}.Run(ctx, cluster, RR(), l)
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,5 +117,51 @@ func TestNoArrivalSpanPanics(t *testing.T) {
 				t.Fatal("still running after 10s: the missing span was not rejected")
 			}
 		})
+	}
+}
+
+// Every open-loop cell runs through MultiServiceWorkload.run: a cell
+// that calls the engine on its own is a second cell path, with its own
+// topology, seeding and accounting to keep equal to the first.
+func TestReplayHasOneCaller(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var callers []string
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			caller := fn.Name.Name
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				caller = recv.(*ast.Ident).Name + "." + caller
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "replay" {
+						callers = append(callers, fmt.Sprintf("%s (%s)", caller, fset.Position(call.Pos())))
+					}
+				}
+				return true
+			})
+		}
+	}
+	if len(callers) != 1 || !strings.HasPrefix(callers[0], "MultiServiceWorkload.run ") {
+		t.Fatalf("replay is called from %v; want only MultiServiceWorkload.run", callers)
 	}
 }

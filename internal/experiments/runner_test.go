@@ -1,15 +1,12 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"testing"
 	"time"
 
 	"srlb/internal/rng"
-	"srlb/internal/trace"
-	"srlb/internal/wiki"
 )
 
 // stripWall zeroes the only nondeterministic CellResult field so full
@@ -213,43 +210,6 @@ func TestBurstyWorkload(t *testing.T) {
 	if bursty.Outcome.RT.Quantile(0.95) <= smooth.Outcome.RT.Quantile(0.95) {
 		t.Fatalf("bursty p95 (%v) should exceed smooth p95 (%v) at equal mean load",
 			bursty.Outcome.RT.Quantile(0.95), smooth.Outcome.RT.Quantile(0.95))
-	}
-}
-
-func TestTraceWorkloadSpeedOnlyRescalesTime(t *testing.T) {
-	var buf bytes.Buffer
-	day := wiki.Config{Seed: 11, Compression: 2880} // 24h -> 30s of entries
-	if _, _, err := wiki.Synthesize(day, trace.NewWriter(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := trace.ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster := ClusterConfig{Seed: 11, Servers: 4}
-	replay := func(speed float64) WikiRun {
-		cell := Scenario{Cluster: cluster, Policy: SRc(4),
-			Workload: TraceWorkload{Entries: entries}, Load: speed}.Run(context.Background())
-		if cell.Err != nil {
-			t.Fatal(cell.Err)
-		}
-		return *cell.Outcome.Wiki
-	}
-	slow, fast := replay(1), replay(2)
-	slowTotal := slow.WikiAll.Count() + slow.StaticAll.Count() + slow.Refused
-	fastTotal := fast.WikiAll.Count() + fast.StaticAll.Count() + fast.Refused
-	if slowTotal != len(entries) || fastTotal != len(entries) {
-		t.Fatalf("accounting: %d/%d results for %d entries", slowTotal, fastTotal, len(entries))
-	}
-	// Speed must not touch the cache model: the request sequence is the
-	// same, so per-replica hit rates are identical at any replay speed.
-	if !reflect.DeepEqual(slow.HitRates, fast.HitRates) {
-		t.Fatalf("replay speed changed cache behavior: %v vs %v", slow.HitRates, fast.HitRates)
-	}
-	// Twice the arrival rate on the same cluster: response times degrade.
-	if fast.WikiAll.Quantile(0.75) <= slow.WikiAll.Quantile(0.75) {
-		t.Fatalf("2x replay Q3 (%v) not above 1x Q3 (%v)",
-			fast.WikiAll.Quantile(0.75), slow.WikiAll.Quantile(0.75))
 	}
 }
 

@@ -44,7 +44,5 @@ func TestWikiSketchView(t *testing.T) {
 	for _, run := range goldenWiki().Runs {
 		writeSketchView(&b, "wiki-day "+run.Spec.Name, run)
 	}
-	_, cell := goldenTraceReplay(t)
-	writeSketchView(&b, "trace-replay "+cell.Policy, *cell.Outcome.Wiki)
 	checkGolden(t, "wiki_sketch_view.txt", b.String())
 }

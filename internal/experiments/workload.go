@@ -20,7 +20,8 @@ type Workload interface {
 	Label() string
 	// Run replays the workload against a freshly built testbed. load is
 	// the workload's intensity knob — the normalized rate ρ for the
-	// Poisson-family workloads, a replay speed-up for traces. Run returns
+	// Poisson-family workloads, a replay speed-up for the wiki day as a
+	// service (WikiWorkload ignores it). Run returns
 	// ctx.Err() when cancelled mid-replay; the outcome then holds the
 	// partial measurement.
 	Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64) (CellOutcome, error)
@@ -38,13 +39,13 @@ type CellOutcome struct {
 	// PerVIP breaks the outcome down by service, in the workload's
 	// service order (one entry for a one-service cell). The aggregate
 	// fields above always cover all VIPs: summing a VIPOutcome column
-	// reproduces them. Nil for the §VI replays (WikiWorkload,
-	// TraceWorkload), which account per query class instead.
+	// reproduces them. Nil for the §VI day (WikiWorkload), which
+	// accounts per query class instead.
 	PerVIP []VIPOutcome
 	// Cluster holds the cluster-side counters of the run.
 	Cluster ClusterStats
-	// Wiki is the per-class, per-bin outcome of WikiWorkload and
-	// TraceWorkload; nil for every other workload and for a skipped cell.
+	// Wiki is the per-class, per-bin outcome of WikiWorkload; nil for
+	// every other workload and for a skipped cell.
 	Wiki *WikiRun
 	// Timeline is figure 4's smoothed load timeline (fig4Workload only).
 	Timeline []Fig4Sample

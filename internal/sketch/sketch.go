@@ -1,6 +1,6 @@
 // Package sketch provides streaming statistics in constant memory: a
-// mergeable log-linear quantile histogram (HDR-histogram style), a
-// Welford mean/variance accumulator, and per-VIP counter sets.
+// mergeable log-linear quantile histogram (HDR-histogram style) and
+// per-VIP counter sets.
 //
 // The package exists so a measurement cell can run 10⁸ queries without
 // retaining a per-query sample slice: Histogram memory is bounded by the
@@ -13,9 +13,7 @@
 // the multiset of added values, so ingestion order, merge order, and
 // worker count cannot change the result. Two histograms built from the
 // same samples — one single-stream, one merged from arbitrary shards —
-// are byte-identical (see Equal and the package tests). Welford merge is
-// the Chan et al. pairwise update; it is exact in ℝ but, being floating
-// point, merge order can perturb the last few ulps (tests bound this).
+// are byte-identical (see Equal and the package tests).
 //
 // # Error bound
 //

@@ -8,15 +8,6 @@ import (
 	"time"
 )
 
-// variance is the unbiased sample variance of w's stream (n−1
-// denominator, 0 when n < 2) — the same convention as stats.Variance.
-func (w *Welford) variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
 // newRand gives tests a fixed-seed source; the package under test draws
 // no randomness of its own.
 func newRand(seed uint64) *rand.Rand {
@@ -294,70 +285,6 @@ func TestConstantMemory(t *testing.T) {
 	}
 	if h.Buckets() != before {
 		t.Errorf("bucket count grew with sample count: %d -> %d", before, h.Buckets())
-	}
-}
-
-// TestWelford checks the streaming moments against the two-pass formulas
-// and the merge against single-stream ingestion.
-func TestWelford(t *testing.T) {
-	r := newRand(0x3714)
-	xs := make([]float64, 10_000)
-	var w Welford
-	for i := range xs {
-		xs[i] = math.Exp(r.NormFloat64() * 3) // log-normal, nasty spread
-		w.Add(xs[i])
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	var ss float64
-	for _, x := range xs {
-		d := x - mean
-		ss += d * d
-	}
-	variance := ss / float64(len(xs)-1)
-	if rel := math.Abs(w.Mean()-mean) / mean; rel > 1e-9 {
-		t.Errorf("mean off by %v", rel)
-	}
-	if rel := math.Abs(w.variance()-variance) / variance; rel > 1e-9 {
-		t.Errorf("variance off by %v", rel)
-	}
-
-	var a, b Welford
-	for i, x := range xs {
-		if i%2 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != w.Count() {
-		t.Fatalf("merge count %d != %d", a.Count(), w.Count())
-	}
-	if rel := math.Abs(a.Mean()-w.Mean()) / w.Mean(); rel > 1e-9 {
-		t.Errorf("merged mean off by %v", rel)
-	}
-	if rel := math.Abs(a.variance()-w.variance()) / w.variance(); rel > 1e-9 {
-		t.Errorf("merged variance off by %v", rel)
-	}
-
-	var empty, one Welford
-	one.Add(5)
-	empty.Merge(one)
-	if empty.Count() != 1 || empty.Mean() != 5 || empty.variance() != 0 {
-		t.Error("merge into empty must copy the other side")
-	}
-}
-
-func TestCounters(t *testing.T) {
-	a := Counters{Offered: 10, OK: 7, Refused: 2, Unfinished: 1}
-	b := Counters{Offered: 5, OK: 5}
-	a.Merge(b)
-	if a != (Counters{Offered: 15, OK: 12, Refused: 2, Unfinished: 1}) {
-		t.Errorf("merge mismatch: %+v", a)
 	}
 }
 

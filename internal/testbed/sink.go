@@ -17,16 +17,13 @@ type ResultSink interface {
 }
 
 // VIPSketch aggregates one service's outcomes in constant memory: a
-// quantile histogram and streaming moments over response times of
-// completed queries, plus the offered/outcome counter set.
+// quantile histogram over response times of completed queries, plus the
+// offered/outcome counter set.
 type VIPSketch struct {
 	// VIP is the service address (the zero Addr on the sink's Total).
 	VIP netip.Addr
 	// RT sketches the response times of successful queries.
 	RT *sketch.Histogram
-	// Seconds accumulates streaming mean/variance of the same response
-	// times, projected to seconds.
-	Seconds sketch.Welford
 	// Counters is the query accounting for this VIP.
 	Counters sketch.Counters
 }
@@ -40,7 +37,6 @@ func (v *VIPSketch) record(res Result) {
 	case res.OK:
 		v.Counters.OK++
 		v.RT.Add(res.RT)
-		v.Seconds.Add(res.RT.Seconds())
 	case res.Refused:
 		v.Counters.Refused++
 	default:
