@@ -272,11 +272,8 @@ func TestGridSweepResolvesVectorLoads(t *testing.T) {
 	s := Sweep{
 		Cluster:  ClusterConfig{Seed: 9, Servers: 4},
 		Policies: []PolicySpec{RR()},
-		LoadGrid: LoadGrid{
-			AxisNames: []string{"web", "batch"},
-			Axes:      [][]float64{{0.3, 0.6}, {0.1}},
-		},
-		Seeds: []uint64{7},
+		LoadGrid: LoadGrid{Axes: [][]float64{{0.3, 0.6}, {0.1}}},
+		Seeds:    []uint64{7},
 		Workload: MultiServiceWorkload{
 			Services: []ServiceSpec{
 				{Name: "web", Pool: "shared", Workload: PoissonService{Lambda0: 80, Queries: 200}},

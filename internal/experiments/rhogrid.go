@@ -112,10 +112,7 @@ func RunRhoGrid(cfg RhoGridConfig) RhoGridResult {
 	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
-		LoadGrid: LoadGrid{
-			AxisNames: []string{"web", "batch"},
-			Axes:      [][]float64{cfg.WebRhos, cfg.BatchRhos},
-		},
+		LoadGrid: LoadGrid{Axes: [][]float64{cfg.WebRhos, cfg.BatchRhos}},
 		Seeds:    cfg.Seeds,
 		Adaptive: cfg.Adaptive,
 		Workload: workload,

@@ -23,9 +23,6 @@ type ClusterVariant struct {
 // zero would read as "track the scalar load" (ServiceLoad's unset
 // convention) and silently collapse the grid.
 type LoadGrid struct {
-	// AxisNames label the dimensions in artifacts ("web", "batch").
-	// Optional; when set, must match len(Axes).
-	AxisNames []string
 	// Axes[d] lists dimension d's swept values, each > 0.
 	Axes [][]float64
 }
