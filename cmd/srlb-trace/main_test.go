@@ -84,6 +84,34 @@ func TestBadInput(t *testing.T) {
 	}
 }
 
+// A rate so small that no request arrives within the day is a legal,
+// empty day: exit 0, zero requests reported and an empty -out. The
+// inter-arrival gap used to overflow a time.Duration and fail with an
+// out-of-order entry.
+func TestTinyRateWritesAnEmptyDay(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "1e-300"},
+		{"-peak", "1e-300", "-trough", "1e-300"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "day.trace")
+			cmd := exec.Command(traceBin, append([]string{"-out", out, "-hours", "1"}, args...)...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			stdout, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%v; stderr:\n%s", err, stderr.String())
+			}
+			if !strings.Contains(string(stdout), ": 0 wiki-page + 0 static requests") {
+				t.Errorf("stdout %q does not report an empty day", stdout)
+			}
+			if got, err := os.ReadFile(out); err != nil || len(got) != 0 {
+				t.Errorf("-out holds %q (%v), want an empty trace", got, err)
+			}
+		})
+	}
+}
+
 // closeRecorder is an in-memory file whose Close can fail.
 type closeRecorder struct {
 	bytes.Buffer

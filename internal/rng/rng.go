@@ -155,10 +155,14 @@ func NewNHPP(r *rand.Rand, rate RateFn, rateMax float64, start time.Duration) *N
 // before horizon.
 func (p *NHPP) Next(horizon time.Duration) (time.Duration, bool) {
 	for {
-		p.t += ExpRate(p.r, p.rateMax)
-		if p.t >= horizon {
+		// The gap meets the horizon as a float: at a tiny rateMax it is
+		// past MaxInt64 ns, and as a Duration it would wrap negative.
+		gap := p.r.ExpFloat64() / p.rateMax * float64(time.Second)
+		if gap >= float64(horizon-p.t) {
+			p.t = horizon
 			return 0, false
 		}
+		p.t += time.Duration(gap)
 		lambda := p.rate(p.t)
 		if lambda < 0 {
 			lambda = 0

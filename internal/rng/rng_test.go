@@ -224,6 +224,19 @@ func TestNHPPHorizon(t *testing.T) {
 	}
 }
 
+// A rate bound so small that the first gap is past MaxInt64 ns ends the
+// process at the horizon; it used to wrap to a negative arrival time.
+func TestNHPPTinyRateEndsAtHorizon(t *testing.T) {
+	for _, rateMax := range []float64{1e-300, 1e-15} {
+		p := NewNHPP(New(14), func(time.Duration) float64 { return rateMax }, rateMax, 0)
+		for i := 0; i < 3; i++ {
+			if ts, ok := p.Next(24 * time.Hour); ok || ts < 0 {
+				t.Fatalf("rateMax %g: Next = %v, %v; want no arrival", rateMax, ts, ok)
+			}
+		}
+	}
+}
+
 func TestNHPPPanicsOnBadBound(t *testing.T) {
 	defer func() {
 		if recover() == nil {
