@@ -1,8 +1,9 @@
 // Command srlb-trace generates and inspects synthetic Wikipedia access
-// traces in the repository's trace format (millisecond timestamps + URL,
-// the §VI replay input). A generated file stands in for the WikiBench
-// trace the paper replays; internal/experiments' TraceWorkload replays
-// such entries, though no command reads a trace file back yet.
+// traces in the repository's trace format (millisecond timestamps +
+// URL). A generated file stands in for the WikiBench trace the paper's
+// §VI replays. No command reads a trace file back: the experiments
+// (WikiService, WikiWorkload) draw the same synthetic day from
+// internal/wiki's stream.
 //
 // Usage:
 //

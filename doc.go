@@ -167,9 +167,8 @@
 // the same workers. RunInterference packages that measurement as
 // `srlb-bench -experiment interference`: per-victim p99/completion
 // degradation per policy as the aggressor ramps
-// (extension_interference.tsv). WikiService.Pinned replays one recorded
-// day across policies × seeds, cutting across-seed variance of the wiki
-// rows to the cluster's own randomness.
+// (extension_interference.tsv). A WikiService with Day.Seed set replays
+// the same day's arrivals and pages on every seed.
 //
 // RunMultiService, RunInterference, RunPolicies and RunRhoGrid report
 // one table: ServiceRow, a (variant, load, policy, service) outcome with
@@ -225,15 +224,16 @@
 // Experiment cells measure through internal/sketch: a mergeable
 // log-linear response-time histogram (quantiles within a documented
 // ≈0.2% relative error at the default precision; count/mean/min/max
-// exact) plus Welford moments and outcome counters, folded in as each
-// query completes. The testbed generator keeps no per-query results:
-// each outcome goes to the sink (and to an optional OnResult callback)
-// and is gone, so a cell holds constant memory regardless of horizon
-// length.
+// exact) plus outcome counters, folded in as each query completes. The
+// testbed generator keeps no per-query results: each outcome goes to the
+// sink (and to an optional OnResult callback) and is gone, so a cell
+// holds constant memory regardless of horizon length.
 //
-// Every cell — Poisson, bursty, wiki day, recorded trace, multi-service,
-// horizon soak — is run by one open-loop replay engine
-// (internal/experiments/replay.go). A workload supplies three things:
+// Every cell — Poisson, bursty, wiki day, multi-service, horizon soak —
+// is a MultiServiceWorkload, and MultiServiceWorkload.run is the one
+// caller of the open-loop replay engine (internal/experiments/replay.go);
+// the wiki day, figure 4, failover and the horizon soak add their own
+// accounting as hooks on OneService(...).run. The cell hands the engine
 // the topology (events still rate-relative), one arrival stream per VIP,
 // and the arrival span. The engine resolves events and the feedback
 // horizon against the span, builds the cluster, installs the sketch
@@ -327,8 +327,7 @@
 //   - internal/stats — replication statistics: Dist, Replicated,
 //     Student-t CIs
 //   - internal/sketch — constant-memory streaming metrics: mergeable
-//     log-linear histogram (per run and per time bin), Welford moments,
-//     counters
+//     log-linear histogram (per run and per time bin) and counters
 //   - internal/experiments — Scenario/Sweep/Runner, workloads, figures 2–8,
 //     λ0 calibration, ablations
 //
