@@ -46,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -270,14 +271,22 @@ func selectExperiments(value string) []*experiment {
 
 // resolve finishes e once fs has parsed, and returns the entries to run.
 // It rejects, before any work is done, what would otherwise surface as a
-// panic deep inside a run or as a silent no-op: a negative count or scale,
-// and an -experiment value the table does not have. Zero stays "the
-// experiment's own default" wherever it meant that.
+// panic deep inside a run or as a silent no-op: a number that is not
+// finite, a negative count or scale, a -compress factor below 1, and an
+// -experiment value the table does not have. Zero stays "the experiment's
+// own default" wherever it meant that; a negative -ci-target is fixed
+// replication.
 func (e *env) resolve(fs *flag.FlagSet) ([]*experiment, error) {
-	for _, name := range []string{"rho-points", "queries", "servers", "seeds", "max-seeds", "compress", "horizon-rho"} {
+	for _, name := range []string{"rho-points", "queries", "servers", "seeds", "max-seeds", "compress", "horizon-rho", "ci-target"} {
 		value := fs.Lookup(name).Value.String()
-		if v, _ := strconv.ParseFloat(value, 64); v < 0 {
+		v, _ := strconv.ParseFloat(value, 64)
+		switch {
+		case math.IsNaN(v) || math.IsInf(v, 0):
+			return nil, fmt.Errorf("-%s must be a finite number (got %s)", name, value)
+		case v < 0 && name != "ci-target":
 			return nil, fmt.Errorf("-%s must not be negative (got %s)", name, value)
+		case name == "compress" && v > 0 && v < 1:
+			return nil, fmt.Errorf("-compress is a compression factor, at least 1 (got %s)", value)
 		}
 	}
 	selected := selectExperiments(e.experiment)

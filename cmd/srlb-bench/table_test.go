@@ -138,8 +138,8 @@ func TestTableInvariants(t *testing.T) {
 	}
 }
 
-// TestBadInput: a value no entry answers to, or a negative count or scale,
-// is a usage error (exit 2, naming the culprit) before any work — no
+// TestBadInput: a value no entry answers to, a number that is not finite,
+// or a negative count or scale, is a usage error (exit 2, naming the culprit) before any work — no
 // calibration banner, no -out directory.
 func TestBadInput(t *testing.T) {
 	for _, c := range []struct {
@@ -154,6 +154,10 @@ func TestBadInput(t *testing.T) {
 		{"-max-seeds", []string{"-experiment", "calibrate", "-servers", "4", "-max-seeds", "-1"}},
 		{"-compress", []string{"-experiment", "wiki", "-servers", "4", "-compress", "-5"}},
 		{"-horizon-rho", []string{"-experiment", "calibrate", "-servers", "4", "-horizon-rho", "-0.5"}},
+		{"-compress must be a finite number", []string{"-experiment", "wiki", "-servers", "4", "-compress", "NaN"}},
+		{"-compress is a compression factor", []string{"-experiment", "wiki", "-servers", "4", "-compress", "1e-7"}},
+		{"-horizon-rho must be a finite number", []string{"-experiment", "horizon", "-servers", "4", "-horizon-rho", "NaN"}},
+		{"-ci-target must be a finite number", []string{"-experiment", "rhogrid", "-servers", "4", "-ci-target", "NaN"}},
 	} {
 		t.Run(c.culprit, func(t *testing.T) {
 			outDir := filepath.Join(t.TempDir(), "out")

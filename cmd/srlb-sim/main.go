@@ -24,6 +24,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -63,10 +64,17 @@ func parsePolicy(s string) (srlb.Policy, error) {
 
 func main() { os.Exit(simulate()) }
 
-// checkCounts rejects numeric flags no run can use: a negative size or
-// rate, and a load or query count that is not positive. A zero size
-// keeps meaning the paper's default.
+// checkCounts rejects numeric flags no run can use: a rate, load or core
+// count that is not finite, a negative size or rate, and a load or query
+// count that is not positive. A zero size keeps meaning the paper's
+// default.
 func checkCounts() error {
+	for _, name := range []string{"rate", "rho", "cores"} {
+		value := flag.Lookup(name).Value.String()
+		if v, _ := strconv.ParseFloat(value, 64); math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("-%s must be a finite number (got %s)", name, value)
+		}
+	}
 	for _, name := range []string{"rate", "servers", "workers", "cores", "backlog"} {
 		value := flag.Lookup(name).Value.String()
 		if v, _ := strconv.ParseFloat(value, 64); v < 0 {

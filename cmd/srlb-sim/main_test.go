@@ -32,7 +32,7 @@ func TestMain(m *testing.M) {
 
 // TestBadInput: input srlb-sim cannot run is a usage error — exit 2 with
 // one line on stderr naming the culprit, never a goroutine dump or a
-// silent default. The first -queries case is a calibration whose probes
+// silent default; a rate, load or core count must be finite. The first -queries case is a calibration whose probes
 // never refuse: 500 queries fit in four servers' queues at any rate, so
 // no drop onset exists.
 func TestBadInput(t *testing.T) {
@@ -47,6 +47,10 @@ func TestBadInput(t *testing.T) {
 		{"-rho", []string{"-rho", "0"}},
 		{"-queries must be positive", []string{"-queries", "-5"}},
 		{"-servers", []string{"-servers", "-1", "-rate", "50"}},
+		{"-rho must be a finite number (got NaN)", []string{"-rho", "NaN"}},
+		{"-rate must be a finite number (got NaN)", []string{"-rate", "NaN"}},
+		{"-rate must be a finite number (got +Inf)", []string{"-rate", "+Inf"}},
+		{"-cores must be a finite number (got NaN)", []string{"-cores", "NaN", "-rate", "50"}},
 	} {
 		t.Run(c.culprit, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
