@@ -39,10 +39,6 @@ type Config struct {
 	// Interval is the reporting period of every publisher (default
 	// 100ms of virtual time).
 	Interval time.Duration
-	// TTL bounds how old a report may be and still count as fresh
-	// (default 3×Interval): one missed report is jitter, three is an
-	// outage.
-	TTL time.Duration
 	// Alpha is the EWMA smoothing factor applied to instantaneous
 	// worker utilization, 0 < Alpha ≤ 1 (default 0.3). Higher values
 	// track bursts faster; lower values damp sampling noise.
@@ -58,9 +54,6 @@ type Config struct {
 func (c Config) WithDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 100 * time.Millisecond
-	}
-	if c.TTL <= 0 {
-		c.TTL = 3 * c.Interval
 	}
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = 0.3
@@ -136,7 +129,10 @@ type Stats struct {
 // caller-provided clock. Not safe for concurrent use (the simulator is
 // single-threaded).
 type View struct {
-	cfg   Config
+	cfg Config
+	// ttl bounds how old a report may be and still count as fresh,
+	// 3×Interval: one missed report is jitter, three is an outage.
+	ttl   time.Duration
 	now   func() time.Duration
 	vips  map[netip.Addr]*VIPView
 	stats Stats
@@ -145,8 +141,10 @@ type View struct {
 // NewView creates a view. now must read the same clock that stamps the
 // reports (the DES simulator's Now).
 func NewView(cfg Config, now func() time.Duration) *View {
+	cfg = cfg.WithDefaults()
 	return &View{
-		cfg:  cfg.WithDefaults(),
+		cfg:  cfg,
+		ttl:  3 * cfg.Interval,
 		now:  now,
 		vips: make(map[netip.Addr]*VIPView),
 	}
@@ -216,7 +214,7 @@ func (vv *VIPView) ServerLoad(server netip.Addr) (load float64, fresh bool) {
 	if s == nil || !s.has {
 		return 0, false
 	}
-	return s.rpt.Util, vv.view.now()-s.rpt.At <= vv.view.cfg.TTL
+	return s.rpt.Util, vv.view.now()-s.rpt.At <= vv.view.ttl
 }
 
 // Report returns the last raw report for the server, if any —

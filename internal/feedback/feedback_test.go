@@ -19,16 +19,16 @@ func TestConfigDefaults(t *testing.T) {
 	if c.Interval != 100*time.Millisecond {
 		t.Fatalf("Interval = %v", c.Interval)
 	}
-	if c.TTL != 3*c.Interval {
-		t.Fatalf("TTL = %v, want 3x interval", c.TTL)
+	if v := NewView(c, nil); v.ttl != 3*c.Interval {
+		t.Fatalf("TTL = %v, want 3x interval", v.ttl)
 	}
 	if c.Alpha != 0.3 {
 		t.Fatalf("Alpha = %v", c.Alpha)
 	}
-	// Explicit values survive; TTL defaults off the explicit interval.
+	// Explicit values survive; the TTL follows the explicit interval.
 	c = Config{Interval: time.Second, Alpha: 0.9}.WithDefaults()
-	if c.Interval != time.Second || c.TTL != 3*time.Second || c.Alpha != 0.9 {
-		t.Fatalf("explicit config mangled: %+v", c)
+	if v := NewView(c, nil); c.Interval != time.Second || v.ttl != 3*time.Second || c.Alpha != 0.9 {
+		t.Fatalf("explicit config mangled: %+v, TTL %v", c, v.ttl)
 	}
 }
 
@@ -71,7 +71,7 @@ func TestViewFreshnessTTL(t *testing.T) {
 	}
 
 	// Exactly at the TTL boundary the report still counts.
-	ttl := v.Config().TTL
+	ttl := v.ttl
 	now = ttl
 	if _, fresh := vv.ServerLoad(s); !fresh {
 		t.Fatal("report exactly TTL old must still be fresh")

@@ -44,8 +44,6 @@ type Network struct {
 	done   chan struct{}
 	closed bool
 	wg     sync.WaitGroup
-	// Latency is an optional artificial one-way delay.
-	Latency time.Duration
 }
 
 // NewNetwork creates an empty LAN.
@@ -109,18 +107,11 @@ func (n *Network) deliver(dst netip.Addr, wire []byte) error {
 	if !ok {
 		return nil
 	}
-	enqueue := func() {
-		// Block: channel capacity models NIC queue back-pressure.
-		select {
-		case ch <- wire:
-		case <-n.done:
-		}
+	// Block: channel capacity models NIC queue back-pressure.
+	select {
+	case ch <- wire:
+	case <-n.done:
 	}
-	if n.Latency > 0 {
-		time.AfterFunc(n.Latency, enqueue)
-		return nil
-	}
-	enqueue()
 	return nil
 }
 

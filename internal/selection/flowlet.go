@@ -35,10 +35,8 @@ type Flowlet struct {
 	inner *Random
 	rng   *rand.Rand
 	view  LoadView
-	// InflightWeight mirrors WeightedLeastLoad's local delta (one
-	// placed flow ≈ this much load-score until the next report).
-	InflightWeight float64
-	inflight       map[netip.Addr]int
+	// inflight mirrors WeightedLeastLoad's local delta.
+	inflight map[netip.Addr]int
 }
 
 // NewFlowlet builds the scheme. gap ≤ 0 takes DefaultFlowletGap; view
@@ -50,11 +48,10 @@ func NewFlowlet(servers []netip.Addr, gap time.Duration, rng *rand.Rand, view Lo
 		gap = DefaultFlowletGap
 	}
 	f := &Flowlet{
-		gap:            gap,
-		rng:            rng,
-		view:           view,
-		InflightWeight: DefaultInflightWeight,
-		inflight:       make(map[netip.Addr]int),
+		gap:      gap,
+		rng:      rng,
+		view:     view,
+		inflight: make(map[netip.Addr]int),
 	}
 	f.Update(servers)
 	return f
@@ -96,7 +93,7 @@ func (f *Flowlet) Resteer(now time.Duration, flow packet.FlowKey, idle time.Dura
 	if !fresh {
 		return current, false
 	}
-	best, bestScore := current, curLoad+f.InflightWeight*float64(f.inflight[current])
+	best, bestScore := current, curLoad+DefaultInflightWeight*float64(f.inflight[current])
 	for _, c := range cands {
 		if c == current {
 			continue
@@ -105,7 +102,7 @@ func (f *Flowlet) Resteer(now time.Duration, flow packet.FlowKey, idle time.Dura
 		if !fresh {
 			return current, false
 		}
-		if score := load + f.InflightWeight*float64(f.inflight[c]); score < bestScore {
+		if score := load + DefaultInflightWeight*float64(f.inflight[c]); score < bestScore {
 			best, bestScore = c, score
 		}
 	}

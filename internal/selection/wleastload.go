@@ -30,11 +30,9 @@ type WeightedLeastLoad struct {
 	inner *Random
 	rng   *rand.Rand
 	view  LoadView
-	// InflightWeight is the per-flow local load delta added to each
-	// candidate's reported score (DefaultInflightWeight unless
-	// overridden before first use).
-	InflightWeight float64
-	inflight       map[netip.Addr]int
+	// inflight counts this LB's placed flows per server, each worth
+	// DefaultInflightWeight of load score until the next report.
+	inflight map[netip.Addr]int
 }
 
 // NewWeightedLeastLoad builds the scheme over the servers with k
@@ -43,11 +41,10 @@ type WeightedLeastLoad struct {
 // Construction consumes no randomness.
 func NewWeightedLeastLoad(servers []netip.Addr, k int, rng *rand.Rand, view LoadView) *WeightedLeastLoad {
 	w := &WeightedLeastLoad{
-		k:              k,
-		rng:            rng,
-		view:           view,
-		InflightWeight: DefaultInflightWeight,
-		inflight:       make(map[netip.Addr]int),
+		k:        k,
+		rng:      rng,
+		view:     view,
+		inflight: make(map[netip.Addr]int),
 	}
 	w.Update(servers)
 	return w
@@ -71,7 +68,7 @@ func (w *WeightedLeastLoad) Pick(flow packet.FlowKey) []netip.Addr {
 		if !fresh {
 			return cands
 		}
-		scores[i] = load + w.InflightWeight*float64(w.inflight[c])
+		scores[i] = load + DefaultInflightWeight*float64(w.inflight[c])
 	}
 	// Insertion sort: k is tiny (2 in every experiment) and stability
 	// preserves the random order between equals.

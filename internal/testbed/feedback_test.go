@@ -73,8 +73,8 @@ func TestFeedbackStalenessAndRecovery(t *testing.T) {
 	// republished — the victim alone must be stale. A later fresh report
 	// (direct ingest: failed servers can't publish) recovers it.
 	check(10*time.Millisecond, true)
-	staleAt := 10*time.Millisecond + cfg.TTL + time.Millisecond
-	check(staleAt-2*time.Millisecond, true) // survivors refresh; victim silent
+	staleAt := 10*time.Millisecond + 3*cfg.Interval + time.Millisecond // the view's TTL
+	check(staleAt-2*time.Millisecond, true)                            // survivors refresh; victim silent
 	check(staleAt, false)
 	recoverAt := staleAt + time.Millisecond
 	tb.Sim.At(recoverAt, func() {

@@ -8,15 +8,11 @@
 
 package testbed
 
-import (
-	"fmt"
-
-	"srlb/internal/appserver"
-)
+import "fmt"
 
 // GenSpec parameterizes GenerateTopology. The zero value (plus a VIP
-// count) produces a paper-flavored cluster: shared pools of 12 default
-// servers, random-2 selection, no fallback.
+// count) produces a paper-flavored cluster: one LB replica, shared pools
+// of 12 default servers, random-2 selection, no fallback.
 type GenSpec struct {
 	// Seed drives every random stream of the built topology (selection
 	// schemes, network jitter); addresses do NOT depend on it — they are
@@ -32,12 +28,8 @@ type GenSpec struct {
 	Pools int
 	// ServersPerPool sizes each pool (default 12, the paper's).
 	ServersPerPool int
-	// Replicas is the LB replica count (default 1).
-	Replicas int
 	// Clients is the number of traffic sources (default 8).
 	Clients int
-	// Server configures every pool member (default appserver.Default).
-	Server appserver.Config
 	// Scheme builds each VIP's candidate selection (default random-2);
 	// Fallback, when non-nil, each VIP's miss-fallback.
 	Scheme   SchemeFn
@@ -81,7 +73,6 @@ func GenerateTopology(spec GenSpec) Topology {
 		pools[p] = PoolSpec{
 			Name:    GenPoolName(p),
 			Servers: spec.ServersPerPool,
-			Server:  spec.Server,
 		}
 	}
 	vips := make([]VIPSpec, spec.VIPs)
@@ -95,11 +86,10 @@ func GenerateTopology(spec GenSpec) Topology {
 		}
 	}
 	return Topology{
-		Seed:     spec.Seed,
-		Replicas: spec.Replicas,
-		Pools:    pools,
-		VIPs:     vips,
-		Clients:  spec.Clients,
-		Events:   spec.Events,
+		Seed:    spec.Seed,
+		Pools:   pools,
+		VIPs:    vips,
+		Clients: spec.Clients,
+		Events:  spec.Events,
 	}
 }

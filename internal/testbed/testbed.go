@@ -243,16 +243,13 @@ type Generator struct {
 	// terminal outcome — the constant-memory measurement path.
 	Sink ResultSink
 	// RetransmitRTO enables client SYN retransmission with exponential
-	// backoff (initial timeout RetransmitRTO, doubling, MaxTries
+	// backoff (initial timeout RetransmitRTO, doubling, synMaxTries
 	// attempts). Zero disables it — the paper's default, since
 	// tcp_abort_on_overflow is enabled precisely so that "application
 	// response delays are measured, and not possible TCP SYN retransmit
 	// delays" (§IV-C). Enable it together with AbortOnOverflow=false to
 	// reproduce the behavior the paper avoided.
 	RetransmitRTO time.Duration
-	// MaxTries bounds total SYN transmissions when RetransmitRTO > 0
-	// (default 4).
-	MaxTries int
 	// CloseAck makes the client acknowledge the response with a final
 	// ACK+FIN. Off by default: the legacy client sends nothing after
 	// its request, and the extra frame would shift the shared network
@@ -370,6 +367,9 @@ func (g *Generator) sendSYN(pq *pendingQuery) {
 	g.net.Send(syn)
 }
 
+// synMaxTries bounds a query's SYN transmissions when RetransmitRTO > 0.
+const synMaxTries = 4
+
 // armRTO schedules a SYN retransmission, doubling the timeout each try —
 // the behavior tcp_abort_on_overflow exists to keep out of the paper's
 // measurements.
@@ -377,15 +377,11 @@ func (g *Generator) armRTO(pq *pendingQuery, rto time.Duration) {
 	if g.RetransmitRTO <= 0 {
 		return
 	}
-	maxTries := g.MaxTries
-	if maxTries <= 0 {
-		maxTries = 4
-	}
 	pq.rto = g.sim.After(rto, func() {
 		if g.pending[pq.flow] != pq {
 			return // already finished
 		}
-		if pq.tries >= maxTries {
+		if pq.tries >= synMaxTries {
 			g.Counts.Add(cntSYNTimeout, 1)
 			g.finish(pq, Result{
 				ID: pq.q.ID, Class: pq.q.Class, IssuedAt: pq.sentAt,

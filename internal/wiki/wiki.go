@@ -50,17 +50,6 @@ type Config struct {
 	// ReplayScale scales the raw trace at replay (default 0.5 — the
 	// paper's "50% of the peak load").
 	ReplayScale float64
-	// PeakHour is the local hour of the rate maximum (default 20).
-	PeakHour float64
-	// StaticPerWiki is the ratio of static-object requests to wiki-page
-	// requests (default 4).
-	StaticPerWiki float64
-	// Pages is the article catalog size (default 200_000).
-	Pages int
-	// ZipfS is the popularity exponent (default 0.8).
-	ZipfS float64
-	// StaticObjects is the static catalog size (default 20_000).
-	StaticObjects int
 	// Compression speeds up replay by the given factor: the simulated
 	// horizon shrinks to Horizon/Compression while instantaneous rates
 	// (and hence load levels) are preserved, so a 24-hour day can be
@@ -68,6 +57,19 @@ type Config struct {
 	// per time bin grows accordingly. Default 1 (real time).
 	Compression float64
 }
+
+// The synthetic day's fixed shape.
+const (
+	// peakHour is the local hour of the rate maximum.
+	peakHour = 20
+	// staticPerWiki is the ratio of static-object requests to wiki-page
+	// requests.
+	staticPerWiki = 4
+	// zipfS is the article popularity exponent.
+	zipfS = 0.8
+	// staticObjects is the static catalog size.
+	staticObjects = 20_000
+)
 
 func (c Config) withDefaults() Config {
 	if c.Horizon == 0 {
@@ -82,31 +84,8 @@ func (c Config) withDefaults() Config {
 	if c.ReplayScale == 0 {
 		c.ReplayScale = 0.5
 	}
-	if c.PeakHour == 0 {
-		c.PeakHour = 20
-	}
-	if c.StaticPerWiki == 0 {
-		c.StaticPerWiki = 4
-	}
 	if c.Compression == 0 {
 		c.Compression = 1
-	}
-	if c.Pages == 0 {
-		// Scale the catalog with compression so the arrivals-per-page
-		// ratio — and hence memcached hit-rate dynamics, which feed
-		// straight into CPU demand — stays invariant: a compressed day
-		// sees proportionally fewer queries, so it gets a proportionally
-		// smaller catalog. Explicit Pages always wins.
-		c.Pages = int(200_000 / c.Compression)
-		if c.Pages < 2000 {
-			c.Pages = 2000
-		}
-	}
-	if c.ZipfS == 0 {
-		c.ZipfS = 0.8
-	}
-	if c.StaticObjects == 0 {
-		c.StaticObjects = 20_000
 	}
 	return c
 }
@@ -118,9 +97,14 @@ func (c Config) VirtualHorizon() time.Duration {
 	return time.Duration(float64(c.Horizon) / c.Compression)
 }
 
-// CatalogPages returns the effective article-catalog size after defaults
-// (including compression scaling).
-func (c Config) CatalogPages() int { return c.withDefaults().Pages }
+// CatalogPages returns the article-catalog size: 200 000 articles scaled
+// down with compression, to at least 2000. The arrivals-per-page ratio —
+// and hence memcached hit-rate dynamics, which feed straight into CPU
+// demand — stays invariant: a compressed day sees proportionally fewer
+// queries, so it gets a proportionally smaller catalog.
+func (c Config) CatalogPages() int {
+	return max(int(200_000/c.withDefaults().Compression), 2000)
+}
 
 // RealTime maps a virtual replay instant back to trace (wall-clock) time.
 func (c Config) RealTime(virtual time.Duration) time.Duration {
@@ -130,20 +114,19 @@ func (c Config) RealTime(virtual time.Duration) time.Duration {
 
 // WikiRate returns the replayed wiki-page arrival rate (queries/sec) at
 // *virtual* time t: a sinusoid over the (possibly compressed) day with its
-// minimum 12h before PeakHour, scaled by ReplayScale.
+// minimum 12h before peakHour, scaled by ReplayScale.
 func (c Config) WikiRate(t time.Duration) float64 {
 	c = c.withDefaults()
 	mean := (c.FullPeakRate + c.FullTroughRate) / 2
 	amp := (c.FullPeakRate - c.FullTroughRate) / 2
 	hours := c.RealTime(t).Hours()
-	phase := 2 * math.Pi * (hours - c.PeakHour) / 24
+	phase := 2 * math.Pi * (hours - peakHour) / 24
 	return c.ReplayScale * (mean + amp*math.Cos(phase))
 }
 
 // StaticRate returns the static-object arrival rate at time t.
 func (c Config) StaticRate(t time.Duration) float64 {
-	cc := c.withDefaults()
-	return cc.StaticPerWiki * c.WikiRate(t)
+	return staticPerWiki * c.WikiRate(t)
 }
 
 // MaxWikiRate bounds WikiRate over the horizon (for NHPP thinning).
@@ -199,10 +182,10 @@ func NewStream(cfg Config) *Stream {
 	cfg = cfg.withDefaults()
 	s := &Stream{
 		cfg:      cfg,
-		zipf:     rng.NewZipf(rng.Split(cfg.Seed, 0x21bf), cfg.Pages, cfg.ZipfS),
-		statZipf: rng.NewZipf(rng.Split(cfg.Seed, 0x57a8), cfg.StaticObjects, 0.6),
+		zipf:     rng.NewZipf(rng.Split(cfg.Seed, 0x21bf), cfg.CatalogPages(), zipfS),
+		statZipf: rng.NewZipf(rng.Split(cfg.Seed, 0x57a8), staticObjects, 0.6),
 		wiki:     rng.NewNHPP(rng.Split(cfg.Seed, 0x71c1), cfg.WikiRate, cfg.MaxWikiRate(), 0),
-		static:   rng.NewNHPP(rng.Split(cfg.Seed, 0x57a7), cfg.StaticRate, cfg.StaticPerWiki*cfg.MaxWikiRate(), 0),
+		static:   rng.NewNHPP(rng.Split(cfg.Seed, 0x57a7), cfg.StaticRate, staticPerWiki*cfg.MaxWikiRate(), 0),
 	}
 	s.nextWiki, s.okW = s.wiki.Next(cfg.VirtualHorizon())
 	s.nextStat, s.okS = s.static.Next(cfg.VirtualHorizon())
@@ -249,24 +232,26 @@ func Synthesize(cfg Config, w *trace.Writer) (int, int, error) {
 	return wikiN, statN, w.Flush()
 }
 
-// CostModel maps requests to CPU demand on a replica. Zero fields take
-// defaults calibrated so the 12×(2-core) testbed shows the paper's
-// response-time regime (§VI-C: wiki-page medians of 0.15–0.25 s under
-// moderate load, ~1 ms statics).
+// The CPU demands of a request on a replica, calibrated so the
+// 12×(2-core) testbed shows the paper's response-time regime (§VI-C:
+// wiki-page medians of 0.15–0.25 s under moderate load, ~1 ms statics).
+const (
+	// staticMean is the CPU cost of a static object.
+	staticMean = 600 * time.Microsecond
+	// renderMean/renderCV: PHP parse+render cost of a wiki page,
+	// multiplied by the page's size factor.
+	renderMean = 70 * time.Millisecond
+	renderCV   = 0.45
+	// hitMean: extra cost when the page's data is in memcached.
+	hitMean = 12 * time.Millisecond
+	// missMean/missCV: extra cost of MySQL queries on a memcached miss.
+	missMean = 240 * time.Millisecond
+	missCV   = 0.6
+)
+
+// CostModel maps requests to CPU demand on a replica; zero fields take
+// defaults.
 type CostModel struct {
-	// StaticMean is the CPU cost of a static object (default 600µs).
-	StaticMean time.Duration
-	// RenderMean/RenderCV: PHP parse+render cost of a wiki page
-	// (default 70ms, cv 0.45), multiplied by the page's size factor.
-	RenderMean time.Duration
-	RenderCV   float64
-	// HitMean: extra cost when the page's data is in memcached
-	// (default 12ms).
-	HitMean time.Duration
-	// MissMean/MissCV: extra cost of MySQL queries on a memcached miss
-	// (default 240ms, cv 0.6).
-	MissMean time.Duration
-	MissCV   float64
 	// CacheCapacity is the per-server memcached capacity in pages
 	// (default 8000).
 	CacheCapacity int
@@ -278,24 +263,6 @@ type CostModel struct {
 }
 
 func (m CostModel) withDefaults() CostModel {
-	if m.StaticMean == 0 {
-		m.StaticMean = 600 * time.Microsecond
-	}
-	if m.RenderMean == 0 {
-		m.RenderMean = 70 * time.Millisecond
-	}
-	if m.RenderCV == 0 {
-		m.RenderCV = 0.45
-	}
-	if m.HitMean == 0 {
-		m.HitMean = 12 * time.Millisecond
-	}
-	if m.MissMean == 0 {
-		m.MissMean = 240 * time.Millisecond
-	}
-	if m.MissCV == 0 {
-		m.MissCV = 0.6
-	}
 	if m.CacheCapacity == 0 {
 		m.CacheCapacity = 8000
 	}
@@ -383,16 +350,16 @@ func (rep *Replica) Demand(_ packet.FlowKey, payload []byte) time.Duration {
 func (rep *Replica) DemandURL(url string) time.Duration {
 	page, isWiki := ParsePageURL(url)
 	if !isWiki {
-		return rng.Exp(rep.rngSrc, rep.model.StaticMean)
+		return rng.Exp(rep.rngSrc, staticMean)
 	}
-	render := time.Duration(float64(rng.LogNormal(rep.rngSrc, rep.model.RenderMean, rep.model.RenderCV)) * SizeFactor(page))
+	render := time.Duration(float64(rng.LogNormal(rep.rngSrc, renderMean, renderCV)) * SizeFactor(page))
 	var db time.Duration
 	if rep.cache.touch(page) {
 		rep.hits++
-		db = rng.Exp(rep.rngSrc, rep.model.HitMean)
+		db = rng.Exp(rep.rngSrc, hitMean)
 	} else {
 		rep.misses++
-		db = rng.LogNormal(rep.rngSrc, rep.model.MissMean, rep.model.MissCV)
+		db = rng.LogNormal(rep.rngSrc, missMean, missCV)
 		rep.cache.insert(page)
 	}
 	return render + db

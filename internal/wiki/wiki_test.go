@@ -22,8 +22,8 @@ func dummyFlow() packet.FlowKey {
 
 func TestRateEnvelope(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	peak := cfg.WikiRate(time.Duration(cfg.PeakHour * float64(time.Hour)))
-	trough := cfg.WikiRate(time.Duration((cfg.PeakHour - 12) * float64(time.Hour)))
+	peak := cfg.WikiRate(time.Duration(peakHour * float64(time.Hour)))
+	trough := cfg.WikiRate(time.Duration((peakHour - 12) * float64(time.Hour)))
 	wantPeak := cfg.ReplayScale * cfg.FullPeakRate
 	wantTrough := cfg.ReplayScale * cfg.FullTroughRate
 	if math.Abs(peak-wantPeak) > 0.5 {
@@ -45,8 +45,8 @@ func TestStaticRateRatio(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	at := 5 * time.Hour
 	ratio := cfg.StaticRate(at) / cfg.WikiRate(at)
-	if math.Abs(ratio-cfg.StaticPerWiki) > 1e-9 {
-		t.Fatalf("static/wiki ratio = %v, want %v", ratio, cfg.StaticPerWiki)
+	if math.Abs(ratio-staticPerWiki) > 1e-9 {
+		t.Fatalf("static/wiki ratio = %v, want %v", ratio, staticPerWiki)
 	}
 }
 
