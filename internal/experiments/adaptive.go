@@ -28,7 +28,7 @@ const adaptiveSeedSalt = 0xada9f17e5eed5a17
 // reaches MaxSeeds. Cells at policy-crossover boundaries — load points
 // where the best policy by mean response time differs from a
 // grid-adjacent point — are held to the tighter target
-// CITarget/BoundaryFactor, so the budget saved on easy cells
+// CITarget/boundaryFactor, so the budget saved on easy cells
 // concentrates where the curves actually cross.
 //
 // Determinism: stop decisions are taken at round barriers from
@@ -51,10 +51,10 @@ type Adaptive struct {
 	// len(Sweep.Seeds))). The fixed-replication budget a sweep is
 	// compared against is cells × MaxSeeds.
 	MaxSeeds int
-	// BoundaryFactor divides CITarget for boundary-adjacent cells
-	// (default 2; 1 disables the refinement).
-	BoundaryFactor float64
 }
+
+// boundaryFactor divides CITarget for boundary-adjacent cells.
+const boundaryFactor = 2
 
 // enabled reports whether the config turns adaptive replication on.
 func (a Adaptive) enabled() bool { return a.CITarget > 0 }
@@ -71,12 +71,6 @@ func (a Adaptive) withDefaults(seedCount int) Adaptive {
 	}
 	if a.MaxSeeds < a.MinSeeds {
 		a.MaxSeeds = a.MinSeeds
-	}
-	if a.BoundaryFactor == 0 {
-		a.BoundaryFactor = 2
-	}
-	if a.BoundaryFactor < 1 {
-		a.BoundaryFactor = 1
 	}
 	return a
 }
@@ -172,7 +166,7 @@ func (r Runner) RunSweepAdaptive(ctx context.Context, s Sweep) (SweepResult, Swe
 			cs := newCellStats(perCell[ci])
 			target := a.CITarget
 			if boundary[ci] {
-				target /= a.BoundaryFactor
+				target /= boundaryFactor
 			}
 			switch {
 			case cs.N() >= a.MinSeeds && relCI(cs) <= target:

@@ -21,11 +21,6 @@ type CalibrationConfig struct {
 	Spec PolicySpec
 	// Queries per probe run (default 20000, the paper's batch size).
 	Queries int
-	// Lo, Hi bracket the search in queries/sec. Defaults: 0.5× and 1.5×
-	// the theoretical capacity.
-	Lo, Hi float64
-	// RelTol is the search's relative stopping width (default 1%).
-	RelTol float64
 	// ProbeFan is the number of interior rates probed concurrently per
 	// refinement round (default 4). Each round splits the bracket into
 	// ProbeFan+1 intervals and keeps the one where the drop indicator
@@ -42,16 +37,6 @@ func (cfg CalibrationConfig) withDefaults() CalibrationConfig {
 	cfg.Cluster, cfg.Queries = base.Cluster, base.Queries
 	if cfg.Spec.NewAgent == nil {
 		cfg.Spec = RR()
-	}
-	theo := cfg.Cluster.TheoreticalCapacity()
-	if cfg.Lo == 0 {
-		cfg.Lo = 0.5 * theo
-	}
-	if cfg.Hi == 0 {
-		cfg.Hi = 1.5 * theo
-	}
-	if cfg.RelTol == 0 {
-		cfg.RelTol = 0.01
 	}
 	if cfg.ProbeFan <= 0 {
 		cfg.ProbeFan = 4
@@ -74,6 +59,9 @@ type CalibrationResult struct {
 	// probe's queries, so no drop onset exists at this probe size.
 	Err error
 }
+
+// calRelTol is the search's relative stopping width.
+const calRelTol = 0.01
 
 // maxWidenings bounds the search's upward ladder: Hi doubled this many
 // times is ~1500× the theoretical capacity on the default bracket, and a
@@ -143,9 +131,10 @@ func Calibrate(cfg CalibrationConfig) CalibrationResult {
 		return probeAll([]float64{rate})[0].Refused > 0
 	}
 
-	lo, hi := cfg.Lo, cfg.Hi
-	// Widen the bracket if mis-specified (rare on the default 0.5×/1.5×
-	// theoretical bracket, so this stays a serial ladder).
+	// The search starts from 0.5× and 1.5× the theoretical capacity, and
+	// widens the bracket if that misses the onset (rare, so this stays a
+	// serial ladder).
+	lo, hi := 0.5*res.Theoretical, 1.5*res.Theoretical
 	for drops(lo) && lo > 1 {
 		hi = lo
 		lo /= 2
@@ -163,8 +152,8 @@ func Calibrate(cfg CalibrationConfig) CalibrationResult {
 	// concurrently, then shrink to the sub-interval where the indicator
 	// flips. Like the serial bisection this assumes the drop indicator
 	// is monotone in rate; where simulation noise locally violates that,
-	// both searches land inside the same onset band (within RelTol).
-	for (hi-lo)/hi > cfg.RelTol {
+	// both searches land inside the same onset band (within calRelTol).
+	for (hi-lo)/hi > calRelTol {
 		fan := cfg.ProbeFan
 		pts := make([]float64, fan)
 		step := (hi - lo) / float64(fan+1)
@@ -198,8 +187,8 @@ func (cfg CalibrationConfig) fingerprint() string {
 	cfg = cfg.withDefaults()
 	var b strings.Builder
 	cl := cfg.Cluster
-	fmt.Fprintf(&b, "seed=%d;servers=%d;clients=%d;chash=%t;server=%+v",
-		cl.Seed, cl.Servers, cl.Clients, cl.ConsistentHash, cl.Server)
+	fmt.Fprintf(&b, "seed=%d;servers=%d;chash=%t;server=%+v",
+		cl.Seed, cl.Servers, cl.ConsistentHash, cl.Server)
 	if cl.Replicas > 1 || cl.MissFallback || len(cl.Events) > 0 {
 		fmt.Fprintf(&b, ";replicas=%d;fallback=%t;events=%+v",
 			cl.Replicas, cl.MissFallback, cl.Events)
@@ -209,9 +198,9 @@ func (cfg CalibrationConfig) fingerprint() string {
 			fmt.Fprintf(&b, ";o%d=%+v", i, cl.ServerOverride(i))
 		}
 	}
-	fmt.Fprintf(&b, ";spec=%s/%d/%x;q=%d;lo=%g;hi=%g;tol=%g;fan=%d",
+	fmt.Fprintf(&b, ";spec=%s/%d/%x;q=%d;fan=%d",
 		cfg.Spec.Name, cfg.Spec.Candidates, reflect.ValueOf(cfg.Spec.NewAgent).Pointer(),
-		cfg.Queries, cfg.Lo, cfg.Hi, cfg.RelTol, cfg.ProbeFan)
+		cfg.Queries, cfg.ProbeFan)
 	return b.String()
 }
 

@@ -23,7 +23,7 @@ func TestCalibrateParallelMatchesSerial(t *testing.T) {
 	parallelCfg.Workers = 4
 	parallel := Calibrate(parallelCfg)
 
-	tol := serialCfg.withDefaults().RelTol * serial.Lambda0
+	tol := calRelTol * serial.Lambda0
 	if diff := math.Abs(parallel.Lambda0 - serial.Lambda0); diff > tol {
 		t.Fatalf("parallel lambda0 = %.2f, serial = %.2f: differ by %.2f > tolerance %.2f",
 			parallel.Lambda0, serial.Lambda0, diff, tol)
@@ -61,18 +61,19 @@ func TestCalibrateDeterministicAcrossWorkers(t *testing.T) {
 func TestCalibrateFanOneIsLegacyBisection(t *testing.T) {
 	cfg := CalibrationConfig{Cluster: smallCluster(33), Queries: 2000, ProbeFan: 1, Workers: 1}
 	res := Calibrate(cfg)
-	d := cfg.withDefaults()
-	// Well-bracketed default: first two probes are Lo then Hi.
+	// Well-bracketed: the first two probes are 0.5× then 1.5× the
+	// theoretical capacity.
+	lo, hi := 0.5*res.Theoretical, 1.5*res.Theoretical
 	if len(res.Probes) < 3 {
 		t.Fatalf("only %d probes", len(res.Probes))
 	}
-	if res.Probes[0].RatePerSec != d.Lo || res.Probes[1].RatePerSec != d.Hi {
+	if res.Probes[0].RatePerSec != lo || res.Probes[1].RatePerSec != hi {
 		t.Fatalf("widening probes = %v, %v; want %v, %v",
-			res.Probes[0].RatePerSec, res.Probes[1].RatePerSec, d.Lo, d.Hi)
+			res.Probes[0].RatePerSec, res.Probes[1].RatePerSec, lo, hi)
 	}
-	if res.Probes[2].RatePerSec != (d.Lo+d.Hi)/2 {
+	if res.Probes[2].RatePerSec != (lo+hi)/2 {
 		t.Fatalf("first bisection probe = %v, want midpoint %v",
-			res.Probes[2].RatePerSec, (d.Lo+d.Hi)/2)
+			res.Probes[2].RatePerSec, (lo+hi)/2)
 	}
 }
 

@@ -30,9 +30,9 @@ type ChurnConfig struct {
 	// ChurnBy is how many servers drain and are later re-added (default
 	// a third of the pool, at least 1).
 	ChurnBy int
-	// DrainFrac and GrowFrac place the two phases on the arrival span
-	// (defaults 0.3 and 0.65).
-	DrainFrac, GrowFrac float64
+	// GrowFrac places the re-add phase on the arrival span (default
+	// 0.65); the drain starts at churnDrainFrac of it.
+	GrowFrac float64
 	// Policies defaults to {RR, SR4, SRdyn}.
 	Policies []PolicySpec
 }
@@ -47,6 +47,9 @@ type ChurnResult struct {
 	Rows []ServiceRow
 }
 
+// churnDrainFrac places the drain phase on the arrival span.
+const churnDrainFrac = 0.3
+
 // RunChurn executes the experiment.
 func RunChurn(cfg ChurnConfig) ChurnResult {
 	cfg.Base = cfg.Base.withDefaults()
@@ -55,9 +58,6 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 	}
 	if cfg.ChurnBy == 0 {
 		cfg.ChurnBy = max(1, cfg.Cluster.Servers/3)
-	}
-	if cfg.DrainFrac == 0 {
-		cfg.DrainFrac = 0.3
 	}
 	if cfg.GrowFrac == 0 {
 		cfg.GrowFrac = 0.65
@@ -79,7 +79,7 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 		Variants: []ClusterVariant{
 			{Name: "steady"},
 			{Name: "churn", Apply: func(c ClusterConfig) ClusterConfig {
-				c.Events = churnEvents("", cfg.ChurnBy, cfg.DrainFrac, cfg.GrowFrac)
+				c.Events = churnEvents("", cfg.ChurnBy, churnDrainFrac, cfg.GrowFrac)
 				return c
 			}},
 		},

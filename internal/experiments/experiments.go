@@ -167,7 +167,6 @@ type ClusterConfig struct {
 	Seed    uint64
 	Servers int
 	Server  appserver.Config
-	Clients int
 	// ConsistentHash switches candidate selection from uniform random to
 	// the Maglev table (ablation).
 	ConsistentHash bool
@@ -202,9 +201,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if c.Server.Workers == 0 {
 		c.Server = appserver.Default()
-	}
-	if c.Clients == 0 {
-		c.Clients = 8
 	}
 	return c
 }

@@ -42,10 +42,9 @@ type FailoverConfig struct {
 	Lambda0 float64
 	// Replicas is the LB replica count (default 2); replica 0 is killed.
 	Replicas int
-	// KillFrac places the failure at this fraction of the arrival span
-	// (default 0.5). RecoverFrac, when nonzero, re-attaches the replica
-	// (stateless) at that fraction.
-	KillFrac, RecoverFrac float64
+	// RecoverFrac, when nonzero, re-attaches the replica (stateless) at
+	// this fraction of the arrival span; it dies at failoverKillFrac.
+	RecoverFrac float64
 	// Bins is the transient-timeline resolution (default 40).
 	Bins int
 }
@@ -128,6 +127,10 @@ func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec P
 	return out, err
 }
 
+// failoverKillFrac places the failure at this fraction of the arrival
+// span.
+const failoverKillFrac = 0.5
+
 // RunFailover executes the experiment.
 func RunFailover(cfg FailoverConfig) FailoverResult {
 	cfg.Base = cfg.Base.withDefaults()
@@ -136,9 +139,6 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 	}
 	if cfg.Replicas == 0 {
 		cfg.Replicas = 2
-	}
-	if cfg.KillFrac == 0 {
-		cfg.KillFrac = 0.5
 	}
 	if cfg.Bins == 0 {
 		cfg.Bins = 40
@@ -151,9 +151,9 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 	// RunChurn's schedule does (historically the kill time was computed
 	// absolutely here, which pinned the experiment to one rho).
 	span := PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}.Span(cfg.Rho)
-	killAt := time.Duration(cfg.KillFrac * float64(span))
+	killAt := time.Duration(failoverKillFrac * float64(span))
 	var recoverAt time.Duration
-	events := []testbed.Event{testbed.FailReplica(0, 0).AtFraction(cfg.KillFrac)}
+	events := []testbed.Event{testbed.FailReplica(0, 0).AtFraction(failoverKillFrac)}
 	if cfg.RecoverFrac > 0 {
 		recoverAt = time.Duration(cfg.RecoverFrac * float64(span))
 		events = append(events, testbed.RecoverReplica(0, 0).AtFraction(cfg.RecoverFrac))

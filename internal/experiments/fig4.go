@@ -20,16 +20,17 @@ type Fig4Config struct {
 	// Base: with several Seeds each timeline point is the across-seed
 	// mean with a Student-t 95% CI.
 	Base
-	// Rho is the normalized load (default 0.88, the paper's).
-	Rho     float64
 	Lambda0 float64
-	// Policies defaults to {RR, SR4}, the two lines of the figure.
-	Policies []PolicySpec
-	// SampleEvery sets the load-sampling period (default 100ms).
-	SampleEvery time.Duration
-	// EWMATau is the smoothing constant (default 1s = the paper's α).
-	EWMATau time.Duration
 }
+
+const (
+	// fig4Rho is the paper's normalized load.
+	fig4Rho = 0.88
+	// fig4SampleEvery is the load-sampling period.
+	fig4SampleEvery = 100 * time.Millisecond
+	// fig4Tau is the smoothing constant: 1s is the paper's α.
+	fig4Tau = time.Second
+)
 
 // Fig4Sample is one point of the smoothed series. With replication the
 // values are across-seed means and the CI95 fields their 95% interval
@@ -63,9 +64,7 @@ type Fig4Result struct {
 // Timeline. Each Run
 // builds its own sampling state, so cells are safe to run concurrently.
 type fig4Workload struct {
-	arrivals    PoissonService
-	sampleEvery time.Duration
-	tau         time.Duration
+	arrivals PoissonService
 }
 
 // Label implements Workload.
@@ -76,11 +75,11 @@ func (w fig4Workload) Label() string {
 // Run implements Workload.
 func (w fig4Workload) Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64) (CellOutcome, error) {
 	var samples []Fig4Sample
-	meanE := metrics.NewEWMA(w.tau)
-	fairE := metrics.NewEWMA(w.tau)
+	meanE := metrics.NewEWMA(fig4Tau)
+	fairE := metrics.NewEWMA(fig4Tau)
 	hooks := PoissonHooks{
 		Testbed: func(tb *testbed.Testbed, horizon time.Duration) {
-			tb.SampleLoads(w.sampleEvery, horizon, func(now time.Duration, busy []int) {
+			tb.SampleLoads(fig4SampleEvery, horizon, func(now time.Duration, busy []int) {
 				xs := make([]float64, len(busy))
 				var sum float64
 				for i, b := range busy {
@@ -107,37 +106,22 @@ func (w fig4Workload) Run(ctx context.Context, cluster ClusterConfig, spec Polic
 }
 
 // RunFig4 executes the experiment: a one-load-point Sweep of the sampled
-// Poisson workload over {RR, SR4}, run in parallel.
+// Poisson workload over {RR, SR4}, the two lines of the figure, run in
+// parallel.
 func RunFig4(cfg Fig4Config) Fig4Result {
 	cfg.Base = cfg.Base.withDefaults()
-	if cfg.Rho == 0 {
-		cfg.Rho = 0.88
-	}
 	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = []PolicySpec{RR(), SRc(4)}
-	}
-	if cfg.SampleEvery == 0 {
-		cfg.SampleEvery = 100 * time.Millisecond
-	}
-	if cfg.EWMATau == 0 {
-		cfg.EWMATau = time.Second
-	}
-
+	policies := []PolicySpec{RR(), SRc(4)}
 	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
-		Policies: cfg.Policies,
-		Loads:    []float64{cfg.Rho},
+		Policies: policies,
+		Loads:    []float64{fig4Rho},
 		Seeds:    cfg.Seeds,
-		Workload: fig4Workload{
-			arrivals:    PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries},
-			sampleEvery: cfg.SampleEvery,
-			tau:         cfg.EWMATau,
-		},
+		Workload: fig4Workload{PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}},
 	})
 
-	res := Fig4Result{Rho: cfg.Rho, Lambda0: cfg.Lambda0, Seeds: sweep.Seeds}
-	for pi, spec := range cfg.Policies {
+	res := Fig4Result{Rho: fig4Rho, Lambda0: cfg.Lambda0, Seeds: sweep.Seeds}
+	for pi, spec := range policies {
 		var timelines [][]Fig4Sample
 		for si := range sweep.Seeds {
 			cell := sweep.Cell(pi, 0, si)

@@ -17,13 +17,16 @@ import (
 // slow boxes.
 type HeteroConfig struct {
 	Base
-	// SlowFraction of the servers get SlowCores instead of the default
-	// (defaults: 1/3 of the cluster at 1 core vs the usual 2).
-	SlowFraction float64
-	SlowCores    float64
-	// Rho is computed against the HETEROGENEOUS capacity (default 0.85).
-	Rho float64
 }
+
+const (
+	// A third of the servers are slow boxes with 1 core, against the
+	// usual 2.
+	heteroSlowFraction = 1.0 / 3
+	heteroSlowCores    = 1
+	// heteroRho is the load relative to the HETEROGENEOUS capacity.
+	heteroRho = 0.85
+)
 
 // HeteroRow is one policy's ServiceRow on the mixed cluster plus the
 // slow boxes' share of the work.
@@ -51,23 +54,14 @@ func RunHetero(cfg HeteroConfig) HeteroResult {
 	// No λ0 here: load is normalized by the mixed cluster's theoretical
 	// capacity, so the study runs no calibration probe.
 	cfg.Base = cfg.Base.withDefaults()
-	if cfg.SlowFraction == 0 {
-		cfg.SlowFraction = 1.0 / 3
-	}
-	if cfg.SlowCores == 0 {
-		cfg.SlowCores = 1
-	}
-	if cfg.Rho == 0 {
-		cfg.Rho = 0.85
-	}
 	servers := cfg.Cluster.Servers
-	slow := int(float64(servers) * cfg.SlowFraction)
+	slow := int(float64(servers) * heteroSlowFraction)
 	fastCores := cfg.Cluster.Server.Cores
-	totalCores := float64(servers-slow)*fastCores + float64(slow)*cfg.SlowCores
+	totalCores := float64(servers-slow)*fastCores + float64(slow)*heteroSlowCores
 	capacity := totalCores / MeanDemand.Seconds()
 
 	slowCfg := cfg.Cluster.Server
-	slowCfg.Cores = cfg.SlowCores
+	slowCfg.Cores = heteroSlowCores
 	cluster := cfg.Cluster
 	cluster.ServerOverride = func(i int) appserver.Config {
 		if i < slow {
@@ -77,10 +71,10 @@ func RunHetero(cfg HeteroConfig) HeteroResult {
 	}
 
 	res := HeteroResult{
-		Rho:           cfg.Rho,
+		Rho:           heteroRho,
 		SlowServers:   slow,
 		TotalServers:  servers,
-		CapacityShare: float64(slow) * cfg.SlowCores / totalCores,
+		CapacityShare: float64(slow) * heteroSlowCores / totalCores,
 		Seeds:         cfg.Seeds,
 	}
 	var scenarios []Scenario
@@ -90,7 +84,7 @@ func RunHetero(cfg HeteroConfig) HeteroResult {
 			Cluster:  cluster,
 			Policy:   spec,
 			Workload: OneService(PoissonService{Lambda0: capacity, Queries: cfg.Queries}),
-			Load:     cfg.Rho,
+			Load:     heteroRho,
 		})
 	}
 	rows, replicates := cfg.runStudy(context.Background(), "hetero", scenarios)

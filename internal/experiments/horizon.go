@@ -31,9 +31,6 @@ type HorizonConfig struct {
 	SampleEvery uint64
 	// Progress, when set, is called at every heap sample.
 	Progress func(done, total uint64)
-	// Hooks observe the run (nil-safe); OnResult sees every outcome —
-	// used by tests to compare the sketch against exact accounting.
-	Hooks PoissonHooks
 }
 
 // HorizonResult is the outcome of a horizon run: streaming aggregates
@@ -87,6 +84,12 @@ func (c HorizonConfig) withDefaults() HorizonConfig {
 // enough for 10⁸ and beyond. The engine holds one future arrival and the
 // sink is sketches, so nothing grows with the horizon.
 func RunHorizon(ctx context.Context, cfg HorizonConfig) (HorizonResult, error) {
+	return runHorizon(ctx, cfg, PoissonHooks{})
+}
+
+// runHorizon is RunHorizon with observers (nil-safe), so tests can hold
+// the sketch to exact accounting and inspect the testbed.
+func runHorizon(ctx context.Context, cfg HorizonConfig, hooks PoissonHooks) (HorizonResult, error) {
 	cfg = cfg.withDefaults()
 	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 
@@ -108,11 +111,11 @@ func RunHorizon(ctx context.Context, cfg HorizonConfig) (HorizonResult, error) {
 	}
 	// The testbed is kept for its event count and simulated span.
 	var tb *testbed.Testbed
-	hooks := cfg.Hooks
+	observe := hooks.Testbed
 	hooks.Testbed = func(built *testbed.Testbed, horizon time.Duration) {
 		tb = built
-		if cfg.Hooks.Testbed != nil {
-			cfg.Hooks.Testbed(built, horizon)
+		if observe != nil {
+			observe(built, horizon)
 		}
 	}
 	start := time.Now()

@@ -69,8 +69,7 @@ func TestHorizonSketchMatchesExact(t *testing.T) {
 	}
 	exact := make([]float64, 0, 1<<20) // ns
 	var sum, max time.Duration
-	cfg := horizonCfg(1_000_000)
-	cfg.Hooks.OnResult = func(res testbed.Result) {
+	res, err := runHorizon(context.Background(), horizonCfg(1_000_000), PoissonHooks{OnResult: func(res testbed.Result) {
 		if res.OK {
 			exact = append(exact, float64(res.RT))
 			sum += res.RT
@@ -78,8 +77,7 @@ func TestHorizonSketchMatchesExact(t *testing.T) {
 				max = res.RT
 			}
 		}
-	}
-	res, err := RunHorizon(context.Background(), cfg)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,6 @@ type InterferenceConfig struct {
 	// own load fraction of the same pool, so total utilization is
 	// WebRho + ρ_b (default {0.05, 0.2, 0.35, 0.5} — up to overload).
 	BatchRhos []float64
-	// BatchPeak is the batch service's ON-state burst factor (default 4).
-	BatchPeak float64
 	// Policies defaults to {RR, SR4, SRdyn}.
 	Policies []PolicySpec
 }
@@ -77,7 +75,7 @@ type InterferenceResult struct {
 
 // RunInterference executes the experiment.
 func RunInterference(cfg InterferenceConfig) InterferenceResult {
-	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.BatchRhos, &cfg.BatchPeak)
+	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.BatchRhos)
 	if cfg.WebRho == 0 {
 		cfg.WebRho = 0.55
 	}
@@ -87,8 +85,8 @@ func RunInterference(cfg InterferenceConfig) InterferenceResult {
 
 	// The victim's span fixes the cell's window.
 	span := time.Duration(float64(cfg.Queries) / (cfg.WebRho * cfg.Lambda0) * float64(time.Second))
-	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, span, cfg.BatchPeak)
-	workload.ServiceLoads = []ServiceLoad{{Fixed: cfg.WebRho}, {}}
+	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, span, batchPeak)
+	workload.ServiceLoads = []float64{cfg.WebRho, 0}
 
 	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,

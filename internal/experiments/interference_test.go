@@ -30,7 +30,7 @@ func sharedPoolServices(webQ int, span time.Duration) MultiServiceWorkload {
 				MeanOn: 500 * time.Millisecond, MeanOff: time.Second,
 			}},
 		},
-		ServiceLoads: []ServiceLoad{{Fixed: 0.5}, {}},
+		ServiceLoads: []float64{0.5, 0},
 		Pools:        []testbed.PoolSpec{{Name: "shared"}},
 	}
 }

@@ -314,8 +314,9 @@ func wikiQuery(url string, isWiki bool) testbed.Query {
 }
 
 // ServiceSpec declares one service of a MultiServiceWorkload: its name,
-// arrival process, and pool sizing. Zero pool fields inherit the
-// cluster's (ClusterConfig.Servers / .Server).
+// arrival process, and pool size. Its servers are configured as the
+// cluster's (ClusterConfig.Server), and a zero Servers inherits
+// ClusterConfig.Servers.
 type ServiceSpec struct {
 	// Name labels the VIP in artifacts and per-VIP rows (default
 	// "svc<i>").
@@ -324,13 +325,11 @@ type ServiceSpec struct {
 	Workload ServiceWorkload
 	// Pool, when set, references a MultiServiceWorkload.Pools entry by
 	// name: services naming the same pool select over the *same*
-	// servers and contend for the same workers. Servers/Server are then
+	// servers and contend for the same workers. Servers is then
 	// ignored — the pool carries the sizing.
 	Pool string
-	// Servers overrides the service's pool size; Server its per-server
-	// configuration.
+	// Servers overrides the service's pool size.
 	Servers int
-	Server  appserver.Config
 }
 
 func (s ServiceSpec) name(i int) string {
@@ -338,32 +337,6 @@ func (s ServiceSpec) name(i int) string {
 		return fmt.Sprintf("svc%d", i)
 	}
 	return s.Name
-}
-
-// ServiceLoad maps the sweep's scalar load point onto one service's own
-// intensity — the per-service load axis. The zero value tracks the sweep
-// load unchanged; Fixed pins a constant (the steady victim of an
-// interference study); Scale multiplies the sweep's knob (a proportional
-// aggressor). Together with Sweep.Loads this spans a ρ-matrix: e.g.
-// batch surge ρ_b (Scale 1, swept) against steady web ρ_w (Fixed).
-type ServiceLoad struct {
-	// Fixed, when nonzero, pins the service's load at this value
-	// whatever the sweep's load point.
-	Fixed float64
-	// Scale multiplies the sweep's load point (0 means 1). Ignored when
-	// Fixed is set.
-	Scale float64
-}
-
-// Resolve returns the service's effective load at the sweep's load point.
-func (sl ServiceLoad) Resolve(load float64) float64 {
-	if sl.Fixed != 0 {
-		return sl.Fixed
-	}
-	if sl.Scale != 0 {
-		return sl.Scale * load
-	}
-	return load
 }
 
 // MultiServiceWorkload replays the arrival streams of one or more
@@ -384,10 +357,13 @@ func (sl ServiceLoad) Resolve(load float64) float64 {
 // replication: CellStats.VIPs aggregates each service across seeds.
 type MultiServiceWorkload struct {
 	Services []ServiceSpec
-	// ServiceLoads, when non-nil, gives service i its own load axis
-	// (must be parallel to Services): the cell's scalar load resolves
-	// through ServiceLoads[i] before reaching the service's workload.
-	ServiceLoads []ServiceLoad
+	// ServiceLoads, when non-nil, is the per-service load axis (parallel
+	// to Services): a nonzero ServiceLoads[i] pins service i at that load
+	// whatever the sweep's load point (the steady victim of an
+	// interference study), and 0 tracks the sweep's load. Together with
+	// Sweep.Loads this spans a ρ-matrix: batch surge ρ_b (swept) against
+	// steady web ρ_w (pinned).
+	ServiceLoads []float64
 	// Pools declares named server pools that services reference via
 	// ServiceSpec.Pool — the shared-backend regime. Zero sizing fields
 	// inherit the cluster's; a nil Policy takes the PolicySpec under
@@ -412,21 +388,19 @@ func OneService(svc ServiceWorkload) MultiServiceWorkload {
 }
 
 // runVector runs a grid sweep's per-service ρ-vector (Scenario.LoadVec)
-// through the ServiceLoads plumbing: service d is pinned at loads[d]
-// (ServiceLoad.Fixed) and the scalar load knob is inert. Any
-// ServiceLoads already set on the workload are replaced for the cell.
+// through the ServiceLoads plumbing: service d is pinned at loads[d] and
+// the scalar load knob is inert. Any ServiceLoads already set on the
+// workload are replaced for the cell.
 func (w MultiServiceWorkload) runVector(ctx context.Context, cluster ClusterConfig, spec PolicySpec, loads []float64) (CellOutcome, error) {
 	if len(loads) != len(w.Services) {
 		panic(fmt.Sprintf("experiments: %d-dimensional load vector for %d services", len(loads), len(w.Services)))
 	}
-	sl := make([]ServiceLoad, len(loads))
 	for i, l := range loads {
 		if l <= 0 {
 			panic(fmt.Sprintf("experiments: grid load %g for service %d must be > 0", l, i))
 		}
-		sl[i] = ServiceLoad{Fixed: l}
 	}
-	w.ServiceLoads = sl
+	w.ServiceLoads = loads
 	return w.Run(ctx, cluster, spec, 1)
 }
 
@@ -436,8 +410,8 @@ func (w MultiServiceWorkload) ResolveLoads(load float64) []float64 {
 	out := make([]float64, len(w.Services))
 	for i := range out {
 		out[i] = load
-		if w.ServiceLoads != nil {
-			out[i] = w.ServiceLoads[i].Resolve(load)
+		if w.ServiceLoads != nil && w.ServiceLoads[i] != 0 {
+			out[i] = w.ServiceLoads[i]
 		}
 	}
 	return out
@@ -455,8 +429,8 @@ func (w MultiServiceWorkload) Label() string {
 		if svc.Pool != "" {
 			parts[i] += "→" + svc.Pool
 		}
-		if w.ServiceLoads != nil && i < len(w.ServiceLoads) && w.ServiceLoads[i].Fixed != 0 {
-			parts[i] += fmt.Sprintf("@rho=%.2f", w.ServiceLoads[i].Fixed)
+		if w.ServiceLoads != nil && i < len(w.ServiceLoads) && w.ServiceLoads[i] != 0 {
+			parts[i] += fmt.Sprintf("@rho=%.2f", w.ServiceLoads[i])
 		}
 	}
 	return "multi(" + strings.Join(parts, " ") + ")"
@@ -532,9 +506,6 @@ func (w MultiServiceWorkload) run(ctx context.Context, cluster ClusterConfig, sp
 				vs.Servers = svc.Servers
 				vs.ServerOverride = nil
 			}
-			if svc.Server.Workers != 0 {
-				vs.Server = svc.Server
-			}
 		}
 		specs[i] = vs
 		if sp := checkSpan(svc.Workload, loads[i], svc.Workload.Span(loads[i])); sp > span {
@@ -545,7 +516,6 @@ func (w MultiServiceWorkload) run(ctx context.Context, cluster ClusterConfig, sp
 	tb, sink, err := replay(ctx, testbed.Topology{
 		Seed:     cluster.Seed,
 		Replicas: cluster.Replicas,
-		Clients:  cluster.Clients,
 		Pools:    pools,
 		VIPs:     specs,
 		Events:   cluster.Events,
@@ -599,8 +569,6 @@ type MultiServiceConfig struct {
 	// Compression is the wiki day's replay compression (default 288 —
 	// the 24-hour day in 5 simulated minutes).
 	Compression float64
-	// BatchPeak is the batch VIP's ON-state burst factor (default 4).
-	BatchPeak float64
 	// Policies defaults to {RR, SR4, SRdyn}.
 	Policies []PolicySpec
 }
@@ -625,7 +593,7 @@ func RunMultiService(cfg MultiServiceConfig) MultiServiceResult {
 	if len(cfg.Rhos) == 0 {
 		cfg.Rhos = []float64{0.6, 0.85}
 	}
-	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.Rhos, &cfg.BatchPeak)
+	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.Rhos)
 	if cfg.Compression == 0 {
 		cfg.Compression = 288
 	}
@@ -644,7 +612,7 @@ func RunMultiService(cfg MultiServiceConfig) MultiServiceResult {
 		{Name: "web", Workload: PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}},
 		{Name: "wiki", Workload: WikiService{Day: wiki.Config{Compression: cfg.Compression}}},
 		{Name: "batch", Workload: BurstyService{
-			Lambda0: cfg.Lambda0 * batchShare, Queries: cfg.Queries / 2, PeakFactor: cfg.BatchPeak,
+			Lambda0: cfg.Lambda0 * batchShare, Queries: cfg.Queries / 2, PeakFactor: batchPeak,
 		}, Servers: batchServers},
 	}}
 

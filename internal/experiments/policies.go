@@ -39,19 +39,10 @@ type PoliciesConfig struct {
 	WebRho float64
 	// BatchRhos is the aggressor axis (default {0.05, 0.2, 0.35, 0.5}).
 	BatchRhos []float64
-	// BatchPeak is the batch service's ON-state burst factor (default 4).
-	BatchPeak float64
 	// FlowletGap is the flowlet policy's idle gap (0 ⇒
-	// selection.DefaultFlowletGap). Used only when Policies is empty.
+	// selection.DefaultFlowletGap) in the four-way ablation
+	// ablationPolicies.
 	FlowletGap time.Duration
-	// Feedback overrides the telemetry plane's tuning; Enabled is forced
-	// on (the ablation is about the plane).
-	Feedback feedback.Config
-	// ChurnBy is how many shared-pool servers the churn variant drains
-	// mid-run and later re-adds (default a third of the pool, at least 1).
-	ChurnBy int
-	// Policies defaults to ablationPolicies(FlowletGap).
-	Policies []PolicySpec
 }
 
 // PoliciesRow is a ServiceRow — Variant is "steady" or "churn", Rho the
@@ -83,40 +74,37 @@ type PoliciesResult struct {
 
 // RunPolicies executes the experiment.
 func RunPolicies(cfg PoliciesConfig) PoliciesResult {
-	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.BatchRhos, &cfg.BatchPeak)
+	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.BatchRhos)
 	if cfg.WebRho == 0 {
 		cfg.WebRho = 0.55
 	}
-	if cfg.ChurnBy == 0 {
-		cfg.ChurnBy = max(1, cfg.Cluster.Servers/3)
-	}
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = ablationPolicies(cfg.FlowletGap)
-	}
-	// The ablation is about the telemetry plane — it is always on here;
-	// per-policy degradation to the oblivious fallback happens through
-	// staleness, not through the config.
-	cfg.Cluster.Feedback = cfg.Feedback
-	cfg.Cluster.Feedback.Enabled = true
+	// The churn variant drains a third of the shared pool (at least one
+	// server) mid-run and later re-adds it.
+	churnBy := max(1, cfg.Cluster.Servers/3)
+	policies := ablationPolicies(cfg.FlowletGap)
+	// The ablation is about the telemetry plane — it is always on here,
+	// at its default tuning; per-policy degradation to the oblivious
+	// fallback happens through staleness, not through the config.
+	cfg.Cluster.Feedback = feedback.Config{Enabled: true}
 
 	// Same shape as RunInterference: the victim's span fixes the window.
 	// CloseAck gives every connection its late steered packet — the
 	// flowlet boundary.
 	span := time.Duration(float64(cfg.Queries) / (cfg.WebRho * cfg.Lambda0) * float64(time.Second))
-	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, span, cfg.BatchPeak)
-	workload.ServiceLoads = []ServiceLoad{{Fixed: cfg.WebRho}, {}}
+	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, span, batchPeak)
+	workload.ServiceLoads = []float64{cfg.WebRho, 0}
 	workload.CloseAck = true
 	variants := []ClusterVariant{
 		{Name: "steady"},
 		{Name: "churn", Apply: func(c ClusterConfig) ClusterConfig {
-			c.Events = churnEvents("shared", cfg.ChurnBy, 0.3, 0.65)
+			c.Events = churnEvents("shared", churnBy, churnDrainFrac, 0.65)
 			return c
 		}},
 	}
 
 	raw, _ := cfg.runner().RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
-		Policies: cfg.Policies,
+		Policies: policies,
 		Variants: variants,
 		Loads:    cfg.BatchRhos,
 		Seeds:    cfg.Seeds,
@@ -141,7 +129,7 @@ func RunPolicies(cfg PoliciesConfig) PoliciesResult {
 	// comes off the raw replicate cells.
 	for vi := range variants {
 		for li := range cfg.BatchRhos {
-			for pi := range cfg.Policies {
+			for pi := range policies {
 				for _, sr := range cellRows(agg.CellAt(pi, vi, li)) {
 					row := PoliciesRow{ServiceRow: sr}
 					if sr.Service == "all" {

@@ -25,8 +25,8 @@ func TestFeedbackPlanePublishesUnderHorizon(t *testing.T) {
 	cfg.Cluster.Feedback = feedback.Config{Enabled: true}
 	cfg.Policy = WeightedLeastLoadPolicy()
 	var tb *testbed.Testbed
-	cfg.Hooks.Testbed = func(built *testbed.Testbed, _ time.Duration) { tb = built }
-	if _, err := RunHorizon(context.Background(), cfg); err != nil {
+	hooks := PoissonHooks{Testbed: func(built *testbed.Testbed, _ time.Duration) { tb = built }}
+	if _, err := runHorizon(context.Background(), cfg, hooks); err != nil {
 		t.Fatal(err)
 	}
 	if got := tb.Feedback.Stats().Ingests; got == 0 {
@@ -94,7 +94,7 @@ func TestNoArrivalSpanPanics(t *testing.T) {
 		}},
 		{"multi-service wiki at load 0", 0, "wiki-day", func(l float64) {
 			w := multi(WikiService{Day: wiki.Config{Compression: 28800}})
-			w.ServiceLoads = []ServiceLoad{{Fixed: 0.5}, {}}
+			w.ServiceLoads = []float64{0.5, 0}
 			w.Run(ctx, cluster, RR(), l)
 		}},
 	}

@@ -33,23 +33,30 @@ type ResilienceConfig struct {
 	// Rho is the normalized load (default 0.85).
 	Rho     float64
 	Lambda0 float64
-	// Replicas is the LB replica count (default 2); replica 0 is killed
-	// in the kill and rack scenarios.
-	Replicas int
-	// KillFrac places the failure at this fraction of the arrival span
-	// (default 0.4); RecoverFrac re-attaches the replica (default 0.45
-	// — a fast process restart, the window warm handoff is for: flows
-	// still in SYN-retransmission when the replica returns are steered
-	// by its inherited table instead of reset by a cold fallback guess).
-	KillFrac, RecoverFrac float64
-	// RackFrac is the fraction of pool servers lost in the rack
-	// scenario (default 0.25), all at KillFrac.
-	RackFrac float64
-	// RTO enables client SYN retransmission (default 1s, exponential
+	// RecoverFrac re-attaches the replica at this fraction of the
+	// arrival span (default 0.45, just after resilienceKillFrac — a fast
+	// process restart, the window warm handoff is for: flows still in
+	// SYN-retransmission when the replica returns are steered by its
+	// inherited table instead of reset by a cold fallback guess).
+	RecoverFrac float64
+}
+
+const (
+	// resilienceReplicas is the LB replica count; replica 0 is killed in
+	// the kill and rack scenarios, and a warm restart imports replica 1's
+	// table.
+	resilienceReplicas = 2
+	// resilienceKillFrac places the failure at this fraction of the
+	// arrival span.
+	resilienceKillFrac = 0.4
+	// resilienceRackFrac is the fraction of pool servers lost in the
+	// rack scenario, all at resilienceKillFrac.
+	resilienceRackFrac = 0.25
+	// resilienceRTO enables client SYN retransmission (exponential
 	// backoff). Without it a single mis-steered request is a permanent
 	// loss for every discipline and the ablation cannot separate them.
-	RTO time.Duration
-}
+	resilienceRTO = time.Second
+)
 
 // resilienceScenarios and resilienceModes span the 3×3 variant grid.
 // Every cell runs resiliencePolicy — a threshold policy, so acceptance
@@ -84,13 +91,9 @@ type ResilienceResult struct {
 // point.
 func resilienceEvents(cfg ResilienceConfig, scenario, mode string) []testbed.Event {
 	warm := mode == "warm"
-	donor := 0
-	if cfg.Replicas > 1 {
-		donor = 1
-	}
 	recover := func(frac float64) testbed.Event {
 		if warm {
-			return testbed.RecoverReplicaWarm(0, 0, donor).AtFraction(frac)
+			return testbed.RecoverReplicaWarm(0, 0, 1).AtFraction(frac)
 		}
 		return testbed.RecoverReplica(0, 0).AtFraction(frac)
 	}
@@ -99,23 +102,23 @@ func resilienceEvents(cfg ResilienceConfig, scenario, mode string) []testbed.Eve
 		// Several pool servers fail at the same instant as the replica —
 		// the correlated top-of-rack story. The servers stay dead; only
 		// the replica comes back.
-		events := testbed.FailPoolRack("", cfg.Cluster.Servers, cfg.RackFrac, cfg.KillFrac)
+		events := testbed.FailPoolRack("", cfg.Cluster.Servers, resilienceRackFrac, resilienceKillFrac)
 		return append(events,
-			testbed.FailReplica(0, 0).AtFraction(cfg.KillFrac),
+			testbed.FailReplica(0, 0).AtFraction(resilienceKillFrac),
 			recover(cfg.RecoverFrac))
 	case "rolling":
 		// Sequential fail/recover pairs across every replica, spaced to
 		// finish by 90% of the span, each outage as short as the kill
 		// scenario's.
-		stride := (0.9 - cfg.KillFrac) / float64(cfg.Replicas)
-		down := cfg.RecoverFrac - cfg.KillFrac
+		stride := (0.9 - resilienceKillFrac) / float64(resilienceReplicas)
+		down := cfg.RecoverFrac - resilienceKillFrac
 		if down > stride/2 {
 			down = stride / 2
 		}
-		return testbed.RollingUpgradeEvents(cfg.Replicas, cfg.KillFrac, stride, down, warm)
+		return testbed.RollingUpgradeEvents(resilienceReplicas, resilienceKillFrac, stride, down, warm)
 	default: // "kill"
 		return []testbed.Event{
-			testbed.FailReplica(0, 0).AtFraction(cfg.KillFrac),
+			testbed.FailReplica(0, 0).AtFraction(resilienceKillFrac),
 			recover(cfg.RecoverFrac),
 		}
 	}
@@ -127,20 +130,8 @@ func RunResilience(cfg ResilienceConfig) ResilienceResult {
 	if cfg.Rho == 0 {
 		cfg.Rho = 0.85
 	}
-	if cfg.Replicas == 0 {
-		cfg.Replicas = 2
-	}
-	if cfg.KillFrac == 0 {
-		cfg.KillFrac = 0.4
-	}
 	if cfg.RecoverFrac == 0 {
 		cfg.RecoverFrac = 0.45
-	}
-	if cfg.RackFrac == 0 {
-		cfg.RackFrac = 0.25
-	}
-	if cfg.RTO == 0 {
-		cfg.RTO = time.Second
 	}
 	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 
@@ -155,7 +146,7 @@ func RunResilience(cfg ResilienceConfig) ResilienceResult {
 			variants = append(variants, ClusterVariant{
 				Name: scenario + "/" + mode,
 				Apply: func(c ClusterConfig) ClusterConfig {
-					c.Replicas = cfg.Replicas
+					c.Replicas = resilienceReplicas
 					c.Events = events
 					c.ConsistentHash = !stateless
 					c.MissFallback = !stateless
@@ -165,7 +156,7 @@ func RunResilience(cfg ResilienceConfig) ResilienceResult {
 		}
 	}
 	workload := OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries})
-	workload.RetransmitRTO = cfg.RTO
+	workload.RetransmitRTO = resilienceRTO
 	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: []PolicySpec{resiliencePolicy},
@@ -177,8 +168,8 @@ func RunResilience(cfg ResilienceConfig) ResilienceResult {
 	agg := sweep.Aggregate()
 
 	res := ResilienceResult{
-		Rho: cfg.Rho, Lambda0: cfg.Lambda0, Replicas: cfg.Replicas,
-		KillFrac: cfg.KillFrac, RecoverFrac: cfg.RecoverFrac, RackFrac: cfg.RackFrac,
+		Rho: cfg.Rho, Lambda0: cfg.Lambda0, Replicas: resilienceReplicas,
+		KillFrac: resilienceKillFrac, RecoverFrac: cfg.RecoverFrac, RackFrac: resilienceRackFrac,
 		Seeds: sweep.Seeds,
 		Stats: agg,
 	}

@@ -48,13 +48,7 @@ type RhoGridConfig struct {
 	BatchRhos []float64
 	// BatchPeak is the batch service's ON-state burst factor (default 4).
 	BatchPeak float64
-	// FlowletGap is the flowlet policy's idle gap (0 ⇒
-	// selection.DefaultFlowletGap). Used only when Policies is empty.
-	FlowletGap time.Duration
-	// Feedback overrides the telemetry plane's tuning; Enabled is forced
-	// on (the load-aware schemes need it).
-	Feedback feedback.Config
-	// Policies defaults to the four-way ablation
+	// Policies defaults to the four-way ablation ablationPolicies
 	// {Random2, CHash2, WeightedLeastLoadPolicy, FlowletPolicy}.
 	Policies []PolicySpec
 	// Adaptive configures adaptive replication (CITarget <= 0 runs the
@@ -90,15 +84,19 @@ type RhoGridResult struct {
 
 // RunRhoGrid executes the experiment.
 func RunRhoGrid(cfg RhoGridConfig) RhoGridResult {
-	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.BatchRhos, &cfg.BatchPeak)
+	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.BatchRhos)
+	if cfg.BatchPeak == 0 {
+		cfg.BatchPeak = batchPeak
+	}
 	if len(cfg.WebRhos) == 0 {
 		cfg.WebRhos = []float64{0.3, 0.55, 0.8}
 	}
 	if len(cfg.Policies) == 0 {
-		cfg.Policies = ablationPolicies(cfg.FlowletGap)
+		cfg.Policies = ablationPolicies(0)
 	}
-	cfg.Cluster.Feedback = cfg.Feedback
-	cfg.Cluster.Feedback.Enabled = true
+	// The load-aware schemes need the telemetry plane, at its default
+	// tuning.
+	cfg.Cluster.Feedback = feedback.Config{Enabled: true}
 
 	// Unlike RunPolicies, the web load is swept too, so no single
 	// victim span exists; instead every cell simulates the same fixed

@@ -226,31 +226,31 @@ func lift[R any](base func(R) ServiceRow, cols ...column[ServiceRow]) []column[R
 }
 
 // serviceSweepDefaults resolves the knobs the family's configs share:
-// the base's defaults, a 4× batch burst factor, λ0 calibrated on the
-// base cluster when not given, and — unless the experiment has set its
-// own load axis — the shared-pool aggressor axis {0.05, 0.2, 0.35, 0.5}.
-func serviceSweepDefaults(base *Base, lambda0 *float64, rhos *[]float64, batchPeak *float64) {
+// the base's defaults, λ0 calibrated on the base cluster when not given,
+// and — unless the experiment has set its own load axis — the
+// shared-pool aggressor axis {0.05, 0.2, 0.35, 0.5}.
+func serviceSweepDefaults(base *Base, lambda0 *float64, rhos *[]float64) {
 	*base = base.withDefaults()
 	if len(*rhos) == 0 {
 		*rhos = []float64{0.05, 0.2, 0.35, 0.5}
 	}
-	if *batchPeak == 0 {
-		*batchPeak = 4
-	}
 	*lambda0 = base.Cluster.lambda0(*lambda0)
 }
+
+// batchPeak is the batch service's ON-state burst factor.
+const batchPeak = 4
 
 // sharedPoolWorkload is the traffic of RunInterference, RunPolicies and
 // RunRhoGrid: a Poisson web victim and a bursty batch aggressor
 // selecting over the same servers (pool "shared"), the aggressor
 // time-bounded to span so every batch load offers over the same window
 // and only its intensity varies.
-func sharedPoolWorkload(web PoissonService, span time.Duration, batchPeak float64) MultiServiceWorkload {
+func sharedPoolWorkload(web PoissonService, span time.Duration, peakFactor float64) MultiServiceWorkload {
 	return MultiServiceWorkload{
 		Services: []ServiceSpec{
 			{Name: "web", Pool: "shared", Workload: web},
 			{Name: "batch", Pool: "shared", Workload: BurstyService{
-				Lambda0: web.Lambda0, Horizon: span, PeakFactor: batchPeak,
+				Lambda0: web.Lambda0, Horizon: span, PeakFactor: peakFactor,
 			}},
 		},
 		Pools: []testbed.PoolSpec{{Name: "shared"}},

@@ -67,7 +67,7 @@ func TestSingleServiceCellDigests(t *testing.T) {
 			return stats(cell(w, cluster, 0.6))
 		}, "bursty(1500q,peak=4.0x) 1500/0/0 cd2e33db7b15ff89"},
 		{"fig4", func() string {
-			w := fig4Workload{arrivals: PoissonService{Lambda0: 80, Queries: 1500}, sampleEvery: 100 * time.Millisecond, tau: time.Second}
+			w := fig4Workload{arrivals: PoissonService{Lambda0: 80, Queries: 1500}}
 			res := cell(w, cluster, 0.88)
 			return cellDigest(res.Workload, res.Outcome, res.Outcome.Timeline)
 		}, "poisson+load-sampling(1500q) 1500/0/0 e60334debacd3fe5"},
@@ -113,7 +113,7 @@ func TestOneServicePerVIPIsAggregate(t *testing.T) {
 	for _, sc := range []Scenario{
 		{Cluster: silent, Policy: SRc(4), Workload: retransmitting, Load: 2},
 		{Cluster: smallCluster(7), Policy: RR(), Load: 0.88, Workload: fig4Workload{
-			arrivals: PoissonService{Lambda0: 80, Queries: 2000}, sampleEvery: 100 * time.Millisecond, tau: time.Second,
+			arrivals: PoissonService{Lambda0: 80, Queries: 2000},
 		}},
 		{Cluster: failing, Policy: SRc(4), Load: 0.85, Workload: failoverWorkload{arrivals: PoissonService{Lambda0: 80, Queries: 2000}, bins: 10}},
 	} {

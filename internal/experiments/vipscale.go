@@ -69,20 +69,6 @@ func VIPScaleSchemes() []VIPScaleScheme {
 type VIPScaleConfig struct {
 	// VIPCounts is the service-count axis (default {100, 1000, 10000}).
 	VIPCounts []int
-	// Schemes is the selection-scheme axis (default VIPScaleSchemes()).
-	Schemes []VIPScaleScheme
-	// Pools spreads the VIPs over this many shared server pools (default
-	// 16); ServersPerPool sizes each (default 12).
-	Pools          int
-	ServersPerPool int
-	// Ops is the dispatch-op count per measured path (default 100000);
-	// Rounds repeats each measurement, keeping the minimum (default 3 —
-	// the minimum is the least-noise estimator for a deterministic loop).
-	Ops    int
-	Rounds int
-	// WarmFlows seeds the flow table for the steered-path measurement
-	// (default 4096).
-	WarmFlows int
 	// Seed drives the topology's random streams (default 0x51ca1e).
 	Seed     uint64
 	Progress func(string)
@@ -92,29 +78,26 @@ func (cfg VIPScaleConfig) withDefaults() VIPScaleConfig {
 	if len(cfg.VIPCounts) == 0 {
 		cfg.VIPCounts = []int{100, 1000, 10000}
 	}
-	if len(cfg.Schemes) == 0 {
-		cfg.Schemes = VIPScaleSchemes()
-	}
-	if cfg.Pools <= 0 {
-		cfg.Pools = 16
-	}
-	if cfg.ServersPerPool <= 0 {
-		cfg.ServersPerPool = 12
-	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = 100000
-	}
-	if cfg.Rounds <= 0 {
-		cfg.Rounds = 3
-	}
-	if cfg.WarmFlows <= 0 {
-		cfg.WarmFlows = 4096
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 0x51ca1e
 	}
 	return cfg
 }
+
+const (
+	// The VIPs spread over vipScalePools shared server pools of
+	// vipScaleServersPerPool servers each.
+	vipScalePools          = 16
+	vipScaleServersPerPool = 12
+	// vipScaleOps is the dispatch-op count per measured path; each
+	// measurement runs vipScaleRounds times, keeping the minimum — the
+	// least-noise estimator for a deterministic loop.
+	vipScaleOps    = 100000
+	vipScaleRounds = 3
+	// vipScaleWarmFlows seeds the flow table for the steered-path
+	// measurement.
+	vipScaleWarmFlows = 4096
+)
 
 // VIPScaleRow is one (scheme, VIP-count) measurement.
 type VIPScaleRow struct {
@@ -244,9 +227,10 @@ func (r *DispatchRig) MeasureSteered(ops, n int) float64 {
 	return float64(time.Since(t0)) / float64(ops)
 }
 
-// RunVIPScale executes the sweep: for each (scheme, VIP count) it
-// builds a generated topology, measures control-plane build time, then
-// the SYN and steered per-packet dispatch costs (minimum over Rounds).
+// RunVIPScale executes the sweep: for each scheme of VIPScaleSchemes and
+// each VIP count it builds a generated topology, measures control-plane
+// build time, then the SYN and steered per-packet dispatch costs
+// (minimum over vipScaleRounds).
 func RunVIPScale(cfg VIPScaleConfig) VIPScaleResult {
 	cfg = cfg.withDefaults()
 	progress := cfg.Progress
@@ -254,28 +238,28 @@ func RunVIPScale(cfg VIPScaleConfig) VIPScaleResult {
 		progress = func(string) {}
 	}
 	res := VIPScaleResult{VIPCounts: cfg.VIPCounts}
-	for _, scheme := range cfg.Schemes {
+	for _, scheme := range VIPScaleSchemes() {
 		for _, v := range cfg.VIPCounts {
 			t0 := time.Now()
-			rig := NewDispatchRig(cfg.Seed, v, cfg.Pools, cfg.ServersPerPool, scheme)
+			rig := NewDispatchRig(cfg.Seed, v, vipScalePools, vipScaleServersPerPool, scheme)
 			buildMS := float64(time.Since(t0)) / float64(time.Millisecond)
-			rig.SeedFlows(cfg.WarmFlows)
+			rig.SeedFlows(vipScaleWarmFlows)
 			// Warm both paths once before timing (first-touch map growth,
 			// branch warm-up), then keep the minimum across rounds.
-			rig.MeasureSYN(cfg.Ops / 10)
-			rig.MeasureSteered(cfg.Ops/10, cfg.WarmFlows)
+			rig.MeasureSYN(vipScaleOps / 10)
+			rig.MeasureSteered(vipScaleOps/10, vipScaleWarmFlows)
 			synNs, steerNs := 0.0, 0.0
-			for round := 0; round < cfg.Rounds; round++ {
-				if s := rig.MeasureSYN(cfg.Ops); round == 0 || s < synNs {
+			for round := 0; round < vipScaleRounds; round++ {
+				if s := rig.MeasureSYN(vipScaleOps); round == 0 || s < synNs {
 					synNs = s
 				}
-				if s := rig.MeasureSteered(cfg.Ops, cfg.WarmFlows); round == 0 || s < steerNs {
+				if s := rig.MeasureSteered(vipScaleOps, vipScaleWarmFlows); round == 0 || s < steerNs {
 					steerNs = s
 				}
 			}
 			row := VIPScaleRow{
-				Scheme: scheme.Name, VIPs: v, Pools: cfg.Pools,
-				BuildMS: buildMS, SYNNs: synNs, SteerNs: steerNs, Ops: cfg.Ops,
+				Scheme: scheme.Name, VIPs: v, Pools: vipScalePools,
+				BuildMS: buildMS, SYNNs: synNs, SteerNs: steerNs, Ops: vipScaleOps,
 			}
 			res.Rows = append(res.Rows, row)
 			progress(fmt.Sprintf("vipscale %s vips=%d: build %.1f ms, syn %.0f ns/op, steer %.0f ns/op",
