@@ -162,7 +162,7 @@
 // The contention regime layers on top: ServiceSpec.Pool +
 // MultiServiceWorkload.Pools put several services on ONE shared server
 // pool, and MultiServiceWorkload.ServiceLoads gives each service its
-// own load axis (a ServiceLoad pins a victim's ρ or scales the sweep's
+// own load axis (a nonzero entry pins a victim's ρ, 0 tracks the sweep's
 // knob), so a batch surge ρ_b can sweep against a steady web ρ_w over
 // the same workers. RunInterference packages that measurement as
 // `srlb-bench -experiment interference`: per-victim p99/completion

@@ -20,8 +20,8 @@ type ClusterVariant struct {
 // ρ-vector that rides the workload's per-service load plumbing
 // (MultiServiceWorkload.ServiceLoads): point[d] pins service d's load,
 // so axis d must align with service d and every value must be > 0 — a
-// zero would read as "track the scalar load" (ServiceLoad's unset
-// convention) and silently collapse the grid.
+// zero would read as "track the scalar load" (ServiceLoads' 0) and
+// silently collapse the grid.
 type LoadGrid struct {
 	// Axes[d] lists dimension d's swept values, each > 0.
 	Axes [][]float64
