@@ -601,21 +601,7 @@ func RunMultiService(cfg MultiServiceConfig) MultiServiceResult {
 		cfg.Policies = []PolicySpec{RR(), SRc(4), SRdyn()}
 	}
 
-	// The batch pool is half the web pool; its offered rate scales with
-	// its pool share so every service sweeps the same normalized load.
-	batchServers := cfg.Cluster.Servers / 2
-	if batchServers < 2 {
-		batchServers = 2
-	}
-	batchShare := float64(batchServers) / float64(cfg.Cluster.Servers)
-	workload := MultiServiceWorkload{Services: []ServiceSpec{
-		{Name: "web", Workload: PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}},
-		{Name: "wiki", Workload: WikiService{Day: wiki.Config{Compression: cfg.Compression}}},
-		{Name: "batch", Workload: BurstyService{
-			Lambda0: cfg.Lambda0 * batchShare, Queries: cfg.Queries / 2, PeakFactor: batchPeak,
-		}, Servers: batchServers},
-	}}
-
+	workload := multiServiceWorkload(cfg)
 	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
 		Policies: cfg.Policies,
@@ -632,6 +618,25 @@ func RunMultiService(cfg MultiServiceConfig) MultiServiceResult {
 		Stats:    agg,
 		Rows:     serviceRows(agg),
 	}
+}
+
+// multiServiceWorkload is RunMultiService's cell: web, wiki and batch
+// services, each on its own pool. cfg carries its defaults.
+func multiServiceWorkload(cfg MultiServiceConfig) MultiServiceWorkload {
+	// The batch pool is half the web pool; its offered rate scales with
+	// its pool share so every service sweeps the same normalized load.
+	batchServers := cfg.Cluster.Servers / 2
+	if batchServers < 2 {
+		batchServers = 2
+	}
+	batchShare := float64(batchServers) / float64(cfg.Cluster.Servers)
+	return MultiServiceWorkload{Services: []ServiceSpec{
+		{Name: "web", Workload: PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}},
+		{Name: "wiki", Workload: WikiService{Day: wiki.Config{Compression: cfg.Compression}}},
+		{Name: "batch", Workload: BurstyService{
+			Lambda0: cfg.Lambda0 * batchShare, Queries: cfg.Queries / 2, PeakFactor: batchPeak,
+		}, Servers: batchServers},
+	}}
 }
 
 // Row returns the row for (policy, service) at the rho closest to the
