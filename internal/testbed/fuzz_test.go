@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"math"
 	"math/rand/v2"
 	"net/netip"
 	"testing"
@@ -78,7 +79,7 @@ func decodeFuzzTopology(data []byte) Topology {
 		if c.next(2) == 1 {
 			ev.Pool = GenPoolName(c.next(5))
 		}
-		switch c.next(3) {
+		switch c.next(5) {
 		case 0:
 			ev.At = time.Duration(c.next(1000)) * time.Millisecond
 		case 1:
@@ -87,6 +88,10 @@ func decodeFuzzTopology(data []byte) Topology {
 			ev.At = time.Duration(c.next(100)) * time.Millisecond
 			ev.Frac = float64(c.next(30))/10 - 1
 			ev.Relative = c.next(2) == 1
+		case 3: // a fraction no comparison orders
+			ev = ev.AtFraction(math.NaN())
+		case 4: // an absolute time before the run starts
+			ev.At = -time.Duration(c.next(1000)+1) * time.Millisecond
 		}
 		top.Events = append(top.Events, ev)
 	}

@@ -280,7 +280,7 @@ func ResolveEvents(events []Event, span time.Duration) []Event {
 	out := make([]Event, len(events))
 	for i, ev := range events {
 		if ev.Relative {
-			if ev.Frac < 0 || ev.Frac > 1 {
+			if !(ev.Frac >= 0 && ev.Frac <= 1) {
 				panic(fmt.Sprintf("testbed: event %d: fraction %v outside [0, 1]", i, ev.Frac))
 			}
 			if ev.At != 0 {
@@ -470,19 +470,23 @@ func (t Topology) Validate() error { return t.withDefaults().validate() }
 // as large as its scheme needs, or the scheme's own constructor will
 // panic at the event's virtual time.
 func (t Topology) validate() error {
-	// Rate-relative sanity first: a fraction outside [0, 1], or an event
-	// carrying both an absolute time and a fraction, is malformed however
-	// the schedule is later resolved. Mixing absolute and relative events
-	// in one schedule is also rejected — without the span the two time
-	// bases cannot be ordered against each other.
+	// Time sanity first: a negative time, a fraction outside [0, 1] (NaN
+	// included), or an event carrying both an absolute time and a
+	// fraction, is malformed however the schedule is later resolved.
+	// Mixing absolute and relative events in one schedule is also
+	// rejected — without the span the two time bases cannot be ordered
+	// against each other.
 	relative, absolute := 0, 0
 	for i, ev := range t.Events {
 		if !ev.Relative {
+			if ev.At < 0 {
+				return fmt.Errorf("event %d: negative time %v", i, ev.At)
+			}
 			absolute++
 			continue
 		}
 		relative++
-		if ev.Frac < 0 || ev.Frac > 1 {
+		if !(ev.Frac >= 0 && ev.Frac <= 1) {
 			return fmt.Errorf("event %d: fraction %v outside [0, 1]", i, ev.Frac)
 		}
 		if ev.At != 0 {

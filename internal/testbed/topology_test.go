@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"maps"
+	"math"
 	"math/rand/v2"
 	"net/netip"
 	"strings"
@@ -290,6 +291,14 @@ func TestTopologyValidateErrors(t *testing.T) {
 			Topology{VIPs: []VIPSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 0).AtFraction(1.5)}},
 			"outside [0, 1]",
 		},
+		"NaN fraction": {
+			Topology{Events: []Event{DrainServer(0, 0, 1).AtFraction(math.NaN())}},
+			"fraction NaN outside [0, 1]",
+		},
+		"negative time": {
+			Topology{Events: []Event{DrainServer(-time.Second, 0, 1)}},
+			"negative time -1s",
+		},
 		"absolute and fraction overlap": {
 			Topology{VIPs: []VIPSpec{{Servers: 2}},
 				Events: []Event{{At: time.Second, Kind: EventServerDrain, Frac: 0.5, Relative: true}}},
@@ -440,6 +449,7 @@ func TestResolveEvents(t *testing.T) {
 	for name, bad := range map[string][]Event{
 		"negative fraction": {DrainServer(0, 0, 0).AtFraction(-0.1)},
 		"fraction above 1":  {DrainServer(0, 0, 0).AtFraction(1.5)},
+		"NaN fraction":      {DrainServer(0, 0, 0).AtFraction(math.NaN())},
 		"absolute and fraction both set": {
 			{At: time.Second, Kind: EventServerDrain, Frac: 0.5, Relative: true},
 		},
