@@ -75,7 +75,7 @@ func TestGeneratedAddressArithmetic(t *testing.T) {
 		}
 	}
 	for _, c := range []struct{ a, b int }{{0, 0}, {1, 0}, {2, 11}, {63, 255}, {1000, 5}} {
-		if got, want := SharedPoolServerAddr(c.a, c.b), ipv6.MustAddr(fmt.Sprintf("2001:db8:a:%x::%x", c.a+1, c.b+1)); got != want {
+		if got, want := SharedPoolServerAddr(c.a, c.b), ipv6.MustAddr(fmt.Sprintf("2001:db8:5:%x::%x", c.a, c.b+1)); got != want {
 			t.Fatalf("SharedPoolServerAddr(%d, %d) = %v, want %v", c.a, c.b, got, want)
 		}
 		if c.a == 0 {

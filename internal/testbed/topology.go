@@ -73,10 +73,13 @@ func PoolServerAddr(v, i int) netip.Addr {
 }
 
 // SharedPoolServerAddr returns the physical address of server i of the
-// p-th declared pool (Topology.Pools order). Named pools get their own
-// /64s, disjoint from every implicit per-VIP pool space.
+// p-th declared pool (Topology.Pools order): 2001:db8:5:<p>::<i+1>, so
+// pool 0 is the ServerAddr space.
 func SharedPoolServerAddr(p, i int) netip.Addr {
-	return poolSpaceAddr(0xa, uint64(p)+1, uint64(i)+1)
+	if p == 0 {
+		return ServerAddr(i)
+	}
+	return poolSpaceAddr(0x5, uint64(p), uint64(i)+1)
 }
 
 // SchemeFn builds a candidate-selection scheme over the current server
