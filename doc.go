@@ -71,14 +71,13 @@
 // # Topologies: LB replicas, multiple VIPs, lifecycle events
 //
 // Cluster construction is declarative (docs/TOPOLOGY.md): a Topology
-// names VIPs — each with its own selection scheme, miss-fallback and
-// demand model — declares server pools (implicit per VIP, or named
-// PoolSpecs that several VIPs share, contending for the same workers),
+// declares server pools (Topology.Pools) and VIPs, each naming its pool
+// by index — VIPs naming the same pool contend for the same workers —
+// with its own selection scheme, miss-fallback and demand model;
 // attaches N LB replicas through anycast/ECMP (the Maglev/Ananta
-// deployment model that §II-B's consistent-hash selection enables), and
-// schedules lifecycle Events (AddServer, DrainServer, their
-// pool-targeted forms AddPoolServer/DrainPoolServer, FailReplica and
-// RecoverReplica) at virtual times during the run. Warm recovery, rack
+// deployment model that §II-B's consistent-hash selection enables); and
+// schedules lifecycle Events (AddServer and DrainServer on a pool,
+// FailReplica and RecoverReplica) at virtual times during the run. Warm recovery, rack
 // loss and rolling upgrades are RunResilience's schedules (below).
 // BuildTopology compiles the value to wired nodes; Cluster
 // remains the one-line single-LB/single-VIP wrapper, so existing
@@ -134,11 +133,14 @@
 //		Policies: []srlb.Policy{srlb.RR(), srlb.SRStatic(4)},
 //		Loads:    []float64{0.6, 0.85},
 //		Seeds:    srlb.DeriveSeeds(1, 5),
-//		Workload: srlb.MultiServiceWorkload{Services: []srlb.ServiceSpec{
-//			{Name: "web", Workload: srlb.PoissonService{Lambda0: cal.Lambda0}},
-//			{Name: "wiki", Workload: srlb.WikiService{Day: srlb.WikiDay{Compression: 288}}},
-//			{Name: "batch", Workload: srlb.BurstyService{Lambda0: cal.Lambda0 / 2, PeakFactor: 4}, Servers: 6},
-//		}},
+//		Workload: srlb.MultiServiceWorkload{
+//			Services: []srlb.ServiceSpec{
+//				{Name: "web", Workload: srlb.PoissonService{Lambda0: cal.Lambda0}},
+//				{Name: "wiki", Workload: srlb.WikiService{Day: srlb.WikiDay{Compression: 288}}, Pool: 1},
+//				{Name: "batch", Workload: srlb.BurstyService{Lambda0: cal.Lambda0 / 2, PeakFactor: 4}, Pool: 2},
+//			},
+//			Pools: []srlb.PoolSpec{{}, {}, {Servers: 6}}, // one pool per service
+//		},
 //	})
 //	web := agg.Cell(1, 1).VIPs[0] // SR4 × ρ=0.85: web service, mean ± ci95
 //	fmt.Printf("web: %.0f ms ± %.0f\n", web.Mean.Dist.Mean*1e3, web.Mean.Dist.CI95*1e3)
@@ -151,7 +153,7 @@
 //
 // Control-plane scale is its own axis: testbed.GenerateTopology
 // mass-produces 1k–10k-VIP topologies over shared pools
-// (index-deterministic addresses, pools targetable by name), the LB
+// (index-deterministic addresses, pools targeted by index), the LB
 // dispatches them through an indexed O(1) table (one map lookup per
 // packet; Maglev tables interned per backend set), and RunVIPScale
 // (`srlb-bench -experiment vipscale`) measures per-packet SYN/steered
@@ -159,8 +161,8 @@
 // latency-vs-#services curve, with the complexity class pinned by
 // TestDispatchComplexityClass (internal/experiments).
 //
-// The contention regime layers on top: ServiceSpec.Pool +
-// MultiServiceWorkload.Pools put several services on ONE shared server
+// The contention regime layers on top: services whose ServiceSpec.Pool
+// names the same MultiServiceWorkload.Pools entry share ONE server
 // pool, and MultiServiceWorkload.ServiceLoads gives each service its
 // own load axis (a nonzero entry pins a victim's ρ, 0 tracks the sweep's
 // knob), so a batch surge ρ_b can sweep against a steady web ρ_w over

@@ -276,8 +276,8 @@ func TestGridSweepResolvesVectorLoads(t *testing.T) {
 		Seeds:    []uint64{7},
 		Workload: MultiServiceWorkload{
 			Services: []ServiceSpec{
-				{Name: "web", Pool: "shared", Workload: PoissonService{Lambda0: 80, Queries: 200}},
-				{Name: "batch", Pool: "shared", Workload: PoissonService{Lambda0: 80, Queries: 200}},
+				{Name: "web", Workload: PoissonService{Lambda0: 80, Queries: 200}},
+				{Name: "batch", Workload: PoissonService{Lambda0: 80, Queries: 200}},
 			},
 			Pools: []testbed.PoolSpec{{Name: "shared"}},
 		},

@@ -79,7 +79,7 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 		Variants: []ClusterVariant{
 			{Name: "steady"},
 			{Name: "churn", Apply: func(c ClusterConfig) ClusterConfig {
-				c.Events = churnEvents("", cfg.ChurnBy, churnDrainFrac, cfg.GrowFrac)
+				c.Events = churnEvents(cfg.ChurnBy, churnDrainFrac, cfg.GrowFrac)
 				return c
 			}},
 		},
@@ -100,13 +100,13 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 }
 
 // churnEvents builds the rate-relative drain + re-add schedule on the
-// named pool ("" is VIP 0's own pool): churnBy drains starting at
+// cell's first pool: churnBy drains starting at
 // drainFrac of the arrival span, churnBy adds at growFrac, each phase
 // staggered by 1% of the span per server. Fractions clamp to 1 so large
 // pools (or late phases) stay valid schedules — the tail of a long
 // stagger lands at span end, where the absolute-time schedule used to
 // fire it after the last arrival.
-func churnEvents(pool string, churnBy int, drainFrac, growFrac float64) []testbed.Event {
+func churnEvents(churnBy int, drainFrac, growFrac float64) []testbed.Event {
 	frac := func(f float64) float64 {
 		if f > 1 {
 			return 1
@@ -115,10 +115,10 @@ func churnEvents(pool string, churnBy int, drainFrac, growFrac float64) []testbe
 	}
 	events := make([]testbed.Event, 0, 2*churnBy)
 	for g := 0; g < churnBy; g++ {
-		events = append(events, testbed.DrainPoolServer(0, pool, g).AtFraction(frac(drainFrac+float64(g)*0.01)))
+		events = append(events, testbed.DrainServer(0, 0, g).AtFraction(frac(drainFrac+float64(g)*0.01)))
 	}
 	for g := 0; g < churnBy; g++ {
-		events = append(events, testbed.AddPoolServer(0, pool).AtFraction(frac(growFrac+float64(g)*0.01)))
+		events = append(events, testbed.AddServer(0, 0).AtFraction(frac(growFrac+float64(g)*0.01)))
 	}
 	return events
 }

@@ -57,7 +57,7 @@ func TestChurnRelativeMatchesAbsolute(t *testing.T) {
 		at := time.Duration(growFrac*float64(span)) + time.Duration(g)*stagger
 		absolute = append(absolute, testbed.AddServer(at, 0))
 	}
-	relative := churnEvents("", churnBy, drainFrac, growFrac)
+	relative := churnEvents(churnBy, drainFrac, growFrac)
 
 	run := func(events []testbed.Event) []CellResult {
 		res, err := Runner{Workers: 2}.RunSweep(context.Background(), Sweep{
@@ -86,7 +86,7 @@ func TestChurnRelativeMatchesAbsolute(t *testing.T) {
 // fired those events after the last arrival, so the migrated form must
 // not panic where the old one ran.
 func TestChurnLateScheduleClamps(t *testing.T) {
-	events := churnEvents("", 6, 0.3, 0.97)
+	events := churnEvents(6, 0.3, 0.97)
 	for _, ev := range events {
 		if ev.Frac > 1 {
 			t.Fatalf("event fraction %v escaped the clamp", ev.Frac)

@@ -261,17 +261,12 @@ func (c ClusterConfig) TheoreticalCapacity() float64 {
 	return float64(c.Servers) * c.Server.Cores / MeanDemand.Seconds()
 }
 
-// vipSpec lowers the cluster + policy pair into one testbed.VIPSpec —
-// the place the legacy selection knobs (ConsistentHash, MissFallback)
-// map onto VIPSpec fields. Multi-service workloads build one such spec
-// per service, overriding pool size and demand model per VIP.
+// vipSpec lowers the cluster + policy pair into one testbed.VIPSpec's
+// scheme and fallback — the place the selection knobs (ConsistentHash,
+// MissFallback) map onto VIPSpec fields. Multi-service workloads build
+// one such spec per service, setting its pool and demand model per VIP.
 func (c ClusterConfig) vipSpec(spec PolicySpec) testbed.VIPSpec {
-	vip := testbed.VIPSpec{
-		Servers:        c.Servers,
-		Server:         c.Server,
-		ServerOverride: c.ServerOverride,
-		Policy:         func(int) agent.Policy { return spec.NewAgent() },
-	}
+	var vip testbed.VIPSpec
 	k := spec.Candidates
 	if k <= 0 {
 		k = 2

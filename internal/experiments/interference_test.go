@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"srlb/internal/agent"
-	"srlb/internal/appserver"
 	"srlb/internal/packet"
 	"srlb/internal/plot"
 	"srlb/internal/tcpseg"
@@ -22,10 +21,10 @@ import (
 func sharedPoolServices(webQ int, span time.Duration) MultiServiceWorkload {
 	return MultiServiceWorkload{
 		Services: []ServiceSpec{
-			{Name: "web", Pool: "shared", Workload: PoissonService{Lambda0: 80, Queries: webQ}},
+			{Name: "web", Workload: PoissonService{Lambda0: 80, Queries: webQ}},
 			// Sub-second burst cycles so every test-sized horizon sees
 			// several ON periods.
-			{Name: "batch", Pool: "shared", Workload: BurstyService{
+			{Name: "batch", Workload: BurstyService{
 				Lambda0: 80, Horizon: span, PeakFactor: 4,
 				MeanOn: 500 * time.Millisecond, MeanOff: time.Second,
 			}},
@@ -126,11 +125,6 @@ func TestSharedPoolServerAttribution(t *testing.T) {
 	for i, svc := range w.Services {
 		vs := cluster.vipSpec(spec)
 		vs.Name = svc.name(i)
-		vs.Pool = "shared"
-		vs.Servers = 0
-		vs.Server = appserver.Config{}
-		vs.ServerOverride = nil
-		vs.Policy = nil
 		vips[i] = vs
 	}
 	tb := testbed.Build(testbed.Topology{Seed: cluster.Seed, Pools: pools, VIPs: vips})

@@ -10,7 +10,7 @@
 //
 //   - ServiceWorkload — one VIP's arrival process (Poisson, bursty MMPP,
 //     Wikipedia-day replay), opened per run with its seed.
-//   - ServiceSpec — the service: a name, its workload, its pool sizing.
+//   - ServiceSpec — the service: a name, its workload, its pool.
 //   - MultiServiceWorkload — the Workload that builds the topology,
 //     opens the streams, and reports the outcome both aggregate and per
 //     VIP (CellOutcome.PerVIP); OneService is its single-VIP form.
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"srlb/internal/agent"
-	"srlb/internal/appserver"
 	"srlb/internal/plot"
 	"srlb/internal/rng"
 	"srlb/internal/testbed"
@@ -314,22 +313,17 @@ func wikiQuery(url string, isWiki bool) testbed.Query {
 }
 
 // ServiceSpec declares one service of a MultiServiceWorkload: its name,
-// arrival process, and pool size. Its servers are configured as the
-// cluster's (ClusterConfig.Server), and a zero Servers inherits
-// ClusterConfig.Servers.
+// arrival process, and the pool it selects over.
 type ServiceSpec struct {
 	// Name labels the VIP in artifacts and per-VIP rows (default
 	// "svc<i>").
 	Name string
 	// Workload is the service's arrival process (required).
 	Workload ServiceWorkload
-	// Pool, when set, references a MultiServiceWorkload.Pools entry by
-	// name: services naming the same pool select over the *same*
-	// servers and contend for the same workers. Servers is then
-	// ignored — the pool carries the sizing.
-	Pool string
-	// Servers overrides the service's pool size.
-	Servers int
+	// Pool indexes MultiServiceWorkload.Pools: services naming the same
+	// pool select over the *same* servers and contend for the same
+	// workers.
+	Pool int
 }
 
 func (s ServiceSpec) name(i int) string {
@@ -340,8 +334,8 @@ func (s ServiceSpec) name(i int) string {
 }
 
 // MultiServiceWorkload replays the arrival streams of one or more
-// services — each targeting its own VIP, with its own server pool or a
-// shared one — together against a single cluster sharing the LB
+// services — each targeting its own VIP, over a pool of its own or one
+// it shares — together against a single cluster sharing the LB
 // replicas: the replay engine pumps every stream one arrival ahead and
 // the DES merges them in time order. It is the one workload of every
 // open-loop cell; the paper's §V cell is the one-service form
@@ -364,10 +358,11 @@ type MultiServiceWorkload struct {
 	// Sweep.Loads this spans a ρ-matrix: batch surge ρ_b (swept) against
 	// steady web ρ_w (pinned).
 	ServiceLoads []float64
-	// Pools declares named server pools that services reference via
-	// ServiceSpec.Pool — the shared-backend regime. Zero sizing fields
-	// inherit the cluster's; a nil Policy takes the PolicySpec under
-	// test (one agent per physical server, shared by every service).
+	// Pools is the cell's pool list, which ServiceSpec.Pool indexes
+	// (default: one cluster-sized pool). Zero sizing fields inherit the
+	// cluster's, ServerOverride is always the cluster's, and a nil Policy
+	// takes the PolicySpec under test (one agent per physical server,
+	// shared by every service on the pool).
 	Pools []testbed.PoolSpec
 	// CloseAck makes clients acknowledge responses with a final ACK+FIN
 	// (testbed.Generator.CloseAck) — the extra steered packet arrives a
@@ -426,8 +421,8 @@ func (w MultiServiceWorkload) Label() string {
 	parts := make([]string, len(w.Services))
 	for i, svc := range w.Services {
 		parts[i] = svc.name(i) + ":" + svc.Workload.Label()
-		if svc.Pool != "" {
-			parts[i] += "→" + svc.Pool
+		if svc.Pool < len(w.Pools) && w.Pools[svc.Pool].Name != "" {
+			parts[i] += "→" + w.Pools[svc.Pool].Name
 		}
 		if w.ServiceLoads != nil && i < len(w.ServiceLoads) && w.ServiceLoads[i] != 0 {
 			parts[i] += fmt.Sprintf("@rho=%.2f", w.ServiceLoads[i])
@@ -453,20 +448,19 @@ func (w MultiServiceWorkload) run(ctx context.Context, cluster ClusterConfig, sp
 	cluster = cluster.withDefaults()
 	loads := w.ResolveLoads(load)
 
-	// Shared pools: zero sizing inherits the cluster's, a nil Policy
-	// takes the policy under test — one agent per physical server,
-	// whichever service's query lands on it.
-	pools := make([]testbed.PoolSpec, len(w.Pools))
-	for i, ps := range w.Pools {
+	// Zero sizing fields and ServerOverride come from the cluster, a nil
+	// Policy takes the policy under test — one agent per physical
+	// server, whichever service's query lands on it.
+	pools := make([]testbed.PoolSpec, max(len(w.Pools), 1))
+	copy(pools, w.Pools)
+	for i, ps := range pools {
 		if ps.Servers == 0 {
 			ps.Servers = cluster.Servers
 		}
 		if ps.Server.Workers == 0 {
 			ps.Server = cluster.Server
 		}
-		if ps.ServerOverride == nil {
-			ps.ServerOverride = cluster.ServerOverride
-		}
+		ps.ServerOverride = cluster.ServerOverride
 		if ps.Policy == nil {
 			ps.Policy = func(int) agent.Policy { return spec.NewAgent() }
 		}
@@ -492,21 +486,7 @@ func (w MultiServiceWorkload) run(ctx context.Context, cluster ClusterConfig, sp
 		}
 		vs := cluster.vipSpec(spec)
 		vs.Name = svc.name(i)
-		if svc.Pool != "" {
-			// The referenced pool carries sizing and policy; the VIPSpec
-			// keeps only the per-service machinery (scheme, fallback,
-			// demand).
-			vs.Pool = svc.Pool
-			vs.Servers = 0
-			vs.Server = appserver.Config{}
-			vs.ServerOverride = nil
-			vs.Policy = nil
-		} else {
-			if svc.Servers > 0 {
-				vs.Servers = svc.Servers
-				vs.ServerOverride = nil
-			}
-		}
+		vs.Pool = svc.Pool
 		specs[i] = vs
 		if sp := checkSpan(svc.Workload, loads[i], svc.Workload.Span(loads[i])); sp > span {
 			span = sp
@@ -630,13 +610,16 @@ func multiServiceWorkload(cfg MultiServiceConfig) MultiServiceWorkload {
 		batchServers = 2
 	}
 	batchShare := float64(batchServers) / float64(cfg.Cluster.Servers)
-	return MultiServiceWorkload{Services: []ServiceSpec{
-		{Name: "web", Workload: PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}},
-		{Name: "wiki", Workload: WikiService{Day: wiki.Config{Compression: cfg.Compression}}},
-		{Name: "batch", Workload: BurstyService{
-			Lambda0: cfg.Lambda0 * batchShare, Queries: cfg.Queries / 2, PeakFactor: batchPeak,
-		}, Servers: batchServers},
-	}}
+	return MultiServiceWorkload{
+		Services: []ServiceSpec{
+			{Name: "web", Workload: PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}},
+			{Name: "wiki", Workload: WikiService{Day: wiki.Config{Compression: cfg.Compression}}, Pool: 1},
+			{Name: "batch", Workload: BurstyService{
+				Lambda0: cfg.Lambda0 * batchShare, Queries: cfg.Queries / 2, PeakFactor: batchPeak,
+			}, Pool: 2},
+		},
+		Pools: []testbed.PoolSpec{{}, {}, {Servers: batchServers}},
+	}
 }
 
 // Row returns the row for (policy, service) at the rho closest to the

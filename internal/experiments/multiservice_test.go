@@ -9,19 +9,24 @@ import (
 
 	"srlb/internal/agent"
 	"srlb/internal/plot"
+	"srlb/internal/testbed"
 	"srlb/internal/wiki"
 )
 
 // testServices is a small three-service mix — web Poisson + wiki replay +
-// batch bursty — sized so a cell simulates in well under a second. The
-// wiki day's rates are scaled down to a 4-server pool.
-func testServices(webQ, batchQ int) []ServiceSpec {
-	return []ServiceSpec{
-		{Name: "web", Workload: PoissonService{Lambda0: 80, Queries: webQ}},
-		{Name: "wiki", Workload: WikiService{Day: wiki.Config{
-			Compression: 5760, FullPeakRate: 60, FullTroughRate: 30,
-		}}},
-		{Name: "batch", Workload: BurstyService{Lambda0: 40, Queries: batchQ, PeakFactor: 4}, Servers: 2},
+// batch bursty, each on its own pool — sized so a cell simulates in well
+// under a second. The wiki day's rates are scaled down to a 4-server
+// pool.
+func testServices(webQ, batchQ int) MultiServiceWorkload {
+	return MultiServiceWorkload{
+		Services: []ServiceSpec{
+			{Name: "web", Workload: PoissonService{Lambda0: 80, Queries: webQ}},
+			{Name: "wiki", Workload: WikiService{Day: wiki.Config{
+				Compression: 5760, FullPeakRate: 60, FullTroughRate: 30,
+			}}, Pool: 1},
+			{Name: "batch", Workload: BurstyService{Lambda0: 40, Queries: batchQ, PeakFactor: 4}, Pool: 2},
+		},
+		Pools: []testbed.PoolSpec{{}, {}, {Servers: 2}},
 	}
 }
 
@@ -59,7 +64,7 @@ func TestMultiServiceConservation(t *testing.T) {
 				ConsistentHash: tc.chash,
 				MissFallback:   tc.missFallback,
 			}
-			w := MultiServiceWorkload{Services: testServices(600, 300)}
+			w := testServices(600, 300)
 			out, err := w.Run(context.Background(), cluster, tc.policy, 0.7)
 			if err != nil {
 				t.Fatal(err)
@@ -103,7 +108,7 @@ func TestMultiServiceDeterminism(t *testing.T) {
 		Policies: []PolicySpec{RR(), SRc(4)},
 		Loads:    []float64{0.7},
 		Seeds:    DeriveSeeds(33, 2),
-		Workload: MultiServiceWorkload{Services: testServices(400, 200)},
+		Workload: testServices(400, 200),
 	}
 	serial, err := Runner{Workers: 1}.RunSweep(context.Background(), sweep)
 	if err != nil {
@@ -152,7 +157,7 @@ func TestMultiServiceDeterminism(t *testing.T) {
 // its arrival process, its PerVIP is its aggregate, and its replicated
 // aggregate keeps VIPs nil (no spurious per-service rows or JSON vips).
 func TestMultiServiceLabelsAndSingleVIPNil(t *testing.T) {
-	w := MultiServiceWorkload{Services: testServices(100, 100)}
+	w := testServices(100, 100)
 	label := w.Label()
 	for _, want := range []string{"web:poisson", "wiki:wiki-day", "batch:bursty"} {
 		if !strings.Contains(label, want) {
@@ -240,7 +245,7 @@ func TestRunMultiServiceSmall(t *testing.T) {
 // SR4 must beat RR's tail as in the single-service bursty study.
 func TestMultiServiceBatchIsolation(t *testing.T) {
 	run := func(p PolicySpec) CellOutcome {
-		w := MultiServiceWorkload{Services: testServices(800, 800)}
+		w := testServices(800, 800)
 		out, err := w.Run(context.Background(), ClusterConfig{Seed: 41, Servers: 4}, p, 0.8)
 		if err != nil {
 			t.Fatal(err)

@@ -97,7 +97,7 @@ func RunPolicies(cfg PoliciesConfig) PoliciesResult {
 	variants := []ClusterVariant{
 		{Name: "steady"},
 		{Name: "churn", Apply: func(c ClusterConfig) ClusterConfig {
-			c.Events = churnEvents("shared", churnBy, churnDrainFrac, 0.65)
+			c.Events = churnEvents(churnBy, churnDrainFrac, 0.65)
 			return c
 		}},
 	}

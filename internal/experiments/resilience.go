@@ -102,7 +102,7 @@ func resilienceEvents(cfg ResilienceConfig, scenario, mode string) []testbed.Eve
 		// Several pool servers fail at the same instant as the replica —
 		// the correlated top-of-rack story. The servers stay dead; only
 		// the replica comes back.
-		events := testbed.FailPoolRack("", cfg.Cluster.Servers, resilienceRackFrac, resilienceKillFrac)
+		events := testbed.FailPoolRack(0, cfg.Cluster.Servers, resilienceRackFrac, resilienceKillFrac)
 		return append(events,
 			testbed.FailReplica(0, 0).AtFraction(resilienceKillFrac),
 			recover(cfg.RecoverFrac))

@@ -242,14 +242,14 @@ const batchPeak = 4
 
 // sharedPoolWorkload is the traffic of RunInterference, RunPolicies and
 // RunRhoGrid: a Poisson web victim and a bursty batch aggressor
-// selecting over the same servers (pool "shared"), the aggressor
+// selecting over the same servers (the one pool, "shared"), the aggressor
 // time-bounded to span so every batch load offers over the same window
 // and only its intensity varies.
 func sharedPoolWorkload(web PoissonService, span time.Duration, peakFactor float64) MultiServiceWorkload {
 	return MultiServiceWorkload{
 		Services: []ServiceSpec{
-			{Name: "web", Pool: "shared", Workload: web},
-			{Name: "batch", Pool: "shared", Workload: BurstyService{
+			{Name: "web", Workload: web},
+			{Name: "batch", Workload: BurstyService{
 				Lambda0: web.Lambda0, Horizon: span, PeakFactor: peakFactor,
 			}},
 		},

@@ -107,7 +107,7 @@ func parityCases() []parityCase {
 	return []parityCase{
 		{
 			name: "sr4_cell",
-			top:  Topology{Seed: 301, VIPs: []VIPSpec{{Policy: sr4}}},
+			top:  Topology{Seed: 301, Pools: []PoolSpec{{Policy: sr4}}},
 			n:    3000, rate: 1000, demand: 20 * time.Millisecond,
 			exercised: [2]string{"lb0", "steered"},
 		},
@@ -115,7 +115,8 @@ func parityCases() []parityCase {
 			name: "flowlet_feedback_closeack",
 			top: Topology{
 				Seed:     302,
-				VIPs:     []VIPSpec{{Servers: 6, Scheme: flowletScheme}},
+				Pools:    []PoolSpec{{Servers: 6}},
+				VIPs:     []VIPSpec{{Scheme: flowletScheme}},
 				Feedback: feedback.Config{Enabled: true, Interval: 5 * time.Millisecond, Horizon: 5 * time.Second},
 			},
 			n: 2000, rate: 500, demand: 20 * time.Millisecond, closeAck: true,
@@ -126,9 +127,13 @@ func parityCases() []parityCase {
 			top: Topology{
 				Seed:     303,
 				Replicas: 2,
+				Pools: []PoolSpec{
+					{Servers: 4},
+					{Servers: 3},
+				},
 				VIPs: []VIPSpec{
-					{Servers: 4, Fallback: testFallback},
-					{Servers: 3, Fallback: testFallback},
+					{Fallback: testFallback},
+					{Pool: 1, Fallback: testFallback},
 				},
 				Events: []Event{FailReplica(400*time.Millisecond, 1)},
 			},
@@ -138,9 +143,9 @@ func parityCases() []parityCase {
 		{
 			name: "loss_jitter",
 			top: Topology{
-				Seed: 304,
-				VIPs: []VIPSpec{{Servers: 4, Policy: sr4}},
-				Net:  netsim.Config{LossProb: 0.02, JitterFrac: 0.5, Seed: 5},
+				Seed:  304,
+				Pools: []PoolSpec{{Servers: 4, Policy: sr4}},
+				Net:   netsim.Config{LossProb: 0.02, JitterFrac: 0.5, Seed: 5},
 			},
 			n: 2000, rate: 150, demand: 20 * time.Millisecond, rto: 100 * time.Millisecond,
 			exercised: [2]string{"net", "lost"},

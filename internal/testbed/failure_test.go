@@ -14,7 +14,7 @@ import (
 
 func runWithNet(t *testing.T, netCfg netsim.Config, policy func(int) agent.Policy, n int, rate float64) *ran {
 	t.Helper()
-	cfg := Topology{Seed: 77, Net: netCfg, VIPs: []VIPSpec{{Servers: 4, Policy: policy}}}
+	cfg := Topology{Seed: 77, Net: netCfg, Pools: []PoolSpec{{Servers: 4, Policy: policy}}}
 	tb := Build(cfg)
 	results := collect(tb)
 	r := rng.Split(cfg.Seed, 99)
@@ -128,9 +128,9 @@ func TestMixedPolicies(t *testing.T) {
 // TestSRdynAdaptsAcrossLoadShift: drive light load then heavy load and
 // verify the dynamic policy's threshold moves up under pressure.
 func TestSRdynAdaptsAcrossLoadShift(t *testing.T) {
-	cfg := Topology{Seed: 78, VIPs: []VIPSpec{{Servers: 4}}}
+	cfg := Topology{Seed: 78, Pools: []PoolSpec{{Servers: 4}}}
 	policies := make([]*agent.Dynamic, 0, 4)
-	cfg.VIPs[0].Policy = func(int) agent.Policy {
+	cfg.Pools[0].Policy = func(int) agent.Policy {
 		p := agent.NewDynamic(agent.DynamicConfig{})
 		policies = append(policies, p)
 		return p
@@ -172,7 +172,7 @@ func TestSRdynAdaptsAcrossLoadShift(t *testing.T) {
 // TestFlowTableBoundedUnderChurn: the LB must not grow state without
 // bound across tens of thousands of short flows.
 func TestFlowTableBoundedUnderChurn(t *testing.T) {
-	cfg := Topology{Seed: 79, VIPs: []VIPSpec{{Servers: 4}}}
+	cfg := Topology{Seed: 79, Pools: []PoolSpec{{Servers: 4}}}
 	tb := Build(cfg)
 	r := rng.Split(cfg.Seed, 99)
 	p := rng.NewPoisson(r, 500, 0)

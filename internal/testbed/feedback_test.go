@@ -30,11 +30,9 @@ func TestFeedbackStalenessAndRecovery(t *testing.T) {
 	const servers = 3
 	failAt := 20 * time.Millisecond
 	tb := Build(Topology{
-		Seed: 41,
-		VIPs: []VIPSpec{{
-			Servers: servers,
-			Scheme:  wllScheme,
-		}},
+		Seed:  41,
+		Pools: []PoolSpec{{Servers: servers}},
+		VIPs:  []VIPSpec{{Scheme: wllScheme}},
 		// Horizon 0: no automatic ticker — the test drives publication.
 		Feedback: feedback.Config{Enabled: true},
 		Events:   []Event{failServer(failAt, 0, 1)},
@@ -45,7 +43,7 @@ func TestFeedbackStalenessAndRecovery(t *testing.T) {
 	cfg := tb.Feedback.Config()
 	vip := tb.VIPAddrOf(0)
 	view := tb.Feedback.For(vip)
-	victim := PoolServerAddr(0, 1)
+	victim := ServerAddr(1)
 
 	type probe struct {
 		at     time.Duration
@@ -60,7 +58,7 @@ func TestFeedbackStalenessAndRecovery(t *testing.T) {
 			}
 			p := probe{at: at, fresh: make(map[netip.Addr]bool, servers), sample: sample}
 			for i := 0; i < servers; i++ {
-				a := PoolServerAddr(0, i)
+				a := ServerAddr(i)
 				_, fresh := view.ServerLoad(a)
 				p.fresh[a] = fresh
 			}
@@ -87,12 +85,12 @@ func TestFeedbackStalenessAndRecovery(t *testing.T) {
 		t.Fatalf("%d probes ran, want 4", len(got))
 	}
 	for i := 0; i < servers; i++ {
-		if !got[0].fresh[PoolServerAddr(0, i)] {
+		if !got[0].fresh[ServerAddr(i)] {
 			t.Fatalf("server %d not fresh right after the first publish", i)
 		}
 	}
 	for i := 0; i < servers; i++ {
-		a := PoolServerAddr(0, i)
+		a := ServerAddr(i)
 		wantFresh := a != victim
 		if got[2].fresh[a] != wantFresh {
 			t.Fatalf("at TTL expiry: server %d fresh=%v, want %v (victim is silent)",
@@ -113,10 +111,8 @@ func TestFeedbackPublishingTicker(t *testing.T) {
 	tb := Build(Topology{
 		Seed:     43,
 		Replicas: 2,
-		VIPs: []VIPSpec{{
-			Servers: 2,
-			Scheme:  wllScheme,
-		}},
+		Pools:    []PoolSpec{{Servers: 2}},
+		VIPs:     []VIPSpec{{Scheme: wllScheme}},
 		Feedback: feedback.Config{Enabled: true, Interval: 100 * time.Millisecond, Horizon: horizon},
 	})
 	tb.Sim.Run()
@@ -141,7 +137,7 @@ func TestFeedbackPublishingTicker(t *testing.T) {
 	for r := 0; r < 2; r++ {
 		view := tb.FeedbackOf(r).For(vip)
 		for i := 0; i < 2; i++ {
-			if _, ok := view.Report(PoolServerAddr(0, i)); !ok {
+			if _, ok := view.Report(ServerAddr(i)); !ok {
 				t.Fatalf("server %d never reported to replica %d through the ticker", i, r)
 			}
 		}
@@ -167,10 +163,8 @@ func TestFeedbackStalenessAfterReplicaRecover(t *testing.T) {
 			tb := Build(Topology{
 				Seed:     53,
 				Replicas: 2,
-				VIPs: []VIPSpec{{
-					Servers: servers,
-					Scheme:  wllScheme,
-				}},
+				Pools:    []PoolSpec{{Servers: servers}},
+				VIPs:     []VIPSpec{{Scheme: wllScheme}},
 				// Horizon 0: no automatic ticker — the test publishes.
 				Feedback: feedback.Config{Enabled: true},
 				Events:   []Event{FailReplica(30*time.Millisecond, 1), rec.ev},
@@ -180,7 +174,7 @@ func TestFeedbackStalenessAfterReplicaRecover(t *testing.T) {
 				n := 0
 				view := tb.FeedbackOf(r).For(vip)
 				for i := 0; i < servers; i++ {
-					if _, fresh := view.ServerLoad(PoolServerAddr(0, i)); fresh {
+					if _, fresh := view.ServerLoad(ServerAddr(i)); fresh {
 						n++
 					}
 				}
@@ -225,17 +219,15 @@ func TestFeedbackStalenessAfterReplicaRecover(t *testing.T) {
 func TestFeedbackDisabledUsesPlainScheme(t *testing.T) {
 	built := 0
 	tb := Build(Topology{
-		Seed: 47,
-		VIPs: []VIPSpec{{
-			Servers: 2,
-			Scheme: func(s []netip.Addr, r *rand.Rand, view *feedback.VIPView) selection.Scheme {
-				built++
-				if view != nil {
-					t.Fatal("scheme handed a feedback view with the plane disabled")
-				}
-				return wllScheme(s, r, view)
-			},
-		}},
+		Seed:  47,
+		Pools: []PoolSpec{{Servers: 2}},
+		VIPs: []VIPSpec{{Scheme: func(s []netip.Addr, r *rand.Rand, view *feedback.VIPView) selection.Scheme {
+			built++
+			if view != nil {
+				t.Fatal("scheme handed a feedback view with the plane disabled")
+			}
+			return wllScheme(s, r, view)
+		}}},
 	})
 	if tb.Feedback != nil {
 		t.Fatal("view built with feedback disabled")

@@ -32,7 +32,7 @@ func (c *fuzzCursor) next(bound int) int {
 // decodeFuzzTopology builds a bounded topology (pools, VIPs, lifecycle
 // events) from arbitrary bytes. Every numeric field is taken modulo a
 // small bound, so the fuzzer explores the schedule/shape space — pool
-// references, event targets, rate-relative fractions, dangling names —
+// indexes in and out of range, event targets, rate-relative fractions —
 // rather than just integer overflow.
 func decodeFuzzTopology(data []byte) Topology {
 	c := &fuzzCursor{data: data}
@@ -50,34 +50,24 @@ func decodeFuzzTopology(data []byte) Topology {
 	}
 	npools := c.next(4)
 	for p := 0; p < npools; p++ {
-		name := GenPoolName(c.next(4)) // collisions on purpose
-		top.Pools = append(top.Pools, PoolSpec{Name: name, Servers: c.next(5)})
+		top.Pools = append(top.Pools, PoolSpec{Servers: c.next(5)})
 	}
+	// Pool indexes span [-1, len(Pools)+1]: one below the range, the
+	// valid ones (an empty Pools means one default pool), two past it.
+	pools := max(npools, 1)
+	pool := func() int { return c.next(pools+3) - 1 }
 	nvips := c.next(6) + 1
 	for v := 0; v < nvips; v++ {
-		spec := VIPSpec{Scheme: scheme}
-		switch c.next(3) {
-		case 0: // implicit pool
-			spec.Servers = c.next(5)
-		case 1: // reference a (possibly missing) generated pool
-			spec.Pool = GenPoolName(c.next(5))
-		case 2: // referencing VIP that illegally sets pool fields
-			spec.Pool = GenPoolName(c.next(5))
-			spec.Servers = c.next(3)
-		}
-		top.VIPs = append(top.VIPs, spec)
+		top.VIPs = append(top.VIPs, VIPSpec{Scheme: scheme, Pool: pool()})
 	}
 	nevents := c.next(8)
 	for e := 0; e < nevents; e++ {
 		ev := Event{
 			Kind:    EventKind(c.next(7)),
-			VIP:     c.next(nvips + 2),
+			Pool:    pool(),
 			Server:  c.next(8),
 			Replica: c.next(4),
 			From:    c.next(4),
-		}
-		if c.next(2) == 1 {
-			ev.Pool = GenPoolName(c.next(5))
 		}
 		switch c.next(5) {
 		case 0:

@@ -1,7 +1,7 @@
 // GenerateTopology mass-produces control-plane-scale topologies: 1k–10k
 // VIPs spread over a handful of shared server pools, with every address
-// derived deterministically from the VIP/pool index (VIPAddr,
-// SharedPoolServerAddr). This is the regime where kube-proxy's O(n)
+// derived deterministically from the VIP/pool index (VIPAddr, and
+// SharedPoolServerAddr at Build). This is the regime where kube-proxy's O(n)
 // iptables traversal collapses and an O(1) indexed dispatch stays flat —
 // the generator exists so benchmarks and the vipscale experiment can
 // sweep service count without hand-declaring thousands of specs.
@@ -57,30 +57,23 @@ func (g GenSpec) withDefaults() GenSpec {
 	return g
 }
 
-// GenPoolName returns the name of generated pool p — exported so tests
-// and event schedules can target generated pools.
-func GenPoolName(p int) string { return fmt.Sprintf("genpool-%d", p) }
-
 // GenerateTopology builds the declarative Topology for the spec. The
 // result is an ordinary Topology — compile it with Build, validate it,
 // attach events — whose size is bounded only by memory: pool addresses
-// come from the shared-pool space (index-deterministic), VIP addresses
-// walk the VIP /64, and VIP i selects over pool i mod Pools.
+// are index-deterministic (SharedPoolServerAddr), VIP addresses walk the
+// VIP /64, and VIP i selects over pool i mod Pools.
 func GenerateTopology(spec GenSpec) Topology {
 	spec = spec.withDefaults()
 	pools := make([]PoolSpec, spec.Pools)
 	for p := range pools {
-		pools[p] = PoolSpec{
-			Name:    GenPoolName(p),
-			Servers: spec.ServersPerPool,
-		}
+		pools[p] = PoolSpec{Servers: spec.ServersPerPool}
 	}
 	vips := make([]VIPSpec, spec.VIPs)
 	for v := range vips {
 		vips[v] = VIPSpec{
 			Name:     fmt.Sprintf("svc-%d", v),
 			Addr:     VIPAddr(v),
-			Pool:     GenPoolName(v % spec.Pools),
+			Pool:     v % spec.Pools,
 			Scheme:   spec.Scheme,
 			Fallback: spec.Fallback,
 		}

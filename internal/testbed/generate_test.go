@@ -25,13 +25,13 @@ func TestGenerateTopologyShape(t *testing.T) {
 		if spec.Addr != VIPAddr(v) {
 			t.Fatalf("VIP %d addr = %v, want VIPAddr = %v", v, spec.Addr, VIPAddr(v))
 		}
-		if want := GenPoolName(v % 16); spec.Pool != want {
-			t.Fatalf("VIP %d pool = %q, want %q", v, spec.Pool, want)
+		if want := v % 16; spec.Pool != want {
+			t.Fatalf("VIP %d pool = %d, want %d", v, spec.Pool, want)
 		}
 	}
 	for p, ps := range top.Pools {
-		if ps.Name != GenPoolName(p) || ps.Servers != 12 {
-			t.Fatalf("pool %d = {%q, %d servers}, want {%q, 12}", p, ps.Name, ps.Servers, GenPoolName(p))
+		if ps.Servers != 12 {
+			t.Fatalf("pool %d has %d servers, want 12", p, ps.Servers)
 		}
 	}
 	if err := top.Validate(); err != nil {
@@ -78,12 +78,6 @@ func TestGeneratedAddressArithmetic(t *testing.T) {
 		if got, want := SharedPoolServerAddr(c.a, c.b), ipv6.MustAddr(fmt.Sprintf("2001:db8:5:%x::%x", c.a, c.b+1)); got != want {
 			t.Fatalf("SharedPoolServerAddr(%d, %d) = %v, want %v", c.a, c.b, got, want)
 		}
-		if c.a == 0 {
-			continue // PoolServerAddr(0, i) is the legacy ServerAddr space
-		}
-		if got, want := PoolServerAddr(c.a, c.b), ipv6.MustAddr(fmt.Sprintf("2001:db8:5:%x::%x", c.a, c.b+1)); got != want {
-			t.Fatalf("PoolServerAddr(%d, %d) = %v, want %v", c.a, c.b, got, want)
-		}
 	}
 	// Beyond-hextet tails walk the /64 instead of overflowing into
 	// neighboring hextets.
@@ -107,9 +101,9 @@ func generatedParityDigest() uint64 {
 		ServersPerPool: 6,
 		Fallback:       testFallback,
 		Events: []Event{
-			DrainPoolServer(150*time.Millisecond, GenPoolName(0), 1),
-			AddPoolServer(300*time.Millisecond, GenPoolName(2)),
-			failPoolServer(450*time.Millisecond, GenPoolName(1), 0),
+			DrainServer(150*time.Millisecond, 0, 1),
+			AddServer(300*time.Millisecond, 2),
+			failServer(450*time.Millisecond, 1, 0),
 		},
 	})
 	tb := Build(top)
@@ -167,8 +161,8 @@ func TestGeneratedPoolEventsConservation(t *testing.T) {
 	)
 	span := time.Duration(n) * step
 	events := ResolveEvents([]Event{
-		DrainPoolServer(0, GenPoolName(0), 0).AtFraction(0.3),
-		failPoolServer(0, GenPoolName(0), 1).AtFraction(0.5),
+		DrainServer(0, 0, 0).AtFraction(0.3),
+		failServer(0, 0, 1).AtFraction(0.5),
 	}, span)
 	top := GenerateTopology(GenSpec{
 		Seed:           31,

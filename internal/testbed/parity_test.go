@@ -22,19 +22,23 @@ func testFallback(servers []netip.Addr) selection.Scheme {
 	return s
 }
 
-// legacyParityDigest drives a representative implicit-pool topology — two
-// VIPs with their own pools, two anycast LB replicas, a full lifecycle
-// schedule — and folds every client-observed Result into one FNV-1a
-// digest. The workload mixes both VIPs and random demands so that any
-// perturbation of the compiler's random streams, address allocation or
-// event ordering shows up in the hash.
+// legacyParityDigest drives a representative two-pool topology — two
+// VIPs, each over its own pool, two anycast LB replicas, a full
+// lifecycle schedule — and folds every client-observed Result into one
+// FNV-1a digest. The workload mixes both VIPs and random demands so that
+// any perturbation of the compiler's random streams, address allocation
+// or event ordering shows up in the hash.
 func legacyParityDigest() uint64 {
 	tb := Build(Topology{
 		Seed:     101,
 		Replicas: 2,
+		Pools: []PoolSpec{
+			{Servers: 4},
+			{Servers: 3},
+		},
 		VIPs: []VIPSpec{
-			{Servers: 4, Fallback: testFallback},
-			{Servers: 3, Fallback: testFallback},
+			{Fallback: testFallback},
+			{Pool: 1, Fallback: testFallback},
 		},
 		Events: []Event{
 			AddServer(80*time.Millisecond, 0),
@@ -88,11 +92,10 @@ func resultsDigest(results []Result) uint64 {
 	return h.Sum64()
 }
 
-// The digest below was recorded against the pre-pool compiler (every VIP
-// an implicit pool, the only form that existed). The pool-aware compiler
-// must reproduce it bit for bit: legacy topologies are the compiled-down
-// special case, stream for stream — addresses, selection draws, event
-// ordering and all.
+// The digest below was recorded against the first compiler, where each
+// VIP carried its own pool. Declaring those pools in Topology.Pools must
+// reproduce it bit for bit — addresses, selection draws, event ordering
+// and all.
 func TestImplicitPoolCompiledParity(t *testing.T) {
 	const want = uint64(0x4c2ba3c497d4c92b)
 	if got := legacyParityDigest(); got != want {

@@ -19,12 +19,10 @@ func resilienceTopology(events []Event, flows flowtable.Config) Topology {
 		Seed:     59,
 		Replicas: 2,
 		Flows:    flows,
-		VIPs: []VIPSpec{{
-			Servers: 3,
-			Scheme: func(s []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
-				return selection.NewRandom(s, 2, r)
-			},
-		}},
+		Pools:    []PoolSpec{{Servers: 3}},
+		VIPs: []VIPSpec{{Scheme: func(s []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
+			return selection.NewRandom(s, 2, r)
+		}}},
 		Events: events,
 	}
 }
@@ -44,10 +42,10 @@ func TestRecoverReplicaWarmInheritsSurvivorFlows(t *testing.T) {
 	// The survivor learns flows both before the kill and during the
 	// downtime; the recovering replica must inherit all of them.
 	tb.Sim.At(5*time.Millisecond, func() {
-		tb.LBs[1].SeedFlow(testFlow(0), PoolServerAddr(0, 0))
+		tb.LBs[1].SeedFlow(testFlow(0), ServerAddr(0))
 	})
 	tb.Sim.At(20*time.Millisecond, func() {
-		tb.LBs[1].SeedFlow(testFlow(1), PoolServerAddr(0, 1))
+		tb.LBs[1].SeedFlow(testFlow(1), ServerAddr(1))
 	})
 	tb.Sim.Run()
 	if got := tb.LBs[0].FlowCount(); got != 2 {
@@ -68,11 +66,11 @@ func TestRecoverReplicaWarmSelfSnapshotAges(t *testing.T) {
 	}, flowtable.Config{IdleTTL: 15 * time.Millisecond}))
 	tb.Sim.At(2*time.Millisecond, func() {
 		// Deadline 17ms — mid-downtime; must not come back at 30ms.
-		tb.LBs[0].SeedFlow(testFlow(0), PoolServerAddr(0, 0))
+		tb.LBs[0].SeedFlow(testFlow(0), ServerAddr(0))
 	})
 	tb.Sim.At(9*time.Millisecond, func() {
 		// Deadline 24ms — expires later, still before the recover.
-		tb.LBs[0].SeedFlow(testFlow(1), PoolServerAddr(0, 1))
+		tb.LBs[0].SeedFlow(testFlow(1), ServerAddr(1))
 	})
 	tb.Sim.Run()
 	if got := tb.LBs[0].FlowCount(); got != 0 {
@@ -86,8 +84,8 @@ func TestRecoverReplicaWarmSelfSnapshotAges(t *testing.T) {
 		RecoverReplicaWarm(30*time.Millisecond, 0, 0),
 	}, flowtable.Config{IdleTTL: 50 * time.Millisecond}))
 	tb.Sim.At(2*time.Millisecond, func() {
-		tb.LBs[0].SeedFlow(testFlow(0), PoolServerAddr(0, 0))
-		tb.LBs[0].SeedFlow(testFlow(1), PoolServerAddr(0, 1))
+		tb.LBs[0].SeedFlow(testFlow(0), ServerAddr(0))
+		tb.LBs[0].SeedFlow(testFlow(1), ServerAddr(1))
 	})
 	tb.Sim.Run()
 	if got := tb.LBs[0].FlowCount(); got != 2 {
@@ -104,7 +102,7 @@ func TestRecoverReplicaWarmDeadDonorUsesPreFailSnapshot(t *testing.T) {
 		RecoverReplicaWarm(30*time.Millisecond, 0, 1),
 	}, flowtable.Config{}))
 	tb.Sim.At(5*time.Millisecond, func() {
-		tb.LBs[1].SeedFlow(testFlow(0), PoolServerAddr(0, 0))
+		tb.LBs[1].SeedFlow(testFlow(0), ServerAddr(0))
 	})
 	tb.Sim.Run()
 	if got := tb.LBs[0].FlowCount(); got != 1 {
@@ -113,7 +111,7 @@ func TestRecoverReplicaWarmDeadDonorUsesPreFailSnapshot(t *testing.T) {
 }
 
 func TestFailPoolRackDeterministicAndClamped(t *testing.T) {
-	events := FailPoolRack("", 12, 0.25, 0.4)
+	events := FailPoolRack(0, 12, 0.25, 0.4)
 	if len(events) != 3 {
 		t.Fatalf("0.25 of 12 servers = %d events, want 3", len(events))
 	}
@@ -124,22 +122,22 @@ func TestFailPoolRackDeterministicAndClamped(t *testing.T) {
 		}
 	}
 	// Same inputs, same schedule — victims are slots, not samples.
-	if !reflect.DeepEqual(events, FailPoolRack("", 12, 0.25, 0.4)) {
+	if !reflect.DeepEqual(events, FailPoolRack(0, 12, 0.25, 0.4)) {
 		t.Fatal("FailPoolRack is not deterministic")
 	}
 	// The clamp never empties the pool, and never goes below one victim.
-	if got := len(FailPoolRack("", 4, 1.0, 0.5)); got != 3 {
+	if got := len(FailPoolRack(0, 4, 1.0, 0.5)); got != 3 {
 		t.Fatalf("full-rack loss on 4 servers fails %d, want the clamped 3", got)
 	}
-	if got := len(FailPoolRack("", 12, 0.0, 0.5)); got != 1 {
+	if got := len(FailPoolRack(0, 12, 0.0, 0.5)); got != 1 {
 		t.Fatalf("zero-fraction rack fails %d servers, want the floor 1", got)
 	}
-	if name := FailPoolRack("batch", 8, 0.5, 0.2)[0].Pool; name != "batch" {
-		t.Fatalf("named-pool rack targets %q", name)
+	if pool := FailPoolRack(2, 8, 0.5, 0.2)[0].Pool; pool != 2 {
+		t.Fatalf("pool-2 rack targets pool %d", pool)
 	}
 	// The schedule validates and applies: after the rack event fires,
 	// the pool is down to the survivors.
-	top := resilienceTopology(ResolveEvents(FailPoolRack("", 3, 1.0/3.0, 0.5), 20*time.Millisecond), flowtable.Config{})
+	top := resilienceTopology(ResolveEvents(FailPoolRack(0, 3, 1.0/3.0, 0.5), 20*time.Millisecond), flowtable.Config{})
 	if err := top.Validate(); err != nil {
 		t.Fatalf("rack schedule rejected: %v", err)
 	}

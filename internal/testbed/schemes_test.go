@@ -95,9 +95,13 @@ func TestSchemeLifecycleAcrossChurnAndRecovery(t *testing.T) {
 	tb := Build(Topology{
 		Seed:     67,
 		Replicas: 2,
+		Pools: []PoolSpec{
+			{Servers: 4},
+			{Servers: 3},
+		},
 		VIPs: []VIPSpec{
-			{Servers: 4, Scheme: ledger.build, Fallback: testFallback},
-			{Servers: 3, Fallback: testFallback, Scheme: func(s []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
+			{Scheme: ledger.build, Fallback: testFallback},
+			{Pool: 1, Fallback: testFallback, Scheme: func(s []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 				return plainSpy{Scheme: selection.NewRandom(s, 2, r), observes: &plainObserves}
 			}},
 		},

@@ -53,25 +53,22 @@ func tapCandidates(net *netsim.Network, from time.Duration) map[netip.Addr]map[n
 	return offered
 }
 
-// poolAddrs is the set of VIP v's implicit-pool servers at the slots.
-func poolAddrs(v int, slots ...int) map[netip.Addr]bool {
+// poolAddrs is the set of pool p's servers at the slots.
+func poolAddrs(p int, slots ...int) map[netip.Addr]bool {
 	set := map[netip.Addr]bool{}
 	for _, i := range slots {
-		set[PoolServerAddr(v, i)] = true
+		set[SharedPoolServerAddr(p, i)] = true
 	}
 	return set
 }
 
-// sharedPoolTopology is two services selecting over one named pool — the
+// sharedPoolTopology is two services selecting over one pool — the
 // contention regime: every worker serves both VIPs.
 func sharedPoolTopology(seed uint64, servers int, events ...Event) Topology {
 	return Topology{
-		Seed:  seed,
-		Pools: []PoolSpec{{Name: "shared", Servers: servers}},
-		VIPs: []VIPSpec{
-			{Name: "web", Pool: "shared"},
-			{Name: "batch", Pool: "shared"},
-		},
+		Seed:   seed,
+		Pools:  []PoolSpec{{Name: "shared", Servers: servers}},
+		VIPs:   []VIPSpec{{Name: "web"}, {Name: "batch"}},
 		Events: events,
 	}
 }
@@ -139,8 +136,8 @@ func TestSharedPoolTwoVIPsOneLedger(t *testing.T) {
 func TestSharedPoolEvents(t *testing.T) {
 	const n = 600
 	tb := Build(sharedPoolTopology(47, 3,
-		AddPoolServer(100*time.Millisecond, "shared"),
-		DrainPoolServer(300*time.Millisecond, "shared", 0),
+		AddServer(100*time.Millisecond, 0),
+		DrainServer(300*time.Millisecond, 0, 0),
 	))
 	results := collect(tb)
 	resp := tapResponses(tb.Net)

@@ -30,7 +30,7 @@ func runSink(t testing.TB, cfg Topology, n int, ratePerSec float64, meanDemand t
 // slice), and the sink's accounting balances exactly.
 func TestSinkModeRetainsNoResults(t *testing.T) {
 	const n = 3000
-	_, sink := runSink(t, Topology{Seed: 1, VIPs: []VIPSpec{{Servers: 4}}}, n, 200, 20*time.Millisecond)
+	_, sink := runSink(t, Topology{Seed: 1, Pools: []PoolSpec{{Servers: 4}}}, n, 200, 20*time.Millisecond)
 	total := sink.Total()
 	if total.Counters.Offered != n {
 		t.Fatalf("offered = %d, want %d", total.Counters.Offered, n)
@@ -48,7 +48,7 @@ func TestSinkModeRetainsNoResults(t *testing.T) {
 // per-outcome counts, same mean, same max.
 func TestSinkMatchesRetainedResults(t *testing.T) {
 	const n = 2000
-	cfg := Topology{Seed: 7, VIPs: []VIPSpec{{Servers: 4}}}
+	cfg := Topology{Seed: 7, Pools: []PoolSpec{{Servers: 4}}}
 	retained := run(t, cfg, n, 200, 20*time.Millisecond)
 	_, sink := runSink(t, cfg, n, 200, 20*time.Millisecond)
 
@@ -89,8 +89,8 @@ func TestSinkMemoryIndependentOfQueryCount(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run memory comparison")
 	}
-	_, small := runSink(t, Topology{Seed: 3, VIPs: []VIPSpec{{Servers: 4}}}, 1000, 200, 20*time.Millisecond)
-	_, large := runSink(t, Topology{Seed: 3, VIPs: []VIPSpec{{Servers: 4}}}, 4000, 200, 20*time.Millisecond)
+	_, small := runSink(t, Topology{Seed: 3, Pools: []PoolSpec{{Servers: 4}}}, 1000, 200, 20*time.Millisecond)
+	_, large := runSink(t, Topology{Seed: 3, Pools: []PoolSpec{{Servers: 4}}}, 4000, 200, 20*time.Millisecond)
 	sb, lb := small.Total().RT.Buckets(), large.Total().RT.Buckets()
 	// Bucket count grows logarithmically with the max observed value and
 	// is hard-capped by the 64-bit range; 4x the queries must stay within
@@ -105,8 +105,9 @@ func TestSinkMemoryIndependentOfQueryCount(t *testing.T) {
 func TestSinkPerVIPDemux(t *testing.T) {
 	const n = 400
 	tb := Build(Topology{
-		Seed: 5,
-		VIPs: []VIPSpec{{Servers: 3}, {Servers: 2}},
+		Seed:  5,
+		Pools: []PoolSpec{{Servers: 3}, {Servers: 2}},
+		VIPs:  []VIPSpec{{}, {Pool: 1}},
 	})
 	sink := NewSketchSink(tb.VIPAddrOf(0), tb.VIPAddrOf(1))
 	tb.Gen.Sink = sink

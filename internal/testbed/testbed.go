@@ -163,8 +163,8 @@ type Testbed struct {
 	// holds all of them.
 	LB  *core.LoadBalancer
 	LBs []*core.LoadBalancer
-	// Routers and Servers list every pool member ever built, across all
-	// VIPs, in construction order (servers added by Events append).
+	// Routers and Servers list every pool member ever built, pool by
+	// pool, in construction order (servers added by Events append).
 	Routers []*vrouter.Router
 	Servers []*appserver.Server
 	Gen     *Generator
@@ -173,13 +173,9 @@ type Testbed struct {
 	// Topology.Feedback.Enabled.
 	Feedback *feedback.View
 
-	vips []*vipState
-	// pools lists every compiled pool — implicit per-VIP pools in VIP
-	// order, then named shared pools in declaration order; poolsByName
-	// indexes the named ones.
-	pools       []*poolState
-	poolsByName map[string]*poolState
-	replicas    []*replicaState
+	vips     []*vipState
+	pools    []*poolState // in Topology.Pools order
+	replicas []*replicaState
 }
 
 // BusyCounts returns the current busy-worker count of every server — the

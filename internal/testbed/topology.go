@@ -1,17 +1,16 @@
-// Topology is the declarative cluster-construction API: named VIPs, each
-// carrying its own selection scheme; named server pools that several
-// VIPs may share (VIPSpec.Pool), so services contend for the same
+// Topology is the declarative cluster-construction API: server pools
+// (Topology.Pools); VIPs, each selecting over one pool by its index with
+// its own scheme, so VIPs naming the same pool contend for the same
 // workers; N load-balancer replicas joined to the VIPs through netsim's
 // anycast/ECMP groups (the Maglev/Ananta deployment model the paper's
 // §II-B consistent-hashing selection enables); and a schedule of
-// lifecycle Events — server drain/add/fail targeting pools, replica
+// lifecycle Events — server drain/add/fail targeting a pool, replica
 // fail/recover — applied at virtual times during the run.
 //
-// Build compiles a Topology into wired nodes. A VIP without a pool
-// reference keeps an implicit pool of its own, compiled down to the same
-// machinery, so a one-VIP Topology is exactly the single-LB/single-VIP
-// cluster the paper's figures run on, stream for stream (parity-pinned
-// in TestImplicitPoolCompiledParity).
+// Build compiles a Topology into wired nodes. Topology{} is one default
+// pool behind one VIP: exactly the single-LB/single-VIP cluster the
+// paper's figures run on, stream for stream (parity-pinned in
+// TestImplicitPoolCompiledParity).
 
 package testbed
 
@@ -48,38 +47,21 @@ func VIPAddr(v int) netip.Addr {
 	return addrWithTail(vipBase, uint64(v)+1)
 }
 
-// poolSpaceAddr derives "2001:db8:<space>:<idx>::<tail>" arithmetically:
-// idx sits in hextet 3, tail in the low 64 bits.
-func poolSpaceAddr(space uint16, idx, tail uint64) netip.Addr {
-	if idx > 0xffff {
-		panic(fmt.Sprintf("testbed: pool index %d exhausts the 2001:db8:%x::/48 space — use named shared pools", idx, space))
-	}
-	a := [16]byte{0x20, 0x01, 0x0d, 0xb8}
-	a[4] = byte(space >> 8)
-	a[5] = byte(space)
-	a[6] = byte(idx >> 8)
-	a[7] = byte(idx)
-	return addrWithTail(netip.AddrFrom16(a), tail)
-}
-
-// PoolServerAddr returns the physical address of server i of VIP v's
-// implicit pool. VIP 0 uses the legacy ServerAddr space; later VIPs get
-// their own /64 so pools never collide.
-func PoolServerAddr(v, i int) netip.Addr {
-	if v == 0 {
-		return ServerAddr(i)
-	}
-	return poolSpaceAddr(0x5, uint64(v), uint64(i)+1)
-}
-
-// SharedPoolServerAddr returns the physical address of server i of the
-// p-th declared pool (Topology.Pools order): 2001:db8:5:<p>::<i+1>, so
-// pool 0 is the ServerAddr space.
+// SharedPoolServerAddr returns the physical address of server i of pool
+// p (Topology.Pools order): 2001:db8:5:<p>::<i+1>, p in hextet 3 and i+1
+// in the low 64 bits. Pool 0 is the ServerAddr space, so the paper's
+// cluster keeps its addresses.
 func SharedPoolServerAddr(p, i int) netip.Addr {
 	if p == 0 {
 		return ServerAddr(i)
 	}
-	return poolSpaceAddr(0x5, uint64(p), uint64(i)+1)
+	if p > 0xffff {
+		panic(fmt.Sprintf("testbed: pool index %d exhausts the 2001:db8:5::/48 space", p))
+	}
+	a := serverBase.As16()
+	a[6] = byte(p >> 8)
+	a[7] = byte(p)
+	return addrWithTail(netip.AddrFrom16(a), uint64(i)+1)
 }
 
 // SchemeFn builds a candidate-selection scheme over the current server
@@ -100,14 +82,14 @@ type SchemeFn func(servers []netip.Addr, r *rand.Rand, view *feedback.VIPView) s
 // hashing), so that every replica agrees without shared state.
 type FallbackFn func(servers []netip.Addr) selection.Scheme
 
-// PoolSpec declares one named, shareable server pool. Two or more VIPs
-// referencing the same pool (VIPSpec.Pool) select over the *same*
-// physical servers and contend for the same workers — the shared-backend
-// regime of Maglev-style deployments, where one service's surge is
-// another's queueing delay. Zero fields take the paper's values.
+// PoolSpec declares one server pool. Two or more VIPs naming the same
+// pool (VIPSpec.Pool) select over the *same* physical servers and
+// contend for the same workers — the shared-backend regime of
+// Maglev-style deployments, where one service's surge is another's
+// queueing delay. Zero fields take the paper's values.
 type PoolSpec struct {
-	// Name identifies the pool; VIPSpec.Pool and pool-targeted Events
-	// reference it. Required, unique across Topology.Pools.
+	// Name, when set, labels the pool's servers ("<name>-server-<i>"
+	// instead of "server-<i>").
 	Name string
 	// Servers is the initial pool size (default 12).
 	Servers int
@@ -122,31 +104,16 @@ type PoolSpec struct {
 	Policy func(i int) agent.Policy
 }
 
-// VIPSpec declares one virtual service: its address, server pool, and
-// per-connection machinery. Zero fields take the paper's values (12
-// servers × appserver.Default, random-2 selection, Always policy,
-// demand-in-payload).
+// VIPSpec declares one virtual service: its address, the pool it selects
+// over, and per-connection machinery. Zero fields take the paper's
+// values (the first pool, random-2 selection, demand-in-payload).
 type VIPSpec struct {
-	// Name labels the VIP in server names and diagnostics (default
-	// "vip<index>").
+	// Name labels the VIP in diagnostics (default "vip<index>").
 	Name string
 	// Addr is the service address (default VIPAddr(index)).
 	Addr netip.Addr
-	// Pool, when set, references a Topology.Pools entry by name: the VIP
-	// selects over that shared pool instead of an implicit one of its
-	// own, and the pool-level fields below (Servers, Server,
-	// ServerOverride, Policy) must stay zero — the pool carries them.
-	Pool string
-	// Servers is the initial pool size (default 12). Ignored — and
-	// rejected by Validate when nonzero — for pool-referencing VIPs.
-	Servers int
-	// Server configures every pool member (default appserver.Default);
-	// ServerOverride, when non-nil, configures server i (zero Config
-	// falls back to Server). Servers added by Events use the same pair.
-	Server         appserver.Config
-	ServerOverride func(i int) appserver.Config
-	// Policy builds the acceptance policy of server i (default Always).
-	Policy func(i int) agent.Policy
+	// Pool indexes Topology.Pools: the VIP selects over that pool.
+	Pool int
 	// Scheme builds the VIP's candidate selection over the pool (default
 	// 2 uniform-random candidates, the paper's). Per VIP even on a
 	// shared pool: each service hunts with its own scheme instance.
@@ -159,8 +126,8 @@ type VIPSpec struct {
 	Demand func(i int) vrouter.DemandFn
 }
 
-// Topology declares a full cluster. The zero value (plus one implicit
-// zero VIPSpec) is the paper's platform behind a single LB.
+// Topology declares a full cluster. The zero value (one default pool,
+// one zero VIPSpec) is the paper's platform behind a single LB.
 type Topology struct {
 	Seed uint64
 	// Replicas is the number of LB replicas (default 1). With more than
@@ -168,9 +135,8 @@ type Topology struct {
 	// the shared LB return address, exactly as ECMP routers would spread
 	// flows across Maglev instances.
 	Replicas int
-	// Pools declares named, shareable server pools (VIPSpec.Pool
-	// references them). VIPs without a reference keep an implicit pool of
-	// their own — the legacy form, compiled down to the same machinery.
+	// Pools declares the server pools, which VIPSpec.Pool and server
+	// Events index (default: one zero PoolSpec).
 	Pools []PoolSpec
 	// VIPs declares the services (default: one zero VIPSpec).
 	VIPs []VIPSpec
@@ -198,7 +164,7 @@ type EventKind int
 
 // Lifecycle actions.
 const (
-	// EventServerAdd grows a VIP's pool by one freshly built server
+	// EventServerAdd grows a pool by one freshly built server
 	// (scale-out): the server is attached and becomes selectable.
 	EventServerAdd EventKind = iota + 1
 	// EventServerDrain removes a server from candidate selection but
@@ -232,14 +198,10 @@ const (
 type Event struct {
 	At   time.Duration
 	Kind EventKind
-	// Pool, when non-empty, targets the named shared pool (server
-	// events); VIP is then ignored.
-	Pool string
-	// VIP indexes Topology.VIPs (server events with no Pool name); the
-	// event targets that VIP's pool — implicit or referenced.
-	VIP int
-	// Server indexes the VIP's pool, including servers added by earlier
-	// events (drain/fail).
+	// Pool indexes Topology.Pools (server events).
+	Pool int
+	// Server indexes the pool's servers, including servers added by
+	// earlier events (drain/fail).
 	Server int
 	// Replica indexes the LB replicas (replica events).
 	Replica int
@@ -298,28 +260,16 @@ func ResolveEvents(events []Event, span time.Duration) []Event {
 	return out
 }
 
-// AddServer returns an event growing VIP v's pool by one server at time
-// at. The new server gets the next free pool index.
-func AddServer(at time.Duration, v int) Event {
-	return Event{At: at, Kind: EventServerAdd, VIP: v}
-}
-
-// DrainServer returns an event removing server i of VIP v from candidate
-// selection at time at, leaving established flows to complete.
-func DrainServer(at time.Duration, v, i int) Event {
-	return Event{At: at, Kind: EventServerDrain, VIP: v, Server: i}
-}
-
-// AddPoolServer returns an event growing the named pool by one server at
-// time at — the pool-targeted form of AddServer.
-func AddPoolServer(at time.Duration, pool string) Event {
+// AddServer returns an event growing pool by one server at time at. The
+// new server gets the next free index in the pool.
+func AddServer(at time.Duration, pool int) Event {
 	return Event{At: at, Kind: EventServerAdd, Pool: pool}
 }
 
-// DrainPoolServer returns an event removing server i of the named pool
-// from candidate selection at time at (every VIP sharing the pool loses
-// the server from its candidates at once).
-func DrainPoolServer(at time.Duration, pool string, i int) Event {
+// DrainServer returns an event removing server i of pool from candidate
+// selection at time at, leaving established flows to complete. Every
+// VIP selecting over the pool loses the server at once.
+func DrainServer(at time.Duration, pool, i int) Event {
 	return Event{At: at, Kind: EventServerDrain, Pool: pool, Server: i}
 }
 
@@ -347,13 +297,13 @@ func RecoverReplicaWarm(at time.Duration, r, from int) Event {
 }
 
 // FailPoolRack returns a correlated-failure schedule: the first
-// ceil(fraction × servers) slots of the named pool (pool == "" targets
-// VIP 0's implicit pool) all fail-stop at the same rate-relative
+// ceil(fraction × servers) slots of pool all fail-stop at the same
+// rate-relative
 // instant atFrac — one rack dropping off the fabric at once. Victims
 // are resolved deterministically as slots 0..k-1, and the count is
 // clamped to leave at least one server alive (Validate rejects
 // schedules that empty a pool).
-func FailPoolRack(pool string, servers int, fraction, atFrac float64) []Event {
+func FailPoolRack(pool, servers int, fraction, atFrac float64) []Event {
 	k := int(math.Ceil(fraction * float64(servers)))
 	if k < 1 {
 		k = 1
@@ -404,6 +354,9 @@ func (t Topology) withDefaults() Topology {
 	if len(t.VIPs) == 0 {
 		t.VIPs = make([]VIPSpec, 1)
 	}
+	if len(t.Pools) == 0 {
+		t.Pools = make([]PoolSpec, 1)
+	}
 	pools := make([]PoolSpec, len(t.Pools))
 	for p, ps := range t.Pools {
 		if ps.Servers <= 0 {
@@ -425,20 +378,6 @@ func (t Topology) withDefaults() Topology {
 		}
 		if !v.Addr.IsValid() {
 			v.Addr = VIPAddr(i)
-		}
-		// Pool-level defaults apply only to VIPs carrying their own
-		// implicit pool; a referencing VIP leaves them zero (Validate
-		// rejects explicit values there).
-		if v.Pool == "" {
-			if v.Servers <= 0 {
-				v.Servers = 12
-			}
-			if v.Server.Workers == 0 {
-				v.Server = appserver.Default()
-			}
-			if v.Policy == nil {
-				v.Policy = func(int) agent.Policy { return agent.Always{} }
-			}
 		}
 		if v.Scheme == nil {
 			v.Scheme = func(servers []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
@@ -499,55 +438,17 @@ func (t Topology) validate() error {
 	if relative > 0 && absolute > 0 {
 		return fmt.Errorf("schedule mixes %d absolute and %d rate-relative events; resolve the fractions first (ResolveEvents)", absolute, relative)
 	}
-	// The pool table: named pools first (checked for name collisions),
-	// then one implicit pool per non-referencing VIP. Each entry tracks
-	// slots (every index ever valid — drained slots keep theirs) and live
-	// (currently selectable servers).
-	type poolInfo struct {
-		label       string
-		slots, live int
-	}
-	poolIdx := make(map[string]int, len(t.Pools))
-	var pools []poolInfo
-	for p, ps := range t.Pools {
-		if ps.Name == "" {
-			return fmt.Errorf("pool %d has no name", p)
-		}
-		if _, dup := poolIdx[ps.Name]; dup {
-			return fmt.Errorf("duplicate pool name %q", ps.Name)
-		}
-		poolIdx[ps.Name] = len(pools)
-		pools = append(pools, poolInfo{label: fmt.Sprintf("pool %q", ps.Name), slots: ps.Servers, live: ps.Servers})
-	}
-	vipPool := make([]int, len(t.VIPs))
 	for v, spec := range t.VIPs {
-		if spec.Pool == "" {
-			vipPool[v] = len(pools)
-			pools = append(pools, poolInfo{label: fmt.Sprintf("VIP %d's pool", v), slots: spec.Servers, live: spec.Servers})
-			continue
+		if spec.Pool < 0 || spec.Pool >= len(t.Pools) {
+			return fmt.Errorf("VIP %d (%s): pool %d out of range (%d pools)", v, spec.Name, spec.Pool, len(t.Pools))
 		}
-		pi, ok := poolIdx[spec.Pool]
-		if !ok {
-			return fmt.Errorf("VIP %d (%s): dangling pool reference %q", v, spec.Name, spec.Pool)
-		}
-		if spec.Servers != 0 || spec.Server.Workers != 0 || spec.ServerOverride != nil || spec.Policy != nil {
-			return fmt.Errorf("VIP %d (%s): references pool %q but sets its own pool fields (Servers/Server/ServerOverride/Policy belong to the PoolSpec)", v, spec.Name, spec.Pool)
-		}
-		vipPool[v] = pi
 	}
-	// resolvePool maps a server event to its pool-table index.
-	resolvePool := func(i int, ev Event) (int, error) {
-		if ev.Pool != "" {
-			pi, ok := poolIdx[ev.Pool]
-			if !ok {
-				return 0, fmt.Errorf("event %d: unknown pool %q", i, ev.Pool)
-			}
-			return pi, nil
-		}
-		if ev.VIP < 0 || ev.VIP >= len(t.VIPs) {
-			return 0, fmt.Errorf("event %d: VIP %d out of range", i, ev.VIP)
-		}
-		return vipPool[ev.VIP], nil
+	// Per pool, slots counts every index ever valid (drained slots keep
+	// theirs) and live the currently selectable servers.
+	type poolInfo struct{ slots, live int }
+	pools := make([]poolInfo, len(t.Pools))
+	for p, ps := range t.Pools {
+		pools[p] = poolInfo{slots: ps.Servers, live: ps.Servers}
 	}
 	removed := make(map[[2]int]bool)
 	// Replay in time order (stable: same-instant events keep slice order,
@@ -569,9 +470,9 @@ func (t Topology) validate() error {
 		ev := t.Events[i]
 		switch ev.Kind {
 		case EventServerAdd, EventServerDrain, EventServerFail:
-			pi, err := resolvePool(i, ev)
-			if err != nil {
-				return err
+			pi := ev.Pool
+			if pi < 0 || pi >= len(pools) {
+				return fmt.Errorf("event %d: pool %d out of range (%d pools)", i, pi, len(pools))
 			}
 			p := &pools[pi]
 			if ev.Kind == EventServerAdd {
@@ -580,15 +481,15 @@ func (t Topology) validate() error {
 				continue
 			}
 			if ev.Server < 0 || ev.Server >= p.slots {
-				return fmt.Errorf("event %d: server %d out of range for %s (≤ %d at t=%v)",
-					i, ev.Server, p.label, p.slots, ev.At)
+				return fmt.Errorf("event %d: server %d out of range for pool %d (≤ %d at t=%v)",
+					i, ev.Server, pi, p.slots, ev.At)
 			}
 			if key := [2]int{pi, ev.Server}; !removed[key] {
 				removed[key] = true
 				p.live--
 				if p.live < 1 {
-					return fmt.Errorf("event %d: draining server %d empties %s at t=%v",
-						i, ev.Server, p.label, ev.At)
+					return fmt.Errorf("event %d: draining server %d empties pool %d at t=%v",
+						i, ev.Server, pi, ev.At)
 				}
 			}
 		case EventReplicaFail, EventReplicaRecover, EventReplicaRecoverWarm:
@@ -617,22 +518,15 @@ type serverSlot struct {
 	pub *feedback.Publisher
 }
 
-// poolState is the runtime side of one pool — named and shared, or the
-// implicit pool a non-referencing VIP compiles down to. It owns the live
+// poolState is the runtime side of one PoolSpec. It owns the live
 // candidate set and the ever-built slots; the VIPs selecting over it hang
 // their schemes off the same addresses.
 type poolState struct {
-	name string
-	spec PoolSpec
-	// addr allocates the physical address of slot i (legacy per-VIP
-	// space for implicit pools, the shared-pool space for named ones).
-	addr func(i int) netip.Addr
-	// implicitVIP is the owning VIP's index for implicit pools (server
-	// naming keeps its historical form), -1 for named pools.
-	implicitVIP int
-	pool        []netip.Addr // currently selectable servers
-	all         []*serverSlot
-	vips        []*vipState // every VIP selecting over this pool
+	index int // position in Topology.Pools (the address space)
+	spec  PoolSpec
+	pool  []netip.Addr // currently selectable servers
+	all   []*serverSlot
+	vips  []*vipState // every VIP selecting over this pool
 }
 
 func (ps *poolState) removeFromPool(addr netip.Addr) bool {
@@ -706,66 +600,36 @@ func Build(top Topology) *Testbed {
 	net := netsim.New(sim, top.Net)
 	tb := &Testbed{Sim: sim, Net: net}
 
-	// Compile the pool table: implicit per-VIP pools in VIP order (the
-	// legacy layout, so legacy topologies keep their construction order
-	// and address space bit for bit), then the named pools in declaration
-	// order.
-	tb.poolsByName = make(map[string]*poolState, len(top.Pools))
-	named := make([]*poolState, len(top.Pools))
+	// Compile the pools in declaration order, then hang each VIP off the
+	// pool it selects over.
+	tb.pools = make([]*poolState, len(top.Pools))
 	for p, ps := range top.Pools {
-		p := p
-		pool := &poolState{
-			name:        ps.Name,
-			spec:        ps,
-			addr:        func(i int) netip.Addr { return SharedPoolServerAddr(p, i) },
-			implicitVIP: -1,
-		}
-		named[p] = pool
-		tb.poolsByName[ps.Name] = pool
+		tb.pools[p] = &poolState{index: p, spec: ps}
 	}
 	tb.vips = make([]*vipState, len(top.VIPs))
 	for v, spec := range top.VIPs {
-		vs := &vipState{spec: spec, addr: spec.Addr, index: v}
-		if spec.Pool != "" {
-			vs.pool = tb.poolsByName[spec.Pool]
-		} else {
-			v := v
-			vs.pool = &poolState{
-				name: spec.Name,
-				spec: PoolSpec{
-					Name:           spec.Name,
-					Servers:        spec.Servers,
-					Server:         spec.Server,
-					ServerOverride: spec.ServerOverride,
-					Policy:         spec.Policy,
-				},
-				addr:        func(i int) netip.Addr { return PoolServerAddr(v, i) },
-				implicitVIP: v,
-			}
-			tb.pools = append(tb.pools, vs.pool)
-		}
+		vs := &vipState{spec: spec, addr: spec.Addr, index: v, pool: tb.pools[spec.Pool]}
 		vs.pool.vips = append(vs.pool.vips, vs)
 		tb.vips[v] = vs
 	}
-	tb.pools = append(tb.pools, named...)
 
 	// Count scale-out events per pool so candidate and slot slices are
 	// allocated once, at final capacity.
-	adds := make(map[*poolState]int, len(tb.pools))
+	adds := make([]int, len(tb.pools))
 	for _, ev := range top.Events {
 		if ev.Kind == EventServerAdd {
-			adds[tb.poolOf(ev)]++
+			adds[ev.Pool]++
 		}
 	}
 	total := 0
-	for _, pool := range tb.pools {
+	for p, pool := range tb.pools {
 		n := pool.spec.Servers
-		pool.pool = make([]netip.Addr, n, n+adds[pool])
+		pool.pool = make([]netip.Addr, n, n+adds[p])
 		for i := range pool.pool {
-			pool.pool[i] = pool.addr(i)
+			pool.pool[i] = SharedPoolServerAddr(p, i)
 		}
-		pool.all = make([]*serverSlot, 0, n+adds[pool])
-		total += n + adds[pool]
+		pool.all = make([]*serverSlot, 0, n+adds[p])
+		total += n + adds[p]
 	}
 
 	// LB replicas. A single replica attaches unicast (the legacy wiring);
@@ -819,8 +683,7 @@ func Build(top Topology) *Testbed {
 	// single-replica surface); FeedbackOf reaches the others.
 	tb.Feedback = tb.replicas[0].view
 
-	// Servers, pool by pool in table order (implicit pools first — the
-	// legacy construction order).
+	// Servers, pool by pool in declaration order.
 	tb.Servers = make([]*appserver.Server, 0, total)
 	tb.Routers = make([]*vrouter.Router, 0, total)
 	for _, pool := range tb.pools {
@@ -905,16 +768,6 @@ func clonePool(pool []netip.Addr) []netip.Addr {
 	return append(make([]netip.Addr, 0, len(pool)), pool...)
 }
 
-// poolOf resolves a server event's target pool: the named pool when the
-// event carries one, the targeted VIP's pool otherwise. Validation has
-// already established both resolve.
-func (tb *Testbed) poolOf(ev Event) *poolState {
-	if ev.Pool != "" {
-		return tb.poolsByName[ev.Pool]
-	}
-	return tb.vips[ev.VIP].pool
-}
-
 // buildServer wires pool member i and registers it everywhere. A server
 // of a shared pool hosts every VIP selecting over the pool: its router
 // accepts all their addresses and dispatches each request to the demand
@@ -928,9 +781,9 @@ func (tb *Testbed) buildServer(pool *poolState, i int) *serverSlot {
 			serverCfg = over
 		}
 	}
-	name := fmt.Sprintf("%s-server-%d", pool.name, i)
-	if pool.implicitVIP == 0 {
-		name = fmt.Sprintf("server-%d", i)
+	name := fmt.Sprintf("server-%d", i)
+	if spec.Name != "" {
+		name = spec.Name + "-" + name
 	}
 	vips := make([]netip.Addr, len(pool.vips))
 	for n, vs := range pool.vips {
@@ -938,8 +791,8 @@ func (tb *Testbed) buildServer(pool *poolState, i int) *serverSlot {
 	}
 	var demand vrouter.DemandFn
 	if len(pool.vips) == 1 {
-		// Single-VIP pools (every legacy topology) keep the direct demand
-		// function — no dispatch on the hot path, identical behavior.
+		// A single-VIP pool keeps the direct demand function — no dispatch
+		// on the hot path.
 		demand = pool.vips[0].spec.Demand(i)
 	} else {
 		byVIP := make(map[netip.Addr]vrouter.DemandFn, len(pool.vips))
@@ -953,14 +806,14 @@ func (tb *Testbed) buildServer(pool *poolState, i int) *serverSlot {
 				// within its own VIP's pool. A silent default here would
 				// misprice the query while the attribution ledgers stayed
 				// balanced — fail loudly instead.
-				panic(fmt.Sprintf("testbed: shared pool %q asked to price a flow for unknown VIP %v", pool.name, flow.Dst))
+				panic(fmt.Sprintf("testbed: pool %d asked to price a flow for unknown VIP %v", pool.index, flow.Dst))
 			}
 			return fn(flow, payload)
 		}
 	}
 	srv := appserver.New(tb.Sim, name, serverCfg)
 	rt := vrouter.New(tb.Sim, tb.Net, vrouter.Config{
-		Addr:   pool.addr(i),
+		Addr:   SharedPoolServerAddr(pool.index, i),
 		VIPs:   vips,
 		LB:     LBAddr,
 		Policy: spec.Policy(i),
@@ -981,13 +834,13 @@ func (tb *Testbed) buildServer(pool *poolState, i int) *serverSlot {
 func (tb *Testbed) apply(ev Event) {
 	switch ev.Kind {
 	case EventServerAdd:
-		pool := tb.poolOf(ev)
+		pool := tb.pools[ev.Pool]
 		slot := tb.buildServer(pool, len(pool.all))
 		pool.pool = append(pool.pool, slot.addr)
 		tb.rebuildSchemes(pool)
 
 	case EventServerDrain:
-		pool := tb.poolOf(ev)
+		pool := tb.pools[ev.Pool]
 		slot := pool.all[ev.Server]
 		if slot.drained || slot.failed {
 			return
@@ -997,7 +850,7 @@ func (tb *Testbed) apply(ev Event) {
 		tb.rebuildSchemes(pool)
 
 	case EventServerFail:
-		pool := tb.poolOf(ev)
+		pool := tb.pools[ev.Pool]
 		slot := pool.all[ev.Server]
 		if slot.failed {
 			return

@@ -13,14 +13,8 @@ import (
 	"srlb/internal/selection"
 )
 
-// failServer is a fail-stop event for server i of VIP v at time at.
-func failServer(at time.Duration, v, i int) Event {
-	return Event{At: at, Kind: EventServerFail, VIP: v, Server: i}
-}
-
-// failPoolServer is a fail-stop event for server i of the named pool at
-// time at.
-func failPoolServer(at time.Duration, pool string, i int) Event {
+// failServer is a fail-stop event for server i of pool at time at.
+func failServer(at time.Duration, pool, i int) Event {
 	return Event{At: at, Kind: EventServerFail, Pool: pool, Server: i}
 }
 
@@ -78,11 +72,8 @@ func TestTopologyTwoReplicasAnycastECMP(t *testing.T) {
 	tb := Build(Topology{
 		Seed:     9,
 		Replicas: 2,
-		VIPs: []VIPSpec{{
-			Servers:  6,
-			Scheme:   chashScheme(t),
-			Fallback: chashFallback(t),
-		}},
+		Pools:    []PoolSpec{{Servers: 6}},
+		VIPs:     []VIPSpec{{Scheme: chashScheme(t), Fallback: chashFallback(t)}},
 	})
 	results := launchEvery(tb, n, 2*time.Millisecond, 5*time.Millisecond)
 
@@ -114,12 +105,9 @@ func TestTopologyReplicaFailoverMidFlow(t *testing.T) {
 	tb := Build(Topology{
 		Seed:     11,
 		Replicas: 2,
-		VIPs: []VIPSpec{{
-			Servers:  2,
-			Scheme:   chashScheme(t),
-			Fallback: chashFallback(t),
-		}},
-		Events: []Event{FailReplica(60*time.Millisecond, 0)},
+		Pools:    []PoolSpec{{Servers: 2}},
+		VIPs:     []VIPSpec{{Scheme: chashScheme(t), Fallback: chashFallback(t)}},
+		Events:   []Event{FailReplica(60*time.Millisecond, 0)},
 	})
 	results := launchEvery(tb, n, time.Millisecond, 50*time.Millisecond)
 
@@ -140,8 +128,8 @@ func TestTopologyReplicaFailoverMidFlow(t *testing.T) {
 func TestTopologyServerChurnEvents(t *testing.T) {
 	const n = 600
 	tb := Build(Topology{
-		Seed: 13,
-		VIPs: []VIPSpec{{Servers: 4}},
+		Seed:  13,
+		Pools: []PoolSpec{{Servers: 4}},
 		Events: []Event{
 			AddServer(100*time.Millisecond, 0),
 			DrainServer(300*time.Millisecond, 0, 0),
@@ -176,7 +164,7 @@ func TestTopologyServerFailStop(t *testing.T) {
 	const n = 400
 	tb := Build(Topology{
 		Seed:   17,
-		VIPs:   []VIPSpec{{Servers: 4}},
+		Pools:  []PoolSpec{{Servers: 4}},
 		Events: []Event{failServer(100*time.Millisecond, 0, 1)},
 	})
 	results := launchEvery(tb, n, time.Millisecond, 20*time.Millisecond)
@@ -204,9 +192,13 @@ func TestTopologyMultiVIP(t *testing.T) {
 	const n = 200
 	tb := Build(Topology{
 		Seed: 19,
-		VIPs: []VIPSpec{
+		Pools: []PoolSpec{
 			{Servers: 3},
 			{Servers: 2},
+		},
+		VIPs: []VIPSpec{
+			{},
+			{Pool: 1},
 		},
 	})
 	results := collect(tb)
@@ -255,16 +247,16 @@ func TestTopologyValidateErrors(t *testing.T) {
 		top  Topology
 		want string
 	}{
-		"vip out of range": {
+		"pool out of range": {
 			Topology{Events: []Event{AddServer(0, 3)}},
-			"VIP 3 out of range",
+			"pool 3 out of range",
 		},
 		"drain unknown server": {
-			Topology{VIPs: []VIPSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 5)}},
+			Topology{Pools: []PoolSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 5)}},
 			"server 5 out of range",
 		},
 		"fail unknown server": {
-			Topology{VIPs: []VIPSpec{{Servers: 2}}, Events: []Event{failServer(time.Second, 0, 2)}},
+			Topology{Pools: []PoolSpec{{Servers: 2}}, Events: []Event{failServer(time.Second, 0, 2)}},
 			"server 2 out of range",
 		},
 		"replica out of range": {
@@ -276,19 +268,19 @@ func TestTopologyValidateErrors(t *testing.T) {
 			"replica -1 out of range",
 		},
 		"pool drained empty": {
-			Topology{VIPs: []VIPSpec{{Servers: 1}}, Events: []Event{DrainServer(0, 0, 0)}},
-			"empties VIP 0's pool",
+			Topology{Pools: []PoolSpec{{Servers: 1}}, Events: []Event{DrainServer(0, 0, 0)}},
+			"empties pool 0",
 		},
 		"unknown event kind": {
 			Topology{Events: []Event{{At: time.Second, Kind: EventKind(99)}}},
 			"unknown kind",
 		},
 		"negative fraction": {
-			Topology{VIPs: []VIPSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 0).AtFraction(-0.1)}},
+			Topology{Pools: []PoolSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 0).AtFraction(-0.1)}},
 			"outside [0, 1]",
 		},
 		"fraction beyond span": {
-			Topology{VIPs: []VIPSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 0).AtFraction(1.5)}},
+			Topology{Pools: []PoolSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 0).AtFraction(1.5)}},
 			"outside [0, 1]",
 		},
 		"NaN fraction": {
@@ -300,12 +292,12 @@ func TestTopologyValidateErrors(t *testing.T) {
 			"negative time -1s",
 		},
 		"absolute and fraction overlap": {
-			Topology{VIPs: []VIPSpec{{Servers: 2}},
+			Topology{Pools: []PoolSpec{{Servers: 2}},
 				Events: []Event{{At: time.Second, Kind: EventServerDrain, Frac: 0.5, Relative: true}}},
 			"both absolute time",
 		},
 		"mixed absolute and relative schedule": {
-			Topology{VIPs: []VIPSpec{{Servers: 3}}, Events: []Event{
+			Topology{Pools: []PoolSpec{{Servers: 3}}, Events: []Event{
 				DrainServer(time.Second, 0, 0),
 				DrainServer(0, 0, 1).AtFraction(0.5),
 			}},
@@ -314,61 +306,48 @@ func TestTopologyValidateErrors(t *testing.T) {
 		"relative drain before its add": {
 			// Fraction order is replay order: the drain of slot 2 at 0.2
 			// precedes the add at 0.8, so slot 2 does not exist yet.
-			Topology{VIPs: []VIPSpec{{Servers: 2}}, Events: []Event{
+			Topology{Pools: []PoolSpec{{Servers: 2}}, Events: []Event{
 				AddServer(0, 0).AtFraction(0.8),
 				DrainServer(0, 0, 2).AtFraction(0.2),
 			}},
 			"server 2 out of range",
 		},
-		"dangling pool reference": {
-			Topology{VIPs: []VIPSpec{{Name: "web", Pool: "nosuch"}}},
-			`dangling pool reference "nosuch"`,
+		"VIP pool below range": {
+			Topology{VIPs: []VIPSpec{{Name: "web", Pool: -1}}},
+			"VIP 0 (web): pool -1 out of range (1 pools)",
 		},
-		"event targets undefined pool": {
+		"VIP pool past the pools": {
+			Topology{Pools: []PoolSpec{{Servers: 2}, {Servers: 2}}, VIPs: []VIPSpec{{}, {Pool: 2}}},
+			"VIP 1 (vip1): pool 2 out of range (2 pools)",
+		},
+		"event pool below range": {
+			Topology{Events: []Event{DrainServer(0, -1, 0)}},
+			"event 0: pool -1 out of range (1 pools)",
+		},
+		"event pool past the pools": {
 			Topology{
-				Pools:  []PoolSpec{{Name: "shared", Servers: 2}},
-				VIPs:   []VIPSpec{{Pool: "shared"}},
-				Events: []Event{DrainPoolServer(0, "phantom", 0)},
+				Pools:  []PoolSpec{{Servers: 2}, {Servers: 2}},
+				Events: []Event{AddServer(0, 0), AddServer(time.Second, 2)},
 			},
-			`unknown pool "phantom"`,
-		},
-		"duplicate pool names": {
-			Topology{
-				Pools: []PoolSpec{{Name: "shared", Servers: 2}, {Name: "shared", Servers: 3}},
-				VIPs:  []VIPSpec{{Pool: "shared"}},
-			},
-			`duplicate pool name "shared"`,
-		},
-		"unnamed pool": {
-			Topology{Pools: []PoolSpec{{Servers: 2}}, VIPs: []VIPSpec{{Servers: 2}}},
-			"pool 0 has no name",
+			"event 1: pool 2 out of range (2 pools)",
 		},
 		"shared pool drained empty": {
 			// Two VIPs contend on a one-server pool: the single drain
 			// starves *both* services at once — rejected up front.
 			Topology{
-				Pools: []PoolSpec{{Name: "shared", Servers: 1}},
-				VIPs:  []VIPSpec{{Pool: "shared"}, {Pool: "shared"}},
-				Events: []Event{
-					DrainPoolServer(time.Second, "shared", 0),
-				},
+				Pools:  []PoolSpec{{Name: "shared", Servers: 1}},
+				VIPs:   []VIPSpec{{}, {}},
+				Events: []Event{DrainServer(time.Second, 0, 0)},
 			},
-			`empties pool "shared"`,
+			"empties pool 0",
 		},
-		"shared pool server out of range": {
+		"second pool server out of range": {
 			Topology{
-				Pools:  []PoolSpec{{Name: "shared", Servers: 2}},
-				VIPs:   []VIPSpec{{Pool: "shared"}},
-				Events: []Event{failPoolServer(0, "shared", 7)},
+				Pools:  []PoolSpec{{Servers: 2}, {Servers: 2}},
+				VIPs:   []VIPSpec{{}, {Pool: 1}},
+				Events: []Event{failServer(0, 1, 7)},
 			},
-			`server 7 out of range for pool "shared"`,
-		},
-		"pool reference plus own pool fields": {
-			Topology{
-				Pools: []PoolSpec{{Name: "shared", Servers: 2}},
-				VIPs:  []VIPSpec{{Pool: "shared", Servers: 4}},
-			},
-			"sets its own pool fields",
+			"server 7 out of range for pool 1",
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -384,27 +363,24 @@ func TestTopologyValidateErrors(t *testing.T) {
 	// Well-formed schedules — absolute, all-relative, and shared-pool —
 	// pass.
 	for name, top := range map[string]Topology{
-		"absolute": {VIPs: []VIPSpec{{Servers: 2}}, Events: []Event{
+		"absolute": {Pools: []PoolSpec{{Servers: 2}}, Events: []Event{
 			AddServer(time.Second, 0),
 			DrainServer(2*time.Second, 0, 2),
 		}},
-		"relative": {VIPs: []VIPSpec{{Servers: 2}}, Events: []Event{
+		"relative": {Pools: []PoolSpec{{Servers: 2}}, Events: []Event{
 			AddServer(0, 0).AtFraction(0.3),
 			DrainServer(0, 0, 2).AtFraction(0.6),
 		}},
 		"shared pool with pool events": {
 			Pools: []PoolSpec{{Name: "shared", Servers: 2}},
-			VIPs:  []VIPSpec{{Pool: "shared"}, {Pool: "shared"}},
+			VIPs:  []VIPSpec{{}, {}},
 			Events: []Event{
-				AddPoolServer(time.Second, "shared"),
-				DrainPoolServer(2*time.Second, "shared", 2),
+				AddServer(time.Second, 0),
+				DrainServer(2*time.Second, 0, 2),
 			},
 		},
-		"vip-indexed event resolves through the reference": {
-			// A legacy-form event (VIP index) on a referencing VIP lands
-			// on the shared pool it selects over.
-			Pools:  []PoolSpec{{Name: "shared", Servers: 3}},
-			VIPs:   []VIPSpec{{Pool: "shared"}, {Pool: "shared"}},
+		"pool without a VIP": {
+			Pools:  []PoolSpec{{Servers: 2}, {Servers: 3}},
 			Events: []Event{DrainServer(time.Second, 1, 2)},
 		},
 	} {
@@ -469,17 +445,17 @@ func TestResolveEvents(t *testing.T) {
 			t.Fatal("Build accepted unresolved rate-relative events")
 		}
 	}()
-	Build(Topology{VIPs: []VIPSpec{{Servers: 2}},
+	Build(Topology{Pools: []PoolSpec{{Servers: 2}},
 		Events: []Event{DrainServer(0, 0, 0).AtFraction(0.5)}})
 }
 
 // Malformed topologies must fail loudly at Build, not mid-simulation.
 func TestTopologyValidation(t *testing.T) {
 	for name, top := range map[string]Topology{
-		"bad vip index":     {Events: []Event{AddServer(0, 3)}},
-		"bad server index":  {VIPs: []VIPSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 5)}},
+		"bad pool index":    {Events: []Event{AddServer(0, 3)}},
+		"bad server index":  {Pools: []PoolSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 5)}},
 		"bad replica index": {Replicas: 2, Events: []Event{FailReplica(0, 2)}},
-		"pool drained empty": {VIPs: []VIPSpec{{Servers: 1}},
+		"pool drained empty": {Pools: []PoolSpec{{Servers: 1}},
 			Events: []Event{DrainServer(0, 0, 0)}},
 	} {
 		func() {
@@ -494,7 +470,7 @@ func TestTopologyValidation(t *testing.T) {
 	// An add event makes a later index valid: server 2 exists only after
 	// the AddServer fires, and validation replays in time order.
 	Build(Topology{
-		VIPs: []VIPSpec{{Servers: 2}},
+		Pools: []PoolSpec{{Servers: 2}},
 		Events: []Event{
 			AddServer(time.Second, 0),
 			DrainServer(2*time.Second, 0, 2),
@@ -511,6 +487,6 @@ var benchTB *Testbed
 func BenchmarkTestbedNew(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		benchTB = Build(Topology{Seed: uint64(i + 1), VIPs: []VIPSpec{{Servers: 12}}})
+		benchTB = Build(Topology{Seed: uint64(i + 1), Pools: []PoolSpec{{Servers: 12}}})
 	}
 }

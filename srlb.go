@@ -34,11 +34,12 @@ type (
 	// from the sweep's base.
 	ClusterVariant = experiments.ClusterVariant
 
-	// The declarative topology layer: a Topology names VIPs (each with
-	// its own scheme constructor, VIPSpec.Scheme, which also receives the
-	// VIP's feedback view when the plane is on), declares named server pools that several VIPs may
-	// share (PoolSpec + VIPSpec.Pool — the contention regime), attaches
-	// N LB replicas over anycast/ECMP, and schedules lifecycle Events;
+	// The declarative topology layer: a Topology declares server pools
+	// (PoolSpec) and VIPs, each selecting over one pool by its index
+	// (VIPSpec.Pool; VIPs naming the same pool contend for its workers)
+	// with its own scheme constructor (VIPSpec.Scheme, which also
+	// receives the VIP's feedback view when the plane is on), attaches N
+	// LB replicas over anycast/ECMP, and schedules lifecycle Events;
 	// testbed.Build compiles it to wired nodes. Cluster remains the
 	// one-line single-LB/single-VIP wrapper.
 	Topology = testbed.Topology
@@ -69,10 +70,10 @@ type (
 	// The open-loop cell: a MultiServiceWorkload interleaves one arrival
 	// stream per VIP (each a PoissonService, BurstyService or
 	// WikiService named by a ServiceSpec) into a single deterministic
-	// run, reporting the outcome both aggregate and per service. Services
-	// may share a server pool (ServiceSpec.Pool +
-	// MultiServiceWorkload.Pools) and carry their own load axes
-	// (MultiServiceWorkload.ServiceLoads).
+	// run, reporting the outcome both aggregate and per service. Each
+	// service selects over one of the cell's pools (ServiceSpec.Pool
+	// indexes MultiServiceWorkload.Pools, default one cluster-sized pool)
+	// and may carry its own load axis (MultiServiceWorkload.ServiceLoads).
 	MultiServiceWorkload = experiments.MultiServiceWorkload
 	ServiceSpec          = experiments.ServiceSpec
 	PoissonService       = experiments.PoissonService
@@ -131,16 +132,12 @@ type (
 
 // Lifecycle-event constructors for Topology.Events / Cluster.Events.
 var (
-	// AddServer grows a VIP's pool by one freshly built server.
-	AddServer = testbed.AddServer
-	// DrainServer removes a server from selection, letting established
-	// flows complete.
-	DrainServer = testbed.DrainServer
-	// AddPoolServer/DrainPoolServer are the pool-targeted forms for named
-	// shared pools: one event drives every service selecting over the
+	// AddServer grows a pool by one freshly built server; DrainServer
+	// removes one of its servers from selection, letting established
+	// flows complete. One event drives every service selecting over the
 	// pool.
-	AddPoolServer   = testbed.AddPoolServer
-	DrainPoolServer = testbed.DrainPoolServer
+	AddServer   = testbed.AddServer
+	DrainServer = testbed.DrainServer
 	// FailReplica removes an LB replica from the anycast groups.
 	FailReplica = testbed.FailReplica
 	// RecoverReplica re-attaches a failed replica, stateless.
