@@ -227,9 +227,10 @@
 // log-linear response-time histogram (quantiles within a documented
 // ≈0.2% relative error at the default precision; count/mean/min/max
 // exact) plus outcome counters, folded in as each query completes. The
-// testbed generator keeps no per-query results: each outcome goes to the
-// sink (and to an optional OnResult callback) and is gone, so a cell
-// holds constant memory regardless of horizon length.
+// testbed generator keeps no per-query results: each outcome folds into
+// its SketchSink (Generator.Sink, per-VIP sketches plus a total) and an
+// optional OnResult callback and is gone, so a cell holds constant
+// memory regardless of horizon length.
 //
 // Every cell — Poisson, bursty, wiki day, multi-service, horizon soak —
 // is a MultiServiceWorkload, and MultiServiceWorkload.run is the one

@@ -6,16 +6,6 @@ import (
 	"srlb/internal/sketch"
 )
 
-// ResultSink consumes the Generator's per-query outcomes as they happen
-// — the constant-memory alternative to retaining a []Result. Offer is
-// called once per Launch (before any packet moves), Record once per
-// terminal outcome (response, RST, client timeout, or drain), so
-// Offered == OK + Refused + Unfinished once a run has drained.
-type ResultSink interface {
-	Offer(vip netip.Addr)
-	Record(Result)
-}
-
 // VIPSketch aggregates one service's outcomes in constant memory: a
 // quantile histogram over response times of completed queries, plus the
 // offered/outcome counter set.
@@ -44,11 +34,15 @@ func (v *VIPSketch) record(res Result) {
 	}
 }
 
-// SketchSink is the standard ResultSink: per-VIP sketches plus an
-// all-VIP total, all deterministic functions of the observed stream.
-// Its memory footprint is fixed by the VIP count and the histogram
-// value range — independent of how many queries flow through, which is
-// what lets a 10⁸-query horizon run fit in a constant heap.
+// SketchSink consumes the Generator's per-query outcomes as they happen
+// — the constant-memory alternative to retaining a []Result — into
+// per-VIP sketches plus an all-VIP total, all deterministic functions of
+// the observed stream. Offer is called once per Launch (before any
+// packet moves), Record once per terminal outcome (response, RST, client
+// timeout, or drain), so Offered == OK + Refused + Unfinished once a run
+// has drained. Its memory footprint is fixed by the VIP count and the
+// histogram value range — independent of how many queries flow through,
+// which is what lets a 10⁸-query horizon run fit in a constant heap.
 type SketchSink struct {
 	total VIPSketch
 	order []*VIPSketch
@@ -79,13 +73,13 @@ func (s *SketchSink) vip(addr netip.Addr) *VIPSketch {
 	return v
 }
 
-// Offer implements ResultSink.
+// Offer counts one launched query for vip.
 func (s *SketchSink) Offer(vip netip.Addr) {
 	s.total.Counters.Offered++
 	s.vip(vip).Counters.Offered++
 }
 
-// Record implements ResultSink.
+// Record folds one terminal outcome into its VIP's sketch and the total.
 func (s *SketchSink) Record(res Result) {
 	s.total.record(res)
 	s.vip(res.VIP).record(res)
@@ -100,5 +94,3 @@ func (s *SketchSink) VIP(addr netip.Addr) *VIPSketch { return s.byVIP[addr] }
 
 // VIPs returns every per-service sketch in registration order.
 func (s *SketchSink) VIPs() []*VIPSketch { return s.order }
-
-var _ ResultSink = (*SketchSink)(nil)

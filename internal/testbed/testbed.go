@@ -237,7 +237,7 @@ type Generator struct {
 	freePQ   *pendingQuery // recycled pendingQuery structs
 	// Sink, when non-nil, is offered every launched query and every
 	// terminal outcome — the constant-memory measurement path.
-	Sink ResultSink
+	Sink *SketchSink
 	// RetransmitRTO enables client SYN retransmission with exponential
 	// backoff (initial timeout RetransmitRTO, doubling, synMaxTries
 	// attempts). Zero disables it — the paper's default, since
