@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 )
@@ -87,42 +87,21 @@ func Calibrate(cfg CalibrationConfig) CalibrationResult {
 	cfg = cfg.withDefaults()
 	res := CalibrationResult{Theoretical: cfg.Cluster.TheoreticalCapacity()}
 
-	probeOne := func(rate float64) CalibrationProbe {
-		run := RunPoisson(cfg.Cluster, cfg.Spec, rate, cfg.Queries, PoissonHooks{})
-		return CalibrationProbe{RatePerSec: rate, Refused: run.Refused, Unfinished: run.Unfinished}
-	}
-	// probeAll runs one round of probes on the worker pool and records
-	// them in ascending rate order.
+	// probeAll runs one round of probes on the Runner — each probe is
+	// RunPoisson's cell at its rate — and records them in ascending rate
+	// order, the Runner's input order.
 	probeAll := func(rates []float64) []CalibrationProbe {
+		cells := make([]Scenario, len(rates))
+		for i, rate := range rates {
+			cells[i] = Scenario{
+				Cluster: cfg.Cluster, Policy: cfg.Spec, Load: 1,
+				Workload: OneService(PoissonService{Lambda0: rate, Queries: cfg.Queries}),
+			}
+		}
+		results, _ := Runner{Workers: cfg.Workers}.Run(context.Background(), cells)
 		out := make([]CalibrationProbe, len(rates))
-		w := cfg.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		if w > len(rates) {
-			w = len(rates)
-		}
-		if w <= 1 {
-			for i, r := range rates {
-				out[i] = probeOne(r)
-			}
-		} else {
-			var wg sync.WaitGroup
-			next := make(chan int)
-			for ; w > 0; w-- {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := range next {
-						out[i] = probeOne(rates[i])
-					}
-				}()
-			}
-			for i := range rates {
-				next <- i
-			}
-			close(next)
-			wg.Wait()
+		for i, c := range results {
+			out[i] = CalibrationProbe{RatePerSec: rates[i], Refused: c.Outcome.Refused, Unfinished: c.Outcome.Unfinished}
 		}
 		res.Probes = append(res.Probes, out...)
 		return out
