@@ -62,4 +62,37 @@ func TestCellServerAddresses(t *testing.T) {
 	if got := cellServerAddrs(multiServiceWorkload(cfg), cluster); !slices.Equal(got, want) {
 		t.Fatalf("multi-service cell servers = %v, want %v", got, want)
 	}
+
+	// The shared-pool cell (interference, policies, rhogrid): its one
+	// pool is pool 0, the paper cluster's addresses.
+	want = want[:0]
+	for i := 0; i < cluster.Servers; i++ {
+		want = append(want, poolServer(0, i))
+	}
+	shared := sharedPoolWorkload(PoissonService{Lambda0: 100, Queries: 10}, time.Second, batchPeak)
+	if got := cellServerAddrs(shared, cluster); !slices.Equal(got, want) {
+		t.Fatalf("shared-pool cell servers = %v, want %v", got, want)
+	}
+
+	// A generated topology (vipscale, the dispatch benchmark): pool p
+	// under the same rule, whatever VIPs select over it.
+	tb := testbed.Build(testbed.GenerateTopology(testbed.GenSpec{Seed: 1, VIPs: 10, Pools: 3, ServersPerPool: 4}))
+	want = want[:0]
+	for p := 0; p < 3; p++ {
+		for i := 0; i < 4; i++ {
+			want = append(want, poolServer(p, i))
+		}
+	}
+	var got []netip.Addr
+	for _, rt := range tb.Routers {
+		got = append(got, rt.Addr())
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("generated topology servers = %v, want %v", got, want)
+	}
+	for p := 0; p < 3; p++ {
+		if a := testbed.SharedPoolServerAddr(p, 3); a != poolServer(p, 3) {
+			t.Fatalf("SharedPoolServerAddr(%d, 3) = %v, want %v", p, a, poolServer(p, 3))
+		}
+	}
 }

@@ -125,16 +125,16 @@ func perReplicate[T any](reps []VIPOutcome, pick func(VIPOutcome) T) []T {
 }
 
 // newCellStats folds replicate cells (same logical cell, different
-// seeds) into a CellStats. Skipped cells are dropped; an all-skipped
-// group yields a CellStats with N() == 0 and zero metrics.
+// seeds) into a CellStats. Cells with an Err are dropped; a group with
+// no completed cell yields a CellStats with N() == 0 and zero metrics.
 func newCellStats(cells []CellResult) CellStats {
 	var cs CellStats
 	completed := make([]CellResult, 0, len(cells))
 	totals := make([]VIPOutcome, 0, len(cells))
 	for _, c := range cells {
 		cs.Wall += c.Wall
-		// Err != nil (not just Skipped) — a cell cancelled mid-run holds
-		// a truncated recorder whose statistics would silently skew the
+		// Err != nil covers a cell never started and one cancelled
+		// mid-run, whose truncated recorder would silently skew the
 		// aggregate.
 		if c.Err != nil {
 			continue

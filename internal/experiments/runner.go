@@ -43,8 +43,8 @@ func (r Runner) workers(n int) int {
 // Run executes the scenarios and returns one CellResult per scenario, in
 // input order regardless of completion order. On cancellation it returns
 // promptly with partial results — finished cells are complete, the cell(s)
-// in flight carry Err, cells never started are marked Skipped — together
-// with the context error.
+// in flight and the cells never started carry the context error as Err —
+// together with the context error.
 func (r Runner) Run(ctx context.Context, scenarios []Scenario) ([]CellResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -100,7 +100,7 @@ feed:
 		select {
 		case next <- i:
 		case <-ctx.Done():
-			// Cells never handed out stay in their Skipped state.
+			// Cells never handed out carry the context error.
 			for j := i; j < n; j++ {
 				if results[j].Outcome.RT == nil && results[j].Err == nil {
 					results[j].Err = ctx.Err()
