@@ -1,10 +1,10 @@
 // GenerateTopology mass-produces control-plane-scale topologies: 1k–10k
 // VIPs spread over a handful of shared server pools, with every address
 // derived deterministically from the VIP/pool index (VIPAddr, and
-// SharedPoolServerAddr at Build). This is the regime where kube-proxy's O(n)
-// iptables traversal collapses and an O(1) indexed dispatch stays flat —
-// the generator exists so benchmarks and the vipscale experiment can
-// sweep service count without hand-declaring thousands of specs.
+// SharedPoolServerAddr at Build). This is the regime where kube-proxy's
+// O(n) iptables traversal collapses and an O(1) indexed dispatch stays
+// flat — the generator exists so benchmarks and the vipscale experiment
+// can sweep service count without hand-declaring thousands of specs.
 
 package testbed
 

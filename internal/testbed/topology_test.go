@@ -247,10 +247,6 @@ func TestTopologyValidateErrors(t *testing.T) {
 		top  Topology
 		want string
 	}{
-		"pool out of range": {
-			Topology{Events: []Event{AddServer(0, 3)}},
-			"pool 3 out of range",
-		},
 		"drain unknown server": {
 			Topology{Pools: []PoolSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 5)}},
 			"server 5 out of range",
@@ -316,15 +312,15 @@ func TestTopologyValidateErrors(t *testing.T) {
 			Topology{VIPs: []VIPSpec{{Name: "web", Pool: -1}}},
 			"VIP 0 (web): pool -1 out of range (1 pools)",
 		},
-		"VIP pool past the pools": {
-			Topology{Pools: []PoolSpec{{Servers: 2}, {Servers: 2}}, VIPs: []VIPSpec{{}, {Pool: 2}}},
-			"VIP 1 (vip1): pool 2 out of range (2 pools)",
+		"dangling pool reference": {
+			Topology{Pools: []PoolSpec{{Servers: 2}, {Servers: 2}}, VIPs: []VIPSpec{{}, {Name: "web", Pool: 2}}},
+			"VIP 1 (web): pool 2 out of range (2 pools)",
 		},
 		"event pool below range": {
 			Topology{Events: []Event{DrainServer(0, -1, 0)}},
 			"event 0: pool -1 out of range (1 pools)",
 		},
-		"event pool past the pools": {
+		"event targets undefined pool": {
 			Topology{
 				Pools:  []PoolSpec{{Servers: 2}, {Servers: 2}},
 				Events: []Event{AddServer(0, 0), AddServer(time.Second, 2)},
@@ -341,10 +337,10 @@ func TestTopologyValidateErrors(t *testing.T) {
 			},
 			"empties pool 0",
 		},
-		"second pool server out of range": {
+		"shared pool server out of range": {
 			Topology{
-				Pools:  []PoolSpec{{Servers: 2}, {Servers: 2}},
-				VIPs:   []VIPSpec{{}, {Pool: 1}},
+				Pools:  []PoolSpec{{Servers: 2}, {Name: "shared", Servers: 2}},
+				VIPs:   []VIPSpec{{}, {Pool: 1}, {Pool: 1}},
 				Events: []Event{failServer(0, 1, 7)},
 			},
 			"server 7 out of range for pool 1",
