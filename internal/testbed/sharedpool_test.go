@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"srlb/internal/ipv6"
 	"srlb/internal/netsim"
 	"srlb/internal/packet"
 	"srlb/internal/tcpseg"
@@ -230,5 +231,76 @@ func TestSharedPoolPerVIPDemand(t *testing.T) {
 	if batchRT/time.Duration(batchN) <= webRT/time.Duration(webN) {
 		t.Fatalf("batch mean RT %v not above web %v — per-VIP cost model not applied",
 			batchRT/time.Duration(batchN), webRT/time.Duration(webN))
+	}
+}
+
+// Every server of a shared pool prices each VIP's requests with the
+// demand function that VIP built for that server: each call of VIP v's
+// Demand(i) is for a flow to v, and server i calls it once per request
+// of v it served.
+func TestSharedPoolPricesEachVIPWithItsOwnDemand(t *testing.T) {
+	const servers, n = 3, 300
+	type call struct{ server, vip int }
+	calls := map[call]uint64{}
+	top := sharedPoolTopology(59, servers)
+	for v := range top.VIPs {
+		top.VIPs[v].Demand = func(i int) vrouter.DemandFn {
+			return func(flow packet.FlowKey, payload []byte) time.Duration {
+				if flow.Dst != VIPAddr(v) {
+					t.Errorf("VIP %d's demand of server %d priced a flow to %v", v, i, flow.Dst)
+				}
+				calls[call{i, v}]++
+				return DefaultDemand(flow, payload)
+			}
+		}
+	}
+	tb := Build(top)
+	responses := tapResponses(tb.Net)
+	for i := 0; i < n; i++ {
+		q := Query{ID: uint64(i), VIP: VIPAddr(i % 2), Demand: 2 * time.Millisecond}
+		tb.Sim.At(time.Duration(i)*time.Millisecond, func() { tb.Gen.Launch(q) })
+	}
+	tb.Sim.Run()
+	tb.Gen.DrainPending()
+	for i := 0; i < servers; i++ {
+		for v := 0; v < 2; v++ {
+			got, want := calls[call{i, v}], responses[serverVIP{SharedPoolServerAddr(0, i), VIPAddr(v)}]
+			if got == 0 || got != want {
+				t.Errorf("server %d, VIP %d: %d demand calls for %d responses", i, v, got, want)
+			}
+		}
+	}
+}
+
+// A steered packet that reaches a server for a VIP of another pool (a
+// stale binding at the balancer) is counted not_local and dropped: the
+// server hosts only its own pool's VIPs.
+func TestSteeredToAnotherPoolsVIPIsNotLocal(t *testing.T) {
+	tb := Build(Topology{
+		Seed:  61,
+		Pools: []PoolSpec{{Servers: 2}, {Servers: 2}},
+		VIPs:  []VIPSpec{{Pool: 0}, {Pool: 1}},
+	})
+	flow := packet.FlowKey{Src: ClientAddr(0), Dst: VIPAddr(1), SrcPort: 4000, DstPort: 80}
+	tb.LB.SeedFlow(flow, SharedPoolServerAddr(0, 0))
+	tb.Net.Send(&packet.Packet{
+		IP:  ipv6.Header{Src: flow.Src, Dst: flow.Dst},
+		TCP: tcpseg.Segment{SrcPort: flow.SrcPort, DstPort: flow.DstPort, Seq: 1, Ack: 1, Flags: tcpseg.FlagACK},
+	})
+	tb.Sim.Run()
+	if got := tb.LB.Counts.Get("steered"); got != 1 {
+		t.Fatalf("LB steered %d packets, want 1", got)
+	}
+	for i, rt := range tb.Routers {
+		want := uint64(0)
+		if rt.Addr() == SharedPoolServerAddr(0, 0) {
+			want = 1
+		}
+		if got := rt.Counts.Get("not_local"); got != want {
+			t.Errorf("router %d (%v): not_local = %d, want %d", i, rt.Addr(), got, want)
+		}
+		if got := rt.Counts.Get("no_conn"); got != 0 {
+			t.Errorf("router %d: no_conn = %d, want 0", i, got)
+		}
 	}
 }
