@@ -21,8 +21,8 @@
 //     linger (and idle flows after a TTL), bounding LB state.
 //
 // Dispatch is indexed: VIP configuration compiles into a dense table of
-// per-VIP entries plus one address→id map, so the per-packet cost is a
-// single map lookup followed by array indexing — O(1) in the number of
+// per-VIP entries plus one addrtab.Table, so the per-packet cost is a
+// single table lookup followed by array indexing — O(1) in the number of
 // advertised services, whether the balancer serves four VIPs or ten
 // thousand.
 package core
@@ -32,6 +32,7 @@ import (
 	"net/netip"
 	"time"
 
+	"srlb/internal/addrtab"
 	"srlb/internal/des"
 	"srlb/internal/flowtable"
 	"srlb/internal/ipv6"
@@ -80,7 +81,6 @@ type Config struct {
 // path needs after the single vipIndex lookup, in one cache-friendly
 // slot. The per-VIP SYN counter lives here as a plain integer.
 type vipEntry struct {
-	addr     netip.Addr
 	scheme   selection.Scheme
 	fallback selection.Scheme
 	// stateful and resteer cache the scheme's optional capabilities,
@@ -133,8 +133,8 @@ type Dispatcher struct {
 	lastSweep time.Duration
 	Counts    *metrics.Counter
 	// vipIndex maps each advertised VIP to its dense id in vips. This is
-	// the only per-packet map lookup on the dispatch path.
-	vipIndex map[netip.Addr]int32
+	// the only per-packet address lookup on the dispatch path.
+	vipIndex *addrtab.Table
 	vips     []vipEntry
 	// hunt is the header of every forwarded SYN, rewritten in place per
 	// SYN (one per Dispatcher, never per VIP), and path the scratch its
@@ -145,8 +145,8 @@ type Dispatcher struct {
 }
 
 // NewDispatcher validates cfg and compiles the indexed dispatch table.
-// Allocation is constant-count (one slice, one presized map) regardless
-// of VIP count.
+// Allocation is constant-count (one slice, one presized address table)
+// regardless of VIP count.
 func NewDispatcher(cfg Config) *Dispatcher {
 	if err := ipv6.CheckAddr(cfg.Addr); err != nil {
 		panic(fmt.Sprintf("core: bad LB addr: %v", err))
@@ -162,18 +162,16 @@ func NewDispatcher(cfg Config) *Dispatcher {
 		flows:    flowtable.New(cfg.Flows),
 		Counts:   counterSchema.NewCounter(),
 		vips:     make([]vipEntry, len(cfg.VIPList)),
-		vipIndex: make(map[netip.Addr]int32, len(cfg.VIPList)),
+		vipIndex: addrtab.New(len(cfg.VIPList)),
 	}
 	for i, vc := range cfg.VIPList {
 		if err := ipv6.CheckAddr(vc.Addr); err != nil {
 			panic(fmt.Sprintf("core: bad VIP: %v", err))
 		}
-		if _, dup := d.vipIndex[vc.Addr]; dup {
+		if d.vipIndex.Add(vc.Addr) != int32(i) {
 			panic(fmt.Sprintf("core: duplicate VIP %v", vc.Addr))
 		}
-		d.vips[i].addr = vc.Addr
 		d.SetSchemes(i, vc.Scheme, vc.Fallback)
-		d.vipIndex[vc.Addr] = int32(i)
 	}
 	return d
 }
@@ -196,7 +194,7 @@ func (d *Dispatcher) SetSchemes(id int, scheme, fallback selection.Scheme) {
 func (d *Dispatcher) Addrs() []netip.Addr {
 	addrs := append(make([]netip.Addr, 0, 1+len(d.vips)), d.cfg.Addr)
 	for i := range d.vips {
-		addrs = append(addrs, d.vips[i].addr)
+		addrs = append(addrs, d.vipIndex.Addr(int32(i)))
 	}
 	return addrs
 }
@@ -206,7 +204,7 @@ func (d *Dispatcher) Addrs() []netip.Addr {
 // Summed across replicas it equals the queries offered to the VIP (each
 // query sends one SYN unless client retransmission is enabled).
 func (d *Dispatcher) VIPSYNs(vip netip.Addr) uint64 {
-	id, ok := d.vipIndex[vip]
+	id, ok := d.vipIndex.Lookup(vip)
 	if !ok {
 		return 0
 	}
@@ -284,9 +282,9 @@ func (d *Dispatcher) Dispatch(now time.Duration, pkt *packet.Packet) (forward bo
 		d.Counts.Add(cntToLBNoSRH, 1)
 		return false
 	}
-	// Client-side traffic addressed to a VIP: one map lookup, then
+	// Client-side traffic addressed to a VIP: one table lookup, then
 	// everything the packet needs is in the dense entry.
-	id, ok := d.vipIndex[pkt.IP.Dst]
+	id, ok := d.vipIndex.Lookup(pkt.IP.Dst)
 	if !ok {
 		d.Counts.Add(cntUnknownVIP, 1)
 		return false
@@ -358,7 +356,7 @@ func (d *Dispatcher) handleReturn(now time.Duration, pkt *packet.Packet) bool {
 		// A stateful scheme tracks its own placements (the in-flight
 		// delta between feedback reports); the flow's VIP is the client
 		// flow's destination.
-		if id, ok := d.vipIndex[clientFlow.Dst]; ok {
+		if id, ok := d.vipIndex.Lookup(clientFlow.Dst); ok {
 			if st := d.vips[id].stateful; st != nil {
 				st.Observe(server, +1)
 			}

@@ -14,12 +14,14 @@
 // The per-flow storage holds no Go pointers, like a data plane's
 // preallocated buffers, so the GC never scans it. Entries live in an
 // arena slice addressed by int32 ids, one 64-byte line each: the source
-// address and ports, the destination and backend as per-table intern
-// ids (the topology bounds both; a source other than a zoneless IPv6 one
-// is interned too), the times, the key's hash and int32 LRU links. Entry
-// 0 is the LRU sentinel; removed ids go on a free list, so a long run's
-// steady state allocates nothing. The index is a linearly probed array
-// of (hash, id) slots, at most half full, with backward-shift deletion.
+// address and ports, the destination and backend as ids in the table's
+// append-only addrtab.Table (the topology bounds both; a source other
+// than a zoneless IPv6 one, whose 16 bytes would alias, is interned too),
+// the times, the key's hash and int32 LRU links. Entry 0 is the LRU
+// sentinel; removed ids go on a free list, so a long run's steady state
+// allocates nothing. The index is an addrtab.Index: a linearly probed
+// array of (hash, id) slots, at most half full, with backward-shift
+// deletion.
 // A hit reads one index line, one entry line and its LRU neighbours. The
 // hash mixes the key's words under a per-table random seed, and no output
 // depends on it: the index is probed for one key at a time, never
@@ -41,6 +43,7 @@ import (
 	"net/netip"
 	"time"
 
+	"srlb/internal/addrtab"
 	"srlb/internal/packet"
 )
 
@@ -86,12 +89,6 @@ type entry struct {
 	closing    bool
 }
 
-// slot is one index cell; id 0 (the sentinel, never indexed) is empty.
-type slot struct {
-	hash uint32
-	id   int32
-}
-
 // Stats counts table events.
 type Stats struct {
 	Hits      uint64
@@ -107,23 +104,22 @@ type Stats struct {
 // wraps it with its own lock.
 type Table struct {
 	cfg    Config
-	index  []slot  // power-of-two length (package comment)
-	ents   []entry // the arena; ents[0] is the LRU sentinel
-	free   int32   // first free id; 0 = none
-	n      int     // live entries
+	index  addrtab.Index // by entry id; the sentinel's id 0 marks an empty cell
+	ents   []entry       // the arena; ents[0] is the LRU sentinel
+	free   int32         // first free id; 0 = none
+	n      int           // live entries
 	seed   uint64
 	stats  Stats
-	latest time.Duration // the latest deadline an in-order entry was fronted with
-	side   []int32       // the out-of-order entries (package comment)
-	addrs  []netip.Addr  // interned addresses by id
-	ids    map[netip.Addr]int32
+	latest time.Duration  // the latest deadline an in-order entry was fronted with
+	side   []int32        // the out-of-order entries (package comment)
+	addrs  *addrtab.Table // interned addresses
 }
 
 // New creates a table.
 func New(cfg Config) *Table {
 	return &Table{
-		cfg: cfg.withDefaults(), index: make([]slot, 8), ents: make([]entry, 1, 8),
-		seed: rand.Uint64(), ids: map[netip.Addr]int32{},
+		cfg: cfg.withDefaults(), index: make(addrtab.Index, 8), ents: make([]entry, 1, 8),
+		seed: rand.Uint64(), addrs: addrtab.New(0),
 	}
 }
 
@@ -147,11 +143,11 @@ func (t *Table) hash(k *packet.FlowKey) uint32 {
 func (t *Table) find(k *packet.FlowKey) (int32, uint32) {
 	h := t.hash(k)
 	mask := uint32(len(t.index) - 1)
-	for i := h & mask; t.index[i].id != 0; i = (i + 1) & mask {
-		if s := t.index[i]; s.hash == h {
-			if e := &t.ents[s.id]; e.srcPort == k.SrcPort && e.dstPort == k.DstPort &&
-				t.srcAddr(e) == k.Src && t.addrs[e.dst] == k.Dst {
-				return s.id, h
+	for i := h & mask; t.index[i].ID != 0; i = (i + 1) & mask {
+		if s := t.index[i]; s.Hash == h {
+			if e := &t.ents[s.ID]; e.srcPort == k.SrcPort && e.dstPort == k.DstPort &&
+				t.srcAddr(e) == k.Src && t.addrs.Addr(e.dst) == k.Dst {
+				return s.ID, h
 			}
 		}
 	}
@@ -160,30 +156,9 @@ func (t *Table) find(k *packet.FlowKey) (int32, uint32) {
 
 func (t *Table) srcAddr(e *entry) netip.Addr {
 	if e.interned {
-		return t.addrs[binary.LittleEndian.Uint32(e.src[:4])]
+		return t.addrs.Addr(int32(binary.LittleEndian.Uint32(e.src[:4])))
 	}
 	return netip.AddrFrom16(e.src)
-}
-
-// intern returns a's id in t.addrs, adding it if it is new.
-func (t *Table) intern(a netip.Addr) int32 {
-	id, ok := t.ids[a]
-	if !ok {
-		id = int32(len(t.addrs))
-		t.addrs = append(t.addrs, a)
-		t.ids[a] = id
-	}
-	return id
-}
-
-// place puts s in the first empty slot of its probe run.
-func (t *Table) place(s slot) {
-	mask := uint32(len(t.index) - 1)
-	i := s.hash & mask
-	for t.index[i].id != 0 {
-		i = (i + 1) & mask
-	}
-	t.index[i] = s
 }
 
 // pushFront links id at the MRU end.
@@ -240,7 +215,7 @@ func (t *Table) unside(e *entry) {
 // set gives entry id b's state and fronts it.
 func (t *Table) set(id int32, b *FlowBinding) {
 	e := &t.ents[id]
-	e.backend, e.deadline, e.seen, e.closing = t.intern(b.Backend), b.Deadline, b.Seen, b.Closing
+	e.backend, e.deadline, e.seen, e.closing = t.addrs.Add(b.Backend), b.Deadline, b.Seen, b.Closing
 	t.front(id)
 }
 
@@ -262,34 +237,24 @@ func (t *Table) add(k *packet.FlowKey, h uint32, b *FlowBinding) {
 		t.remove(t.ents[0].prev)
 		t.stats.Evictions++
 	}
-	if t.n++; 2*t.n > len(t.index) {
-		old := t.index
-		t.index = make([]slot, 2*len(old))
-		for _, s := range old {
-			if s.id != 0 {
-				t.place(s)
-			}
-		}
-	}
+	t.n++
 	id := t.free
 	if id != 0 {
 		t.free = t.ents[id].next
 	} else {
 		if len(t.ents) == cap(t.ents) {
-			grown := make([]entry, len(t.ents), min(2*cap(t.ents), t.cfg.MaxEntries+1))
-			copy(grown, t.ents)
-			t.ents = grown
+			t.ents = append(make([]entry, 0, min(2*cap(t.ents), t.cfg.MaxEntries+1)), t.ents...)
 		}
 		id = int32(len(t.ents))
 		t.ents = t.ents[:id+1]
 	}
 	// The entry starts as a list of its own, which set's front unlinks.
-	t.ents[id] = entry{src: k.Src.As16(), srcPort: k.SrcPort, dstPort: k.DstPort, dst: t.intern(k.Dst), hash: h, prev: id, next: id}
+	t.ents[id] = entry{src: k.Src.As16(), srcPort: k.SrcPort, dstPort: k.DstPort, dst: t.addrs.Add(k.Dst), hash: h, prev: id, next: id}
 	if netip.AddrFrom16(k.Src.As16()) != k.Src {
 		t.ents[id].interned = true
-		binary.LittleEndian.PutUint32(t.ents[id].src[:4], uint32(t.intern(k.Src)))
+		binary.LittleEndian.PutUint32(t.ents[id].src[:4], uint32(t.addrs.Add(k.Src)))
 	}
-	t.place(slot{hash: h, id: id})
+	t.index = t.index.Add(addrtab.Slot{Hash: h, ID: id}, t.n)
 	t.set(id, b)
 	t.stats.Inserts++
 }
@@ -319,7 +284,7 @@ func (t *Table) LookupIdle(now time.Duration, key packet.FlowKey) (backend netip
 	e.seen = now
 	t.front(id)
 	t.stats.Hits++
-	return t.addrs[e.backend], idle, true
+	return t.addrs.Addr(e.backend), idle, true
 }
 
 // live returns key's entry id, or 0 if it is absent. An entry past its
@@ -346,7 +311,7 @@ func (t *Table) Rebind(now time.Duration, key packet.FlowKey, backend netip.Addr
 	if id == 0 {
 		return false
 	}
-	t.ents[id].backend = t.intern(backend)
+	t.ents[id].backend = t.addrs.Add(backend)
 	t.stats.Rebinds++
 	return true
 }
@@ -414,8 +379,8 @@ type FlowBinding struct {
 // binding returns entry e's state.
 func (t *Table) binding(e *entry) FlowBinding {
 	return FlowBinding{
-		Key:     packet.FlowKey{Src: t.srcAddr(e), Dst: t.addrs[e.dst], SrcPort: e.srcPort, DstPort: e.dstPort},
-		Backend: t.addrs[e.backend], Deadline: e.deadline, Seen: e.seen, Closing: e.closing,
+		Key:     packet.FlowKey{Src: t.srcAddr(e), Dst: t.addrs.Addr(e.dst), SrcPort: e.srcPort, DstPort: e.dstPort},
+		Backend: t.addrs.Addr(e.backend), Deadline: e.deadline, Seen: e.seen, Closing: e.closing,
 	}
 }
 
@@ -470,20 +435,7 @@ func (t *Table) remove(id int32) {
 		t.unside(e)
 	}
 	t.unlink(id)
-	mask := uint32(len(t.index) - 1)
-	hole := e.hash & mask
-	for t.index[hole].id != id {
-		hole = (hole + 1) & mask
-	}
-	// Backward-shift deletion: a later slot of the probe run moves into
-	// the hole unless its home lies cyclically in (hole, i].
-	for i := (hole + 1) & mask; t.index[i].id != 0; i = (i + 1) & mask {
-		if (i-t.index[i].hash)&mask >= (i-hole)&mask {
-			t.index[hole] = t.index[i]
-			hole = i
-		}
-	}
-	t.index[hole] = slot{}
+	t.index.Delete(e.hash, id)
 	*e = entry{next: t.free}
 	t.free = id
 	t.n--

@@ -51,11 +51,11 @@ func checkTable(t *testing.T, tb *Table) {
 	}
 	indexed := 0
 	for _, s := range tb.index {
-		if s.id == 0 {
+		if s.ID == 0 {
 			continue
 		}
 		indexed++
-		if state[s.id] != 1 || tb.ents[s.id].hash != s.hash {
+		if state[s.ID] != 1 || tb.ents[s.ID].hash != s.Hash {
 			t.Fatalf("index slot %+v does not name a live entry with its hash", s)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"net/netip"
 	"time"
 
+	"srlb/internal/addrtab"
 	"srlb/internal/des"
 	"srlb/internal/metrics"
 	"srlb/internal/packet"
@@ -90,9 +91,9 @@ type Network struct {
 	sim    *des.Simulator
 	cfg    Config
 	rng    *rand.Rand
-	nodes  map[netip.Addr]Node
-	anycst map[netip.Addr][]Node
 	taps   []Tap
+	addrs  *addrtab.Table
+	routes []route // by id in addrs; an address keeps its id for life
 	Counts *metrics.Counter
 
 	// Transmission recycling: each Send borrows a slot, returned to the
@@ -126,10 +127,23 @@ func New(sim *des.Simulator, cfg Config) *Network {
 		sim:    sim,
 		cfg:    cfg,
 		rng:    rand.New(rand.NewPCG(cfg.Seed, 0xbeef)),
-		nodes:  make(map[netip.Addr]Node),
-		anycst: make(map[netip.Addr][]Node),
+		addrs:  addrtab.New(0),
 		Counts: counterSchema.NewCounter(),
 	}
+}
+
+// route is an address's unicast node and anycast group (non-nil, even emptied, once one).
+type route struct {
+	node  Node
+	group []Node
+}
+
+func (n *Network) route(a netip.Addr) *route {
+	id := n.addrs.Add(a)
+	if int(id) == len(n.routes) {
+		n.routes = append(n.routes, route{})
+	}
+	return &n.routes[id]
 }
 
 // Attach binds addrs to node on the LAN. Attaching an address twice
@@ -137,13 +151,14 @@ func New(sim *des.Simulator, cfg Config) *Network {
 // AttachAnycast for ECMP groups).
 func (n *Network) Attach(node Node, addrs ...netip.Addr) {
 	for _, a := range addrs {
-		if _, dup := n.nodes[a]; dup {
+		r := n.route(a)
+		if r.node != nil {
 			panic(fmt.Sprintf("netsim: address %v attached twice", a))
 		}
-		if _, dup := n.anycst[a]; dup {
+		if r.group != nil {
 			panic(fmt.Sprintf("netsim: address %v already an anycast group", a))
 		}
-		n.nodes[a] = node
+		r.node = node
 	}
 }
 
@@ -153,8 +168,8 @@ func (n *Network) Attach(node Node, addrs ...netip.Addr) {
 // exactly as on a real LAN when a host drops off. It reports whether
 // node owned addr.
 func (n *Network) Detach(node Node, addr netip.Addr) bool {
-	if cur, ok := n.nodes[addr]; ok && cur == node {
-		delete(n.nodes, addr)
+	if r := n.route(addr); r.node != nil && r.node == node {
+		r.node = nil
 		return true
 	}
 	return false
@@ -166,10 +181,11 @@ func (n *Network) Detach(node Node, addr netip.Addr) bool {
 // — the mechanism the paper's related work relies on for scaling LB
 // instances).
 func (n *Network) AttachAnycast(node Node, addr netip.Addr) {
-	if _, dup := n.nodes[addr]; dup {
+	r := n.route(addr)
+	if r.node != nil {
 		panic(fmt.Sprintf("netsim: address %v already unicast", addr))
 	}
-	n.anycst[addr] = append(n.anycst[addr], node)
+	r.group = append(r.group, node)
 }
 
 // DetachAnycast removes one member from addr's ECMP group (a replica
@@ -178,10 +194,10 @@ func (n *Network) AttachAnycast(node Node, addr netip.Addr) {
 // interface equality, so anycast nodes must have comparable dynamic types
 // (pointers — as every real node is; NodeFunc closures are not).
 func (n *Network) DetachAnycast(node Node, addr netip.Addr) bool {
-	group := n.anycst[addr]
-	for i, member := range group {
+	r := n.route(addr)
+	for i, member := range r.group {
 		if member == node {
-			n.anycst[addr] = append(group[:i:i], group[i+1:]...)
+			r.group = append(r.group[:i:i], r.group[i+1:]...)
 			return true
 		}
 	}
@@ -264,14 +280,14 @@ func (n *Network) deliver(s *slot) {
 			return
 		}
 	}
-	node, ok := n.nodes[pkt.IP.Dst]
-	if !ok {
-		if group := n.anycst[pkt.IP.Dst]; len(group) > 0 {
-			node = group[ecmpHash(pkt)%uint64(len(group))]
-			ok = true
+	var node Node
+	if id, ok := n.addrs.Lookup(pkt.IP.Dst); ok {
+		r := &n.routes[id]
+		if node = r.node; node == nil && len(r.group) > 0 {
+			node = r.group[ecmpHash(pkt)%uint64(len(r.group))]
 		}
 	}
-	if !ok {
+	if node == nil {
 		n.Counts.Add(cntUnroutable, 1)
 		n.put(s)
 		return

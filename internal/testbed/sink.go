@@ -3,6 +3,7 @@ package testbed
 import (
 	"net/netip"
 
+	"srlb/internal/addrtab"
 	"srlb/internal/sketch"
 )
 
@@ -45,8 +46,8 @@ func (v *VIPSketch) record(res Result) {
 // which is what lets a 10⁸-query horizon run fit in a constant heap.
 type SketchSink struct {
 	total VIPSketch
-	order []*VIPSketch
-	byVIP map[netip.Addr]*VIPSketch
+	order []*VIPSketch // by id in ids
+	ids   *addrtab.Table
 }
 
 // NewSketchSink builds a sink with the given VIPs pre-registered (in
@@ -55,7 +56,7 @@ type SketchSink struct {
 func NewSketchSink(vips ...netip.Addr) *SketchSink {
 	s := &SketchSink{
 		total: VIPSketch{RT: sketch.New()},
-		byVIP: make(map[netip.Addr]*VIPSketch, len(vips)),
+		ids:   addrtab.New(len(vips)),
 	}
 	for _, vip := range vips {
 		s.vip(vip)
@@ -64,13 +65,11 @@ func NewSketchSink(vips ...netip.Addr) *SketchSink {
 }
 
 func (s *SketchSink) vip(addr netip.Addr) *VIPSketch {
-	if v, ok := s.byVIP[addr]; ok {
-		return v
+	id := s.ids.Add(addr)
+	if int(id) == len(s.order) {
+		s.order = append(s.order, newVIPSketch(addr))
 	}
-	v := newVIPSketch(addr)
-	s.byVIP[addr] = v
-	s.order = append(s.order, v)
-	return v
+	return s.order[id]
 }
 
 // Offer counts one launched query for vip.
@@ -87,10 +86,6 @@ func (s *SketchSink) Record(res Result) {
 
 // Total returns the all-VIP aggregate.
 func (s *SketchSink) Total() *VIPSketch { return &s.total }
-
-// VIP returns the sketch of one service (nil if never offered a query
-// and not pre-registered).
-func (s *SketchSink) VIP(addr netip.Addr) *VIPSketch { return s.byVIP[addr] }
 
 // VIPs returns every per-service sketch in registration order.
 func (s *SketchSink) VIPs() []*VIPSketch { return s.order }

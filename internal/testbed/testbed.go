@@ -12,7 +12,9 @@ package testbed
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"net/netip"
+	"slices"
 	"time"
 
 	"srlb/internal/appserver"
@@ -234,6 +236,7 @@ type Generator struct {
 	addrs    []netip.Addr
 	nextPort []uint32
 	pending  map[packet.FlowKey]*pendingQuery
+	launched int           // queries launched, the next one's seq
 	freePQ   *pendingQuery // recycled pendingQuery structs
 	// Sink, when non-nil, is offered every launched query and every
 	// terminal outcome — the constant-memory measurement path.
@@ -265,6 +268,7 @@ type pendingQuery struct {
 	sentAt  time.Duration
 	flow    packet.FlowKey
 	tries   int
+	seq     int // launch order
 	rto     *des.Timer
 	payload []byte        // encoded request bytes, reused across sends
 	next    *pendingQuery // free-list link
@@ -316,7 +320,8 @@ func (g *Generator) Launch(q Query) {
 		}
 	}
 	pq := g.getPQ()
-	pq.q, pq.sentAt, pq.flow, pq.tries = q, g.sim.Now(), flow, 1
+	pq.q, pq.sentAt, pq.flow, pq.tries, pq.seq = q, g.sim.Now(), flow, 1, g.launched
+	g.launched++
 	pq.payload = appendPayload(pq.payload[:0], q)
 	g.pending[flow] = pq
 	g.Counts.Add(cntQueriesLaunched, 1)
@@ -482,10 +487,11 @@ func (g *Generator) record(res Result) {
 func (g *Generator) Pending() int { return len(g.pending) }
 
 // DrainPending marks all still-pending queries as failed (used at
-// simulation end so accounting always balances).
+// simulation end so accounting always balances), in launch order.
 func (g *Generator) DrainPending() int {
-	n := len(g.pending)
-	for _, pq := range g.pending {
+	drained := slices.Collect(maps.Values(g.pending))
+	slices.SortFunc(drained, func(a, b *pendingQuery) int { return a.seq - b.seq })
+	for _, pq := range drained {
 		if pq.rto != nil {
 			g.sim.Cancel(pq.rto)
 			pq.rto = nil
@@ -494,7 +500,7 @@ func (g *Generator) DrainPending() int {
 		g.putPQ(pq)
 	}
 	clear(g.pending)
-	return n
+	return len(drained)
 }
 
 var _ netsim.Node = (*Generator)(nil)

@@ -393,6 +393,31 @@ func TestLaunchSkipsEveryPendingPort(t *testing.T) {
 	}
 }
 
+// DrainPending records what a run cut mid-flight leaves pending in
+// launch order, so OnResult sees one sequence on identical runs. The
+// queries outlast the cut (a 5 s demand on four servers) and launch in
+// ID order.
+func TestDrainPendingInLaunchOrder(t *testing.T) {
+	tb := Build(Topology{Seed: 13, Pools: []PoolSpec{{Servers: 4}}})
+	results := collect(tb)
+	const n = 300
+	for i := 0; i < n; i++ {
+		q := Query{ID: uint64(i), Demand: 5 * time.Second}
+		tb.Sim.At(time.Duration(i)*time.Millisecond, func() { tb.Gen.Launch(q) })
+	}
+	tb.Sim.RunUntil(n * time.Millisecond / 2)
+	*results = nil
+	drained := tb.Gen.DrainPending()
+	if drained < n/4 || len(*results) != drained {
+		t.Fatalf("drained %d with %d results, want at least %d and one each", drained, len(*results), n/4)
+	}
+	for i := 1; i < len(*results); i++ {
+		if prev, cur := (*results)[i-1].ID, (*results)[i].ID; cur <= prev {
+			t.Fatalf("drained result %d is query %d after query %d: not launch order", i, cur, prev)
+		}
+	}
+}
+
 func TestUtilizationBounded(t *testing.T) {
 	tb := run(t, Topology{Seed: 12, Pools: []PoolSpec{{Servers: 3}}}, 2000, 500, 20*time.Millisecond)
 	for i, s := range tb.Servers {

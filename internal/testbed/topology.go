@@ -22,6 +22,7 @@ import (
 	"sort"
 	"time"
 
+	"srlb/internal/addrtab"
 	"srlb/internal/agent"
 	"srlb/internal/appserver"
 	"srlb/internal/core"
@@ -29,7 +30,6 @@ import (
 	"srlb/internal/feedback"
 	"srlb/internal/flowtable"
 	"srlb/internal/netsim"
-	"srlb/internal/packet"
 	"srlb/internal/rng"
 	"srlb/internal/selection"
 	"srlb/internal/vrouter"
@@ -522,11 +522,12 @@ type serverSlot struct {
 // candidate set and the ever-built slots; the VIPs selecting over it hang
 // their schemes off the same addresses.
 type poolState struct {
-	index int // position in Topology.Pools (the address space)
-	spec  PoolSpec
-	pool  []netip.Addr // currently selectable servers
-	all   []*serverSlot
-	vips  []*vipState // every VIP selecting over this pool
+	index  int // position in Topology.Pools (the address space)
+	spec   PoolSpec
+	pool   []netip.Addr // currently selectable servers
+	all    []*serverSlot
+	vips   []*vipState    // every VIP selecting over this pool
+	vipTab *addrtab.Table // vips' addresses by position, shared by the pool's routers
 }
 
 func (ps *poolState) removeFromPool(addr netip.Addr) bool {
@@ -623,6 +624,10 @@ func Build(top Topology) *Testbed {
 	}
 	total := 0
 	for p, pool := range tb.pools {
+		pool.vipTab = addrtab.New(len(pool.vips))
+		for _, vs := range pool.vips {
+			pool.vipTab.Add(vs.addr)
+		}
 		n := pool.spec.Servers
 		pool.pool = make([]netip.Addr, n, n+adds[p])
 		for i := range pool.pool {
@@ -770,7 +775,7 @@ func clonePool(pool []netip.Addr) []netip.Addr {
 
 // buildServer wires pool member i and registers it everywhere. A server
 // of a shared pool hosts every VIP selecting over the pool: its router
-// accepts all their addresses and dispatches each request to the demand
+// shares the pool's VIP table and prices each request with the demand
 // model of the VIP it arrived for, so one physical worker pool serves
 // several services with per-service cost models.
 func (tb *Testbed) buildServer(pool *poolState, i int) *serverSlot {
@@ -785,36 +790,14 @@ func (tb *Testbed) buildServer(pool *poolState, i int) *serverSlot {
 	if spec.Name != "" {
 		name = spec.Name + "-" + name
 	}
-	vips := make([]netip.Addr, len(pool.vips))
-	for n, vs := range pool.vips {
-		vips[n] = vs.addr
-	}
-	var demand vrouter.DemandFn
-	if len(pool.vips) == 1 {
-		// A single-VIP pool keeps the direct demand function — no dispatch
-		// on the hot path.
-		demand = pool.vips[0].spec.Demand(i)
-	} else {
-		byVIP := make(map[netip.Addr]vrouter.DemandFn, len(pool.vips))
-		for _, vs := range pool.vips {
-			byVIP[vs.addr] = vs.spec.Demand(i)
-		}
-		demand = func(flow packet.FlowKey, payload []byte) time.Duration {
-			fn, ok := byVIP[flow.Dst]
-			if !ok {
-				// Unreachable by construction: every scheme selects only
-				// within its own VIP's pool. A silent default here would
-				// misprice the query while the attribution ledgers stayed
-				// balanced — fail loudly instead.
-				panic(fmt.Sprintf("testbed: pool %d asked to price a flow for unknown VIP %v", pool.index, flow.Dst))
-			}
-			return fn(flow, payload)
-		}
+	demand := make([]vrouter.DemandFn, len(pool.vips))
+	for v, vs := range pool.vips {
+		demand[v] = vs.spec.Demand(i)
 	}
 	srv := appserver.New(tb.Sim, name, serverCfg)
 	rt := vrouter.New(tb.Sim, tb.Net, vrouter.Config{
 		Addr:   SharedPoolServerAddr(pool.index, i),
-		VIPs:   vips,
+		VIPs:   pool.vipTab,
 		LB:     LBAddr,
 		Policy: spec.Policy(i),
 		Server: srv,

@@ -252,8 +252,8 @@ func TestWarmConnectionAllocatesNothing(t *testing.T) {
 	net.Attach(netsim.NodeFunc(func(*packet.Packet) { synacks++ }), lbAddr)
 	net.Attach(netsim.NodeFunc(func(*packet.Packet) { responses++ }), client)
 	r := New(sim, net, Config{
-		Addr: sAddr1, VIPs: []netip.Addr{vip}, LB: lbAddr,
-		Policy: agent.Always{}, Server: appserver.New(sim, "s1", appserver.Default()), Demand: demandFromPayload,
+		Addr: sAddr1, VIPs: oneVIP(), LB: lbAddr,
+		Policy: agent.Always{}, Server: appserver.New(sim, "s1", appserver.Default()), Demand: []DemandFn{demandFromPayload},
 	})
 	syn, req := forcedSYN(40000, 5), steered(40000, tcpseg.FlagACK|tcpseg.FlagPSH, "GET /")
 	connection := func() {

@@ -26,6 +26,7 @@ import (
 	"net/netip"
 	"time"
 
+	"srlb/internal/addrtab"
 	"srlb/internal/agent"
 	"srlb/internal/appserver"
 	"srlb/internal/des"
@@ -47,16 +48,19 @@ type DemandFn func(flow packet.FlowKey, payload []byte) time.Duration
 type Config struct {
 	// Addr is the server's physical address (the SR segment).
 	Addr netip.Addr
-	// VIPs are the virtual service addresses this server hosts.
-	VIPs []netip.Addr
+	// VIPs are the service addresses this server hosts, each at its
+	// position in the table. Read-only here: a pool's servers share one
+	// table, so VIP state costs pools × VIPs, not servers × VIPs.
+	VIPs *addrtab.Table
 	// LB is the load balancer address, used to route SYN-ACKs through it.
 	LB netip.Addr
 	// Policy is the connection-acceptance policy (agent).
 	Policy agent.Policy
 	// Server is the application instance model.
 	Server *appserver.Server
-	// Demand computes CPU demand per request.
-	Demand DemandFn
+	// Demand prices each request, one entry per VIP: Demand[v] is the
+	// cost model of the VIP at position v in VIPs.
+	Demand []DemandFn
 }
 
 // conn tracks one accepted connection through its request/response cycle.
@@ -125,7 +129,6 @@ type Router struct {
 	cfg    Config
 	sim    *des.Simulator
 	net    *netsim.Network
-	vips   map[netip.Addr]bool
 	conns  map[packet.FlowKey]*conn
 	free   *conn // recycled conns, see conn
 	down   bool
@@ -143,8 +146,8 @@ var responseBody = []byte("HTTP/1.1 200 OK\r\n\r\n")
 // New builds the router and attaches it to the network under its physical
 // address and its VIPs.
 func New(sim *des.Simulator, net *netsim.Network, cfg Config) *Router {
-	if cfg.Policy == nil || cfg.Server == nil || cfg.Demand == nil {
-		panic("vrouter: Policy, Server and Demand are required")
+	if cfg.Policy == nil || cfg.Server == nil || cfg.VIPs == nil || len(cfg.Demand) != cfg.VIPs.Len() {
+		panic("vrouter: Policy, Server, VIPs and one Demand per VIP are required")
 	}
 	if err := ipv6.CheckAddr(cfg.Addr); err != nil {
 		panic(fmt.Sprintf("vrouter: bad addr: %v", err))
@@ -153,12 +156,8 @@ func New(sim *des.Simulator, net *netsim.Network, cfg Config) *Router {
 		cfg:    cfg,
 		sim:    sim,
 		net:    net,
-		vips:   make(map[netip.Addr]bool, len(cfg.VIPs)),
 		conns:  make(map[packet.FlowKey]*conn),
 		Counts: counterSchema.NewCounter(),
-	}
-	for _, v := range cfg.VIPs {
-		r.vips[v] = true
 	}
 	net.Attach(r, cfg.Addr)
 	return r
@@ -169,9 +168,6 @@ func (r *Router) Addr() netip.Addr { return r.cfg.Addr }
 
 // Server returns the application instance model.
 func (r *Router) Server() *appserver.Server { return r.cfg.Server }
-
-// Policy returns the acceptance policy (for telemetry).
-func (r *Router) Policy() agent.Policy { return r.cfg.Policy }
 
 // OpenConns returns the number of tracked connections.
 func (r *Router) OpenConns() int { return len(r.conns) }
@@ -236,9 +232,15 @@ func (r *Router) handleSegment(pkt *packet.Packet) {
 }
 
 // acceptSYN admits the connection into the application (or RSTs on
-// overflow) and emits the SYN-ACK through the load balancer.
+// overflow) and emits the SYN-ACK through the load balancer; a SYN for a
+// VIP this server does not host is dropped as not_local.
 func (r *Router) acceptSYN(pkt *packet.Packet) {
 	flow := pkt.Flow()
+	vip, local := r.cfg.VIPs.Lookup(flow.Dst)
+	if !local {
+		r.Counts.Add(cntNotLocal, 1)
+		return
+	}
 	if c, dup := r.conns[flow]; dup {
 		if c.closed {
 			// Port reuse onto a lingering closed connection: the old
@@ -251,7 +253,7 @@ func (r *Router) acceptSYN(pkt *packet.Packet) {
 			return
 		}
 	}
-	demand := r.cfg.Demand(flow, pkt.TCP.Payload)
+	demand := r.cfg.Demand[vip](flow, pkt.TCP.Payload)
 	c := r.newConn(flow)
 	verdict := r.cfg.Server.Offer(demand, c.event)
 	switch verdict {
@@ -341,7 +343,7 @@ func (r *Router) sendRST(pkt *packet.Packet) {
 // deliverLocal hands a steered packet to the local application instance.
 func (r *Router) deliverLocal(pkt *packet.Packet) {
 	flow := pkt.Flow()
-	if !r.vips[flow.Dst] {
+	if _, local := r.cfg.VIPs.Lookup(flow.Dst); !local {
 		r.Counts.Add(cntNotLocal, 1)
 		return
 	}

@@ -1,10 +1,10 @@
 package vrouter
 
 import (
-	"net/netip"
 	"testing"
 	"time"
 
+	"srlb/internal/addrtab"
 	"srlb/internal/agent"
 	"srlb/internal/appserver"
 	"srlb/internal/des"
@@ -33,6 +33,13 @@ type rig struct {
 	toCli  []*packet.Packet
 }
 
+// oneVIP is the table of a server hosting only vip.
+func oneVIP() *addrtab.Table {
+	t := addrtab.New(1)
+	t.Add(vip)
+	return t
+}
+
 func demandFromPayload(_ packet.FlowKey, payload []byte) time.Duration {
 	if len(payload) == 0 {
 		return 10 * time.Millisecond
@@ -48,13 +55,13 @@ func newRig(t *testing.T, pol1, pol2 agent.Policy, cfg appserver.Config) *rig {
 	net.Attach(netsim.NodeFunc(func(p *packet.Packet) { g.toLB = append(g.toLB, p.Clone()) }), lbAddr)
 	net.Attach(netsim.NodeFunc(func(p *packet.Packet) { g.toCli = append(g.toCli, p.Clone()) }), client)
 	g.r1 = New(sim, net, Config{
-		Addr: sAddr1, VIPs: []netip.Addr{vip}, LB: lbAddr,
-		Policy: pol1, Server: appserver.New(sim, "s1", cfg), Demand: demandFromPayload,
+		Addr: sAddr1, VIPs: oneVIP(), LB: lbAddr,
+		Policy: pol1, Server: appserver.New(sim, "s1", cfg), Demand: []DemandFn{demandFromPayload},
 	})
 	if pol2 != nil {
 		g.r2 = New(sim, net, Config{
-			Addr: sAddr2, VIPs: []netip.Addr{vip}, LB: lbAddr,
-			Policy: pol2, Server: appserver.New(sim, "s2", cfg), Demand: demandFromPayload,
+			Addr: sAddr2, VIPs: oneVIP(), LB: lbAddr,
+			Policy: pol2, Server: appserver.New(sim, "s2", cfg), Demand: []DemandFn{demandFromPayload},
 		})
 	}
 	return g
@@ -250,7 +257,7 @@ func TestAccessors(t *testing.T) {
 	if g.r1.Addr() != sAddr1 {
 		t.Fatal("Addr() wrong")
 	}
-	if g.r1.Server() == nil || g.r1.Policy() == nil {
+	if g.r1.Server() == nil {
 		t.Fatal("accessors returned nil")
 	}
 	if g.r1.OpenConns() != 0 {
