@@ -17,21 +17,29 @@ type benchCoreEntry struct {
 	PR int `json:"pr"`
 	// ParentCommit, GoVersion and NProc describe the measurement; a
 	// backfilled entry leaves null what its CHANGES.md entry did not say.
-	ParentCommit *string `json:"parent_commit"`
-	GoVersion    *string `json:"go_version"`
-	NProc        int     `json:"nproc"`
-	Seed         uint64  `json:"seed"`
-	Backfill     bool    `json:"backfill"`
-	Source       string  `json:"source"`
-	Workloads    map[string]struct {
-		Pairs   int `json:"pairs"`
-		Metrics map[string]struct {
-			Parent   *float64 `json:"parent"`
-			ParentQ1 *float64 `json:"parent_q1"`
-			ParentQ3 *float64 `json:"parent_q3"`
-			Change   *float64 `json:"change"`
-		} `json:"metrics"`
-	} `json:"workloads"`
+	ParentCommit *string            `json:"parent_commit"`
+	GoVersion    *string            `json:"go_version"`
+	NProc        int                `json:"nproc"`
+	Seed         uint64             `json:"seed"`
+	Backfill     bool               `json:"backfill"`
+	Source       string             `json:"source"`
+	Workloads    benchCoreWorkloads `json:"workloads"`
+	// HeldOut, when present, is the same measurement on a seed the change
+	// was not written against, for the workloads the claim names.
+	HeldOut *struct {
+		Seed      uint64             `json:"seed"`
+		Workloads benchCoreWorkloads `json:"workloads"`
+	} `json:"held_out,omitempty"`
+}
+
+type benchCoreWorkloads map[string]struct {
+	Pairs   int `json:"pairs"`
+	Metrics map[string]struct {
+		Parent   *float64 `json:"parent"`
+		ParentQ1 *float64 `json:"parent_q1"`
+		ParentQ3 *float64 `json:"parent_q3"`
+		Change   *float64 `json:"change"`
+	} `json:"metrics"`
 }
 
 var commitHash = regexp.MustCompile(`^[0-9a-f]{7,40}$`)
@@ -95,27 +103,40 @@ func TestBenchCoreTrajectory(t *testing.T) {
 		if len(e.Workloads) == 0 {
 			t.Errorf("PR %d has no workloads", e.PR)
 		}
-		for name, w := range e.Workloads {
-			if !workloads[name] {
-				t.Errorf("PR %d: BENCHMARK.json declares no workload %q", e.PR, name)
+		checkWorkloads(t, e.PR, e.Workloads, workloads, metrics)
+		if h := e.HeldOut; h != nil {
+			if h.Seed == e.Seed || len(h.Workloads) == 0 {
+				t.Errorf("PR %d: a held-out measurement names another seed and at least one workload", e.PR)
 			}
-			if w.Pairs <= 0 || len(w.Metrics) == 0 {
-				t.Errorf("PR %d %s: want a positive pair count and at least one metric", e.PR, name)
+			checkWorkloads(t, e.PR, h.Workloads, workloads, metrics)
+		}
+	}
+}
+
+// checkWorkloads holds one entry's workloads to BENCHMARK.json's names
+// and its medians to being finite, with the parent's inside its quartiles.
+func checkWorkloads(t *testing.T, pr int, ws benchCoreWorkloads, workloads, metrics map[string]bool) {
+	t.Helper()
+	for name, w := range ws {
+		if !workloads[name] {
+			t.Errorf("PR %d: BENCHMARK.json declares no workload %q", pr, name)
+		}
+		if w.Pairs <= 0 || len(w.Metrics) == 0 {
+			t.Errorf("PR %d %s: want a positive pair count and at least one metric", pr, name)
+		}
+		for metric, v := range w.Metrics {
+			if !metrics[metric] {
+				t.Errorf("PR %d %s: BENCHMARK.json declares no end-to-end metric %q", pr, name, metric)
 			}
-			for metric, v := range w.Metrics {
-				if !metrics[metric] {
-					t.Errorf("PR %d %s: BENCHMARK.json declares no end-to-end metric %q", e.PR, name, metric)
-				}
-				ok := func(x *float64) bool { return x != nil && *x >= 0 && !math.IsInf(*x, 0) }
-				switch {
-				case !ok(v.Parent) || !ok(v.Change):
-					t.Errorf("PR %d %s %s: parent and change medians must be finite and not negative", e.PR, name, metric)
-				case (v.ParentQ1 == nil) != (v.ParentQ3 == nil):
-					t.Errorf("PR %d %s %s: give both parent quartiles or neither", e.PR, name, metric)
-				case v.ParentQ1 != nil && !(*v.ParentQ1 <= *v.Parent && *v.Parent <= *v.ParentQ3):
-					t.Errorf("PR %d %s %s: parent median %g is outside its quartiles [%g, %g]",
-						e.PR, name, metric, *v.Parent, *v.ParentQ1, *v.ParentQ3)
-				}
+			ok := func(x *float64) bool { return x != nil && *x >= 0 && !math.IsInf(*x, 0) }
+			switch {
+			case !ok(v.Parent) || !ok(v.Change):
+				t.Errorf("PR %d %s %s: parent and change medians must be finite and not negative", pr, name, metric)
+			case (v.ParentQ1 == nil) != (v.ParentQ3 == nil):
+				t.Errorf("PR %d %s %s: give both parent quartiles or neither", pr, name, metric)
+			case v.ParentQ1 != nil && !(*v.ParentQ1 <= *v.Parent && *v.Parent <= *v.ParentQ3):
+				t.Errorf("PR %d %s %s: parent median %g is outside its quartiles [%g, %g]",
+					pr, name, metric, *v.Parent, *v.ParentQ1, *v.ParentQ3)
 			}
 		}
 	}

@@ -243,7 +243,9 @@ func (t *Table) add(k *packet.FlowKey, h uint32, b *FlowBinding) {
 		t.free = t.ents[id].next
 	} else {
 		if len(t.ents) == cap(t.ents) {
-			t.ents = append(make([]entry, 0, min(2*cap(t.ents), t.cfg.MaxEntries+1)), t.ents...)
+			grown := make([]entry, len(t.ents), min(2*cap(t.ents), t.cfg.MaxEntries+1))
+			copy(grown, t.ents)
+			t.ents = grown
 		}
 		id = int32(len(t.ents))
 		t.ents = t.ents[:id+1]
