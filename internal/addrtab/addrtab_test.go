@@ -1,6 +1,7 @@
 package addrtab
 
 import (
+	"encoding/binary"
 	"net/netip"
 	"testing"
 )
@@ -137,4 +138,49 @@ func TestSequentialAddressesProbeShort(t *testing.T) {
 	if mean := float64(total) / float64(len(tab.addrs)); mean > 2 {
 		t.Fatalf("mean probe length %.2f over %d addresses, want ≤ 2", mean, len(tab.addrs))
 	}
+}
+
+// The words the hash reads are the address's As16 words: IPv4, mapped,
+// zoned and zero addresses read as their 16 bytes, so a change to
+// netip.Addr's layout shows here before it degrades the probe runs.
+func TestWordsAreAs16(t *testing.T) {
+	for _, s := range []string{"::", "0.0.0.0", "192.0.2.7", "::ffff:192.0.2.7", "fe80::1%eth0", "2001:db8:f00d::1:2"} {
+		a := netip.MustParseAddr(s)
+		b := a.As16()
+		if w := words(&a); w[0] != binary.BigEndian.Uint64(b[:8]) || w[1] != binary.BigEndian.Uint64(b[8:]) {
+			t.Fatalf("%v: words %#x, As16 %x", a, *w, b)
+		}
+	}
+	var zero netip.Addr
+	if w := words(&zero); w[0] != 0 || w[1] != 0 {
+		t.Fatalf("zero Addr: words %#x", *w)
+	}
+}
+
+// BenchmarkLookup times a hit in a table of the rigs' shape against the
+// Go map it replaced.
+func BenchmarkLookup(b *testing.B) {
+	base := netip.MustParseAddr("2001:db8:f00d::").As16()
+	addrs := make([]netip.Addr, 10000)
+	tab, m := New(len(addrs)), make(map[netip.Addr]int32, len(addrs))
+	for v := range addrs {
+		a := base
+		a[14], a[15] = byte(v>>8), byte(v)
+		addrs[v] = netip.AddrFrom16(a)
+		m[addrs[v]] = tab.Add(addrs[v])
+	}
+	b.Run("table", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := tab.Lookup(addrs[i%len(addrs)]); !ok {
+				b.Fatal("miss")
+			}
+		}
+	})
+	b.Run("map", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, ok := m[addrs[i%len(addrs)]]; !ok {
+				b.Fatal("miss")
+			}
+		}
+	})
 }

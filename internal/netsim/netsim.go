@@ -20,7 +20,6 @@ import (
 	"net/netip"
 	"time"
 
-	"srlb/internal/addrtab"
 	"srlb/internal/des"
 	"srlb/internal/metrics"
 	"srlb/internal/packet"
@@ -91,9 +90,9 @@ type Network struct {
 	sim    *des.Simulator
 	cfg    Config
 	rng    *rand.Rand
+	nodes  map[netip.Addr]Node
+	anycst map[netip.Addr][]Node
 	taps   []Tap
-	addrs  *addrtab.Table
-	routes []route // by id in addrs; an address keeps its id for life
 	Counts *metrics.Counter
 
 	// Transmission recycling: each Send borrows a slot, returned to the
@@ -127,23 +126,10 @@ func New(sim *des.Simulator, cfg Config) *Network {
 		sim:    sim,
 		cfg:    cfg,
 		rng:    rand.New(rand.NewPCG(cfg.Seed, 0xbeef)),
-		addrs:  addrtab.New(0),
+		nodes:  make(map[netip.Addr]Node),
+		anycst: make(map[netip.Addr][]Node),
 		Counts: counterSchema.NewCounter(),
 	}
-}
-
-// route is an address's unicast node and anycast group (non-nil, even emptied, once one).
-type route struct {
-	node  Node
-	group []Node
-}
-
-func (n *Network) route(a netip.Addr) *route {
-	id := n.addrs.Add(a)
-	if int(id) == len(n.routes) {
-		n.routes = append(n.routes, route{})
-	}
-	return &n.routes[id]
 }
 
 // Attach binds addrs to node on the LAN. Attaching an address twice
@@ -151,14 +137,13 @@ func (n *Network) route(a netip.Addr) *route {
 // AttachAnycast for ECMP groups).
 func (n *Network) Attach(node Node, addrs ...netip.Addr) {
 	for _, a := range addrs {
-		r := n.route(a)
-		if r.node != nil {
+		if _, dup := n.nodes[a]; dup {
 			panic(fmt.Sprintf("netsim: address %v attached twice", a))
 		}
-		if r.group != nil {
+		if _, dup := n.anycst[a]; dup {
 			panic(fmt.Sprintf("netsim: address %v already an anycast group", a))
 		}
-		r.node = node
+		n.nodes[a] = node
 	}
 }
 
@@ -168,8 +153,8 @@ func (n *Network) Attach(node Node, addrs ...netip.Addr) {
 // exactly as on a real LAN when a host drops off. It reports whether
 // node owned addr.
 func (n *Network) Detach(node Node, addr netip.Addr) bool {
-	if r := n.route(addr); r.node != nil && r.node == node {
-		r.node = nil
+	if cur, ok := n.nodes[addr]; ok && cur == node {
+		delete(n.nodes, addr)
 		return true
 	}
 	return false
@@ -181,11 +166,10 @@ func (n *Network) Detach(node Node, addr netip.Addr) bool {
 // — the mechanism the paper's related work relies on for scaling LB
 // instances).
 func (n *Network) AttachAnycast(node Node, addr netip.Addr) {
-	r := n.route(addr)
-	if r.node != nil {
+	if _, dup := n.nodes[addr]; dup {
 		panic(fmt.Sprintf("netsim: address %v already unicast", addr))
 	}
-	r.group = append(r.group, node)
+	n.anycst[addr] = append(n.anycst[addr], node)
 }
 
 // DetachAnycast removes one member from addr's ECMP group (a replica
@@ -194,10 +178,10 @@ func (n *Network) AttachAnycast(node Node, addr netip.Addr) {
 // interface equality, so anycast nodes must have comparable dynamic types
 // (pointers — as every real node is; NodeFunc closures are not).
 func (n *Network) DetachAnycast(node Node, addr netip.Addr) bool {
-	r := n.route(addr)
-	for i, member := range r.group {
+	group := n.anycst[addr]
+	for i, member := range group {
 		if member == node {
-			r.group = append(r.group[:i:i], r.group[i+1:]...)
+			n.anycst[addr] = append(group[:i:i], group[i+1:]...)
 			return true
 		}
 	}
@@ -280,14 +264,14 @@ func (n *Network) deliver(s *slot) {
 			return
 		}
 	}
-	var node Node
-	if id, ok := n.addrs.Lookup(pkt.IP.Dst); ok {
-		r := &n.routes[id]
-		if node = r.node; node == nil && len(r.group) > 0 {
-			node = r.group[ecmpHash(pkt)%uint64(len(r.group))]
+	node, ok := n.nodes[pkt.IP.Dst]
+	if !ok {
+		if group := n.anycst[pkt.IP.Dst]; len(group) > 0 {
+			node = group[ecmpHash(pkt)%uint64(len(group))]
+			ok = true
 		}
 	}
-	if node == nil {
+	if !ok {
 		n.Counts.Add(cntUnroutable, 1)
 		n.put(s)
 		return

@@ -165,3 +165,18 @@ func mustPanic(t *testing.T, what string, f func()) {
 	}()
 	f()
 }
+
+// Detaching an address the network never held reports false and leaves
+// the routing tables as they were.
+func TestDetachUnknownAddressAddsNothing(t *testing.T) {
+	n := New(des.New(), Config{})
+	c := &counter{}
+	n.Attach(c, netip.MustParseAddr("2001:db8::1"))
+	stranger := netip.MustParseAddr("2001:db8::2")
+	if n.Detach(c, stranger) || n.DetachAnycast(c, stranger) {
+		t.Fatal("detached an address never attached")
+	}
+	if len(n.nodes) != 1 || len(n.anycst) != 0 {
+		t.Fatalf("tables hold %d unicast and %d anycast addresses; want 1 and 0", len(n.nodes), len(n.anycst))
+	}
+}

@@ -7,10 +7,10 @@ import (
 )
 
 // perServerBound is what Build may allocate per added server at 500
-// VIPs a pool: 50 % over the ≈ 31 KB it takes (the router, its
+// VIPs a pool: 50 % over the ≈ 29.6 KB it takes (the router, its
 // application model, one demand function per VIP). A server that copied
 // its pool's VIPs into its own slice and maps took ≈ 120 KB.
-const perServerBound = 46_000
+const perServerBound = 44_400
 
 // Server VIP state is per pool: every router of a pool holds the pool's
 // one VIP table, and what Build allocates per added server, at 2,000

@@ -48,9 +48,8 @@ type DemandFn func(flow packet.FlowKey, payload []byte) time.Duration
 type Config struct {
 	// Addr is the server's physical address (the SR segment).
 	Addr netip.Addr
-	// VIPs are the service addresses this server hosts, each at its
-	// position in the table. Read-only here: a pool's servers share one
-	// table, so VIP state costs pools × VIPs, not servers × VIPs.
+	// VIPs holds the service addresses this server hosts, by position. A
+	// pool's servers share it read-only: VIP state is pools × VIPs.
 	VIPs *addrtab.Table
 	// LB is the load balancer address, used to route SYN-ACKs through it.
 	LB netip.Addr
@@ -169,6 +168,9 @@ func (r *Router) Addr() netip.Addr { return r.cfg.Addr }
 // Server returns the application instance model.
 func (r *Router) Server() *appserver.Server { return r.cfg.Server }
 
+// Policy returns the acceptance policy (for telemetry).
+func (r *Router) Policy() agent.Policy { return r.cfg.Policy }
+
 // OpenConns returns the number of tracked connections.
 func (r *Router) OpenConns() int { return len(r.conns) }
 
@@ -232,14 +234,14 @@ func (r *Router) handleSegment(pkt *packet.Packet) {
 }
 
 // acceptSYN admits the connection into the application (or RSTs on
-// overflow) and emits the SYN-ACK through the load balancer; a SYN for a
-// VIP this server does not host is dropped as not_local.
+// overflow) and emits the SYN-ACK through the load balancer.
 func (r *Router) acceptSYN(pkt *packet.Packet) {
 	flow := pkt.Flow()
 	vip, local := r.cfg.VIPs.Lookup(flow.Dst)
 	if !local {
-		r.Counts.Add(cntNotLocal, 1)
-		return
+		// Unreachable: schemes select within their VIP's pool. A drop would
+		// leave the accept counted with no connection, so fail loudly.
+		panic(fmt.Sprintf("vrouter: server %v asked to accept a flow for unknown VIP %v", r.cfg.Addr, flow.Dst))
 	}
 	if c, dup := r.conns[flow]; dup {
 		if c.closed {

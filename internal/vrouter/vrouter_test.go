@@ -1,6 +1,7 @@
 package vrouter
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -257,10 +258,27 @@ func TestAccessors(t *testing.T) {
 	if g.r1.Addr() != sAddr1 {
 		t.Fatal("Addr() wrong")
 	}
-	if g.r1.Server() == nil {
+	if g.r1.Server() == nil || g.r1.Policy() == nil {
 		t.Fatal("accessors returned nil")
 	}
 	if g.r1.OpenConns() != 0 {
 		t.Fatal("fresh router has open conns")
 	}
+}
+
+// A server told to accept a SYN for a VIP it does not host fails loudly:
+// its policy has already counted the accept, so a silent drop would
+// unbalance the accept ledgers.
+func TestAcceptForUnhostedVIPPanics(t *testing.T) {
+	g := newRig(t, agent.Always{}, nil, appserver.Default())
+	other := ipv6.MustAddr("2001:db8:f00d::2")
+	syn := forcedSYN(40000, 5)
+	syn.SRH = srv6.MustNew(ipv6.ProtoTCP, sAddr1, other)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, other.String()) || !strings.Contains(msg, sAddr1.String()) {
+			t.Fatalf("recovered %q, want a panic naming %v and %v", msg, other, sAddr1)
+		}
+	}()
+	g.r1.Handle(syn)
 }
