@@ -2,6 +2,7 @@ package selection
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"net/netip"
 	"slices"
@@ -248,6 +249,63 @@ func TestPickResultIsACopy(t *testing.T) {
 	} {
 		if n := testing.AllocsPerRun(100, build); n > 2 {
 			t.Errorf("%s: %v allocs, want ≤ 2 (the scheme and one array)", name, n)
+		}
+	}
+}
+
+// pickSequenceDigests are the FNV-64a digests of 10,000 Pick results per
+// scheme, k and pool size, as pickDigest reads them.
+var pickSequenceDigests = map[string]uint64{
+	"random k=1 n=2":      0x1c9464485d26eaac,
+	"random k=2 n=2":      0x66fa641800dfac25,
+	"random k=1 n=12":     0x580595ae4f7b4f03,
+	"random k=2 n=12":     0x39ab73c772e2a82,
+	"random k=3 n=12":     0x6f239300f0b8dbfa,
+	"random k=1 n=40":     0x5f9a14068ad6beaa,
+	"random k=2 n=40":     0x402250b511617f25,
+	"random k=3 n=40":     0xae1824efb89100c3,
+	"roundrobin k=1 n=2":  0x1bb250214b225605,
+	"roundrobin k=2 n=2":  0xaee843a9bfa3af65,
+	"roundrobin k=1 n=12": 0x1584b2e6dee8c45,
+	"roundrobin k=2 n=12": 0xf6263cef2f01ca79,
+	"roundrobin k=3 n=12": 0xb5531c2b472443f9,
+	"roundrobin k=1 n=40": 0x9f32642b6f0a4a45,
+	"roundrobin k=2 n=40": 0xaf4cb7ef898b26e5,
+	"roundrobin k=3 n=40": 0x301621a9f10b2505,
+}
+
+// pickDigest hashes every address of 10,000 Pick results in order.
+func pickDigest(s Scheme) uint64 {
+	h := fnv.New64a()
+	f := flow(0)
+	for i := 0; i < 10_000; i++ {
+		for _, a := range s.Pick(f) {
+			h.Write(a.AsSlice())
+		}
+	}
+	return h.Sum64()
+}
+
+// TestPickSequencePinned: how a scheme keeps its state between draws is
+// free, what it hands out is not. Random (on the stream seeded with n and
+// k) and RoundRobin each produce a pinned sequence for k = 1, 2, 3 over
+// 2, 12 and 40 servers, and neither writes the list it was given.
+func TestPickSequencePinned(t *testing.T) {
+	for _, n := range []int{2, 12, 40} {
+		for k := 1; k <= min(3, n); k++ {
+			srv := servers(n)
+			for name, s := range map[string]Scheme{
+				"random":     NewRandom(srv, k, rng.New(uint64(100*n+k))),
+				"roundrobin": NewRoundRobin(srv, k),
+			} {
+				key := fmt.Sprintf("%s k=%d n=%d", name, k, n)
+				if got, want := pickDigest(s), pickSequenceDigests[key]; got != want {
+					t.Errorf("%s: digest %#x, want %#x", key, got, want)
+				}
+			}
+			if !slices.Equal(srv, servers(n)) {
+				t.Errorf("n=%d k=%d: a scheme wrote the server list it was given", n, k)
+			}
 		}
 	}
 }

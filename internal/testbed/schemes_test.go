@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"hash/fnv"
 	"math/rand/v2"
 	"net/netip"
 	"testing"
@@ -168,5 +169,49 @@ func TestSchemeLifecycleAcrossChurnAndRecovery(t *testing.T) {
 	const want = uint64(0xca11219aec66a10e)
 	if got := resultsDigest(results); got != want {
 		t.Fatalf("lifecycle digest = %#x, want %#x", got, want)
+	}
+}
+
+// Schemes rebuilt by churn hand out pinned candidates: on two replicas,
+// a random2 and a roundrobin2 VIP over one pool of five draw 200 picks
+// each as built, after a drain and after an add, and the digest of each
+// phase is pinned. The drained server is never offered after the drain
+// and the added one is offered after the add.
+func TestRebuiltSchemeCandidatesPinned(t *testing.T) {
+	rr := func(servers []netip.Addr, _ *rand.Rand, _ *feedback.VIPView) selection.Scheme {
+		return selection.NewRoundRobin(servers, 2)
+	}
+	tb := Build(Topology{
+		Seed:     71,
+		Replicas: 2,
+		Pools:    []PoolSpec{{Servers: 5}},
+		VIPs:     []VIPSpec{{Name: "random"}, {Name: "rr", Scheme: rr}},
+		Events:   []Event{DrainServer(time.Second, 0, 1), AddServer(2*time.Second, 0)},
+	})
+	drained, added := SharedPoolServerAddr(0, 1), SharedPoolServerAddr(0, 5)
+	want := []uint64{0x6531dbb815110a51, 0x11e653ccf866ec15, 0x7b6cea5e7980023f}
+	for phase, until := range []time.Duration{0, 1500 * time.Millisecond, 2500 * time.Millisecond} {
+		tb.Sim.RunUntil(until)
+		h := fnv.New64a()
+		offered := map[netip.Addr]bool{}
+		for _, rs := range tb.replicas {
+			for _, s := range rs.schemes {
+				for i := 0; i < 200; i++ {
+					for _, a := range s.Pick(testFlow(i)) {
+						h.Write(a.AsSlice())
+						offered[a] = true
+					}
+				}
+			}
+		}
+		if got := h.Sum64(); got != want[phase] {
+			t.Errorf("phase %d: candidates digest %#x, want %#x", phase, got, want[phase])
+		}
+		if phase > 0 && offered[drained] {
+			t.Errorf("phase %d: the drained server %v is still offered", phase, drained)
+		}
+		if phase == 2 && !offered[added] {
+			t.Errorf("the added server %v is never offered", added)
+		}
 	}
 }
