@@ -173,6 +173,7 @@ func NewDispatcher(cfg Config) *Dispatcher {
 		}
 		d.SetSchemes(i, vc.Scheme, vc.Fallback)
 	}
+	d.cfg.VIPList = nil // compiled into vips and vipIndex; nothing reads it again
 	return d
 }
 

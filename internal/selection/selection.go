@@ -35,24 +35,27 @@ type Scheme interface {
 // Random picks K distinct servers uniformly at random — the paper's
 // scheme, with K=2 as evaluated.
 type Random struct {
-	servers []netip.Addr
-	out     []netip.Addr // Pick's result, k long; shares servers' allocation
+	servers []netip.Addr // the caller's list, shared and never written
+	perm    []int32      // servers' indices in the order the shuffles left them
+	out     []netip.Addr // Pick's result, k long
+	buf     [2]netip.Addr
 	rng     *rand.Rand
 }
 
-// withScratch copies servers into an array with k more slots behind
-// them, so that a scheme's Pick scratch costs its construction no
-// allocation of its own (the 10,000-VIP rigs build a scheme per VIP).
-func withScratch(servers []netip.Addr, k int) (copied, scratch []netip.Addr) {
-	n := len(servers)
-	buf := make([]netip.Addr, n+k)
-	copy(buf, servers)
-	return buf[:n:n], buf[n:]
+// scratch returns a k-long Pick result: buf itself when k fits, so a
+// scheme of the paper's k = 2 costs its construction no array for it
+// (the 10,000-VIP rigs build a scheme per VIP).
+func scratch(buf *[2]netip.Addr, k int) []netip.Addr {
+	if k <= len(buf) {
+		return buf[:k]
+	}
+	return make([]netip.Addr, k)
 }
 
-// NewRandom builds a random scheme over the given servers. It panics when
-// k < 1 or fewer than k servers exist: the testbed topology is static and
-// this is a construction-time error.
+// NewRandom builds a random scheme over the given servers, which it keeps
+// and reads on every Pick: the caller never writes them afterwards. It
+// panics when k < 1 or fewer than k servers exist: the testbed topology
+// is static and this is a construction-time error.
 func NewRandom(servers []netip.Addr, k int, rng *rand.Rand) *Random {
 	if k < 1 {
 		panic(fmt.Sprintf("selection: k must be ≥ 1, got %d", k))
@@ -60,24 +63,27 @@ func NewRandom(servers []netip.Addr, k int, rng *rand.Rand) *Random {
 	if len(servers) < k {
 		panic(fmt.Sprintf("selection: need at least %d servers, have %d", k, len(servers)))
 	}
-	r := &Random{rng: rng}
-	r.servers, r.out = withScratch(servers, k)
+	r := &Random{servers: servers, perm: make([]int32, len(servers)), rng: rng}
+	for i := range r.perm {
+		r.perm[i] = int32(i)
+	}
+	r.out = scratch(&r.buf, k)
 	return r
 }
 
-// Pick implements Scheme via a partial Fisher–Yates shuffle: O(k) time,
-// k distinct servers, each k-subset ordered uniformly. The permutation is
-// left in place between calls, which does not bias later draws (a partial
-// shuffle of any fixed permutation of the set is still uniform). The
-// result is a copy of the shuffled prefix, never the prefix itself:
-// WeightedLeastLoad reorders what it is handed, and reordering the
-// permutation would change every later draw.
+// Pick implements Scheme via a partial Fisher–Yates shuffle of perm:
+// O(k) time, k distinct servers, each k-subset ordered uniformly. The
+// permutation is left in place between calls, which does not bias later
+// draws (a partial shuffle of any fixed permutation of the set is still
+// uniform). The result holds the servers its prefix names, never the
+// prefix: WeightedLeastLoad reorders what it is handed, and reordering
+// the permutation would change every later draw.
 func (r *Random) Pick(packet.FlowKey) []netip.Addr {
-	n := len(r.servers)
+	n := len(r.perm)
 	for i := range r.out {
 		j := i + r.rng.IntN(n-i)
-		r.servers[i], r.servers[j] = r.servers[j], r.servers[i]
-		r.out[i] = r.servers[i]
+		r.perm[i], r.perm[j] = r.perm[j], r.perm[i]
+		r.out[i] = r.servers[r.perm[i]]
 	}
 	return r.out
 }
@@ -94,18 +100,20 @@ func (r *Random) Name() string {
 // consecutive servers per flow. Deterministic and stateless across
 // restarts given the same arrival order; mainly a comparison baseline.
 type RoundRobin struct {
-	servers []netip.Addr
-	out     []netip.Addr // as Random's
+	servers []netip.Addr // as Random's
+	out     []netip.Addr
+	buf     [2]netip.Addr
 	next    int
 }
 
-// NewRoundRobin builds a round-robin scheme.
+// NewRoundRobin builds a round-robin scheme. Like NewRandom, it keeps
+// servers, which the caller must never write afterwards.
 func NewRoundRobin(servers []netip.Addr, k int) *RoundRobin {
 	if k < 1 || len(servers) < k {
 		panic("selection: bad round-robin parameters")
 	}
-	r := &RoundRobin{}
-	r.servers, r.out = withScratch(servers, k)
+	r := &RoundRobin{servers: servers}
+	r.out = scratch(&r.buf, k)
 	return r
 }
 

@@ -65,9 +65,10 @@ func SharedPoolServerAddr(p, i int) netip.Addr {
 }
 
 // SchemeFn builds a candidate-selection scheme over the current server
-// pool. When an Event changes the pool, the function is invoked again
-// with the new pool and the *same* rng, so the scheme's random stream
-// continues deterministically across churn. (Stateful schemes are
+// pool, whose list it may keep but never writes (every VIP of the pool
+// reads the same array). When an Event changes the pool, it is invoked
+// again with the new pool and the *same* rng, so the scheme's random
+// stream continues deterministically across churn. (Stateful schemes are
 // instead kept and re-pointed via selection.Stateful.Update, preserving
 // their accumulated state.) view is the replica's projection of the
 // feedback plane for this VIP, nil when Topology.Feedback is disabled:
@@ -522,9 +523,12 @@ type serverSlot struct {
 // candidate set and the ever-built slots; the VIPs selecting over it hang
 // their schemes off the same addresses.
 type poolState struct {
-	index  int // position in Topology.Pools (the address space)
-	spec   PoolSpec
-	pool   []netip.Addr // currently selectable servers
+	index int // position in Topology.Pools (the address space)
+	spec  PoolSpec
+	// pool is the selectable servers. Schemes read its array, so no
+	// element is written in place: removeFromPool copies into a fresh
+	// [:i:i] array and an add appends past every published length.
+	pool   []netip.Addr
 	all    []*serverSlot
 	vips   []*vipState    // every VIP selecting over this pool
 	vipTab *addrtab.Table // vips' addresses by position, shared by the pool's routers
@@ -728,13 +732,14 @@ func Build(top Topology) *Testbed {
 
 // buildScheme constructs VIP vs's scheme for replica rs over the pool as
 // it is now, on the replica's own stream for the VIP and with its own
-// feedback projection (nil when the plane is off).
+// feedback projection (nil when the plane is off), over the pool's list.
 func (tb *Testbed) buildScheme(rs *replicaState, vs *vipState) selection.Scheme {
 	var view *feedback.VIPView
 	if rs.view != nil {
 		view = rs.view.For(vs.addr)
 	}
-	return vs.spec.Scheme(clonePool(vs.pool.pool), rs.rngs[vs.index], view)
+	n := len(vs.pool.pool)
+	return vs.spec.Scheme(vs.pool.pool[:n:n], rs.rngs[vs.index], view)
 }
 
 // PublishFeedback samples every live server's scoreboard once and
