@@ -77,14 +77,14 @@ func New(n int) *Table {
 	return &Table{index: make(Index, size), addrs: make([]netip.Addr, 0, n)}
 }
 
-// words reads the two words of As16 where netip.Addr stores them; As16's
-// byte-swapped copy stalls a lookup (≈ 15 ns against ≈ 2.5 ns). Equal
-// addresses are equal in every byte, so the hash is consistent whatever
+// Words reads the two words of As16 where netip.Addr stores them; As16's
+// byte-swapped copy stalls a hash (≈ 15 ns against ≈ 2.5 ns). Equal
+// addresses are equal in every byte, so a hash is consistent whatever
 // the layout; TestWordsAreAs16 pins that the words are the address.
-func words(a *netip.Addr) *[2]uint64 { return (*[2]uint64)(unsafe.Pointer(a)) }
+func Words(a *netip.Addr) *[2]uint64 { return (*[2]uint64)(unsafe.Pointer(a)) }
 
 func hash(a netip.Addr) uint32 {
-	w := words(&a)
+	w := Words(&a)
 	hi, lo := bits.Mul64(w[0]^0x9e3779b97f4a7c15, w[1]^0xbf58476d1ce4e5b9)
 	return uint32(hi ^ lo)
 }

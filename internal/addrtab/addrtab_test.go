@@ -147,12 +147,12 @@ func TestWordsAreAs16(t *testing.T) {
 	for _, s := range []string{"::", "0.0.0.0", "192.0.2.7", "::ffff:192.0.2.7", "fe80::1%eth0", "2001:db8:f00d::1:2"} {
 		a := netip.MustParseAddr(s)
 		b := a.As16()
-		if w := words(&a); w[0] != binary.BigEndian.Uint64(b[:8]) || w[1] != binary.BigEndian.Uint64(b[8:]) {
+		if w := Words(&a); w[0] != binary.BigEndian.Uint64(b[:8]) || w[1] != binary.BigEndian.Uint64(b[8:]) {
 			t.Fatalf("%v: words %#x, As16 %x", a, *w, b)
 		}
 	}
 	var zero netip.Addr
-	if w := words(&zero); w[0] != 0 || w[1] != 0 {
+	if w := Words(&zero); w[0] != 0 || w[1] != 0 {
 		t.Fatalf("zero Addr: words %#x", *w)
 	}
 }

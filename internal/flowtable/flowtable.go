@@ -131,10 +131,9 @@ func (t *Table) Stats() Stats { return t.stats }
 
 // hash mixes the key's words under the table's seed.
 func (t *Table) hash(k *packet.FlowKey) uint32 {
-	s, d := k.Src.As16(), k.Dst.As16()
-	le := binary.LittleEndian
-	h1, l1 := bits.Mul64(le.Uint64(s[:8])^t.seed, le.Uint64(s[8:])^0x9e3779b97f4a7c15)
-	h2, l2 := bits.Mul64(le.Uint64(d[:8])^uint64(k.SrcPort)<<16^uint64(k.DstPort), le.Uint64(d[8:])^0xbf58476d1ce4e5b9)
+	s, d := addrtab.Words(&k.Src), addrtab.Words(&k.Dst)
+	h1, l1 := bits.Mul64(s[0]^t.seed, s[1]^0x9e3779b97f4a7c15)
+	h2, l2 := bits.Mul64(d[0]^uint64(k.SrcPort)<<16^uint64(k.DstPort), d[1]^0xbf58476d1ce4e5b9)
 	hi, lo := bits.Mul64(h1^l1^t.seed, h2^l2)
 	return uint32(hi ^ lo)
 }
@@ -252,7 +251,7 @@ func (t *Table) add(k *packet.FlowKey, h uint32, b *FlowBinding) {
 	}
 	// The entry starts as a list of its own, which set's front unlinks.
 	t.ents[id] = entry{src: k.Src.As16(), srcPort: k.SrcPort, dstPort: k.DstPort, dst: t.addrs.Add(k.Dst), hash: h, prev: id, next: id}
-	if netip.AddrFrom16(k.Src.As16()) != k.Src {
+	if !k.Src.Is6() || k.Src.Zone() != "" {
 		t.ents[id].interned = true
 		binary.LittleEndian.PutUint32(t.ents[id].src[:4], uint32(t.addrs.Add(k.Src)))
 	}
