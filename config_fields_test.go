@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -44,6 +45,7 @@ var configTypes = map[string]bool{
 type goPackage struct {
 	path  string
 	files []*ast.File
+	types *types.Package
 }
 
 // repoPackages parses every Go file of the repo, bench/ and examples/
@@ -89,6 +91,36 @@ func repoPackages(fset *token.FileSet) ([]*goPackage, error) {
 	}
 	return pkgs, err
 }
+
+// typedRepo is every package of the repo, type-checked from source
+// (stdlib included) into one Info.
+type typedRepo struct {
+	fset *token.FileSet
+	pkgs []*goPackage
+	info *types.Info
+	errs []error // type errors, each prefixed with its package path
+}
+
+// loadRepo type-checks the repo once for the tests that resolve what an
+// identifier or a selector names; it takes seconds.
+var loadRepo = sync.OnceValues(func() (*typedRepo, error) {
+	fset := token.NewFileSet()
+	pkgs, err := repoPackages(fset)
+	if err != nil {
+		return nil, err
+	}
+	repo := &typedRepo{fset: fset, pkgs: pkgs, info: &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
+	imp := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
+	for _, p := range pkgs {
+		conf := types.Config{Importer: imp, Error: func(err error) { repo.errs = append(repo.errs, fmt.Errorf("%s: %v", p.path, err)) }}
+		p.types, _ = conf.Check(p.path, fset, p.files, repo.info)
+	}
+	return repo, nil
+})
 
 // fieldWrites records, by declaration position, the struct fields that
 // some statement sets.
@@ -202,22 +234,22 @@ func (v writeVisitor) Visit(n ast.Node) ast.Visitor {
 // constant. The scan type-checks every package from source (stdlib
 // included), so it takes seconds.
 func TestEveryConfigFieldIsSet(t *testing.T) {
-	fset := token.NewFileSet()
-	pkgs, err := repoPackages(fset)
+	repo, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	imp := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	w := &fieldWrites{fset: fset, written: map[string]bool{}}
+	for _, err := range repo.errs {
+		t.Error(err)
+	}
+	fset := repo.fset
+	w := &fieldWrites{fset: fset, info: repo.info, written: map[string]bool{}}
 	scope := map[string]string{} // field position → "<package>.<Type>.<Field>"
 	missing := maps.Clone(configTypes)
-	for _, p := range pkgs {
-		w.info = &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}}
-		conf := types.Config{Importer: imp, Error: func(err error) { t.Errorf("%s: %v", p.path, err) }}
-		pkg, _ := conf.Check(p.path, fset, p.files, w.info)
+	for _, p := range repo.pkgs {
 		for _, f := range p.files {
 			ast.Walk(writeVisitor{w, nil}, f)
 		}
+		pkg := p.types
 		if !strings.HasPrefix(p.path, "srlb/internal/") || pkg == nil {
 			continue
 		}

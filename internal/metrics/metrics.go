@@ -67,9 +67,6 @@ func (e *EWMA) Update(t time.Duration, v float64) float64 {
 	return e.value
 }
 
-// Value returns the current smoothed value.
-func (e *EWMA) Value() float64 { return e.value }
-
 // FormatDuration renders d in seconds with millisecond precision, the way
 // the paper's axes are labeled.
 func FormatDuration(d time.Duration) string {

@@ -62,8 +62,8 @@ func TestEWMAFirstObservation(t *testing.T) {
 	if got := e.Update(5*time.Second, 7); got != 7 {
 		t.Fatalf("first update = %v, want 7", got)
 	}
-	if e.Value() != 7 {
-		t.Fatalf("value = %v", e.Value())
+	if e.value != 7 {
+		t.Fatalf("value = %v", e.value)
 	}
 }
 

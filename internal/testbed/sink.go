@@ -87,14 +87,5 @@ func (s *SketchSink) Record(res Result) {
 // Total returns the all-VIP aggregate.
 func (s *SketchSink) Total() *VIPSketch { return &s.total }
 
-// VIP returns the sketch of one service (nil if never offered a query
-// and not pre-registered).
-func (s *SketchSink) VIP(addr netip.Addr) *VIPSketch {
-	if id, ok := s.ids.Lookup(addr); ok {
-		return s.order[id]
-	}
-	return nil
-}
-
 // VIPs returns every per-service sketch in registration order.
 func (s *SketchSink) VIPs() []*VIPSketch { return s.order }

@@ -168,9 +168,6 @@ func (r *Router) Addr() netip.Addr { return r.cfg.Addr }
 // Server returns the application instance model.
 func (r *Router) Server() *appserver.Server { return r.cfg.Server }
 
-// Policy returns the acceptance policy (for telemetry).
-func (r *Router) Policy() agent.Policy { return r.cfg.Policy }
-
 // OpenConns returns the number of tracked connections.
 func (r *Router) OpenConns() int { return len(r.conns) }
 

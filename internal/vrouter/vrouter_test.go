@@ -258,7 +258,7 @@ func TestAccessors(t *testing.T) {
 	if g.r1.Addr() != sAddr1 {
 		t.Fatal("Addr() wrong")
 	}
-	if g.r1.Server() == nil || g.r1.Policy() == nil {
+	if g.r1.Server() == nil {
 		t.Fatal("accessors returned nil")
 	}
 	if g.r1.OpenConns() != 0 {

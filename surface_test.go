@@ -2,9 +2,8 @@ package srlb_test
 
 import (
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
 	"maps"
 	"os"
 	"path"
@@ -19,16 +18,19 @@ import (
 // surfaceAllowed are the exports that may have no reader in a non-test
 // file, each with the reason it stays exported.
 var surfaceAllowed = map[string]string{
-	"internal/experiments.Table.MarshalJSON": "called by encoding/json",
-	"internal/ipv6.ProtoNone":                "a protocol constant: IPv6's no-next-header value",
-	"internal/sketch.MaxRelativeError":       "test oracle: the histogram's documented error bound",
-	"internal/sketch.Histogram.Buckets":      "test oracle: the histogram's bucket growth",
-	"internal/sketch.Histogram.Equal":        "test oracle: merge and reset round trips",
-	"internal/testbed.Testbed.FeedbackOf":    "test oracle: a replica's feedback view",
-	"internal/testbed.Topology.Validate":     "documented in docs/TOPOLOGY.md and fuzzed",
-	"internal/feedback.VIPView.Report":       "test oracle: a server's raw report (feedback and testbed tests)",
-	"internal/stats.Percentile":              "test oracle: the exact quantile sketch quantiles are held to",
-	"internal/trace.ReadAll":                 "test oracle: a written trace read back whole (trace, wiki, experiments, srlb-trace tests)",
+	"internal/agent.Dynamic.C":                "test oracle: SRdyn's threshold (agent and testbed tests)",
+	"internal/experiments.Table.MarshalJSON":  "called by encoding/json",
+	"internal/experiments.CellStats.MeanRT":   "documented in doc.go's replication recipe",
+	"internal/experiments.CellStats.MeanCI95": "documented in doc.go's replication recipe (srlb_test runs it)",
+	"internal/ipv6.ProtoNone":                 "a protocol constant: IPv6's no-next-header value",
+	"internal/sketch.MaxRelativeError":        "test oracle: the histogram's documented error bound",
+	"internal/sketch.Histogram.Buckets":       "test oracle: the histogram's bucket growth",
+	"internal/sketch.Histogram.Equal":         "test oracle: merge and reset round trips",
+	"internal/testbed.Testbed.FeedbackOf":     "test oracle: a replica's feedback view",
+	"internal/testbed.Topology.Validate":      "documented in docs/TOPOLOGY.md and fuzzed",
+	"internal/feedback.VIPView.Report":        "test oracle: a server's raw report (feedback and testbed tests)",
+	"internal/stats.Percentile":               "test oracle: the exact quantile sketch quantiles are held to",
+	"internal/trace.ReadAll":                  "test oracle: a written trace read back whole (trace, wiki, experiments, srlb-trace tests)",
 }
 
 // facadeRef is a qualified facade name in prose: doc.go and docs/*.md.
@@ -38,10 +40,10 @@ var facadeRef = regexp.MustCompile(`\bsrlb\.([A-Z]\w*)`)
 type surfaceReads struct {
 	qualified map[string]bool // "<import path>.<Name>" from another package
 	bare      map[string]bool // "<dir>.<Name>", an identifier that is not a declaration
-	selectors map[string]bool // x.Name where x is not a package: methods match by name
+	selectors map[string]bool // x.Name where x is neither a package nor a struct value: methods match by name
 }
 
-func (r surfaceReads) scan(dir string, f *ast.File) {
+func (r surfaceReads) scan(dir string, f *ast.File, info *types.Info) {
 	imports := map[string]string{}
 	for _, s := range f.Imports {
 		p, _ := strconv.Unquote(s.Path.Value)
@@ -70,7 +72,7 @@ func (r surfaceReads) scan(dir string, f *ast.File) {
 			notRead[n.Sel] = true
 			if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
 				r.qualified[imports[x.Name]+"."+n.Sel.Name] = true
-			} else {
+			} else if sel := info.Selections[n]; sel == nil || sel.Kind() != types.FieldVal {
 				r.selectors[n.Sel.Name] = true
 			}
 		case *ast.Ident:
@@ -153,37 +155,32 @@ func receiverName(x ast.Expr) string {
 // qualified srlb.Name, in Go or in a doc.go/docs/*.md recipe, and every
 // such recipe must name something srlb.go exports. An internal name's
 // reader is pkg.Name in another package or the bare name in its own; a
-// method's is any selector of its name.
+// method's is any selector of its name that go/types does not resolve to
+// a struct field (q.VIP reading a field VIP reads no method VIP).
 func TestEveryExportHasAReader(t *testing.T) {
-	fset := token.NewFileSet()
-	r := surfaceReads{map[string]bool{}, map[string]bool{}, map[string]bool{}}
-	var exports []surfaceExport
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		dir := filepath.ToSlash(filepath.Dir(p))
-		r.scan(dir, f)
-		if dir == "." || strings.HasPrefix(dir, "internal/") {
-			exports = append(exports, exportsOf(fset, dir, f)...)
-		}
-		return nil
-	})
+	repo, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
+	}
+	root, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := surfaceReads{map[string]bool{}, map[string]bool{}, map[string]bool{}}
+	var exports []surfaceExport
+	for _, p := range repo.pkgs {
+		for _, f := range p.files {
+			name := repo.fset.File(f.Pos()).Name()
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			rel, _ := filepath.Rel(root, filepath.Dir(name))
+			dir := filepath.ToSlash(rel)
+			r.scan(dir, f, repo.info)
+			if dir == "." || strings.HasPrefix(dir, "internal/") {
+				exports = append(exports, exportsOf(repo.fset, dir, f)...)
+			}
+		}
 	}
 
 	facade := map[string]bool{}
@@ -228,7 +225,7 @@ func TestEveryExportHasAReader(t *testing.T) {
 		case read && allowed:
 			t.Errorf("%s has a reader now: drop it from surfaceAllowed", e.key())
 		case !read && !allowed:
-			unread = append(unread, e.pos.String()+": "+e.key())
+			unread = append(unread, strings.TrimPrefix(e.pos.String(), root+"/")+": "+e.key())
 		}
 		delete(stale, e.key())
 	}
