@@ -116,7 +116,9 @@ var loadRepo = sync.OnceValues(func() (*typedRepo, error) {
 	}}
 	imp := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
 	for _, p := range pkgs {
-		conf := types.Config{Importer: imp, Error: func(err error) { repo.errs = append(repo.errs, fmt.Errorf("%s: %v", p.path, err)) }}
+		conf := types.Config{Importer: imp, Error: func(err error) {
+			repo.errs = append(repo.errs, fmt.Errorf("%s: %v", p.path, err))
+		}}
 		p.types, _ = conf.Check(p.path, fset, p.files, repo.info)
 	}
 	return repo, nil

@@ -732,7 +732,7 @@ func Build(top Topology) *Testbed {
 
 // buildScheme constructs VIP vs's scheme for replica rs over the pool as
 // it is now, on the replica's own stream for the VIP and with its own
-// feedback projection (nil when the plane is off), over the pool's list.
+// feedback projection (nil when the plane is off).
 func (tb *Testbed) buildScheme(rs *replicaState, vs *vipState) selection.Scheme {
 	var view *feedback.VIPView
 	if rs.view != nil {
