@@ -40,7 +40,7 @@ var facadeRef = regexp.MustCompile(`\bsrlb\.([A-Z]\w*)`)
 type surfaceReads struct {
 	qualified map[string]bool // "<import path>.<Name>" from another package
 	bare      map[string]bool // "<dir>.<Name>", an identifier that is not a declaration
-	selectors map[string]bool // x.Name where x is neither a package nor a struct value: methods match by name
+	selectors map[string]bool // x.Name naming neither a package member nor a struct field: methods match by name
 }
 
 func (r surfaceReads) scan(dir string, f *ast.File, info *types.Info) {
@@ -161,6 +161,9 @@ func TestEveryExportHasAReader(t *testing.T) {
 	repo, err := loadRepo()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, err := range repo.errs {
+		t.Error(err) // without types, a field read would pass for a method read
 	}
 	root, err := os.Getwd()
 	if err != nil {
