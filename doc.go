@@ -324,9 +324,9 @@
 //   - internal/des, internal/netsim — simulation kernel and LAN
 //   - internal/livenet — real-time goroutine runtime; its load balancer
 //     is a goroutine binding of the same dispatcher
-//   - internal/wiki, internal/trace, internal/rng — the synthetic
-//     Wikipedia day, the trace format, seeded random streams (the
-//     workloads themselves live in internal/experiments)
+//   - internal/wiki, internal/rng — the synthetic Wikipedia day, drawn
+//     in memory, and seeded random streams (the workloads themselves
+//     live in internal/experiments)
 //   - internal/stats — replication statistics: Dist, Replicated,
 //     Student-t CIs
 //   - internal/sketch — constant-memory streaming metrics: mergeable

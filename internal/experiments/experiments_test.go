@@ -288,10 +288,15 @@ func TestWikiCellAccountsForLateServer(t *testing.T) {
 		}
 	}
 
+	wikiN, staticN := 0, 0
 	stream := wiki.NewStream(day)
-	for _, _, done := stream.Next(); !done; _, _, done = stream.Next() {
+	for _, _, isWiki, done := stream.Next(); !done; _, _, isWiki, done = stream.Next() {
+		if isWiki {
+			wikiN++
+		} else {
+			staticN++
+		}
 	}
-	wikiN, staticN := stream.Counts()
 	if got := run.WikiAll.Count() + run.StaticAll.Count() + run.Refused; got != wikiN+staticN {
 		t.Fatalf("accounting: %d results for %d launched queries", got, wikiN+staticN)
 	}

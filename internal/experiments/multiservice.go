@@ -295,11 +295,11 @@ type wikiServiceStream struct {
 }
 
 func (s *wikiServiceStream) Next() (time.Duration, testbed.Query, bool) {
-	e, isWiki, done := s.stream.Next()
+	at, url, isWiki, done := s.stream.Next()
 	if done {
 		return 0, testbed.Query{}, false
 	}
-	return time.Duration(float64(e.At) / s.speed), wikiQuery(e.URL, isWiki), true
+	return time.Duration(float64(at) / s.speed), wikiQuery(url, isWiki), true
 }
 
 // wikiQuery is one request of the §VI workload: the URL travels in the

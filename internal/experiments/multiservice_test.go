@@ -15,18 +15,16 @@ import (
 
 // testServices is a small three-service mix — web Poisson + wiki replay +
 // batch bursty, each on its own pool — sized so a cell simulates in well
-// under a second. The wiki day's rates are scaled down to a 4-server
-// pool.
+// under a second. The wiki day runs on the 12 servers its rates are
+// calibrated for, compressed to 3.75 simulated seconds.
 func testServices(webQ, batchQ int) MultiServiceWorkload {
 	return MultiServiceWorkload{
 		Services: []ServiceSpec{
 			{Name: "web", Workload: PoissonService{Lambda0: 80, Queries: webQ}},
-			{Name: "wiki", Workload: WikiService{Day: wiki.Config{
-				Compression: 5760, FullPeakRate: 60, FullTroughRate: 30,
-			}}, Pool: 1},
+			{Name: "wiki", Workload: WikiService{Day: wiki.Config{Compression: 23040}}, Pool: 1},
 			{Name: "batch", Workload: BurstyService{Lambda0: 40, Queries: batchQ, PeakFactor: 4}, Pool: 2},
 		},
-		Pools: []testbed.PoolSpec{{}, {}, {Servers: 2}},
+		Pools: []testbed.PoolSpec{{}, {Servers: 12}, {Servers: 2}},
 	}
 }
 

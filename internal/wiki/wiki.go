@@ -16,10 +16,11 @@
 //     cost, a hit only the render cost — giving realistic heavy-tailed,
 //     state-dependent service times per replica.
 //
-// The trace is replayed at a configurable scale; like the paper (which
-// could sustain 50% of Wikipedia's sampled peak), the defaults put the
-// evening peak near the testbed's measured capacity so the RR baseline
-// visibly degrades while SR4 does not.
+// The day is drawn in memory (Stream), never written to disk, and
+// replayed at 50% of its raw rate like the paper's (which could sustain
+// 50% of Wikipedia's sampled peak): the evening peak lands near the
+// testbed's measured capacity, so the RR baseline visibly degrades while
+// SR4 does not. Only the seed and the time compression vary.
 package wiki
 
 import (
@@ -33,25 +34,15 @@ import (
 
 	"srlb/internal/packet"
 	"srlb/internal/rng"
-	"srlb/internal/trace"
 )
 
-// Config parameterizes the synthetic day. Zero fields take defaults that
-// reproduce the shapes of the paper's figures 6–8 on the 12-server
-// testbed.
+// Config parameterizes the synthetic day. A zero Compression replays
+// the day in real time; the rest of the day's shape is fixed (see the
+// constants below) and reproduces figures 6–8 on the 12-server testbed.
 type Config struct {
 	Seed uint64
-	// Horizon is the trace length (default 24h).
-	Horizon time.Duration
-	// FullPeakRate/FullTroughRate are the raw trace's wiki-page rates in
-	// queries/sec (defaults 250 and 125: replayed at 50% the evening peak lands at ~0.88 of the testbed capacity measured with the ~0.69-hit cache model).
-	FullPeakRate   float64
-	FullTroughRate float64
-	// ReplayScale scales the raw trace at replay (default 0.5 — the
-	// paper's "50% of the peak load").
-	ReplayScale float64
 	// Compression speeds up replay by the given factor: the simulated
-	// horizon shrinks to Horizon/Compression while instantaneous rates
+	// horizon shrinks to 24h/Compression while instantaneous rates
 	// (and hence load levels) are preserved, so a 24-hour day can be
 	// replayed in 1 simulated hour with Compression=24. Statistical noise
 	// per time bin grows accordingly. Default 1 (real time).
@@ -60,6 +51,17 @@ type Config struct {
 
 // The synthetic day's fixed shape.
 const (
+	// horizon is the length of the day in trace time.
+	horizon = 24 * time.Hour
+	// fullPeakRate and fullTroughRate are the raw day's wiki-page rates in
+	// queries/sec: replayed at replayScale the evening peak lands at
+	// ~0.88 of the testbed capacity measured with the ~0.69-hit cache
+	// model. Float constants: WikiRate halves their sum and difference.
+	fullPeakRate   = 250.0
+	fullTroughRate = 125.0
+	// replayScale scales the raw day at replay: the paper's "50% of the
+	// peak load".
+	replayScale = 0.5
 	// peakHour is the local hour of the rate maximum.
 	peakHour = 20
 	// staticPerWiki is the ratio of static-object requests to wiki-page
@@ -72,18 +74,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.Horizon == 0 {
-		c.Horizon = 24 * time.Hour
-	}
-	if c.FullPeakRate == 0 {
-		c.FullPeakRate = 250
-	}
-	if c.FullTroughRate == 0 {
-		c.FullTroughRate = 125
-	}
-	if c.ReplayScale == 0 {
-		c.ReplayScale = 0.5
-	}
 	if c.Compression == 0 {
 		c.Compression = 1
 	}
@@ -91,10 +81,13 @@ func (c Config) withDefaults() Config {
 }
 
 // VirtualHorizon returns the simulated duration of the replay:
-// Horizon / Compression.
-func (c Config) VirtualHorizon() time.Duration {
-	c = c.withDefaults()
-	return time.Duration(float64(c.Horizon) / c.Compression)
+// 24h / Compression.
+func (c Config) VirtualHorizon() time.Duration { return c.Virtual(horizon) }
+
+// Virtual maps a span of trace (wall-clock) time to replay time, the
+// inverse of RealTime.
+func (c Config) Virtual(real time.Duration) time.Duration {
+	return time.Duration(float64(real) / c.withDefaults().Compression)
 }
 
 // CatalogPages returns the article-catalog size: 200 000 articles scaled
@@ -114,14 +107,14 @@ func (c Config) RealTime(virtual time.Duration) time.Duration {
 
 // WikiRate returns the replayed wiki-page arrival rate (queries/sec) at
 // *virtual* time t: a sinusoid over the (possibly compressed) day with its
-// minimum 12h before peakHour, scaled by ReplayScale.
+// minimum 12h before peakHour, scaled by replayScale.
 func (c Config) WikiRate(t time.Duration) float64 {
-	c = c.withDefaults()
-	mean := (c.FullPeakRate + c.FullTroughRate) / 2
-	amp := (c.FullPeakRate - c.FullTroughRate) / 2
-	hours := c.RealTime(t).Hours()
-	phase := 2 * math.Pi * (hours - peakHour) / 24
-	return c.ReplayScale * (mean + amp*math.Cos(phase))
+	const (
+		mean = (fullPeakRate + fullTroughRate) / 2
+		amp  = (fullPeakRate - fullTroughRate) / 2
+	)
+	phase := 2 * math.Pi * (c.RealTime(t).Hours() - peakHour) / 24
+	return replayScale * (mean + amp*math.Cos(phase))
 }
 
 // StaticRate returns the static-object arrival rate at time t.
@@ -129,11 +122,8 @@ func (c Config) StaticRate(t time.Duration) float64 {
 	return staticPerWiki * c.WikiRate(t)
 }
 
-// MaxWikiRate bounds WikiRate over the horizon (for NHPP thinning).
-func (c Config) MaxWikiRate() float64 {
-	c = c.withDefaults()
-	return c.ReplayScale * c.FullPeakRate * 1.0001
-}
+// maxWikiRate bounds WikiRate over the day (for NHPP thinning).
+const maxWikiRate = replayScale * fullPeakRate * 1.0001
 
 // PageURL renders the wiki-page URL for an article id — the paper
 // identifies wiki pages "by the string /wiki/index.php in their URL".
@@ -162,8 +152,8 @@ func ParsePageURL(url string) (int, bool) {
 
 // Stream lazily generates the synthetic day's requests in time order by
 // merging the wiki-page and static NHPP streams — memory use is O(1)
-// regardless of trace length, so full 24-hour replays can be driven
-// without materializing tens of millions of entries.
+// regardless of the day's length, so full 24-hour replays can be driven
+// without materializing tens of millions of requests.
 type Stream struct {
 	cfg      Config
 	zipf     *rng.Zipf
@@ -173,8 +163,6 @@ type Stream struct {
 	nextWiki time.Duration
 	nextStat time.Duration
 	okW, okS bool
-	wikiN    int
-	statN    int
 }
 
 // NewStream starts a synthetic-day stream.
@@ -184,52 +172,29 @@ func NewStream(cfg Config) *Stream {
 		cfg:      cfg,
 		zipf:     rng.NewZipf(rng.Split(cfg.Seed, 0x21bf), cfg.CatalogPages(), zipfS),
 		statZipf: rng.NewZipf(rng.Split(cfg.Seed, 0x57a8), staticObjects, 0.6),
-		wiki:     rng.NewNHPP(rng.Split(cfg.Seed, 0x71c1), cfg.WikiRate, cfg.MaxWikiRate(), 0),
-		static:   rng.NewNHPP(rng.Split(cfg.Seed, 0x57a7), cfg.StaticRate, staticPerWiki*cfg.MaxWikiRate(), 0),
+		wiki:     rng.NewNHPP(rng.Split(cfg.Seed, 0x71c1), cfg.WikiRate, maxWikiRate, 0),
+		static:   rng.NewNHPP(rng.Split(cfg.Seed, 0x57a7), cfg.StaticRate, staticPerWiki*maxWikiRate, 0),
 	}
 	s.nextWiki, s.okW = s.wiki.Next(cfg.VirtualHorizon())
 	s.nextStat, s.okS = s.static.Next(cfg.VirtualHorizon())
 	return s
 }
 
-// Next returns the next request and whether it is a wiki page; done=false
-// at end of day.
-func (s *Stream) Next() (e trace.Entry, isWiki bool, done bool) {
+// Next returns the next request's virtual arrival time and URL, and
+// whether it is a wiki page; done=true at end of day.
+func (s *Stream) Next() (at time.Duration, url string, isWiki, done bool) {
 	switch {
 	case !s.okW && !s.okS:
-		return trace.Entry{}, false, true
+		return 0, "", false, true
 	case s.okW && (!s.okS || s.nextWiki <= s.nextStat):
-		e = trace.Entry{At: s.nextWiki, URL: PageURL(s.zipf.Draw())}
-		s.wikiN++
+		at, url = s.nextWiki, PageURL(s.zipf.Draw())
 		s.nextWiki, s.okW = s.wiki.Next(s.cfg.VirtualHorizon())
-		return e, true, false
+		return at, url, true, false
 	default:
-		e = trace.Entry{At: s.nextStat, URL: StaticURL(s.statZipf.Draw())}
-		s.statN++
+		at, url = s.nextStat, StaticURL(s.statZipf.Draw())
 		s.nextStat, s.okS = s.static.Next(s.cfg.VirtualHorizon())
-		return e, false, false
+		return at, url, false, false
 	}
-}
-
-// Counts reports how many wiki and static requests have been emitted.
-func (s *Stream) Counts() (wiki, static int) { return s.wikiN, s.statN }
-
-// Synthesize streams the synthetic day into w, merging the wiki-page and
-// static NHPP streams in time order. It returns (wikiCount, staticCount).
-func Synthesize(cfg Config, w *trace.Writer) (int, int, error) {
-	s := NewStream(cfg)
-	for {
-		e, _, done := s.Next()
-		if done {
-			break
-		}
-		if err := w.Write(e); err != nil {
-			wikiN, statN := s.Counts()
-			return wikiN, statN, err
-		}
-	}
-	wikiN, statN := s.Counts()
-	return wikiN, statN, w.Flush()
 }
 
 // The CPU demands of a request on a replica, calibrated so the

@@ -1,14 +1,14 @@
 package wiki
 
 import (
-	"bytes"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"srlb/internal/ipv6"
 	"srlb/internal/packet"
-	"srlb/internal/trace"
 )
 
 func dummyFlow() packet.FlowKey {
@@ -24,8 +24,8 @@ func TestRateEnvelope(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	peak := cfg.WikiRate(time.Duration(peakHour * float64(time.Hour)))
 	trough := cfg.WikiRate(time.Duration((peakHour - 12) * float64(time.Hour)))
-	wantPeak := cfg.ReplayScale * cfg.FullPeakRate
-	wantTrough := cfg.ReplayScale * cfg.FullTroughRate
+	wantPeak := replayScale * fullPeakRate
+	wantTrough := replayScale * fullTroughRate
 	if math.Abs(peak-wantPeak) > 0.5 {
 		t.Fatalf("peak rate = %v, want %v", peak, wantPeak)
 	}
@@ -33,10 +33,9 @@ func TestRateEnvelope(t *testing.T) {
 		t.Fatalf("trough rate = %v, want %v", trough, wantTrough)
 	}
 	// Max bound must dominate the whole day.
-	maxRate := cfg.MaxWikiRate()
 	for h := 0.0; h < 24; h += 0.25 {
-		if r := cfg.WikiRate(time.Duration(h * float64(time.Hour))); r > maxRate {
-			t.Fatalf("rate %v at hour %v exceeds MaxWikiRate %v", r, h, maxRate)
+		if r := cfg.WikiRate(time.Duration(h * float64(time.Hour))); r > maxWikiRate {
+			t.Fatalf("rate %v at hour %v exceeds maxWikiRate %v", r, h, maxWikiRate)
 		}
 	}
 }
@@ -63,59 +62,56 @@ func TestPageURLRoundTrip(t *testing.T) {
 	if _, ok := ParsePageURL("/wiki/index.php?title=Article_xyz"); ok {
 		t.Fatal("garbage id parsed")
 	}
-	e := trace.Entry{URL: PageURL(1)}
-	if !e.IsWikiPage() {
-		t.Fatal("PageURL not classified as wiki page by trace")
+	if !strings.Contains(PageURL(1), "/wiki/index.php") {
+		t.Fatal("PageURL lacks the paper's wiki-page marker")
 	}
 }
 
-func TestSynthesizeShortWindow(t *testing.T) {
-	cfg := Config{Seed: 1, Horizon: 10 * time.Minute}
-	var buf bytes.Buffer
-	w := trace.NewWriter(&buf)
-	wikiN, statN, err := Synthesize(cfg, w)
-	if err != nil {
-		t.Fatal(err)
+// TestStreamDay drains a day compressed to 10 simulated minutes: the
+// wiki count is what the rate envelope integrates to, statics come at
+// staticPerWiki per page, arrivals are in time order, the paper's URL
+// marker classes each request, and a seed repeats its day exactly.
+func TestStreamDay(t *testing.T) {
+	type request struct {
+		at     time.Duration
+		url    string
+		isWiki bool
 	}
-	// Expected wiki ≈ rate(≈00:00-00:10) × 600s. Rate at midnight with
-	// defaults: 0.5*(167 + 53·cos(2π(0-20)/24)) ≈ 0.5*(167+53*0.5) = 96.8/s.
-	if wikiN < 40000 || wikiN > 75000 {
+	drain := func(cfg Config) []request {
+		var day []request
+		s := NewStream(cfg)
+		for at, url, isWiki, done := s.Next(); !done; at, url, isWiki, done = s.Next() {
+			day = append(day, request{at, url, isWiki})
+		}
+		return day
+	}
+	cfg := Config{Seed: 1, Compression: 144}
+	day := drain(cfg)
+	wikiN := 0
+	for i, r := range day {
+		if i > 0 && r.at < day[i-1].at {
+			t.Fatalf("request %d at %v after %v", i, r.at, day[i-1].at)
+		}
+		if r.at < 0 || r.at >= cfg.VirtualHorizon() {
+			t.Fatalf("request %d at %v, outside [0, %v)", i, r.at, cfg.VirtualHorizon())
+		}
+		if r.isWiki != strings.Contains(r.url, "/wiki/index.php") {
+			t.Fatalf("request %d: %q classed isWiki=%v", i, r.url, r.isWiki)
+		}
+		if r.isWiki {
+			wikiN++
+		}
+	}
+	// The replayed wiki rate averages replayScale × (250+125)/2 = 93.75/s
+	// over the day's 600 virtual seconds: ≈ 56,000 pages.
+	if wikiN < 50000 || wikiN > 62000 {
 		t.Fatalf("wiki count = %d, out of plausible range", wikiN)
 	}
-	ratio := float64(statN) / float64(wikiN)
-	if ratio < 3.6 || ratio > 4.4 {
+	if ratio := float64(len(day)-wikiN) / float64(wikiN); ratio < 3.8 || ratio > 4.2 {
 		t.Fatalf("static/wiki = %v, want ≈4", ratio)
 	}
-	// The stream must be parseable and time-ordered (Reader enforces).
-	entries, err := trace.ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != wikiN+statN {
-		t.Fatalf("entries = %d, want %d", len(entries), wikiN+statN)
-	}
-	pages := 0
-	for _, e := range entries {
-		if e.IsWikiPage() {
-			pages++
-		}
-	}
-	if pages != wikiN {
-		t.Fatalf("%d entries are wiki pages, Synthesize counted %d", pages, wikiN)
-	}
-}
-
-func TestSynthesizeDeterministic(t *testing.T) {
-	gen := func() string {
-		var buf bytes.Buffer
-		w := trace.NewWriter(&buf)
-		if _, _, err := Synthesize(Config{Seed: 7, Horizon: time.Minute}, w); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	if gen() != gen() {
-		t.Fatal("synthesis not deterministic for fixed seed")
+	if !slices.Equal(day, drain(cfg)) {
+		t.Fatal("two streams with the same seed differ")
 	}
 }
 

@@ -30,7 +30,6 @@ var surfaceAllowed = map[string]string{
 	"internal/testbed.Topology.Validate":      "documented in docs/TOPOLOGY.md and fuzzed",
 	"internal/feedback.VIPView.Report":        "test oracle: a server's raw report (feedback and testbed tests)",
 	"internal/stats.Percentile":               "test oracle: the exact quantile sketch quantiles are held to",
-	"internal/trace.ReadAll":                  "test oracle: a written trace read back whole (trace, wiki, experiments, srlb-trace tests)",
 }
 
 // facadeRef is a qualified facade name in prose: doc.go and docs/*.md.
