@@ -272,7 +272,8 @@ func selectExperiments(value string) []*experiment {
 // resolve finishes e once fs has parsed, and returns the entries to run.
 // It rejects, before any work is done, what would otherwise surface as a
 // panic deep inside a run or as a silent no-op: a number that is not
-// finite, a negative count or scale, a -compress factor below 1, and an
+// finite, a negative count or scale, a -compress factor below 1 or so
+// large that a 10-minute trace bin is shorter than 1ns, and an
 // -experiment value the table does not have. Zero stays "the experiment's
 // own default" wherever it meant that; a negative -ci-target is fixed
 // replication.
@@ -287,6 +288,8 @@ func (e *env) resolve(fs *flag.FlagSet) ([]*experiment, error) {
 			return nil, fmt.Errorf("-%s must not be negative (got %s)", name, value)
 		case name == "compress" && v > 0 && v < 1:
 			return nil, fmt.Errorf("-compress is a compression factor, at least 1 (got %s)", value)
+		case name == "compress" && v > float64(10*time.Minute):
+			return nil, fmt.Errorf("-compress leaves a 10-minute trace bin shorter than 1ns, at most %g (got %s)", float64(10*time.Minute), value)
 		}
 	}
 	selected := selectExperiments(e.experiment)

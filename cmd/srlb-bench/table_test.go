@@ -156,6 +156,9 @@ func TestBadInput(t *testing.T) {
 		{"-horizon-rho", []string{"-experiment", "calibrate", "-servers", "4", "-horizon-rho", "-0.5"}},
 		{"-compress must be a finite number", []string{"-experiment", "wiki", "-servers", "4", "-compress", "NaN"}},
 		{"-compress is a compression factor", []string{"-experiment", "wiki", "-servers", "4", "-compress", "1e-7"}},
+		{"-compress leaves a 10-minute trace bin", []string{"-experiment", "wiki", "-servers", "4", "-compress", "6.000001e11"}},
+		{"-compress leaves a 10-minute trace bin", []string{"-experiment", "wiki", "-servers", "4", "-compress", "1e12"}},
+		{"-compress leaves a 10-minute trace bin", []string{"-experiment", "multiservice", "-servers", "4", "-compress", "1e14"}},
 		{"-horizon-rho must be a finite number", []string{"-experiment", "horizon", "-servers", "4", "-horizon-rho", "NaN"}},
 		{"-ci-target must be a finite number", []string{"-experiment", "rhogrid", "-servers", "4", "-ci-target", "NaN"}},
 	} {
@@ -178,6 +181,27 @@ func TestBadInput(t *testing.T) {
 		if !strings.Contains(stderr, x.name) {
 			t.Errorf("the unknown-experiment error does not list %q:\n%s", x.name, stderr)
 		}
+	}
+}
+
+// TestLargestCompressRuns: the largest -compress resolve accepts leaves a
+// 1ns trace bin and a 144ns day with next to no requests in it, and a
+// factor past what a time.Duration of seconds holds no longer overflows
+// the bin width; each runs to exit 0 with its three figures written.
+func TestLargestCompressRuns(t *testing.T) {
+	for _, compress := range []string{"1e10", "6e11"} {
+		t.Run(compress, func(t *testing.T) {
+			outDir := t.TempDir()
+			_, stderr, exit := runBench(t, "-experiment", "wiki", "-servers", "4", "-compress", compress, "-out", outDir)
+			if exit != 0 || stderr != "" {
+				t.Fatalf("exit %d, want 0 and a quiet stderr; stderr:\n%s", exit, stderr)
+			}
+			for _, name := range []string{"fig6_wiki_rate_median.tsv", "fig7_wiki_deciles.tsv", "fig8_wiki_cdf.tsv"} {
+				if _, err := os.Stat(filepath.Join(outDir, name)); err != nil {
+					t.Error(err)
+				}
+			}
+		})
 	}
 }
 

@@ -60,8 +60,8 @@ const wikiBinWidth = 10 * time.Minute
 // WikiWorkload replays the synthetic Wikipedia day (§VI) — diurnal NHPP
 // arrivals, Zipf page popularity, per-replica memcached models — as the
 // cell's one service (WikiService), accounting per query class and per
-// trace-time bin. The load point is ignored: intensity lives in Day
-// (Scale/Compression). The outcome's Wiki is the full WikiRun.
+// trace-time bin. The load point is ignored: the day fixes its own
+// intensity. The outcome's Wiki is the full WikiRun.
 type WikiWorkload struct {
 	Day wiki.Config
 }
@@ -76,9 +76,7 @@ func (w WikiWorkload) Label() string { return WikiService{Day: w.Day}.Label() }
 func (w WikiWorkload) Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, _ float64) (CellOutcome, error) {
 	svc := &wikiCell{WikiService: WikiService{Day: w.Day}}
 	span := checkSpan(svc, 1, svc.Span(1))
-	// Bin width in virtual time: compression shrinks the synthetic clock.
-	comp := w.Day.RealTime(time.Second).Seconds() // = Compression factor
-	bins := sketch.NewTimeBins(time.Duration(float64(wikiBinWidth)/comp), span)
+	bins := sketch.NewTimeBins(w.Day.Virtual(wikiBinWidth), span)
 	run := WikiRun{
 		Spec:      spec,
 		WikiBins:  bins,
