@@ -67,26 +67,29 @@ func TestPageURLRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStreamDay drains a day compressed to 10 simulated minutes: the
-// wiki count is what the rate envelope integrates to, statics come at
-// staticPerWiki per page, arrivals are in time order, the paper's URL
-// marker classes each request, and a seed repeats its day exactly.
-func TestStreamDay(t *testing.T) {
-	type request struct {
-		at     time.Duration
-		url    string
-		isWiki bool
+type request struct {
+	at     time.Duration
+	url    string
+	isWiki bool
+}
+
+// drainDay collects every request of the day cfg describes.
+func drainDay(cfg Config) []request {
+	var day []request
+	s := NewStream(cfg)
+	for at, url, isWiki, done := s.Next(); !done; at, url, isWiki, done = s.Next() {
+		day = append(day, request{at, url, isWiki})
 	}
-	drain := func(cfg Config) []request {
-		var day []request
-		s := NewStream(cfg)
-		for at, url, isWiki, done := s.Next(); !done; at, url, isWiki, done = s.Next() {
-			day = append(day, request{at, url, isWiki})
-		}
-		return day
-	}
+	return day
+}
+
+// TestSynthesizeShortWindow drains a day compressed to 10 simulated
+// minutes: the wiki count is what the rate envelope integrates to,
+// statics come at staticPerWiki per page, arrivals are in time order,
+// and the paper's URL marker classes each request.
+func TestSynthesizeShortWindow(t *testing.T) {
 	cfg := Config{Seed: 1, Compression: 144}
-	day := drain(cfg)
+	day := drainDay(cfg)
 	wikiN := 0
 	for i, r := range day {
 		if i > 0 && r.at < day[i-1].at {
@@ -110,7 +113,16 @@ func TestStreamDay(t *testing.T) {
 	if ratio := float64(len(day)-wikiN) / float64(wikiN); ratio < 3.8 || ratio > 4.2 {
 		t.Fatalf("static/wiki = %v, want ≈4", ratio)
 	}
-	if !slices.Equal(day, drain(cfg)) {
+}
+
+// TestSynthesizeDeterministic checks that a seed repeats its day exactly.
+func TestSynthesizeDeterministic(t *testing.T) {
+	cfg := Config{Seed: 7, Compression: 1440}
+	day := drainDay(cfg)
+	if len(day) == 0 {
+		t.Fatal("empty day")
+	}
+	if !slices.Equal(day, drainDay(cfg)) {
 		t.Fatal("two streams with the same seed differ")
 	}
 }
