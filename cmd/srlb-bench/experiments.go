@@ -88,7 +88,7 @@ var calibration = experiment{
 		}
 		e.lambda0 = cal.Lambda0
 		rep.linef("lambda0 = %.1f q/s (theoretical %.1f, %d probes)", cal.Lambda0, cal.Theoretical, len(cal.Probes))
-		rep.files = []artifact{{"calibration.tsv", cal.WriteTSV}}
+		rep.files = []artifact{{"calibration.tsv", cal.TSV().Render}}
 		return rep, nil
 	},
 }
@@ -114,7 +114,7 @@ var experiments = []experiment{
 			// CI-aware: replicated sweeps render mean ± ci95 whiskers.
 			rep.files = []artifact{
 				seriesPlot("Figure 2: mean response time (s) vs load", res.Stats.PlotSeries()),
-				{"fig2_mean_rt_vs_load.tsv", res.WriteTSV},
+				{"fig2_mean_rt_vs_load.tsv", res.TSV().Render},
 			}
 			return rep, nil
 		}},
@@ -127,7 +127,7 @@ var experiments = []experiment{
 					rep.linef("mean fairness %-5s = %.3f", name, fair)
 				}
 			}
-			rep.files = []artifact{{"fig4_load_fairness.tsv", res.WriteTSV}}
+			rep.files = []artifact{{"fig4_load_fairness.tsv", res.TSV().Render}}
 			return rep, nil
 		}},
 	cdfFigure("fig5", "figure 5: response-time CDF at rho=0.61", "fig5_cdf_rho061.tsv", srlb.RunFig5),
@@ -166,24 +166,19 @@ var experiments = []experiment{
 			}
 			rep.files = []artifact{
 				{write: fig8},
-				{"fig6_wiki_rate_median.tsv", res.WriteFig6TSV},
-				{"fig7_wiki_deciles.tsv", res.WriteFig7TSV},
-				{"fig8_wiki_cdf.tsv", res.WriteFig8TSV},
+				{"fig6_wiki_rate_median.tsv", res.Fig6().Render},
+				{"fig7_wiki_deciles.tsv", res.Fig7().Render},
+				{"fig8_wiki_cdf.tsv", res.Fig8().Render},
 			}
 			return rep, nil
 		}},
 	{name: "ablations", title: "ablations: candidates/threshold/window/scheme/backlog", needsLambda0: true,
 		run: func(e *env) (report, error) {
-			results := srlb.RunAllAblations(srlb.AblationConfig{Base: e.base, Lambda0: e.lambda0})
-			return report{files: []artifact{{"ablations.tsv", func(w io.Writer) error {
-				for _, r := range results {
-					if err := r.WriteTSV(w); err != nil {
-						return err
-					}
-					fmt.Fprintln(w)
-				}
-				return nil
-			}}}}, nil
+			var file srlb.TSV
+			for _, r := range srlb.RunAllAblations(srlb.AblationConfig{Base: e.base, Lambda0: e.lambda0}) {
+				file.Tables = append(file.Tables, r.TSV().Tables...)
+			}
+			return report{files: []artifact{{"ablations.tsv", file.Render}}}, nil
 		}},
 	{name: "retransmit", also: []string{"ablations"},
 		title: "ablation: tcp_abort_on_overflow vs SYN retransmission (SS IV-C)",
@@ -199,7 +194,7 @@ var experiments = []experiment{
 				rep.linef("%-30s p99=%.3fs refused=%d timeouts=%d retransmits=%d",
 					row.Variant, row.P99.Seconds(), row.RefusedCount(), row.TimedOut, row.Retransmits)
 			}
-			rep.files = []artifact{{"ablation_abort_on_overflow.tsv", res.WriteTSV}}
+			rep.files = []artifact{{"ablation_abort_on_overflow.tsv", res.TSV().Render}}
 			return rep, nil
 		}},
 	{name: "hetero", also: []string{"ablations"}, title: "extension: heterogeneous cluster",
@@ -209,7 +204,7 @@ var experiments = []experiment{
 				rep.linef("%-7s mean=%.3fs slow-share=%.3f (capacity share %.3f)",
 					row.Policy, row.Mean.Seconds(), row.SlowShare, res.CapacityShare)
 			}
-			rep.files = []artifact{{"extension_heterogeneous.tsv", res.WriteTSV}}
+			rep.files = []artifact{{"extension_heterogeneous.tsv", res.TSV().Render}}
 			return rep, nil
 		}},
 	{name: "bursty", title: "bursty sweep: fig2 grid under on/off MMPP arrivals", needsLambda0: true,
@@ -222,7 +217,7 @@ var experiments = []experiment{
 			rep.linef("rows use the fig2 format (rho + per-policy mean[, ci95]) — diff the TSVs column for column")
 			rep.files = []artifact{
 				seriesPlot("Bursty sweep: mean response time (s) vs load", res.Stats.PlotSeries()),
-				{"bursty_mean_rt_vs_load.tsv", res.WriteTSV},
+				{"bursty_mean_rt_vs_load.tsv", res.TSV().Render},
 			}
 			return rep, nil
 		}},
@@ -234,7 +229,7 @@ var experiments = []experiment{
 					m.Variant, m.OKFrac, m.OKFracCI95, m.Refused, m.Unfinished, m.N)
 			}
 			rep.linef("replica 0 of %d killed at t=%.1fs", res.Replicas, res.KillAt.Seconds())
-			rep.files = []artifact{{"extension_lb_failover.tsv", res.WriteTSV}}
+			rep.files = []artifact{{"extension_lb_failover.tsv", res.TSV().Render}}
 			return rep, nil
 		}},
 	{name: "resilience", title: "extension: warm-handoff resilience ablation (stateless/chash/warm)", needsLambda0: true,
@@ -248,8 +243,9 @@ var experiments = []experiment{
 			}
 			rep.linef("replica kill at %.0f%% of span, recover at %.0f%%; rack loses %.0f%% of servers",
 				100*res.KillFrac, 100*res.RecoverFrac, 100*res.RackFrac)
-			rep.doc, rep.stats, rep.tables = "BENCH_resilience.json", &res.Stats, res.Tables()
-			rep.files = []artifact{{"extension_resilience.tsv", res.WriteTSV}}
+			file := res.TSV()
+			rep.doc, rep.stats, rep.tables = "BENCH_resilience.json", &res.Stats, file.Tables
+			rep.files = []artifact{{"extension_resilience.tsv", file.Render}}
 			return rep, nil
 		}},
 	{name: "multiservice", title: "extension: concurrent multi-service mix (web+wiki+batch)", needsLambda0: true,
@@ -270,7 +266,7 @@ var experiments = []experiment{
 			}
 			rep.files = []artifact{
 				facetPlot("rho", "rt(s)", facets),
-				{"extension_multiservice.tsv", res.WriteTSV},
+				{"extension_multiservice.tsv", res.TSV().Render},
 			}
 			return rep, nil
 		}},
@@ -289,7 +285,7 @@ var experiments = []experiment{
 			rep.doc, rep.stats = "BENCH_interference.json", &res.Stats
 			rep.files = []artifact{
 				facetPlot("batch rho", "p99(s)", res.PlotFacets()),
-				{"extension_interference.tsv", res.WriteTSV},
+				{"extension_interference.tsv", res.TSV().Render},
 			}
 			return rep, nil
 		}},
@@ -307,10 +303,11 @@ var experiments = []experiment{
 				rep.linef("flowlet re-steers (%s): %.0f established flows moved mid-connection",
 					variant, res.TotalResteers(variant, "flowlet"))
 			}
-			rep.doc, rep.stats, rep.tables = "BENCH_policies.json", &res.Stats, []srlb.Table{res.Table()}
+			file := res.TSV()
+			rep.doc, rep.stats, rep.tables = "BENCH_policies.json", &res.Stats, file.Tables
 			rep.files = []artifact{
 				facetPlot("batch rho", "p99(s)", res.PlotFacets()),
-				{"extension_policies.tsv", res.WriteTSV},
+				{"extension_policies.tsv", file.Render},
 			}
 			return rep, nil
 		}},
@@ -338,7 +335,7 @@ var experiments = []experiment{
 					return plot.RenderHeatmaps(w, res.Heatmaps("n")...)
 				}},
 				{write: p99},
-				{"extension_rhogrid.tsv", res.WriteTSV},
+				{"extension_rhogrid.tsv", res.TSV().Render},
 			}
 			return rep, nil
 		}},
@@ -351,10 +348,11 @@ var experiments = []experiment{
 			}
 			rep.linef("flatness (largest/smallest dispatch cost across schemes): %.2fx — O(1) stays near 1, O(n) tracks the count ratio",
 				res.FlatnessRatio())
-			rep.doc, rep.tables = "BENCH_vipscale.json", []srlb.Table{res.Table()}
+			file := res.TSV()
+			rep.doc, rep.tables = "BENCH_vipscale.json", file.Tables
 			rep.files = []artifact{
 				facetPlot("#services", "ns/pkt", res.Plot()),
-				{"vipscale_dispatch.tsv", res.WriteTSV},
+				{"vipscale_dispatch.tsv", file.Render},
 			}
 			return rep, nil
 		}},
@@ -366,7 +364,7 @@ var experiments = []experiment{
 					rep.linef("churn penalty %-7s at rho=0.95: %.2fx", name, pen)
 				}
 			}
-			rep.files = []artifact{{"extension_churn.tsv", res.WriteTSV}}
+			rep.files = []artifact{{"extension_churn.tsv", res.TSV().Render}}
 			return rep, nil
 		}},
 	// The horizon soak runs only when named: 10⁸ queries take minutes of
@@ -398,7 +396,10 @@ var experiments = []experiment{
 			rep.linef("mean=%.3fms p50=%.3fms p99=%.3fms ok=%d refused=%d unfinished=%d",
 				res.RT.Mean().Seconds()*1e3, res.RT.Median().Seconds()*1e3, res.RT.Quantile(0.99).Seconds()*1e3,
 				res.Counters.OK, res.Counters.Refused, res.Counters.Unfinished)
-			rep.files = []artifact{{"horizon.tsv", res.WriteSummary}}
+			rep.files = []artifact{{"horizon.tsv", func(w io.Writer) error {
+				_, err := io.WriteString(w, res.Summary())
+				return err
+			}}}
 			return rep, nil
 		}},
 }
@@ -417,7 +418,7 @@ func (e *env) fig2Config(rhos []float64, workload srlb.Workload) srlb.Fig2Config
 func cdfFigure(name, title, file string, run func(srlb.CDFConfig) srlb.CDFResult) experiment {
 	return experiment{name: name, title: title, needsLambda0: true, run: func(e *env) (report, error) {
 		res := run(srlb.CDFConfig{Base: e.base, Lambda0: e.lambda0})
-		return report{files: []artifact{{file, res.WriteTSV}}}, nil
+		return report{files: []artifact{{file, res.TSV().Render}}}, nil
 	}}
 }
 

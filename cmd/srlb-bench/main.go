@@ -288,8 +288,8 @@ func (e *env) resolve(fs *flag.FlagSet) ([]*experiment, error) {
 			return nil, fmt.Errorf("-%s must not be negative (got %s)", name, value)
 		case name == "compress" && v > 0 && v < 1:
 			return nil, fmt.Errorf("-compress is a compression factor, at least 1 (got %s)", value)
-		case name == "compress" && v > float64(10*time.Minute):
-			return nil, fmt.Errorf("-compress leaves a 10-minute trace bin shorter than 1ns, at most %g (got %s)", float64(10*time.Minute), value)
+		case name == "compress" && v > srlb.MaxWikiCompression:
+			return nil, fmt.Errorf("-compress leaves a 10-minute trace bin shorter than 1ns, at most %g (got %s)", srlb.MaxWikiCompression, value)
 		}
 	}
 	selected := selectExperiments(e.experiment)

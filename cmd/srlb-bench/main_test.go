@@ -87,7 +87,7 @@ func TestJSONTablesMatchTSV(t *testing.T) {
 					rendered.Rows = append(rendered.Rows, cells)
 				}
 				var block strings.Builder
-				if err := rendered.WriteTSV(&block); err != nil {
+				if err := (srlb.TSV{Tables: []srlb.Table{rendered}}).Render(&block); err != nil {
 					t.Fatal(err)
 				}
 				// The same blanking as the TSV golden's (vipscale's

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"srlb/internal/agent"
 )
@@ -30,10 +29,10 @@ type AblationResult struct {
 	Rows  []ServiceRow
 }
 
-// WriteTSV renders the study; replicated runs gain mean_ci95_s and n
+// TSV is the study as one table; replicated runs gain mean_ci95_s and n
 // columns.
-func (r AblationResult) WriteTSV(w io.Writer) error {
-	return writeTable(w, fmt.Sprintf("Ablation: %s (rho=%.2f)", r.Study, r.Rho),
+func (r AblationResult) TSV() TSV {
+	return oneTable(fmt.Sprintf("Ablation: %s (rho=%.2f)", r.Study, r.Rho),
 		seedCols(r.Seeds, []column[ServiceRow]{
 			colLabel("config"), colMean, colMeanCI, colMedian, colP95, colRefusedCount, colN,
 		}), r.Rows)

@@ -377,14 +377,11 @@ func TestRhoGridAdaptiveBudget(t *testing.T) {
 
 	// The artifacts, as srlb-bench writes them: the TSV, and the p99 and
 	// replicate-spend heatmaps of rhogrid_heatmaps.txt.
-	var tsv strings.Builder
-	if err := res.WriteTSV(&tsv); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(tsv.String(), "\n"); lines != 2+len(res.Rows) {
+	tsv := render(t, res.TSV())
+	if lines := strings.Count(tsv, "\n"); lines != 2+len(res.Rows) {
 		t.Fatalf("TSV has %d lines, want %d", lines, 2+len(res.Rows))
 	}
-	checkGolden(t, "rhogrid.tsv", tsv.String())
+	checkGolden(t, "rhogrid.tsv", tsv)
 	var heat strings.Builder
 	if err := plot.RenderHeatmaps(&heat, maps...); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -206,13 +205,13 @@ func CalibrateCached(cfg CalibrationConfig) CalibrationResult {
 	return e.res
 }
 
-// WriteTSV renders the calibration as rows of (rate, refused).
-func (r CalibrationResult) WriteTSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# lambda0 bootstrap (SS V-A): measured %.1f q/s, theoretical %.1f q/s\n", r.Lambda0, r.Theoretical)
-	t.printf("rate_qps\trefused\tunfinished\n")
-	for _, p := range r.Probes {
-		t.printf("%.1f\t%d\t%d\n", p.RatePerSec, p.Refused, p.Unfinished)
-	}
-	return t.err
+// TSV is the calibration as one table, a row of (rate, refused,
+// unfinished) per probe.
+func (r CalibrationResult) TSV() TSV {
+	return oneTable(fmt.Sprintf("lambda0 bootstrap (SS V-A): measured %.1f q/s, theoretical %.1f q/s", r.Lambda0, r.Theoretical),
+		[]column[CalibrationProbe]{
+			{"rate_qps", func(p CalibrationProbe) string { return fmt.Sprintf("%.1f", p.RatePerSec) }},
+			{"refused", func(p CalibrationProbe) string { return fmt.Sprint(p.Refused) }},
+			{"unfinished", func(p CalibrationProbe) string { return fmt.Sprint(p.Unfinished) }},
+		}, r.Probes)
 }

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"srlb/internal/testbed"
 )
@@ -123,9 +122,9 @@ func churnEvents(churnBy int, drainFrac, growFrac float64) []testbed.Event {
 	return events
 }
 
-// WriteTSV renders the grid: one row per (rho, policy, mode).
-func (r ChurnResult) WriteTSV(w io.Writer) error {
-	return writeTable(w,
+// TSV is the grid as one table: one row per (rho, policy, mode).
+func (r ChurnResult) TSV() TSV {
+	return oneTable(
 		fmt.Sprintf("Pool churn/autoscale: drain+re-add %d servers mid-run; lambda0=%.1f q/s", r.ChurnBy, r.Lambda0),
 		[]column[ServiceRow]{
 			colRho("rho"), colPolicy, colLabel("mode"), colMean, colMeanCI, colP99,

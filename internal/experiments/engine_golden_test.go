@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -17,13 +15,9 @@ import (
 // how a cell is built, pumped, run or drained shows up as a byte diff.
 // Lambda0 is pinned everywhere (no calibration run) and feedback is off.
 
-func goldenTSV(t *testing.T, name string, write func(io.Writer) error) {
+func goldenTSV(t *testing.T, name string, f TSV) {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, name, buf.String())
+	checkGolden(t, name, render(t, f))
 }
 
 var (
@@ -46,11 +40,11 @@ var (
 )
 
 func TestGoldenFig2(t *testing.T) {
-	goldenTSV(t, "fig2.tsv", RunFig2(goldenFig2Config).WriteTSV)
+	goldenTSV(t, "fig2.tsv", RunFig2(goldenFig2Config).TSV())
 }
 
 func TestGoldenBursty(t *testing.T) {
-	goldenTSV(t, "bursty.tsv", RunFig2(goldenBurstyConfig).WriteTSV)
+	goldenTSV(t, "bursty.tsv", RunFig2(goldenBurstyConfig).TSV())
 }
 
 func TestGoldenFig4(t *testing.T) {
@@ -58,7 +52,7 @@ func TestGoldenFig4(t *testing.T) {
 		Base:    Base{Cluster: smallCluster(7), Queries: 2000},
 		Lambda0: 80,
 	})
-	goldenTSV(t, "fig4.tsv", res.WriteTSV)
+	goldenTSV(t, "fig4.tsv", res.TSV())
 }
 
 func TestGoldenFailover(t *testing.T) {
@@ -68,7 +62,7 @@ func TestGoldenFailover(t *testing.T) {
 		RecoverFrac: 0.75,
 		Bins:        10,
 	})
-	goldenTSV(t, "failover.tsv", res.WriteTSV)
+	goldenTSV(t, "failover.tsv", res.TSV())
 }
 
 // The RTO path: silent-drop servers plus client SYN retransmission, the
@@ -83,7 +77,7 @@ func goldenRetransmit() RetransmitResult {
 }
 
 func TestGoldenRetransmit(t *testing.T) {
-	goldenTSV(t, "retransmit.tsv", goldenRetransmit().WriteTSV)
+	goldenTSV(t, "retransmit.tsv", goldenRetransmit().TSV())
 }
 
 // The four studies below are otherwise pinned only in their replicated
@@ -110,25 +104,21 @@ func goldenResilience() ResilienceResult {
 	return RunResilience(ResilienceConfig{Base: Base{Cluster: smallCluster(71), Queries: 2000}, Lambda0: 80})
 }
 
-func TestGoldenHetero(t *testing.T) { goldenTSV(t, "hetero.tsv", goldenHetero().WriteTSV) }
+func TestGoldenHetero(t *testing.T) { goldenTSV(t, "hetero.tsv", goldenHetero().TSV()) }
 
 func TestGoldenAblations(t *testing.T) {
 	results := goldenAblations()
-	goldenTSV(t, "ablations.tsv", func(w io.Writer) error {
-		for _, r := range results {
-			if err := r.WriteTSV(w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		return nil
-	})
+	var f TSV
+	for _, r := range results {
+		f.Tables = append(f.Tables, r.TSV().Tables...)
+	}
+	goldenTSV(t, "ablations.tsv", f)
 }
 
-func TestGoldenChurn(t *testing.T) { goldenTSV(t, "churn.tsv", goldenChurn().WriteTSV) }
+func TestGoldenChurn(t *testing.T) { goldenTSV(t, "churn.tsv", goldenChurn().TSV()) }
 
 func TestGoldenResilience(t *testing.T) {
-	goldenTSV(t, "resilience.tsv", goldenResilience().WriteTSV)
+	goldenTSV(t, "resilience.tsv", goldenResilience().TSV())
 }
 
 // TestStudySummaries pins what cmd/srlb-bench prints in the summary lines
@@ -232,24 +222,20 @@ func goldenWiki() WikiResult {
 
 func TestGoldenWiki(t *testing.T) {
 	res := goldenWiki()
-	goldenTSV(t, "wiki_fig6.tsv", res.WriteFig6TSV)
-	goldenTSV(t, "wiki_fig7.tsv", res.WriteFig7TSV)
-	goldenTSV(t, "wiki_fig8.tsv", res.WriteFig8TSV)
+	goldenTSV(t, "wiki_fig6.tsv", res.Fig6())
+	goldenTSV(t, "wiki_fig7.tsv", res.Fig7())
+	goldenTSV(t, "wiki_fig8.tsv", res.Fig8())
 }
 
-// WriteSummary minus the lines that depend on the host (heap, wall
+// Summary minus the lines that depend on the host (heap, wall
 // clock): what is left is the simulation's own outcome.
 func TestGoldenHorizonSummary(t *testing.T) {
 	res, err := RunHorizon(context.Background(), horizonCfg(20000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := res.WriteSummary(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var kept []string
-	for _, line := range strings.Split(buf.String(), "\n") {
+	for _, line := range strings.Split(res.Summary(), "\n") {
 		key, _, _ := strings.Cut(line, "\t")
 		if key == "peak_heap_mb" || key == "wall" || key == "qps" {
 			continue

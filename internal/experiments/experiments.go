@@ -5,8 +5,8 @@
 // Algorithm 2's window, §IV-C backlog and abort-on-overflow).
 //
 // Every figure has a Run function that returns structured rows and a
-// WriteTSV method that renders the rows the paper plots, so
-// cmd/srlb-bench can regenerate each artifact as TSV.
+// method that returns the rows the paper plots as a TSV value (tsv.go
+// renders every one), so cmd/srlb-bench can regenerate each artifact.
 //
 // Every cell of every experiment runs through the one open-loop replay
 // engine in replay.go; workloads differ only in the topology, the

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"runtime"
 	"strings"
@@ -89,11 +88,8 @@ func TestCalibrateFindsDropOnset(t *testing.T) {
 	if len(cal.Probes) < 3 {
 		t.Fatalf("only %d probes", len(cal.Probes))
 	}
-	var buf bytes.Buffer
-	if err := cal.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "rate_qps") {
+	tsv := render(t, cal.TSV())
+	if !strings.Contains(tsv, "rate_qps") {
 		t.Fatal("TSV header missing")
 	}
 }
@@ -128,11 +124,7 @@ func TestFig2ShapeAndTSV(t *testing.T) {
 	if _, err := res.Improvement("nope", 0.5); err == nil {
 		t.Fatal("unknown policy should error")
 	}
-	var buf bytes.Buffer
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, res.TSV())
 	if !strings.Contains(out, "rho\tRR\tSR 4") {
 		t.Fatalf("TSV header wrong:\n%s", out)
 	}
@@ -146,7 +138,6 @@ func TestCDFResult(t *testing.T) {
 		Base:     Base{Cluster: smallCluster(5), Queries: 4000},
 		Rho:      0.7,
 		Policies: []PolicySpec{RR(), SRc(4)},
-		Points:   50,
 	})
 	if len(res.RT) != 2 {
 		t.Fatal("wrong number of recorders")
@@ -156,11 +147,8 @@ func TestCDFResult(t *testing.T) {
 			t.Fatalf("too few completions: %d", r.Count())
 		}
 	}
-	var buf bytes.Buffer
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "cdf_RR") || !strings.Contains(buf.String(), "cdf_SR 4") {
+	tsv := render(t, res.TSV())
+	if !strings.Contains(tsv, "cdf_RR") || !strings.Contains(tsv, "cdf_SR 4") {
 		t.Fatal("CDF TSV missing policy blocks")
 	}
 }
@@ -201,11 +189,8 @@ func TestFig4FairnessOrdering(t *testing.T) {
 	if _, err := res.MeanFairness("nope"); err == nil {
 		t.Fatal("unknown policy should error")
 	}
-	var buf bytes.Buffer
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "fairness_RR") {
+	tsv := render(t, res.TSV())
+	if !strings.Contains(tsv, "fairness_RR") {
 		t.Fatal("fig4 TSV missing series")
 	}
 }
@@ -248,16 +233,8 @@ func TestWikiReplayShapes(t *testing.T) {
 		}
 	}
 
-	for _, emit := range []func(*bytes.Buffer) error{
-		func(b *bytes.Buffer) error { return res.WriteFig6TSV(b) },
-		func(b *bytes.Buffer) error { return res.WriteFig7TSV(b) },
-		func(b *bytes.Buffer) error { return res.WriteFig8TSV(b) },
-	} {
-		var buf bytes.Buffer
-		if err := emit(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf.Len() == 0 {
+	for _, fig := range []TSV{res.Fig6(), res.Fig7(), res.Fig8()} {
+		if render(t, fig) == "" {
 			t.Fatal("empty TSV")
 		}
 	}
@@ -325,11 +302,8 @@ func TestAblationCandidates(t *testing.T) {
 	if k2 >= k1 {
 		t.Fatalf("k=2 (%v) not better than k=1 (%v)", k2, k1)
 	}
-	var buf bytes.Buffer
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "k=1 (RR)") {
+	tsv := render(t, res.TSV())
+	if !strings.Contains(tsv, "k=1 (RR)") {
 		t.Fatal("ablation TSV missing rows")
 	}
 }

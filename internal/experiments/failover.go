@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"srlb/internal/agent"
@@ -256,24 +255,24 @@ func aggregateFailoverBins(binW time.Duration, bins int, timelines [][]failoverB
 	return out
 }
 
-// WriteTSV renders the transient: one block per mode, one row per bin.
-func (r FailoverResult) WriteTSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# LB-replica failover transient: rho=%.2f, %d replicas, kill t=%.1fs",
-		r.Rho, r.Replicas, r.KillAt.Seconds())
+// TSV is the transient: one table per mode, one row per bin.
+func (r FailoverResult) TSV() TSV {
+	f := TSV{Heading: fmt.Sprintf("LB-replica failover transient: rho=%.2f, %d replicas, kill t=%.1fs",
+		r.Rho, r.Replicas, r.KillAt.Seconds())}
 	if r.RecoverAt > 0 {
-		t.printf(", recover t=%.1fs", r.RecoverAt.Seconds())
+		f.Heading += fmt.Sprintf(", recover t=%.1fs", r.RecoverAt.Seconds())
 	}
-	t.printf("; lambda0=%.1f q/s\n", r.Lambda0)
+	f.Heading += fmt.Sprintf("; lambda0=%.1f q/s", r.Lambda0)
+	cols := []column[FailoverBin]{
+		{"t_s", func(b FailoverBin) string { return fmt.Sprintf("%.2f", b.Start.Seconds()) }},
+		{"mean_rt_s", func(b FailoverBin) string { return fmt.Sprintf("%.4f", b.MeanRT) }},
+		{"mean_rt_ci95", func(b FailoverBin) string { return fmt.Sprintf("%.4f", b.MeanRTCI95) }},
+		{"failed_frac", func(b FailoverBin) string { return fmt.Sprintf("%.4f", b.FailedFrac) }},
+		{"failed_frac_ci95", func(b FailoverBin) string { return fmt.Sprintf("%.4f", b.FailedFracCI95) }},
+	}
 	for _, m := range r.Modes {
-		t.printf("# mode: %s (n=%d seeds, ok=%.4f refused=%.0f unfinished=%.0f)\n",
-			m.Variant, m.N, m.OKFrac, m.Refused, m.Unfinished)
-		t.printf("t_s\tmean_rt_s\tmean_rt_ci95\tfailed_frac\tfailed_frac_ci95\n")
-		for _, b := range m.Bins {
-			t.printf("%.2f\t%.4f\t%.4f\t%.4f\t%.4f\n",
-				b.Start.Seconds(), b.MeanRT, b.MeanRTCI95, b.FailedFrac, b.FailedFracCI95)
-		}
-		t.printf("\n")
+		f.Tables = append(f.Tables, newTable("", fmt.Sprintf("mode: %s (n=%d seeds, ok=%.4f refused=%.0f unfinished=%.0f)",
+			m.Variant, m.N, m.OKFrac, m.Refused, m.Unfinished), cols, m.Bins))
 	}
-	return t.err
+	return f
 }

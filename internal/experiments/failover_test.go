@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"reflect"
 	"slices"
@@ -135,11 +134,8 @@ func TestFailoverMaglevVsRandom(t *testing.T) {
 		t.Fatalf("random mode did not improve once single-replica: pre=%.2f post=%.2f", preKill, postKill)
 	}
 	// And the TSV renders one block per mode.
-	var buf bytes.Buffer
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), "# mode:"); got != 2 {
+	tsv := render(t, res.TSV())
+	if got := strings.Count(tsv, "# mode:"); got != 2 {
 		t.Fatalf("TSV has %d mode blocks, want 2", got)
 	}
 }
@@ -219,11 +215,8 @@ func TestChurnSweep(t *testing.T) {
 	if _, err := res.ChurnPenalty("SR 4", 0.6); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 2+4 { // header comment + column row + 4 rows
+	tsv := render(t, res.TSV())
+	if lines := strings.Count(tsv, "\n"); lines != 2+4 { // header comment + column row + 4 rows
 		t.Fatalf("TSV line count = %d", lines)
 	}
 }
@@ -243,15 +236,9 @@ func TestBurstySweepMatchesPoissonRowFormat(t *testing.T) {
 	bursty.Workload = OneService(BurstyService{Lambda0: 80, Queries: 800})
 	burstyRes := RunFig2(bursty)
 
-	var pBuf, bBuf bytes.Buffer
-	if err := poisson.WriteTSV(&pBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := burstyRes.WriteTSV(&bBuf); err != nil {
-		t.Fatal(err)
-	}
-	pLines := strings.Split(strings.TrimRight(pBuf.String(), "\n"), "\n")
-	bLines := strings.Split(strings.TrimRight(bBuf.String(), "\n"), "\n")
+	pTSV, bTSV := render(t, poisson.TSV()), render(t, burstyRes.TSV())
+	pLines := strings.Split(strings.TrimRight(pTSV, "\n"), "\n")
+	bLines := strings.Split(strings.TrimRight(bTSV, "\n"), "\n")
 	if len(pLines) != len(bLines) {
 		t.Fatalf("line counts differ: %d vs %d", len(pLines), len(bLines))
 	}
@@ -265,7 +252,7 @@ func TestBurstySweepMatchesPoissonRowFormat(t *testing.T) {
 			t.Fatalf("row %d column counts differ: %d vs %d", i, pc, bc)
 		}
 	}
-	if !strings.Contains(bBuf.String(), "bursty") {
+	if !strings.Contains(bTSV, "bursty") {
 		t.Fatal("bursty TSV title does not name the workload")
 	}
 }

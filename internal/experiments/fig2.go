@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -152,40 +151,29 @@ func RunFig2(cfg Fig2Config) Fig2Result {
 	return res
 }
 
-// WriteTSV renders the figure's series: one row per ρ, one mean-response
-// column per policy (matching the paper's axes: load factor vs mean
-// response time in seconds). A replicated sweep (more than one seed)
-// adds a <policy>_ci95 half-width column next to every mean.
-func (r Fig2Result) WriteTSV(w io.Writer) error {
+// TSV is the figure's series as one table: one row per ρ, one
+// mean-response column per policy (matching the paper's axes: load
+// factor vs mean response time in seconds). A replicated sweep (more
+// than one seed) adds a <policy>_ci95 half-width column next to every
+// mean.
+func (r Fig2Result) TSV() TSV {
 	replicated := len(r.Seeds) > 1
 	title := "Figure 2"
 	if r.WorkloadLabel != "" {
 		title = r.WorkloadLabel + " sweep"
 	}
-	t := tsvWriter{w: w}
-	t.printf("# %s: mean response time (s) vs normalized load; lambda0=%.1f q/s", title, r.Lambda0)
+	comment := fmt.Sprintf("%s: mean response time (s) vs normalized load; lambda0=%.1f q/s", title, r.Lambda0)
 	if replicated {
-		t.printf("; n=%d seeds, ci = Student-t 95%% half-width", len(r.Seeds))
+		comment += fmt.Sprintf("; n=%d seeds, ci = Student-t 95%% half-width", len(r.Seeds))
 	}
-	t.printf("\nrho")
-	for _, p := range r.Policies {
-		t.printf("\t%s", p.Name)
+	cols := []column[int]{{"rho", func(ri int) string { return fmt.Sprintf("%.2f", r.Rhos[ri]) }}}
+	for pi, p := range r.Policies {
+		cols = append(cols, column[int]{p.Name, func(ri int) string { return metrics.FormatDuration(r.Points[pi][ri].Mean) }})
 		if replicated {
-			t.printf("\t%s_ci95", p.Name)
+			cols = append(cols, column[int]{p.Name + "_ci95", func(ri int) string { return metrics.FormatDuration(r.Points[pi][ri].MeanCI95) }})
 		}
 	}
-	t.printf("\n")
-	for ri, rho := range r.Rhos {
-		t.printf("%.2f", rho)
-		for pi := range r.Policies {
-			t.printf("\t%s", metrics.FormatDuration(r.Points[pi][ri].Mean))
-			if replicated {
-				t.printf("\t%s", metrics.FormatDuration(r.Points[pi][ri].MeanCI95))
-			}
-		}
-		t.printf("\n")
-	}
-	return t.err
+	return oneTable(comment, cols, indices(len(r.Rhos)))
 }
 
 // Improvement returns the RR/policy mean-RT ratio at the ρ closest to the

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"srlb/internal/metrics"
@@ -174,34 +173,28 @@ func aggregateTimelines(timelines [][]Fig4Sample) []Fig4Sample {
 	return out
 }
 
-// WriteTSV emits two blocks per policy — the figure's two stacked plots:
-// (time, smoothed mean busy workers) and (time, smoothed fairness). A
-// replicated run appends the per-point 95% CI half-width columns.
-func (r Fig4Result) WriteTSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# Figure 4: instantaneous server load (mean, fairness), rho=%.2f\n", r.Rho)
+// TSV is one table per policy, each holding the figure's two stacked
+// plots: (time, smoothed mean busy workers) and (time, smoothed
+// fairness). A replicated run appends the per-point 95% CI half-width
+// columns.
+func (r Fig4Result) TSV() TSV {
+	f := TSV{Heading: fmt.Sprintf("Figure 4: instantaneous server load (mean, fairness), rho=%.2f", r.Rho)}
 	for _, s := range r.Series {
-		replicated := s.N > 1
-		if replicated {
-			t.printf("# policy: %s (mean over %d seeds)\n", s.Spec.Name, s.N)
-		} else {
-			t.printf("# policy: %s\n", s.Spec.Name)
+		comment := "policy: " + s.Spec.Name
+		cols := []column[Fig4Sample]{
+			{"t_s", func(p Fig4Sample) string { return fmt.Sprintf("%.1f", p.At.Seconds()) }},
+			{"mean_busy_" + s.Spec.Name, func(p Fig4Sample) string { return fmt.Sprintf("%.3f", p.MeanBusy) }},
+			{"fairness_" + s.Spec.Name, func(p Fig4Sample) string { return fmt.Sprintf("%.4f", p.Fairness) }},
 		}
-		t.printf("t_s\tmean_busy_%s\tfairness_%s", s.Spec.Name, s.Spec.Name)
-		if replicated {
-			t.printf("\tmean_busy_ci95\tfairness_ci95")
+		if s.N > 1 {
+			comment += fmt.Sprintf(" (mean over %d seeds)", s.N)
+			cols = append(cols,
+				column[Fig4Sample]{"mean_busy_ci95", func(p Fig4Sample) string { return fmt.Sprintf("%.3f", p.MeanBusyCI95) }},
+				column[Fig4Sample]{"fairness_ci95", func(p Fig4Sample) string { return fmt.Sprintf("%.4f", p.FairnessCI95) }})
 		}
-		t.printf("\n")
-		for _, p := range s.Samples {
-			t.printf("%.1f\t%.3f\t%.4f", p.At.Seconds(), p.MeanBusy, p.Fairness)
-			if replicated {
-				t.printf("\t%.3f\t%.4f", p.MeanBusyCI95, p.FairnessCI95)
-			}
-			t.printf("\n")
-		}
-		t.printf("\n")
+		f.Tables = append(f.Tables, newTable("", comment, cols, s.Samples))
 	}
-	return t.err
+	return f
 }
 
 // MeanFairness averages the smoothed fairness over the middle 80% of a

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"context"
-	"io"
+	"fmt"
 	"time"
 
 	"srlb/internal/metrics"
@@ -21,9 +21,11 @@ type CDFConfig struct {
 	// Lambda0 normalizes ρ (0 ⇒ measured first).
 	Lambda0  float64
 	Policies []PolicySpec
-	// Points bounds the emitted CDF resolution (default 200).
-	Points int
 }
+
+// cdfPoints bounds the resolution of every emitted CDF (figures 3, 5
+// and 8).
+const cdfPoints = 200
 
 // CDFBand is the across-seed confidence band of one policy's CDF: at
 // each cumulative fraction, the mean of the per-seed quantile curves
@@ -48,8 +50,6 @@ type CDFResult struct {
 	// Bands[i] is the across-seed CDF band for Policies[i]; nil when
 	// the sweep ran a single seed.
 	Bands []CDFBand
-	// Points is the CDF resolution for WriteTSV.
-	Points int
 }
 
 // RunCDF executes the experiment at cfg.Rho: a one-load-point Sweep over
@@ -59,9 +59,6 @@ func RunCDF(cfg CDFConfig) CDFResult {
 	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 	if len(cfg.Policies) == 0 {
 		cfg.Policies = PaperPolicies()
-	}
-	if cfg.Points == 0 {
-		cfg.Points = 200
 	}
 
 	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
@@ -74,7 +71,7 @@ func RunCDF(cfg CDFConfig) CDFResult {
 	agg := sweep.Aggregate()
 
 	res := CDFResult{Rho: cfg.Rho, Lambda0: cfg.Lambda0, Policies: cfg.Policies,
-		Seeds: sweep.Seeds, Points: cfg.Points}
+		Seeds: sweep.Seeds}
 	replicated := len(sweep.Seeds) > 1
 	for pi := range cfg.Policies {
 		pooled := sketch.New()
@@ -87,9 +84,9 @@ func RunCDF(cfg CDFConfig) CDFResult {
 		}
 		// The band is evaluated at the exact fractions the pooled CDF
 		// will emit (Histogram.CDF clamps its point count to the sample
-		// count), so WriteTSV's row-by-row pairing stays aligned.
+		// count), so the TSV's row-by-row pairing stays aligned.
 		var curves [][]time.Duration // per-seed quantile curves
-		fractions := cdfFractions(pooled, cfg.Points)
+		fractions := cdfFractions(pooled)
 		if replicated {
 			for si := range sweep.Seeds {
 				cell := sweep.Cell(pi, 0, si)
@@ -110,10 +107,10 @@ func RunCDF(cfg CDFConfig) CDFResult {
 	return res
 }
 
-// cdfFractions returns the cumulative fractions pooled.CDF(points) will
-// emit, so band rows and CDF rows share one grid.
-func cdfFractions(pooled *sketch.Histogram, points int) []float64 {
-	pts := pooled.CDF(points)
+// cdfFractions returns the cumulative fractions pooled.CDF(cdfPoints)
+// will emit, so band rows and CDF rows share one grid.
+func cdfFractions(pooled *sketch.Histogram) []float64 {
+	pts := pooled.CDF(cdfPoints)
 	out := make([]float64, len(pts))
 	for i, pt := range pts {
 		out[i] = pt.Fraction
@@ -160,40 +157,36 @@ func RunFig5(cfg CDFConfig) CDFResult {
 	return RunCDF(cfg)
 }
 
-// WriteTSV emits per-policy CDF blocks: rows of (response time in seconds,
+// TSV is one CDF table per policy: rows of (response time in seconds,
 // cumulative fraction) — the axes of figures 3 and 5. A replicated run
 // (more than one seed) pools all seeds into the rt_s column and appends
 // the across-seed band: rt_mean_s ± the Student-t 95% interval.
-func (r CDFResult) WriteTSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# CDF of response time at rho=%.2f (lambda0=%.1f q/s)\n", r.Rho, r.Lambda0)
+func (r CDFResult) TSV() TSV {
+	f := TSV{Heading: fmt.Sprintf("CDF of response time at rho=%.2f (lambda0=%.1f q/s)", r.Rho, r.Lambda0)}
 	for i, spec := range r.Policies {
-		t.printf("# policy: %s (n=%d, median=%s", spec.Name, r.RT[i].Count(), metrics.FormatDuration(r.RT[i].Median()))
+		comment := fmt.Sprintf("policy: %s (n=%d, median=%s", spec.Name, r.RT[i].Count(), metrics.FormatDuration(r.RT[i].Median()))
 		if len(r.Stats) > i && r.Stats[i].N() > 1 {
-			t.printf(" ± %s over %d seeds", metrics.FormatDuration(secDur(r.Stats[i].Median.Dist.ReportedCI95())), r.Stats[i].N())
+			comment += fmt.Sprintf(" ± %s over %d seeds", metrics.FormatDuration(secDur(r.Stats[i].Median.Dist.ReportedCI95())), r.Stats[i].N())
 		}
-		t.printf(")\n")
-		banded := len(r.Bands) > i && len(r.Bands[i].Fraction) > 0
-		t.printf("rt_s\tcdf_%s", spec.Name)
-		if banded {
-			t.printf("\trt_mean_s\trt_lo_s\trt_hi_s")
+		pts := r.RT[i].CDF(cdfPoints)
+		cols := cdfCols(spec.Name, pts)
+		if len(r.Bands) > i && len(r.Bands[i].Fraction) > 0 {
+			band := r.Bands[i]
+			cols = append(cols,
+				column[int]{"rt_mean_s", func(pi int) string { return metrics.FormatDuration(band.Mid[pi]) }},
+				column[int]{"rt_lo_s", func(pi int) string { return metrics.FormatDuration(band.Lo[pi]) }},
+				column[int]{"rt_hi_s", func(pi int) string { return metrics.FormatDuration(band.Hi[pi]) }})
 		}
-		t.printf("\n")
-		band := CDFBand{}
-		if banded {
-			band = r.Bands[i]
-		}
-		for pi, pt := range r.RT[i].CDF(r.Points) {
-			t.printf("%s\t%.4f", metrics.FormatDuration(pt.Value), pt.Fraction)
-			if banded && pi < len(band.Fraction) {
-				t.printf("\t%s\t%s\t%s",
-					metrics.FormatDuration(band.Mid[pi]),
-					metrics.FormatDuration(band.Lo[pi]),
-					metrics.FormatDuration(band.Hi[pi]))
-			}
-			t.printf("\n")
-		}
-		t.printf("\n")
+		f.Tables = append(f.Tables, newTable("", comment+")", cols, indices(len(pts))))
 	}
-	return t.err
+	return f
+}
+
+// cdfCols are the columns of a CDF table whose rows index pts: the
+// response time in seconds and the cumulative fraction.
+func cdfCols(policy string, pts []sketch.CDFPoint) []column[int] {
+	return []column[int]{
+		{"rt_s", func(pi int) string { return metrics.FormatDuration(pts[pi].Value) }},
+		{"cdf_" + policy, func(pi int) string { return fmt.Sprintf("%.4f", pts[pi].Fraction) }},
+	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"srlb/internal/sketch"
@@ -57,6 +58,10 @@ const classWiki = 1
 // wikiBinWidth is the report bin in trace time, the paper's 10 minutes.
 const wikiBinWidth = 10 * time.Minute
 
+// MaxWikiCompression is the largest day compression that leaves a
+// report bin at least 1ns of replay time.
+const MaxWikiCompression = float64(wikiBinWidth)
+
 // WikiWorkload replays the synthetic Wikipedia day (§VI) — diurnal NHPP
 // arrivals, Zipf page popularity, per-replica memcached models — as the
 // cell's one service (WikiService), accounting per query class and per
@@ -76,7 +81,11 @@ func (w WikiWorkload) Label() string { return WikiService{Day: w.Day}.Label() }
 func (w WikiWorkload) Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, _ float64) (CellOutcome, error) {
 	svc := &wikiCell{WikiService: WikiService{Day: w.Day}}
 	span := checkSpan(svc, 1, svc.Span(1))
-	bins := sketch.NewTimeBins(w.Day.Virtual(wikiBinWidth), span)
+	width := w.Day.Virtual(wikiBinWidth)
+	if width <= 0 {
+		panic(fmt.Sprintf("experiments: %s has no report bin (compression must be at most %g)", w.Label(), MaxWikiCompression))
+	}
+	bins := sketch.NewTimeBins(width, span)
 	run := WikiRun{
 		Spec:      spec,
 		WikiBins:  bins,

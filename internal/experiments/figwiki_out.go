@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"srlb/internal/metrics"
@@ -19,75 +18,61 @@ func (r WikiResult) binLabel(binIdx int, bins *sketch.TimeBins) string {
 	return fmt.Sprintf("%02d:%02d", h, m)
 }
 
-// WriteFig6TSV emits figure 6: the wiki-page query rate and the median
-// wiki-page load time per 10-minute bin, for every policy.
-func (r WikiResult) WriteFig6TSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# Figure 6: wiki replay — query rate and median load time per bin\n")
-	t.printf("time\trate_qps")
+// Fig6 is figure 6 as one table: the wiki-page query rate and the
+// median wiki-page load time per 10-minute bin, for every policy.
+func (r WikiResult) Fig6() TSV {
+	var rows []int
+	if len(r.Runs) > 0 {
+		rows = indices(r.Runs[0].WikiBins.NumBins())
+	}
+	// The rate axis reports trace-time q/s; compression preserves rates,
+	// so the virtual bin rate is the real one.
+	cols := []column[int]{
+		{"time", func(i int) string { return r.binLabel(i, r.Runs[0].WikiBins) }},
+		{"rate_qps", func(i int) string { return fmt.Sprintf("%.1f", r.Runs[0].Rate(i)) }},
+	}
 	for _, run := range r.Runs {
-		t.printf("\tmedian_s_%s", run.Spec.Name)
+		cols = append(cols, column[int]{"median_s_" + run.Spec.Name, func(i int) string {
+			return metrics.FormatDuration(run.WikiBins.Bin(i).Median())
+		}})
 	}
-	t.printf("\n")
-	if len(r.Runs) == 0 {
-		return t.err
-	}
-	ref := r.Runs[0]
-	for i := 0; i < ref.WikiBins.NumBins(); i++ {
-		// The rate axis reports trace-time q/s; compression preserves
-		// rates, so the virtual bin rate is the real one.
-		t.printf("%s\t%.1f", r.binLabel(i, ref.WikiBins), ref.Rate(i))
-		for _, run := range r.Runs {
-			t.printf("\t%s", metrics.FormatDuration(run.WikiBins.Bin(i).Median()))
-		}
-		t.printf("\n")
-	}
-	return t.err
+	return oneTable("Figure 6: wiki replay — query rate and median load time per bin", cols, rows)
 }
 
-// WriteFig7TSV emits figure 7: deciles 1–9 of the wiki-page load time per
-// bin, one block per policy.
-func (r WikiResult) WriteFig7TSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# Figure 7: wiki replay — load-time deciles 1..9 per bin\n")
+// Fig7 is figure 7: deciles 1–9 of the wiki-page load time per bin, one
+// table per policy.
+func (r WikiResult) Fig7() TSV {
+	f := TSV{Heading: "Figure 7: wiki replay — load-time deciles 1..9 per bin"}
 	for _, run := range r.Runs {
-		t.printf("# policy: %s\n", run.Spec.Name)
-		t.printf("time")
-		for d := 1; d <= 9; d++ {
-			t.printf("\td%d_s", d)
+		deciles := make([][9]time.Duration, run.WikiBins.NumBins())
+		for i := range deciles {
+			deciles[i] = run.WikiBins.Bin(i).Deciles()
 		}
-		t.printf("\n")
-		for i := 0; i < run.WikiBins.NumBins(); i++ {
-			t.printf("%s", r.binLabel(i, run.WikiBins))
-			for _, q := range run.WikiBins.Bin(i).Deciles() {
-				t.printf("\t%s", metrics.FormatDuration(q))
-			}
-			t.printf("\n")
+		cols := []column[int]{{"time", func(i int) string { return r.binLabel(i, run.WikiBins) }}}
+		for d := range 9 {
+			cols = append(cols, column[int]{fmt.Sprintf("d%d_s", d+1), func(i int) string {
+				return metrics.FormatDuration(deciles[i][d])
+			}})
 		}
-		t.printf("\n")
+		f.Tables = append(f.Tables, newTable("", "policy: "+run.Spec.Name, cols, indices(len(deciles))))
 	}
-	return t.err
+	return f
 }
 
-// WriteFig8TSV emits figure 8: the CDF of wiki-page load time over the
-// whole day per policy, with the paper's summary stats (median and third
-// quartile) in the header.
-func (r WikiResult) WriteFig8TSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# Figure 8: wiki replay — CDF of wiki page load time over the whole day\n")
+// Fig8 is figure 8: the CDF of wiki-page load time over the whole day,
+// one table per policy, with the paper's summary stats (median and third
+// quartile) in its comment.
+func (r WikiResult) Fig8() TSV {
+	f := TSV{Heading: "Figure 8: wiki replay — CDF of wiki page load time over the whole day"}
 	for _, run := range r.Runs {
-		t.printf("# policy: %s median=%s q3=%s n=%d\n",
+		pts := run.WikiAll.CDF(cdfPoints)
+		f.Tables = append(f.Tables, newTable("", fmt.Sprintf("policy: %s median=%s q3=%s n=%d",
 			run.Spec.Name,
 			metrics.FormatDuration(run.WikiAll.Median()),
 			metrics.FormatDuration(run.WikiAll.Quantile(0.75)),
-			run.WikiAll.Count())
-		t.printf("rt_s\tcdf_%s\n", run.Spec.Name)
-		for _, pt := range run.WikiAll.CDF(200) {
-			t.printf("%s\t%.4f\n", metrics.FormatDuration(pt.Value), pt.Fraction)
-		}
-		t.printf("\n")
+			run.WikiAll.Count()), cdfCols(run.Spec.Name, pts), indices(len(pts))))
 	}
-	return t.err
+	return f
 }
 
 // Summary compares the paper's headline figure-8 numbers: the overall

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"srlb/internal/appserver"
 	"srlb/internal/stats"
@@ -115,9 +114,9 @@ func RunHetero(cfg HeteroConfig) HeteroResult {
 	return res
 }
 
-// WriteTSV renders the study; replicated runs gain mean_ci95_s,
+// TSV is the study as one table; replicated runs gain mean_ci95_s,
 // slow_share_ci95 and n columns.
-func (r HeteroResult) WriteTSV(w io.Writer) error {
+func (r HeteroResult) TSV() TSV {
 	share := func(header string, v func(HeteroRow) float64) column[HeteroRow] {
 		return column[HeteroRow]{header, func(r HeteroRow) string { return fmt.Sprintf("%.3f", v(r)) }}
 	}
@@ -126,7 +125,7 @@ func (r HeteroResult) WriteTSV(w io.Writer) error {
 		share("slow_share", func(r HeteroRow) float64 { return r.SlowShare }),
 		share("slow_share_ci95", func(r HeteroRow) float64 { return r.SlowShareCI95 }))
 	cols = append(cols, lift(HeteroRow.base, colRefusedCount, colN)...)
-	return writeTable(w,
+	return oneTable(
 		fmt.Sprintf("Extension: heterogeneous cluster (%d/%d slow servers, capacity share %.3f), rho=%.2f",
 			r.SlowServers, r.TotalServers, r.CapacityShare, r.Rho),
 		seedCols(r.Seeds, cols), r.Rows)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -35,11 +34,8 @@ func TestHeteroSheddingToFastServers(t *testing.T) {
 		t.Fatalf("SR4 slow share %.3f not below RR's %.3f", sr.SlowShare, rr.SlowShare)
 	}
 
-	var buf bytes.Buffer
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "heterogeneous") {
+	tsv := render(t, res.TSV())
+	if !strings.Contains(tsv, "heterogeneous") {
 		t.Fatal("TSV header missing")
 	}
 }

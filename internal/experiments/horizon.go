@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"context"
-	"io"
+	"fmt"
 	"runtime"
 	"time"
 
@@ -173,14 +173,13 @@ func (s *sampledStream) Next() (time.Duration, testbed.Query, bool) {
 	return s.ServiceStream.Next()
 }
 
-// WriteSummary renders the run human-readably, one stat per line.
-func (r HorizonResult) WriteSummary(w io.Writer) error {
+// Summary is the run human-readably, one key/value stat per line.
+func (r HorizonResult) Summary() string {
 	okFrac := 0.0
 	if r.Counters.Offered > 0 {
 		okFrac = float64(r.Counters.OK) / float64(r.Counters.Offered)
 	}
-	t := tsvWriter{w: w}
-	t.printf("queries\t%d\npolicy\t%s\nrho\t%.2f\nlambda0\t%.1f\n"+
+	return fmt.Sprintf("queries\t%d\npolicy\t%s\nrho\t%.2f\nlambda0\t%.1f\n"+
 		"ok\t%d (%.4f)\nrefused\t%d\nunfinished\t%d\n"+
 		"mean_ms\t%.3f\np50_ms\t%.3f\np99_ms\t%.3f\nmax_ms\t%.3f\n"+
 		"peak_heap_mb\t%.1f\nevents\t%d\nsim_time\t%s\nwall\t%s\nqps\t%.0f\n",
@@ -189,7 +188,6 @@ func (r HorizonResult) WriteSummary(w io.Writer) error {
 		durMS(r.RT.Mean()), durMS(r.RT.Median()), durMS(r.RT.Quantile(0.99)), durMS(r.RT.Max()),
 		float64(r.PeakHeap)/(1<<20), r.Events, r.SimTime.Round(time.Millisecond), r.Wall.Round(time.Millisecond),
 		r.QPS())
-	return t.err
 }
 
 func durMS(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -17,7 +17,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"srlb/internal/plot"
@@ -166,16 +165,16 @@ func (r InterferenceResult) PlotFacets() []plot.Facet {
 	return facets
 }
 
-// WriteTSV renders the grid: one row per (batch_rho, policy, service),
-// the aggregate first.
-func (r InterferenceResult) WriteTSV(w io.Writer) error {
+// TSV is the grid as one table: one row per (batch_rho, policy,
+// service), the aggregate first.
+func (r InterferenceResult) TSV() TSV {
 	cols := append(
 		lift(InterferenceRow.base, colRho("batch_rho"), colPolicy, colService, colSvcRho, colOffered,
 			colMean, colMeanCI, colP99, colP99CI, colOKFrac, colOKCI),
 		column[InterferenceRow]{"p99_degradation", func(r InterferenceRow) string { return fmt.Sprintf("%.2f", r.P99Degradation) }},
 		column[InterferenceRow]{"ok_drop", func(r InterferenceRow) string { return fmt.Sprintf("%.4f", r.OKDrop) }})
 	cols = append(cols, lift(InterferenceRow.base, colRefused, colUnfin, colN)...)
-	return writeTable(w,
+	return oneTable(
 		fmt.Sprintf("Cross-service interference on one shared pool: web pinned at rho=%.2f, batch swept; lambda0=%.1f q/s", r.WebRho, r.Lambda0),
 		cols, r.Rows)
 }

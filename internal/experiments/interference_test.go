@@ -244,14 +244,11 @@ func TestRunInterferenceSmall(t *testing.T) {
 	if _, err := res.VictimDegradation("RR"); err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 2+len(res.Rows) {
+	tsv := render(t, res.TSV())
+	if lines := strings.Count(tsv, "\n"); lines != 2+len(res.Rows) {
 		t.Fatalf("TSV has %d lines, want %d", lines, 2+len(res.Rows))
 	}
-	checkGolden(t, "interference.tsv", buf.String())
+	checkGolden(t, "interference.tsv", tsv)
 	facets := res.PlotFacets()
 	if len(facets) != 2 {
 		t.Fatalf("PlotFacets returned %d facets, want 2", len(facets))

@@ -22,7 +22,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"strings"
 	"time"
@@ -652,10 +651,10 @@ func (r MultiServiceResult) PlotSeries(service string) []plot.Series {
 	return policySeries(r.Rows, ServiceRow.base, "", service, ServiceRow.meanAndCI95)
 }
 
-// WriteTSV renders the grid: one row per (rho, policy, service), the
+// TSV is the grid as one table: one row per (rho, policy, service), the
 // aggregate first.
-func (r MultiServiceResult) WriteTSV(w io.Writer) error {
-	return writeTable(w,
+func (r MultiServiceResult) TSV() TSV {
+	return oneTable(
 		fmt.Sprintf("Multi-service run: %s sharing the LB; lambda0=%.1f q/s (web VIP)", strings.Join(r.Services, "+"), r.Lambda0),
 		[]column[ServiceRow]{
 			colRho("rho"), colPolicy, colService, colOffered, colMean, colMeanCI, colP50, colP99,

@@ -210,15 +210,12 @@ func TestRunMultiServiceSmall(t *testing.T) {
 	if _, err := res.Improvement("SR 4", "web", 0.7); err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(buf.String(), "\n")
+	tsv := render(t, res.TSV())
+	lines := strings.Count(tsv, "\n")
 	if lines != 2+len(res.Rows) { // header comment + column header + rows
 		t.Fatalf("TSV has %d lines, want %d", lines, 2+len(res.Rows))
 	}
-	checkGolden(t, "multiservice.tsv", buf.String())
+	checkGolden(t, "multiservice.tsv", tsv)
 	if series := res.PlotSeries("web"); len(series) != 2 {
 		t.Fatalf("PlotSeries returned %d series, want 2", len(series))
 	}

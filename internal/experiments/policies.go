@@ -21,7 +21,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"srlb/internal/feedback"
@@ -194,18 +193,15 @@ func (r PoliciesResult) PlotFacets() []plot.Facet {
 	return facets
 }
 
-// Table is the grid as one row table: one row per (variant, batch_rho,
+// TSV is the grid as one table: one row per (variant, batch_rho,
 // policy, service), the aggregate first.
-func (r PoliciesResult) Table() Table {
+func (r PoliciesResult) TSV() TSV {
 	cols := append(
 		lift(PoliciesRow.base, colVariant, colRho("batch_rho"), colPolicy, colService, colSvcRho, colOffered,
 			colMean, colMeanCI, colP99, colP99CI, colOKFrac, colOKCI),
 		column[PoliciesRow]{"resteers", func(r PoliciesRow) string { return fmt.Sprintf("%.1f", r.Resteers) }})
 	cols = append(cols, lift(PoliciesRow.base, colRefused, colUnfin, colN)...)
-	return newTable("policies",
+	return TSV{Tables: []Table{newTable("policies",
 		fmt.Sprintf("Policy ablation with load feedback: web pinned at rho=%.2f, batch swept, steady+churn variants; lambda0=%.1f q/s", r.WebRho, r.Lambda0),
-		cols, r.Rows)
+		cols, r.Rows)}}
 }
-
-// WriteTSV renders the grid's Table.
-func (r PoliciesResult) WriteTSV(w io.Writer) error { return r.Table().WriteTSV(w) }

@@ -152,14 +152,11 @@ func TestRunPoliciesSmall(t *testing.T) {
 	if _, err := res.Row("steady", "nosuch", "web", 0.1); err == nil {
 		t.Fatal("Row for an unknown policy must error")
 	}
-	var buf strings.Builder
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 2+len(res.Rows) {
+	tsv := render(t, res.TSV())
+	if lines := strings.Count(tsv, "\n"); lines != 2+len(res.Rows) {
 		t.Fatalf("TSV has %d lines, want %d", lines, 2+len(res.Rows))
 	}
-	checkGolden(t, "policies.tsv", buf.String())
+	checkGolden(t, "policies.tsv", tsv)
 	// One facet per (variant, service), each with all four policies.
 	facets := res.PlotFacets()
 	if len(facets) != 4 {

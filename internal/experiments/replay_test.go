@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"go/ast"
@@ -56,6 +57,8 @@ func TestFeedbackPlanePublishesUnderWikiReplay(t *testing.T) {
 // or, for a rateless Horizon-bounded bursty service, to spin forever.
 // Every kind is rejected by the engine's one check, naming the workload
 // and the load; each case runs under a deadline so a hang fails the test.
+// A wiki day compressed until its report bin rounds to 0ns is rejected
+// the same way where its bins are built.
 func TestNoArrivalSpanPanics(t *testing.T) {
 	cluster := smallCluster(1)
 	ctx := context.Background()
@@ -70,33 +73,39 @@ func TestNoArrivalSpanPanics(t *testing.T) {
 		load float64
 		want string
 		run  func(load float64)
+		// reason is what the panic says is wrong; "" means the span.
+		reason string
 	}{
 		{"poisson without Lambda0", 0.5, "poisson(100q)", func(l float64) {
 			OneService(PoissonService{Queries: 100}).Run(ctx, cluster, RR(), l)
-		}},
+		}, ""},
 		{"poisson at load 0", 0, "poisson(100q)", func(l float64) {
 			OneService(PoissonService{Lambda0: 80, Queries: 100}).Run(ctx, cluster, RR(), l)
-		}},
+		}, ""},
 		{"bursty at negative load", -1, "bursty(100q", func(l float64) {
 			OneService(BurstyService{Lambda0: 80, Queries: 100}).Run(ctx, cluster, RR(), l)
-		}},
+		}, ""},
 		{"RunPoisson at rate 0", 1, "poisson(100q)", func(float64) {
 			RunPoisson(cluster, RR(), 0, 100, PoissonHooks{})
-		}},
+		}, ""},
 		{"multi-service poisson without Lambda0", 0.5, "poisson(100q)", func(l float64) {
 			multi(PoissonService{Queries: 100}).Run(ctx, cluster, RR(), l)
-		}},
+		}, ""},
 		{"multi-service horizon poisson without Lambda0", 0.5, "poisson(30s)", func(l float64) {
 			multi(PoissonService{Horizon: 30 * time.Second}).Run(ctx, cluster, RR(), l)
-		}},
+		}, ""},
 		{"multi-service horizon bursty without Lambda0", 0.5, "bursty(30s", func(l float64) {
 			multi(BurstyService{Horizon: 30 * time.Second}).Run(ctx, cluster, RR(), l)
-		}},
+		}, ""},
 		{"multi-service wiki at load 0", 0, "wiki-day", func(l float64) {
 			w := multi(WikiService{Day: wiki.Config{Compression: 28800}})
 			w.ServiceLoads = []float64{0.5, 0}
 			w.Run(ctx, cluster, RR(), l)
-		}},
+		}, ""},
+		// The day still spans 86ns: checkSpan passes it.
+		{"wiki day compressed past its report bin", 1, "wiki-day(compress=1000000000000x)", func(l float64) {
+			WikiWorkload{Day: wiki.Config{Compression: 1e12}}.Run(ctx, cluster, RR(), l)
+		}, "no report bin"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,8 +119,9 @@ func TestNoArrivalSpanPanics(t *testing.T) {
 			}()
 			select {
 			case msg := <-panicked:
-				if !strings.Contains(msg, tc.want) || !strings.Contains(msg, "no arrival span") {
-					t.Errorf("panic %q does not name %q and the missing span", msg, tc.want)
+				reason := cmp.Or(tc.reason, "no arrival span")
+				if !strings.Contains(msg, tc.want) || !strings.Contains(msg, reason) {
+					t.Errorf("panic %q does not name %q and %q", msg, tc.want, reason)
 				}
 			case <-time.After(10 * time.Second):
 				t.Fatal("still running after 10s: the missing span was not rejected")

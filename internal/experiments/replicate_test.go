@@ -85,16 +85,15 @@ func TestAggregateSingleSeedDegenerates(t *testing.T) {
 }
 
 func TestCDFBandAlignsWithPooledRows(t *testing.T) {
-	// Fewer pooled samples than Points: Histogram.CDF clamps its row
+	// Fewer pooled samples than cdfPoints: Histogram.CDF clamps its row
 	// count, and the band must follow the same grid row for row.
 	res := RunCDF(CDFConfig{
 		Base:     Base{Cluster: ClusterConfig{Seed: 44, Servers: 4}, Queries: 60, Seeds: DeriveSeeds(44, 3)},
 		Rho:      0.5,
 		Lambda0:  80,
 		Policies: []PolicySpec{RR()},
-		Points:   200,
 	})
-	rows := res.RT[0].CDF(res.Points)
+	rows := res.RT[0].CDF(cdfPoints)
 	band := res.Bands[0]
 	if len(rows) >= 200 {
 		t.Fatalf("test premise broken: %d pooled rows", len(rows))

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -189,9 +188,9 @@ func (r ResilienceResult) Row(scenario, mode string) (ServiceRow, error) {
 		func(ServiceRow) float64 { return 0 })
 }
 
-// Tables is the grid faceted by scenario: one table per scenario, one
-// row per recovery mode, completion rate first.
-func (r ResilienceResult) Tables() []Table {
+// TSV is the grid faceted by scenario under the run's heading: one
+// table per scenario, one row per recovery mode, completion rate first.
+func (r ResilienceResult) TSV() TSV {
 	sec := func(header string, v func(ServiceRow) time.Duration) column[ServiceRow] {
 		return column[ServiceRow]{header, func(r ServiceRow) string { return fmt.Sprintf("%.4f", v(r).Seconds()) }}
 	}
@@ -205,7 +204,8 @@ func (r ResilienceResult) Tables() []Table {
 		{"refused", func(r ServiceRow) string { return fmt.Sprintf("%.1f", r.Refused) }},
 		{"unfinished", func(r ServiceRow) string { return fmt.Sprintf("%.1f", r.Unfinished) }},
 	}
-	tables := make([]Table, 0, len(resilienceScenarios))
+	f := TSV{Heading: fmt.Sprintf("resilience ablation: rho=%.2f, %d replicas, kill@%.2f recover@%.2f rack_frac=%.2f; lambda0=%.1f q/s; n=%d seeds",
+		r.Rho, r.Replicas, r.KillFrac, r.RecoverFrac, r.RackFrac, r.Lambda0, len(r.Seeds))}
 	for _, scenario := range resilienceScenarios {
 		var rows []ServiceRow
 		for _, row := range r.Rows {
@@ -213,22 +213,7 @@ func (r ResilienceResult) Tables() []Table {
 				rows = append(rows, row)
 			}
 		}
-		tables = append(tables, newTable("resilience/"+scenario, "facet: scenario="+scenario, cols, rows))
+		f.Tables = append(f.Tables, newTable("resilience/"+scenario, "facet: scenario="+scenario, cols, rows))
 	}
-	return tables
-}
-
-// WriteTSV renders the grid: the run's header line, then each of Tables
-// followed by a blank line.
-func (r ResilienceResult) WriteTSV(w io.Writer) error {
-	t := tsvWriter{w: w}
-	t.printf("# resilience ablation: rho=%.2f, %d replicas, kill@%.2f recover@%.2f rack_frac=%.2f; lambda0=%.1f q/s; n=%d seeds\n",
-		r.Rho, r.Replicas, r.KillFrac, r.RecoverFrac, r.RackFrac, r.Lambda0, len(r.Seeds))
-	for _, table := range r.Tables() {
-		if t.err == nil {
-			t.err = table.WriteTSV(w)
-		}
-		t.printf("\n")
-	}
-	return t.err
+	return f
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -65,11 +64,7 @@ func TestResilienceKillOrdering(t *testing.T) {
 		t.Errorf("kill: warm ok=%.4f does not strictly beat chash ok=%.4f", warm.OKFrac, chash.OKFrac)
 	}
 	// The TSV facets by scenario and carries the completion columns.
-	var buf bytes.Buffer
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out := render(t, res.TSV())
 	for _, want := range []string{"# facet: scenario=kill", "# facet: scenario=rack", "# facet: scenario=rolling", "ok_frac\tok_frac_ci95"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("TSV missing %q:\n%s", want, out)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -106,8 +105,8 @@ func RunRetransmitAblation(cfg RetransmitConfig) RetransmitResult {
 	return res
 }
 
-// WriteTSV renders the comparison; replicated runs gain CI columns.
-func (r RetransmitResult) WriteTSV(w io.Writer) error {
+// TSV is the comparison as one table; replicated runs gain CI columns.
+func (r RetransmitResult) TSV() TSV {
 	count := func(header string, v func(RetransmitRow) int) column[RetransmitRow] {
 		return column[RetransmitRow]{header, func(r RetransmitRow) string { return fmt.Sprint(v(r)) }}
 	}
@@ -119,6 +118,6 @@ func (r RetransmitResult) WriteTSV(w io.Writer) error {
 		count("timed_out", func(r RetransmitRow) int { return r.TimedOut }),
 		count("retransmits", func(r RetransmitRow) int { return r.Retransmits }),
 		count("n", func(r RetransmitRow) int { return r.N }))
-	return writeTable(w, fmt.Sprintf("Ablation: tcp_abort_on_overflow (SS IV-C), rho=%.2f", r.Rho),
+	return oneTable(fmt.Sprintf("Ablation: tcp_abort_on_overflow (SS IV-C), rho=%.2f", r.Rho),
 		seedCols(r.Seeds, cols), r.Rows)
 }

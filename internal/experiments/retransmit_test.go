@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -47,11 +46,8 @@ func TestRetransmitAblation(t *testing.T) {
 		t.Fatal("abort mode should never retransmit")
 	}
 
-	var buf bytes.Buffer
-	if err := res.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "abort-on-overflow") {
+	tsv := render(t, res.TSV())
+	if !strings.Contains(tsv, "abort-on-overflow") {
 		t.Fatal("TSV missing modes")
 	}
 }
@@ -84,11 +80,7 @@ func TestRetransmitHonoursWorkers(t *testing.T) {
 		if got := finished.Load(); got != 6 {
 			t.Fatalf("workers=%d: %d progress lines, want 6 (2 modes × 3 seeds)", workers, got)
 		}
-		var buf bytes.Buffer
-		if err := res.WriteTSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String(), peak
+		return render(t, res.TSV()), peak
 	}
 	serial, peak := run(1)
 	if peak != 1 {

@@ -22,7 +22,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"time"
 
@@ -250,14 +249,14 @@ func (r RhoGridResult) Heatmaps(metric string) []plot.Heatmap {
 	return out
 }
 
-// WriteTSV renders the matrix: one row per (web_rho, batch_rho,
+// TSV is the matrix as one table: one row per (web_rho, batch_rho,
 // policy, service), the aggregate first.
-func (r RhoGridResult) WriteTSV(w io.Writer) error {
+func (r RhoGridResult) TSV() TSV {
 	mode := "fixed"
 	if r.Adaptive {
 		mode = "adaptive"
 	}
-	return writeTable(w,
+	return oneTable(
 		fmt.Sprintf("Rho-grid policy ablation: web-rho × batch-rho matrix on one shared pool, %s replication (budget %d/%d replicates); lambda0=%.1f q/s",
 			mode, r.TotalReplicates(), r.FixedBudget(), r.Lambda0),
 		[]column[ServiceRow]{

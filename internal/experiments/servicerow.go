@@ -164,7 +164,7 @@ func policySeries[R any](rows []R, base func(R) ServiceRow, variant, service str
 	return out
 }
 
-// The family's shared TSV columns. An experiment's WriteTSV lists the
+// The family's shared TSV columns. An experiment's TSV method lists the
 // ones it prints, in its own order, around its derived columns.
 var (
 	colVariant = colLabel("variant")

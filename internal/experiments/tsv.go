@@ -1,28 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"regexp"
 	"strings"
 )
-
-// tsvWriter is how every artifact writer of the package emits text:
-// printf-style calls against a sticky first error. After a failed write
-// the later calls are no-ops, so a writer body reads straight through
-// and ends with `return t.err` — no call's result can be dropped, and a
-// truncated artifact never comes back with a nil error.
-type tsvWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (t *tsvWriter) printf(format string, args ...any) {
-	if t.err == nil {
-		_, t.err = fmt.Fprintf(t.w, format, args...)
-	}
-}
 
 // column is one column of a row table: its header and how a row prints
 // in it. Keeping the two together makes "as many cells as headers" hold
@@ -34,8 +18,8 @@ type column[R any] struct {
 
 // Table is a row table rendered to text: the headers of its column list
 // and each row's cells as the TSV prints them. An experiment's TSV block
-// (WriteTSV) and its BENCH_*.json table (MarshalJSON) are both written
-// from this one value, so the two cannot disagree.
+// and its BENCH_*.json table (MarshalJSON) are both written from this
+// one value, so the two cannot disagree.
 type Table struct {
 	Name, Comment string
 	Columns       []string
@@ -57,20 +41,55 @@ func newTable[R any](name, comment string, cols []column[R], rows []R) Table {
 	return t
 }
 
-// WriteTSV writes the table's TSV block: the `# comment` line, the
-// tab-joined headers, then one tab-joined line per row.
-func (t Table) WriteTSV(w io.Writer) error {
-	tw := tsvWriter{w: w}
-	tw.printf("# %s\n%s\n", t.Comment, strings.Join(t.Columns, "\t"))
-	for _, row := range t.Rows {
-		tw.printf("%s\n", strings.Join(row, "\t"))
-	}
-	return tw.err
+// oneTable is the file of a result that is a single table.
+func oneTable[R any](comment string, cols []column[R], rows []R) TSV {
+	return TSV{Tables: []Table{newTable("", comment, cols, rows)}}
 }
 
-// writeTable writes the TSV block of a row table.
-func writeTable[R any](w io.Writer, comment string, cols []column[R], rows []R) error {
-	return newTable("", comment, cols, rows).WriteTSV(w)
+// indices is the row list of a table whose rows are positions in the
+// result's parallel slices: 0, 1, …, n−1.
+func indices(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// TSV is one TSV artifact as a value: an optional heading line, then
+// its tables. Every TSV file the experiments produce is one, and Render
+// is the one place their layout is decided:
+//   - the heading, when set, is the file's first line, `# heading`;
+//   - each table is a block: its `# comment` line, its tab-joined
+//     headers, then one tab-joined line per row;
+//   - a blank line follows every block when the file has a heading or
+//     holds more than one table.
+//
+// So a single table is a bare block, a heading groups the blocks of one
+// figure (one per policy, mode or scenario), and tables without a
+// heading concatenate, each followed by a blank line.
+type TSV struct {
+	Heading string
+	Tables  []Table
+}
+
+// Render writes the file to w in one Write call.
+func (f TSV) Render(w io.Writer) error {
+	var b bytes.Buffer
+	if f.Heading != "" {
+		b.WriteString("# " + f.Heading + "\n")
+	}
+	for _, t := range f.Tables {
+		b.WriteString("# " + t.Comment + "\n" + strings.Join(t.Columns, "\t") + "\n")
+		for _, row := range t.Rows {
+			b.WriteString(strings.Join(row, "\t") + "\n")
+		}
+		if f.Heading != "" || len(f.Tables) > 1 {
+			b.WriteString("\n")
+		}
+	}
+	_, err := w.Write(b.Bytes())
+	return err
 }
 
 // jsonNumber is the JSON number grammar (RFC 8259 §6). strconv.ParseFloat

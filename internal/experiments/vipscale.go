@@ -16,7 +16,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math/rand/v2"
 	"net/netip"
 	"time"
@@ -338,9 +337,9 @@ func (r VIPScaleResult) Plot() []plot.Facet {
 	return facets
 }
 
-// Table is the sweep as one row table, one row per (scheme, VIP count).
-func (r VIPScaleResult) Table() Table {
-	return newTable("vipscale",
+// TSV is the sweep as one table, one row per (scheme, VIP count).
+func (r VIPScaleResult) TSV() TSV {
+	return TSV{Tables: []Table{newTable("vipscale",
 		"Per-packet dispatch cost vs advertised service count (wall ns, min over rounds; build is control-plane compile ms)",
 		[]column[VIPScaleRow]{
 			{"scheme", func(row VIPScaleRow) string { return row.Scheme }},
@@ -350,8 +349,5 @@ func (r VIPScaleResult) Table() Table {
 			{"syn_ns", func(row VIPScaleRow) string { return fmt.Sprintf("%.1f", row.SYNNs) }},
 			{"steer_ns", func(row VIPScaleRow) string { return fmt.Sprintf("%.1f", row.SteerNs) }},
 			{"ops", func(row VIPScaleRow) string { return fmt.Sprint(row.Ops) }},
-		}, r.Rows)
+		}, r.Rows)}}
 }
-
-// WriteTSV renders the sweep's Table.
-func (r VIPScaleResult) WriteTSV(w io.Writer) error { return r.Table().WriteTSV(w) }

@@ -3,7 +3,11 @@ package experiments
 import (
 	"encoding/json"
 	"errors"
-	"io"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -25,11 +29,20 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// A write error must surface from every artifact writer, whichever of
-// its writes it hits: for each writer, fail the k-th Write call only,
-// for every k up to the number of calls a clean run makes. A writer that
-// drops any call's result returns nil for that k — a truncated artifact
-// reported as written.
+// render is the test suite's view of a file: its bytes as Render
+// writes them.
+func render(t *testing.T, f TSV) string {
+	t.Helper()
+	var b strings.Builder
+	if err := f.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// A write error must surface from every artifact: each result's file
+// value, rendered, makes exactly one Write call, and a failure of that
+// call is returned — never a truncated artifact reported as written.
 func TestWritersSurfaceEveryWriteError(t *testing.T) {
 	hist := sketch.New()
 	bins := sketch.NewTimeBins(time.Second, 2*time.Second)
@@ -45,55 +58,127 @@ func TestWritersSurfaceEveryWriteError(t *testing.T) {
 		Runs: []WikiRun{{Spec: RR(), WikiBins: bins, Launched: []int{2, 0}, WikiAll: hist}},
 	}
 
-	writers := []struct {
-		name  string
-		write func(io.Writer) error
+	files := []struct {
+		name string
+		file TSV
 	}{
-		{"ablation", AblationResult{Study: "k", Rows: []ServiceRow{{Variant: "k=1"}}}.WriteTSV},
-		{"ablation replicated", AblationResult{Study: "k", Seeds: seeds, Rows: []ServiceRow{{Variant: "k=1"}}}.WriteTSV},
-		{"calibration", CalibrationResult{Probes: []CalibrationProbe{{RatePerSec: 100}}}.WriteTSV},
-		{"churn", ChurnResult{Rows: []ServiceRow{{Policy: "RR", Variant: "steady"}}}.WriteTSV},
-		{"failover", FailoverResult{RecoverAt: time.Second, Modes: []FailoverMode{{ServiceRow: ServiceRow{Variant: "random"}, Bins: []FailoverBin{{}}}}}.WriteTSV},
-		{"fig2", Fig2Result{Policies: policies, Rhos: []float64{0.5}, Points: [][]Fig2Point{{{}}, {{}}}}.WriteTSV},
-		{"fig2 replicated", Fig2Result{Policies: policies, Rhos: []float64{0.5}, Seeds: seeds, Points: [][]Fig2Point{{{}}, {{}}}}.WriteTSV},
-		{"fig4", Fig4Result{Series: []Fig4Series{{Spec: RR(), N: 1, Samples: []Fig4Sample{{}}}}}.WriteTSV},
-		{"fig4 replicated", Fig4Result{Series: []Fig4Series{{Spec: RR(), N: 2, Samples: []Fig4Sample{{}}}}}.WriteTSV},
-		{"cdf", CDFResult{Policies: policies[:1], RT: []*sketch.Histogram{hist}, Points: 4}.WriteTSV},
+		{"ablation", AblationResult{Study: "k", Rows: []ServiceRow{{Variant: "k=1"}}}.TSV()},
+		{"ablation replicated", AblationResult{Study: "k", Seeds: seeds, Rows: []ServiceRow{{Variant: "k=1"}}}.TSV()},
+		{"calibration", CalibrationResult{Probes: []CalibrationProbe{{RatePerSec: 100}}}.TSV()},
+		{"churn", ChurnResult{Rows: []ServiceRow{{Policy: "RR", Variant: "steady"}}}.TSV()},
+		{"failover", FailoverResult{RecoverAt: time.Second, Modes: []FailoverMode{{ServiceRow: ServiceRow{Variant: "random"}, Bins: []FailoverBin{{}}}}}.TSV()},
+		{"fig2", Fig2Result{Policies: policies, Rhos: []float64{0.5}, Points: [][]Fig2Point{{{}}, {{}}}}.TSV()},
+		{"fig2 replicated", Fig2Result{Policies: policies, Rhos: []float64{0.5}, Seeds: seeds, Points: [][]Fig2Point{{{}}, {{}}}}.TSV()},
+		{"fig4", Fig4Result{Series: []Fig4Series{{Spec: RR(), N: 1, Samples: []Fig4Sample{{}}}}}.TSV()},
+		{"fig4 replicated", Fig4Result{Series: []Fig4Series{{Spec: RR(), N: 2, Samples: []Fig4Sample{{}}}}}.TSV()},
+		{"cdf", CDFResult{Policies: policies[:1], RT: []*sketch.Histogram{hist}}.TSV()},
 		{"cdf banded", CDFResult{
-			Policies: policies[:1], RT: []*sketch.Histogram{hist}, Points: 4,
+			Policies: policies[:1], RT: []*sketch.Histogram{hist},
 			Stats: []CellStats{newCellStats([]CellResult{{Seed: 1, Outcome: CellOutcome{RT: hist}}, {Seed: 2, Outcome: CellOutcome{RT: hist}}})},
 			Bands: []CDFBand{{Fraction: []float64{0.5, 1}, Lo: make([]time.Duration, 2), Mid: make([]time.Duration, 2), Hi: make([]time.Duration, 2)}},
-		}.WriteTSV},
-		{"fig6", wikiRes.WriteFig6TSV},
-		{"fig7", wikiRes.WriteFig7TSV},
-		{"fig8", wikiRes.WriteFig8TSV},
-		{"hetero", HeteroResult{Rows: []HeteroRow{{ServiceRow: ServiceRow{Policy: "RR"}}}}.WriteTSV},
-		{"hetero replicated", HeteroResult{Seeds: seeds, Rows: []HeteroRow{{ServiceRow: ServiceRow{Policy: "RR"}}}}.WriteTSV},
-		{"horizon", HorizonResult{RT: hist}.WriteSummary},
-		{"resilience", ResilienceResult{Rows: []ServiceRow{{Variant: "kill/warm"}}}.WriteTSV},
-		{"retransmit", RetransmitResult{Rows: []RetransmitRow{{ServiceRow: ServiceRow{Variant: "abort"}}}}.WriteTSV},
-		{"retransmit replicated", RetransmitResult{Seeds: seeds, Rows: []RetransmitRow{{ServiceRow: ServiceRow{Variant: "abort"}}}}.WriteTSV},
-		{"vipscale", VIPScaleResult{Rows: []VIPScaleRow{{Scheme: "random"}}}.WriteTSV},
-		{"multiservice", MultiServiceResult{Rows: []ServiceRow{svc}}.WriteTSV},
-		{"interference", InterferenceResult{Rows: []InterferenceRow{{ServiceRow: svc}}}.WriteTSV},
-		{"policies", PoliciesResult{Rows: []PoliciesRow{{ServiceRow: svc}}}.WriteTSV},
-		{"rhogrid", RhoGridResult{Rows: []ServiceRow{svc}}.WriteTSV},
+		}.TSV()},
+		{"fig6", wikiRes.Fig6()},
+		{"fig7", wikiRes.Fig7()},
+		{"fig8", wikiRes.Fig8()},
+		{"hetero", HeteroResult{Rows: []HeteroRow{{ServiceRow: ServiceRow{Policy: "RR"}}}}.TSV()},
+		{"hetero replicated", HeteroResult{Seeds: seeds, Rows: []HeteroRow{{ServiceRow: ServiceRow{Policy: "RR"}}}}.TSV()},
+		{"resilience", ResilienceResult{Rows: []ServiceRow{{Variant: "kill/warm"}}}.TSV()},
+		{"retransmit", RetransmitResult{Rows: []RetransmitRow{{ServiceRow: ServiceRow{Variant: "abort"}}}}.TSV()},
+		{"retransmit replicated", RetransmitResult{Seeds: seeds, Rows: []RetransmitRow{{ServiceRow: ServiceRow{Variant: "abort"}}}}.TSV()},
+		{"vipscale", VIPScaleResult{Rows: []VIPScaleRow{{Scheme: "random"}}}.TSV()},
+		{"multiservice", MultiServiceResult{Rows: []ServiceRow{svc}}.TSV()},
+		{"interference", InterferenceResult{Rows: []InterferenceRow{{ServiceRow: svc}}}.TSV()},
+		{"policies", PoliciesResult{Rows: []PoliciesRow{{ServiceRow: svc}}}.TSV()},
+		{"rhogrid", RhoGridResult{Rows: []ServiceRow{svc}}.TSV()},
 	}
-	for _, wr := range writers {
-		t.Run(wr.name, func(t *testing.T) {
+	for _, tc := range files {
+		t.Run(tc.name, func(t *testing.T) {
 			clean := &failingWriter{}
-			if err := wr.write(clean); err != nil {
+			if err := tc.file.Render(clean); err != nil {
 				t.Fatalf("clean run failed: %v", err)
 			}
-			if clean.calls == 0 {
-				t.Fatal("writer wrote nothing")
+			if clean.calls != 1 {
+				t.Fatalf("Render made %d Write calls, want 1", clean.calls)
 			}
-			for k := 1; k <= clean.calls; k++ {
-				if err := wr.write(&failingWriter{failAt: k}); err == nil {
-					t.Errorf("write call %d of %d failed, yet the writer returned nil", k, clean.calls)
-				}
+			if err := tc.file.Render(&failingWriter{failAt: 1}); err == nil {
+				t.Error("the Write call failed, yet Render returned nil")
 			}
 		})
+	}
+}
+
+// Render's layout rule, derived from the input alone: each table is its
+// `# comment` line, its header line and its rows, and a blank line
+// follows every table when the file has a heading or holds several.
+func TestTSVRender(t *testing.T) {
+	table := func(comment string, rows ...[]string) Table {
+		return Table{Comment: comment, Columns: []string{"a", "b"}, Rows: rows}
+	}
+	cases := []struct {
+		name string
+		file TSV
+		want string
+	}{
+		{"one table", TSV{Tables: []Table{table("c", []string{"1", "2"}, []string{"3", "4"})}},
+			"# c\na\tb\n1\t2\n3\t4\n"},
+		{"several tables", TSV{Tables: []Table{table("c1", []string{"1", "2"}), table("c2")}},
+			"# c1\na\tb\n1\t2\n\n# c2\na\tb\n\n"},
+		{"heading, one table", TSV{Heading: "h", Tables: []Table{table("c", []string{"1", "2"})}},
+			"# h\n# c\na\tb\n1\t2\n\n"},
+		{"heading, several tables", TSV{Heading: "h", Tables: []Table{table("c1"), table("c2", []string{"1", "2"})}},
+			"# h\n# c1\na\tb\n\n# c2\na\tb\n1\t2\n\n"},
+		{"heading, no tables", TSV{Heading: "h"}, "# h\n"},
+		{"zero rows: figure 6 without runs", WikiResult{}.Fig6(),
+			"# Figure 6: wiki replay — query rate and median load time per bin\ntime\trate_qps\n"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := render(t, tc.file); got != tc.want {
+				t.Errorf("got  %q\nwant %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// The TSV layout is decided in tsv.go alone: no other non-test function
+// of the package takes an io.Writer, so none can write bytes of its own.
+func TestOnlyTSVTakesAWriter(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writers []string
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") || name == "tsv.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var params *ast.FieldList
+			switch fn := n.(type) {
+			case *ast.FuncDecl:
+				params = fn.Type.Params
+			case *ast.FuncLit:
+				params = fn.Type.Params
+			default:
+				return true
+			}
+			for _, p := range params.List {
+				if sel, ok := p.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Writer" {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "io" {
+						writers = append(writers, fset.Position(n.Pos()).String())
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(writers) > 0 {
+		t.Fatalf("functions outside tsv.go take an io.Writer (render through TSV instead):\n%s", strings.Join(writers, "\n"))
 	}
 }
 

@@ -124,11 +124,18 @@ type (
 	// Table is one row table of an experiment rendered to text: its TSV
 	// block and its BENCH_*.json table are written from the same value.
 	Table = experiments.Table
+	// TSV is one TSV artifact: an optional heading line, then tables.
+	// Every result returns its files as TSV values; Render writes one.
+	TSV = experiments.TSV
 
 	// HorizonConfig is the constant-memory soak — 10⁸ open-loop queries
 	// measured through streaming sketches with a flat heap.
 	HorizonConfig = experiments.HorizonConfig
 )
+
+// MaxWikiCompression is the largest WikiDay.Compression a wiki replay
+// takes: its 10-minute report bin must last at least 1ns of replay time.
+const MaxWikiCompression = experiments.MaxWikiCompression
 
 // Lifecycle-event constructors for Topology.Events / Cluster.Events.
 var (
