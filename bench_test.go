@@ -18,12 +18,12 @@ import (
 	"testing"
 	"time"
 
-	"srlb"
 	"srlb/internal/experiments"
+	"srlb/internal/wiki"
 )
 
 // benchCluster is the paper's 12-server platform with a fixed bench seed.
-var benchCluster = srlb.Cluster{Seed: 0xbe7c, Servers: 12}
+var benchCluster = experiments.ClusterConfig{Seed: 0xbe7c, Servers: 12}
 
 // lambda0 is calibrated once and shared by every figure bench.
 var (
@@ -34,7 +34,7 @@ var (
 func lambda0(b *testing.B) float64 {
 	b.Helper()
 	lambda0Once.Do(func() {
-		lambda0Val = srlb.Calibrate(srlb.Calibration{Cluster: benchCluster}).Lambda0
+		lambda0Val = experiments.Calibrate(experiments.CalibrationConfig{Cluster: benchCluster}).Lambda0
 	})
 	return lambda0Val
 }
@@ -45,7 +45,7 @@ const benchQueries = 6000
 
 func BenchmarkCalibrateLambda0(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cal := srlb.Calibrate(srlb.Calibration{Cluster: benchCluster, Queries: benchQueries})
+		cal := experiments.Calibrate(experiments.CalibrationConfig{Cluster: benchCluster, Queries: benchQueries})
 		b.ReportMetric(cal.Lambda0, "lambda0_qps")
 	}
 }
@@ -54,7 +54,7 @@ func BenchmarkFig2_MeanResponseVsLoad(b *testing.B) {
 	l0 := lambda0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := srlb.RunFig2(srlb.Fig2Config{
+		res := experiments.RunFig2(experiments.Fig2Config{
 			Cluster: benchCluster,
 			Lambda0: l0,
 			Rhos:    []float64{0.20, 0.61, 0.88},
@@ -69,7 +69,7 @@ func BenchmarkFig2_MeanResponseVsLoad(b *testing.B) {
 	}
 }
 
-func reportCDF(b *testing.B, res srlb.CDFResult) {
+func reportCDF(b *testing.B, res experiments.CDFResult) {
 	b.Helper()
 	for i, spec := range res.Policies {
 		name := map[string]string{
@@ -86,8 +86,8 @@ func BenchmarkFig3_CDFHighLoad(b *testing.B) {
 	l0 := lambda0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := srlb.RunFig3(srlb.CDFConfig{
-			Base:    srlb.Base{Cluster: benchCluster, Queries: benchQueries},
+		res := experiments.RunFig3(experiments.CDFConfig{
+			Base:    experiments.Base{Cluster: benchCluster, Queries: benchQueries},
 			Lambda0: l0,
 		})
 		reportCDF(b, res)
@@ -98,8 +98,8 @@ func BenchmarkFig4_LoadAndFairness(b *testing.B) {
 	l0 := lambda0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := srlb.RunFig4(srlb.Fig4Config{
-			Base:    srlb.Base{Cluster: benchCluster, Queries: benchQueries},
+		res := experiments.RunFig4(experiments.Fig4Config{
+			Base:    experiments.Base{Cluster: benchCluster, Queries: benchQueries},
 			Lambda0: l0,
 		})
 		if f, err := res.MeanFairness("RR"); err == nil {
@@ -115,8 +115,8 @@ func BenchmarkFig5_CDFLowLoad(b *testing.B) {
 	l0 := lambda0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := srlb.RunFig5(srlb.CDFConfig{
-			Base:    srlb.Base{Cluster: benchCluster, Queries: benchQueries},
+		res := experiments.RunFig5(experiments.CDFConfig{
+			Base:    experiments.Base{Cluster: benchCluster, Queries: benchQueries},
 			Lambda0: l0,
 		})
 		reportCDF(b, res)
@@ -126,9 +126,9 @@ func BenchmarkFig5_CDFLowLoad(b *testing.B) {
 // benchWiki runs the compressed day shared by the three wiki figures.
 func benchWiki(b *testing.B) experiments.WikiResult {
 	b.Helper()
-	return srlb.RunWiki(srlb.WikiConfig{
+	return experiments.RunWiki(experiments.WikiConfig{
 		Cluster: benchCluster,
-		Day:     srlb.WikiDay{Seed: 0xbe7c, Compression: 288}, // 24h -> 5 min
+		Day:     wiki.Config{Seed: 0xbe7c, Compression: 288}, // 24h -> 5 min
 	})
 }
 
@@ -191,8 +191,8 @@ func BenchmarkAblation_CandidateCount(b *testing.B) {
 	l0 := lambda0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := srlb.RunAllAblations(srlb.AblationConfig{
-			Base:    srlb.Base{Cluster: benchCluster, Queries: benchQueries / 2},
+		res := experiments.RunAllAblations(experiments.AblationConfig{
+			Base:    experiments.Base{Cluster: benchCluster, Queries: benchQueries / 2},
 			Lambda0: l0,
 		})
 		// Report the k=2 gain over k=1 from the candidate study.
@@ -211,7 +211,7 @@ func BenchmarkAblation_CandidateCount(b *testing.B) {
 // End-to-end data-plane throughput: each op is one query fully processed
 // (SYN → hunt → accept → steer → respond) including all packet codecs.
 func BenchmarkEndToEndQueries(b *testing.B) {
-	run := experiments.RunPoisson(benchCluster, srlb.SRStatic(4), 120, b.N, experiments.PoissonHooks{})
+	run := experiments.RunPoisson(benchCluster, experiments.SRc(4), 120, b.N, experiments.PoissonHooks{})
 	benchSink = run.RT.Mean()
 }
 
@@ -222,7 +222,7 @@ func BenchmarkPoissonRun20000(b *testing.B) {
 	l0 := lambda0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run := experiments.RunPoisson(benchCluster, srlb.SRStatic(4), 0.88*l0, 20000, experiments.PoissonHooks{})
+		run := experiments.RunPoisson(benchCluster, experiments.SRc(4), 0.88*l0, 20000, experiments.PoissonHooks{})
 		benchSink = run.RT.Mean()
 	}
 }

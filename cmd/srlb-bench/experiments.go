@@ -6,9 +6,10 @@ import (
 	"io"
 	"os"
 
-	"srlb"
 	"srlb/internal/appserver"
+	"srlb/internal/experiments"
 	"srlb/internal/plot"
+	"srlb/internal/wiki"
 )
 
 // env is what the flags resolve to once: the run's settings, and the
@@ -21,7 +22,7 @@ type env struct {
 	// base is what every Poisson-family experiment embeds: the cluster,
 	// -queries, the replication axis derived from -seed/-seeds, -workers
 	// and the -v progress sink.
-	base      srlb.Base
+	base      experiments.Base
 	lambda0   float64 // 0 until the calibration entry has run
 	seed      uint64
 	seedCount int
@@ -35,7 +36,7 @@ type env struct {
 	mixCompress    float64
 	horizonQueries uint64
 	horizonRho     float64
-	adaptive       srlb.Adaptive
+	adaptive       experiments.Adaptive
 	vipCounts      intList
 }
 
@@ -52,8 +53,8 @@ type report struct {
 	// doc, when set, names the experiment's BENCH_*.json document: stats'
 	// cells if a Runner sweep ran, then tables.
 	doc    string
-	stats  *srlb.SweepStats
-	tables []srlb.Table
+	stats  *experiments.SweepStats
+	tables []experiments.Table
 	files  []artifact // written (or rendered) in order, after the document
 }
 
@@ -82,7 +83,7 @@ type experiment struct {
 var calibration = experiment{
 	name: "calibrate", title: "calibrate (SS V-A bootstrap)", onlyWhenNamed: true,
 	run: func(e *env) (rep report, _ error) {
-		cal := srlb.CalibrateCached(srlb.Calibration{Cluster: e.base.Cluster})
+		cal := experiments.CalibrateCached(experiments.CalibrationConfig{Cluster: e.base.Cluster})
 		if cal.Err != nil {
 			return rep, inputError{fmt.Errorf("%w; the probes are 20000 queries whatever -queries says, so lower -servers", cal.Err)}
 		}
@@ -93,8 +94,8 @@ var calibration = experiment{
 	},
 }
 
-// experiments is every artifact srlb-bench regenerates, in running order.
-var experiments = []experiment{
+// entries is every artifact srlb-bench regenerates, in running order.
+var entries = []experiment{
 	calibration,
 	{name: "fig2", title: "figure 2: mean response time vs load", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
@@ -102,7 +103,7 @@ var experiments = []experiment{
 			for i := range rhos {
 				rhos[i] = float64(i+1) / float64(e.rhoPoints+1)
 			}
-			res := srlb.RunFig2(e.fig2Config(rhos, nil))
+			res := experiments.RunFig2(e.fig2Config(rhos, nil))
 			if imp, err := res.Improvement("SR 4", 0.88); err == nil {
 				rep.linef("SR4 vs RR at rho=0.88: %.2fx (paper: up to 2.3x)", imp)
 			}
@@ -118,10 +119,10 @@ var experiments = []experiment{
 			}
 			return rep, nil
 		}},
-	cdfFigure("fig3", "figure 3: response-time CDF at rho=0.88", "fig3_cdf_rho088.tsv", srlb.RunFig3),
+	cdfFigure("fig3", "figure 3: response-time CDF at rho=0.88", "fig3_cdf_rho088.tsv", experiments.RunFig3),
 	{name: "fig4", title: "figure 4: server load mean + fairness timeline", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunFig4(srlb.Fig4Config{Base: e.base, Lambda0: e.lambda0})
+			res := experiments.RunFig4(experiments.Fig4Config{Base: e.base, Lambda0: e.lambda0})
 			for _, name := range []string{"RR", "SR 4"} {
 				if fair, err := res.MeanFairness(name); err == nil {
 					rep.linef("mean fairness %-5s = %.3f", name, fair)
@@ -130,15 +131,15 @@ var experiments = []experiment{
 			rep.files = []artifact{{"fig4_load_fairness.tsv", res.TSV().Render}}
 			return rep, nil
 		}},
-	cdfFigure("fig5", "figure 5: response-time CDF at rho=0.61", "fig5_cdf_rho061.tsv", srlb.RunFig5),
+	cdfFigure("fig5", "figure 5: response-time CDF at rho=0.61", "fig5_cdf_rho061.tsv", experiments.RunFig5),
 	{name: "wiki", also: []string{"fig6", "fig7", "fig8"}, title: "figures 6-8: Wikipedia day replay (RR vs SR4)",
 		run: func(e *env) (rep report, _ error) {
 			if len(e.base.Seeds) > 1 {
 				rep.linef("note: wiki replay is single-seed (-seeds ignored); see examples/wikipedia for a replicated replay")
 			}
-			res := srlb.RunWiki(srlb.WikiConfig{
+			res := experiments.RunWiki(experiments.WikiConfig{
 				Cluster:  e.base.Cluster,
-				Day:      srlb.WikiDay{Seed: e.seed, Compression: e.compress},
+				Day:      wiki.Config{Seed: e.seed, Compression: e.compress},
 				Workers:  e.base.Workers,
 				Progress: e.base.Progress,
 			})
@@ -174,8 +175,8 @@ var experiments = []experiment{
 		}},
 	{name: "ablations", title: "ablations: candidates/threshold/window/scheme/backlog", needsLambda0: true,
 		run: func(e *env) (report, error) {
-			var file srlb.TSV
-			for _, r := range srlb.RunAllAblations(srlb.AblationConfig{Base: e.base, Lambda0: e.lambda0}) {
+			var file experiments.TSV
+			for _, r := range experiments.RunAllAblations(experiments.AblationConfig{Base: e.base, Lambda0: e.lambda0}) {
 				file.Tables = append(file.Tables, r.TSV().Tables...)
 			}
 			return report{files: []artifact{{"ablations.tsv", file.Render}}}, nil
@@ -189,7 +190,7 @@ var experiments = []experiment{
 			shallow := e.base
 			shallow.Cluster.Server = appserver.Default()
 			shallow.Cluster.Server.Backlog = 16
-			res := srlb.RunRetransmitAblation(srlb.RetransmitConfig{Base: shallow, Rho: 2.0})
+			res := experiments.RunRetransmitAblation(experiments.RetransmitConfig{Base: shallow, Rho: 2.0})
 			for _, row := range res.Rows {
 				rep.linef("%-30s p99=%.3fs refused=%d timeouts=%d retransmits=%d",
 					row.Variant, row.P99.Seconds(), row.RefusedCount(), row.TimedOut, row.Retransmits)
@@ -199,7 +200,7 @@ var experiments = []experiment{
 		}},
 	{name: "hetero", also: []string{"ablations"}, title: "extension: heterogeneous cluster",
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunHetero(srlb.HeteroConfig{Base: e.base})
+			res := experiments.RunHetero(experiments.HeteroConfig{Base: e.base})
 			for _, row := range res.Rows {
 				rep.linef("%-7s mean=%.3fs slow-share=%.3f (capacity share %.3f)",
 					row.Policy, row.Mean.Seconds(), row.SlowShare, res.CapacityShare)
@@ -209,8 +210,8 @@ var experiments = []experiment{
 		}},
 	{name: "bursty", title: "bursty sweep: fig2 grid under on/off MMPP arrivals", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunFig2(e.fig2Config(burstyRhos(e.rhoPoints),
-				srlb.OneService(srlb.BurstyService{Lambda0: e.lambda0, Queries: e.base.Queries})))
+			res := experiments.RunFig2(e.fig2Config(burstyRhos(e.rhoPoints),
+				experiments.OneService(experiments.BurstyService{Lambda0: e.lambda0, Queries: e.base.Queries})))
 			if imp, err := res.Improvement("SR 4", 0.88); err == nil {
 				rep.linef("SR4 vs RR at rho=0.88 under bursts: %.2fx", imp)
 			}
@@ -223,7 +224,7 @@ var experiments = []experiment{
 		}},
 	{name: "failover", title: "extension: LB-replica failover transient (maglev fallback vs random)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunFailover(srlb.FailoverConfig{Base: e.base, Lambda0: e.lambda0})
+			res := experiments.RunFailover(experiments.FailoverConfig{Base: e.base, Lambda0: e.lambda0})
 			for _, m := range res.Modes {
 				rep.linef("%-16s ok=%.4f±%.4f refused=%.0f unfinished=%.0f (n=%d)",
 					m.Variant, m.OKFrac, m.OKFracCI95, m.Refused, m.Unfinished, m.N)
@@ -234,7 +235,7 @@ var experiments = []experiment{
 		}},
 	{name: "resilience", title: "extension: warm-handoff resilience ablation (stateless/chash/warm)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunResilience(srlb.ResilienceConfig{Base: e.base, Lambda0: e.lambda0})
+			res := experiments.RunResilience(experiments.ResilienceConfig{Base: e.base, Lambda0: e.lambda0})
 			for _, mode := range []string{"warm", "chash", "stateless"} {
 				if row, err := res.Row("kill", mode); err == nil {
 					rep.linef("kill/%-10s ok=%.4f±%.4f refused=%.0f unfinished=%.0f (n=%d)",
@@ -250,7 +251,7 @@ var experiments = []experiment{
 		}},
 	{name: "multiservice", title: "extension: concurrent multi-service mix (web+wiki+batch)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunMultiService(srlb.MultiServiceConfig{Base: e.base, Lambda0: e.lambda0, Compression: e.mixCompress})
+			res := experiments.RunMultiService(experiments.MultiServiceConfig{Base: e.base, Lambda0: e.lambda0, Compression: e.mixCompress})
 			for _, svc := range res.Services {
 				if imp, err := res.Improvement("SR 4", svc, 0.85); err == nil {
 					rep.linef("SR4 vs RR mean RT, %-5s service at rho=0.85: %.2fx", svc, imp)
@@ -272,7 +273,7 @@ var experiments = []experiment{
 		}},
 	{name: "interference", title: "extension: cross-service interference on one shared pool (web vs batch surge)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunInterference(srlb.InterferenceConfig{Base: e.base, Lambda0: e.lambda0})
+			res := experiments.RunInterference(experiments.InterferenceConfig{Base: e.base, Lambda0: e.lambda0})
 			heavy := res.BatchRhos[len(res.BatchRhos)-1]
 			for _, name := range []string{"RR", "SR 4", "SR dyn"} {
 				deg, err := res.VictimDegradation(name)
@@ -291,7 +292,7 @@ var experiments = []experiment{
 		}},
 	{name: "policies", title: "extension: load-feedback policy ablation (random2/chash2/wleastload/flowlet)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunPolicies(srlb.PoliciesConfig{Base: e.base, Lambda0: e.lambda0})
+			res := experiments.RunPolicies(experiments.PoliciesConfig{Base: e.base, Lambda0: e.lambda0})
 			heavy := res.BatchRhos[len(res.BatchRhos)-1]
 			for _, name := range []string{"random2", "chash2", "wleastload", "flowlet"} {
 				if row, err := res.Row("steady", name, "web", heavy); err == nil {
@@ -313,7 +314,7 @@ var experiments = []experiment{
 		}},
 	{name: "rhogrid", title: "extension: rho-grid policy ablation (web-rho × batch-rho matrix, adaptive replication)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunRhoGrid(srlb.RhoGridConfig{Base: e.base, Lambda0: e.lambda0, Adaptive: e.adaptive})
+			res := experiments.RunRhoGrid(experiments.RhoGridConfig{Base: e.base, Lambda0: e.lambda0, Adaptive: e.adaptive})
 			rep.linef("grid: %d web-rho × %d batch-rho points, %d policies",
 				len(res.WebRhos), len(res.BatchRhos), len(res.Stats.Policies))
 			if res.Adaptive {
@@ -341,7 +342,7 @@ var experiments = []experiment{
 		}},
 	{name: "vipscale", title: "extension: VIP-scale dispatch cost (100 -> 10k services)",
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunVIPScale(srlb.VIPScaleConfig{VIPCounts: e.vipCounts, Seed: e.seed, Progress: e.base.Progress})
+			res := experiments.RunVIPScale(experiments.VIPScaleConfig{VIPCounts: e.vipCounts, Seed: e.seed, Progress: e.base.Progress})
 			for _, row := range res.Rows {
 				rep.linef("%-12s vips=%-6d build=%7.1fms syn=%6.0f ns/pkt steer=%6.0f ns/pkt",
 					row.Scheme, row.VIPs, row.BuildMS, row.SYNNs, row.SteerNs)
@@ -358,7 +359,7 @@ var experiments = []experiment{
 		}},
 	{name: "churn", title: "extension: pool churn/autoscale under load", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := srlb.RunChurn(srlb.ChurnConfig{Base: e.base, Lambda0: e.lambda0})
+			res := experiments.RunChurn(experiments.ChurnConfig{Base: e.base, Lambda0: e.lambda0})
 			for _, name := range []string{"RR", "SR 4", "SR dyn"} {
 				if pen, err := res.ChurnPenalty(name, 0.95); err == nil {
 					rep.linef("churn penalty %-7s at rho=0.95: %.2fx", name, pen)
@@ -375,7 +376,7 @@ var experiments = []experiment{
 		},
 		run: func(e *env) (rep report, _ error) {
 			lastPct := -1
-			res, err := srlb.RunHorizon(context.Background(), srlb.HorizonConfig{
+			res, err := experiments.RunHorizon(context.Background(), experiments.HorizonConfig{
 				Cluster: e.base.Cluster, Lambda0: e.lambda0,
 				Queries: e.horizonQueries, Rho: e.horizonRho,
 				Progress: func(done, total uint64) {
@@ -406,8 +407,8 @@ var experiments = []experiment{
 
 // fig2Config is the load sweep of figure 2 and its bursty twin. Fig2Config
 // spells the base's fields out (bench/ builds it as a keyed literal).
-func (e *env) fig2Config(rhos []float64, workload srlb.Workload) srlb.Fig2Config {
-	return srlb.Fig2Config{
+func (e *env) fig2Config(rhos []float64, workload experiments.Workload) experiments.Fig2Config {
+	return experiments.Fig2Config{
 		Cluster: e.base.Cluster, Lambda0: e.lambda0, Queries: e.base.Queries, Rhos: rhos,
 		Seeds: e.base.Seeds, Workers: e.base.Workers, Progress: e.base.Progress, Workload: workload,
 	}
@@ -415,9 +416,9 @@ func (e *env) fig2Config(rhos []float64, workload srlb.Workload) srlb.Fig2Config
 
 // cdfFigure is the entry of figures 3 and 5: one CDF experiment, each
 // runner fixing its own rho.
-func cdfFigure(name, title, file string, run func(srlb.CDFConfig) srlb.CDFResult) experiment {
+func cdfFigure(name, title, file string, run func(experiments.CDFConfig) experiments.CDFResult) experiment {
 	return experiment{name: name, title: title, needsLambda0: true, run: func(e *env) (report, error) {
-		res := run(srlb.CDFConfig{Base: e.base, Lambda0: e.lambda0})
+		res := run(experiments.CDFConfig{Base: e.base, Lambda0: e.lambda0})
 		return report{files: []artifact{{file, res.TSV().Render}}}, nil
 	}}
 }

@@ -54,11 +54,12 @@ import (
 	"strings"
 	"time"
 
-	"srlb"
+	"srlb/internal/experiments"
 	"srlb/internal/profile"
+	"srlb/internal/stats"
 )
 
-// distJSON serializes a srlb.Dist: the across-seed mean of a per-seed
+// distJSON serializes a stats.Dist: the across-seed mean of a per-seed
 // statistic with its Student-t 95% half-width (see docs/RESULTS_SCHEMA.md).
 type distJSON struct {
 	Mean float64 `json:"mean"`
@@ -70,11 +71,11 @@ type distJSON struct {
 // ReportedCI95 maps the "unknown interval" sentinel (+Inf at n < 2) to
 // 0 — json.Marshal rejects non-finite values, and the schema's
 // convention is that a zero ci95 reads "unknown".
-func distMS(d srlb.Dist) distJSON {
+func distMS(d stats.Dist) distJSON {
 	return distJSON{Mean: d.Mean * 1e3, CI95: d.ReportedCI95() * 1e3, Min: d.Min * 1e3, Max: d.Max * 1e3}
 }
 
-func dist(d srlb.Dist) distJSON {
+func dist(d stats.Dist) distJSON {
 	return distJSON{Mean: d.Mean, CI95: d.ReportedCI95(), Min: d.Min, Max: d.Max}
 }
 
@@ -89,7 +90,7 @@ type outcomeJSON struct {
 	Refused    distJSON `json:"refused"`
 }
 
-func outcome(o srlb.OutcomeStats) outcomeJSON {
+func outcome(o experiments.OutcomeStats) outcomeJSON {
 	return outcomeJSON{
 		MeanMS:     distMS(o.Mean.Dist),
 		P50MS:      distMS(o.Median.Dist),
@@ -149,7 +150,7 @@ type sweepJSON struct {
 	// Tables are the experiment's row tables, each the value its TSV
 	// block is written from (schema v10); absent where the TSV is only a
 	// view of the cells.
-	Tables []srlb.Table `json:"tables,omitempty"`
+	Tables []experiments.Table `json:"tables,omitempty"`
 }
 
 // sweepSchemaVersion is the BENCH_*.json schema (v10: one document
@@ -238,7 +239,7 @@ func (e *env) declareFlags(fs *flag.FlagSet) {
 // experimentHelp is the -experiment usage string, listed from the table.
 func experimentHelp() string {
 	var names, notes []string
-	for _, x := range experiments {
+	for _, x := range entries {
 		name := x.name
 		if x.onlyWhenNamed {
 			name += "*"
@@ -256,8 +257,8 @@ func experimentHelp() string {
 // is every entry not marked onlyWhenNamed.
 func selectExperiments(value string) []*experiment {
 	var selected []*experiment
-	for i := range experiments {
-		x := &experiments[i]
+	for i := range entries {
+		x := &entries[i]
 		match := value == x.name || (value == "all" && !x.onlyWhenNamed)
 		for _, a := range x.also {
 			match = match || value == a
@@ -278,7 +279,7 @@ func selectExperiments(value string) []*experiment {
 // own default" wherever it meant that; a negative -ci-target is fixed
 // replication.
 func (e *env) resolve(fs *flag.FlagSet) ([]*experiment, error) {
-	for _, name := range []string{"rho-points", "queries", "servers", "seeds", "max-seeds", "compress", "horizon-rho", "ci-target"} {
+	for _, name := range []string{"rho-points", "queries", "servers", "seeds", "max-seeds", "workers", "compress", "horizon-rho", "ci-target"} {
 		value := fs.Lookup(name).Value.String()
 		v, _ := strconv.ParseFloat(value, 64)
 		switch {
@@ -288,8 +289,8 @@ func (e *env) resolve(fs *flag.FlagSet) ([]*experiment, error) {
 			return nil, fmt.Errorf("-%s must not be negative (got %s)", name, value)
 		case name == "compress" && v > 0 && v < 1:
 			return nil, fmt.Errorf("-compress is a compression factor, at least 1 (got %s)", value)
-		case name == "compress" && v > srlb.MaxWikiCompression:
-			return nil, fmt.Errorf("-compress leaves a 10-minute trace bin shorter than 1ns, at most %g (got %s)", srlb.MaxWikiCompression, value)
+		case name == "compress" && v > experiments.MaxWikiCompression:
+			return nil, fmt.Errorf("-compress leaves a 10-minute trace bin shorter than 1ns, at most %g (got %s)", experiments.MaxWikiCompression, value)
 		}
 	}
 	selected := selectExperiments(e.experiment)
@@ -301,7 +302,7 @@ func (e *env) resolve(fs *flag.FlagSet) ([]*experiment, error) {
 	// well-separated streams from it.
 	e.base.Seeds = []uint64{e.seed}
 	if e.seedCount > 1 {
-		e.base.Seeds = srlb.DeriveSeeds(e.seed, e.seedCount)
+		e.base.Seeds = experiments.DeriveSeeds(e.seed, e.seedCount)
 	}
 	e.base.Progress = func(string) {}
 	if e.verbose {
@@ -432,7 +433,7 @@ func (l *intList) Set(s string) error {
 // (with per-service resolved loads) for multi-VIP cells; a nil agg (a
 // wall-clock measurement such as vipscale) leaves just the envelope for
 // the experiment's tables.
-func newSweepDoc(lambda0 float64, workers int, total time.Duration, agg *srlb.SweepStats) sweepJSON {
+func newSweepDoc(lambda0 float64, workers int, total time.Duration, agg *experiments.SweepStats) sweepJSON {
 	doc := sweepJSON{
 		SchemaVersion: sweepSchemaVersion,
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),

@@ -11,7 +11,7 @@ import (
 	"strings"
 	"testing"
 
-	"srlb"
+	"srlb/internal/experiments"
 )
 
 // hostFields are the values of a BENCH_*.json document that depend on
@@ -24,11 +24,11 @@ var hostFields = regexp.MustCompile(`"(wall_ms|total_wall_ms|gomaxprocs)": [0-9.
 // one load × two seeds of the interference workload, so every cell
 // carries its per-VIP rows.
 func TestWriteSweepDocGolden(t *testing.T) {
-	res := srlb.RunInterference(srlb.InterferenceConfig{
-		Base:      srlb.Base{Cluster: srlb.Cluster{Seed: 7, Servers: 4}, Queries: 600, Seeds: srlb.DeriveSeeds(7, 2), Workers: 2},
+	res := experiments.RunInterference(experiments.InterferenceConfig{
+		Base:      experiments.Base{Cluster: experiments.ClusterConfig{Seed: 7, Servers: 4}, Queries: 600, Seeds: experiments.DeriveSeeds(7, 2), Workers: 2},
 		Lambda0:   80,
 		BatchRhos: []float64{0.3},
-		Policies:  []srlb.Policy{srlb.RR(), srlb.SRStatic(4)},
+		Policies:  []experiments.PolicySpec{experiments.RR(), experiments.SRc(4)},
 	})
 	var raw bytes.Buffer
 	if err := writeSweepDoc(&raw, newSweepDoc(80, 2, 0, &res.Stats)); err != nil {
@@ -78,7 +78,7 @@ func TestJSONTablesMatchTSV(t *testing.T) {
 			}
 			rest := "\n" + readFile(t, filepath.Join(dir, tsv))
 			for _, table := range parsed.Tables {
-				rendered := srlb.Table{Name: table.Name, Comment: table.Comment, Columns: table.Columns}
+				rendered := experiments.Table{Name: table.Name, Comment: table.Comment, Columns: table.Columns}
 				for _, row := range table.Rows {
 					cells := make([]string, len(row))
 					for i, cell := range row {
@@ -87,7 +87,7 @@ func TestJSONTablesMatchTSV(t *testing.T) {
 					rendered.Rows = append(rendered.Rows, cells)
 				}
 				var block strings.Builder
-				if err := (srlb.TSV{Tables: []srlb.Table{rendered}}).Render(&block); err != nil {
+				if err := (experiments.TSV{Tables: []experiments.Table{rendered}}).Render(&block); err != nil {
 					t.Fatal(err)
 				}
 				// The same blanking as the TSV golden's (vipscale's

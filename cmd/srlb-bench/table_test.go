@@ -30,11 +30,11 @@ func parseArgs(args []string) (*env, []*experiment, error) {
 // stub sets a non-zero λ0; the others check they see it when they asked.
 func stubTable(t *testing.T) *[]string {
 	var ran []string
-	saved, savedCal := experiments, calibration
-	t.Cleanup(func() { experiments, calibration = saved, savedCal })
-	experiments = append([]experiment(nil), saved...)
-	for i := range experiments {
-		x := &experiments[i]
+	saved, savedCal := entries, calibration
+	t.Cleanup(func() { entries, calibration = saved, savedCal })
+	entries = append([]experiment(nil), saved...)
+	for i := range entries {
+		x := &entries[i]
 		x.run = func(e *env) (report, error) {
 			ran = append(ran, x.name)
 			if x.name == savedCal.name {
@@ -45,7 +45,7 @@ func stubTable(t *testing.T) *[]string {
 			return report{}, nil
 		}
 	}
-	calibration = experiments[0]
+	calibration = entries[0]
 	return &ran
 }
 
@@ -71,15 +71,15 @@ var banner = regexp.MustCompile(`(?m)^== (.*) ==$`)
 func TestTableInvariants(t *testing.T) {
 	names := map[string]bool{}
 	titles := map[string]string{}
-	for _, x := range experiments {
+	for _, x := range entries {
 		if names[x.name] {
 			t.Errorf("entry name %q is not unique", x.name)
 		}
 		names[x.name] = true
 		titles[x.title] = x.name
 	}
-	if experiments[0].name != calibration.name {
-		t.Errorf("the table starts with %q, not the calibration", experiments[0].name)
+	if entries[0].name != calibration.name {
+		t.Errorf("the table starts with %q, not the calibration", entries[0].name)
 	}
 
 	ran := stubTable(t)
@@ -152,6 +152,7 @@ func TestBadInput(t *testing.T) {
 		{"-servers", []string{"-experiment", "calibrate", "-servers", "-1"}},
 		{"-seeds", []string{"-experiment", "calibrate", "-servers", "4", "-seeds", "-1"}},
 		{"-max-seeds", []string{"-experiment", "calibrate", "-servers", "4", "-max-seeds", "-1"}},
+		{"-workers", []string{"-experiment", "fig2", "-servers", "2", "-queries", "300", "-rho-points", "1", "-workers", "-1"}},
 		{"-compress", []string{"-experiment", "wiki", "-servers", "4", "-compress", "-5"}},
 		{"-horizon-rho", []string{"-experiment", "calibrate", "-servers", "4", "-horizon-rho", "-0.5"}},
 		{"-compress must be a finite number", []string{"-experiment", "wiki", "-servers", "4", "-compress", "NaN"}},
@@ -177,7 +178,7 @@ func TestBadInput(t *testing.T) {
 		})
 	}
 	_, stderr, _ := runBench(t, "-experiment", "nope")
-	for _, x := range experiments {
+	for _, x := range entries {
 		if !strings.Contains(stderr, x.name) {
 			t.Errorf("the unknown-experiment error does not list %q:\n%s", x.name, stderr)
 		}
@@ -288,7 +289,7 @@ func TestDocumentedCommandLines(t *testing.T) {
 			t.Errorf("no documented command line shows -%s", name)
 		}
 	}
-	for _, x := range experiments {
+	for _, x := range entries {
 		if !regexp.MustCompile(`-experiment ` + x.name + `\b`).MatchString(usage) {
 			t.Errorf("-experiment %s appears neither in the package comment's usage block nor in docs/TOPOLOGY.md", x.name)
 		}

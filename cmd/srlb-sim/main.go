@@ -30,36 +30,35 @@ import (
 	"strings"
 	"time"
 
-	"srlb"
 	"srlb/internal/appserver"
 	"srlb/internal/experiments"
 	"srlb/internal/profile"
 	"srlb/internal/testbed"
 )
 
-func parsePolicy(s string) (srlb.Policy, error) {
+func parsePolicy(s string) (experiments.PolicySpec, error) {
 	lower := strings.ToLower(s)
 	switch lower {
 	case "rr":
-		return srlb.RR(), nil
+		return experiments.RR(), nil
 	case "srdyn", "dyn":
-		return srlb.SRDynamic(), nil
+		return experiments.SRdyn(), nil
 	}
 	switch {
 	case strings.HasPrefix(lower, "src:"):
 		c, err := strconv.Atoi(lower[4:])
 		if err != nil {
-			return srlb.Policy{}, fmt.Errorf("bad policy %q", s)
+			return experiments.PolicySpec{}, fmt.Errorf("bad policy %q", s)
 		}
-		return srlb.SRStatic(c), nil
+		return experiments.SRc(c), nil
 	case strings.HasPrefix(lower, "sr"):
 		c, err := strconv.Atoi(lower[2:])
 		if err != nil {
-			return srlb.Policy{}, fmt.Errorf("bad policy %q", s)
+			return experiments.PolicySpec{}, fmt.Errorf("bad policy %q", s)
 		}
-		return srlb.SRStatic(c), nil
+		return experiments.SRc(c), nil
 	}
-	return srlb.Policy{}, fmt.Errorf("unknown policy %q (want rr, srN, src:N, srdyn)", s)
+	return experiments.PolicySpec{}, fmt.Errorf("unknown policy %q (want rr, srN, src:N, srdyn)", s)
 }
 
 func main() { os.Exit(simulate()) }
@@ -134,7 +133,7 @@ func simulate() (code int) {
 		fmt.Fprintf(os.Stderr, "srlb-sim: %v\n", err)
 		return 2
 	}
-	cluster := srlb.Cluster{
+	cluster := experiments.ClusterConfig{
 		Seed:    *seed,
 		Servers: *servers,
 		Server: appserver.Config{
@@ -146,7 +145,7 @@ func simulate() (code int) {
 	}
 	r := *rate
 	if r == 0 {
-		cal := srlb.Calibrate(srlb.Calibration{Cluster: cluster, Queries: *queries})
+		cal := experiments.Calibrate(experiments.CalibrationConfig{Cluster: cluster, Queries: *queries})
 		if cal.Err != nil {
 			fmt.Fprintf(os.Stderr, "srlb-sim: %v; raise -queries, or set -rate\n", cal.Err)
 			return 2
@@ -159,10 +158,10 @@ func simulate() (code int) {
 	if *workload == "bursty" {
 		// The bursty cell runs through the Scenario API; per-server
 		// completions come from the outcome's ClusterStats.
-		cell := srlb.Scenario{
+		cell := experiments.Scenario{
 			Cluster:  cluster,
 			Policy:   spec,
-			Workload: srlb.OneService(srlb.BurstyService{Lambda0: r, Queries: *queries}),
+			Workload: experiments.OneService(experiments.BurstyService{Lambda0: r, Queries: *queries}),
 		}.Run(context.Background())
 		out := cell.Outcome
 		fmt.Printf("\npolicy %s, %s: %d queries at mean %.1f q/s\n",

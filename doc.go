@@ -23,7 +23,8 @@
 //
 // # The experiment API: Scenario, Workload, Sweep, Runner
 //
-// Experiments compose from four values instead of per-figure entry points:
+// Experiments compose from four values of internal/experiments instead
+// of per-figure entry points:
 //
 //   - Workload — an arrival process plus demand model. The open-loop
 //     cell is a MultiServiceWorkload; OneService(PoissonService{…}) is
@@ -39,15 +40,16 @@
 //     cells finished so far.
 //
 // A complete figure-2-style sweep, replicated over 5 seeds and
-// aggregated into per-cell mean ± 95% CI:
+// aggregated into per-cell mean ± 95% CI (every recipe here spells a
+// name with the package that defines it):
 //
-//	cal := srlb.CalibrateCached(srlb.Calibration{Cluster: cluster})
-//	agg, _ := srlb.Runner{}.RunSweepStats(ctx, srlb.Sweep{
+//	cal := experiments.CalibrateCached(experiments.CalibrationConfig{Cluster: cluster})
+//	agg, _ := experiments.Runner{}.RunSweepStats(ctx, experiments.Sweep{
 //		Cluster:  cluster,
-//		Policies: srlb.PaperPolicies(),
+//		Policies: experiments.PaperPolicies(),
 //		Loads:    []float64{0.2, 0.61, 0.88},
-//		Seeds:    srlb.DeriveSeeds(1, 5),
-//		Workload: srlb.OneService(srlb.PoissonService{Lambda0: cal.Lambda0}),
+//		Seeds:    experiments.DeriveSeeds(1, 5),
+//		Workload: experiments.OneService(experiments.PoissonService{Lambda0: cal.Lambda0}),
 //	})
 //	cell := agg.Cell(1, 2) // SR4, ρ=0.88: mean ± CI over the 5 seeds
 //	fmt.Printf("%v ± %v (n=%d)\n", cell.MeanRT(), cell.MeanCI95(), cell.N())
@@ -55,13 +57,13 @@
 // RunSweep keeps the raw per-seed cells (SweepResult.Cell(pi, li, si));
 // Aggregate folds them after the fact. A raw cell's CellOutcome carries
 // its typed payloads: Cluster (per-server completions, SYN retransmits,
-// flowlet re-steers), Wiki for the §VI replays, Timeline for figure 4. The paper's artifacts remain
-// available as one-line wrappers (RunFig2, RunFig3, RunFig4, RunFig5,
-// RunWiki, RunHetero, RunFailover, RunChurn, …), each a thin
-// Scenario/Sweep composition. Their configs embed one Base — Cluster,
-// Queries, Seeds, Workers, Progress, with one set of defaults — next to
-// the knobs of their own (Fig2Config and Calibration spell the same
-// fields out flat), and the studies report one row type: the ablations,
+// flowlet re-steers), Wiki for the §VI replays, Timeline for figure 4.
+// The paper's artifacts remain available as one-line wrappers
+// (experiments.RunFig2, RunFig3, RunFig4, RunFig5, RunWiki, RunHetero,
+// RunFailover, RunChurn, …), each a thin Scenario/Sweep composition.
+// Their configs embed one Base — Cluster, Queries, Seeds, Workers,
+// Progress, with one set of defaults — next to the knobs of their own
+// (Fig2Config and CalibrationConfig spell the same fields out flat), and the studies report one row type: the ablations,
 // retransmit, hetero, churn and resilience rows are ServiceRows like
 // the multi-service family's, the configuration's label in Variant,
 // HeteroRow and RetransmitRow adding their own columns. cmd/srlb-bench
@@ -70,18 +72,18 @@
 //
 // # Topologies: LB replicas, multiple VIPs, lifecycle events
 //
-// Cluster construction is declarative (docs/TOPOLOGY.md): a Topology
-// declares server pools (Topology.Pools) and VIPs, each naming its pool
+// Cluster construction is declarative (docs/TOPOLOGY.md): a
+// testbed.Topology declares server pools (Topology.Pools) and VIPs, each naming its pool
 // by index — VIPs naming the same pool contend for the same workers —
 // with its own selection scheme, miss-fallback and demand model;
 // attaches N LB replicas through anycast/ECMP (the Maglev/Ananta
 // deployment model that §II-B's consistent-hash selection enables); and
 // schedules lifecycle Events (AddServer and DrainServer on a pool,
-// FailReplica and RecoverReplica) at virtual times during the run. Warm recovery, rack
-// loss and rolling upgrades are RunResilience's schedules (below).
-// BuildTopology compiles the value to wired nodes; Cluster
-// remains the one-line single-LB/single-VIP wrapper, so existing
-// figures are untouched. Sweeps gain the matching axis: Sweep.Variants
+// FailReplica and RecoverReplica) at virtual times during the run. Warm
+// recovery, rack loss and rolling upgrades are RunResilience's
+// schedules (below). testbed.Build compiles the value to wired nodes;
+// experiments.ClusterConfig remains the one-line single-LB/single-VIP
+// wrapper, so existing figures are untouched. Sweeps gain the matching axis: Sweep.Variants
 // derives topology variants (replica counts, event schedules) from the
 // base cluster, crossed with policies × loads × seeds, deterministic at
 // any worker count.
@@ -95,7 +97,7 @@
 // heterogeneous services concurrently through the shared balancer
 // (below).
 //
-// Failover deepens into warm handoff: flowtable.Snapshot/Restore (and
+// Failover deepens into warm handoff: flowtable.Table.Snapshot/Restore (and
 // the core.LoadBalancer ExportFlows/ImportFlows wrappers) merge flow
 // bindings with their deadlines and closing state — never overwriting
 // a newer local entry — so a recovering replica can inherit a
@@ -110,7 +112,7 @@
 // Event times compose with load sweeps by being declared rate-relative:
 // Event.AtFraction(f) schedules the event at fraction f of the run's
 // arrival span, and every workload resolves the fractions per load
-// point (ResolveEvents), so a single drain/add schedule means the same
+// point (testbed.ResolveEvents), so a single drain/add schedule means the same
 // thing at every ρ. RunChurn's steady-vs-churn variant pair sweeps all
 // of its loads this way.
 //
@@ -127,19 +129,19 @@
 // completed + refused + unfinished); the replicated per-service
 // breakdown (CellStats.VIPs) starts at two services:
 //
-//	cal := srlb.CalibrateCached(srlb.Calibration{Cluster: cluster})
-//	agg, _ := srlb.Runner{}.RunSweepStats(ctx, srlb.Sweep{
+//	cal := experiments.CalibrateCached(experiments.CalibrationConfig{Cluster: cluster})
+//	agg, _ := experiments.Runner{}.RunSweepStats(ctx, experiments.Sweep{
 //		Cluster:  cluster,
-//		Policies: []srlb.Policy{srlb.RR(), srlb.SRStatic(4)},
+//		Policies: []experiments.PolicySpec{experiments.RR(), experiments.SRc(4)},
 //		Loads:    []float64{0.6, 0.85},
-//		Seeds:    srlb.DeriveSeeds(1, 5),
-//		Workload: srlb.MultiServiceWorkload{
-//			Services: []srlb.ServiceSpec{
-//				{Name: "web", Workload: srlb.PoissonService{Lambda0: cal.Lambda0}},
-//				{Name: "wiki", Workload: srlb.WikiService{Day: srlb.WikiDay{Compression: 288}}, Pool: 1},
-//				{Name: "batch", Workload: srlb.BurstyService{Lambda0: cal.Lambda0 / 2, PeakFactor: 4}, Pool: 2},
+//		Seeds:    experiments.DeriveSeeds(1, 5),
+//		Workload: experiments.MultiServiceWorkload{
+//			Services: []experiments.ServiceSpec{
+//				{Name: "web", Workload: experiments.PoissonService{Lambda0: cal.Lambda0}},
+//				{Name: "wiki", Workload: experiments.WikiService{Day: wiki.Config{Compression: 288}}, Pool: 1},
+//				{Name: "batch", Workload: experiments.BurstyService{Lambda0: cal.Lambda0 / 2, PeakFactor: 4}, Pool: 2},
 //			},
-//			Pools: []srlb.PoolSpec{{}, {}, {Servers: 6}}, // one pool per service
+//			Pools: []testbed.PoolSpec{{}, {}, {Servers: 6}}, // one pool per service
 //		},
 //	})
 //	web := agg.Cell(1, 1).VIPs[0] // SR4 × ρ=0.85: web service, mean ± ci95
@@ -197,8 +199,8 @@
 // {random2, chash2, wleastload, flowlet} over the interference workload
 // in steady and churn variants as `srlb-bench -experiment policies`
 // (extension_policies.tsv, BENCH_policies.json's cells and table); it
-// is the facade's way onto the feedback plane, which docs/TOPOLOGY.md
-// covers.
+// is the experiment layer's way onto the feedback plane, which
+// docs/TOPOLOGY.md covers.
 //
 // # Grid sweeps and adaptive replication
 //
@@ -249,7 +251,7 @@
 //
 // On the data plane every hop checks the packet as the wire codec would
 // and hands the receiver a copy equal, field for field, to what parsing
-// its bytes gives (packet.Check, packet.CopyInto); netsim's
+// its bytes gives (packet.Packet.Check, packet.CopyInto); netsim's
 // VerifyChecksums runs the codec itself, marshal → wire bytes → parse,
 // as the reference the copy is tested against. A delivered packet
 // belongs to the node that receives it — the LB and the virtual routers
@@ -258,7 +260,7 @@
 // and the SRH its routing header was copied or parsed into (CopyInto and
 // ParseInto overwrite whatever header p.SRH points at on entry) for the
 // next delivery. Whatever must outlive the call — a tap's capture, a
-// test's assertion — is a packet.Clone, never a kept pointer. Nodes count
+// test's assertion — is a Packet.Clone, never a kept pointer. Nodes count
 // what they do as a data-plane pipeline counts in register arrays: each
 // layer declares its counter names once (a metrics.Schema) and adds to a
 // slot by index, so no packet hashes a string to be counted; a node's
@@ -314,7 +316,9 @@
 //
 // # Package map
 //
-// The public API in this root package fronts the implementation packages:
+// This root package holds no code. The implementation lives in
+// internal packages, which the module's own programs (cmd/, examples/,
+// bench/) import directly:
 //
 //   - internal/core — the load balancer (the paper's contribution): one
 //     clock-free Dispatcher plus its discrete-event binding, LoadBalancer
@@ -334,12 +338,12 @@
 //   - internal/experiments — Scenario/Sweep/Runner, workloads, figures 2–8,
 //     λ0 calibration, ablations
 //
-// Use QuickComparison for a two-line comparison run, Sweep/Runner for
-// anything bigger; cmd/srlb-bench does both from the command line.
+// examples/quickstart is the two-minute tour, a Sweep on a Runner covers
+// anything bigger, and cmd/srlb-bench regenerates every artifact from
+// the command line.
 //
-// The facade re-exports only what a caller names. Every export has a
-// reader: a package-qualified use in cmd/ or examples/, or in a recipe
-// in this comment or docs/*.md. Results are reached through :=, so their
-// types stay in internal/experiments. surface_test.go enforces the rule
-// for the facade and for every internal package.
+// Every exported name has a reader: a package-qualified use in another
+// package (cmd/, examples/ and bench/ included), the bare name in its
+// own, or a pkg.Name in this comment or docs/*.md, which must name an
+// export of that internal package. surface_test.go enforces the rule.
 package srlb

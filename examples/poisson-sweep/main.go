@@ -16,7 +16,7 @@ import (
 	"fmt"
 	"os"
 
-	"srlb"
+	"srlb/internal/experiments"
 )
 
 func main() {
@@ -25,23 +25,23 @@ func main() {
 		queries = 8000
 		nSeeds  = 3
 	)
-	cluster := srlb.Cluster{Seed: seed, Servers: 12}
+	cluster := experiments.ClusterConfig{Seed: seed, Servers: 12}
 
 	// §V-A bootstrap, memoized per cluster fingerprint: rerunning this
 	// example (or any figure) in the same process reuses the probes.
-	cal := srlb.CalibrateCached(srlb.Calibration{Cluster: cluster})
+	cal := experiments.CalibrateCached(experiments.CalibrationConfig{Cluster: cluster})
 	fmt.Fprintf(os.Stderr, "lambda0 = %.1f q/s (theoretical %.1f)\n", cal.Lambda0, cal.Theoretical)
 
 	// A coarse grid keeps the example fast; cmd/srlb-bench sweeps the
 	// paper's full 24 points (and takes -seeds for deeper replication).
-	sweep := srlb.Sweep{
+	sweep := experiments.Sweep{
 		Cluster:  cluster,
-		Policies: srlb.PaperPolicies(),
+		Policies: experiments.PaperPolicies(),
 		Loads:    []float64{0.2, 0.4, 0.6, 0.75, 0.88, 0.95},
-		Seeds:    srlb.DeriveSeeds(seed, nSeeds),
-		Workload: srlb.OneService(srlb.PoissonService{Lambda0: cal.Lambda0, Queries: queries}),
+		Seeds:    experiments.DeriveSeeds(seed, nSeeds),
+		Workload: experiments.OneService(experiments.PoissonService{Lambda0: cal.Lambda0, Queries: queries}),
 	}
-	agg, err := srlb.Runner{
+	agg, err := experiments.Runner{
 		Progress: func(s string) { fmt.Fprintln(os.Stderr, "  "+s) },
 	}.RunSweepStats(context.Background(), sweep)
 	if err != nil {

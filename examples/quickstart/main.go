@@ -14,7 +14,7 @@ import (
 	"context"
 	"fmt"
 
-	"srlb"
+	"srlb/internal/experiments"
 )
 
 func main() {
@@ -27,20 +27,20 @@ func main() {
 
 	fmt.Printf("SRLB quickstart: %d servers, %d queries, rho=%.2f\n\n", servers, queries, rho)
 
-	cluster := srlb.Cluster{Seed: seed, Servers: servers}
+	cluster := experiments.ClusterConfig{Seed: seed, Servers: servers}
 
 	// §V-A bootstrap: find the max sustainable rate.
-	cal := srlb.Calibrate(srlb.Calibration{Cluster: cluster})
+	cal := experiments.Calibrate(experiments.CalibrationConfig{Cluster: cluster})
 	fmt.Printf("calibrated lambda0 = %.1f queries/s (theoretical %.1f)\n\n",
 		cal.Lambda0, cal.Theoretical)
 
 	// One Sweep, every policy, run in parallel on all cores.
-	policies := []srlb.Policy{srlb.RR(), srlb.SRStatic(4), srlb.SRDynamic()}
-	res, err := srlb.Runner{}.RunSweep(context.Background(), srlb.Sweep{
+	policies := []experiments.PolicySpec{experiments.RR(), experiments.SRc(4), experiments.SRdyn()}
+	res, err := experiments.Runner{}.RunSweep(context.Background(), experiments.Sweep{
 		Cluster:  cluster,
 		Policies: policies,
 		Loads:    []float64{rho},
-		Workload: srlb.OneService(srlb.PoissonService{Lambda0: cal.Lambda0, Queries: queries}),
+		Workload: experiments.OneService(experiments.PoissonService{Lambda0: cal.Lambda0, Queries: queries}),
 	})
 	if err != nil {
 		panic(err)
@@ -58,11 +58,11 @@ func main() {
 	// Mean load 0.6 — but the ON bursts run at 3× that, so the cluster
 	// oscillates between slack and overload, which is exactly the regime
 	// where hunting beats blind spraying.
-	bursty, err := srlb.Runner{}.RunSweep(context.Background(), srlb.Sweep{
+	bursty, err := experiments.Runner{}.RunSweep(context.Background(), experiments.Sweep{
 		Cluster:  cluster,
 		Policies: policies,
 		Loads:    []float64{0.6},
-		Workload: srlb.OneService(srlb.BurstyService{Lambda0: cal.Lambda0, Queries: queries}),
+		Workload: experiments.OneService(experiments.BurstyService{Lambda0: cal.Lambda0, Queries: queries}),
 	})
 	if err != nil {
 		panic(err)
@@ -74,7 +74,8 @@ func main() {
 			policy.Name, rt.Mean().Seconds(), rt.Quantile(0.9).Seconds())
 	}
 
-	rrMean, srMean := srlb.QuickComparison(seed, servers, rho, queries)
+	// The Poisson sweep already holds the headline: RR is policy 0, SR4 policy 1.
+	rrMean, srMean := res.Cell(0, 0, 0).Outcome.RT.Mean(), res.Cell(1, 0, 0).Outcome.RT.Mean()
 	fmt.Printf("\nthe power of choices: SR4 is %.1fx faster than RR at rho=%.2f\n",
 		float64(rrMean)/float64(srMean), rho)
 	fmt.Println("(the paper reports up to 2.3x at this load — figure 2)")

@@ -17,12 +17,14 @@ import (
 	"fmt"
 	"os"
 
-	"srlb"
+	"srlb/internal/experiments"
+	"srlb/internal/stats"
+	"srlb/internal/wiki"
 )
 
 func main() {
 	const nSeeds = 3
-	day := srlb.WikiDay{
+	day := wiki.Config{
 		Seed: 3,
 		// Compress the 24-hour day into 10 simulated minutes: load levels
 		// (and thus the RR-vs-SR4 contrast) are preserved, statistical
@@ -30,21 +32,21 @@ func main() {
 		Compression: 144,
 	}
 
-	policies := []srlb.Policy{srlb.RR(), srlb.SRStatic(4)}
-	res, err := srlb.Runner{
+	policies := []experiments.PolicySpec{experiments.RR(), experiments.SRc(4)}
+	res, err := experiments.Runner{
 		Progress: func(s string) { fmt.Fprintln(os.Stderr, "  "+s) },
-	}.RunSweep(context.Background(), srlb.Sweep{
-		Cluster:  srlb.Cluster{Seed: 3, Servers: 12},
+	}.RunSweep(context.Background(), experiments.Sweep{
+		Cluster:  experiments.ClusterConfig{Seed: 3, Servers: 12},
 		Policies: policies,
-		Seeds:    srlb.DeriveSeeds(3, nSeeds),
-		Workload: srlb.WikiWorkload{Day: day},
+		Seeds:    experiments.DeriveSeeds(3, nSeeds),
+		Workload: experiments.WikiWorkload{Day: day},
 	})
 	if err != nil {
 		panic(err)
 	}
 	// Each cell's Wiki field is the full per-run WikiRun (time bins,
 	// launch counts, cache hit rates); nil on a skipped cell.
-	runFor := func(pi, si int) *srlb.WikiRun { return res.Cell(pi, 0, si).Outcome.Wiki }
+	runFor := func(pi, si int) *experiments.WikiRun { return res.Cell(pi, 0, si).Outcome.Wiki }
 	fmt.Println("\nmedian wiki-page load time (s) by time of day (first seed):")
 	fmt.Println("time      rate_qps   RR      SR4")
 	ref, sr0 := runFor(0, 0), runFor(1, 0)
@@ -78,8 +80,8 @@ func main() {
 			}
 			hits = append(hits, h/float64(len(run.HitRates)))
 		}
-		med, q3 := srlb.Describe(medians), srlb.Describe(q3s)
+		med, q3 := stats.Describe(medians), stats.Describe(q3s)
 		fmt.Printf("  %-5s median=%.3fs ±%.3f  q3=%.3fs ±%.3f  cache-hit=%.2f\n",
-			p.Name, med.Mean, med.CI95, q3.Mean, q3.CI95, srlb.Describe(hits).Mean)
+			p.Name, med.Mean, med.CI95, q3.Mean, q3.CI95, stats.Describe(hits).Mean)
 	}
 }

@@ -81,7 +81,8 @@ type CalibrationProbe struct {
 // simulation), then keeps the sub-interval where the drop indicator
 // flips. The result is a pure function of the config — worker count and
 // scheduling cannot change it — and ProbeFan = 1 reproduces the classic
-// serial bisection exactly.
+// serial bisection exactly; a larger fan lands within one bisection
+// tolerance of it in ~ProbeFan× fewer serial rounds.
 func Calibrate(cfg CalibrationConfig) CalibrationResult {
 	cfg = cfg.withDefaults()
 	res := CalibrationResult{Theoretical: cfg.Cluster.TheoreticalCapacity()}

@@ -88,6 +88,9 @@ func TestCalibrateCached(t *testing.T) {
 	if len(first.Probes) == 0 || &first.Probes[0] != &second.Probes[0] {
 		t.Fatal("second CalibrateCached call re-ran the probes")
 	}
+	if direct := Calibrate(cfg); direct.Lambda0 != first.Lambda0 {
+		t.Fatalf("cached lambda0 %v != direct %v", first.Lambda0, direct.Lambda0)
+	}
 	// A different topology must miss the cache.
 	other := cfg
 	other.Cluster.Seed++

@@ -55,7 +55,8 @@ func RR() PolicySpec {
 	}
 }
 
-// SRc is the static policy with threshold c over two random candidates.
+// SRc is the static policy (Algorithm 1) with threshold c over two random
+// candidates.
 func SRc(c int) PolicySpec {
 	return PolicySpec{
 		Name:       fmt.Sprintf("SR %d", c),

@@ -82,7 +82,8 @@ func (c HorizonConfig) withDefaults() HorizonConfig {
 // RunHorizon executes the soak: the cell OneService(PoissonService) runs,
 // with a heap sample every SampleEvery launches and query counts wide
 // enough for 10⁸ and beyond. The engine holds one future arrival and the
-// sink is sketches, so nothing grows with the horizon.
+// sink is sketches, so nothing grows with the horizon. ctx cancels
+// mid-run; the result then holds the partial measurement.
 func RunHorizon(ctx context.Context, cfg HorizonConfig) (HorizonResult, error) {
 	return runHorizon(ctx, cfg, PoissonHooks{})
 }

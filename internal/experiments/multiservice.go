@@ -376,7 +376,7 @@ type MultiServiceWorkload struct {
 }
 
 // OneService is the single-VIP cell: svc replayed as the cluster's only
-// service.
+// service, e.g. OneService(PoissonService{Lambda0: l0}) for the §V cell.
 func OneService(svc ServiceWorkload) MultiServiceWorkload {
 	return MultiServiceWorkload{Services: []ServiceSpec{{Workload: svc}}}
 }

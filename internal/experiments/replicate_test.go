@@ -30,7 +30,7 @@ func TestSweepAggregate(t *testing.T) {
 				t.Fatalf("cell (%d,%d): n = %d, want %d", pi, li, cs.N(), nSeeds)
 			}
 			d := cs.Mean.Dist
-			if d.CI95 <= 0 {
+			if d.CI95 <= 0 || cs.MeanCI95() <= 0 {
 				t.Fatalf("cell (%d,%d): %d distinct seeds must yield a positive CI", pi, li, nSeeds)
 			}
 			if d.Mean < d.Min || d.Mean > d.Max {

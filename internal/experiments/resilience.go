@@ -123,7 +123,8 @@ func resilienceEvents(cfg ResilienceConfig, scenario, mode string) []testbed.Eve
 	}
 }
 
-// RunResilience executes the ablation.
+// RunResilience executes the ablation, reporting completion rates with
+// CIs per (scenario, mode).
 func RunResilience(cfg ResilienceConfig) ResilienceResult {
 	cfg.Base = cfg.Base.withDefaults()
 	if cfg.Rho == 0 {

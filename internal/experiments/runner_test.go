@@ -46,6 +46,10 @@ func TestRunnerParallelEqualsSerial(t *testing.T) {
 	if !reflect.DeepEqual(stripWall(serial.Cells), stripWall(parallel.Cells)) {
 		t.Fatal("parallel sweep differs from serial sweep for the same scenarios")
 	}
+	// The paper's claim on the raw cells: SR4 beats RR at rho=0.85.
+	if rr, sr := serial.Cell(0, 1, 0).Outcome.RT.Mean(), serial.Cell(1, 1, 0).Outcome.RT.Mean(); sr >= rr {
+		t.Fatalf("SR4 (%v) not better than RR (%v) at rho=0.85", sr, rr)
+	}
 	// And a re-run is identical too (pure function of the sweep value).
 	again, _ := Runner{Workers: 3}.RunSweep(context.Background(), sweep)
 	if !reflect.DeepEqual(stripWall(parallel.Cells), stripWall(again.Cells)) {
@@ -184,6 +188,9 @@ func TestBurstyWorkload(t *testing.T) {
 	out := cell.Outcome
 	if got := out.RT.Count() + out.Refused + out.Unfinished; got != queries {
 		t.Fatalf("accounting: %d results for %d queries", got, queries)
+	}
+	if len(out.Cluster.ServerCompleted) != cluster.Servers {
+		t.Fatalf("per-server completions for %d servers, want %d", len(out.Cluster.ServerCompleted), cluster.Servers)
 	}
 	if out.RT.Count() < queries/2 {
 		t.Fatalf("only %d/%d completed at moderate mean load", out.RT.Count(), queries)

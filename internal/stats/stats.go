@@ -130,7 +130,8 @@ type Dist struct {
 	Max    float64
 }
 
-// Describe computes the Dist of xs.
+// Describe computes the Dist of xs: mean, std, stderr and the Student-t
+// 95% CI of a sample of observations.
 func Describe(xs []float64) Dist {
 	d := Dist{N: len(xs), Mean: Mean(xs), CI95: MeanCI95(xs)}
 	if d.N == 0 {

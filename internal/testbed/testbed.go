@@ -37,30 +37,13 @@ var (
 	LBAddr = ipv6.MustAddr("2001:db8:1b::1")
 )
 
-// Address tables for the common pool/client sizes, precomputed once so
-// that testbed construction — which Sweeps repeat per cell — does not
-// re-parse address strings. Indices beyond the tables fall back to
-// parsing.
-var (
-	serverAddrs [64]netip.Addr
-	clientAddrs [32]netip.Addr
-)
-
-func init() {
-	for i := range serverAddrs {
-		serverAddrs[i] = ipv6.MustAddr(fmt.Sprintf("2001:db8:5::%x", i+1))
-	}
-	for j := range clientAddrs {
-		clientAddrs[j] = ipv6.MustAddr(fmt.Sprintf("2001:db8:c::%x", j+1))
-	}
-}
-
 // addrWithTail returns base with its low 64 bits set to tail — the
 // arithmetic equivalent of formatting "<prefix>::%x" for hextet-sized
 // indices, and the only form that stays valid past 0xffff (where the
-// single hextet of the string form would overflow). Scale topologies
-// (1k–10k VIPs) derive every address this way: no parsing, no
-// allocation.
+// single hextet of the string form would overflow). Every indexed
+// testbed address — ServerAddr, ClientAddr, VIPAddr,
+// SharedPoolServerAddr — is derived this way: no parsing, no
+// allocation, no table.
 func addrWithTail(base netip.Addr, tail uint64) netip.Addr {
 	a := base.As16()
 	a[8] = byte(tail >> 56)
@@ -82,20 +65,10 @@ var (
 )
 
 // ServerAddr returns the physical address of server i (0-based).
-func ServerAddr(i int) netip.Addr {
-	if i >= 0 && i < len(serverAddrs) {
-		return serverAddrs[i]
-	}
-	return addrWithTail(serverBase, uint64(i)+1)
-}
+func ServerAddr(i int) netip.Addr { return addrWithTail(serverBase, uint64(i)+1) }
 
 // ClientAddr returns the address of client source j (0-based).
-func ClientAddr(j int) netip.Addr {
-	if j >= 0 && j < len(clientAddrs) {
-		return clientAddrs[j]
-	}
-	return addrWithTail(clientBase, uint64(j)+1)
-}
+func ClientAddr(j int) netip.Addr { return addrWithTail(clientBase, uint64(j)+1) }
 
 // Query is one HTTP request to be issued by the traffic generator.
 type Query struct {

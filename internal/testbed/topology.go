@@ -40,12 +40,7 @@ import (
 // arithmetically, identical to the historical "2001:db8:f00d::%x"
 // string form for every hextet-sized index and well-defined far beyond
 // it (10k-VIP topologies walk straight through the /64).
-func VIPAddr(v int) netip.Addr {
-	if v == 0 {
-		return VIP
-	}
-	return addrWithTail(vipBase, uint64(v)+1)
-}
+func VIPAddr(v int) netip.Addr { return addrWithTail(vipBase, uint64(v)+1) }
 
 // SharedPoolServerAddr returns the physical address of server i of pool
 // p (Topology.Pools order): 2001:db8:5:<p>::<i+1>, p in hextet 3 and i+1
@@ -127,8 +122,10 @@ type VIPSpec struct {
 	Demand func(i int) vrouter.DemandFn
 }
 
-// Topology declares a full cluster. The zero value (one default pool,
-// one zero VIPSpec) is the paper's platform behind a single LB.
+// Topology declares a full cluster: server pools, VIPs each selecting
+// over one pool by index, N LB replicas over anycast/ECMP, and lifecycle
+// Events. The zero value (one default pool, one zero VIPSpec) is the
+// paper's platform behind a single LB.
 type Topology struct {
 	Seed uint64
 	// Replicas is the number of LB replicas (default 1). With more than
@@ -232,7 +229,8 @@ func (ev Event) AtFraction(f float64) Event {
 // ResolveEvents resolves every rate-relative event against the given
 // arrival span, returning a new slice with all times absolute; absolute
 // events pass through untouched. Workloads call this once per run, after
-// computing their span from the load point. Malformed relative events —
+// computing their span from the load point; call it yourself only when
+// handing a relative schedule straight to Build. Malformed relative events —
 // fractions outside [0, 1], or an event carrying both an absolute time
 // and a fraction — panic here with the same diagnostics Validate gives,
 // since resolution (not Build) is where the workload path sees them
@@ -262,7 +260,8 @@ func ResolveEvents(events []Event, span time.Duration) []Event {
 }
 
 // AddServer returns an event growing pool by one server at time at. The
-// new server gets the next free index in the pool.
+// new server gets the next free index in the pool, and every VIP
+// selecting over the pool gains it.
 func AddServer(at time.Duration, pool int) Event {
 	return Event{At: at, Kind: EventServerAdd, Pool: pool}
 }
@@ -579,9 +578,12 @@ type replicaState struct {
 	preFail []flowtable.FlowBinding
 }
 
-// Build compiles the topology into wired nodes. It panics on malformed
-// topologies: cluster construction is static experiment setup, and an
-// invalid declaration is a programming error in the caller.
+// Build compiles the topology into wired nodes — the low-level entry
+// point for hand-built multi-LB / multi-VIP scenarios; experiments
+// usually go through experiments.ClusterConfig or a Sweep's
+// ClusterVariant axis instead. It panics on malformed topologies:
+// cluster construction is static experiment setup, and an invalid
+// declaration is a programming error in the caller.
 //
 // Determinism: every random stream is derived from Topology.Seed (the
 // scheme of replica r over VIP v draws from stream 1 + r·len(VIPs) + v,

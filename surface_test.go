@@ -21,9 +21,8 @@ var surfaceAllowed = map[string]string{
 	"internal/agent.Dynamic.C":                "test oracle: SRdyn's threshold (agent and testbed tests)",
 	"internal/experiments.Table.MarshalJSON":  "called by encoding/json",
 	"internal/experiments.CellStats.MeanRT":   "documented in doc.go's replication recipe",
-	"internal/experiments.CellStats.MeanCI95": "documented in doc.go's replication recipe (srlb_test runs it)",
+	"internal/experiments.CellStats.MeanCI95": "documented in doc.go's replication recipe (TestSweepAggregate runs it)",
 	"internal/ipv6.ProtoNone":                 "a protocol constant: IPv6's no-next-header value",
-	"internal/sketch.MaxRelativeError":        "test oracle: the histogram's documented error bound",
 	"internal/sketch.Histogram.Buckets":       "test oracle: the histogram's bucket growth",
 	"internal/sketch.Histogram.Equal":         "test oracle: merge and reset round trips",
 	"internal/testbed.Testbed.FeedbackOf":     "test oracle: a replica's feedback view",
@@ -32,8 +31,8 @@ var surfaceAllowed = map[string]string{
 	"internal/stats.Percentile":               "test oracle: the exact quantile sketch quantiles are held to",
 }
 
-// facadeRef is a qualified facade name in prose: doc.go and docs/*.md.
-var facadeRef = regexp.MustCompile(`\bsrlb\.([A-Z]\w*)`)
+// docRef is a package-qualified name in prose: doc.go and docs/*.md.
+var docRef = regexp.MustCompile(`\b([a-z]\w*)\.([A-Z]\w*)`)
 
 // surfaceReads is what the repo's non-test Go files read.
 type surfaceReads struct {
@@ -83,16 +82,13 @@ func (r surfaceReads) scan(dir string, f *ast.File, info *types.Info) {
 	})
 }
 
-// surfaceExport is one exported name of srlb.go or an internal package.
+// surfaceExport is one exported name of an internal package.
 type surfaceExport struct {
 	dir, recv, name string
 	pos             token.Position
 }
 
 func (e surfaceExport) key() string {
-	if e.dir == "." {
-		return "srlb." + e.name
-	}
 	if e.recv != "" {
 		return e.dir + "." + e.recv + "." + e.name
 	}
@@ -148,14 +144,14 @@ func receiverName(x ast.Expr) string {
 }
 
 // TestEveryExportHasAReader holds the public surface to what the repo
-// uses: every exported top-level name and method of srlb.go and of the
-// internal packages is read by a non-test file (bench/ and examples/
-// included), or is on surfaceAllowed. A facade name's reader is a
-// qualified srlb.Name, in Go or in a doc.go/docs/*.md recipe, and every
-// such recipe must name something srlb.go exports. An internal name's
-// reader is pkg.Name in another package or the bare name in its own; a
-// method's is any selector of its name that go/types does not resolve to
-// a struct field (q.VIP reading a field VIP reads no method VIP).
+// uses: every exported top-level name and method of the internal
+// packages is read by a non-test file (bench/ and examples/ included),
+// or is on surfaceAllowed. A name's reader is pkg.Name in another
+// package, the bare name in its own, or pkg.Name in doc.go or
+// docs/*.md, where every such pkg.Name of an internal package must name
+// one of its exports. A method's reader is any selector of its name
+// that go/types does not resolve to a struct field (q.VIP reading a
+// field VIP reads no method VIP).
 func TestEveryExportHasAReader(t *testing.T) {
 	repo, err := loadRepo()
 	if err != nil {
@@ -179,20 +175,25 @@ func TestEveryExportHasAReader(t *testing.T) {
 			rel, _ := filepath.Rel(root, filepath.Dir(name))
 			dir := filepath.ToSlash(rel)
 			r.scan(dir, f, repo.info)
-			if dir == "." || strings.HasPrefix(dir, "internal/") {
+			if strings.HasPrefix(dir, "internal/") {
 				exports = append(exports, exportsOf(repo.fset, dir, f)...)
 			}
 		}
 	}
-
-	facade := map[string]bool{}
-	for _, e := range exports {
-		if e.dir == "." {
-			facade[e.name] = true
-		}
+	if len(exports) == 0 {
+		t.Fatal("scan found no internal export: run from the repo root")
 	}
-	if len(facade) == 0 || len(exports) == len(facade) {
-		t.Fatalf("scan found %d exports, %d of them in srlb.go: run from the repo root", len(exports), len(facade))
+
+	// topLevel maps an internal package's name to its top-level exports.
+	topLevel := map[string]map[string]bool{}
+	for _, e := range exports {
+		pkg := path.Base(e.dir)
+		if topLevel[pkg] == nil {
+			topLevel[pkg] = map[string]bool{}
+		}
+		if e.recv == "" {
+			topLevel[pkg][e.name] = true
+		}
 	}
 	docs, _ := filepath.Glob("docs/*.md")
 	for _, doc := range append([]string{"doc.go"}, docs...) {
@@ -201,11 +202,15 @@ func TestEveryExportHasAReader(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, line := range strings.Split(string(text), "\n") {
-			for _, m := range facadeRef.FindAllStringSubmatch(line, -1) {
-				if !facade[m[1]] {
-					t.Errorf("%s:%d: srlb.%s is not exported by srlb.go", doc, i+1, m[1])
+			for _, m := range docRef.FindAllStringSubmatch(line, -1) {
+				pkg, name := m[1], m[2]
+				if topLevel[pkg] == nil {
+					continue // not an internal package
 				}
-				r.qualified["srlb."+m[1]] = true
+				if !topLevel[pkg][name] {
+					t.Errorf("%s:%d: %s.%s is not exported by internal/%s", doc, i+1, pkg, name, pkg)
+				}
+				r.qualified["srlb/internal/"+pkg+"."+name] = true
 			}
 		}
 	}
@@ -215,8 +220,6 @@ func TestEveryExportHasAReader(t *testing.T) {
 	for _, e := range exports {
 		var read bool
 		switch {
-		case e.dir == ".":
-			read = r.qualified["srlb."+e.name]
 		case e.recv != "":
 			read = r.selectors[e.name]
 		default:
