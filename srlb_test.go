@@ -4,38 +4,32 @@ import (
 	"context"
 	"testing"
 
-	"srlb"
+	"srlb/internal/experiments"
+	"srlb/internal/stats"
 )
 
-func TestQuickComparison(t *testing.T) {
-	rr, sr := srlb.QuickComparison(1, 4, 0.85, 4000)
-	if rr <= 0 || sr <= 0 {
-		t.Fatal("zero means")
-	}
-	if sr >= rr {
-		t.Fatalf("SR4 (%v) not better than RR (%v) at high load", sr, rr)
-	}
-}
+// The TestFacade* tests check the entry points that cmd/srlb-bench,
+// cmd/srlb-sim and the examples call, on the packages that define them.
 
 func TestFacadePolicyConstructors(t *testing.T) {
-	if srlb.RR().Candidates != 1 {
+	if experiments.RR().Candidates != 1 {
 		t.Fatal("RR candidates")
 	}
-	if srlb.SRStatic(8).Name != "SR 8" {
-		t.Fatal("SRStatic name")
+	if experiments.SRc(8).Name != "SR 8" {
+		t.Fatal("SRc name")
 	}
-	if len(srlb.PaperPolicies()) != 5 {
+	if len(experiments.PaperPolicies()) != 5 {
 		t.Fatal("paper policies")
 	}
 }
 
 func TestFacadeSweepRunner(t *testing.T) {
-	cluster := srlb.Cluster{Seed: 5, Servers: 4}
-	res, err := srlb.Runner{Workers: 4}.RunSweep(context.Background(), srlb.Sweep{
+	cluster := experiments.ClusterConfig{Seed: 5, Servers: 4}
+	res, err := experiments.Runner{Workers: 4}.RunSweep(context.Background(), experiments.Sweep{
 		Cluster:  cluster,
-		Policies: []srlb.Policy{srlb.RR(), srlb.SRStatic(4)},
+		Policies: []experiments.PolicySpec{experiments.RR(), experiments.SRc(4)},
 		Loads:    []float64{0.4, 0.85},
-		Workload: srlb.OneService(srlb.PoissonService{Lambda0: 80, Queries: 2000}),
+		Workload: experiments.OneService(experiments.PoissonService{Lambda0: 80, Queries: 2000}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +37,7 @@ func TestFacadeSweepRunner(t *testing.T) {
 	if len(res.Cells) != 4 {
 		t.Fatalf("cells = %d, want 4", len(res.Cells))
 	}
-	// The paper's claim, through the new API: SR4 beats RR at high load.
+	// The paper's claim: SR4 beats RR at high load.
 	rr := res.Cell(0, 1, 0).Outcome.RT.Mean()
 	sr := res.Cell(1, 1, 0).Outcome.RT.Mean()
 	if sr >= rr {
@@ -52,9 +46,9 @@ func TestFacadeSweepRunner(t *testing.T) {
 }
 
 func TestFacadeScenarioWorkloads(t *testing.T) {
-	cluster := srlb.Cluster{Seed: 6, Servers: 4}
-	var w srlb.Workload = srlb.OneService(srlb.BurstyService{Lambda0: 80, Queries: 1000})
-	cell := srlb.Scenario{Cluster: cluster, Policy: srlb.SRDynamic(), Workload: w, Load: 0.5}.
+	cluster := experiments.ClusterConfig{Seed: 6, Servers: 4}
+	var w experiments.Workload = experiments.OneService(experiments.BurstyService{Lambda0: 80, Queries: 1000})
+	cell := experiments.Scenario{Cluster: cluster, Policy: experiments.SRdyn(), Workload: w, Load: 0.5}.
 		Run(context.Background())
 	out := cell.Outcome
 	if out.RT.Count()+out.Refused+out.Unfinished != 1000 {
@@ -63,21 +57,21 @@ func TestFacadeScenarioWorkloads(t *testing.T) {
 	if len(out.Cluster.ServerCompleted) != 4 {
 		t.Fatal("missing per-server completions")
 	}
-	if len(srlb.DeriveSeeds(1, 3)) != 3 {
+	if len(experiments.DeriveSeeds(1, 3)) != 3 {
 		t.Fatal("DeriveSeeds length")
 	}
 }
 
 func TestFacadeCalibrate(t *testing.T) {
-	cal := srlb.Calibrate(srlb.Calibration{
-		Cluster: srlb.Cluster{Seed: 4, Servers: 4},
+	cal := experiments.Calibrate(experiments.CalibrationConfig{
+		Cluster: experiments.ClusterConfig{Seed: 4, Servers: 4},
 		Queries: 4000,
 	})
 	if cal.Lambda0 <= 0 {
 		t.Fatal("no lambda0")
 	}
-	cached := srlb.CalibrateCached(srlb.Calibration{
-		Cluster: srlb.Cluster{Seed: 4, Servers: 4},
+	cached := experiments.CalibrateCached(experiments.CalibrationConfig{
+		Cluster: experiments.ClusterConfig{Seed: 4, Servers: 4},
 		Queries: 4000,
 	})
 	if cached.Lambda0 != cal.Lambda0 {
@@ -86,12 +80,12 @@ func TestFacadeCalibrate(t *testing.T) {
 }
 
 func TestFacadeReplication(t *testing.T) {
-	agg, err := srlb.Runner{}.RunSweepStats(context.Background(), srlb.Sweep{
-		Cluster:  srlb.Cluster{Seed: 9, Servers: 4},
-		Policies: []srlb.Policy{srlb.RR(), srlb.SRStatic(4)},
+	agg, err := experiments.Runner{}.RunSweepStats(context.Background(), experiments.Sweep{
+		Cluster:  experiments.ClusterConfig{Seed: 9, Servers: 4},
+		Policies: []experiments.PolicySpec{experiments.RR(), experiments.SRc(4)},
 		Loads:    []float64{0.85},
-		Seeds:    srlb.DeriveSeeds(9, 3),
-		Workload: srlb.OneService(srlb.PoissonService{Lambda0: 80, Queries: 1500}),
+		Seeds:    experiments.DeriveSeeds(9, 3),
+		Workload: experiments.OneService(experiments.PoissonService{Lambda0: 80, Queries: 1500}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -100,8 +94,8 @@ func TestFacadeReplication(t *testing.T) {
 	if cell.N() != 3 || cell.MeanCI95() <= 0 {
 		t.Fatalf("replication not aggregated: n=%d ci=%v", cell.N(), cell.MeanCI95())
 	}
-	// The stats layer is usable directly through the facade.
-	var d srlb.Dist = srlb.Describe([]float64{1, 2, 3})
+	// The stats layer is usable directly.
+	var d stats.Dist = stats.Describe([]float64{1, 2, 3})
 	if d.N != 3 || d.Mean != 2 {
 		t.Fatalf("Describe: %+v", d)
 	}
