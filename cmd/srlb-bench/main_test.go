@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -10,8 +11,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"srlb/internal/experiments"
+	"srlb/internal/testbed"
 )
 
 // hostFields are the values of a BENCH_*.json document that depend on
@@ -21,17 +24,31 @@ var hostFields = regexp.MustCompile(`"(wall_ms|total_wall_ms|gomaxprocs)": [0-9.
 // TestWriteSweepDocGolden pins BENCH_sweep.json — field names, field
 // order, nesting and number formatting, as docs/RESULTS_SCHEMA.md
 // documents them — on a small replicated multi-VIP sweep: two policies ×
-// one load × two seeds of the interference workload, so every cell
-// carries its per-VIP rows.
+// one load × two seeds of the interference experiment's cell (a web
+// victim pinned at 0.55 and a bursty batch service on one shared pool),
+// so every cell carries its per-VIP rows.
 func TestWriteSweepDocGolden(t *testing.T) {
-	res := experiments.RunInterference(experiments.InterferenceConfig{
-		Base:      experiments.Base{Cluster: experiments.ClusterConfig{Seed: 7, Servers: 4}, Queries: 600, Seeds: experiments.DeriveSeeds(7, 2), Workers: 2},
-		Lambda0:   80,
-		BatchRhos: []float64{0.3},
-		Policies:  []experiments.PolicySpec{experiments.RR(), experiments.SRc(4)},
+	lambda0, queries, webRho := 80.0, 600, 0.55
+	span := time.Duration(float64(queries) / (webRho * lambda0) * float64(time.Second))
+	stats, err := experiments.Runner{Workers: 2}.RunSweepStats(context.Background(), experiments.Sweep{
+		Cluster:  experiments.ClusterConfig{Seed: 7, Servers: 4},
+		Policies: []experiments.PolicySpec{experiments.RR(), experiments.SRc(4)},
+		Loads:    []float64{0.3},
+		Seeds:    experiments.DeriveSeeds(7, 2),
+		Workload: experiments.MultiServiceWorkload{
+			Services: []experiments.ServiceSpec{
+				{Name: "web", Workload: experiments.PoissonService{Lambda0: lambda0, Queries: queries}},
+				{Name: "batch", Workload: experiments.BurstyService{Lambda0: lambda0, Horizon: span, PeakFactor: 4}},
+			},
+			ServiceLoads: []float64{webRho, 0},
+			Pools:        []testbed.PoolSpec{{Name: "shared"}},
+		},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var raw bytes.Buffer
-	if err := writeSweepDoc(&raw, newSweepDoc(80, 2, 0, &res.Stats)); err != nil {
+	if err := writeSweepDoc(&raw, newSweepDoc(80, 2, 0, &stats)); err != nil {
 		t.Fatal(err)
 	}
 	got := hostFields.ReplaceAllString(raw.String(), `"$1": 0`)

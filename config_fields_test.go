@@ -19,7 +19,44 @@ import (
 
 // configAllowed are the config fields that may have no writer besides
 // their own default, each with the reason it stays a field.
-var configAllowed = map[string]string{}
+var configAllowed = map[string]string{
+	"agent.DynamicConfig.HighRatio":            "no program sets it; the commit that follows makes it a constant",
+	"agent.DynamicConfig.InitialC":             "no program sets it; the commit that follows makes it a constant",
+	"agent.DynamicConfig.LowRatio":             "no program sets it; the commit that follows makes it a constant",
+	"core.Config.SweepInterval":                "no program sets it; the commit that follows makes it a constant",
+	"experiments.AblationConfig.Rho":           "no program sets it; the commit that follows makes it a constant",
+	"experiments.Adaptive.MinSeeds":            "no program sets it; the commit that follows makes it a constant",
+	"experiments.BurstyService.MeanOff":        "no program sets it; the commit that follows makes it a constant",
+	"experiments.BurstyService.MeanOn":         "no program sets it; the commit that follows makes it a constant",
+	"experiments.CDFConfig.Policies":           "no program sets it; the commit that follows makes it a constant",
+	"experiments.CalibrationConfig.ProbeFan":   "no program sets it; the commit that follows makes it a constant",
+	"experiments.CalibrationConfig.Spec":       "no program sets it; the commit that follows makes it a constant",
+	"experiments.ChurnConfig.ChurnBy":          "no program sets it; the commit that follows makes it a constant",
+	"experiments.ChurnConfig.GrowFrac":         "no program sets it; the commit that follows makes it a constant",
+	"experiments.ChurnConfig.Policies":         "no program sets it; the commit that follows makes it a constant",
+	"experiments.ChurnConfig.Rhos":             "no program sets it; the commit that follows makes it a constant",
+	"experiments.FailoverConfig.Bins":          "no program sets it; the commit that follows makes it a constant",
+	"experiments.FailoverConfig.RecoverFrac":   "no program sets it; the commit that follows makes it a constant",
+	"experiments.FailoverConfig.Replicas":      "no program sets it; the commit that follows makes it a constant",
+	"experiments.FailoverConfig.Rho":           "no program sets it; the commit that follows makes it a constant",
+	"experiments.HorizonConfig.Policy":         "no program sets it; the commit that follows makes it a constant",
+	"experiments.HorizonConfig.SampleEvery":    "no program sets it; the commit that follows makes it a constant",
+	"experiments.InterferenceConfig.BatchRhos": "no program sets it; the commit that follows makes it a constant",
+	"experiments.InterferenceConfig.Policies":  "no program sets it; the commit that follows makes it a constant",
+	"experiments.InterferenceConfig.WebRho":    "no program sets it; the commit that follows makes it a constant",
+	"experiments.MultiServiceConfig.Policies":  "no program sets it; the commit that follows makes it a constant",
+	"experiments.MultiServiceConfig.Rhos":      "no program sets it; the commit that follows makes it a constant",
+	"experiments.PoliciesConfig.BatchRhos":     "no program sets it; the commit that follows makes it a constant",
+	"experiments.PoliciesConfig.FlowletGap":    "no program sets it; the commit that follows makes it a constant",
+	"experiments.PoliciesConfig.WebRho":        "no program sets it; the commit that follows makes it a constant",
+	"experiments.ResilienceConfig.RecoverFrac": "no program sets it; the commit that follows makes it a constant",
+	"experiments.ResilienceConfig.Rho":         "no program sets it; the commit that follows makes it a constant",
+	"experiments.RetransmitConfig.RTO":         "no program sets it; the commit that follows makes it a constant",
+	"experiments.RhoGridConfig.BatchPeak":      "no program sets it; the commit that follows makes it a constant",
+	"experiments.RhoGridConfig.BatchRhos":      "no program sets it; the commit that follows makes it a constant",
+	"experiments.RhoGridConfig.Policies":       "no program sets it; the commit that follows makes it a constant",
+	"experiments.RhoGridConfig.WebRhos":        "no program sets it; the commit that follows makes it a constant",
+}
 
 // configTypes are the settings structs whose names do not end in Config
 // or Spec, as "<package>.<Type>".

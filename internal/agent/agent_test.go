@@ -62,7 +62,7 @@ func TestDynamicDefaults(t *testing.T) {
 
 func TestDynamicRaisesCUnderRefusals(t *testing.T) {
 	// Busy always ≥ c → all offers refused → ratio 0 < 0.4 → c++ per window.
-	p := NewDynamic(DynamicConfig{InitialC: 1, WindowSize: 50})
+	p := NewDynamic(DynamicConfig{WindowSize: 50})
 	sb := &fakeBoard{busy: 32, total: 32}
 	for i := 0; i < 50*5; i++ {
 		p.Accept(sb)
@@ -73,7 +73,7 @@ func TestDynamicRaisesCUnderRefusals(t *testing.T) {
 }
 
 func TestDynamicCapsAtTotalWorkers(t *testing.T) {
-	p := NewDynamic(DynamicConfig{InitialC: 1, WindowSize: 10})
+	p := NewDynamic(DynamicConfig{WindowSize: 10})
 	sb := &fakeBoard{busy: 4, total: 4}
 	for i := 0; i < 10*100; i++ {
 		p.Accept(sb)
@@ -87,9 +87,17 @@ func TestDynamicLowersCUnderAcceptance(t *testing.T) {
 	// Busy always 0 → everything accepted → ratio 1 > 0.6 → c-- per
 	// window. At the floor the algorithm oscillates by design: with c=0
 	// nothing is accepted, the ratio drops below 0.4 and c comes back to
-	// 1 — so steady idle state is c ∈ {0, 1}.
-	p := NewDynamic(DynamicConfig{InitialC: 5, WindowSize: 50})
-	sb := &fakeBoard{busy: 0, total: 32}
+	// 1 — so steady idle state is c ∈ {0, 1}. Five windows of refusals
+	// first take c from 1 to 6.
+	p := NewDynamic(DynamicConfig{WindowSize: 50})
+	sb := &fakeBoard{busy: 32, total: 32}
+	for i := 0; i < 50*5; i++ {
+		p.Accept(sb)
+	}
+	if p.C() != 6 {
+		t.Fatalf("c = %d after 5 windows of refusals, want 6", p.C())
+	}
+	sb.busy = 0
 	for i := 0; i < 50*20; i++ {
 		p.Accept(sb)
 	}
@@ -99,9 +107,17 @@ func TestDynamicLowersCUnderAcceptance(t *testing.T) {
 }
 
 func TestDynamicStableInBand(t *testing.T) {
-	// Exactly half the offers accepted → ratio 0.5 ∈ [0.4, 0.6] → c stays.
-	p := NewDynamic(DynamicConfig{InitialC: 3, WindowSize: 50})
-	sb := &fakeBoard{total: 32}
+	// Two windows of refusals take c from 1 to 3; the adapting call at
+	// 100 is refused and counts in the next window. Then half the offers
+	// are accepted → ratio 0.5 ∈ [0.4, 0.6] → c stays.
+	p := NewDynamic(DynamicConfig{WindowSize: 50})
+	sb := &fakeBoard{busy: 32, total: 32}
+	for i := 0; i < 50*2; i++ {
+		p.Accept(sb)
+	}
+	if p.C() != 3 {
+		t.Fatalf("c = %d after 2 windows of refusals, want 3", p.C())
+	}
 	for i := 0; i < 50*10; i++ {
 		if i%2 == 0 {
 			sb.busy = 0 // below c → accept
@@ -133,7 +149,7 @@ func TestDynamicConvergesToHalfRatio(t *testing.T) {
 
 func TestDynamicWindowExactness(t *testing.T) {
 	// Adaptation must occur exactly at window boundaries.
-	p := NewDynamic(DynamicConfig{InitialC: 1, WindowSize: 10})
+	p := NewDynamic(DynamicConfig{WindowSize: 10})
 	sb := &fakeBoard{busy: 31, total: 32}
 	for i := 0; i < 9; i++ {
 		p.Accept(sb)
@@ -161,18 +177,26 @@ func TestAlwaysNever(t *testing.T) {
 	}
 }
 
-func TestDynamicCustomBand(t *testing.T) {
-	p := NewDynamic(DynamicConfig{InitialC: 2, WindowSize: 4, LowRatio: 0.25, HighRatio: 0.75})
+// TestDynamicBandEdges: the band [0.4, 0.6] is closed. At window 10
+// (c = 1; busy 0 accepts, busy 7 refuses), windows of 4 and then 6
+// accepts keep c, and one of 3 raises it. Each window is nine calls
+// plus the refusal of the call that closed the window before, which
+// counts in the next one; the first window has only the nine.
+func TestDynamicBandEdges(t *testing.T) {
+	p := NewDynamic(DynamicConfig{WindowSize: 10})
 	sb := &fakeBoard{total: 8}
-	// 2 accepts of 4 → ratio 0.5, inside [0.25, 0.75] → stable.
-	pattern := []int{0, 0, 7, 7}
-	for round := 0; round < 10; round++ {
-		for _, b := range pattern {
-			sb.busy = b
+	for _, w := range []struct{ accepts, wantC int }{{4, 1}, {6, 1}, {3, 2}} {
+		for i := 0; i < 9; i++ {
+			sb.busy = 7
+			if i < w.accepts {
+				sb.busy = 0
+			}
 			p.Accept(sb)
 		}
-	}
-	if p.C() != 2 {
-		t.Fatalf("c = %d, want 2", p.C())
+		sb.busy = 7
+		p.Accept(sb) // adapts, then refuses
+		if p.C() != w.wantC {
+			t.Fatalf("after a window of %d accepts: c = %d, want %d", w.accepts, p.C(), w.wantC)
+		}
 	}
 }

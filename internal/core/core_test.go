@@ -223,10 +223,7 @@ func TestFINMarksFlowClosing(t *testing.T) {
 }
 
 func TestSweepReclaimsIdleFlows(t *testing.T) {
-	g := newRig(t, Config{
-		Flows:         flowtable.Config{IdleTTL: 2 * time.Second},
-		SweepInterval: time.Second,
-	})
+	g := newRig(t, Config{Flows: flowtable.Config{IdleTTL: 2 * time.Second}})
 	g.net.Send(serverSYNACK(sAddr1, 43000))
 	g.sim.Run()
 	if g.lb.FlowCount() != 1 {
@@ -245,10 +242,7 @@ func TestSweepReclaimsIdleFlows(t *testing.T) {
 }
 
 func TestOpportunisticSweepRateLimited(t *testing.T) {
-	g := newRig(t, Config{
-		Flows:         flowtable.Config{IdleTTL: time.Hour},
-		SweepInterval: time.Second,
-	})
+	g := newRig(t, Config{Flows: flowtable.Config{IdleTTL: time.Hour}})
 	// Many packets inside one interval: lastSweep must only advance once.
 	for i := 0; i < 5; i++ {
 		g.net.Send(clientSYN(uint16(45000 + i)))
@@ -256,13 +250,6 @@ func TestOpportunisticSweepRateLimited(t *testing.T) {
 	g.sim.Run()
 	if g.lb.lastSweep != 0 && g.lb.lastSweep > 100*time.Millisecond {
 		t.Fatalf("sweep timestamp advanced unexpectedly: %v", g.lb.lastSweep)
-	}
-	// Disabled sweeping never sweeps.
-	h := newRig(t, Config{SweepInterval: -1})
-	h.net.Send(clientSYN(46000))
-	h.sim.Run()
-	if h.lb.lastSweep != 0 {
-		t.Fatal("negative SweepInterval must disable sweeping")
 	}
 }
 

@@ -173,12 +173,12 @@ func FuzzDispatcher(f *testing.F) {
 			{Addr: vipAddrs[2], Scheme: &spyScheme{Scheme: selection.NewWeightedLeastLoad(servers, 3, rng.New(9), nil)}},
 		}[:2+int(data[0])%2]
 		const (
-			sweep   = time.Second
+			sweep   = time.Second // the dispatcher's sweep interval
 			linger  = 300 * time.Millisecond
 			idleTTL = 3 * time.Second
 		)
 		d := NewDispatcher(Config{
-			Addr: lbAddr, VIPList: list, SweepInterval: sweep,
+			Addr: lbAddr, VIPList: list,
 			Flows: flowtable.Config{IdleTTL: idleTTL, FinLinger: linger},
 		})
 		m := &modelLB{

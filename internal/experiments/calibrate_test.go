@@ -1,46 +1,73 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
 )
 
+// bisect is the classic serial bisection the ladder replaces, on the
+// same bracket and the same probe cells, one probe at a time. It returns
+// the drop-onset rate and the number of probes it ran.
+func bisect(cfg CalibrationConfig) (lambda0 float64, probes int) {
+	cfg = cfg.withDefaults()
+	drops := func(rate float64) bool {
+		probes++
+		cell := Scenario{
+			Cluster: cfg.Cluster, Policy: RR(), Load: 1,
+			Workload: OneService(PoissonService{Lambda0: rate, Queries: cfg.Queries}),
+		}.Run(context.Background())
+		return cell.Outcome.Refused > 0
+	}
+	theoretical := cfg.Cluster.TheoreticalCapacity()
+	lo, hi := 0.5*theoretical, 1.5*theoretical
+	for drops(lo) && lo > 1 {
+		hi = lo
+		lo /= 2
+	}
+	for !drops(hi) {
+		lo = hi
+		hi *= 2
+	}
+	for (hi-lo)/hi > calRelTol {
+		if mid := (lo + hi) / 2; drops(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, probes
+}
+
 // TestCalibrateParallelMatchesSerial is the equivalence guarantee the
 // speculative ladder advertises: the concurrent K-section search must
-// land within one bisection tolerance of the classic serial bisection
-// (ProbeFan = 1, one worker), while issuing its probes concurrently.
+// land within one bisection tolerance of the classic serial bisection,
+// while issuing its probes concurrently.
 func TestCalibrateParallelMatchesSerial(t *testing.T) {
-	base := CalibrationConfig{Cluster: smallCluster(31), Queries: 3000}
+	cfg := CalibrationConfig{Cluster: smallCluster(31), Queries: 3000, Workers: 4}
+	serial, serialProbes := bisect(cfg)
+	parallel := Calibrate(cfg)
 
-	serialCfg := base
-	serialCfg.ProbeFan = 1
-	serialCfg.Workers = 1
-	serial := Calibrate(serialCfg)
-
-	parallelCfg := base
-	parallelCfg.ProbeFan = 4
-	parallelCfg.Workers = 4
-	parallel := Calibrate(parallelCfg)
-
-	tol := calRelTol * serial.Lambda0
-	if diff := math.Abs(parallel.Lambda0 - serial.Lambda0); diff > tol {
+	tol := calRelTol * serial
+	if diff := math.Abs(parallel.Lambda0 - serial); diff > tol {
 		t.Fatalf("parallel lambda0 = %.2f, serial = %.2f: differ by %.2f > tolerance %.2f",
-			parallel.Lambda0, serial.Lambda0, diff, tol)
+			parallel.Lambda0, serial, diff, tol)
 	}
-	// The ladder must need fewer serial rounds: with fan 4 each round
-	// shrinks the bracket 5×, so the total probe count can be higher but
-	// the round count (probes/fan) must be well below the serial one.
-	if len(parallel.Probes) >= 2*len(serial.Probes) {
+	// The ladder must need fewer serial rounds: with a fan of 4 each
+	// round shrinks the bracket 5×, so the total probe count can be
+	// higher but the round count (probes/fan) must be well below the
+	// serial one.
+	if len(parallel.Probes) >= 2*serialProbes {
 		t.Fatalf("parallel path ran %d probes vs %d serial — speculation out of control",
-			len(parallel.Probes), len(serial.Probes))
+			len(parallel.Probes), serialProbes)
 	}
 }
 
 // TestCalibrateDeterministicAcrossWorkers: the probe list and λ0 are
 // pure functions of the config — worker scheduling must not show.
 func TestCalibrateDeterministicAcrossWorkers(t *testing.T) {
-	cfg := CalibrationConfig{Cluster: smallCluster(32), Queries: 2000, ProbeFan: 3}
+	cfg := CalibrationConfig{Cluster: smallCluster(32), Queries: 2000}
 	one := cfg
 	one.Workers = 1
 	many := cfg
@@ -54,26 +81,27 @@ func TestCalibrateDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCalibrateFanOneIsLegacyBisection pins the ProbeFan = 1 path to
-// the classic bisection shape: every refinement probe is the bracket
-// midpoint of the two preceding bounds, i.e. exactly one probe per
-// round.
-func TestCalibrateFanOneIsLegacyBisection(t *testing.T) {
-	cfg := CalibrationConfig{Cluster: smallCluster(33), Queries: 2000, ProbeFan: 1, Workers: 1}
+// TestCalibrateLadderProbes pins the ladder's shape: the bracket's two
+// ends, then a round of four evenly spaced interior rates, the bracket
+// cut into fifths.
+func TestCalibrateLadderProbes(t *testing.T) {
+	cfg := CalibrationConfig{Cluster: smallCluster(33), Queries: 2000, Workers: 1}
 	res := Calibrate(cfg)
 	// Well-bracketed: the first two probes are 0.5× then 1.5× the
 	// theoretical capacity.
 	lo, hi := 0.5*res.Theoretical, 1.5*res.Theoretical
-	if len(res.Probes) < 3 {
+	if len(res.Probes) < 6 {
 		t.Fatalf("only %d probes", len(res.Probes))
 	}
 	if res.Probes[0].RatePerSec != lo || res.Probes[1].RatePerSec != hi {
 		t.Fatalf("widening probes = %v, %v; want %v, %v",
 			res.Probes[0].RatePerSec, res.Probes[1].RatePerSec, lo, hi)
 	}
-	if res.Probes[2].RatePerSec != (lo+hi)/2 {
-		t.Fatalf("first bisection probe = %v, want midpoint %v",
-			res.Probes[2].RatePerSec, (lo+hi)/2)
+	step := (hi - lo) / 5
+	for i, p := range res.Probes[2:6] {
+		if want := lo + float64(i+1)*step; p.RatePerSec != want {
+			t.Fatalf("first round probe %d = %v, want %v", i, p.RatePerSec, want)
+		}
 	}
 }
 
@@ -114,23 +142,10 @@ func TestCalibrationFingerprint(t *testing.T) {
 	if a.fingerprint() == c.fingerprint() {
 		t.Fatal("probe batch size must be part of the fingerprint")
 	}
-	d := a
-	d.Spec = SRc(4)
-	if a.fingerprint() == d.fingerprint() {
-		t.Fatal("probing policy must be part of the fingerprint")
-	}
-	// Same label, different behavior: the NewAgent identity must keep
-	// two such specs from aliasing to one cached lambda0.
-	e, f := a, a
-	e.Spec = SRc(4)
-	f.Spec = PolicySpec{Name: e.Spec.Name, Candidates: e.Spec.Candidates, NewAgent: SRdyn().NewAgent}
-	if e.fingerprint() == f.fingerprint() {
-		t.Fatal("same-named policies with different NewAgent must not share a fingerprint")
-	}
-	// And the default (nil Spec → RR) must fingerprint stably across
-	// calls, or the cache would never hit.
+	// The fingerprint must be stable across calls, or the cache would
+	// never hit.
 	if a.fingerprint() != (CalibrationConfig{Cluster: smallCluster(35)}).fingerprint() {
-		t.Fatal("default-spec fingerprint not stable across configs")
+		t.Fatal("fingerprint not stable across configs")
 	}
 }
 

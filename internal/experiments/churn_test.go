@@ -81,10 +81,12 @@ func TestChurnRelativeMatchesAbsolute(t *testing.T) {
 	}
 }
 
-// A long stagger (big ChurnBy, late GrowFrac) must clamp to span end
-// instead of producing fractions > 1 — the absolute-time schedule simply
-// fired those events after the last arrival, so the migrated form must
-// not panic where the old one ran.
+// A long stagger must clamp to span end instead of producing fractions
+// > 1 — the absolute-time schedule simply fired those events after the
+// last arrival, so the migrated form must not panic where the old one
+// ran. RunChurn staggers a third of the pool from a re-add at 0.65, so
+// a pool of 111 servers or more crosses 1; a late re-add crosses it on
+// a small pool.
 func TestChurnLateScheduleClamps(t *testing.T) {
 	events := churnEvents(6, 0.3, 0.97)
 	for _, ev := range events {
@@ -92,15 +94,15 @@ func TestChurnLateScheduleClamps(t *testing.T) {
 			t.Fatalf("event fraction %v escaped the clamp", ev.Frac)
 		}
 	}
-	res := RunChurn(ChurnConfig{
-		Base:     Base{Cluster: ClusterConfig{Seed: 51, Servers: 6}, Queries: 800},
-		Lambda0:  120,
-		Rhos:     []float64{0.8},
-		ChurnBy:  2,
-		GrowFrac: 0.99, // 0.99 + stagger crosses 1 without the clamp
-	})
-	if len(res.Rows) == 0 {
-		t.Fatal("late-schedule churn produced no rows")
+	cell := Scenario{
+		Cluster: ClusterConfig{Seed: 51, Servers: 6,
+			Events: churnEvents(2, churnDrainFrac, 0.99)}, // 0.99 + stagger crosses 1 without the clamp
+		Policy:   RR(),
+		Workload: OneService(PoissonService{Lambda0: 120, Queries: 800}),
+		Load:     0.8,
+	}.Run(context.Background())
+	if cell.Err != nil || cell.Outcome.RT.Count() == 0 {
+		t.Fatalf("late-schedule churn cell: err %v, %d completions", cell.Err, cell.Outcome.RT.Count())
 	}
 }
 
@@ -109,18 +111,16 @@ func TestChurnLateScheduleClamps(t *testing.T) {
 // absolute schedule churning after the arrivals ended at low rates).
 func TestChurnSweepAcrossRhos(t *testing.T) {
 	res := RunChurn(ChurnConfig{
-		Base:    Base{Cluster: ClusterConfig{Seed: 47, Servers: 4}, Queries: 1200},
+		Base:    Base{Cluster: ClusterConfig{Seed: 47, Servers: 4}, Queries: 800},
 		Lambda0: 80,
-		Rhos:    []float64{0.4, 0.9},
-		ChurnBy: 1,
 	})
-	if len(res.Rows) != 2*3*2 { // rhos × policies × modes
-		t.Fatalf("%d rows, want 12", len(res.Rows))
+	if len(res.Rows) != 3*3*2 { // rhos × policies × modes
+		t.Fatalf("%d rows, want 18", len(res.Rows))
 	}
 	// Churn must actually bite at every rho: the churn variant's mean RT
 	// differs from steady's (the drained third of the pool squeezes
-	// capacity mid-run at 0.4 just as at 0.9).
-	for _, rho := range []float64{0.4, 0.9} {
+	// capacity mid-run at 0.5 just as at 0.95).
+	for _, rho := range []float64{0.5, 0.75, 0.95} {
 		pen, err := res.ChurnPenalty("RR", rho)
 		if err != nil {
 			t.Fatalf("rho=%.1f: %v", rho, err)

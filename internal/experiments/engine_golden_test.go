@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"srlb/internal/wiki"
 )
@@ -35,7 +34,7 @@ var (
 		Rhos:     []float64{0.3, 0.88},
 		Policies: []PolicySpec{RR(), SRc(4)},
 		Seeds:    DeriveSeeds(4, 2),
-		Workload: OneService(BurstyService{Lambda0: 80, Queries: 1500, PeakFactor: 4, MeanOn: time.Second, MeanOff: 5 * time.Second}),
+		Workload: OneService(BurstyService{Lambda0: 80, Queries: 1500, PeakFactor: 4}),
 	}
 )
 
@@ -57,10 +56,8 @@ func TestGoldenFig4(t *testing.T) {
 
 func TestGoldenFailover(t *testing.T) {
 	res := RunFailover(FailoverConfig{
-		Base:        Base{Cluster: smallCluster(31), Queries: 2000, Seeds: DeriveSeeds(31, 2)},
-		Lambda0:     80,
-		RecoverFrac: 0.75,
-		Bins:        10,
+		Base:    Base{Cluster: smallCluster(31), Queries: 2000, Seeds: DeriveSeeds(31, 2)},
+		Lambda0: 80,
 	})
 	goldenTSV(t, "failover.tsv", res.TSV())
 }
@@ -72,7 +69,6 @@ func goldenRetransmit() RetransmitResult {
 		Base:    Base{Cluster: ClusterConfig{Seed: 21, Servers: 4, Server: serverWithBacklog(8)}, Queries: 1500},
 		Rho:     2.0,
 		Lambda0: 80,
-		RTO:     time.Second,
 	})
 }
 
@@ -95,8 +91,6 @@ func goldenChurn() ChurnResult {
 	return RunChurn(ChurnConfig{
 		Base:    Base{Cluster: smallCluster(47), Queries: 2000},
 		Lambda0: 80,
-		Rhos:    []float64{0.5, 0.95},
-		ChurnBy: 1,
 	})
 }
 
@@ -156,8 +150,8 @@ func TestStudySummaries(t *testing.T) {
 		100*resilience.KillFrac, 100*resilience.RecoverFrac, 100*resilience.RackFrac)
 	churn := goldenChurn()
 	for _, name := range []string{"RR", "SR 4", "SR dyn"} {
-		// 0.7 is nearer 0.5; 0.8 and 0.95 resolve to the 0.95 rows.
-		for _, rho := range []float64{0.7, 0.8, 0.95} {
+		// 0.6, 0.8 and 0.9 resolve to the 0.5, 0.75 and 0.95 rows.
+		for _, rho := range []float64{0.6, 0.8, 0.9} {
 			pen, err := churn.ChurnPenalty(name, rho)
 			if err != nil {
 				t.Fatal(err)
@@ -200,15 +194,15 @@ rolling/warm       ok=0.8160±0.0000 refused=368 unfinished=0 (n=1)
 rolling/chash      ok=0.8150±0.0000 refused=370 unfinished=0 (n=1)
 rolling/stateless  ok=0.6200±0.0000 refused=339 unfinished=421 (n=1)
 replica kill at 40% of span, recover at 45%; rack loses 25% of servers
-churn penalty RR      at rho=0.70: 1.076977x
-churn penalty RR      at rho=0.80: 2.414806x
-churn penalty RR      at rho=0.95: 2.414806x
-churn penalty SR 4    at rho=0.70: 1.040747x
-churn penalty SR 4    at rho=0.80: 4.151985x
-churn penalty SR 4    at rho=0.95: 4.151985x
-churn penalty SR dyn  at rho=0.70: 1.045980x
-churn penalty SR dyn  at rho=0.80: 4.094254x
-churn penalty SR dyn  at rho=0.95: 4.094254x
+churn penalty RR      at rho=0.60: 1.076977x
+churn penalty RR      at rho=0.80: 1.737028x
+churn penalty RR      at rho=0.90: 2.414806x
+churn penalty SR 4    at rho=0.60: 1.040747x
+churn penalty SR 4    at rho=0.80: 1.997375x
+churn penalty SR 4    at rho=0.90: 4.151985x
+churn penalty SR dyn  at rho=0.60: 1.045980x
+churn penalty SR dyn  at rho=0.80: 2.082845x
+churn penalty SR dyn  at rho=0.90: 4.094254x
 `
 
 // goldenWiki is the §VI replay TestGoldenWiki pins; TestWikiSketchView

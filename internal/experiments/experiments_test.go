@@ -135,15 +135,14 @@ func TestFig2ShapeAndTSV(t *testing.T) {
 
 func TestCDFResult(t *testing.T) {
 	res := RunCDF(CDFConfig{
-		Base:     Base{Cluster: smallCluster(5), Queries: 4000},
-		Rho:      0.7,
-		Policies: []PolicySpec{RR(), SRc(4)},
+		Base: Base{Cluster: smallCluster(5), Queries: 1600},
+		Rho:  0.7,
 	})
-	if len(res.RT) != 2 {
+	if len(res.RT) != len(PaperPolicies()) {
 		t.Fatal("wrong number of recorders")
 	}
 	for _, r := range res.RT {
-		if r.Count() < 3800 {
+		if r.Count() < 1520 {
 			t.Fatalf("too few completions: %d", r.Count())
 		}
 	}
@@ -155,9 +154,8 @@ func TestCDFResult(t *testing.T) {
 
 func TestFig3Fig5FixTheLoad(t *testing.T) {
 	cfg := CDFConfig{
-		Base:     Base{Cluster: smallCluster(6), Queries: 500},
-		Lambda0:  80,
-		Policies: []PolicySpec{RR()},
+		Base:    Base{Cluster: smallCluster(6), Queries: 200},
+		Lambda0: 80,
 	}
 	if got := RunFig3(cfg).Rho; got != 0.88 {
 		t.Fatalf("fig3 rho = %v", got)
@@ -292,7 +290,6 @@ func TestWikiCellAccountsForLateServer(t *testing.T) {
 func TestAblationCandidates(t *testing.T) {
 	res := RunCandidateAblation(AblationConfig{
 		Base: Base{Cluster: smallCluster(9), Queries: 5000},
-		Rho:  0.85,
 	})
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))

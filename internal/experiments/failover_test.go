@@ -82,11 +82,8 @@ func TestVariantSweepParallelEqualsSerial(t *testing.T) {
 // selection, flows whose state lived on the dead replica stall.
 func TestFailoverMaglevVsRandom(t *testing.T) {
 	res := RunFailover(FailoverConfig{
-		Base:     Base{Cluster: ClusterConfig{Seed: 33, Servers: 4}, Queries: 3000, Seeds: DeriveSeeds(33, 2)},
-		Lambda0:  80,
-		Rho:      0.7,
-		Replicas: 2,
-		Bins:     20,
+		Base:    Base{Cluster: ClusterConfig{Seed: 33, Servers: 4}, Queries: 3000, Seeds: DeriveSeeds(33, 2)},
+		Lambda0: 80,
 	})
 	mode := func(name string) FailoverMode {
 		i := slices.IndexFunc(res.Modes, func(m FailoverMode) bool { return m.Variant == name })
@@ -195,28 +192,25 @@ func TestFailoverRelativeMatchesAbsolute(t *testing.T) {
 
 func TestChurnSweep(t *testing.T) {
 	res := RunChurn(ChurnConfig{
-		Base:     Base{Cluster: ClusterConfig{Seed: 35, Servers: 4}, Queries: 2000, Seeds: DeriveSeeds(35, 2)},
-		Lambda0:  80,
-		Rhos:     []float64{0.6},
-		ChurnBy:  1,
-		Policies: []PolicySpec{RR(), SRc(4)},
+		Base:    Base{Cluster: ClusterConfig{Seed: 35, Servers: 4}, Queries: 600, Seeds: DeriveSeeds(35, 2)},
+		Lambda0: 80,
 	})
-	if len(res.Rows) != 4 { // 2 policies × {steady, churn}
-		t.Fatalf("rows = %d, want 4", len(res.Rows))
+	if len(res.Rows) != 18 { // 3 rhos × 3 policies × {steady, churn}
+		t.Fatalf("rows = %d, want 18", len(res.Rows))
 	}
 	for _, row := range res.Rows {
 		if row.N != 2 {
 			t.Fatalf("row %s/%s has n=%d, want 2", row.Policy, row.Variant, row.N)
 		}
-		if row.OKFrac < 0.95 {
+		if row.Rho == 0.5 && row.OKFrac < 0.95 {
 			t.Fatalf("row %s/%s ok=%.3f — churn at moderate load should not shed queries", row.Policy, row.Variant, row.OKFrac)
 		}
 	}
-	if _, err := res.ChurnPenalty("SR 4", 0.6); err != nil {
+	if _, err := res.ChurnPenalty("SR 4", 0.5); err != nil {
 		t.Fatal(err)
 	}
 	tsv := render(t, res.TSV())
-	if lines := strings.Count(tsv, "\n"); lines != 2+4 { // header comment + column row + 4 rows
+	if lines := strings.Count(tsv, "\n"); lines != 2+18 { // header comment + column row + 18 rows
 		t.Fatalf("TSV line count = %d", lines)
 	}
 }

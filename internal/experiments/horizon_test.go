@@ -16,11 +16,10 @@ import (
 func horizonCfg(queries uint64) HorizonConfig {
 	cluster := ClusterConfig{Seed: 42, Servers: 4}
 	return HorizonConfig{
-		Cluster:     cluster,
-		Queries:     queries,
-		Rho:         0.7,
-		Lambda0:     cluster.TheoreticalCapacity(),
-		SampleEvery: 1 << 16,
+		Cluster: cluster,
+		Queries: queries,
+		Rho:     0.7,
+		Lambda0: cluster.TheoreticalCapacity(),
 	}
 }
 
@@ -119,7 +118,6 @@ func TestHorizonFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := horizonCfg(100_000_000)
-	cfg.SampleEvery = 1 << 20
 	cfg.Progress = func(done, total uint64) {
 		t.Logf("%d/%d queries", done, total)
 	}

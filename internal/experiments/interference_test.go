@@ -17,17 +17,15 @@ import (
 
 // sharedPoolServices is a small web+batch mix contending on one shared
 // pool, with the batch axis pinned per cell via ServiceLoads: web fixed
-// at 0.5, batch tracking the cell's load knob.
+// at 0.5, batch tracking the cell's load knob. The batch service's
+// default peak factor of 3 keeps its OFF state at a third of the mean
+// rate, so even a horizon shorter than one 8 s burst cycle offers batch
+// queries.
 func sharedPoolServices(webQ int, span time.Duration) MultiServiceWorkload {
 	return MultiServiceWorkload{
 		Services: []ServiceSpec{
 			{Name: "web", Workload: PoissonService{Lambda0: 80, Queries: webQ}},
-			// Sub-second burst cycles so every test-sized horizon sees
-			// several ON periods.
-			{Name: "batch", Workload: BurstyService{
-				Lambda0: 80, Horizon: span, PeakFactor: 4,
-				MeanOn: 500 * time.Millisecond, MeanOff: time.Second,
-			}},
+			{Name: "batch", Workload: BurstyService{Lambda0: 80, Horizon: span}},
 		},
 		ServiceLoads: []float64{0.5, 0},
 		Pools:        []testbed.PoolSpec{{Name: "shared"}},
@@ -211,25 +209,22 @@ func TestSharedPoolDeterminism(t *testing.T) {
 // renders one line per row.
 func TestRunInterferenceSmall(t *testing.T) {
 	res := RunInterference(InterferenceConfig{
-		Base:      Base{Cluster: ClusterConfig{Seed: 73, Servers: 4}, Queries: 600},
-		Lambda0:   80,
-		WebRho:    0.4,
-		BatchRhos: []float64{0.1, 0.5},
-		Policies:  []PolicySpec{RR(), SRc(4)},
+		Base:    Base{Cluster: ClusterConfig{Seed: 73, Servers: 4}, Queries: 300},
+		Lambda0: 80,
 	})
 	if got, want := len(res.Services), 2; got != want {
 		t.Fatalf("%d services, want %d", got, want)
 	}
-	// 2 batch rhos × 2 policies × (1 aggregate + 2 services).
-	if got, want := len(res.Rows), 12; got != want {
+	// 4 batch rhos × 3 policies × (1 aggregate + 2 services).
+	if got, want := len(res.Rows), 36; got != want {
 		t.Fatalf("%d rows, want %d", got, want)
 	}
 	for _, row := range res.Rows {
 		if row.N != 1 {
 			t.Fatalf("row %+v has N=%d, want 1", row, row.N)
 		}
-		if row.Service == "web" && row.Load != 0.4 {
-			t.Fatalf("web row at batch_rho=%.2f carries load %.2f, want the pinned 0.40", row.Rho, row.Load)
+		if row.Service == "web" && row.Load != 0.55 {
+			t.Fatalf("web row at batch_rho=%.2f carries load %.2f, want the pinned 0.55", row.Rho, row.Load)
 		}
 		if row.Service == "batch" && row.Load != row.Rho {
 			t.Fatalf("batch row carries load %.2f, want its own axis %.2f", row.Load, row.Rho)
@@ -261,17 +256,14 @@ func TestRunInterferenceSmall(t *testing.T) {
 }
 
 // The experiment's claim, in miniature: under a heavy-but-serviceable
-// batch surge on the shared pool (total ρ ≈ 0.85), the victim's mean and
+// batch surge on the shared pool (total ρ = 0.9), the victim's mean and
 // p99 under Service Hunting must not exceed the random spray's —
 // contention is where the choices pay. (In deep overload the two
 // converge: when every worker queues, there is nothing left to choose.)
 func TestInterferenceVictimOrdering(t *testing.T) {
 	res := RunInterference(InterferenceConfig{
-		Base:      Base{Cluster: ClusterConfig{Seed: 79, Servers: 4}, Queries: 3000, Seeds: DeriveSeeds(79, 3)},
-		Lambda0:   80,
-		WebRho:    0.5,
-		BatchRhos: []float64{0.1, 0.35},
-		Policies:  []PolicySpec{RR(), SRc(4)},
+		Base:    Base{Cluster: ClusterConfig{Seed: 79, Servers: 4}, Queries: 1500, Seeds: DeriveSeeds(79, 3)},
+		Lambda0: 80,
 	})
 	rr, err := res.Row("RR", "web", 0.35)
 	if err != nil {

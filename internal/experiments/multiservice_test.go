@@ -185,15 +185,13 @@ func TestRunMultiServiceSmall(t *testing.T) {
 	res := RunMultiService(MultiServiceConfig{
 		Base:        Base{Cluster: ClusterConfig{Seed: 37, Servers: 4}, Queries: 400},
 		Lambda0:     80,
-		Rhos:        []float64{0.7},
 		Compression: 5760,
-		Policies:    []PolicySpec{RR(), SRc(4)},
 	})
 	if got, want := len(res.Services), 3; got != want {
 		t.Fatalf("%d services, want %d", got, want)
 	}
-	// 1 rho × 2 policies × (1 aggregate + 3 services).
-	if got, want := len(res.Rows), 8; got != want {
+	// 2 rhos × 3 policies × (1 aggregate + 3 services).
+	if got, want := len(res.Rows), 24; got != want {
 		t.Fatalf("%d rows, want %d", got, want)
 	}
 	for _, row := range res.Rows {
@@ -204,10 +202,10 @@ func TestRunMultiServiceSmall(t *testing.T) {
 			t.Fatalf("service row %q offered nothing", row.Service)
 		}
 	}
-	if _, err := res.Row("SR 4", "wiki", 0.7); err != nil {
+	if _, err := res.Row("SR 4", "wiki", 0.85); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := res.Improvement("SR 4", "web", 0.7); err != nil {
+	if _, err := res.Improvement("SR 4", "web", 0.85); err != nil {
 		t.Fatal(err)
 	}
 	tsv := render(t, res.TSV())
@@ -216,8 +214,8 @@ func TestRunMultiServiceSmall(t *testing.T) {
 		t.Fatalf("TSV has %d lines, want %d", lines, 2+len(res.Rows))
 	}
 	checkGolden(t, "multiservice.tsv", tsv)
-	if series := res.PlotSeries("web"); len(series) != 2 {
-		t.Fatalf("PlotSeries returned %d series, want 2", len(series))
+	if series := res.PlotSeries("web"); len(series) != 3 {
+		t.Fatalf("PlotSeries returned %d series, want 3", len(series))
 	}
 	// The per-service facets, as srlb-bench -plot renders them.
 	facets := make([]plot.Facet, 0, len(res.Services))

@@ -90,11 +90,8 @@ func TestPoliciesConservationUnderResteering(t *testing.T) {
 // bursty flowlet cell, and working accessors and renderers.
 func TestRunPoliciesSmall(t *testing.T) {
 	res := RunPolicies(PoliciesConfig{
-		Base:       Base{Cluster: ClusterConfig{Seed: 89, Servers: 4}, Queries: 500},
-		Lambda0:    80,
-		WebRho:     0.5,
-		BatchRhos:  []float64{0.1, 0.35},
-		FlowletGap: 2 * time.Millisecond,
+		Base:    Base{Cluster: ClusterConfig{Seed: 89, Servers: 4}, Queries: 300},
+		Lambda0: 80,
 	})
 	if got, want := len(res.Variants), 2; got != want {
 		t.Fatalf("%d variants, want %d", got, want)
@@ -102,8 +99,8 @@ func TestRunPoliciesSmall(t *testing.T) {
 	if got, want := len(res.Services), 2; got != want {
 		t.Fatalf("%d services, want %d", got, want)
 	}
-	// 2 variants × 2 batch rhos × 4 policies × (1 aggregate + 2 services).
-	if got, want := len(res.Rows), 48; got != want {
+	// 2 variants × 4 batch rhos × 4 policies × (1 aggregate + 2 services).
+	if got, want := len(res.Rows), 96; got != want {
 		t.Fatalf("%d rows, want %d", got, want)
 	}
 	for _, row := range res.Rows {
@@ -113,8 +110,8 @@ func TestRunPoliciesSmall(t *testing.T) {
 		if row.Offered == 0 {
 			t.Fatalf("row %s/%s/%s offered nothing", row.Variant, row.Policy, row.Service)
 		}
-		if row.Service == "web" && row.Load != 0.5 {
-			t.Fatalf("web row carries load %.2f, want the pinned 0.50", row.Load)
+		if row.Service == "web" && row.Load != 0.55 {
+			t.Fatalf("web row carries load %.2f, want the pinned 0.55", row.Load)
 		}
 		if row.Service == "batch" && row.Load != row.Rho {
 			t.Fatalf("batch row carries load %.2f, want its own axis %.2f", row.Load, row.Rho)
@@ -180,11 +177,8 @@ func TestRunPoliciesSmall(t *testing.T) {
 // (runs under -race -shuffle=on in CI).
 func TestRunPoliciesDeterminism(t *testing.T) {
 	cfg := PoliciesConfig{
-		Base:       Base{Cluster: ClusterConfig{Seed: 97, Servers: 4}, Queries: 300, Seeds: DeriveSeeds(97, 2)},
-		Lambda0:    80,
-		WebRho:     0.5,
-		BatchRhos:  []float64{0.3},
-		FlowletGap: 2 * time.Millisecond,
+		Base:    Base{Cluster: ClusterConfig{Seed: 97, Servers: 4}, Queries: 150, Seeds: DeriveSeeds(97, 2)},
+		Lambda0: 80,
 	}
 	serialCfg, parallelCfg := cfg, cfg
 	serialCfg.Workers = 1

@@ -24,7 +24,6 @@ import (
 func TestFeedbackPlanePublishesUnderHorizon(t *testing.T) {
 	cfg := horizonCfg(2000)
 	cfg.Cluster.Feedback = feedback.Config{Enabled: true}
-	cfg.Policy = WeightedLeastLoadPolicy()
 	var tb *testbed.Testbed
 	hooks := PoissonHooks{Testbed: func(built *testbed.Testbed, _ time.Duration) { tb = built }}
 	if _, err := runHorizon(context.Background(), cfg, hooks); err != nil {

@@ -21,7 +21,6 @@ func TestRetransmitAblation(t *testing.T) {
 	res := RunRetransmitAblation(RetransmitConfig{
 		Base: Base{Cluster: ClusterConfig{Seed: 21, Servers: 4, Server: serverWithBacklog(8)}, Queries: 6000},
 		Rho:  2.0,
-		RTO:  time.Second,
 	})
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
@@ -75,7 +74,6 @@ func TestRetransmitHonoursWorkers(t *testing.T) {
 				Progress: func(string) { finished.Add(1) }},
 			Rho:     2.0,
 			Lambda0: 80,
-			RTO:     time.Second,
 		})
 		if got := finished.Load(); got != 6 {
 			t.Fatalf("workers=%d: %d progress lines, want 6 (2 modes × 3 seeds)", workers, got)

@@ -209,7 +209,7 @@ func TestBurstyWorkload(t *testing.T) {
 	// The point of the workload: at the same mean rate, on/off bursts beat
 	// up the tail relative to a plain Poisson stream under RR.
 	bursty := Scenario{Cluster: cluster, Policy: RR(),
-		Workload: OneService(BurstyService{Lambda0: 80, Queries: queries, PeakFactor: 4, MeanOn: time.Second, MeanOff: 7 * time.Second}),
+		Workload: OneService(BurstyService{Lambda0: 80, Queries: queries, PeakFactor: 4}),
 		Load:     0.6}.Run(context.Background())
 	smooth := Scenario{Cluster: cluster, Policy: RR(),
 		Workload: OneService(PoissonService{Lambda0: 80, Queries: queries}),

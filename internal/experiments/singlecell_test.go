@@ -63,9 +63,9 @@ func TestSingleServiceCellDigests(t *testing.T) {
 			return stats(cell(w, silent, 2))
 		}, "poisson(1500q) 1369/0/131 02b9c9e0e87c6c41"},
 		{"bursty", func() string {
-			w := OneService(BurstyService{Lambda0: 80, Queries: 1500, PeakFactor: 4, MeanOn: time.Second, MeanOff: 5 * time.Second})
+			w := OneService(BurstyService{Lambda0: 80, Queries: 1500, PeakFactor: 4})
 			return stats(cell(w, cluster, 0.6))
-		}, "bursty(1500q,peak=4.0x) 1500/0/0 cd2e33db7b15ff89"},
+		}, "bursty(1500q,peak=4.0x) 1500/0/0 f46df3c20adadd91"},
 		{"fig4", func() string {
 			w := fig4Workload{arrivals: PoissonService{Lambda0: 80, Queries: 1500}}
 			res := cell(w, cluster, 0.88)
@@ -73,8 +73,13 @@ func TestSingleServiceCellDigests(t *testing.T) {
 		}, "poisson+load-sampling(1500q) 1500/0/0 e60334debacd3fe5"},
 		{"failover", func() string {
 			res := cell(failoverWorkload{arrivals: PoissonService{Lambda0: 80, Queries: 1500}, bins: 10}, failing, 0.85)
-			return cellDigest(res.Workload, res.Outcome, res.Outcome.failoverBins)
-		}, "poisson+transient(1500q) 1135/0/365 bd92a4884b3c73d6"},
+			// The fields aggregateFailoverBins reads.
+			var bins []string
+			for _, b := range res.Outcome.failoverBins {
+				bins = append(bins, fmt.Sprint(b.Count, b.OK, b.SumRT))
+			}
+			return cellDigest(res.Workload, res.Outcome, bins)
+		}, "poisson+transient(1500q) 1135/0/365 9512fcec3a879d02"},
 		{"RunPoisson", func() string {
 			var tb *testbed.Testbed
 			run := RunPoisson(cluster, SRc(4), 60, 1500, PoissonHooks{
