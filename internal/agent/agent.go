@@ -48,48 +48,39 @@ func (p *Static) Accept(sb appserver.Scoreboard) bool {
 // Name implements Policy.
 func (p *Static) Name() string { return fmt.Sprintf("SR%d", p.C) }
 
-// DynamicConfig parameterizes SRdyn. Zero fields take the paper's values.
+// DynamicConfig parameterizes SRdyn: the window is the one setting the
+// ablations vary. The threshold starts at the paper's c0 = 1, and the
+// band is the paper's [0.4, 0.6].
 type DynamicConfig struct {
-	InitialC   int     // initial threshold (paper: 1)
-	WindowSize int     // decisions per adaptation window (paper: 50)
-	LowRatio   float64 // increment c when acceptance ratio < LowRatio (paper: 0.4)
-	HighRatio  float64 // decrement c when acceptance ratio > HighRatio (paper: 0.6)
+	WindowSize int // decisions per adaptation window (0 = the paper's 50)
 }
 
-func (c DynamicConfig) withDefaults() DynamicConfig {
-	if c.InitialC == 0 {
-		c.InitialC = 1
-	}
-	if c.WindowSize == 0 {
-		c.WindowSize = 50
-	}
-	if c.LowRatio == 0 {
-		c.LowRatio = 0.4
-	}
-	if c.HighRatio == 0 {
-		c.HighRatio = 0.6
-	}
-	return c
-}
+// The paper's band on the acceptance ratio of one window.
+const (
+	lowRatio  = 0.4 // below it, c is incremented
+	highRatio = 0.6 // above it, c is decremented
+)
 
 // Dynamic is Algorithm 2 (SRdyn): the threshold c is adapted so that the
 // local acceptance ratio stays near ½, maximizing the information carried
 // by each two-candidate choice. Decisions are recorded over a fixed window
 // of first-choice offers; at the end of each window, c is incremented if
-// the acceptance ratio fell below LowRatio (too many refusals: raise the
-// bar... rather, admit more) and decremented if it exceeded HighRatio.
+// the acceptance ratio fell below lowRatio (too many refusals: admit
+// more) and decremented if it exceeded highRatio.
 type Dynamic struct {
-	cfg      DynamicConfig
+	window   int
 	c        int
 	accepted int
 	attempt  int
 }
 
-// NewDynamic returns an SRdyn policy. Zero-value config fields take the
-// paper's defaults (c0=1, window=50, band [0.4, 0.6]).
+// NewDynamic returns an SRdyn policy with c0 = 1 and the band
+// [0.4, 0.6]; a zero WindowSize takes the paper's 50.
 func NewDynamic(cfg DynamicConfig) *Dynamic {
-	cfg = cfg.withDefaults()
-	return &Dynamic{cfg: cfg, c: cfg.InitialC}
+	if cfg.WindowSize == 0 {
+		cfg.WindowSize = 50
+	}
+	return &Dynamic{window: cfg.WindowSize, c: 1}
 }
 
 // C returns the current threshold (exported for tests and telemetry).
@@ -98,13 +89,13 @@ func (p *Dynamic) C() int { return p.c }
 // Accept implements Policy — a verbatim transcription of Algorithm 2.
 func (p *Dynamic) Accept(sb appserver.Scoreboard) bool {
 	p.attempt++
-	if p.attempt >= p.cfg.WindowSize {
+	if p.attempt >= p.window {
 		// End of window: adapt c if needed and reset.
-		ratio := float64(p.accepted) / float64(p.cfg.WindowSize)
+		ratio := float64(p.accepted) / float64(p.window)
 		n := sb.TotalWorkers()
-		if ratio < p.cfg.LowRatio && p.c < n {
+		if ratio < lowRatio && p.c < n {
 			p.c++
-		} else if ratio > p.cfg.HighRatio && p.c > 0 {
+		} else if ratio > highRatio && p.c > 0 {
 			p.c--
 		}
 		p.attempt = 0

@@ -70,12 +70,13 @@ type Config struct {
 	VIPList []VIPConfig
 	// Flows tunes the flow table (zero value = defaults).
 	Flows flowtable.Config
-	// SweepInterval bounds how often expired flow entries are collected.
-	// Sweeps run opportunistically on the datapath (at most one per
-	// interval), never from a free-running timer — so an idle simulation
-	// terminates. Default 1s of the caller's clock; negative disables.
-	SweepInterval time.Duration
 }
+
+// sweepInterval bounds how often expired flow entries are collected.
+// Sweeps run opportunistically on the datapath (at most one per
+// interval of the caller's clock), never from a free-running timer — so
+// an idle simulation terminates.
+const sweepInterval = time.Second
 
 // vipEntry is the compiled per-VIP dispatch state: everything the hot
 // path needs after the single vipIndex lookup, in one cache-friendly
@@ -153,9 +154,6 @@ func NewDispatcher(cfg Config) *Dispatcher {
 	}
 	if len(cfg.VIPList) == 0 {
 		panic("core: at least one VIP is required")
-	}
-	if cfg.SweepInterval == 0 {
-		cfg.SweepInterval = time.Second
 	}
 	d := &Dispatcher{
 		cfg:      cfg,
@@ -263,7 +261,7 @@ func (d *Dispatcher) SweepNow(now time.Duration) int {
 // rewrites pkt in place — the caller must own it — and reports whether
 // the caller should forward the result to pkt.IP.Dst; every drop is
 // recorded in Counts. Expired flow state is collected opportunistically
-// here, at most once per SweepInterval of the caller's clock.
+// here, at most once per sweepInterval of the caller's clock.
 //
 // Ownership: a forwarded SYN's pkt.SRH points at storage the Dispatcher
 // owns and rewrites on the next hunt, so the caller copies or serialises
@@ -271,7 +269,7 @@ func (d *Dispatcher) SweepNow(now time.Duration) int {
 // before it calls Dispatch again, and keeps nothing of it afterwards. A steered packet
 // still carries a header of its own.
 func (d *Dispatcher) Dispatch(now time.Duration, pkt *packet.Packet) (forward bool) {
-	if d.cfg.SweepInterval >= 0 && now-d.lastSweep >= d.cfg.SweepInterval {
+	if now-d.lastSweep >= sweepInterval {
 		d.SweepNow(now)
 	}
 	// SYN-ACK (or any packet) SR-routed through the LB itself: the

@@ -136,7 +136,7 @@ func (m *modelLB) dispatch(now time.Duration, pkt *packet.Packet) verdict {
 
 // FuzzDispatcher feeds Dispatcher.Dispatch arbitrary interleavings of
 // SYN / SYN-ACK / ACK / FIN / RST / duplicate / stray packets over two
-// or three VIPs, with clock jumps past SweepInterval, FinLinger and
+// or three VIPs, with clock jumps past the sweep interval, FinLinger and
 // IdleTTL, and compares every call with modelLB: the forward verdict,
 // the rewritten IP.Dst, the SRH's path and SegmentsLeft — copied out
 // before the next call, and required to survive the wire — the number of

@@ -13,11 +13,12 @@ import (
 // and the backlog / abort-on-overflow settings (§IV-C).
 type AblationConfig struct {
 	Base
-	// Rho is the load at which ablations run (default 0.88 — where the
-	// policy differences are sharpest in figure 2).
-	Rho     float64
 	Lambda0 float64
 }
+
+// ablationRho is the load at which ablations run: 0.88, where the policy
+// differences are sharpest in figure 2.
+const ablationRho = 0.88
 
 // AblationResult groups a study's rows under its name: one ServiceRow
 // per configuration, labelled in Variant, aggregated across the
@@ -40,9 +41,6 @@ func (r AblationResult) TSV() TSV {
 
 func (cfg *AblationConfig) defaults() {
 	cfg.Base = cfg.Base.withDefaults()
-	if cfg.Rho == 0 {
-		cfg.Rho = 0.88
-	}
 	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 }
 
@@ -54,14 +52,14 @@ func (cfg *AblationConfig) scenario(label string, spec PolicySpec, cluster Clust
 		Cluster:  cluster,
 		Policy:   spec,
 		Workload: OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}),
-		Load:     cfg.Rho,
+		Load:     ablationRho,
 	}
 }
 
 // study runs the labelled scenarios as the study of the given name.
 func (cfg *AblationConfig) study(name string, scenarios []Scenario) AblationResult {
 	rows, _ := cfg.runStudy(context.Background(), name, scenarios)
-	return AblationResult{Study: name, Rho: cfg.Rho, Seeds: cfg.Seeds, Rows: rows}
+	return AblationResult{Study: name, Rho: ablationRho, Seeds: cfg.Seeds, Rows: rows}
 }
 
 // runStudy replicates every labelled scenario across the base's seeds,

@@ -41,17 +41,18 @@ type Adaptive struct {
 	// the mean); <= 0 disables adaptive replication entirely (fixed
 	// replication over Sweep.Seeds, the default).
 	CITarget float64
-	// MinSeeds is the mandatory replicate floor before any stop
-	// decision. Values below 3 are raised to 3: a Student-t interval
-	// over fewer replicates is too wide to gate on, and with one
-	// replicate the interval is unknown outright (stats.MeanCI95
-	// returns +Inf for n < 2 — the bug pair this floor guards).
-	MinSeeds int
 	// MaxSeeds caps any cell's replicates (default max(2×MinSeeds,
-	// len(Sweep.Seeds))). The fixed-replication budget a sweep is
-	// compared against is cells × MaxSeeds.
+	// len(Sweep.Seeds)); a cap below MinSeeds is raised to it). The
+	// fixed-replication budget a sweep is compared against is cells ×
+	// MaxSeeds.
 	MaxSeeds int
 }
+
+// MinSeeds is the mandatory replicate floor before any stop decision: a
+// Student-t interval over fewer replicates is too wide to gate on, and
+// with one replicate the interval is unknown outright (stats.MeanCI95
+// returns +Inf for n < 2 — the bug pair this floor guards).
+const MinSeeds = 3
 
 // boundaryFactor divides CITarget for boundary-adjacent cells.
 const boundaryFactor = 2
@@ -60,18 +61,10 @@ const boundaryFactor = 2
 func (a Adaptive) enabled() bool { return a.CITarget > 0 }
 
 func (a Adaptive) withDefaults(seedCount int) Adaptive {
-	if a.MinSeeds < 3 {
-		a.MinSeeds = 3
-	}
 	if a.MaxSeeds == 0 {
-		a.MaxSeeds = 2 * a.MinSeeds
-		if seedCount > a.MaxSeeds {
-			a.MaxSeeds = seedCount
-		}
+		a.MaxSeeds = max(2*MinSeeds, seedCount)
 	}
-	if a.MaxSeeds < a.MinSeeds {
-		a.MaxSeeds = a.MinSeeds
-	}
+	a.MaxSeeds = max(a.MaxSeeds, MinSeeds)
 	return a
 }
 
@@ -132,7 +125,7 @@ func (r Runner) RunSweepAdaptive(ctx context.Context, s Sweep) (SweepResult, Swe
 			if reason[ci] != "" {
 				continue
 			}
-			want := a.MinSeeds
+			want := MinSeeds
 			if scheduled[ci] > 0 {
 				want = scheduled[ci] + 1
 			}
@@ -169,7 +162,7 @@ func (r Runner) RunSweepAdaptive(ctx context.Context, s Sweep) (SweepResult, Swe
 				target /= boundaryFactor
 			}
 			switch {
-			case cs.N() >= a.MinSeeds && relCI(cs) <= target:
+			case cs.N() >= MinSeeds && relCI(cs) <= target:
 				reason[ci] = StopConverged
 			case scheduled[ci] >= a.MaxSeeds:
 				reason[ci] = StopMaxSeeds

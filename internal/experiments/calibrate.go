@@ -3,43 +3,33 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync"
 )
 
 // CalibrationConfig drives the §V-A bootstrap: "identifying λ0, the max
 // rate sustainable by the 12-servers swarm, i.e. the smallest value of λ
-// for which some TCP connections were dropped".
+// for which some TCP connections were dropped". The probes run under
+// the plain random balancer, as the paper's do.
 //
 // It keeps Base's fields flat for the reason Fig2Config does (see RunFig2).
 type CalibrationConfig struct {
 	Cluster ClusterConfig
-	// Spec is the policy used while probing (the paper uses the plain
-	// random balancer; default RR).
-	Spec PolicySpec
 	// Queries per probe run (default 20000, the paper's batch size).
 	Queries int
-	// ProbeFan is the number of interior rates probed concurrently per
-	// refinement round (default 4). Each round splits the bracket into
-	// ProbeFan+1 intervals and keeps the one where the drop indicator
-	// flips, so the bracket shrinks by (ProbeFan+1)× per round instead
-	// of the serial bisection's 2×. ProbeFan = 1 recovers the classic
-	// serial bisection exactly, probe for probe.
-	ProbeFan int
 	// Workers bounds concurrent probe runs (0 = GOMAXPROCS, 1 serial).
 	Workers int
 }
 
+// calProbeFan is the number of interior rates probed concurrently per
+// refinement round. Each round splits the bracket into calProbeFan+1
+// intervals and keeps the one where the drop indicator flips, so the
+// bracket shrinks 5× per round instead of the serial bisection's 2×.
+const calProbeFan = 4
+
 func (cfg CalibrationConfig) withDefaults() CalibrationConfig {
 	base := Base{Cluster: cfg.Cluster, Queries: cfg.Queries}.withDefaults()
 	cfg.Cluster, cfg.Queries = base.Cluster, base.Queries
-	if cfg.Spec.NewAgent == nil {
-		cfg.Spec = RR()
-	}
-	if cfg.ProbeFan <= 0 {
-		cfg.ProbeFan = 4
-	}
 	return cfg
 }
 
@@ -76,16 +66,16 @@ type CalibrationProbe struct {
 }
 
 // Calibrate measures λ0 by a speculative-parallel ladder search: each
-// refinement round probes ProbeFan interior rates of the bracket
+// refinement round probes calProbeFan interior rates of the bracket
 // concurrently (every probe is an independent, deterministic
 // simulation), then keeps the sub-interval where the drop indicator
 // flips. The result is a pure function of the config — worker count and
-// scheduling cannot change it — and ProbeFan = 1 reproduces the classic
-// serial bisection exactly; a larger fan lands within one bisection
-// tolerance of it in ~ProbeFan× fewer serial rounds.
+// scheduling cannot change it — and lands within one bisection tolerance
+// of the classic serial bisection in fewer serial rounds.
 func Calibrate(cfg CalibrationConfig) CalibrationResult {
 	cfg = cfg.withDefaults()
 	res := CalibrationResult{Theoretical: cfg.Cluster.TheoreticalCapacity()}
+	spec := RR()
 
 	// probeAll runs one round of probes on the Runner — each probe is
 	// RunPoisson's cell at its rate — and records them in ascending rate
@@ -94,7 +84,7 @@ func Calibrate(cfg CalibrationConfig) CalibrationResult {
 		cells := make([]Scenario, len(rates))
 		for i, rate := range rates {
 			cells[i] = Scenario{
-				Cluster: cfg.Cluster, Policy: cfg.Spec, Load: 1,
+				Cluster: cfg.Cluster, Policy: spec, Load: 1,
 				Workload: OneService(PoissonService{Lambda0: rate, Queries: cfg.Queries}),
 			}
 		}
@@ -127,15 +117,14 @@ func Calibrate(cfg CalibrationConfig) CalibrationResult {
 		lo = hi
 		hi *= 2
 	}
-	// K-section refinement: probe ProbeFan evenly spaced interior rates
+	// K-section refinement: probe calProbeFan evenly spaced interior rates
 	// concurrently, then shrink to the sub-interval where the indicator
 	// flips. Like the serial bisection this assumes the drop indicator
 	// is monotone in rate; where simulation noise locally violates that,
 	// both searches land inside the same onset band (within calRelTol).
 	for (hi-lo)/hi > calRelTol {
-		fan := cfg.ProbeFan
-		pts := make([]float64, fan)
-		step := (hi - lo) / float64(fan+1)
+		pts := make([]float64, calProbeFan)
+		step := (hi - lo) / float64(calProbeFan+1)
 		for i := range pts {
 			pts[i] = lo + float64(i+1)*step
 		}
@@ -156,12 +145,7 @@ func Calibrate(cfg CalibrationConfig) CalibrationResult {
 
 // fingerprint identifies everything the calibration outcome depends on:
 // the (defaulted) cluster topology — including every per-server
-// override — the probing policy, and the search parameters. The policy
-// is keyed by name, candidate count, and the NewAgent function's code
-// pointer, so two same-named policies built from different function
-// literals do not alias. (Two closures of the same literal capturing
-// different state still would; keep calibration policies distinct, or
-// rely on the default — plain RR — which never collides.)
+// override — and the probe batch size.
 func (cfg CalibrationConfig) fingerprint() string {
 	cfg = cfg.withDefaults()
 	var b strings.Builder
@@ -177,9 +161,7 @@ func (cfg CalibrationConfig) fingerprint() string {
 			fmt.Fprintf(&b, ";o%d=%+v", i, cl.ServerOverride(i))
 		}
 	}
-	fmt.Fprintf(&b, ";spec=%s/%d/%x;q=%d;fan=%d",
-		cfg.Spec.Name, cfg.Spec.Candidates, reflect.ValueOf(cfg.Spec.NewAgent).Pointer(),
-		cfg.Queries, cfg.ProbeFan)
+	fmt.Fprintf(&b, ";q=%d", cfg.Queries)
 	return b.String()
 }
 

@@ -20,20 +20,14 @@ import (
 // each policy passes through to clients: Service Hunting steers new
 // connections around the drained servers' queues and onto fresh ones by
 // construction, while the random spray only finds them by luck.
+//
+// The loads are 0.5, 0.75 and 0.95 of the base pool's capacity, under
+// RR, SR4 and SRdyn; a third of the pool (at least one server) drains
+// at churnDrainFrac of the arrival span and is re-added at
+// churnGrowFrac.
 type ChurnConfig struct {
 	Base
 	Lambda0 float64
-	// Rhos are the normalized loads, relative to the BASE pool's
-	// capacity (default {0.5, 0.75, 0.95}).
-	Rhos []float64
-	// ChurnBy is how many servers drain and are later re-added (default
-	// a third of the pool, at least 1).
-	ChurnBy int
-	// GrowFrac places the re-add phase on the arrival span (default
-	// 0.65); the drain starts at churnDrainFrac of it.
-	GrowFrac float64
-	// Policies defaults to {RR, SR4, SRdyn}.
-	Policies []PolicySpec
 }
 
 // ChurnResult holds the full grid.
@@ -46,27 +40,19 @@ type ChurnResult struct {
 	Rows []ServiceRow
 }
 
-// churnDrainFrac places the drain phase on the arrival span.
-const churnDrainFrac = 0.3
+// churnDrainFrac and churnGrowFrac place the drain and re-add phases on
+// the arrival span.
+const churnDrainFrac, churnGrowFrac = 0.3, 0.65
 
 // RunChurn executes the experiment.
 func RunChurn(cfg ChurnConfig) ChurnResult {
 	cfg.Base = cfg.Base.withDefaults()
-	if len(cfg.Rhos) == 0 {
-		cfg.Rhos = []float64{0.5, 0.75, 0.95}
-	}
-	if cfg.ChurnBy == 0 {
-		cfg.ChurnBy = max(1, cfg.Cluster.Servers/3)
-	}
-	if cfg.GrowFrac == 0 {
-		cfg.GrowFrac = 0.65
-	}
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = []PolicySpec{RR(), SRc(4), SRdyn()}
-	}
 	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
+	rhos := []float64{0.5, 0.75, 0.95}
+	policies := studyPolicies()
+	churnBy := max(1, cfg.Cluster.Servers/3)
 
-	res := ChurnResult{Lambda0: cfg.Lambda0, ChurnBy: cfg.ChurnBy}
+	res := ChurnResult{Lambda0: cfg.Lambda0, ChurnBy: churnBy}
 	// The schedule is rate-relative: each phase is a fraction of the
 	// arrival span, staggered by 1% per server, so the same two variants
 	// serve every load point of one sweep — each cell resolves the
@@ -74,22 +60,22 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 	// per rho with hand-resolved absolute times).
 	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
-		Policies: cfg.Policies,
+		Policies: policies,
 		Variants: []ClusterVariant{
 			{Name: "steady"},
 			{Name: "churn", Apply: func(c ClusterConfig) ClusterConfig {
-				c.Events = churnEvents(cfg.ChurnBy, churnDrainFrac, cfg.GrowFrac)
+				c.Events = churnEvents(churnBy, churnDrainFrac, churnGrowFrac)
 				return c
 			}},
 		},
-		Loads:    cfg.Rhos,
+		Loads:    rhos,
 		Seeds:    cfg.Seeds,
 		Workload: OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}),
 	})
 	res.Seeds = agg.Seeds
 	// The artifact's row order: rho, then policy, then mode.
-	for li := range cfg.Rhos {
-		for pi := range cfg.Policies {
+	for li := range rhos {
+		for pi := range policies {
 			for vi := range agg.Variants {
 				res.Rows = append(res.Rows, cellRows(agg.CellAt(pi, vi, li))...)
 			}

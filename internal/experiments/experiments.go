@@ -156,10 +156,14 @@ func FlowletPolicy(gap time.Duration) PolicySpec {
 // ablationPolicies returns the four-way scheme ablation of RunPolicies:
 // {random2, chash2, wleastload, flowlet}, all with Always-accepting
 // servers so the comparison isolates candidate selection, the flowlet
-// policy's idle gap set (0 ⇒ selection.DefaultFlowletGap).
-func ablationPolicies(flowletGap time.Duration) []PolicySpec {
-	return []PolicySpec{Random2(), CHash2(), WeightedLeastLoadPolicy(), FlowletPolicy(flowletGap)}
+// policy at selection.DefaultFlowletGap.
+func ablationPolicies() []PolicySpec {
+	return []PolicySpec{Random2(), CHash2(), WeightedLeastLoadPolicy(), FlowletPolicy(0)}
 }
+
+// studyPolicies are the policies the churn, interference and
+// multi-service studies compare: RR, SR4 and SRdyn.
+func studyPolicies() []PolicySpec { return []PolicySpec{RR(), SRc(4), SRdyn()} }
 
 // ClusterConfig fixes the testbed parameters shared by all experiments.
 // The zero value is the paper's platform: 12 servers × (32 workers,

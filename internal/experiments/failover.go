@@ -33,20 +33,24 @@ import (
 // tells, measured: deterministic selection is the *prerequisite* for
 // running SRLB as a stateless anycast fleet, and with it replica death
 // is free.
+//
+// The run is one load point, rho 0.85 — busy but unsaturated, so the
+// transient is attributable to the failover, not overload — on two
+// replicas, of which replica 0 dies at failoverKillFrac of the arrival
+// span and stays dead; the timeline has 40 bins.
 type FailoverConfig struct {
 	Base
-	// Rho is the normalized load (default 0.85 — busy but unsaturated,
-	// so the transient is attributable to the failover, not overload).
-	Rho     float64
 	Lambda0 float64
-	// Replicas is the LB replica count (default 2); replica 0 is killed.
-	Replicas int
-	// RecoverFrac, when nonzero, re-attaches the replica (stateless) at
-	// this fraction of the arrival span; it dies at failoverKillFrac.
-	RecoverFrac float64
-	// Bins is the transient-timeline resolution (default 40).
-	Bins int
 }
+
+const (
+	failoverRho      = 0.85
+	failoverReplicas = 2
+	failoverBins     = 40
+	// failoverKillFrac places the failure at this fraction of the
+	// arrival span.
+	failoverKillFrac = 0.5
+)
 
 // FailoverBin is one point of the transient timeline, aggregated across
 // the replication axis (CI95 fields are zero when N == 1).
@@ -74,18 +78,17 @@ type FailoverResult struct {
 	Rho      float64
 	Lambda0  float64
 	Replicas int
-	// KillAt (and RecoverAt, zero when the replica stays dead) are the
-	// scheduled event times.
-	KillAt, RecoverAt time.Duration
-	BinWidth          time.Duration
-	Seeds             []uint64
-	Modes             []FailoverMode
+	// KillAt is the scheduled kill time.
+	KillAt   time.Duration
+	BinWidth time.Duration
+	Seeds    []uint64
+	Modes    []FailoverMode
 }
 
 // failoverBinRaw is the per-seed transient accounting of one cell.
 type failoverBinRaw struct {
-	Count, OK, Refused int
-	SumRT              time.Duration
+	Count, OK int
+	SumRT     time.Duration
 }
 
 // failoverWorkload is the Poisson cell instrumented with per-issue-
@@ -117,8 +120,6 @@ func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec P
 		if res.OK {
 			b.OK++
 			b.SumRT += res.RT
-		} else if res.Refused {
-			b.Refused++
 		}
 	}}
 	out, err := OneService(w.arrivals).run(ctx, cluster, spec, load, hooks)
@@ -126,42 +127,24 @@ func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec P
 	return out, err
 }
 
-// failoverKillFrac places the failure at this fraction of the arrival
-// span.
-const failoverKillFrac = 0.5
-
 // RunFailover executes the experiment.
 func RunFailover(cfg FailoverConfig) FailoverResult {
 	cfg.Base = cfg.Base.withDefaults()
-	if cfg.Rho == 0 {
-		cfg.Rho = 0.85
-	}
-	if cfg.Replicas == 0 {
-		cfg.Replicas = 2
-	}
-	if cfg.Bins == 0 {
-		cfg.Bins = 40
-	}
 	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 
-	// The schedule is rate-relative: kill (and recovery) are fractions of
-	// the arrival span, resolved per load point by the workload — so the
+	// The schedule is rate-relative: the kill is a fraction of the
+	// arrival span, resolved per load point by the workload — so the
 	// same variant pair would serve a whole load sweep, exactly as
 	// RunChurn's schedule does (historically the kill time was computed
 	// absolutely here, which pinned the experiment to one rho).
-	span := PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}.Span(cfg.Rho)
+	span := PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}.Span(failoverRho)
 	killAt := time.Duration(failoverKillFrac * float64(span))
-	var recoverAt time.Duration
 	events := []testbed.Event{testbed.FailReplica(0, 0).AtFraction(failoverKillFrac)}
-	if cfg.RecoverFrac > 0 {
-		recoverAt = time.Duration(cfg.RecoverFrac * float64(span))
-		events = append(events, testbed.RecoverReplica(0, 0).AtFraction(cfg.RecoverFrac))
-	}
 	// Each mode pins the selection knobs explicitly — the base cluster's
 	// own ConsistentHash/MissFallback settings must not leak into the
 	// mode labeled the other way.
 	replicate := func(c ClusterConfig) ClusterConfig {
-		c.Replicas = cfg.Replicas
+		c.Replicas = failoverReplicas
 		c.Events = events
 		return c
 	}
@@ -194,16 +177,16 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 		Cluster:  cfg.Cluster,
 		Policies: []PolicySpec{policy},
 		Variants: variants,
-		Loads:    []float64{cfg.Rho},
+		Loads:    []float64{failoverRho},
 		Seeds:    cfg.Seeds,
-		Workload: failoverWorkload{arrivals: PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, bins: cfg.Bins},
+		Workload: failoverWorkload{arrivals: PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, bins: failoverBins},
 	})
 	agg := sweep.Aggregate()
 
 	res := FailoverResult{
-		Rho: cfg.Rho, Lambda0: cfg.Lambda0, Replicas: cfg.Replicas,
-		KillAt: killAt, RecoverAt: recoverAt,
-		BinWidth: span / time.Duration(cfg.Bins),
+		Rho: failoverRho, Lambda0: cfg.Lambda0, Replicas: failoverReplicas,
+		KillAt:   killAt,
+		BinWidth: span / failoverBins,
 		Seeds:    sweep.Seeds,
 	}
 	for vi, va := range variants {
@@ -218,7 +201,7 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 				timelines = append(timelines, cell.Outcome.failoverBins)
 			}
 		}
-		mode.Bins = aggregateFailoverBins(res.BinWidth, cfg.Bins, timelines)
+		mode.Bins = aggregateFailoverBins(res.BinWidth, failoverBins, timelines)
 		res.Modes = append(res.Modes, mode)
 	}
 	return res
@@ -257,12 +240,8 @@ func aggregateFailoverBins(binW time.Duration, bins int, timelines [][]failoverB
 
 // TSV is the transient: one table per mode, one row per bin.
 func (r FailoverResult) TSV() TSV {
-	f := TSV{Heading: fmt.Sprintf("LB-replica failover transient: rho=%.2f, %d replicas, kill t=%.1fs",
-		r.Rho, r.Replicas, r.KillAt.Seconds())}
-	if r.RecoverAt > 0 {
-		f.Heading += fmt.Sprintf(", recover t=%.1fs", r.RecoverAt.Seconds())
-	}
-	f.Heading += fmt.Sprintf("; lambda0=%.1f q/s", r.Lambda0)
+	f := TSV{Heading: fmt.Sprintf("LB-replica failover transient: rho=%.2f, %d replicas, kill t=%.1fs; lambda0=%.1f q/s",
+		r.Rho, r.Replicas, r.KillAt.Seconds(), r.Lambda0)}
 	cols := []column[FailoverBin]{
 		{"t_s", func(b FailoverBin) string { return fmt.Sprintf("%.2f", b.Start.Seconds()) }},
 		{"mean_rt_s", func(b FailoverBin) string { return fmt.Sprintf("%.4f", b.MeanRT) }},

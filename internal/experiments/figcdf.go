@@ -11,7 +11,8 @@ import (
 )
 
 // CDFConfig reproduces figures 3 and 5: the CDF of page load time over a
-// 20000-query Poisson batch at a fixed normalized load, for every policy.
+// 20000-query Poisson batch at a fixed normalized load, for every policy
+// of PaperPolicies.
 type CDFConfig struct {
 	// Base: with several Seeds the emitted CDFs gain across-seed
 	// confidence bands and the per-policy medians a 95% CI.
@@ -19,8 +20,7 @@ type CDFConfig struct {
 	// Rho is the normalized request rate (figure 3: 0.88; figure 5: 0.61).
 	Rho float64
 	// Lambda0 normalizes ρ (0 ⇒ measured first).
-	Lambda0  float64
-	Policies []PolicySpec
+	Lambda0 float64
 }
 
 // cdfPoints bounds the resolution of every emitted CDF (figures 3, 5
@@ -57,23 +57,21 @@ type CDFResult struct {
 func RunCDF(cfg CDFConfig) CDFResult {
 	cfg.Base = cfg.Base.withDefaults()
 	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = PaperPolicies()
-	}
+	policies := PaperPolicies()
 
 	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
-		Policies: cfg.Policies,
+		Policies: policies,
 		Loads:    []float64{cfg.Rho},
 		Seeds:    cfg.Seeds,
 		Workload: OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}),
 	})
 	agg := sweep.Aggregate()
 
-	res := CDFResult{Rho: cfg.Rho, Lambda0: cfg.Lambda0, Policies: cfg.Policies,
+	res := CDFResult{Rho: cfg.Rho, Lambda0: cfg.Lambda0, Policies: policies,
 		Seeds: sweep.Seeds}
 	replicated := len(sweep.Seeds) > 1
-	for pi := range cfg.Policies {
+	for pi := range policies {
 		pooled := sketch.New()
 		for si := range sweep.Seeds {
 			cell := sweep.Cell(pi, 0, si)

@@ -12,26 +12,24 @@ import (
 
 // HorizonConfig drives a single very long open-loop cell — the
 // constant-memory soak that the streaming-metrics path exists for.
-// Default: 10⁸ Poisson queries at ρ = 0.85 through the paper's cluster,
-// measured entirely through sketches, so the heap stays flat no matter
-// how far the horizon is pushed.
+// Default: 10⁸ Poisson queries at ρ = 0.85 through the paper's cluster
+// under the paper's SR4, measured entirely through sketches, so the heap
+// stays flat no matter how far the horizon is pushed.
 type HorizonConfig struct {
 	Cluster ClusterConfig
-	// Policy is the policy under test (default SRc(4), the paper's).
-	Policy PolicySpec
 	// Queries is the horizon length (default 1e8).
 	Queries uint64
 	// Rho is the normalized load (default 0.85).
 	Rho float64
 	// Lambda0 converts Rho to an absolute rate (0 ⇒ calibrated first).
 	Lambda0 float64
-	// SampleEvery is the number of queries between heap samples
-	// (default 2²⁰). Sampling reads runtime.MemStats, so it should stay
-	// coarse on long runs.
-	SampleEvery uint64
 	// Progress, when set, is called at every heap sample.
 	Progress func(done, total uint64)
 }
+
+// horizonSampleEvery is the number of queries between heap samples.
+// Sampling reads runtime.MemStats, so it stays coarse on long runs.
+const horizonSampleEvery = 1 << 20
 
 // HorizonResult is the outcome of a horizon run: streaming aggregates
 // only — nothing in it grows with the query count.
@@ -64,24 +62,18 @@ func (r HorizonResult) QPS() float64 {
 
 func (c HorizonConfig) withDefaults() HorizonConfig {
 	c.Cluster = c.Cluster.withDefaults()
-	if c.Policy.NewAgent == nil {
-		c.Policy = SRc(4)
-	}
 	if c.Queries == 0 {
 		c.Queries = 100_000_000
 	}
 	if c.Rho == 0 {
 		c.Rho = 0.85
 	}
-	if c.SampleEvery == 0 {
-		c.SampleEvery = 1 << 20
-	}
 	return c
 }
 
 // RunHorizon executes the soak: the cell OneService(PoissonService) runs,
-// with a heap sample every SampleEvery launches and query counts wide
-// enough for 10⁸ and beyond. The engine holds one future arrival and the
+// with a heap sample every horizonSampleEvery launches and query counts
+// wide enough for 10⁸ and beyond. The engine holds one future arrival and the
 // sink is sketches, so nothing grows with the horizon. ctx cancels
 // mid-run; the result then holds the partial measurement.
 func RunHorizon(ctx context.Context, cfg HorizonConfig) (HorizonResult, error) {
@@ -107,7 +99,6 @@ func runHorizon(ctx context.Context, cfg HorizonConfig, hooks PoissonHooks) (Hor
 	}
 	svc := sampledPoisson{
 		PoissonService: PoissonService{Lambda0: cfg.Lambda0, Queries: int(cfg.Queries)},
-		every:          cfg.SampleEvery,
 		sample:         sample,
 	}
 	// The testbed is kept for its event count and simulated span.
@@ -121,7 +112,8 @@ func runHorizon(ctx context.Context, cfg HorizonConfig, hooks PoissonHooks) (Hor
 	}
 	start := time.Now()
 	sample(0)
-	out, err := OneService(svc).run(ctx, cfg.Cluster, cfg.Policy, cfg.Rho, hooks)
+	policy := SRc(4)
+	out, err := OneService(svc).run(ctx, cfg.Cluster, policy, cfg.Rho, hooks)
 	vip := out.PerVIP[0]
 	counters := sketch.Counters{
 		Offered:    uint64(vip.Offered),
@@ -135,7 +127,7 @@ func runHorizon(ctx context.Context, cfg HorizonConfig, hooks PoissonHooks) (Hor
 		Queries:  cfg.Queries,
 		Rho:      cfg.Rho,
 		Lambda0:  cfg.Lambda0,
-		Policy:   cfg.Policy.Name,
+		Policy:   policy.Name,
 		RT:       out.RT,
 		Counters: counters,
 		PeakHeap: peak,
@@ -146,28 +138,27 @@ func runHorizon(ctx context.Context, cfg HorizonConfig, hooks PoissonHooks) (Hor
 }
 
 // sampledPoisson is the soak's service: a PoissonService whose stream
-// calls sample every `every` launches.
+// calls sample every horizonSampleEvery launches.
 type sampledPoisson struct {
 	PoissonService
-	every  uint64
 	sample func(done uint64)
 }
 
 func (s sampledPoisson) Open(spec *testbed.VIPSpec, seed uint64, load float64) ServiceStream {
-	return &sampledStream{ServiceStream: s.PoissonService.Open(spec, seed, load), every: s.every, sample: s.sample}
+	return &sampledStream{ServiceStream: s.PoissonService.Open(spec, seed, load), sample: s.sample}
 }
 
-// sampledStream calls sample every `every` launches. The engine asks for
-// arrival n right after launching arrival n−1, so the number of Next
-// calls so far is the number of queries launched.
+// sampledStream calls sample every horizonSampleEvery launches. The
+// engine asks for arrival n right after launching arrival n−1, so the
+// number of Next calls so far is the number of queries launched.
 type sampledStream struct {
 	ServiceStream
-	every, launched uint64
-	sample          func(done uint64)
+	launched uint64
+	sample   func(done uint64)
 }
 
 func (s *sampledStream) Next() (time.Duration, testbed.Query, bool) {
-	if s.launched > 0 && s.launched%s.every == 0 {
+	if s.launched > 0 && s.launched%horizonSampleEvery == 0 {
 		s.sample(s.launched)
 	}
 	s.launched++

@@ -22,7 +22,9 @@ import (
 	"srlb/internal/plot"
 )
 
-// InterferenceConfig parameterizes the experiment.
+// InterferenceConfig parameterizes the experiment: the web victim is
+// pinned at webRho, the batch aggressor sweeps batchRhos, and RR, SR4
+// and SRdyn run each cell.
 type InterferenceConfig struct {
 	// Base: Queries is the web VIP's arrivals per cell. The batch stream
 	// is time-bounded to the web span, so its offered count scales with
@@ -31,15 +33,6 @@ type InterferenceConfig struct {
 	// Lambda0 is the shared pool's calibrated capacity rate (0 ⇒
 	// measured via CalibrateCached on the base cluster).
 	Lambda0 float64
-	// WebRho is the victim's pinned load as a fraction of the shared
-	// pool's capacity (default 0.55 — busy but unsaturated on its own).
-	WebRho float64
-	// BatchRhos is the aggressor axis: each value is the batch service's
-	// own load fraction of the same pool, so total utilization is
-	// WebRho + ρ_b (default {0.05, 0.2, 0.35, 0.5} — up to overload).
-	BatchRhos []float64
-	// Policies defaults to {RR, SR4, SRdyn}.
-	Policies []PolicySpec
 }
 
 // InterferenceRow is a ServiceRow — Rho is the aggressor's load (the
@@ -74,31 +67,26 @@ type InterferenceResult struct {
 
 // RunInterference executes the experiment.
 func RunInterference(cfg InterferenceConfig) InterferenceResult {
-	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.BatchRhos)
-	if cfg.WebRho == 0 {
-		cfg.WebRho = 0.55
-	}
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = []PolicySpec{RR(), SRc(4), SRdyn()}
-	}
+	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0)
+	rhos := batchRhos()
 
 	// The victim's span fixes the cell's window.
-	span := time.Duration(float64(cfg.Queries) / (cfg.WebRho * cfg.Lambda0) * float64(time.Second))
+	span := time.Duration(float64(cfg.Queries) / (webRho * cfg.Lambda0) * float64(time.Second))
 	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, span, batchPeak)
-	workload.ServiceLoads = []float64{cfg.WebRho, 0}
+	workload.ServiceLoads = []float64{webRho, 0}
 
 	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
-		Policies: cfg.Policies,
-		Loads:    cfg.BatchRhos,
+		Policies: studyPolicies(),
+		Loads:    rhos,
 		Seeds:    cfg.Seeds,
 		Workload: workload,
 	})
 
 	res := InterferenceResult{
 		Lambda0:   cfg.Lambda0,
-		WebRho:    cfg.WebRho,
-		BatchRhos: cfg.BatchRhos,
+		WebRho:    webRho,
+		BatchRhos: rhos,
 		Seeds:     agg.Seeds,
 		Services:  workload.serviceNames(),
 		Stats:     agg,
@@ -111,7 +99,7 @@ func RunInterference(cfg InterferenceConfig) InterferenceResult {
 	for _, sr := range serviceRows(agg) {
 		row := InterferenceRow{ServiceRow: sr}
 		k := key{row.Policy, row.Service}
-		if row.Rho == cfg.BatchRhos[0] {
+		if row.Rho == rhos[0] {
 			baseP99[k] = row.P99.Seconds()
 			baseOK[k] = row.OKFrac
 		}

@@ -110,35 +110,28 @@ type BurstyService struct {
 	// Horizon, when nonzero, bounds the stream by time instead of count
 	// (see PoissonService.Horizon).
 	Horizon time.Duration
-	// MeanOn and MeanOff are the mean burst and quiet durations
-	// (exponentially distributed; defaults 2s and 6s).
-	MeanOn, MeanOff time.Duration
 	// PeakFactor is the ON-state rate relative to the long-run mean
-	// (default 3; capped at (MeanOn+MeanOff)/MeanOn, where the OFF state
+	// (default 3; held to [1, 1/burstyOnFrac] — 4, where the OFF state
 	// goes fully quiet).
 	PeakFactor float64
 }
+
+// burstyMeanOn and burstyMeanOff are a BurstyService's mean burst and
+// quiet durations (exponentially distributed); burstyOnFrac is the
+// share of time spent bursting.
+const (
+	burstyMeanOn, burstyMeanOff = 2 * time.Second, 6 * time.Second
+	burstyOnFrac                = float64(burstyMeanOn) / float64(burstyMeanOn+burstyMeanOff)
+)
 
 func (s BurstyService) withDefaults() BurstyService {
 	if s.Queries == 0 {
 		s.Queries = 20000
 	}
-	if s.MeanOn == 0 {
-		s.MeanOn = 2 * time.Second
-	}
-	if s.MeanOff == 0 {
-		s.MeanOff = 6 * time.Second
-	}
 	if s.PeakFactor == 0 {
 		s.PeakFactor = 3
 	}
-	onFrac := s.MeanOn.Seconds() / (s.MeanOn + s.MeanOff).Seconds()
-	if s.PeakFactor > 1/onFrac {
-		s.PeakFactor = 1 / onFrac
-	}
-	if s.PeakFactor < 1 {
-		s.PeakFactor = 1
-	}
+	s.PeakFactor = min(max(s.PeakFactor, 1), 1/burstyOnFrac)
 	return s
 }
 
@@ -166,9 +159,8 @@ func (s BurstyService) Open(_ *testbed.VIPSpec, seed uint64, load float64) Servi
 // the given seed. s must already carry its defaults.
 func (s BurstyService) newMMPP(seed uint64, load float64) *mmpp {
 	mean := load * s.Lambda0
-	onFrac := s.MeanOn.Seconds() / (s.MeanOn + s.MeanOff).Seconds()
 	rateOn := s.PeakFactor * mean
-	rateOff := (mean - onFrac*rateOn) / (1 - onFrac)
+	rateOff := (mean - burstyOnFrac*rateOn) / (1 - burstyOnFrac)
 	if rateOff < 0 {
 		rateOff = 0
 	}
@@ -176,11 +168,9 @@ func (s BurstyService) newMMPP(seed uint64, load float64) *mmpp {
 		r:       rng.Split(seed, 0xb124),
 		rateOn:  rateOn,
 		rateOff: rateOff,
-		meanOn:  s.MeanOn,
-		meanOff: s.MeanOff,
 	}
 	// Start in the OFF state with a fresh dwell time.
-	arrivals.switchAt = rng.Exp(arrivals.r, arrivals.meanOff)
+	arrivals.switchAt = rng.Exp(arrivals.r, burstyMeanOff)
 	return arrivals
 }
 
@@ -534,7 +524,8 @@ func (w MultiServiceWorkload) run(ctx context.Context, cluster ClusterConfig, sp
 // arrivals — sharing the LB replica(s), swept over load under each
 // policy. The measurement is per-service: how much of each service's
 // latency and completion budget does each policy preserve when the
-// services contend through one balancer.
+// services contend through one balancer. The loads are 0.6 and 0.85,
+// under RR, SR4 and SRdyn.
 type MultiServiceConfig struct {
 	// Base: Queries is the web VIP's arrivals per cell; the batch VIP
 	// offers half that.
@@ -543,13 +534,9 @@ type MultiServiceConfig struct {
 	// via CalibrateCached on the base cluster); the batch VIP's rate
 	// scales with its pool share.
 	Lambda0 float64
-	// Rhos are the normalized loads to sweep (default {0.6, 0.85}).
-	Rhos []float64
 	// Compression is the wiki day's replay compression (default 288 —
 	// the 24-hour day in 5 simulated minutes).
 	Compression float64
-	// Policies defaults to {RR, SR4, SRdyn}.
-	Policies []PolicySpec
 }
 
 // MultiServiceResult holds the full grid.
@@ -569,22 +556,17 @@ type MultiServiceResult struct {
 
 // RunMultiService executes the experiment.
 func RunMultiService(cfg MultiServiceConfig) MultiServiceResult {
-	if len(cfg.Rhos) == 0 {
-		cfg.Rhos = []float64{0.6, 0.85}
-	}
-	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.Rhos)
+	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0)
 	if cfg.Compression == 0 {
 		cfg.Compression = 288
 	}
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = []PolicySpec{RR(), SRc(4), SRdyn()}
-	}
+	rhos := []float64{0.6, 0.85}
 
 	workload := multiServiceWorkload(cfg)
 	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
-		Policies: cfg.Policies,
-		Loads:    cfg.Rhos,
+		Policies: studyPolicies(),
+		Loads:    rhos,
 		Seeds:    cfg.Seeds,
 		Workload: workload,
 	})
@@ -592,7 +574,7 @@ func RunMultiService(cfg MultiServiceConfig) MultiServiceResult {
 	return MultiServiceResult{
 		Lambda0:  cfg.Lambda0,
 		Services: workload.serviceNames(),
-		Rhos:     cfg.Rhos,
+		Rhos:     rhos,
 		Seeds:    agg.Seeds,
 		Stats:    agg,
 		Rows:     serviceRows(agg),

@@ -27,21 +27,16 @@ import (
 	"srlb/internal/plot"
 )
 
-// PoliciesConfig parameterizes the experiment.
+// PoliciesConfig parameterizes the experiment: the web victim is pinned
+// at webRho, the batch aggressor sweeps batchRhos, and the four-way
+// ablation ablationPolicies runs each cell, the flowlet policy at
+// selection.DefaultFlowletGap.
 type PoliciesConfig struct {
 	// Base: Queries is the web VIP's arrivals per cell.
 	Base
 	// Lambda0 is the shared pool's calibrated capacity rate (0 ⇒
 	// measured via CalibrateCached on the base cluster).
 	Lambda0 float64
-	// WebRho is the victim's pinned load fraction (default 0.55).
-	WebRho float64
-	// BatchRhos is the aggressor axis (default {0.05, 0.2, 0.35, 0.5}).
-	BatchRhos []float64
-	// FlowletGap is the flowlet policy's idle gap (0 ⇒
-	// selection.DefaultFlowletGap) in the four-way ablation
-	// ablationPolicies.
-	FlowletGap time.Duration
 }
 
 // PoliciesRow is a ServiceRow — Variant is "steady" or "churn", Rho the
@@ -73,14 +68,12 @@ type PoliciesResult struct {
 
 // RunPolicies executes the experiment.
 func RunPolicies(cfg PoliciesConfig) PoliciesResult {
-	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.BatchRhos)
-	if cfg.WebRho == 0 {
-		cfg.WebRho = 0.55
-	}
+	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0)
+	rhos := batchRhos()
 	// The churn variant drains a third of the shared pool (at least one
 	// server) mid-run and later re-adds it.
 	churnBy := max(1, cfg.Cluster.Servers/3)
-	policies := ablationPolicies(cfg.FlowletGap)
+	policies := ablationPolicies()
 	// The ablation is about the telemetry plane — it is always on here,
 	// at its default tuning; per-policy degradation to the oblivious
 	// fallback happens through staleness, not through the config.
@@ -89,14 +82,14 @@ func RunPolicies(cfg PoliciesConfig) PoliciesResult {
 	// Same shape as RunInterference: the victim's span fixes the window.
 	// CloseAck gives every connection its late steered packet — the
 	// flowlet boundary.
-	span := time.Duration(float64(cfg.Queries) / (cfg.WebRho * cfg.Lambda0) * float64(time.Second))
+	span := time.Duration(float64(cfg.Queries) / (webRho * cfg.Lambda0) * float64(time.Second))
 	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, span, batchPeak)
-	workload.ServiceLoads = []float64{cfg.WebRho, 0}
+	workload.ServiceLoads = []float64{webRho, 0}
 	workload.CloseAck = true
 	variants := []ClusterVariant{
 		{Name: "steady"},
 		{Name: "churn", Apply: func(c ClusterConfig) ClusterConfig {
-			c.Events = churnEvents(churnBy, churnDrainFrac, 0.65)
+			c.Events = churnEvents(churnBy, churnDrainFrac, churnGrowFrac)
 			return c
 		}},
 	}
@@ -105,7 +98,7 @@ func RunPolicies(cfg PoliciesConfig) PoliciesResult {
 		Cluster:  cfg.Cluster,
 		Policies: policies,
 		Variants: variants,
-		Loads:    cfg.BatchRhos,
+		Loads:    rhos,
 		Seeds:    cfg.Seeds,
 		Workload: workload,
 	})
@@ -113,8 +106,8 @@ func RunPolicies(cfg PoliciesConfig) PoliciesResult {
 
 	res := PoliciesResult{
 		Lambda0:   cfg.Lambda0,
-		WebRho:    cfg.WebRho,
-		BatchRhos: cfg.BatchRhos,
+		WebRho:    webRho,
+		BatchRhos: rhos,
 		Seeds:     agg.Seeds,
 		Services:  workload.serviceNames(),
 		Stats:     agg,
@@ -127,7 +120,7 @@ func RunPolicies(cfg PoliciesConfig) PoliciesResult {
 	// Aggregate drops CellOutcome.Cluster, so the mechanism counter
 	// comes off the raw replicate cells.
 	for vi := range variants {
-		for li := range cfg.BatchRhos {
+		for li := range rhos {
 			for pi := range policies {
 				for _, sr := range cellRows(agg.CellAt(pi, vi, li)) {
 					row := PoliciesRow{ServiceRow: sr}

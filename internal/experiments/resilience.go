@@ -29,18 +29,18 @@ import (
 // disciplines separate: warm ≥ chash ≥ stateless in completion rate.
 type ResilienceConfig struct {
 	Base
-	// Rho is the normalized load (default 0.85).
-	Rho     float64
 	Lambda0 float64
-	// RecoverFrac re-attaches the replica at this fraction of the
-	// arrival span (default 0.45, just after resilienceKillFrac — a fast
-	// process restart, the window warm handoff is for: flows still in
-	// SYN-retransmission when the replica returns are steered by its
-	// inherited table instead of reset by a cold fallback guess).
-	RecoverFrac float64
 }
 
 const (
+	// resilienceRho is the normalized load.
+	resilienceRho = 0.85
+	// resilienceRecoverFrac re-attaches the replica at this fraction of
+	// the arrival span, just after resilienceKillFrac — a fast process
+	// restart, the window warm handoff is for: flows still in
+	// SYN-retransmission when the replica returns are steered by its
+	// inherited table instead of reset by a cold fallback guess.
+	resilienceRecoverFrac = 0.45
 	// resilienceReplicas is the LB replica count; replica 0 is killed in
 	// the kill and rack scenarios, and a warm restart imports replica 1's
 	// table.
@@ -88,7 +88,7 @@ type ResilienceResult struct {
 // resilienceEvents builds one (scenario, mode)'s lifecycle schedule.
 // Every event is rate-relative, so the same schedule serves any load
 // point.
-func resilienceEvents(cfg ResilienceConfig, scenario, mode string) []testbed.Event {
+func resilienceEvents(servers int, scenario, mode string) []testbed.Event {
 	warm := mode == "warm"
 	recover := func(frac float64) testbed.Event {
 		if warm {
@@ -101,24 +101,23 @@ func resilienceEvents(cfg ResilienceConfig, scenario, mode string) []testbed.Eve
 		// Several pool servers fail at the same instant as the replica —
 		// the correlated top-of-rack story. The servers stay dead; only
 		// the replica comes back.
-		events := testbed.FailPoolRack(0, cfg.Cluster.Servers, resilienceRackFrac, resilienceKillFrac)
+		events := testbed.FailPoolRack(0, servers, resilienceRackFrac, resilienceKillFrac)
 		return append(events,
 			testbed.FailReplica(0, 0).AtFraction(resilienceKillFrac),
-			recover(cfg.RecoverFrac))
+			recover(resilienceRecoverFrac))
 	case "rolling":
 		// Sequential fail/recover pairs across every replica, spaced to
 		// finish by 90% of the span, each outage as short as the kill
-		// scenario's.
+		// scenario's. The outage is the float64 difference of the two
+		// fractions; the constant expression would be exact, an ulp
+		// away.
 		stride := (0.9 - resilienceKillFrac) / float64(resilienceReplicas)
-		down := cfg.RecoverFrac - resilienceKillFrac
-		if down > stride/2 {
-			down = stride / 2
-		}
-		return testbed.RollingUpgradeEvents(resilienceReplicas, resilienceKillFrac, stride, down, warm)
+		recoverAt := float64(resilienceRecoverFrac)
+		return testbed.RollingUpgradeEvents(resilienceReplicas, resilienceKillFrac, stride, recoverAt-resilienceKillFrac, warm)
 	default: // "kill"
 		return []testbed.Event{
 			testbed.FailReplica(0, 0).AtFraction(resilienceKillFrac),
-			recover(cfg.RecoverFrac),
+			recover(resilienceRecoverFrac),
 		}
 	}
 }
@@ -127,12 +126,6 @@ func resilienceEvents(cfg ResilienceConfig, scenario, mode string) []testbed.Eve
 // CIs per (scenario, mode).
 func RunResilience(cfg ResilienceConfig) ResilienceResult {
 	cfg.Base = cfg.Base.withDefaults()
-	if cfg.Rho == 0 {
-		cfg.Rho = 0.85
-	}
-	if cfg.RecoverFrac == 0 {
-		cfg.RecoverFrac = 0.45
-	}
 	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 
 	// Each variant pins the replica count, the event schedule and both
@@ -141,7 +134,7 @@ func RunResilience(cfg ResilienceConfig) ResilienceResult {
 	var variants []ClusterVariant
 	for _, scenario := range resilienceScenarios {
 		for _, mode := range resilienceModes {
-			events := resilienceEvents(cfg, scenario, mode)
+			events := resilienceEvents(cfg.Cluster.Servers, scenario, mode)
 			stateless := mode == "stateless"
 			variants = append(variants, ClusterVariant{
 				Name: scenario + "/" + mode,
@@ -161,22 +154,22 @@ func RunResilience(cfg ResilienceConfig) ResilienceResult {
 		Cluster:  cfg.Cluster,
 		Policies: []PolicySpec{resiliencePolicy},
 		Variants: variants,
-		Loads:    []float64{cfg.Rho},
+		Loads:    []float64{resilienceRho},
 		Seeds:    cfg.Seeds,
 		Workload: workload,
 	})
 	agg := sweep.Aggregate()
 
 	res := ResilienceResult{
-		Rho: cfg.Rho, Lambda0: cfg.Lambda0, Replicas: resilienceReplicas,
-		KillFrac: resilienceKillFrac, RecoverFrac: cfg.RecoverFrac, RackFrac: resilienceRackFrac,
+		Rho: resilienceRho, Lambda0: cfg.Lambda0, Replicas: resilienceReplicas,
+		KillFrac: resilienceKillFrac, RecoverFrac: resilienceRecoverFrac, RackFrac: resilienceRackFrac,
 		Seeds: sweep.Seeds,
 		Stats: agg,
 	}
 	for vi, va := range variants {
 		rows := cellRows(agg.CellAt(0, vi, 0))
 		if rows == nil {
-			rows = []ServiceRow{{Variant: va.Name, Rho: cfg.Rho, Policy: resiliencePolicy.Name, Service: "all", Load: cfg.Rho}}
+			rows = []ServiceRow{{Variant: va.Name, Rho: resilienceRho, Policy: resiliencePolicy.Name, Service: "all", Load: resilienceRho}}
 		}
 		res.Rows = append(res.Rows, rows...)
 	}

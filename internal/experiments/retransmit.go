@@ -23,10 +23,11 @@ type RetransmitConfig struct {
 	// saturation, where backlogs actually fill).
 	Rho     float64
 	Lambda0 float64
-	// RTO is the client's initial retransmission timeout (default 1s,
-	// Linux's floor).
-	RTO time.Duration
 }
+
+// retransmitRTO is the client's initial retransmission timeout: 1s,
+// Linux's floor.
+const retransmitRTO = time.Second
 
 // RetransmitRow is one mode's ServiceRow — the mode in Variant, the
 // completed queries' response-time statistics — plus what the study
@@ -55,16 +56,13 @@ func RunRetransmitAblation(cfg RetransmitConfig) RetransmitResult {
 	if cfg.Rho == 0 {
 		cfg.Rho = 1.05
 	}
-	if cfg.RTO == 0 {
-		cfg.RTO = time.Second
-	}
 	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 
 	silentCluster := cfg.Cluster
 	silentCluster.Server.AbortOnOverflow = false
 	poisson := OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries})
 	retransmitting := poisson
-	retransmitting.RetransmitRTO = cfg.RTO
+	retransmitting.RetransmitRTO = retransmitRTO
 	rows, replicates := cfg.runStudy(context.Background(), "abort-on-overflow", []Scenario{
 		{
 			Name:     "abort-on-overflow (RST)",

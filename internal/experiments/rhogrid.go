@@ -29,7 +29,10 @@ import (
 	"srlb/internal/plot"
 )
 
-// RhoGridConfig parameterizes the experiment.
+// RhoGridConfig parameterizes the experiment: the web axis is
+// {0.3, 0.55, 0.8}, the batch axis batchRhos at a burst peak of
+// batchPeak, and the four-way ablation ablationPolicies runs each grid
+// point.
 type RhoGridConfig struct {
 	// Base: Queries sizes the fixed measurement window — every cell
 	// simulates span = Queries/Lambda0 seconds (the ρ=1 window), so the
@@ -40,16 +43,6 @@ type RhoGridConfig struct {
 	// Lambda0 is the shared pool's calibrated capacity rate (0 ⇒
 	// measured via CalibrateCached on the base cluster).
 	Lambda0 float64
-	// WebRhos is the web (victim) load axis (default {0.3, 0.55, 0.8}).
-	WebRhos []float64
-	// BatchRhos is the batch (aggressor) load axis (default
-	// {0.05, 0.2, 0.35, 0.5}).
-	BatchRhos []float64
-	// BatchPeak is the batch service's ON-state burst factor (default 4).
-	BatchPeak float64
-	// Policies defaults to the four-way ablation ablationPolicies
-	// {Random2, CHash2, WeightedLeastLoadPolicy, FlowletPolicy}.
-	Policies []PolicySpec
 	// Adaptive configures adaptive replication (CITarget <= 0 runs the
 	// fixed Seeds axis everywhere).
 	Adaptive Adaptive
@@ -83,16 +76,8 @@ type RhoGridResult struct {
 
 // RunRhoGrid executes the experiment.
 func RunRhoGrid(cfg RhoGridConfig) RhoGridResult {
-	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0, &cfg.BatchRhos)
-	if cfg.BatchPeak == 0 {
-		cfg.BatchPeak = batchPeak
-	}
-	if len(cfg.WebRhos) == 0 {
-		cfg.WebRhos = []float64{0.3, 0.55, 0.8}
-	}
-	if len(cfg.Policies) == 0 {
-		cfg.Policies = ablationPolicies(0)
-	}
+	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0)
+	web, batch := []float64{0.3, 0.55, 0.8}, batchRhos()
 	// The load-aware schemes need the telemetry plane, at its default
 	// tuning.
 	cfg.Cluster.Feedback = feedback.Config{Enabled: true}
@@ -101,15 +86,15 @@ func RunRhoGrid(cfg RhoGridConfig) RhoGridResult {
 	// victim span exists; instead every cell simulates the same fixed
 	// window (the ρ=1 span) with both services time-bounded to it.
 	span := time.Duration(float64(cfg.Queries) / cfg.Lambda0 * float64(time.Second))
-	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Horizon: span}, span, cfg.BatchPeak)
+	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Horizon: span}, span, batchPeak)
 	workload.CloseAck = true
 
 	// RunSweepStats grows the replication axis adaptively when
 	// cfg.Adaptive is enabled.
 	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
-		Policies: cfg.Policies,
-		LoadGrid: LoadGrid{Axes: [][]float64{cfg.WebRhos, cfg.BatchRhos}},
+		Policies: ablationPolicies(),
+		LoadGrid: LoadGrid{Axes: [][]float64{web, batch}},
 		Seeds:    cfg.Seeds,
 		Adaptive: cfg.Adaptive,
 		Workload: workload,
@@ -117,8 +102,8 @@ func RunRhoGrid(cfg RhoGridConfig) RhoGridResult {
 
 	res := RhoGridResult{
 		Lambda0:   cfg.Lambda0,
-		WebRhos:   cfg.WebRhos,
-		BatchRhos: cfg.BatchRhos,
+		WebRhos:   web,
+		BatchRhos: batch,
 		Seeds:     agg.Seeds,
 		Services:  workload.serviceNames(),
 		MaxSeeds:  len(agg.Seeds),

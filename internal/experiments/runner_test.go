@@ -224,13 +224,10 @@ func TestMMPPMeanRate(t *testing.T) {
 	w := BurstyService{Lambda0: 100, Queries: 1}.withDefaults()
 	// Drive the arrival process directly: long-run rate ≈ load × Lambda0.
 	mean := 0.6 * w.Lambda0
-	onFrac := w.MeanOn.Seconds() / (w.MeanOn + w.MeanOff).Seconds()
+	onFrac := burstyMeanOn.Seconds() / (burstyMeanOn + burstyMeanOff).Seconds()
 	rateOn := w.PeakFactor * mean
 	rateOff := (mean - onFrac*rateOn) / (1 - onFrac)
-	p := &mmpp{
-		r: rng.Split(9, 0xb124), rateOn: rateOn, rateOff: rateOff,
-		meanOn: w.MeanOn, meanOff: w.MeanOff,
-	}
+	p := &mmpp{r: rng.Split(9, 0xb124), rateOn: rateOn, rateOff: rateOff}
 	const n = 60000
 	var last time.Duration
 	for i := 0; i < n; i++ {

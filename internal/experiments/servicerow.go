@@ -226,19 +226,26 @@ func lift[R any](base func(R) ServiceRow, cols ...column[ServiceRow]) []column[R
 }
 
 // serviceSweepDefaults resolves the knobs the family's configs share:
-// the base's defaults, λ0 calibrated on the base cluster when not given,
-// and — unless the experiment has set its own load axis — the
-// shared-pool aggressor axis {0.05, 0.2, 0.35, 0.5}.
-func serviceSweepDefaults(base *Base, lambda0 *float64, rhos *[]float64) {
+// the base's defaults, and λ0 calibrated on the base cluster when not
+// given.
+func serviceSweepDefaults(base *Base, lambda0 *float64) {
 	*base = base.withDefaults()
-	if len(*rhos) == 0 {
-		*rhos = []float64{0.05, 0.2, 0.35, 0.5}
-	}
 	*lambda0 = base.Cluster.lambda0(*lambda0)
 }
 
 // batchPeak is the batch service's ON-state burst factor.
 const batchPeak = 4
+
+// webRho is the web victim's pinned load in RunInterference and
+// RunPolicies, as a fraction of the shared pool's capacity: busy but
+// unsaturated on its own.
+const webRho = 0.55
+
+// batchRhos is the shared-pool aggressor axis of RunInterference,
+// RunPolicies and RunRhoGrid: each value is the batch service's own load
+// fraction of the pool, so with the web victim at webRho the total runs
+// up to overload.
+func batchRhos() []float64 { return []float64{0.05, 0.2, 0.35, 0.5} }
 
 // sharedPoolWorkload is the traffic of RunInterference, RunPolicies and
 // RunRhoGrid: a Poisson web victim and a bursty batch aggressor

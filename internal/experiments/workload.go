@@ -132,13 +132,13 @@ func clusterStats(tb *testbed.Testbed) ClusterStats {
 	return cs
 }
 
-// mmpp generates arrivals of a two-state Markov-modulated Poisson process.
-// Exponential holding times make the per-state restart at each boundary
-// exact (memorylessness), so no thinning is needed.
+// mmpp generates arrivals of a two-state Markov-modulated Poisson process
+// with mean dwell times burstyMeanOn and burstyMeanOff. Exponential
+// holding times make the per-state restart at each boundary exact
+// (memorylessness), so no thinning is needed.
 type mmpp struct {
 	r               *rand.Rand
 	rateOn, rateOff float64
-	meanOn, meanOff time.Duration
 	t, switchAt     time.Duration
 	on              bool
 }
@@ -158,9 +158,9 @@ func (p *mmpp) Next() time.Duration {
 		}
 		p.t = p.switchAt
 		p.on = !p.on
-		dwell := p.meanOff
+		dwell := burstyMeanOff
 		if p.on {
-			dwell = p.meanOn
+			dwell = burstyMeanOn
 		}
 		p.switchAt = p.t + rng.Exp(p.r, dwell)
 	}

@@ -66,7 +66,7 @@ func TestWritersSurfaceEveryWriteError(t *testing.T) {
 		{"ablation replicated", AblationResult{Study: "k", Seeds: seeds, Rows: []ServiceRow{{Variant: "k=1"}}}.TSV()},
 		{"calibration", CalibrationResult{Probes: []CalibrationProbe{{RatePerSec: 100}}}.TSV()},
 		{"churn", ChurnResult{Rows: []ServiceRow{{Policy: "RR", Variant: "steady"}}}.TSV()},
-		{"failover", FailoverResult{RecoverAt: time.Second, Modes: []FailoverMode{{ServiceRow: ServiceRow{Variant: "random"}, Bins: []FailoverBin{{}}}}}.TSV()},
+		{"failover", FailoverResult{KillAt: time.Second, Modes: []FailoverMode{{ServiceRow: ServiceRow{Variant: "random"}, Bins: []FailoverBin{{}}}}}.TSV()},
 		{"fig2", Fig2Result{Policies: policies, Rhos: []float64{0.5}, Points: [][]Fig2Point{{{}}, {{}}}}.TSV()},
 		{"fig2 replicated", Fig2Result{Policies: policies, Rhos: []float64{0.5}, Seeds: seeds, Points: [][]Fig2Point{{{}}, {{}}}}.TSV()},
 		{"fig4", Fig4Result{Series: []Fig4Series{{Spec: RR(), N: 1, Samples: []Fig4Sample{{}}}}}.TSV()},
