@@ -227,7 +227,7 @@ func (e *env) declareFlags(fs *flag.FlagSet) {
 	fs.Float64Var(&e.horizonRho, "horizon-rho", 0.85, "normalized load for -experiment horizon")
 	fs.IntVar(&e.base.Workers, "workers", 0, "parallel sweep cells (0 = GOMAXPROCS)")
 	fs.Float64Var(&e.adaptive.CITarget, "ci-target", 0.2, "rhogrid: adaptive relative CI95 stop target (<= 0 runs fixed -seeds replication)")
-	fs.IntVar(&e.adaptive.MaxSeeds, "max-seeds", 8, "rhogrid: adaptive per-cell replicate cap")
+	fs.IntVar(&e.adaptive.MaxSeeds, "max-seeds", 8, fmt.Sprintf("rhogrid: adaptive per-cell replicate cap (at least the floor of %d)", experiments.MinSeeds))
 	fs.BoolVar(&e.verbose, "v", false, "log per-point progress")
 	fs.BoolVar(&e.plot, "plot", false, "render the ASCII charts to stdout, for every experiment that has one")
 	fs.StringVar(&e.cpuProfile, "cpuprofile", "", "write a CPU profile of the run to this file")
@@ -274,10 +274,11 @@ func selectExperiments(value string) []*experiment {
 // It rejects, before any work is done, what would otherwise surface as a
 // panic deep inside a run or as a silent no-op: a number that is not
 // finite, a negative count or scale, a -compress factor below 1 or so
-// large that a 10-minute trace bin is shorter than 1ns, and an
-// -experiment value the table does not have. Zero stays "the experiment's
-// own default" wherever it meant that; a negative -ci-target is fixed
-// replication.
+// large that a 10-minute trace bin is shorter than 1ns, a -max-seeds cap
+// below the adaptive replicate floor (which would raise it without a
+// word), and an -experiment value the table does not have. Zero stays
+// "the experiment's own default" wherever it meant that; a negative
+// -ci-target is fixed replication.
 func (e *env) resolve(fs *flag.FlagSet) ([]*experiment, error) {
 	for _, name := range []string{"rho-points", "queries", "servers", "seeds", "max-seeds", "workers", "compress", "horizon-rho", "ci-target"} {
 		value := fs.Lookup(name).Value.String()
@@ -291,6 +292,8 @@ func (e *env) resolve(fs *flag.FlagSet) ([]*experiment, error) {
 			return nil, fmt.Errorf("-compress is a compression factor, at least 1 (got %s)", value)
 		case name == "compress" && v > experiments.MaxWikiCompression:
 			return nil, fmt.Errorf("-compress leaves a 10-minute trace bin shorter than 1ns, at most %g (got %s)", experiments.MaxWikiCompression, value)
+		case name == "max-seeds" && v > 0 && v < experiments.MinSeeds:
+			return nil, fmt.Errorf("-max-seeds is below the replicate floor of %d (got %s; 0 is the default cap)", experiments.MinSeeds, value)
 		}
 	}
 	selected := selectExperiments(e.experiment)

@@ -152,6 +152,8 @@ func TestBadInput(t *testing.T) {
 		{"-servers", []string{"-experiment", "calibrate", "-servers", "-1"}},
 		{"-seeds", []string{"-experiment", "calibrate", "-servers", "4", "-seeds", "-1"}},
 		{"-max-seeds", []string{"-experiment", "calibrate", "-servers", "4", "-max-seeds", "-1"}},
+		{"-max-seeds is below the replicate floor of 3", []string{"-experiment", "rhogrid", "-servers", "4", "-queries", "300", "-max-seeds", "2"}},
+		{"-max-seeds is below the replicate floor of 3", []string{"-experiment", "rhogrid", "-servers", "4", "-queries", "300", "-max-seeds", "1"}},
 		{"-workers", []string{"-experiment", "fig2", "-servers", "2", "-queries", "300", "-rho-points", "1", "-workers", "-1"}},
 		{"-compress", []string{"-experiment", "wiki", "-servers", "4", "-compress", "-5"}},
 		{"-horizon-rho", []string{"-experiment", "calibrate", "-servers", "4", "-horizon-rho", "-0.5"}},
