@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,6 +24,26 @@ func horizonCfg(queries uint64) HorizonConfig {
 	}
 }
 
+// soak is RunHorizon with a heap sample every 2¹⁶ completions besides
+// its own every 2²⁰ launches, which would sample a run shorter than
+// 2²⁰ queries only at its start and end; PeakHeap is the larger peak.
+func soak(t *testing.T, queries uint64) HorizonResult {
+	var peak uint64
+	var ms runtime.MemStats
+	completed := 0
+	res, err := runHorizon(context.Background(), horizonCfg(queries), PoissonHooks{OnResult: func(testbed.Result) {
+		if completed++; completed%(1<<16) == 0 {
+			runtime.ReadMemStats(&ms)
+			peak = max(peak, ms.HeapAlloc)
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.PeakHeap = max(res.PeakHeap, peak)
+	return res
+}
+
 // The constant-memory claim: pushing the horizon 5x further must not
 // move the peak live heap beyond GC jitter. Every per-query object —
 // timers, packets, wire buffers, pending-query records — recycles, and
@@ -31,14 +52,7 @@ func TestHorizonConstantMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run soak")
 	}
-	small, err := RunHorizon(context.Background(), horizonCfg(200_000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := RunHorizon(context.Background(), horizonCfg(1_000_000))
-	if err != nil {
-		t.Fatal(err)
-	}
+	small, large := soak(t, 200_000), soak(t, 1_000_000)
 	t.Logf("peak heap: %d queries -> %.1f MB, %d queries -> %.1f MB (%.0f q/s)",
 		small.Queries, float64(small.PeakHeap)/(1<<20),
 		large.Queries, float64(large.PeakHeap)/(1<<20), large.QPS())
