@@ -211,7 +211,7 @@
 // sweep then enumerates a full web-ρ × batch-ρ matrix instead of
 // pinning the victim. Because the matrix multiplies cells, Sweep.
 // Adaptive sizes each cell's replication on the fly: a mandatory floor
-// of MinSeeds (≥ 3) replicates, then one seed per round until the
+// of MinSeeds (3) replicates, then one seed per round until the
 // relative CI95 of the cell's mean response time drops under CITarget
 // or MaxSeeds is hit, with policy-crossover-boundary cells held to a
 // tighter target. Stop decisions are taken at round barriers from
