@@ -23,10 +23,11 @@ var hostFields = regexp.MustCompile(`"(wall_ms|total_wall_ms|gomaxprocs)": [0-9.
 
 // TestWriteSweepDocGolden pins BENCH_sweep.json — field names, field
 // order, nesting and number formatting, as docs/RESULTS_SCHEMA.md
-// documents them — on a small replicated multi-VIP sweep: two policies ×
-// one load × two seeds of the interference experiment's cell (a web
-// victim pinned at 0.55 and a bursty batch service on one shared pool),
-// so every cell carries its per-VIP rows.
+// documents them — on a small replicated multi-VIP sweep built here: two
+// policies × one load × two seeds of a web service at 0.55 and a bursty
+// batch service on one shared pool, so every cell carries its per-VIP
+// rows. The sweep is the writer's fixture, not an experiment's: what
+// RunInterference runs is pinned by its own interference.tsv golden.
 func TestWriteSweepDocGolden(t *testing.T) {
 	lambda0, queries, webRho := 80.0, 600, 0.55
 	span := time.Duration(float64(queries) / (webRho * lambda0) * float64(time.Second))

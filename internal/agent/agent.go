@@ -48,13 +48,6 @@ func (p *Static) Accept(sb appserver.Scoreboard) bool {
 // Name implements Policy.
 func (p *Static) Name() string { return fmt.Sprintf("SR%d", p.C) }
 
-// DynamicConfig parameterizes SRdyn: the window is the one setting the
-// ablations vary. The threshold starts at the paper's c0 = 1, and the
-// band is the paper's [0.4, 0.6].
-type DynamicConfig struct {
-	WindowSize int // decisions per adaptation window (0 = the paper's 50)
-}
-
 // The paper's band on the acceptance ratio of one window.
 const (
 	lowRatio  = 0.4 // below it, c is incremented
@@ -74,13 +67,14 @@ type Dynamic struct {
 	attempt  int
 }
 
-// NewDynamic returns an SRdyn policy with c0 = 1 and the band
-// [0.4, 0.6]; a zero WindowSize takes the paper's 50.
-func NewDynamic(cfg DynamicConfig) *Dynamic {
-	if cfg.WindowSize == 0 {
-		cfg.WindowSize = 50
+// NewDynamic returns an SRdyn policy with c0 = 1, the band [0.4, 0.6]
+// and window decisions per adaptation window — the one setting the
+// ablations vary; 0 takes the paper's 50.
+func NewDynamic(window int) *Dynamic {
+	if window == 0 {
+		window = 50
 	}
-	return &Dynamic{window: cfg.WindowSize, c: 1}
+	return &Dynamic{window: window, c: 1}
 }
 
 // C returns the current threshold (exported for tests and telemetry).

@@ -51,7 +51,7 @@ func TestStaticName(t *testing.T) {
 }
 
 func TestDynamicDefaults(t *testing.T) {
-	p := NewDynamic(DynamicConfig{})
+	p := NewDynamic(0)
 	if p.C() != 1 {
 		t.Fatalf("initial c = %d, want 1", p.C())
 	}
@@ -62,7 +62,7 @@ func TestDynamicDefaults(t *testing.T) {
 
 func TestDynamicRaisesCUnderRefusals(t *testing.T) {
 	// Busy always ≥ c → all offers refused → ratio 0 < 0.4 → c++ per window.
-	p := NewDynamic(DynamicConfig{WindowSize: 50})
+	p := NewDynamic(50)
 	sb := &fakeBoard{busy: 32, total: 32}
 	for i := 0; i < 50*5; i++ {
 		p.Accept(sb)
@@ -73,7 +73,7 @@ func TestDynamicRaisesCUnderRefusals(t *testing.T) {
 }
 
 func TestDynamicCapsAtTotalWorkers(t *testing.T) {
-	p := NewDynamic(DynamicConfig{WindowSize: 10})
+	p := NewDynamic(10)
 	sb := &fakeBoard{busy: 4, total: 4}
 	for i := 0; i < 10*100; i++ {
 		p.Accept(sb)
@@ -89,7 +89,7 @@ func TestDynamicLowersCUnderAcceptance(t *testing.T) {
 	// nothing is accepted, the ratio drops below 0.4 and c comes back to
 	// 1 — so steady idle state is c ∈ {0, 1}. Five windows of refusals
 	// first take c from 1 to 6.
-	p := NewDynamic(DynamicConfig{WindowSize: 50})
+	p := NewDynamic(50)
 	sb := &fakeBoard{busy: 32, total: 32}
 	for i := 0; i < 50*5; i++ {
 		p.Accept(sb)
@@ -110,7 +110,7 @@ func TestDynamicStableInBand(t *testing.T) {
 	// Two windows of refusals take c from 1 to 3; the adapting call at
 	// 100 is refused and counts in the next window. Then half the offers
 	// are accepted → ratio 0.5 ∈ [0.4, 0.6] → c stays.
-	p := NewDynamic(DynamicConfig{WindowSize: 50})
+	p := NewDynamic(50)
 	sb := &fakeBoard{busy: 32, total: 32}
 	for i := 0; i < 50*2; i++ {
 		p.Accept(sb)
@@ -134,7 +134,7 @@ func TestDynamicStableInBand(t *testing.T) {
 func TestDynamicConvergesToHalfRatio(t *testing.T) {
 	// Simulated stationary busy distribution: busy uniform over [0, 8).
 	// The policy should settle near c=4 where P(busy<c)≈1/2.
-	p := NewDynamic(DynamicConfig{})
+	p := NewDynamic(0)
 	sb := &fakeBoard{total: 32}
 	seq := 0
 	for i := 0; i < 50*200; i++ {
@@ -149,7 +149,7 @@ func TestDynamicConvergesToHalfRatio(t *testing.T) {
 
 func TestDynamicWindowExactness(t *testing.T) {
 	// Adaptation must occur exactly at window boundaries.
-	p := NewDynamic(DynamicConfig{WindowSize: 10})
+	p := NewDynamic(10)
 	sb := &fakeBoard{busy: 31, total: 32}
 	for i := 0; i < 9; i++ {
 		p.Accept(sb)
@@ -183,7 +183,7 @@ func TestAlwaysNever(t *testing.T) {
 // plus the refusal of the call that closed the window before, which
 // counts in the next one; the first window has only the nine.
 func TestDynamicBandEdges(t *testing.T) {
-	p := NewDynamic(DynamicConfig{WindowSize: 10})
+	p := NewDynamic(10)
 	sb := &fakeBoard{total: 8}
 	for _, w := range []struct{ accepts, wantC int }{{4, 1}, {6, 1}, {3, 2}} {
 		for i := 0; i < 9; i++ {

@@ -61,7 +61,7 @@ func FuzzDynamicModel(f *testing.F) {
 			return
 		}
 		window := int(data[0] % 65)
-		p := NewDynamic(DynamicConfig{WindowSize: window})
+		p := NewDynamic(window)
 		if window == 0 {
 			window = 50
 		}

@@ -124,7 +124,7 @@ func RunWindowAblation(cfg AblationConfig) AblationResult {
 			Name:       fmt.Sprintf("SRdyn(w=%d)", win),
 			Candidates: 2,
 			NewAgent: func() agent.Policy {
-				return agent.NewDynamic(agent.DynamicConfig{WindowSize: win})
+				return agent.NewDynamic(win)
 			},
 		}
 		scenarios = append(scenarios, cfg.scenario(spec.Name, spec, cfg.Cluster))

@@ -6,9 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
-	"srlb/internal/feedback"
 	"srlb/internal/plot"
 	"srlb/internal/testbed"
 )
@@ -316,40 +314,29 @@ func TestGridSweepResolvesVectorLoads(t *testing.T) {
 // reference grid with a realistic CI target, adaptive replication must
 // spend at most 60% of the fixed-replication budget (cells × MaxSeeds),
 // and every cell must stop with a recorded reason after at least
-// MinSeeds replicates. The reference grid is rhogrid's cell on a 2×2
-// grid with two policies and a batch peak of 2, run through
-// Sweep.Adaptive; rhogrid's own 3×4 grid at peak 4 is noisier (see
-// TestRhoGridArtifacts).
+// MinSeeds replicates. The reference grid is rhogrid's run on a 2×2
+// grid with two policies and a batch peak of 2; rhogrid's own 3×4 grid
+// at peak 4 is noisier (see TestRhoGridArtifacts).
 func TestRhoGridAdaptiveBudget(t *testing.T) {
-	span := time.Duration(1500.0 / 80 * float64(time.Second))
-	workload := sharedPoolWorkload(PoissonService{Lambda0: 80, Horizon: span}, span, 2)
-	workload.CloseAck = true
-	res, agg, err := Runner{Workers: 4}.RunSweepAdaptive(context.Background(), Sweep{
-		Cluster:  ClusterConfig{Seed: 5, Servers: 4, Feedback: feedback.Config{Enabled: true}},
-		Policies: []PolicySpec{Random2(), WeightedLeastLoadPolicy()},
-		LoadGrid: LoadGrid{Axes: [][]float64{{0.3, 0.6}, {0.1, 0.3}}},
-		Seeds:    []uint64{5},
+	cfg := RhoGridConfig{
+		Base:     Base{Cluster: ClusterConfig{Seed: 5, Servers: 4}, Queries: 1500, Workers: 4},
+		Lambda0:  80,
 		Adaptive: Adaptive{CITarget: 0.5, MaxSeeds: 10},
-		Workload: workload,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	fixed, spent := 2*2*2*10, 0
-	for _, seeds := range res.CellSeeds {
-		spent += len(seeds)
+	res := runRhoGrid(cfg, []float64{0.3, 0.6}, []float64{0.1, 0.3}, 2, []PolicySpec{Random2(), WeightedLeastLoadPolicy()})
+
+	fixed := res.FixedBudget()
+	if fixed != 2*2*2*10 {
+		t.Fatalf("fixed budget = %d, want 80 (2×2 grid × 2 policies × 10 max seeds)", fixed)
 	}
-	if len(res.CellSeeds) != 8 {
-		t.Fatalf("%d cells, want 8 (2×2 grid × 2 policies)", len(res.CellSeeds))
-	}
-	if spent*10 > fixed*6 {
+	if spent := res.TotalReplicates(); spent*10 > fixed*6 {
 		t.Fatalf("adaptive run spent %d replicates, more than 60%% of the fixed budget %d", spent, fixed)
 	}
-	for _, cs := range agg.Cells {
+	for _, cs := range res.Stats.Cells {
 		if cs.StopReason != StopConverged && cs.StopReason != StopMaxSeeds {
 			t.Fatalf("cell %q has stop reason %q", cs.Name, cs.StopReason)
 		}
-		if cs.N() < 3 {
+		if cs.N() < MinSeeds {
 			t.Fatalf("cell %q aggregated %d replicates, below the MinSeeds floor", cs.Name, cs.N())
 		}
 	}

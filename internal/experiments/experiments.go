@@ -70,7 +70,7 @@ func SRdyn() PolicySpec {
 	return PolicySpec{
 		Name:       "SR dyn",
 		Candidates: 2,
-		NewAgent:   func() agent.Policy { return agent.NewDynamic(agent.DynamicConfig{}) },
+		NewAgent:   func() agent.Policy { return agent.NewDynamic(0) },
 	}
 }
 

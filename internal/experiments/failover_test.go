@@ -202,7 +202,7 @@ func TestChurnSweep(t *testing.T) {
 		if row.N != 2 {
 			t.Fatalf("row %s/%s has n=%d, want 2", row.Policy, row.Variant, row.N)
 		}
-		if row.Rho == 0.5 && row.OKFrac < 0.95 {
+		if row.Rho <= 0.75 && row.OKFrac < 0.95 {
 			t.Fatalf("row %s/%s ok=%.3f — churn at moderate load should not shed queries", row.Policy, row.Variant, row.OKFrac)
 		}
 	}

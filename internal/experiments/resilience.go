@@ -85,10 +85,11 @@ type ResilienceResult struct {
 	Stats SweepStats
 }
 
-// resilienceEvents builds one (scenario, mode)'s lifecycle schedule.
+// resilienceEvents builds one (scenario, mode)'s lifecycle schedule,
+// each failed replica re-attaching at recoverFrac of the arrival span.
 // Every event is rate-relative, so the same schedule serves any load
 // point.
-func resilienceEvents(servers int, scenario, mode string) []testbed.Event {
+func resilienceEvents(servers int, scenario, mode string, recoverFrac float64) []testbed.Event {
 	warm := mode == "warm"
 	recover := func(frac float64) testbed.Event {
 		if warm {
@@ -104,20 +105,17 @@ func resilienceEvents(servers int, scenario, mode string) []testbed.Event {
 		events := testbed.FailPoolRack(0, servers, resilienceRackFrac, resilienceKillFrac)
 		return append(events,
 			testbed.FailReplica(0, 0).AtFraction(resilienceKillFrac),
-			recover(resilienceRecoverFrac))
+			recover(recoverFrac))
 	case "rolling":
 		// Sequential fail/recover pairs across every replica, spaced to
 		// finish by 90% of the span, each outage as short as the kill
-		// scenario's. The outage is the float64 difference of the two
-		// fractions; the constant expression would be exact, an ulp
-		// away.
+		// scenario's.
 		stride := (0.9 - resilienceKillFrac) / float64(resilienceReplicas)
-		recoverAt := float64(resilienceRecoverFrac)
-		return testbed.RollingUpgradeEvents(resilienceReplicas, resilienceKillFrac, stride, recoverAt-resilienceKillFrac, warm)
+		return testbed.RollingUpgradeEvents(resilienceReplicas, resilienceKillFrac, stride, recoverFrac-resilienceKillFrac, warm)
 	default: // "kill"
 		return []testbed.Event{
 			testbed.FailReplica(0, 0).AtFraction(resilienceKillFrac),
-			recover(resilienceRecoverFrac),
+			recover(recoverFrac),
 		}
 	}
 }
@@ -125,6 +123,12 @@ func resilienceEvents(servers int, scenario, mode string) []testbed.Event {
 // RunResilience executes the ablation, reporting completion rates with
 // CIs per (scenario, mode).
 func RunResilience(cfg ResilienceConfig) ResilienceResult {
+	return runResilience(cfg, resilienceScenarios, resilienceModes, resilienceRho, resilienceRecoverFrac)
+}
+
+// runResilience is RunResilience over the given scenarios and modes at
+// load rho, each failed replica re-attaching at recoverFrac of the span.
+func runResilience(cfg ResilienceConfig, scenarios, modes []string, rho, recoverFrac float64) ResilienceResult {
 	cfg.Base = cfg.Base.withDefaults()
 	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
 
@@ -132,9 +136,9 @@ func RunResilience(cfg ResilienceConfig) ResilienceResult {
 	// selection knobs — the base cluster's own settings must not leak
 	// into a mode labeled the other way.
 	var variants []ClusterVariant
-	for _, scenario := range resilienceScenarios {
-		for _, mode := range resilienceModes {
-			events := resilienceEvents(cfg.Cluster.Servers, scenario, mode)
+	for _, scenario := range scenarios {
+		for _, mode := range modes {
+			events := resilienceEvents(cfg.Cluster.Servers, scenario, mode, recoverFrac)
 			stateless := mode == "stateless"
 			variants = append(variants, ClusterVariant{
 				Name: scenario + "/" + mode,
@@ -154,22 +158,22 @@ func RunResilience(cfg ResilienceConfig) ResilienceResult {
 		Cluster:  cfg.Cluster,
 		Policies: []PolicySpec{resiliencePolicy},
 		Variants: variants,
-		Loads:    []float64{resilienceRho},
+		Loads:    []float64{rho},
 		Seeds:    cfg.Seeds,
 		Workload: workload,
 	})
 	agg := sweep.Aggregate()
 
 	res := ResilienceResult{
-		Rho: resilienceRho, Lambda0: cfg.Lambda0, Replicas: resilienceReplicas,
-		KillFrac: resilienceKillFrac, RecoverFrac: resilienceRecoverFrac, RackFrac: resilienceRackFrac,
+		Rho: rho, Lambda0: cfg.Lambda0, Replicas: resilienceReplicas,
+		KillFrac: resilienceKillFrac, RecoverFrac: recoverFrac, RackFrac: resilienceRackFrac,
 		Seeds: sweep.Seeds,
 		Stats: agg,
 	}
 	for vi, va := range variants {
 		rows := cellRows(agg.CellAt(0, vi, 0))
 		if rows == nil {
-			rows = []ServiceRow{{Variant: va.Name, Rho: resilienceRho, Policy: resiliencePolicy.Name, Service: "all", Load: resilienceRho}}
+			rows = []ServiceRow{{Variant: va.Name, Rho: rho, Policy: resiliencePolicy.Name, Service: "all", Load: rho}}
 		}
 		res.Rows = append(res.Rows, rows...)
 	}

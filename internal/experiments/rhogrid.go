@@ -76,8 +76,13 @@ type RhoGridResult struct {
 
 // RunRhoGrid executes the experiment.
 func RunRhoGrid(cfg RhoGridConfig) RhoGridResult {
+	return runRhoGrid(cfg, []float64{0.3, 0.55, 0.8}, batchRhos(), batchPeak, ablationPolicies())
+}
+
+// runRhoGrid is RunRhoGrid over the web × batch load grid, the batch
+// bursting to peak, with the given policies at every grid point.
+func runRhoGrid(cfg RhoGridConfig, web, batch []float64, peak float64, policies []PolicySpec) RhoGridResult {
 	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0)
-	web, batch := []float64{0.3, 0.55, 0.8}, batchRhos()
 	// The load-aware schemes need the telemetry plane, at its default
 	// tuning.
 	cfg.Cluster.Feedback = feedback.Config{Enabled: true}
@@ -86,14 +91,14 @@ func RunRhoGrid(cfg RhoGridConfig) RhoGridResult {
 	// victim span exists; instead every cell simulates the same fixed
 	// window (the ρ=1 span) with both services time-bounded to it.
 	span := time.Duration(float64(cfg.Queries) / cfg.Lambda0 * float64(time.Second))
-	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Horizon: span}, span, batchPeak)
+	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Horizon: span}, span, peak)
 	workload.CloseAck = true
 
 	// RunSweepStats grows the replication axis adaptively when
 	// cfg.Adaptive is enabled.
 	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
 		Cluster:  cfg.Cluster,
-		Policies: ablationPolicies(),
+		Policies: policies,
 		LoadGrid: LoadGrid{Axes: [][]float64{web, batch}},
 		Seeds:    cfg.Seeds,
 		Adaptive: cfg.Adaptive,

@@ -131,7 +131,7 @@ func TestSRdynAdaptsAcrossLoadShift(t *testing.T) {
 	cfg := Topology{Seed: 78, Pools: []PoolSpec{{Servers: 4}}}
 	policies := make([]*agent.Dynamic, 0, 4)
 	cfg.Pools[0].Policy = func(int) agent.Policy {
-		p := agent.NewDynamic(agent.DynamicConfig{})
+		p := agent.NewDynamic(0)
 		policies = append(policies, p)
 		return p
 	}
