@@ -119,6 +119,39 @@ func TestAdaptiveDeterminism1vs4(t *testing.T) {
 	}
 }
 
+// TestAdaptiveSchedulePinned pins the schedule itself, which
+// TestAdaptiveDeterminism1vs4 only compares across worker counts: the
+// seeds each cell of the reference sweep runs, in order, and why its
+// replication stops. The seeds are a prefix of the universe (the
+// cluster seed, then seeds derived with the adaptive salt).
+func TestAdaptiveSchedulePinned(t *testing.T) {
+	s := adaptiveTestSweep(11, Adaptive{CITarget: 0.3, MaxSeeds: 5})
+	res, agg, err := Runner{Workers: 2}.RunSweepAdaptive(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []struct {
+		seeds []uint64
+		stop  string
+	}{
+		{[]uint64{0xb, 0x55e5b7be8e708570, 0x162fa2b0d5ca96d7}, StopConverged},                                         // RR, 0.5
+		{[]uint64{0xb, 0x55e5b7be8e708570, 0x162fa2b0d5ca96d7, 0x8922960a53150282, 0x84fb4cdbff9e760b}, StopConverged}, // RR, 0.85
+		{[]uint64{0xb, 0x55e5b7be8e708570, 0x162fa2b0d5ca96d7}, StopConverged},                                         // SR 4, 0.5
+		{[]uint64{0xb, 0x55e5b7be8e708570, 0x162fa2b0d5ca96d7, 0x8922960a53150282, 0x84fb4cdbff9e760b}, StopMaxSeeds},  // SR 4, 0.85
+	}
+	if len(res.CellSeeds) != len(want) || len(agg.Cells) != len(want) {
+		t.Fatalf("got %d seed lists and %d aggregates, want %d cells", len(res.CellSeeds), len(agg.Cells), len(want))
+	}
+	for ci, w := range want {
+		if !reflect.DeepEqual(res.CellSeeds[ci], w.seeds) {
+			t.Errorf("cell %d ran seeds %#v, want %#v", ci, res.CellSeeds[ci], w.seeds)
+		}
+		if cs := agg.Cells[ci]; cs.StopReason != w.stop || cs.N() != len(w.seeds) {
+			t.Errorf("cell %q stopped %q after %d replicates, want %q after %d", cs.Name, cs.StopReason, cs.N(), w.stop, len(w.seeds))
+		}
+	}
+}
+
 // TestSweepResultRaggedCellAt is the regression test for the silent
 // flat-index arithmetic: CellAt on a ragged result must resolve each
 // cell against its own replicate count, and any out-of-range axis or

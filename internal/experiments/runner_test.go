@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,6 +80,49 @@ func TestRunnerResultsInInputOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestProgressLines pins the progress contract that callers time their
+// batches by: a fixed sweep of P policies × L loads × S seeds reports
+// exactly P·L·S lines, numbered [1/P·L·S] … [P·L·S/P·L·S] in call order,
+// and a study's lines carry its [name] prefix.
+func TestProgressLines(t *testing.T) {
+	var lines []string
+	collect := func(s string) { lines = append(lines, s) } // Run serializes Progress calls
+	checkNumbered := func(what, prefix string, n int) {
+		t.Helper()
+		if len(lines) != n {
+			t.Fatalf("%s reported %d progress lines, want %d:\n%s", what, len(lines), n, strings.Join(lines, "\n"))
+		}
+		for i, line := range lines {
+			if want := fmt.Sprintf("%s[%d/%d] ", prefix, i+1, n); !strings.HasPrefix(line, want) {
+				t.Fatalf("%s progress line %d = %q, want prefix %q", what, i, line, want)
+			}
+		}
+	}
+
+	sweep := Sweep{
+		Cluster:  ClusterConfig{Seed: 24, Servers: 4},
+		Policies: []PolicySpec{RR(), SRc(4)},
+		Loads:    []float64{0.3, 0.5, 0.7},
+		Seeds:    DeriveSeeds(24, 2),
+		Workload: OneService(PoissonService{Lambda0: 80, Queries: 300}),
+	}
+	if _, err := (Runner{Workers: 3, Progress: collect}).RunSweep(context.Background(), sweep); err != nil {
+		t.Fatal(err)
+	}
+	checkNumbered("a 2 × 3 × 2 sweep", "", 2*3*2)
+
+	lines = nil
+	b := Base{Cluster: sweep.Cluster, Queries: 300, Seeds: sweep.Seeds, Workers: 2, Progress: collect}.withDefaults()
+	scenarios := []Scenario{
+		{Name: "rr", Cluster: b.Cluster, Policy: RR(), Workload: sweep.Workload, Load: 0.5},
+		{Name: "sr4", Cluster: b.Cluster, Policy: SRc(4), Workload: sweep.Workload, Load: 0.5},
+	}
+	if rows, _ := b.runStudy(context.Background(), "demo", scenarios); len(rows) != 2 || rows[0].Variant != "rr" || rows[1].Variant != "sr4" {
+		t.Fatalf("study rows = %+v, want one per scenario, labelled in order", rows)
+	}
+	checkNumbered("a 2-scenario study over 2 seeds", "[demo] ", 2*2)
 }
 
 func TestRunnerCancellation(t *testing.T) {
