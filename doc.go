@@ -55,7 +55,8 @@
 //	fmt.Printf("%v ± %v (n=%d)\n", cell.MeanRT(), cell.MeanCI95(), cell.N())
 //
 // RunSweep keeps the raw per-seed cells (SweepResult.Cell(pi, li, si));
-// Aggregate folds them after the fact. A raw cell's CellOutcome carries
+// Aggregate folds them after the fact, and RunSweepStats is the two in
+// one call. A raw cell's CellOutcome carries
 // its typed payloads: Cluster (per-server completions, SYN retransmits,
 // flowlet re-steers), Wiki for the §VI replays, Timeline for figure 4.
 // The paper's artifacts remain available as one-line wrappers
@@ -217,7 +218,9 @@
 // tighter target. Stop decisions are taken at round barriers from
 // completed-seed data in canonical cell order, and every cell's round-k
 // replicate uses the k-th seed of one shared universe, so results stay
-// byte-identical at any worker count. RunRhoGrid packages the four-way
+// byte-identical at any worker count. Fixed replication is the same
+// loop cut after its first round, which runs every seed of Sweep.Seeds
+// in one batch; Runner.RunSweep runs either. RunRhoGrid packages the four-way
 // policy ablation over the grid as `srlb-bench -experiment rhogrid`
 // (extension_rhogrid.tsv, per-policy ASCII heatmaps via
 // plot.RenderHeatmaps, BENCH_rhogrid.json cells with load_vec and

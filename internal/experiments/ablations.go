@@ -73,9 +73,8 @@ func (b Base) runStudy(ctx context.Context, study string, scenarios []Scenario) 
 	if progress := b.Progress; progress != nil {
 		runner.Progress = func(s string) { progress(fmt.Sprintf("[%s] %s", study, s)) }
 	}
-	cells, _ := runner.Run(ctx, replicateScenarios(scenarios, b.Seeds))
-	for i := range scenarios {
-		group := cells[i*len(b.Seeds) : (i+1)*len(b.Seeds)]
+	reps, _, _ := runner.replicate(ctx, scenarios, b.Seeds, len(b.Seeds), nil)
+	for _, group := range reps {
 		cs := newCellStats(group)
 		for _, row := range cellRows(cs) { // the "all" row of a single-VIP cell
 			row.Variant = cs.Name

@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"context"
-	"math"
-)
+import "math"
 
 // Stop reasons recorded on CellStats.StopReason by adaptive replication.
 const (
@@ -20,7 +17,7 @@ const (
 // would hand a fixed sweep.
 const adaptiveSeedSalt = 0xada9f17e5eed5a17
 
-// Adaptive configures adaptive replication for Runner.RunSweepStats.
+// Adaptive configures adaptive replication for Runner.RunSweep.
 // Every logical cell first runs MinSeeds replicates; then, round by
 // round, each unconverged cell receives one more seed until its
 // relative CI95 (the Student-t half-width of the per-seed mean
@@ -83,16 +80,16 @@ func relCI(cs CellStats) float64 {
 	return d.CI95 / math.Abs(d.Mean)
 }
 
-// RunSweepAdaptive executes the sweep under the adaptive replication
-// controller and returns both the ragged raw result (per-cell seed
-// lists in CellSeeds) and its aggregate with per-cell StopReason.
-// RunSweepStats delegates here when Sweep.Adaptive is enabled; use
-// this entry point directly when the raw replicates are needed too.
-// The error mirrors Run's: non-nil only on cancellation, with the
-// partial cells still returned (interrupted cells keep an empty
-// StopReason).
-func (r Runner) RunSweepAdaptive(ctx context.Context, s Sweep) (SweepResult, SweepStats, error) {
-	s = s.withDefaults()
+// replication returns how the sweep replicates its logical cells: the
+// seeds, how many of them round 0 runs, and the stop rule of the later
+// rounds. Fixed replication runs all of Seeds in round 0 and has no
+// stop rule. Adaptive replication runs MinSeeds first, then closes each
+// cell once it converges or reaches MaxSeeds. s must carry its
+// defaults.
+func (s Sweep) replication() ([]uint64, int, stopRule) {
+	if !s.Adaptive.enabled() {
+		return s.Seeds, len(s.Seeds), nil
+	}
 	a := s.Adaptive.withDefaults(len(s.Seeds))
 
 	// The seed universe: the sweep's own seeds first (deduplicated, in
@@ -106,57 +103,13 @@ func (r Runner) RunSweepAdaptive(ctx context.Context, s Sweep) (SweepResult, Swe
 	} else {
 		seeds = seeds[:a.MaxSeeds]
 	}
-
-	base := s.cellScenarios()
-	nCells := len(base)
-	perCell := make([][]CellResult, nCells)
-	reason := make([]string, nCells)
-	scheduled := make([]int, nCells)
-
-	var runErr error
-	for runErr == nil {
-		// Build this round's batch: every open cell gets its next seed
-		// (the full MinSeeds floor in round 0). Batch order is canonical
-		// cell order, so Runner.Run's input-order determinism carries
-		// straight through.
-		var batch []Scenario
-		var owner []int
-		for ci, sc := range base {
+	stop := func(reps [][]CellResult, reason []string) {
+		boundary := boundaryCells(s, reps)
+		for ci, cell := range reps {
 			if reason[ci] != "" {
 				continue
 			}
-			want := MinSeeds
-			if scheduled[ci] > 0 {
-				want = scheduled[ci] + 1
-			}
-			for k := scheduled[ci]; k < want; k++ {
-				rep := sc
-				rep.Seed = seeds[k]
-				batch = append(batch, rep)
-				owner = append(owner, ci)
-			}
-			scheduled[ci] = want
-		}
-		if len(batch) == 0 {
-			break
-		}
-		results, err := r.Run(ctx, batch)
-		for i, res := range results {
-			perCell[owner[i]] = append(perCell[owner[i]], res)
-		}
-		if err != nil {
-			runErr = err
-			break
-		}
-
-		// Barrier: stop decisions from completed data only, evaluated in
-		// canonical cell order — independent of worker scheduling.
-		boundary := boundaryCells(s, base, perCell)
-		for ci := range base {
-			if reason[ci] != "" {
-				continue
-			}
-			cs := newCellStats(perCell[ci])
+			cs := newCellStats(cell)
 			target := a.CITarget
 			if boundary[ci] {
 				target /= boundaryFactor
@@ -164,31 +117,12 @@ func (r Runner) RunSweepAdaptive(ctx context.Context, s Sweep) (SweepResult, Swe
 			switch {
 			case cs.N() >= MinSeeds && relCI(cs) <= target:
 				reason[ci] = StopConverged
-			case scheduled[ci] >= a.MaxSeeds:
+			case len(cell) >= a.MaxSeeds:
 				reason[ci] = StopMaxSeeds
 			}
 		}
 	}
-
-	res := SweepResult{
-		Policies: s.Policies, Variants: s.Variants,
-		Loads: s.loadLabels(), LoadVecs: s.LoadGrid.Points(),
-		Seeds:     seeds,
-		CellSeeds: make([][]uint64, nCells),
-	}
-	for ci, reps := range perCell {
-		cellSeeds := make([]uint64, len(reps))
-		for k, rep := range reps {
-			cellSeeds[k] = rep.Seed
-		}
-		res.CellSeeds[ci] = cellSeeds
-		res.Cells = append(res.Cells, reps...)
-	}
-	agg := res.Aggregate()
-	for ci := range agg.Cells {
-		agg.Cells[ci].StopReason = reason[ci]
-	}
-	return res, agg, runErr
+	return seeds, MinSeeds, stop
 }
 
 // dedupSeeds drops duplicate (and zero — it would alias Cluster.Seed)
@@ -213,11 +147,11 @@ func dedupSeeds(seeds []uint64) []uint64 {
 // where they differ, every policy's cell at both points is marked. The
 // input data is the completed replicates so far; evaluation order is
 // canonical, keeping the result worker-count independent.
-func boundaryCells(s Sweep, base []Scenario, perCell [][]CellResult) []bool {
+func boundaryCells(s Sweep, reps [][]CellResult) []bool {
 	nPolicies, nVariants, nLoads := len(s.Policies), len(s.Variants), s.loadPoints()
-	cellIdx := func(pi, vi, li int) int { return (pi*nVariants+vi)*nLoads + li }
+	cellIdx := func(pi, vi, li int) int { return cellIndex(nPolicies, nVariants, nLoads, pi, vi, li) }
 
-	marked := make([]bool, len(base))
+	marked := make([]bool, len(reps))
 	if nPolicies < 2 || nLoads < 2 {
 		return marked
 	}
@@ -227,7 +161,7 @@ func boundaryCells(s Sweep, base []Scenario, perCell [][]CellResult) []bool {
 			best[li] = -1
 			bestMean := math.Inf(1)
 			for pi := 0; pi < nPolicies; pi++ {
-				cs := newCellStats(perCell[cellIdx(pi, vi, li)])
+				cs := newCellStats(reps[cellIdx(pi, vi, li)])
 				if cs.N() == 0 {
 					continue
 				}

@@ -31,6 +31,23 @@ func adaptiveTestSweep(seed uint64, a Adaptive) Sweep {
 	}
 }
 
+// cellSeeds lists each logical cell's replicate seeds, in cell order.
+func cellSeeds(res SweepResult) [][]uint64 {
+	var out [][]uint64
+	for pi := range res.Policies {
+		for vi := 0; vi < max(1, len(res.Variants)); vi++ {
+			for li := range res.Loads {
+				var seeds []uint64
+				for _, c := range res.Replicates(pi, vi, li) {
+					seeds = append(seeds, c.Seed)
+				}
+				out = append(out, seeds)
+			}
+		}
+	}
+	return out
+}
+
 // stripCellWall zeroes the only nondeterministic CellStats field so
 // aggregates can be compared across worker counts.
 func stripCellWall(cells []CellStats) []CellStats {
@@ -50,11 +67,12 @@ func stripCellWall(cells []CellStats) []CellStats {
 // huge CITarget cannot stop a cell before three completed replicates.
 func TestAdaptiveNeverStopsBeforeMinSeeds(t *testing.T) {
 	s := adaptiveTestSweep(3, Adaptive{CITarget: 1e9, MaxSeeds: 5})
-	res, agg, err := Runner{Workers: 2}.RunSweepAdaptive(context.Background(), s)
+	res, err := Runner{Workers: 2}.RunSweep(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ci, seeds := range res.CellSeeds {
+	agg := res.Aggregate()
+	for ci, seeds := range cellSeeds(res) {
 		if len(seeds) != 3 {
 			t.Fatalf("cell %d ran %d replicates; the MinSeeds floor must force 3 even when the target is trivially wide", ci, len(seeds))
 		}
@@ -89,16 +107,17 @@ func TestAdaptiveNeverStopsBeforeMinSeeds(t *testing.T) {
 func TestAdaptiveDeterminism1vs4(t *testing.T) {
 	s := adaptiveTestSweep(11, Adaptive{CITarget: 0.3, MaxSeeds: 5})
 	ctx := context.Background()
-	res1, agg1, err := Runner{Workers: 1}.RunSweepAdaptive(ctx, s)
+	res1, err := Runner{Workers: 1}.RunSweep(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res4, agg4, err := Runner{Workers: 4}.RunSweepAdaptive(ctx, s)
+	res4, err := Runner{Workers: 4}.RunSweep(ctx, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res1.CellSeeds, res4.CellSeeds) {
-		t.Fatalf("per-cell seed schedules differ across worker counts:\n1 worker: %v\n4 workers: %v", res1.CellSeeds, res4.CellSeeds)
+	agg1, agg4 := res1.Aggregate(), res4.Aggregate()
+	if !reflect.DeepEqual(cellSeeds(res1), cellSeeds(res4)) {
+		t.Fatalf("per-cell seed schedules differ across worker counts:\n1 worker: %v\n4 workers: %v", cellSeeds(res1), cellSeeds(res4))
 	}
 	if !reflect.DeepEqual(stripWall(res1.Cells), stripWall(res4.Cells)) {
 		t.Fatal("adaptive replicate results differ across worker counts")
@@ -109,7 +128,7 @@ func TestAdaptiveDeterminism1vs4(t *testing.T) {
 	// And the schedule must actually be adaptive-shaped: every cell
 	// within [MinSeeds, MaxSeeds], sharing the common seed universe
 	// prefix (common random numbers).
-	for ci, seeds := range res1.CellSeeds {
+	for ci, seeds := range cellSeeds(res1) {
 		if len(seeds) < 3 || len(seeds) > 5 {
 			t.Fatalf("cell %d ran %d replicates, outside [3, 5]", ci, len(seeds))
 		}
@@ -126,10 +145,11 @@ func TestAdaptiveDeterminism1vs4(t *testing.T) {
 // cluster seed, then seeds derived with the adaptive salt).
 func TestAdaptiveSchedulePinned(t *testing.T) {
 	s := adaptiveTestSweep(11, Adaptive{CITarget: 0.3, MaxSeeds: 5})
-	res, agg, err := Runner{Workers: 2}.RunSweepAdaptive(context.Background(), s)
+	res, err := Runner{Workers: 2}.RunSweep(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	seeds, agg := cellSeeds(res), res.Aggregate()
 	want := []struct {
 		seeds []uint64
 		stop  string
@@ -139,16 +159,43 @@ func TestAdaptiveSchedulePinned(t *testing.T) {
 		{[]uint64{0xb, 0x55e5b7be8e708570, 0x162fa2b0d5ca96d7}, StopConverged},                                         // SR 4, 0.5
 		{[]uint64{0xb, 0x55e5b7be8e708570, 0x162fa2b0d5ca96d7, 0x8922960a53150282, 0x84fb4cdbff9e760b}, StopMaxSeeds},  // SR 4, 0.85
 	}
-	if len(res.CellSeeds) != len(want) || len(agg.Cells) != len(want) {
-		t.Fatalf("got %d seed lists and %d aggregates, want %d cells", len(res.CellSeeds), len(agg.Cells), len(want))
+	if len(seeds) != len(want) || len(agg.Cells) != len(want) {
+		t.Fatalf("got %d seed lists and %d aggregates, want %d cells", len(seeds), len(agg.Cells), len(want))
 	}
 	for ci, w := range want {
-		if !reflect.DeepEqual(res.CellSeeds[ci], w.seeds) {
-			t.Errorf("cell %d ran seeds %#v, want %#v", ci, res.CellSeeds[ci], w.seeds)
+		if !reflect.DeepEqual(seeds[ci], w.seeds) {
+			t.Errorf("cell %d ran seeds %#v, want %#v", ci, seeds[ci], w.seeds)
 		}
 		if cs := agg.Cells[ci]; cs.StopReason != w.stop || cs.N() != len(w.seeds) {
 			t.Errorf("cell %q stopped %q after %d replicates, want %q after %d", cs.Name, cs.StopReason, cs.N(), w.stop, len(w.seeds))
 		}
+	}
+}
+
+// TestRunSweepHonoursAdaptive: RunSweep runs a sweep's adaptive
+// replication rather than silently falling back to fixed replication
+// over Seeds, so its aggregate is RunSweepStats' to the stop reason.
+func TestRunSweepHonoursAdaptive(t *testing.T) {
+	s := adaptiveTestSweep(11, Adaptive{CITarget: 0.3, MaxSeeds: 5})
+	res, err := Runner{Workers: 2}.RunSweep(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := Runner{Workers: 2}.RunSweepStats(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := res.Aggregate()
+	for ci, cs := range agg.Cells {
+		if cs.N() < MinSeeds || cs.StopReason == "" {
+			t.Fatalf("cell %q ran %d replicates with stop reason %q: RunSweep ignored Sweep.Adaptive", cs.Name, cs.N(), cs.StopReason)
+		}
+		if want := stats.Cells[ci]; cs.N() != want.N() || cs.StopReason != want.StopReason {
+			t.Fatalf("cell %q: RunSweep aggregates %d replicates (%q), RunSweepStats %d (%q)", cs.Name, cs.N(), cs.StopReason, want.N(), want.StopReason)
+		}
+	}
+	if !reflect.DeepEqual(stripCellWall(agg.Cells), stripCellWall(stats.Cells)) || !reflect.DeepEqual(agg.Seeds, stats.Seeds) {
+		t.Fatal("RunSweep(s).Aggregate() differs from RunSweepStats(s)")
 	}
 }
 
@@ -164,17 +211,17 @@ func TestSweepResultRaggedCellAt(t *testing.T) {
 		Policies: []PolicySpec{{Name: "a"}, {Name: "b"}},
 		Loads:    []float64{0.5, 0.9},
 		Seeds:    []uint64{1, 2, 3},
-		CellSeeds: [][]uint64{
-			{1, 2},    // (a, 0.5)
-			{1, 2, 3}, // (a, 0.9)
-			{1},       // (b, 0.5)
-			{1, 2},    // (b, 0.9)
-		},
 		Cells: []CellResult{
 			mk("a-lo", 1), mk("a-lo", 2),
 			mk("a-hi", 1), mk("a-hi", 2), mk("a-hi", 3),
 			mk("b-lo", 1),
 			mk("b-hi", 1), mk("b-hi", 2),
+		},
+		spans: []cellSpan{
+			{0, 2, StopConverged}, // (a, 0.5)
+			{2, 5, StopMaxSeeds},  // (a, 0.9)
+			{5, 6, ""},            // (b, 0.5): cancelled after one seed
+			{6, 8, StopConverged}, // (b, 0.9)
 		},
 	}
 	if c := res.CellAt(0, 0, 1, 2); c.Name != "a-hi" || c.Seed != 3 {
@@ -194,12 +241,14 @@ func TestSweepResultRaggedCellAt(t *testing.T) {
 	mustPanic(t, "load index out of range", func() { res.CellAt(0, 0, 2, 0) })
 	mustPanic(t, "negative seed index", func() { res.CellAt(0, 0, 0, -1) })
 
-	// Uniform (non-ragged) results must bounds-check the same way.
+	// A fixed sweep's cells, each owning every seed, must bounds-check
+	// the same way.
 	uni := SweepResult{
 		Policies: []PolicySpec{{Name: "a"}},
 		Loads:    []float64{0.5},
 		Seeds:    []uint64{1, 2},
 		Cells:    []CellResult{mk("u", 1), mk("u", 2)},
+		spans:    []cellSpan{{0, 2, ""}},
 	}
 	if c := uni.CellAt(0, 0, 0, 1); c.Seed != 2 {
 		t.Fatalf("uniform CellAt seed = %d, want 2", c.Seed)
@@ -293,7 +342,7 @@ func TestLoadGridPointsAndNeighbors(t *testing.T) {
 			Loads:    []float64{0.5},
 			LoadGrid: g,
 			Workload: OneService(PoissonService{}),
-		}.Scenarios()
+		}.withDefaults()
 	})
 }
 

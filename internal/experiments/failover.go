@@ -195,11 +195,8 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 			mode.ServiceRow = rows[0]
 		}
 		var timelines [][]failoverBinRaw
-		for si := range sweep.Seeds {
-			cell := sweep.CellAt(0, vi, 0, si)
-			if cell.Err == nil {
-				timelines = append(timelines, cell.Outcome.failoverBins)
-			}
+		for _, cell := range completed(sweep.Replicates(0, vi, 0)) {
+			timelines = append(timelines, cell.Outcome.failoverBins)
 		}
 		mode.Bins = aggregateFailoverBins(res.BinWidth, failoverBins, timelines)
 		res.Modes = append(res.Modes, mode)

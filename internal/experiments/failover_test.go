@@ -48,13 +48,13 @@ func TestVariantSweepParallelEqualsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Cells) != sweep.Size() {
-		t.Fatalf("cells = %d, want %d", len(serial.Cells), sweep.Size())
+	if want := len(sweep.Policies) * len(sweep.Variants) * len(sweep.Loads) * len(sweep.Seeds); len(serial.Cells) != want {
+		t.Fatalf("cells = %d, want %d", len(serial.Cells), want)
 	}
 	if !reflect.DeepEqual(stripWall(serial.Cells), stripWall(parallel.Cells)) {
 		t.Fatal("variant sweep differs between 1 and 8 workers")
 	}
-	// Axis indexing: CellAt must agree with Scenarios() order, and the
+	// Axis indexing: CellAt must agree with the order the cells ran in, and the
 	// variant label must ride into every cell.
 	i := 0
 	for pi := range sweep.Policies {

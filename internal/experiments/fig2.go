@@ -77,8 +77,8 @@ type Fig2Result struct {
 	Rhos          []float64
 	Seeds         []uint64
 	Points        [][]Fig2Point
-	// Cells are the raw sweep cells (Scenarios() order), including
-	// per-cell wall-clock.
+	// Cells are the raw sweep cells, each (policy, ρ) cell's replicates
+	// in seed order, policy-major, including per-cell wall-clock.
 	Cells []CellResult
 	// Stats folds the replication axis: one aggregate per (policy, ρ) —
 	// cmd/srlb-bench's machine-readable artifact (BENCH_sweep.json).

@@ -122,11 +122,8 @@ func RunFig4(cfg Fig4Config) Fig4Result {
 	res := Fig4Result{Rho: fig4Rho, Lambda0: cfg.Lambda0, Seeds: sweep.Seeds}
 	for pi, spec := range policies {
 		var timelines [][]Fig4Sample
-		for si := range sweep.Seeds {
-			cell := sweep.Cell(pi, 0, si)
-			if cell.Err == nil { // a cancelled cell's timeline is truncated
-				timelines = append(timelines, cell.Outcome.Timeline)
-			}
+		for _, cell := range completed(sweep.Replicates(pi, 0, 0)) {
+			timelines = append(timelines, cell.Outcome.Timeline)
 		}
 		res.Series = append(res.Series, Fig4Series{
 			Spec:    spec,

@@ -73,11 +73,8 @@ func RunCDF(cfg CDFConfig) CDFResult {
 	replicated := len(sweep.Seeds) > 1
 	for pi := range policies {
 		pooled := sketch.New()
-		for si := range sweep.Seeds {
-			cell := sweep.Cell(pi, 0, si)
-			if cell.Err != nil { // drop truncated mid-cancel recorders too
-				continue
-			}
+		reps := completed(sweep.Replicates(pi, 0, 0))
+		for _, cell := range reps {
 			pooled.Merge(cell.Outcome.RT)
 		}
 		// The band is evaluated at the exact fractions the pooled CDF
@@ -86,11 +83,7 @@ func RunCDF(cfg CDFConfig) CDFResult {
 		var curves [][]time.Duration // per-seed quantile curves
 		fractions := cdfFractions(pooled)
 		if replicated {
-			for si := range sweep.Seeds {
-				cell := sweep.Cell(pi, 0, si)
-				if cell.Err != nil {
-					continue
-				}
+			for _, cell := range reps {
 				curve := make([]time.Duration, len(fractions))
 				for fi, p := range fractions {
 					curve[fi] = cell.Outcome.RT.Quantile(p)

@@ -90,10 +90,7 @@ func RunHetero(cfg HeteroConfig) HeteroResult {
 	for i, sr := range rows {
 		row := HeteroRow{ServiceRow: sr}
 		var shares []float64
-		for _, cell := range replicates[i] {
-			if cell.Err != nil { // match newCellStats: no truncated runs
-				continue
-			}
+		for _, cell := range completed(replicates[i]) {
 			var slowDone, allDone uint64
 			for i, done := range cell.Outcome.Cluster.ServerCompleted {
 				allDone += done

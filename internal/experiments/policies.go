@@ -139,15 +139,12 @@ func RunPolicies(cfg PoliciesConfig) PoliciesResult {
 // replicates of one logical cell.
 func meanResteers(raw SweepResult, pi, vi, li int) float64 {
 	var resteers float64
-	var done int
-	for _, cell := range raw.Replicates(pi, vi, li) {
-		if cell.Err == nil {
-			resteers += float64(cell.Outcome.Cluster.Resteers)
-			done++
-		}
+	done := completed(raw.Replicates(pi, vi, li))
+	for _, cell := range done {
+		resteers += float64(cell.Outcome.Cluster.Resteers)
 	}
-	if done > 0 {
-		resteers /= float64(done)
+	if len(done) > 0 {
+		resteers /= float64(len(done))
 	}
 	return resteers
 }

@@ -124,31 +124,39 @@ func perReplicate[T any](reps []VIPOutcome, pick func(VIPOutcome) T) []T {
 	return out
 }
 
+// completed returns the replicates that count. One with an Err was
+// never started or was cancelled mid-run, and its truncated recorder
+// would silently skew whatever it is folded into.
+func completed(reps []CellResult) []CellResult {
+	out := make([]CellResult, 0, len(reps))
+	for _, c := range reps {
+		if c.Err == nil {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // newCellStats folds replicate cells (same logical cell, different
-// seeds) into a CellStats. Cells with an Err are dropped; a group with
-// no completed cell yields a CellStats with N() == 0 and zero metrics.
+// seeds) into a CellStats over the completed ones; a group with no
+// completed cell yields a CellStats with N() == 0 and zero metrics.
 func newCellStats(cells []CellResult) CellStats {
 	var cs CellStats
-	completed := make([]CellResult, 0, len(cells))
-	totals := make([]VIPOutcome, 0, len(cells))
 	for _, c := range cells {
 		cs.Wall += c.Wall
-		// Err != nil covers a cell never started and one cancelled
-		// mid-run, whose truncated recorder would silently skew the
-		// aggregate.
-		if c.Err != nil {
-			continue
-		}
-		if len(cs.Seeds) == 0 {
+	}
+	done := completed(cells)
+	totals := make([]VIPOutcome, len(done))
+	for i, c := range done {
+		if i == 0 {
 			cs.Name, cs.Policy, cs.Workload, cs.Variant, cs.Load = c.Name, c.Policy, c.Workload, c.Variant, c.Load
 			cs.LoadVec = c.LoadVec
 		}
 		cs.Seeds = append(cs.Seeds, c.Seed)
-		completed = append(completed, c)
-		totals = append(totals, c.Outcome.total())
+		totals[i] = c.Outcome.total()
 	}
 	cs.OutcomeStats = newOutcomeStats(totals)
-	cs.VIPs = newVIPStats(completed)
+	cs.VIPs = newVIPStats(done)
 	return cs
 }
 
@@ -178,26 +186,9 @@ func newVIPStats(completed []CellResult) []VIPStats {
 	return out
 }
 
-// replicateScenarios expands each scenario across the seeds,
-// scenario-major, so the replicates of scenario i are the adjacent
-// cells [i*len(seeds), (i+1)*len(seeds)) of the Runner's output —
-// ready for newCellStats. This is the explicit-scenario counterpart of
-// Sweep's own Seeds axis.
-func replicateScenarios(scenarios []Scenario, seeds []uint64) []Scenario {
-	out := make([]Scenario, 0, len(scenarios)*len(seeds))
-	for _, sc := range scenarios {
-		for _, seed := range seeds {
-			rep := sc
-			rep.Seed = seed
-			out = append(out, rep)
-		}
-	}
-	return out
-}
-
 // SweepStats is a SweepResult with the replication axis folded away:
-// one CellStats per (policy, variant, load), each aggregating
-// len(Seeds) replicates.
+// one CellStats per (policy, variant, load), each aggregating the
+// replicates its cell ran.
 type SweepStats struct {
 	Policies []PolicySpec
 	Variants []ClusterVariant
@@ -233,20 +224,13 @@ func (s SweepStats) Cell(pi, li int) CellStats {
 // Out-of-range indexes panic with a description instead of silently
 // reading a neighboring cell.
 func (s SweepStats) CellAt(pi, vi, li int) CellStats {
-	v, l := s.variants(), len(s.Loads)
-	if pi < 0 || pi >= len(s.Policies) || vi < 0 || vi >= v || li < 0 || li >= l {
-		panic(fmt.Sprintf(
-			"experiments: cell (policy %d, variant %d, load %d) out of range for %d policies × %d variants × %d loads",
-			pi, vi, li, len(s.Policies), v, l))
-	}
-	return s.Cells[(pi*v+vi)*l+li]
+	return s.Cells[cellIndex(len(s.Policies), len(s.Variants), len(s.Loads), pi, vi, li)]
 }
 
 // Aggregate folds the replication axis: each logical cell's replicates
-// — len(Seeds) adjacent cells for a uniform sweep, the cell's own
-// CellSeeds group for a ragged (adaptive) one — become one CellStats.
-// This is the step that turns a replicated sweep into per-cell
-// mean ± CI.
+// become one CellStats, which also carries the reason the cell's
+// replication stopped. This is the step that turns a replicated sweep
+// into per-cell mean ± CI.
 func (r SweepResult) Aggregate() SweepStats {
 	agg := SweepStats{
 		Policies: r.Policies,
@@ -254,14 +238,11 @@ func (r SweepResult) Aggregate() SweepStats {
 		Loads:    r.Loads,
 		LoadVecs: r.LoadVecs,
 		Seeds:    r.Seeds,
-		Cells:    make([]CellStats, 0, len(r.Policies)*r.variants()*len(r.Loads)),
+		Cells:    make([]CellStats, len(r.spans)),
 	}
-	for pi := range r.Policies {
-		for vi := 0; vi < r.variants(); vi++ {
-			for li := range r.Loads {
-				agg.Cells = append(agg.Cells, newCellStats(r.Replicates(pi, vi, li)))
-			}
-		}
+	for ci, sp := range r.spans {
+		agg.Cells[ci] = newCellStats(r.Cells[sp.lo:sp.hi])
+		agg.Cells[ci].StopReason = sp.stop
 	}
 	return agg
 }
@@ -302,18 +283,11 @@ func (s SweepStats) PlotSeries() []plot.Series {
 	return out
 }
 
-// RunSweepStats expands and executes the sweep, then aggregates the
-// replication axis — the one-call way to get per-cell mean ± CI out of
-// a Sweep with several Seeds. When the sweep carries an enabled
-// Adaptive config the replication axis is grown adaptively instead of
-// run wholesale (see Adaptive). The error mirrors RunSweep's: non-nil
-// only on cancellation, with the aggregates over the cells that did
-// finish.
+// RunSweepStats is RunSweep followed by Aggregate: the one-call way to
+// get per-cell mean ± CI out of a Sweep with several Seeds (or an
+// enabled Adaptive). The error mirrors RunSweep's: non-nil only on
+// cancellation, with the aggregates over the cells that did finish.
 func (r Runner) RunSweepStats(ctx context.Context, s Sweep) (SweepStats, error) {
-	if s.Adaptive.enabled() {
-		_, agg, err := r.RunSweepAdaptive(ctx, s)
-		return agg, err
-	}
 	res, err := r.RunSweep(ctx, s)
 	return res.Aggregate(), err
 }

@@ -83,19 +83,16 @@ func RunRetransmitAblation(cfg RetransmitConfig) RetransmitResult {
 	res := RetransmitResult{Rho: cfg.Rho, Seeds: cfg.Seeds}
 	for i, sr := range rows {
 		row := RetransmitRow{ServiceRow: sr}
-		var completed, timedOut int
+		var answered, timedOut int
 		var retransmits float64
-		for _, cell := range replicates[i] {
-			if cell.Err != nil { // match newCellStats: no truncated runs
-				continue
-			}
+		for _, cell := range completed(replicates[i]) {
 			row.Max = max(row.Max, cell.Outcome.RT.Max())
-			completed += cell.Outcome.RT.Count()
+			answered += cell.Outcome.RT.Count()
 			timedOut += cell.Outcome.Unfinished
 			retransmits += float64(cell.Outcome.Cluster.Retransmits)
 		}
 		n := float64(sr.N)
-		row.Completed = int(math.Round(float64(completed) / n))
+		row.Completed = int(math.Round(float64(answered) / n))
 		row.TimedOut = int(math.Round(float64(timedOut) / n))
 		row.Retransmits = int(math.Round(retransmits / n))
 		res.Rows = append(res.Rows, row)

@@ -124,15 +124,65 @@ feed:
 	return results, nil
 }
 
-// RunSweep expands the sweep and executes it, returning the axis-indexed
-// result. The error mirrors Run's: non-nil only on cancellation, with the
-// partial cells still returned.
+// RunSweep runs the sweep's logical cells over its replication axis,
+// all seeds at once or adaptively when s.Adaptive is enabled, and
+// returns the axis-indexed result. The error mirrors Run's: non-nil
+// only on cancellation, with the partial cells still returned.
 func (r Runner) RunSweep(ctx context.Context, s Sweep) (SweepResult, error) {
 	s = s.withDefaults()
-	cells, err := r.Run(ctx, s.Scenarios())
-	return SweepResult{
+	seeds, n, stop := s.replication()
+	reps, reason, err := r.replicate(ctx, s.cellScenarios(), seeds, n, stop)
+	res := SweepResult{
 		Policies: s.Policies, Variants: s.Variants,
-		Loads: s.loadLabels(), LoadVecs: s.LoadGrid.Points(),
-		Seeds: s.Seeds, Cells: cells,
-	}, err
+		Loads: s.loadLabels(), LoadVecs: s.LoadGrid.Points(), Seeds: seeds,
+	}
+	for ci, cell := range reps {
+		res.spans = append(res.spans, cellSpan{len(res.Cells), len(res.Cells) + len(cell), reason[ci]})
+		res.Cells = append(res.Cells, cell...)
+	}
+	return res, err
+}
+
+// stopRule sees each completed round of replicate: every logical cell's
+// replicates so far, and the reasons of the cells already closed. It
+// closes a cell by giving it a reason.
+type stopRule func(reps [][]CellResult, reason []string)
+
+// replicate is the one replication loop. It runs each logical cell over
+// seeds in rounds and returns every cell's replicates, in seed order,
+// with the reason its replication stopped. Round 0 runs the first n
+// seeds of every cell in one Run batch; without a stop rule (fixed
+// replication) it is the only round. With one, each later round gives
+// every cell stop has not closed its next seed, until no open cell has
+// one left. A batch lists the cells in order, each cell's seeds
+// adjacent, and stop sees completed rounds only, so the schedule is the
+// same at any worker count. The error is Run's: on cancellation the
+// loop ends with the partial replicates.
+func (r Runner) replicate(ctx context.Context, cells []Scenario, seeds []uint64, n int, stop stopRule) ([][]CellResult, []string, error) {
+	reps := make([][]CellResult, len(cells))
+	reason := make([]string, len(cells))
+	for ; ; n = min(n+1, len(seeds)) {
+		var batch []Scenario
+		var owner []int
+		for ci, sc := range cells {
+			if reason[ci] != "" {
+				continue
+			}
+			for _, seed := range seeds[len(reps[ci]):n] {
+				sc.Seed = seed
+				batch, owner = append(batch, sc), append(owner, ci)
+			}
+		}
+		if len(batch) == 0 {
+			return reps, reason, nil
+		}
+		results, err := r.Run(ctx, batch)
+		for i, res := range results {
+			reps[owner[i]] = append(reps[owner[i]], res)
+		}
+		if err != nil || stop == nil {
+			return reps, reason, err
+		}
+		stop(reps, reason)
+	}
 }

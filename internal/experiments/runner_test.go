@@ -42,8 +42,8 @@ func TestRunnerParallelEqualsSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(serial.Cells) != sweep.Size() {
-		t.Fatalf("cells = %d, want %d", len(serial.Cells), sweep.Size())
+	if want := len(sweep.Policies) * len(sweep.Loads) * len(sweep.Seeds); len(serial.Cells) != want {
+		t.Fatalf("cells = %d, want %d", len(serial.Cells), want)
 	}
 	if !reflect.DeepEqual(stripWall(serial.Cells), stripWall(parallel.Cells)) {
 		t.Fatal("parallel sweep differs from serial sweep for the same scenarios")
@@ -148,7 +148,7 @@ func TestRunnerCancellation(t *testing.T) {
 	if elapsed > 5*time.Second {
 		t.Fatalf("cancelled sweep took %v — not prompt", elapsed)
 	}
-	if len(res.Cells) != sweep.Size() {
+	if len(res.Cells) != len(sweep.Policies)*len(sweep.Loads)*len(sweep.Seeds) {
 		t.Fatalf("partial result must keep the full cell slice, got %d", len(res.Cells))
 	}
 	skipped := 0

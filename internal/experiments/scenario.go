@@ -17,7 +17,7 @@ type Scenario struct {
 	Policy   PolicySpec
 	Workload Workload
 	// Variant labels the topology variant the Cluster was derived from
-	// (set by Sweep.Scenarios; empty for the identity variant).
+	// (set by Runner.RunSweep; empty for the identity variant).
 	Variant string
 	// Load is the workload intensity (default 1).
 	Load float64

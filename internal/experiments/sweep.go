@@ -110,8 +110,7 @@ func (g LoadGrid) Neighbors(i int) []int {
 // Sweep enumerates the cross product policies × variants × loads × seeds
 // over one workload — "run policy set P over workload W on cluster C (and
 // its topology variants), swept over load points, replicated over seeds"
-// as a single value. Expand it with Scenarios, or hand it to
-// Runner.RunSweep.
+// as a single value. Runner.RunSweep runs it.
 type Sweep struct {
 	Cluster ClusterConfig
 	// Policies defaults to PaperPolicies().
@@ -131,8 +130,8 @@ type Sweep struct {
 	LoadGrid LoadGrid
 	// Seeds is the replication axis (default {Cluster.Seed}).
 	Seeds []uint64
-	// Adaptive configures adaptive replication for Runner.RunSweepStats
-	// (zero value = fixed replication over Seeds). RunSweep ignores it.
+	// Adaptive configures adaptive replication (zero value = fixed
+	// replication over Seeds).
 	Adaptive Adaptive
 	// Workload is required.
 	Workload Workload
@@ -180,17 +179,11 @@ func (s Sweep) loadLabels() []float64 {
 	return out
 }
 
-// Size returns the number of cells in the cross product.
-func (s Sweep) Size() int {
-	s = s.withDefaults()
-	return len(s.Policies) * len(s.Variants) * s.loadPoints() * len(s.Seeds)
-}
-
 // cellScenarios expands the policy × variant × load-point axes (no seed
 // axis) in canonical order: policy-major, then variant, then load. The
-// defaults must already be applied. Scenarios and the adaptive
-// replication controller both derive their enumeration from this one
-// list, so cell order is identical everywhere.
+// defaults must already be applied. These are the logical cells
+// Runner.RunSweep replicates over the seed axis; cellIndex inverts the
+// order.
 func (s Sweep) cellScenarios() []Scenario {
 	grid := s.LoadGrid.Points()
 	labels := s.loadLabels()
@@ -214,23 +207,6 @@ func (s Sweep) cellScenarios() []Scenario {
 				}
 				out = append(out, sc)
 			}
-		}
-	}
-	return out
-}
-
-// Scenarios expands the cross product in deterministic order:
-// policy-major, then variant, then load, then seed. The scenario at
-// (pi, vi, li, si) has index ((pi×V+vi)×L+li)×S+si —
-// SweepResult.CellAt inverts this.
-func (s Sweep) Scenarios() []Scenario {
-	s = s.withDefaults()
-	out := make([]Scenario, 0, s.Size())
-	for _, sc := range s.cellScenarios() {
-		for _, seed := range s.Seeds {
-			rep := sc
-			rep.Seed = seed
-			out = append(out, rep)
 		}
 	}
 	return out
@@ -276,7 +252,7 @@ func ExtendSeeds(existing []uint64, base uint64, n int) []uint64 {
 	return out
 }
 
-// SweepResult indexes the runner's flat cell slice by the sweep's axes.
+// SweepResult holds a sweep's replicates by the sweep's axes.
 type SweepResult struct {
 	Policies []PolicySpec
 	Variants []ClusterVariant
@@ -285,24 +261,40 @@ type SweepResult struct {
 	// ρ-vector per load point, in load-axis order); nil for scalar
 	// sweeps. When set, Loads holds each point's scalar label.
 	LoadVecs [][]float64
-	Seeds    []uint64
-	// CellSeeds, when non-nil, records each logical cell's replicate
-	// seeds in cell order — the ragged layout adaptive replication
-	// produces. Cells then holds cell 0's replicates, then cell 1's, …
-	// and CellAt resolves seed indexes against the cell's own count
-	// instead of a uniform len(Seeds).
-	CellSeeds [][]uint64
-	// Cells holds one result per scenario, in Scenarios() order (or, for
-	// ragged results, grouped per logical cell in the same cell order).
+	// Seeds is the replication axis: Sweep.Seeds, or under adaptive
+	// replication the seed universe every cell draws a prefix of.
+	Seeds []uint64
+	// Cells holds every replicate, grouped by logical cell in canonical
+	// order (policy-major, then variant, then load) and in seed order
+	// within a cell. Under fixed replication each cell owns len(Seeds)
+	// adjacent entries; under adaptive replication it owns as many as
+	// it ran.
 	Cells []CellResult
+	// spans[ci] locates logical cell ci's replicates in Cells.
+	spans []cellSpan
 }
 
-// variants returns the variant-axis length (1 for pre-variant results).
-func (r SweepResult) variants() int {
-	if len(r.Variants) == 0 {
-		return 1
+// cellSpan locates one logical cell's replicates, Cells[lo:hi], and
+// records why its replication stopped (StopConverged, StopMaxSeeds;
+// empty under fixed replication).
+type cellSpan struct {
+	lo, hi int
+	stop   string
+}
+
+// cellIndex returns the canonical index of logical cell (pi, vi, li)
+// among policies × variants × loads cells: policy-major, then variant,
+// then load, a result without a variant axis having the identity
+// variant alone. An out-of-range index panics with a description
+// instead of silently reading a neighboring cell.
+func cellIndex(policies, variants, loads, pi, vi, li int) int {
+	variants = max(variants, 1)
+	if pi < 0 || pi >= policies || vi < 0 || vi >= variants || li < 0 || li >= loads {
+		panic(fmt.Sprintf(
+			"experiments: cell (policy %d, variant %d, load %d) out of range for %d policies × %d variants × %d loads",
+			pi, vi, li, policies, variants, loads))
 	}
-	return len(r.Variants)
+	return (pi*variants+vi)*loads + li
 }
 
 // Cell returns the result at (policy pi, load li, seed si) of the first
@@ -311,38 +303,17 @@ func (r SweepResult) Cell(pi, li, si int) CellResult {
 	return r.CellAt(pi, 0, li, si)
 }
 
-// cellIndex returns the logical cell index of (pi, vi, li), panicking
-// with a description on any out-of-range axis index — the old flat
-// arithmetic silently read a neighboring cell instead.
-func (r SweepResult) cellIndex(pi, vi, li int) int {
-	v, l := r.variants(), len(r.Loads)
-	if pi < 0 || pi >= len(r.Policies) || vi < 0 || vi >= v || li < 0 || li >= l {
-		panic(fmt.Sprintf(
-			"experiments: cell (policy %d, variant %d, load %d) out of range for %d policies × %d variants × %d loads",
-			pi, vi, li, len(r.Policies), v, l))
-	}
-	return (pi*v+vi)*l + li
-}
-
 // Replicates returns the replicate results of logical cell (pi, vi,
-// li), robust to ragged per-cell seed counts (adaptive replication).
+// li), in seed order.
 func (r SweepResult) Replicates(pi, vi, li int) []CellResult {
-	ci := r.cellIndex(pi, vi, li)
-	if r.CellSeeds != nil {
-		off := 0
-		for _, seeds := range r.CellSeeds[:ci] {
-			off += len(seeds)
-		}
-		return r.Cells[off : off+len(r.CellSeeds[ci])]
-	}
-	return r.Cells[ci*len(r.Seeds) : (ci+1)*len(r.Seeds)]
+	sp := r.spans[cellIndex(len(r.Policies), len(r.Variants), len(r.Loads), pi, vi, li)]
+	return r.Cells[sp.lo:sp.hi]
 }
 
 // CellAt returns the result at (policy pi, variant vi, load li, seed
-// si). All four indexes are bounds-checked — si against the cell's own
-// replicate count when the result is ragged — and an out-of-range
-// index panics with a description instead of silently returning a
-// neighboring cell.
+// si). All four indexes are bounds-checked, si against the cell's own
+// replicate count, and an out-of-range index panics with a description
+// instead of silently returning a neighboring cell.
 func (r SweepResult) CellAt(pi, vi, li, si int) CellResult {
 	reps := r.Replicates(pi, vi, li)
 	if si < 0 || si >= len(reps) {
