@@ -54,8 +54,8 @@ func TestVariantSweepParallelEqualsSerial(t *testing.T) {
 	if !reflect.DeepEqual(stripWall(serial.Cells), stripWall(parallel.Cells)) {
 		t.Fatal("variant sweep differs between 1 and 8 workers")
 	}
-	// Axis indexing: CellAt must agree with the order the cells ran in, and the
-	// variant label must ride into every cell.
+	// Axis indexing: CellAt must agree with the order the cells ran in,
+	// and the variant label must ride into every cell.
 	i := 0
 	for pi := range sweep.Policies {
 		for vi, va := range sweep.Variants {

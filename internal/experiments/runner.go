@@ -153,11 +153,11 @@ type stopRule func(reps [][]CellResult, reason []string)
 // with the reason its replication stopped. Round 0 runs the first n
 // seeds of every cell in one Run batch; without a stop rule (fixed
 // replication) it is the only round. With one, each later round gives
-// every cell stop has not closed its next seed, until no open cell has
-// one left. A batch lists the cells in order, each cell's seeds
-// adjacent, and stop sees completed rounds only, so the schedule is the
-// same at any worker count. The error is Run's: on cancellation the
-// loop ends with the partial replicates.
+// its next seed to every cell that stop has not closed, until no open
+// cell has a seed left. A batch lists the cells in order, each cell's
+// seeds adjacent, and stop sees completed rounds only, so the schedule
+// is the same at any worker count. The error is Run's: on cancellation
+// the loop ends with the partial replicates.
 func (r Runner) replicate(ctx context.Context, cells []Scenario, seeds []uint64, n int, stop stopRule) ([][]CellResult, []string, error) {
 	reps := make([][]CellResult, len(cells))
 	reason := make([]string, len(cells))
