@@ -166,3 +166,45 @@ func TestCalibrateWithoutDropOnsetFails(t *testing.T) {
 		}
 	}
 }
+
+// Every Poisson-family study handed λ0 runs on it: none adds an entry to
+// the calibration cache. RunHetero needs no λ0 at all — it normalises by
+// the mixed cluster's theoretical capacity — so it calibrates nothing
+// even when λ0 is left at 0.
+func TestGivenLambda0RunsNoCalibration(t *testing.T) {
+	base := Base{Cluster: ClusterConfig{Seed: 0x1a0, Servers: 4}, Queries: 300}
+	const l0 = 80
+	for _, tc := range []struct {
+		name string
+		run  func()
+	}{
+		{"fig3", func() { RunFig3(CDFConfig{Base: base, Lambda0: l0}) }},
+		{"fig5", func() { RunFig5(CDFConfig{Base: base, Lambda0: l0}) }},
+		{"fig4", func() { RunFig4(Fig4Config{Base: base, Lambda0: l0}) }},
+		{"ablations", func() { RunAllAblations(AblationConfig{Base: base, Lambda0: l0}) }},
+		{"retransmit", func() { RunRetransmitAblation(RetransmitConfig{Base: base, Rho: 2.0, Lambda0: l0}) }},
+		{"hetero", func() { RunHetero(HeteroConfig{Base: base}) }},
+		{"churn", func() { RunChurn(ChurnConfig{Base: base, Lambda0: l0}) }},
+		{"failover", func() { RunFailover(FailoverConfig{Base: base, Lambda0: l0}) }},
+		{"resilience", func() { RunResilience(ResilienceConfig{Base: base, Lambda0: l0}) }},
+		{"interference", func() { RunInterference(InterferenceConfig{Base: base, Lambda0: l0}) }},
+		{"policies", func() { RunPolicies(PoliciesConfig{Base: base, Lambda0: l0}) }},
+		{"multiservice", func() {
+			RunMultiService(MultiServiceConfig{Base: base, Lambda0: l0, Compression: 5760})
+		}},
+		{"rhogrid", func() { RunRhoGrid(RhoGridConfig{Base: base, Lambda0: l0}) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := calCacheLen()
+			tc.run()
+			if after := calCacheLen(); after != before {
+				t.Fatalf("calibration cache grew from %d to %d entries", before, after)
+			}
+		})
+	}
+}
+
+func calCacheLen() (n int) {
+	calCache.Range(func(any, any) bool { n++; return true })
+	return n
+}
