@@ -86,10 +86,7 @@ func BenchmarkFig3_CDFHighLoad(b *testing.B) {
 	l0 := lambda0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig3(experiments.CDFConfig{
-			Base:    experiments.Base{Cluster: benchCluster, Queries: benchQueries},
-			Lambda0: l0,
-		})
+		res := experiments.RunFig3(experiments.Base{Cluster: benchCluster, Lambda0: l0, Queries: benchQueries})
 		reportCDF(b, res)
 	}
 }
@@ -98,10 +95,7 @@ func BenchmarkFig4_LoadAndFairness(b *testing.B) {
 	l0 := lambda0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig4(experiments.Fig4Config{
-			Base:    experiments.Base{Cluster: benchCluster, Queries: benchQueries},
-			Lambda0: l0,
-		})
+		res := experiments.RunFig4(experiments.Base{Cluster: benchCluster, Lambda0: l0, Queries: benchQueries})
 		if f, err := res.MeanFairness("RR"); err == nil {
 			b.ReportMetric(f, "rr_fairness")
 		}
@@ -115,10 +109,7 @@ func BenchmarkFig5_CDFLowLoad(b *testing.B) {
 	l0 := lambda0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunFig5(experiments.CDFConfig{
-			Base:    experiments.Base{Cluster: benchCluster, Queries: benchQueries},
-			Lambda0: l0,
-		})
+		res := experiments.RunFig5(experiments.Base{Cluster: benchCluster, Lambda0: l0, Queries: benchQueries})
 		reportCDF(b, res)
 	}
 }
@@ -191,10 +182,7 @@ func BenchmarkAblation_CandidateCount(b *testing.B) {
 	l0 := lambda0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := experiments.RunAllAblations(experiments.AblationConfig{
-			Base:    experiments.Base{Cluster: benchCluster, Queries: benchQueries / 2},
-			Lambda0: l0,
-		})
+		res := experiments.RunAllAblations(experiments.Base{Cluster: benchCluster, Lambda0: l0, Queries: benchQueries / 2})
 		// Report the k=2 gain over k=1 from the candidate study.
 		for _, study := range res {
 			if len(study.Rows) >= 2 && study.Rows[0].Variant == "k=1 (RR)" {

@@ -19,11 +19,11 @@ type env struct {
 	plot                   bool
 	cpuProfile, memProfile string
 
-	// base is what every Poisson-family experiment embeds: the cluster,
-	// -queries, the replication axis derived from -seed/-seeds, -workers
-	// and the -v progress sink.
+	// base is what every Poisson-family experiment runs on: the cluster,
+	// its λ0 (0 until the calibration entry has run), -queries, the
+	// replication axis derived from -seed/-seeds, -workers and the -v
+	// progress sink.
 	base      experiments.Base
-	lambda0   float64 // 0 until the calibration entry has run
 	seed      uint64
 	seedCount int
 	verbose   bool
@@ -87,7 +87,7 @@ var calibration = experiment{
 		if cal.Err != nil {
 			return rep, inputError{fmt.Errorf("%w; the probes are 20000 queries whatever -queries says, so lower -servers", cal.Err)}
 		}
-		e.lambda0 = cal.Lambda0
+		e.base.Lambda0 = cal.Lambda0
 		rep.linef("lambda0 = %.1f q/s (theoretical %.1f, %d probes)", cal.Lambda0, cal.Theoretical, len(cal.Probes))
 		rep.files = []artifact{{"calibration.tsv", cal.TSV().Render}}
 		return rep, nil
@@ -122,7 +122,7 @@ var entries = []experiment{
 	cdfFigure("fig3", "figure 3: response-time CDF at rho=0.88", "fig3_cdf_rho088.tsv", experiments.RunFig3),
 	{name: "fig4", title: "figure 4: server load mean + fairness timeline", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := experiments.RunFig4(experiments.Fig4Config{Base: e.base, Lambda0: e.lambda0})
+			res := experiments.RunFig4(e.base)
 			for _, name := range []string{"RR", "SR 4"} {
 				if fair, err := res.MeanFairness(name); err == nil {
 					rep.linef("mean fairness %-5s = %.3f", name, fair)
@@ -176,7 +176,7 @@ var entries = []experiment{
 	{name: "ablations", title: "ablations: candidates/threshold/window/scheme/backlog", needsLambda0: true,
 		run: func(e *env) (report, error) {
 			var file experiments.TSV
-			for _, r := range experiments.RunAllAblations(experiments.AblationConfig{Base: e.base, Lambda0: e.lambda0}) {
+			for _, r := range experiments.RunAllAblations(e.base) {
 				file.Tables = append(file.Tables, r.TSV().Tables...)
 			}
 			return report{files: []artifact{{"ablations.tsv", file.Render}}}, nil
@@ -186,11 +186,13 @@ var entries = []experiment{
 		run: func(e *env) (rep report, _ error) {
 			// Deep overload + small backlog: the backlog caps queueing
 			// delay, so the completed-query tail isolates the
-			// RST-vs-retransmit difference.
+			// RST-vs-retransmit difference. The shallow cluster
+			// calibrates its own λ0.
 			shallow := e.base
+			shallow.Lambda0 = 0
 			shallow.Cluster.Server = appserver.Default()
 			shallow.Cluster.Server.Backlog = 16
-			res := experiments.RunRetransmitAblation(experiments.RetransmitConfig{Base: shallow, Rho: 2.0})
+			res := experiments.RunRetransmitAblation(shallow)
 			for _, row := range res.Rows {
 				rep.linef("%-30s p99=%.3fs refused=%d timeouts=%d retransmits=%d",
 					row.Variant, row.P99.Seconds(), row.RefusedCount(), row.TimedOut, row.Retransmits)
@@ -200,7 +202,7 @@ var entries = []experiment{
 		}},
 	{name: "hetero", also: []string{"ablations"}, title: "extension: heterogeneous cluster",
 		run: func(e *env) (rep report, _ error) {
-			res := experiments.RunHetero(experiments.HeteroConfig{Base: e.base})
+			res := experiments.RunHetero(e.base)
 			for _, row := range res.Rows {
 				rep.linef("%-7s mean=%.3fs slow-share=%.3f (capacity share %.3f)",
 					row.Policy, row.Mean.Seconds(), row.SlowShare, res.CapacityShare)
@@ -211,7 +213,7 @@ var entries = []experiment{
 	{name: "bursty", title: "bursty sweep: fig2 grid under on/off MMPP arrivals", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
 			res := experiments.RunFig2(e.fig2Config(burstyRhos(e.rhoPoints),
-				experiments.OneService(experiments.BurstyService{Lambda0: e.lambda0, Queries: e.base.Queries})))
+				experiments.OneService(experiments.BurstyService{Lambda0: e.base.Lambda0, Queries: e.base.Queries})))
 			if imp, err := res.Improvement("SR 4", 0.88); err == nil {
 				rep.linef("SR4 vs RR at rho=0.88 under bursts: %.2fx", imp)
 			}
@@ -224,7 +226,7 @@ var entries = []experiment{
 		}},
 	{name: "failover", title: "extension: LB-replica failover transient (maglev fallback vs random)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := experiments.RunFailover(experiments.FailoverConfig{Base: e.base, Lambda0: e.lambda0})
+			res := experiments.RunFailover(e.base)
 			for _, m := range res.Modes {
 				rep.linef("%-16s ok=%.4f±%.4f refused=%.0f unfinished=%.0f (n=%d)",
 					m.Variant, m.OKFrac, m.OKFracCI95, m.Refused, m.Unfinished, m.N)
@@ -235,7 +237,7 @@ var entries = []experiment{
 		}},
 	{name: "resilience", title: "extension: warm-handoff resilience ablation (stateless/chash/warm)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := experiments.RunResilience(experiments.ResilienceConfig{Base: e.base, Lambda0: e.lambda0})
+			res := experiments.RunResilience(e.base)
 			for _, mode := range []string{"warm", "chash", "stateless"} {
 				if row, err := res.Row("kill", mode); err == nil {
 					rep.linef("kill/%-10s ok=%.4f±%.4f refused=%.0f unfinished=%.0f (n=%d)",
@@ -251,7 +253,7 @@ var entries = []experiment{
 		}},
 	{name: "multiservice", title: "extension: concurrent multi-service mix (web+wiki+batch)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := experiments.RunMultiService(experiments.MultiServiceConfig{Base: e.base, Lambda0: e.lambda0, Compression: e.mixCompress})
+			res := experiments.RunMultiService(experiments.MultiServiceConfig{Base: e.base, Compression: e.mixCompress})
 			for _, svc := range res.Services {
 				if imp, err := res.Improvement("SR 4", svc, 0.85); err == nil {
 					rep.linef("SR4 vs RR mean RT, %-5s service at rho=0.85: %.2fx", svc, imp)
@@ -273,7 +275,7 @@ var entries = []experiment{
 		}},
 	{name: "interference", title: "extension: cross-service interference on one shared pool (web vs batch surge)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := experiments.RunInterference(experiments.InterferenceConfig{Base: e.base, Lambda0: e.lambda0})
+			res := experiments.RunInterference(e.base)
 			heavy := res.BatchRhos[len(res.BatchRhos)-1]
 			for _, name := range []string{"RR", "SR 4", "SR dyn"} {
 				deg, err := res.VictimDegradation(name)
@@ -292,7 +294,7 @@ var entries = []experiment{
 		}},
 	{name: "policies", title: "extension: load-feedback policy ablation (random2/chash2/wleastload/flowlet)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := experiments.RunPolicies(experiments.PoliciesConfig{Base: e.base, Lambda0: e.lambda0})
+			res := experiments.RunPolicies(e.base)
 			heavy := res.BatchRhos[len(res.BatchRhos)-1]
 			for _, name := range []string{"random2", "chash2", "wleastload", "flowlet"} {
 				if row, err := res.Row("steady", name, "web", heavy); err == nil {
@@ -314,7 +316,7 @@ var entries = []experiment{
 		}},
 	{name: "rhogrid", title: "extension: rho-grid policy ablation (web-rho × batch-rho matrix, adaptive replication)", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := experiments.RunRhoGrid(experiments.RhoGridConfig{Base: e.base, Lambda0: e.lambda0, Adaptive: e.adaptive})
+			res := experiments.RunRhoGrid(experiments.RhoGridConfig{Base: e.base, Adaptive: e.adaptive})
 			rep.linef("grid: %d web-rho × %d batch-rho points, %d policies",
 				len(res.WebRhos), len(res.BatchRhos), len(res.Stats.Policies))
 			if res.Adaptive {
@@ -359,7 +361,7 @@ var entries = []experiment{
 		}},
 	{name: "churn", title: "extension: pool churn/autoscale under load", needsLambda0: true,
 		run: func(e *env) (rep report, _ error) {
-			res := experiments.RunChurn(experiments.ChurnConfig{Base: e.base, Lambda0: e.lambda0})
+			res := experiments.RunChurn(e.base)
 			for _, name := range []string{"RR", "SR 4", "SR dyn"} {
 				if pen, err := res.ChurnPenalty(name, 0.95); err == nil {
 					rep.linef("churn penalty %-7s at rho=0.95: %.2fx", name, pen)
@@ -377,7 +379,7 @@ var entries = []experiment{
 		run: func(e *env) (rep report, _ error) {
 			lastPct := -1
 			res, err := experiments.RunHorizon(context.Background(), experiments.HorizonConfig{
-				Cluster: e.base.Cluster, Lambda0: e.lambda0,
+				Cluster: e.base.Cluster, Lambda0: e.base.Lambda0,
 				Queries: e.horizonQueries, Rho: e.horizonRho,
 				Progress: func(done, total uint64) {
 					if !e.verbose {
@@ -409,16 +411,16 @@ var entries = []experiment{
 // spells the base's fields out (bench/ builds it as a keyed literal).
 func (e *env) fig2Config(rhos []float64, workload experiments.Workload) experiments.Fig2Config {
 	return experiments.Fig2Config{
-		Cluster: e.base.Cluster, Lambda0: e.lambda0, Queries: e.base.Queries, Rhos: rhos,
+		Cluster: e.base.Cluster, Lambda0: e.base.Lambda0, Queries: e.base.Queries, Rhos: rhos,
 		Seeds: e.base.Seeds, Workers: e.base.Workers, Progress: e.base.Progress, Workload: workload,
 	}
 }
 
 // cdfFigure is the entry of figures 3 and 5: one CDF experiment, each
 // runner fixing its own rho.
-func cdfFigure(name, title, file string, run func(experiments.CDFConfig) experiments.CDFResult) experiment {
+func cdfFigure(name, title, file string, run func(experiments.Base) experiments.CDFResult) experiment {
 	return experiment{name: name, title: title, needsLambda0: true, run: func(e *env) (report, error) {
-		res := run(experiments.CDFConfig{Base: e.base, Lambda0: e.lambda0})
+		res := run(e.base)
 		return report{files: []artifact{{file, res.TSV().Render}}}, nil
 	}}
 }

@@ -323,7 +323,7 @@ func (e *env) resolve(fs *flag.FlagSet) ([]*experiment, error) {
 // banner, timing, summary lines, the JSON document, -plot, file writing —
 // happens here, once.
 func (e *env) run(x *experiment) error {
-	if x.needsLambda0 && e.lambda0 == 0 {
+	if x.needsLambda0 && e.base.Lambda0 == 0 {
 		if err := e.run(&calibration); err != nil {
 			return err
 		}
@@ -352,7 +352,7 @@ func (e *env) emit(rep report, wall time.Duration) error {
 		fmt.Println("   " + line)
 	}
 	if rep.doc != "" {
-		doc := newSweepDoc(e.lambda0, e.base.Workers, wall, rep.stats)
+		doc := newSweepDoc(e.base.Lambda0, e.base.Workers, wall, rep.stats)
 		doc.Tables = rep.tables
 		note := fmt.Sprintf(" (schema v%d)", sweepSchemaVersion)
 		if err := e.write(rep.doc, note, func(w io.Writer) error { return writeSweepDoc(w, doc) }); err != nil {

@@ -38,8 +38,8 @@ func stubTable(t *testing.T) *[]string {
 		x.run = func(e *env) (report, error) {
 			ran = append(ran, x.name)
 			if x.name == savedCal.name {
-				e.lambda0 = 1
-			} else if x.needsLambda0 && e.lambda0 == 0 {
+				e.base.Lambda0 = 1
+			} else if x.needsLambda0 && e.base.Lambda0 == 0 {
 				t.Errorf("%s needs lambda0 but ran before the calibration", x.name)
 			}
 			return report{}, nil

@@ -62,14 +62,18 @@
 // The paper's artifacts remain available as one-line wrappers
 // (experiments.RunFig2, RunFig3, RunFig4, RunFig5, RunWiki, RunHetero,
 // RunFailover, RunChurn, …), each a thin Scenario/Sweep composition.
-// Their configs embed one Base — Cluster, Queries, Seeds, Workers,
-// Progress, with one set of defaults — next to the knobs of their own
-// (Fig2Config and CalibrationConfig spell the same fields out flat), and the studies report one row type: the ablations,
-// retransmit, hetero, churn and resilience rows are ServiceRows like
-// the multi-service family's, the configuration's label in Variant,
-// HeteroRow and RetransmitRow adding their own columns. cmd/srlb-bench
-// regenerates all of them and emits a machine-readable per-cell summary
-// per sweep (BENCH_*.json, documented in docs/RESULTS_SCHEMA.md).
+// The Poisson-family wrappers take one Base — Cluster, its capacity
+// rate Lambda0 (0 calibrates once per cluster), Queries, Seeds, Workers
+// and Progress, with one set of defaults. Only the multi-service and
+// ρ-grid experiments keep a config of their own, Base plus one knob;
+// Fig2Config and CalibrationConfig spell Base's fields out flat, because
+// the benchmark builds them as keyed literals. The studies report one
+// row type: the ablations, retransmit, hetero, churn and resilience
+// rows are ServiceRows like the multi-service family's, the
+// configuration's label in Variant, HeteroRow and RetransmitRow adding
+// their own columns. cmd/srlb-bench regenerates all of them and emits a
+// machine-readable per-cell summary per sweep (BENCH_*.json, documented
+// in docs/RESULTS_SCHEMA.md).
 //
 // # Topologies: LB replicas, multiple VIPs, lifecycle events
 //

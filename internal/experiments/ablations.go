@@ -7,15 +7,6 @@ import (
 	"srlb/internal/agent"
 )
 
-// AblationConfig drives the design-choice studies beyond the paper's own
-// figures: the number of SR candidates and the selection scheme (§II-B),
-// the static threshold sweep (§III-A), the SRdyn window (Algorithm 2),
-// and the backlog / abort-on-overflow settings (§IV-C).
-type AblationConfig struct {
-	Base
-	Lambda0 float64
-}
-
 // ablationRho is the load at which ablations run: 0.88, where the policy
 // differences are sharpest in figure 2.
 const ablationRho = 0.88
@@ -39,27 +30,24 @@ func (r AblationResult) TSV() TSV {
 		}), r.Rows)
 }
 
-func (cfg *AblationConfig) defaults() {
-	cfg.Base = cfg.Base.withDefaults()
-	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
-}
-
-// scenario builds one study cell: the shared Poisson workload at the
-// study load, under a (possibly per-cell) cluster and policy.
-func (cfg *AblationConfig) scenario(label string, spec PolicySpec, cluster ClusterConfig) Scenario {
+// ablation builds one study cell: the §V Poisson workload at the study
+// load, under a (possibly per-cell) cluster and policy. b must be
+// resolved.
+func (b Base) ablation(label string, spec PolicySpec, cluster ClusterConfig) Scenario {
 	return Scenario{
 		Name:     label,
 		Cluster:  cluster,
 		Policy:   spec,
-		Workload: OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}),
+		Workload: OneService(b.poisson()),
 		Load:     ablationRho,
 	}
 }
 
-// study runs the labelled scenarios as the study of the given name.
-func (cfg *AblationConfig) study(name string, scenarios []Scenario) AblationResult {
-	rows, _ := cfg.runStudy(context.Background(), name, scenarios)
-	return AblationResult{Study: name, Rho: ablationRho, Seeds: cfg.Seeds, Rows: rows}
+// ablationStudy runs the labelled scenarios as the study of the given
+// name.
+func (b Base) ablationStudy(name string, scenarios []Scenario) AblationResult {
+	rows, _ := b.runStudy(context.Background(), name, scenarios)
+	return AblationResult{Study: name, Rho: ablationRho, Seeds: b.Seeds, Rows: rows}
 }
 
 // runStudy replicates every labelled scenario across the base's seeds,
@@ -87,35 +75,35 @@ func (b Base) runStudy(ctx context.Context, study string, scenarios []Scenario) 
 // RunCandidateAblation sweeps the SR list length k ∈ {1, 2, 3, 4} at the
 // SR4 threshold — quantifying Mitzenmacher's "decreased marginal benefit
 // from more than two servers" cited in §II-B.
-func RunCandidateAblation(cfg AblationConfig) AblationResult {
-	cfg.defaults()
+func RunCandidateAblation(b Base) AblationResult {
+	b = b.resolved()
 	var scenarios []Scenario
 	for _, k := range []int{1, 2, 3, 4} {
 		spec, label := SRcK(4, k), fmt.Sprintf("k=%d", k)
 		if k == 1 {
 			spec, label = RR(), "k=1 (RR)"
 		}
-		scenarios = append(scenarios, cfg.scenario(label, spec, cfg.Cluster))
+		scenarios = append(scenarios, b.ablation(label, spec, b.Cluster))
 	}
-	return cfg.study("SR candidates (power of k choices)", scenarios)
+	return b.ablationStudy("SR candidates (power of k choices)", scenarios)
 }
 
 // RunThresholdAblation sweeps the static threshold c at fixed load,
 // locating the SRc optimum (§III-A: "the choice of the parameter c has a
 // direct influence on the behavior of the global system").
-func RunThresholdAblation(cfg AblationConfig) AblationResult {
-	cfg.defaults()
+func RunThresholdAblation(b Base) AblationResult {
+	b = b.resolved()
 	var scenarios []Scenario
 	for _, c := range []int{1, 2, 4, 6, 8, 12, 16, 24, 32} {
-		scenarios = append(scenarios, cfg.scenario(fmt.Sprintf("c=%d", c), SRc(c), cfg.Cluster))
+		scenarios = append(scenarios, b.ablation(fmt.Sprintf("c=%d", c), SRc(c), b.Cluster))
 	}
-	return cfg.study("static threshold c sweep", scenarios)
+	return b.ablationStudy("static threshold c sweep", scenarios)
 }
 
 // RunWindowAblation sweeps SRdyn's adaptation window (Algorithm 2 uses
 // 50).
-func RunWindowAblation(cfg AblationConfig) AblationResult {
-	cfg.defaults()
+func RunWindowAblation(b Base) AblationResult {
+	b = b.resolved()
 	var scenarios []Scenario
 	for _, win := range []int{10, 25, 50, 100, 200} {
 		win := win
@@ -126,48 +114,51 @@ func RunWindowAblation(cfg AblationConfig) AblationResult {
 				return agent.NewDynamic(win)
 			},
 		}
-		scenarios = append(scenarios, cfg.scenario(spec.Name, spec, cfg.Cluster))
+		scenarios = append(scenarios, b.ablation(spec.Name, spec, b.Cluster))
 	}
-	return cfg.study("SRdyn window size", scenarios)
+	return b.ablationStudy("SRdyn window size", scenarios)
 }
 
 // RunSchemeAblation compares uniform-random candidate selection against
 // the Maglev consistent-hash pairs (§II-B's two schemes).
-func RunSchemeAblation(cfg AblationConfig) AblationResult {
-	cfg.defaults()
-	ch := cfg.Cluster
+func RunSchemeAblation(b Base) AblationResult {
+	b = b.resolved()
+	ch := b.Cluster
 	ch.ConsistentHash = true
 	scenarios := []Scenario{
-		cfg.scenario("random2", SRc(4), cfg.Cluster),
-		cfg.scenario("chash2", SRc(4), ch),
+		b.ablation("random2", SRc(4), b.Cluster),
+		b.ablation("chash2", SRc(4), ch),
 	}
-	return cfg.study("selection scheme (random vs consistent hash)", scenarios)
+	return b.ablationStudy("selection scheme (random vs consistent hash)", scenarios)
 }
 
 // RunBacklogAblation varies the accept-queue depth and the
 // abort-on-overflow switch (§IV-C pins them to 128/on).
-func RunBacklogAblation(cfg AblationConfig) AblationResult {
-	cfg.defaults()
+func RunBacklogAblation(b Base) AblationResult {
+	b = b.resolved()
 	var scenarios []Scenario
 	for _, backlog := range []int{16, 64, 128, 512} {
-		cl := cfg.Cluster
+		cl := b.Cluster
 		cl.Server.Backlog = backlog
-		scenarios = append(scenarios, cfg.scenario(fmt.Sprintf("backlog=%d", backlog), SRc(4), cl))
+		scenarios = append(scenarios, b.ablation(fmt.Sprintf("backlog=%d", backlog), SRc(4), cl))
 	}
-	cl := cfg.Cluster
+	cl := b.Cluster
 	cl.Server.AbortOnOverflow = false
-	scenarios = append(scenarios, cfg.scenario("backlog=128,silent-drop", SRc(4), cl))
-	return cfg.study("backlog depth and abort-on-overflow", scenarios)
+	scenarios = append(scenarios, b.ablation("backlog=128,silent-drop", SRc(4), cl))
+	return b.ablationStudy("backlog depth and abort-on-overflow", scenarios)
 }
 
-// RunAllAblations executes every study.
-func RunAllAblations(cfg AblationConfig) []AblationResult {
-	cfg.defaults() // calibrate once; the copy passes Lambda0 on
+// RunAllAblations executes every design-choice study beyond the paper's
+// own figures: the number of SR candidates and the selection scheme
+// (§II-B), the static threshold sweep (§III-A), the SRdyn window
+// (Algorithm 2), and the backlog / abort-on-overflow settings (§IV-C).
+func RunAllAblations(b Base) []AblationResult {
+	b = b.resolved() // calibrate once; the copy passes Lambda0 on
 	return []AblationResult{
-		RunCandidateAblation(cfg),
-		RunThresholdAblation(cfg),
-		RunWindowAblation(cfg),
-		RunSchemeAblation(cfg),
-		RunBacklogAblation(cfg),
+		RunCandidateAblation(b),
+		RunThresholdAblation(b),
+		RunWindowAblation(b),
+		RunSchemeAblation(b),
+		RunBacklogAblation(b),
 	}
 }

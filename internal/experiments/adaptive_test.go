@@ -401,8 +401,7 @@ func TestGridSweepResolvesVectorLoads(t *testing.T) {
 // at peak 4 is noisier (see TestRhoGridArtifacts).
 func TestRhoGridAdaptiveBudget(t *testing.T) {
 	cfg := RhoGridConfig{
-		Base:     Base{Cluster: ClusterConfig{Seed: 5, Servers: 4}, Queries: 1500, Workers: 4},
-		Lambda0:  80,
+		Base:     Base{Cluster: ClusterConfig{Seed: 5, Servers: 4}, Lambda0: 80, Queries: 1500, Workers: 4},
 		Adaptive: Adaptive{CITarget: 0.5, MaxSeeds: 10},
 	}
 	res := runRhoGrid(cfg, []float64{0.3, 0.6}, []float64{0.1, 0.3}, 2, []PolicySpec{Random2(), WeightedLeastLoadPolicy()})
@@ -432,8 +431,7 @@ func TestRhoGridAdaptiveBudget(t *testing.T) {
 // of TestRhoGridAdaptiveBudget holds to.
 func TestRhoGridArtifacts(t *testing.T) {
 	cfg := RhoGridConfig{
-		Base:     Base{Cluster: ClusterConfig{Seed: 5, Servers: 4}, Queries: 600, Workers: 4},
-		Lambda0:  80,
+		Base:     Base{Cluster: ClusterConfig{Seed: 5, Servers: 4}, Lambda0: 80, Queries: 600, Workers: 4},
 		Adaptive: Adaptive{CITarget: 0.5, MaxSeeds: 10},
 	}
 	res := RunRhoGrid(cfg)

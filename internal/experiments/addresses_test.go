@@ -52,7 +52,7 @@ func TestCellServerAddresses(t *testing.T) {
 	}
 
 	// RunMultiService's cell: pool v (web, wiki, batch) on its own /64.
-	cfg := MultiServiceConfig{Base: Base{Cluster: cluster, Queries: 10}, Lambda0: 100, Compression: 288}
+	cfg := MultiServiceConfig{Base: Base{Cluster: cluster, Lambda0: 100, Queries: 10}, Compression: 288}
 	want = want[:0]
 	for v, n := range []int{12, 12, 6} {
 		for i := 0; i < n; i++ {

@@ -172,27 +172,26 @@ func TestCalibrateWithoutDropOnsetFails(t *testing.T) {
 // the mixed cluster's theoretical capacity — so it calibrates nothing
 // even when λ0 is left at 0.
 func TestGivenLambda0RunsNoCalibration(t *testing.T) {
-	base := Base{Cluster: ClusterConfig{Seed: 0x1a0, Servers: 4}, Queries: 300}
-	const l0 = 80
+	base := Base{Cluster: ClusterConfig{Seed: 0x1a0, Servers: 4}, Lambda0: 80, Queries: 300}
+	uncalibrated := base
+	uncalibrated.Lambda0 = 0
 	for _, tc := range []struct {
 		name string
 		run  func()
 	}{
-		{"fig3", func() { RunFig3(CDFConfig{Base: base, Lambda0: l0}) }},
-		{"fig5", func() { RunFig5(CDFConfig{Base: base, Lambda0: l0}) }},
-		{"fig4", func() { RunFig4(Fig4Config{Base: base, Lambda0: l0}) }},
-		{"ablations", func() { RunAllAblations(AblationConfig{Base: base, Lambda0: l0}) }},
-		{"retransmit", func() { RunRetransmitAblation(RetransmitConfig{Base: base, Rho: 2.0, Lambda0: l0}) }},
-		{"hetero", func() { RunHetero(HeteroConfig{Base: base}) }},
-		{"churn", func() { RunChurn(ChurnConfig{Base: base, Lambda0: l0}) }},
-		{"failover", func() { RunFailover(FailoverConfig{Base: base, Lambda0: l0}) }},
-		{"resilience", func() { RunResilience(ResilienceConfig{Base: base, Lambda0: l0}) }},
-		{"interference", func() { RunInterference(InterferenceConfig{Base: base, Lambda0: l0}) }},
-		{"policies", func() { RunPolicies(PoliciesConfig{Base: base, Lambda0: l0}) }},
-		{"multiservice", func() {
-			RunMultiService(MultiServiceConfig{Base: base, Lambda0: l0, Compression: 5760})
-		}},
-		{"rhogrid", func() { RunRhoGrid(RhoGridConfig{Base: base, Lambda0: l0}) }},
+		{"fig3", func() { RunFig3(base) }},
+		{"fig5", func() { RunFig5(base) }},
+		{"fig4", func() { RunFig4(base) }},
+		{"ablations", func() { RunAllAblations(base) }},
+		{"retransmit", func() { RunRetransmitAblation(base) }},
+		{"hetero", func() { RunHetero(uncalibrated) }},
+		{"churn", func() { RunChurn(base) }},
+		{"failover", func() { RunFailover(base) }},
+		{"resilience", func() { RunResilience(base) }},
+		{"interference", func() { RunInterference(base) }},
+		{"policies", func() { RunPolicies(base) }},
+		{"multiservice", func() { RunMultiService(MultiServiceConfig{Base: base, Compression: 5760}) }},
+		{"rhogrid", func() { RunRhoGrid(RhoGridConfig{Base: base}) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := calCacheLen()

@@ -7,7 +7,21 @@ import (
 	"srlb/internal/testbed"
 )
 
-// ChurnConfig is the pool-churn / autoscale experiment: mid-run, part of
+// ChurnResult holds the full grid.
+type ChurnResult struct {
+	Lambda0 float64
+	ChurnBy int
+	Seeds   []uint64
+	// Rows holds one ServiceRow per (rho, policy, mode), the mode —
+	// "steady" or "churn" — in Variant.
+	Rows []ServiceRow
+}
+
+// churnDrainFrac and churnGrowFrac place the drain and re-add phases on
+// the arrival span.
+const churnDrainFrac, churnGrowFrac = 0.3, 0.65
+
+// RunChurn runs the pool-churn / autoscale experiment: mid-run, part of
 // the server pool is drained (scale-in under load — established flows
 // finish, no new connections land there) and later replaced by freshly
 // added servers (scale-out). Each load point runs two topology variants
@@ -25,41 +39,19 @@ import (
 // RR, SR4 and SRdyn; a third of the pool (at least one server) drains
 // at churnDrainFrac of the arrival span and is re-added at
 // churnGrowFrac.
-type ChurnConfig struct {
-	Base
-	Lambda0 float64
-}
-
-// ChurnResult holds the full grid.
-type ChurnResult struct {
-	Lambda0 float64
-	ChurnBy int
-	Seeds   []uint64
-	// Rows holds one ServiceRow per (rho, policy, mode), the mode —
-	// "steady" or "churn" — in Variant.
-	Rows []ServiceRow
-}
-
-// churnDrainFrac and churnGrowFrac place the drain and re-add phases on
-// the arrival span.
-const churnDrainFrac, churnGrowFrac = 0.3, 0.65
-
-// RunChurn executes the experiment.
-func RunChurn(cfg ChurnConfig) ChurnResult {
-	cfg.Base = cfg.Base.withDefaults()
-	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
+func RunChurn(b Base) ChurnResult {
+	b = b.resolved()
 	rhos := []float64{0.5, 0.75, 0.95}
 	policies := studyPolicies()
-	churnBy := max(1, cfg.Cluster.Servers/3)
+	churnBy := max(1, b.Cluster.Servers/3)
 
-	res := ChurnResult{Lambda0: cfg.Lambda0, ChurnBy: churnBy}
+	res := ChurnResult{Lambda0: b.Lambda0, ChurnBy: churnBy}
 	// The schedule is rate-relative: each phase is a fraction of the
 	// arrival span, staggered by 1% per server, so the same two variants
 	// serve every load point of one sweep — each cell resolves the
-	// fractions against its own span (historically this ran one sweep
-	// per rho with hand-resolved absolute times).
-	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
-		Cluster:  cfg.Cluster,
+	// fractions against its own span.
+	agg, _ := b.runner().RunSweepStats(context.Background(), Sweep{
+		Cluster:  b.Cluster,
 		Policies: policies,
 		Variants: []ClusterVariant{
 			{Name: "steady"},
@@ -69,8 +61,8 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 			}},
 		},
 		Loads:    rhos,
-		Seeds:    cfg.Seeds,
-		Workload: OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}),
+		Seeds:    b.Seeds,
+		Workload: OneService(b.poisson()),
 	})
 	res.Seeds = agg.Seeds
 	// The artifact's row order: rho, then policy, then mode.
@@ -89,8 +81,7 @@ func RunChurn(cfg ChurnConfig) ChurnResult {
 // drainFrac of the arrival span, churnBy adds at growFrac, each phase
 // staggered by 1% of the span per server. Fractions clamp to 1 so large
 // pools (or late phases) stay valid schedules — the tail of a long
-// stagger lands at span end, where the absolute-time schedule used to
-// fire it after the last arrival.
+// stagger lands at span end.
 func churnEvents(churnBy int, drainFrac, growFrac float64) []testbed.Event {
 	frac := func(f float64) float64 {
 		if f > 1 {

@@ -110,10 +110,7 @@ func TestChurnLateScheduleClamps(t *testing.T) {
 // land mid-run at every rho (the pre-migration failure mode was a fixed
 // absolute schedule churning after the arrivals ended at low rates).
 func TestChurnSweepAcrossRhos(t *testing.T) {
-	res := RunChurn(ChurnConfig{
-		Base:    Base{Cluster: ClusterConfig{Seed: 47, Servers: 4}, Queries: 800},
-		Lambda0: 80,
-	})
+	res := RunChurn(Base{Cluster: ClusterConfig{Seed: 47, Servers: 4}, Lambda0: 80, Queries: 800})
 	if len(res.Rows) != 3*3*2 { // rhos × policies × modes
 		t.Fatalf("%d rows, want 18", len(res.Rows))
 	}

@@ -47,29 +47,19 @@ func TestGoldenBursty(t *testing.T) {
 }
 
 func TestGoldenFig4(t *testing.T) {
-	res := RunFig4(Fig4Config{
-		Base:    Base{Cluster: smallCluster(7), Queries: 2000},
-		Lambda0: 80,
-	})
+	res := RunFig4(Base{Cluster: smallCluster(7), Lambda0: 80, Queries: 2000})
 	goldenTSV(t, "fig4.tsv", res.TSV())
 }
 
 func TestGoldenFailover(t *testing.T) {
-	res := RunFailover(FailoverConfig{
-		Base:    Base{Cluster: smallCluster(31), Queries: 2000, Seeds: DeriveSeeds(31, 2)},
-		Lambda0: 80,
-	})
+	res := RunFailover(Base{Cluster: smallCluster(31), Lambda0: 80, Queries: 2000, Seeds: DeriveSeeds(31, 2)})
 	goldenTSV(t, "failover.tsv", res.TSV())
 }
 
 // The RTO path: silent-drop servers plus client SYN retransmission, the
 // one consumer that stretches the horizon guard.
 func goldenRetransmit() RetransmitResult {
-	return RunRetransmitAblation(RetransmitConfig{
-		Base:    Base{Cluster: ClusterConfig{Seed: 21, Servers: 4, Server: serverWithBacklog(8)}, Queries: 1500},
-		Rho:     2.0,
-		Lambda0: 80,
-	})
+	return RunRetransmitAblation(Base{Cluster: ClusterConfig{Seed: 21, Servers: 4, Server: serverWithBacklog(8)}, Lambda0: 80, Queries: 1500})
 }
 
 func TestGoldenRetransmit(t *testing.T) {
@@ -80,22 +70,19 @@ func TestGoldenRetransmit(t *testing.T) {
 // (-seeds 2) form, by cmd/srlb-bench's black-box cases; these are their
 // single-seed column sets. TestStudySummaries reads the same runs.
 func goldenHetero() HeteroResult {
-	return RunHetero(HeteroConfig{Base: Base{Cluster: smallCluster(31), Queries: 3000}})
+	return RunHetero(Base{Cluster: smallCluster(31), Queries: 3000})
 }
 
 func goldenAblations() []AblationResult {
-	return RunAllAblations(AblationConfig{Base: Base{Cluster: smallCluster(9), Queries: 1500}, Lambda0: 80})
+	return RunAllAblations(Base{Cluster: smallCluster(9), Lambda0: 80, Queries: 1500})
 }
 
 func goldenChurn() ChurnResult {
-	return RunChurn(ChurnConfig{
-		Base:    Base{Cluster: smallCluster(47), Queries: 2000},
-		Lambda0: 80,
-	})
+	return RunChurn(Base{Cluster: smallCluster(47), Lambda0: 80, Queries: 2000})
 }
 
 func goldenResilience() ResilienceResult {
-	return RunResilience(ResilienceConfig{Base: Base{Cluster: smallCluster(71), Queries: 2000}, Lambda0: 80})
+	return RunResilience(Base{Cluster: smallCluster(71), Lambda0: 80, Queries: 2000})
 }
 
 func TestGoldenHetero(t *testing.T) { goldenTSV(t, "hetero.tsv", goldenHetero().TSV()) }

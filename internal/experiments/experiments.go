@@ -210,9 +210,9 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	return c
 }
 
-// lambda0 resolves an experiment's Lambda0 field: the value given, or —
-// for 0 — the cluster's λ0 measured through the process-wide calibration
-// cache, so every figure and study on one cluster calibrates once.
+// lambda0 resolves a λ0 setting: the value given, or — for 0 — the
+// cluster's λ0 measured through the process-wide calibration cache, so
+// every figure and study on one cluster calibrates once.
 func (c ClusterConfig) lambda0(given float64) float64 {
 	if given != 0 {
 		return given
@@ -224,11 +224,15 @@ func (c ClusterConfig) lambda0(given float64) float64 {
 	return cal.Lambda0
 }
 
-// Base is the §V protocol every Poisson-family experiment config embeds:
-// the cluster, the queries replayed per cell, the replication axis, and
-// how the cells are run.
+// Base is the §V protocol every Poisson-family experiment runs on: the
+// cluster and its calibrated capacity, the queries replayed per cell,
+// the replication axis, and how the cells are run.
 type Base struct {
 	Cluster ClusterConfig
+	// Lambda0 is the cluster's capacity rate in queries/sec, the rate
+	// every normalized load ρ scales (0 ⇒ measured via CalibrateCached
+	// on Cluster).
+	Lambda0 float64
 	// Queries per cell (default 20000, the paper's batch).
 	Queries int
 	// Seeds is the replication axis (default: the cluster seed alone).
@@ -250,6 +254,19 @@ func (b Base) withDefaults() Base {
 		b.Seeds = []uint64{b.Cluster.Seed}
 	}
 	return b
+}
+
+// resolved is b with its defaults and its λ0 resolved.
+func (b Base) resolved() Base {
+	b = b.withDefaults()
+	b.Lambda0 = b.Cluster.lambda0(b.Lambda0)
+	return b
+}
+
+// poisson is the §V arrival process: Queries Poisson arrivals per cell
+// at load × Lambda0. b must be resolved.
+func (b Base) poisson() PoissonService {
+	return PoissonService{Lambda0: b.Lambda0, Queries: b.Queries}
 }
 
 // runner returns the worker pool the experiment's cells run on.

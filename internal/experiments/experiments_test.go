@@ -134,10 +134,7 @@ func TestFig2ShapeAndTSV(t *testing.T) {
 }
 
 func TestCDFResult(t *testing.T) {
-	res := RunCDF(CDFConfig{
-		Base: Base{Cluster: smallCluster(5), Queries: 1600},
-		Rho:  0.7,
-	})
+	res := runCDF(Base{Cluster: smallCluster(5), Queries: 1600}, 0.7)
 	if len(res.RT) != len(PaperPolicies()) {
 		t.Fatal("wrong number of recorders")
 	}
@@ -153,10 +150,7 @@ func TestCDFResult(t *testing.T) {
 }
 
 func TestFig3Fig5FixTheLoad(t *testing.T) {
-	cfg := CDFConfig{
-		Base:    Base{Cluster: smallCluster(6), Queries: 200},
-		Lambda0: 80,
-	}
+	cfg := Base{Cluster: smallCluster(6), Lambda0: 80, Queries: 200}
 	if got := RunFig3(cfg).Rho; got != 0.88 {
 		t.Fatalf("fig3 rho = %v", got)
 	}
@@ -166,9 +160,7 @@ func TestFig3Fig5FixTheLoad(t *testing.T) {
 }
 
 func TestFig4FairnessOrdering(t *testing.T) {
-	res := RunFig4(Fig4Config{
-		Base: Base{Cluster: smallCluster(7), Queries: 8000},
-	})
+	res := RunFig4(Base{Cluster: smallCluster(7), Queries: 8000})
 	if len(res.Series) != 2 {
 		t.Fatal("expected RR and SR4 series")
 	}
@@ -288,9 +280,7 @@ func TestWikiCellAccountsForLateServer(t *testing.T) {
 }
 
 func TestAblationCandidates(t *testing.T) {
-	res := RunCandidateAblation(AblationConfig{
-		Base: Base{Cluster: smallCluster(9), Queries: 5000},
-	})
+	res := RunCandidateAblation(Base{Cluster: smallCluster(9), Queries: 5000})
 	if len(res.Rows) != 4 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

@@ -10,39 +10,6 @@ import (
 	"srlb/internal/testbed"
 )
 
-// FailoverConfig is the LB-replica failover experiment: N stateless LB
-// replicas share the anycast VIP behind ECMP, one is killed mid-run, and
-// the client-observed transient (response times and failed queries,
-// bucketed by issue time) is measured. Two topology variants run under
-// identical arrivals:
-//
-//   - "maglev+fallback" — §II-B consistent-hash selection plus the
-//     consistent-hash miss-fallback on the steering path. Survivors
-//     recompute every flow's server from the packet alone, so flows that
-//     re-hash onto a replica that never learned them keep flowing:
-//     completions stay at 100% straight through the kill.
-//   - "random" — the paper's uniform-random selection, no fallback.
-//     The timeline exposes that this is broken *structurally*, not just
-//     at failover: the two ECMP directions hash independently, so about
-//     half the flows are steered by a replica that never saw their
-//     SYN-ACK and stall even in steady state — and once the replica
-//     dies, the survivor (now consistent with itself by default) stops
-//     missing. With random selection, two replicas are worse than one.
-//
-// This is the deployment story the paper's consistent-hashing section
-// tells, measured: deterministic selection is the *prerequisite* for
-// running SRLB as a stateless anycast fleet, and with it replica death
-// is free.
-//
-// The run is one load point, rho 0.85 — busy but unsaturated, so the
-// transient is attributable to the failover, not overload — on two
-// replicas, of which replica 0 dies at failoverKillFrac of the arrival
-// span and stays dead; the timeline has 40 bins.
-type FailoverConfig struct {
-	Base
-	Lambda0 float64
-}
-
 const (
 	failoverRho      = 0.85
 	failoverReplicas = 2
@@ -127,17 +94,42 @@ func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec P
 	return out, err
 }
 
-// RunFailover executes the experiment.
-func RunFailover(cfg FailoverConfig) FailoverResult {
-	cfg.Base = cfg.Base.withDefaults()
-	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
+// RunFailover runs the LB-replica failover experiment: N stateless LB
+// replicas share the anycast VIP behind ECMP, one is killed mid-run, and
+// the client-observed transient (response times and failed queries,
+// bucketed by issue time) is measured. Two topology variants run under
+// identical arrivals:
+//
+//   - "maglev+fallback" — §II-B consistent-hash selection plus the
+//     consistent-hash miss-fallback on the steering path. Survivors
+//     recompute every flow's server from the packet alone, so flows that
+//     re-hash onto a replica that never learned them keep flowing:
+//     completions stay at 100% straight through the kill.
+//   - "random" — the paper's uniform-random selection, no fallback.
+//     The timeline exposes that this is broken *structurally*, not just
+//     at failover: the two ECMP directions hash independently, so about
+//     half the flows are steered by a replica that never saw their
+//     SYN-ACK and stall even in steady state — and once the replica
+//     dies, the survivor (now consistent with itself by default) stops
+//     missing. With random selection, two replicas are worse than one.
+//
+// This is the deployment story the paper's consistent-hashing section
+// tells, measured: deterministic selection is the *prerequisite* for
+// running SRLB as a stateless anycast fleet, and with it replica death
+// is free.
+//
+// The run is one load point, rho 0.85 — busy but unsaturated, so the
+// transient is attributable to the failover, not overload — on two
+// replicas, of which replica 0 dies at failoverKillFrac of the arrival
+// span and stays dead; the timeline has 40 bins.
+func RunFailover(b Base) FailoverResult {
+	b = b.resolved()
 
 	// The schedule is rate-relative: the kill is a fraction of the
 	// arrival span, resolved per load point by the workload — so the
 	// same variant pair would serve a whole load sweep, exactly as
-	// RunChurn's schedule does (historically the kill time was computed
-	// absolutely here, which pinned the experiment to one rho).
-	span := PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}.Span(failoverRho)
+	// RunChurn's schedule does.
+	span := b.poisson().Span(failoverRho)
 	killAt := time.Duration(failoverKillFrac * float64(span))
 	events := []testbed.Event{testbed.FailReplica(0, 0).AtFraction(failoverKillFrac)}
 	// Each mode pins the selection knobs explicitly — the base cluster's
@@ -173,18 +165,18 @@ func RunFailover(cfg FailoverConfig) FailoverResult {
 		NewAgent:   func() agent.Policy { return agent.Always{} },
 	}
 
-	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
-		Cluster:  cfg.Cluster,
+	sweep, _ := b.runner().RunSweep(context.Background(), Sweep{
+		Cluster:  b.Cluster,
 		Policies: []PolicySpec{policy},
 		Variants: variants,
 		Loads:    []float64{failoverRho},
-		Seeds:    cfg.Seeds,
-		Workload: failoverWorkload{arrivals: PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, bins: failoverBins},
+		Seeds:    b.Seeds,
+		Workload: failoverWorkload{arrivals: b.poisson(), bins: failoverBins},
 	})
 	agg := sweep.Aggregate()
 
 	res := FailoverResult{
-		Rho: failoverRho, Lambda0: cfg.Lambda0, Replicas: failoverReplicas,
+		Rho: failoverRho, Lambda0: b.Lambda0, Replicas: failoverReplicas,
 		KillAt:   killAt,
 		BinWidth: span / failoverBins,
 		Seeds:    sweep.Seeds,

@@ -81,10 +81,7 @@ func TestVariantSweepParallelEqualsSerial(t *testing.T) {
 // the miss-fallback, killing a replica loses nothing; with random
 // selection, flows whose state lived on the dead replica stall.
 func TestFailoverMaglevVsRandom(t *testing.T) {
-	res := RunFailover(FailoverConfig{
-		Base:    Base{Cluster: ClusterConfig{Seed: 33, Servers: 4}, Queries: 3000, Seeds: DeriveSeeds(33, 2)},
-		Lambda0: 80,
-	})
+	res := RunFailover(Base{Cluster: ClusterConfig{Seed: 33, Servers: 4}, Lambda0: 80, Queries: 3000, Seeds: DeriveSeeds(33, 2)})
 	mode := func(name string) FailoverMode {
 		i := slices.IndexFunc(res.Modes, func(m FailoverMode) bool { return m.Variant == name })
 		if i < 0 {
@@ -191,10 +188,7 @@ func TestFailoverRelativeMatchesAbsolute(t *testing.T) {
 }
 
 func TestChurnSweep(t *testing.T) {
-	res := RunChurn(ChurnConfig{
-		Base:    Base{Cluster: ClusterConfig{Seed: 35, Servers: 4}, Queries: 600, Seeds: DeriveSeeds(35, 2)},
-		Lambda0: 80,
-	})
+	res := RunChurn(Base{Cluster: ClusterConfig{Seed: 35, Servers: 4}, Lambda0: 80, Queries: 600, Seeds: DeriveSeeds(35, 2)})
 	if len(res.Rows) != 18 { // 3 rhos × 3 policies × {steady, churn}
 		t.Fatalf("rows = %d, want 18", len(res.Rows))
 	}

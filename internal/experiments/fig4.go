@@ -10,18 +10,6 @@ import (
 	"srlb/internal/testbed"
 )
 
-// Fig4Config reproduces figure 4: the instantaneous server load (mean busy
-// workers over the 12 servers) and the corresponding Jain fairness index,
-// over the course of a 20000-query run at ρ = 0.88, for RR vs SR4.
-// Both series are smoothed with the paper's time-aware EWMA
-// (α = 1 − e^(−δt), footnote 2).
-type Fig4Config struct {
-	// Base: with several Seeds each timeline point is the across-seed
-	// mean with a Student-t 95% CI.
-	Base
-	Lambda0 float64
-}
-
 const (
 	// fig4Rho is the paper's normalized load.
 	fig4Rho = 0.88
@@ -104,22 +92,26 @@ func (w fig4Workload) Run(ctx context.Context, cluster ClusterConfig, spec Polic
 	return out, err
 }
 
-// RunFig4 executes the experiment: a one-load-point Sweep of the sampled
-// Poisson workload over {RR, SR4}, the two lines of the figure, run in
-// parallel.
-func RunFig4(cfg Fig4Config) Fig4Result {
-	cfg.Base = cfg.Base.withDefaults()
-	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
+// RunFig4 reproduces figure 4: the instantaneous server load (mean busy
+// workers over the 12 servers) and the corresponding Jain fairness index,
+// over the course of a 20000-query run at ρ = 0.88, for RR vs SR4.
+// Both series are smoothed with the paper's time-aware EWMA
+// (α = 1 − e^(−δt), footnote 2). It runs a one-load-point Sweep of the
+// sampled Poisson workload over {RR, SR4}, the two lines of the figure,
+// in parallel. With several Seeds each timeline point is the across-seed
+// mean with a Student-t 95% CI.
+func RunFig4(b Base) Fig4Result {
+	b = b.resolved()
 	policies := []PolicySpec{RR(), SRc(4)}
-	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
-		Cluster:  cfg.Cluster,
+	sweep, _ := b.runner().RunSweep(context.Background(), Sweep{
+		Cluster:  b.Cluster,
 		Policies: policies,
 		Loads:    []float64{fig4Rho},
-		Seeds:    cfg.Seeds,
-		Workload: fig4Workload{PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}},
+		Seeds:    b.Seeds,
+		Workload: fig4Workload{b.poisson()},
 	})
 
-	res := Fig4Result{Rho: fig4Rho, Lambda0: cfg.Lambda0, Seeds: sweep.Seeds}
+	res := Fig4Result{Rho: fig4Rho, Lambda0: b.Lambda0, Seeds: sweep.Seeds}
 	for pi, spec := range policies {
 		var timelines [][]Fig4Sample
 		for _, cell := range completed(sweep.Replicates(pi, 0, 0)) {

@@ -10,19 +10,6 @@ import (
 	"srlb/internal/stats"
 )
 
-// CDFConfig reproduces figures 3 and 5: the CDF of page load time over a
-// 20000-query Poisson batch at a fixed normalized load, for every policy
-// of PaperPolicies.
-type CDFConfig struct {
-	// Base: with several Seeds the emitted CDFs gain across-seed
-	// confidence bands and the per-policy medians a 95% CI.
-	Base
-	// Rho is the normalized request rate (figure 3: 0.88; figure 5: 0.61).
-	Rho float64
-	// Lambda0 normalizes ρ (0 ⇒ measured first).
-	Lambda0 float64
-}
-
 // cdfPoints bounds the resolution of every emitted CDF (figures 3, 5
 // and 8).
 const cdfPoints = 200
@@ -52,23 +39,25 @@ type CDFResult struct {
 	Bands []CDFBand
 }
 
-// RunCDF executes the experiment at cfg.Rho: a one-load-point Sweep over
-// the policy set × seeds, run in parallel.
-func RunCDF(cfg CDFConfig) CDFResult {
-	cfg.Base = cfg.Base.withDefaults()
-	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
+// runCDF reproduces figures 3 and 5: the CDF of page load time over a
+// batch of b.Queries Poisson queries at normalized load rho, for every
+// policy of PaperPolicies — a one-load-point Sweep over the policy set
+// × seeds, run in parallel. With several Seeds the emitted CDFs gain
+// across-seed confidence bands and the per-policy medians a 95% CI.
+func runCDF(b Base, rho float64) CDFResult {
+	b = b.resolved()
 	policies := PaperPolicies()
 
-	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
-		Cluster:  cfg.Cluster,
+	sweep, _ := b.runner().RunSweep(context.Background(), Sweep{
+		Cluster:  b.Cluster,
 		Policies: policies,
-		Loads:    []float64{cfg.Rho},
-		Seeds:    cfg.Seeds,
-		Workload: OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}),
+		Loads:    []float64{rho},
+		Seeds:    b.Seeds,
+		Workload: OneService(b.poisson()),
 	})
 	agg := sweep.Aggregate()
 
-	res := CDFResult{Rho: cfg.Rho, Lambda0: cfg.Lambda0, Policies: policies,
+	res := CDFResult{Rho: rho, Lambda0: b.Lambda0, Policies: policies,
 		Seeds: sweep.Seeds}
 	replicated := len(sweep.Seeds) > 1
 	for pi := range policies {
@@ -137,16 +126,10 @@ func cdfBand(fractions []float64, curves [][]time.Duration) CDFBand {
 }
 
 // RunFig3 runs the high-load CDF (ρ = 0.88, §V-C figure 3).
-func RunFig3(cfg CDFConfig) CDFResult {
-	cfg.Rho = 0.88
-	return RunCDF(cfg)
-}
+func RunFig3(b Base) CDFResult { return runCDF(b, 0.88) }
 
 // RunFig5 runs the light-load CDF (ρ = 0.61, §V-C figure 5).
-func RunFig5(cfg CDFConfig) CDFResult {
-	cfg.Rho = 0.61
-	return RunCDF(cfg)
-}
+func RunFig5(b Base) CDFResult { return runCDF(b, 0.61) }
 
 // TSV is one CDF table per policy: rows of (response time in seconds,
 // cumulative fraction) — the axes of figures 3 and 5. A replicated run

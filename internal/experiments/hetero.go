@@ -8,16 +8,6 @@ import (
 	"srlb/internal/stats"
 )
 
-// HeteroConfig studies a heterogeneous cluster — a natural extension the
-// paper's design accommodates for free: the acceptance decision is a
-// *local* busy-thread threshold, so a slow box (fewer cores) simply
-// crosses its threshold earlier and refuses more offers, shedding load to
-// faster boxes. A random balancer, blind to capacity, keeps feeding the
-// slow boxes.
-type HeteroConfig struct {
-	Base
-}
-
 const (
 	// A third of the servers are slow boxes with 1 core, against the
 	// usual 2.
@@ -46,22 +36,29 @@ type HeteroResult struct {
 	Rows          []HeteroRow
 }
 
-// RunHetero executes RR, SR4 and SRdyn on the mixed cluster — a study of
-// the three policies whose cluster carries a ServerOverride, with the
-// slow-box completion share read from each cell's ClusterStats.
-func RunHetero(cfg HeteroConfig) HeteroResult {
-	// No λ0 here: load is normalized by the mixed cluster's theoretical
-	// capacity, so the study runs no calibration probe.
-	cfg.Base = cfg.Base.withDefaults()
-	servers := cfg.Cluster.Servers
+// RunHetero studies a heterogeneous cluster — a natural extension the
+// paper's design accommodates for free: the acceptance decision is a
+// *local* busy-thread threshold, so a slow box (fewer cores) simply
+// crosses its threshold earlier and refuses more offers, shedding load to
+// faster boxes. A random balancer, blind to capacity, keeps feeding the
+// slow boxes.
+//
+// It runs RR, SR4 and SRdyn on the mixed cluster — a study of the three
+// policies whose cluster carries a ServerOverride, with the slow-box
+// completion share read from each cell's ClusterStats. b.Lambda0 is not
+// read: load is normalized by the mixed cluster's theoretical capacity,
+// so the study runs no calibration probe.
+func RunHetero(b Base) HeteroResult {
+	b = b.withDefaults()
+	servers := b.Cluster.Servers
 	slow := int(float64(servers) * heteroSlowFraction)
-	fastCores := cfg.Cluster.Server.Cores
+	fastCores := b.Cluster.Server.Cores
 	totalCores := float64(servers-slow)*fastCores + float64(slow)*heteroSlowCores
 	capacity := totalCores / MeanDemand.Seconds()
 
-	slowCfg := cfg.Cluster.Server
+	slowCfg := b.Cluster.Server
 	slowCfg.Cores = heteroSlowCores
-	cluster := cfg.Cluster
+	cluster := b.Cluster
 	cluster.ServerOverride = func(i int) appserver.Config {
 		if i < slow {
 			return slowCfg
@@ -74,7 +71,7 @@ func RunHetero(cfg HeteroConfig) HeteroResult {
 		SlowServers:   slow,
 		TotalServers:  servers,
 		CapacityShare: float64(slow) * heteroSlowCores / totalCores,
-		Seeds:         cfg.Seeds,
+		Seeds:         b.Seeds,
 	}
 	var scenarios []Scenario
 	for _, spec := range []PolicySpec{RR(), SRc(4), SRdyn()} {
@@ -82,11 +79,11 @@ func RunHetero(cfg HeteroConfig) HeteroResult {
 			Name:     spec.Name,
 			Cluster:  cluster,
 			Policy:   spec,
-			Workload: OneService(PoissonService{Lambda0: capacity, Queries: cfg.Queries}),
+			Workload: OneService(PoissonService{Lambda0: capacity, Queries: b.Queries}),
 			Load:     heteroRho,
 		})
 	}
-	rows, replicates := cfg.runStudy(context.Background(), "hetero", scenarios)
+	rows, replicates := b.runStudy(context.Background(), "hetero", scenarios)
 	for i, sr := range rows {
 		row := HeteroRow{ServiceRow: sr}
 		var shares []float64

@@ -10,9 +10,7 @@ import (
 // random assignment keeps feeding them — so SRc both beats RR on response
 // time AND serves a slow-box share closer to the capacity share.
 func TestHeteroSheddingToFastServers(t *testing.T) {
-	res := RunHetero(HeteroConfig{
-		Base: Base{Cluster: ClusterConfig{Seed: 31, Servers: 6}, Queries: 8000},
-	})
+	res := RunHetero(Base{Cluster: ClusterConfig{Seed: 31, Servers: 6}, Queries: 8000})
 	if len(res.Rows) != 3 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}

@@ -17,23 +17,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"srlb/internal/plot"
 )
-
-// InterferenceConfig parameterizes the experiment: the web victim is
-// pinned at webRho, the batch aggressor sweeps batchRhos, and RR, SR4
-// and SRdyn run each cell.
-type InterferenceConfig struct {
-	// Base: Queries is the web VIP's arrivals per cell. The batch stream
-	// is time-bounded to the web span, so its offered count scales with
-	// ρ_b.
-	Base
-	// Lambda0 is the shared pool's calibrated capacity rate (0 ⇒
-	// measured via CalibrateCached on the base cluster).
-	Lambda0 float64
-}
 
 // InterferenceRow is a ServiceRow — Rho is the aggressor's load (the
 // sweep knob); Load is WebRho on the victim's rows — plus the
@@ -65,26 +51,30 @@ type InterferenceResult struct {
 	Rows  []InterferenceRow
 }
 
-// RunInterference executes the experiment.
-func RunInterference(cfg InterferenceConfig) InterferenceResult {
-	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0)
+// RunInterference executes the experiment: the web victim is pinned at
+// webRho, the batch aggressor sweeps batchRhos, and RR, SR4 and SRdyn
+// run each cell. b.Queries is the web VIP's arrivals per cell; the batch
+// stream is time-bounded to the web span, so its offered count scales
+// with ρ_b. b.Lambda0 is the shared pool's capacity rate.
+func RunInterference(b Base) InterferenceResult {
+	b = b.resolved()
 	rhos := batchRhos()
 
 	// The victim's span fixes the cell's window.
-	span := time.Duration(float64(cfg.Queries) / (webRho * cfg.Lambda0) * float64(time.Second))
-	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, span, batchPeak)
+	web := b.poisson()
+	workload := sharedPoolWorkload(web, web.Span(webRho), batchPeak)
 	workload.ServiceLoads = []float64{webRho, 0}
 
-	agg, _ := cfg.runner().RunSweepStats(context.Background(), Sweep{
-		Cluster:  cfg.Cluster,
+	agg, _ := b.runner().RunSweepStats(context.Background(), Sweep{
+		Cluster:  b.Cluster,
 		Policies: studyPolicies(),
 		Loads:    rhos,
-		Seeds:    cfg.Seeds,
+		Seeds:    b.Seeds,
 		Workload: workload,
 	})
 
 	res := InterferenceResult{
-		Lambda0:   cfg.Lambda0,
+		Lambda0:   b.Lambda0,
 		WebRho:    webRho,
 		BatchRhos: rhos,
 		Seeds:     agg.Seeds,

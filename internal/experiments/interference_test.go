@@ -208,10 +208,7 @@ func TestSharedPoolDeterminism(t *testing.T) {
 // degradation columns anchored at the lowest batch load, and the TSV
 // renders one line per row.
 func TestRunInterferenceSmall(t *testing.T) {
-	res := RunInterference(InterferenceConfig{
-		Base:    Base{Cluster: ClusterConfig{Seed: 73, Servers: 4}, Queries: 300},
-		Lambda0: 80,
-	})
+	res := RunInterference(Base{Cluster: ClusterConfig{Seed: 73, Servers: 4}, Lambda0: 80, Queries: 300})
 	if got, want := len(res.Services), 2; got != want {
 		t.Fatalf("%d services, want %d", got, want)
 	}
@@ -261,10 +258,7 @@ func TestRunInterferenceSmall(t *testing.T) {
 // contention is where the choices pay. (In deep overload the two
 // converge: when every worker queues, there is nothing left to choose.)
 func TestInterferenceVictimOrdering(t *testing.T) {
-	res := RunInterference(InterferenceConfig{
-		Base:    Base{Cluster: ClusterConfig{Seed: 79, Servers: 4}, Queries: 1500, Seeds: DeriveSeeds(79, 3)},
-		Lambda0: 80,
-	})
+	res := RunInterference(Base{Cluster: ClusterConfig{Seed: 79, Servers: 4}, Lambda0: 80, Queries: 1500, Seeds: DeriveSeeds(79, 3)})
 	rr, err := res.Row("RR", "web", 0.35)
 	if err != nil {
 		t.Fatal(err)

@@ -528,12 +528,9 @@ func (w MultiServiceWorkload) run(ctx context.Context, cluster ClusterConfig, sp
 // under RR, SR4 and SRdyn.
 type MultiServiceConfig struct {
 	// Base: Queries is the web VIP's arrivals per cell; the batch VIP
-	// offers half that.
+	// offers half that. Lambda0 is the web VIP's capacity rate; the
+	// batch VIP's rate scales with its pool share.
 	Base
-	// Lambda0 is the web VIP's calibrated capacity rate (0 ⇒ measured
-	// via CalibrateCached on the base cluster); the batch VIP's rate
-	// scales with its pool share.
-	Lambda0 float64
 	// Compression is the wiki day's replay compression (default 288 —
 	// the 24-hour day in 5 simulated minutes).
 	Compression float64
@@ -556,7 +553,7 @@ type MultiServiceResult struct {
 
 // RunMultiService executes the experiment.
 func RunMultiService(cfg MultiServiceConfig) MultiServiceResult {
-	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0)
+	cfg.Base = cfg.Base.resolved()
 	if cfg.Compression == 0 {
 		cfg.Compression = 288
 	}
@@ -593,7 +590,7 @@ func multiServiceWorkload(cfg MultiServiceConfig) MultiServiceWorkload {
 	batchShare := float64(batchServers) / float64(cfg.Cluster.Servers)
 	return MultiServiceWorkload{
 		Services: []ServiceSpec{
-			{Name: "web", Workload: PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}},
+			{Name: "web", Workload: cfg.poisson()},
 			{Name: "wiki", Workload: WikiService{Day: wiki.Config{Compression: cfg.Compression}}, Pool: 1},
 			{Name: "batch", Workload: BurstyService{
 				Lambda0: cfg.Lambda0 * batchShare, Queries: cfg.Queries / 2, PeakFactor: batchPeak,

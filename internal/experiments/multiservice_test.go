@@ -183,8 +183,7 @@ func TestMultiServiceLabelsAndSingleVIPNil(t *testing.T) {
 // aggregate, and the TSV renders one line per row.
 func TestRunMultiServiceSmall(t *testing.T) {
 	res := RunMultiService(MultiServiceConfig{
-		Base:        Base{Cluster: ClusterConfig{Seed: 37, Servers: 4}, Queries: 400},
-		Lambda0:     80,
+		Base:        Base{Cluster: ClusterConfig{Seed: 37, Servers: 4}, Lambda0: 80, Queries: 400},
 		Compression: 5760,
 	})
 	if got, want := len(res.Services), 3; got != want {

@@ -21,23 +21,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"srlb/internal/feedback"
 	"srlb/internal/plot"
 )
-
-// PoliciesConfig parameterizes the experiment: the web victim is pinned
-// at webRho, the batch aggressor sweeps batchRhos, and the four-way
-// ablation ablationPolicies runs each cell, the flowlet policy at
-// selection.DefaultFlowletGap.
-type PoliciesConfig struct {
-	// Base: Queries is the web VIP's arrivals per cell.
-	Base
-	// Lambda0 is the shared pool's calibrated capacity rate (0 ⇒
-	// measured via CalibrateCached on the base cluster).
-	Lambda0 float64
-}
 
 // PoliciesRow is a ServiceRow — Variant is "steady" or "churn", Rho the
 // aggressor's load (the sweep knob) — plus the mechanism counter.
@@ -66,24 +53,28 @@ type PoliciesResult struct {
 	Rows  []PoliciesRow
 }
 
-// RunPolicies executes the experiment.
-func RunPolicies(cfg PoliciesConfig) PoliciesResult {
-	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0)
+// RunPolicies executes the experiment: the web victim is pinned at
+// webRho, the batch aggressor sweeps batchRhos, and the four-way
+// ablation ablationPolicies runs each cell, the flowlet policy at
+// selection.DefaultFlowletGap. b.Queries is the web VIP's arrivals per
+// cell, and b.Lambda0 the shared pool's capacity rate.
+func RunPolicies(b Base) PoliciesResult {
+	b = b.resolved()
 	rhos := batchRhos()
 	// The churn variant drains a third of the shared pool (at least one
 	// server) mid-run and later re-adds it.
-	churnBy := max(1, cfg.Cluster.Servers/3)
+	churnBy := max(1, b.Cluster.Servers/3)
 	policies := ablationPolicies()
 	// The ablation is about the telemetry plane — it is always on here,
 	// at its default tuning; per-policy degradation to the oblivious
 	// fallback happens through staleness, not through the config.
-	cfg.Cluster.Feedback = feedback.Config{Enabled: true}
+	b.Cluster.Feedback = feedback.Config{Enabled: true}
 
 	// Same shape as RunInterference: the victim's span fixes the window.
 	// CloseAck gives every connection its late steered packet — the
 	// flowlet boundary.
-	span := time.Duration(float64(cfg.Queries) / (webRho * cfg.Lambda0) * float64(time.Second))
-	workload := sharedPoolWorkload(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries}, span, batchPeak)
+	web := b.poisson()
+	workload := sharedPoolWorkload(web, web.Span(webRho), batchPeak)
 	workload.ServiceLoads = []float64{webRho, 0}
 	workload.CloseAck = true
 	variants := []ClusterVariant{
@@ -94,18 +85,18 @@ func RunPolicies(cfg PoliciesConfig) PoliciesResult {
 		}},
 	}
 
-	raw, _ := cfg.runner().RunSweep(context.Background(), Sweep{
-		Cluster:  cfg.Cluster,
+	raw, _ := b.runner().RunSweep(context.Background(), Sweep{
+		Cluster:  b.Cluster,
 		Policies: policies,
 		Variants: variants,
 		Loads:    rhos,
-		Seeds:    cfg.Seeds,
+		Seeds:    b.Seeds,
 		Workload: workload,
 	})
 	agg := raw.Aggregate()
 
 	res := PoliciesResult{
-		Lambda0:   cfg.Lambda0,
+		Lambda0:   b.Lambda0,
 		WebRho:    webRho,
 		BatchRhos: rhos,
 		Seeds:     agg.Seeds,

@@ -89,10 +89,7 @@ func TestPoliciesConservationUnderResteering(t *testing.T) {
 // variants, with well-formed rows, the mechanism counter on every
 // bursty flowlet cell, and working accessors and renderers.
 func TestRunPoliciesSmall(t *testing.T) {
-	res := RunPolicies(PoliciesConfig{
-		Base:    Base{Cluster: ClusterConfig{Seed: 89, Servers: 4}, Queries: 300},
-		Lambda0: 80,
-	})
+	res := RunPolicies(Base{Cluster: ClusterConfig{Seed: 89, Servers: 4}, Lambda0: 80, Queries: 300})
 	if got, want := len(res.Variants), 2; got != want {
 		t.Fatalf("%d variants, want %d", got, want)
 	}
@@ -176,10 +173,7 @@ func TestRunPoliciesSmall(t *testing.T) {
 // flowlet rebinds and all — is byte-identical at 1 vs 4 Runner workers
 // (runs under -race -shuffle=on in CI).
 func TestRunPoliciesDeterminism(t *testing.T) {
-	cfg := PoliciesConfig{
-		Base:    Base{Cluster: ClusterConfig{Seed: 97, Servers: 4}, Queries: 150, Seeds: DeriveSeeds(97, 2)},
-		Lambda0: 80,
-	}
+	cfg := Base{Cluster: ClusterConfig{Seed: 97, Servers: 4}, Lambda0: 80, Queries: 150, Seeds: DeriveSeeds(97, 2)}
 	serialCfg, parallelCfg := cfg, cfg
 	serialCfg.Workers = 1
 	parallelCfg.Workers = 4

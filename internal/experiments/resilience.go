@@ -9,29 +9,6 @@ import (
 	"srlb/internal/testbed"
 )
 
-// ResilienceConfig is the correlated-failure resilience ablation: the
-// same replica-kill, rack-loss and rolling-upgrade schedules run under
-// three recovery disciplines, isolating what each layer of the SRLB
-// failover story buys:
-//
-//   - "stateless" — the paper's uniform-random selection, no fallback,
-//     cold restart. The baseline: flows steered by a replica that never
-//     saw their SYN-ACK stall.
-//   - "chash" — §II-B consistent-hash selection plus the miss-fallback
-//     on the steering path, cold restart. Survivors and the restarted
-//     replica recompute a candidate from the packet alone — right
-//     whenever the first choice accepted, a guess when it did not.
-//   - "warm" — chash plus warm handoff: the restarted replica imports a
-//     survivor's flow table (ImportFlows) at the recover instant, so
-//     even second-choice bindings steer exactly.
-//
-// Acceptance is load-dependent (SR with a threshold), so the three
-// disciplines separate: warm ≥ chash ≥ stateless in completion rate.
-type ResilienceConfig struct {
-	Base
-	Lambda0 float64
-}
-
 const (
 	// resilienceRho is the normalized load.
 	resilienceRho = 0.85
@@ -120,17 +97,34 @@ func resilienceEvents(servers int, scenario, mode string, recoverFrac float64) [
 	}
 }
 
-// RunResilience executes the ablation, reporting completion rates with
-// CIs per (scenario, mode).
-func RunResilience(cfg ResilienceConfig) ResilienceResult {
-	return runResilience(cfg, resilienceScenarios, resilienceModes, resilienceRho, resilienceRecoverFrac)
+// RunResilience runs the correlated-failure resilience ablation: the
+// same replica-kill, rack-loss and rolling-upgrade schedules run under
+// three recovery disciplines, isolating what each layer of the SRLB
+// failover story buys:
+//
+//   - "stateless" — the paper's uniform-random selection, no fallback,
+//     cold restart. The baseline: flows steered by a replica that never
+//     saw their SYN-ACK stall.
+//   - "chash" — §II-B consistent-hash selection plus the miss-fallback
+//     on the steering path, cold restart. Survivors and the restarted
+//     replica recompute a candidate from the packet alone — right
+//     whenever the first choice accepted, a guess when it did not.
+//   - "warm" — chash plus warm handoff: the restarted replica imports a
+//     survivor's flow table (ImportFlows) at the recover instant, so
+//     even second-choice bindings steer exactly.
+//
+// Acceptance is load-dependent (SR with a threshold), so the three
+// disciplines separate: warm ≥ chash ≥ stateless in completion rate.
+//
+// It reports completion rates with CIs per (scenario, mode).
+func RunResilience(b Base) ResilienceResult {
+	return runResilience(b, resilienceScenarios, resilienceModes, resilienceRho, resilienceRecoverFrac)
 }
 
 // runResilience is RunResilience over the given scenarios and modes at
 // load rho, each failed replica re-attaching at recoverFrac of the span.
-func runResilience(cfg ResilienceConfig, scenarios, modes []string, rho, recoverFrac float64) ResilienceResult {
-	cfg.Base = cfg.Base.withDefaults()
-	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
+func runResilience(b Base, scenarios, modes []string, rho, recoverFrac float64) ResilienceResult {
+	b = b.resolved()
 
 	// Each variant pins the replica count, the event schedule and both
 	// selection knobs — the base cluster's own settings must not leak
@@ -138,7 +132,7 @@ func runResilience(cfg ResilienceConfig, scenarios, modes []string, rho, recover
 	var variants []ClusterVariant
 	for _, scenario := range scenarios {
 		for _, mode := range modes {
-			events := resilienceEvents(cfg.Cluster.Servers, scenario, mode, recoverFrac)
+			events := resilienceEvents(b.Cluster.Servers, scenario, mode, recoverFrac)
 			stateless := mode == "stateless"
 			variants = append(variants, ClusterVariant{
 				Name: scenario + "/" + mode,
@@ -152,20 +146,20 @@ func runResilience(cfg ResilienceConfig, scenarios, modes []string, rho, recover
 			})
 		}
 	}
-	workload := OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries})
+	workload := OneService(b.poisson())
 	workload.RetransmitRTO = resilienceRTO
-	sweep, _ := cfg.runner().RunSweep(context.Background(), Sweep{
-		Cluster:  cfg.Cluster,
+	sweep, _ := b.runner().RunSweep(context.Background(), Sweep{
+		Cluster:  b.Cluster,
 		Policies: []PolicySpec{resiliencePolicy},
 		Variants: variants,
 		Loads:    []float64{rho},
-		Seeds:    cfg.Seeds,
+		Seeds:    b.Seeds,
 		Workload: workload,
 	})
 	agg := sweep.Aggregate()
 
 	res := ResilienceResult{
-		Rho: rho, Lambda0: cfg.Lambda0, Replicas: resilienceReplicas,
+		Rho: rho, Lambda0: b.Lambda0, Replicas: resilienceReplicas,
 		KillFrac: resilienceKillFrac, RecoverFrac: recoverFrac, RackFrac: resilienceRackFrac,
 		Seeds: sweep.Seeds,
 		Stats: agg,

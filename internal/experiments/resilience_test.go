@@ -10,11 +10,8 @@ import (
 // own schedule: two anycast replicas, a mid-run kill and a fast recover
 // at rho 0.85, with the outage shorter than the SYN-retransmission
 // backoff horizon so retrying flows span it.
-func testResilienceConfig() ResilienceConfig {
-	return ResilienceConfig{
-		Base:    Base{Cluster: ClusterConfig{Seed: 71, Servers: 4}, Queries: 3000, Seeds: DeriveSeeds(71, 2)},
-		Lambda0: 80,
-	}
+func testResilienceConfig() Base {
+	return Base{Cluster: ClusterConfig{Seed: 71, Servers: 4}, Lambda0: 80, Queries: 3000, Seeds: DeriveSeeds(71, 2)}
 }
 
 // The ablation's claim, pinned on a fixed seed: in every scenario, warm

@@ -9,25 +9,14 @@ import (
 	"srlb/internal/metrics"
 )
 
-// RetransmitConfig studies the paper's §IV-C design decision: with
-// tcp_abort_on_overflow enabled, a connection hitting a full backlog is
-// refused instantly with a RST; without it, the SYN is silently dropped
-// and the client retries after a (doubling) retransmission timeout —
-// polluting response-time measurements with multi-second TCP artifacts.
-// The paper enables the flag so that "the application response delays are
-// measured, and not possible TCP SYN retransmit delays"; this experiment
-// shows what they kept out.
-type RetransmitConfig struct {
-	Base
-	// Rho is the (over)load to run at (default 1.05 — just past
-	// saturation, where backlogs actually fill).
-	Rho     float64
-	Lambda0 float64
-}
-
-// retransmitRTO is the client's initial retransmission timeout: 1s,
-// Linux's floor.
-const retransmitRTO = time.Second
+const (
+	// retransmitRho is the overload the study runs at: deep enough past
+	// saturation that backlogs fill.
+	retransmitRho = 2.0
+	// retransmitRTO is the client's initial retransmission timeout: 1s,
+	// Linux's floor.
+	retransmitRTO = time.Second
+)
 
 // RetransmitRow is one mode's ServiceRow — the mode in Variant, the
 // completed queries' response-time statistics — plus what the study
@@ -48,39 +37,43 @@ type RetransmitResult struct {
 	Rows  []RetransmitRow
 }
 
-// RunRetransmitAblation executes both modes under identical arrivals — a
+// RunRetransmitAblation studies the paper's §IV-C design decision: with
+// tcp_abort_on_overflow enabled, a connection hitting a full backlog is
+// refused instantly with a RST; without it, the SYN is silently dropped
+// and the client retries after a (doubling) retransmission timeout —
+// polluting response-time measurements with multi-second TCP artifacts.
+// The paper enables the flag so that "the application response delays are
+// measured, and not possible TCP SYN retransmit delays"; this experiment
+// shows what they kept out.
+//
+// It runs both modes under identical arrivals at retransmitRho — a
 // two-scenario study (same policy and workload shape, RST vs silent-drop
 // clusters).
-func RunRetransmitAblation(cfg RetransmitConfig) RetransmitResult {
-	cfg.Base = cfg.Base.withDefaults()
-	if cfg.Rho == 0 {
-		cfg.Rho = 1.05
-	}
-	cfg.Lambda0 = cfg.Cluster.lambda0(cfg.Lambda0)
-
-	silentCluster := cfg.Cluster
+func RunRetransmitAblation(b Base) RetransmitResult {
+	b = b.resolved()
+	silentCluster := b.Cluster
 	silentCluster.Server.AbortOnOverflow = false
-	poisson := OneService(PoissonService{Lambda0: cfg.Lambda0, Queries: cfg.Queries})
+	poisson := OneService(b.poisson())
 	retransmitting := poisson
 	retransmitting.RetransmitRTO = retransmitRTO
-	rows, replicates := cfg.runStudy(context.Background(), "abort-on-overflow", []Scenario{
+	rows, replicates := b.runStudy(context.Background(), "abort-on-overflow", []Scenario{
 		{
 			Name:     "abort-on-overflow (RST)",
-			Cluster:  cfg.Cluster,
+			Cluster:  b.Cluster,
 			Policy:   SRc(4),
 			Workload: poisson,
-			Load:     cfg.Rho,
+			Load:     retransmitRho,
 		},
 		{
 			Name:     "silent-drop + SYN retransmit",
 			Cluster:  silentCluster,
 			Policy:   SRc(4),
 			Workload: retransmitting,
-			Load:     cfg.Rho,
+			Load:     retransmitRho,
 		},
 	})
 
-	res := RetransmitResult{Rho: cfg.Rho, Seeds: cfg.Seeds}
+	res := RetransmitResult{Rho: retransmitRho, Seeds: b.Seeds}
 	for i, sr := range rows {
 		row := RetransmitRow{ServiceRow: sr}
 		var answered, timedOut int

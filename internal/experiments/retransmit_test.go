@@ -18,10 +18,7 @@ func TestRetransmitAblation(t *testing.T) {
 	// delay, so the completed-query tail is dominated by either nothing
 	// (RST mode — rejected queries simply don't complete) or the
 	// retransmission timeouts (silent mode) — the §IV-C contrast.
-	res := RunRetransmitAblation(RetransmitConfig{
-		Base: Base{Cluster: ClusterConfig{Seed: 21, Servers: 4, Server: serverWithBacklog(8)}, Queries: 6000},
-		Rho:  2.0,
-	})
+	res := RunRetransmitAblation(Base{Cluster: ClusterConfig{Seed: 21, Servers: 4, Server: serverWithBacklog(8)}, Queries: 6000})
 	if len(res.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Rows))
 	}
@@ -69,12 +66,8 @@ func TestRetransmitHonoursWorkers(t *testing.T) {
 			}
 			return appserver.Config{} // fall back to Server
 		}
-		res := RunRetransmitAblation(RetransmitConfig{
-			Base: Base{Cluster: cluster, Queries: 1500, Seeds: DeriveSeeds(21, 3), Workers: workers,
-				Progress: func(string) { finished.Add(1) }},
-			Rho:     2.0,
-			Lambda0: 80,
-		})
+		res := RunRetransmitAblation(Base{Cluster: cluster, Lambda0: 80, Queries: 1500, Seeds: DeriveSeeds(21, 3),
+			Workers: workers, Progress: func(string) { finished.Add(1) }})
 		if got := finished.Load(); got != 6 {
 			t.Fatalf("workers=%d: %d progress lines, want 6 (2 modes × 3 seeds)", workers, got)
 		}

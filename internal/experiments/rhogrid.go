@@ -38,11 +38,8 @@ type RhoGridConfig struct {
 	// simulates span = Queries/Lambda0 seconds (the ρ=1 window), so the
 	// web VIP offers ≈ ρ_w × Queries arrivals and all grid cells measure
 	// the same wall of simulated time. Adaptive runs extend Seeds to
-	// Adaptive.MaxSeeds.
+	// Adaptive.MaxSeeds. Lambda0 is the shared pool's capacity rate.
 	Base
-	// Lambda0 is the shared pool's calibrated capacity rate (0 ⇒
-	// measured via CalibrateCached on the base cluster).
-	Lambda0 float64
 	// Adaptive configures adaptive replication (CITarget <= 0 runs the
 	// fixed Seeds axis everywhere).
 	Adaptive Adaptive
@@ -82,7 +79,7 @@ func RunRhoGrid(cfg RhoGridConfig) RhoGridResult {
 // runRhoGrid is RunRhoGrid over the web × batch load grid, the batch
 // bursting to peak, with the given policies at every grid point.
 func runRhoGrid(cfg RhoGridConfig, web, batch []float64, peak float64, policies []PolicySpec) RhoGridResult {
-	serviceSweepDefaults(&cfg.Base, &cfg.Lambda0)
+	cfg.Base = cfg.Base.resolved()
 	// The load-aware schemes need the telemetry plane, at its default
 	// tuning.
 	cfg.Cluster.Feedback = feedback.Config{Enabled: true}

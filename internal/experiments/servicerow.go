@@ -225,14 +225,6 @@ func lift[R any](base func(R) ServiceRow, cols ...column[ServiceRow]) []column[R
 	return out
 }
 
-// serviceSweepDefaults resolves the knobs the family's configs share:
-// the base's defaults, and λ0 calibrated on the base cluster when not
-// given.
-func serviceSweepDefaults(base *Base, lambda0 *float64) {
-	*base = base.withDefaults()
-	*lambda0 = base.Cluster.lambda0(*lambda0)
-}
-
 // batchPeak is the batch service's ON-state burst factor.
 const batchPeak = 4
 
