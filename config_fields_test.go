@@ -30,14 +30,11 @@ var configAllowed = map[string]string{
 	"netsim.Config.JitterFrac":      "item 4(d)'s reorder mode needs per-packet jitter",
 	"netsim.Config.VerifyChecksums": "item 4(d)'s corrupt mode sends faulted packets through the checked codec",
 	// Set only by tests; making each a constant is open under ROADMAP
-	// item 5. The feedback, flow-table, netsim and testbed ones sit on
-	// the benchmark's path.
+	// item 5. All six sit on the benchmark's path.
 	"feedback.Config.Alpha":      "test-only, open under item 5",
 	"flowtable.Config.FinLinger": "test-only, open under item 5",
 	"flowtable.Config.IdleTTL":   "test-only, open under item 5",
 	"netsim.Config.Latency":      "test-only, open under item 5",
-	"plot.Config.Height":         "test-only, open under item 5",
-	"plot.Config.Width":          "test-only, open under item 5",
 	"testbed.GenSpec.Events":     "test-only, open under item 5",
 	"testbed.Topology.Flows":     "test-only, open under item 5",
 }

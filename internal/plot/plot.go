@@ -50,34 +50,18 @@ func RenderFacets(w io.Writer, cfg Config, facets ...Facet) error {
 // markers label the lines in drawing order.
 var markers = []byte{'*', 'o', '+', 'x', '#', '@', '%', '&'}
 
-// Config sizes the canvas. Zero values take defaults (72×20).
+// width and height size the canvas, in characters.
+const width, height = 72, 20
+
+// Config labels a chart.
 type Config struct {
-	Width  int
-	Height int
 	Title  string
 	XLabel string
 	YLabel string
 }
 
-func (c Config) withDefaults() Config {
-	if c.Width <= 0 {
-		c.Width = 72
-	}
-	if c.Width < 16 {
-		c.Width = 16
-	}
-	if c.Height <= 0 {
-		c.Height = 20
-	}
-	if c.Height < 6 {
-		c.Height = 6
-	}
-	return c
-}
-
 // Render draws the series onto one shared canvas.
 func Render(w io.Writer, cfg Config, series ...Series) error {
-	cfg = cfg.withDefaults()
 	if len(series) == 0 {
 		return fmt.Errorf("plot: no series")
 	}
@@ -119,12 +103,12 @@ func Render(w io.Writer, cfg Config, series ...Series) error {
 		maxY = minY + 1
 	}
 
-	grid := make([][]byte, cfg.Height)
+	grid := make([][]byte, height)
 	for r := range grid {
-		grid[r] = []byte(strings.Repeat(" ", cfg.Width))
+		grid[r] = []byte(strings.Repeat(" ", width))
 	}
 	yRow := func(y float64) int {
-		return cfg.Height - 1 - int((y-minY)/(maxY-minY)*float64(cfg.Height-1))
+		return height - 1 - int((y-minY)/(maxY-minY)*float64(height-1))
 	}
 	for si, s := range series {
 		mark := markers[si%len(markers)]
@@ -132,7 +116,7 @@ func Render(w io.Writer, cfg Config, series ...Series) error {
 			if math.IsNaN(s.X[i]) || math.IsNaN(s.Y[i]) {
 				continue
 			}
-			col := int((s.X[i] - minX) / (maxX - minX) * float64(cfg.Width-1))
+			col := int((s.X[i] - minX) / (maxX - minX) * float64(width-1))
 			row := yRow(s.Y[i])
 			if e := s.err(i); e > 0 {
 				// The CI whisker: a vertical bar from y−err to y+err; the
@@ -158,9 +142,9 @@ func Render(w io.Writer, cfg Config, series ...Series) error {
 		switch r {
 		case 0:
 			label = fmt.Sprintf("%8s ", yHi)
-		case cfg.Height - 1:
+		case height - 1:
 			label = fmt.Sprintf("%8s ", yLo)
-		case cfg.Height / 2:
+		case height / 2:
 			if cfg.YLabel != "" {
 				label = fmt.Sprintf("%8s ", trunc(cfg.YLabel, 8))
 			}
@@ -169,21 +153,21 @@ func Render(w io.Writer, cfg Config, series ...Series) error {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "%s+%s\n", strings.Repeat(" ", 9), strings.Repeat("-", cfg.Width)); err != nil {
+	if _, err := fmt.Fprintf(w, "%s+%s\n", strings.Repeat(" ", 9), strings.Repeat("-", width)); err != nil {
 		return err
 	}
 	xAxis := fmt.Sprintf("%s%s", strings.Repeat(" ", 10), formatTick(minX))
 	right := formatTick(maxX)
 	if cfg.XLabel != "" {
 		mid := cfg.XLabel
-		pad := cfg.Width - len(formatTick(minX)) - len(right) - len(mid)
+		pad := width - len(formatTick(minX)) - len(right) - len(mid)
 		if pad < 2 {
 			pad = 2
 		}
 		left := pad / 2
 		xAxis += strings.Repeat(" ", left) + mid + strings.Repeat(" ", pad-left) + right
 	} else {
-		xAxis += strings.Repeat(" ", maxInt(2, cfg.Width-len(formatTick(minX))-len(right))) + right
+		xAxis += strings.Repeat(" ", maxInt(2, width-len(formatTick(minX))-len(right))) + right
 	}
 	if _, err := fmt.Fprintln(w, xAxis); err != nil {
 		return err

@@ -9,7 +9,7 @@ import (
 
 func TestRenderBasicChart(t *testing.T) {
 	var buf bytes.Buffer
-	err := Render(&buf, Config{Title: "fig", Width: 40, Height: 10, XLabel: "rho", YLabel: "rt"},
+	err := Render(&buf, Config{Title: "fig", XLabel: "rho", YLabel: "rt"},
 		Series{Name: "RR", X: []float64{0, 0.5, 1}, Y: []float64{0.1, 0.3, 1.2}},
 		Series{Name: "SR4", X: []float64{0, 0.5, 1}, Y: []float64{0.1, 0.15, 0.5}},
 	)
@@ -24,7 +24,7 @@ func TestRenderBasicChart(t *testing.T) {
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 	// title + height rows + axis + x-labels + legend
-	if len(lines) != 1+10+1+1+1 {
+	if len(lines) != 1+height+1+1+1 {
 		t.Fatalf("line count = %d:\n%s", len(lines), out)
 	}
 	// The max point of RR (y=1.2) must be at the top row; min at bottom.
@@ -50,26 +50,13 @@ func TestRenderErrors(t *testing.T) {
 func TestRenderDegenerateRanges(t *testing.T) {
 	var buf bytes.Buffer
 	// Constant series: ranges are artificially widened, no division by 0.
-	err := Render(&buf, Config{Width: 20, Height: 6},
+	err := Render(&buf, Config{},
 		Series{Name: "flat", X: []float64{1, 1, 1}, Y: []float64{2, 2, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "flat") {
 		t.Fatal("legend missing")
-	}
-}
-
-func TestRenderClampsTinyCanvas(t *testing.T) {
-	var buf bytes.Buffer
-	err := Render(&buf, Config{Width: 1, Height: 1},
-		Series{Name: "s", X: []float64{0, 1}, Y: []float64{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Clamped to minimum canvas: must not panic and must contain an axis.
-	if !strings.Contains(buf.String(), "+") {
-		t.Fatal("axis missing")
 	}
 }
 
@@ -105,7 +92,7 @@ func TestFormatTick(t *testing.T) {
 // whisker spans y ± yerr with the series marker overprinting the center.
 func TestRenderErrorBarsGolden(t *testing.T) {
 	var buf bytes.Buffer
-	err := Render(&buf, Config{Title: "mean rt vs load (error bars = ci95)", Width: 40, Height: 12, XLabel: "rho", YLabel: "rt(s)"},
+	err := Render(&buf, Config{Title: "mean rt vs load (error bars = ci95)", XLabel: "rho", YLabel: "rt(s)"},
 		Series{Name: "RR", X: []float64{0.2, 0.5, 0.8}, Y: []float64{0.12, 0.3, 1.0}, YErr: []float64{0.02, 0.08, 0.3}},
 		Series{Name: "SR 4", X: []float64{0.2, 0.5, 0.8}, Y: []float64{0.11, 0.18, 0.42}, YErr: []float64{0.01, 0.03, 0.1}},
 	)
@@ -113,20 +100,28 @@ func TestRenderErrorBarsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	golden := "mean rt vs load (error bars = ci95)\n" +
-		"   1.300 |                                       |\n" +
-		"         |                                       |\n" +
-		"         |                                       |\n" +
-		"         |                                       *\n" +
-		"         |                                       |\n" +
-		"         |                                       |\n" +
-		"   rt(s) |                                       |\n" +
-		"         |                                        \n" +
-		"         |                                       |\n" +
-		"         |                   |                   o\n" +
-		"         |                   *                    \n" +
-		"   0.100 |o                  o                    \n" +
-		"         +----------------------------------------\n" +
-		"          0.200             rho              0.800\n" +
+		"   1.300 |                                                                       |\n" +
+		"         |                                                                       |\n" +
+		"         |                                                                       |\n" +
+		"         |                                                                       |\n" +
+		"         |                                                                       |\n" +
+		"         |                                                                       *\n" +
+		"         |                                                                       |\n" +
+		"         |                                                                       |\n" +
+		"         |                                                                       |\n" +
+		"         |                                                                       |\n" +
+		"   rt(s) |                                                                       |\n" +
+		"         |                                                                        \n" +
+		"         |                                                                        \n" +
+		"         |                                                                       |\n" +
+		"         |                                                                       o\n" +
+		"         |                                   |                                   |\n" +
+		"         |                                   *                                   |\n" +
+		"         |                                   |                                    \n" +
+		"         |                                   o                                    \n" +
+		"   0.100 |o                                  |                                    \n" +
+		"         +------------------------------------------------------------------------\n" +
+		"          0.200                             rho                              0.800\n" +
 		"          * RR   o SR 4\n"
 	if got := buf.String(); got != golden {
 		t.Fatalf("error-bar rendering drifted from golden:\ngot:\n%s\nwant:\n%s", got, golden)
@@ -141,7 +136,7 @@ func TestRenderYErrValidation(t *testing.T) {
 	}
 	// The y-range must widen to include the whiskers: a flat line with
 	// errors still renders without a degenerate range.
-	if err := Render(&buf, Config{Width: 20, Height: 6},
+	if err := Render(&buf, Config{},
 		Series{Name: "flat", X: []float64{0, 1}, Y: []float64{1, 1}, YErr: []float64{0.5, 0.5}}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +149,7 @@ func TestRenderYErrValidation(t *testing.T) {
 func TestRenderFacets(t *testing.T) {
 	var buf bytes.Buffer
 	s := Series{Name: "RR", X: []float64{0, 1}, Y: []float64{1, 2}}
-	err := RenderFacets(&buf, Config{Width: 24, Height: 6, XLabel: "rho"},
+	err := RenderFacets(&buf, Config{XLabel: "rho"},
 		Facet{Title: "web", Series: []Series{s}},
 		Facet{Title: "batch", Series: []Series{s}},
 	)
