@@ -180,3 +180,92 @@ func TestDetachUnknownAddressAddsNothing(t *testing.T) {
 		t.Fatalf("tables hold %d unicast and %d anycast addresses; want 1 and 0", len(n.nodes), len(n.anycst))
 	}
 }
+
+// FuzzRoutesModel drives a Network and a map-based reference with the
+// same Attach, Detach, AttachAnycast, DetachAnycast and deliveries over a
+// few nodes and addresses (IPv6, IPv4, its mapped twin, a zoned one and
+// the zero Addr): each call's result or panic, and which node each
+// delivery reaches or whether it is unroutable, agree.
+func FuzzRoutesModel(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 4, 0, 0, 1, 1, 0, 4, 0, 0, 2, 2, 1, 4, 1, 0})
+	f.Add([]byte{2, 0, 3, 2, 1, 3, 4, 3, 7, 4, 3, 9, 0, 2, 3, 3, 0, 3, 4, 3, 7, 3, 1, 3, 0, 2, 3})
+	f.Add([]byte{0, 1, 4, 0, 2, 4, 1, 2, 4, 2, 2, 4, 1, 1, 4, 0, 3, 4, 4, 4, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		addrs := []netip.Addr{
+			addrA, addrB,
+			netip.MustParseAddr("192.0.2.1"),
+			netip.MustParseAddr("::ffff:192.0.2.1"),
+			netip.MustParseAddr("2001:db8::a%eth0"),
+			{},
+		}
+		nodes := []*counter{{}, {}, {}}
+		delivered := func() (sum int) {
+			for _, c := range nodes {
+				sum += c.n
+			}
+			return sum
+		}
+		n := New(des.New(), Config{})
+		unicast := map[netip.Addr]*counter{}
+		anycast := map[netip.Addr][]*counter{} // an emptied group stays a group
+		unroutable := uint64(0)
+		for ; len(data) >= 3; data = data[3:] {
+			op, node, a := data[0]%5, nodes[int(data[1])%len(nodes)], addrs[int(data[2])%len(addrs)]
+			_, uni := unicast[a]
+			group, grouped := anycast[a]
+			switch op {
+			case 0:
+				if uni || grouped {
+					mustPanic(t, "Attach onto a bound address", func() { n.Attach(node, a) })
+					continue
+				}
+				n.Attach(node, a)
+				unicast[a] = node
+			case 1:
+				want := uni && unicast[a] == node
+				if want {
+					delete(unicast, a)
+				}
+				if got := n.Detach(node, a); got != want {
+					t.Fatalf("Detach(%v) = %v, want %v", a, got, want)
+				}
+			case 2:
+				if uni {
+					mustPanic(t, "AttachAnycast onto a unicast address", func() { n.AttachAnycast(node, a) })
+					continue
+				}
+				n.AttachAnycast(node, a)
+				anycast[a] = append(group, node)
+			case 3:
+				i := slices.Index(group, node)
+				if i >= 0 {
+					anycast[a] = slices.Delete(slices.Clone(group), i, i+1)
+				}
+				if got := n.DetachAnycast(node, a); got != (i >= 0) {
+					t.Fatalf("DetachAnycast(%v) = %v, want %v", a, got, i >= 0)
+				}
+			case 4:
+				port := uint16(data[1])
+				p := mkPkt("2001:db8::a", "2001:db8::b")
+				p.IP.Dst, p.TCP.SrcPort = a, port
+				want := unicast[a]
+				if len(group) > 0 {
+					want = group[ecmpHash(p)%uint64(len(group))]
+				}
+				sum, wantN := delivered(), 0
+				if want != nil {
+					wantN = want.n + 1
+				} else {
+					unroutable++
+				}
+				deliverTo(n, a, port)
+				if (want != nil && want.n != wantN) || delivered() != sum+min(wantN, 1) {
+					t.Fatalf("delivery to %v port %d: not (only) to %p", a, port, want)
+				}
+				if got := n.Counts.Get("unroutable"); got != unroutable {
+					t.Fatalf("unroutable = %d, want %d", got, unroutable)
+				}
+			}
+		}
+	})
+}

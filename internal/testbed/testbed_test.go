@@ -11,6 +11,7 @@ import (
 	"srlb/internal/agent"
 	"srlb/internal/appserver"
 	"srlb/internal/feedback"
+	"srlb/internal/packet"
 	"srlb/internal/rng"
 	"srlb/internal/selection"
 
@@ -390,6 +391,39 @@ func TestLaunchSkipsEveryPendingPort(t *testing.T) {
 	}
 	if n := tb.Gen.DrainPending(); n != 3 || len(*results) != 3 {
 		t.Fatalf("drained %d, %d results, want 3 and 3", n, len(*results))
+	}
+}
+
+// The port probe tests the full FlowKey: after a wrap, a query to a
+// second VIP takes the client port a query to the first still holds,
+// and each finishes with its own result.
+func TestPendingPortSharedAcrossVIPs(t *testing.T) {
+	tb := Build(Topology{Seed: 11, Clients: 1, Pools: []PoolSpec{{Servers: 2}}, VIPs: []VIPSpec{{}, {}}})
+	results := collect(tb)
+	var syns []packet.FlowKey
+	tb.Net.AddTap(func(_ time.Duration, dst netip.Addr, p *packet.Packet) {
+		if p.IsSYN() && (dst == tb.VIPAddrOf(0) || dst == tb.VIPAddrOf(1)) {
+			syns = append(syns, p.Flow())
+		}
+	})
+	tb.Gen.Launch(Query{ID: 0, VIP: tb.VIPAddrOf(0), Demand: 10 * time.Millisecond})
+	tb.Gen.nextPort[0]-- // a wrap back onto the pending port
+	tb.Gen.Launch(Query{ID: 1, VIP: tb.VIPAddrOf(1), Demand: 40 * time.Millisecond})
+	if tb.Gen.Pending() != 2 {
+		t.Fatalf("pending = %d after two launches, want 2", tb.Gen.Pending())
+	}
+	tb.Sim.Run()
+	if len(syns) != 2 || syns[0].SrcPort != syns[1].SrcPort || syns[0].Dst == syns[1].Dst {
+		t.Fatalf("SYNs %v: want one client port to two VIPs", syns)
+	}
+	if tb.Gen.Pending() != 0 || len(*results) != 2 {
+		t.Fatalf("pending %d, %d results after the run; want 0 and 2", tb.Gen.Pending(), len(*results))
+	}
+	for _, r := range *results {
+		demand := []time.Duration{10 * time.Millisecond, 40 * time.Millisecond}[r.ID]
+		if !r.OK || r.VIP != tb.VIPAddrOf(int(r.ID)) || r.RT < demand || r.RT > demand+5*time.Millisecond {
+			t.Fatalf("query %d: %+v, want OK to VIP %v in about %v", r.ID, r, tb.VIPAddrOf(int(r.ID)), demand)
+		}
 	}
 }
 
