@@ -1,17 +1,21 @@
-// Package addrtab maps addresses to dense int32 ids in flat arrays, as a
-// data plane keeps forwarding state, not in a Go map hashing a 24-byte,
-// pointer-carrying netip.Addr per lookup. Index, shared with the flow
-// table, is a pointer-free, linearly probed array of (hash, id) slots, at
-// most half full; its owner's probe loop compares the keys. Table is an
-// append-only Index over addresses with ids 0, 1, 2, ... in order of
-// addition. Its hash mixes As16()'s words, which alias IPv4 with mapped
-// and zoned with zoneless addresses, so keys compare by netip.Addr ==.
+// Package addrtab maps addresses and flows to dense int32 ids in flat
+// arrays, as a data plane keeps forwarding state, not in a Go map hashing
+// a 24-byte, pointer-carrying netip.Addr (or a 56-byte flow key) per
+// lookup. Index, shared with the flow table, is a pointer-free, linearly
+// probed array of (hash, id) slots, at most half full; its owner's probe
+// loop compares the keys. Table is an append-only Index over addresses
+// with ids 0, 1, 2, ... in order of addition; FlowIndex files ids an
+// owner keeps for life under flow keys. The hashes mix As16()'s words,
+// which alias IPv4 with mapped and zoned with zoneless addresses, so keys
+// compare by ==.
 package addrtab
 
 import (
 	"math/bits"
 	"net/netip"
 	"unsafe"
+
+	"srlb/internal/packet"
 )
 
 // Slot is one index cell: a key's hash and its id; ID 0 is an empty cell.
@@ -116,3 +120,65 @@ func (t *Table) Len() int { return len(t.addrs) }
 
 // Addr returns the address with the given id.
 func (t *Table) Addr(id int32) netip.Addr { return t.addrs[id] }
+
+// HashFlow mixes a flow key's words under seed.
+func HashFlow(k *packet.FlowKey, seed uint64) uint32 {
+	s, d := Words(&k.Src), Words(&k.Dst)
+	h1, l1 := bits.Mul64(s[0]^seed, s[1]^0x9e3779b97f4a7c15)
+	h2, l2 := bits.Mul64(d[0]^uint64(k.SrcPort)<<16^uint64(k.DstPort), d[1]^0xbf58476d1ce4e5b9)
+	hi, lo := bits.Mul64(h1^l1^seed, h2^l2)
+	return uint32(hi ^ lo)
+}
+
+// FlowIndex files ids under flow keys, at most one id per key: an owner
+// numbers its objects with NewID, each keeps its id for life, and Add and
+// Delete file and unfile it. The index keeps each id's last key, so the
+// objects need not.
+type FlowIndex struct {
+	index Index            // slot ID = id + 1
+	keys  []packet.FlowKey // by id: the key it was last filed under
+	n     int              // filed ids
+}
+
+// NewFlowIndex returns an empty index.
+func NewFlowIndex() FlowIndex { return FlowIndex{index: make(Index, 8)} }
+
+// NewID returns the next id, never filed yet.
+func (x *FlowIndex) NewID() int32 {
+	x.keys = append(x.keys, packet.FlowKey{})
+	return int32(len(x.keys) - 1)
+}
+
+// Find returns the id filed under k, or -1.
+func (x *FlowIndex) Find(k *packet.FlowKey) int32 {
+	h := HashFlow(k, 0)
+	mask := uint32(len(x.index) - 1)
+	for i := h & mask; x.index[i].ID != 0; i = (i + 1) & mask {
+		if s := x.index[i]; s.Hash == h && x.keys[s.ID-1] == *k {
+			return s.ID - 1
+		}
+	}
+	return -1
+}
+
+// Add files id, which is not filed, under k, which has no id.
+func (x *FlowIndex) Add(id int32, k *packet.FlowKey) {
+	x.keys[id] = *k
+	x.n++
+	x.index = x.index.Add(Slot{Hash: HashFlow(k, 0), ID: id + 1}, x.n)
+}
+
+// Delete unfiles id, which is filed.
+func (x *FlowIndex) Delete(id int32) {
+	x.index.Delete(HashFlow(&x.keys[id], 0), id+1)
+	x.n--
+}
+
+// Filed reports whether id is filed (under Key(id)).
+func (x *FlowIndex) Filed(id int32) bool { return x.Find(&x.keys[id]) == id }
+
+// Key returns the key id is, or was last, filed under.
+func (x *FlowIndex) Key(id int32) packet.FlowKey { return x.keys[id] }
+
+// Len returns the number of filed ids.
+func (x *FlowIndex) Len() int { return x.n }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"net/netip"
 	"testing"
+
+	"srlb/internal/packet"
 )
 
 // fuzzAddr decodes one address from b: its first byte picks the form,
@@ -84,6 +86,82 @@ func FuzzAddrTable(f *testing.F) {
 		}
 		if filled != len(order) || 2*filled > len(tab.index) {
 			t.Fatalf("index holds %d of %d addresses in %d cells", filled, len(order), len(tab.index))
+		}
+	})
+}
+
+// FuzzFlowIndexModel drives a FlowIndex and a map[packet.FlowKey]int32
+// with the same Adds, Finds and Deletes, ids taken as an owner takes
+// them: a freed one first, else NewID. Sources that differ only in their
+// zone hash alike, so their keys collide in full. The first input byte
+// picks keys over four sources, two VIPs and four ports, or over the
+// three zone forms and four ports chosen to home in the index's top
+// cell, so runs wrap and deletes shift slots back across the wrap. After
+// every op Find, Filed, Key and Len agree with the model.
+func FuzzFlowIndexModel(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 0x41, 0x42, 0x80, 0x83, 8, 9})
+	f.Add([]byte{1, 0, 4, 8, 12, 16, 20, 0x44, 0x50, 24, 28, 0x40, 0x80, 0x84, 32})
+	f.Add([]byte{1, 1, 5, 9, 13, 17, 21, 25, 29, 0x45, 0x49, 0x4d, 33, 37, 0x51, 0x55, 0x59})
+	srcs := []netip.Addr{
+		netip.MustParseAddr("fe80::1"),
+		netip.MustParseAddr("fe80::1%eth0"),
+		netip.MustParseAddr("fe80::1%eth1"),
+		netip.MustParseAddr("2001:db8:c::1"),
+	}
+	vips := []netip.Addr{netip.MustParseAddr("2001:db8:f00d::1"), netip.MustParseAddr("2001:db8:f00d::2")}
+	ports := []uint16{1024, 1025, 1026, 1027}
+	var top []uint16 // home in the last cell of an index of up to 32
+	for p := uint16(1024); len(top) < 4; p++ {
+		if k := (packet.FlowKey{Src: srcs[0], Dst: vips[0], SrcPort: p, DstPort: 80}); HashFlow(&k, 0)&31 == 31 {
+			top = append(top, p)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		wrap := data[0]&1 != 0
+		x := NewFlowIndex()
+		model := map[packet.FlowKey]int32{}
+		var keys []packet.FlowKey // by id, the last key filed
+		var free []int32
+		for _, b := range data[1:] {
+			// Bit 7 picks Add or Delete (a no-op on a key in the other
+			// state); bits 2-6 pick the key.
+			v := int(b >> 2 & 0x1f)
+			k := packet.FlowKey{Src: srcs[v%4], Dst: vips[v/4%2], SrcPort: ports[v/8%4], DstPort: 80}
+			if wrap {
+				k = packet.FlowKey{Src: srcs[v%3], Dst: vips[0], SrcPort: top[v/3%4], DstPort: 80}
+			}
+			id, filed := model[k]
+			switch {
+			case b&0x80 == 0 && !filed:
+				if n := len(free); n > 0 {
+					id, free = free[n-1], free[:n-1]
+				} else if id = x.NewID(); id != int32(len(keys)) {
+					t.Fatalf("NewID = %d, want %d", id, len(keys))
+				} else {
+					keys = append(keys, packet.FlowKey{})
+				}
+				x.Add(id, &k)
+				model[k], keys[id] = id, k
+			case b&0x80 != 0 && filed:
+				x.Delete(id)
+				delete(model, k)
+				free = append(free, id)
+			}
+			if want, ok := model[k]; !ok && x.Find(&k) != -1 || ok && x.Find(&k) != want {
+				t.Fatalf("Find(%v) = %d, model %v", k, x.Find(&k), model)
+			}
+			if x.Len() != len(model) || 2*x.Len() > len(x.index) {
+				t.Fatalf("Len = %d in %d cells, model holds %d", x.Len(), len(x.index), len(model))
+			}
+			for id, key := range keys {
+				owner, ok := model[key]
+				if filed := ok && owner == int32(id); x.Key(int32(id)) != key || x.Filed(int32(id)) != filed {
+					t.Fatalf("id %d: Key %v, want %v; Filed = %v, want %v", id, x.Key(int32(id)), key, x.Filed(int32(id)), filed)
+				}
+			}
 		}
 	})
 }

@@ -38,7 +38,6 @@ package flowtable
 
 import (
 	"encoding/binary"
-	"math/bits"
 	"math/rand/v2"
 	"net/netip"
 	"time"
@@ -129,18 +128,9 @@ func (t *Table) Len() int { return t.n }
 // Stats returns a copy of the table counters.
 func (t *Table) Stats() Stats { return t.stats }
 
-// hash mixes the key's words under the table's seed.
-func (t *Table) hash(k *packet.FlowKey) uint32 {
-	s, d := addrtab.Words(&k.Src), addrtab.Words(&k.Dst)
-	h1, l1 := bits.Mul64(s[0]^t.seed, s[1]^0x9e3779b97f4a7c15)
-	h2, l2 := bits.Mul64(d[0]^uint64(k.SrcPort)<<16^uint64(k.DstPort), d[1]^0xbf58476d1ce4e5b9)
-	hi, lo := bits.Mul64(h1^l1^t.seed, h2^l2)
-	return uint32(hi ^ lo)
-}
-
 // find returns key's entry id, 0 if it is absent, and the key's hash.
 func (t *Table) find(k *packet.FlowKey) (int32, uint32) {
-	h := t.hash(k)
+	h := addrtab.HashFlow(k, t.seed)
 	mask := uint32(len(t.index) - 1)
 	for i := h & mask; t.index[i].ID != 0; i = (i + 1) & mask {
 		if s := t.index[i]; s.Hash == h {
@@ -418,7 +408,7 @@ func (t *Table) Restore(now time.Duration, bindings []FlowBinding) int {
 			continue
 		}
 		if id := t.live(now, &b.Key); id == 0 {
-			t.add(&b.Key, t.hash(&b.Key), b)
+			t.add(&b.Key, addrtab.HashFlow(&b.Key, t.seed), b)
 		} else if e := &t.ents[id]; e.closing || e.deadline >= b.Deadline {
 			continue
 		} else {

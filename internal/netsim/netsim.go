@@ -18,8 +18,10 @@ import (
 	"hash/fnv"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"time"
 
+	"srlb/internal/addrtab"
 	"srlb/internal/des"
 	"srlb/internal/metrics"
 	"srlb/internal/packet"
@@ -85,13 +87,16 @@ var counterSchema = metrics.NewSchema([]string{
 	cntUnroutable: "unroutable", cntRx: "rx",
 })
 
-// Network is a simulated bridged LAN.
+// Network is a simulated bridged LAN. Routing is one lookup: addrs
+// interns every address ever attached, and routes holds, by its id, the
+// unicast owner, the anycast group, or nil once detached. A group stays
+// a group when its last member leaves.
 type Network struct {
 	sim    *des.Simulator
 	cfg    Config
 	rng    *rand.Rand
-	nodes  map[netip.Addr]Node
-	anycst map[netip.Addr][]Node
+	addrs  *addrtab.Table
+	routes []Node // by address id
 	taps   []Tap
 	Counts *metrics.Counter
 
@@ -126,10 +131,34 @@ func New(sim *des.Simulator, cfg Config) *Network {
 		sim:    sim,
 		cfg:    cfg,
 		rng:    rand.New(rand.NewPCG(cfg.Seed, 0xbeef)),
-		nodes:  make(map[netip.Addr]Node),
-		anycst: make(map[netip.Addr][]Node),
+		addrs:  addrtab.New(0),
 		Counts: counterSchema.NewCounter(),
 	}
+}
+
+// Reserve sizes the routing tables for count addresses, if none is
+// attached yet.
+func (n *Network) Reserve(count int) {
+	if len(n.routes) == 0 {
+		n.addrs, n.routes = addrtab.New(count), make([]Node, 0, count)
+	}
+}
+
+// group is an anycast address's ECMP group.
+type group struct{ members []Node }
+
+// Handle passes pkt to the member its 5-tuple hashes to.
+func (g *group) Handle(pkt *packet.Packet) {
+	g.members[ecmpHash(pkt)%uint64(len(g.members))].Handle(pkt)
+}
+
+// route returns the address id of a, adding it if it is new.
+func (n *Network) route(a netip.Addr) int32 {
+	id := n.addrs.Add(a)
+	if int(id) == len(n.routes) {
+		n.routes = append(n.routes, nil)
+	}
+	return id
 }
 
 // Attach binds addrs to node on the LAN. Attaching an address twice
@@ -137,13 +166,14 @@ func New(sim *des.Simulator, cfg Config) *Network {
 // AttachAnycast for ECMP groups).
 func (n *Network) Attach(node Node, addrs ...netip.Addr) {
 	for _, a := range addrs {
-		if _, dup := n.nodes[a]; dup {
-			panic(fmt.Sprintf("netsim: address %v attached twice", a))
-		}
-		if _, dup := n.anycst[a]; dup {
+		id := n.route(a)
+		if _, dup := n.routes[id].(*group); dup {
 			panic(fmt.Sprintf("netsim: address %v already an anycast group", a))
 		}
-		n.nodes[a] = node
+		if n.routes[id] != nil {
+			panic(fmt.Sprintf("netsim: address %v attached twice", a))
+		}
+		n.routes[id] = node
 	}
 }
 
@@ -153,8 +183,8 @@ func (n *Network) Attach(node Node, addrs ...netip.Addr) {
 // exactly as on a real LAN when a host drops off. It reports whether
 // node owned addr.
 func (n *Network) Detach(node Node, addr netip.Addr) bool {
-	if cur, ok := n.nodes[addr]; ok && cur == node {
-		delete(n.nodes, addr)
+	if id, ok := n.addrs.Lookup(addr); ok && n.routes[id] == node {
+		n.routes[id] = nil
 		return true
 	}
 	return false
@@ -166,10 +196,15 @@ func (n *Network) Detach(node Node, addr netip.Addr) bool {
 // — the mechanism the paper's related work relies on for scaling LB
 // instances).
 func (n *Network) AttachAnycast(node Node, addr netip.Addr) {
-	if _, dup := n.nodes[addr]; dup {
+	id := n.route(addr)
+	switch g := n.routes[id].(type) {
+	case nil:
+		n.routes[id] = &group{members: []Node{node}}
+	case *group:
+		g.members = append(g.members, node)
+	default:
 		panic(fmt.Sprintf("netsim: address %v already unicast", addr))
 	}
-	n.anycst[addr] = append(n.anycst[addr], node)
 }
 
 // DetachAnycast removes one member from addr's ECMP group (a replica
@@ -178,11 +213,12 @@ func (n *Network) AttachAnycast(node Node, addr netip.Addr) {
 // interface equality, so anycast nodes must have comparable dynamic types
 // (pointers — as every real node is; NodeFunc closures are not).
 func (n *Network) DetachAnycast(node Node, addr netip.Addr) bool {
-	group := n.anycst[addr]
-	for i, member := range group {
-		if member == node {
-			n.anycst[addr] = append(group[:i:i], group[i+1:]...)
-			return true
+	if id, ok := n.addrs.Lookup(addr); ok {
+		if g, isGroup := n.routes[id].(*group); isGroup {
+			if i := slices.Index(g.members, node); i >= 0 {
+				g.members = append(g.members[:i:i], g.members[i+1:]...)
+				return true
+			}
 		}
 	}
 	return false
@@ -264,14 +300,11 @@ func (n *Network) deliver(s *slot) {
 			return
 		}
 	}
-	node, ok := n.nodes[pkt.IP.Dst]
-	if !ok {
-		if group := n.anycst[pkt.IP.Dst]; len(group) > 0 {
-			node = group[ecmpHash(pkt)%uint64(len(group))]
-			ok = true
-		}
+	var node Node
+	if id, ok := n.addrs.Lookup(pkt.IP.Dst); ok {
+		node = n.routes[id]
 	}
-	if !ok {
+	if g, isGroup := node.(*group); node == nil || isGroup && len(g.members) == 0 {
 		n.Counts.Add(cntUnroutable, 1)
 		n.put(s)
 		return

@@ -176,8 +176,8 @@ func TestDetachUnknownAddressAddsNothing(t *testing.T) {
 	if n.Detach(c, stranger) || n.DetachAnycast(c, stranger) {
 		t.Fatal("detached an address never attached")
 	}
-	if len(n.nodes) != 1 || len(n.anycst) != 0 {
-		t.Fatalf("tables hold %d unicast and %d anycast addresses; want 1 and 0", len(n.nodes), len(n.anycst))
+	if n.addrs.Len() != 1 || len(n.routes) != 1 || n.routes[0] != c {
+		t.Fatalf("tables hold %d addresses and %d routes; want 1 and 1, to the node", n.addrs.Len(), len(n.routes))
 	}
 }
 

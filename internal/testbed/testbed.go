@@ -12,11 +12,11 @@ package testbed
 import (
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"net/netip"
 	"slices"
 	"time"
 
+	"srlb/internal/addrtab"
 	"srlb/internal/appserver"
 	"srlb/internal/core"
 	"srlb/internal/des"
@@ -208,7 +208,10 @@ type Generator struct {
 	vip      netip.Addr // default target (the topology's first VIP)
 	addrs    []netip.Addr
 	nextPort []uint32
-	pending  map[packet.FlowKey]*pendingQuery
+	// pending files each in-flight query's id under its flow; pqs holds
+	// every pendingQuery ever built, by id.
+	pending  addrtab.FlowIndex
+	pqs      []*pendingQuery
 	launched int           // queries launched, the next one's seq
 	freePQ   *pendingQuery // recycled pendingQuery structs
 	// Sink, when non-nil, is offered every launched query and every
@@ -239,7 +242,7 @@ type Generator struct {
 type pendingQuery struct {
 	q       Query
 	sentAt  time.Duration
-	flow    packet.FlowKey
+	id      int32 // in Generator.pending, which holds the flow
 	tries   int
 	seq     int // launch order
 	rto     *des.Timer
@@ -254,7 +257,7 @@ func newGenerator(sim *des.Simulator, net *netsim.Network, clients int, vip neti
 		vip:      vip,
 		addrs:    make([]netip.Addr, clients),
 		nextPort: make([]uint32, clients),
-		pending:  make(map[packet.FlowKey]*pendingQuery, 256),
+		pending:  addrtab.NewFlowIndex(),
 		Counts:   counterSchema.NewCounter(),
 	}
 	for j := 0; j < clients; j++ {
@@ -288,15 +291,15 @@ func (g *Generator) Launch(q Query) {
 		}
 		flow.SrcPort = uint16(g.nextPort[src]%ports + 1024)
 		g.nextPort[src]++
-		if _, dup := g.pending[flow]; !dup {
+		if g.pending.Find(&flow) < 0 {
 			break
 		}
 	}
 	pq := g.getPQ()
-	pq.q, pq.sentAt, pq.flow, pq.tries, pq.seq = q, g.sim.Now(), flow, 1, g.launched
+	pq.q, pq.sentAt, pq.tries, pq.seq = q, g.sim.Now(), 1, g.launched
 	g.launched++
 	pq.payload = appendPayload(pq.payload[:0], q)
-	g.pending[flow] = pq
+	g.pending.Add(pq.id, &flow)
 	g.Counts.Add(cntQueriesLaunched, 1)
 	if g.Sink != nil {
 		g.Sink.Offer(dst)
@@ -314,7 +317,9 @@ func (g *Generator) getPQ() *pendingQuery {
 		pq.next = nil
 		return pq
 	}
-	return &pendingQuery{}
+	pq := &pendingQuery{id: g.pending.NewID()}
+	g.pqs = append(g.pqs, pq)
+	return pq
 }
 
 func (g *Generator) putPQ(pq *pendingQuery) {
@@ -325,20 +330,23 @@ func (g *Generator) putPQ(pq *pendingQuery) {
 }
 
 func (g *Generator) sendSYN(pq *pendingQuery) {
-	// The scratch packet is safe to reuse: netsim.Send has copied or
-	// serialised what it needs before it returns and retains nothing.
-	syn := &g.scratch
-	*syn = packet.Packet{
-		IP: ipv6.Header{Src: pq.flow.Src, Dst: pq.flow.Dst},
+	flow := g.pending.Key(pq.id)
+	g.send(&flow, 0, 0, tcpseg.FlagSYN, pq.payload)
+}
+
+// send transmits one client segment of flow from the scratch packet. It
+// is safe to reuse: netsim.Send has copied or serialised what it needs
+// before it returns and retains nothing, and an inbound packet is a
+// distinct struct owned by its Handle call.
+func (g *Generator) send(flow *packet.FlowKey, seq, ack uint32, flags tcpseg.Flags, payload []byte) {
+	g.scratch = packet.Packet{
+		IP: ipv6.Header{Src: flow.Src, Dst: flow.Dst},
 		TCP: tcpseg.Segment{
-			SrcPort: pq.flow.SrcPort,
-			DstPort: pq.flow.DstPort,
-			Seq:     0,
-			Flags:   tcpseg.FlagSYN,
-			Payload: pq.payload,
+			SrcPort: flow.SrcPort, DstPort: flow.DstPort,
+			Seq: seq, Ack: ack, Flags: flags, Payload: payload,
 		},
 	}
-	g.net.Send(syn)
+	g.net.Send(&g.scratch)
 }
 
 // synMaxTries bounds a query's SYN transmissions when RetransmitRTO > 0.
@@ -352,7 +360,7 @@ func (g *Generator) armRTO(pq *pendingQuery, rto time.Duration) {
 		return
 	}
 	pq.rto = g.sim.After(rto, func() {
-		if g.pending[pq.flow] != pq {
+		if !g.pending.Filed(pq.id) {
 			return // already finished
 		}
 		if pq.tries >= synMaxTries {
@@ -376,11 +384,12 @@ func (g *Generator) Handle(pkt *packet.Packet) {
 		Src: pkt.IP.Dst, Dst: pkt.IP.Src,
 		SrcPort: pkt.TCP.DstPort, DstPort: pkt.TCP.SrcPort,
 	}
-	pq, ok := g.pending[flow]
-	if !ok {
+	id := g.pending.Find(&flow)
+	if id < 0 {
 		g.Counts.Add(cntStrayRx, 1)
 		return
 	}
+	pq := g.pqs[id]
 	switch {
 	case pkt.TCP.Flags.Has(tcpseg.FlagRST):
 		g.Counts.Add(cntRefused, 1)
@@ -390,20 +399,8 @@ func (g *Generator) Handle(pkt *packet.Packet) {
 		})
 	case pkt.IsSYNACK():
 		g.Counts.Add(cntSYNACKRx, 1)
-		// Complete the handshake and (re-)send the request bytes. The
-		// scratch packet is free here: the inbound pkt is a distinct
-		// struct owned by this Handle call.
-		ack := &g.scratch
-		*ack = packet.Packet{
-			IP: ipv6.Header{Src: flow.Src, Dst: flow.Dst},
-			TCP: tcpseg.Segment{
-				SrcPort: flow.SrcPort, DstPort: flow.DstPort,
-				Seq: 1, Ack: pkt.TCP.Seq + 1,
-				Flags:   tcpseg.FlagACK | tcpseg.FlagPSH,
-				Payload: pq.payload,
-			},
-		}
-		g.net.Send(ack)
+		// Complete the handshake and (re-)send the request bytes.
+		g.send(&flow, 1, pkt.TCP.Seq+1, tcpseg.FlagACK|tcpseg.FlagPSH, pq.payload)
 	case len(pkt.TCP.Payload) > 0 || pkt.TCP.Flags.Has(tcpseg.FlagFIN):
 		// The response.
 		g.Counts.Add(cntResponsesRx, 1)
@@ -414,17 +411,8 @@ func (g *Generator) Handle(pkt *packet.Packet) {
 			// request — is the packet flowlet policies see at a
 			// boundary. The response time was measured above; whatever
 			// server the FIN lands on cannot change the outcome.
-			fin := &g.scratch
-			*fin = packet.Packet{
-				IP: ipv6.Header{Src: flow.Src, Dst: flow.Dst},
-				TCP: tcpseg.Segment{
-					SrcPort: flow.SrcPort, DstPort: flow.DstPort,
-					Seq: 2, Ack: pkt.TCP.Seq + 1,
-					Flags: tcpseg.FlagACK | tcpseg.FlagFIN,
-				},
-			}
 			g.Counts.Add(cntCloseAcksTx, 1)
-			g.net.Send(fin)
+			g.send(&flow, 2, pkt.TCP.Seq+1, tcpseg.FlagACK|tcpseg.FlagFIN, nil)
 		}
 		g.finish(pq, Result{
 			ID: pq.q.ID, Class: pq.q.Class, IssuedAt: pq.sentAt,
@@ -436,8 +424,8 @@ func (g *Generator) Handle(pkt *packet.Packet) {
 }
 
 func (g *Generator) finish(pq *pendingQuery, res Result) {
-	res.VIP = pq.flow.Dst
-	delete(g.pending, pq.flow)
+	res.VIP = g.pending.Key(pq.id).Dst
+	g.pending.Delete(pq.id)
 	if pq.rto != nil {
 		g.sim.Cancel(pq.rto)
 		pq.rto = nil
@@ -457,22 +445,22 @@ func (g *Generator) record(res Result) {
 }
 
 // Pending returns the number of in-flight queries.
-func (g *Generator) Pending() int { return len(g.pending) }
+func (g *Generator) Pending() int { return g.pending.Len() }
 
 // DrainPending marks all still-pending queries as failed (used at
 // simulation end so accounting always balances), in launch order.
 func (g *Generator) DrainPending() int {
-	drained := slices.Collect(maps.Values(g.pending))
+	drained := slices.DeleteFunc(slices.Clone(g.pqs), func(pq *pendingQuery) bool { return !g.pending.Filed(pq.id) })
 	slices.SortFunc(drained, func(a, b *pendingQuery) int { return a.seq - b.seq })
 	for _, pq := range drained {
 		if pq.rto != nil {
 			g.sim.Cancel(pq.rto)
 			pq.rto = nil
 		}
-		g.record(Result{ID: pq.q.ID, Class: pq.q.Class, VIP: pq.flow.Dst, IssuedAt: pq.sentAt, OK: false})
+		g.pending.Delete(pq.id)
+		g.record(Result{ID: pq.q.ID, Class: pq.q.Class, VIP: g.pending.Key(pq.id).Dst, IssuedAt: pq.sentAt, OK: false})
 		g.putPQ(pq)
 	}
-	clear(g.pending)
 	return len(drained)
 }
 

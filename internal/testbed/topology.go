@@ -643,6 +643,8 @@ func Build(top Topology) *Testbed {
 		total += n + adds[p]
 	}
 
+	net.Reserve(len(top.VIPs) + 1 + total + top.Clients) // VIPs, the LB, servers, clients
+
 	// LB replicas. A single replica attaches unicast (the legacy wiring);
 	// several join the per-address anycast/ECMP groups.
 	anycast := top.Replicas > 1

@@ -65,14 +65,15 @@ type Config struct {
 // conn tracks one accepted connection through its request/response cycle.
 //
 // Ownership: conns are recycled through Router.free with their callback
-// bound once per object. A conn goes back to the list at exactly two
+// bound once per object, and each keeps its id in Router.conns, which
+// holds its flow, for life. A conn goes back to the list at exactly two
 // points — its offer was not Admitted (nothing else ever saw it), or its
 // own linger runs (the application's completion has fired by then, and
 // no other event names it). Never at the port-reuse delete in acceptSYN:
-// that incarnation's linger is still pending and compares
-// r.conns[c.flow] with c.
+// that incarnation's linger is still pending and asks whether c.id is
+// still filed.
 type conn struct {
-	flow      packet.FlowKey
+	id        int32
 	requested bool // request payload received
 	ready     bool // service complete, response awaiting the request
 	closed    bool // response sent; lingering to absorb late packets
@@ -128,8 +129,9 @@ type Router struct {
 	cfg    Config
 	sim    *des.Simulator
 	net    *netsim.Network
-	conns  map[packet.FlowKey]*conn
-	free   *conn // recycled conns, see conn
+	conns  addrtab.FlowIndex // the admitted conns' ids, by flow
+	byID   []*conn           // every conn ever built
+	free   *conn             // recycled conns, see conn
 	down   bool
 	Counts *metrics.Counter
 
@@ -155,7 +157,7 @@ func New(sim *des.Simulator, net *netsim.Network, cfg Config) *Router {
 		cfg:    cfg,
 		sim:    sim,
 		net:    net,
-		conns:  make(map[packet.FlowKey]*conn),
+		conns:  addrtab.NewFlowIndex(),
 		Counts: counterSchema.NewCounter(),
 	}
 	net.Attach(r, cfg.Addr)
@@ -169,7 +171,7 @@ func (r *Router) Addr() netip.Addr { return r.cfg.Addr }
 func (r *Router) Server() *appserver.Server { return r.cfg.Server }
 
 // OpenConns returns the number of tracked connections.
-func (r *Router) OpenConns() int { return len(r.conns) }
+func (r *Router) OpenConns() int { return r.conns.Len() }
 
 // SetDown marks the server failed (true) or recovered (false) — the
 // fail-stop model of the topology lifecycle events. A down router
@@ -240,11 +242,11 @@ func (r *Router) acceptSYN(pkt *packet.Packet) {
 		// leave the accept counted with no connection, so fail loudly.
 		panic(fmt.Sprintf("vrouter: server %v asked to accept a flow for unknown VIP %v", r.cfg.Addr, flow.Dst))
 	}
-	if c, dup := r.conns[flow]; dup {
-		if c.closed {
+	if id := r.conns.Find(&flow); id >= 0 {
+		if r.byID[id].closed {
 			// Port reuse onto a lingering closed connection: the old
 			// incarnation is done, treat this as a fresh connection.
-			delete(r.conns, flow)
+			r.conns.Delete(id)
 		} else {
 			// Duplicate SYN (retransmit after accept): re-send SYN-ACK.
 			r.Counts.Add(cntDupSYN, 1)
@@ -253,11 +255,11 @@ func (r *Router) acceptSYN(pkt *packet.Packet) {
 		}
 	}
 	demand := r.cfg.Demand[vip](flow, pkt.TCP.Payload)
-	c := r.newConn(flow)
+	c := r.newConn()
 	verdict := r.cfg.Server.Offer(demand, c.event)
 	switch verdict {
 	case appserver.Admitted:
-		r.conns[flow] = c
+		r.conns.Add(c.id, &flow)
 		r.sendSYNACK(pkt, flow)
 	case appserver.Rejected:
 		// tcp_abort_on_overflow: RST straight back to the client.
@@ -270,26 +272,27 @@ func (r *Router) acceptSYN(pkt *packet.Packet) {
 	}
 }
 
-// newConn takes a conn from the free list, or builds one and binds its
-// callback.
-func (r *Router) newConn(flow packet.FlowKey) *conn {
+// newConn takes a conn from the free list, or builds one, numbers it and
+// binds its callback.
+func (r *Router) newConn() *conn {
 	c := r.free
 	if c == nil {
-		c = new(conn)
+		c = &conn{id: r.conns.NewID()}
+		r.byID = append(r.byID, c)
 		c.event = func() {
 			if !c.closed {
 				r.respond(c)
 				return
 			}
-			if r.conns[c.flow] == c {
-				delete(r.conns, c.flow)
+			if r.conns.Filed(c.id) {
+				r.conns.Delete(c.id)
 			}
 			r.release(c)
 		}
 	} else {
 		r.free = c.next
 	}
-	c.flow, c.requested, c.ready, c.closed = flow, false, false, false
+	c.requested, c.ready, c.closed = false, false, false
 	return c
 }
 
@@ -346,14 +349,15 @@ func (r *Router) deliverLocal(pkt *packet.Packet) {
 		r.Counts.Add(cntNotLocal, 1)
 		return
 	}
-	c, ok := r.conns[flow]
-	if !ok {
+	id := r.conns.Find(&flow)
+	if id < 0 {
 		// Data for a flow we never accepted (e.g. stale steering after a
 		// table eviction). A real stack would RST; count it.
 		r.Counts.Add(cntNoConn, 1)
 		r.sendRST(pkt)
 		return
 	}
+	c := r.byID[id]
 	if c.closed {
 		// Late packet for an answered connection (the response overtook
 		// the client's ACK): absorb silently, like TIME_WAIT.
@@ -384,8 +388,7 @@ func (r *Router) deliverLocal(pkt *packet.Packet) {
 // (simulated, accept-time-started) service finished before the request
 // payload landed, the response is held until deliverLocal releases it.
 func (r *Router) respond(c *conn) {
-	cur, live := r.conns[c.flow]
-	if !live || cur != c || c.closed || r.down {
+	if !r.conns.Filed(c.id) || c.closed || r.down {
 		return
 	}
 	if !c.requested {
@@ -401,11 +404,12 @@ func (r *Router) respond(c *conn) {
 func (r *Router) emitResponse(c *conn) {
 	c.closed = true
 	r.sim.ScheduleAfter(CloseLinger, c.event)
+	flow := r.conns.Key(c.id)
 	resp := &packet.Packet{
-		IP: ipv6.Header{Src: c.flow.Dst, Dst: c.flow.Src},
+		IP: ipv6.Header{Src: flow.Dst, Dst: flow.Src},
 		TCP: tcpseg.Segment{
-			SrcPort: c.flow.DstPort,
-			DstPort: c.flow.SrcPort,
+			SrcPort: flow.DstPort,
+			DstPort: flow.SrcPort,
 			Seq:     2,
 			Ack:     2,
 			Flags:   tcpseg.FlagPSH | tcpseg.FlagACK | tcpseg.FlagFIN,
