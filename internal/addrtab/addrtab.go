@@ -1,11 +1,10 @@
 // Package addrtab maps addresses and flows to dense int32 ids in flat
-// arrays, as a data plane keeps forwarding state, not in a Go map hashing
-// a 24-byte, pointer-carrying netip.Addr (or a 56-byte flow key) per
-// lookup. Index, shared with the flow table, is a pointer-free, linearly
-// probed array of (hash, id) slots, at most half full; its owner's probe
-// loop compares the keys. Table is an append-only Index over addresses
-// with ids 0, 1, 2, ... in order of addition; FlowIndex files ids an
-// owner keeps for life under flow keys. The hashes mix As16()'s words,
+// arrays, as a data plane keeps forwarding state, not in Go maps hashing
+// pointer-carrying keys per lookup. Index, shared with the flow table, is
+// a pointer-free, linearly probed array of (hash, id) slots, at most half
+// full; its owner's probe loop compares the keys. Table is an append-only
+// Index over addresses, ids 0, 1, 2, ... in order of addition; FlowIndex
+// files an owner's objects under flow keys. The hashes mix As16()'s words,
 // which alias IPv4 with mapped and zoned with zoneless addresses, so keys
 // compare by ==.
 package addrtab
@@ -130,31 +129,36 @@ func HashFlow(k *packet.FlowKey, seed uint64) uint32 {
 	return uint32(hi ^ lo)
 }
 
-// FlowIndex files ids under flow keys, at most one id per key: an owner
-// numbers its objects with NewID, each keeps its id for life, and Add and
-// Delete file and unfile it. The index keeps each id's last key, so the
-// objects need not.
-type FlowIndex struct {
-	index Index            // slot ID = id + 1
-	keys  []packet.FlowKey // by id: the key it was last filed under
-	n     int              // filed ids
+// FlowIndex files an owner's objects under flow keys, at most one per
+// key: NewID numbers an object for life, and Add and Delete file and
+// unfile it by its id. The index keeps each id's object and the key it
+// was last filed under, so the objects need not hold their flows.
+type FlowIndex[T any] struct {
+	index Index          // slot ID = id + 1
+	ids   []flowEntry[T] // by id
+	n     int            // filed ids
+}
+
+type flowEntry[T any] struct {
+	key packet.FlowKey
+	obj T
 }
 
 // NewFlowIndex returns an empty index.
-func NewFlowIndex() FlowIndex { return FlowIndex{index: make(Index, 8)} }
+func NewFlowIndex[T any]() FlowIndex[T] { return FlowIndex[T]{index: make(Index, 8)} }
 
-// NewID returns the next id, never filed yet.
-func (x *FlowIndex) NewID() int32 {
-	x.keys = append(x.keys, packet.FlowKey{})
-	return int32(len(x.keys) - 1)
+// NewID numbers obj with the next id, which is not filed.
+func (x *FlowIndex[T]) NewID(obj T) int32 {
+	x.ids = append(x.ids, flowEntry[T]{obj: obj})
+	return int32(len(x.ids) - 1)
 }
 
 // Find returns the id filed under k, or -1.
-func (x *FlowIndex) Find(k *packet.FlowKey) int32 {
+func (x *FlowIndex[T]) Find(k *packet.FlowKey) int32 {
 	h := HashFlow(k, 0)
 	mask := uint32(len(x.index) - 1)
 	for i := h & mask; x.index[i].ID != 0; i = (i + 1) & mask {
-		if s := x.index[i]; s.Hash == h && x.keys[s.ID-1] == *k {
+		if s := x.index[i]; s.Hash == h && x.ids[s.ID-1].key == *k {
 			return s.ID - 1
 		}
 	}
@@ -162,23 +166,36 @@ func (x *FlowIndex) Find(k *packet.FlowKey) int32 {
 }
 
 // Add files id, which is not filed, under k, which has no id.
-func (x *FlowIndex) Add(id int32, k *packet.FlowKey) {
-	x.keys[id] = *k
+func (x *FlowIndex[T]) Add(id int32, k *packet.FlowKey) {
+	x.ids[id].key = *k
 	x.n++
 	x.index = x.index.Add(Slot{Hash: HashFlow(k, 0), ID: id + 1}, x.n)
 }
 
 // Delete unfiles id, which is filed.
-func (x *FlowIndex) Delete(id int32) {
-	x.index.Delete(HashFlow(&x.keys[id], 0), id+1)
+func (x *FlowIndex[T]) Delete(id int32) {
+	x.index.Delete(HashFlow(&x.ids[id].key, 0), id+1)
 	x.n--
 }
 
 // Filed reports whether id is filed (under Key(id)).
-func (x *FlowIndex) Filed(id int32) bool { return x.Find(&x.keys[id]) == id }
+func (x *FlowIndex[T]) Filed(id int32) bool { return x.Find(&x.ids[id].key) == id }
 
 // Key returns the key id is, or was last, filed under.
-func (x *FlowIndex) Key(id int32) packet.FlowKey { return x.keys[id] }
+func (x *FlowIndex[T]) Key(id int32) packet.FlowKey { return x.ids[id].key }
+
+// Object returns the object numbered id.
+func (x *FlowIndex[T]) Object(id int32) T { return x.ids[id].obj }
+
+// AppendFiled appends the filed objects to dst in id order.
+func (x *FlowIndex[T]) AppendFiled(dst []T) []T {
+	for id, e := range x.ids {
+		if x.Filed(int32(id)) {
+			dst = append(dst, e.obj)
+		}
+	}
+	return dst
+}
 
 // Len returns the number of filed ids.
-func (x *FlowIndex) Len() int { return x.n }
+func (x *FlowIndex[T]) Len() int { return x.n }

@@ -3,6 +3,7 @@ package addrtab
 import (
 	"encoding/binary"
 	"net/netip"
+	"slices"
 	"testing"
 
 	"srlb/internal/packet"
@@ -92,12 +93,13 @@ func FuzzAddrTable(f *testing.F) {
 
 // FuzzFlowIndexModel drives a FlowIndex and a map[packet.FlowKey]int32
 // with the same Adds, Finds and Deletes, ids taken as an owner takes
-// them: a freed one first, else NewID. Sources that differ only in their
+// them: a freed one first, else NewID, each numbering itself. Sources that differ only in their
 // zone hash alike, so their keys collide in full. The first input byte
 // picks keys over four sources, two VIPs and four ports, or over the
 // three zone forms and four ports chosen to home in the index's top
 // cell, so runs wrap and deletes shift slots back across the wrap. After
-// every op Find, Filed, Key and Len agree with the model.
+// every op Find, Filed, Key, Object, AppendFiled and Len agree with the
+// model.
 func FuzzFlowIndexModel(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 2, 3, 4, 5, 6, 7, 0x41, 0x42, 0x80, 0x83, 8, 9})
 	f.Add([]byte{1, 0, 4, 8, 12, 16, 20, 0x44, 0x50, 24, 28, 0x40, 0x80, 0x84, 32})
@@ -121,7 +123,7 @@ func FuzzFlowIndexModel(f *testing.F) {
 			return
 		}
 		wrap := data[0]&1 != 0
-		x := NewFlowIndex()
+		x := NewFlowIndex[int32]()
 		model := map[packet.FlowKey]int32{}
 		var keys []packet.FlowKey // by id, the last key filed
 		var free []int32
@@ -138,7 +140,7 @@ func FuzzFlowIndexModel(f *testing.F) {
 			case b&0x80 == 0 && !filed:
 				if n := len(free); n > 0 {
 					id, free = free[n-1], free[:n-1]
-				} else if id = x.NewID(); id != int32(len(keys)) {
+				} else if id = x.NewID(int32(len(keys))); id != int32(len(keys)) {
 					t.Fatalf("NewID = %d, want %d", id, len(keys))
 				} else {
 					keys = append(keys, packet.FlowKey{})
@@ -156,11 +158,19 @@ func FuzzFlowIndexModel(f *testing.F) {
 			if x.Len() != len(model) || 2*x.Len() > len(x.index) {
 				t.Fatalf("Len = %d in %d cells, model holds %d", x.Len(), len(x.index), len(model))
 			}
+			var filedIDs []int32
 			for id, key := range keys {
 				owner, ok := model[key]
-				if filed := ok && owner == int32(id); x.Key(int32(id)) != key || x.Filed(int32(id)) != filed {
-					t.Fatalf("id %d: Key %v, want %v; Filed = %v, want %v", id, x.Key(int32(id)), key, x.Filed(int32(id)), filed)
+				filed := ok && owner == int32(id)
+				if x.Key(int32(id)) != key || x.Filed(int32(id)) != filed || x.Object(int32(id)) != int32(id) {
+					t.Fatalf("id %d: Key %v, want %v; Filed = %v, want %v; Object %d", id, x.Key(int32(id)), key, x.Filed(int32(id)), filed, x.Object(int32(id)))
 				}
+				if filed {
+					filedIDs = append(filedIDs, int32(id))
+				}
+			}
+			if got := x.AppendFiled(nil); !slices.Equal(got, filedIDs) {
+				t.Fatalf("AppendFiled = %v, want %v", got, filedIDs)
 			}
 		}
 	})

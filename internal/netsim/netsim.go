@@ -88,15 +88,16 @@ var counterSchema = metrics.NewSchema([]string{
 })
 
 // Network is a simulated bridged LAN. Routing is one lookup: addrs
-// interns every address ever attached, and routes holds, by its id, the
-// unicast owner, the anycast group, or nil once detached. A group stays
-// a group when its last member leaves.
+// interns every address ever attached, and routes[id+1] holds address
+// id's unicast owner, its anycast group, or nil once detached; routes[0],
+// where a lookup's miss (id -1) lands, is nil. A group stays a group when
+// its last member leaves.
 type Network struct {
 	sim    *des.Simulator
 	cfg    Config
 	rng    *rand.Rand
 	addrs  *addrtab.Table
-	routes []Node // by address id
+	routes []Node // by address id + 1
 	taps   []Tap
 	Counts *metrics.Counter
 
@@ -132,15 +133,15 @@ func New(sim *des.Simulator, cfg Config) *Network {
 		cfg:    cfg,
 		rng:    rand.New(rand.NewPCG(cfg.Seed, 0xbeef)),
 		addrs:  addrtab.New(0),
+		routes: make([]Node, 1),
 		Counts: counterSchema.NewCounter(),
 	}
 }
 
-// Reserve sizes the routing tables for count addresses, if none is
-// attached yet.
+// Reserve sizes still empty routing tables for count addresses.
 func (n *Network) Reserve(count int) {
-	if len(n.routes) == 0 {
-		n.addrs, n.routes = addrtab.New(count), make([]Node, 0, count)
+	if len(n.routes) == 1 {
+		n.addrs, n.routes = addrtab.New(count), make([]Node, 1, count+1)
 	}
 }
 
@@ -152,9 +153,9 @@ func (g *group) Handle(pkt *packet.Packet) {
 	g.members[ecmpHash(pkt)%uint64(len(g.members))].Handle(pkt)
 }
 
-// route returns the address id of a, adding it if it is new.
+// route returns a's index in routes, adding a if it is new.
 func (n *Network) route(a netip.Addr) int32 {
-	id := n.addrs.Add(a)
+	id := n.addrs.Add(a) + 1
 	if int(id) == len(n.routes) {
 		n.routes = append(n.routes, nil)
 	}
@@ -183,8 +184,8 @@ func (n *Network) Attach(node Node, addrs ...netip.Addr) {
 // exactly as on a real LAN when a host drops off. It reports whether
 // node owned addr.
 func (n *Network) Detach(node Node, addr netip.Addr) bool {
-	if id, ok := n.addrs.Lookup(addr); ok && n.routes[id] == node {
-		n.routes[id] = nil
+	if id, ok := n.addrs.Lookup(addr); ok && n.routes[id+1] == node {
+		n.routes[id+1] = nil
 		return true
 	}
 	return false
@@ -213,12 +214,11 @@ func (n *Network) AttachAnycast(node Node, addr netip.Addr) {
 // interface equality, so anycast nodes must have comparable dynamic types
 // (pointers — as every real node is; NodeFunc closures are not).
 func (n *Network) DetachAnycast(node Node, addr netip.Addr) bool {
-	if id, ok := n.addrs.Lookup(addr); ok {
-		if g, isGroup := n.routes[id].(*group); isGroup {
-			if i := slices.Index(g.members, node); i >= 0 {
-				g.members = append(g.members[:i:i], g.members[i+1:]...)
-				return true
-			}
+	id, _ := n.addrs.Lookup(addr)
+	if g, isGroup := n.routes[id+1].(*group); isGroup {
+		if i := slices.Index(g.members, node); i >= 0 {
+			g.members = append(g.members[:i:i], g.members[i+1:]...)
+			return true
 		}
 	}
 	return false
@@ -300,10 +300,8 @@ func (n *Network) deliver(s *slot) {
 			return
 		}
 	}
-	var node Node
-	if id, ok := n.addrs.Lookup(pkt.IP.Dst); ok {
-		node = n.routes[id]
-	}
+	id, _ := n.addrs.Lookup(pkt.IP.Dst)
+	node := n.routes[id+1]
 	if g, isGroup := node.(*group); node == nil || isGroup && len(g.members) == 0 {
 		n.Counts.Add(cntUnroutable, 1)
 		n.put(s)

@@ -176,8 +176,8 @@ func TestDetachUnknownAddressAddsNothing(t *testing.T) {
 	if n.Detach(c, stranger) || n.DetachAnycast(c, stranger) {
 		t.Fatal("detached an address never attached")
 	}
-	if n.addrs.Len() != 1 || len(n.routes) != 1 || n.routes[0] != c {
-		t.Fatalf("tables hold %d addresses and %d routes; want 1 and 1, to the node", n.addrs.Len(), len(n.routes))
+	if n.addrs.Len() != 1 || len(n.routes) != 2 || n.routes[1] != c {
+		t.Fatalf("tables hold %d addresses and %d routes; want 1 and 1 (after the miss slot), to the node", n.addrs.Len(), len(n.routes))
 	}
 }
 

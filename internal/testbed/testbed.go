@@ -208,12 +208,9 @@ type Generator struct {
 	vip      netip.Addr // default target (the topology's first VIP)
 	addrs    []netip.Addr
 	nextPort []uint32
-	// pending files each in-flight query's id under its flow; pqs holds
-	// every pendingQuery ever built, by id.
-	pending  addrtab.FlowIndex
-	pqs      []*pendingQuery
-	launched int           // queries launched, the next one's seq
-	freePQ   *pendingQuery // recycled pendingQuery structs
+	pending  addrtab.FlowIndex[*pendingQuery] // in-flight queries by flow
+	launched int                              // queries launched, the next one's seq
+	freePQ   *pendingQuery                    // recycled pendingQuery structs
 	// Sink, when non-nil, is offered every launched query and every
 	// terminal outcome — the constant-memory measurement path.
 	Sink *SketchSink
@@ -257,7 +254,7 @@ func newGenerator(sim *des.Simulator, net *netsim.Network, clients int, vip neti
 		vip:      vip,
 		addrs:    make([]netip.Addr, clients),
 		nextPort: make([]uint32, clients),
-		pending:  addrtab.NewFlowIndex(),
+		pending:  addrtab.NewFlowIndex[*pendingQuery](),
 		Counts:   counterSchema.NewCounter(),
 	}
 	for j := 0; j < clients; j++ {
@@ -304,7 +301,7 @@ func (g *Generator) Launch(q Query) {
 	if g.Sink != nil {
 		g.Sink.Offer(dst)
 	}
-	g.sendSYN(pq)
+	g.send(flow, 0, 0, tcpseg.FlagSYN, pq.payload)
 	g.armRTO(pq, g.RetransmitRTO)
 }
 
@@ -317,8 +314,8 @@ func (g *Generator) getPQ() *pendingQuery {
 		pq.next = nil
 		return pq
 	}
-	pq := &pendingQuery{id: g.pending.NewID()}
-	g.pqs = append(g.pqs, pq)
+	pq := &pendingQuery{}
+	pq.id = g.pending.NewID(pq)
 	return pq
 }
 
@@ -329,16 +326,11 @@ func (g *Generator) putPQ(pq *pendingQuery) {
 	g.freePQ = pq
 }
 
-func (g *Generator) sendSYN(pq *pendingQuery) {
-	flow := g.pending.Key(pq.id)
-	g.send(&flow, 0, 0, tcpseg.FlagSYN, pq.payload)
-}
-
 // send transmits one client segment of flow from the scratch packet. It
 // is safe to reuse: netsim.Send has copied or serialised what it needs
 // before it returns and retains nothing, and an inbound packet is a
 // distinct struct owned by its Handle call.
-func (g *Generator) send(flow *packet.FlowKey, seq, ack uint32, flags tcpseg.Flags, payload []byte) {
+func (g *Generator) send(flow packet.FlowKey, seq, ack uint32, flags tcpseg.Flags, payload []byte) {
 	g.scratch = packet.Packet{
 		IP: ipv6.Header{Src: flow.Src, Dst: flow.Dst},
 		TCP: tcpseg.Segment{
@@ -373,7 +365,7 @@ func (g *Generator) armRTO(pq *pendingQuery, rto time.Duration) {
 		}
 		pq.tries++
 		g.Counts.Add(cntSYNRetransmits, 1)
-		g.sendSYN(pq)
+		g.send(g.pending.Key(pq.id), 0, 0, tcpseg.FlagSYN, pq.payload)
 		g.armRTO(pq, 2*rto)
 	})
 }
@@ -389,7 +381,7 @@ func (g *Generator) Handle(pkt *packet.Packet) {
 		g.Counts.Add(cntStrayRx, 1)
 		return
 	}
-	pq := g.pqs[id]
+	pq := g.pending.Object(id)
 	switch {
 	case pkt.TCP.Flags.Has(tcpseg.FlagRST):
 		g.Counts.Add(cntRefused, 1)
@@ -400,7 +392,7 @@ func (g *Generator) Handle(pkt *packet.Packet) {
 	case pkt.IsSYNACK():
 		g.Counts.Add(cntSYNACKRx, 1)
 		// Complete the handshake and (re-)send the request bytes.
-		g.send(&flow, 1, pkt.TCP.Seq+1, tcpseg.FlagACK|tcpseg.FlagPSH, pq.payload)
+		g.send(flow, 1, pkt.TCP.Seq+1, tcpseg.FlagACK|tcpseg.FlagPSH, pq.payload)
 	case len(pkt.TCP.Payload) > 0 || pkt.TCP.Flags.Has(tcpseg.FlagFIN):
 		// The response.
 		g.Counts.Add(cntResponsesRx, 1)
@@ -412,7 +404,7 @@ func (g *Generator) Handle(pkt *packet.Packet) {
 			// boundary. The response time was measured above; whatever
 			// server the FIN lands on cannot change the outcome.
 			g.Counts.Add(cntCloseAcksTx, 1)
-			g.send(&flow, 2, pkt.TCP.Seq+1, tcpseg.FlagACK|tcpseg.FlagFIN, nil)
+			g.send(flow, 2, pkt.TCP.Seq+1, tcpseg.FlagACK|tcpseg.FlagFIN, nil)
 		}
 		g.finish(pq, Result{
 			ID: pq.q.ID, Class: pq.q.Class, IssuedAt: pq.sentAt,
@@ -450,7 +442,7 @@ func (g *Generator) Pending() int { return g.pending.Len() }
 // DrainPending marks all still-pending queries as failed (used at
 // simulation end so accounting always balances), in launch order.
 func (g *Generator) DrainPending() int {
-	drained := slices.DeleteFunc(slices.Clone(g.pqs), func(pq *pendingQuery) bool { return !g.pending.Filed(pq.id) })
+	drained := g.pending.AppendFiled(nil)
 	slices.SortFunc(drained, func(a, b *pendingQuery) int { return a.seq - b.seq })
 	for _, pq := range drained {
 		if pq.rto != nil {

@@ -382,10 +382,8 @@ func TestLaunchSkipsEveryPendingPort(t *testing.T) {
 		t.Fatalf("pending = %d after three launches, want 3", tb.Gen.Pending())
 	}
 	ports := map[uint16]uint64{}
-	for _, pq := range tb.Gen.pqs {
-		if tb.Gen.pending.Filed(pq.id) {
-			ports[tb.Gen.pending.Key(pq.id).SrcPort] = pq.q.ID
-		}
+	for _, pq := range tb.Gen.pending.AppendFiled(nil) {
+		ports[tb.Gen.pending.Key(pq.id).SrcPort] = pq.q.ID
 	}
 	first := uint16(1024%64512 + 1024)
 	if want := map[uint16]uint64{first: 0, first + 1: 1, first + 2: 2}; !reflect.DeepEqual(ports, want) {

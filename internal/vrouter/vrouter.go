@@ -65,13 +65,12 @@ type Config struct {
 // conn tracks one accepted connection through its request/response cycle.
 //
 // Ownership: conns are recycled through Router.free with their callback
-// bound once per object, and each keeps its id in Router.conns, which
-// holds its flow, for life. A conn goes back to the list at exactly two
-// points — its offer was not Admitted (nothing else ever saw it), or its
-// own linger runs (the application's completion has fired by then, and
-// no other event names it). Never at the port-reuse delete in acceptSYN:
-// that incarnation's linger is still pending and asks whether c.id is
-// still filed.
+// and their id in Router.conns (which holds the flow) bound once per
+// object. A conn goes back to the list at exactly two points — its offer
+// was not Admitted (nothing else ever saw it), or its own linger runs
+// (the application's completion has fired by then, and no other event
+// names it). Never at the port-reuse delete in acceptSYN: that
+// incarnation's linger is still pending and asks whether c.id is filed.
 type conn struct {
 	id        int32
 	requested bool // request payload received
@@ -129,9 +128,8 @@ type Router struct {
 	cfg    Config
 	sim    *des.Simulator
 	net    *netsim.Network
-	conns  addrtab.FlowIndex // the admitted conns' ids, by flow
-	byID   []*conn           // every conn ever built
-	free   *conn             // recycled conns, see conn
+	conns  addrtab.FlowIndex[*conn] // admitted conns by flow
+	free   *conn                    // recycled conns, see conn
 	down   bool
 	Counts *metrics.Counter
 
@@ -157,7 +155,7 @@ func New(sim *des.Simulator, net *netsim.Network, cfg Config) *Router {
 		cfg:    cfg,
 		sim:    sim,
 		net:    net,
-		conns:  addrtab.NewFlowIndex(),
+		conns:  addrtab.NewFlowIndex[*conn](),
 		Counts: counterSchema.NewCounter(),
 	}
 	net.Attach(r, cfg.Addr)
@@ -243,7 +241,7 @@ func (r *Router) acceptSYN(pkt *packet.Packet) {
 		panic(fmt.Sprintf("vrouter: server %v asked to accept a flow for unknown VIP %v", r.cfg.Addr, flow.Dst))
 	}
 	if id := r.conns.Find(&flow); id >= 0 {
-		if r.byID[id].closed {
+		if r.conns.Object(id).closed {
 			// Port reuse onto a lingering closed connection: the old
 			// incarnation is done, treat this as a fresh connection.
 			r.conns.Delete(id)
@@ -277,8 +275,8 @@ func (r *Router) acceptSYN(pkt *packet.Packet) {
 func (r *Router) newConn() *conn {
 	c := r.free
 	if c == nil {
-		c = &conn{id: r.conns.NewID()}
-		r.byID = append(r.byID, c)
+		c = &conn{}
+		c.id = r.conns.NewID(c)
 		c.event = func() {
 			if !c.closed {
 				r.respond(c)
@@ -357,7 +355,7 @@ func (r *Router) deliverLocal(pkt *packet.Packet) {
 		r.sendRST(pkt)
 		return
 	}
-	c := r.byID[id]
+	c := r.conns.Object(id)
 	if c.closed {
 		// Late packet for an answered connection (the response overtook
 		// the client's ACK): absorb silently, like TIME_WAIT.
