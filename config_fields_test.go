@@ -29,14 +29,18 @@ var configAllowed = map[string]string{
 	// The hostile network of ROADMAP item 4(d) varies these.
 	"netsim.Config.JitterFrac":      "item 4(d)'s reorder mode needs per-packet jitter",
 	"netsim.Config.VerifyChecksums": "item 4(d)'s corrupt mode sends faulted packets through the checked codec",
+	// The state-exhaustion bound: tests set small values to reach LRU
+	// eviction, which FuzzFlowtableModel needs.
+	"flowtable.Config.MaxEntries": "the eviction bound; tests set small values to reach LRU eviction (FuzzFlowtableModel)",
 	// Set only by tests; making each a constant is open under ROADMAP
-	// item 5. All six sit on the benchmark's path.
+	// item 5. All seven sit on the benchmark's path.
 	"feedback.Config.Alpha":      "test-only, open under item 5",
 	"flowtable.Config.FinLinger": "test-only, open under item 5",
 	"flowtable.Config.IdleTTL":   "test-only, open under item 5",
 	"netsim.Config.Latency":      "test-only, open under item 5",
 	"testbed.GenSpec.Events":     "test-only, open under item 5",
 	"testbed.Topology.Flows":     "test-only, open under item 5",
+	"core.Config.Flows":          "test-only, open under item 5; copies testbed.Topology.Flows",
 }
 
 // configTypes are the settings structs whose names do not end in Config
@@ -143,11 +147,13 @@ var loadRepo = sync.OnceValues(func() (*typedRepo, error) {
 })
 
 // fieldWrites records, by declaration position, the struct fields that
-// some statement sets.
+// some statement sets, and the fields that are only copied from another
+// field: copied[F] lists the sources of every write F = x.G.
 type fieldWrites struct {
 	fset    *token.FileSet
 	info    *types.Info
 	written map[string]bool
+	copied  map[string][]string
 }
 
 func (w *fieldWrites) key(obj types.Object) string {
@@ -173,10 +179,31 @@ type writeVisitor struct {
 	guards map[string]bool
 }
 
-func (v writeVisitor) write(k string) {
-	if k != "" && !v.guards[k] {
-		v.w.written[k] = true
+// write records a write of field k; value is the value written, nil when
+// the statement has none of its own (x.F++, &x.F). A value that reads k
+// itself is a default (c.F = min(c.F, n)), and a value that is another
+// field only copies that field's writers.
+func (v writeVisitor) write(k string, value ast.Expr) {
+	if k == "" || v.guards[k] {
+		return
 	}
+	if value != nil {
+		if src := v.w.selected(value); src != "" {
+			v.w.copied[k] = append(v.w.copied[k], src)
+			return
+		}
+		reads := false
+		ast.Inspect(value, func(m ast.Node) bool {
+			if x, ok := m.(ast.Expr); ok && v.w.selected(x) == k {
+				reads = true
+			}
+			return !reads
+		})
+		if reads {
+			return
+		}
+	}
+	v.w.written[k] = true
 }
 
 func (v writeVisitor) Visit(n ast.Node) ast.Visitor {
@@ -213,18 +240,22 @@ func (v writeVisitor) Visit(n ast.Node) ast.Visitor {
 		for i, e := range n.Elts {
 			if kv, ok := e.(*ast.KeyValueExpr); ok {
 				if id, ok := kv.Key.(*ast.Ident); ok {
-					v.write(v.w.key(v.w.info.Uses[id]))
+					v.write(v.w.key(v.w.info.Uses[id]), kv.Value)
 				}
 			} else if i < st.NumFields() {
-				v.write(v.w.key(st.Field(i)))
+				v.write(v.w.key(st.Field(i)), e)
 			}
 		}
 	case *ast.AssignStmt:
-		for _, lhs := range n.Lhs {
-			v.write(v.w.selected(lhs))
+		for i, lhs := range n.Lhs {
+			var value ast.Expr
+			if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+				value = n.Rhs[i]
+			}
+			v.write(v.w.selected(lhs), value)
 		}
 	case *ast.IncDecStmt:
-		v.write(v.w.selected(n.X))
+		v.write(v.w.selected(n.X), nil)
 	case *ast.CallExpr:
 		// flag.Float64Var(&cfg.Rho, …) and the FlagSet methods.
 		fn, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
@@ -236,7 +267,7 @@ func (v writeVisitor) Visit(n ast.Node) ast.Visitor {
 		}
 		for _, arg := range n.Args {
 			if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
-				v.write(v.w.selected(u.X))
+				v.write(v.w.selected(u.X), nil)
 			}
 		}
 	}
@@ -250,8 +281,10 @@ func (v writeVisitor) Visit(n ast.Node) ast.Visitor {
 // configAllowed. A write in a _test.go file does not count: a field
 // only a test sets is a constant the programs never vary. A write is a keyed or positional composite literal, an
 // assignment or ++/-- through a selector, or &x.F handed to a flag
-// function; one inside an if whose condition reads the same field is the
-// field's default and does not count. A field with one value in use is a
+// function. Three kinds of write are defaults and do not count: one
+// inside an if whose condition reads the same field, one whose value
+// reads the same field (a clamp), and a copy of another config field
+// that itself has no writer. A field with one value in use is a
 // constant. The scan type-checks every package from source (stdlib
 // included), so it takes seconds.
 func TestEveryConfigFieldIsSet(t *testing.T) {
@@ -263,7 +296,7 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 		t.Error(err)
 	}
 	fset := repo.fset
-	w := &fieldWrites{fset: fset, info: repo.info, written: map[string]bool{}}
+	w := &fieldWrites{fset: fset, info: repo.info, written: map[string]bool{}, copied: map[string][]string{}}
 	scope := map[string]string{} // field position → "<package>.<Type>.<Field>"
 	missing := maps.Clone(configTypes)
 	for _, p := range repo.pkgs {
@@ -298,6 +331,18 @@ func TestEveryConfigFieldIsSet(t *testing.T) {
 	}
 	if len(scope) < 100 {
 		t.Fatalf("scan found %d config fields: run from the repo root", len(scope))
+	}
+	// A copy from a field outside the census is a write; a copy from a
+	// config field writes only once its source has a writer.
+	for changed := true; changed; {
+		changed = false
+		for dst, srcs := range w.copied {
+			for _, src := range srcs {
+				if _, inScope := scope[src]; !w.written[dst] && (!inScope || w.written[src]) {
+					w.written[dst], changed = true, true
+				}
+			}
+		}
 	}
 
 	var unset []string
