@@ -32,15 +32,6 @@ var configAllowed = map[string]string{
 	// The state-exhaustion bound: tests set small values to reach LRU
 	// eviction, which FuzzFlowtableModel needs.
 	"flowtable.Config.MaxEntries": "the eviction bound; tests set small values to reach LRU eviction (FuzzFlowtableModel)",
-	// Set only by tests; making each a constant is open under ROADMAP
-	// item 5. All seven sit on the benchmark's path.
-	"feedback.Config.Alpha":      "test-only, open under item 5",
-	"flowtable.Config.FinLinger": "test-only, open under item 5",
-	"flowtable.Config.IdleTTL":   "test-only, open under item 5",
-	"netsim.Config.Latency":      "test-only, open under item 5",
-	"testbed.GenSpec.Events":     "test-only, open under item 5",
-	"testbed.Topology.Flows":     "test-only, open under item 5",
-	"core.Config.Flows":          "test-only, open under item 5; copies testbed.Topology.Flows",
 }
 
 // configTypes are the settings structs whose names do not end in Config

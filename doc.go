@@ -114,11 +114,10 @@
 // (extension_resilience.tsv, and BENCH_resilience.json's cells and
 // per-scenario tables).
 //
-// Event times compose with load sweeps by being declared rate-relative:
-// Event.AtFraction(f) schedules the event at fraction f of the run's
-// arrival span, and every workload resolves the fractions per load
-// point (testbed.ResolveEvents), so a single drain/add schedule means the same
-// thing at every ρ. RunChurn's steady-vs-churn variant pair sweeps all
+// Event times compose with load sweeps by being fractions: an event
+// fires at fraction Event.Frac of testbed.Topology.Span, the run's
+// arrival span, which every workload sets per load point, so a single
+// drain/add schedule means the same thing at every ρ. RunChurn's steady-vs-churn variant pair sweeps all
 // of its loads this way.
 //
 // # Multi-service workloads: several VIPs, one run
@@ -246,9 +245,9 @@
 // caller of the open-loop replay engine (internal/experiments/replay.go);
 // the wiki day, figure 4, failover and the horizon soak add their own
 // accounting as hooks on OneService(...).run. The cell hands the engine
-// the topology (events still rate-relative), one arrival stream per VIP,
-// and the arrival span. The engine resolves events and the feedback
-// horizon against the span, builds the cluster, installs the sketch
+// the topology, one arrival stream per VIP, and the arrival span. The
+// engine sets the topology's Span, at whose fractions the events fire,
+// resolves the feedback horizon against it, builds the cluster, installs the sketch
 // sink, pumps each stream one arrival ahead without allocating, runs
 // the simulator under the context and drains what is left. RunHorizon
 // pushes that to 10⁸ open-loop queries with a flat heap

@@ -68,8 +68,6 @@ type Config struct {
 	// VIPList declares the advertised VIPs in dense-id order: one slice,
 	// no per-VIP map churn, ids assigned by position.
 	VIPList []VIPConfig
-	// Flows tunes the flow table (zero value = defaults).
-	Flows flowtable.Config
 }
 
 // sweepInterval bounds how often expired flow entries are collected.
@@ -157,7 +155,7 @@ func NewDispatcher(cfg Config) *Dispatcher {
 	}
 	d := &Dispatcher{
 		cfg:      cfg,
-		flows:    flowtable.New(cfg.Flows),
+		flows:    flowtable.New(flowtable.Config{}),
 		Counts:   counterSchema.NewCounter(),
 		vips:     make([]vipEntry, len(cfg.VIPList)),
 		vipIndex: addrtab.New(len(cfg.VIPList)),
@@ -222,7 +220,7 @@ func (d *Dispatcher) FlowStats() flowtable.Stats { return d.flows.Stats() }
 // that this is survivable without state synchronization: any replica
 // recomputes the same flow→server mapping from the packet alone.
 func (d *Dispatcher) ResetFlows() {
-	d.flows = flowtable.New(d.cfg.Flows)
+	d.flows = flowtable.New(flowtable.Config{})
 }
 
 // SeedFlow installs a flow→server binding directly, bypassing SYN-ACK

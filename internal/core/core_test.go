@@ -202,7 +202,7 @@ func TestMidFlowMissFallback(t *testing.T) {
 }
 
 func TestFINMarksFlowClosing(t *testing.T) {
-	g := newRig(t, Config{Flows: flowtable.Config{FinLinger: time.Second}})
+	g := newRig(t, Config{})
 	g.net.Send(serverSYNACK(sAddr1, 42000))
 	g.sim.Run()
 	fin := &packet.Packet{
@@ -215,7 +215,7 @@ func TestFINMarksFlowClosing(t *testing.T) {
 		t.Fatal("FIN not observed")
 	}
 	// After the linger a sweep must reclaim the flow.
-	g.sim.RunUntil(g.sim.Now() + 5*time.Second)
+	g.sim.RunUntil(g.sim.Now() + flowtable.FinLinger + time.Second)
 	g.lb.SweepNow()
 	if g.lb.FlowCount() != 0 {
 		t.Fatalf("flow count = %d after linger+sweep", g.lb.FlowCount())
@@ -223,14 +223,14 @@ func TestFINMarksFlowClosing(t *testing.T) {
 }
 
 func TestSweepReclaimsIdleFlows(t *testing.T) {
-	g := newRig(t, Config{Flows: flowtable.Config{IdleTTL: 2 * time.Second}})
+	g := newRig(t, Config{})
 	g.net.Send(serverSYNACK(sAddr1, 43000))
 	g.sim.Run()
 	if g.lb.FlowCount() != 1 {
 		t.Fatal("flow not installed")
 	}
 	// Any datapath activity after the TTL triggers the opportunistic sweep.
-	g.sim.RunUntil(10 * time.Second)
+	g.sim.RunUntil(flowtable.IdleTTL + 2*time.Second)
 	g.net.Send(clientSYN(44000))
 	g.sim.Run()
 	if g.lb.FlowCount() != 0 {
@@ -242,7 +242,7 @@ func TestSweepReclaimsIdleFlows(t *testing.T) {
 }
 
 func TestOpportunisticSweepRateLimited(t *testing.T) {
-	g := newRig(t, Config{Flows: flowtable.Config{IdleTTL: time.Hour}})
+	g := newRig(t, Config{})
 	// Many packets inside one interval: lastSweep must only advance once.
 	for i := 0; i < 5; i++ {
 		g.net.Send(clientSYN(uint16(45000 + i)))

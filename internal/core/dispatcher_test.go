@@ -23,7 +23,6 @@ func TestDispatcherRunsOnCallerTime(t *testing.T) {
 	d := NewDispatcher(Config{
 		Addr:    lbAddr,
 		VIPList: []VIPConfig{{Addr: vip, Scheme: selection.NewRoundRobin([]netip.Addr{sAddr1, sAddr2}, 2)}},
-		Flows:   flowtable.Config{FinLinger: 100 * time.Millisecond},
 	})
 	const ms = time.Millisecond
 	const closed, open = 40000, 40001
@@ -64,20 +63,25 @@ func TestDispatcherRunsOnCallerTime(t *testing.T) {
 		t.Fatalf("closing_observed = %d", got)
 	}
 
-	// The linger ran out at 103 ms, but no sweep is due before 1 s of the
-	// caller's time: traffic on the other flow leaves the dead entry be.
-	steer(999*ms, open, tcpseg.FlagACK)
+	// The linger runs out at end. A sweep at the whole second before it
+	// finds the entry live, and no sweep is due before the next whole
+	// second: traffic on the other flow leaves the dead entry be.
+	end := 3*ms + flowtable.FinLinger
+	next := end.Truncate(time.Second) + time.Second
+	steer(end.Truncate(time.Second), open, tcpseg.FlagACK)
+	steer(next-ms, open, tcpseg.FlagACK)
 	if got := d.FlowCount(); got != 2 {
-		t.Fatalf("flow count = %d at 999ms, want 2 (sweep not yet due)", got)
+		t.Fatalf("flow count = %d at %v, want 2 (sweep not yet due)", got, next-ms)
 	}
-	// At 1 s the same packet triggers the opportunistic sweep.
-	steer(1000*ms, open, tcpseg.FlagACK)
+	// At the next whole second the same packet triggers the opportunistic
+	// sweep.
+	steer(next, open, tcpseg.FlagACK)
 	if got, exp := d.FlowCount(), d.FlowStats().Expiries; got != 1 || exp != 1 {
-		t.Fatalf("flow count = %d, expiries = %d at 1s, want 1 and 1", got, exp)
+		t.Fatalf("flow count = %d, expiries = %d at %v, want 1 and 1", got, exp, next)
 	}
 
 	late := midFlow(closed, tcpseg.FlagACK)
-	if d.Dispatch(1001*ms, late) {
+	if d.Dispatch(next+ms, late) {
 		t.Fatalf("ACK after the linger forwarded to %v", late.IP.Dst)
 	}
 	if got := d.Counts.Get("miss_dropped"); got != 1 {

@@ -174,13 +174,10 @@ func FuzzDispatcher(f *testing.F) {
 		}[:2+int(data[0])%2]
 		const (
 			sweep   = time.Second // the dispatcher's sweep interval
-			linger  = 300 * time.Millisecond
-			idleTTL = 3 * time.Second
+			linger  = flowtable.FinLinger
+			idleTTL = flowtable.IdleTTL
 		)
-		d := NewDispatcher(Config{
-			Addr: lbAddr, VIPList: list,
-			Flows: flowtable.Config{IdleTTL: idleTTL, FinLinger: linger},
-		})
+		d := NewDispatcher(Config{Addr: lbAddr, VIPList: list})
 		m := &modelLB{
 			vips: map[netip.Addr]*VIPConfig{}, flows: map[packet.FlowKey]*modelFlow{},
 			counts: map[string]uint64{}, syns: map[netip.Addr]uint64{},

@@ -76,7 +76,7 @@ func RunChurn(b Base) ChurnResult {
 	return res
 }
 
-// churnEvents builds the rate-relative drain + re-add schedule on the
+// churnEvents builds the drain + re-add schedule on the
 // cell's first pool: churnBy drains starting at
 // drainFrac of the arrival span, churnBy adds at growFrac, each phase
 // staggered by 1% of the span per server. Fractions clamp to 1 so large
@@ -91,10 +91,10 @@ func churnEvents(churnBy int, drainFrac, growFrac float64) []testbed.Event {
 	}
 	events := make([]testbed.Event, 0, 2*churnBy)
 	for g := 0; g < churnBy; g++ {
-		events = append(events, testbed.DrainServer(0, 0, g).AtFraction(frac(drainFrac+float64(g)*0.01)))
+		events = append(events, testbed.DrainServer(frac(drainFrac+float64(g)*0.01), 0, g))
 	}
 	for g := 0; g < churnBy; g++ {
-		events = append(events, testbed.AddServer(0, 0).AtFraction(frac(growFrac+float64(g)*0.01)))
+		events = append(events, testbed.AddServer(frac(growFrac+float64(g)*0.01), 0))
 	}
 	return events
 }

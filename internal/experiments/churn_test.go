@@ -12,8 +12,7 @@ import (
 )
 
 // A malformed fraction must surface its diagnostic on the workload path
-// too — workloads resolve events before Build, so resolution is where
-// the check fires.
+// too: the cell's Build rejects it.
 func TestWorkloadRejectsBadFraction(t *testing.T) {
 	defer func() {
 		r := recover()
@@ -26,15 +25,16 @@ func TestWorkloadRejectsBadFraction(t *testing.T) {
 	}()
 	_, _ = OneService(PoissonService{Lambda0: 80, Queries: 100}).Run(context.Background(),
 		ClusterConfig{Seed: 1, Servers: 4,
-			Events: []testbed.Event{testbed.DrainServer(0, 0, 0).AtFraction(-0.1)}},
+			Events: []testbed.Event{testbed.DrainServer(-0.1, 0, 0)}},
 		RR(), 0.5)
 }
 
 // Regression for the rate-relative migration: RunChurn used to run one
 // sweep per rho, hand-resolving each drain/add time against that rho's
-// arrival span. The migrated schedule declares the same instants as
-// fractions (AtFraction) and lets the workload resolve them per load
-// point — so for a fixed rho the two forms must produce identical cells.
+// arrival span. The migrated schedule declares the instants as
+// fractions that each cell takes of its own span — so for a fixed rho
+// the hand-resolved instants, written back as fractions of that span,
+// must produce identical cells.
 func TestChurnRelativeMatchesAbsolute(t *testing.T) {
 	const (
 		lambda0             = 80.0
@@ -48,14 +48,15 @@ func TestChurnRelativeMatchesAbsolute(t *testing.T) {
 	rate := rho * lambda0
 	span := time.Duration(float64(queries) / rate * float64(time.Second))
 	stagger := span / 100
+	of := func(at time.Duration) float64 { return float64(at) / float64(span) }
 	absolute := make([]testbed.Event, 0, 2*churnBy)
 	for g := 0; g < churnBy; g++ {
 		at := time.Duration(drainFrac*float64(span)) + time.Duration(g)*stagger
-		absolute = append(absolute, testbed.DrainServer(at, 0, g))
+		absolute = append(absolute, testbed.DrainServer(of(at), 0, g))
 	}
 	for g := 0; g < churnBy; g++ {
 		at := time.Duration(growFrac*float64(span)) + time.Duration(g)*stagger
-		absolute = append(absolute, testbed.AddServer(at, 0))
+		absolute = append(absolute, testbed.AddServer(of(at), 0))
 	}
 	relative := churnEvents(churnBy, drainFrac, growFrac)
 

@@ -189,7 +189,7 @@ type ClusterConfig struct {
 	// ECMP, replica restart) are hashed to a server instead of dropped.
 	MissFallback bool
 	// Events is the lifecycle schedule (server drain/add/fail, replica
-	// fail/recover) applied at virtual times during each run.
+	// fail/recover), each at a fraction of the run's arrival span.
 	Events []testbed.Event
 
 	// Feedback enables the server-load telemetry plane: servers publish

@@ -234,13 +234,13 @@ func TestWikiReplayShapes(t *testing.T) {
 }
 
 // A wiki-day cell on a cluster that gains a server halfway through: the
-// rate-relative event resolves against the day's span, the late server
+// event's fraction resolves against the day's span, the late server
 // gets its own replica cache (one hit rate per server), and every query
 // of the day ends as exactly one of ok-wiki, ok-static or refused.
 func TestWikiCellAccountsForLateServer(t *testing.T) {
 	day := wiki.Config{Seed: 11, Compression: 2880}
 	cluster := ClusterConfig{Seed: 11, Servers: 5,
-		Events: []testbed.Event{testbed.AddServer(0, 0).AtFraction(0.5)}}
+		Events: []testbed.Event{testbed.AddServer(0.5, 0)}}
 	cell := Scenario{Cluster: cluster, Policy: SRc(4), Workload: WikiWorkload{Day: day}, Load: 1}.Run(context.Background())
 	if cell.Err != nil {
 		t.Fatal(cell.Err)

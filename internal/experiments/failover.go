@@ -125,13 +125,11 @@ func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec P
 func RunFailover(b Base) FailoverResult {
 	b = b.resolved()
 
-	// The schedule is rate-relative: the kill is a fraction of the
-	// arrival span, resolved per load point by the workload — so the
-	// same variant pair would serve a whole load sweep, exactly as
-	// RunChurn's schedule does.
+	// The kill is a fraction of the span, so the same variant pair would
+	// serve a whole load sweep, exactly as RunChurn's schedule does.
 	span := b.poisson().Span(failoverRho)
 	killAt := time.Duration(failoverKillFrac * float64(span))
-	events := []testbed.Event{testbed.FailReplica(0, 0).AtFraction(failoverKillFrac)}
+	events := []testbed.Event{testbed.FailReplica(failoverKillFrac, 0)}
 	// Each mode pins the selection knobs explicitly — the base cluster's
 	// own ConsistentHash/MissFallback settings must not leak into the
 	// mode labeled the other way.

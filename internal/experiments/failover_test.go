@@ -15,7 +15,7 @@ import (
 // failoverVariants is a small two-replica anycast sweep with a mid-run
 // LB-failure event on its topology axis — the acceptance scenario.
 func failoverVariants() Sweep {
-	kill := []testbed.Event{testbed.FailReplica(8*time.Second, 0)}
+	kill := []testbed.Event{testbed.FailReplica(0.25, 0)}
 	return Sweep{
 		Cluster:  ClusterConfig{Seed: 31, Servers: 4},
 		Policies: []PolicySpec{RR(), SRc(4)},
@@ -136,10 +136,10 @@ func TestFailoverMaglevVsRandom(t *testing.T) {
 
 // Regression for the failover rate-relative migration: the kill/recover
 // schedule used to be computed absolutely from the (single) rho's
-// arrival span. The migrated schedule declares the same instants as
-// fractions (AtFraction) and lets the workload resolve them per load
-// point — so at a fixed rho the two forms must produce byte-identical
-// cells.
+// arrival span. The migrated schedule declares the instants as
+// fractions that each cell takes of its own span — so at a fixed rho
+// the hand-resolved instants, written back as fractions of that span,
+// must produce byte-identical cells.
 func TestFailoverRelativeMatchesAbsolute(t *testing.T) {
 	const (
 		lambda0               = 80.0
@@ -150,13 +150,14 @@ func TestFailoverRelativeMatchesAbsolute(t *testing.T) {
 	// The absolute schedule exactly as the pre-migration code computed it.
 	rate := rho * lambda0
 	span := time.Duration(float64(queries) / rate * float64(time.Second))
+	of := func(at time.Duration) float64 { return float64(at) / float64(span) }
 	absolute := []testbed.Event{
-		testbed.FailReplica(time.Duration(killFrac*float64(span)), 0),
-		testbed.RecoverReplica(time.Duration(recoverFrac*float64(span)), 0),
+		testbed.FailReplica(of(time.Duration(killFrac*float64(span))), 0),
+		testbed.RecoverReplica(of(time.Duration(recoverFrac*float64(span))), 0),
 	}
 	relative := []testbed.Event{
-		testbed.FailReplica(0, 0).AtFraction(killFrac),
-		testbed.RecoverReplica(0, 0).AtFraction(recoverFrac),
+		testbed.FailReplica(killFrac, 0),
+		testbed.RecoverReplica(recoverFrac, 0),
 	}
 	run := func(events []testbed.Event) []CellResult {
 		res, err := Runner{Workers: 2}.RunSweep(context.Background(), Sweep{

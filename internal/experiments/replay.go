@@ -22,10 +22,10 @@ func checkSpan(w interface{ Label() string }, load float64, span time.Duration) 
 	return span
 }
 
-// replay runs one open-loop cell. top is the cluster, its events still
-// rate-relative; streams holds one arrival stream per VIP, in VIP order,
-// opened against top's VIPSpecs; span is the longest stream's expected
-// arrival span. Events and the feedback horizon resolve against span, the
+// replay runs one open-loop cell. top is the cluster; streams holds one
+// arrival stream per VIP, in VIP order, opened against top's VIPSpecs;
+// span is the longest stream's expected arrival span. Events fire at
+// their fractions of span, the feedback horizon resolves against it, the
 // testbed is built, every stream is pumped one arrival ahead — the
 // scheduler never holds more than one future arrival per VIP — and the
 // simulator runs under ctx until the drain window has passed. Query IDs
@@ -35,7 +35,7 @@ func checkSpan(w interface{ Label() string }, load float64, span time.Duration) 
 // ctx.Err() when cancelled mid-replay.
 func replay(ctx context.Context, top testbed.Topology, streams []ServiceStream, span time.Duration,
 	rto time.Duration, closeAck bool, hooks PoissonHooks) (*testbed.Testbed, *testbed.SketchSink, error) {
-	top.Events = testbed.ResolveEvents(top.Events, span)
+	top.Span = span
 	horizon := span + 2*time.Minute // let in-flight queries finish
 	if top.Feedback.Enabled && top.Feedback.Horizon <= 0 {
 		// Publish through the run's own horizon, then stop so the idle

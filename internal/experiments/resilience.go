@@ -64,15 +64,15 @@ type ResilienceResult struct {
 
 // resilienceEvents builds one (scenario, mode)'s lifecycle schedule,
 // each failed replica re-attaching at recoverFrac of the arrival span.
-// Every event is rate-relative, so the same schedule serves any load
-// point.
+// Every event is a fraction of the span, so the same schedule serves any
+// load point.
 func resilienceEvents(servers int, scenario, mode string, recoverFrac float64) []testbed.Event {
 	warm := mode == "warm"
 	recover := func(frac float64) testbed.Event {
 		if warm {
-			return testbed.RecoverReplicaWarm(0, 0, 1).AtFraction(frac)
+			return testbed.RecoverReplicaWarm(frac, 0, 1)
 		}
-		return testbed.RecoverReplica(0, 0).AtFraction(frac)
+		return testbed.RecoverReplica(frac, 0)
 	}
 	switch scenario {
 	case "rack":
@@ -81,7 +81,7 @@ func resilienceEvents(servers int, scenario, mode string, recoverFrac float64) [
 		// the replica comes back.
 		events := testbed.FailPoolRack(0, servers, resilienceRackFrac, resilienceKillFrac)
 		return append(events,
-			testbed.FailReplica(0, 0).AtFraction(resilienceKillFrac),
+			testbed.FailReplica(resilienceKillFrac, 0),
 			recover(recoverFrac))
 	case "rolling":
 		// Sequential fail/recover pairs across every replica, spaced to
@@ -91,7 +91,7 @@ func resilienceEvents(servers int, scenario, mode string, recoverFrac float64) [
 		return testbed.RollingUpgradeEvents(resilienceReplicas, resilienceKillFrac, stride, recoverFrac-resilienceKillFrac, warm)
 	default: // "kill"
 		return []testbed.Event{
-			testbed.FailReplica(0, 0).AtFraction(resilienceKillFrac),
+			testbed.FailReplica(resilienceKillFrac, 0),
 			recover(recoverFrac),
 		}
 	}

@@ -25,7 +25,7 @@ func TestProgramEventInstants(t *testing.T) {
 	}{
 		{"churn", 1, churnEvents(max(1, servers/3), churnDrainFrac, churnGrowFrac), []time.Duration{
 			2137037036, 2208271604, 2279506172, 2350740740, 4630246912, 4701481480, 4772716048, 4843950616}},
-		{"failover", failoverReplicas, []testbed.Event{testbed.FailReplica(0, 0).AtFraction(failoverKillFrac)},
+		{"failover", failoverReplicas, []testbed.Event{testbed.FailReplica(failoverKillFrac, 0)},
 			[]time.Duration{3561728394}},
 	}
 	want := map[string][]time.Duration{
@@ -45,7 +45,7 @@ func TestProgramEventInstants(t *testing.T) {
 		}
 	}
 	for _, c := range cases {
-		tb := testbed.Build(testbed.Topology{Seed: 1, Replicas: c.replicas, Events: testbed.ResolveEvents(c.events, span)})
+		tb := testbed.Build(testbed.Topology{Seed: 1, Replicas: c.replicas, Events: c.events, Span: span})
 		var got []time.Duration
 		for tb.Sim.Step() {
 			got = append(got, tb.Sim.Now())

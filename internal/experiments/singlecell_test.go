@@ -36,7 +36,7 @@ func TestSingleServiceCellDigests(t *testing.T) {
 	silent.Server.AbortOnOverflow = false
 	failing := cluster
 	failing.Replicas = 2
-	failing.Events = []testbed.Event{testbed.FailReplica(0, 0).AtFraction(0.5)}
+	failing.Events = []testbed.Event{testbed.FailReplica(0.5, 0)}
 
 	cell := func(w Workload, c ClusterConfig, load float64) CellResult {
 		res := Scenario{Cluster: c, Policy: SRc(4), Workload: w, Load: load}.Run(context.Background())
@@ -114,7 +114,7 @@ func TestOneServicePerVIPIsAggregate(t *testing.T) {
 	retransmitting.RetransmitRTO = time.Second
 	failing := smallCluster(31)
 	failing.Replicas = 2
-	failing.Events = []testbed.Event{testbed.FailReplica(0, 0).AtFraction(0.5)}
+	failing.Events = []testbed.Event{testbed.FailReplica(0.5, 0)}
 	for _, sc := range []Scenario{
 		{Cluster: silent, Policy: SRc(4), Workload: retransmitting, Load: 2},
 		{Cluster: smallCluster(7), Policy: RR(), Load: 0.88, Workload: fig4Workload{

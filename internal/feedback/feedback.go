@@ -39,10 +39,6 @@ type Config struct {
 	// Interval is the reporting period of every publisher (default
 	// 100ms of virtual time).
 	Interval time.Duration
-	// Alpha is the EWMA smoothing factor applied to instantaneous
-	// worker utilization, 0 < Alpha ≤ 1 (default 0.3). Higher values
-	// track bursts faster; lower values damp sampling noise.
-	Alpha float64
 	// Horizon, when positive, stops the testbed's publishing tickers
 	// after this much virtual time — the same bounded-tick idiom as
 	// testbed.SampleLoads, so an otherwise-idle simulation terminates.
@@ -55,11 +51,12 @@ func (c Config) WithDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 100 * time.Millisecond
 	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
 	return c
 }
+
+// Alpha is a publisher's EWMA smoothing factor on instantaneous worker
+// utilization: higher tracks bursts faster, lower damps sampling noise.
+const Alpha = 0.3
 
 // Report is one server's load sample as published to the LBs.
 type Report struct {
@@ -85,10 +82,10 @@ type Publisher struct {
 }
 
 // NewPublisher creates a publisher with the given smoothing factor
-// (zero or out-of-range values take the Config default).
+// (zero or out-of-range values take Alpha).
 func NewPublisher(alpha float64) *Publisher {
 	if alpha <= 0 || alpha > 1 {
-		alpha = Config{}.WithDefaults().Alpha
+		alpha = Alpha
 	}
 	return &Publisher{alpha: alpha}
 }

@@ -22,12 +22,9 @@ func TestConfigDefaults(t *testing.T) {
 	if v := NewView(c, nil); v.ttl != 3*c.Interval {
 		t.Fatalf("TTL = %v, want 3x interval", v.ttl)
 	}
-	if c.Alpha != 0.3 {
-		t.Fatalf("Alpha = %v", c.Alpha)
-	}
-	// Explicit values survive; the TTL follows the explicit interval.
-	c = Config{Interval: time.Second, Alpha: 0.9}.WithDefaults()
-	if v := NewView(c, nil); c.Interval != time.Second || v.ttl != 3*time.Second || c.Alpha != 0.9 {
+	// An explicit interval survives, and the TTL follows it.
+	c = Config{Interval: time.Second}.WithDefaults()
+	if v := NewView(c, nil); c.Interval != time.Second || v.ttl != 3*time.Second {
 		t.Fatalf("explicit config mangled: %+v, TTL %v", c, v.ttl)
 	}
 }

@@ -46,16 +46,15 @@ import (
 	"srlb/internal/packet"
 )
 
+// IdleTTL expires entries untouched for this long; FinLinger holds a
+// closing flow's entry, so retransmitted FIN/ACKs still steer correctly.
+const IdleTTL, FinLinger = 60 * time.Second, 2 * time.Second
+
 // Config tunes the table. Zero fields take defaults.
 type Config struct {
 	// MaxEntries bounds the table; inserting beyond it evicts the least
 	// recently used entry (default 1 << 20, at most 1 << 30).
 	MaxEntries int
-	// IdleTTL expires entries untouched for this long (default 60s).
-	IdleTTL time.Duration
-	// FinLinger holds an entry after the flow is marked closing, so
-	// retransmitted FIN/ACKs still steer correctly (default 2s).
-	FinLinger time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -63,12 +62,6 @@ func (c Config) withDefaults() Config {
 		c.MaxEntries = 1 << 20
 	}
 	c.MaxEntries = min(c.MaxEntries, 1<<30)
-	if c.IdleTTL <= 0 {
-		c.IdleTTL = 60 * time.Second
-	}
-	if c.FinLinger <= 0 {
-		c.FinLinger = 2 * time.Second
-	}
 	return c
 }
 
@@ -211,7 +204,7 @@ func (t *Table) set(id int32, b *FlowBinding) {
 // Insert binds key to backend at time now, refreshing the TTL if the key
 // exists. Inserting may evict the LRU entry when the table is full.
 func (t *Table) Insert(now time.Duration, key packet.FlowKey, backend netip.Addr) {
-	b := FlowBinding{Backend: backend, Deadline: now + t.cfg.IdleTTL, Seen: now}
+	b := FlowBinding{Backend: backend, Deadline: now + IdleTTL, Seen: now}
 	if id, h := t.find(&key); id != 0 {
 		t.set(id, &b)
 	} else {
@@ -270,7 +263,7 @@ func (t *Table) LookupIdle(now time.Duration, key packet.FlowKey) (backend netip
 	e := &t.ents[id]
 	idle = now - e.seen
 	if !e.closing {
-		e.deadline = now + t.cfg.IdleTTL
+		e.deadline = now + IdleTTL
 	}
 	e.seen = now
 	t.front(id)
@@ -321,7 +314,7 @@ func (t *Table) MarkClosing(now time.Duration, key packet.FlowKey) bool {
 	}
 	e := &t.ents[id]
 	e.closing = true
-	if d := now + t.cfg.FinLinger; d < e.deadline {
+	if d := now + FinLinger; d < e.deadline {
 		e.deadline = d
 		t.refile(id) // d is before latest, so the entry joins the side list
 	}

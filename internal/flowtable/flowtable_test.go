@@ -45,16 +45,16 @@ func TestInsertLookup(t *testing.T) {
 }
 
 func TestIdleTTLExpiry(t *testing.T) {
-	tb := New(Config{IdleTTL: 10 * time.Second})
+	tb := New(Config{})
 	tb.Insert(0, key(1), backend1)
-	if _, ok := tb.Lookup(9*time.Second, key(1)); !ok {
+	if _, ok := tb.Lookup(IdleTTL-time.Second, key(1)); !ok {
 		t.Fatal("entry expired too early")
 	}
-	// The lookup above refreshed the TTL: deadline is now 19s.
-	if _, ok := tb.Lookup(18*time.Second, key(1)); !ok {
+	// The lookup above refreshed the TTL: deadline is now 2·IdleTTL − 1s.
+	if _, ok := tb.Lookup(2*IdleTTL-2*time.Second, key(1)); !ok {
 		t.Fatal("TTL not refreshed by lookup")
 	}
-	if _, ok := tb.Lookup(40*time.Second, key(1)); ok {
+	if _, ok := tb.Lookup(4*IdleTTL, key(1)); ok {
 		t.Fatal("entry survived past TTL")
 	}
 	if tb.Len() != 0 {
@@ -66,10 +66,10 @@ func TestIdleTTLExpiry(t *testing.T) {
 }
 
 func TestReinsertRefreshes(t *testing.T) {
-	tb := New(Config{IdleTTL: 10 * time.Second})
+	tb := New(Config{})
 	tb.Insert(0, key(1), backend1)
-	tb.Insert(8*time.Second, key(1), backend2) // rebind + refresh
-	got, ok := tb.Lookup(17*time.Second, key(1))
+	tb.Insert(IdleTTL-2*time.Second, key(1), backend2) // rebind + refresh
+	got, ok := tb.Lookup(2*IdleTTL-3*time.Second, key(1))
 	if !ok || got != backend2 {
 		t.Fatalf("lookup = %v %v, want backend2", got, ok)
 	}
@@ -82,15 +82,15 @@ func TestReinsertRefreshes(t *testing.T) {
 }
 
 func TestMarkClosingLinger(t *testing.T) {
-	tb := New(Config{IdleTTL: 60 * time.Second, FinLinger: 2 * time.Second})
+	tb := New(Config{})
 	tb.Insert(0, key(1), backend1)
 	tb.MarkClosing(time.Second, key(1))
 	// Within linger: still steerable.
-	if _, ok := tb.Lookup(2*time.Second, key(1)); !ok {
+	if _, ok := tb.Lookup(FinLinger, key(1)); !ok {
 		t.Fatal("entry gone during linger")
 	}
 	// Lookup during closing must NOT refresh the deadline.
-	if _, ok := tb.Lookup(10*time.Second, key(1)); ok {
+	if _, ok := tb.Lookup(5*FinLinger, key(1)); ok {
 		t.Fatal("closing entry survived past linger")
 	}
 }
@@ -100,11 +100,13 @@ func TestMarkClosingMissingKeyIsNoop(t *testing.T) {
 	tb.MarkClosing(0, key(9)) // must not panic
 }
 
+// An entry closer to its idle deadline than FinLinger keeps that
+// deadline when marked closing.
 func TestMarkClosingNeverExtends(t *testing.T) {
-	tb := New(Config{IdleTTL: time.Second, FinLinger: 10 * time.Second})
+	tb := New(Config{})
 	tb.Insert(0, key(1), backend1)
-	tb.MarkClosing(0, key(1))
-	if _, ok := tb.Lookup(5*time.Second, key(1)); ok {
+	tb.MarkClosing(IdleTTL-FinLinger/2, key(1))
+	if _, ok := tb.Lookup(IdleTTL+FinLinger/4, key(1)); ok {
 		t.Fatal("MarkClosing extended the entry lifetime")
 	}
 }
@@ -114,9 +116,9 @@ func TestMarkClosingNeverExtends(t *testing.T) {
 // of expiring. Expired entries must behave exactly as they do in
 // Lookup: removed, counted, reported missing.
 func TestRebindExpiredEntryIsMiss(t *testing.T) {
-	tb := New(Config{IdleTTL: 10 * time.Second})
+	tb := New(Config{})
 	tb.Insert(0, key(1), backend1)
-	if tb.Rebind(20*time.Second, key(1), backend2) {
+	if tb.Rebind(2*IdleTTL, key(1), backend2) {
 		t.Fatal("Rebind re-steered an expired flow")
 	}
 	if tb.Len() != 0 {
@@ -127,13 +129,13 @@ func TestRebindExpiredEntryIsMiss(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 expiry and 0 rebinds", st)
 	}
 	// And the entry is really gone, not merely skipped.
-	if tb.Rebind(20*time.Second, key(1), backend2) {
+	if tb.Rebind(2*IdleTTL, key(1), backend2) {
 		t.Fatal("rebind found a removed entry")
 	}
 }
 
 func TestRebindLiveEntry(t *testing.T) {
-	tb := New(Config{IdleTTL: 10 * time.Second})
+	tb := New(Config{})
 	tb.Insert(0, key(1), backend1)
 	if !tb.Rebind(5*time.Second, key(1), backend2) {
 		t.Fatal("rebind of a live entry failed")
@@ -151,9 +153,9 @@ func TestRebindLiveEntry(t *testing.T) {
 // entries already past their deadline, so the caller's teardown
 // bookkeeping fired for a flow whose state was gone.
 func TestMarkClosingExpiredEntryIsMiss(t *testing.T) {
-	tb := New(Config{IdleTTL: 10 * time.Second, FinLinger: 2 * time.Second})
+	tb := New(Config{})
 	tb.Insert(0, key(1), backend1)
-	if tb.MarkClosing(20*time.Second, key(1)) {
+	if tb.MarkClosing(2*IdleTTL, key(1)) {
 		t.Fatal("MarkClosing claimed exactly-once teardown for an expired flow")
 	}
 	if tb.Len() != 0 {
@@ -210,21 +212,21 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestSweep(t *testing.T) {
-	tb := New(Config{IdleTTL: 10 * time.Second})
+	tb := New(Config{})
 	for i := 0; i < 10; i++ {
 		tb.Insert(0, key(i), backend1)
 	}
 	for i := 10; i < 15; i++ {
-		tb.Insert(20*time.Second, key(i), backend1)
+		tb.Insert(2*IdleTTL, key(i), backend1)
 	}
-	removed := tb.Sweep(15 * time.Second)
+	removed := tb.Sweep(3 * IdleTTL / 2)
 	if removed != 10 {
 		t.Fatalf("swept %d, want 10", removed)
 	}
 	if tb.Len() != 5 {
 		t.Fatalf("len = %d, want 5", tb.Len())
 	}
-	if tb.Sweep(15*time.Second) != 0 {
+	if tb.Sweep(3*IdleTTL/2) != 0 {
 		t.Fatal("second sweep should remove nothing")
 	}
 }
@@ -235,7 +237,7 @@ func TestSweep(t *testing.T) {
 // like the first.
 func TestGrowSweepRefill(t *testing.T) {
 	const n = 5000
-	tb := New(Config{MaxEntries: 2 * n, IdleTTL: 10 * time.Second})
+	tb := New(Config{MaxEntries: 2 * n})
 	fill := func(now time.Duration, first int) {
 		for i := first; i < first+n; i++ {
 			tb.Insert(now, poolKey(i), poolBackend(i%8))
@@ -254,19 +256,19 @@ func TestGrowSweepRefill(t *testing.T) {
 		}
 	}
 	fill(0, 0)
-	if got := tb.Sweep(11 * time.Second); got != n {
+	if got := tb.Sweep(IdleTTL + time.Second); got != n {
 		t.Fatalf("sweep removed %d, want %d", got, n)
 	}
 	checkTable(t, tb)
-	if tb.Len() != 0 || len(tb.Snapshot(11*time.Second)) != 0 {
+	if tb.Len() != 0 || len(tb.Snapshot(IdleTTL+time.Second)) != 0 {
 		t.Fatalf("len = %d after sweeping everything", tb.Len())
 	}
 	for i := 0; i < n; i++ {
-		if _, ok := tb.Lookup(11*time.Second, poolKey(i)); ok {
+		if _, ok := tb.Lookup(IdleTTL+time.Second, poolKey(i)); ok {
 			t.Fatalf("swept flow %d still found", i)
 		}
 	}
-	fill(20*time.Second, n)
+	fill(2*IdleTTL, n)
 	if st := tb.Stats(); st.Inserts != 2*n || st.Expiries != n || st.Evictions != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -399,13 +401,13 @@ func TestEntryLayout(t *testing.T) {
 
 func TestDefaultsApplied(t *testing.T) {
 	tb := New(Config{})
-	if tb.cfg.MaxEntries != 1<<20 || tb.cfg.IdleTTL != 60*time.Second || tb.cfg.FinLinger != 2*time.Second {
+	if tb.cfg.MaxEntries != 1<<20 {
 		t.Fatalf("defaults = %+v", tb.cfg)
 	}
 }
 
 func TestManyFlowsChurn(t *testing.T) {
-	tb := New(Config{MaxEntries: 100, IdleTTL: 5 * time.Second})
+	tb := New(Config{MaxEntries: 100})
 	now := time.Duration(0)
 	for i := 0; i < 10000; i++ {
 		now += time.Millisecond

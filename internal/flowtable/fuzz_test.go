@@ -31,21 +31,20 @@ func (c *ftCursor) next(bound int) int {
 // exported or resurrected, and newer live local state never overwritten.
 func FuzzFlowtableSnapshot(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{3, 5, 1, 8, 0, 1, 2, 0, 1, 4, 2, 1, 3, 9, 0, 2})
-	f.Add([]byte{1, 19, 4, 30, 10, 0, 3, 11, 1, 7, 2, 2, 4, 4, 250, 9, 9, 9, 1})
-	f.Add([]byte{7, 2, 2, 60, 200, 100, 50, 25, 12, 6, 3, 1, 0, 0, 0, 255, 128, 64})
+	f.Add([]byte{3, 8, 0, 1, 2, 0, 1, 4, 2, 1, 3, 9, 0, 2})
+	f.Add([]byte{1, 30, 10, 0, 3, 11, 1, 7, 2, 2, 4, 4, 250, 9, 9, 9, 1})
+	f.Add([]byte{7, 60, 200, 100, 50, 25, 12, 6, 3, 1, 0, 0, 0, 255, 128, 64})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := &ftCursor{data: data}
-		cfg := Config{
-			MaxEntries: 1 + c.next(8),
-			IdleTTL:    time.Duration(1+c.next(20)) * time.Second,
-			FinLinger:  time.Duration(1+c.next(5)) * time.Second,
-		}
+		cfg := Config{MaxEntries: 1 + c.next(8)}
 		const keySpace = 12
+		// A step is up to half the idle TTL, so entries expire and
+		// lingers end within a drive.
+		const tick = IdleTTL / 10000
 		drive := func(tb *Table, start time.Duration, ops int) time.Duration {
 			now := start
 			for i := 0; i < ops; i++ {
-				now += time.Duration(c.next(5000)) * time.Millisecond
+				now += time.Duration(c.next(5000)) * tick
 				k := key(c.next(keySpace))
 				switch c.next(5) {
 				case 0, 1:
@@ -93,7 +92,7 @@ func FuzzFlowtableSnapshot(f *testing.F) {
 		dnow := drive(dst, now, c.next(32))
 		pre := entries(dst)
 
-		restoreNow := dnow + time.Duration(c.next(10000))*time.Millisecond
+		restoreNow := dnow + time.Duration(c.next(10000))*tick
 		dst.Restore(restoreNow, snap)
 		checkTable(t, dst)
 		post := entries(dst)

@@ -74,11 +74,11 @@ func (m *modelTable) add(k packet.FlowKey, e *modelEntry) {
 
 func (m *modelTable) Insert(now time.Duration, k packet.FlowKey, b netip.Addr) {
 	if e := m.entries[k]; e != nil {
-		*e = modelEntry{backend: b, deadline: now + m.cfg.IdleTTL, seen: now}
+		*e = modelEntry{backend: b, deadline: now + IdleTTL, seen: now}
 		m.front(e)
 		return
 	}
-	m.add(k, &modelEntry{backend: b, deadline: now + m.cfg.IdleTTL, seen: now})
+	m.add(k, &modelEntry{backend: b, deadline: now + IdleTTL, seen: now})
 }
 
 func (m *modelTable) Lookup(now time.Duration, k packet.FlowKey) (netip.Addr, bool) {
@@ -98,7 +98,7 @@ func (m *modelTable) LookupIdle(now time.Duration, k packet.FlowKey) (netip.Addr
 	}
 	idle := now - e.seen
 	if !e.closing {
-		e.deadline = now + m.cfg.IdleTTL
+		e.deadline = now + IdleTTL
 	}
 	e.seen = now
 	m.front(e)
@@ -122,7 +122,7 @@ func (m *modelTable) MarkClosing(now time.Duration, k packet.FlowKey) bool {
 		return false
 	}
 	e.closing = true
-	e.deadline = min(e.deadline, now+m.cfg.FinLinger)
+	e.deadline = min(e.deadline, now+FinLinger)
 	return true
 }
 
@@ -226,16 +226,18 @@ func poolBackend(i int) netip.Addr {
 // (checkTable).
 func FuzzFlowtableModel(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0, 2, 9, 1, 0, 1, 1, 2, 5, 3, 11, 1, 7, 2, 1, 5, 2, 11, 0, 7})
-	f.Add([]byte{0, 3, 19, 4, 0, 0, 0, 1, 1, 0, 8, 5, 0, 11, 2, 7, 8, 11, 0, 9, 0, 4, 7, 3, 0})
-	f.Add([]byte{0, 0, 4, 1, 0, 3, 0, 5, 3, 10, 40, 2, 3, 8, 11, 2, 50, 9, 0, 6, 9, 0, 2, 7, 3, 3})
-	f.Add([]byte{0, 5, 7, 0, 0, 1, 0, 0, 2, 0, 1, 3, 0, 8, 5, 1, 11, 0, 9, 0, 8, 0, 0, 1, 9, 1, 3, 7, 2, 1})
+	f.Add([]byte{0, 2, 0, 1, 1, 2, 5, 3, 11, 1, 7, 2, 1, 5, 2, 11, 0, 7})
+	f.Add([]byte{0, 3, 0, 0, 0, 1, 1, 0, 8, 5, 0, 11, 2, 7, 8, 11, 0, 9, 0, 4, 7, 3, 0})
+	f.Add([]byte{0, 0, 0, 3, 0, 5, 3, 10, 40, 2, 3, 8, 11, 2, 50, 9, 0, 6, 9, 0, 2, 7, 3, 3})
+	f.Add([]byte{0, 5, 0, 1, 0, 0, 2, 0, 1, 3, 0, 8, 5, 1, 11, 0, 9, 0, 8, 0, 0, 1, 9, 1, 3, 7, 2, 1})
+	// Sweep a closed flow out past FinLinger, then an idle one past IdleTTL.
+	f.Add([]byte{0, 7, 1, 0, 0, 2, 0, 0, 1, 5, 0, 11, 1, 1, 0, 7, 0, 11, 1, 0, 0, 7})
 	// Large mode: fill past capacity in bulk, look up, close, snapshot,
 	// jump past IdleTTL, sweep empty and refill.
-	f.Add([]byte{1, 200, 9, 1, 0, 0, 12, 0, 63, 0, 0, 12, 64, 63, 3, 1, 12, 128, 63, 5, 0, 12, 192, 63, 7, 2, 5, 0,
-		9, 3, 2, 8, 0, 5, 5, 0, 3, 3, 11, 0, 0, 7, 12, 50, 63, 1, 12, 150, 63, 4, 8, 0, 9, 0, 4, 2, 7, 9, 0, 9, 0})
-	f.Add([]byte{1, 60, 3, 0, 0, 0, 12, 10, 63, 2, 12, 90, 63, 6, 6, 0, 6, 1, 6, 2, 12, 170, 63, 3, 7, 0, 12, 33, 40, 0,
-		0, 11, 2, 7, 0, 3, 2, 4, 12, 5, 63, 1, 5, 7, 0, 3, 2, 8, 0})
+	f.Add([]byte{1, 200, 0, 0, 12, 0, 63, 0, 0, 12, 64, 63, 3, 1, 12, 128, 63, 5, 0, 12, 192, 63, 7, 2, 5, 0, 9, 3, 2, 8, 0,
+		5, 5, 0, 3, 3, 11, 0, 0, 7, 12, 50, 63, 1, 12, 150, 63, 4, 8, 0, 9, 0, 4, 2, 7, 9, 0, 9, 0})
+	f.Add([]byte{1, 60, 0, 0, 12, 10, 63, 2, 12, 90, 63, 6, 6, 0, 6, 1, 6, 2, 12, 170, 63, 3, 7, 0, 12, 33, 40, 0, 0, 11, 2,
+		7, 0, 3, 2, 4, 12, 5, 63, 1, 5, 7, 0, 3, 2, 8, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := &ftCursor{data: data}
 		large := c.next(2) == 1
@@ -243,11 +245,7 @@ func FuzzFlowtableModel(f *testing.F) {
 		if large {
 			maxEntries, keySpace, nBackends = 44+c.next(256), 600, 8
 		}
-		cfg := Config{
-			MaxEntries: maxEntries,
-			IdleTTL:    time.Duration(1+c.next(20)) * time.Second,
-			FinLinger:  time.Duration(1+c.next(5)) * time.Second,
-		}
+		cfg := Config{MaxEntries: maxEntries}
 		keys := make([]packet.FlowKey, keySpace)
 		backends := make([]netip.Addr, nBackends)
 		for i := range keys {
@@ -318,7 +316,7 @@ func FuzzFlowtableModel(f *testing.F) {
 				if len(snaps) == 0 {
 					break
 				}
-				shift := time.Duration(c.next(9)-4) * time.Second
+				shift := time.Duration(c.next(9)-4) * IdleTTL / 10
 				snap := slices.Clone(snaps[c.next(len(snaps))])
 				for i := range snap {
 					snap[i].Deadline += shift
@@ -327,15 +325,15 @@ func FuzzFlowtableModel(f *testing.F) {
 				if got, want := tb.Restore(now, snap), m.Restore(now, snap); got != want {
 					t.Fatalf("op %d: Restore applied %d, model %d", op, got, want)
 				}
-			case 10:
-				now += time.Duration(c.next(5000)) * time.Millisecond
+			case 10: // up to half the idle TTL
+				now += time.Duration(c.next(5000)) * (IdleTTL / 10000)
 			case 11:
 				step := time.Duration(c.next(3000)) * time.Millisecond
 				switch c.next(3) {
 				case 0:
-					now += cfg.IdleTTL + step
+					now += IdleTTL + step
 				case 1:
-					now += cfg.FinLinger + step
+					now += FinLinger + step
 				default:
 					now = max(0, now-step-time.Second)
 				}

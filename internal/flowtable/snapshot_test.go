@@ -101,7 +101,7 @@ func checkTable(t *testing.T, tb *Table) {
 }
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	src := New(Config{IdleTTL: 60 * time.Second, FinLinger: 2 * time.Second})
+	src := New(Config{})
 	for i := 0; i < 5; i++ {
 		src.Insert(time.Duration(i)*time.Second, key(i), backend1)
 	}
@@ -115,7 +115,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		t.Fatal("Snapshot mutated the source table")
 	}
 
-	dst := New(Config{MaxEntries: 5, IdleTTL: 60 * time.Second})
+	dst := New(Config{MaxEntries: 5})
 	if n := dst.Restore(5*time.Second, snap); n != 5 {
 		t.Fatalf("restored %d bindings, want 5", n)
 	}
@@ -156,10 +156,10 @@ func TestRestorePreservesLRUOrder(t *testing.T) {
 }
 
 func TestSnapshotSkipsExpired(t *testing.T) {
-	src := New(Config{IdleTTL: 10 * time.Second})
-	src.Insert(0, key(1), backend1)             // dead at 10s
-	src.Insert(5*time.Second, key(2), backend1) // dead at 15s
-	snap := src.Snapshot(12 * time.Second)
+	src := New(Config{})
+	src.Insert(0, key(1), backend1)         // dead at IdleTTL
+	src.Insert(IdleTTL/2, key(2), backend1) // dead at 3·IdleTTL/2
+	snap := src.Snapshot(IdleTTL + IdleTTL/5)
 	if len(snap) != 1 || snap[0].Key != key(2) {
 		t.Fatalf("snapshot = %+v, want only key(2)", snap)
 	}
@@ -173,51 +173,53 @@ func TestSnapshotSkipsExpired(t *testing.T) {
 // A snapshot ages while its owner is down: bindings whose deadline
 // passed during the downtime must not come back.
 func TestRestoreDropsExpired(t *testing.T) {
-	src := New(Config{IdleTTL: 10 * time.Second})
-	src.Insert(0, key(1), backend1)             // deadline 10s
-	src.Insert(8*time.Second, key(2), backend1) // deadline 18s
-	snap := src.Snapshot(8 * time.Second)
+	up, down := IdleTTL*4/5, IdleTTL*3/2
+	src := New(Config{})
+	src.Insert(0, key(1), backend1)  // deadline IdleTTL
+	src.Insert(up, key(2), backend1) // deadline up + IdleTTL
+	snap := src.Snapshot(up)
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d bindings, want 2", len(snap))
 	}
 
-	dst := New(Config{IdleTTL: 10 * time.Second})
-	if n := dst.Restore(15*time.Second, snap); n != 1 {
+	dst := New(Config{})
+	if n := dst.Restore(down, snap); n != 1 {
 		t.Fatalf("restored %d bindings, want 1", n)
 	}
-	if _, ok := dst.Lookup(15*time.Second, key(1)); ok {
+	if _, ok := dst.Lookup(down, key(1)); ok {
 		t.Fatal("restore resurrected an expired flow")
 	}
-	if _, ok := dst.Lookup(15*time.Second, key(2)); !ok {
+	if _, ok := dst.Lookup(down, key(2)); !ok {
 		t.Fatal("still-live binding dropped")
 	}
 }
 
 func TestRestoreNeverOverwritesNewerLocal(t *testing.T) {
-	cfg := Config{IdleTTL: 10 * time.Second, FinLinger: 2 * time.Second}
-	donor := New(cfg)
-	donor.Insert(0, key(1), backend2)             // deadline 10s
-	donor.Insert(5*time.Second, key(2), backend2) // deadline 15s
-	donor.Insert(5*time.Second, key(3), backend2) // deadline 15s
-	snap := donor.Snapshot(5 * time.Second)
+	mid := IdleTTL / 2
+	donor := New(Config{})
+	donor.Insert(0, key(1), backend2)   // deadline IdleTTL
+	donor.Insert(mid, key(2), backend2) // deadline mid + IdleTTL
+	donor.Insert(mid, key(3), backend2) // deadline mid + IdleTTL
+	snap := donor.Snapshot(mid)
 
-	local := New(cfg)
-	local.Insert(5*time.Second, key(1), backend1) // deadline 15s: newer than donor's
-	local.Insert(0, key(2), backend1)             // deadline 10s: older than donor's
-	local.Insert(5*time.Second, key(3), backend1)
-	local.MarkClosing(5*time.Second, key(3)) // teardown seen locally
+	local := New(Config{})
+	local.Insert(mid, key(1), backend1) // deadline mid + IdleTTL: newer than donor's
+	local.Insert(0, key(2), backend1)   // deadline IdleTTL: older than donor's
+	local.Insert(mid, key(3), backend1)
+	local.MarkClosing(mid, key(3)) // teardown seen locally
 
-	if n := local.Restore(6*time.Second, snap); n != 1 {
+	if n := local.Restore(mid+time.Second, snap); n != 1 {
 		t.Fatalf("restore applied %d bindings, want 1 (only the older local)", n)
 	}
-	if got, _ := local.Lookup(6*time.Second, key(1)); got != backend1 {
+	if got, _ := local.Lookup(mid+time.Second, key(1)); got != backend1 {
 		t.Fatal("restore overwrote a newer local entry")
 	}
-	if got, _ := local.Lookup(6*time.Second, key(2)); got != backend2 {
+	if got, _ := local.Lookup(mid+time.Second, key(2)); got != backend2 {
 		t.Fatal("older local entry not refreshed from the snapshot")
 	}
-	// The closing entry keeps its mark and its linger deadline (7s).
-	if _, ok := local.Lookup(9*time.Second, key(3)); ok {
+	// The closing entry keeps its mark and its linger deadline
+	// (mid + FinLinger).
+	if _, ok := local.Lookup(mid+2*FinLinger, key(3)); ok {
 		t.Fatal("restore resurrected a locally-closing flow")
 	}
 }
@@ -226,20 +228,21 @@ func TestRestoreNeverOverwritesNewerLocal(t *testing.T) {
 // closing one must not block a live import, and an idle one is replaced
 // as a new entry (an expiry and an insert), not overwritten in place.
 func TestRestoreReplacesExpiredLocal(t *testing.T) {
-	local := New(Config{IdleTTL: 2 * time.Second, FinLinger: time.Second})
+	local := New(Config{})
 	local.Insert(0, key(1), backend1)
-	local.MarkClosing(0, key(1)) // deadline 1s
-	local.Insert(0, key(2), backend1)
+	local.MarkClosing(0, key(1))      // deadline FinLinger
+	local.Insert(0, key(2), backend1) // deadline IdleTTL
+	now := IdleTTL + 5*time.Second
 	live := []FlowBinding{
-		{Key: key(1), Backend: backend2, Deadline: 65 * time.Second, Seen: 5 * time.Second},
-		{Key: key(2), Backend: backend2, Deadline: 65 * time.Second, Seen: 5 * time.Second},
+		{Key: key(1), Backend: backend2, Deadline: now + IdleTTL, Seen: now},
+		{Key: key(2), Backend: backend2, Deadline: now + IdleTTL, Seen: now},
 	}
-	if n := local.Restore(5*time.Second, live); n != 2 {
+	if n := local.Restore(now, live); n != 2 {
 		t.Fatalf("restore applied %d bindings, want 2", n)
 	}
 	checkTable(t, local)
 	for _, k := range []int{1, 2} {
-		if got, ok := local.Lookup(5*time.Second, key(k)); !ok || got != backend2 {
+		if got, ok := local.Lookup(now, key(k)); !ok || got != backend2 {
 			t.Fatalf("key %d: lookup = %v, %v after restoring a live binding", k, got, ok)
 		}
 	}

@@ -374,7 +374,8 @@ func TestSYNRetransmitKeepsBinding(t *testing.T) {
 
 // Idle flow state is collected off the wall clock: a query arriving
 // after an earlier flow's TTL, and after the dispatcher's 1 s sweep
-// interval, sweeps that flow out on its way in.
+// interval, sweeps that flow out on its way in. The test moves the LB's
+// clock origin back past both instead of sleeping through them.
 func TestIdleFlowsSweptOnWallClock(t *testing.T) {
 	net := NewNetwork()
 	defer net.Close()
@@ -391,7 +392,6 @@ func TestIdleFlowsSweptOnWallClock(t *testing.T) {
 	lb := newLoadBalancer(net, core.Config{
 		Addr:    liveLB,
 		VIPList: []core.VIPConfig{{Addr: liveVIP, Scheme: selection.NewRandom(addrs, 2, rng.New(7))}},
-		Flows:   flowtable.Config{IdleTTL: 50 * time.Millisecond},
 	})
 	client := NewClient(net, liveCli, liveVIP)
 	client.Launch([]byte("q"))
@@ -399,7 +399,9 @@ func TestIdleFlowsSweptOnWallClock(t *testing.T) {
 	if got := lb.FlowCount(); got != 1 {
 		t.Fatalf("flow count = %d after the first query, want 1", got)
 	}
-	time.Sleep(1100 * time.Millisecond)
+	lb.mu.Lock()
+	lb.start = lb.start.Add(-flowtable.IdleTTL - 2*time.Second)
+	lb.mu.Unlock()
 	client.Launch([]byte("q"))
 	awaitResult(t, client)
 	if got := lb.FlowCount(); got != 1 {

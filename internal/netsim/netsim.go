@@ -51,11 +51,8 @@ type Node interface {
 // but they must not retain it beyond the call (the node may mutate it).
 type Tap func(at time.Duration, dst netip.Addr, pkt *packet.Packet)
 
-// Config tunes link behavior. The zero value gives an ideal lossless LAN
-// with the default latency.
+// Config tunes link behavior. The zero value gives an ideal lossless LAN.
 type Config struct {
-	// Latency is the one-way delivery delay (default 50µs — same-rack).
-	Latency time.Duration
 	// JitterFrac adds uniform ±fraction jitter to Latency (0 disables).
 	JitterFrac float64
 	// LossProb drops packets with this probability (0 disables).
@@ -69,8 +66,9 @@ type Config struct {
 	Seed uint64
 }
 
-// DefaultLatency is the one-way LAN latency when Config.Latency is zero.
-const DefaultLatency = 50 * time.Microsecond
+// Latency is the one-way delivery delay: same-rack, the paper's one
+// bridged link.
+const Latency = 50 * time.Microsecond
 
 // The Network's counters, by slot; counterSchema names them.
 const (
@@ -125,9 +123,6 @@ type slot struct {
 
 // New creates a network on the given simulator.
 func New(sim *des.Simulator, cfg Config) *Network {
-	if cfg.Latency <= 0 {
-		cfg.Latency = DefaultLatency
-	}
 	return &Network{
 		sim:    sim,
 		cfg:    cfg,
@@ -275,7 +270,7 @@ func (n *Network) Send(pkt *packet.Packet) {
 		n.put(s)
 		return
 	}
-	delay := n.cfg.Latency
+	delay := Latency
 	if n.cfg.JitterFrac > 0 {
 		delay = time.Duration(float64(delay) * (1 + n.cfg.JitterFrac*(2*n.rng.Float64()-1)))
 	}

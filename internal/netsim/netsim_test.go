@@ -29,7 +29,7 @@ func mkPkt(src, dst string) *packet.Packet {
 
 func TestDeliveryWithLatency(t *testing.T) {
 	sim := des.New()
-	net := New(sim, Config{Latency: time.Millisecond, VerifyChecksums: true})
+	net := New(sim, Config{VerifyChecksums: true})
 	var gotAt time.Duration
 	var got *packet.Packet
 	net.Attach(NodeFunc(func(p *packet.Packet) {
@@ -41,8 +41,8 @@ func TestDeliveryWithLatency(t *testing.T) {
 	if got == nil {
 		t.Fatal("packet not delivered")
 	}
-	if gotAt != time.Millisecond {
-		t.Fatalf("delivered at %v, want 1ms", gotAt)
+	if gotAt != Latency {
+		t.Fatalf("delivered at %v, want %v", gotAt, Latency)
 	}
 	if got.IP.Src != addrA {
 		t.Fatalf("src = %v", got.IP.Src)
@@ -52,6 +52,7 @@ func TestDeliveryWithLatency(t *testing.T) {
 	}
 }
 
+// The copy path (no VerifyChecksums) delivers after the same Latency.
 func TestDefaultLatency(t *testing.T) {
 	sim := des.New()
 	net := New(sim, Config{})
@@ -59,8 +60,8 @@ func TestDefaultLatency(t *testing.T) {
 	net.Attach(NodeFunc(func(*packet.Packet) { at = sim.Now() }), addrB)
 	net.Send(mkPkt("2001:db8::a", "2001:db8::b"))
 	sim.Run()
-	if at != DefaultLatency {
-		t.Fatalf("at = %v, want %v", at, DefaultLatency)
+	if at != Latency {
+		t.Fatalf("at = %v, want %v", at, Latency)
 	}
 }
 
@@ -133,7 +134,7 @@ func TestLossStatistics(t *testing.T) {
 
 func TestJitterBounded(t *testing.T) {
 	sim := des.New()
-	net := New(sim, Config{Latency: time.Millisecond, JitterFrac: 0.5, Seed: 3})
+	net := New(sim, Config{JitterFrac: 0.5, Seed: 3})
 	var times []time.Duration
 	net.Attach(NodeFunc(func(*packet.Packet) { times = append(times, sim.Now()) }), addrB)
 	for i := 0; i < 1000; i++ {
@@ -141,7 +142,7 @@ func TestJitterBounded(t *testing.T) {
 	}
 	sim.Run()
 	for _, at := range times {
-		if at < 500*time.Microsecond || at > 1500*time.Microsecond {
+		if at < Latency/2 || at > 3*Latency/2 {
 			t.Fatalf("delivery at %v outside jitter bounds", at)
 		}
 	}
@@ -197,7 +198,7 @@ func TestSynchronousReplyFromHandler(t *testing.T) {
 	// A node may send from within Handle (that is how servers reply);
 	// the reply must be delivered on a later event, not recursively.
 	sim := des.New()
-	net := New(sim, Config{Latency: time.Millisecond})
+	net := New(sim, Config{})
 	gotReply := false
 	net.Attach(NodeFunc(func(p *packet.Packet) {
 		reply := mkPkt("2001:db8::b", "2001:db8::a")
@@ -209,8 +210,8 @@ func TestSynchronousReplyFromHandler(t *testing.T) {
 	if !gotReply {
 		t.Fatal("reply not delivered")
 	}
-	if sim.Now() != 2*time.Millisecond {
-		t.Fatalf("round trip took %v, want 2ms", sim.Now())
+	if sim.Now() != 2*Latency {
+		t.Fatalf("round trip took %v, want %v", sim.Now(), 2*Latency)
 	}
 }
 

@@ -135,7 +135,8 @@ func parityCases() []parityCase {
 					{Fallback: testFallback},
 					{Pool: 1, Fallback: testFallback},
 				},
-				Events: []Event{FailReplica(400*time.Millisecond, 1)},
+				Span:   time.Second,
+				Events: []Event{FailReplica(0.4, 1)},
 			},
 			n: 1200, rate: 900, demand: 12 * time.Millisecond,
 			exercised: [2]string{"lb0", "miss_fallback"},

@@ -69,7 +69,7 @@ func TestPacketLossDegradesGracefully(t *testing.T) {
 
 func TestJitterPreservesCorrectness(t *testing.T) {
 	tb := runWithNet(t,
-		netsim.Config{Latency: time.Millisecond, JitterFrac: 0.8, Seed: 6},
+		netsim.Config{JitterFrac: 0.8, Seed: 6},
 		func(int) agent.Policy { return agent.NewStatic(4) },
 		1500, 100)
 	ok := 0

@@ -28,14 +28,14 @@ func wllScheme(servers []netip.Addr, r *rand.Rand, view *feedback.VIPView) selec
 // server. A later fresh report recovers it.
 func TestFeedbackStalenessAndRecovery(t *testing.T) {
 	const servers = 3
-	failAt := 20 * time.Millisecond
 	tb := Build(Topology{
 		Seed:  41,
 		Pools: []PoolSpec{{Servers: servers}},
 		VIPs:  []VIPSpec{{Scheme: wllScheme}},
 		// Horizon 0: no automatic ticker — the test drives publication.
 		Feedback: feedback.Config{Enabled: true},
-		Events:   []Event{failServer(failAt, 0, 1)},
+		Span:     time.Second,
+		Events:   []Event{failServer(0.02, 0, 1)}, // 20 ms
 	})
 	if tb.Feedback == nil {
 		t.Fatal("feedback plane not built")
@@ -154,8 +154,8 @@ func TestFeedbackStalenessAfterReplicaRecover(t *testing.T) {
 		name string
 		ev   Event
 	}{
-		{"stateless", RecoverReplica(50*time.Millisecond, 1)},
-		{"warm", RecoverReplicaWarm(50*time.Millisecond, 1, 0)},
+		{"stateless", RecoverReplica(0.05, 1)},
+		{"warm", RecoverReplicaWarm(0.05, 1, 0)},
 	}
 	for _, rec := range recovers {
 		t.Run(rec.name, func(t *testing.T) {
@@ -167,7 +167,8 @@ func TestFeedbackStalenessAfterReplicaRecover(t *testing.T) {
 				VIPs:     []VIPSpec{{Scheme: wllScheme}},
 				// Horizon 0: no automatic ticker — the test publishes.
 				Feedback: feedback.Config{Enabled: true},
-				Events:   []Event{FailReplica(30*time.Millisecond, 1), rec.ev},
+				Span:     time.Second,
+				Events:   []Event{FailReplica(0.03, 1), rec.ev},
 			})
 			vip := tb.VIPAddrOf(0)
 			freshCount := func(r int) int {

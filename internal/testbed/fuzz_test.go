@@ -30,10 +30,11 @@ func (c *fuzzCursor) next(bound int) int {
 }
 
 // decodeFuzzTopology builds a bounded topology (pools, VIPs, lifecycle
-// events) from arbitrary bytes. Every numeric field is taken modulo a
-// small bound, so the fuzzer explores the schedule/shape space — pool
-// indexes in and out of range, event targets, rate-relative fractions —
-// rather than just integer overflow.
+// events and their span) from arbitrary bytes. Every numeric field is
+// taken modulo a small bound, so the fuzzer explores the schedule/shape
+// space — pool indexes in and out of range, event targets, fractions in
+// and out of [0, 1], spans that are not positive — rather than just
+// integer overflow.
 func decodeFuzzTopology(data []byte) Topology {
 	c := &fuzzCursor{data: data}
 	// random-1 selection keeps every ≥1-server pool schedulable, so the
@@ -47,6 +48,7 @@ func decodeFuzzTopology(data []byte) Topology {
 		Seed:     uint64(c.next(251)),
 		Replicas: c.next(3),
 		Clients:  c.next(4),
+		Span:     time.Duration(c.next(5)-1) * 500 * time.Millisecond, // -0.5 s to 1.5 s
 	}
 	npools := c.next(4)
 	for p := 0; p < npools; p++ {
@@ -69,19 +71,13 @@ func decodeFuzzTopology(data []byte) Topology {
 			Replica: c.next(4),
 			From:    c.next(4),
 		}
-		switch c.next(5) {
+		switch c.next(3) {
 		case 0:
-			ev.At = time.Duration(c.next(1000)) * time.Millisecond
-		case 1:
-			ev = ev.AtFraction(float64(c.next(11)) / 10)
-		case 2: // malformed mixes: both time bases, out-of-range fractions
-			ev.At = time.Duration(c.next(100)) * time.Millisecond
+			ev.Frac = float64(c.next(11)) / 10
+		case 1: // -1 to 1.9, mostly out of range
 			ev.Frac = float64(c.next(30))/10 - 1
-			ev.Relative = c.next(2) == 1
-		case 3: // a fraction no comparison orders
-			ev = ev.AtFraction(math.NaN())
-		case 4: // an absolute time before the run starts
-			ev.At = -time.Duration(c.next(1000)+1) * time.Millisecond
+		case 2: // a fraction no comparison orders
+			ev.Frac = math.NaN()
 		}
 		top.Events = append(top.Events, ev)
 	}
@@ -104,17 +100,12 @@ func FuzzTopologyValidate(f *testing.F) {
 			return
 		}
 		// Accepted: the compile and the full event schedule (fired by the
-		// simulator with no traffic) must run clean. Rate-relative
-		// schedules are resolved first — Build rejecting unresolved
-		// fractions is part of the contract, not a fuzz finding — and
-		// ResolveEvents on a Validate-accepted schedule must itself not
-		// panic.
+		// simulator with no traffic) must run clean.
 		defer func() {
 			if r := recover(); r != nil {
 				t.Fatalf("Validate accepted a topology whose Build/schedule panics: %v\n%+v", r, top)
 			}
 		}()
-		top.Events = ResolveEvents(top.Events, time.Second)
 		tb := Build(top)
 		tb.Sim.Run()
 	})

@@ -34,8 +34,6 @@ type GenSpec struct {
 	// Fallback, when non-nil, each VIP's miss-fallback.
 	Scheme   SchemeFn
 	Fallback FallbackFn
-	// Events is the lifecycle schedule, passed through to the topology.
-	Events []Event
 }
 
 func (g GenSpec) withDefaults() GenSpec {
@@ -83,6 +81,5 @@ func GenerateTopology(spec GenSpec) Topology {
 		Pools:   pools,
 		VIPs:    vips,
 		Clients: spec.Clients,
-		Events:  spec.Events,
 	}
 }

@@ -100,12 +100,13 @@ func generatedParityDigest() uint64 {
 		Pools:          4,
 		ServersPerPool: 6,
 		Fallback:       testFallback,
-		Events: []Event{
-			DrainServer(150*time.Millisecond, 0, 1),
-			AddServer(300*time.Millisecond, 2),
-			failServer(450*time.Millisecond, 1, 0),
-		},
 	})
+	top.Span = time.Second
+	top.Events = []Event{
+		DrainServer(0.15, 0, 1),
+		AddServer(0.3, 2),
+		failServer(0.45, 1, 0),
+	}
 	tb := Build(top)
 	results := collect(tb)
 	r := rng.Split(211, 0xd1ce)
@@ -150,9 +151,8 @@ func TestGenerate1kBuildSmoke(t *testing.T) {
 // Pool lifecycle events on a generated topology drive the shared pool
 // once for every service riding it, and the per-VIP query accounting
 // conserves: Offered == OK + Refused + Unfinished for every one of the
-// 192 services after the run drains. Events are declared rate-relative
-// (AtFraction) and resolved against the arrival span, the workload
-// path's form.
+// 192 services after the run drains. Events are fractions of the
+// arrival span, the workload path's form.
 func TestGeneratedPoolEventsConservation(t *testing.T) {
 	const (
 		vips = 192
@@ -160,21 +160,18 @@ func TestGeneratedPoolEventsConservation(t *testing.T) {
 		step = time.Millisecond
 	)
 	span := time.Duration(n) * step
-	events := ResolveEvents([]Event{
-		DrainServer(0, 0, 0).AtFraction(0.3),
-		failServer(0, 0, 1).AtFraction(0.5),
-	}, span)
 	top := GenerateTopology(GenSpec{
 		Seed:           31,
 		VIPs:           vips,
 		Pools:          3,
 		ServersPerPool: 6,
-		Events:         events,
 	})
+	top.Span = span
+	top.Events = []Event{DrainServer(0.3, 0, 0), failServer(0.5, 0, 1)}
 	tb := Build(top)
 	sink := NewSketchSink()
 	tb.Gen.Sink = sink
-	offered := tapCandidates(tb.Net, events[1].At)
+	offered := tapCandidates(tb.Net, span/2)
 	r := rng.Split(31, 0x5eed)
 	for i := 0; i < n; i++ {
 		q := Query{ID: uint64(i), VIP: tb.VIPAddrOf(i % vips), Demand: rng.Exp(r, 4*time.Millisecond)}

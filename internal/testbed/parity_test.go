@@ -40,12 +40,13 @@ func legacyParityDigest() uint64 {
 			{Fallback: testFallback},
 			{Pool: 1, Fallback: testFallback},
 		},
+		Span: time.Second,
 		Events: []Event{
-			AddServer(80*time.Millisecond, 0),
-			DrainServer(200*time.Millisecond, 0, 1),
-			failServer(320*time.Millisecond, 1, 0),
-			FailReplica(400*time.Millisecond, 1),
-			RecoverReplica(520*time.Millisecond, 1),
+			AddServer(0.08, 0),
+			DrainServer(0.2, 0, 1),
+			failServer(0.32, 1, 0),
+			FailReplica(0.4, 1),
+			RecoverReplica(0.52, 1),
 		},
 	})
 	results := collect(tb)

@@ -9,20 +9,19 @@ import (
 	"time"
 
 	"srlb/internal/feedback"
-	"srlb/internal/flowtable"
 	"srlb/internal/packet"
 	"srlb/internal/selection"
 )
 
-func resilienceTopology(events []Event, flows flowtable.Config) Topology {
+func resilienceTopology(span time.Duration, events ...Event) Topology {
 	return Topology{
 		Seed:     59,
 		Replicas: 2,
-		Flows:    flows,
 		Pools:    []PoolSpec{{Servers: 3}},
 		VIPs: []VIPSpec{{Scheme: func(s []netip.Addr, r *rand.Rand, _ *feedback.VIPView) selection.Scheme {
 			return selection.NewRandom(s, 2, r)
 		}}},
+		Span:   span,
 		Events: events,
 	}
 }
@@ -35,10 +34,10 @@ func testFlow(i int) packet.FlowKey {
 // the donor's live table as it stands at the recover instant — bindings
 // learned after the crash included.
 func TestRecoverReplicaWarmInheritsSurvivorFlows(t *testing.T) {
-	tb := Build(resilienceTopology([]Event{
-		FailReplica(10*time.Millisecond, 0),
-		RecoverReplicaWarm(30*time.Millisecond, 0, 1),
-	}, flowtable.Config{}))
+	tb := Build(resilienceTopology(time.Second,
+		FailReplica(0.01, 0),
+		RecoverReplicaWarm(0.03, 0, 1),
+	))
 	// The survivor learns flows both before the kill and during the
 	// downtime; the recovering replica must inherit all of them.
 	tb.Sim.At(5*time.Millisecond, func() {
@@ -58,18 +57,20 @@ func TestRecoverReplicaWarmInheritsSurvivorFlows(t *testing.T) {
 
 // Warm recovery from the replica's own pre-fail snapshot (from == r),
 // aged by the downtime: bindings that expired while the replica was
-// dark stay dead, the rest come back.
+// dark stay dead, the rest come back. The span is 100 s, so the
+// downtimes are of the order of the 60 s idle TTL.
 func TestRecoverReplicaWarmSelfSnapshotAges(t *testing.T) {
-	tb := Build(resilienceTopology([]Event{
-		FailReplica(10*time.Millisecond, 0),
-		RecoverReplicaWarm(30*time.Millisecond, 0, 0),
-	}, flowtable.Config{IdleTTL: 15 * time.Millisecond}))
-	tb.Sim.At(2*time.Millisecond, func() {
-		// Deadline 17ms — mid-downtime; must not come back at 30ms.
+	const span = 100 * time.Second
+	tb := Build(resilienceTopology(span,
+		FailReplica(0.1, 0),
+		RecoverReplicaWarm(0.75, 0, 0),
+	))
+	tb.Sim.At(2*time.Second, func() {
+		// Deadline 62 s — mid-downtime; must not come back at 75 s.
 		tb.LBs[0].SeedFlow(testFlow(0), ServerAddr(0))
 	})
-	tb.Sim.At(9*time.Millisecond, func() {
-		// Deadline 24ms — expires later, still before the recover.
+	tb.Sim.At(9*time.Second, func() {
+		// Deadline 69 s — expires later, still before the recover.
 		tb.LBs[0].SeedFlow(testFlow(1), ServerAddr(1))
 	})
 	tb.Sim.Run()
@@ -77,13 +78,13 @@ func TestRecoverReplicaWarmSelfSnapshotAges(t *testing.T) {
 		t.Fatalf("replica resurrected %d flows that expired during its downtime", got)
 	}
 
-	// Same schedule, longer TTL: the pre-fail bindings survive the
-	// 20ms downtime and come back.
-	tb = Build(resilienceTopology([]Event{
-		FailReplica(10*time.Millisecond, 0),
-		RecoverReplicaWarm(30*time.Millisecond, 0, 0),
-	}, flowtable.Config{IdleTTL: 50 * time.Millisecond}))
-	tb.Sim.At(2*time.Millisecond, func() {
+	// A shorter downtime, from 10 s to 30 s: the pre-fail bindings
+	// outlive it and come back.
+	tb = Build(resilienceTopology(span,
+		FailReplica(0.1, 0),
+		RecoverReplicaWarm(0.3, 0, 0),
+	))
+	tb.Sim.At(2*time.Second, func() {
 		tb.LBs[0].SeedFlow(testFlow(0), ServerAddr(0))
 		tb.LBs[0].SeedFlow(testFlow(1), ServerAddr(1))
 	})
@@ -96,11 +97,11 @@ func TestRecoverReplicaWarmSelfSnapshotAges(t *testing.T) {
 // A warm recover whose donor is itself dark at the recover instant
 // falls back to the donor's pre-fail snapshot.
 func TestRecoverReplicaWarmDeadDonorUsesPreFailSnapshot(t *testing.T) {
-	tb := Build(resilienceTopology([]Event{
-		FailReplica(10*time.Millisecond, 1), // donor dies second... first in time
-		FailReplica(15*time.Millisecond, 0),
-		RecoverReplicaWarm(30*time.Millisecond, 0, 1),
-	}, flowtable.Config{}))
+	tb := Build(resilienceTopology(time.Second,
+		FailReplica(0.01, 1), // donor dies second... first in time
+		FailReplica(0.015, 0),
+		RecoverReplicaWarm(0.03, 0, 1),
+	))
 	tb.Sim.At(5*time.Millisecond, func() {
 		tb.LBs[1].SeedFlow(testFlow(0), ServerAddr(0))
 	})
@@ -116,7 +117,7 @@ func TestFailPoolRackDeterministicAndClamped(t *testing.T) {
 		t.Fatalf("0.25 of 12 servers = %d events, want 3", len(events))
 	}
 	for i, ev := range events {
-		want := Event{Kind: EventServerFail, Server: i, Frac: 0.4, Relative: true}
+		want := Event{Frac: 0.4, Kind: EventServerFail, Server: i}
 		if !reflect.DeepEqual(ev, want) {
 			t.Fatalf("event %d = %+v, want %+v", i, ev, want)
 		}
@@ -137,7 +138,7 @@ func TestFailPoolRackDeterministicAndClamped(t *testing.T) {
 	}
 	// The schedule validates and applies: after the rack event fires,
 	// the pool is down to the survivors.
-	top := resilienceTopology(ResolveEvents(FailPoolRack(0, 3, 1.0/3.0, 0.5), 20*time.Millisecond), flowtable.Config{})
+	top := resilienceTopology(20*time.Millisecond, FailPoolRack(0, 3, 1.0/3.0, 0.5)...)
 	if err := top.Validate(); err != nil {
 		t.Fatalf("rack schedule rejected: %v", err)
 	}
@@ -162,7 +163,7 @@ func TestRollingUpgradeEventsSequence(t *testing.T) {
 	wantKinds := []EventKind{EventReplicaFail, EventReplicaRecoverWarm, EventReplicaFail, EventReplicaRecoverWarm}
 	wantFracs := []float64{0.3, 0.45, 0.6, 0.75}
 	for i, ev := range warm {
-		if ev.Kind != wantKinds[i] || math.Abs(ev.Frac-wantFracs[i]) > 1e-9 || !ev.Relative {
+		if ev.Kind != wantKinds[i] || math.Abs(ev.Frac-wantFracs[i]) > 1e-9 {
 			t.Fatalf("event %d = %+v, want kind %d at frac %v", i, ev, wantKinds[i], wantFracs[i])
 		}
 	}
@@ -186,7 +187,7 @@ func TestRollingUpgradeEventsSequence(t *testing.T) {
 	}
 	// Both shapes pass static validation on a matching topology.
 	for _, events := range [][]Event{warm, cold} {
-		top := resilienceTopology(events, flowtable.Config{})
+		top := resilienceTopology(time.Second, events...)
 		top.Replicas = 3
 		if err := top.Validate(); err != nil {
 			t.Fatalf("rolling-upgrade schedule rejected: %v", err)
@@ -196,16 +197,14 @@ func TestRollingUpgradeEventsSequence(t *testing.T) {
 
 // Validation: a warm recover names a donor that must exist.
 func TestWarmRecoverValidation(t *testing.T) {
-	top := resilienceTopology([]Event{
-		FailReplica(10*time.Millisecond, 0),
-		RecoverReplicaWarm(20*time.Millisecond, 0, 5),
-	}, flowtable.Config{})
+	top := resilienceTopology(time.Second,
+		FailReplica(0.01, 0),
+		RecoverReplicaWarm(0.02, 0, 5),
+	)
 	if err := top.Validate(); err == nil {
 		t.Fatal("out-of-range warm-recover donor accepted")
 	}
-	top = resilienceTopology([]Event{
-		RecoverReplicaWarm(20*time.Millisecond, 5, 0),
-	}, flowtable.Config{})
+	top = resilienceTopology(time.Second, RecoverReplicaWarm(0.02, 5, 0))
 	if err := top.Validate(); err == nil {
 		t.Fatal("out-of-range warm-recover replica accepted")
 	}

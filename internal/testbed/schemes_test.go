@@ -106,13 +106,14 @@ func TestSchemeLifecycleAcrossChurnAndRecovery(t *testing.T) {
 				return plainSpy{Scheme: selection.NewRandom(s, 2, r), observes: &plainObserves}
 			}},
 		},
+		Span: time.Second,
 		Events: []Event{
-			AddServer(80*time.Millisecond, 0),
-			DrainServer(200*time.Millisecond, 0, 1),
-			FailReplica(300*time.Millisecond, 1),
-			failServer(380*time.Millisecond, 0, 2),
-			RecoverReplica(520*time.Millisecond, 1),
-			DrainServer(600*time.Millisecond, 0, 0),
+			AddServer(0.08, 0),
+			DrainServer(0.2, 0, 1),
+			FailReplica(0.3, 1),
+			failServer(0.38, 0, 2),
+			RecoverReplica(0.52, 1),
+			DrainServer(0.6, 0, 0),
 		},
 	})
 	// Indexed by ID: DrainPending reports what is still pending at the
@@ -186,7 +187,8 @@ func TestRebuiltSchemeCandidatesPinned(t *testing.T) {
 		Replicas: 2,
 		Pools:    []PoolSpec{{Servers: 5}},
 		VIPs:     []VIPSpec{{Name: "random"}, {Name: "rr", Scheme: rr}},
-		Events:   []Event{DrainServer(time.Second, 0, 1), AddServer(2*time.Second, 0)},
+		Span:     2 * time.Second,
+		Events:   []Event{DrainServer(0.5, 0, 1), AddServer(1, 0)},
 	})
 	drained, added := SharedPoolServerAddr(0, 1), SharedPoolServerAddr(0, 5)
 	want := []uint64{0x6531dbb815110a51, 0x11e653ccf866ec15, 0x7b6cea5e7980023f}

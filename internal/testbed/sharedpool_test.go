@@ -70,6 +70,7 @@ func sharedPoolTopology(seed uint64, servers int, events ...Event) Topology {
 		Seed:   seed,
 		Pools:  []PoolSpec{{Name: "shared", Servers: servers}},
 		VIPs:   []VIPSpec{{Name: "web"}, {Name: "batch"}},
+		Span:   time.Second,
 		Events: events,
 	}
 }
@@ -137,8 +138,8 @@ func TestSharedPoolTwoVIPsOneLedger(t *testing.T) {
 func TestSharedPoolEvents(t *testing.T) {
 	const n = 600
 	tb := Build(sharedPoolTopology(47, 3,
-		AddServer(100*time.Millisecond, 0),
-		DrainServer(300*time.Millisecond, 0, 0),
+		AddServer(0.1, 0),
+		DrainServer(0.3, 0, 0),
 	))
 	results := collect(tb)
 	resp := tapResponses(tb.Net)

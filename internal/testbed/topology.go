@@ -5,7 +5,7 @@
 // anycast/ECMP groups (the Maglev/Ananta deployment model the paper's
 // §II-B consistent-hashing selection enables); and a schedule of
 // lifecycle Events — server drain/add/fail targeting a pool, replica
-// fail/recover — applied at virtual times during the run.
+// fail/recover — applied at fractions of the run's arrival span.
 //
 // Build compiles a Topology into wired nodes. Topology{} is one default
 // pool behind one VIP: exactly the single-LB/single-VIP cluster the
@@ -138,15 +138,16 @@ type Topology struct {
 	Pools []PoolSpec
 	// VIPs declares the services (default: one zero VIPSpec).
 	VIPs []VIPSpec
-	// Net is the simulated link (default: ideal LAN); Flows the LB flow
-	// table's settings (default: flowtable defaults); Clients the number
+	// Net is the simulated link (default: ideal LAN); Clients the number
 	// of distinct client source addresses (default 8).
 	Net     netsim.Config
-	Flows   flowtable.Config
 	Clients int
-	// Events is the lifecycle schedule, applied at virtual times during
-	// the run. Events at the same instant apply in slice order.
+	// Events is the lifecycle schedule: event e fires at
+	// time.Duration(e.Frac × Span), and events at the same instant apply
+	// in slice order. Span is the run's arrival span; a schedule needs
+	// Span > 0.
 	Events []Event
+	Span   time.Duration
 	// Feedback configures the server-load telemetry plane. Disabled by
 	// default: servers publish nothing and every SchemeFn gets a nil
 	// view, so existing topologies run exactly as before. When
@@ -186,15 +187,14 @@ const (
 
 // Event is one scheduled lifecycle action. Use the constructors.
 //
-// An event's time is either absolute (At, the historical form) or
-// rate-relative: AtFraction marks it as a fraction of the run's arrival
-// span, to be resolved to an absolute time by ResolveEvents once the
-// workload knows the span at its load point. Rate-relative schedules are
-// what let one event schedule serve a whole load sweep — "drain a third
-// of the pool 30% into the run" means the same thing at every ρ, while
-// an absolute time only fits one arrival rate.
+// An event's time is a fraction of the run's arrival span
+// (Topology.Span), which is what lets one schedule serve a whole load
+// sweep: "drain a third of the pool 30% into the run" means the same
+// thing at every ρ, while an absolute time only fits one arrival rate.
 type Event struct {
-	At   time.Duration
+	// Frac is the event's instant as a fraction in [0, 1] of
+	// Topology.Span.
+	Frac float64
 	Kind EventKind
 	// Pool indexes Topology.Pools (server events).
 	Pool int
@@ -207,98 +207,48 @@ type Event struct {
 	// (EventReplicaRecoverWarm); From == Replica means the replica
 	// inherits its own pre-fail snapshot.
 	From int
-	// Frac is the rate-relative time in [0, 1] (fraction of the arrival
-	// span); meaningful only when Relative is set.
-	Frac float64
-	// Relative marks the event as rate-relative: it must be resolved via
-	// ResolveEvents before Build.
-	Relative bool
 }
 
-// AtFraction returns a copy of ev scheduled at fraction f of the run's
-// arrival span instead of at an absolute time. The workload resolves it
-// (ResolveEvents) when it knows the span for its load point; Build
-// rejects topologies whose relative events were never resolved.
-func (ev Event) AtFraction(f float64) Event {
-	ev.At = 0
-	ev.Frac = f
-	ev.Relative = true
-	return ev
-}
-
-// ResolveEvents resolves every rate-relative event against the given
-// arrival span, returning a new slice with all times absolute; absolute
-// events pass through untouched. Workloads call this once per run, after
-// computing their span from the load point; call it yourself only when
-// handing a relative schedule straight to Build. Malformed relative events —
-// fractions outside [0, 1], or an event carrying both an absolute time
-// and a fraction — panic here with the same diagnostics Validate gives,
-// since resolution (not Build) is where the workload path sees them
-// last: a fraction resolved unchecked would surface as a bewildering
-// negative-time scheduling panic, or as an event silently landing past
-// the horizon.
-func ResolveEvents(events []Event, span time.Duration) []Event {
-	if len(events) == 0 {
-		return events
-	}
-	out := make([]Event, len(events))
-	for i, ev := range events {
-		if ev.Relative {
-			if !(ev.Frac >= 0 && ev.Frac <= 1) {
-				panic(fmt.Sprintf("testbed: event %d: fraction %v outside [0, 1]", i, ev.Frac))
-			}
-			if ev.At != 0 {
-				panic(fmt.Sprintf("testbed: event %d: both absolute time %v and fraction %v set", i, ev.At, ev.Frac))
-			}
-			ev.At = time.Duration(ev.Frac * float64(span))
-			ev.Frac = 0
-			ev.Relative = false
-		}
-		out[i] = ev
-	}
-	return out
-}
-
-// AddServer returns an event growing pool by one server at time at. The
-// new server gets the next free index in the pool, and every VIP
-// selecting over the pool gains it.
-func AddServer(at time.Duration, pool int) Event {
-	return Event{At: at, Kind: EventServerAdd, Pool: pool}
+// AddServer returns an event growing pool by one server at fraction
+// frac of the span. The new server gets the next free index in the
+// pool, and every VIP selecting over the pool gains it.
+func AddServer(frac float64, pool int) Event {
+	return Event{Frac: frac, Kind: EventServerAdd, Pool: pool}
 }
 
 // DrainServer returns an event removing server i of pool from candidate
-// selection at time at, leaving established flows to complete. Every
-// VIP selecting over the pool loses the server at once.
-func DrainServer(at time.Duration, pool, i int) Event {
-	return Event{At: at, Kind: EventServerDrain, Pool: pool, Server: i}
+// selection at fraction frac of the span, leaving established flows to
+// complete. Every VIP selecting over the pool loses the server at once.
+func DrainServer(frac float64, pool, i int) Event {
+	return Event{Frac: frac, Kind: EventServerDrain, Pool: pool, Server: i}
 }
 
-// FailReplica returns an event failing LB replica r at time at.
-func FailReplica(at time.Duration, r int) Event {
-	return Event{At: at, Kind: EventReplicaFail, Replica: r}
+// FailReplica returns an event failing LB replica r at fraction frac of
+// the span.
+func FailReplica(frac float64, r int) Event {
+	return Event{Frac: frac, Kind: EventReplicaFail, Replica: r}
 }
 
 // RecoverReplica returns an event re-attaching LB replica r (stateless)
-// at time at.
-func RecoverReplica(at time.Duration, r int) Event {
-	return Event{At: at, Kind: EventReplicaRecover, Replica: r}
+// at fraction frac of the span.
+func RecoverReplica(frac float64, r int) Event {
+	return Event{Frac: frac, Kind: EventReplicaRecover, Replica: r}
 }
 
-// RecoverReplicaWarm returns an event re-attaching LB replica r at time
-// at with a warm handoff: the replica imports replica from's flow
+// RecoverReplicaWarm returns an event re-attaching LB replica r at
+// fraction frac of the span with a warm handoff: the replica imports replica from's flow
 // bindings instead of restarting stateless. A donor that is alive at
 // the recover instant exports its table then; a dead donor — including
 // from == r, a replica handing its own state forward across the restart
 // — contributes the snapshot captured when it failed, aged by the
 // downtime (deadlines are absolute virtual times, so bindings that
 // expired while the replica was dark are dropped on import).
-func RecoverReplicaWarm(at time.Duration, r, from int) Event {
-	return Event{At: at, Kind: EventReplicaRecoverWarm, Replica: r, From: from}
+func RecoverReplicaWarm(frac float64, r, from int) Event {
+	return Event{Frac: frac, Kind: EventReplicaRecoverWarm, Replica: r, From: from}
 }
 
 // FailPoolRack returns a correlated-failure schedule: the first
 // ceil(fraction × servers) slots of pool all fail-stop at the same
-// rate-relative
 // instant atFrac — one rack dropping off the fabric at once. Victims
 // are resolved deterministically as slots 0..k-1, and the count is
 // clamped to leave at least one server alive (Validate rejects
@@ -313,7 +263,7 @@ func FailPoolRack(pool, servers int, fraction, atFrac float64) []Event {
 	}
 	events := make([]Event, 0, k)
 	for i := 0; i < k; i++ {
-		events = append(events, Event{Kind: EventServerFail, Pool: pool, Server: i}.AtFraction(atFrac))
+		events = append(events, Event{Frac: atFrac, Kind: EventServerFail, Pool: pool, Server: i})
 	}
 	return events
 }
@@ -337,11 +287,11 @@ func RollingUpgradeEvents(replicas int, startFrac, strideFrac, downFrac float64,
 	for r := 0; r < replicas; r++ {
 		failF := clamp(startFrac + float64(r)*strideFrac)
 		recF := clamp(startFrac + float64(r)*strideFrac + downFrac)
-		events = append(events, FailReplica(0, r).AtFraction(failF))
+		events = append(events, FailReplica(failF, r))
 		if warm {
-			events = append(events, RecoverReplicaWarm(0, r, (r+1)%replicas).AtFraction(recF))
+			events = append(events, RecoverReplicaWarm(recF, r, (r+1)%replicas))
 		} else {
-			events = append(events, RecoverReplica(0, r).AtFraction(recF))
+			events = append(events, RecoverReplica(recF, r))
 		}
 	}
 	return events
@@ -405,38 +355,22 @@ func (t Topology) Validate() error { return t.withDefaults().validate() }
 
 // validate statically replays the event schedule against the declared
 // pools so that a malformed schedule fails at Build, not mid-simulation:
-// out-of-range indices, malformed rate-relative times and pools drained
-// empty are rejected here. One class of error necessarily remains
+// out-of-range indices, fractions outside [0, 1], a schedule without a
+// span and pools drained empty are rejected here. One class of error necessarily remains
 // dynamic — a pool shrinking below a custom scheme's candidate count
 // (the scheme's k is opaque to the topology); keep every pool at least
 // as large as its scheme needs, or the scheme's own constructor will
 // panic at the event's virtual time.
 func (t Topology) validate() error {
-	// Time sanity first: a negative time, a fraction outside [0, 1] (NaN
-	// included), or an event carrying both an absolute time and a
-	// fraction, is malformed however the schedule is later resolved.
-	// Mixing absolute and relative events in one schedule is also
-	// rejected — without the span the two time bases cannot be ordered
-	// against each other.
-	relative, absolute := 0, 0
+	// Time sanity first: a fraction outside [0, 1] (NaN included) or a
+	// schedule with no span to take fractions of.
 	for i, ev := range t.Events {
-		if !ev.Relative {
-			if ev.At < 0 {
-				return fmt.Errorf("event %d: negative time %v", i, ev.At)
-			}
-			absolute++
-			continue
-		}
-		relative++
 		if !(ev.Frac >= 0 && ev.Frac <= 1) {
 			return fmt.Errorf("event %d: fraction %v outside [0, 1]", i, ev.Frac)
 		}
-		if ev.At != 0 {
-			return fmt.Errorf("event %d: both absolute time %v and fraction %v set", i, ev.At, ev.Frac)
-		}
 	}
-	if relative > 0 && absolute > 0 {
-		return fmt.Errorf("schedule mixes %d absolute and %d rate-relative events; resolve the fractions first (ResolveEvents)", absolute, relative)
+	if len(t.Events) > 0 && t.Span <= 0 {
+		return fmt.Errorf("%d events need a positive Span, got %v", len(t.Events), t.Span)
 	}
 	for v, spec := range t.VIPs {
 		if spec.Pool < 0 || spec.Pool >= len(t.Pools) {
@@ -451,21 +385,13 @@ func (t Topology) validate() error {
 		pools[p] = poolInfo{slots: ps.Servers, live: ps.Servers}
 	}
 	removed := make(map[[2]int]bool)
-	// Replay in time order (stable: same-instant events keep slice order,
-	// matching how the simulator will fire them). An all-relative
-	// schedule replays in fraction order — the order it will fire in
-	// once resolved, whatever the span.
-	key := func(ev Event) float64 {
-		if ev.Relative {
-			return ev.Frac
-		}
-		return float64(ev.At)
-	}
+	// Replay in fraction order (stable: same-instant events keep slice
+	// order, matching how the simulator will fire them).
 	order := make([]int, len(t.Events))
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return key(t.Events[order[a]]) < key(t.Events[order[b]]) })
+	sort.SliceStable(order, func(a, b int) bool { return t.Events[order[a]].Frac < t.Events[order[b]].Frac })
 	for _, i := range order {
 		ev := t.Events[i]
 		switch ev.Kind {
@@ -481,15 +407,15 @@ func (t Topology) validate() error {
 				continue
 			}
 			if ev.Server < 0 || ev.Server >= p.slots {
-				return fmt.Errorf("event %d: server %d out of range for pool %d (≤ %d at t=%v)",
-					i, ev.Server, pi, p.slots, ev.At)
+				return fmt.Errorf("event %d: server %d out of range for pool %d (≤ %d at fraction %v)",
+					i, ev.Server, pi, p.slots, ev.Frac)
 			}
 			if key := [2]int{pi, ev.Server}; !removed[key] {
 				removed[key] = true
 				p.live--
 				if p.live < 1 {
-					return fmt.Errorf("event %d: draining server %d empties pool %d at t=%v",
-						i, ev.Server, pi, ev.At)
+					return fmt.Errorf("event %d: draining server %d empties pool %d at fraction %v",
+						i, ev.Server, pi, ev.Frac)
 				}
 			}
 		case EventReplicaFail, EventReplicaRecover, EventReplicaRecoverWarm:
@@ -596,11 +522,6 @@ func Build(top Topology) *Testbed {
 	if err := top.validate(); err != nil {
 		panic(fmt.Sprintf("testbed: invalid topology: %v", err))
 	}
-	for _, ev := range top.Events {
-		if ev.Relative {
-			panic("testbed: rate-relative events unresolved — call ResolveEvents with the arrival span before Build (workloads do this per load point)")
-		}
-	}
 	top.Net.Seed = top.Seed ^ 0x6e65740a // independent net stream
 
 	sim := des.New()
@@ -678,7 +599,7 @@ func Build(top Topology) *Testbed {
 			}
 			list[v] = core.VIPConfig{Addr: vs.addr, Scheme: rs.schemes[v], Fallback: vs.fallback}
 		}
-		cfg := core.Config{Addr: LBAddr, VIPList: list, Flows: top.Flows}
+		cfg := core.Config{Addr: LBAddr, VIPList: list}
 		if anycast {
 			rs.lb = core.NewDetached(sim, net, cfg)
 			for _, vs := range tb.vips {
@@ -728,8 +649,7 @@ func Build(top Topology) *Testbed {
 	// Lifecycle schedule. Same-instant events fire in slice order, and
 	// before workload events scheduled later for the same instant.
 	for _, ev := range top.Events {
-		ev := ev
-		sim.At(ev.At, func() { tb.apply(ev) })
+		sim.At(time.Duration(ev.Frac*float64(top.Span)), func() { tb.apply(ev) })
 	}
 	return tb
 }
@@ -816,7 +736,7 @@ func (tb *Testbed) buildServer(pool *poolState, i int) *serverSlot {
 	tb.Routers = append(tb.Routers, rt)
 	slot := &serverSlot{addr: rt.Addr(), router: rt, server: srv}
 	if tb.Feedback != nil {
-		slot.pub = feedback.NewPublisher(tb.Feedback.Config().Alpha)
+		slot.pub = feedback.NewPublisher(0)
 	}
 	pool.all = append(pool.all, slot)
 	return slot

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net/netip"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,9 +14,10 @@ import (
 	"srlb/internal/selection"
 )
 
-// failServer is a fail-stop event for server i of pool at time at.
-func failServer(at time.Duration, pool, i int) Event {
-	return Event{At: at, Kind: EventServerFail, Pool: pool, Server: i}
+// failServer is a fail-stop event for server i of pool at fraction frac
+// of the span.
+func failServer(frac float64, pool, i int) Event {
+	return Event{Frac: frac, Kind: EventServerFail, Pool: pool, Server: i}
 }
 
 // chashScheme/chashFallback build the §II-B consistent-hash selection —
@@ -107,7 +109,8 @@ func TestTopologyReplicaFailoverMidFlow(t *testing.T) {
 		Replicas: 2,
 		Pools:    []PoolSpec{{Servers: 2}},
 		VIPs:     []VIPSpec{{Scheme: chashScheme(t), Fallback: chashFallback(t)}},
-		Events:   []Event{FailReplica(60*time.Millisecond, 0)},
+		Span:     time.Second,
+		Events:   []Event{FailReplica(0.06, 0)},
 	})
 	results := launchEvery(tb, n, time.Millisecond, 50*time.Millisecond)
 
@@ -130,9 +133,10 @@ func TestTopologyServerChurnEvents(t *testing.T) {
 	tb := Build(Topology{
 		Seed:  13,
 		Pools: []PoolSpec{{Servers: 4}},
+		Span:  time.Second,
 		Events: []Event{
-			AddServer(100*time.Millisecond, 0),
-			DrainServer(300*time.Millisecond, 0, 0),
+			AddServer(0.1, 0),
+			DrainServer(0.3, 0, 0),
 		},
 	})
 	offered := tapCandidates(tb.Net, 300*time.Millisecond)
@@ -165,7 +169,8 @@ func TestTopologyServerFailStop(t *testing.T) {
 	tb := Build(Topology{
 		Seed:   17,
 		Pools:  []PoolSpec{{Servers: 4}},
-		Events: []Event{failServer(100*time.Millisecond, 0, 1)},
+		Span:   time.Second,
+		Events: []Event{failServer(0.1, 0, 1)},
 	})
 	results := launchEvery(tb, n, time.Millisecond, 20*time.Millisecond)
 
@@ -239,8 +244,8 @@ func TestTopologyMultiVIP(t *testing.T) {
 }
 
 // Validate must reject every class of malformed schedule with a
-// diagnosable error — table-driven over the error paths, including the
-// rate-relative ones (Build panics on the same errors; the exported
+// diagnosable error — table-driven over the error paths, including
+// fractions and spans (Build panics on the same errors; the exported
 // Validate returns them).
 func TestTopologyValidateErrors(t *testing.T) {
 	for name, tc := range map[string]struct {
@@ -248,63 +253,55 @@ func TestTopologyValidateErrors(t *testing.T) {
 		want string
 	}{
 		"drain unknown server": {
-			Topology{Pools: []PoolSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 5)}},
+			Topology{Pools: []PoolSpec{{Servers: 2}}, Span: time.Second, Events: []Event{DrainServer(0, 0, 5)}},
 			"server 5 out of range",
 		},
 		"fail unknown server": {
-			Topology{Pools: []PoolSpec{{Servers: 2}}, Events: []Event{failServer(time.Second, 0, 2)}},
+			Topology{Pools: []PoolSpec{{Servers: 2}}, Span: time.Second, Events: []Event{failServer(0.5, 0, 2)}},
 			"server 2 out of range",
 		},
 		"replica out of range": {
-			Topology{Replicas: 2, Events: []Event{FailReplica(0, 2)}},
+			Topology{Replicas: 2, Span: time.Second, Events: []Event{FailReplica(0, 2)}},
 			"replica 2 out of range",
 		},
 		"recover unknown replica": {
-			Topology{Events: []Event{RecoverReplica(0, -1)}},
+			Topology{Span: time.Second, Events: []Event{RecoverReplica(0, -1)}},
 			"replica -1 out of range",
 		},
 		"pool drained empty": {
-			Topology{Pools: []PoolSpec{{Servers: 1}}, Events: []Event{DrainServer(0, 0, 0)}},
+			Topology{Pools: []PoolSpec{{Servers: 1}}, Span: time.Second, Events: []Event{DrainServer(0, 0, 0)}},
 			"empties pool 0",
 		},
 		"unknown event kind": {
-			Topology{Events: []Event{{At: time.Second, Kind: EventKind(99)}}},
+			Topology{Span: time.Second, Events: []Event{{Frac: 0.5, Kind: EventKind(99)}}},
 			"unknown kind",
 		},
 		"negative fraction": {
-			Topology{Pools: []PoolSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 0).AtFraction(-0.1)}},
+			Topology{Pools: []PoolSpec{{Servers: 2}}, Span: time.Second, Events: []Event{DrainServer(-0.1, 0, 0)}},
 			"outside [0, 1]",
 		},
 		"fraction beyond span": {
-			Topology{Pools: []PoolSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 0).AtFraction(1.5)}},
+			Topology{Pools: []PoolSpec{{Servers: 2}}, Span: time.Second, Events: []Event{DrainServer(1.5, 0, 0)}},
 			"outside [0, 1]",
 		},
 		"NaN fraction": {
-			Topology{Events: []Event{DrainServer(0, 0, 1).AtFraction(math.NaN())}},
+			Topology{Span: time.Second, Events: []Event{DrainServer(math.NaN(), 0, 1)}},
 			"fraction NaN outside [0, 1]",
 		},
 		"negative time": {
-			Topology{Events: []Event{DrainServer(-time.Second, 0, 1)}},
-			"negative time -1s",
+			Topology{Span: -time.Second, Events: []Event{DrainServer(0.5, 0, 1)}},
+			"1 events need a positive Span, got -1s",
 		},
-		"absolute and fraction overlap": {
-			Topology{Pools: []PoolSpec{{Servers: 2}},
-				Events: []Event{{At: time.Second, Kind: EventServerDrain, Frac: 0.5, Relative: true}}},
-			"both absolute time",
-		},
-		"mixed absolute and relative schedule": {
-			Topology{Pools: []PoolSpec{{Servers: 3}}, Events: []Event{
-				DrainServer(time.Second, 0, 0),
-				DrainServer(0, 0, 1).AtFraction(0.5),
-			}},
-			"mixes",
+		"no span": {
+			Topology{Events: []Event{DrainServer(0.5, 0, 1)}},
+			"1 events need a positive Span, got 0s",
 		},
 		"relative drain before its add": {
 			// Fraction order is replay order: the drain of slot 2 at 0.2
 			// precedes the add at 0.8, so slot 2 does not exist yet.
-			Topology{Pools: []PoolSpec{{Servers: 2}}, Events: []Event{
-				AddServer(0, 0).AtFraction(0.8),
-				DrainServer(0, 0, 2).AtFraction(0.2),
+			Topology{Pools: []PoolSpec{{Servers: 2}}, Span: time.Second, Events: []Event{
+				AddServer(0.8, 0),
+				DrainServer(0.2, 0, 2),
 			}},
 			"server 2 out of range",
 		},
@@ -317,13 +314,14 @@ func TestTopologyValidateErrors(t *testing.T) {
 			"VIP 1 (web): pool 2 out of range (2 pools)",
 		},
 		"event pool below range": {
-			Topology{Events: []Event{DrainServer(0, -1, 0)}},
+			Topology{Span: time.Second, Events: []Event{DrainServer(0, -1, 0)}},
 			"event 0: pool -1 out of range (1 pools)",
 		},
 		"event targets undefined pool": {
 			Topology{
 				Pools:  []PoolSpec{{Servers: 2}, {Servers: 2}},
-				Events: []Event{AddServer(0, 0), AddServer(time.Second, 2)},
+				Span:   time.Second,
+				Events: []Event{AddServer(0, 0), AddServer(0.5, 2)},
 			},
 			"event 1: pool 2 out of range (2 pools)",
 		},
@@ -333,7 +331,8 @@ func TestTopologyValidateErrors(t *testing.T) {
 			Topology{
 				Pools:  []PoolSpec{{Name: "shared", Servers: 1}},
 				VIPs:   []VIPSpec{{}, {}},
-				Events: []Event{DrainServer(time.Second, 0, 0)},
+				Span:   time.Second,
+				Events: []Event{DrainServer(0.5, 0, 0)},
 			},
 			"empties pool 0",
 		},
@@ -341,6 +340,7 @@ func TestTopologyValidateErrors(t *testing.T) {
 			Topology{
 				Pools:  []PoolSpec{{Servers: 2}, {Name: "shared", Servers: 2}},
 				VIPs:   []VIPSpec{{}, {Pool: 1}, {Pool: 1}},
+				Span:   time.Second,
 				Events: []Event{failServer(0, 1, 7)},
 			},
 			"server 7 out of range for pool 1",
@@ -356,28 +356,25 @@ func TestTopologyValidateErrors(t *testing.T) {
 			}
 		})
 	}
-	// Well-formed schedules — absolute, all-relative, and shared-pool —
-	// pass.
+	// Well-formed schedules, on one pool and on a shared one, pass.
 	for name, top := range map[string]Topology{
-		"absolute": {Pools: []PoolSpec{{Servers: 2}}, Events: []Event{
-			AddServer(time.Second, 0),
-			DrainServer(2*time.Second, 0, 2),
-		}},
-		"relative": {Pools: []PoolSpec{{Servers: 2}}, Events: []Event{
-			AddServer(0, 0).AtFraction(0.3),
-			DrainServer(0, 0, 2).AtFraction(0.6),
+		"one pool": {Pools: []PoolSpec{{Servers: 2}}, Span: time.Second, Events: []Event{
+			AddServer(0.3, 0),
+			DrainServer(0.6, 0, 2),
 		}},
 		"shared pool with pool events": {
 			Pools: []PoolSpec{{Name: "shared", Servers: 2}},
 			VIPs:  []VIPSpec{{}, {}},
+			Span:  time.Second,
 			Events: []Event{
-				AddServer(time.Second, 0),
-				DrainServer(2*time.Second, 0, 2),
+				AddServer(0.3, 0),
+				DrainServer(0.6, 0, 2),
 			},
 		},
 		"pool without a VIP": {
 			Pools:  []PoolSpec{{Servers: 2}, {Servers: 3}},
-			Events: []Event{DrainServer(time.Second, 1, 2)},
+			Span:   time.Second,
+			Events: []Event{DrainServer(0.5, 1, 2)},
 		},
 	} {
 		if err := top.Validate(); err != nil {
@@ -386,72 +383,37 @@ func TestTopologyValidateErrors(t *testing.T) {
 	}
 }
 
-// ResolveEvents turns fractions into absolute times against the span and
-// leaves absolute events untouched; Build refuses unresolved fractions.
+// Build resolves each event's fraction against Topology.Span: the events
+// fire at time.Duration(Frac × Span), and a schedule without a span
+// does not build.
 func TestResolveEvents(t *testing.T) {
-	span := 200 * time.Second
-	resolved := ResolveEvents([]Event{
-		DrainServer(0, 0, 1).AtFraction(0.25),
-		AddServer(0, 0).AtFraction(0.75),
-	}, span)
-	if got, want := resolved[0].At, 50*time.Second; got != want {
-		t.Fatalf("resolved[0].At = %v, want %v", got, want)
+	tb := Build(Topology{Pools: []PoolSpec{{Servers: 3}}, Span: 200 * time.Second, Events: []Event{
+		DrainServer(0.25, 0, 1),
+		AddServer(0.75, 0),
+	}})
+	var got []time.Duration
+	for tb.Sim.Step() {
+		got = append(got, tb.Sim.Now())
 	}
-	if got, want := resolved[1].At, 150*time.Second; got != want {
-		t.Fatalf("resolved[1].At = %v, want %v", got, want)
-	}
-	for i, ev := range resolved {
-		if ev.Relative || ev.Frac != 0 {
-			t.Fatalf("resolved[%d] still marked relative: %+v", i, ev)
-		}
-	}
-	// Absolute events pass through bit for bit, and the input slice is
-	// not mutated (topologies are shared values).
-	orig := []Event{DrainServer(7*time.Second, 0, 0).AtFraction(0.5)}
-	out := ResolveEvents(append([]Event{FailReplica(3*time.Second, 0)}, orig[0]), span)
-	if out[0] != FailReplica(3*time.Second, 0) {
-		t.Fatalf("absolute event changed: %+v", out[0])
-	}
-	if !orig[0].Relative {
-		t.Fatal("ResolveEvents mutated its input slice")
-	}
-
-	// Malformed fractions must fail at resolution — the workload path
-	// resolves before Build, so this is where they are last seen.
-	for name, bad := range map[string][]Event{
-		"negative fraction": {DrainServer(0, 0, 0).AtFraction(-0.1)},
-		"fraction above 1":  {DrainServer(0, 0, 0).AtFraction(1.5)},
-		"NaN fraction":      {DrainServer(0, 0, 0).AtFraction(math.NaN())},
-		"absolute and fraction both set": {
-			{At: time.Second, Kind: EventServerDrain, Frac: 0.5, Relative: true},
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: ResolveEvents did not panic", name)
-				}
-			}()
-			ResolveEvents(bad, span)
-		}()
+	if want := []time.Duration{50 * time.Second, 150 * time.Second}; !slices.Equal(got, want) {
+		t.Fatalf("events fired at %v, want %v", got, want)
 	}
 
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Build accepted unresolved rate-relative events")
+			t.Fatal("Build accepted events without a span")
 		}
 	}()
-	Build(Topology{Pools: []PoolSpec{{Servers: 2}},
-		Events: []Event{DrainServer(0, 0, 0).AtFraction(0.5)}})
+	Build(Topology{Pools: []PoolSpec{{Servers: 2}}, Events: []Event{DrainServer(0.5, 0, 0)}})
 }
 
 // Malformed topologies must fail loudly at Build, not mid-simulation.
 func TestTopologyValidation(t *testing.T) {
 	for name, top := range map[string]Topology{
-		"bad pool index":    {Events: []Event{AddServer(0, 3)}},
-		"bad server index":  {Pools: []PoolSpec{{Servers: 2}}, Events: []Event{DrainServer(0, 0, 5)}},
-		"bad replica index": {Replicas: 2, Events: []Event{FailReplica(0, 2)}},
-		"pool drained empty": {Pools: []PoolSpec{{Servers: 1}},
+		"bad pool index":    {Span: time.Second, Events: []Event{AddServer(0, 3)}},
+		"bad server index":  {Pools: []PoolSpec{{Servers: 2}}, Span: time.Second, Events: []Event{DrainServer(0, 0, 5)}},
+		"bad replica index": {Replicas: 2, Span: time.Second, Events: []Event{FailReplica(0, 2)}},
+		"pool drained empty": {Pools: []PoolSpec{{Servers: 1}}, Span: time.Second,
 			Events: []Event{DrainServer(0, 0, 0)}},
 	} {
 		func() {
@@ -467,9 +429,10 @@ func TestTopologyValidation(t *testing.T) {
 	// the AddServer fires, and validation replays in time order.
 	Build(Topology{
 		Pools: []PoolSpec{{Servers: 2}},
+		Span:  2 * time.Second,
 		Events: []Event{
-			AddServer(time.Second, 0),
-			DrainServer(2*time.Second, 0, 2),
+			AddServer(0.5, 0),
+			DrainServer(1, 0, 2),
 		},
 	})
 }

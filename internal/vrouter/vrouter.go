@@ -143,7 +143,7 @@ type Router struct {
 var responseBody = []byte("HTTP/1.1 200 OK\r\n\r\n")
 
 // New builds the router and attaches it to the network under its physical
-// address and its VIPs.
+// address, cfg.Addr.
 func New(sim *des.Simulator, net *netsim.Network, cfg Config) *Router {
 	if cfg.Policy == nil || cfg.Server == nil || cfg.VIPs == nil || len(cfg.Demand) != cfg.VIPs.Len() {
 		panic("vrouter: Policy, Server, VIPs and one Demand per VIP are required")
