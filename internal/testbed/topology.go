@@ -236,13 +236,13 @@ func RecoverReplica(frac float64, r int) Event {
 }
 
 // RecoverReplicaWarm returns an event re-attaching LB replica r at
-// fraction frac of the span with a warm handoff: the replica imports replica from's flow
-// bindings instead of restarting stateless. A donor that is alive at
-// the recover instant exports its table then; a dead donor — including
-// from == r, a replica handing its own state forward across the restart
-// — contributes the snapshot captured when it failed, aged by the
-// downtime (deadlines are absolute virtual times, so bindings that
-// expired while the replica was dark are dropped on import).
+// fraction frac of the span with a warm handoff: the replica imports
+// replica from's flow bindings instead of restarting stateless. A donor
+// that is alive at the recover instant exports its table then; a dead
+// donor — including from == r, a replica handing its own state forward
+// across the restart — contributes the snapshot captured when it failed,
+// aged by the downtime (deadlines are absolute virtual times, so
+// bindings that expired while the replica was dark are not imported).
 func RecoverReplicaWarm(frac float64, r, from int) Event {
 	return Event{Frac: frac, Kind: EventReplicaRecoverWarm, Replica: r, From: from}
 }
@@ -356,11 +356,11 @@ func (t Topology) Validate() error { return t.withDefaults().validate() }
 // validate statically replays the event schedule against the declared
 // pools so that a malformed schedule fails at Build, not mid-simulation:
 // out-of-range indices, fractions outside [0, 1], a schedule without a
-// span and pools drained empty are rejected here. One class of error necessarily remains
-// dynamic — a pool shrinking below a custom scheme's candidate count
-// (the scheme's k is opaque to the topology); keep every pool at least
-// as large as its scheme needs, or the scheme's own constructor will
-// panic at the event's virtual time.
+// span and pools drained empty are rejected here. One class of error
+// necessarily remains dynamic — a pool shrinking below a custom scheme's
+// candidate count (the scheme's k is opaque to the topology); keep every
+// pool at least as large as its scheme needs, or the scheme's own
+// constructor will panic at the event's virtual time.
 func (t Topology) validate() error {
 	// Time sanity first: a fraction outside [0, 1] (NaN included) or a
 	// schedule with no span to take fractions of.
@@ -370,7 +370,7 @@ func (t Topology) validate() error {
 		}
 	}
 	if len(t.Events) > 0 && t.Span <= 0 {
-		return fmt.Errorf("%d events need a positive Span, got %v", len(t.Events), t.Span)
+		return fmt.Errorf("a schedule of %d events needs a positive Span, got %v", len(t.Events), t.Span)
 	}
 	for v, spec := range t.VIPs {
 		if spec.Pool < 0 || spec.Pool >= len(t.Pools) {

@@ -290,11 +290,11 @@ func TestTopologyValidateErrors(t *testing.T) {
 		},
 		"negative time": {
 			Topology{Span: -time.Second, Events: []Event{DrainServer(0.5, 0, 1)}},
-			"1 events need a positive Span, got -1s",
+			"needs a positive Span, got -1s",
 		},
 		"no span": {
 			Topology{Events: []Event{DrainServer(0.5, 0, 1)}},
-			"1 events need a positive Span, got 0s",
+			"needs a positive Span, got 0s",
 		},
 		"relative drain before its add": {
 			// Fraction order is replay order: the drain of slot 2 at 0.2
