@@ -76,12 +76,11 @@ func RunChurn(b Base) ChurnResult {
 	return res
 }
 
-// churnEvents builds the drain + re-add schedule on the
-// cell's first pool: churnBy drains starting at
-// drainFrac of the arrival span, churnBy adds at growFrac, each phase
-// staggered by 1% of the span per server. Fractions clamp to 1 so large
-// pools (or late phases) stay valid schedules — the tail of a long
-// stagger lands at span end.
+// churnEvents builds the drain + re-add schedule on the cell's first
+// pool: churnBy drains starting at drainFrac of the arrival span, churnBy
+// adds at growFrac, each phase staggered by 1% of the span per server.
+// Fractions clamp to 1 so large pools (or late phases) stay valid
+// schedules — the tail of a long stagger lands at span end.
 func churnEvents(churnBy int, drainFrac, growFrac float64) []testbed.Event {
 	frac := func(f float64) float64 {
 		if f > 1 {
