@@ -17,12 +17,13 @@ func TestProgramEventInstants(t *testing.T) {
 	const span = 7*time.Second + 123456789*time.Nanosecond
 	servers := ClusterConfig{}.withDefaults().Servers
 	kill, recover := time.Duration(2849382715), time.Duration(3205555555)
-	cases := []struct {
+	type schedule struct {
 		name     string
 		replicas int
 		events   []testbed.Event
 		want     []time.Duration
-	}{
+	}
+	cases := []schedule{
 		{"churn", 1, churnEvents(max(1, servers/3), churnDrainFrac, churnGrowFrac), []time.Duration{
 			2137037036, 2208271604, 2279506172, 2350740740, 4630246912, 4701481480, 4772716048, 4843950616}},
 		{"failover", failoverReplicas, []testbed.Event{testbed.FailReplica(failoverKillFrac, 0)},
@@ -35,12 +36,7 @@ func TestProgramEventInstants(t *testing.T) {
 	}
 	for _, scenario := range resilienceScenarios {
 		for _, mode := range []string{"stateless", "warm"} {
-			cases = append(cases, struct {
-				name     string
-				replicas int
-				events   []testbed.Event
-				want     []time.Duration
-			}{"resilience/" + scenario + "/" + mode, resilienceReplicas,
+			cases = append(cases, schedule{"resilience/" + scenario + "/" + mode, resilienceReplicas,
 				resilienceEvents(servers, scenario, mode, resilienceRecoverFrac), want[scenario]})
 		}
 	}
