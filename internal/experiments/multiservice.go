@@ -48,7 +48,7 @@ type ServiceWorkload interface {
 	// Label names the arrival process in artifacts.
 	Label() string
 	// Span estimates the stream's arrival span at the given load — the
-	// horizon guard and the base rate-relative events resolve against.
+	// horizon guard and the events' fractions resolve against.
 	Span(load float64) time.Duration
 	// Open builds the run's stream. spec is the service's VIPSpec,
 	// mutable until Build — workloads with per-server demand models (the
