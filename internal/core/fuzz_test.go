@@ -154,6 +154,9 @@ func FuzzDispatcher(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 0, 1, 0, 0, 2, 0, 1, 1, 1, 2, 1, 7, 2, 1, 0, 2, 5, 0, 1, 2, 1, 2, 2, 5})
 	// Every stray, then an ACK to a VIP nobody advertises.
 	f.Add([]byte{0, 6, 0, 0, 7, 0, 0, 8, 0, 0, 9, 0, 0, 10, 0, 0, 11, 0, 0, 2, 2, 0})
+	// A FIN's linger runs out between two sweeps: the next lookup finds
+	// the entry expired.
+	f.Add([]byte{0, 1, 0, 0, 3, 0, 2, 2, 0, 5, 2, 0, 5, 2, 0, 2})
 	// RST, then the port comes back inside and past the linger.
 	f.Add([]byte{0, 0, 4, 0, 1, 4, 1, 4, 4, 1, 0, 4, 2, 0, 4, 4, 1, 36, 1, 2, 4, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {

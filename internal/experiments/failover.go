@@ -128,8 +128,8 @@ func RunFailover(b Base) FailoverResult {
 	// The kill is a fraction of the span, so the same variant pair would
 	// serve a whole load sweep, exactly as RunChurn's schedule does.
 	span := b.poisson().Span(failoverRho)
-	killAt := time.Duration(failoverKillFrac * float64(span))
 	events := []testbed.Event{testbed.FailReplica(failoverKillFrac, 0)}
+	killAt := events[0].Instant(span)
 	// Each mode pins the selection knobs explicitly — the base cluster's
 	// own ConsistentHash/MissFallback settings must not leak into the
 	// mode labeled the other way.

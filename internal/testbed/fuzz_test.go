@@ -93,6 +93,9 @@ func FuzzTopologyValidate(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{2, 1, 3, 0, 2, 3, 1, 0, 4, 2, 1, 1, 0, 50, 1, 2, 5})
 	f.Add([]byte{0, 2, 8, 3, 1, 3, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
+	// Valid: two replicas, a 4-server pool, and an add, a drain and a
+	// replica fail at 0.3, 0.5 and 0.7 of a 1 s span.
+	f.Add([]byte{7, 2, 1, 3, 1, 4, 0, 1, 3, 1, 1, 0, 0, 0, 0, 3, 2, 1, 2, 0, 0, 0, 5, 4, 1, 0, 1, 0, 0, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		top := decodeFuzzTopology(data)
 		err := top.Validate()

@@ -142,9 +142,8 @@ type Topology struct {
 	// of distinct client source addresses (default 8).
 	Net     netsim.Config
 	Clients int
-	// Events is the lifecycle schedule: event e fires at
-	// time.Duration(e.Frac × Span), and events at the same instant apply
-	// in slice order. Span is the run's arrival span; a schedule needs
+	// Events is the lifecycle schedule: event e fires at e.Instant(Span),
+	// and events at the same instant apply in slice order. Span is the run's arrival span; a schedule needs
 	// Span > 0.
 	Events []Event
 	Span   time.Duration
@@ -208,6 +207,9 @@ type Event struct {
 	// inherits its own pre-fail snapshot.
 	From int
 }
+
+// Instant is when the event fires in a run whose arrival span is s.
+func (ev Event) Instant(s time.Duration) time.Duration { return time.Duration(ev.Frac * float64(s)) }
 
 // AddServer returns an event growing pool by one server at fraction
 // frac of the span. The new server gets the next free index in the
@@ -649,7 +651,7 @@ func Build(top Topology) *Testbed {
 	// Lifecycle schedule. Same-instant events fire in slice order, and
 	// before workload events scheduled later for the same instant.
 	for _, ev := range top.Events {
-		sim.At(time.Duration(ev.Frac*float64(top.Span)), func() { tb.apply(ev) })
+		sim.At(ev.Instant(top.Span), func() { tb.apply(ev) })
 	}
 	return tb
 }
