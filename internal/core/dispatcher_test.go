@@ -126,6 +126,34 @@ func TestDispatchAllocations(t *testing.T) {
 	}
 }
 
+// Dispatch's ownership contract says a steered packet carries a header
+// of its own: two consecutive steered packets of one flow hold distinct
+// headers and distinct segment lists, so rewriting the first (as a
+// server's advance does) leaves the second as the LB built it.
+func TestSteeredPacketsOwnTheirHeaders(t *testing.T) {
+	d := NewDispatcher(Config{
+		Addr:    lbAddr,
+		VIPList: []VIPConfig{{Addr: vip, Scheme: selection.NewRoundRobin([]netip.Addr{sAddr1, sAddr2}, 2)}},
+	})
+	d.SeedFlow(0, packet.FlowKey{Src: client, Dst: vip, SrcPort: 40000, DstPort: 80}, sAddr2)
+	first, second := midFlow(40000, tcpseg.FlagACK), midFlow(40000, tcpseg.FlagACK)
+	for _, p := range []*packet.Packet{first, second} {
+		if !d.Dispatch(time.Millisecond, p) {
+			t.Fatal("steered ACK dropped")
+		}
+	}
+	if first.SRH == second.SRH || &first.SRH.Segments[0] == &second.SRH.Segments[0] {
+		t.Fatalf("two steered packets share a header (%p, %p) or a segment list", first.SRH, second.SRH)
+	}
+	first.SRH.Segments[0] = lbAddr
+	if _, err := first.SRH.Advance(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []netip.Addr{sAddr2, vip}; second.SRH.SegmentsLeft != 1 || !slices.Equal(second.SRH.Path(), want) {
+		t.Fatalf("rewriting the first header moved the second: %v", second.SRH)
+	}
+}
+
 // mover is a Stateful + Resteerer scheme that sends every eligible
 // steered packet to server and counts the Observe calls it receives.
 type mover struct {

@@ -2,6 +2,7 @@ package srv6
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"reflect"
 	"strings"
@@ -204,6 +205,40 @@ func TestNewErrors(t *testing.T) {
 	}
 }
 
+// TestNewHeadersAreIndependent holds New to one header and one list per
+// call, whatever the list's length: writing a segment of one header or
+// advancing it changes no other, nor a header a later New builds, and a
+// header kept across 1,000 later New calls is intact.
+func TestNewHeadersAreIndependent(t *testing.T) {
+	for _, path := range [][]netip.Addr{{s1}, {s1, vip}, {s1, s2, vip}} {
+		a, b := MustNew(ipv6.ProtoTCP, path...), MustNew(ipv6.ProtoTCP, path...)
+		a.Segments[0] = lb
+		if _, err := a.Advance(); err != nil && len(path) > 1 {
+			t.Fatal(err)
+		}
+		want, err := refNew(ipv6.ProtoTCP, path...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(b, want) {
+			t.Fatalf("%d segments: writing one header moved another: %+v, want %+v", len(path), b, want)
+		}
+		if fresh := MustNew(ipv6.ProtoTCP, path...); !reflect.DeepEqual(fresh, want) || a.Segments[0] != lb {
+			t.Fatalf("%d segments: a later New built %+v and left %+v, want %+v and the edit kept", len(path), fresh, a, want)
+		}
+
+		kept := MustNew(ipv6.ProtoTCP, path...)
+		for i := 0; i < 1000; i++ {
+			h := MustNew(ipv6.ProtoTCP, path...)
+			h.Segments[len(h.Segments)-1] = lb
+			h.SegmentsLeft = 0
+		}
+		if !reflect.DeepEqual(kept, want) {
+			t.Fatalf("%d segments: header changed across later New calls: %+v, want %+v", len(path), kept, want)
+		}
+	}
+}
+
 func TestMarshalErrors(t *testing.T) {
 	h := &SRH{Segments: nil}
 	if _, err := h.Marshal(nil); err != ErrNoSegments {
@@ -268,17 +303,43 @@ func TestRoundTripQuick(t *testing.T) {
 	}
 }
 
-// FuzzSetPathMatchesNew holds SetPath to New for every input: the same
-// error, and on success the same header and the same bytes on the wire,
-// whatever the reused header held before; on error the header is as it
-// was. Input: next header, how dirty the reused header is, then 17 bytes
-// per segment — a kind (valid / zero / IPv4-mapped / IPv4 / zoned) and
-// the address.
+// refNew is New as it was written before it shared SetPath's body: its
+// own checks, and a header and a segment list allocated apart. It is the
+// reference FuzzSetPathMatchesNew holds both constructors to.
+func refNew(nextHeader uint8, pathSegments ...netip.Addr) (*SRH, error) {
+	if len(pathSegments) == 0 {
+		return nil, ErrNoSegments
+	}
+	if len(pathSegments) > MaxSegments {
+		return nil, ErrTooMany
+	}
+	segs := make([]netip.Addr, len(pathSegments))
+	for i, s := range pathSegments {
+		if err := ipv6.CheckAddr(s); err != nil {
+			return nil, fmt.Errorf("srv6: segment %d: %w", i, err)
+		}
+		segs[len(pathSegments)-1-i] = s
+	}
+	return &SRH{
+		NextHeader:   nextHeader,
+		SegmentsLeft: uint8(len(pathSegments) - 1),
+		Segments:     segs,
+	}, nil
+}
+
+// FuzzSetPathMatchesNew holds New and SetPath to refNew for every input:
+// the same error, and on success the same header and the same bytes on
+// the wire, whatever the reused header held before; on error the header
+// is as it was. Input: next header, how dirty the reused header is, then
+// 17 bytes per segment — a kind (valid / zero / IPv4-mapped / IPv4 /
+// zoned) and the address.
 func FuzzSetPathMatchesNew(f *testing.F) {
 	seg := func(kind byte, last byte) []byte {
 		return append([]byte{kind, 0x20, 0x01, 0x0d, 0xb8}, append(make([]byte, 11), last)...)
 	}
 	f.Add([]byte{6, 0})
+	f.Add(bytes.Join([][]byte{{6, 2}, seg(0, 1)}, nil))
+	f.Add(bytes.Join([][]byte{{6, 0}, seg(0, 1), seg(0, 2)}, nil))
 	f.Add(bytes.Join([][]byte{{6, 0}, seg(0, 1), seg(0, 2), seg(0, 3)}, nil))
 	f.Add(bytes.Join([][]byte{{6, 5}, seg(0, 1), seg(0, 2)}, nil))
 	f.Add(bytes.Join([][]byte{{6, 1}, seg(0, 1), seg(1, 0), seg(0, 3)}, nil))
@@ -311,24 +372,40 @@ func FuzzSetPathMatchesNew(f *testing.F) {
 		before := *reused
 		before.Segments = append([]netip.Addr(nil), reused.Segments...)
 
-		want, wantErr := New(nh, path...)
+		want, wantErr := refNew(nh, path...)
+		got, newErr := New(nh, path...)
 		err := reused.SetPath(nh, path...)
-		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-			t.Fatalf("SetPath error %v, New error %v", err, wantErr)
+		for _, e := range []struct {
+			name string
+			err  error
+		}{{"New", newErr}, {"SetPath", err}} {
+			if (e.err == nil) != (wantErr == nil) || e.err != nil && e.err.Error() != wantErr.Error() {
+				t.Fatalf("%s error %v, reference error %v", e.name, e.err, wantErr)
+			}
 		}
 		if err != nil {
+			if got != nil {
+				t.Fatalf("failed New returned %+v", got)
+			}
 			if !reflect.DeepEqual(*reused, before) {
 				t.Fatalf("failed SetPath changed the header: %+v, was %+v", *reused, before)
 			}
 			return
 		}
-		if !reflect.DeepEqual(reused, want) {
-			t.Fatalf("SetPath built %+v, New built %+v", reused, want)
+		exp, err := want.Marshal(nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got, err1 := reused.Marshal(nil)
-		exp, err2 := want.Marshal(nil)
-		if err1 != nil || err2 != nil || !bytes.Equal(got, exp) {
-			t.Fatalf("wire differs: %x (%v) vs %x (%v)", got, err1, exp, err2)
+		for _, h := range []struct {
+			name string
+			h    *SRH
+		}{{"New", got}, {"SetPath", reused}} {
+			if !reflect.DeepEqual(h.h, want) {
+				t.Fatalf("%s built %+v, reference built %+v", h.name, h.h, want)
+			}
+			if b, err := h.h.Marshal(nil); err != nil || !bytes.Equal(b, exp) {
+				t.Fatalf("%s wire differs: %x (%v) vs %x", h.name, b, err, exp)
+			}
 		}
 	})
 }
