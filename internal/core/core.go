@@ -373,10 +373,11 @@ func (d *Dispatcher) handleReturn(now time.Duration, pkt *packet.Packet) bool {
 // the flowtable entry in place, so the packet and every successor
 // steer to the new server.
 //
-// The steer header is the one srv6.New left on the data plane (two
-// objects per steered packet): rewriting it in place like the hunt
-// header would take dispatch_steered to zero garbage, which the frozen
-// benchmark cannot yet report (ROADMAP item 1), so it waits for that.
+// The steer header is the one srv6.New left on the data plane (one
+// object per steered packet, the header and its two-segment list
+// together): rewriting it in place like the hunt header would take
+// dispatch_steered to zero garbage, which the frozen benchmark cannot
+// yet report (ROADMAP item 1), so it waits for that.
 func (d *Dispatcher) handleSteered(now time.Duration, pkt *packet.Packet, e *vipEntry) bool {
 	flow := pkt.Flow()
 	isRST := pkt.TCP.Flags.Has(tcpseg.FlagRST)

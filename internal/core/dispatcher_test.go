@@ -92,10 +92,11 @@ func TestDispatcherRunsOnCallerTime(t *testing.T) {
 // TestDispatchAllocations pins what the dispatcher allocates per packet
 // once warm. A SYN costs nothing: the scheme answers from its scratch and
 // the hunt header is the dispatcher's own, rewritten in place. A steered
-// ACK costs exactly two objects, the srv6.New in handleSteered — the one
-// allocation site left on the data plane, kept because the frozen
-// benchmark cannot yet report a dispatch workload that makes no garbage
-// (ROADMAP item 1); when that lands the 2 becomes 0.
+// ACK costs exactly one object, the srv6.New in handleSteered (header and
+// two-segment list in one allocation) — the one allocation site left on
+// the data plane, kept because the frozen benchmark cannot yet report a
+// dispatch workload that makes no garbage (ROADMAP item 1); when that
+// lands the 1 becomes 0.
 func TestDispatchAllocations(t *testing.T) {
 	d := NewDispatcher(Config{
 		Addr:    lbAddr,
@@ -121,8 +122,8 @@ func TestDispatchAllocations(t *testing.T) {
 
 	d.SeedFlow(0, packet.FlowKey{Src: client, Dst: vip, SrcPort: 40001, DstPort: 80}, sAddr2)
 	offer(40001, tcpseg.FlagACK)
-	if n := testing.AllocsPerRun(100, func() { offer(40001, tcpseg.FlagACK) }); n != 2 {
-		t.Errorf("steered ACK: %v allocs, want exactly 2 (handleSteered's srv6.New)", n)
+	if n := testing.AllocsPerRun(100, func() { offer(40001, tcpseg.FlagACK) }); n != 1 {
+		t.Errorf("steered ACK: %v allocs, want exactly 1 (handleSteered's srv6.New)", n)
 	}
 }
 

@@ -61,26 +61,26 @@ type SRH struct {
 // New builds an SRH for a path traversed in the given order
 // (pathSegments[0] is visited first). SegmentsLeft is initialized to
 // len(path)-1, i.e. the first segment is active and the IPv6 destination
-// address should be set to it by the caller.
+// address should be set to it by the caller. A list of up to two
+// segments is held in the header's own object (one allocation); a longer
+// one is a second object. New is SetPath into fresh storage: the same
+// checks and the same errors.
 func New(nextHeader uint8, pathSegments ...netip.Addr) (*SRH, error) {
-	if len(pathSegments) == 0 {
-		return nil, ErrNoSegments
+	var h *SRH
+	if len(pathSegments) <= 2 {
+		b := new(struct {
+			h    SRH
+			segs [2]netip.Addr
+		})
+		b.h.Segments = b.segs[:0]
+		h = &b.h
+	} else {
+		h = new(SRH)
 	}
-	if len(pathSegments) > MaxSegments {
-		return nil, ErrTooMany
+	if err := h.SetPath(nextHeader, pathSegments...); err != nil {
+		return nil, err
 	}
-	segs := make([]netip.Addr, len(pathSegments))
-	for i, s := range pathSegments {
-		if err := ipv6.CheckAddr(s); err != nil {
-			return nil, fmt.Errorf("srv6: segment %d: %w", i, err)
-		}
-		segs[len(pathSegments)-1-i] = s
-	}
-	return &SRH{
-		NextHeader:   nextHeader,
-		SegmentsLeft: uint8(len(pathSegments) - 1),
-		Segments:     segs,
-	}, nil
+	return h, nil
 }
 
 // MustNew is New, panicking on error (for tests and static tables).

