@@ -15,11 +15,13 @@ import (
 )
 
 // crnRun is what one policy's cell draws from its random streams: the
-// queries it issues, as (ID, issue time) in ID order, each flow's
-// demand, read off its request, and each flow's candidate list, read off
-// the first steered SYN the LB forwards.
+// queries it issues, as (ID, issue time) in ID order and as its
+// timeline's per-bin launch counts, each flow's demand, read off its
+// request, and each flow's candidate list, read off the first steered
+// SYN the LB forwards.
 type crnRun struct {
 	issued     []string
+	launched   [testbed.TimelineBins]int
 	demands    map[packet.FlowKey]time.Duration
 	candidates map[packet.FlowKey][]netip.Addr
 }
@@ -47,9 +49,12 @@ func runCRN(t *testing.T, spec PolicySpec) crnRun {
 		},
 	}
 	w := OneService(PoissonService{Lambda0: 80, Queries: 1500})
-	_, err := w.run(context.Background(), smallCluster(43), spec, 0.85, hooks)
+	out, err := w.run(context.Background(), smallCluster(43), spec, 0.85, hooks)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i, b := range out.Timeline.Bins {
+		run.launched[i] = b.Launched
 	}
 	slices.SortFunc(issues, func(a, b issue) int { return int(a.id) - int(b.id) })
 	for _, q := range issues {
@@ -94,6 +99,9 @@ func TestPoliciesShareRandomNumbers(t *testing.T) {
 	for _, r := range []crnRun{sr4, sr8} {
 		if !slices.Equal(r.issued, rr.issued) {
 			t.Fatal("policies replay different (ID, issue time) sequences at one (seed, load)")
+		}
+		if r.launched != rr.launched {
+			t.Fatalf("policies' timelines launch %v and %v per bin at one (seed, load)", r.launched, rr.launched)
 		}
 		if !reflect.DeepEqual(r.demands, rr.demands) {
 			t.Fatal("policies replay different demands at one (seed, load)")

@@ -13,7 +13,6 @@ import (
 const (
 	failoverRho      = 0.85
 	failoverReplicas = 2
-	failoverBins     = 40
 	// failoverKillFrac places the failure at this fraction of the
 	// arrival span.
 	failoverKillFrac = 0.5
@@ -52,48 +51,6 @@ type FailoverResult struct {
 	Modes    []FailoverMode
 }
 
-// failoverBinRaw is the per-seed transient accounting of one cell.
-type failoverBinRaw struct {
-	Count, OK int
-	SumRT     time.Duration
-}
-
-// failoverWorkload is the Poisson cell instrumented with per-issue-
-// time-bin accounting of the failover transient.
-type failoverWorkload struct {
-	arrivals PoissonService
-	bins     int
-}
-
-// Label implements Workload.
-func (w failoverWorkload) Label() string {
-	return fmt.Sprintf("poisson+transient(%dq)", w.arrivals.Queries)
-}
-
-// Run implements Workload.
-func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64) (CellOutcome, error) {
-	binW := w.arrivals.Span(load) / time.Duration(w.bins)
-	raw := make([]failoverBinRaw, w.bins)
-	hooks := PoissonHooks{OnResult: func(res testbed.Result) {
-		i := int(res.IssuedAt / binW)
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(raw) {
-			i = len(raw) - 1
-		}
-		b := &raw[i]
-		b.Count++
-		if res.OK {
-			b.OK++
-			b.SumRT += res.RT
-		}
-	}}
-	out, err := OneService(w.arrivals).run(ctx, cluster, spec, load, hooks)
-	out.failoverBins = raw
-	return out, err
-}
-
 // RunFailover runs the LB-replica failover experiment: N stateless LB
 // replicas share the anycast VIP behind ECMP, one is killed mid-run, and
 // the client-observed transient (response times and failed queries,
@@ -121,7 +78,8 @@ func (w failoverWorkload) Run(ctx context.Context, cluster ClusterConfig, spec P
 // The run is one load point, rho 0.85 — busy but unsaturated, so the
 // transient is attributable to the failover, not overload — on two
 // replicas, of which replica 0 dies at failoverKillFrac of the arrival
-// span and stays dead; the timeline has 40 bins.
+// span and stays dead. The transient is each cell's issue-time timeline
+// (CellOutcome.Timeline), folded across seeds.
 func RunFailover(b Base) FailoverResult {
 	b = b.resolved()
 
@@ -169,55 +127,54 @@ func RunFailover(b Base) FailoverResult {
 		Variants: variants,
 		Loads:    []float64{failoverRho},
 		Seeds:    b.Seeds,
-		Workload: failoverWorkload{arrivals: b.poisson(), bins: failoverBins},
+		Workload: OneService(b.poisson()),
 	})
 	agg := sweep.Aggregate()
 
 	res := FailoverResult{
 		Rho: failoverRho, Lambda0: b.Lambda0, Replicas: failoverReplicas,
-		KillAt:   killAt,
-		BinWidth: span / failoverBins,
-		Seeds:    sweep.Seeds,
+		KillAt: killAt,
+		Seeds:  sweep.Seeds,
 	}
 	for vi, va := range variants {
 		mode := FailoverMode{ServiceRow: ServiceRow{Variant: va.Name}}
 		if rows := cellRows(agg.CellAt(0, vi, 0)); rows != nil {
 			mode.ServiceRow = rows[0]
 		}
-		var timelines [][]failoverBinRaw
+		var timelines []testbed.Timeline
 		for _, cell := range completed(sweep.Replicates(0, vi, 0)) {
-			timelines = append(timelines, cell.Outcome.failoverBins)
+			timelines = append(timelines, cell.Outcome.Timeline)
 		}
-		mode.Bins = aggregateFailoverBins(res.BinWidth, failoverBins, timelines)
+		if len(timelines) > 0 {
+			res.BinWidth = timelines[0].Width
+			mode.Bins = aggregateFailoverBins(timelines)
+		}
 		res.Modes = append(res.Modes, mode)
 	}
 	return res
 }
 
-// aggregateFailoverBins folds per-seed bin timelines into pointwise
-// mean ± CI series. Bin edges are deterministic, so bin i aligns across
-// replicates.
-func aggregateFailoverBins(binW time.Duration, bins int, timelines [][]failoverBinRaw) []FailoverBin {
-	if len(timelines) == 0 {
-		return nil
-	}
-	out := make([]FailoverBin, bins)
+// aggregateFailoverBins folds per-seed issue-time timelines into
+// pointwise mean ± CI series. Bin edges depend on the span alone, so bin
+// i aligns across replicates.
+func aggregateFailoverBins(timelines []testbed.Timeline) []FailoverBin {
+	out := make([]FailoverBin, testbed.TimelineBins)
 	rts := make([]float64, 0, len(timelines))
 	fails := make([]float64, 0, len(timelines))
 	for i := range out {
 		rts, fails = rts[:0], fails[:0]
 		for _, tl := range timelines {
-			b := tl[i]
+			b := tl.Bins[i]
 			if b.OK > 0 {
 				rts = append(rts, (b.SumRT / time.Duration(b.OK)).Seconds())
 			}
-			if b.Count > 0 {
-				fails = append(fails, float64(b.Count-b.OK)/float64(b.Count))
+			if b.Launched > 0 {
+				fails = append(fails, float64(b.Launched-b.OK)/float64(b.Launched))
 			}
 		}
 		dr, df := stats.Describe(rts), stats.Describe(fails)
 		out[i] = FailoverBin{
-			Start:  time.Duration(i) * binW,
+			Start:  time.Duration(i) * timelines[0].Width,
 			MeanRT: dr.Mean, MeanRTCI95: dr.CI95,
 			FailedFrac: df.Mean, FailedFracCI95: df.CI95,
 		}

@@ -176,7 +176,7 @@ func TestFailoverRelativeMatchesAbsolute(t *testing.T) {
 			}}},
 			Loads:    []float64{rho},
 			Seeds:    DeriveSeeds(83, 2),
-			Workload: failoverWorkload{arrivals: PoissonService{Lambda0: lambda0, Queries: queries}, bins: 20},
+			Workload: OneService(PoissonService{Lambda0: lambda0, Queries: queries}),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -48,8 +48,8 @@ type Fig4Result struct {
 
 // fig4Workload is the Poisson cell instrumented with periodic
 // busy-worker sampling; the smoothed timeline is the outcome's
-// Timeline. Each Run
-// builds its own sampling state, so cells are safe to run concurrently.
+// LoadSamples. Each Run builds its own sampling state, so cells are
+// safe to run concurrently.
 type fig4Workload struct {
 	arrivals PoissonService
 }
@@ -88,7 +88,7 @@ func (w fig4Workload) Run(ctx context.Context, cluster ClusterConfig, spec Polic
 	for last > 0 && samples[last-1].MeanBusy < 1e-9 {
 		last--
 	}
-	out.Timeline = samples[:last]
+	out.LoadSamples = samples[:last]
 	return out, err
 }
 
@@ -115,7 +115,7 @@ func RunFig4(b Base) Fig4Result {
 	for pi, spec := range policies {
 		var timelines [][]Fig4Sample
 		for _, cell := range completed(sweep.Replicates(pi, 0, 0)) {
-			timelines = append(timelines, cell.Outcome.Timeline)
+			timelines = append(timelines, cell.Outcome.LoadSamples)
 		}
 		res.Series = append(res.Series, Fig4Series{
 			Spec:    spec,

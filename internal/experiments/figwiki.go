@@ -37,7 +37,8 @@ type WikiRun struct {
 	// Launched counts the wiki-page queries issued in each bin of
 	// WikiBins, whatever their outcome (figure 6 top plot).
 	Launched []int
-	Refused  int
+	// Refused counts every query of the day that did not complete.
+	Refused int
 	// HitRates are the per-replica memcached hit fractions at the end.
 	HitRates []float64
 }
@@ -100,8 +101,7 @@ func (w WikiWorkload) Run(ctx context.Context, cluster ClusterConfig, spec Polic
 			run.Launched[bins.Index(res.IssuedAt)]++
 		}
 		switch {
-		case res.Refused || !res.OK:
-			run.Refused++
+		case !res.OK: // the sink counts failures (run.Refused)
 		case res.Class == classWiki:
 			run.WikiAll.Add(res.RT)
 			run.WikiBins.Add(res.IssuedAt, res.RT)
@@ -110,6 +110,7 @@ func (w WikiWorkload) Run(ctx context.Context, cluster ClusterConfig, spec Polic
 		}
 	}
 	out, err := OneService(svc).run(ctx, cluster, spec, 1, PoissonHooks{OnResult: onResult})
+	run.Refused = out.Refused + out.Unfinished
 	for _, rep := range *svc.replicas {
 		if rep != nil {
 			run.HitRates = append(run.HitRates, rep.HitRate())

@@ -426,7 +426,7 @@ func (w MultiServiceWorkload) Run(ctx context.Context, cluster ClusterConfig, sp
 }
 
 // run is Run with observers on the testbed and on every result, the
-// form the instrumented cells (RunPoisson, figure 4, failover) call.
+// form the instrumented cells (RunPoisson, figure 4, the wiki day) call.
 func (w MultiServiceWorkload) run(ctx context.Context, cluster ClusterConfig, spec PolicySpec, load float64, hooks PoissonHooks) (CellOutcome, error) {
 	if len(w.Services) == 0 {
 		panic("experiments: MultiServiceWorkload needs at least one service")
@@ -498,6 +498,7 @@ func (w MultiServiceWorkload) run(ctx context.Context, cluster ClusterConfig, sp
 		Unfinished: int(total.Counters.Unfinished),
 		PerVIP:     make([]VIPOutcome, len(w.Services)),
 		Cluster:    clusterStats(tb),
+		Timeline:   *sink.Timeline(),
 	}
 	for i, vs := range sink.VIPs() {
 		out.PerVIP[i] = VIPOutcome{

@@ -31,7 +31,7 @@ func checkSpan(w interface{ Label() string }, load float64, span time.Duration) 
 // simulator runs under ctx until the drain window has passed. Query IDs
 // are global across VIPs. rto and closeAck are the generator's settings
 // (MultiServiceWorkload.RetransmitRTO, .CloseAck); hooks observe the run.
-// The returned sink holds the aggregate and per-VIP outcome; err is
+// The returned sink holds the aggregate, per-VIP and timeline outcome; err is
 // ctx.Err() when cancelled mid-replay.
 func replay(ctx context.Context, top testbed.Topology, streams []ServiceStream, span time.Duration,
 	rto time.Duration, closeAck bool, hooks PoissonHooks) (*testbed.Testbed, *testbed.SketchSink, error) {
@@ -49,13 +49,14 @@ func replay(ctx context.Context, top testbed.Topology, streams []ServiceStream, 
 	tb.Gen.RetransmitRTO = rto
 	tb.Gen.CloseAck = closeAck
 
-	// Per-query results fold into constant-size sketches as they complete;
-	// VIPs are registered up front so sink.VIPs() is in VIP order.
+	// Per-query results fold into constant-size sketches and the span's
+	// issue-time timeline as they complete; VIPs are registered up front
+	// so sink.VIPs() is in VIP order.
 	vips := make([]netip.Addr, len(streams))
 	for v := range vips {
 		vips[v] = tb.VIPAddrOf(v)
 	}
-	sink := testbed.NewSketchSink(vips...)
+	sink := testbed.NewSketchSink(span, vips...)
 	tb.Gen.Sink = sink
 	tb.Gen.OnResult = hooks.OnResult
 	if hooks.Testbed != nil {

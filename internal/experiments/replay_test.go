@@ -174,3 +174,45 @@ func TestReplayHasOneCaller(t *testing.T) {
 		t.Fatalf("replay is called from %v; want only MultiServiceWorkload.run", callers)
 	}
 }
+
+// A cell reads its issue-time accounting off CellOutcome.Timeline, which
+// the engine fills for every cell. Only the wiki day keeps a result hook
+// of its own: its figures bin the wiki class alone, per class and at
+// 10 trace-minutes, which the all-class timeline cannot give.
+func TestOnlyWikiDayHooksResults(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hooks []string
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.CompositeLit)
+			if !ok {
+				return true
+			}
+			if id, ok := lit.Type.(*ast.Ident); !ok || id.Name != "PoissonHooks" {
+				return true
+			}
+			for _, elt := range lit.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if key, ok := kv.Key.(*ast.Ident); ok && key.Name == "OnResult" {
+						hooks = append(hooks, fset.Position(lit.Pos()).String())
+					}
+				}
+			}
+			return true
+		})
+	}
+	if len(hooks) != 1 || !strings.HasPrefix(hooks[0], "figwiki.go:") {
+		t.Fatalf("PoissonHooks{OnResult: …} is built at %v; want only the wiki day's, in figwiki.go", hooks)
+	}
+}

@@ -69,16 +69,16 @@ func TestSingleServiceCellDigests(t *testing.T) {
 		{"fig4", func() string {
 			w := fig4Workload{arrivals: PoissonService{Lambda0: 80, Queries: 1500}}
 			res := cell(w, cluster, 0.88)
-			return cellDigest(res.Workload, res.Outcome, res.Outcome.Timeline)
+			return cellDigest(res.Workload, res.Outcome, res.Outcome.LoadSamples)
 		}, "poisson+load-sampling(1500q) 1500/0/0 e60334debacd3fe5"},
 		{"failover", func() string {
-			res := cell(failoverWorkload{arrivals: PoissonService{Lambda0: 80, Queries: 1500}, bins: failoverBins}, failing, 0.85)
+			res := cell(OneService(PoissonService{Lambda0: 80, Queries: 1500}), failing, 0.85)
 			// The fields aggregateFailoverBins reads, under a fixed label:
 			// the bins are what RunFailover folds, whichever workload
 			// fills them.
 			var bins []string
-			for _, b := range res.Outcome.failoverBins {
-				bins = append(bins, fmt.Sprint(b.Count, b.OK, b.SumRT))
+			for _, b := range res.Outcome.Timeline.Bins {
+				bins = append(bins, fmt.Sprint(b.Launched, b.OK, b.SumRT))
 			}
 			return cellDigest("failover", res.Outcome, bins)
 		}, "failover 1135/0/365 cdf0c08adbc5eb81"},
@@ -98,14 +98,10 @@ func TestSingleServiceCellDigests(t *testing.T) {
 	}
 }
 
-// A one-service cell's PerVIP[0] restates its aggregate on the
-// Poisson-family golden configs: every cell of the fig. 2 and bursty
-// goldens, the retransmit golden's silent-drop cell, and the figure 4
-// and failover cells. The sink counts each query once for its VIP and
-// once for the cell, so the VIP's offered, refused and unfinished counts
-// must reproduce the aggregate's completed + refused + unfinished; the
-// RT sketch is the aggregate's own (the cell keeps one).
-func TestOneServicePerVIPIsAggregate(t *testing.T) {
+// oneServiceCells runs the Poisson-family golden configs' cells: every
+// cell of the fig. 2 and bursty goldens, the retransmit golden's
+// silent-drop cell, a figure 4 cell and a failover cell.
+func oneServiceCells() []CellResult {
 	var cells []CellResult
 	for _, cfg := range []Fig2Config{goldenFig2Config, goldenBurstyConfig} {
 		cells = append(cells, RunFig2(cfg).Cells...)
@@ -122,11 +118,20 @@ func TestOneServicePerVIPIsAggregate(t *testing.T) {
 		{Cluster: smallCluster(7), Policy: RR(), Load: 0.88, Workload: fig4Workload{
 			arrivals: PoissonService{Lambda0: 80, Queries: 2000},
 		}},
-		{Cluster: failing, Policy: SRc(4), Load: 0.85, Workload: failoverWorkload{arrivals: PoissonService{Lambda0: 80, Queries: 2000}, bins: 10}},
+		{Cluster: failing, Policy: SRc(4), Load: 0.85, Workload: OneService(PoissonService{Lambda0: 80, Queries: 2000})},
 	} {
 		cells = append(cells, sc.Run(context.Background()))
 	}
-	for _, c := range cells {
+	return cells
+}
+
+// A one-service cell's PerVIP[0] restates its aggregate on
+// oneServiceCells. The sink counts each query once for its VIP and once
+// for the cell, so the VIP's offered, refused and unfinished counts must
+// reproduce the aggregate's completed + refused + unfinished; the RT
+// sketch is the aggregate's own (the cell keeps one).
+func TestOneServicePerVIPIsAggregate(t *testing.T) {
+	for _, c := range oneServiceCells() {
 		out := c.Outcome
 		if len(out.PerVIP) != 1 {
 			t.Fatalf("%s: %d PerVIP entries, want 1", c.Name, len(out.PerVIP))
@@ -137,6 +142,39 @@ func TestOneServicePerVIPIsAggregate(t *testing.T) {
 			t.Errorf("%s: PerVIP[0] %d/%d/%d of %d at load %g, aggregate %d/%d/%d at load %g",
 				c.Name, v.RT.Count(), v.Refused, v.Unfinished, v.Offered, v.Load,
 				out.RT.Count(), out.Refused, out.Unfinished, c.Load)
+		}
+	}
+}
+
+// A cell's issue-time timeline accounts for every query exactly once:
+// summed over its bins, Launched is the queries offered to the cell's
+// VIPs, OK the RT sketch's count and SumRT its exact sum. Checked on
+// oneServiceCells and on a two-service cell, whose timeline covers both
+// VIPs.
+func TestTimelineConservesCell(t *testing.T) {
+	multi := Scenario{Cluster: smallCluster(47), Policy: SRc(4), Load: 0.8, Workload: sharedPoolServices(500, 6*time.Second)}
+	for _, c := range append(oneServiceCells(), multi.Run(context.Background())) {
+		out := c.Outcome
+		var launched, ok, used int
+		var sum time.Duration
+		for _, b := range out.Timeline.Bins {
+			launched += b.Launched
+			ok += b.OK
+			sum += b.SumRT
+			if b.Launched > 0 {
+				used++
+			}
+		}
+		offered := 0
+		for _, v := range out.PerVIP {
+			offered += v.Offered
+		}
+		if launched != offered || launched != out.total().Offered || ok != out.RT.Count() || sum != out.RT.Sum() {
+			t.Errorf("%s: timeline sums launched %d, ok %d, RT %v; cell offered %d (%d by VIP), ok %d, RT %v",
+				c.Name, launched, ok, sum, out.total().Offered, offered, out.RT.Count(), out.RT.Sum())
+		}
+		if used < testbed.TimelineBins/4 {
+			t.Errorf("%s: %d of %d bins of width %v used", c.Name, used, testbed.TimelineBins, out.Timeline.Width)
 		}
 	}
 }

@@ -47,10 +47,12 @@ type CellOutcome struct {
 	// Wiki is the per-class, per-bin outcome of WikiWorkload; nil for
 	// every other workload and for a skipped cell.
 	Wiki *WikiRun
-	// Timeline is figure 4's smoothed load timeline (fig4Workload only).
-	Timeline []Fig4Sample
-	// failoverBins is the failover workload's per-issue-time accounting.
-	failoverBins []failoverBinRaw
+	// Timeline bins the cell's queries by issue time: launched, completed
+	// and their summed response time per bin. Zero for the §VI day
+	// (WikiWorkload), which bins per class instead.
+	Timeline testbed.Timeline
+	// LoadSamples is figure 4's smoothed load timeline (fig4Workload only).
+	LoadSamples []Fig4Sample
 }
 
 // VIPOutcome is one service's share of a multi-VIP cell: the same

@@ -169,7 +169,7 @@ func TestGeneratedPoolEventsConservation(t *testing.T) {
 	top.Span = span
 	top.Events = []Event{DrainServer(0.3, 0, 0), failServer(0.5, 0, 1)}
 	tb := Build(top)
-	sink := NewSketchSink()
+	sink := NewSketchSink(0)
 	tb.Gen.Sink = sink
 	offered := tapCandidates(tb.Net, span/2)
 	r := rng.Split(31, 0x5eed)

@@ -12,7 +12,7 @@ import (
 func runSink(t testing.TB, cfg Topology, n int, ratePerSec float64, meanDemand time.Duration) (*Testbed, *SketchSink) {
 	t.Helper()
 	tb := Build(cfg)
-	sink := NewSketchSink()
+	sink := NewSketchSink(0)
 	tb.Gen.Sink = sink
 	r := rng.Split(cfg.Seed, 99)
 	p := rng.NewPoisson(r, ratePerSec, 0)
@@ -109,7 +109,7 @@ func TestSinkPerVIPDemux(t *testing.T) {
 		Pools: []PoolSpec{{Servers: 3}, {Servers: 2}},
 		VIPs:  []VIPSpec{{}, {Pool: 1}},
 	})
-	sink := NewSketchSink(tb.VIPAddrOf(0), tb.VIPAddrOf(1))
+	sink := NewSketchSink(0, tb.VIPAddrOf(0), tb.VIPAddrOf(1))
 	tb.Gen.Sink = sink
 	for i := 0; i < n; i++ {
 		q := Query{ID: uint64(i), Demand: 5 * time.Millisecond}
@@ -146,5 +146,39 @@ func TestSinkPerVIPDemux(t *testing.T) {
 	merged.Merge(vips[1].RT)
 	if !merged.Equal(total.RT) {
 		t.Fatal("merged per-VIP sketches differ from the total sketch")
+	}
+}
+
+// The timeline bins by issue time at span/TimelineBins, clamps a query
+// issued past the span into the last bin, and sums response times of
+// completed queries only. A span shorter than the bin count still gets
+// a width of 1ns.
+func TestSinkTimelineBins(t *testing.T) {
+	sink := NewSketchSink(40 * time.Millisecond)
+	if w := sink.Timeline().Width; w != time.Millisecond {
+		t.Fatalf("width %v, want 1ms", w)
+	}
+	for _, res := range []Result{
+		{IssuedAt: 0, OK: true, RT: 3 * time.Millisecond},
+		{IssuedAt: time.Millisecond - 1, OK: true, RT: 5 * time.Millisecond},
+		{IssuedAt: time.Millisecond, Refused: true},
+		{IssuedAt: 39 * time.Millisecond, OK: true, RT: time.Second},
+		{IssuedAt: time.Hour},
+	} {
+		sink.Record(res)
+	}
+	bins := sink.Timeline().Bins
+	want := map[int]TimelineBin{
+		0:                {Launched: 2, OK: 2, SumRT: 8 * time.Millisecond},
+		1:                {Launched: 1},
+		TimelineBins - 1: {Launched: 2, OK: 1, SumRT: time.Second},
+	}
+	for i, b := range bins {
+		if b != want[i] {
+			t.Errorf("bin %d = %+v, want %+v", i, b, want[i])
+		}
+	}
+	if w := NewSketchSink(TimelineBins - 1).Timeline().Width; w != 1 {
+		t.Fatalf("width of a %dns span = %v, want 1ns", TimelineBins-1, w)
 	}
 }
