@@ -45,10 +45,9 @@ type FailoverResult struct {
 	Lambda0  float64
 	Replicas int
 	// KillAt is the scheduled kill time.
-	KillAt   time.Duration
-	BinWidth time.Duration
-	Seeds    []uint64
-	Modes    []FailoverMode
+	KillAt time.Duration
+	Seeds  []uint64
+	Modes  []FailoverMode
 }
 
 // RunFailover runs the LB-replica failover experiment: N stateless LB
@@ -146,7 +145,6 @@ func RunFailover(b Base) FailoverResult {
 			timelines = append(timelines, cell.Outcome.Timeline)
 		}
 		if len(timelines) > 0 {
-			res.BinWidth = timelines[0].Width
 			mode.Bins = aggregateFailoverBins(timelines)
 		}
 		res.Modes = append(res.Modes, mode)

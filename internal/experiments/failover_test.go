@@ -107,7 +107,7 @@ func TestFailoverMaglevVsRandom(t *testing.T) {
 	// timeline must show the structural cross-replica losses while both
 	// replicas are alive — and (the instructive part) a *lower* failure
 	// rate once only one replica remains.
-	killBin := int(res.KillAt / res.BinWidth)
+	killBin := int(res.KillAt / random.Bins[1].Start) // bin i starts i widths in
 	var preKill, postKill float64
 	for i, b := range maglev.Bins {
 		if b.FailedFrac != 0 {
