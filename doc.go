@@ -56,9 +56,9 @@
 //
 // RunSweep keeps the raw per-seed cells (SweepResult.Cell(pi, li, si));
 // Aggregate folds them after the fact, and RunSweepStats is the two in
-// one call. A raw cell's CellOutcome carries
-// its typed payloads: Cluster (per-server completions, SYN retransmits,
-// flowlet re-steers), Wiki for the §VI replays, Timeline for figure 4.
+// one call. A raw cell's CellOutcome carries its typed payloads: Cluster
+// (per-server completions, SYN retransmits, flowlet re-steers), Timeline
+// (40 issue-time bins), Wiki for the §VI replays, LoadSamples for fig. 4.
 // The paper's artifacts remain available as one-line wrappers
 // (experiments.RunFig2, RunFig3, RunFig4, RunFig5, RunWiki, RunHetero,
 // RunFailover, RunChurn, …), each a thin Scenario/Sweep composition.
@@ -236,20 +236,22 @@
 // ≈0.2% relative error at the default precision; count/mean/min/max
 // exact) plus outcome counters, folded in as each query completes. The
 // testbed generator keeps no per-query results: each outcome folds into
-// its SketchSink (Generator.Sink, per-VIP sketches plus a total) and an
-// optional OnResult callback and is gone, so a cell holds constant
-// memory regardless of horizon length.
+// its SketchSink (Generator.Sink: per-VIP sketches, a total, and a
+// testbed.Timeline of 40 issue-time bins) and an optional OnResult
+// callback and is gone, so a cell holds constant memory regardless of
+// horizon length.
 //
 // Every cell — Poisson, bursty, wiki day, multi-service, horizon soak —
 // is a MultiServiceWorkload, and MultiServiceWorkload.run is the one
 // caller of the open-loop replay engine (internal/experiments/replay.go);
-// the wiki day, figure 4, failover and the horizon soak add their own
-// accounting as hooks on OneService(...).run. The cell hands the engine
-// the topology, one arrival stream per VIP, and the arrival span. The
-// engine sets the topology's Span, at whose fractions the events fire,
-// resolves the feedback horizon against it, builds the cluster, installs the sketch
-// sink, pumps each stream one arrival ahead without allocating, runs
-// the simulator under the context and drains what is left. RunHorizon
+// the wiki day, figure 4 and the horizon soak add their own accounting as
+// hooks on OneService(...).run; failover reads CellOutcome.Timeline. The
+// cell hands the engine the topology, one arrival stream per VIP, and the
+// arrival span. The engine sets the topology's Span, at whose fractions
+// the events fire, resolves the feedback horizon against it, builds the
+// cluster, installs the sketch sink, pumps each stream one arrival ahead
+// without allocating, runs the simulator under the context and drains
+// what is left. RunHorizon
 // pushes that to 10⁸ open-loop queries with a flat heap
 // (`srlb-bench -experiment horizon`); `bash bench/run.sh` is the
 // performance ledger (bench/README.md), and the hot paths' allocation
