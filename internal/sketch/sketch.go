@@ -213,18 +213,16 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	}
 	hv := h.valueAtRank(hi)
 	frac := pos - float64(lo)
-	v := int64(float64(lv) + frac*float64(hv-lv))
-	// The interpolation rounds through float64, whose 52-bit mantissa
-	// cannot represent ns values near the int64 extremes exactly; clamp
-	// so the rounded value never escapes the exact [min, max] envelope
-	// the tail quantiles report.
-	if v < h.min {
-		v = h.min
+	// The interpolation rounds through float64, which holds every ns
+	// value below 2^53 (104 days) exactly; above, the sum can round
+	// below lv or past hv, so clamp it to [lv, hv] (inside [min, max])
+	// to keep Quantile monotone in p. Comparing with hv before the
+	// conversion keeps a sum that rounds up to 2^63 out of int64.
+	v := float64(lv) + frac*float64(hv-lv)
+	if v >= float64(hv) {
+		return time.Duration(hv)
 	}
-	if v > h.max {
-		v = h.max
-	}
-	return time.Duration(v)
+	return time.Duration(max(int64(v), lv))
 }
 
 // Median returns the 0.5-quantile.
