@@ -234,8 +234,8 @@ func modelAdd(dst byte, e uint8, frac uint16) []byte {
 
 // FuzzHistogramModel runs random sequences of Add, Merge and Clone on
 // three histograms and holds each, after every operation, to a
-// denseModel fed the same sequence: Count, Sum, Min, Max and Mean after
-// every operation, and at the end Quantile at fixed p, Deciles, CDF at
+// denseModel fed the same sequence: Count, Sum, Min, Max, Mean and the
+// span of whole octaves after every operation, and at the end Quantile at fixed p, Deciles, CDF at
 // several point counts, and Equal between every pair of histograms,
 // both ways, against the models' equality.
 func FuzzHistogramModel(f *testing.F) {
@@ -298,6 +298,16 @@ func FuzzHistogramModel(f *testing.F) {
 				(m.count > 0 && h.Mean() != time.Duration(m.sum/int64(m.count))) {
 				t.Fatalf("op %d (%#x) slot %d: count/sum/min/max/mean %d/%v/%v/%v/%v, model %d/%d/%d/%d",
 					op, b, dst, h.Count(), h.Sum(), h.Min(), h.Max(), h.Mean(), m.count, m.sum, m.min, m.max)
+			}
+			// The span is whole octaves, from the smallest sample's to the
+			// largest's, and empty when there are no samples.
+			base, end := 0, 0
+			if m.count > 0 {
+				base, end = h.bucketIndex(m.min)>>k<<k, (h.bucketIndex(m.max)>>k+1)<<k
+			}
+			if h.base != base || h.base+len(h.counts) != end {
+				t.Fatalf("op %d (%#x) slot %d: span [%d, %d), want [%d, %d)",
+					op, b, dst, h.base, h.base+len(h.counts), base, end)
 			}
 		}
 		for s, h := range hs {

@@ -3,9 +3,13 @@
 // per-VIP counter sets.
 //
 // The package exists so a measurement cell can run 10⁸ queries without
-// retaining a per-query sample slice: Histogram memory is bounded by the
-// value range alone (≤ (65−k)·2^k buckets, ~114 KiB at the default
-// precision), independent of how many samples are added.
+// retaining a per-query sample slice. Histogram memory is set by the
+// range its samples span, independent of how many samples are added:
+// a histogram holds 2^k buckets for each power-of-two range from its
+// smallest sample's to its largest's (14 ranges, 28 KiB, for response
+// times from 350 µs to 2.5 s at the default precision), and the value
+// range caps it at ≤ (65−k)·2^k buckets, ~114 KiB at the default
+// precision.
 //
 // # Determinism
 //
@@ -52,7 +56,8 @@ func MaxRelativeError(precision uint) float64 {
 // that feeds them.
 type Histogram struct {
 	precision uint
-	counts    []uint64
+	base      int      // bucket index of counts[0], a multiple of 2^precision
+	counts    []uint64 // buckets base… in whole octaves, smallest to largest sample's
 	count     uint64
 	sum       int64 // exact ns total; 10⁸ samples × ~1 s each still fits
 	min, max  int64
@@ -64,13 +69,7 @@ func New() *Histogram { return NewPrecision(DefaultPrecision) }
 // NewPrecision returns a Histogram with 2^precision sub-buckets per
 // power-of-two range. Precision is clamped to [1, 16].
 func NewPrecision(precision uint) *Histogram {
-	if precision < 1 {
-		precision = 1
-	}
-	if precision > 16 {
-		precision = 16
-	}
-	return &Histogram{precision: precision, min: math.MaxInt64}
+	return &Histogram{precision: min(max(precision, 1), 16), min: math.MaxInt64}
 }
 
 // bucketIndex maps a non-negative ns value to its bucket. Values below
@@ -105,28 +104,39 @@ func (h *Histogram) bucketValue(i int) int64 {
 // times cannot be negative; the clamp keeps a buggy caller visible in
 // the zero bucket rather than panicking mid-simulation).
 func (h *Histogram) Add(d time.Duration) {
-	v := int64(d)
-	if v < 0 {
-		v = 0
-	}
+	v := max(int64(d), 0)
 	i := h.bucketIndex(v)
-	if i >= len(h.counts) {
-		if i >= cap(h.counts) { // to the end of i's octave: one copy per power of two
-			grown := make([]uint64, len(h.counts), (i>>h.precision+1)<<h.precision)
-			copy(grown, h.counts)
-			h.counts = grown
-		}
-		h.counts = h.counts[:i+1] // the backing array is zero past len
+	if uint(i-h.base) >= uint(len(h.counts)) {
+		h.cover(i, i)
 	}
-	h.counts[i]++
+	h.counts[i-h.base]++
 	h.count++
 	h.sum += v
-	if v < h.min {
-		h.min = v
+	h.min, h.max = min(h.min, v), max(h.max, v)
+}
+
+// cover widens the span to the whole octaves holding buckets lo…hi and
+// what it already holds: one allocation and copy, as often as a sample
+// lands in a new octave.
+func (h *Histogram) cover(lo, hi int) {
+	old, oldBase := h.counts, h.base
+	if len(old) > 0 {
+		lo, hi = min(lo, oldBase), max(hi, oldBase+len(old)-1)
 	}
-	if v > h.max {
-		h.max = v
+	k := h.precision
+	h.base = lo >> k << k
+	h.counts = make([]uint64, (hi>>k+1)<<k-h.base)
+	if len(old) > 0 {
+		copy(h.counts[oldBase-h.base:], old)
 	}
+}
+
+// at returns the count of bucket i, zero outside the span.
+func (h *Histogram) at(i int) uint64 {
+	if j := i - h.base; j >= 0 && j < len(h.counts) {
+		return h.counts[j]
+	}
+	return 0
 }
 
 // Count returns the number of samples.
@@ -174,17 +184,9 @@ func (h *Histogram) valueAtRank(r uint64) int64 {
 		return h.max
 	}
 	var cum uint64
-	for i, c := range h.counts {
-		cum += c
-		if cum > r {
-			v := h.bucketValue(i)
-			if v < h.min {
-				v = h.min
-			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
+	for j, c := range h.counts {
+		if cum += c; cum > r {
+			return min(max(h.bucketValue(h.base+j), h.min), h.max)
 		}
 	}
 	return h.max
@@ -193,7 +195,9 @@ func (h *Histogram) valueAtRank(r uint64) int64 {
 // Quantile returns the p-quantile (0 ≤ p ≤ 1) using the same
 // closest-rank interpolation convention as stats.Percentile:
 // pos = p·(n−1), linear between adjacent ranks. Values carry the
-// package-level relative error bound; empty histograms return 0.
+// package-level relative error bound, and an interpolated value never
+// leaves the two ranks' values, so Quantile is monotone in p; empty
+// histograms return 0.
 func (h *Histogram) Quantile(p float64) time.Duration {
 	if h.count == 0 {
 		return 0
@@ -277,52 +281,39 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.precision != h.precision {
 		panic("sketch: merging histograms of different precision")
 	}
-	if len(other.counts) > len(h.counts) {
-		grown := make([]uint64, len(other.counts))
-		copy(grown, h.counts)
-		h.counts = grown
+	last := other.base + len(other.counts) - 1
+	if other.base < h.base || last >= h.base+len(h.counts) {
+		h.cover(other.base, last)
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	for j, c := range other.counts {
+		h.counts[other.base+j-h.base] += c
 	}
 	h.count += other.count
 	h.sum += other.sum
-	if other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
+	h.min, h.max = min(h.min, other.min), max(h.max, other.max)
 }
 
 // Equal reports whether two histograms hold identical state — same
-// precision, counts, and exact aggregates. Trailing zero buckets are
-// ignored, so a merged histogram equals its single-stream twin even if
-// their slices grew differently.
+// precision, counts, and exact aggregates. A bucket outside either
+// histogram's span counts as zero, so a merged histogram equals its
+// single-stream twin even if their spans grew differently.
 func (h *Histogram) Equal(other *Histogram) bool {
 	if h.precision != other.precision || h.count != other.count ||
 		h.sum != other.sum || h.min != other.min || h.max != other.max {
 		return false
 	}
-	long, short := h.counts, other.counts
-	if len(short) > len(long) {
-		long, short = short, long
-	}
-	for i, c := range short {
-		if long[i] != c {
-			return false
-		}
-	}
-	for _, c := range long[len(short):] {
-		if c != 0 {
+	lo, hi := min(h.base, other.base), max(h.base+len(h.counts), other.base+len(other.counts))
+	for i := lo; i < hi; i++ {
+		if h.at(i) != other.at(i) {
 			return false
 		}
 	}
 	return true
 }
 
-// Buckets returns the number of allocated buckets — the memory footprint
-// knob, useful in tests asserting constant-memory behavior.
+// Buckets returns the length of the span: 2^precision buckets for each
+// power-of-two range from the smallest sample's to the largest's — the
+// memory footprint, useful in tests asserting constant-memory behavior.
 func (h *Histogram) Buckets() int { return len(h.counts) }
 
 // Clone returns an independent deep copy.

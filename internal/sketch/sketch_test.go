@@ -372,6 +372,71 @@ func TestAscendingAddGrowsOncePerOctave(t *testing.T) {
 	}
 }
 
+// A histogram holds only the power-of-two ranges its samples span: a
+// stream of response times from 350 µs to 2.5 s spans ranges 11 to 24 at
+// precision 8, 14 × 256 buckets, and nothing below the 350 µs floor.
+func TestSpanHoldsOnlyOccupiedOctaves(t *testing.T) {
+	h := New()
+	r := newRand(0x350)
+	lo, hi := math.Log(float64(350*time.Microsecond)), math.Log(float64(2500*time.Millisecond))
+	for i := 0; i < 20_000; i++ {
+		h.Add(time.Duration(math.Exp(lo + (hi-lo)*r.Float64())))
+	}
+	h.Add(350 * time.Microsecond)
+	h.Add(2500 * time.Millisecond)
+	if h.Buckets() != 3584 {
+		t.Errorf("350 µs–2.5 s at precision 8 holds %d buckets, want 3584 (14 octaves)", h.Buckets())
+	}
+}
+
+// Descending samples across 20 octaves grow the span downward at most
+// once per octave, the bound ascending adds have.
+func TestDescendingAddGrowsOncePerOctave(t *testing.T) {
+	const octaves = 20
+	allocs := testing.AllocsPerRun(1, func() {
+		h := New()
+		for e := uint(DefaultPrecision + octaves - 1); e >= DefaultPrecision; e-- {
+			for v := int64(1)<<(e+1) - 1<<(e-DefaultPrecision); v >= 1<<e; v -= 1 << (e - DefaultPrecision) {
+				h.Add(time.Duration(v))
+			}
+		}
+	})
+	if allocs > octaves+1 {
+		t.Errorf("%d octaves of descending adds allocated %.0f times, want at most %d", octaves, allocs, octaves+1)
+	}
+}
+
+// Merging histograms whose spans do not meet, in either order and into
+// an empty histogram, equals single-stream ingestion of all samples.
+func TestMergeDisjointSpans(t *testing.T) {
+	low, high, single := New(), New(), New()
+	for i := 1; i <= 500; i++ {
+		l, hv := time.Duration(i)*time.Microsecond, time.Duration(i)*time.Second
+		low.Add(l)
+		high.Add(hv)
+		single.Add(l)
+		single.Add(hv)
+	}
+	for name, parts := range map[string][]*Histogram{
+		"high into low": {low, high}, "low into high": {high, low},
+	} {
+		into := parts[0].Clone()
+		into.Merge(parts[1])
+		empty := New()
+		empty.Merge(into)
+		for _, h := range []*Histogram{into, empty} {
+			if !h.Equal(single) || !single.Equal(h) || h.Buckets() != single.Buckets() {
+				t.Errorf("%s: merged histogram (%d buckets) differs from single stream (%d)", name, h.Buckets(), single.Buckets())
+			}
+			for _, p := range testQuantiles {
+				if h.Quantile(p) != single.Quantile(p) {
+					t.Errorf("%s: p=%v: %v != %v", name, p, h.Quantile(p), single.Quantile(p))
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkHistogramAdd(b *testing.B) {
 	h := New()
 	b.ReportAllocs()
