@@ -53,11 +53,13 @@ func MaxRelativeError(precision uint) float64 {
 // Histogram is a log-linear streaming histogram over non-negative
 // durations. The zero value is not ready to use; call New or
 // NewPrecision. All methods are single-goroutine, like the simulator
-// that feeds them.
+// that feeds them. It stores counts only for the octaves (2^precision
+// buckets each, one power-of-two range) from its smallest sample's to
+// its largest's.
 type Histogram struct {
 	precision uint
 	base      int      // bucket index of counts[0], a multiple of 2^precision
-	counts    []uint64 // buckets base… in whole octaves, smallest to largest sample's
+	counts    []uint64 // counts[j] is bucket base+j: whole octaves, smallest to largest sample's
 	count     uint64
 	sum       int64 // exact ns total; 10⁸ samples × ~1 s each still fits
 	min, max  int64

@@ -344,9 +344,9 @@ func TestWarmAddAllocatesNothing(t *testing.T) {
 	}
 }
 
-// Ascending samples across 20 octaves grow the bucket slice at most once
-// per octave, and the histogram reports the same buckets as one built in
-// the reverse order (whose first Add sizes the slice exactly).
+// Ascending samples across 20 octaves grow the span upward at most once
+// per octave, descending ones grow it downward within the same bound,
+// and the two histograms hold the same buckets.
 func TestAscendingAddGrowsOncePerOctave(t *testing.T) {
 	const octaves = 20
 	var h *Histogram
@@ -361,11 +361,17 @@ func TestAscendingAddGrowsOncePerOctave(t *testing.T) {
 	if allocs > octaves+1 {
 		t.Errorf("%d octaves of ascending adds allocated %.0f times, want at most %d", octaves, allocs, octaves+1)
 	}
-	desc := New()
-	for e := uint(DefaultPrecision + octaves - 1); e >= DefaultPrecision; e-- {
-		for v := int64(1)<<(e+1) - 1<<(e-DefaultPrecision); v >= 1<<e; v -= 1 << (e - DefaultPrecision) {
-			desc.Add(time.Duration(v))
+	var desc *Histogram
+	allocs = testing.AllocsPerRun(1, func() {
+		desc = New()
+		for e := uint(DefaultPrecision + octaves - 1); e >= DefaultPrecision; e-- {
+			for v := int64(1)<<(e+1) - 1<<(e-DefaultPrecision); v >= 1<<e; v -= 1 << (e - DefaultPrecision) {
+				desc.Add(time.Duration(v))
+			}
 		}
+	})
+	if allocs > octaves+1 {
+		t.Errorf("%d octaves of descending adds allocated %.0f times, want at most %d", octaves, allocs, octaves+1)
 	}
 	if !h.Equal(desc) || h.Buckets() != desc.Buckets() || h.Quantile(0.5) != desc.Quantile(0.5) {
 		t.Errorf("ascending histogram (%d buckets) differs from descending (%d)", h.Buckets(), desc.Buckets())
@@ -386,23 +392,6 @@ func TestSpanHoldsOnlyOccupiedOctaves(t *testing.T) {
 	h.Add(2500 * time.Millisecond)
 	if h.Buckets() != 3584 {
 		t.Errorf("350 µs–2.5 s at precision 8 holds %d buckets, want 3584 (14 octaves)", h.Buckets())
-	}
-}
-
-// Descending samples across 20 octaves grow the span downward at most
-// once per octave, the bound ascending adds have.
-func TestDescendingAddGrowsOncePerOctave(t *testing.T) {
-	const octaves = 20
-	allocs := testing.AllocsPerRun(1, func() {
-		h := New()
-		for e := uint(DefaultPrecision + octaves - 1); e >= DefaultPrecision; e-- {
-			for v := int64(1)<<(e+1) - 1<<(e-DefaultPrecision); v >= 1<<e; v -= 1 << (e - DefaultPrecision) {
-				h.Add(time.Duration(v))
-			}
-		}
-	})
-	if allocs > octaves+1 {
-		t.Errorf("%d octaves of descending adds allocated %.0f times, want at most %d", octaves, allocs, octaves+1)
 	}
 }
 

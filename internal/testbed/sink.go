@@ -71,9 +71,10 @@ func (tl *Timeline) record(res Result) {
 // per Launch (before any packet moves), Record once per terminal outcome
 // (response, RST, client timeout, or drain), so Offered == OK + Refused
 // + Unfinished once a run has drained. Its memory footprint is fixed by
-// the VIP count and the histogram value range — independent of how many
-// queries flow through, which is what lets a 10⁸-query horizon run fit
-// in a constant heap.
+// the VIP count and the range of response times each histogram spans
+// (whole power-of-two ranges, from the fastest to the slowest) —
+// independent of how many queries flow through, which is what lets a
+// 10⁸-query horizon run fit in a constant heap.
 type SketchSink struct {
 	total    VIPSketch
 	order    []*VIPSketch // by id in ids
